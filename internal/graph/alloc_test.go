@@ -62,25 +62,79 @@ func TestScratchShortestPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScratchBannedSearchZeroAlloc pins the Yen spur primitive — a
-// banned search plus its ban-set setup — at zero steady-state
-// allocations per spur.
+// TestScratchBannedSearchZeroAlloc pins the Yen spur primitive — ban-set
+// setup plus a banned search, for every spur index of a base path: one
+// full Yen round, all towards one target and so on one reverse tree — at
+// zero steady-state allocations.
 func TestScratchBannedSearchZeroAlloc(t *testing.T) {
 	g := allocGraph(t)
 	sc := NewScratch()
 	base := appendCopy(sc.ShortestPath(g, 0, 399, nil))
-	if base == nil {
-		t.Fatal("no path in alloc fixture")
+	if len(base) < 3 {
+		t.Fatalf("alloc fixture path %v too short for a spur round", base)
 	}
-	spur := func() {
-		sc.ensureBans(g)
+	round := func() {
 		for i := 0; i+1 < len(base); i++ {
+			sc.ensureBans(g)
 			sc.banEdge(g.ChannelIndex(base[i], base[i+1]), base[i], base[i+1])
+			for _, u := range base[:i] {
+				sc.banNode(u)
+			}
+			sc.search(g, base[i], 399, nil, nil, true)
 		}
-		sc.search(g, 0, 399, nil, nil, true)
 	}
-	spur() // warm ban arrays
-	if avg := testing.AllocsPerRun(200, spur); avg != 0 {
-		t.Fatalf("banned spur search allocates %v/op in steady state, want 0", avg)
+	round() // warm ban arrays
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("Yen spur round allocates %v/op in steady state, want 0", avg)
+	}
+}
+
+// TestScratchRetargetAndNilZeroAlloc: retargeting and deepening the
+// reverse tree, and the searches that end nil — no path in the topology,
+// and every path banned, which deepens until a pass cuts nothing — stay
+// at zero allocations on a warm Scratch.
+func TestScratchRetargetAndNilZeroAlloc(t *testing.T) {
+	g := allocGraph(t)
+	apart := topo.New(400) // two components: 0..199 and 200..399
+	for i := 1; i < 400; i++ {
+		if i != 200 {
+			apart.MustAddChannel(topo.NodeID(i), topo.NodeID(i-1))
+		}
+	}
+	apart.Compact()
+	sc := NewScratch()
+	target := topo.NodeID(0)
+	run := func() {
+		target = (target + 7) % 400
+		sc.ShortestPath(g, 3, target, nil) // new target: retarget, deepen
+		if sc.ShortestPath(apart, 10, 390, nil) != nil {
+			t.Fatal("path across components")
+		}
+		sc.ensureBans(g)
+		for _, v := range g.Neighbors(399) {
+			sc.banChannel(g.ChannelIndex(v, 399))
+		}
+		if sc.search(g, 0, 399, nil, nil, true) != nil {
+			t.Fatal("path into a target whose channels are all banned")
+		}
+	}
+	run()
+	if avg := testing.AllocsPerRun(200, run); avg != 0 {
+		t.Fatalf("retarget / nil-result searches allocate %v/op, want 0", avg)
+	}
+}
+
+// TestYenKSPAllocsNoMoreThanOracle: the goal-directed search adds no
+// allocation to a mice-table build — what YenKSP(k=4) allocates is the
+// accepted paths, candidates and seen-set, as under the pre-change search.
+func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
+	g := allocGraph(t)
+	pruned, oracle := NewScratch(), NewScratch()
+	pruned.yenKSP(g, 0, 399, 4, nil, nil)
+	oracle.oracleYenKSP(g, 0, 399, 4, nil, nil)
+	got := testing.AllocsPerRun(100, func() { pruned.yenKSP(g, 0, 399, 4, nil, nil) })
+	want := testing.AllocsPerRun(100, func() { oracle.oracleYenKSP(g, 0, 399, 4, nil, nil) })
+	if got > want {
+		t.Fatalf("yenKSP(k=4) allocates %v/op, the pre-change search %v/op", got, want)
 	}
 }

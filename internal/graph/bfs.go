@@ -17,7 +17,9 @@ import (
 )
 
 // Usable reports whether the directed hop u→v may be used. A nil Usable
-// means every topological edge is usable.
+// means every topological edge is usable. It must be a pure function of
+// the hop while a search runs: a search may ask about a hop more than
+// once, or about one that the answer then does not use.
 type Usable func(u, v topo.NodeID) bool
 
 // ChUsable is a channel-aware usability predicate: it additionally

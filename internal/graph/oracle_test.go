@@ -1,0 +1,201 @@
+package graph
+
+import (
+	"container/heap"
+
+	"repro/internal/topo"
+)
+
+// This file holds the reference implementations the differential tests
+// and BenchmarkSearch run the production search against: the pre-change
+// BFS, and Yen / disjoint-path drivers identical to the production ones
+// except that they call it.
+
+// oracleSearch is the unidirectional, unbounded s→t BFS every entry point
+// ran before the goal-directed search replaced it, kept verbatim (bar the
+// nodes-expanded counter) as the reference the differential tests compare
+// against: banned additionally applies the scratch ban-sets, and the
+// predicate-free case runs a specialised loop with no predicate branches.
+func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
+	if s == t {
+		sc.path = append(sc.path[:0], s)
+		return sc.path
+	}
+	sc.ensure(g)
+	off, nbrs, chans := g.AdjacencyView()
+	sc.parent[s] = s
+	sc.mark[s] = sc.epoch
+	if usable == nil && cu == nil {
+		return sc.oracleSearchNoPred(off, nbrs, chans, s, t, banned)
+	}
+	parent, mark, epoch := sc.parent, sc.mark, sc.epoch
+	queue := sc.queue[:0]
+	queue = append(queue, s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		lo, hi := off[u], off[u+1]
+		run := nbrs[lo:hi]
+		crun := chans[lo:hi]
+		for i, v := range run {
+			if mark[v] == epoch {
+				continue
+			}
+			if banned {
+				if sc.nodeBan[v] == sc.banEpoch {
+					continue
+				}
+				d := 2 * crun[i]
+				if u > v {
+					d++
+				}
+				if sc.edgeBan[d] == sc.banEpoch {
+					continue
+				}
+			}
+			if usable != nil && !usable(u, v) {
+				continue
+			}
+			if cu != nil && !cu(u, v, crun[i]) {
+				continue
+			}
+			parent[v] = u
+			mark[v] = epoch
+			if v == t {
+				sc.queue = queue
+				sc.expanded += head + 1
+				return sc.reconstruct(s, t)
+			}
+			queue = append(queue, v)
+		}
+	}
+	sc.queue = queue
+	sc.expanded += len(queue)
+	return nil
+}
+
+// oracleSearchNoPred is the predicate-free BFS body: identical traversal
+// order, with the per-edge predicate checks compiled out.
+func (sc *Scratch) oracleSearchNoPred(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, banned bool) []topo.NodeID {
+	parent, mark, epoch := sc.parent, sc.mark, sc.epoch
+	queue := sc.queue[:0]
+	queue = append(queue, s)
+	if banned {
+		nodeBan, edgeBan, banEpoch := sc.nodeBan, sc.edgeBan, sc.banEpoch
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			lo, hi := off[u], off[u+1]
+			run := nbrs[lo:hi]
+			crun := chans[lo:hi]
+			for i, v := range run {
+				if mark[v] == epoch || nodeBan[v] == banEpoch {
+					continue
+				}
+				d := 2 * crun[i]
+				if u > v {
+					d++
+				}
+				if edgeBan[d] == banEpoch {
+					continue
+				}
+				parent[v] = u
+				mark[v] = epoch
+				if v == t {
+					sc.queue = queue
+					sc.expanded += head + 1
+					return sc.reconstruct(s, t)
+				}
+				queue = append(queue, v)
+			}
+		}
+		sc.queue = queue
+		sc.expanded += len(queue)
+		return nil
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range nbrs[off[u]:off[u+1]] {
+			if mark[v] == epoch {
+				continue
+			}
+			parent[v] = u
+			mark[v] = epoch
+			if v == t {
+				sc.queue = queue
+				sc.expanded += head + 1
+				return sc.reconstruct(s, t)
+			}
+			queue = append(queue, v)
+		}
+	}
+	sc.queue = queue
+	sc.expanded += len(queue)
+	return nil
+}
+
+// oracleYenKSP is Scratch.yenKSP over oracleSearch.
+func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
+	if k <= 0 {
+		return nil
+	}
+	first := sc.oracleSearch(g, s, t, usable, cu, false)
+	if first == nil {
+		return nil
+	}
+	first = appendCopy(first)
+	accepted := [][]topo.NodeID{first}
+	devs := []int{0}
+	cands := &candHeap{}
+	seen := map[uint64][][]topo.NodeID{pathKey(first): {first}}
+	for len(accepted) < k {
+		prev := accepted[len(accepted)-1]
+		for i := devs[len(devs)-1]; i+1 < len(prev); i++ {
+			spur := prev[i]
+			root := prev[:i+1]
+			sc.ensureBans(g)
+			for _, p := range accepted {
+				if len(p) > i && samePrefix(p, root) {
+					sc.banEdge(g.ChannelIndex(p[i], p[i+1]), p[i], p[i+1])
+				}
+			}
+			for _, u := range root[:len(root)-1] {
+				sc.banNode(u)
+			}
+			spurPath := sc.oracleSearch(g, spur, t, usable, cu, true)
+			if spurPath == nil {
+				continue
+			}
+			total := make([]topo.NodeID, 0, len(root)+len(spurPath)-1)
+			total = append(total, root...)
+			total = append(total, spurPath[1:]...)
+			if !rememberPath(seen, total) {
+				continue
+			}
+			heap.Push(cands, yenCand{path: total, dev: i})
+		}
+		if cands.Len() == 0 {
+			break
+		}
+		c := heap.Pop(cands).(yenCand)
+		accepted = append(accepted, c.path)
+		devs = append(devs, c.dev)
+	}
+	return accepted
+}
+
+// oracleEdgeDisjointPaths is EdgeDisjointPaths over oracleSearch.
+func (sc *Scratch) oracleEdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
+	sc.ensureBans(g)
+	var paths [][]topo.NodeID
+	for len(paths) < k {
+		p := sc.oracleSearch(g, s, t, nil, nil, true)
+		if p == nil {
+			break
+		}
+		p = appendCopy(p)
+		for i := 0; i+1 < len(p); i++ {
+			sc.banChannel(g.ChannelIndex(p[i], p[i+1]))
+		}
+		paths = append(paths, p)
+	}
+	return paths
+}

@@ -35,7 +35,35 @@ type Scratch struct {
 	nodeBan  []uint8
 	edgeBan  []uint8
 	banEpoch uint8
+
+	// Reverse tree: a BFS from the current target over the plain
+	// topology, grown one whole level at a time and only as deep as
+	// searches need it (deepen). label[v] is v's hop distance to revT
+	// plus one, or 0 while v is unlabelled — so retarget resets with one
+	// clear, and label[v]-1 in uint8 arithmetic reads an unlabelled node
+	// as 255 hops, above every label. revQueue holds every labelled node
+	// in BFS order; levels 0..revDepth are complete and revQueue[revHead:]
+	// is level revDepth, not yet expanded — so an unlabelled node is more
+	// than revDepth hops away. Consecutive searches towards one target (a
+	// Yen run's spurs, Algorithm 1's rounds) share it; revG keeps the
+	// last graph searched reachable until the Scratch is used again.
+	revG     *topo.Graph
+	revT     topo.NodeID
+	revChans int
+	label    []uint8
+	revQueue []topo.NodeID
+	revHead  int
+	revDepth int
+
+	expanded int // nodes dequeued, forward passes and reverse tree alike
 }
+
+// Reverse-tree hop counts: the tree stops growing at maxLabel hops, and
+// an unlabelled node reads as unlabelled hops — farther than any label.
+const (
+	maxLabel   = 254
+	unlabelled = 255
+)
 
 // NewScratch returns an empty Scratch; buffers grow to fit the first
 // graph searched.
@@ -57,14 +85,20 @@ func (sc *Scratch) ensure(g *topo.Graph) {
 		sc.parent = make([]topo.NodeID, n)
 		sc.mark = make([]uint8, n)
 		sc.epoch = 0
+		sc.queue = make([]topo.NodeID, 0, n)
+		sc.label = make([]uint8, n)
+		sc.revQueue = make([]topo.NodeID, 0, n)
+		sc.revG = nil
 	}
+	sc.nextEpoch()
+}
+
+// nextEpoch invalidates every visited mark in O(1).
+func (sc *Scratch) nextEpoch() {
 	sc.epoch++
 	if sc.epoch == 0 { // uint8 wrap: stale stamps could alias, clear once
 		clear(sc.mark)
 		sc.epoch = 1
-	}
-	if cap(sc.queue) < len(sc.parent) {
-		sc.queue = make([]topo.NodeID, 0, len(sc.parent))
 	}
 }
 
@@ -120,10 +154,27 @@ func (sc *Scratch) ShortestPathCh(g *topo.Graph, s, t topo.NodeID, cu ChUsable) 
 	return sc.search(g, s, t, nil, cu, false)
 }
 
-// search runs the BFS; banned additionally applies the scratch ban-sets
-// (Yen spur searches, disjoint-path searches). The predicate-free case —
-// every mice-table Yen search and the plain-topology baselines — runs a
-// specialised loop with no predicate branches.
+// search is the one s→t search behind every entry point of the package:
+// a minimum-hop path whose hops pass usable/cu and, when banned, the
+// scratch ban-sets (Yen spurs, disjoint paths) — or nil. It is a BFS that
+// expands only nodes that can still lie on a path of at most bound hops,
+// with bound deepened one hop at a time from the reverse tree's lower
+// bound for s, and the tree deepened one level ahead of it.
+//
+// Why the path is the one an unpruned BFS returns, tie-breaks included:
+// h(v) — v's label, or revDepth+1 while v is unlabelled — is a lower bound
+// on v's hop distance to t that is consistent, h(p) ≤ h(v)+1 across any
+// hop p→v, because bans and predicates only remove hops from the plain
+// topology the labels were taken on. A pass keeps v iff depth(v)+h(v) ≤
+// bound. If v is kept, so is its BFS parent p: depth(p)+h(p) ≤
+// depth(v)−1+h(v)+1. The kept set is thus closed under BFS-parent, so by
+// induction on queue order the pass's queue is the unpruned queue with
+// the dropped nodes deleted — kept nodes keep their relative order, depth
+// and parent — and t, once bound reaches its distance, is reached from
+// the same parent along the same chain. A pass that misses t after
+// dropping an open hop proves nothing and reruns one hop deeper; a pass
+// that dropped none was a full BFS: nil. Predicates must be pure: a pass
+// may ask about a hop it then prunes, and the next pass asks again.
 func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
 	if s == t {
 		sc.path = append(sc.path[:0], s)
@@ -131,107 +182,118 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 	}
 	sc.ensure(g)
 	off, nbrs, chans := g.AdjacencyView()
-	sc.parent[s] = s
-	sc.mark[s] = sc.epoch
-	if usable == nil && cu == nil {
-		return sc.searchNoPred(off, nbrs, chans, s, t, banned)
+	sc.retarget(g, t)
+	parent, mark, label := sc.parent, sc.mark, sc.label
+	bound := int(label[s]) - 1
+	if bound < 0 {
+		bound = sc.revDepth + 1
 	}
-	parent, mark, epoch := sc.parent, sc.mark, sc.epoch
-	queue := sc.queue[:0]
-	queue = append(queue, s)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		lo, hi := off[u], off[u+1]
-		run := nbrs[lo:hi]
-		crun := chans[lo:hi]
-		for i, v := range run {
-			if mark[v] == epoch {
-				continue
-			}
-			if banned {
-				if sc.nodeBan[v] == sc.banEpoch {
-					continue
-				}
-				d := 2 * crun[i]
-				if u > v {
-					d++
-				}
-				if sc.edgeBan[d] == sc.banEpoch {
-					continue
-				}
-			}
-			if usable != nil && !usable(u, v) {
-				continue
-			}
-			if cu != nil && !cu(u, v, crun[i]) {
-				continue
-			}
-			parent[v] = u
-			mark[v] = epoch
-			if v == t {
-				sc.queue = queue
-				return sc.reconstruct(s, t)
-			}
-			queue = append(queue, v)
+	for ; ; bound++ {
+		// Every pruning test of the pass reads h ≤ bound-1: complete the
+		// levels that decide it, so that unlabelled means farther.
+		sc.deepen(off, nbrs, bound-1)
+		if label[s] == 0 && sc.revHead == len(sc.revQueue) {
+			return nil // t's whole component is labelled and s is not in it
 		}
-	}
-	sc.queue = queue
-	return nil
-}
-
-// searchNoPred is the predicate-free BFS body: identical traversal
-// order, with the per-edge predicate checks compiled out.
-func (sc *Scratch) searchNoPred(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, banned bool) []topo.NodeID {
-	parent, mark, epoch := sc.parent, sc.mark, sc.epoch
-	queue := sc.queue[:0]
-	queue = append(queue, s)
-	if banned {
-		nodeBan, edgeBan, banEpoch := sc.nodeBan, sc.edgeBan, sc.banEpoch
+		epoch := sc.epoch
+		parent[s], mark[s] = s, epoch
+		queue := append(sc.queue[:0], s)
+		cut := false
+		lim, levelEnd := bound, 0
+		var admit uint8
 		for head := 0; head < len(queue); head++ {
+			if head == levelEnd { // next BFS level: one hop spent
+				levelEnd = len(queue)
+				lim--
+				admit = unlabelled // past maxLabel the tree bounds nothing
+				if lim < maxLabel {
+					admit = uint8(lim)
+				}
+			}
 			u := queue[head]
 			lo, hi := off[u], off[u+1]
-			run := nbrs[lo:hi]
 			crun := chans[lo:hi]
-			for i, v := range run {
-				if mark[v] == epoch || nodeBan[v] == banEpoch {
+			for i, v := range nbrs[lo:hi] {
+				if label[v]-1 > admit {
+					if !cut && mark[v] != epoch && sc.open(u, v, crun[i], usable, cu, banned) {
+						cut = true
+					}
 					continue
 				}
-				d := 2 * crun[i]
-				if u > v {
-					d++
-				}
-				if edgeBan[d] == banEpoch {
+				if mark[v] == epoch || !sc.open(u, v, crun[i], usable, cu, banned) {
 					continue
 				}
 				parent[v] = u
 				mark[v] = epoch
 				if v == t {
 					sc.queue = queue
+					sc.expanded += head + 1
 					return sc.reconstruct(s, t)
 				}
 				queue = append(queue, v)
 			}
 		}
 		sc.queue = queue
-		return nil
+		sc.expanded += len(queue)
+		if !cut {
+			return nil
+		}
+		sc.nextEpoch()
 	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range nbrs[off[u]:off[u+1]] {
-			if mark[v] == epoch {
-				continue
-			}
-			parent[v] = u
-			mark[v] = epoch
-			if v == t {
-				sc.queue = queue
-				return sc.reconstruct(s, t)
-			}
-			queue = append(queue, v)
+}
+
+// open reports whether the hop u→v over channel ch passes the ban-sets
+// (when banned) and the caller's predicate.
+func (sc *Scratch) open(u, v topo.NodeID, ch int32, usable Usable, cu ChUsable, banned bool) bool {
+	if banned {
+		d := 2 * ch
+		if u > v {
+			d++
+		}
+		if sc.nodeBan[v] == sc.banEpoch || sc.edgeBan[d] == sc.banEpoch {
+			return false
 		}
 	}
-	sc.queue = queue
-	return nil
+	if usable != nil && !usable(u, v) {
+		return false
+	}
+	return cu == nil || cu(u, v, ch)
+}
+
+// retarget points the reverse tree at (g, t), keeping it when it already
+// is: the key includes the channel count, the one thing that changes when
+// a graph is mutated (channels are only ever added).
+func (sc *Scratch) retarget(g *topo.Graph, t topo.NodeID) {
+	if sc.revG == g && sc.revT == t && sc.revChans == g.NumChannels() {
+		return
+	}
+	clear(sc.label[:g.NumNodes()])
+	sc.revG, sc.revT, sc.revChans = g, t, g.NumChannels()
+	sc.label[t] = 1
+	sc.revQueue = append(sc.revQueue[:0], t)
+	sc.revHead, sc.revDepth = 0, 0
+}
+
+// deepen completes reverse levels until levels 0..depth are, or the tree
+// can grow no further: t's component is labelled, or depth maxLabel is
+// reached.
+func (sc *Scratch) deepen(off []int32, nbrs []topo.NodeID, depth int) {
+	label, queue, head := sc.label, sc.revQueue, sc.revHead
+	for sc.revDepth < depth && sc.revDepth < maxLabel && head < len(queue) {
+		sc.revDepth++
+		d := uint8(sc.revDepth + 1)
+		for end := len(queue); head < end; head++ {
+			u := queue[head]
+			for _, v := range nbrs[off[u]:off[u+1]] {
+				if label[v] == 0 {
+					label[v] = d
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	sc.expanded += head - sc.revHead
+	sc.revQueue, sc.revHead = queue, head
 }
 
 // reconstruct rebuilds the s→t path from the parent array into the

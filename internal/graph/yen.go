@@ -33,11 +33,17 @@ func YenKSPCh(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) [][]topo.Node
 }
 
 func yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
+	sc := AcquireScratch()
+	defer ReleaseScratch(sc)
+	return sc.yenKSP(g, s, t, k, usable, cu)
+}
+
+// yenKSP runs Yen's algorithm on sc. The first search and every spur
+// search head for the same t, so they all prune against one reverse tree.
+func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
 	if k <= 0 {
 		return nil
 	}
-	sc := AcquireScratch()
-	defer ReleaseScratch(sc)
 	first := sc.search(g, s, t, usable, cu, false)
 	if first == nil {
 		return nil

@@ -214,6 +214,21 @@ func TestZipfN(t *testing.T) {
 	}
 }
 
+// DrawPrefix on one growing table must equal a fresh NewZipf(n).Draw
+// draw for draw, for n in any order (trace.pickReceiver relies on it to
+// keep payment traces bit-identical).
+func TestZipfDrawPrefixMatchesFreshTable(t *testing.T) {
+	shared := NewZipf(1, 1.6)
+	a, b := NewRNG(7, 1), NewRNG(7, 1)
+	sizes := NewRNG(7, 2)
+	for i := 0; i < 5000; i++ {
+		n := 1 + sizes.Intn(300)
+		if got, want := shared.DrawPrefix(a, n), NewZipf(n, 1.6).Draw(b); got != want {
+			t.Fatalf("draw %d over %d ranks: shared table gave %d, fresh table %d", i, n, got, want)
+		}
+	}
+}
+
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {

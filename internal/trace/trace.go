@@ -137,6 +137,7 @@ type Generator struct {
 	cfg       Config
 	rng       *rand.Rand
 	senders   *stats.Zipf
+	recurring *stats.Zipf                   // rank among a sender's known receivers
 	receivers map[topo.NodeID][]topo.NodeID // per-sender known receivers
 	component []int                         // component ID per node (when Graph set)
 	next      int
@@ -171,6 +172,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		cfg:         cfg,
 		rng:         stats.NewRNG(cfg.Seed, 0xF1A54),
 		senders:     stats.NewZipf(cfg.Nodes, cfg.SenderZipf),
+		recurring:   stats.NewZipf(1, cfg.ReceiverZipf),
 		receivers:   make(map[topo.NodeID][]topo.NodeID),
 		amountScale: 1,
 	}
@@ -262,8 +264,7 @@ func (g *Generator) pickSender() topo.NodeID {
 func (g *Generator) pickReceiver(sender topo.NodeID) topo.NodeID {
 	known := g.receivers[sender]
 	if len(known) > 0 && g.rng.Float64() < g.cfg.RecurrenceProb {
-		z := stats.NewZipf(len(known), g.cfg.ReceiverZipf)
-		return known[z.Draw(g.rng)]
+		return known[g.recurring.DrawPrefix(g.rng, len(known))]
 	}
 	// Meet someone new (falling back to a known receiver after too many
 	// failed attempts on fragmented graphs).
