@@ -1,10 +1,11 @@
 // Package graph implements the path-finding primitives the routing
-// schemes are built from: breadth-first shortest paths with arbitrary
-// usability predicates, Yen's k-shortest loopless paths (used for mice
-// routing tables), successive edge-disjoint shortest paths (used by the
-// Spider baseline), BFS spanning trees (used by SpeedyMurmurs), and a
-// classic Edmonds–Karp max-flow (the reference point for the paper's
-// modified, probe-bounded variant implemented in package core).
+// schemes are built from: the shortest paths a breadth-first search
+// returns, under arbitrary usability predicates, Yen's k-shortest
+// loopless paths (used for mice routing tables), successive edge-disjoint
+// shortest paths (used by the Spider baseline), BFS spanning trees (used
+// by SpeedyMurmurs), and a classic Edmonds–Karp max-flow (the reference
+// point for the paper's modified, probe-bounded variant implemented in
+// package core).
 //
 // All algorithms operate on a *topo.Graph plus, where relevant, a
 // directed usability/capacity oracle, so they can run over the true

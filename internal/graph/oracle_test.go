@@ -13,7 +13,8 @@ import (
 
 // oracleSearch is the unidirectional, unbounded s→t BFS every entry point
 // ran before the goal-directed search replaced it, kept verbatim (bar the
-// nodes-expanded counter) as the reference the differential tests compare
+// work counters, which charge a dequeued node its whole neighbour list, the
+// last one included) as the reference the differential tests compare
 // against: banned additionally applies the scratch ban-sets, and the
 // predicate-free case runs a specialised loop with no predicate branches.
 func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
@@ -36,6 +37,7 @@ func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, 
 		lo, hi := off[u], off[u+1]
 		run := nbrs[lo:hi]
 		crun := chans[lo:hi]
+		sc.edges += len(run)
 		for i, v := range run {
 			if mark[v] == epoch {
 				continue
@@ -86,6 +88,7 @@ func (sc *Scratch) oracleSearchNoPred(off []int32, nbrs []topo.NodeID, chans []i
 			lo, hi := off[u], off[u+1]
 			run := nbrs[lo:hi]
 			crun := chans[lo:hi]
+			sc.edges += len(run)
 			for i, v := range run {
 				if mark[v] == epoch || nodeBan[v] == banEpoch {
 					continue
@@ -113,6 +116,7 @@ func (sc *Scratch) oracleSearchNoPred(off []int32, nbrs []topo.NodeID, chans []i
 	}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
+		sc.edges += int(off[u+1] - off[u])
 		for _, v := range nbrs[off[u]:off[u+1]] {
 			if mark[v] == epoch {
 				continue
@@ -132,6 +136,23 @@ func (sc *Scratch) oracleSearchNoPred(off []int32, nbrs []topo.NodeID, chans []i
 	return nil
 }
 
+// reconstruct rebuilds the s→t path from the parent array into the
+// scratch path buffer.
+func (sc *Scratch) reconstruct(s, t topo.NodeID) []topo.NodeID {
+	rev := sc.path[:0]
+	for v := t; ; v = sc.parent[v] {
+		rev = append(rev, v)
+		if v == s {
+			break
+		}
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	sc.path = rev
+	return rev
+}
+
 // oracleYenKSP is Scratch.yenKSP over oracleSearch.
 func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
 	if k <= 0 {
@@ -145,7 +166,7 @@ func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable U
 	accepted := [][]topo.NodeID{first}
 	devs := []int{0}
 	cands := &candHeap{}
-	seen := map[uint64][][]topo.NodeID{pathKey(first): {first}}
+	seen := append(make([]seenPath, 0, 4*k), seenPath{pathKey(first), first})
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
 		for i := devs[len(devs)-1]; i+1 < len(prev); i++ {
@@ -167,7 +188,7 @@ func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable U
 			total := make([]topo.NodeID, 0, len(root)+len(spurPath)-1)
 			total = append(total, root...)
 			total = append(total, spurPath[1:]...)
-			if !rememberPath(seen, total) {
+			if !rememberPath(&seen, total) {
 				continue
 			}
 			heap.Push(cands, yenCand{path: total, dev: i})

@@ -7,10 +7,11 @@ import (
 )
 
 // Scratch is the reusable working memory of the path searches in this
-// package: BFS parent/queue buffers, epoch-stamped visited marks (a new
-// search bumps the epoch instead of clearing — reset is O(1), and only
-// the nodes a search actually touches are ever written), a result
-// buffer, and the Yen spur ban-sets keyed by channel index. One Scratch
+// package: the depth-first stack, which is the result buffer too, per-node
+// hop budgets behind epoch-stamped visited marks (a new pass bumps the
+// epoch instead of clearing — reset is O(1), and only the nodes a search
+// actually touches are ever written), a node queue for the closure scans
+// and sweeps, and the Yen spur ban-sets keyed by channel index. One Scratch
 // amortises every per-call allocation of ShortestPath and YenKSP: a
 // steady-state search with a warm Scratch allocates nothing.
 //
@@ -20,11 +21,12 @@ import (
 // only until the next search on the same Scratch — callers that retain
 // a path must copy it.
 type Scratch struct {
-	parent []topo.NodeID
-	mark   []uint8 // parent[v] is valid iff mark[v] == epoch; one byte
-	epoch  uint8   // per node keeps the visited set L1-resident
-	queue  []topo.NodeID
-	path   []topo.NodeID
+	parent []topo.NodeID // the most hops v was entered with this pass (the oracle BFS: v's parent)
+	mark   []uint8       // parent[v] is valid iff mark[v] == epoch; one byte
+	epoch  uint8         // per node keeps the visited set L1-resident
+	queue  []topo.NodeID // the nodes a pass entered, then the backward sweep's queue
+	path   []topo.NodeID // DFS stack, and the result: the path from s so far
+	iter   []int32       // DFS stack, beside path: the next adjacency slot of path[d]
 
 	// Yen spur state: node bans for the root prefix, directed-edge bans
 	// keyed 2·channel + direction (direction 1 = higher endpoint to
@@ -55,7 +57,12 @@ type Scratch struct {
 	revHead  int
 	revDepth int
 
-	expanded int // nodes dequeued, forward passes and reverse tree alike
+	// Work done, by every loop of the package — forward passes, reverse
+	// tree, closure scans and backward sweeps: nodes entered or dequeued,
+	// and adjacency entries read, which is what a search costs (a hub is
+	// one node and a thousand entries).
+	expanded int
+	edges    int
 }
 
 // Reverse-tree hop counts: the tree stops growing at maxLabel hops, and
@@ -156,25 +163,45 @@ func (sc *Scratch) ShortestPathCh(g *topo.Graph, s, t topo.NodeID, cu ChUsable) 
 
 // search is the one s→t search behind every entry point of the package:
 // a minimum-hop path whose hops pass usable/cu and, when banned, the
-// scratch ban-sets (Yen spurs, disjoint paths) — or nil. It is a BFS that
-// expands only nodes that can still lie on a path of at most bound hops,
-// with bound deepened one hop at a time from the reverse tree's lower
-// bound for s, and the tree deepened one level ahead of it.
+// scratch ban-sets (Yen spurs, disjoint paths) — or nil. It is a depth-first
+// descent in neighbour-list order, at most bound hops deep, with bound
+// deepened one hop at a time from the reverse tree's lower bound for s.
 //
-// Why the path is the one an unpruned BFS returns, tie-breaks included:
-// h(v) — v's label, or revDepth+1 while v is unlabelled — is a lower bound
-// on v's hop distance to t that is consistent, h(p) ≤ h(v)+1 across any
-// hop p→v, because bans and predicates only remove hops from the plain
-// topology the labels were taken on. A pass keeps v iff depth(v)+h(v) ≤
-// bound. If v is kept, so is its BFS parent p: depth(p)+h(p) ≤
-// depth(v)−1+h(v)+1. The kept set is thus closed under BFS-parent, so by
-// induction on queue order the pass's queue is the unpruned queue with
-// the dropped nodes deleted — kept nodes keep their relative order, depth
-// and parent — and t, once bound reaches its distance, is reached from
-// the same parent along the same chain. A pass that misses t after
-// dropping an open hop proves nothing and reruns one hop deeper; a pass
-// that dropped none was a full BFS: nil. Predicates must be pure: a pass
-// may ask about a hop it then prunes, and the next pass asks again.
+// Why the path is the one an unpruned BFS returns, tie-breaks included. A
+// BFS orders the nodes of a level by (rank of parent, position in the
+// parent's list), so by induction on depth its path P to t is, of all
+// shortest open paths, the one whose sequence of list positions is
+// lexicographically smallest. A pass tries neighbours in list order, so it
+// walks position sequences in that order, and whatever reaches t within
+// bound hops is an open walk of that length: nothing below t's distance,
+// only shortest paths at it — and the first of them is P unless the pass
+// refuses a step of P. It refuses a step to v on two grounds. (1) h(v) —
+// v's label, or revDepth+1 while v is unlabelled — exceeds the hops left:
+// h is a lower bound on the open distance to t, because bans and predicates
+// only remove hops from the plain topology the labels were taken on, so no
+// node of a shortest path is refused. (2) The budget memo: parent[v] holds
+// the most hops v was entered with this pass, and v is entered again only
+// with strictly more. Each node of P sits at its BFS depth, so an earlier
+// entry into one with as many hops left came down an equally short path
+// with a smaller position sequence, which continued along P would be a
+// shortest path ahead of P — there is none.
+//
+// No path: a DFS always meets the bound somewhere, so a failed pass proves
+// nothing by itself. Two closure rules end the deepening. Forward (closed):
+// if no open hop leaves the set of nodes the pass entered, everything s
+// reaches is in it, and t is not. Backward (reachable), from the second
+// failed pass on: sweep from t over the hops open towards it, for at most
+// the adjacency entries this bound cost; if the set that reaches t closes
+// without s in it there is no path. An exhausted receiver — Algorithm 1's
+// last round — so costs two short passes and its inbound hops, not a flood
+// per bound.
+//
+// The depth rule: at bound, the tree is complete to bound-2 hops, which
+// leaves only the first step out of s blind (an unlabelled neighbour reads
+// as bound-1 hops away and is admitted). One more level makes that step
+// exact too, and is grown only when the tree's frontier is no larger than
+// deg(s): expand the cheaper side. Predicates must be pure: a pass asks
+// about a hop again after backing out of it, and so does the next pass.
 func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
 	if s == t {
 		sc.path = append(sc.path[:0], s)
@@ -183,63 +210,117 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 	sc.ensure(g)
 	off, nbrs, chans := g.AdjacencyView()
 	sc.retarget(g, t)
-	parent, mark, label := sc.parent, sc.mark, sc.label
+	budget, mark, label := sc.parent, sc.mark, sc.label
 	bound := int(label[s]) - 1
 	if bound < 0 {
 		bound = sc.revDepth + 1
 	}
-	for ; ; bound++ {
-		// Every pruning test of the pass reads h ≤ bound-1: complete the
-		// levels that decide it, so that unlabelled means farther.
-		sc.deepen(off, nbrs, bound-1)
+	for failed := 0; ; bound++ {
+		before := sc.edges
+		sc.deepen(off, nbrs, bound-2)
+		if len(sc.revQueue)-sc.revHead <= int(off[s+1]-off[s]) {
+			sc.deepen(off, nbrs, bound-1)
+		}
 		if label[s] == 0 && sc.revHead == len(sc.revQueue) {
 			return nil // t's whole component is labelled and s is not in it
 		}
 		epoch := sc.epoch
-		parent[s], mark[s] = s, epoch
-		queue := append(sc.queue[:0], s)
-		cut := false
-		lim, levelEnd := bound, 0
-		var admit uint8
-		for head := 0; head < len(queue); head++ {
-			if head == levelEnd { // next BFS level: one hop spent
-				levelEnd = len(queue)
-				lim--
-				admit = unlabelled // past maxLabel the tree bounds nothing
-				if lim < maxLabel {
-					admit = uint8(lim)
+		budget[s], mark[s] = topo.NodeID(bound), epoch
+		sc.expanded++
+		entered := append(sc.queue[:0], s)
+		path := append(sc.path[:0], s) // the DFS stack is the path so far
+		iter := append(sc.iter[:0], off[s])
+		for d := 0; d >= 0; {
+			u := path[d]
+			lim := bound - d - 1 // hops left after the step out of u
+			admit := uint8(unlabelled)
+			if lim <= sc.revDepth {
+				admit = uint8(lim)
+			}
+			i, hi := iter[d], off[u+1]
+			from := i
+			for ; i < hi; i++ {
+				if v := nbrs[i]; label[v]-1 <= admit && (mark[v] != epoch || budget[v] < topo.NodeID(lim)) &&
+					sc.open(u, v, chans[i], usable, cu, banned) {
+					break
 				}
 			}
-			u := queue[head]
-			lo, hi := off[u], off[u+1]
-			crun := chans[lo:hi]
-			for i, v := range nbrs[lo:hi] {
-				if label[v]-1 > admit {
-					if !cut && mark[v] != epoch && sc.open(u, v, crun[i], usable, cu, banned) {
-						cut = true
-					}
-					continue
-				}
-				if mark[v] == epoch || !sc.open(u, v, crun[i], usable, cu, banned) {
-					continue
-				}
-				parent[v] = u
+			sc.edges += int(i - from)
+			if i == hi { // u is exhausted: back out of it
+				d--
+				path, iter = path[:d+1], iter[:d+1]
+				continue
+			}
+			sc.edges++
+			v := nbrs[i]
+			if v == t {
+				sc.queue, sc.iter, sc.path = entered, iter, append(path, t)
+				return sc.path
+			}
+			if mark[v] != epoch {
 				mark[v] = epoch
-				if v == t {
-					sc.queue = queue
-					sc.expanded += head + 1
-					return sc.reconstruct(s, t)
-				}
-				queue = append(queue, v)
+				entered = append(entered, v)
 			}
+			budget[v] = topo.NodeID(lim)
+			sc.expanded++
+			iter[d] = i + 1
+			path, iter = append(path, v), append(iter, off[v])
+			d++
 		}
-		sc.queue = queue
-		sc.expanded += len(queue)
-		if !cut {
+		sc.queue, sc.iter, sc.path = entered, iter, path
+		spent := sc.edges - before // what this bound cost: tree growth and pass
+		failed++
+		if sc.closed(off, nbrs, chans, entered, usable, cu, banned) ||
+			failed > 1 && !sc.reachable(off, nbrs, chans, s, t, spent, usable, cu, banned) {
 			return nil
 		}
 		sc.nextEpoch()
 	}
+}
+
+// closed reports whether no open hop leaves the set of nodes the pass just
+// run entered, stopping at the first that does.
+func (sc *Scratch) closed(off []int32, nbrs []topo.NodeID, chans []int32, entered []topo.NodeID, usable Usable, cu ChUsable, banned bool) bool {
+	for _, u := range entered {
+		for i := off[u]; i < off[u+1]; i++ {
+			if v := nbrs[i]; sc.mark[v] != sc.epoch && sc.open(u, v, chans[i], usable, cu, banned) {
+				sc.edges += int(i-off[u]) + 1
+				return false
+			}
+		}
+		sc.edges += int(off[u+1] - off[u])
+	}
+	return true
+}
+
+// reachable sweeps backwards from t over hops open towards it and reports
+// false only when the set of nodes that reach t closed without s in it;
+// true means s reaches t or the sweep ran out of its budget of edge reads.
+func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, reads int, usable Usable, cu ChUsable, banned bool) bool {
+	sc.nextEpoch()
+	mark, epoch := sc.mark, sc.epoch
+	mark[t] = epoch
+	queue := append(sc.queue[:0], t)
+	for head := 0; head < len(queue) && reads > 0; head++ {
+		u := queue[head]
+		reads -= int(off[u+1] - off[u])
+		sc.edges += int(off[u+1] - off[u])
+		for i := off[u]; i < off[u+1]; i++ {
+			v := nbrs[i]
+			if mark[v] == epoch || !sc.open(v, u, chans[i], usable, cu, banned) {
+				continue
+			}
+			if v == s {
+				sc.queue = queue
+				return true
+			}
+			mark[v] = epoch
+			queue = append(queue, v)
+		}
+		sc.expanded++
+	}
+	sc.queue = queue
+	return reads <= 0
 }
 
 // open reports whether the hop u→v over channel ch passes the ban-sets
@@ -284,6 +365,7 @@ func (sc *Scratch) deepen(off []int32, nbrs []topo.NodeID, depth int) {
 		d := uint8(sc.revDepth + 1)
 		for end := len(queue); head < end; head++ {
 			u := queue[head]
+			sc.edges += int(off[u+1] - off[u])
 			for _, v := range nbrs[off[u]:off[u+1]] {
 				if label[v] == 0 {
 					label[v] = d
@@ -294,23 +376,6 @@ func (sc *Scratch) deepen(off []int32, nbrs []topo.NodeID, depth int) {
 	}
 	sc.expanded += head - sc.revHead
 	sc.revQueue, sc.revHead = queue, head
-}
-
-// reconstruct rebuilds the s→t path from the parent array into the
-// scratch path buffer.
-func (sc *Scratch) reconstruct(s, t topo.NodeID) []topo.NodeID {
-	rev := sc.path[:0]
-	for v := t; ; v = sc.parent[v] {
-		rev = append(rev, v)
-		if v == s {
-			break
-		}
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	sc.path = rev
-	return rev
 }
 
 // appendCopy returns a retained copy of a scratch-aliased path.

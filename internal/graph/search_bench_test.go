@@ -8,14 +8,28 @@ import (
 	"repro/internal/topo"
 )
 
-// BenchmarkSearch answers ROADMAP item 2's "how large is unmeasured": for
-// a point query (bfs) and a mice-table build (yen4, yen8) between random
-// pairs of a RippleLike graph it reports nodes/op — nodes dequeued per
-// operation, reverse-tree growth included — for the pre-change search
-// (oracle) and the goal-directed one (pruned), side by side. 10,000 nodes
-// is scale-10k's graph; 200 is engine-churn's, where the one-shot
-// ShortestPath has no second search to share its reverse tree with.
+// BenchmarkSearch answers ROADMAP item 2's "how large is unmeasured": between
+// random pairs of a RippleLike graph it reports nodes/op and edges/op —
+// nodes entered or dequeued and adjacency entries read per operation,
+// reverse tree, closure scans and backward sweeps included — for the
+// pre-change search (oracle) and the production one (pruned), side by side.
+// The cells: a point query (bfs), a mice-table build (yen4, yen8), an
+// elephant (ek8: eight successive ShortestPathCh rounds, each closing one
+// hop of the path the round before found, as Algorithm 1 closes its
+// bottleneck) and an exhausted receiver (nil: every hop into t closed).
+// 10,000 nodes is scale-10k's graph; 200 is engine-churn's, where the
+// one-shot ShortestPath has no second search to share its reverse tree with.
 func BenchmarkSearch(b *testing.B) {
+	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID
+	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID
+	variants := []struct {
+		name string
+		find findFn
+		yen  yenFn
+	}{
+		{"oracle", (*Scratch).oracleSearch, (*Scratch).oracleYenKSP},
+		{"pruned", (*Scratch).search, (*Scratch).yenKSP},
+	}
 	for _, n := range []int{200, 10000} {
 		g, err := topo.RippleLike(n, rand.New(rand.NewSource(1)))
 		if err != nil {
@@ -31,29 +45,60 @@ func BenchmarkSearch(b *testing.B) {
 			}
 			pairs[i] = [2]topo.NodeID{s, t}
 		}
+		shut := make([]bool, 2*g.NumChannels()) // ek8's closed hops, 2·channel + direction
+		slot := func(u, v topo.NodeID, ch int32) int32 {
+			if u > v {
+				return 2*ch + 1
+			}
+			return 2 * ch
+		}
+		notShut := func(u, v topo.NodeID, ch int32) bool { return !shut[slot(u, v, ch)] }
 		for _, c := range []struct {
 			name string
-			run  func(sc *Scratch, s, t topo.NodeID)
+			run  func(sc *Scratch, find findFn, yen yenFn, s, t topo.NodeID)
 		}{
-			{"bfs/oracle", func(sc *Scratch, s, t topo.NodeID) { sc.oracleSearch(g, s, t, nil, nil, false) }},
-			{"bfs/pruned", func(sc *Scratch, s, t topo.NodeID) { sc.search(g, s, t, nil, nil, false) }},
-			{"yen4/oracle", func(sc *Scratch, s, t topo.NodeID) { sc.oracleYenKSP(g, s, t, 4, nil, nil) }},
-			{"yen4/pruned", func(sc *Scratch, s, t topo.NodeID) { sc.yenKSP(g, s, t, 4, nil, nil) }},
-			{"yen8/oracle", func(sc *Scratch, s, t topo.NodeID) { sc.oracleYenKSP(g, s, t, 8, nil, nil) }},
-			{"yen8/pruned", func(sc *Scratch, s, t topo.NodeID) { sc.yenKSP(g, s, t, 8, nil, nil) }},
-		} {
-			b.Run(fmt.Sprintf("nodes=%d/%s", n, c.name), func(b *testing.B) {
-				sc := NewScratch()
-				c.run(sc, pairs[0][0], pairs[0][1]) // size the buffers
-				sc.expanded = 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					c.run(sc, p[0], p[1])
+			{"bfs", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) { find(sc, g, s, t, nil, nil, false) }},
+			{"yen4", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 4, nil, nil) }},
+			{"yen8", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 8, nil, nil) }},
+			{"ek8", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
+				var closed [8]int32
+				for r := range closed {
+					p := find(sc, g, s, t, nil, notShut, false)
+					if p == nil {
+						closed[r] = -1
+						continue
+					}
+					h := int(mix(int64(r), int(s), int(t)) % uint64(len(p)-1)) // the round's "bottleneck"
+					closed[r] = slot(p[h], p[h+1], int32(g.ChannelIndex(p[h], p[h+1])))
+					shut[closed[r]] = true
 				}
-				b.ReportMetric(float64(sc.expanded)/float64(b.N), "nodes/op")
-			})
+				for _, x := range closed {
+					if x >= 0 {
+						shut[x] = false
+					}
+				}
+			}},
+			{"nil", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
+				if find(sc, g, s, t, nil, func(_, v topo.NodeID, _ int32) bool { return v != t }, false) != nil {
+					b.Fatal("path into a receiver whose inbound hops are all closed")
+				}
+			}},
+		} {
+			for _, v := range variants {
+				b.Run(fmt.Sprintf("nodes=%d/%s/%s", n, c.name, v.name), func(b *testing.B) {
+					sc := NewScratch()
+					c.run(sc, v.find, v.yen, pairs[0][0], pairs[0][1]) // size the buffers
+					sc.expanded, sc.edges = 0, 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						p := pairs[i%len(pairs)]
+						c.run(sc, v.find, v.yen, p[0], p[1])
+					}
+					b.ReportMetric(float64(sc.expanded)/float64(b.N), "nodes/op")
+					b.ReportMetric(float64(sc.edges)/float64(b.N), "edges/op")
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -106,25 +107,54 @@ func samePaths(a, b [][]topo.NodeID) bool {
 	return true
 }
 
+// The no-path shapes: on top of its random closures a predicate may cut t
+// off (every hop into it closed), cut s off (every hop out of it), or cut
+// the graph in the middle (every hop between the lower and the upper half
+// of the node IDs) — what ends a search nil differs for each.
+const (
+	cutNone = iota
+	cutAtT
+	cutAtS
+	cutMiddle
+	numCuts
+)
+
+// cutHop reports whether the shape closes the hop u→v of an n-node graph
+// searched from s to t.
+func cutHop(cut uint8, n int, s, t, u, v topo.NodeID) bool {
+	switch cut % numCuts {
+	case cutAtT:
+		return v == t
+	case cutAtS:
+		return u == s
+	case cutMiddle:
+		return (int(u) < n/2) != (int(v) < n/2)
+	}
+	return false
+}
+
 // checkSearchDifferential compares every entry point with the oracle for
-// one (graph, s, t, k, seed) scenario. pruned is deliberately shared by
-// all scenarios of a test, so its reverse tree is retargeted between
+// one (graph, s, t, k, seed, cut) scenario. pruned is deliberately shared
+// by all scenarios of a test, so its reverse tree is retargeted between
 // graphs and targets the way a pooled Scratch is.
-func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k int, seed int64, pruned, oracle *Scratch) {
+func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k int, seed int64, cut uint8, pruned, oracle *Scratch) {
 	tb.Helper()
 	g := dg.g
+	n := g.NumNodes()
 	closed := mix(seed, -3, -3) % 60 // percent of directed hops the predicate closes
-	usable := func(u, v topo.NodeID) bool { return mix(seed, int(u), int(v))%100 >= closed }
+	usable := func(u, v topo.NodeID) bool {
+		return !cutHop(cut, n, s, t, u, v) && mix(seed, int(u), int(v))%100 >= closed
+	}
 	cu := func(u, v topo.NodeID, ch int32) bool {
 		dir := 0
 		if u > v {
 			dir = 1
 		}
-		return mix(seed, int(ch), dir)%100 >= closed
+		return !cutHop(cut, n, s, t, u, v) && mix(seed, int(ch), dir)%100 >= closed
 	}
 	fail := func(what string, got, want any) {
 		tb.Helper()
-		tb.Fatalf("%s %d→%d k=%d seed=%d: %s\n got  %v\n want %v", dg.name, s, t, k, seed, what, got, want)
+		tb.Fatalf("%s %d→%d k=%d seed=%d cut=%d: %s\n got  %v\n want %v", dg.name, s, t, k, seed, cut%numCuts, what, got, want)
 	}
 
 	for _, c := range []struct {
@@ -183,7 +213,7 @@ func TestSearchDifferential(t *testing.T) {
 		}
 		for i := 0; i < pairs; i++ {
 			s, tt := topo.NodeID(rng.Intn(n)), topo.NodeID(rng.Intn(n))
-			checkSearchDifferential(t, dg, s, tt, 1+i%12, rng.Int63(), pruned, oracle)
+			checkSearchDifferential(t, dg, s, tt, 1+i%12, rng.Int63(), uint8(i/12), pruned, oracle)
 		}
 	}
 }
@@ -195,14 +225,14 @@ func TestSearchDifferentialFarAndApart(t *testing.T) {
 	for _, dg := range diffGraphs() {
 		switch dg.name {
 		case "path-600":
-			checkSearchDifferential(t, dg, 0, 599, 2, 1, pruned, oracle)
-			checkSearchDifferential(t, dg, 580, 10, 2, 2, pruned, oracle)
+			checkSearchDifferential(t, dg, 0, 599, 2, 1, cutNone, pruned, oracle)
+			checkSearchDifferential(t, dg, 580, 10, 2, 2, cutMiddle, pruned, oracle)
 		case "ring-600":
-			checkSearchDifferential(t, dg, 0, 300, 3, 3, pruned, oracle)
-			checkSearchDifferential(t, dg, 10, 290, 2, 4, pruned, oracle)
+			checkSearchDifferential(t, dg, 0, 300, 3, 3, cutNone, pruned, oracle)
+			checkSearchDifferential(t, dg, 10, 290, 2, 4, cutAtT, pruned, oracle)
 		case "components":
 			for i, pair := range [][2]topo.NodeID{{3, 150}, {150, 3}, {7, 180}, {180, 7}, {180, 181}, {121, 160}} {
-				checkSearchDifferential(t, dg, pair[0], pair[1], 4, int64(i), pruned, oracle)
+				checkSearchDifferential(t, dg, pair[0], pair[1], 4, int64(i), cutNone, pruned, oracle)
 				if p := ShortestPath(dg.g, pair[0], pair[1], nil); (p == nil) != (i < 5) {
 					t.Errorf("components %v: path %v", pair, p)
 				}
@@ -211,25 +241,29 @@ func TestSearchDifferentialFarAndApart(t *testing.T) {
 	}
 }
 
-// FuzzSearchDifferential lets the fuzzer pick the graph, the endpoints, k
-// and the ban/predicate seed.
+// FuzzSearchDifferential lets the fuzzer pick the graph, the endpoints, k,
+// the no-path shape and the ban/predicate seed. Seeds 29, 46 and 54 close
+// no hop at random, so the last three corpus entries are the bare shapes.
 func FuzzSearchDifferential(f *testing.F) {
 	graphs := diffGraphs()
-	f.Add(uint8(0), uint16(0), uint16(299), uint8(8), int64(1))
-	f.Add(uint8(1), uint16(17), uint16(3), uint8(12), int64(2))
-	f.Add(uint8(2), uint16(5), uint16(150), uint8(4), int64(3))
-	f.Add(uint8(3), uint16(3), uint16(150), uint8(4), int64(4))
-	f.Add(uint8(3), uint16(190), uint16(191), uint8(2), int64(5))
-	f.Add(uint8(4), uint16(0), uint16(599), uint8(2), int64(6))
-	f.Add(uint8(5), uint16(0), uint16(300), uint8(2), int64(7))
-	f.Fuzz(func(t *testing.T, gi uint8, s, tt uint16, k uint8, seed int64) {
+	f.Add(uint8(0), uint16(0), uint16(299), uint8(8), uint8(cutNone), int64(1))
+	f.Add(uint8(1), uint16(17), uint16(3), uint8(12), uint8(cutNone), int64(2))
+	f.Add(uint8(2), uint16(5), uint16(150), uint8(4), uint8(cutNone), int64(3))
+	f.Add(uint8(3), uint16(3), uint16(150), uint8(4), uint8(cutNone), int64(4))
+	f.Add(uint8(3), uint16(190), uint16(191), uint8(2), uint8(cutNone), int64(5))
+	f.Add(uint8(4), uint16(0), uint16(599), uint8(2), uint8(cutNone), int64(6))
+	f.Add(uint8(5), uint16(0), uint16(300), uint8(2), uint8(cutNone), int64(7))
+	f.Add(uint8(1), uint16(17), uint16(399), uint8(4), uint8(cutAtT), int64(29))
+	f.Add(uint8(0), uint16(250), uint16(3), uint8(4), uint8(cutAtS), int64(46))
+	f.Add(uint8(2), uint16(20), uint16(280), uint8(4), uint8(cutMiddle), int64(54))
+	f.Fuzz(func(t *testing.T, gi uint8, s, tt uint16, k, cut uint8, seed int64) {
 		dg := graphs[int(gi)%len(graphs)]
 		n := dg.g.NumNodes()
 		k = 1 + k%12
 		if n >= 600 {
 			k = 1 + k%3 // see TestSearchDifferential
 		}
-		checkSearchDifferential(t, dg, topo.NodeID(int(s)%n), topo.NodeID(int(tt)%n), int(k), seed,
+		checkSearchDifferential(t, dg, topo.NodeID(int(s)%n), topo.NodeID(int(tt)%n), int(k), seed, cut,
 			NewScratch(), NewScratch())
 	})
 }
@@ -312,5 +346,148 @@ func TestScratchEpochWrap(t *testing.T) {
 	}
 	if passes < 4*256 {
 		t.Fatalf("only %d passes: the mark epoch never wrapped often enough to test", passes)
+	}
+}
+
+// lexMinShortest is the definition search must meet, by brute force and
+// independent of the oracle: of all simple s→t paths over open hops, the
+// fewest hops, and among those the smallest sequence of neighbour-list
+// positions. It enumerates adjacency entries, not neighbours, so a node
+// listed twice (parallel channels) would count once per entry.
+func lexMinShortest(g *topo.Graph, s, t topo.NodeID, open func(u, v topo.NodeID, ch int32) bool) []topo.NodeID {
+	off, nbrs, chans := g.AdjacencyView()
+	var best []topo.NodeID
+	var bestPos []int32
+	onPath := make([]bool, g.NumNodes())
+	var walk func(path []topo.NodeID, pos []int32)
+	walk = func(path []topo.NodeID, pos []int32) {
+		u := path[len(path)-1]
+		if u == t {
+			if best == nil || len(path) < len(best) || len(path) == len(best) && slices.Compare(pos, bestPos) < 0 {
+				best, bestPos = slices.Clone(path), slices.Clone(pos)
+			}
+			return
+		}
+		onPath[u] = true
+		for i := off[u]; i < off[u+1]; i++ {
+			if v := nbrs[i]; !onPath[v] && open(u, v, chans[i]) {
+				walk(append(path, v), append(pos, i-off[u]))
+			}
+		}
+		onPath[u] = false
+	}
+	walk([]topo.NodeID{s}, nil)
+	return best
+}
+
+// TestSearchIsLexMinShortestPath pins the invariant the depth-first search
+// rests on: the path is the shortest open one that is smallest in
+// neighbour-list position — on small random graphs whose lists are in
+// random order, under random predicates and ban-sets, and again with the
+// first hop of the answer banned, so that a later list position must win.
+// (topo.Graph folds a repeated channel into the first, so lists with one
+// neighbour twice cannot be built; the banned first hop is the nearest case.)
+func TestSearchIsLexMinShortestPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sc := NewScratch()
+	for round := 0; round < 400; round++ {
+		n := 2 + rng.Intn(8)
+		g := topo.New(n)
+		for e := rng.Intn(3 * n); e > 0; e-- { // random insertion order is random list order
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				g.MustAddChannel(topo.NodeID(a), topo.NodeID(b))
+			}
+		}
+		g.Compact()
+		seed := rng.Int63()
+		closed := uint64(rng.Intn(40))
+		nodeBan := make([]bool, n)
+		hopBan := make([]bool, 2*g.NumChannels())
+		slot := func(u, v topo.NodeID, ch int32) int32 {
+			if u > v {
+				return 2*ch + 1
+			}
+			return 2 * ch
+		}
+		for v := range nodeBan {
+			nodeBan[v] = mix(seed, v, -1)%100 < 8
+		}
+		for i := range hopBan {
+			hopBan[i] = mix(seed, i, -2)%100 < 8
+		}
+		cu := func(u, v topo.NodeID, ch int32) bool { return mix(seed, int(ch), int(slot(u, v, ch)&1))%100 >= closed }
+		open := func(u, v topo.NodeID, ch int32) bool {
+			return !nodeBan[v] && !hopBan[slot(u, v, ch)] && cu(u, v, ch)
+		}
+		check := func(s, tt topo.NodeID) []topo.NodeID {
+			sc.ensureBans(g)
+			for v, b := range nodeBan {
+				if b {
+					sc.banNode(topo.NodeID(v))
+				}
+			}
+			for idx, e := range g.Channels() {
+				if hopBan[2*idx] {
+					sc.banEdge(idx, e.A, e.B)
+				}
+				if hopBan[2*idx+1] {
+					sc.banEdge(idx, e.B, e.A)
+				}
+			}
+			want := lexMinShortest(g, s, tt, open)
+			if got := sc.search(g, s, tt, nil, cu, true); !pathEq(got, want) {
+				t.Fatalf("round %d %d→%d: got %v, want %v\nchannels %v\nbanned nodes %v hops %v",
+					round, s, tt, got, want, g.Channels(), nodeBan, hopBan)
+			}
+			return want
+		}
+		for s := topo.NodeID(0); int(s) < n; s++ {
+			for tt := topo.NodeID(0); int(tt) < n; tt++ {
+				if p := check(s, tt); len(p) > 1 { // once more without the answer's first hop
+					first := slot(p[0], p[1], int32(g.ChannelIndex(p[0], p[1])))
+					hopBan[first] = true
+					check(s, tt)
+					hopBan[first] = false
+				}
+			}
+		}
+	}
+}
+
+// TestNoPathCost: a search that ends nil must not cost more than the flood
+// it replaced. On the 10,000-node graph, search reads at most twice the
+// adjacency entries the oracle's single BFS reads when the cut is at t (it
+// ends on the first backward sweep) or at s (on the first closure scan).
+// A cut in the middle, the sender in the half that holds the hubs, ends on
+// whichever closes first; by then tree, passes and sweeps have each read up
+// to one side of the graph, so the bound there is three floods, not two. No
+// bound holds with the sender in the sparse half: the tree alone outgrows
+// the small flood the oracle needs (ROADMAP item 2).
+func TestNoPathCost(t *testing.T) {
+	const n = 10000
+	g, err := topo.RippleLike(n, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, c := range []struct {
+		cut    uint8
+		floods int
+	}{{cutAtT, 2}, {cutAtS, 2}, {cutMiddle, 3}} {
+		for i := 0; i < 40; i++ {
+			s, tt := topo.NodeID(rng.Intn(n/2)), topo.NodeID(n/2+rng.Intn(n/2))
+			cu := func(u, v topo.NodeID, _ int32) bool { return !cutHop(c.cut, n, s, tt, u, v) }
+			pruned, oracle := NewScratch(), NewScratch()
+			if p := oracle.oracleSearch(g, s, tt, nil, cu, false); p != nil {
+				t.Fatalf("cut %d %d→%d: oracle found %v", c.cut, s, tt, p)
+			}
+			if p := pruned.search(g, s, tt, nil, cu, false); p != nil {
+				t.Fatalf("cut %d %d→%d: search found %v", c.cut, s, tt, p)
+			}
+			if pruned.edges > c.floods*oracle.edges {
+				t.Errorf("cut %d %d→%d: search read %d adjacency entries, the oracle's flood %d",
+					c.cut, s, tt, pruned.edges, oracle.edges)
+			}
+		}
 	}
 }

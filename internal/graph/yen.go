@@ -52,7 +52,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 	accepted := [][]topo.NodeID{first}
 	devs := []int{0} // devs[j] = spur index accepted[j] deviated at
 	cands := &candHeap{}
-	seen := map[uint64][][]topo.NodeID{pathKey(first): {first}}
+	seen := append(make([]seenPath, 0, 4*k), seenPath{pathKey(first), first})
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1]
@@ -88,7 +88,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 			total := make([]topo.NodeID, 0, len(root)+len(spurPath)-1)
 			total = append(total, root...)
 			total = append(total, spurPath[1:]...)
-			if !rememberPath(seen, total) {
+			if !rememberPath(&seen, total) {
 				continue
 			}
 			heap.Push(cands, yenCand{path: total, dev: i})
@@ -115,6 +115,13 @@ func samePrefix(p, prefix []topo.NodeID) bool {
 	return true
 }
 
+// seenPath is a path a Yen run has produced — accepted or still a
+// candidate — beside its FNV-1a key.
+type seenPath struct {
+	key  uint64
+	path []topo.NodeID
+}
+
 // pathKey hashes a path with FNV-1a for candidate deduplication;
 // rememberPath resolves the (astronomically rare) collisions exactly.
 func pathKey(p []topo.NodeID) uint64 {
@@ -130,16 +137,17 @@ func pathKey(p []topo.NodeID) uint64 {
 	return h
 }
 
-// rememberPath adds the path to the seen set, reporting whether it was
-// new. Hash buckets hold the actual paths so equality is exact.
-func rememberPath(seen map[uint64][][]topo.NodeID, p []topo.NodeID) bool {
+// rememberPath appends the path to the seen set, reporting whether it was
+// new. A run sees a few dozen paths at most, so the set is one flat slice
+// scanned by key, with the paths compared only on a key match.
+func rememberPath(seen *[]seenPath, p []topo.NodeID) bool {
 	key := pathKey(p)
-	for _, q := range seen[key] {
-		if pathsEqual(p, q) {
+	for _, q := range *seen {
+		if q.key == key && pathsEqual(p, q.path) {
 			return false
 		}
 	}
-	seen[key] = append(seen[key], p)
+	*seen = append(*seen, seenPath{key, p})
 	return true
 }
 
