@@ -20,9 +20,11 @@
 // sender — an outer read-mostly map guarded by a RWMutex hands out one
 // table per sender, and each table carries its own lock — so concurrent
 // payments from different senders never contend on table state. All
-// counters are atomics. The only shared mutable hot state is the
-// router's RNG (used for the mice path order), which sessions bypass
-// entirely when they carry a per-payment RNG (route.RandSource).
+// counters are atomics. The shared mutable state is the channel index
+// (channelIndex: which entries cross which channel), locked briefly when
+// an entry gets paths — a table miss, never a hit — and the router's RNG
+// (used for the mice path order), which sessions bypass entirely when
+// they carry a per-payment RNG (route.RandSource).
 //
 // With Config.ProbeWorkers > 1, elephant routing additionally runs a
 // bounded probe pool *inside* each session — concurrency within one
@@ -161,8 +163,11 @@ type Flash struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
+	// tablesMu guards both: Refresh swaps the tables and their channel
+	// index (see channelIndex) together.
 	tablesMu sync.RWMutex
 	tables   map[topo.NodeID]*routingTable
+	index    *channelIndex
 
 	elephants              atomic.Int64
 	mice                   atomic.Int64
@@ -193,6 +198,7 @@ func New(cfg Config) *Flash {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		tables:    make(map[topo.NodeID]*routingTable),
+		index:     newChannelIndex(),
 		senderThr: make(map[topo.NodeID]float64),
 	}
 	f.threshold.Store(math.Float64bits(cfg.Threshold))
@@ -398,58 +404,47 @@ func (f *Flash) isElephant(amount float64) bool {
 // delivers an updated topology (§3.3: "all entries are re-computed using
 // the latest G"). Payments already in flight when Refresh is called may
 // finish against the table they fetched — they route on the topology
-// they started with and their late inserts land in the discarded map.
-// That transient staleness mirrors the eventually-consistent gossip
-// layer this models; callers needing a hard barrier must drain their
-// payment workers first.
+// they started with and their late inserts land in the discarded map,
+// registering in the discarded channel index that table was created
+// with: neither is reachable from the router any more, so a later
+// InvalidateChannel neither sees nor counts them and both are collected
+// together. That transient staleness mirrors the eventually-consistent
+// gossip layer this models; callers needing a hard barrier must drain
+// their payment workers first.
 func (f *Flash) Refresh() {
 	f.tablesMu.Lock()
 	defer f.tablesMu.Unlock()
 	f.tables = make(map[topo.NodeID]*routingTable)
+	f.index = newChannelIndex()
 }
 
 // InvalidateChannel drops every cached routing-table entry whose paths
-// traverse the channel u–v (in either direction), across all senders.
-// It is the targeted counterpart of Refresh for a single topology
+// traverse the channel u–v (in either direction), whichever sender owns
+// it. It is the targeted counterpart of Refresh for a single topology
 // change: when the dynamic network closes or opens a channel, only the
 // entries actually routing over it are recomputed on their next use
 // ("all entries are re-computed using the latest G", §3.3, narrowed to
-// the affected entries). Safe concurrently with routing — it takes the
-// same per-table locks payments do. Returns the number of entries
+// the affected entries). The channel index names those entries, so an
+// event costs what it drops and a channel no table uses costs a map
+// lookup (see channelIndex, also for the lock order that makes this safe
+// beside routing). An entry whose Yen run straddles the call may register
+// after the channel's list is taken and stay: it holds what recomputing
+// it would, the topology being static. Returns the number of entries
 // dropped.
 func (f *Flash) InvalidateChannel(u, v topo.NodeID) int {
 	dropped := 0
 	f.tablesMu.RLock()
-	for _, t := range f.tables {
-		t.mu.Lock()
-		for _, e := range t.entries {
-			if entryUsesChannel(e, u, v) {
-				t.removeLocked(e)
-				dropped++
-			}
+	for _, e := range f.index.detach(u, v) {
+		e.table.mu.Lock()
+		if !e.dead.Load() { // not evicted, expired or dropped while we waited
+			e.table.removeLocked(e)
+			dropped++
 		}
-		t.mu.Unlock()
+		e.table.mu.Unlock()
 	}
 	f.tablesMu.RUnlock()
 	f.tableInvalidations.Add(int64(dropped))
 	return dropped
-}
-
-// entryUsesChannel reports whether any cached path of e (live set or
-// replacement pool) crosses the channel u–v.
-func entryUsesChannel(e *tableEntry, u, v topo.NodeID) bool {
-	return pathsUseChannel(e.paths, u, v) || pathsUseChannel(e.all, u, v)
-}
-
-func pathsUseChannel(paths [][]topo.NodeID, u, v topo.NodeID) bool {
-	for _, p := range paths {
-		for i := 0; i+1 < len(p); i++ {
-			if (p[i] == u && p[i+1] == v) || (p[i] == v && p[i+1] == u) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Pair identifies one (sender, receiver) routing-table slot for
@@ -487,11 +482,12 @@ func (f *Flash) Prewarm(g *topo.Graph, pairs []Pair, workers int) int {
 		paths := graph.YenKSP(g, p.Sender, p.Receiver, f.cfg.M)
 		tbl.mu.Lock()
 		if _, exists := tbl.entries[p.Receiver]; !exists {
-			e := &tableEntry{receiver: p.Receiver, paths: paths, lastAccess: clock}
+			e := &tableEntry{table: tbl, receiver: p.Receiver, paths: paths, lastAccess: clock}
 			tbl.entries[p.Receiver] = e
 			// The captured clock may trail concurrent payment traffic, so
 			// a sorted insert keeps the LRU list in lastAccess order.
 			tbl.insertByAccess(e)
+			tbl.index.add(e, paths, nil)
 			f.enforceCapLocked(tbl)
 			computed.Add(1)
 		}

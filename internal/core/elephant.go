@@ -230,10 +230,18 @@ func (plan *elephantPlan) accept(p []topo.NodeID, c float64) {
 // each discovered path to learn true capacities, stopping early once the
 // accumulated flow covers the demand.
 //
+// Each round hands the search the hop count of the round before as a
+// proved floor (graph.Scratch.ShortestPathChProven): this is Edmonds–Karp,
+// so the sender's distance to the receiver on the knowledge graph never
+// shrinks — probing only closes hops, and accept only opens the reverse
+// of hops on the shortest path just found — and the search need not
+// deepen up to a length it has already been through. Same paths.
+//
 // With Config.ProbeWorkers > 1 — and a session that supports it — the
 // per-path probes run on a speculative concurrent pipeline instead of
 // one at a time (see probe_pipeline.go); ProbeWorkers ≤ 1 takes the
-// sequential loop below, unchanged from the original algorithm.
+// sequential loop below, the original algorithm. The pipeline's rounds
+// are Yen runs whose spurs start from other nodes, and carry no floor.
 func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 	if w := f.probePoolSize(s); w > 1 {
 		return f.findElephantPathsPipelined(s, k, w)
@@ -245,11 +253,13 @@ func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
 
+	hops := 0 // of the last round's path: no open path is shorter
 	for len(plan.paths) < k {
-		p := sc.ShortestPathCh(g, s.Sender(), s.Receiver(), ps.usableCh)
+		p := sc.ShortestPathChProven(g, s.Sender(), s.Receiver(), ps.usableCh, hops)
 		if p == nil {
 			break
 		}
+		hops = len(p) - 1
 		p = append([]topo.NodeID(nil), p...) // plan retains; scratch reuses
 		info, err := s.Probe(p)
 		if err != nil {

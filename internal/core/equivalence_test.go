@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -91,4 +92,123 @@ func (f *Flash) routeWithPlan(s route.Session, plan *elephantPlan) error {
 		}
 	}
 	return route.Finish(s, route.ErrInsufficient)
+}
+
+// findElephantPathsUnfloored is the sequential loop of findElephantPaths
+// as it was before rounds carried a floor: every round proves nothing, so
+// its search deepens from the reverse tree's bound.
+func (f *Flash) findElephantPathsUnfloored(s route.Session, k int) *elephantPlan {
+	g := s.Graph()
+	ps := acquireProbedState(g)
+	plan := &elephantPlan{state: ps}
+	sc := graph.AcquireScratch()
+	defer graph.ReleaseScratch(sc)
+	for len(plan.paths) < k {
+		p := sc.ShortestPathChProven(g, s.Sender(), s.Receiver(), ps.usableCh, 0)
+		if p == nil {
+			break
+		}
+		p = append([]topo.NodeID(nil), p...)
+		info, err := s.Probe(p)
+		if err != nil {
+			break
+		}
+		ps.record(p, info)
+		plan.accept(p, ps.bottleneck(p))
+		if !f.cfg.ProbeAllK && plan.flow >= s.Demand()-route.Epsilon {
+			return plan
+		}
+	}
+	if plan.flow >= s.Demand()-route.Epsilon {
+		return plan
+	}
+	ps.release()
+	return nil
+}
+
+// TestElephantFloorChangesNothing: handing each round of Algorithm 1 the
+// hop count of the round before is a pure saving. On random graphs with
+// random balances — a third of the directions empty, so probes close hops
+// and residual updates reopen reverses — the floored rounds must find the
+// same paths with the same flows, in the same order, for the same probes,
+// as rounds that deepen from scratch; the path lengths must never shrink
+// from round to round, which is what the floor rests on; and a plan is
+// refused in the same cases.
+func TestElephantFloorChangesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	plans, multi := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 10 + rng.Intn(40)
+		g, err := topo.BarabasiAlbert(n, 1+rng.Intn(3), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := pcn.New(g)
+		bal := func() float64 {
+			if rng.Intn(3) == 0 {
+				return 0
+			}
+			return float64(1 + rng.Intn(30))
+		}
+		for _, e := range g.Channels() {
+			if err := net.SetBalance(e.A, e.B, bal(), bal()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, d := topo.NodeID(rng.Intn(n)), topo.NodeID(rng.Intn(n))
+		if s == d {
+			continue
+		}
+		cfg := DefaultConfig(0)
+		cfg.K = 1 + rng.Intn(20)
+		cfg.ProbeAllK = rng.Intn(2) == 0
+		f := New(cfg)
+		demand := float64(1 + rng.Intn(60))
+		find := func(find func(route.Session, int) *elephantPlan) (*elephantPlan, *pcn.Tx) {
+			tx, err := net.Begin(s, d, demand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := find(tx, cfg.K)
+			if err := tx.Abort(); err != nil { // probes are reads: the network is as it was
+				t.Fatal(err)
+			}
+			return plan, tx
+		}
+		want, wantTx := find(f.findElephantPathsUnfloored)
+		got, gotTx := find(f.findElephantPaths)
+		if gotTx.ProbeOps() != wantTx.ProbeOps() || gotTx.ProbeMessages() != wantTx.ProbeMessages() {
+			t.Fatalf("trial %d: %d probes (%d messages) with the floor, %d (%d) without",
+				trial, gotTx.ProbeOps(), gotTx.ProbeMessages(), wantTx.ProbeOps(), wantTx.ProbeMessages())
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("trial %d: plan %v with the floor, %v without", trial, got, want)
+		}
+		if got == nil {
+			continue
+		}
+		plans++
+		if len(got.paths) != len(want.paths) || got.flow != want.flow {
+			t.Fatalf("trial %d: %d paths, flow %v with the floor; %d paths, flow %v without",
+				trial, len(got.paths), got.flow, len(want.paths), want.flow)
+		}
+		for i := range want.paths {
+			if !slices.Equal(got.paths[i], want.paths[i]) || got.pathFlows[i] != want.pathFlows[i] {
+				t.Fatalf("trial %d round %d: %v carrying %v with the floor, %v carrying %v without",
+					trial, i, got.paths[i], got.pathFlows[i], want.paths[i], want.pathFlows[i])
+			}
+			if i > 0 && len(want.paths[i]) < len(want.paths[i-1]) {
+				t.Fatalf("trial %d round %d: path %v is shorter than the round before's %v",
+					trial, i, want.paths[i], want.paths[i-1])
+			}
+		}
+		if len(want.paths) > 2 && len(want.paths[len(want.paths)-1]) > len(want.paths[0]) {
+			multi++
+		}
+		got.state.release()
+		want.state.release()
+	}
+	if plans < 50 || multi < 10 {
+		t.Fatalf("%d plans, %d of them with rounds of growing length: too few to test the floor", plans, multi)
+	}
 }

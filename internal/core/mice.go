@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/route"
@@ -29,6 +30,7 @@ const replacementPool = 4
 // map scan would find, since list order is lastAccess order — and the
 // size cap (Config.TableCap) evicts the head when an insert overflows.
 type routingTable struct {
+	index      *channelIndex // the router's, as of this table's creation; immutable
 	mu         sync.Mutex
 	entries    map[topo.NodeID]*tableEntry
 	head, tail *tableEntry // LRU list: head oldest, tail newest
@@ -90,10 +92,13 @@ func (t *routingTable) insertByAccess(e *tableEntry) {
 	at.next = e
 }
 
-// removeLocked drops e from both the map and the LRU list.
+// removeLocked drops e from both the map and the LRU list, and marks it
+// dead for the channel index, which forgets it lazily. Every removal
+// goes through here.
 func (t *routingTable) removeLocked(e *tableEntry) {
 	delete(t.entries, e.receiver)
 	t.unlink(e)
+	e.dead.Store(true)
 }
 
 // tableEntry caches the top-m shortest paths to one receiver. all is
@@ -101,12 +106,18 @@ func (t *routingTable) removeLocked(e *tableEntry) {
 // replacement): the topology is static, so the candidate paths for a
 // pair never change — only which of them currently have balance — and
 // replacements cycle through all via cursor without re-running Yen.
-// Entries are accessed only under their table's lock; the cached path
-// slices themselves are immutable once created, so a path handed out
-// under the lock stays valid after release.
+// Entries are accessed only under their table's lock — but for dead and
+// id, which the channel index reads under its own; the cached path slices
+// themselves are immutable once created, so a path handed out under the
+// lock stays valid after release. Every channel of paths and all is
+// registered in the table's channelIndex, which is how InvalidateChannel
+// finds the entry.
 type tableEntry struct {
-	receiver   topo.NodeID // map key, needed to evict via the LRU list
-	prev, next *tableEntry // intrusive LRU list links
+	table      *routingTable // owner, whose lock guards the entry; immutable
+	dead       atomic.Bool   // set by removeLocked, under the table lock
+	id         uint32        // in the channel index, whose lock guards it; 0 until registered
+	receiver   topo.NodeID   // map key, needed to evict via the LRU list
+	prev, next *tableEntry   // intrusive LRU list links
 	paths      [][]topo.NodeID
 	all        [][]topo.NodeID // extended Yen list, nil until first needed
 	cursor     int             // rotation position within all
@@ -134,7 +145,7 @@ func (f *Flash) tableFor(sender topo.NodeID) *routingTable {
 	if t, ok := f.tables[sender]; ok {
 		return t
 	}
-	t = &routingTable{entries: make(map[topo.NodeID]*tableEntry)}
+	t = &routingTable{index: f.index, entries: make(map[topo.NodeID]*tableEntry)}
 	f.tables[sender] = t
 	return t
 }
@@ -174,6 +185,7 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	// pool is only materialised when a path actually dies (most entries
 	// never need one, so the common case stays cheap).
 	e := &tableEntry{
+		table:      t,
 		receiver:   receiver,
 		paths:      graph.YenKSP(g, sender, receiver, f.cfg.M),
 		lastAccess: t.clock,
@@ -181,6 +193,7 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	}
 	t.entries[receiver] = e
 	t.pushBack(e)
+	t.index.add(e, e.paths, nil)
 	f.enforceCapLocked(t)
 	return t, e
 }
@@ -228,9 +241,9 @@ func (f *Flash) replaceDeadPath(g *topo.Graph, sender topo.NodeID, t *routingTab
 		return nil
 	}
 	if e.all == nil {
-		receiver := e.paths[slot][len(e.paths[slot])-1]
-		e.all = graph.YenKSP(g, sender, receiver, f.cfg.M+replacementPool)
+		e.all = graph.YenKSP(g, sender, e.receiver, f.cfg.M+replacementPool)
 		e.cursor = len(e.paths) % max(len(e.all), 1)
+		t.index.add(e, e.all, e.paths)
 	}
 	if len(e.all) <= 1 {
 		e.paths = append(e.paths[:slot], e.paths[slot+1:]...)

@@ -56,9 +56,9 @@ func TestScratchShortestPathZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPath(g, 0, 399, usable) }); avg != 0 {
 		t.Fatalf("Scratch.ShortestPath(usable) allocates %v/op, want 0", avg)
 	}
-	sc.ShortestPathCh(g, 0, 399, cu)
-	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPathCh(g, 0, 399, cu) }); avg != 0 {
-		t.Fatalf("Scratch.ShortestPathCh allocates %v/op, want 0", avg)
+	sc.ShortestPathChProven(g, 0, 399, cu, 0)
+	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPathChProven(g, 0, 399, cu, 0) }); avg != 0 {
+		t.Fatalf("Scratch.ShortestPathChProven allocates %v/op, want 0", avg)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestScratchBannedSearchZeroAlloc(t *testing.T) {
 			for _, u := range base[:i] {
 				sc.banNode(u)
 			}
-			sc.search(g, base[i], 399, nil, nil, true)
+			sc.search(g, base[i], 399, nil, nil, true, 0)
 		}
 	}
 	round() // warm ban arrays
@@ -115,7 +115,7 @@ func TestScratchRetargetAndNilZeroAlloc(t *testing.T) {
 		for _, v := range g.Neighbors(399) {
 			sc.banChannel(g.ChannelIndex(v, 399))
 		}
-		if sc.search(g, 0, 399, nil, nil, true) != nil {
+		if sc.search(g, 0, 399, nil, nil, true, 0) != nil {
 			t.Fatal("path into a target whose channels are all banned")
 		}
 	}

@@ -131,7 +131,7 @@ func EdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
 	sc.ensureBans(g)
 	var paths [][]topo.NodeID
 	for len(paths) < k {
-		p := sc.search(g, s, t, nil, nil, true)
+		p := sc.search(g, s, t, nil, nil, true, 0)
 		if p == nil {
 			break
 		}

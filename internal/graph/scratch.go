@@ -150,22 +150,28 @@ func (sc *Scratch) banChannel(idx int) {
 // is valid until the next search on sc. Neighbor order breaks ties,
 // exactly as in the allocating version.
 func (sc *Scratch) ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) []topo.NodeID {
-	return sc.search(g, s, t, usable, nil, false)
+	return sc.search(g, s, t, usable, nil, false, 0)
 }
 
-// ShortestPathCh is ShortestPath with a channel-aware predicate: the
-// search hands cu the channel index it is already holding for the hop,
+// ShortestPathChProven is ShortestPath with a channel-aware predicate —
+// the search hands cu the channel index it is already holding for the hop,
 // so predicates keyed by channel (the elephant router's probed-residual
-// filter) avoid a per-hop ChannelIndex lookup.
-func (sc *Scratch) ShortestPathCh(g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
-	return sc.search(g, s, t, nil, cu, false)
+// filter) avoid a per-hop ChannelIndex lookup — for a caller that has
+// proved no open path from s to t has fewer than minHops hops (0 when it
+// has proved nothing): the search starts at that bound instead of deepening
+// up to it, and returns the same path. minHops is a proof obligation, not a
+// hint — above the true distance the result is still an open path but no
+// longer the shortest (see search).
+func (sc *Scratch) ShortestPathChProven(g *topo.Graph, s, t topo.NodeID, cu ChUsable, minHops int) []topo.NodeID {
+	return sc.search(g, s, t, nil, cu, false, minHops)
 }
 
 // search is the one s→t search behind every entry point of the package:
 // a minimum-hop path whose hops pass usable/cu and, when banned, the
 // scratch ban-sets (Yen spurs, disjoint paths) — or nil. It is a depth-first
 // descent in neighbour-list order, at most bound hops deep, with bound
-// deepened one hop at a time from the reverse tree's lower bound for s.
+// deepened one hop at a time from the reverse tree's lower bound for s or
+// the caller's floor, whichever is larger.
 //
 // Why the path is the one an unpruned BFS returns, tie-breaks included. A
 // BFS orders the nodes of a level by (rank of parent, position in the
@@ -196,13 +202,29 @@ func (sc *Scratch) ShortestPathCh(g *topo.Graph, s, t topo.NodeID, cu ChUsable) 
 // last round — so costs two short passes and its inbound hops, not a flood
 // per bound.
 //
+// The floor is a lower bound on the open distance that the caller has
+// proved, as h is one the tree has: passes below the distance find nothing
+// and the pass at it does not depend on them, so starting at
+// max(label bound, floor) returns the same path and skips the failed passes
+// and the sweeps they trigger. Algorithm 1 proves one every round: it is
+// Edmonds–Karp, where probing only closes hops and the residual update only
+// opens the reverse of hops on a shortest path, so the distance from s never
+// shrinks and the last round's hop count is a floor for the next. A floor
+// above the distance is a caller bug: the first pass then walks to the first
+// open path within the floor in list order, which need not be a shortest one.
+// With no path, though, the skipped passes were the cheap ones that earned
+// the backward sweep its budget, and the first pass is now a flood at the
+// floor. So a search that skips passes starts with a sweep of t's own list:
+// Algorithm 1 runs dry when no hop into the receiver is open, and that ends
+// the search for deg(t) reads.
+//
 // The depth rule: at bound, the tree is complete to bound-2 hops, which
 // leaves only the first step out of s blind (an unlabelled neighbour reads
 // as bound-1 hops away and is admitted). One more level makes that step
 // exact too, and is grown only when the tree's frontier is no larger than
 // deg(s): expand the cheaper side. Predicates must be pure: a pass asks
 // about a hop again after backing out of it, and so does the next pass.
-func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
+func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID {
 	if s == t {
 		sc.path = append(sc.path[:0], s)
 		return sc.path
@@ -214,6 +236,13 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 	bound := int(label[s]) - 1
 	if bound < 0 {
 		bound = sc.revDepth + 1
+	}
+	if floor > bound {
+		bound = floor
+		if !sc.reachable(off, nbrs, chans, s, t, int(off[t+1]-off[t]), usable, cu, banned) {
+			return nil // no hop into t is open
+		}
+		sc.nextEpoch()
 	}
 	for failed := 0; ; bound++ {
 		before := sc.edges
@@ -295,13 +324,18 @@ func (sc *Scratch) closed(off []int32, nbrs []topo.NodeID, chans []int32, entere
 
 // reachable sweeps backwards from t over hops open towards it and reports
 // false only when the set of nodes that reach t closed without s in it;
-// true means s reaches t or the sweep ran out of its budget of edge reads.
+// true means s reaches t or the sweep ran out of its budget of edge reads
+// with nodes left to expand.
 func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, reads int, usable Usable, cu ChUsable, banned bool) bool {
 	sc.nextEpoch()
 	mark, epoch := sc.mark, sc.epoch
 	mark[t] = epoch
 	queue := append(sc.queue[:0], t)
-	for head := 0; head < len(queue) && reads > 0; head++ {
+	for head := 0; head < len(queue); head++ {
+		if reads <= 0 {
+			sc.queue = queue
+			return true
+		}
 		u := queue[head]
 		reads -= int(off[u+1] - off[u])
 		sc.edges += int(off[u+1] - off[u])
@@ -320,7 +354,7 @@ func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, 
 		sc.expanded++
 	}
 	sc.queue = queue
-	return reads <= 0
+	return false
 }
 
 // open reports whether the hop u→v over channel ch passes the ban-sets

@@ -14,20 +14,25 @@ import (
 // reverse tree, closure scans and backward sweeps included — for the
 // pre-change search (oracle) and the production one (pruned), side by side.
 // The cells: a point query (bfs), a mice-table build (yen4, yen8), an
-// elephant (ek8: eight successive ShortestPathCh rounds, each closing one
+// elephant (ek8: eight successive channel-predicate rounds, each closing one
 // hop of the path the round before found, as Algorithm 1 closes its
-// bottleneck) and an exhausted receiver (nil: every hop into t closed).
+// bottleneck; ek8floor: the same rounds, each given the hop count of the
+// round before as its proved floor, as findElephantPaths does — the oracle
+// has no floor and ignores it) and an exhausted receiver (nil: every hop
+// into t closed).
 // 10,000 nodes is scale-10k's graph; 200 is engine-churn's, where the
 // one-shot ShortestPath has no second search to share its reverse tree with.
 func BenchmarkSearch(b *testing.B) {
-	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID
+	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID
 	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID
 	variants := []struct {
 		name string
 		find findFn
 		yen  yenFn
 	}{
-		{"oracle", (*Scratch).oracleSearch, (*Scratch).oracleYenKSP},
+		{"oracle", func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, _ int) []topo.NodeID {
+			return sc.oracleSearch(g, s, t, usable, cu, banned)
+		}, (*Scratch).oracleYenKSP},
 		{"pruned", (*Scratch).search, (*Scratch).yenKSP},
 	}
 	for _, n := range []int{200, 10000} {
@@ -53,20 +58,18 @@ func BenchmarkSearch(b *testing.B) {
 			return 2 * ch
 		}
 		notShut := func(u, v topo.NodeID, ch int32) bool { return !shut[slot(u, v, ch)] }
-		for _, c := range []struct {
-			name string
-			run  func(sc *Scratch, find findFn, yen yenFn, s, t topo.NodeID)
-		}{
-			{"bfs", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) { find(sc, g, s, t, nil, nil, false) }},
-			{"yen4", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 4, nil, nil) }},
-			{"yen8", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 8, nil, nil) }},
-			{"ek8", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
+		ek8 := func(floored bool) func(sc *Scratch, find findFn, yen yenFn, s, t topo.NodeID) {
+			return func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
 				var closed [8]int32
+				floor := 0
 				for r := range closed {
-					p := find(sc, g, s, t, nil, notShut, false)
+					p := find(sc, g, s, t, nil, notShut, false, floor)
 					if p == nil {
 						closed[r] = -1
 						continue
+					}
+					if floored {
+						floor = len(p) - 1
 					}
 					h := int(mix(int64(r), int(s), int(t)) % uint64(len(p)-1)) // the round's "bottleneck"
 					closed[r] = slot(p[h], p[h+1], int32(g.ChannelIndex(p[h], p[h+1])))
@@ -77,9 +80,19 @@ func BenchmarkSearch(b *testing.B) {
 						shut[x] = false
 					}
 				}
-			}},
+			}
+		}
+		for _, c := range []struct {
+			name string
+			run  func(sc *Scratch, find findFn, yen yenFn, s, t topo.NodeID)
+		}{
+			{"bfs", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) { find(sc, g, s, t, nil, nil, false, 0) }},
+			{"yen4", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 4, nil, nil) }},
+			{"yen8", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 8, nil, nil) }},
+			{"ek8", ek8(false)},
+			{"ek8floor", ek8(true)},
 			{"nil", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
-				if find(sc, g, s, t, nil, func(_, v topo.NodeID, _ int32) bool { return v != t }, false) != nil {
+				if find(sc, g, s, t, nil, func(_, v topo.NodeID, _ int32) bool { return v != t }, false, 0) != nil {
 					b.Fatal("path into a receiver whose inbound hops are all closed")
 				}
 			}},

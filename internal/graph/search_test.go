@@ -134,10 +134,13 @@ func cutHop(cut uint8, n int, s, t, u, v topo.NodeID) bool {
 }
 
 // checkSearchDifferential compares every entry point with the oracle for
-// one (graph, s, t, k, seed, cut) scenario. pruned is deliberately shared
-// by all scenarios of a test, so its reverse tree is retargeted between
-// graphs and targets the way a pooled Scratch is.
-func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k int, seed int64, cut uint8, pruned, oracle *Scratch) {
+// one (graph, s, t, k, seed, cut, floor) scenario. pruned is deliberately
+// shared by all scenarios of a test, so its reverse tree is retargeted
+// between graphs and targets the way a pooled Scratch is. floor is clamped
+// to the oracle's hop count — any floor a caller could have proved — and
+// the floored search must still return the oracle's path; with no path
+// every floor is a true one.
+func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k int, seed int64, cut, floor uint8, pruned, oracle *Scratch) {
 	tb.Helper()
 	g := dg.g
 	n := g.NumNodes()
@@ -154,7 +157,13 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 	}
 	fail := func(what string, got, want any) {
 		tb.Helper()
-		tb.Fatalf("%s %d→%d k=%d seed=%d cut=%d: %s\n got  %v\n want %v", dg.name, s, t, k, seed, cut%numCuts, what, got, want)
+		tb.Fatalf("%s %d→%d k=%d seed=%d cut=%d floor=%d: %s\n got  %v\n want %v", dg.name, s, t, k, seed, cut%numCuts, floor, what, got, want)
+	}
+	proved := func(want []topo.NodeID) int {
+		if want == nil {
+			return int(floor)
+		}
+		return int(floor) % len(want) // at most Hops(want)
 	}
 
 	for _, c := range []struct {
@@ -164,8 +173,11 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 	}{{"plain", nil, nil}, {"usable", usable, nil}, {"chusable", nil, cu}} {
 		want := oracle.oracleSearch(g, s, t, c.usable, c.cu, false)
 		if c.cu != nil {
-			if got := pruned.ShortestPathCh(g, s, t, c.cu); !pathEq(got, want) {
-				fail("ShortestPathCh", got, want)
+			if got := pruned.ShortestPathChProven(g, s, t, c.cu, 0); !pathEq(got, want) {
+				fail("ShortestPathChProven, nothing proved", got, want)
+			}
+			if got := pruned.ShortestPathChProven(g, s, t, c.cu, proved(want)); !pathEq(got, want) {
+				fail("ShortestPathChProven", got, want)
 			}
 		} else {
 			if got := pruned.ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
@@ -179,8 +191,11 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 		randomBans(pruned, g, seed, 3)
 		randomBans(oracle, g, seed, 3)
 		want = oracle.oracleSearch(g, s, t, c.usable, c.cu, true)
-		if got := pruned.search(g, s, t, c.usable, c.cu, true); !pathEq(got, want) {
+		if got := pruned.search(g, s, t, c.usable, c.cu, true, 0); !pathEq(got, want) {
 			fail("banned search/"+c.name, got, want)
+		}
+		if got := pruned.search(g, s, t, c.usable, c.cu, true, proved(want)); !pathEq(got, want) {
+			fail("banned search with a floor/"+c.name, got, want)
 		}
 
 		wantK := oracle.oracleYenKSP(g, s, t, k, c.usable, c.cu)
@@ -213,7 +228,7 @@ func TestSearchDifferential(t *testing.T) {
 		}
 		for i := 0; i < pairs; i++ {
 			s, tt := topo.NodeID(rng.Intn(n)), topo.NodeID(rng.Intn(n))
-			checkSearchDifferential(t, dg, s, tt, 1+i%12, rng.Int63(), uint8(i/12), pruned, oracle)
+			checkSearchDifferential(t, dg, s, tt, 1+i%12, rng.Int63(), uint8(i/12), uint8(rng.Intn(256)), pruned, oracle)
 		}
 	}
 }
@@ -225,14 +240,14 @@ func TestSearchDifferentialFarAndApart(t *testing.T) {
 	for _, dg := range diffGraphs() {
 		switch dg.name {
 		case "path-600":
-			checkSearchDifferential(t, dg, 0, 599, 2, 1, cutNone, pruned, oracle)
-			checkSearchDifferential(t, dg, 580, 10, 2, 2, cutMiddle, pruned, oracle)
+			checkSearchDifferential(t, dg, 0, 599, 2, 1, cutNone, 255, pruned, oracle)
+			checkSearchDifferential(t, dg, 580, 10, 2, 2, cutMiddle, 200, pruned, oracle)
 		case "ring-600":
-			checkSearchDifferential(t, dg, 0, 300, 3, 3, cutNone, pruned, oracle)
-			checkSearchDifferential(t, dg, 10, 290, 2, 4, cutAtT, pruned, oracle)
+			checkSearchDifferential(t, dg, 0, 300, 3, 3, cutNone, 255, pruned, oracle)
+			checkSearchDifferential(t, dg, 10, 290, 2, 4, cutAtT, 7, pruned, oracle)
 		case "components":
 			for i, pair := range [][2]topo.NodeID{{3, 150}, {150, 3}, {7, 180}, {180, 7}, {180, 181}, {121, 160}} {
-				checkSearchDifferential(t, dg, pair[0], pair[1], 4, int64(i), cutNone, pruned, oracle)
+				checkSearchDifferential(t, dg, pair[0], pair[1], 4, int64(i), cutNone, uint8(3*i), pruned, oracle)
 				if p := ShortestPath(dg.g, pair[0], pair[1], nil); (p == nil) != (i < 5) {
 					t.Errorf("components %v: path %v", pair, p)
 				}
@@ -242,28 +257,37 @@ func TestSearchDifferentialFarAndApart(t *testing.T) {
 }
 
 // FuzzSearchDifferential lets the fuzzer pick the graph, the endpoints, k,
-// the no-path shape and the ban/predicate seed. Seeds 29, 46 and 54 close
-// no hop at random, so the last three corpus entries are the bare shapes.
+// the no-path shape, the ban/predicate seed and the floor (clamped to what a
+// caller could have proved, see checkSearchDifferential). Seeds 29, 46 and
+// 54 close no hop at random, so those three corpus entries are the bare
+// shapes; the last five are the floor's: at the distance exactly (255 clamps
+// to it on these pairs), one below it, on a saturated tree, and with no path
+// under a small and a large floor.
 func FuzzSearchDifferential(f *testing.F) {
 	graphs := diffGraphs()
-	f.Add(uint8(0), uint16(0), uint16(299), uint8(8), uint8(cutNone), int64(1))
-	f.Add(uint8(1), uint16(17), uint16(3), uint8(12), uint8(cutNone), int64(2))
-	f.Add(uint8(2), uint16(5), uint16(150), uint8(4), uint8(cutNone), int64(3))
-	f.Add(uint8(3), uint16(3), uint16(150), uint8(4), uint8(cutNone), int64(4))
-	f.Add(uint8(3), uint16(190), uint16(191), uint8(2), uint8(cutNone), int64(5))
-	f.Add(uint8(4), uint16(0), uint16(599), uint8(2), uint8(cutNone), int64(6))
-	f.Add(uint8(5), uint16(0), uint16(300), uint8(2), uint8(cutNone), int64(7))
-	f.Add(uint8(1), uint16(17), uint16(399), uint8(4), uint8(cutAtT), int64(29))
-	f.Add(uint8(0), uint16(250), uint16(3), uint8(4), uint8(cutAtS), int64(46))
-	f.Add(uint8(2), uint16(20), uint16(280), uint8(4), uint8(cutMiddle), int64(54))
-	f.Fuzz(func(t *testing.T, gi uint8, s, tt uint16, k, cut uint8, seed int64) {
+	f.Add(uint8(0), uint16(0), uint16(299), uint8(8), uint8(cutNone), int64(1), uint8(0))
+	f.Add(uint8(1), uint16(17), uint16(3), uint8(12), uint8(cutNone), int64(2), uint8(0))
+	f.Add(uint8(2), uint16(5), uint16(150), uint8(4), uint8(cutNone), int64(3), uint8(0))
+	f.Add(uint8(3), uint16(3), uint16(150), uint8(4), uint8(cutNone), int64(4), uint8(0))
+	f.Add(uint8(3), uint16(190), uint16(191), uint8(2), uint8(cutNone), int64(5), uint8(0))
+	f.Add(uint8(4), uint16(0), uint16(599), uint8(2), uint8(cutNone), int64(6), uint8(0))
+	f.Add(uint8(5), uint16(0), uint16(300), uint8(2), uint8(cutNone), int64(7), uint8(0))
+	f.Add(uint8(1), uint16(17), uint16(399), uint8(4), uint8(cutAtT), int64(29), uint8(0))
+	f.Add(uint8(0), uint16(250), uint16(3), uint8(4), uint8(cutAtS), int64(46), uint8(0))
+	f.Add(uint8(2), uint16(20), uint16(280), uint8(4), uint8(cutMiddle), int64(54), uint8(0))
+	f.Add(uint8(0), uint16(0), uint16(299), uint8(8), uint8(cutNone), int64(1), uint8(255))
+	f.Add(uint8(2), uint16(5), uint16(150), uint8(4), uint8(cutNone), int64(3), uint8(254))
+	f.Add(uint8(4), uint16(0), uint16(599), uint8(2), uint8(cutNone), int64(6), uint8(255))
+	f.Add(uint8(1), uint16(17), uint16(399), uint8(4), uint8(cutAtT), int64(29), uint8(3))
+	f.Add(uint8(2), uint16(20), uint16(280), uint8(4), uint8(cutMiddle), int64(54), uint8(200))
+	f.Fuzz(func(t *testing.T, gi uint8, s, tt uint16, k, cut uint8, seed int64, floor uint8) {
 		dg := graphs[int(gi)%len(graphs)]
 		n := dg.g.NumNodes()
 		k = 1 + k%12
 		if n >= 600 {
 			k = 1 + k%3 // see TestSearchDifferential
 		}
-		checkSearchDifferential(t, dg, topo.NodeID(int(s)%n), topo.NodeID(int(tt)%n), int(k), seed, cut,
+		checkSearchDifferential(t, dg, topo.NodeID(int(s)%n), topo.NodeID(int(tt)%n), int(k), seed, cut, floor,
 			NewScratch(), NewScratch())
 	})
 }
@@ -339,7 +363,7 @@ func TestScratchEpochWrap(t *testing.T) {
 		randomBans(oracle, dg.g, seed, 10)
 		before := pruned.epoch
 		want := oracle.oracleSearch(dg.g, s, tt, nil, nil, true)
-		if got := pruned.search(dg.g, s, tt, nil, nil, true); !pathEq(got, want) {
+		if got := pruned.search(dg.g, s, tt, nil, nil, true, 0); !pathEq(got, want) {
 			t.Fatalf("search %d (%d→%d, seed %d): got %v, want %v", i, s, tt, seed, got, want)
 		}
 		passes += int(pruned.epoch-before) & 0xff
@@ -435,7 +459,7 @@ func TestSearchIsLexMinShortestPath(t *testing.T) {
 				}
 			}
 			want := lexMinShortest(g, s, tt, open)
-			if got := sc.search(g, s, tt, nil, cu, true); !pathEq(got, want) {
+			if got := sc.search(g, s, tt, nil, cu, true, 0); !pathEq(got, want) {
 				t.Fatalf("round %d %d→%d: got %v, want %v\nchannels %v\nbanned nodes %v hops %v",
 					round, s, tt, got, want, g.Channels(), nodeBan, hopBan)
 			}
@@ -481,13 +505,59 @@ func TestNoPathCost(t *testing.T) {
 			if p := oracle.oracleSearch(g, s, tt, nil, cu, false); p != nil {
 				t.Fatalf("cut %d %d→%d: oracle found %v", c.cut, s, tt, p)
 			}
-			if p := pruned.search(g, s, tt, nil, cu, false); p != nil {
+			if p := pruned.search(g, s, tt, nil, cu, false, 0); p != nil {
 				t.Fatalf("cut %d %d→%d: search found %v", c.cut, s, tt, p)
 			}
 			if pruned.edges > c.floods*oracle.edges {
 				t.Errorf("cut %d %d→%d: search read %d adjacency entries, the oracle's flood %d",
 					c.cut, s, tt, pruned.edges, oracle.edges)
 			}
+		}
+	}
+}
+
+// TestFloorAboveDistanceIsACallerBug pins what the floor is: a proof the
+// caller owes, not a hint search checks. On the square 0–1–2–3–0 the path
+// from 0 to 3 is one hop; told that no path has fewer than three, the first
+// pass walks to the first open path within three hops in list order — the
+// long way round. Still an open path, no longer the shortest.
+func TestFloorAboveDistanceIsACallerBug(t *testing.T) {
+	g := topo.Ring(4)
+	sc := NewScratch()
+	if p := sc.search(g, 0, 3, nil, nil, false, 1); !pathEq(p, []topo.NodeID{0, 3}) {
+		t.Fatalf("true floor: %v", p)
+	}
+	if p := sc.search(g, 0, 3, nil, nil, false, 3); !pathEq(p, []topo.NodeID{0, 1, 2, 3}) {
+		t.Fatalf("floor above the distance: %v, want the three-hop walk", p)
+	}
+}
+
+// TestFlooredNilCost: a floor skips the cheap passes that used to earn the
+// backward sweep its budget, so a floored search that skips any must find
+// an exhausted receiver — Algorithm 1's last round — for the price of the
+// receiver's own list, not a flood at the floor.
+func TestFlooredNilCost(t *testing.T) {
+	const n = 10000
+	g, err := topo.RippleLike(n, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	sc := NewScratch()
+	for i := 0; i < 40; i++ {
+		s, tt := topo.NodeID(rng.Intn(n)), topo.NodeID(rng.Intn(n))
+		p := sc.search(g, s, tt, nil, nil, false, 0)
+		if len(p) < 2 {
+			continue
+		}
+		floor := len(p) // one hop more than the plain distance: a pass is skipped
+		before := sc.edges
+		dry := func(_, v topo.NodeID, _ int32) bool { return v != tt }
+		if q := sc.search(g, s, tt, nil, dry, false, floor); q != nil {
+			t.Fatalf("%d→%d: path %v into a receiver with no open inbound hop", s, tt, q)
+		}
+		if got, want := sc.edges-before, g.Degree(tt); got != want {
+			t.Errorf("%d→%d: nil under floor %d cost %d adjacency reads, the receiver's list is %d", s, tt, floor, got, want)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 	if k <= 0 {
 		return nil
 	}
-	first := sc.search(g, s, t, usable, cu, false)
+	first := sc.search(g, s, t, usable, cu, false, 0)
 	if first == nil {
 		return nil
 	}
@@ -81,7 +81,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 				sc.banNode(u)
 			}
 
-			spurPath := sc.search(g, spur, t, usable, cu, true)
+			spurPath := sc.search(g, spur, t, usable, cu, true, 0)
 			if spurPath == nil {
 				continue
 			}
