@@ -1,12 +1,19 @@
 package node
 
 import (
-	"repro/internal/topo"
+	"slices"
+
 	"repro/internal/wire"
 )
 
 // dispatch processes one protocol message arriving at (or injected
 // into) this node. It implements the per-hop behaviour of §5.1.
+//
+// Ownership: msg belongs to the caller — a readLoop decodes the next
+// frame into it as soon as dispatch returns. Handlers may rewrite it in
+// place (append to its vectors, reverse its path, change its type) and
+// send it on, but must not retain msg or any of its slices past return;
+// deliver, the one hand-off to another goroutine, copies.
 func (n *Node) dispatch(msg *wire.Message) {
 	if msg.Current() != n.id {
 		return // misrouted frame; drop
@@ -41,25 +48,18 @@ func (n *Node) relayOrDeliver(msg *wire.Message) {
 	n.forward(msg)
 }
 
-// turnAround converts a forward message into its acknowledgement type,
-// reversing the path. The ack starts at this node (Pos 0) and is
-// immediately forwarded.
+// turnAround converts a forward message, in place, into its
+// acknowledgement type with the path reversed. The ack starts at this
+// node (Pos 0) and is immediately forwarded.
 func (n *Node) turnAround(msg *wire.Message, ackType wire.Type) {
-	ack := &wire.Message{
-		TransID:    msg.TransID,
-		Type:       ackType,
-		Path:       msg.ReversedPath(),
-		Pos:        0,
-		Capacity:   msg.Capacity,
-		ReverseCap: msg.ReverseCap,
-		FeeRate:    msg.FeeRate,
-		Commit:     msg.Commit,
-	}
-	if len(ack.Path) == 1 {
-		n.deliver(ack)
+	msg.Type = ackType
+	slices.Reverse(msg.Path)
+	msg.Pos = 0
+	if len(msg.Path) == 1 {
+		n.deliver(msg)
 		return
 	}
-	n.forward(ack)
+	n.forward(msg)
 }
 
 // handleProbe appends this node's view of its outgoing hop and
@@ -133,28 +133,14 @@ func (n *Node) handleCommit(msg *wire.Message) {
 // balanceEpsilon absorbs float64 rounding in balance comparisons.
 const balanceEpsilon = 1e-9
 
-// sendNack builds the COMMIT_NACK travelling back from this (failing)
-// node to the original sender over the reversed committed prefix.
+// sendNack turns msg, in place, into the COMMIT_NACK travelling back from
+// this (failing) node to the original sender over the reversed committed
+// prefix: failing-node → ... → sender (delivered at once when the sender
+// itself could not reserve its first hop). A NACK carries no probe vectors.
 func (n *Node) sendNack(msg *wire.Message) {
-	prefix := make([]topo.NodeID, msg.Pos+1)
-	copy(prefix, msg.Path[:msg.Pos+1])
-	// Reverse in place: NACK path runs failing-node → ... → sender.
-	for i, j := 0, len(prefix)-1; i < j; i, j = i+1, j-1 {
-		prefix[i], prefix[j] = prefix[j], prefix[i]
-	}
-	nack := &wire.Message{
-		TransID: msg.TransID,
-		Type:    wire.TypeCommitNack,
-		Path:    prefix,
-		Pos:     0,
-		Commit:  msg.Commit,
-	}
-	if len(prefix) == 1 {
-		// The sender itself failed to reserve its first hop.
-		n.deliver(nack)
-		return
-	}
-	n.forward(nack)
+	msg.Path = msg.Path[:msg.Pos+1]
+	msg.Capacity, msg.ReverseCap, msg.FeeRate = msg.Capacity[:0], msg.ReverseCap[:0], msg.FeeRate[:0]
+	n.turnAround(msg, wire.TypeCommitNack)
 }
 
 // handleCommitNack rolls back this node's reservations as the NACK

@@ -85,10 +85,12 @@ type Node struct {
 	msgsSent atomic.Int64
 }
 
-// peerConn serialises writes to one TCP connection.
+// peerConn serialises writes to one TCP connection. buf is the encode
+// buffer every frame written to conn is built in, guarded by mu.
 type peerConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	buf  []byte
 }
 
 // ErrTimeout is returned when a protocol reply does not arrive within
@@ -217,7 +219,8 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames from one connection and dispatches them.
+// readLoop decodes every frame from one connection into the same Message
+// (safe under dispatch's ownership rule) and dispatches it.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -226,12 +229,13 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.connMu.Unlock()
 	}()
+	frames := wire.NewReader(conn)
+	var msg wire.Message
 	for {
-		msg, err := wire.ReadMessage(conn)
-		if err != nil {
+		if err := frames.ReadMessage(&msg); err != nil {
 			return
 		}
-		n.dispatch(msg)
+		n.dispatch(&msg)
 	}
 }
 
@@ -251,8 +255,10 @@ func (n *Node) send(to topo.NodeID, msg *wire.Message) error {
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	n.msgsSent.Add(1)
-	if err := wire.WriteMessage(pc.conn, msg); err != nil {
+	if pc.buf, err = wire.AppendFrame(pc.buf[:0], msg); err != nil {
+		return err
+	}
+	if _, err := pc.conn.Write(pc.buf); err != nil {
 		// Drop the broken connection so the next send redials.
 		n.connMu.Lock()
 		if n.conns[to] == pc {
@@ -262,11 +268,12 @@ func (n *Node) send(to topo.NodeID, msg *wire.Message) error {
 		pc.conn.Close()
 		return err
 	}
+	n.msgsSent.Add(1)
 	return nil
 }
 
 // MessagesSent returns the cumulative number of wire messages this node
-// has written to peers — the daemon's telemetry gauge.
+// has written to peers in full — the daemon's telemetry gauge.
 func (n *Node) MessagesSent() int64 { return n.msgsSent.Load() }
 
 func (n *Node) connTo(to topo.NodeID) (*peerConn, error) {
@@ -300,7 +307,8 @@ func (n *Node) connTo(to topo.NodeID) (*peerConn, error) {
 }
 
 // forward advances msg one hop along its path, applying the configured
-// artificial propagation delay.
+// artificial propagation delay. send is synchronous, so Pos is advanced
+// in msg itself for the write and put back afterwards.
 func (n *Node) forward(msg *wire.Message) {
 	next := msg.Next()
 	if next < 0 {
@@ -309,15 +317,13 @@ func (n *Node) forward(msg *wire.Message) {
 	if n.hopDelay > 0 {
 		time.Sleep(n.hopDelay)
 	}
-	fwd := *msg
-	fwd.Pos++
-	if err := n.send(next, &fwd); err != nil {
-		// Connectivity failure: the sender's timeout surfaces it.
-		return
-	}
+	msg.Pos++
+	_ = n.send(next, msg) // a connectivity failure surfaces as the sender's timeout
+	msg.Pos--
 }
 
-// deliver hands a terminal reply to the waiting session, if any.
+// deliver hands a terminal reply to the waiting session, if any — a copy,
+// because msg itself goes back to its readLoop for the next frame.
 func (n *Node) deliver(msg *wire.Message) {
 	n.pendingMu.Lock()
 	ch, ok := n.pending[msg.TransID]
@@ -326,7 +332,7 @@ func (n *Node) deliver(msg *wire.Message) {
 	}
 	n.pendingMu.Unlock()
 	if ok {
-		ch <- msg
+		ch <- msg.Clone()
 	}
 }
 

@@ -3,12 +3,15 @@ package node
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/pcn"
 	"repro/internal/topo"
+	"repro/internal/wire"
 )
 
 // startLine boots a 3-node line 0-1-2 with the given balances per
@@ -308,5 +311,141 @@ func TestConcurrentPayments(t *testing.T) {
 	}
 	if math.Abs(total-6*2*10000) > 1e-6 {
 		t.Errorf("total funds = %v, want %v", total, 6*2*10000.0)
+	}
+}
+
+// deliverWhenPending waits until n has a session waiting on transID and
+// hands it reply, as a peer that learnt the ID from a frame could.
+func deliverWhenPending(t *testing.T, n *Node, reply *wire.Message) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		n.pendingMu.Lock()
+		_, waiting := n.pending[reply.TransID]
+		n.pendingMu.Unlock()
+		if waiting {
+			n.deliver(reply)
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("no session waited on trans %d", reply.TransID)
+}
+
+// A reply of the wrong type, or a PROBE_ACK whose vectors are shorter
+// than the path, is an error for the session — not an index out of range.
+func TestMalformedReplyIsAnError(t *testing.T) {
+	// One node and no peer addresses: the real request goes nowhere, so
+	// the only reply is the one the test delivers.
+	n, err := New(Config{ID: 0, Graph: topo.Line(3), Timeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.SetChannel(1, 100, 100, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err != nil {
+		t.Fatal(err)
+	}
+	path := []topo.NodeID{0, 1, 2}
+	two := []float64{1, 2}
+	for name, reply := range map[string]*wire.Message{
+		"short FeeRate":  {Type: wire.TypeProbeAck, Capacity: two, ReverseCap: two, FeeRate: two[:1]},
+		"no FeeRate":     {Type: wire.TypeProbeAck, Capacity: two},
+		"short Capacity": {Type: wire.TypeProbeAck, Capacity: two[:1], FeeRate: two},
+		"wrong type":     {Type: wire.TypeReverseAck, Capacity: two, ReverseCap: two, FeeRate: two},
+	} {
+		s, err := n.NewSession(2, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// answered runs one session operation while reply is delivered
+		// to the transaction it opens.
+		answered := func(op func() error) error {
+			reply.TransID = n.transID.Load() + 1
+			delivered := make(chan struct{})
+			go func() {
+				defer close(delivered)
+				deliverWhenPending(t, n, reply)
+			}()
+			err := op()
+			<-delivered
+			return err
+		}
+		err = answered(func() error { _, err := s.Probe(path); return err })
+		if err == nil || errors.Is(err, ErrTimeout) {
+			t.Errorf("%s: Probe = %v; want a malformed-reply error", name, err)
+		}
+		err = answered(func() error { return s.Hold(path, 10) })
+		if err == nil || errors.Is(err, ErrTimeout) || errors.Is(err, pcn.ErrInsufficient) {
+			t.Errorf("%s: Hold = %v; want an unexpected-reply error", name, err)
+		}
+	}
+}
+
+// probeRaw runs one PROBE round trip from n and returns the reply exactly
+// as deliver handed it over.
+func probeRaw(n *Node, path []topo.NodeID) (*wire.Message, error) {
+	s := &Session{n: n}
+	return s.roundTrip(&wire.Message{TransID: n.newTransID(), Type: wire.TypeProbe, Path: slices.Clone(path)})
+}
+
+// The deliver-copies rule: a delivered reply belongs to the session. Both
+// replies below reach node 0 over the one connection from node 1, whose
+// readLoop decodes every frame into the same Message; the first reply
+// must read the same after the second, shorter one has arrived. Run under
+// -race, the concurrent sessions also catch a reply that still aliases
+// that Message.
+func TestDeliveredReplySurvivesNextFrame(t *testing.T) {
+	nodes := startCluster(t, topo.Line(4), 75)
+	long, short := []topo.NodeID{0, 1, 2, 3}, []topo.NodeID{0, 1, 2}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				first, err := probeRaw(nodes[0], long)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := first.Clone()
+				if _, err := probeRaw(nodes[0], short); err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(first, want) {
+					t.Errorf("first reply changed after the second arrived:\n got %+v\nwant %+v", first, want)
+					return
+				}
+				if len(first.Capacity) != 3 || first.Type != wire.TypeProbeAck || !slices.Equal(first.Path, []topo.NodeID{3, 2, 1, 0}) {
+					t.Errorf("unexpected PROBE_ACK %+v", first)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// MessagesSent counts frames that reached the wire: a send that cannot
+// be written leaves it alone.
+func TestMessagesSentCountsWrittenFrames(t *testing.T) {
+	nodes := startLine(t, 100)
+	s, _ := nodes[0].NewSession(2, 10)
+	if _, err := s.Probe([]topo.NodeID{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := nodes[0].MessagesSent(); got != 1 {
+		t.Fatalf("after one probe, sender sent %d frames, want 1", got)
+	}
+	// Break the sender's cached connection under it: the next write fails.
+	nodes[0].connMu.Lock()
+	nodes[0].conns[1].conn.Close()
+	nodes[0].connMu.Unlock()
+	if err := nodes[0].send(1, &wire.Message{Type: wire.TypeProbe, Path: []topo.NodeID{0, 1}, Pos: 1}); err == nil {
+		t.Fatal("write to a closed connection succeeded")
+	}
+	if got := nodes[0].MessagesSent(); got != 1 {
+		t.Errorf("failed write counted: MessagesSent = %d, want 1", got)
 	}
 }

@@ -119,8 +119,11 @@ func (s *Session) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
 	hops := len(path) - 1
 	s.probeMsgs += 2 * hops
 	s.probeOps++
-	if len(reply.Capacity) != hops {
-		return nil, fmt.Errorf("node: probe returned %d capacities for %d hops", len(reply.Capacity), hops)
+	if reply.Type != wire.TypeProbeAck {
+		return nil, fmt.Errorf("node: unexpected reply %v to PROBE", reply.Type)
+	}
+	if len(reply.Capacity) != hops || len(reply.FeeRate) != hops {
+		return nil, fmt.Errorf("node: probe returned %d capacities, %d fee rates for %d hops", len(reply.Capacity), len(reply.FeeRate), hops)
 	}
 	info := make([]pcn.HopInfo, hops)
 	for i := 0; i < hops; i++ {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/topo"
 )
@@ -95,6 +96,8 @@ const (
 	MaxPathLen = 1024
 	// MaxFrameSize bounds a whole frame, derived from MaxPathLen.
 	MaxFrameSize = 64 * 1024
+	// frameHeaderLen is the size of a frame's big-endian length prefix.
+	frameHeaderLen = 4
 )
 
 // Errors returned by the codec.
@@ -131,18 +134,22 @@ func (m *Message) Current() topo.NodeID {
 // AtEnd reports whether the message has reached the last path node.
 func (m *Message) AtEnd() bool { return int(m.Pos) == len(m.Path)-1 }
 
-// ReversedPath returns the path reversed — used when turning a forward
-// message into its acknowledgement.
-func (m *Message) ReversedPath() []topo.NodeID {
-	rev := make([]topo.NodeID, len(m.Path))
-	for i, u := range m.Path {
-		rev[len(m.Path)-1-i] = u
-	}
-	return rev
+// Clone returns a deep copy of m: what a handler hands to another
+// goroutine when m is about to be reused for the next frame.
+func (m *Message) Clone() *Message {
+	c := *m
+	c.Path = slices.Clone(m.Path)
+	c.Capacity = slices.Clone(m.Capacity)
+	c.ReverseCap = slices.Clone(m.ReverseCap)
+	c.FeeRate = slices.Clone(m.FeeRate)
+	return &c
 }
 
-// appendTo serialises the message body (without the length prefix).
-func (m *Message) appendTo(buf []byte) ([]byte, error) {
+// AppendFrame appends m to buf as one length-prefixed frame, written in a
+// single pass, and returns the extended buffer. It allocates only when
+// buf lacks capacity, so a sender that passes its previous frame back as
+// buf[:0] stops allocating once the buffer fits its largest frame.
+func AppendFrame(buf []byte, m *Message) ([]byte, error) {
 	if len(m.Path) > MaxPathLen {
 		return nil, fmt.Errorf("%w: path length %d", ErrMalformed, len(m.Path))
 	}
@@ -152,6 +159,8 @@ func (m *Message) appendTo(buf []byte) ([]byte, error) {
 	if !m.Type.Valid() {
 		return nil, fmt.Errorf("%w: invalid type %d", ErrMalformed, m.Type)
 	}
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
 	buf = binary.BigEndian.AppendUint64(buf, m.TransID)
 	buf = append(buf, byte(m.Type))
 	buf = binary.BigEndian.AppendUint16(buf, m.Pos)
@@ -159,100 +168,151 @@ func (m *Message) appendTo(buf []byte) ([]byte, error) {
 	for _, u := range m.Path {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(u))
 	}
-	for _, vec := range [][]float64{m.Capacity, m.ReverseCap, m.FeeRate} {
+	for _, vec := range [...][]float64{m.Capacity, m.ReverseCap, m.FeeRate} {
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(vec)))
 		for _, v := range vec {
 			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	}
 	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.Commit))
+	body := len(buf) - start - frameHeaderLen
+	if body > MaxFrameSize {
+		return nil, ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(buf[start:], uint32(body))
 	return buf, nil
 }
 
-// Encode serialises the message as a length-prefixed frame.
+// Encode serialises the message as a newly allocated length-prefixed
+// frame.
 func Encode(m *Message) ([]byte, error) {
-	body, err := m.appendTo(make([]byte, 0, 64+8*len(m.Path)))
-	if err != nil {
-		return nil, err
-	}
-	if len(body) > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	frame := make([]byte, 0, 4+len(body))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(body)))
-	return append(frame, body...), nil
+	return AppendFrame(make([]byte, 0, 64+8*len(m.Path)), m)
 }
 
-// WriteMessage frames and writes m to w.
-func WriteMessage(w io.Writer, m *Message) error {
-	frame, err := Encode(m)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// ReadMessage reads one length-prefixed frame from r and decodes it.
-func ReadMessage(r io.Reader) (*Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
-	return Decode(body)
-}
-
-// Decode parses a frame body produced by Encode.
+// Decode parses a frame body produced by Encode into a new Message.
 func Decode(body []byte) (*Message, error) {
-	d := decoder{buf: body}
 	m := &Message{}
+	if err := DecodeInto(m, body); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto parses a frame body into m, overwriting every field. The
+// backing arrays of m's Path, Capacity, ReverseCap and FeeRate are reused
+// when they are large enough, so a receiver that decodes every frame into
+// the same Message stops allocating once they have grown; nothing in m
+// aliases body afterwards. On error m's contents are unspecified.
+func DecodeInto(m *Message, body []byte) error {
+	d := decoder{buf: body}
 	m.TransID = d.uint64()
 	m.Type = Type(d.uint8())
 	m.Pos = d.uint16()
 	pathLen := int(d.uint16())
 	if pathLen > MaxPathLen {
-		return nil, fmt.Errorf("%w: path length %d", ErrMalformed, pathLen)
+		return fmt.Errorf("%w: path length %d", ErrMalformed, pathLen)
 	}
-	if pathLen > 0 {
-		m.Path = make([]topo.NodeID, pathLen)
-		for i := range m.Path {
-			m.Path[i] = topo.NodeID(d.uint32())
-		}
+	// Take the elements' bytes before sizing the slice, so a truncated
+	// frame cannot make the decoder allocate for a length it only claims.
+	raw := d.take(4 * pathLen)
+	m.Path = resize(m.Path, len(raw)/4)
+	for i := range m.Path {
+		m.Path[i] = topo.NodeID(binary.BigEndian.Uint32(raw[4*i:]))
 	}
-	for _, vec := range []*[]float64{&m.Capacity, &m.ReverseCap, &m.FeeRate} {
+	for _, vec := range [...]*[]float64{&m.Capacity, &m.ReverseCap, &m.FeeRate} {
 		vlen := int(d.uint16())
 		if vlen > MaxPathLen {
-			return nil, fmt.Errorf("%w: vector length %d", ErrMalformed, vlen)
+			return fmt.Errorf("%w: vector length %d", ErrMalformed, vlen)
 		}
-		if vlen > 0 {
-			*vec = make([]float64, vlen)
-			for i := range *vec {
-				(*vec)[i] = math.Float64frombits(d.uint64())
-			}
+		raw := d.take(8 * vlen)
+		*vec = resize(*vec, len(raw)/8)
+		for i := range *vec {
+			(*vec)[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
 		}
 	}
 	m.Commit = math.Float64frombits(d.uint64())
 	if d.failed {
-		return nil, fmt.Errorf("%w: truncated frame", ErrMalformed)
+		return fmt.Errorf("%w: truncated frame", ErrMalformed)
 	}
 	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.buf)-d.off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.buf)-d.off)
 	}
 	if !m.Type.Valid() {
-		return nil, fmt.Errorf("%w: invalid type %d", ErrMalformed, m.Type)
+		return fmt.Errorf("%w: invalid type %d", ErrMalformed, m.Type)
 	}
 	if int(m.Pos) >= pathLen && pathLen > 0 {
-		return nil, fmt.Errorf("%w: position %d outside path of %d", ErrMalformed, m.Pos, pathLen)
+		return fmt.Errorf("%w: position %d outside path of %d", ErrMalformed, m.Pos, pathLen)
 	}
-	return m, nil
+	return nil
+}
+
+// resize returns s with length n, keeping its backing array when that is
+// large enough. A nil s stays nil at n == 0, so decoding into a fresh
+// Message leaves absent vectors nil.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// readBufSize is a Reader's buffer: room for any frame over a path of up
+// to 18 nodes, and small enough that a node's few hundred connections do
+// not show in its resident set (4 KB each did).
+const readBufSize = 512
+
+// Reader reads frames from a stream through one buffer it owns, so a
+// frame that has arrived whole costs one Read on the stream instead of
+// one for the length prefix and one for the body.
+type Reader struct {
+	src  io.Reader
+	buf  []byte // replaced by a larger one only when a frame does not fit
+	r, w int    // buf[r:w] is read from src and not yet consumed
+}
+
+// NewReader returns a Reader on src.
+func NewReader(src io.Reader) *Reader {
+	return &Reader{src: src, buf: make([]byte, readBufSize)}
+}
+
+// ReadMessage reads the next frame and decodes it into m as DecodeInto
+// does. It returns io.EOF only when the stream ends on a frame boundary.
+func (fr *Reader) ReadMessage(m *Message) error {
+	if err := fr.fill(frameHeaderLen); err != nil {
+		return err
+	}
+	n := int(binary.BigEndian.Uint32(fr.buf[fr.r:]))
+	if n > MaxFrameSize {
+		return ErrFrameTooLarge
+	}
+	if err := fr.fill(frameHeaderLen + n); err != nil {
+		return err
+	}
+	body := fr.buf[fr.r+frameHeaderLen : fr.r+frameHeaderLen+n]
+	fr.r += frameHeaderLen + n
+	return DecodeInto(m, body)
+}
+
+// fill reads from the stream until at least n unconsumed bytes are
+// buffered. Before it reads it moves them (less than one frame, usually
+// nothing) to the front of the buffer, or of a larger one if n demands
+// it, so every Read is offered the whole buffer.
+func (fr *Reader) fill(n int) error {
+	if fr.w-fr.r >= n {
+		return nil
+	}
+	dst := fr.buf
+	if n > len(dst) {
+		dst = make([]byte, n)
+	}
+	fr.w = copy(dst, fr.buf[fr.r:fr.w])
+	fr.r, fr.buf = 0, dst
+	got, err := io.ReadAtLeast(fr.src, fr.buf[fr.w:], n-(fr.w-fr.r))
+	fr.w += got
+	if err == io.EOF && fr.w > fr.r {
+		err = io.ErrUnexpectedEOF // the stream ended inside a frame
+	}
+	return err
 }
 
 // decoder is a bounds-checked big-endian reader.
@@ -286,14 +346,6 @@ func (d *decoder) uint16() uint16 {
 		return 0
 	}
 	return binary.BigEndian.Uint16(b)
-}
-
-func (d *decoder) uint32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
 }
 
 func (d *decoder) uint64() uint64 {

@@ -2,11 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"repro/internal/topo"
@@ -40,29 +43,107 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadWriteStream(t *testing.T) {
-	var buf bytes.Buffer
-	msgs := []*Message{
+// streamCorpus is the round-trip corpus shared by the stream tests and
+// FuzzDecode's seeds: every shape the protocol sends, plus one frame too
+// big for a Reader's initial buffer.
+func streamCorpus() []*Message {
+	long := &Message{TransID: 3, Type: TypeProbeAck, Path: make([]topo.NodeID, 40), Pos: 39}
+	for i := range long.Path {
+		long.Path[i] = topo.NodeID(i)
+		long.Capacity = append(long.Capacity, float64(i))
+		long.ReverseCap = append(long.ReverseCap, float64(-i))
+		long.FeeRate = append(long.FeeRate, 1/float64(i+1))
+	}
+	return []*Message{
 		sampleMessage(),
 		{TransID: 1, Type: TypeCommit, Path: []topo.NodeID{0, 1}, Commit: 5},
+		long,
 		{TransID: 2, Type: TypeReverseAck, Path: []topo.NodeID{1, 0}, Pos: 1},
 	}
+}
+
+// equalMessages compares by value, treating a reused Message's empty
+// slices and a fresh one's nil slices as the same.
+func equalMessages(a, b *Message) bool {
+	return a.TransID == b.TransID && a.Type == b.Type && a.Pos == b.Pos && a.Commit == b.Commit &&
+		slices.Equal(a.Path, b.Path) && slices.Equal(a.Capacity, b.Capacity) &&
+		slices.Equal(a.ReverseCap, b.ReverseCap) && slices.Equal(a.FeeRate, b.FeeRate)
+}
+
+// The stream is read three ways — all at once, one byte per Read, and
+// with a frame split across two Reads — into one reused Message.
+func TestReadWriteStream(t *testing.T) {
+	msgs := streamCorpus()
+	var stream []byte
 	for _, m := range msgs {
-		if err := WriteMessage(&buf, m); err != nil {
+		var err error
+		if stream, err = AppendFrame(stream, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, want := range msgs {
-		got, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatalf("message %d: %v", i, err)
+	sources := map[string]func() io.Reader{
+		"whole":    func() io.Reader { return bytes.NewReader(stream) },
+		"one-byte": func() io.Reader { return iotest.OneByteReader(bytes.NewReader(stream)) },
+		"split": func() io.Reader {
+			return io.MultiReader(bytes.NewReader(stream[:7]), bytes.NewReader(stream[7:]))
+		},
+	}
+	for name, source := range sources {
+		fr := NewReader(source())
+		var got Message
+		for i, want := range msgs {
+			if err := fr.ReadMessage(&got); err != nil {
+				t.Fatalf("%s: message %d: %v", name, i, err)
+			}
+			if !equalMessages(&got, want) {
+				t.Errorf("%s: message %d mismatch: %+v vs %+v", name, i, got, want)
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("message %d mismatch: %+v vs %+v", i, got, want)
+		if err := fr.ReadMessage(&got); err != io.EOF {
+			t.Errorf("%s: expected EOF at the end of the stream, got %v", name, err)
 		}
 	}
-	if _, err := ReadMessage(&buf); err != io.EOF {
-		t.Errorf("expected EOF on empty stream, got %v", err)
+}
+
+// A stream that ends inside a frame is not a clean EOF.
+func TestReadMessageTruncatedStream(t *testing.T) {
+	frame, _ := Encode(sampleMessage())
+	for cut := 1; cut < len(frame); cut++ {
+		var m Message
+		if err := NewReader(bytes.NewReader(frame[:cut])).ReadMessage(&m); err != io.ErrUnexpectedEOF {
+			t.Fatalf("stream cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+}
+
+// In steady state — buffers grown to the largest frame seen — framing,
+// reading and decoding a frame allocate nothing.
+func TestFramerAndReaderDoNotAllocate(t *testing.T) {
+	msgs := streamCorpus()
+	src := bytes.NewReader(nil)
+	fr := NewReader(src)
+	var (
+		buf []byte
+		got Message
+		i   int
+	)
+	allocs := testing.AllocsPerRun(200, func() {
+		want := msgs[i%len(msgs)]
+		i++
+		var err error
+		if buf, err = AppendFrame(buf[:0], want); err != nil {
+			t.Fatal(err)
+		}
+		src.Reset(buf)
+		if err := fr.ReadMessage(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !equalMessages(&got, want) {
+			t.Fatalf("mismatch: %+v vs %+v", got, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per frame, want 0", allocs)
 	}
 }
 
@@ -109,9 +190,9 @@ func TestEncodeValidation(t *testing.T) {
 }
 
 func TestReadMessageFrameTooLarge(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadMessage(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	var m Message
+	err := NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})).ReadMessage(&m)
+	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -128,10 +209,6 @@ func TestPathNavigation(t *testing.T) {
 	m.Pos = 2
 	if m.Next() != -1 || !m.AtEnd() {
 		t.Error("Next at end should be -1 and AtEnd true")
-	}
-	rev := m.ReversedPath()
-	if rev[0] != 9 || rev[2] != 7 {
-		t.Errorf("ReversedPath = %v", rev)
 	}
 }
 
@@ -216,4 +293,55 @@ func BenchmarkDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzDecode: arbitrary bytes never panic the decoder; anything accepted
+// respects MaxPathLen and re-encodes to the same bytes; decoding into a
+// dirty Message (longer slices left by an earlier frame) agrees with
+// decoding into a fresh one; and a Reader fed the framed bytes one at a
+// time agrees with both.
+func FuzzDecode(f *testing.F) {
+	for _, m := range streamCorpus() {
+		frame, err := Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:])
+		f.Add(frame[4 : len(frame)-3])
+	}
+	leftover := streamCorpus()[2] // the longest message: what a reused target still holds
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dirty := leftover.Clone()
+		dirtyErr := DecodeInto(dirty, body)
+		fresh, err := Decode(body)
+		if (err == nil) != (dirtyErr == nil) {
+			t.Fatalf("fresh decode: %v, dirty decode: %v", err, dirtyErr)
+		}
+
+		var streamed Message
+		streamErr := NewReader(iotest.OneByteReader(bytes.NewReader(
+			append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)))).ReadMessage(&streamed)
+		if (err == nil) != (streamErr == nil) {
+			t.Fatalf("fresh decode: %v, stream decode: %v", err, streamErr)
+		}
+		if err != nil {
+			return
+		}
+
+		if len(fresh.Path) > MaxPathLen || len(fresh.Capacity) > MaxPathLen ||
+			len(fresh.ReverseCap) > MaxPathLen || len(fresh.FeeRate) > MaxPathLen {
+			t.Fatalf("accepted a vector longer than MaxPathLen: %d/%d/%d/%d",
+				len(fresh.Path), len(fresh.Capacity), len(fresh.ReverseCap), len(fresh.FeeRate))
+		}
+		// Compare as bytes: the vectors may hold NaNs.
+		for name, m := range map[string]*Message{"fresh": fresh, "dirty": dirty, "streamed": &streamed} {
+			frame, err := Encode(m)
+			if err != nil {
+				t.Fatalf("%s: accepted message does not re-encode: %v", name, err)
+			}
+			if !bytes.Equal(frame[4:], body) {
+				t.Fatalf("%s: re-encoded to different bytes:\n got %x\nwant %x", name, frame[4:], body)
+			}
+		}
+	})
 }
