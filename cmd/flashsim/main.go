@@ -86,7 +86,7 @@ func main() {
 		ctrl      = flag.String("control", "", "adaptive control plane policies, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none (dynamic mode)")
 		latency   = flag.Float64("latency", 0, "median per-channel virtual RTT in seconds, log-normally distributed (0 = latency-free, byte-identical to the pre-latency engine)")
 		latSigma  = flag.Float64("latencysigma", 0, "log-normal shape of the per-channel RTT distribution (0 = default 0.6)")
-		deadline  = flag.Float64("deadline", 0, "HTLC-style hold-span expiry in virtual seconds: suspended payments whose commit cannot settle in time abort at the deadline (0 = no expiry)")
+		deadline  = flag.Float64("deadline", 0, "HTLC-style hold-span expiry in virtual seconds: suspended payments whose commit cannot settle in time abort at the deadline (0 = no expiry; > 0 requires -service)")
 		griefFrac = flag.Float64("grieffrac", 0, "fraction of payments marked as griefers that pin their routes (dynamic mode, requires -service)")
 		griefHold = flag.Float64("griefhold", 0, "virtual seconds a griefer holds its route instead of the drawn service time")
 

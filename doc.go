@@ -25,7 +25,9 @@
 //	internal/trace     calibrated synthetic workloads (Ripple/Bitcoin),
 //	                   arrival processes and lazy payment streams
 //	internal/event     deterministic discrete-event core: virtual
-//	                   clock, seeded event heap, applied-event log
+//	                   clock, event queue (the schedule known before
+//	                   the clock starts as a sorted run, later events
+//	                   in a typed heap), applied-event log
 //	internal/sim       simulation engine (static replay + dynamic
 //	                   discrete-event runs) and experiment scenarios
 //	internal/wire      the prototype's wire format (paper Table 1)

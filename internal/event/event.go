@@ -16,17 +16,23 @@
 //
 // # Determinism
 //
-// The queue is a plain binary heap with the (Time, Seq) total order;
-// it holds no maps and consults no global state, so iteration order
-// can never leak in. The Log records every applied event and exposes a
-// fingerprint (FNV-1a over the rendered entries) that tests compare
-// across runs to pin determinism.
+// The queue pops in the (Time, Seq) total order from two parts: the
+// events scheduled before the first Pop or Peek (a run's churn
+// schedule, known before the clock starts) are sorted once into a run
+// read by a cursor, and everything scheduled later goes into a small
+// typed binary heap; Pop takes the earlier of the two heads. Seq is
+// unique, so the order is strict and the pop sequence does not depend
+// on how the events are stored. The queue holds no maps and consults
+// no global state, so iteration order can never leak in. The Log
+// records every applied event and exposes a fingerprint — FNV-1a over
+// seven fields of each event, folded as 64-bit words — that tests
+// compare across runs to pin determinism.
 package event
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/topo"
 )
@@ -162,12 +168,22 @@ func (e Event) before(o Event) bool {
 	return e.Seq < o.Seq
 }
 
-// Queue is a min-heap of events ordered by (Time, Seq). The zero
-// value is an empty, ready-to-use queue; NewQueue exists for
+// Queue is a priority queue of events ordered by (Time, Seq). The
+// zero value is an empty, ready-to-use queue; NewQueue exists for
 // call-site readability.
+//
+// Events scheduled before the first Pop or Peek are sorted once into
+// run and consumed through the next cursor; later events go into heap.
+// A simulation schedules its whole churn schedule up front (15,000
+// events on a busy run) but keeps only a few hundred events of its own
+// pending, so the heap stays small and never sifts through the
+// schedule.
 type Queue struct {
-	h   eventHeap
-	seq uint64
+	run     []Event // sorted once on the first Pop/Peek; run[next:] pending
+	next    int
+	started bool    // a Pop or Peek has happened: Schedule feeds heap
+	heap    []Event // binary min-heap of events scheduled after the start
+	seq     uint64
 }
 
 // NewQueue returns an empty event queue.
@@ -179,41 +195,114 @@ func NewQueue() *Queue { return &Queue{} }
 func (q *Queue) Schedule(e Event) Event {
 	e.Seq = q.seq
 	q.seq++
-	heap.Push(&q.h, e)
+	if !q.started {
+		q.run = append(q.run, e)
+		return e
+	}
+	q.push(e)
 	return e
 }
 
 // Pop removes and returns the earliest event, or ok=false on empty.
 func (q *Queue) Pop() (Event, bool) {
-	if len(q.h) == 0 {
+	fromRun, ok := q.head()
+	if !ok {
 		return Event{}, false
 	}
-	return heap.Pop(&q.h).(Event), true
+	if fromRun {
+		e := q.run[q.next]
+		q.next++
+		if q.next == len(q.run) {
+			q.run, q.next = nil, 0 // release the schedule's memory
+		}
+		return e, true
+	}
+	return q.pop(), true
 }
 
 // Peek returns the earliest event without removing it.
 func (q *Queue) Peek() (Event, bool) {
-	if len(q.h) == 0 {
+	fromRun, ok := q.head()
+	switch {
+	case !ok:
 		return Event{}, false
+	case fromRun:
+		return q.run[q.next], true
+	default:
+		return q.heap[0], true
 	}
-	return q.h[0], true
 }
 
 // Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.h) }
+func (q *Queue) Len() int { return len(q.run) - q.next + len(q.heap) }
 
-type eventHeap []Event
+// head starts the queue if it has not started yet and reports where
+// the earliest pending event is: the run (fromRun) or the heap top.
+func (q *Queue) head() (fromRun, ok bool) {
+	if !q.started {
+		q.started = true
+		slices.SortFunc(q.run, func(a, b Event) int {
+			switch {
+			case a.before(b):
+				return -1
+			case b.before(a):
+				return 1
+			}
+			return 0
+		})
+	}
+	inRun := q.next < len(q.run)
+	if len(q.heap) == 0 {
+		return inRun, inRun
+	}
+	return inRun && q.run[q.next].before(q.heap[0]), true
+}
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].before(h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds e to the heap, moving the hole up from the new leaf
+// instead of swapping at every level.
+func (q *Queue) push(e Event) {
+	q.heap = append(q.heap, e)
+	h := q.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// pop removes the heap's top: the last leaf is sifted down from the
+// root by moving the hole towards the smaller child.
+func (q *Queue) pop() Event {
+	h := q.heap
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	q.heap = h
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // Clock is the virtual clock: it only moves forward, driven by the

@@ -117,17 +117,43 @@ func TestProbe(t *testing.T) {
 	}
 }
 
+// badPaths are sender-0 → receiver-3 paths on lineNet that Probe and
+// Hold must reject with ErrBadPath, before touching any channel.
+var badPaths = []struct {
+	name string
+	path []topo.NodeID
+}{
+	{"missing channel", []topo.NodeID{0, 2, 3}},
+	{"missing last channel", []topo.NodeID{0, 1, 3}},
+	{"not from sender", []topo.NodeID{1, 2, 3}},
+	{"not to receiver", []topo.NodeID{0, 1, 2}},
+	{"degenerate", []topo.NodeID{0}},
+	{"empty", nil},
+}
+
 func TestProbeInvalidPath(t *testing.T) {
 	n := lineNet(t)
 	tx, _ := n.Begin(0, 3, 10)
-	if _, err := tx.Probe([]topo.NodeID{0, 2, 3}); err == nil {
-		t.Error("probe over missing channel accepted")
+	for _, tc := range badPaths {
+		if _, err := tx.Probe(tc.path); !errors.Is(err, ErrBadPath) {
+			t.Errorf("%s: Probe(%v) = %v, want ErrBadPath", tc.name, tc.path, err)
+		}
 	}
-	if _, err := tx.Probe([]topo.NodeID{1, 2, 3}); err == nil {
-		t.Error("probe not starting at sender accepted")
+	if tx.ProbeMessages() != 0 {
+		t.Errorf("rejected probes cost %d messages", tx.ProbeMessages())
 	}
-	if _, err := tx.Probe([]topo.NodeID{0}); err == nil {
-		t.Error("degenerate path accepted")
+}
+
+func TestHoldInvalidPath(t *testing.T) {
+	n := lineNet(t)
+	tx, _ := n.Begin(0, 3, 10)
+	for _, tc := range badPaths {
+		if err := tx.Hold(tc.path, 1); !errors.Is(err, ErrBadPath) {
+			t.Errorf("%s: Hold(%v) = %v, want ErrBadPath", tc.name, tc.path, err)
+		}
+	}
+	if tx.CommitMessages() != 0 || tx.HeldTotal() != 0 {
+		t.Errorf("rejected holds cost %d messages, hold %v", tx.CommitMessages(), tx.HeldTotal())
 	}
 }
 

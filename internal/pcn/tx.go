@@ -182,28 +182,24 @@ func (t *Tx) RNG() *rand.Rand {
 	return t.rng
 }
 
-// validPath checks that path starts at the sender, ends at the
-// receiver, and every consecutive pair shares a channel.
-func (t *Tx) validPath(path []topo.NodeID) error {
-	if len(path) < 2 || path[0] != t.sender || path[len(path)-1] != t.receiver {
-		return ErrBadPath
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if !t.net.graph.HasChannel(path[i], path[i+1]) {
-			return fmt.Errorf("%w: no channel %d-%d", ErrBadPath, path[i], path[i+1])
-		}
-	}
-	return nil
-}
-
-// resolvePathInto appends every hop of path, mapped to its channel
-// index and direction, to buf. Callers pass a retained buffer (Hold,
-// whose records outlive the call) or the Tx scratch (Probe).
+// resolvePathInto checks that path starts at the sender and ends at
+// the receiver, and appends every hop, mapped to its channel index and
+// direction, to buf — one channel lookup per hop, which is also the
+// check that every consecutive pair shares a channel. A missing
+// channel is an ErrBadPath. Callers pass nil for a fresh buffer (Hold,
+// whose records outlive the call) or the Tx scratch (Probe); a buffer
+// too small for the path is replaced by one sized to it.
 func (t *Tx) resolvePathInto(buf []pathHop, path []topo.NodeID) ([]pathHop, error) {
+	if len(path) < 2 || path[0] != t.sender || path[len(path)-1] != t.receiver {
+		return nil, ErrBadPath
+	}
+	if cap(buf) < len(path)-1 {
+		buf = make([]pathHop, 0, len(path)-1)
+	}
 	for i := 0; i+1 < len(path); i++ {
 		idx, d, err := t.net.dir(path[i], path[i+1])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: no channel %d-%d", ErrBadPath, path[i], path[i+1])
 		}
 		buf = append(buf, pathHop{idx: idx, dir: d})
 	}
@@ -213,8 +209,11 @@ func (t *Tx) resolvePathInto(buf []pathHop, path []topo.NodeID) ([]pathHop, erro
 // lockOrderInto appends the distinct channel indices of hops to buf in
 // ascending order — the global acquisition order that makes
 // multi-channel locking deadlock-free. The result reuses buf's backing
-// array.
+// array, which is sized to the hop count on first use.
 func lockOrderInto(buf []int, hops []pathHop) []int {
+	if cap(buf) < len(hops) {
+		buf = make([]int, 0, len(hops))
+	}
 	s := buf[:0]
 	for _, h := range hops {
 		s = append(s, h.idx)
@@ -261,9 +260,6 @@ func (n *Network) unlockChannels(idxs []int) {
 func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	if t.finished {
 		return nil, ErrFinished
-	}
-	if err := t.validPath(path); err != nil {
-		return nil, err
 	}
 	sc := t.acquireScratch()
 	defer t.releaseScratch(sc)
@@ -340,10 +336,7 @@ func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	if amount <= 0 {
 		return fmt.Errorf("pcn: hold amount must be positive, got %v", amount)
 	}
-	if err := t.validPath(path); err != nil {
-		return err
-	}
-	hops, err := t.resolvePathInto(make([]pathHop, 0, len(path)-1), path)
+	hops, err := t.resolvePathInto(nil, path)
 	if err != nil {
 		return err
 	}
@@ -423,6 +416,13 @@ func (t *Tx) HeldTotal() float64 {
 // commit/abort of a multi-path payment. Shares the Tx scratch buffer
 // with lockOrder.
 func (t *Tx) holdLockOrder() []int {
+	n := 0
+	for _, h := range t.holds {
+		n += len(h.hops)
+	}
+	if cap(t.scratch.lock) < n {
+		t.scratch.lock = make([]int, 0, n)
+	}
 	s := t.scratch.lock[:0]
 	for _, h := range t.holds {
 		for _, ph := range h.hops {

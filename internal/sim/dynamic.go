@@ -131,7 +131,8 @@ type DynamicOptions struct {
 	// (DynamicResult.DeadlineExpiries). 0 — the default — disables
 	// expiry and leaves the engine byte-identical to the historical
 	// behaviour. Only meaningful with Service > 0 (without spans no
-	// funds ever stay locked).
+	// funds ever stay locked), so RunDynamic rejects a Deadline without
+	// spans, as it does a negative or NaN one.
 	Deadline float64
 
 	// GriefFrac marks this fraction of payments as griefers: their
@@ -143,7 +144,9 @@ type DynamicOptions struct {
 	// Deadline > 0 the griefers' spans expire at the deadline and the
 	// victims recover; with Deadline = 0 the grief holds pin the
 	// liquidity for their full GriefHold. Only meaningful with
-	// Service > 0.
+	// Service > 0: RunDynamic rejects a GriefFrac without spans, a
+	// negative or NaN one, and griefers with a negative or non-finite
+	// GriefHold.
 	GriefFrac float64
 	GriefHold float64
 
@@ -359,6 +362,9 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 			return DynamicResult{}, fmt.Errorf("sim: payment source: %w", err)
 		}
 	}
+	if err := validSpanOptions(opts.Service, opts.Deadline, opts.GriefFrac, opts.GriefHold); err != nil {
+		return DynamicResult{}, err
+	}
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -389,16 +395,9 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	// exact float zeros, never drawn).
 	latOn := net.HasLatency()
 	deadline := opts.Deadline
-	if deadline < 0 || !spans {
-		deadline = 0
-	}
 	latencyReport := latOn || deadline > 0
 	res.LatencyOn = latencyReport
 	res.Deadline = deadline
-	grief := opts.GriefFrac
-	if !spans || grief < 0 {
-		grief = 0
-	}
 
 	// Schedule randomness (service times, retry backoffs) is its own
 	// seeded stream, independent of routing, so event timestamps do not
@@ -477,8 +476,8 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 
 	// pullArrival schedules the source's next arrival, if it falls
 	// inside the horizon. Exactly one future first-attempt arrival is
-	// pending at any time, which keeps the heap small and the source
-	// lazy — and makes that one look-ahead payment the only arrival
+	// pending at any time, which keeps the source lazy and its memory
+	// O(1) — and makes that one look-ahead payment the only arrival
 	// sampled before a demand shift it postdates; the DemandShift
 	// handler rescales it (tracking curScale) so the first post-shift
 	// payment carries a post-shift amount. Degenerate payments are
@@ -519,7 +518,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 			// Drawn unconditionally, so the schedule stream's consumption
 			// never depends on routing outcomes.
 			service = schedRNG.ExpFloat64() * opts.Service
-			if grief > 0 && trace.HashUnit(opts.Seed, int64(dp.p.ID)^griefSalt) < grief {
+			if opts.GriefFrac > 0 && trace.HashUnit(opts.Seed, int64(dp.p.ID)^griefSalt) < opts.GriefFrac {
 				// Griefer: override the drawn value (never the draw itself,
 				// so grief-off runs replay byte-identically) with the
 				// attacker's hold duration.
@@ -937,6 +936,29 @@ func validShiftFactor(kind event.Kind, factor float64) error {
 	return nil
 }
 
+// validSpanOptions rejects deadline and grief settings that cannot
+// apply instead of silently reading them as "off": both act only on
+// hold spans (service > 0), and a negative or NaN value means nothing.
+// A grief hold is a virtual service time, so it must be finite and
+// non-negative once griefers exist.
+func validSpanOptions(service, deadline, griefFrac, griefHold float64) error {
+	for _, o := range [...]struct {
+		name string
+		v    float64
+	}{{"deadline", deadline}, {"grief fraction", griefFrac}} {
+		if math.IsNaN(o.v) || o.v < 0 {
+			return fmt.Errorf("sim: %s must be non-negative, got %v", o.name, o.v)
+		}
+		if o.v > 0 && !(service > 0) {
+			return fmt.Errorf("sim: %s %v needs hold spans (a positive service time), got service %v", o.name, o.v, service)
+		}
+	}
+	if griefFrac > 0 && (math.IsNaN(griefHold) || math.IsInf(griefHold, 0) || griefHold < 0) {
+		return fmt.Errorf("sim: grief hold must be non-negative and finite, got %v", griefHold)
+	}
+	return nil
+}
+
 // finishLog copies the applied-event log's evidence into the result.
 func (r *DynamicResult) finishLog(l *event.Log) {
 	r.EventCounts = l.Counts()
@@ -1240,6 +1262,9 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 	}
 	if sc.Rate <= 0 {
 		return nil, fmt.Errorf("sim: dynamic scenario needs a positive arrival rate")
+	}
+	if err := validSpanOptions(sc.Service, sc.Deadline, sc.GriefFrac, sc.GriefHold); err != nil {
+		return nil, err
 	}
 	if sc.MiceFraction == 0 {
 		sc.MiceFraction = 0.9
