@@ -30,6 +30,13 @@ type probedState struct {
 	capacity []float64 // C — probed capacity, set once
 	residual []float64 // C′ — capacity minus flow found so far
 	fees     []pcn.FeeSchedule
+
+	// Program (1)'s constraint rows while optimizeAllocation builds it:
+	// row[slot] is 1 + the row of the directed slot, 0 for a slot no row
+	// holds — and for every slot between calls. rowSlots lists the slots
+	// holding rows, in row order, to reset them by.
+	row      []int32
+	rowSlots []int
 }
 
 var probedPool = sync.Pool{New: func() any { return new(probedState) }}
@@ -44,6 +51,7 @@ func acquireProbedState(g *topo.Graph) *probedState {
 		ps.capacity = make([]float64, m)
 		ps.residual = make([]float64, m)
 		ps.fees = make([]pcn.FeeSchedule, m)
+		ps.row = make([]int32, m)
 		ps.epoch = 0
 	}
 	ps.epoch++
@@ -91,29 +99,15 @@ func (ps *probedState) grow(m int) {
 	fees := make([]pcn.FeeSchedule, m)
 	copy(fees, ps.fees)
 	ps.fees = fees
+	row := make([]int32, m)
+	copy(row, ps.row)
+	ps.row = row
 }
 
 // knownHop reports whether the directed hop u→v has been probed.
 func (ps *probedState) knownHop(u, v topo.NodeID) bool {
 	s := ps.slot(u, v)
 	return s >= 0 && ps.known[s] == ps.epoch
-}
-
-// capAt returns the probed capacity of u→v (0 when unprobed, matching
-// the zero value the map representation used to yield).
-func (ps *probedState) capAt(u, v topo.NodeID) float64 {
-	if s := ps.slot(u, v); s >= 0 && ps.known[s] == ps.epoch {
-		return ps.capacity[s]
-	}
-	return 0
-}
-
-// feeAt returns the probed fee schedule of u→v (zero when unprobed).
-func (ps *probedState) feeAt(u, v topo.NodeID) pcn.FeeSchedule {
-	if s := ps.slot(u, v); s >= 0 && ps.known[s] == ps.epoch {
-		return ps.fees[s]
-	}
-	return pcn.FeeSchedule{}
 }
 
 // knownCount returns the number of probed directed hops (tests assert
@@ -230,18 +224,19 @@ func (plan *elephantPlan) accept(p []topo.NodeID, c float64) {
 // each discovered path to learn true capacities, stopping early once the
 // accumulated flow covers the demand.
 //
-// Each round hands the search the hop count of the round before as a
-// proved floor (graph.Scratch.ShortestPathChProven): this is Edmonds–Karp,
-// so the sender's distance to the receiver on the knowledge graph never
-// shrinks — probing only closes hops, and accept only opens the reverse
-// of hops on the shortest path just found — and the search need not
-// deepen up to a length it has already been through. Same paths.
+// The rounds are one augmenting sequence (graph.Scratch.AugmentingPath),
+// each continuing the depth-first pass the round before stopped in: this
+// is Edmonds–Karp, so the sender's distance to the receiver on the
+// knowledge graph never shrinks — probing only closes hops, and accept
+// only opens the reverse of hops on the shortest path just found — and
+// what the last pass proved dead stays dead. Same paths. The first round
+// starts the sequence: a fresh probedState reopens every hop.
 //
 // With Config.ProbeWorkers > 1 — and a session that supports it — the
 // per-path probes run on a speculative concurrent pipeline instead of
 // one at a time (see probe_pipeline.go); ProbeWorkers ≤ 1 takes the
 // sequential loop below, the original algorithm. The pipeline's rounds
-// are Yen runs whose spurs start from other nodes, and carry no floor.
+// are Yen runs whose spurs start from other nodes, and resume nothing.
 func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 	if w := f.probePoolSize(s); w > 1 {
 		return f.findElephantPathsPipelined(s, k, w)
@@ -253,13 +248,11 @@ func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
 
-	hops := 0 // of the last round's path: no open path is shorter
 	for len(plan.paths) < k {
-		p := sc.ShortestPathChProven(g, s.Sender(), s.Receiver(), ps.usableCh, hops)
+		p := sc.AugmentingPath(g, s.Sender(), s.Receiver(), ps.usableCh, len(plan.paths) == 0)
 		if p == nil {
 			break
 		}
-		hops = len(p) - 1
 		p = append([]topo.NodeID(nil), p...) // plan retains; scratch reuses
 		info, err := s.Probe(p)
 		if err != nil {
@@ -367,40 +360,53 @@ func sequentialAllocation(plan *elephantPlan, demand float64) []float64 {
 // only happen through numerical pathology, since the discovery flows are
 // themselves a feasible point).
 func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64 {
-	n := len(plan.paths)
-	// Objective: per-unit fee rate of each path.
+	ps, n := plan.state, len(plan.paths)
+	// rowOf numbers the directed slots the paths use, in order of first use.
+	rowOf := func(slot int) int {
+		if ps.row[slot] == 0 {
+			ps.rowSlots = append(ps.rowSlots, slot)
+			ps.row[slot] = int32(len(ps.rowSlots))
+		}
+		return int(ps.row[slot]) - 1
+	}
+	// Objective: per-unit fee rate of each path; and the rows, one per
+	// directed hop appearing on any path and per known reverse of one.
 	c := make([]float64, n)
 	for i, p := range plan.paths {
-		rate := 0.0
 		for j := 0; j+1 < len(p); j++ {
-			rate += plan.state.feeAt(p[j], p[j+1]).Rate
-		}
-		c[i] = rate
-	}
-	// Channel constraints: one row per directed hop appearing on any
-	// path, with +1 for paths using it forward and −1 for paths using
-	// the reverse direction (offsets, per the paper).
-	hopRows := make(map[graph.DirEdge]int)
-	var aub [][]float64
-	var bub []float64
-	rowFor := func(e graph.DirEdge) int {
-		if idx, ok := hopRows[e]; ok {
-			return idx
-		}
-		idx := len(aub)
-		hopRows[e] = idx
-		aub = append(aub, make([]float64, n))
-		bub = append(bub, plan.state.capAt(e.U, e.V))
-		return idx
-	}
-	for i, p := range plan.paths {
-		for _, e := range graph.PathEdges(p) {
-			aub[rowFor(e)][i] += 1
-			if plan.state.knownHop(e.V, e.U) {
-				aub[rowFor(e.Reverse())][i] -= 1
+			fwd := ps.slot(p[j], p[j+1]) // a path's hops are channels of g
+			if ps.known[fwd] == ps.epoch {
+				c[i] += ps.fees[fwd].Rate
+			}
+			rowOf(fwd)
+			if ps.known[fwd^1] == ps.epoch {
+				rowOf(fwd ^ 1)
 			}
 		}
 	}
+	// Channel constraints: +1 for paths using a hop forward and −1 for
+	// paths using its reverse (offsets, per the paper), row r in
+	// flat[r·n : (r+1)·n].
+	rows := len(ps.rowSlots)
+	flat := make([]float64, rows*n)
+	for i, p := range plan.paths {
+		for j := 0; j+1 < len(p); j++ {
+			fwd := ps.slot(p[j], p[j+1])
+			flat[rowOf(fwd)*n+i] += 1
+			if ps.known[fwd^1] == ps.epoch {
+				flat[rowOf(fwd^1)*n+i] -= 1
+			}
+		}
+	}
+	aub, bub := make([][]float64, rows), make([]float64, rows)
+	for r, slot := range ps.rowSlots {
+		aub[r] = flat[r*n : (r+1)*n : (r+1)*n]
+		if ps.known[slot] == ps.epoch {
+			bub[r] = ps.capacity[slot]
+		}
+		ps.row[slot] = 0
+	}
+	ps.rowSlots = ps.rowSlots[:0]
 	eq := make([]float64, n)
 	for i := range eq {
 		eq[i] = 1

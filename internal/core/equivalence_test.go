@@ -95,8 +95,9 @@ func (f *Flash) routeWithPlan(s route.Session, plan *elephantPlan) error {
 }
 
 // findElephantPathsUnfloored is the sequential loop of findElephantPaths
-// as it was before rounds carried a floor: every round proves nothing, so
-// its search deepens from the reverse tree's bound.
+// as it was before rounds carried a floor or resumed the round before: every
+// round starts a new sequence, so its search deepens from the reverse tree's
+// bound.
 func (f *Flash) findElephantPathsUnfloored(s route.Session, k int) *elephantPlan {
 	g := s.Graph()
 	ps := acquireProbedState(g)
@@ -104,7 +105,7 @@ func (f *Flash) findElephantPathsUnfloored(s route.Session, k int) *elephantPlan
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
 	for len(plan.paths) < k {
-		p := sc.ShortestPathChProven(g, s.Sender(), s.Receiver(), ps.usableCh, 0)
+		p := sc.AugmentingPath(g, s.Sender(), s.Receiver(), ps.usableCh, true)
 		if p == nil {
 			break
 		}
@@ -126,17 +127,20 @@ func (f *Flash) findElephantPathsUnfloored(s route.Session, k int) *elephantPlan
 	return nil
 }
 
-// TestElephantFloorChangesNothing: handing each round of Algorithm 1 the
-// hop count of the round before is a pure saving. On random graphs with
-// random balances — a third of the directions empty, so probes close hops
-// and residual updates reopen reverses — the floored rounds must find the
-// same paths with the same flows, in the same order, for the same probes,
-// as rounds that deepen from scratch; the path lengths must never shrink
-// from round to round, which is what the floor rests on; and a plan is
-// refused in the same cases.
+// TestElephantFloorChangesNothing: running Algorithm 1's rounds as one
+// augmenting sequence — each round continuing the depth-first pass the round
+// before stopped in, at the hop count it proved — is a pure saving. On random
+// graphs with random balances — a third of the directions empty, so probes
+// close hops and residual updates reopen reverses — the resumed rounds must
+// find the same paths with the same flows, in the same order, for the same
+// probes, as rounds that each search from scratch; the path lengths must
+// never shrink from round to round, which is what both the floor and the
+// resume rest on; and a plan is refused in the same cases. Enough rounds must
+// keep the hop count of the round before — the rounds that resume a pass —
+// for the comparison to test the resume.
 func TestElephantFloorChangesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	plans, multi := 0, 0
+	plans, multi, kept := 0, 0, 0
 	for trial := 0; trial < 300; trial++ {
 		n := 10 + rng.Intn(40)
 		g, err := topo.BarabasiAlbert(n, 1+rng.Intn(3), rng)
@@ -178,28 +182,31 @@ func TestElephantFloorChangesNothing(t *testing.T) {
 		want, wantTx := find(f.findElephantPathsUnfloored)
 		got, gotTx := find(f.findElephantPaths)
 		if gotTx.ProbeOps() != wantTx.ProbeOps() || gotTx.ProbeMessages() != wantTx.ProbeMessages() {
-			t.Fatalf("trial %d: %d probes (%d messages) with the floor, %d (%d) without",
+			t.Fatalf("trial %d: %d probes (%d messages) resumed, %d (%d) from scratch",
 				trial, gotTx.ProbeOps(), gotTx.ProbeMessages(), wantTx.ProbeOps(), wantTx.ProbeMessages())
 		}
 		if (got == nil) != (want == nil) {
-			t.Fatalf("trial %d: plan %v with the floor, %v without", trial, got, want)
+			t.Fatalf("trial %d: plan %v resumed, %v from scratch", trial, got, want)
 		}
 		if got == nil {
 			continue
 		}
 		plans++
 		if len(got.paths) != len(want.paths) || got.flow != want.flow {
-			t.Fatalf("trial %d: %d paths, flow %v with the floor; %d paths, flow %v without",
+			t.Fatalf("trial %d: %d paths, flow %v resumed; %d paths, flow %v from scratch",
 				trial, len(got.paths), got.flow, len(want.paths), want.flow)
 		}
 		for i := range want.paths {
 			if !slices.Equal(got.paths[i], want.paths[i]) || got.pathFlows[i] != want.pathFlows[i] {
-				t.Fatalf("trial %d round %d: %v carrying %v with the floor, %v carrying %v without",
+				t.Fatalf("trial %d round %d: %v carrying %v resumed, %v carrying %v from scratch",
 					trial, i, got.paths[i], got.pathFlows[i], want.paths[i], want.pathFlows[i])
 			}
 			if i > 0 && len(want.paths[i]) < len(want.paths[i-1]) {
 				t.Fatalf("trial %d round %d: path %v is shorter than the round before's %v",
 					trial, i, want.paths[i], want.paths[i-1])
+			}
+			if i > 0 && len(want.paths[i]) == len(want.paths[i-1]) {
+				kept++
 			}
 		}
 		if len(want.paths) > 2 && len(want.paths[len(want.paths)-1]) > len(want.paths[0]) {
@@ -208,7 +215,8 @@ func TestElephantFloorChangesNothing(t *testing.T) {
 		got.state.release()
 		want.state.release()
 	}
-	if plans < 50 || multi < 10 {
-		t.Fatalf("%d plans, %d of them with rounds of growing length: too few to test the floor", plans, multi)
+	if plans < 50 || multi < 10 || kept < 100 {
+		t.Fatalf("%d plans, %d of them with rounds of growing length, %d rounds resuming the one before: too few to test the floor and the resume",
+			plans, multi, kept)
 	}
 }

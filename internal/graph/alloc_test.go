@@ -56,9 +56,43 @@ func TestScratchShortestPathZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPath(g, 0, 399, usable) }); avg != 0 {
 		t.Fatalf("Scratch.ShortestPath(usable) allocates %v/op, want 0", avg)
 	}
-	sc.ShortestPathChProven(g, 0, 399, cu, 0)
-	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPathChProven(g, 0, 399, cu, 0) }); avg != 0 {
-		t.Fatalf("Scratch.ShortestPathChProven allocates %v/op, want 0", avg)
+	sc.AugmentingPath(g, 0, 399, cu, true)
+	if avg := testing.AllocsPerRun(200, func() { sc.AugmentingPath(g, 0, 399, cu, true) }); avg != 0 {
+		t.Fatalf("Scratch.AugmentingPath allocates %v/op, want 0", avg)
+	}
+}
+
+// TestAugmentingPathResumeZeroAlloc pins an augmenting sequence — a first
+// round, then rounds that each close one hop of the path before and
+// continue the held pass — at zero steady-state allocations: resuming
+// reuses the stack, the marks and the entered set it kept.
+func TestAugmentingPathResumeZeroAlloc(t *testing.T) {
+	g := allocGraph(t)
+	sc := NewScratch()
+	shut := make([]bool, 2*g.NumChannels())
+	cu := func(u, v topo.NodeID, ch int32) bool { return !shut[chSlot(u, v, ch)] }
+	resumed := 0
+	sequence := func() {
+		clear(shut)
+		hops := 0
+		for r := 0; r < 6; r++ {
+			p := sc.AugmentingPath(g, 0, 399, cu, r == 0)
+			if p == nil {
+				return
+			}
+			if r > 0 && len(p)-1 == hops {
+				resumed++
+			}
+			hops = len(p) - 1
+			shut[chSlot(p[hops-1], p[hops], int32(g.ChannelIndex(p[hops-1], p[hops])))] = true
+		}
+	}
+	sequence() // warm buffers
+	if resumed == 0 {
+		t.Fatal("no round kept the hop count of the round before: nothing resumed")
+	}
+	if avg := testing.AllocsPerRun(200, sequence); avg != 0 {
+		t.Fatalf("an augmenting sequence allocates %v/op in steady state, want 0", avg)
 	}
 }
 

@@ -57,6 +57,18 @@ type Scratch struct {
 	revHead  int
 	revDepth int
 
+	// Augmenting sequence (AugmentingPath): the key it was started on, and
+	// augBound, the bound of the pass the last round's path came from — 0
+	// while no pass is held. A held pass is the state that path left
+	// behind: its epoch's marks and budgets, the nodes it entered (queue),
+	// and the stack (path, ending in t) with, in iter, one past the
+	// adjacency slot each hop of it took. Any other search drops it.
+	augG     *topo.Graph
+	augS     topo.NodeID
+	augT     topo.NodeID
+	augChans int
+	augBound int
+
 	// Work done, by every loop of the package — forward passes, reverse
 	// tree, closure scans and backward sweeps: nodes entered or dequeued,
 	// and adjacency entries read, which is what a search costs (a hub is
@@ -83,8 +95,12 @@ var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 func AcquireScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
 // ReleaseScratch returns a Scratch to the package pool. The caller must
-// not use sc, or any path aliasing its buffers, afterwards.
-func ReleaseScratch(sc *Scratch) { scratchPool.Put(sc) }
+// not use sc, or any path aliasing its buffers, afterwards. Releasing
+// ends any augmenting sequence running on sc.
+func ReleaseScratch(sc *Scratch) {
+	sc.augG, sc.augBound = nil, 0
+	scratchPool.Put(sc)
+}
 
 // ensure sizes the scratch for g and opens a fresh visited epoch.
 func (sc *Scratch) ensure(g *topo.Graph) {
@@ -153,17 +169,34 @@ func (sc *Scratch) ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) 
 	return sc.search(g, s, t, usable, nil, false, 0)
 }
 
-// ShortestPathChProven is ShortestPath with a channel-aware predicate —
-// the search hands cu the channel index it is already holding for the hop,
-// so predicates keyed by channel (the elephant router's probed-residual
-// filter) avoid a per-hop ChannelIndex lookup — for a caller that has
-// proved no open path from s to t has fewer than minHops hops (0 when it
-// has proved nothing): the search starts at that bound instead of deepening
-// up to it, and returns the same path. minHops is a proof obligation, not a
-// hint — above the true distance the result is still an open path but no
-// longer the shortest (see search).
-func (sc *Scratch) ShortestPathChProven(g *topo.Graph, s, t topo.NodeID, cu ChUsable, minHops int) []topo.NodeID {
-	return sc.search(g, s, t, nil, cu, false, minHops)
+// AugmentingPath is one round of an augmenting-path loop — Algorithm 1's —
+// on sc: a minimum-hop path from s to t whose every directed hop passes
+// cu, or nil. cu is handed the channel index the search already holds for
+// the hop, so a predicate keyed by channel (the elephant router's
+// probed-residual filter) needs no lookup of its own. first starts a
+// sequence with a fresh search; each later round continues the pass the
+// round before stopped in (see search), so it costs what changed between
+// the rounds rather than a new search, and returns the same path.
+//
+// Between the rounds of a sequence cu may only close hops, or open the
+// reverse of hops of the path the round before returned — what probing and
+// the Edmonds–Karp residual update do. That is a proof the caller owes, not
+// a hint the search checks: a predicate that opens any other hop may get an
+// open path that is not the shortest. A fresh predicate (a new payment's
+// knowledge) reopens every hop, so its first round must pass first. A
+// sequence also ends, and the next round searches afresh, on any other
+// search on sc, on ReleaseScratch, on another (g, s, t), on a channel added
+// to g, and after a nil round.
+func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID {
+	var p []topo.NodeID
+	if first || sc.augBound == 0 || sc.augG != g || sc.augS != s || sc.augT != t || sc.augChans != g.NumChannels() {
+		p = sc.search(g, s, t, nil, cu, false, 0)
+		sc.augG, sc.augS, sc.augT, sc.augChans = g, s, t, g.NumChannels()
+	} else {
+		p = sc.resume(g, s, t, cu)
+	}
+	sc.augBound = max(len(p)-1, 0) // a pass's path is its bound long; nil and s = t hold none
+	return p
 }
 
 // search is the one s→t search behind every entry point of the package:
@@ -206,17 +239,42 @@ func (sc *Scratch) ShortestPathChProven(g *topo.Graph, s, t topo.NodeID, cu ChUs
 // proved, as h is one the tree has: passes below the distance find nothing
 // and the pass at it does not depend on them, so starting at
 // max(label bound, floor) returns the same path and skips the failed passes
-// and the sweeps they trigger. Algorithm 1 proves one every round: it is
-// Edmonds–Karp, where probing only closes hops and the residual update only
-// opens the reverse of hops on a shortest path, so the distance from s never
-// shrinks and the last round's hop count is a floor for the next. A floor
-// above the distance is a caller bug: the first pass then walks to the first
-// open path within the floor in list order, which need not be a shortest one.
-// With no path, though, the skipped passes were the cheap ones that earned
-// the backward sweep its budget, and the first pass is now a flood at the
-// floor. So a search that skips passes starts with a sweep of t's own list:
-// Algorithm 1 runs dry when no hop into the receiver is open, and that ends
-// the search for deg(t) reads.
+// and the sweeps they trigger. Edmonds–Karp proves one every round: probing
+// only closes hops and the residual update only opens the reverse of hops on
+// a shortest path, so the distance never shrinks and the last round's hop
+// count is a floor for the next. A floor above the distance is a caller bug:
+// the first pass then walks to the first open path within the floor in list
+// order, which need not be a shortest one. With no path, though, the skipped
+// passes were the cheap ones that earned the backward sweep its budget, and
+// the first pass is now a flood at the floor. So a search that skips passes
+// starts by reading t's own list: Algorithm 1 runs dry when no hop into the
+// receiver is open, and that ends the search for at most deg(t) reads.
+//
+// The resume (AugmentingPath) takes the same proof one step further: within
+// a phase — rounds at one bound — a round continues the pass the round
+// before stopped in instead of starting one at s. Marks, budgets and the
+// entered set stay; the stack stays up to its first hop that closed, each
+// kept level at the slot its hop took (the current arc: every slot before
+// it was refused or failed, and stays so); the nodes above the cut go back
+// to unvisited, and the cut level scans on past it. Why the path is the one
+// a fresh pass at that bound returns. In a pass at bound D = dist(s, t), a
+// node w that failed with h hops left has no open path of h hops to t. Else
+// w's stack and that path make an s→t walk of at most D hops, so a shortest
+// path, so simple; the path's next node is neither on the stack nor refused
+// by its label, so before w failed it was entered with at least h-1 hops
+// left and failed — and by induction on the order of failures it has no open
+// path of h-1 hops, a contradiction. Between rounds a hop
+// opens only as the reverse of a hop of the last path, a shortest path, so
+// it leads one hop away from t and no distance to t shrinks: a failed node
+// stays dead, and every shortest open path uses old hops only, so none is
+// lexicographically smaller than the last path and starting the walk there
+// skips none. So while the distance is still D the resumed pass meets the
+// lexicographically-first shortest path first, as a fresh one does; once
+// it grew, the resumed pass fails, the forward closure rule runs on the
+// cumulative entered set (the marks are all of it, and a closed marked set
+// with s in it and t not proves no path however it was built), and the
+// search deepens with a fresh epoch as above. Before continuing, a resumed
+// round reads t's list as a floored search does.
 //
 // The depth rule: at bound, the tree is complete to bound-2 hops, which
 // leaves only the first step out of s blind (an unlabelled neighbour reads
@@ -225,6 +283,7 @@ func (sc *Scratch) ShortestPathChProven(g *topo.Graph, s, t topo.NodeID, cu ChUs
 // deg(s): expand the cheaper side. Predicates must be pure: a pass asks
 // about a hop again after backing out of it, and so does the next pass.
 func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID {
+	sc.augBound = 0 // any search ends an augmenting sequence; AugmentingPath re-holds its own
 	if s == t {
 		sc.path = append(sc.path[:0], s)
 		return sc.path
@@ -232,34 +291,71 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 	sc.ensure(g)
 	off, nbrs, chans := g.AdjacencyView()
 	sc.retarget(g, t)
-	budget, mark, label := sc.parent, sc.mark, sc.label
-	bound := int(label[s]) - 1
+	bound := int(sc.label[s]) - 1
 	if bound < 0 {
 		bound = sc.revDepth + 1
 	}
 	if floor > bound {
 		bound = floor
-		if !sc.reachable(off, nbrs, chans, s, t, int(off[t+1]-off[t]), usable, cu, banned) {
+		if !sc.inboundOpen(off, nbrs, chans, t, usable, cu, banned) {
 			return nil // no hop into t is open
 		}
-		sc.nextEpoch()
 	}
+	return sc.deepening(off, nbrs, chans, s, t, bound, -1, usable, cu, banned)
+}
+
+// resume continues the pass the last round of an augmenting sequence held,
+// at its bound (see search).
+func (sc *Scratch) resume(g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
+	off, nbrs, chans := g.AdjacencyView()
+	if !sc.inboundOpen(off, nbrs, chans, t, nil, cu, false) {
+		return nil // no hop into t is open
+	}
+	path, iter := sc.path, sc.iter
+	e := 0 // the stack holds up to its first closed hop
+	for e < len(iter) && sc.open(path[e], path[e+1], chans[iter[e]-1], nil, cu, false) {
+		e++
+	}
+	sc.edges += min(e+1, len(iter))
+	if e == len(iter) {
+		return path // no hop of it closed
+	}
+	for _, v := range path[e+1 : len(iter)] {
+		sc.parent[v] = -1 // off the stack but not proved dead: enterable with any budget
+	}
+	sc.path, sc.iter = path[:e+1], iter[:e+1]
+	return sc.deepening(off, nbrs, chans, s, t, sc.augBound, e, nil, cu, false)
+}
+
+// deepening runs passes at bound, bound+1, ... until one reaches t or a
+// closure rule ends the search (see search). The first pass continues the
+// pass held on the stack from level d when d ≥ 0 (a resume); every other
+// pass is fresh: it grows the reverse tree for its bound and starts at s,
+// in the current epoch. A pass that reaches t leaves the path, ending in t,
+// on the stack, and in iter one past the slot each of its hops took; every
+// node a pass marks is appended to entered (queue).
+func (sc *Scratch) deepening(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, bound, d int, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
+	budget, mark, label := sc.parent, sc.mark, sc.label
 	for failed := 0; ; bound++ {
 		before := sc.edges
-		sc.deepen(off, nbrs, bound-2)
-		if len(sc.revQueue)-sc.revHead <= int(off[s+1]-off[s]) {
-			sc.deepen(off, nbrs, bound-1)
-		}
-		if label[s] == 0 && sc.revHead == len(sc.revQueue) {
-			return nil // t's whole component is labelled and s is not in it
-		}
 		epoch := sc.epoch
-		budget[s], mark[s] = topo.NodeID(bound), epoch
-		sc.expanded++
-		entered := append(sc.queue[:0], s)
-		path := append(sc.path[:0], s) // the DFS stack is the path so far
-		iter := append(sc.iter[:0], off[s])
-		for d := 0; d >= 0; {
+		entered, path, iter := sc.queue, sc.path, sc.iter
+		if d < 0 { // a fresh pass
+			sc.deepen(off, nbrs, bound-2)
+			if len(sc.revQueue)-sc.revHead <= int(off[s+1]-off[s]) {
+				sc.deepen(off, nbrs, bound-1)
+			}
+			if label[s] == 0 && sc.revHead == len(sc.revQueue) {
+				return nil // t's whole component is labelled and s is not in it
+			}
+			budget[s], mark[s] = topo.NodeID(bound), epoch
+			sc.expanded++
+			entered = append(entered[:0], s)
+			path = append(path[:0], s) // the DFS stack is the path so far
+			iter = append(iter[:0], off[s])
+			d = 0
+		}
+		for d >= 0 {
 			u := path[d]
 			lim := bound - d - 1 // hops left after the step out of u
 			admit := uint8(unlabelled)
@@ -281,6 +377,7 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 				continue
 			}
 			sc.edges++
+			iter[d] = i + 1
 			v := nbrs[i]
 			if v == t {
 				sc.queue, sc.iter, sc.path = entered, iter, append(path, t)
@@ -292,7 +389,6 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 			}
 			budget[v] = topo.NodeID(lim)
 			sc.expanded++
-			iter[d] = i + 1
 			path, iter = append(path, v), append(iter, off[v])
 			d++
 		}
@@ -305,6 +401,19 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 		}
 		sc.nextEpoch()
 	}
+}
+
+// inboundOpen reports whether any hop into t is open, reading t's list up
+// to the first that is. It leaves the marks alone.
+func (sc *Scratch) inboundOpen(off []int32, nbrs []topo.NodeID, chans []int32, t topo.NodeID, usable Usable, cu ChUsable, banned bool) bool {
+	for i := off[t]; i < off[t+1]; i++ {
+		if sc.open(nbrs[i], t, chans[i], usable, cu, banned) {
+			sc.edges += int(i-off[t]) + 1
+			return true
+		}
+	}
+	sc.edges += int(off[t+1] - off[t])
+	return false
 }
 
 // closed reports whether no open hop leaves the set of nodes the pass just

@@ -17,23 +17,29 @@ import (
 // elephant (ek8: eight successive channel-predicate rounds, each closing one
 // hop of the path the round before found, as Algorithm 1 closes its
 // bottleneck; ek8floor: the same rounds, each given the hop count of the
-// round before as its proved floor, as findElephantPaths does — the oracle
-// has no floor and ignores it) and an exhausted receiver (nil: every hop
-// into t closed).
+// round before as its proved floor; ek8resume: the same rounds as one
+// augmenting sequence, each continuing the pass the round before stopped
+// in, as findElephantPaths does — the oracle has neither and ignores both)
+// and an exhausted receiver (nil: every hop into t closed).
 // 10,000 nodes is scale-10k's graph; 200 is engine-churn's, where the
 // one-shot ShortestPath has no second search to share its reverse tree with.
 func BenchmarkSearch(b *testing.B) {
 	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID
 	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID
-	variants := []struct {
-		name string
-		find findFn
-		yen  yenFn
-	}{
+	type augmentFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID
+	type variant struct {
+		name    string
+		find    findFn
+		yen     yenFn
+		augment augmentFn
+	}
+	variants := []variant{
 		{"oracle", func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, _ int) []topo.NodeID {
 			return sc.oracleSearch(g, s, t, usable, cu, banned)
-		}, (*Scratch).oracleYenKSP},
-		{"pruned", (*Scratch).search, (*Scratch).yenKSP},
+		}, (*Scratch).oracleYenKSP, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, _ bool) []topo.NodeID {
+			return sc.oracleSearch(g, s, t, nil, cu, false)
+		}},
+		{"pruned", (*Scratch).search, (*Scratch).yenKSP, (*Scratch).AugmentingPath},
 	}
 	for _, n := range []int{200, 10000} {
 		g, err := topo.RippleLike(n, rand.New(rand.NewSource(1)))
@@ -58,17 +64,27 @@ func BenchmarkSearch(b *testing.B) {
 			return 2 * ch
 		}
 		notShut := func(u, v topo.NodeID, ch int32) bool { return !shut[slot(u, v, ch)] }
-		ek8 := func(floored bool) func(sc *Scratch, find findFn, yen yenFn, s, t topo.NodeID) {
-			return func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
+		const (
+			plain = iota
+			floored
+			resumed
+		)
+		ek8 := func(mode int) func(sc *Scratch, v variant, s, t topo.NodeID) {
+			return func(sc *Scratch, v variant, s, t topo.NodeID) {
 				var closed [8]int32
 				floor := 0
 				for r := range closed {
-					p := find(sc, g, s, t, nil, notShut, false, floor)
+					var p []topo.NodeID
+					if mode == resumed {
+						p = v.augment(sc, g, s, t, notShut, r == 0)
+					} else {
+						p = v.find(sc, g, s, t, nil, notShut, false, floor)
+					}
 					if p == nil {
 						closed[r] = -1
 						continue
 					}
-					if floored {
+					if mode == floored {
 						floor = len(p) - 1
 					}
 					h := int(mix(int64(r), int(s), int(t)) % uint64(len(p)-1)) // the round's "bottleneck"
@@ -84,15 +100,16 @@ func BenchmarkSearch(b *testing.B) {
 		}
 		for _, c := range []struct {
 			name string
-			run  func(sc *Scratch, find findFn, yen yenFn, s, t topo.NodeID)
+			run  func(sc *Scratch, v variant, s, t topo.NodeID)
 		}{
-			{"bfs", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) { find(sc, g, s, t, nil, nil, false, 0) }},
-			{"yen4", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 4, nil, nil) }},
-			{"yen8", func(sc *Scratch, _ findFn, yen yenFn, s, t topo.NodeID) { yen(sc, g, s, t, 8, nil, nil) }},
-			{"ek8", ek8(false)},
-			{"ek8floor", ek8(true)},
-			{"nil", func(sc *Scratch, find findFn, _ yenFn, s, t topo.NodeID) {
-				if find(sc, g, s, t, nil, func(_, v topo.NodeID, _ int32) bool { return v != t }, false, 0) != nil {
+			{"bfs", func(sc *Scratch, v variant, s, t topo.NodeID) { v.find(sc, g, s, t, nil, nil, false, 0) }},
+			{"yen4", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 4, nil, nil) }},
+			{"yen8", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 8, nil, nil) }},
+			{"ek8", ek8(plain)},
+			{"ek8floor", ek8(floored)},
+			{"ek8resume", ek8(resumed)},
+			{"nil", func(sc *Scratch, v variant, s, t topo.NodeID) {
+				if v.find(sc, g, s, t, nil, func(_, w topo.NodeID, _ int32) bool { return w != t }, false, 0) != nil {
 					b.Fatal("path into a receiver whose inbound hops are all closed")
 				}
 			}},
@@ -100,13 +117,13 @@ func BenchmarkSearch(b *testing.B) {
 			for _, v := range variants {
 				b.Run(fmt.Sprintf("nodes=%d/%s/%s", n, c.name, v.name), func(b *testing.B) {
 					sc := NewScratch()
-					c.run(sc, v.find, v.yen, pairs[0][0], pairs[0][1]) // size the buffers
+					c.run(sc, v, pairs[0][0], pairs[0][1]) // size the buffers
 					sc.expanded, sc.edges = 0, 0
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						p := pairs[i%len(pairs)]
-						c.run(sc, v.find, v.yen, p[0], p[1])
+						c.run(sc, v, p[0], p[1])
 					}
 					b.ReportMetric(float64(sc.expanded)/float64(b.N), "nodes/op")
 					b.ReportMetric(float64(sc.edges)/float64(b.N), "edges/op")

@@ -173,11 +173,11 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 	}{{"plain", nil, nil}, {"usable", usable, nil}, {"chusable", nil, cu}} {
 		want := oracle.oracleSearch(g, s, t, c.usable, c.cu, false)
 		if c.cu != nil {
-			if got := pruned.ShortestPathChProven(g, s, t, c.cu, 0); !pathEq(got, want) {
-				fail("ShortestPathChProven, nothing proved", got, want)
+			if got := pruned.AugmentingPath(g, s, t, c.cu, true); !pathEq(got, want) {
+				fail("AugmentingPath, first round", got, want)
 			}
-			if got := pruned.ShortestPathChProven(g, s, t, c.cu, proved(want)); !pathEq(got, want) {
-				fail("ShortestPathChProven", got, want)
+			if got := pruned.search(g, s, t, nil, c.cu, false, proved(want)); !pathEq(got, want) {
+				fail("search with a floor", got, want)
 			}
 		} else {
 			if got := pruned.ShortestPath(g, s, t, c.usable); !pathEq(got, want) {

@@ -218,13 +218,6 @@ var (
 	ErrInsufficient = errors.New("route: insufficient capacity for demand")
 )
 
-// ErrInsufficent is the misspelled former name of ErrInsufficient,
-// kept as an alias (the identical error value, so errors.Is matches
-// across both names) for external callers.
-//
-// Deprecated: use ErrInsufficient.
-var ErrInsufficent = ErrInsufficient
-
 // MinAvailable returns the bottleneck (minimum available balance) of a
 // probed path, or 0 for an empty probe result.
 func MinAvailable(info []pcn.HopInfo) float64 {
