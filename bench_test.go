@@ -25,7 +25,6 @@ import (
 	flash "repro"
 	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -412,74 +411,13 @@ func BenchmarkDynamicEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveThreshold measures the rolling-quantile adaptive
-// elephant threshold on the dynamic engine's arrival hot path. The
-// estimator-add cell is the raw per-arrival cost (one P² marker
-// update, O(1) memory, zero allocations); the adaptive=off/on cells
-// run the same seeded Flash demand-drift workload through RunDynamic
-// with the adaptive machinery disabled and enabled — off must show no
-// measurable regression against the pre-adaptive engine (the arrival
-// path adds only a nil check), and on charges one estimator update per
-// arrival plus one quantile re-calibration per threshold window. The
-// on-cell's events/sec delta also includes the *intended* routing-mix
-// change (the re-calibrated threshold routes the post-shift top decile
-// through the elephant algorithm), so the estimator-add cell is the
-// number to read for pure overhead. Recorded by the CI bench step into
-// BENCH_adaptive_threshold.json.
-func BenchmarkAdaptiveThreshold(b *testing.B) {
-	b.Run("estimator-add", func(b *testing.B) {
-		est := stats.NewQuantileEstimator(0.9)
-		rng := rand.New(rand.NewSource(1))
-		amounts := make([]float64, 4096)
-		for i := range amounts {
-			amounts[i] = rng.Float64() * 1000
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			est.Add(amounts[i%len(amounts)])
-		}
-	})
-	for _, adaptive := range []bool{false, true} {
-		b.Run(fmt.Sprintf("adaptive=%v", adaptive), func(b *testing.B) {
-			const rate = 500 // arrivals per virtual second
-			sc := flash.DynamicScenario{
-				Name:              "bench",
-				Kind:              "ripple",
-				Nodes:             150,
-				ScaleFactor:       2,
-				Duration:          5000.0 / rate,
-				Rate:              rate,
-				DemandShiftFactor: 0.25,
-				DemandShiftFrac:   0.5,
-				AdaptiveThreshold: adaptive,
-				Schemes:           []string{flash.SchemeFlash},
-				Seed:              1,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			totalEvents := 0
-			for i := 0; i < b.N; i++ {
-				results, err := flash.RunDynamicScenario(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range results[0].Result.EventCounts {
-					totalEvents += c
-				}
-			}
-			b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
-}
-
 // BenchmarkControlPlane measures the adaptive control plane on the
 // 10k-payment dynamic demand-drift cell. control=off is the
 // feature-off guard: the plane resolves to nil and the arrival path
 // adds only a nil check, so it must show no measurable regression.
 // control=ewma runs the EWMA-smoothed global threshold alone — one
 // estimator update per arrival plus one confidence-gated observe pass
-// per window (the legacy-equivalent cost). control=full adds the
+// per window. control=full adds the
 // per-sender estimator shards and the probe-width policy: per arrival
 // the amount feeds both the global and the sender's estimator, and
 // each window's observe pass walks every tracked sender. The

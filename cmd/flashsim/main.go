@@ -81,8 +81,6 @@ func main() {
 		latent    = flag.Int("latent", 0, "latent channels that may open mid-run")
 		peak      = flag.Float64("peak", 0, "flash-crowd rate multiplier / diurnal swing (0 = per-process default)")
 		service   = flag.Float64("service", 0, "mean virtual service time per payment in seconds; > 0 enables hold spans (funds stay locked until the commit event)")
-		adaptive  = flag.Bool("adaptivethreshold", false, "re-calibrate Flash's elephant threshold on a rolling quantile of arrival amounts (dynamic mode)")
-		thrWindow = flag.Float64("thresholdwindow", 0, "adaptive-threshold re-calibration cadence in virtual seconds (0 = time-series window)")
 		ctrl      = flag.String("control", "", "adaptive control plane policies, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none (dynamic mode)")
 		latency   = flag.Float64("latency", 0, "median per-channel virtual RTT in seconds, log-normally distributed (0 = latency-free, byte-identical to the pre-latency engine)")
 		latSigma  = flag.Float64("latencysigma", 0, "log-normal shape of the per-channel RTT distribution (0 = default 0.6)")
@@ -110,7 +108,7 @@ func main() {
 	if *dynamic || *scenario != "" {
 		runDynamic(*scenario, *kind, *nodes, *scale, *mice, splitList(*schemes), *seed, conc, *retries,
 			*arrival, *rate, *duration, *window, *churn, *rebalance, *latent, *peak, *service,
-			*flashK, *flashM, *probeW, *tableCap, *adaptive, *thrWindow, *ctrl,
+			*flashK, *flashM, *probeW, *tableCap, *ctrl,
 			*latency, *latSigma, *deadline, *griefFrac, *griefHold, sink, *jsonMode)
 		return
 	}
@@ -211,7 +209,7 @@ func openFlowSink(path string) (telemetry.Sink, func()) {
 func runDynamic(scenario, kind string, nodes int, scale, mice float64, schemes []string,
 	seed int64, workers, retries int, arrival string, rate, duration, window,
 	churn, rebalance float64, latent int, peak, service float64, flashK, flashM, probeWorkers, tableCap int,
-	adaptive bool, thrWindow float64, controlSpec string, latency, latSigma, deadline, griefFrac, griefHold float64,
+	controlSpec string, latency, latSigma, deadline, griefFrac, griefHold float64,
 	sink telemetry.Sink, jsonMode bool) {
 
 	var (
@@ -267,9 +265,6 @@ func runDynamic(scenario, kind string, nodes int, scale, mice float64, schemes [
 	if set["service"] || sc.Service == 0 {
 		sc.Service = service // a preset's hold-span default survives unless overridden
 	}
-	if set["adaptivethreshold"] {
-		sc.AdaptiveThreshold = adaptive // a preset's adaptive default survives unless overridden
-	}
 	if set["control"] {
 		policy, perr := control.ParsePolicy(controlSpec)
 		if perr != nil {
@@ -281,9 +276,6 @@ func runDynamic(scenario, kind string, nodes int, scale, mice float64, schemes [
 		} else {
 			sc.Control = nil // -control off silences a preset's plane too
 		}
-	}
-	if set["thresholdwindow"] || sc.ThresholdWindow == 0 {
-		sc.ThresholdWindow = thrWindow // likewise for a preset's cadence
 	}
 	// The latency/deadline/grief knobs default to 0 (off), so a preset's
 	// model survives unless the flag is given explicitly — which allows
@@ -333,10 +325,9 @@ func runDynamic(scenario, kind string, nodes int, scale, mice float64, schemes [
 		}
 		return
 	}
-	fmt.Printf("# dynamic scenario=%s kind=%s nodes=%d scale=%g arrival=%s rate=%g/s duration=%gs service=%gs churn=%g/s rebalance=%g/s latent=%d seed=%d workers=%d retries=%d probeworkers=%d adaptivethr=%v",
+	fmt.Printf("# dynamic scenario=%s kind=%s nodes=%d scale=%g arrival=%s rate=%g/s duration=%gs service=%gs churn=%g/s rebalance=%g/s latent=%d seed=%d workers=%d retries=%d probeworkers=%d",
 		sc.Name, sc.Kind, sc.Nodes, sc.ScaleFactor, sc.Arrival, sc.Rate, sc.Duration, sc.Service,
-		sc.ChurnRate, sc.RebalanceRate, sc.LatentChannels, sc.Seed, sc.Workers, sc.Retries, sc.ProbeWorkers,
-		sc.AdaptiveThreshold)
+		sc.ChurnRate, sc.RebalanceRate, sc.LatentChannels, sc.Seed, sc.Workers, sc.Retries, sc.ProbeWorkers)
 	// The control-plane header segment appears only when a policy is
 	// live, so control-free invocations print the historical bytes.
 	if sc.Control != nil && sc.Control.Enabled() {
@@ -349,7 +340,7 @@ func runDynamic(scenario, kind string, nodes int, scale, mice float64, schemes [
 			sc.LatencyMedian, sc.LatencySigma, sc.Deadline, sc.GriefFrac, sc.GriefHold)
 	}
 	fmt.Println()
-	showThr := sc.AdaptiveThreshold || (sc.Control != nil && sc.Control.Enabled())
+	showThr := sc.Control != nil && sc.Control.Enabled()
 	for _, r := range results {
 		sim.WriteDynamicResult(os.Stdout, r.Scheme, r.Result, showThr)
 	}

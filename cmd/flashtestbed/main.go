@@ -179,7 +179,7 @@ func runOnce(nodes, txns int, lo, hi float64, seed int64, timeout time.Duration,
 			return err
 		}
 		factory := func(id topo.NodeID) (route.Router, error) {
-			r, err := sim.NewRouter(scheme, threshold, 0, 0, false, seed+int64(id))
+			r, err := sim.BuildRouter(sim.RouterSpec{Scheme: scheme, Threshold: threshold, Seed: seed + int64(id)})
 			if sp, ok := r.(*baseline.Spider); ok {
 				// The paper's prototype recomputes Spider's paths per
 				// payment; disable memoisation so processing delay is

@@ -131,14 +131,14 @@
 //     them; a suspended payment whose channel churns away mid-span
 //     aborts HTLC-timeout style (DynamicResult.SpanAborts). Service =
 //     0 preserves the atomic-at-dispatch behaviour byte-for-byte.
-//   - The adaptive elephant threshold
-//     (DynamicOptions.AdaptiveThreshold, -adaptivethreshold) feeds
-//     every arrival amount through a streaming P² quantile estimator
-//     and re-calibrates Flash's mice/elephant split to the rolling
-//     90%-mice quantile on a ThresholdWindow cadence
-//     (core.Flash.SetThreshold) — the paper's per-workload threshold
-//     calibration kept true under demand drift. Re-calibrations are
-//     ThresholdUpdate events carrying the effective threshold, so the
+//   - The adaptive control plane (DynamicOptions.Control, -control)
+//     re-tunes Flash's runtime knobs once per metrics window. Its raw
+//     threshold policy feeds every arrival amount through a streaming
+//     P² quantile estimator and re-calibrates Flash's mice/elephant
+//     split to the rolling 90%-mice quantile (core.Flash.SetThreshold)
+//     — the paper's per-workload threshold calibration kept true under
+//     demand drift. Observe passes and applied decisions are
+//     ControlUpdate events carrying the effective value, so the
 //     adaptive trajectory is part of the log fingerprint; off, the
 //     engine is byte-identical to the fixed-threshold behaviour.
 //   - The virtual latency model (DynamicScenario.LatencyMedian,

@@ -169,7 +169,6 @@ const (
 	EventRebalance       = event.Rebalance
 	EventDemandShift     = event.DemandShift
 	EventFeeShift        = event.FeeShift
-	EventThresholdUpdate = event.ThresholdUpdate
 	EventControlUpdate   = event.ControlUpdate
 )
 
@@ -339,7 +338,7 @@ func NewMaxFlowFullProbe() Router           { return baseline.NewMaxFlowFullProb
 
 // NewRouterByName builds any scheme by its experiment name.
 func NewRouterByName(name string, threshold float64, seed int64) (Router, error) {
-	return sim.NewRouter(name, threshold, 0, 0, false, seed)
+	return sim.BuildRouter(sim.RouterSpec{Scheme: name, Threshold: threshold, Seed: seed})
 }
 
 // Topology generators.
@@ -366,7 +365,7 @@ func DefaultTraceConfig(n int) TraceConfig { return trace.DefaultConfig(n) }
 
 // RunSimulation replays payments sequentially over net with router r.
 func RunSimulation(net *Network, r Router, payments []Payment, miceThreshold float64) (Metrics, error) {
-	return sim.Run(net, r, payments, miceThreshold)
+	return sim.RunOpts(net, r, payments, miceThreshold, sim.Options{})
 }
 
 // RunSimulationOpts is RunSimulation with replay options: Workers > 1

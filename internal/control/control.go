@@ -37,9 +37,8 @@
 //     under-fills elephant demand, and narrows it back when the probe
 //     message budget says speculation isn't paying.
 //
-// RawThreshold reproduces the original inline recalibration exactly
-// (same estimator, same gates) so the legacy AdaptiveThreshold option
-// remains byte-identical through the refactor.
+// RawThreshold is the plain per-window recalibration the engine first
+// ran inline: the same estimator and gate, with no smoothing.
 package control
 
 import (

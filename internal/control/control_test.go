@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -356,6 +357,27 @@ func TestPolicyControllersOrder(t *testing.T) {
 	}
 	if cs, err := (Policy{}).Controllers(); err != nil || len(cs) != 0 {
 		t.Fatalf("inert policy built controllers: %v, %v", cs, err)
+	}
+}
+
+// TestPolicyMiceFractionRange: a tracked quantile outside (0, 1) is an
+// error from Controllers, not a panic inside the estimator; 0 means 0.9.
+func TestPolicyMiceFractionRange(t *testing.T) {
+	for _, frac := range []float64{1, 1.5, -0.2, math.NaN(), math.Inf(1)} {
+		for _, p := range []Policy{
+			{Threshold: "raw", MiceFraction: frac},
+			{Threshold: "ewma", MiceFraction: frac},
+			{PerSender: true, MiceFraction: frac},
+		} {
+			if _, err := p.Controllers(); err == nil || !strings.Contains(err.Error(), "mice fraction") {
+				t.Errorf("%+v: error %v, want a mice-fraction error", p, err)
+			}
+		}
+	}
+	for _, frac := range []float64{0, 0.5, 0.9} {
+		if cs, err := (Policy{Threshold: "raw", PerSender: true, MiceFraction: frac}).Controllers(); err != nil || len(cs) != 2 {
+			t.Errorf("mice fraction %v: %v, %v", frac, cs, err)
+		}
 	}
 }
 

@@ -13,34 +13,16 @@ import (
 // many runs without sharing estimator state.
 type Policy struct {
 	// Threshold selects the global threshold policy: "" (off), "raw"
-	// (the PR-5 per-window swap, what the legacy AdaptiveThreshold
-	// option maps to) or "ewma" (confidence-gated smoothing).
+	// (the per-window swap) or "ewma" (confidence-gated smoothing).
 	Threshold string
 	// PerSender enables the sharded per-sender threshold policy.
 	PerSender bool
 	// ProbeWidth enables the adaptive probe-width policy.
 	ProbeWidth bool
 
-	// MiceFraction is the quantile every threshold policy tracks
-	// (default 0.9).
+	// MiceFraction is the quantile every threshold policy tracks: 0
+	// means 0.9, anything else must lie in (0, 1).
 	MiceFraction float64
-	// Window is the control cadence in virtual seconds; 0 defers to
-	// the engine's metrics-window length.
-	Window float64
-	// Alpha, Confidence, Band, Snap tune the "ewma" policy (see
-	// SmoothedThresholdConfig; zero fields take its defaults).
-	Alpha, Confidence, Band, Snap float64
-	// MinSamples gates the global threshold policies (default 20).
-	MinSamples int
-	// SenderMinSamples, SenderBand, MaxSenders tune the per-sender
-	// policy (see PerSenderThresholdConfig; zero fields take its
-	// defaults).
-	SenderMinSamples int
-	SenderBand       float64
-	MaxSenders       int
-	// MinWidth, MaxWidth clamp the probe-width policy (see
-	// ProbeWidthConfig; zero fields take its defaults).
-	MinWidth, MaxWidth int
 }
 
 // Enabled reports whether the policy runs any controller at all.
@@ -66,47 +48,32 @@ func (p Policy) Spec() string {
 }
 
 // Controllers builds the policy's controller set, in the fixed plane
-// order: global threshold, per-sender thresholds, probe width. It
-// errors on an unknown Threshold selector.
+// order: global threshold, per-sender thresholds, probe width. Every
+// controller takes its defaults. It errors on an unknown Threshold
+// selector and on a MiceFraction outside (0, 1).
 func (p Policy) Controllers() ([]Controller, error) {
+	if p.MiceFraction != 0 && !(p.MiceFraction > 0 && p.MiceFraction < 1) {
+		return nil, fmt.Errorf("control: mice fraction must lie in (0, 1), got %v", p.MiceFraction)
+	}
 	var cs []Controller
 	switch p.Threshold {
 	case "":
 	case "raw":
-		min := p.MinSamples
-		if min == 0 {
-			min = 20
-		}
 		frac := p.MiceFraction
 		if frac == 0 {
 			frac = 0.9
 		}
-		cs = append(cs, NewRawThreshold(frac, min))
+		cs = append(cs, NewRawThreshold(frac, 20))
 	case "ewma":
-		cs = append(cs, NewSmoothedThreshold(SmoothedThresholdConfig{
-			MiceFraction: p.MiceFraction,
-			Alpha:        p.Alpha,
-			Confidence:   p.Confidence,
-			Band:         p.Band,
-			Snap:         p.Snap,
-			MinSamples:   p.MinSamples,
-		}))
+		cs = append(cs, NewSmoothedThreshold(SmoothedThresholdConfig{MiceFraction: p.MiceFraction}))
 	default:
 		return nil, fmt.Errorf("control: unknown threshold policy %q (want \"raw\" or \"ewma\")", p.Threshold)
 	}
 	if p.PerSender {
-		cs = append(cs, NewPerSenderThreshold(PerSenderThresholdConfig{
-			MiceFraction: p.MiceFraction,
-			Band:         p.SenderBand,
-			MinSamples:   p.SenderMinSamples,
-			MaxSenders:   p.MaxSenders,
-		}))
+		cs = append(cs, NewPerSenderThreshold(PerSenderThresholdConfig{MiceFraction: p.MiceFraction}))
 	}
 	if p.ProbeWidth {
-		cs = append(cs, NewProbeWidth(ProbeWidthConfig{
-			MinWidth: p.MinWidth,
-			MaxWidth: p.MaxWidth,
-		}))
+		cs = append(cs, NewProbeWidth(ProbeWidthConfig{}))
 	}
 	return cs, nil
 }
@@ -114,9 +81,8 @@ func (p Policy) Controllers() ([]Controller, error) {
 // ParsePolicy parses a comma-separated policy spec — the flashsim
 // -control flag syntax. Accepted items: "raw", "ewma" (global
 // threshold policies, mutually exclusive), "sender", "width". "off"
-// alone (or the empty string) is the inert policy. Parameters beyond
-// the selection keep their defaults; callers wanting to tune them set
-// Policy fields directly.
+// alone (or the empty string) is the inert policy. Every controller
+// keeps its defaults.
 func ParsePolicy(spec string) (Policy, error) {
 	var p Policy
 	spec = strings.TrimSpace(spec)

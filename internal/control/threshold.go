@@ -8,9 +8,9 @@ import (
 )
 
 // RawThreshold re-calibrates the global elephant threshold to the
-// arrival stream's mice-fraction quantile once per window — the exact
-// policy the dynamic engine ran inline before the control plane
-// existed (PR 5's AdaptiveThreshold): a P² estimator accumulates every
+// arrival stream's mice-fraction quantile once per window — the policy
+// the dynamic engine ran inline before the control plane existed, and
+// the one the demand-drift scenario runs: a P² estimator accumulates every
 // first-attempt arrival amount, and at each window boundary with at
 // least MinSamples observations the current estimate is swapped in
 // (and the estimator reset so the next estimate tracks the current

@@ -148,12 +148,24 @@ func TestLogFingerprintDeterministic(t *testing.T) {
 
 func TestKindStrings(t *testing.T) {
 	for k := Kind(0); int(k) < NumKinds; k++ {
+		if k == 7 { // reserved: the retired threshold-update code
+			continue
+		}
 		if s := k.String(); s == "" || s[0] == 'k' {
 			t.Errorf("kind %d has no name: %q", k, s)
 		}
 	}
 	if Kind(200).String() == "" {
 		t.Error("unknown kind renders empty")
+	}
+}
+
+// TestKindCodesPinned: every fingerprint hashes the kind code, so the
+// engine-emitted kinds keep theirs across the retired slot 7.
+func TestKindCodesPinned(t *testing.T) {
+	if DeadlineExpiry != 8 || ControlUpdate != 9 || NumKinds != 10 {
+		t.Errorf("DeadlineExpiry = %d, ControlUpdate = %d, NumKinds = %d; want 8, 9, 10",
+			DeadlineExpiry, ControlUpdate, NumKinds)
 	}
 }
 

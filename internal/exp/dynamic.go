@@ -26,8 +26,8 @@ func (o Options) dynamicShape() (duration, rate float64) {
 // topology and reports, per scheme, the aggregate success ratio and
 // volume plus the worst and best time-series window, the time-resolved
 // view no static figure can show. The adaptive-threshold column shows
-// the number of elephant-threshold re-calibrations and the final
-// effective threshold for adapting cells ("-" for fixed-threshold
+// the number of control decisions and the final effective threshold
+// for Flash in cells a control policy drives ("-" for fixed-threshold
 // cells). Scenario cells are independent and run on the
 // Options.Workers pool; output order is fixed and, like every figure,
 // deterministic in the seed.
@@ -47,7 +47,6 @@ func Dynamic(o Options) error {
 		sc.Rate = rate
 		sc.Schemes = schemes
 		sc.ProbeWorkers = o.ProbeWorkers
-		sc.AdaptiveThreshold = sc.AdaptiveThreshold || o.AdaptiveThreshold
 		if o.Control != nil {
 			sc.Control = o.Control
 		}
@@ -64,8 +63,6 @@ func Dynamic(o Options) error {
 			thr := "-"
 			if r.Result.ControlOn && r.Scheme == sim.SchemeFlash {
 				thr = fmt.Sprintf("%d dec, final %.4g", r.Result.ControlDecisions, r.Result.FinalThreshold)
-			} else if sc.AdaptiveThreshold && r.Scheme == sim.SchemeFlash {
-				thr = fmt.Sprintf("%d upd, final %.4g", r.Result.ThresholdUpdates, r.Result.FinalThreshold)
 			}
 			lat := "-"
 			if r.Result.LatencyOn {

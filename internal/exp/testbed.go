@@ -81,7 +81,7 @@ func figTestbed(o Options, fig string, nodes, txns int) error {
 				return err
 			}
 			factory := func(id topo.NodeID) (route.Router, error) {
-				r, err := sim.NewRouter(scheme, threshold, 0, 0, false, o.seed()+int64(id))
+				r, err := sim.BuildRouter(sim.RouterSpec{Scheme: scheme, Threshold: threshold, Seed: o.seed() + int64(id)})
 				if sp, ok := r.(*baseline.Spider); ok {
 					// The paper's prototype recomputes Spider's paths per
 					// payment; disable memoisation so processing delay is

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/event"
 	"repro/internal/pcn"
 	"repro/internal/topo"
@@ -197,39 +198,23 @@ func TestShiftFactorValidation(t *testing.T) {
 			}
 		}
 	}
-	// ThresholdUpdate is engine-internal and must stay out of churn
-	// schedules entirely.
-	src := newScaledSource(10, 1)
-	churn := []event.Event{{Time: 2, Kind: event.ThresholdUpdate, Amount: 5}}
-	if _, err := RunDynamic(net, baselineShortestPath(t), src, 10, churn, 1e9, DynamicOptions{Workers: 1}); err == nil {
-		t.Error("threshold-update event in churn schedule accepted")
-	}
-}
-
-// TestAdaptiveThresholdOffMatchesSeedGolden is the control pin: with
-// AdaptiveThreshold explicitly false the dynamic engine reproduces the
-// seed goldens exactly, estimator machinery and all.
-func TestAdaptiveThresholdOffMatchesSeedGolden(t *testing.T) {
-	for _, kind := range []string{KindRipple, KindLightning} {
-		res := goldenDynamicRun(t, kind, DynamicOptions{Workers: 1, AdaptiveThreshold: false})
-		if got := stripDelays(res.Aggregate); got != goldenMetrics[kind] {
-			t.Errorf("%s: AdaptiveThreshold=false diverged from seed golden:\n got  %+v\n want %+v",
-				kind, got, goldenMetrics[kind])
-		}
-		if res.EventCounts[event.ThresholdUpdate] != 0 {
-			t.Errorf("%s: threshold updates applied with the adaptive mode off", kind)
-		}
-		if res.ThresholdUpdates != 0 {
-			t.Errorf("%s: ThresholdUpdates = %d with the adaptive mode off", kind, res.ThresholdUpdates)
+	// Engine-emitted kinds, and the retired code 7, must stay out of
+	// churn schedules entirely.
+	for _, kind := range []event.Kind{event.ControlUpdate, event.DeadlineExpiry, 7} {
+		src := newScaledSource(10, 1)
+		churn := []event.Event{{Time: 2, Kind: kind, Amount: 5}}
+		if _, err := RunDynamic(net, baselineShortestPath(t), src, 10, churn, 1e9, DynamicOptions{Workers: 1}); err == nil {
+			t.Errorf("%v event in churn schedule accepted", kind)
 		}
 	}
 }
 
-// demandDriftCell builds one scheme cell of the demand-drift scenario
-// at test scale and runs it with the given adaptive setting against a
-// fixed metrics threshold, so the two runs' per-class metrics are
-// classified identically and only the *routing* differs.
-func demandDriftCell(t *testing.T, adaptive bool, metricsThreshold float64) (DynamicResult, float64) {
+// demandDriftCell builds the Flash cell of the demand-drift scenario at
+// test scale and runs it under the given control policy (nil = static
+// threshold) against a fixed metrics threshold, so runs under different
+// policies classify their per-class metrics identically and only the
+// *routing* differs.
+func demandDriftCell(t *testing.T, policy *control.Policy, metricsThreshold float64) (DynamicResult, float64) {
 	t.Helper()
 	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 150)
 	if err != nil {
@@ -265,10 +250,9 @@ func demandDriftCell(t *testing.T, adaptive bool, metricsThreshold float64) (Dyn
 		metricsThreshold = threshold
 	}
 	res, err := RunDynamic(net, r, stream, sc.Duration, churn, metricsThreshold, DynamicOptions{
-		Workers:           1,
-		Seed:              sc.Seed,
-		AdaptiveThreshold: adaptive,
-		MiceFraction:      sc.MiceFraction,
+		Workers: 1,
+		Seed:    sc.Seed,
+		Control: policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,11 +278,11 @@ func TestDemandDriftAdaptiveBeatsStatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First pass only to learn the calibrated pre-shift threshold.
-	_, preThreshold := demandDriftCell(t, false, 0)
+	_, preThreshold := demandDriftCell(t, nil, 0)
 	postThreshold := preThreshold * sc.DemandShiftFactor
 
-	static, _ := demandDriftCell(t, false, postThreshold)
-	adaptiveRes, _ := demandDriftCell(t, true, postThreshold)
+	static, _ := demandDriftCell(t, nil, postThreshold)
+	adaptiveRes, _ := demandDriftCell(t, &control.Policy{Threshold: "raw"}, postThreshold)
 
 	shiftAt := 40 * sc.DemandShiftFrac
 	postShift := func(res DynamicResult) (int, int) {
@@ -370,8 +354,8 @@ func TestAdaptiveThresholdDeterministicReplay(t *testing.T) {
 		t.Errorf("CLI rendering diverged across identical seeds:\n%s\nvs\n%s", bufA.String(), bufB.String())
 	}
 	// The run must actually exercise the adaptive path.
-	if a.Result.EventCounts[event.ThresholdUpdate] == 0 {
-		t.Error("no threshold updates applied in the adaptive scenario")
+	if a.Result.EventCounts[event.ControlUpdate] == 0 {
+		t.Error("no control updates applied in the adaptive scenario")
 	}
 	// The fingerprint covers the adaptive trajectory: a different seed
 	// re-calibrates differently and must fingerprint differently.

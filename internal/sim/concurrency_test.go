@@ -114,7 +114,7 @@ func TestPrewarmOptionKeepsMetrics(t *testing.T) {
 		}
 		payments := gen.Generate(200)
 		threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-		r, err := NewRouter(SchemeFlash, threshold, 0, 0, false, 5)
+		r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/event"
 	"repro/internal/topo"
 )
 
@@ -30,12 +29,6 @@ type ControlKnobStatus struct {
 // decision rollups. nil when no controller is engaged.
 type controlState struct {
 	plane *control.Plane
-	// legacy replays the pre-control-plane event stream: the plane is
-	// exactly the raw-threshold policy (what AdaptiveThreshold maps
-	// to), ticks stay event.ThresholdUpdate, and only the tick — never
-	// per-decision events — is logged, byte-identical to the engine
-	// before internal/control existed.
-	legacy bool
 
 	index int     // completed observe passes
 	start float64 // current observation window's start
@@ -56,35 +49,26 @@ type controlState struct {
 	status    [control.NumKnobs]ControlKnobStatus
 }
 
-// newControlState builds the engine's control runtime for a resolved
-// policy plus any test-hook controllers. Returns nil when nothing is
-// engaged (no controllers, or a router without tunable knobs).
-func newControlState(policy control.Policy, hook []control.Controller, fl *core.Flash) (*controlState, error) {
-	if fl == nil || (!policy.Enabled() && len(hook) == 0) {
+// newControlState builds the engine's control runtime for a policy
+// (nil runs none) plus any test-hook controllers. Returns nil when
+// nothing is engaged (no controllers, or a router without tunable
+// knobs).
+func newControlState(policy *control.Policy, hook []control.Controller, fl *core.Flash) (*controlState, error) {
+	if fl == nil {
 		return nil, nil
 	}
-	cs, err := policy.Controllers()
-	if err != nil {
-		return nil, err
+	var cs []control.Controller
+	if policy != nil {
+		var err error
+		if cs, err = policy.Controllers(); err != nil {
+			return nil, err
+		}
 	}
 	cs = append(cs, hook...)
 	if len(cs) == 0 {
 		return nil, nil
 	}
-	return &controlState{
-		plane:  control.NewPlane(cs...),
-		legacy: policy.Threshold == "raw" && !policy.PerSender && !policy.ProbeWidth && len(hook) == 0,
-	}, nil
-}
-
-// tickKind is the cadence event kind: the legacy shim keeps the
-// historical ThresholdUpdate events, the general plane drives
-// ControlUpdate ticks.
-func (c *controlState) tickKind() event.Kind {
-	if c.legacy {
-		return event.ThresholdUpdate
-	}
-	return event.ControlUpdate
+	return &controlState{plane: control.NewPlane(cs...)}, nil
 }
 
 // arrival feeds one first-attempt arrival to the plane's estimators.

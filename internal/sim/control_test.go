@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
@@ -10,7 +12,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
-	"repro/internal/trace"
 )
 
 // TestControlOffMatchesSeedGolden is the tentpole's feature-off pin:
@@ -25,10 +26,10 @@ func TestControlOffMatchesSeedGolden(t *testing.T) {
 				t.Errorf("%s/%s: control-off run diverged from seed golden:\n got  %+v\n want %+v",
 					kind, name, got, goldenMetrics[kind])
 			}
-			if res.EventCounts[event.ControlUpdate] != 0 || res.EventCounts[event.ThresholdUpdate] != 0 {
+			if res.EventCounts[event.ControlUpdate] != 0 || res.ThresholdUpdates != 0 {
 				t.Errorf("%s/%s: control events applied with the plane off", kind, name)
 			}
-			if res.ControlOn || res.AdaptiveView {
+			if res.ControlOn {
 				t.Errorf("%s/%s: result advertises a control plane that never ran", kind, name)
 			}
 			var buf bytes.Buffer
@@ -44,47 +45,115 @@ func TestControlOffMatchesSeedGolden(t *testing.T) {
 	}
 }
 
-// TestControlRawMatchesLegacyAdaptive pins the compat shim: the
-// -control raw policy must replay the legacy AdaptiveThreshold mode's
-// event stream byte-for-byte — same fingerprint, same rendered bytes,
-// same ThresholdUpdate events — because it IS the same policy, moved
-// behind the Controller contract.
-func TestControlRawMatchesLegacyAdaptive(t *testing.T) {
-	run := func(mutate func(*DynamicScenario)) DynamicSchemeResult {
+// rawGolden is the demand-drift Flash cell at test scale as the
+// engine computed it before the raw threshold policy ran through the
+// general control plane: aggregate and re-classification metrics, each
+// window's threshold, metrics and re-classification, and the threshold
+// trajectory's totals (testdata/demand_drift_raw.json, wall-clock
+// delays zeroed).
+type rawGolden struct {
+	Aggregate, Adaptive Metrics
+	Windows             []struct {
+		Threshold         float64
+		Metrics, Adaptive Metrics
+	}
+	ThresholdUpdates int
+	FinalThreshold   float64
+}
+
+// demandDriftRawFingerprint is that cell's event-log fingerprint, with
+// every observe pass and every threshold decision a ControlUpdate.
+const demandDriftRawFingerprint = 0x83f4d586fa8f20f7
+
+// TestControlRawMatchesGolden pins the raw threshold policy's behaviour
+// to the golden: every metric, window and threshold reproduced exactly,
+// the fingerprint pinned, and the event log carrying one ControlUpdate
+// per observe pass plus one per applied decision.
+func TestControlRawMatchesGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/demand_drift_raw.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want rawGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration = 20
+	sc.Schemes = []string{SchemeFlash}
+	sc.Seed = 11
+	results, err := RunDynamicScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0].Result
+
+	if got := stripDelays(res.Aggregate); got != want.Aggregate {
+		t.Errorf("aggregate:\n got  %+v\n want %+v", got, want.Aggregate)
+	}
+	if got := stripDelays(res.Adaptive); got != want.Adaptive {
+		t.Errorf("re-classified aggregate:\n got  %+v\n want %+v", got, want.Adaptive)
+	}
+	if len(res.Windows) != len(want.Windows) {
+		t.Fatalf("%d windows, want %d", len(res.Windows), len(want.Windows))
+	}
+	for i, w := range res.Windows {
+		g := want.Windows[i]
+		if w.Threshold != g.Threshold || stripDelays(w.Metrics) != g.Metrics || stripDelays(w.Adaptive) != g.Adaptive {
+			t.Errorf("window %d:\n got  %v %+v %+v\n want %v %+v %+v", i,
+				w.Threshold, stripDelays(w.Metrics), stripDelays(w.Adaptive), g.Threshold, g.Metrics, g.Adaptive)
+		}
+	}
+	if res.ThresholdUpdates != want.ThresholdUpdates || res.FinalThreshold != want.FinalThreshold {
+		t.Errorf("threshold updates %d (final %v), want %d (final %v)",
+			res.ThresholdUpdates, res.FinalThreshold, want.ThresholdUpdates, want.FinalThreshold)
+	}
+	if res.Fingerprint != demandDriftRawFingerprint {
+		t.Errorf("fingerprint %016x, want %016x", res.Fingerprint, uint64(demandDriftRawFingerprint))
+	}
+	ticks := len(res.Windows) - 1 // one observe pass per window boundary inside the horizon
+	if !res.ControlOn || res.ControlDecisions != res.ThresholdUpdates ||
+		res.EventCounts[event.ControlUpdate] != ticks+res.ControlDecisions {
+		t.Errorf("ControlOn %v, %d decisions, %d ControlUpdate events; want true, %d, %d",
+			res.ControlOn, res.ControlDecisions, res.EventCounts[event.ControlUpdate],
+			res.ThresholdUpdates, ticks+res.ThresholdUpdates)
+	}
+}
+
+// TestControlTracksScenarioMiceFraction: a policy that leaves
+// MiceFraction at 0 tracks the scenario's, exactly as if the policy had
+// named it, and the caller's policy is not written to.
+func TestControlTracksScenarioMiceFraction(t *testing.T) {
+	run := func(policy *control.Policy) DynamicResult {
 		sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Duration = 20
 		sc.Schemes = []string{SchemeFlash}
-		sc.Seed = 11
-		mutate(&sc)
+		sc.MiceFraction = 0.8
+		sc.Control = policy
 		results, err := RunDynamicScenario(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0]
+		return results[0].Result
 	}
-	legacy := run(func(sc *DynamicScenario) {}) // catalogue preset: AdaptiveThreshold on
-	viaControl := run(func(sc *DynamicScenario) {
-		sc.AdaptiveThreshold = false
-		sc.Control = &control.Policy{Threshold: "raw", MiceFraction: sc.MiceFraction}
-	})
-	if legacy.Result.Fingerprint != viaControl.Result.Fingerprint {
-		t.Fatalf("raw control policy diverged from legacy adaptive mode: %016x vs %016x",
-			legacy.Result.Fingerprint, viaControl.Result.Fingerprint)
+	shared := &control.Policy{Threshold: "raw"}
+	implicit := run(shared)
+	explicit := run(&control.Policy{Threshold: "raw", MiceFraction: 0.8})
+	if shared.MiceFraction != 0 {
+		t.Errorf("caller's policy mutated: MiceFraction = %v", shared.MiceFraction)
 	}
-	if legacy.Result.EventCounts[event.ThresholdUpdate] == 0 {
-		t.Fatal("legacy run applied no threshold updates — the comparison is vacuous")
+	if implicit.Fingerprint != explicit.Fingerprint || implicit.FinalThreshold != explicit.FinalThreshold {
+		t.Errorf("scenario mice fraction not tracked: %016x final %v vs %016x final %v",
+			implicit.Fingerprint, implicit.FinalThreshold, explicit.Fingerprint, explicit.FinalThreshold)
 	}
-	if n := viaControl.Result.EventCounts[event.ControlUpdate]; n != 0 {
-		t.Errorf("legacy shim logged %d ControlUpdate events, want the historical ThresholdUpdate stream", n)
-	}
-	var bufA, bufB bytes.Buffer
-	WriteDynamicResult(&bufA, legacy.Scheme, legacy.Result, true)
-	WriteDynamicResult(&bufB, viaControl.Scheme, viaControl.Result, true)
-	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
-		t.Errorf("rendered bytes diverged:\n%s\nvs\n%s", bufA.String(), bufB.String())
+	if ninety := run(&control.Policy{Threshold: "raw", MiceFraction: 0.9}); ninety.FinalThreshold == implicit.FinalThreshold {
+		t.Error("0.8 and 0.9 quantiles ended on the same threshold — the comparison is vacuous")
 	}
 }
 
@@ -102,7 +171,6 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 		sc.Duration = 20
 		sc.Schemes = []string{SchemeFlash}
 		sc.Seed = 11
-		sc.AdaptiveThreshold = false
 		sc.Control = &control.Policy{Threshold: "ewma", PerSender: true, ProbeWidth: true,
 			MiceFraction: sc.MiceFraction}
 		results, err := RunDynamicScenario(sc)
@@ -143,14 +211,11 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 	}
 
 	res := a.Result
-	if !res.ControlOn || !res.AdaptiveView {
-		t.Fatalf("general control plane not engaged: ControlOn=%v AdaptiveView=%v", res.ControlOn, res.AdaptiveView)
+	if !res.ControlOn {
+		t.Fatal("control plane not engaged")
 	}
 	if res.EventCounts[event.ControlUpdate] == 0 {
 		t.Error("no ControlUpdate events in a controlled run")
-	}
-	if res.EventCounts[event.ThresholdUpdate] != 0 {
-		t.Error("general plane leaked legacy ThresholdUpdate events")
 	}
 	if res.ControlDecisions == 0 {
 		t.Error("no control decisions applied in a drifting scenario")
@@ -186,57 +251,6 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 	}
 }
 
-// demandDriftControlCell is demandDriftCell with an explicit control
-// policy instead of the legacy flag — same scenario, same seeds, same
-// fixed metrics threshold, so raw-vs-ewma runs are directly
-// comparable.
-func demandDriftControlCell(t *testing.T, policy *control.Policy, metricsThreshold float64) (DynamicResult, float64) {
-	t.Helper()
-	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Duration = 40
-	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	threshold, err := calibrateThreshold(sc, net.Graph())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workloadFor(sc.Kind, net.Graph(), sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := sc.arrivalProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := trace.NewStream(gen, arr, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := buildChurnSchedule(sc, net, nil, newChurnRNG(sc.Seed))
-	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: sc.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metricsThreshold == 0 {
-		metricsThreshold = threshold
-	}
-	res, err := RunDynamic(net, r, stream, sc.Duration, churn, metricsThreshold, DynamicOptions{
-		Workers:      1,
-		Seed:         sc.Seed,
-		Control:      policy,
-		MiceFraction: sc.MiceFraction,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, threshold
-}
-
 // TestControlEWMAFewerSwapsThanRaw is the PR's acceptance criterion:
 // on the demand-drift scenario the EWMA-smoothed threshold policy
 // makes strictly fewer threshold swaps than the raw per-window
@@ -248,11 +262,11 @@ func TestControlEWMAFewerSwapsThanRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, preThreshold := demandDriftCell(t, false, 0)
+	_, preThreshold := demandDriftCell(t, nil, 0)
 	postThreshold := preThreshold * sc.DemandShiftFactor
 
-	raw, _ := demandDriftCell(t, true, postThreshold)
-	ewma, _ := demandDriftControlCell(t, &control.Policy{Threshold: "ewma"}, postThreshold)
+	raw, _ := demandDriftCell(t, &control.Policy{Threshold: "raw"}, postThreshold)
+	ewma, _ := demandDriftCell(t, &control.Policy{Threshold: "ewma"}, postThreshold)
 
 	if raw.ThresholdUpdates == 0 {
 		t.Fatal("raw policy made no swaps — the comparison is vacuous")
@@ -408,7 +422,7 @@ func TestScriptedControlAppliesEveryKnob(t *testing.T) {
 }
 
 // TestControlUpdateChurnRejected: ControlUpdate is engine-internal and
-// must stay out of churn schedules, exactly like ThresholdUpdate.
+// must stay out of churn schedules.
 func TestControlUpdateChurnRejected(t *testing.T) {
 	g := topo.New(3)
 	g.MustAddChannel(0, 1)
@@ -422,8 +436,7 @@ func TestControlUpdateChurnRejected(t *testing.T) {
 }
 
 // TestControlRequiresFlash: control policies tune Flash's knobs; on a
-// knob-less router the plane is simply inert rather than an error —
-// mirrored on the legacy AdaptiveThreshold behaviour.
+// knob-less router the plane is simply inert rather than an error.
 func TestControlRequiresFlash(t *testing.T) {
 	g := topo.New(3)
 	g.MustAddChannel(0, 1)

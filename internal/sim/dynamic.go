@@ -37,15 +37,17 @@ type DynamicOptions struct {
 	// discrete-event counterpart of Options.Retries.
 	Retries int
 
-	// Window is the time-series bucket width in virtual seconds;
-	// completed payments are recorded into the window containing their
-	// completion instant. 0 defaults to a tenth of the horizon.
+	// Window is the time-series bucket width in virtual seconds, and the
+	// control plane's cadence; completed payments are recorded into the
+	// window containing their completion instant. 0 defaults to a tenth
+	// of the horizon; a negative, NaN or infinite width is an error.
 	Window float64
 
 	// Service is the mean virtual service time of a payment in seconds
 	// (exponentially distributed, seeded). 0 completes payments at
 	// their arrival instant, routing atomically at dispatch — the
-	// historical behaviour, byte-identical across engine versions.
+	// historical behaviour, byte-identical across engine versions; a
+	// negative, NaN or infinite service time is an error.
 	//
 	// Service > 0 enables hold spans: a payment splits into a
 	// hold-phase event at dispatch (the router probes, holds and
@@ -66,54 +68,23 @@ type DynamicOptions struct {
 	// there surface after the service time, like any station model.)
 	Service float64
 
-	// AdaptiveThreshold enables the rolling-quantile adaptive elephant
-	// threshold: every first-attempt arrival amount feeds a streaming
-	// P² quantile estimator (stats.QuantileEstimator), and on a
-	// ThresholdWindow cadence the engine re-calibrates the router's
-	// classification threshold to the estimator's MiceFraction-quantile
-	// via core.Flash.SetThreshold — the paper's "set per workload"
-	// calibration (§4.1), kept true under demand drift instead of
-	// pinned at t = 0. Only Flash routers adapt; the option is a no-op
-	// for every other scheme. Off — the default — leaves the engine
-	// byte-identical to the historical behaviour; on with Workers ≤ 1
-	// it stays fully deterministic (the estimator is a pure function of
-	// the arrival sequence, and every ThresholdUpdate is stamped into
-	// the event-log fingerprint with its effective threshold).
-	AdaptiveThreshold bool
-
-	// ThresholdWindow is the adaptive re-calibration cadence in virtual
-	// seconds; 0 defaults to the time-series Window. Each boundary that
-	// has seen at least adaptiveMinSamples arrivals since the last swap
-	// re-calibrates and resets the estimator, so the threshold tracks
-	// the current demand regime rather than the whole history (a
-	// rolling quantile); sparser boundaries keep accumulating.
-	ThresholdWindow float64
-
-	// MiceFraction is the workload quantile the adaptive threshold
-	// tracks; 0 (or any value outside (0, 1)) defaults to 0.9, the
-	// paper's 90%-mice calibration. Only consulted when
-	// AdaptiveThreshold is on.
-	MiceFraction float64
-
 	// Control selects the adaptive control plane (internal/control): a
 	// declarative policy whose controllers observe per-window metrics
-	// on the control cadence (Policy.Window, else ThresholdWindow, else
-	// Window) and re-tune the router's runtime knobs — global and
-	// per-sender elephant thresholds, speculative probe width, retry
-	// backoff. nil (or the zero policy) runs no controllers.
-	// AdaptiveThreshold is the compat shim over this: it maps to the
-	// "raw" threshold policy, and that policy alone replays the
-	// pre-control-plane event stream byte for byte. Only Flash routers
-	// have knobs; for every other scheme the plane is inert. Every
-	// applied decision is recorded as a fingerprinted
-	// event.ControlUpdate, so controllers-on runs replay identically at
-	// Workers ≤ 1.
+	// once per Window and re-tune the router's runtime knobs — global
+	// and per-sender elephant thresholds, speculative probe width, retry
+	// backoff. nil (or the zero policy) runs no controllers. The "raw"
+	// threshold policy re-calibrates the threshold to the arrival
+	// stream's mice-fraction quantile every window — the paper's
+	// per-workload calibration (§4.1) kept true under demand drift. Only
+	// Flash routers have knobs; for every other scheme the plane is
+	// inert. Every observe pass and every applied decision is recorded
+	// as a fingerprinted event.ControlUpdate, so controllers-on runs
+	// replay identically at Workers ≤ 1.
 	Control *control.Policy
 
 	// controlHook appends scripted controllers to the resolved plane —
 	// the test seam for exercising decision application (knob coverage,
-	// per-sender swaps, backoff scaling) without a full policy. Always
-	// takes the general control path, never the legacy shim. nil in
+	// per-sender swaps, backoff scaling) without a full policy. nil in
 	// production.
 	controlHook []control.Controller
 
@@ -187,12 +158,6 @@ type schedAudit struct {
 	Retry     bool    // retry record: EventAt = At + Backoff
 }
 
-// adaptiveMinSamples is the fewest arrivals a re-calibration boundary
-// must have seen before the adaptive threshold swaps: below it the
-// quantile estimate is noise, so the boundary keeps accumulating
-// instead.
-const adaptiveMinSamples = 20
-
 // griefSalt decorrelates the griefer-marking hash (trace.HashUnit over
 // the payment ID) from the per-payment routing seeds, which are
 // derived from the same ID.
@@ -208,9 +173,8 @@ type Window struct {
 	// Threshold is the effective elephant classification threshold as
 	// of the last re-calibration that touched this window (its value at
 	// creation until one lands inside it) — constant at the calibrated
-	// value unless DynamicOptions.AdaptiveThreshold re-calibrates it
-	// mid-run, in which case the column shows the drift the router
-	// tracked.
+	// value unless a control policy re-calibrates it mid-run, in which
+	// case the column shows the drift the router tracked.
 	Threshold float64
 
 	Metrics Metrics
@@ -222,8 +186,7 @@ type Window struct {
 	// fixed metrics threshold. The two diverge exactly where the
 	// control plane moved a threshold mid-run; comparing them shows
 	// what the adaptation re-labelled. Populated only when a control
-	// plane (or the AdaptiveThreshold shim) ran
-	// (DynamicResult.AdaptiveView).
+	// plane ran (DynamicResult.ControlOn).
 	Adaptive Metrics
 
 	// Latency summarises the completion latency (virtual completion −
@@ -248,29 +211,23 @@ type DynamicResult struct {
 	// mode only; see DynamicOptions.Service).
 	SpanAborts int
 
-	// ThresholdUpdates counts adaptive re-calibrations that actually
-	// moved the router's elephant threshold, and FinalThreshold is the
-	// effective threshold when the run ended (the initial routing
-	// threshold when the adaptive mode is off or never re-calibrated).
+	// ThresholdUpdates counts control decisions that actually moved the
+	// router's elephant threshold, and FinalThreshold is the effective
+	// threshold when the run ended (the initial routing threshold when no
+	// policy re-calibrated it).
 	ThresholdUpdates int
 	FinalThreshold   float64
 
-	// ControlOn reports whether the general control plane drove the run
-	// (false for runs without controllers and for the legacy
-	// AdaptiveThreshold shim, which replays the pre-control-plane event
-	// stream). ControlDecisions counts applied decisions across all
-	// knobs, and Controllers is the per-knob rollup (decision count and
-	// last effective value) for knobs that decided at least once.
+	// ControlOn reports whether a control plane drove the run.
+	// ControlDecisions counts applied decisions across all knobs, and
+	// Controllers is the per-knob rollup (decision count and last
+	// effective value) for knobs that decided at least once. Adaptive,
+	// here and on every Window, then classifies completions against the
+	// threshold in effect when each completed.
 	ControlOn        bool
 	ControlDecisions int
 	Controllers      []ControlKnobStatus
-
-	// AdaptiveView reports whether the per-window re-classification
-	// view is populated (any control plane ran, the legacy shim
-	// included): Adaptive here and on every Window then classify
-	// completions against the threshold in effect when each completed.
-	AdaptiveView bool
-	Adaptive     Metrics
+	Adaptive         Metrics
 
 	// LatencyOn reports whether the run carried a virtual latency model
 	// (per-channel RTTs on the network, or a hold-span deadline): when
@@ -362,7 +319,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 			return DynamicResult{}, fmt.Errorf("sim: payment source: %w", err)
 		}
 	}
-	if err := validSpanOptions(opts.Service, opts.Deadline, opts.GriefFrac, opts.GriefHold); err != nil {
+	if err := opts.validate(); err != nil {
 		return DynamicResult{}, err
 	}
 	workers := opts.Workers
@@ -370,7 +327,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 		workers = 1
 	}
 	window := opts.Window
-	if window <= 0 {
+	if window == 0 {
 		window = horizon / 10
 	}
 	res := DynamicResult{Horizon: horizon}
@@ -430,48 +387,27 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	)
 
 	// The engine's current routing threshold: the router's own value
-	// for Flash (the adaptive mode moves it), the metrics threshold
+	// for Flash (a control policy moves it), the metrics threshold
 	// otherwise. Reported per window and as FinalThreshold.
 	curThreshold := miceThreshold
 	if fl != nil {
 		curThreshold = fl.Threshold()
 	}
 
-	// Control plane (see DynamicOptions.Control): the resolved policy's
-	// controllers observe per-window metrics on the cadence below and
-	// re-tune the router's knobs; the legacy AdaptiveThreshold option
-	// resolves to the raw-threshold policy, whose shim path replays the
-	// pre-control-plane event stream byte for byte. Engaged only for
-	// Flash — no other scheme owns runtime knobs.
-	policy := control.Policy{}
-	if opts.Control != nil {
-		policy = *opts.Control
-	}
-	if opts.AdaptiveThreshold && policy.Threshold == "" {
-		policy.Threshold = "raw"
-	}
-	if policy.MiceFraction == 0 {
-		if frac := opts.MiceFraction; frac > 0 && frac < 1 {
-			policy.MiceFraction = frac
-		}
-	}
-	ctl, err := newControlState(policy, opts.controlHook, fl)
+	// Control plane (see DynamicOptions.Control): the policy's
+	// controllers observe per-window metrics once per window and re-tune
+	// the router's knobs. Engaged only for Flash — no other scheme owns
+	// runtime knobs.
+	ctl, err := newControlState(opts.Control, opts.controlHook, fl)
 	if err != nil {
 		return res, fmt.Errorf("sim: %w", err)
-	}
-	thrWindow := policy.Window
-	if thrWindow <= 0 {
-		thrWindow = opts.ThresholdWindow
-	}
-	if thrWindow <= 0 {
-		thrWindow = window
 	}
 	// backoffScale multiplies the engine's retry backoff; exactly 1.0
 	// unless a KnobRetryBackoff decision moves it, so control-off runs
 	// compute bit-identical backoffs.
 	backoffScale := 1.0
-	if ctl != nil && thrWindow < horizon {
-		queue.Schedule(event.Event{Time: thrWindow, Kind: ctl.tickKind()})
+	if ctl != nil && window < horizon {
+		queue.Schedule(event.Event{Time: window, Kind: event.ControlUpdate})
 	}
 
 	// pullArrival schedules the source's next arrival, if it falls
@@ -628,37 +564,17 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	// run once per cadence tick on the event loop: assemble the window's
 	// metrics, let every controller decide, apply the decisions to the
 	// router, and record the adaptive trajectory into the fingerprinted
-	// log. The legacy shim (raw-threshold policy alone) keeps the
-	// historical stream — one stamped ThresholdUpdate per tick, nothing
-	// else — byte-identical to the engine before internal/control.
+	// log.
 	applyControlTick := func(e event.Event) {
 		// Materialise the bucket (and any earlier ones) before any swap,
 		// so windows that closed under the old threshold report it.
 		w := windowFor(e.Time)
 		m := ctl.snapshot(e.Time, curThreshold, fl.ProbeWorkers())
 		decisions := ctl.plane.Observe(m)
-		if ctl.legacy {
-			for _, d := range decisions {
-				if d.Knob == control.KnobThreshold && d.Value != curThreshold {
-					fl.SetThreshold(d.Value)
-					curThreshold = d.Value
-					res.ThresholdUpdates++
-				}
-			}
-			w.Threshold = curThreshold
-			if next := e.Time + thrWindow; next < horizon {
-				queue.Schedule(event.Event{Time: next, Kind: event.ThresholdUpdate})
-			}
-			// Stamped before recording so the log entry (and the
-			// fingerprint) carries the effective threshold.
-			e.Amount = curThreshold
-			log.Record(e)
-			return
-		}
-		// General plane: the bare cadence tick is logged first (knob
-		// code 0), then one ControlUpdate per applied decision, each
-		// stamped with the effective value the router reports back — the
-		// whole adaptive trajectory folds into the fingerprint.
+		// The bare cadence tick is logged first (knob code 0), then one
+		// ControlUpdate per applied decision, each stamped with the
+		// effective value the router reports back — the whole adaptive
+		// trajectory folds into the fingerprint.
 		log.Record(e)
 		for _, d := range decisions {
 			eff := d.Value
@@ -690,7 +606,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 				ID: int64(d.Knob), A: d.Sender, Amount: eff})
 		}
 		w.Threshold = curThreshold
-		if next := e.Time + thrWindow; next < horizon {
+		if next := e.Time + window; next < horizon {
 			queue.Schedule(event.Event{Time: next, Kind: event.ControlUpdate})
 		}
 	}
@@ -699,7 +615,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	for queue.Len() > 0 {
 		e, _ := queue.Pop()
 		clock.AdvanceTo(e.Time)
-		if e.Kind == event.ThresholdUpdate || e.Kind == event.ControlUpdate {
+		if e.Kind == event.ControlUpdate {
 			applyControlTick(e)
 			continue
 		}
@@ -915,8 +831,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	}
 	res.FinalThreshold = curThreshold
 	if ctl != nil {
-		res.ControlOn = !ctl.legacy
-		res.AdaptiveView = true
+		res.ControlOn = true
 		res.ControlDecisions = ctl.decisions
 		res.Controllers = ctl.knobStatus()
 	}
@@ -936,25 +851,39 @@ func validShiftFactor(kind event.Kind, factor float64) error {
 	return nil
 }
 
-// validSpanOptions rejects deadline and grief settings that cannot
-// apply instead of silently reading them as "off": both act only on
-// hold spans (service > 0), and a negative or NaN value means nothing.
-// A grief hold is a virtual service time, so it must be finite and
-// non-negative once griefers exist.
-func validSpanOptions(service, deadline, griefFrac, griefHold float64) error {
-	for _, o := range [...]struct {
+// validate rejects options that cannot mean anything instead of
+// reading them as "off" or failing deep inside the run: a negative, NaN
+// or infinite service time or window (0 keeps its meaning), deadline
+// and grief settings that are negative, NaN or set without hold spans
+// (service > 0), griefers with a negative or non-finite grief hold, and
+// a control policy its controllers cannot be built from.
+func (o DynamicOptions) validate() error {
+	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"deadline", deadline}, {"grief fraction", griefFrac}} {
-		if math.IsNaN(o.v) || o.v < 0 {
-			return fmt.Errorf("sim: %s must be non-negative, got %v", o.name, o.v)
-		}
-		if o.v > 0 && !(service > 0) {
-			return fmt.Errorf("sim: %s %v needs hold spans (a positive service time), got service %v", o.name, o.v, service)
+	}{{"service time", o.Service}, {"window", o.Window}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("sim: %s must be non-negative and finite, got %v", f.name, f.v)
 		}
 	}
-	if griefFrac > 0 && (math.IsNaN(griefHold) || math.IsInf(griefHold, 0) || griefHold < 0) {
-		return fmt.Errorf("sim: grief hold must be non-negative and finite, got %v", griefHold)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"deadline", o.Deadline}, {"grief fraction", o.GriefFrac}} {
+		if math.IsNaN(f.v) || f.v < 0 {
+			return fmt.Errorf("sim: %s must be non-negative, got %v", f.name, f.v)
+		}
+		if f.v > 0 && o.Service == 0 {
+			return fmt.Errorf("sim: %s %v needs hold spans (a positive service time), got service %v", f.name, f.v, o.Service)
+		}
+	}
+	if o.GriefFrac > 0 && (math.IsNaN(o.GriefHold) || math.IsInf(o.GriefHold, 0) || o.GriefHold < 0) {
+		return fmt.Errorf("sim: grief hold must be non-negative and finite, got %v", o.GriefHold)
+	}
+	if o.Control != nil {
+		if _, err := o.Control.Controllers(); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
 	}
 	return nil
 }
@@ -1001,7 +930,7 @@ type DynamicScenario struct {
 	MiceFraction float64
 
 	Duration float64 // virtual seconds simulated
-	Window   float64 // time-series bucket (default Duration/10)
+	Window   float64 // time-series bucket and control cadence (default Duration/10)
 
 	Arrival string  // ArrivalPoisson, ArrivalFlashCrowd or ArrivalDiurnal
 	Rate    float64 // mean payments per virtual second
@@ -1026,18 +955,11 @@ type DynamicScenario struct {
 	FeeShiftFactor float64
 	FeeShiftFrac   float64
 
-	// AdaptiveThreshold re-calibrates Flash's elephant threshold on a
-	// rolling ThresholdWindow cadence so the mice/elephant split tracks
-	// demand drift (DynamicOptions.AdaptiveThreshold; the scenario's
-	// MiceFraction is the tracked quantile). ThresholdWindow 0 defaults
-	// to the time-series window.
-	AdaptiveThreshold bool
-	ThresholdWindow   float64
-
 	// Control runs the adaptive control plane on Flash
 	// (DynamicOptions.Control): the policy's controllers observe window
-	// metrics on the ThresholdWindow cadence and re-tune the runtime
-	// knobs. nil runs whatever AdaptiveThreshold alone selects.
+	// metrics once per Window and re-tune the runtime knobs; a policy
+	// that leaves MiceFraction at 0 tracks the scenario's MiceFraction.
+	// nil runs no controllers.
 	Control *control.Policy
 
 	// FlashK/FlashM override Flash's path counts when > 0 (FlashMSet
@@ -1126,8 +1048,8 @@ var DynamicScenarioNames = []string{"steady", "flash-crowd", "depletion-rebalanc
 //     suspended across the failure abort, and the success rate drops
 //     with the hub gone.
 //   - "demand-drift": a 4× downward demand shift mid-run on a tightly
-//     provisioned network, with the adaptive elephant threshold on.
-//     The static-threshold control (-adaptivethreshold=false) keeps
+//     provisioned network, with the raw threshold policy re-calibrating
+//     the elephant threshold. The static control (-control off) keeps
 //     classifying against the stale pre-shift 90th percentile, so the
 //     post-shift top decile routes over m mice paths instead of the
 //     elephant algorithm and its success ratio degrades; the adaptive
@@ -1194,7 +1116,7 @@ func NamedDynamicScenario(name, kind string, nodes int) (DynamicScenario, error)
 		sc.Rate = 25
 		sc.DemandShiftFactor = 0.25
 		sc.DemandShiftFrac = 0.5
-		sc.AdaptiveThreshold = true
+		sc.Control = &control.Policy{Threshold: "raw"}
 	case "fee-war":
 		sc.FeeShiftFactor = 25
 		sc.FeeShiftFrac = 0.5
@@ -1263,11 +1185,30 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 	if sc.Rate <= 0 {
 		return nil, fmt.Errorf("sim: dynamic scenario needs a positive arrival rate")
 	}
-	if err := validSpanOptions(sc.Service, sc.Deadline, sc.GriefFrac, sc.GriefHold); err != nil {
-		return nil, err
-	}
 	if sc.MiceFraction == 0 {
 		sc.MiceFraction = 0.9
+	}
+	policy := sc.Control
+	if policy != nil && policy.MiceFraction == 0 && sc.MiceFraction > 0 && sc.MiceFraction < 1 {
+		tracked := *policy // never mutate the caller's policy
+		tracked.MiceFraction = sc.MiceFraction
+		policy = &tracked
+	}
+	opts := DynamicOptions{
+		Workers:   sc.Workers,
+		Seed:      sc.Seed,
+		Retries:   sc.Retries,
+		Window:    sc.Window,
+		Service:   sc.Service,
+		Control:   policy,
+		Deadline:  sc.Deadline,
+		GriefFrac: sc.GriefFrac,
+		GriefHold: sc.GriefHold,
+		FlowSink:  sc.FlowSink,
+		Registry:  sc.Registry,
+	}
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	if len(sc.Schemes) == 0 {
 		sc.Schemes = PaperSchemes
@@ -1343,22 +1284,7 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 			RegisterRouterMetrics(sc.Registry, scheme, r)
 			RegisterNetworkMetrics(sc.Registry, scheme, net)
 		}
-		res, err := RunDynamic(net, r, stream, sc.Duration, churn, threshold, DynamicOptions{
-			Workers:           sc.Workers,
-			Seed:              sc.Seed,
-			Retries:           sc.Retries,
-			Window:            sc.Window,
-			Service:           sc.Service,
-			AdaptiveThreshold: sc.AdaptiveThreshold,
-			ThresholdWindow:   sc.ThresholdWindow,
-			MiceFraction:      sc.MiceFraction,
-			Control:           sc.Control,
-			Deadline:          sc.Deadline,
-			GriefFrac:         sc.GriefFrac,
-			GriefHold:         sc.GriefHold,
-			FlowSink:          sc.FlowSink,
-			Registry:          sc.Registry,
-		})
+		res, err := RunDynamic(net, r, stream, sc.Duration, churn, threshold, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", scheme, err)
 		}

@@ -33,7 +33,7 @@ func goldenDynamicRun(t *testing.T, kind string, opts DynamicOptions) DynamicRes
 	}
 	payments := gen.Generate(400)
 	threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-	r, err := NewRouter(SchemeFlash, threshold, 0, 0, false, 42)
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestRetriesOnContentionNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRouter(SchemeFlash, 1e9, 0, 0, false, 7)
+		r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: 1e9, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -483,7 +483,7 @@ func TestRunDynamicValidation(t *testing.T) {
 // baselineShortestPath builds the simple baseline router for fixtures.
 func baselineShortestPath(t *testing.T) route.Router {
 	t.Helper()
-	r, err := NewRouter(SchemeShortestPath, 0, 0, 0, false, 1)
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeShortestPath, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

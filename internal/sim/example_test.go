@@ -19,7 +19,7 @@ func ExampleRunDynamic() {
 	if err != nil {
 		panic(err)
 	}
-	r, err := NewRouter(SchemeShortestPath, 0, 0, 0, false, 1)
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeShortestPath, Seed: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -251,7 +251,7 @@ func TestExactVirtualTimeAccounting(t *testing.T) {
 	}
 	payments := gen.Generate(200)
 	threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-	r, err := NewRouter(SchemeFlash, threshold, 0, 0, false, 7)
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,13 +17,11 @@ import (
 //
 // showThreshold adds the effective-elephant-threshold column and the
 // threshold-update footer — the adaptive-threshold view; off, the
-// output shape matches the historical fixed-threshold rendering. When
-// the run additionally carries the re-classification view
-// (res.AdaptiveView), the threshold column is joined by per-window
-// mice/elephant success counts classified against the threshold in
-// effect during that window, and a control-plane footer reports the
-// per-knob decision rollup when the general plane drove the run
-// (res.ControlOn).
+// output shape matches the historical fixed-threshold rendering. When a
+// control plane drove the run (res.ControlOn), the threshold column is
+// joined by per-window mice/elephant success counts classified against
+// the threshold in effect during that window, and a control-plane
+// footer reports the per-knob decision rollup.
 //
 // Latency columns (p50/p95/p99 completion latency per window) and the
 // deadline-expiry footer appear exactly when the run carried a latency
@@ -32,7 +30,7 @@ import (
 func WriteDynamicResult(out io.Writer, scheme string, res DynamicResult, showThreshold bool) {
 	fmt.Fprintf(out, "== %s ==\n", scheme)
 	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	adaptiveCols := showThreshold && res.AdaptiveView
+	adaptiveCols := showThreshold && res.ControlOn
 	cols := "window\tpayments\tsucc.ratio\tsucc.volume\tprobe msgs\tfee ratio"
 	if showThreshold {
 		cols += "\teff.thr"

@@ -221,8 +221,7 @@ func workloadFor(kind string, g *topo.Graph, seed int64) (*trace.Generator, erro
 // RouterSpec names a scheme together with every knob a scenario can
 // turn on it. The zero value of each field means "paper default";
 // non-Flash schemes ignore the Flash fields. BuildRouter is the single
-// construction path behind NewRouter, NewRouterConfig and the scenario
-// runners, so a new Flash knob only needs a field here.
+// construction path, so a new Flash knob only needs a field here.
 type RouterSpec struct {
 	Scheme    string
 	Threshold float64 // Flash elephant threshold
@@ -278,22 +277,6 @@ func BuildRouter(spec RouterSpec) (route.Router, error) {
 	default:
 		return nil, fmt.Errorf("sim: unknown scheme %q", spec.Scheme)
 	}
-}
-
-// NewRouter instantiates a scheme by name with the paper's parameters.
-// threshold is the elephant threshold for Flash variants; k/m override
-// Flash's path counts when kSet/mSet request it. For the ablation
-// variants use NewRouterConfig; for full control use BuildRouter.
-func NewRouter(name string, threshold float64, k, m int, mSet bool, seed int64) (route.Router, error) {
-	return BuildRouter(RouterSpec{Scheme: name, Threshold: threshold, K: k, M: m, MSet: mSet, Seed: seed})
-}
-
-// NewRouterConfig is NewRouter with the Flash ablation knobs exposed.
-func NewRouterConfig(name string, threshold float64, k, m int, mSet, fixedOrder, probeAllK bool, seed int64) (route.Router, error) {
-	return BuildRouter(RouterSpec{
-		Scheme: name, Threshold: threshold, K: k, M: m, MSet: mSet,
-		FixedMiceOrder: fixedOrder, ProbeAllK: probeAllK, Seed: seed,
-	})
 }
 
 // routerSpec collects the scenario's Flash knobs for one scheme.

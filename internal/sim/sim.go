@@ -144,8 +144,8 @@ type Options struct {
 	// Workers is the number of goroutines draining the payment stream.
 	// 0 or 1 replays sequentially in payment order — bit-for-bit the
 	// historical behavior. The zero value deliberately means
-	// *sequential*, not GOMAXPROCS, so Run and zero-valued Options keep
-	// their historical semantics; CLIs that want "0 = all cores"
+	// *sequential*, not GOMAXPROCS, so zero-valued Options keep their
+	// historical semantics; CLIs that want "0 = all cores"
 	// resolve that before building Options. Larger values model
 	// concurrent senders: the per-payment metrics become
 	// interleaving-dependent, but every random routing choice stays
@@ -181,17 +181,12 @@ type Options struct {
 	FlowSink telemetry.Sink
 }
 
-// Run replays payments sequentially over net using r. miceThreshold
-// classifies payments for the per-class metrics (payments with amount ≤
+// RunOpts replays payments over net using r. miceThreshold classifies
+// payments for the per-class metrics (payments with amount ≤
 // miceThreshold are mice); it does not influence routing — routers carry
-// their own thresholds.
-func Run(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64) (Metrics, error) {
-	return RunOpts(net, r, payments, miceThreshold, Options{})
-}
-
-// RunOpts is Run with replay options: Options{} or Workers ≤ 1 is the
-// sequential replay, larger Workers dispatch payments to a worker pool
-// over the shared network.
+// their own thresholds. Options{} or Workers ≤ 1 is the sequential
+// replay, larger Workers dispatch payments to a worker pool over the
+// shared network.
 func RunOpts(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, opts Options) (Metrics, error) {
 	if opts.Prewarm {
 		prewarmRouter(net, r, payments, opts.Workers)

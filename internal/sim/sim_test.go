@@ -39,7 +39,7 @@ func TestRunBasic(t *testing.T) {
 	net := pcn.New(g)
 	net.SetBalance(0, 1, 100, 100)
 	net.SetBalance(1, 2, 100, 100)
-	r, err := NewRouter(SchemeShortestPath, 0, 0, 0, false, 1)
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeShortestPath, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRunBasic(t *testing.T) {
 		{ID: 1, Sender: 0, Receiver: 2, Amount: 30},
 		{ID: 2, Sender: 0, Receiver: 2, Amount: 100}, // exceeds remaining 40
 	}
-	m, err := Run(net, r, payments, 50)
+	m, err := RunOpts(net, r, payments, 50, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestRunSkipsDegeneratePayments(t *testing.T) {
 	g := topo.Line(2)
 	net := pcn.New(g)
 	net.SetBalance(0, 1, 10, 10)
-	r, _ := NewRouter(SchemeShortestPath, 0, 0, 0, false, 1)
+	r, _ := BuildRouter(RouterSpec{Scheme: SchemeShortestPath, Seed: 1})
 	payments := []trace.Payment{
 		{Sender: 0, Receiver: 0, Amount: 5}, // self
 		{Sender: 0, Receiver: 1, Amount: 0}, // zero
 		{Sender: 0, Receiver: 1, Amount: 5},
 	}
-	m, err := Run(net, r, payments, 10)
+	m, err := RunOpts(net, r, payments, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestRunSkipsDegeneratePayments(t *testing.T) {
 }
 
 func TestNewRouterUnknown(t *testing.T) {
-	if _, err := NewRouter("nope", 0, 0, 0, false, 1); err == nil {
+	if _, err := BuildRouter(RouterSpec{Scheme: "nope", Seed: 1}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestNewRouterUnknown(t *testing.T) {
 func TestNewRouterAllSchemes(t *testing.T) {
 	for _, s := range []string{SchemeFlash, SchemeFlashNoOpt, SchemeSpider,
 		SchemeSpeedyMurmurs, SchemeShortestPath, SchemeMaxFlow} {
-		r, err := NewRouter(s, 100, 0, 0, false, 1)
+		r, err := BuildRouter(RouterSpec{Scheme: s, Threshold: 100, Seed: 1})
 		if err != nil {
 			t.Errorf("%s: %v", s, err)
 			continue

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/control"
 	"repro/internal/trace"
 )
 
@@ -27,7 +28,7 @@ func TestRunDynamicValidatesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRouter(SchemeShortestPath, 0, 0, 0, false, 1)
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeShortestPath, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,27 +53,38 @@ func TestRunDynamicValidatesSource(t *testing.T) {
 }
 
 // TestRunDynamicRejectsInapplicableSpanOptions pins ROADMAP 3(e):
-// deadline and grief settings that cannot apply — negative, NaN, or
-// set without hold spans — are errors from RunDynamic and from
-// RunDynamicScenario, never silently read as "off".
+// options that cannot apply — a negative, NaN or infinite service time
+// or window, a deadline or grief setting that is negative, NaN or set
+// without hold spans, a control policy tracking a quantile outside
+// (0, 1) — are errors from RunDynamic and from RunDynamicScenario,
+// never silently read as "off", defaulted, or left to panic mid-run.
 func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
-		name                               string
-		service, deadline, grief, griefHld float64
-		want                               string // "" = accepted
+		name string
+		o    DynamicOptions
+		want string // "" = accepted
 	}{
-		{"spans with deadline and grief", 0.5, 1, 0.2, 3, ""},
-		{"spans, grief hold zero", 0.5, 0, 0.2, 0, ""},
-		{"no spans, options off", 0, 0, 0, 0, ""},
-		{"negative deadline", 0.5, -1, 0, 0, "deadline must be non-negative"},
-		{"NaN deadline", 0.5, nan, 0, 0, "deadline must be non-negative"},
-		{"deadline without spans", 0, 1, 0, 0, "deadline 1 needs hold spans"},
-		{"negative grief", 0.5, 0, -0.1, 3, "grief fraction must be non-negative"},
-		{"NaN grief", 0.5, 0, nan, 3, "grief fraction must be non-negative"},
-		{"grief without spans", 0, 0, 0.2, 3, "grief fraction 0.2 needs hold spans"},
-		{"negative grief hold", 0.5, 0, 0.2, -3, "grief hold must be non-negative and finite"},
-		{"infinite grief hold", 0.5, 0, 0.2, math.Inf(1), "grief hold must be non-negative and finite"},
+		{"spans with deadline and grief", DynamicOptions{Service: 0.5, Deadline: 1, GriefFrac: 0.2, GriefHold: 3}, ""},
+		{"spans, grief hold zero", DynamicOptions{Service: 0.5, GriefFrac: 0.2}, ""},
+		{"no spans, options off", DynamicOptions{}, ""},
+		{"negative deadline", DynamicOptions{Service: 0.5, Deadline: -1}, "deadline must be non-negative"},
+		{"NaN deadline", DynamicOptions{Service: 0.5, Deadline: nan}, "deadline must be non-negative"},
+		{"deadline without spans", DynamicOptions{Deadline: 1}, "deadline 1 needs hold spans"},
+		{"negative grief", DynamicOptions{Service: 0.5, GriefFrac: -0.1, GriefHold: 3}, "grief fraction must be non-negative"},
+		{"NaN grief", DynamicOptions{Service: 0.5, GriefFrac: nan, GriefHold: 3}, "grief fraction must be non-negative"},
+		{"grief without spans", DynamicOptions{GriefFrac: 0.2, GriefHold: 3}, "grief fraction 0.2 needs hold spans"},
+		{"negative grief hold", DynamicOptions{Service: 0.5, GriefFrac: 0.2, GriefHold: -3}, "grief hold must be non-negative and finite"},
+		{"infinite grief hold", DynamicOptions{Service: 0.5, GriefFrac: 0.2, GriefHold: inf}, "grief hold must be non-negative and finite"},
+		{"negative service", DynamicOptions{Service: -1}, "service time must be non-negative and finite"},
+		{"NaN service", DynamicOptions{Service: nan}, "service time must be non-negative and finite"},
+		{"infinite service", DynamicOptions{Service: inf}, "service time must be non-negative and finite"},
+		{"negative window", DynamicOptions{Window: -5}, "window must be non-negative and finite"},
+		{"NaN window", DynamicOptions{Window: nan}, "window must be non-negative and finite"},
+		{"infinite window", DynamicOptions{Window: inf}, "window must be non-negative and finite"},
+		{"window set", DynamicOptions{Window: 0.5}, ""},
+		{"mice fraction above one", DynamicOptions{Control: &control.Policy{Threshold: "raw", MiceFraction: 1.5}}, "mice fraction must lie in (0, 1)"},
+		{"mice fraction in range", DynamicOptions{Control: &control.Policy{Threshold: "raw", MiceFraction: 0.8}}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -101,9 +113,9 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = RunDynamic(net, r, src, 2, nil, 0, DynamicOptions{
-				Seed: 1, Service: tc.service, Deadline: tc.deadline, GriefFrac: tc.grief, GriefHold: tc.griefHld,
-			})
+			opts := tc.o
+			opts.Seed = 1
+			_, err = RunDynamic(net, r, src, 2, nil, 0, opts)
 			check("RunDynamic", err)
 
 			sc, err := NamedDynamicScenario("steady", KindRipple, 40)
@@ -111,7 +123,8 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
-			sc.Service, sc.Deadline, sc.GriefFrac, sc.GriefHold = tc.service, tc.deadline, tc.grief, tc.griefHld
+			sc.Service, sc.Window, sc.Deadline, sc.GriefFrac, sc.GriefHold = tc.o.Service, tc.o.Window, tc.o.Deadline, tc.o.GriefFrac, tc.o.GriefHold
+			sc.Control = tc.o.Control
 			_, err = RunDynamicScenario(sc)
 			check("RunDynamicScenario", err)
 		})

@@ -155,3 +155,22 @@ func TestNewQuantileEstimatorRejectsBadP(t *testing.T) {
 		}()
 	}
 }
+
+// BenchmarkQuantileEstimatorAdd is the per-arrival cost every threshold
+// policy pays on the dynamic engine's arrival path: one P² marker
+// update, O(1) memory, zero allocations. Run it with a duration
+// benchtime (the default is fine): a handful of iterations would only
+// measure the five-observation initialisation phase.
+func BenchmarkQuantileEstimatorAdd(b *testing.B) {
+	est := NewQuantileEstimator(0.9)
+	rng := rand.New(rand.NewSource(1))
+	amounts := make([]float64, 4096)
+	for i := range amounts {
+		amounts[i] = rng.Float64() * 1000
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est.Add(amounts[i%len(amounts)])
+	}
+}

@@ -136,7 +136,7 @@ func TestWorkloadComparesSchemes(t *testing.T) {
 			t.Fatal(err)
 		}
 		factory := func(id topo.NodeID) (route.Router, error) {
-			return sim.NewRouter(scheme, threshold, 0, 0, false, int64(id))
+			return sim.BuildRouter(sim.RouterSpec{Scheme: scheme, Threshold: threshold, Seed: int64(id)})
 		}
 		m, err := c.RunWorkload(factory, payments, threshold)
 		if err != nil {
