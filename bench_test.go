@@ -17,7 +17,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -287,39 +286,6 @@ func BenchmarkParallelProbe(b *testing.B) {
 				probes += sess.probes.Load()
 			}
 			b.ReportMetric(float64(probes)/b.Elapsed().Seconds(), "probes/sec")
-		})
-	}
-}
-
-// BenchmarkSimConcurrency sweeps the replay worker count on the Ripple
-// scenario: the speedup of workers=4 / workers=NumCPU over workers=1 is
-// the headline number of the concurrent engine (per-channel pcn locks +
-// sharded routing tables + worker-pool dispatch). workers=1 uses the
-// sequential code path, so the baseline is the historical engine.
-func BenchmarkSimConcurrency(b *testing.B) {
-	counts := []int{1, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	net, payments, threshold := benchNetwork(b, 500)
-	snap := net.Snapshot()
-	for _, workers := range counts {
-		if seen[workers] {
-			continue
-		}
-		seen[workers] = true
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := net.Restore(snap); err != nil {
-					b.Fatal(err)
-				}
-				router := core.New(core.DefaultConfig(threshold))
-				b.StartTimer()
-				if _, err := flash.RunSimulationOpts(net, router, payments[:2000], threshold,
-					flash.SimOptions{Workers: workers, Seed: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
 		})
 	}
 }

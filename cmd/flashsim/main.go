@@ -24,8 +24,8 @@
 //	flashsim -kind ripple -nodes 1870 -txns 2000 -scale 10
 //	flashsim -kind lightning -nodes 2511 -txns 2000 -scale 20 -schemes Flash,Spider
 //	flashsim -kind testbed -nodes 50 -txns 1000 -caplo 1000 -caphi 1500
-//	flashsim -workers 8 -retries 3                    # concurrent replay with retry recovery
 //	flashsim -dynamic -arrival poisson -rate 20 -duration 60
+//	flashsim -dynamic -workers 8 -retries 3           # concurrent stations with retry recovery
 //	flashsim -scenario churn -nodes 200 -seed 42      # catalogue churn scenario
 //	flashsim -scenario flash-crowd -duration 120 -window 10
 //	flashsim -scenario contention -retries 2          # hold-span contention on the barbell
@@ -64,9 +64,9 @@ func main() {
 		flashM   = flag.Int("m", -1, "Flash mice paths per receiver (-1 = paper default 4; 0 routes mice as elephants)")
 		capLo    = flag.Float64("caplo", 1000, "testbed capacity range low")
 		capHi    = flag.Float64("caphi", 1500, "testbed capacity range high")
-		workers  = flag.Int("workers", 1, "concurrent payment workers per scheme replay (1 = sequential/deterministic, 0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 1, "dynamic mode: concurrent payment stations (1 = deterministic, 0 = GOMAXPROCS); static replay is sequential and accepts only 1")
 		parallel = flag.Bool("parallelschemes", false, "run the schemes of each repetition concurrently on identically-seeded networks")
-		retries  = flag.Int("retries", 0, "re-route failed payments up to N extra times with jittered backoff")
+		retries  = flag.Int("retries", 0, "re-route failed payments up to N extra times with jittered virtual backoff")
 		probeW   = flag.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
 		tableCap = flag.Int("tablecap", 0, "bound each sender's mice routing table to N receiver entries, LRU-evicted (0 = unbounded)")
 
@@ -116,6 +116,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flashsim: -json requires dynamic mode (-dynamic or -scenario)")
 		os.Exit(2)
 	}
+	if *workers != 1 {
+		fmt.Fprintln(os.Stderr, "flashsim: -workers requires dynamic mode (-dynamic or -scenario); the static replay is sequential")
+		os.Exit(2)
+	}
 
 	sc := sim.Scenario{
 		Kind:            *kind,
@@ -129,7 +133,6 @@ func main() {
 		FlashK:          *flashK,
 		TestbedCapLo:    *capLo,
 		TestbedCapHi:    *capHi,
-		Concurrency:     conc,
 		ParallelSchemes: *parallel,
 		Retries:         *retries,
 		ProbeWorkers:    *probeW,
@@ -147,8 +150,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("# kind=%s nodes=%d txns=%d scale=%g mice=%.0f%% runs=%d seed=%d workers=%d retries=%d probeworkers=%d\n",
-		sc.Kind, sc.Nodes, sc.Txns, sc.ScaleFactor, 100*sc.MiceFraction, sc.Runs, sc.Seed, sc.Concurrency, sc.Retries, sc.ProbeWorkers)
+	fmt.Printf("# kind=%s nodes=%d txns=%d scale=%g mice=%.0f%% runs=%d seed=%d retries=%d probeworkers=%d\n",
+		sc.Kind, sc.Nodes, sc.Txns, sc.ScaleFactor, 100*sc.MiceFraction, sc.Runs, sc.Seed, sc.Retries, sc.ProbeWorkers)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tsucc.ratio\tsucc.volume\tprobe msgs\tfee ratio\tmean delay")
 	for _, r := range results {

@@ -62,9 +62,7 @@
 //     concurrent payments can never overbook a channel.
 //   - core: Flash's routing tables are sharded per sender (an RWMutex
 //     map of per-sender tables, each with its own lock); counters are
-//     atomics. Flash.Prewarm bulk-builds table entries with a bounded
-//     worker pool, running the Yen computations outside any lock.
-//     Config.ProbeWorkers > 1 additionally parallelises *within* one
+//     atomics. Config.ProbeWorkers > 1 parallelises *within* one
 //     elephant payment: each round the router computes up to that many
 //     distinct candidate paths on its probed-knowledge graph (BFS +
 //     Yen-style edge-avoidance spurs), probes them concurrently on the
@@ -76,21 +74,23 @@
 //     identically. ProbeWorkers ≤ 1 is the sequential Algorithm 1
 //     loop, byte-identical to the seed engine. CLI: -probeworkers on
 //     cmd/flashsim and cmd/experiments.
-//   - sim: RunSimulationOpts{Workers: N} replays a workload with N
-//     goroutines over the shared network, aggregating metrics in
-//     per-worker shards. Workers ≤ 1 is the sequential replay and
-//     reproduces the historical metrics bit-for-bit. With Workers > 1
-//     each payment gets a private RNG seeded from the payment ID
-//     (pcn.Tx.SetRNG / route.RandSource), so random routing choices are
+//   - sim: RunSimulation replays a workload one payment at a time — a
+//     zero-churn, one-station run of the dynamic engine below. The
+//     dynamic engine's DynamicOptions.Workers > 1 routes overlapping
+//     payments on goroutines over the shared network; each payment then
+//     gets a private RNG seeded from the payment ID (pcn.Tx.SetRNG /
+//     route.RandSource), so random routing choices are
 //     scheduling-independent even though balance interleaving — as in a
-//     real network — is not. Scenario.Concurrency and
-//     Scenario.ParallelSchemes expose the same knobs to experiment
-//     cells; cmd/flashsim and cmd/experiments take -workers flags.
+//     real network — is not. Scenario.ParallelSchemes runs an
+//     experiment cell's schemes concurrently on identically-seeded
+//     private networks, with unchanged results; cmd/experiments takes a
+//     -workers flag for its sweep cells, cmd/flashsim for dynamic
+//     stations.
 //
 // Determinism: topology generation, balance assignment and workload
-// synthesis are pure functions of their seeds; sequential replays of
-// identical inputs give identical metrics, and the equivalence tests in
-// internal/sim pin the workers=1 path to golden metrics captured from
+// synthesis are pure functions of their seeds; replays of identical
+// inputs give identical metrics, and the equivalence tests in
+// internal/sim pin the static replay to golden metrics captured from
 // the pre-concurrency engine.
 //
 // # Dynamic simulation
@@ -164,11 +164,10 @@
 // log (exposed as an FNV-1a fingerprint in DynamicResult) and every
 // metric are bit-identical across runs, which the determinism tests
 // pin. Workers > 1 routes payments whose service intervals overlap on
-// real goroutines — outcomes then depend on scheduling, exactly as in
-// the concurrent static replay. With zero churn, zero service time,
-// one station and arrivals pinned to a trace (NewReplayStream), the
-// dynamic engine reproduces the sequential replay's metrics exactly
-// (the zero-churn equivalence test).
+// real goroutines — outcomes then depend on scheduling. With zero
+// churn, zero service time, one station and arrivals pinned to a trace
+// (NewReplayStream), the dynamic engine is the static replay that
+// RunSimulation runs, pinned to the seed goldens.
 //
 // A scenario catalogue (NamedDynamicScenario: "steady", "flash-crowd",
 // "depletion-rebalance", "churn", "contention", "hub-failure",

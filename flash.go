@@ -75,18 +75,12 @@ type (
 	TraceGenerator = trace.Generator
 	// Metrics aggregates a simulation or testbed run.
 	Metrics = sim.Metrics
-	// SimOptions tunes a replay: Workers > 1 dispatches payments to a
-	// concurrent worker pool over the shared network.
-	SimOptions = sim.Options
 	// Scenario describes one experiment cell.
 	Scenario = sim.Scenario
 	// SchemeResult is per-scheme metrics across runs.
 	SchemeResult = sim.SchemeResult
 	// Summary is a min/mean/max aggregate.
 	Summary = stats.Summary
-	// Pair identifies a sender→receiver routing-table slot for
-	// Flash.Prewarm, the parallel mice-table build.
-	Pair = core.Pair
 )
 
 // Dynamic-network simulation: the discrete-event engine (virtual
@@ -363,16 +357,11 @@ func NewTraceGenerator(cfg TraceConfig) (*TraceGenerator, error) { return trace.
 // DefaultTraceConfig is a Ripple-like workload over n nodes.
 func DefaultTraceConfig(n int) TraceConfig { return trace.DefaultConfig(n) }
 
-// RunSimulation replays payments sequentially over net with router r.
+// RunSimulation replays payments sequentially over net with router r:
+// a zero-churn, one-station run of the dynamic engine over the trace
+// (see sim.Replay).
 func RunSimulation(net *Network, r Router, payments []Payment, miceThreshold float64) (Metrics, error) {
-	return sim.RunOpts(net, r, payments, miceThreshold, sim.Options{})
-}
-
-// RunSimulationOpts is RunSimulation with replay options: Workers > 1
-// replays payments concurrently (deterministic per-payment RNG
-// seeding), Prewarm parallel-builds Flash's routing tables first.
-func RunSimulationOpts(net *Network, r Router, payments []Payment, miceThreshold float64, opts SimOptions) (Metrics, error) {
-	return sim.RunOpts(net, r, payments, miceThreshold, opts)
+	return sim.Replay(net, r, payments, miceThreshold, 0, nil)
 }
 
 // BuildContentionFixture constructs the barbell contention fixture:

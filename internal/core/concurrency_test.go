@@ -3,11 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/pcn"
 	"repro/internal/topo"
 )
@@ -94,94 +92,4 @@ func TestFlashConcurrentSessions(t *testing.T) {
 			t.Fatalf("leaked hold on %d-%d: available %v ≠ balance %v", e.A, e.B, avail, bal)
 		}
 	}
-}
-
-// TestPrewarmMatchesLazyTables verifies the parallel table build is
-// semantically identical to lazy misses: for every pair, the prewarmed
-// entry holds exactly the top-M Yen paths a lazy lookup would compute.
-func TestPrewarmMatchesLazyTables(t *testing.T) {
-	net := concurrencyFixture(t, 30)
-	g := net.Graph()
-	f := New(DefaultConfig(math.Inf(1)))
-
-	var pairs []Pair
-	for s := 0; s < 5; s++ {
-		for r := 10; r < 25; r++ {
-			pairs = append(pairs, Pair{Sender: topo.NodeID(s), Receiver: topo.NodeID(r)})
-		}
-	}
-	// Duplicate the list to check idempotence under contention.
-	pairs = append(pairs, pairs...)
-	computed := f.Prewarm(g, pairs, 4)
-	if want := len(pairs) / 2; computed != want {
-		t.Errorf("Prewarm computed %d entries, want %d", computed, want)
-	}
-	if again := f.Prewarm(g, pairs, 4); again != 0 {
-		t.Errorf("second Prewarm recomputed %d entries, want 0", again)
-	}
-	st := f.Stats()
-	if st.TableEntries != len(pairs)/2 {
-		t.Errorf("table entries = %d, want %d", st.TableEntries, len(pairs)/2)
-	}
-	if st.TableHits != 0 || st.TableMisses != 0 {
-		t.Errorf("Prewarm must not touch hit/miss stats: %+v", st)
-	}
-
-	for _, p := range pairs[:len(pairs)/2] {
-		want := graph.YenKSP(g, p.Sender, p.Receiver, f.cfg.M)
-		tbl, entry := f.lookupPaths(g, p.Sender, p.Receiver, 1)
-		if entry == nil {
-			t.Fatalf("pair %v missing after Prewarm", p)
-		}
-		tbl.mu.Lock()
-		got := entry.paths
-		if len(got) != len(want) {
-			t.Fatalf("pair %v: %d paths, want %d", p, len(got), len(want))
-		}
-		for i := range want {
-			if !slices.Equal(got[i], want[i]) {
-				t.Fatalf("pair %v path %d: %v ≠ %v", p, i, got[i], want[i])
-			}
-		}
-		tbl.mu.Unlock()
-	}
-	// All the lookups above must have been hits.
-	if st := f.Stats(); st.TableMisses != 0 {
-		t.Errorf("lazy lookups after Prewarm missed %d times", st.TableMisses)
-	}
-}
-
-// TestPrewarmConcurrentWithRouting prewarms while payments are already
-// flowing — the steady-state "new receivers appear during traffic"
-// case. Run with -race.
-func TestPrewarmConcurrentWithRouting(t *testing.T) {
-	net := concurrencyFixture(t, 30)
-	g := net.Graph()
-	f := New(DefaultConfig(math.Inf(1)))
-
-	var pairs []Pair
-	for s := 0; s < 6; s++ {
-		for r := 6; r < 30; r++ {
-			pairs = append(pairs, Pair{Sender: topo.NodeID(s), Receiver: topo.NodeID(r)})
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f.Prewarm(g, pairs, 4)
-	}()
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		s := topo.NodeID(rng.Intn(6))
-		r := topo.NodeID(6 + rng.Intn(24))
-		tx, err := net.Begin(s, r, 1+rng.Float64()*5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Route(tx); err != nil && !tx.Finished() {
-			t.Fatalf("payment %d unfinished: %v", i, err)
-		}
-	}
-	wg.Wait()
 }

@@ -42,8 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -447,53 +445,9 @@ func (f *Flash) InvalidateChannel(u, v topo.NodeID) int {
 	return dropped
 }
 
-// Pair identifies one (sender, receiver) routing-table slot for
-// Prewarm.
+// Pair identifies one (sender, receiver) routing-table slot.
 type Pair struct {
 	Sender, Receiver topo.NodeID
-}
-
-// Prewarm computes the mice routing-table entries (top-M Yen shortest
-// paths per receiver) for the given pairs with a bounded worker pool
-// and installs them, skipping pairs already cached. workers ≤ 0 uses
-// GOMAXPROCS. It returns the number of entries computed. The Yen runs
-// — the expensive part — execute outside any lock, so a prewarmed
-// table costs wall-clock time proportional to pairs/workers instead of
-// serialising on first use. Prewarming does not count towards the
-// hit/miss statistics and does not advance any TTL clock.
-func (f *Flash) Prewarm(g *topo.Graph, pairs []Pair, workers int) int {
-	if f.cfg.M == 0 || len(pairs) == 0 {
-		return 0
-	}
-	var computed atomic.Int64
-	parallel.ForEach(len(pairs), workers, func(_, i int) {
-		p := pairs[i]
-		if p.Sender == p.Receiver {
-			return
-		}
-		tbl := f.tableFor(p.Sender)
-		tbl.mu.Lock()
-		_, exists := tbl.entries[p.Receiver]
-		clock := tbl.clock
-		tbl.mu.Unlock()
-		if exists {
-			return
-		}
-		paths := graph.YenKSP(g, p.Sender, p.Receiver, f.cfg.M)
-		tbl.mu.Lock()
-		if _, exists := tbl.entries[p.Receiver]; !exists {
-			e := &tableEntry{table: tbl, receiver: p.Receiver, paths: paths, lastAccess: clock}
-			tbl.entries[p.Receiver] = e
-			// The captured clock may trail concurrent payment traffic, so
-			// a sorted insert keeps the LRU list in lastAccess order.
-			tbl.insertByAccess(e)
-			tbl.index.add(e, paths, nil)
-			f.enforceCapLocked(tbl)
-			computed.Add(1)
-		}
-		tbl.mu.Unlock()
-	})
-	return int(computed.Load())
 }
 
 // Stats is a snapshot of the router's internal counters.

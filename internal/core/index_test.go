@@ -148,6 +148,18 @@ func checkIndex(t *testing.T, f *Flash) int {
 	return liveRefs
 }
 
+// warm looks each pair up as a mouse payment does — lazily computing
+// the entries that are missing — and returns how many it computed.
+func warm(f *Flash, g *topo.Graph, pairs []Pair) int {
+	before := f.tableMisses.Load()
+	for _, p := range pairs {
+		if p.Sender != p.Receiver {
+			f.lookupPaths(g, p.Sender, p.Receiver, 1)
+		}
+	}
+	return int(f.tableMisses.Load() - before)
+}
+
 // TestChannelIndexModel drives one router through a seeded random mix of
 // everything that gives an entry paths or takes an entry away, and checks
 // every InvalidateChannel — on channels tables use and on ones they do
@@ -203,13 +215,13 @@ func TestChannelIndexModel(t *testing.T) {
 					f.replaceDeadPath(g, e.paths[slot][0], e.table, e, slot, e.paths[slot])
 				}
 			}
-		case op < 164:
-			counts["prewarm"]++
+		case op < 164: // a burst of mice looking their receivers up
+			counts["warm"]++
 			pairs := make([]Pair, 1+rng.Intn(6))
 			for i := range pairs {
 				pairs[i] = Pair{Sender: sender(), Receiver: receiver()}
 			}
-			f.Prewarm(g, pairs, 2)
+			warm(f, g, pairs)
 		case op < 168: // lowering drops entries that served more; raising drops none
 			counts["threshold"]++
 			invalidations += int64(f.SetThreshold(40 + 100*rng.Float64()))
@@ -266,7 +278,7 @@ func TestChannelIndexModel(t *testing.T) {
 	}
 	checkIndex(t, f)
 	st := f.Stats()
-	for _, op := range []string{"lookup", "replace", "replace-removed", "prewarm", "threshold", "sender-threshold", "refresh", "invalidate-used", "invalidate-unused"} {
+	for _, op := range []string{"lookup", "replace", "replace-removed", "warm", "threshold", "sender-threshold", "refresh", "invalidate-used", "invalidate-unused"} {
 		if counts[op] == 0 {
 			t.Errorf("the sequence never ran %s", op)
 		}
@@ -315,8 +327,8 @@ func TestChannelIndexLeakBound(t *testing.T) {
 }
 
 // TestChannelIndexConcurrent is TestInvalidateConcurrentWithRouting with
-// everything else that touches the index running too — Prewarm,
-// SetThreshold, SetSenderThreshold and Refresh beside payments and
+// everything else that touches the index running too — table warm-up
+// lookups, SetThreshold, SetSenderThreshold and Refresh beside payments and
 // invalidations — for the race detector and the lock order, and then, once
 // all is quiet, the invariants and one scan-checked invalidation of every
 // channel. Not skipped under -short: CI's race step is where it counts.
@@ -362,7 +374,7 @@ func TestChannelIndexConcurrent(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = Pair{Sender: topo.NodeID(rng.Intn(6)), Receiver: topo.NodeID(6 + rng.Intn(nodes-6))}
 		}
-		f.Prewarm(g, pairs, 2)
+		warm(f, g, pairs)
 	})
 	run(12, 200, func(rng *rand.Rand) { f.SetThreshold(30 + 70*rng.Float64()) })
 	run(13, 200, func(rng *rand.Rand) { f.SetSenderThreshold(topo.NodeID(rng.Intn(6)), 30+70*rng.Float64()) })
@@ -425,7 +437,7 @@ func BenchmarkInvalidateChannel(b *testing.B) {
 		{"index", func(f *Flash, c topo.Edge) (int, int) { return f.InvalidateChannel(c.A, c.B), 0 }, true},
 	} {
 		f := New(DefaultConfig(math.Inf(1)))
-		f.Prewarm(g, pairs, 0)
+		warm(f, g, pairs)
 		users := make(map[topo.Edge][]Pair) // whom to recompute after an event
 		for _, e := range f.liveEntries() {
 			for _, c := range channelsOf(nil, e.paths) {
@@ -465,7 +477,7 @@ func BenchmarkInvalidateChannel(b *testing.B) {
 					b.StopTimer()
 					dropped += d
 					visited += n
-					if f.Prewarm(g, users[c], 1) != d {
+					if warm(f, g, users[c]) != d {
 						b.Fatalf("channel %v: dropped %d entries, recomputed another number", c, d)
 					}
 					b.StartTimer()

@@ -63,35 +63,6 @@ func (t *routingTable) pushBack(e *tableEntry) {
 	t.tail = e
 }
 
-// insertByAccess inserts e in lastAccess order, walking back from the
-// tail. Payments always insert at the tail (the clock only moves
-// forward under the table lock); this path exists for Prewarm, whose
-// entries carry the clock captured before their Yen run and so may
-// trail concurrent payment traffic.
-func (t *routingTable) insertByAccess(e *tableEntry) {
-	at := t.tail
-	for at != nil && at.lastAccess > e.lastAccess {
-		at = at.prev
-	}
-	if at == nil {
-		e.prev, e.next = nil, t.head
-		if t.head != nil {
-			t.head.prev = e
-		} else {
-			t.tail = e
-		}
-		t.head = e
-		return
-	}
-	e.prev, e.next = at, at.next
-	if at.next != nil {
-		at.next.prev = e
-	} else {
-		t.tail = e
-	}
-	at.next = e
-}
-
 // removeLocked drops e from both the map and the LRU list, and marks it
 // dead for the channel index, which forgets it lazily. Every removal
 // goes through here.
@@ -126,8 +97,7 @@ type tableEntry struct {
 	// maxAmount is the largest payment this entry ever served — the
 	// classification evidence SetThreshold consults: when the elephant
 	// threshold drops below it, this receiver's recurring traffic is no
-	// longer mice traffic and the entry is invalidated. Prewarmed
-	// entries start at 0 (no traffic observed yet).
+	// longer mice traffic and the entry is invalidated.
 	maxAmount float64
 }
 

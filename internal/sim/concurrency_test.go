@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // TestContentionAllThroughSharedBridge replays the contention workload
-// — every payment crossing the same bridge channel — with many workers
-// over a bridge that cannot carry them all at once. Holds race from
-// both sides; the invariants must survive any interleaving. Run with
-// -race.
+// — every payment crossing the same bridge channel — on many dynamic
+// stations over a bridge that cannot carry them all at once. Holds
+// race from both sides; the invariants must survive any interleaving.
+// Run with -race.
 func TestContentionAllThroughSharedBridge(t *testing.T) {
 	const (
 		spokes    = 6
@@ -30,10 +29,7 @@ func TestContentionAllThroughSharedBridge(t *testing.T) {
 	before := net.TotalFunds()
 
 	r := core.New(core.DefaultConfig(math.Inf(1))) // all mice
-	m, err := RunOpts(net, r, payments, math.Inf(1), Options{Workers: 8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := replayTrace(t, net, r, payments, math.Inf(1), DynamicOptions{Workers: 8, Seed: 7}).Aggregate
 
 	if m.Payments != len(payments) {
 		t.Errorf("replayed %d payments, want %d", m.Payments, len(payments))
@@ -71,14 +67,12 @@ func TestBuildContentionValidation(t *testing.T) {
 }
 
 // TestConcurrentScenarioRuns exercises the full stack concurrently:
-// Scenario.Concurrency fans payments out to workers inside each scheme
-// replay while ParallelSchemes races the schemes against each other.
-// Run with -race.
+// ParallelSchemes races the schemes' replays against each other. Run
+// with -race.
 func TestConcurrentScenarioRuns(t *testing.T) {
 	sc := DefaultScenario(KindRipple, 80)
 	sc.Txns = 150
 	sc.Runs = 1
-	sc.Concurrency = 4
 	sc.ParallelSchemes = true
 	results, err := RunScenario(sc)
 	if err != nil {
@@ -96,37 +90,5 @@ func TestConcurrentScenarioRuns(t *testing.T) {
 				t.Errorf("%s: inconsistent metrics %+v", r.Scheme, m)
 			}
 		}
-	}
-}
-
-// TestPrewarmOptionKeepsMetrics verifies the Prewarm replay option only
-// moves work earlier: routing outcomes are driven by the same table
-// contents, so success metrics are unchanged in a sequential replay.
-func TestPrewarmOptionKeepsMetrics(t *testing.T) {
-	run := func(prewarm bool) Metrics {
-		net, err := BuildNetwork(KindRipple, 80, 10, 0, 0, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := workloadFor(KindRipple, net.Graph(), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payments := gen.Generate(200)
-		threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-		r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := RunOpts(net, r, payments, threshold, Options{Prewarm: prewarm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	cold := stripDelays(run(false))
-	warm := stripDelays(run(true))
-	if cold != warm {
-		t.Errorf("Prewarm changed sequential metrics:\n cold %+v\n warm %+v", cold, warm)
 	}
 }

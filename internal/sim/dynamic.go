@@ -24,7 +24,7 @@ type DynamicOptions struct {
 	// event log and metrics are pure functions of the seeds. Larger
 	// values route overlapping payments on real goroutines, so their
 	// balance interleaving (and therefore outcomes) is
-	// scheduling-dependent, exactly as in RunOpts.
+	// scheduling-dependent.
 	Workers int
 
 	// Seed derives the engine's schedule randomness (virtual service
@@ -33,8 +33,7 @@ type DynamicOptions struct {
 	Seed int64
 
 	// Retries re-routes an undelivered payment up to this many extra
-	// times, each after a seeded jittered virtual backoff — the
-	// discrete-event counterpart of Options.Retries.
+	// times, each after a seeded jittered virtual backoff.
 	Retries int
 
 	// Window is the time-series bucket width in virtual seconds, and the
@@ -295,8 +294,8 @@ type routeResult struct {
 // loudly instead of no-opping.
 //
 // With Workers ≤ 1, Service = 0 and arrivals pinned to an existing
-// trace (trace.NewReplayStream), the aggregate metrics reproduce
-// RunOpts' sequential replay exactly — the equivalence the tests pin.
+// trace (trace.NewReplayStream) this is the paper's sequential replay
+// — Replay is exactly that call, pinned to the seed goldens.
 //
 // With Service > 0 payments hold funds across virtual time (hold
 // spans, see DynamicOptions.Service): the routing decision still
@@ -416,8 +415,8 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 	// O(1) — and makes that one look-ahead payment the only arrival
 	// sampled before a demand shift it postdates; the DemandShift
 	// handler rescales it (tracking curScale) so the first post-shift
-	// payment carries a post-shift amount. Degenerate payments are
-	// skipped here, like in RunOpts.
+	// payment carries a post-shift amount. Degenerate payments
+	// (self-pay, non-positive amount) are skipped here.
 	srcDone := false
 	curScale := 1.0
 	var lookahead *dynPayment

@@ -17,26 +17,14 @@ import (
 // RunDynamic with arrivals pinned to the trace order.
 func goldenDynamicRun(t *testing.T, kind string, opts DynamicOptions) DynamicResult {
 	t.Helper()
-	net, err := BuildNetwork(kind, 120, 10, 0, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := trace.DefaultConfig(net.Graph().NumNodes())
-	cfg.Graph = net.Graph()
-	cfg.Seed = 42
-	if kind == KindLightning {
-		cfg.Sizes = trace.BitcoinSizes
-	}
-	gen, err := trace.NewGenerator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payments := gen.Generate(400)
-	threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	net, r, payments, threshold := goldenCell(t, kind, 0)
+	return replayTrace(t, net, r, payments, threshold, opts)
+}
+
+// replayTrace runs a payment list through RunDynamic with arrivals
+// pinned to the trace, as Replay does, but with any engine options.
+func replayTrace(t *testing.T, net *pcn.Network, r route.Router, payments []trace.Payment, threshold float64, opts DynamicOptions) DynamicResult {
+	t.Helper()
 	horizon := (payments[len(payments)-1].Time + 1) * trace.SecondsPerDay
 	res, err := RunDynamic(net, r, trace.NewReplayStream(payments), horizon, nil, threshold, opts)
 	if err != nil {
@@ -45,16 +33,16 @@ func goldenDynamicRun(t *testing.T, kind string, opts DynamicOptions) DynamicRes
 	return res
 }
 
-// TestDynamicZeroChurnEquivalence pins the dynamic engine to the
-// replay engine: zero churn, zero service latency, one station, and
-// arrivals in trace order must reproduce RunOpts' sequential aggregate
-// metrics exactly (wall-clock delays excepted).
+// TestDynamicZeroChurnEquivalence pins the dynamic engine to Replay:
+// zero churn, zero service latency, one station, and arrivals in trace
+// order must reproduce Replay's aggregate metrics exactly (wall-clock
+// delays excepted), and through it the seed golden.
 func TestDynamicZeroChurnEquivalence(t *testing.T) {
 	for _, kind := range []string{KindRipple, KindLightning} {
-		want := stripDelays(goldenRun(t, kind, Options{}))
+		want := stripDelays(goldenRun(t, kind, 0, nil))
 		res := goldenDynamicRun(t, kind, DynamicOptions{Workers: 1})
 		if got := stripDelays(res.Aggregate); got != want {
-			t.Errorf("%s: dynamic aggregate diverged from sequential replay:\n got  %+v\n want %+v", kind, got, want)
+			t.Errorf("%s: dynamic aggregate diverged from Replay:\n got  %+v\n want %+v", kind, got, want)
 		}
 		// And it must equal the seed golden, transitively.
 		if got := stripDelays(res.Aggregate); got != goldenMetrics[kind] {
@@ -276,20 +264,14 @@ func TestRetriesLiftSuccessRatio(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		net, payments := build()
 		r := &flakyRouter{inner: baselineShortestPath(t), seen: map[int64]int{}}
-		m0, err := RunOpts(net, r, payments, 1, Options{Workers: workers, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m0 := replayTrace(t, net, r, payments, 1, DynamicOptions{Workers: workers, Seed: 7}).Aggregate
 		if workers == 1 && m0.Successes != 0 {
 			t.Errorf("workers=%d retries=0: %d successes, want 0", workers, m0.Successes)
 		}
 
 		net, payments = build()
 		r = &flakyRouter{inner: baselineShortestPath(t), seen: map[int64]int{}}
-		m1, err := RunOpts(net, r, payments, 1, Options{Workers: workers, Seed: 7, Retries: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m1 := replayTrace(t, net, r, payments, 1, DynamicOptions{Workers: workers, Seed: 7, Retries: 1}).Aggregate
 		if workers == 1 && m1.Successes != m1.Payments {
 			t.Errorf("workers=%d retries=1: %d/%d delivered, want all", workers, m1.Successes, m1.Payments)
 		}
@@ -319,11 +301,7 @@ func TestRetriesOnContentionNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := RunOpts(net, r, payments, 1e9, Options{Workers: 8, Seed: 7, Retries: retries})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+		return replayTrace(t, net, r, payments, 1e9, DynamicOptions{Workers: 8, Seed: 7, Retries: retries}).Aggregate
 	}
 	m0, m8 := run(0), run(8)
 	if m8.Successes < m0.Successes {
@@ -492,10 +470,9 @@ func baselineShortestPath(t *testing.T) route.Router {
 
 // TestRetriesZeroMatchesGolden re-pins the golden equivalence with the
 // retry plumbing in place: Retries=0 must be byte-identical to the
-// historical single-attempt replay (covered by the golden test, but
-// asserted here against an explicit Options value for clarity).
+// historical single-attempt replay.
 func TestRetriesZeroMatchesGolden(t *testing.T) {
-	got := stripDelays(goldenRun(t, KindRipple, Options{Workers: 1, Retries: 0}))
+	got := stripDelays(goldenRun(t, KindRipple, 0, nil))
 	if got != goldenMetrics[KindRipple] {
 		t.Errorf("Retries=0 diverged from golden:\n got  %+v\n want %+v", got, goldenMetrics[KindRipple])
 	}

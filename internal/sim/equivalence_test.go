@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pcn"
+	"repro/internal/route"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // goldenMetrics are the sequential replay metrics of the seed engine
 // (global-mutex pcn, sequential sim loop) on a fixed scenario, captured
-// before the concurrency refactor. The workers=1 replay must reproduce
-// them bit-for-bit: the refactor may add concurrency, never change
-// sequential semantics.
+// before the concurrency refactor. Replay must reproduce them
+// bit-for-bit.
 var goldenMetrics = map[string]Metrics{
 	KindRipple: {
 		Payments: 400, Successes: 367,
@@ -42,14 +44,29 @@ var goldenMetrics = map[string]Metrics{
 	},
 }
 
-// goldenRun replays the fixed golden scenario with the given options.
-func goldenRun(t *testing.T, kind string, opts Options) Metrics {
-	return goldenRunProbe(t, kind, opts, 0)
+// retriesGolden is the static replay of the golden Ripple cell with
+// two retries, captured from the worker-pool replay engine before the
+// static replay became a zero-churn dynamic run. Retries draw from the
+// router's own RNG in the same order in both engines, so the metrics
+// must not move.
+var retriesGolden = Metrics{
+	Payments: 400, Successes: 373,
+	SuccessVolume: 117446.59434284623,
+	AttemptVolume: 121982.66511485772,
+	FeesPaid:      2695.3980327286254,
+	ProbeMessages: 6474, CommitMessages: 10830,
+	MicePayments: 360, MiceSuccesses: 334,
+	MiceSuccessVolume: 9633.568618706584,
+	MiceProbeMessages: 4338,
+	ElephantPayments:  40, ElephantSuccesses: 39,
+	ElephantSuccessVol: 107813.02572413968,
+	ElephantProbeMsgs:  2136,
 }
 
-// goldenRunProbe is goldenRun with Flash's probe pool width exposed
-// (0/1 = the sequential seed path).
-func goldenRunProbe(t *testing.T, kind string, opts Options, probeWorkers int) Metrics {
+// goldenCell builds the fixed golden scenario: a 120-node network, its
+// 400-payment workload, the 90%-mice threshold and a Flash router with
+// the given probe pool width (0/1 = the sequential seed path).
+func goldenCell(t *testing.T, kind string, probeWorkers int) (*pcn.Network, route.Router, []trace.Payment, float64) {
 	t.Helper()
 	net, err := BuildNetwork(kind, 120, 10, 0, 0, 42)
 	if err != nil {
@@ -71,7 +88,27 @@ func goldenRunProbe(t *testing.T, kind string, opts Options, probeWorkers int) M
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunOpts(net, r, payments, threshold, opts)
+	return net, r, payments, threshold
+}
+
+// goldenRun replays the golden cell with the given retry budget and
+// flow sink.
+func goldenRun(t *testing.T, kind string, retries int, sink telemetry.Sink) Metrics {
+	t.Helper()
+	net, r, payments, threshold := goldenCell(t, kind, 0)
+	m, err := Replay(net, r, payments, threshold, retries, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// goldenRunProbe replays the golden cell with Flash's probe pool width
+// exposed.
+func goldenRunProbe(t *testing.T, kind string, probeWorkers int) Metrics {
+	t.Helper()
+	net, r, payments, threshold := goldenCell(t, kind, probeWorkers)
+	m, err := Replay(net, r, payments, threshold, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,27 +123,55 @@ func stripDelays(m Metrics) Metrics {
 	return m
 }
 
-// TestSequentialMatchesSeedGolden pins Run (and RunOpts with Workers ≤
-// 1, which must be the same code path) to the exact metrics of the
-// pre-refactor sequential engine.
+// TestSequentialMatchesSeedGolden pins Replay — a zero-churn,
+// one-station RunDynamic over the trace — to the exact metrics of the
+// seed engine's sequential loop.
 func TestSequentialMatchesSeedGolden(t *testing.T) {
 	for kind, want := range goldenMetrics {
-		for _, workers := range []int{0, 1} {
-			got := stripDelays(goldenRun(t, kind, Options{Workers: workers}))
-			if got != want {
-				t.Errorf("%s workers=%d diverged from seed golden:\n got  %+v\n want %+v", kind, workers, got, want)
-			}
+		if got := stripDelays(goldenRun(t, kind, 0, nil)); got != want {
+			t.Errorf("%s diverged from seed golden:\n got  %+v\n want %+v", kind, got, want)
 		}
 	}
 }
 
-// TestConcurrentReplayInvariants checks what a concurrent replay must
-// still guarantee even though payment interleaving is free: every
-// payment is replayed exactly once, classification is
-// workers-independent, and volumes stay self-consistent.
+// TestRetriesMatchGolden pins static retries: two retries on the
+// golden Ripple cell reproduce the worker-pool engine's metrics.
+func TestRetriesMatchGolden(t *testing.T) {
+	if got := stripDelays(goldenRun(t, KindRipple, 2, nil)); got != retriesGolden {
+		t.Errorf("Retries=2 diverged from golden:\n got  %+v\n want %+v", got, retriesGolden)
+	}
+}
+
+// TestReplayEmpty checks the empty workload: Replay and a zero-payment
+// scenario both return zero metrics.
+func TestReplayEmpty(t *testing.T) {
+	net, r, _, threshold := goldenCell(t, KindRipple, 0)
+	m, err := Replay(net, r, nil, threshold, 2, nil)
+	if err != nil || m != (Metrics{}) {
+		t.Errorf("Replay(nil) = %+v, %v; want zero metrics", m, err)
+	}
+	sc := DefaultScenario(KindRipple, 40)
+	sc.Txns = 0
+	sc.Runs = 1
+	results, err := RunScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if res.Runs[0] != (Metrics{}) {
+			t.Errorf("%s: Txns=0 gave %+v, want zero metrics", res.Scheme, res.Runs[0])
+		}
+	}
+}
+
+// TestConcurrentReplayInvariants checks what a replay over several
+// dynamic stations must still guarantee even though payment
+// interleaving is free: every payment is replayed exactly once,
+// classification is workers-independent, and volumes stay
+// self-consistent.
 func TestConcurrentReplayInvariants(t *testing.T) {
 	want := goldenMetrics[KindRipple]
-	got := goldenRun(t, KindRipple, Options{Workers: 8, Seed: 42})
+	got := goldenDynamicRun(t, KindRipple, DynamicOptions{Workers: 8, Seed: 42}).Aggregate
 	if got.Payments != want.Payments {
 		t.Errorf("payments = %d, want %d", got.Payments, want.Payments)
 	}
@@ -114,7 +179,7 @@ func TestConcurrentReplayInvariants(t *testing.T) {
 		t.Errorf("classification changed: %d mice / %d elephants, want %d / %d",
 			got.MicePayments, got.ElephantPayments, want.MicePayments, want.ElephantPayments)
 	}
-	// Attempt volume is a float sum: shard merge order may shift the
+	// Attempt volume is a float sum: completion order may shift the
 	// last ulp, so compare with relative tolerance.
 	if diff := math.Abs(got.AttemptVolume - want.AttemptVolume); diff > 1e-9*want.AttemptVolume {
 		t.Errorf("attempt volume = %v, want %v", got.AttemptVolume, want.AttemptVolume)
@@ -131,9 +196,8 @@ func TestConcurrentReplayInvariants(t *testing.T) {
 }
 
 // TestParallelSchemesMatchesRestoreLoop verifies the documented claim
-// on Scenario.ParallelSchemes: with sequential replay it is a pure
-// wall-clock optimisation — scheme metrics are identical to the
-// sequential restore loop.
+// on Scenario.ParallelSchemes: it is a pure wall-clock optimisation —
+// scheme metrics are identical to the sequential restore loop.
 func TestParallelSchemesMatchesRestoreLoop(t *testing.T) {
 	base := DefaultScenario(KindRipple, 80)
 	base.Txns = 200

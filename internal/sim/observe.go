@@ -9,37 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// emitFlow stamps one completed payment into a pooled flow record and
-// hands it to sink. Strictly observer-only: everything recorded is a
-// value the harness already computed; nothing here touches RNGs,
-// network state, or control flow.
-func emitFlow(sink telemetry.Sink, scheme string, p trace.Payment, miceThreshold float64, t routeOutcome, attempts int, arrival, complete float64, outcome string) {
-	rec := telemetry.AcquireFlow()
-	rec.ID = int64(p.ID)
-	rec.Scheme = scheme
-	rec.Sender = int64(p.Sender)
-	rec.Receiver = int64(p.Receiver)
-	rec.Amount = p.Amount
-	rec.Class = telemetry.ClassElephant
-	if p.Amount <= miceThreshold {
-		rec.Class = telemetry.ClassMouse
-	}
-	rec.Attempts = attempts
-	rec.ProbeRounds = t.probeOps
-	rec.ProbeMessages = t.probeMsgs
-	rec.CommitMessages = t.commitMsgs
-	rec.Paths = t.paths
-	rec.Fees = t.fees
-	rec.Arrival = arrival
-	rec.Complete = complete
-	rec.ProbeLatency = float64(t.probeLatNanos) / 1e9
-	rec.CommitLatency = float64(t.commitLatNanos) / 1e9
-	rec.WallNS = int64(t.elapsed)
-	rec.Outcome = outcome
-	sink.Emit(rec)
-	telemetry.ReleaseFlow(rec)
-}
-
 // dynObserver is the dynamic engine's telemetry tap: per-completion
 // registry rollups plus flow-record emission. A nil observer — the
 // default when neither a sink nor a registry is configured — costs the
@@ -124,7 +93,32 @@ func (o *dynObserver) completed(p trace.Payment, miceThreshold float64, t routeO
 		case spanAborted:
 			outcome = telemetry.OutcomeSpanAbort
 		}
-		emitFlow(o.sink, o.scheme, p, miceThreshold, t, attempts, arrival, at, outcome)
+		// The record is pooled: everything stamped is a value the engine
+		// already computed, and the sink copies what it keeps.
+		rec := telemetry.AcquireFlow()
+		rec.ID = int64(p.ID)
+		rec.Scheme = o.scheme
+		rec.Sender = int64(p.Sender)
+		rec.Receiver = int64(p.Receiver)
+		rec.Amount = p.Amount
+		rec.Class = telemetry.ClassElephant
+		if p.Amount <= miceThreshold {
+			rec.Class = telemetry.ClassMouse
+		}
+		rec.Attempts = attempts
+		rec.ProbeRounds = t.probeOps
+		rec.ProbeMessages = t.probeMsgs
+		rec.CommitMessages = t.commitMsgs
+		rec.Paths = t.paths
+		rec.Fees = t.fees
+		rec.Arrival = arrival
+		rec.Complete = at
+		rec.ProbeLatency = float64(t.probeLatNanos) / 1e9
+		rec.CommitLatency = float64(t.commitLatNanos) / 1e9
+		rec.WallNS = int64(t.elapsed)
+		rec.Outcome = outcome
+		o.sink.Emit(rec)
+		telemetry.ReleaseFlow(rec)
 	}
 }
 

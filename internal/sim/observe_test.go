@@ -32,7 +32,7 @@ func (c *countSink) Emit(r *telemetry.FlowRecord) {
 func TestStaticTelemetryObserverOnly(t *testing.T) {
 	for kind, want := range goldenMetrics {
 		sink := &countSink{}
-		got := stripDelays(goldenRun(t, kind, Options{Workers: 1, FlowSink: sink}))
+		got := stripDelays(goldenRun(t, kind, 0, sink))
 		if got != want {
 			t.Errorf("%s: metrics diverged with sink attached:\n got  %+v\n want %+v", kind, got, want)
 		}
@@ -46,15 +46,15 @@ func TestStaticTelemetryObserverOnly(t *testing.T) {
 }
 
 // TestConcurrentReplayTelemetryRace hammers one shared sink chain (a
-// JSONL sink and a flow log behind a MultiSink) from a concurrent
-// replay. Run under -race this is the sim-level concurrency check on
+// JSONL sink and a flow log behind a MultiSink) from a replay over
+// several dynamic stations. Run under -race this is the sim-level concurrency check on
 // the sink contract; the assertion is just record conservation.
 func TestConcurrentReplayTelemetryRace(t *testing.T) {
 	jsonl := telemetry.NewJSONLSink(io.Discard)
 	log := telemetry.NewFlowLog(64)
 	count := &countSink{}
 	sink := telemetry.MultiSink{jsonl, log, count}
-	m := goldenRun(t, KindRipple, Options{Workers: 8, Seed: 42, FlowSink: sink})
+	m := goldenDynamicRun(t, KindRipple, DynamicOptions{Workers: 8, Seed: 42, FlowSink: sink}).Aggregate
 	if err := jsonl.Close(); err != nil {
 		t.Fatal(err)
 	}

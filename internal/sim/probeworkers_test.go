@@ -11,7 +11,7 @@ import (
 func TestProbeWorkersOneMatchesSeedGolden(t *testing.T) {
 	for kind, want := range goldenMetrics {
 		for _, probeWorkers := range []int{0, 1} {
-			got := stripDelays(goldenRunProbe(t, kind, Options{}, probeWorkers))
+			got := stripDelays(goldenRunProbe(t, kind, probeWorkers))
 			if got != want {
 				t.Errorf("%s probeworkers=%d diverged from seed golden:\n got  %+v\n want %+v",
 					kind, probeWorkers, got, want)
@@ -27,8 +27,8 @@ func TestProbeWorkersOneMatchesSeedGolden(t *testing.T) {
 // same payment count and classification as the sequential engine, and
 // it still delivers.
 func TestProbeWorkersStaticReplayDeterministic(t *testing.T) {
-	first := stripDelays(goldenRunProbe(t, KindRipple, Options{}, 4))
-	second := stripDelays(goldenRunProbe(t, KindRipple, Options{}, 4))
+	first := stripDelays(goldenRunProbe(t, KindRipple, 4))
+	second := stripDelays(goldenRunProbe(t, KindRipple, 4))
 	if first != second {
 		t.Errorf("probeworkers=4 replay diverged:\n first  %+v\n second %+v", first, second)
 	}

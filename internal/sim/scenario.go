@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -73,14 +72,10 @@ type Scenario struct {
 	TestbedCapLo float64
 	TestbedCapHi float64
 
-	// Concurrency is the number of payment workers replaying each
-	// scheme's workload (sim.Options.Workers). 0 or 1 is the sequential
-	// replay; larger values model concurrent senders over the shared
-	// network.
-	Concurrency int
-
-	// Retries re-routes failed payments up to this many extra times
-	// with jittered backoff (sim.Options.Retries).
+	// Retries re-routes failed payments up to this many extra times,
+	// each after the engine's virtual backoff (0.05·2^a·[0.5,1.5) s
+	// after failed attempt a). Replayed arrivals are 43.2 virtual s
+	// apart, so up to 9 retries settle before the next payment arrives.
 	Retries int
 
 	// ProbeWorkers sets the per-session probe pool of Flash's elephant
@@ -98,15 +93,15 @@ type Scenario struct {
 
 	// ParallelSchemes runs the scenario's schemes concurrently, each on
 	// its own identically-seeded network and workload, instead of
-	// restoring one network between schemes. With sequential replay
-	// (Concurrency ≤ 1) the results are identical to the restore loop —
-	// network construction and workload generation are pure functions of
-	// the run seed — so this is a pure wall-clock optimisation.
+	// restoring one network between schemes. The results are identical
+	// to the restore loop — network construction and workload generation
+	// are pure functions of the run seed — so this is a pure wall-clock
+	// optimisation.
 	ParallelSchemes bool
 
 	// FlowSink, when non-nil, receives one telemetry.FlowRecord per
-	// completed payment across every scheme and run
-	// (sim.Options.FlowSink). Observer-only; metrics are unchanged.
+	// completed payment across every scheme and run. Observer-only;
+	// metrics are unchanged.
 	FlowSink telemetry.Sink
 
 	Schemes []string
@@ -336,36 +331,24 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) {
 	for i, s := range sc.Schemes {
 		results[i] = SchemeResult{Scheme: s}
 	}
-	opts := Options{Workers: sc.Concurrency, Retries: sc.Retries, FlowSink: sc.FlowSink}
 	for run := 0; run < sc.Runs; run++ {
 		runSeed := sc.Seed + int64(run)*7919
-		opts.Seed = runSeed
 		if sc.ParallelSchemes {
-			if err := runSchemesParallel(sc, runSeed, opts, results); err != nil {
+			if err := runSchemesParallel(sc, runSeed, results); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, sc.TestbedCapLo, sc.TestbedCapHi, runSeed)
+		net, payments, threshold, err := sc.buildCell(runSeed)
 		if err != nil {
 			return nil, err
 		}
-		gen, err := workloadFor(sc.Kind, net.Graph(), runSeed)
-		if err != nil {
-			return nil, err
-		}
-		payments := gen.Generate(sc.Txns)
-		threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), sc.MiceFraction)
 		snap := net.Snapshot()
 		for i, scheme := range sc.Schemes {
 			if err := net.Restore(snap); err != nil {
 				return nil, err
 			}
-			r, err := BuildRouter(sc.routerSpec(scheme, threshold, runSeed))
-			if err != nil {
-				return nil, err
-			}
-			m, err := RunOpts(net, r, payments, threshold, opts)
+			m, err := sc.replayScheme(net, scheme, payments, threshold, runSeed)
 			if err != nil {
 				return nil, err
 			}
@@ -379,30 +362,28 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) {
 // Each scheme builds its own network and workload from runSeed —
 // identical across schemes by construction — so no cross-scheme state
 // is shared and the results match the sequential restore loop.
-func runSchemesParallel(sc Scenario, runSeed int64, opts Options, results []SchemeResult) error {
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs []error
-	)
+func runSchemesParallel(sc Scenario, runSeed int64, results []SchemeResult) error {
+	var wg sync.WaitGroup
 	run := make([]Metrics, len(sc.Schemes))
+	errs := make([]error, len(sc.Schemes))
 	for i, scheme := range sc.Schemes {
 		wg.Add(1)
 		go func(i int, scheme string) {
 			defer wg.Done()
-			m, err := runOneSchemeCell(sc, scheme, runSeed, opts)
-			if err != nil {
-				mu.Lock()
-				errs = append(errs, fmt.Errorf("%s: %w", scheme, err))
-				mu.Unlock()
-				return
+			net, payments, threshold, err := sc.buildCell(runSeed)
+			if err == nil {
+				run[i], err = sc.replayScheme(net, scheme, payments, threshold, runSeed)
 			}
-			run[i] = m
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %w", scheme, err)
+			}
 		}(i, scheme)
 	}
 	wg.Wait()
-	if len(errs) > 0 {
-		return errs[0]
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	for i := range results {
 		results[i].Runs = append(results[i].Runs, run[i])
@@ -410,28 +391,27 @@ func runSchemesParallel(sc Scenario, runSeed int64, opts Options, results []Sche
 	return nil
 }
 
-// runOneSchemeCell builds a private network + workload for (scenario,
-// runSeed) and replays it under scheme.
-func runOneSchemeCell(sc Scenario, scheme string, runSeed int64, opts Options) (Metrics, error) {
+// buildCell builds one repetition's network, payment workload and
+// mice threshold — pure functions of runSeed.
+func (sc Scenario) buildCell(runSeed int64) (*pcn.Network, []trace.Payment, float64, error) {
 	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, sc.TestbedCapLo, sc.TestbedCapHi, runSeed)
 	if err != nil {
-		return Metrics{}, err
+		return nil, nil, 0, err
 	}
 	gen, err := workloadFor(sc.Kind, net.Graph(), runSeed)
 	if err != nil {
-		return Metrics{}, err
+		return nil, nil, 0, err
 	}
 	payments := gen.Generate(sc.Txns)
-	threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), sc.MiceFraction)
+	return net, payments, core.ThresholdForMiceFraction(trace.Amounts(payments), sc.MiceFraction), nil
+}
+
+// replayScheme replays payments over net under a fresh router for
+// scheme.
+func (sc Scenario) replayScheme(net *pcn.Network, scheme string, payments []trace.Payment, threshold float64, runSeed int64) (Metrics, error) {
 	r, err := BuildRouter(sc.routerSpec(scheme, threshold, runSeed))
 	if err != nil {
 		return Metrics{}, err
 	}
-	return RunOpts(net, r, payments, threshold, opts)
-}
-
-// randPerm is a tiny helper kept for tests that need deterministic
-// shuffles tied to a seed.
-func randPerm(n int, seed int64) []int {
-	return rand.New(rand.NewSource(seed)).Perm(n)
+	return Replay(net, r, payments, threshold, sc.Retries, sc.FlowSink)
 }

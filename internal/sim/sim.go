@@ -4,30 +4,19 @@
 // and fee-to-volume ratio (§4.1 "Metrics"), plus processing delay for
 // the testbed-style comparisons.
 //
-// Payments arrive at senders sequentially by default, exactly as in the
-// paper's simulation setup. Options.Workers switches to a concurrent
-// replay: N workers drain the payment stream against the shared
-// network, the contention model of a live offchain system where many
-// senders pay at once. Workers ≤ 1 reproduces the sequential metrics
-// bit-for-bit; workers > 1 keeps every per-payment random choice
-// deterministic (seeded from the payment ID, not the worker) but lets
-// payment interleaving — and therefore balance evolution — vary, as it
-// does in reality.
+// Payments arrive at senders one at a time, exactly as in the paper's
+// simulation setup. A static replay (Replay) is a zero-churn run of
+// the discrete-event engine (RunDynamic) over the fixed trace, so both
+// modes share one routing, retry and accounting path.
 package sim
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/parallel"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/telemetry"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -57,10 +46,9 @@ type Metrics struct {
 }
 
 // Merge folds another shard's counters into m. Every field is an
-// order-independent sum, which is what lets the concurrent replay (and
-// every other harness sharding metrics per worker — the testbed, the
-// dynamic engine's time-series windows) aggregate shards without locks
-// on the hot path.
+// order-independent sum, which is what lets harnesses that shard
+// metrics (the testbed's clients, the dynamic engine's time-series
+// windows) aggregate shards without locks on the hot path.
 func (m *Metrics) Merge(o Metrics) {
 	m.Payments += o.Payments
 	m.Successes += o.Successes
@@ -139,69 +127,29 @@ func (m Metrics) String() string {
 		m.ProbeMessages, 100*m.FeeRatio())
 }
 
-// Options tunes how a workload is replayed.
-type Options struct {
-	// Workers is the number of goroutines draining the payment stream.
-	// 0 or 1 replays sequentially in payment order — bit-for-bit the
-	// historical behavior. The zero value deliberately means
-	// *sequential*, not GOMAXPROCS, so zero-valued Options keep their
-	// historical semantics; CLIs that want "0 = all cores"
-	// resolve that before building Options. Larger values model
-	// concurrent senders: the per-payment metrics become
-	// interleaving-dependent, but every random routing choice stays
-	// deterministic per payment (see Seed).
-	Workers int
-
-	// Seed derives each payment's private RNG in concurrent mode
-	// (mixed with the payment ID), so a payment's random choices — e.g.
-	// Flash's mice path order — do not depend on which worker runs it.
-	// Unused when Workers ≤ 1.
-	Seed int64
-
-	// Prewarm parallel-builds Flash's mice routing table for every
-	// distinct mice (sender, receiver) pair of the workload before the
-	// replay starts, using Workers goroutines. Only effective when the
-	// router is *core.Flash; other routers ignore it.
-	Prewarm bool
-
-	// Retries re-routes a payment that failed to deliver up to this
-	// many additional times — the recovery policy for a payment that
-	// aborted because a concurrent hold lost a race. Between attempts
-	// the concurrent replay sleeps a seeded, jittered exponential
-	// backoff (so the competing payments it raced can settle); the
-	// sequential replay retries immediately, where a retry can still
-	// win by drawing a different mice path order. 0 — the default —
-	// preserves the historical single-attempt semantics exactly.
-	Retries int
-
-	// FlowSink, when non-nil, receives one telemetry.FlowRecord per
-	// completed payment (after its final attempt). Telemetry is strictly
-	// observer-only: a nil sink costs a single branch, and any sink
-	// leaves the replay's metrics and random sequences untouched.
-	FlowSink telemetry.Sink
-}
-
-// RunOpts replays payments over net using r. miceThreshold classifies
-// payments for the per-class metrics (payments with amount ≤
-// miceThreshold are mice); it does not influence routing — routers carry
-// their own thresholds. Options{} or Workers ≤ 1 is the sequential
-// replay, larger Workers dispatch payments to a worker pool over the
-// shared network.
-func RunOpts(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, opts Options) (Metrics, error) {
-	if opts.Prewarm {
-		prewarmRouter(net, r, payments, opts.Workers)
+// Replay replays payments over net using r, one at a time in trace
+// order — the paper's simulation setup (§4.1) — as RunDynamic at one
+// station with no churn and arrivals pinned to the trace. Payments
+// must be in non-decreasing Time with distinct IDs, as trace.Generator
+// emits them. miceThreshold only classifies the per-class metrics;
+// failed payments are re-routed up to retries more times; a non-nil
+// sink receives one flow record per payment. Empty input yields zero
+// Metrics.
+func Replay(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, retries int, sink telemetry.Sink) (Metrics, error) {
+	if len(payments) == 0 {
+		return Metrics{}, nil
 	}
-	if opts.Workers <= 1 {
-		return runSequential(net, r, payments, miceThreshold, opts)
-	}
-	return runConcurrent(net, r, payments, miceThreshold, opts)
+	horizon := (payments[len(payments)-1].Time + 1) * trace.SecondsPerDay
+	res, err := RunDynamic(net, r, trace.NewReplayStream(payments), horizon, nil, miceThreshold,
+		DynamicOptions{Workers: 1, Retries: retries, FlowSink: sink})
+	return res.Aggregate, err
 }
 
 // Record folds one completed payment into m: classification against
 // miceThreshold, delay and message accounting, and — when delivered —
 // the success bookkeeping. It is the single metrics-recording path
-// shared by the sequential replay, the concurrent workers' shards, the
-// dynamic engine's time-series windows, and the TCP testbed harness.
+// shared by the dynamic engine's aggregate and time-series windows and
+// the TCP testbed harness.
 // probeMsgs/commitMsgs/elapsed cover every routing attempt the payment
 // made (retries included).
 func (m *Metrics) Record(amount, miceThreshold float64, elapsed time.Duration, probeMsgs, commitMsgs int64, fees float64, delivered bool) {
@@ -340,17 +288,6 @@ func holdAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int6
 	return attemptPayment(net, r, p, rngSeed, seeded, true)
 }
 
-// retryBackoff is the jittered exponential backoff before retry
-// attempt (1-based): 50µs · 2^(attempt-1), scaled by a random factor
-// in [0.5, 1.5) so racing retriers don't re-collide in lockstep.
-func retryBackoff(attempt int, rng *rand.Rand) time.Duration {
-	base := 50 * time.Microsecond << uint(attempt-1)
-	if base > 5*time.Millisecond {
-		base = 5 * time.Millisecond
-	}
-	return time.Duration(float64(base) * (0.5 + rng.Float64()))
-}
-
 // attemptSeed derives the per-attempt session seed: attempt 0 uses the
 // payment seed unchanged (preserving single-attempt behavior exactly),
 // retries re-mix so a retried mouse draws a fresh path order.
@@ -361,64 +298,6 @@ func attemptSeed(rngSeed int64, attempt int) int64 {
 	return paymentSeed(rngSeed, int64(attempt))
 }
 
-// replayOne routes a single payment — retrying failed deliveries up to
-// opts.Retries times — and accumulates its metrics into m. Degenerate
-// payments (self-pay, non-positive amount) are skipped, contributing
-// nothing. backoffSleep selects the concurrent replay's real jittered
-// sleep between attempts; the sequential replay retries immediately.
-// A non-nil sink receives the payment's flow record after its final
-// attempt, stamped with the trace timestamp as virtual time.
-func replayOne(net *pcn.Network, r route.Router, p trace.Payment, miceThreshold float64, m *Metrics, rngSeed int64, seeded bool, retries int, backoffSleep bool, sink telemetry.Sink) error {
-	if p.Sender == p.Receiver || p.Amount <= 0 {
-		return nil
-	}
-	var (
-		total      routeOutcome
-		backoffRNG *rand.Rand
-		attempts   int
-	)
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 && backoffSleep {
-			if backoffRNG == nil {
-				backoffRNG = rand.New(rand.NewSource(paymentSeed(rngSeed, int64(p.ID)^0x5EED)))
-			}
-			time.Sleep(retryBackoff(attempt, backoffRNG))
-		}
-		out, err := routeAttempt(net, r, p, attemptSeed(rngSeed, attempt), seeded)
-		if err != nil {
-			return err
-		}
-		total.add(out)
-		attempts = attempt + 1
-		if out.delivered {
-			break
-		}
-	}
-	m.Record(p.Amount, miceThreshold, total.elapsed, total.probeMsgs, total.commitMsgs, total.fees, total.delivered)
-	if sink != nil {
-		vt := p.Time * trace.SecondsPerDay
-		outcome := telemetry.OutcomeFailed
-		if total.delivered {
-			outcome = telemetry.OutcomeDelivered
-		}
-		emitFlow(sink, r.Name(), p, miceThreshold, total, attempts, vt, vt, outcome)
-	}
-	return nil
-}
-
-// runSequential replays payments one at a time in order, the paper's
-// simulation setup. No per-payment RNG is attached, so routers consume
-// their own seeded generators in the historical sequence.
-func runSequential(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, opts Options) (Metrics, error) {
-	var m Metrics
-	for _, p := range payments {
-		if err := replayOne(net, r, p, miceThreshold, &m, 0, false, opts.Retries, false, opts.FlowSink); err != nil {
-			return m, err
-		}
-	}
-	return m, nil
-}
-
 // paymentSeed mixes the base seed with a payment ID (splitmix64-style
 // finalizer), giving each payment an independent, reproducible RNG
 // stream regardless of which worker replays it.
@@ -427,61 +306,4 @@ func paymentSeed(base int64, id int64) int64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
-}
-
-// runConcurrent drains the payment stream with opts.Workers goroutines
-// sharing the network and router. Each worker accumulates metrics into
-// its own shard (merged afterwards), so the hot path takes no
-// simulation-level locks — all synchronization lives in the per-channel
-// network locks and the router's sharded tables.
-func runConcurrent(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, opts Options) (Metrics, error) {
-	var (
-		failed   atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-	)
-	shards := make([]Metrics, parallel.Clamp(len(payments), opts.Workers))
-	parallel.ForEach(len(payments), opts.Workers, func(worker, i int) {
-		if failed.Load() {
-			return
-		}
-		p := payments[i]
-		seed := paymentSeed(opts.Seed, int64(p.ID))
-		if err := replayOne(net, r, p, miceThreshold, &shards[worker], seed, true, opts.Retries, true, opts.FlowSink); err != nil {
-			errOnce.Do(func() { firstErr = err })
-			failed.Store(true)
-		}
-	})
-	var m Metrics
-	for i := range shards {
-		m.Merge(shards[i])
-	}
-	return m, firstErr
-}
-
-// prewarmRouter bulk-builds Flash's mice routing tables for the
-// workload's distinct mice pairs with a bounded worker pool. A no-op
-// for other router types. Pairs are classified against the router's
-// own elephant threshold — the one routeMice actually consults — not
-// the sim-level metrics threshold, which may legitimately differ.
-func prewarmRouter(net *pcn.Network, r route.Router, payments []trace.Payment, workers int) {
-	fl, ok := r.(*core.Flash)
-	if !ok {
-		return
-	}
-	threshold := fl.Config().Threshold
-	seen := make(map[[2]topo.NodeID]struct{}, len(payments))
-	var pairs []core.Pair
-	for _, p := range payments {
-		if p.Sender == p.Receiver || p.Amount <= 0 || p.Amount > threshold {
-			continue
-		}
-		key := [2]topo.NodeID{p.Sender, p.Receiver}
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		pairs = append(pairs, core.Pair{Sender: p.Sender, Receiver: p.Receiver})
-	}
-	fl.Prewarm(net.Graph(), pairs, workers)
 }

@@ -48,7 +48,7 @@ func TestRunBasic(t *testing.T) {
 		{ID: 1, Sender: 0, Receiver: 2, Amount: 30},
 		{ID: 2, Sender: 0, Receiver: 2, Amount: 100}, // exceeds remaining 40
 	}
-	m, err := RunOpts(net, r, payments, 50, Options{})
+	m, err := Replay(net, r, payments, 50, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestRunSkipsDegeneratePayments(t *testing.T) {
 		{Sender: 0, Receiver: 1, Amount: 0}, // zero
 		{Sender: 0, Receiver: 1, Amount: 5},
 	}
-	m, err := RunOpts(net, r, payments, 10, Options{})
+	m, err := Replay(net, r, payments, 10, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,15 +202,5 @@ func TestRunScenarioSchemesSeeIdenticalWorkload(t *testing.T) {
 	a, b := results[0].Runs[0], results[1].Runs[0]
 	if a.Successes != b.Successes || a.SuccessVolume != b.SuccessVolume {
 		t.Errorf("identical scheme runs diverged: %+v vs %+v", a, b)
-	}
-}
-
-func TestRandPermDeterministic(t *testing.T) {
-	a := randPerm(10, 3)
-	b := randPerm(10, 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("randPerm not deterministic")
-		}
 	}
 }
