@@ -22,8 +22,13 @@ import (
 	"time"
 
 	flash "repro"
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/graph"
+	"repro/internal/pcn"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -153,7 +158,7 @@ func BenchmarkMiceRouting(b *testing.B) {
 func BenchmarkProbe(b *testing.B) {
 	net, _, _ := benchNetwork(b, 1870)
 	g := net.Graph()
-	path := flash.ShortestPath(g, 0, flash.NodeID(g.NumNodes()-1), nil)
+	path := graph.ShortestPath(g, 0, flash.NodeID(g.NumNodes()-1), nil)
 	if path == nil {
 		b.Skip("no path in generated topology")
 	}
@@ -176,7 +181,7 @@ func BenchmarkProbe(b *testing.B) {
 func BenchmarkHoldCommit(b *testing.B) {
 	net, _, _ := benchNetwork(b, 200)
 	g := net.Graph()
-	path := flash.ShortestPath(g, 0, flash.NodeID(g.NumNodes()-1), nil)
+	path := graph.ShortestPath(g, 0, flash.NodeID(g.NumNodes()-1), nil)
 	if path == nil {
 		b.Skip("no path in generated topology")
 	}
@@ -203,18 +208,18 @@ func BenchmarkHoldCommit(b *testing.B) {
 // speculative pipeline attacks). It advertises parallel-probe support,
 // so Flash's probe pool can overlap the round trips.
 type rttSession struct {
-	*flash.Tx
+	*pcn.Tx
 	rtt    time.Duration
 	probes atomic.Int64
 }
 
-func (s *rttSession) Probe(path []flash.NodeID) ([]flash.HopInfo, error) {
+func (s *rttSession) Probe(path []flash.NodeID) ([]pcn.HopInfo, error) {
 	s.probes.Add(1)
 	time.Sleep(s.rtt)
 	return s.Tx.Probe(path)
 }
 
-// SupportsParallelProbe implements flash.ParallelProber: the underlying
+// SupportsParallelProbe implements route.ParallelProber: the underlying
 // Tx allows concurrent probes, and the simulated round trips are
 // independent sleeps.
 func (s *rttSession) SupportsParallelProbe() bool { return true }
@@ -306,7 +311,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 		for _, service := range []float64{0, 0.05} {
 			b.Run(fmt.Sprintf("payments=%d/service=%v", payments, service), func(b *testing.B) {
 				const rate = 1000 // arrivals per virtual second
-				sc := flash.DynamicScenario{
+				sc := sim.DynamicScenario{
 					Name:          "bench",
 					Kind:          "ripple",
 					Nodes:         200,
@@ -323,7 +328,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 				b.ResetTimer()
 				totalEvents := 0
 				for i := 0; i < b.N; i++ {
-					results, err := flash.RunDynamicScenario(sc)
+					results, err := sim.RunDynamicScenario(sc)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -347,7 +352,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 	for _, nodes := range []int{1000, 10000, 100000} {
 		const rate, payments = 1000, 10000
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			sc := flash.DynamicScenario{
+			sc := sim.DynamicScenario{
 				Name:          "bench-scale",
 				Kind:          "ripple",
 				Nodes:         nodes,
@@ -364,7 +369,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 			b.ResetTimer()
 			totalEvents := 0
 			for i := 0; i < b.N; i++ {
-				results, err := flash.RunDynamicScenario(sc)
+				results, err := sim.RunDynamicScenario(sc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -404,7 +409,7 @@ func BenchmarkControlPlane(b *testing.B) {
 	}
 	for _, cell := range cells {
 		b.Run(cell.name, func(b *testing.B) {
-			sc := flash.DynamicScenario{
+			sc := sim.DynamicScenario{
 				Name:              "bench",
 				Kind:              "ripple",
 				Nodes:             150,
@@ -417,7 +422,7 @@ func BenchmarkControlPlane(b *testing.B) {
 				Seed:              1,
 			}
 			if cell.policy != "" {
-				policy, err := flash.ParseControlPolicy(cell.policy)
+				policy, err := control.ParsePolicy(cell.policy)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -427,7 +432,7 @@ func BenchmarkControlPlane(b *testing.B) {
 			b.ResetTimer()
 			totalEvents := 0
 			for i := 0; i < b.N; i++ {
-				results, err := flash.RunDynamicScenario(sc)
+				results, err := sim.RunDynamicScenario(sc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -453,7 +458,7 @@ func BenchmarkControlPlane(b *testing.B) {
 // Recorded by the CI bench step into BENCH_telemetry.json.
 func BenchmarkTelemetry(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
-	base := flash.DynamicScenario{
+	base := sim.DynamicScenario{
 		Name:          "bench",
 		Kind:          "ripple",
 		Nodes:         200,
@@ -468,21 +473,21 @@ func BenchmarkTelemetry(b *testing.B) {
 	for _, mode := range []string{"off", "live", "jsonl"} {
 		b.Run("sink="+mode, func(b *testing.B) {
 			sc := base
-			var jsonl *flash.JSONLFlowSink
+			var jsonl *telemetry.JSONLSink
 			switch mode {
 			case "live":
-				sc.FlowSink = flash.NewFlowLog(1024)
-				sc.Registry = flash.NewMetricsRegistry()
+				sc.FlowSink = telemetry.NewFlowLog(1024)
+				sc.Registry = telemetry.NewRegistry()
 			case "jsonl":
-				jsonl = flash.NewJSONLFlowSink(io.Discard)
-				sc.FlowSink = flash.MultiFlowSink{flash.NewFlowLog(1024), jsonl}
-				sc.Registry = flash.NewMetricsRegistry()
+				jsonl = telemetry.NewJSONLSink(io.Discard)
+				sc.FlowSink = telemetry.MultiSink{telemetry.NewFlowLog(1024), jsonl}
+				sc.Registry = telemetry.NewRegistry()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			totalEvents := 0
 			for i := 0; i < b.N; i++ {
-				results, err := flash.RunDynamicScenario(sc)
+				results, err := sim.RunDynamicScenario(sc)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -516,7 +521,7 @@ func BenchmarkTelemetry(b *testing.B) {
 // bench step into BENCH_latency.json.
 func BenchmarkLatencyModel(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
-	base := flash.DynamicScenario{
+	base := sim.DynamicScenario{
 		Name:          "bench",
 		Kind:          "ripple",
 		Nodes:         200,
@@ -543,7 +548,7 @@ func BenchmarkLatencyModel(b *testing.B) {
 			b.ResetTimer()
 			totalEvents := 0
 			for i := 0; i < b.N; i++ {
-				results, err := flash.RunDynamicScenario(sc)
+				results, err := sim.RunDynamicScenario(sc)
 				if err != nil {
 					b.Fatal(err)
 				}

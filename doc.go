@@ -97,13 +97,14 @@
 //
 // Flash's thesis is that routing must track *dynamic* balances; the
 // dynamic engine lets the repository express that dynamism end to end
-// instead of replaying a frozen trace. RunDynamicSimulation is a
-// discrete-event loop over a virtual clock (float64 seconds):
+// instead of replaying a frozen trace. sim.RunDynamic is a
+// discrete-event loop over a virtual clock (float64 seconds); most
+// callers reach it through cmd/flashsim:
 //
-//   - Payments arrive through a seeded ArrivalProcess — constant-rate
-//     Poisson, FlashCrowd surges, or Diurnal demand drift — pulled
-//     lazily from a PaymentStream one look-ahead event at a time, so
-//     unbounded workloads cost O(1) memory.
+//   - Payments arrive through a seeded trace.ArrivalProcess —
+//     constant-rate Poisson, FlashCrowd surges, or Diurnal demand
+//     drift — pulled lazily from a trace.NewStream one look-ahead event
+//     at a time, so unbounded workloads cost O(1) memory.
 //   - Churn events mutate the live network mid-run: ChannelClose
 //     freezes a channel (probes see zero, new holds are rejected,
 //     in-flight holds still settle) and invalidates the Flash
@@ -118,10 +119,9 @@
 //     into per-window time-series buckets (success ratio / volume /
 //     probing per window), the view that makes flash crowds and
 //     depletion visible.
-//   - Failed payments can be re-routed: DynamicOptions.Retries (and
-//     Options.Retries in the static replay, -retries on flashsim)
-//     retries with seeded jittered backoff — virtual in the event
-//     loop, real micro-sleeps in the concurrent replay.
+//   - Failed payments can be re-routed: sim.DynamicOptions.Retries
+//     (-retries on flashsim) retries with seeded jittered backoff in
+//     virtual time, in dynamic runs and the static replay alike.
 //   - Hold spans (DynamicOptions.Service > 0) make contention
 //     deterministic: each payment splits into a hold-phase event at
 //     arrival (the router decides, but the session suspends on the
@@ -166,10 +166,10 @@
 // pin. Workers > 1 routes payments whose service intervals overlap on
 // real goroutines — outcomes then depend on scheduling. With zero
 // churn, zero service time, one station and arrivals pinned to a trace
-// (NewReplayStream), the dynamic engine is the static replay that
-// RunSimulation runs, pinned to the seed goldens.
+// (trace.NewReplayStream), the dynamic engine is the static replay
+// that RunSimulation runs, pinned to the seed goldens.
 //
-// A scenario catalogue (NamedDynamicScenario: "steady", "flash-crowd",
+// A scenario catalogue (sim.NamedDynamicScenario: "steady", "flash-crowd",
 // "depletion-rebalance", "churn", "contention", "hub-failure",
 // "demand-drift", "fee-war", "latency-slo", "griefing") drives
 // comparable cells across schemes; cmd/flashsim exposes it via

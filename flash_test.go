@@ -2,14 +2,19 @@ package flash_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"log"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 	"time"
 
 	flash "repro"
-	"repro/internal/htlc"
 	"repro/internal/trace"
 )
 
@@ -166,24 +171,6 @@ func TestScenarioHeadline(t *testing.T) {
 	}
 }
 
-// TestGraphAlgorithmsExposed sanity-checks the re-exported algorithms.
-func TestGraphAlgorithmsExposed(t *testing.T) {
-	g := flash.NewGraph(4)
-	g.MustAddChannel(0, 1)
-	g.MustAddChannel(1, 3)
-	g.MustAddChannel(0, 2)
-	g.MustAddChannel(2, 3)
-	if p := flash.ShortestPath(g, 0, 3, nil); len(p) != 3 {
-		t.Errorf("ShortestPath = %v", p)
-	}
-	if ps := flash.KShortestPaths(g, 0, 3, 5); len(ps) != 2 {
-		t.Errorf("KShortestPaths found %d paths, want 2", len(ps))
-	}
-	if ps := flash.EdgeDisjointPaths(g, 0, 3, 5); len(ps) != 2 {
-		t.Errorf("EdgeDisjointPaths found %d, want 2", len(ps))
-	}
-}
-
 // ExampleNewFlash demonstrates the quickstart flow.
 func ExampleNewFlash() {
 	g := flash.NewGraph(3)
@@ -212,50 +199,83 @@ func ExampleThresholdForMiceFraction() {
 	// Output: 9
 }
 
-// TestGossipAndHTLCFacade exercises the topology-maintenance and
-// payment-security layers through the public API.
-func TestGossipAndHTLCFacade(t *testing.T) {
-	g := flash.NewGraph(3)
-	g.MustAddChannel(0, 1)
-	g.MustAddChannel(1, 2)
-	net := flash.NewNetwork(g)
-	net.SetBalance(0, 1, 100, 100)
-	net.SetBalance(1, 2, 100, 100)
-
-	// Gossip: three peers learn the topology from announcements.
-	peers := []*flash.GossipPeer{
-		flash.NewGossipPeer(0, 3), flash.NewGossipPeer(1, 3), flash.NewGossipPeer(2, 3),
-	}
-	flash.ConnectPeers(peers[0], peers[1])
-	flash.ConnectPeers(peers[1], peers[2])
-	peers[0].AnnounceOpen(1)
-	peers[1].AnnounceOpen(2)
-	if peers[2].View().NumOpen() != 2 {
-		t.Fatalf("peer 2 view has %d channels, want 2", peers[2].View().NumOpen())
-	}
-	path := flash.ShortestPath(peers[0].View().Graph(), 0, 2, nil)
-	if len(path) != 3 {
-		t.Fatalf("view path = %v", path)
-	}
-
-	// HTLC: settle a payment along the gossip-discovered path.
-	chain := &flash.HTLCChain{}
-	ledger := flash.NewHTLCLedger(net, chain)
-	secret, err := htlc.NewSecret(nil)
+// TestFacadeNamesHaveCallers keeps the facade pruned: every name that
+// flash.go exports must be mentioned as flash.<Name> by an example
+// program, doc.go's quick start or this file, or be a type in the
+// signature of a name that is. Anything else is a re-export nobody
+// calls; use the internal package directly instead.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "flash.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payment, err := flash.SetupHTLCPayment(ledger, path, 25, secret.Hash(), 40)
+	// Every exported top-level name, with the declaration whose
+	// signature can keep other names alive (nil for types and values).
+	exported := map[string]ast.Node{}
+	for _, decl := range facade.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported[s.Name.Name] = nil
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported[n.Name] = nil
+						}
+					}
+				}
+			}
+		}
+	}
+
+	callers := []string{"doc.go", "flash_test.go"}
+	examples, err := filepath.Glob(filepath.Join("examples", "*", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := payment.ClaimAll(secret); err != nil {
-		t.Fatal(err)
+	callers = append(callers, examples...)
+	mention := regexp.MustCompile(`\bflash\.([A-Z]\w*)`)
+	mentioned := map[string]bool{}
+	for _, path := range callers {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range mention.FindAllSubmatch(src, -1) {
+			mentioned[string(m[1])] = true
+		}
 	}
-	if got := net.Balance(2, 1); math.Abs(got-125) > 1e-9 {
-		t.Errorf("receiver balance = %v, want 125", got)
+
+	used := map[string]bool{}
+	for name, sig := range exported {
+		if !mentioned[name] {
+			continue
+		}
+		used[name] = true
+		if sig == nil {
+			continue
+		}
+		ast.Inspect(sig, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if _, ok := exported[id.Name]; ok {
+					used[id.Name] = true
+				}
+			}
+			return true
+		})
 	}
-	if ledger.Escrow() != 0 {
-		t.Errorf("escrow = %v, want 0", ledger.Escrow())
+	for name := range exported {
+		if !used[name] {
+			t.Errorf("flash.go exports %s, but no example, doc.go or flash_test.go uses it", name)
+		}
 	}
 }

@@ -233,27 +233,6 @@ func MinAvailable(info []pcn.HopInfo) float64 {
 	return minAvail
 }
 
-// PathRate sums the proportional fee rates along a probed path: the
-// per-unit cost of sending value down it (the LP objective coefficient
-// for linear fee schedules).
-func PathRate(info []pcn.HopInfo) float64 {
-	rate := 0.0
-	for _, h := range info {
-		rate += h.Fee.Rate
-	}
-	return rate
-}
-
-// PathFee returns the total fee charged for sending amount along a
-// probed path, including base fees.
-func PathFee(info []pcn.HopInfo, amount float64) float64 {
-	fee := 0.0
-	for _, h := range info {
-		fee += h.Fee.Fee(amount)
-	}
-	return fee
-}
-
 // Epsilon is the tolerance used when comparing held totals against
 // demands: a payment counts as fully funded when it is within Epsilon.
 const Epsilon = 1e-6

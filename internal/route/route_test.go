@@ -2,7 +2,6 @@ package route
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/pcn"
@@ -28,19 +27,6 @@ func TestMinAvailable(t *testing.T) {
 	}
 	if got := MinAvailable(nil); got != 0 {
 		t.Errorf("MinAvailable(nil) = %v, want 0", got)
-	}
-}
-
-func TestPathRateAndFee(t *testing.T) {
-	info := []pcn.HopInfo{
-		{Fee: pcn.FeeSchedule{Rate: 0.01}},
-		{Fee: pcn.FeeSchedule{Rate: 0.02, Base: 1}},
-	}
-	if got := PathRate(info); math.Abs(got-0.03) > 1e-12 {
-		t.Errorf("PathRate = %v, want 0.03", got)
-	}
-	if got := PathFee(info, 100); math.Abs(got-(1+0.01*100+0.02*100)) > 1e-12 {
-		t.Errorf("PathFee = %v, want 4", got)
 	}
 }
 

@@ -25,8 +25,7 @@ import (
 //
 // The returned payments send amount from every sender spoke to every
 // receiver spoke, round-robin, IDs in dispatch order — a workload with
-// maximal channel sharing, exercised by the concurrency tests and
-// exported as flash.BuildContentionFixture.
+// maximal channel sharing, exercised by the concurrency tests.
 func BuildContention(spokes int, spokeBal, bridgeBal, amount float64) (*pcn.Network, []trace.Payment, error) {
 	if spokes < 1 {
 		return nil, nil, fmt.Errorf("sim: contention needs ≥ 1 spokes, got %d", spokes)

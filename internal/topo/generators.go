@@ -145,12 +145,3 @@ func LightningLike(n int, rng *rand.Rand) (*Graph, error) {
 	}
 	return BarabasiAlbert(n, 7, rng)
 }
-
-// PaperRippleNodes and friends record the sizes reported in §4.1 of the
-// paper so experiment code can request full-scale topologies by name.
-const (
-	PaperRippleNodes       = 1870
-	PaperRippleEdges       = 17416 // directed
-	PaperLightningNodes    = 2511
-	PaperLightningChannels = 36016
-)

@@ -286,19 +286,6 @@ func (g *Graph) Neighbors(u NodeID) []NodeID {
 	return c.arena[c.off[u]:c.off[u+1]]
 }
 
-// NeighborsWithChannels returns u's adjacency list together with the
-// parallel channel-index slice: chans[i] is the index of the channel
-// joining u and nbrs[i]. Path-search code uses it to learn channel
-// indices during traversal without any per-hop lookup. The same
-// aliasing rules as Neighbors apply.
-func (g *Graph) NeighborsWithChannels(u NodeID) (nbrs []NodeID, chans []int32) {
-	if g.pendN.Load() != 0 {
-		g.Compact()
-	}
-	c := g.base.Load()
-	return c.arena[c.off[u]:c.off[u+1]], c.arenaCh[c.off[u]:c.off[u+1]]
-}
-
 // AdjacencyView returns the raw CSR slabs in one call: off has length
 // NumNodes()+1, and node u's neighbors are nbrs[off[u]:off[u+1]] in
 // channel-insertion order with chans parallel (chans[i] is the channel
