@@ -16,7 +16,8 @@
 //	                   Edmonds–Karp max-flow
 //	internal/pcn       channel network state: balances, holds, atomic
 //	                   multi-path commit, probing
-//	internal/lp        two-phase simplex for the fee program
+//	internal/lp        the fee program: presolve, then a bounded-variable
+//	                   simplex on the shared rows
 //	internal/route     the Session/Router seam shared by the simulator
 //	                   and the TCP testbed
 //	internal/core      the Flash router (the paper's contribution)

@@ -177,6 +177,7 @@ type Flash struct {
 	thresholdUpdates       atomic.Int64
 	senderThresholdUpdates atomic.Int64
 	probeWidthUpdates      atomic.Int64
+	feeProgramFallbacks    atomic.Int64
 }
 
 // New returns a Flash router with the given configuration. Invalid
@@ -462,6 +463,7 @@ type Stats struct {
 	ThresholdUpdates       int64 // SetThreshold calls that changed the threshold
 	SenderThresholdUpdates int64 // SetSenderThreshold calls that moved an override
 	ProbeWidthUpdates      int64 // SetProbeWorkers calls that changed the width
+	FeeProgramFallbacks    int64 // elephant splits left to sequential filling because the fee program failed
 	SenderThresholds       int   // senders with a live threshold override
 	TableEntries           int   // receivers currently cached across all senders
 }
@@ -487,6 +489,7 @@ func (f *Flash) Stats() Stats {
 		ThresholdUpdates:       f.thresholdUpdates.Load(),
 		SenderThresholdUpdates: f.senderThresholdUpdates.Load(),
 		ProbeWidthUpdates:      f.probeWidthUpdates.Load(),
+		FeeProgramFallbacks:    f.feeProgramFallbacks.Load(),
 		SenderThresholds:       int(f.senderThrCount.Load()),
 		TableEntries:           entries,
 	}

@@ -37,12 +37,26 @@ type probedState struct {
 	// holding rows, in row order, to reset them by.
 	row      []int32
 	rowSlots []int
+
+	// The payment's plan and program (1), in buffers the pooled state
+	// keeps from payment to payment: plan.paths are windows of arena; the
+	// program is c, aub (rows of flat), bub, aeq and beq; the split is the
+	// solver's or alloc.
+	plan         elephantPlan
+	arena        []topo.NodeID
+	solver       lp.Solver
+	c, flat, bub []float64
+	ones, alloc  []float64
+	aub          [][]float64
+	aeq          [1][]float64
+	beq          [1]float64
 }
 
 var probedPool = sync.Pool{New: func() any { return new(probedState) }}
 
 // acquireProbedState draws a probedState for g from the package pool,
-// sized to g's current channel count and reset to all-unknown.
+// sized to g's current channel count and reset to all-unknown, with an
+// empty plan.
 func acquireProbedState(g *topo.Graph) *probedState {
 	ps := probedPool.Get().(*probedState)
 	ps.g = g
@@ -59,10 +73,13 @@ func acquireProbedState(g *topo.Graph) *probedState {
 		clear(ps.known)
 		ps.epoch = 1
 	}
+	ps.plan = elephantPlan{paths: ps.plan.paths[:0], pathFlows: ps.plan.pathFlows[:0], state: ps}
+	ps.arena = ps.arena[:0]
 	return ps
 }
 
-// release returns ps to the pool. No path or plan may retain it.
+// release returns ps to the pool, and with it the plan, its paths and
+// the split: nothing may use them after.
 func (ps *probedState) release() {
 	ps.g = nil
 	probedPool.Put(ps)
@@ -140,7 +157,7 @@ func (ps *probedState) usableCh(u, v topo.NodeID, ch int32) bool {
 
 // elephantPlan is the outcome of the path-finding stage: candidate
 // paths, the flow each contributed during discovery, and the probed
-// state backing the LP.
+// state backing the LP, which holds the plan (probedState.plan).
 type elephantPlan struct {
 	paths     [][]topo.NodeID
 	pathFlows []float64 // bottleneck flow found on each path (discovery order)
@@ -172,6 +189,14 @@ func (ps *probedState) record(p []topo.NodeID, info []pcn.HopInfo) {
 			ps.fees[rev] = info[i].ReverseFee
 		}
 	}
+}
+
+// keep copies p into the path arena, where the plan holds it until
+// release; the search scratch reuses p's array.
+func (ps *probedState) keep(p []topo.NodeID) []topo.NodeID {
+	n := len(ps.arena)
+	ps.arena = append(ps.arena, p...)
+	return ps.arena[n:len(ps.arena):len(ps.arena)]
 }
 
 // bottleneck is the minimum residual along p (Algorithm 1 line 12),
@@ -243,7 +268,7 @@ func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 	}
 	g := s.Graph()
 	ps := acquireProbedState(g)
-	plan := &elephantPlan{state: ps}
+	plan := &ps.plan
 	demand := s.Demand()
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
@@ -253,7 +278,7 @@ func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 		if p == nil {
 			break
 		}
-		p = append([]topo.NodeID(nil), p...) // plan retains; scratch reuses
+		p = ps.keep(p) // plan retains; scratch reuses
 		info, err := s.Probe(p)
 		if err != nil {
 			break
@@ -332,19 +357,21 @@ func (f *Flash) routeElephant(s route.Session) error {
 // sequentialAllocation fills paths in discovery order with the flow each
 // contributed, stopping when the demand is met — the paper's Figure 9
 // baseline ("the paths are used sequentially as they are found by our
-// modified Edmonds-Karp algorithm until the demand is met").
+// modified Edmonds-Karp algorithm until the demand is met"). The split
+// is the probed state's alloc buffer.
 func sequentialAllocation(plan *elephantPlan, demand float64) []float64 {
-	alloc := make([]float64, len(plan.paths))
+	ps := plan.state
+	ps.alloc = append(ps.alloc[:0], make([]float64, len(plan.paths))...)
 	remaining := demand
 	for i, flow := range plan.pathFlows {
 		if remaining <= route.Epsilon {
 			break
 		}
 		amount := math.Min(flow, remaining)
-		alloc[i] = amount
+		ps.alloc[i] = amount
 		remaining -= amount
 	}
-	return alloc
+	return ps.alloc
 }
 
 // optimizeAllocation solves the paper's program (1):
@@ -358,7 +385,9 @@ func sequentialAllocation(plan *elephantPlan, demand float64) []float64 {
 // Σ_p r_p·rate_p with rate_p the sum of hop rates, making this an LP.
 // Falls back to the sequential allocation if the solver fails (which can
 // only happen through numerical pathology, since the discovery flows are
-// themselves a feasible point).
+// themselves a feasible point), counting it in Stats.FeeProgramFallbacks.
+// The program is built in the probed state's buffers and solved by its
+// lp.Solver, whose split the plan's state owns until release.
 func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64 {
 	ps, n := plan.state, len(plan.paths)
 	// rowOf numbers the directed slots the paths use, in order of first use.
@@ -371,12 +400,12 @@ func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64
 	}
 	// Objective: per-unit fee rate of each path; and the rows, one per
 	// directed hop appearing on any path and per known reverse of one.
-	c := make([]float64, n)
+	ps.c = append(ps.c[:0], make([]float64, n)...)
 	for i, p := range plan.paths {
 		for j := 0; j+1 < len(p); j++ {
 			fwd := ps.slot(p[j], p[j+1]) // a path's hops are channels of g
 			if ps.known[fwd] == ps.epoch {
-				c[i] += ps.fees[fwd].Rate
+				ps.c[i] += ps.fees[fwd].Rate
 			}
 			rowOf(fwd)
 			if ps.known[fwd^1] == ps.epoch {
@@ -388,7 +417,8 @@ func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64
 	// paths using its reverse (offsets, per the paper), row r in
 	// flat[r·n : (r+1)·n].
 	rows := len(ps.rowSlots)
-	flat := make([]float64, rows*n)
+	ps.flat = append(ps.flat[:0], make([]float64, rows*n)...)
+	flat := ps.flat
 	for i, p := range plan.paths {
 		for j := 0; j+1 < len(p); j++ {
 			fwd := ps.slot(p[j], p[j+1])
@@ -398,27 +428,23 @@ func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64
 			}
 		}
 	}
-	aub, bub := make([][]float64, rows), make([]float64, rows)
+	ps.aub, ps.bub = ps.aub[:0], ps.bub[:0]
 	for r, slot := range ps.rowSlots {
-		aub[r] = flat[r*n : (r+1)*n : (r+1)*n]
+		b := 0.0
 		if ps.known[slot] == ps.epoch {
-			bub[r] = ps.capacity[slot]
+			b = ps.capacity[slot]
 		}
+		ps.aub, ps.bub = append(ps.aub, flat[r*n:(r+1)*n:(r+1)*n]), append(ps.bub, b)
 		ps.row[slot] = 0
 	}
 	ps.rowSlots = ps.rowSlots[:0]
-	eq := make([]float64, n)
-	for i := range eq {
-		eq[i] = 1
+	for len(ps.ones) < n {
+		ps.ones = append(ps.ones, 1)
 	}
-	sol, err := lp.Solve(lp.Problem{
-		C:   c,
-		Aub: aub,
-		Bub: bub,
-		Aeq: [][]float64{eq},
-		Beq: []float64{demand},
-	})
+	ps.aeq[0], ps.beq[0] = ps.ones[:n], demand
+	sol, err := ps.solver.Solve(lp.Problem{C: ps.c, Aub: ps.aub, Bub: ps.bub, Aeq: ps.aeq[:], Beq: ps.beq[:]})
 	if err != nil {
+		f.feeProgramFallbacks.Add(1)
 		return sequentialAllocation(plan, demand)
 	}
 	return sol.X

@@ -106,7 +106,7 @@ func (ps *probedState) unknownHops(p []topo.NodeID) bool {
 func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *elephantPlan {
 	g := s.Graph()
 	ps := acquireProbedState(g)
-	plan := &elephantPlan{state: ps}
+	plan := &ps.plan
 	demand := s.Demand()
 	demandMet := func() bool {
 		return !f.cfg.ProbeAllK && plan.flow >= demand-route.Epsilon

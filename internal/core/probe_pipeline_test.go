@@ -62,6 +62,9 @@ func TestPipelinedMatchesMaxFlowProperty(t *testing.T) {
 		if err := f.routeWithPlan(tx, plan); err != nil {
 			t.Fatalf("trial %d: routing max-flow demand failed: %v", trial, err)
 		}
+		if n := f.Stats().FeeProgramFallbacks; n != 0 {
+			t.Fatalf("trial %d: %d fee-program fallbacks", trial, n)
+		}
 	}
 }
 

@@ -1,13 +1,17 @@
-// Package lp implements a small, dependency-free linear-program solver
-// based on the two-phase primal simplex method with Bland's anti-cycling
-// rule.
+// Package lp solves the small linear programs of the Flash paper's
+// program (1): split an elephant payment across the k probed paths so
+// that total (linear) fees are minimised, subject to meeting the demand
+// and respecting every probed channel's capacity.
 //
-// It exists to solve the Flash paper's program (1): split an elephant
-// payment across the k probed paths so that total (linear) transaction
-// fees are minimised subject to meeting the demand and respecting every
-// channel's probed capacity. Those programs are tiny — tens of variables,
-// at most a few hundred constraints — so a dense tableau is the right
-// tool: simple, exact enough, and fast.
+// Most rows of such a program tie no two paths together. A row over one
+// variable bounds it, and a row with no positive coefficient (a channel
+// the paths cross only in reverse) holds for every x ≥ 0. Solve
+// presolves both kinds away and runs a bounded-variable primal simplex on
+// the rest — on program (1), the channels several paths share and the
+// demand row — bringing a bound back as a row only when a pivot would
+// fill it in. Bland's rule orders the columns as the unpresolved
+// problem's dense tableau does, so Solve takes that tableau's pivots,
+// with its arithmetic, and ends on its vertex.
 package lp
 
 import (
@@ -37,7 +41,7 @@ type Problem struct {
 type Solution struct {
 	X         []float64 // optimal variable values, len == len(Problem.C)
 	Objective float64   // C·X
-	Pivots    int       // simplex pivots performed (diagnostic)
+	Pivots    int       // simplex pivots performed, bound flips included (diagnostic)
 }
 
 // Errors returned by Solve.
@@ -75,266 +79,332 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// tableau is a dense simplex tableau: m constraint rows over cols
-// columns, the last column being the right-hand side. basis[i] records
-// which variable is basic in row i.
-type tableau struct {
-	rows  [][]float64
-	basis []int
-	nOrig int // original variables
-	nSlk  int // slack variables
-	nArt  int // artificial variables
+// Solve optimises p with a fresh Solver. It returns ErrInfeasible when
+// the constraints admit no x ≥ 0, and ErrUnbounded when the objective can
+// be driven to −∞. The benchmark's per-layer ladder times this call as
+// lp.solve_ns (benchmark/harness/ladder.go).
+func Solve(p Problem) (Solution, error) {
+	var s Solver
+	return s.Solve(p)
 }
 
-func (t *tableau) cols() int { return t.nOrig + t.nSlk + t.nArt + 1 }
-func (t *tableau) rhs() int  { return t.cols() - 1 }
+// Solver solves Problems in buffers it keeps from call to call, so a warm
+// Solver allocates nothing. The zero value is ready to use. A Solver is
+// not safe for concurrent use.
+type Solver struct {
+	n, mub int       // variables and inequality rows
+	kept   []int     // inequality rows presolve kept as rows
+	upper  []float64 // per variable: its bound; +Inf for none, or once its row is back
+	bound  []int     // per variable: the inequality row its bound came from
+	// The tableau: m rows of w entries, the last the right-hand side. Its
+	// columns are the variables, a slack per kept row, a slack per
+	// variable's bound row, then from art on the artificials; basis[i] is
+	// the column basic in row i. A flipped column holds upper − x in place
+	// of x, so every nonbasic column stands at zero.
+	tab       []float64
+	m, w, art int
+	basis     []int
+	flipped   []bool
+	obj, x    []float64 // reduced costs z − c, obj[w−1] the phase's objective; the solution
+}
 
-// Solve optimises the problem. It returns ErrInfeasible when the
-// constraints admit no x ≥ 0, and ErrUnbounded when the objective can be
-// driven to −∞.
-func Solve(p Problem) (Solution, error) {
+// Solve optimises p like the package-level Solve, in s's buffers. The
+// returned X is one of them: the next call overwrites it.
+func (s *Solver) Solve(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
-	n := len(p.C)
-	mub, meq := len(p.Aub), len(p.Beq)
-	m := mub + meq
-
-	if m == 0 {
-		// No constraints: optimum is x = 0 unless some cost is negative,
-		// in which case the problem is unbounded.
-		for _, c := range p.C {
-			if c < -eps {
-				return Solution{}, ErrUnbounded
-			}
-		}
-		return Solution{X: make([]float64, n)}, nil
-	}
-
-	t := &tableau{nOrig: n, nSlk: mub}
-
-	// Artificial variables are needed for equality rows and for
-	// inequality rows whose right-hand side is negative (their slack
-	// enters with coefficient −1 after sign normalisation).
-	type rowSpec struct {
-		coef    []float64
-		b       float64
-		slack   int // slack column index or -1
-		slackCo float64
-	}
-	specs := make([]rowSpec, 0, m)
-	for i := 0; i < mub; i++ {
-		coef := append([]float64(nil), p.Aub[i]...)
-		b := p.Bub[i]
-		slackCo := 1.0
-		if b < 0 {
-			for j := range coef {
-				coef[j] = -coef[j]
-			}
-			b = -b
-			slackCo = -1
-		}
-		specs = append(specs, rowSpec{coef: coef, b: b, slack: n + i, slackCo: slackCo})
-	}
-	for i := 0; i < meq; i++ {
-		coef := append([]float64(nil), p.Aeq[i]...)
-		b := p.Beq[i]
-		if b < 0 {
-			for j := range coef {
-				coef[j] = -coef[j]
-			}
-			b = -b
-		}
-		specs = append(specs, rowSpec{coef: coef, b: b, slack: -1})
-	}
-
-	// Assign artificial columns.
-	artOf := make([]int, m) // artificial column for row i, or -1
-	nArt := 0
-	for i, s := range specs {
-		if s.slack >= 0 && s.slackCo > 0 {
-			artOf[i] = -1 // slack can start basic
-		} else {
-			artOf[i] = n + mub + nArt
-			nArt++
-		}
-	}
-	t.nArt = nArt
-
-	t.rows = make([][]float64, m)
-	t.basis = make([]int, m)
-	for i, s := range specs {
-		row := make([]float64, t.cols())
-		copy(row, s.coef)
-		if s.slack >= 0 {
-			row[s.slack] = s.slackCo
-		}
-		if artOf[i] >= 0 {
-			row[artOf[i]] = 1
-			t.basis[i] = artOf[i]
-		} else {
-			t.basis[i] = s.slack
-		}
-		row[t.rhs()] = s.b
-		t.rows[i] = row
-	}
-
+	s.load(p)
 	pivots := 0
-
-	// Phase 1: minimise the sum of artificial variables.
-	if nArt > 0 {
-		phase1 := make([]float64, t.cols()-1)
-		for j := n + mub; j < n+mub+nArt; j++ {
-			phase1[j] = 1
-		}
-		obj, p1, err := t.optimize(phase1, false)
-		pivots += p1
-		if err != nil {
+	if s.art < s.w-1 { // a row starts on an artificial: phase 1
+		k, err := s.optimize(p.C, true)
+		if pivots += k; err != nil {
 			return Solution{}, err
 		}
-		if obj > 1e-6 {
+		if s.obj[s.w-1] > 1e-6 {
 			return Solution{}, ErrInfeasible
 		}
-		// Drive any remaining basic artificials out of the basis so they
-		// cannot re-enter with a positive value in phase 2.
-		for i := range t.basis {
-			if t.basis[i] < n+mub {
-				continue
-			}
-			pivoted := false
-			for j := 0; j < n+mub; j++ {
-				if math.Abs(t.rows[i][j]) > eps {
-					t.pivot(i, j)
-					pivots++
-					pivoted = true
-					break
-				}
-			}
-			if !pivoted {
-				// Redundant all-zero row; neutralise it.
-				for j := range t.rows[i] {
-					t.rows[i][j] = 0
-				}
-			}
-		}
+		pivots += s.driveOut()
 	}
-
-	// Phase 2: optimise the true objective, artificials barred.
-	cost := make([]float64, t.cols()-1)
-	copy(cost, p.C)
-	_, p2, err := t.optimize(cost, true)
-	pivots += p2
-	if err != nil {
+	k, err := s.optimize(p.C, false)
+	if pivots += k; err != nil {
 		return Solution{}, err
 	}
-
-	x := make([]float64, n)
-	for i, b := range t.basis {
-		if b < n {
-			x[b] = t.rows[i][t.rhs()]
+	s.x = append(s.x[:0], make([]float64, s.n)...)
+	for i, b := range s.basis[:s.m] {
+		if b < s.n {
+			s.x[b] = s.tab[i*s.w+s.w-1]
 		}
 	}
 	obj := 0.0
 	for j, c := range p.C {
-		obj += c * x[j]
+		if s.flipped[j] {
+			s.x[j] = s.upper[j]
+		}
+		obj += c * s.x[j]
 	}
-	return Solution{X: x, Objective: obj, Pivots: pivots}, nil
+	return Solution{X: s.x, Objective: obj, Pivots: pivots}, nil
 }
 
-// optimize runs simplex pivots until the reduced costs admit no
-// improving column, minimising cost over the current tableau. When
-// barArtificials is set, artificial columns may not enter the basis.
-// It returns the achieved objective value.
-//
-// The reduced-cost row z_j − c_j is computed once and then maintained
-// incrementally through the same elimination as the constraint rows —
-// the standard full-tableau method. This keeps each pivot O(rows·cols)
-// instead of recomputing every reduced cost from the basis, which
-// matters because the fee LP sits on the elephant routing hot path.
-func (t *tableau) optimize(cost []float64, barArtificials bool) (float64, int, error) {
-	limit := t.nOrig + t.nSlk
-	if !barArtificials {
-		limit += t.nArt
+// load presolves p into the tableau. An inequality row with b ≥ 0 and no
+// positive coefficient holds for every x ≥ 0: dropped. One with b ≥ 0 and
+// a single nonzero coefficient a > 0, on x_j, bounds x_j by b/a; the
+// tightest such row, the first of equals, sets the bound. The other
+// inequality rows and the equality rows make the tableau, laid out as the
+// unpresolved one: a row with b < 0 negated, and it and every equality
+// row starting on an artificial, the rest on their slacks.
+func (s *Solver) load(p Problem) {
+	n := len(p.C)
+	s.n, s.mub, s.kept = n, len(p.Aub), s.kept[:0]
+	s.bound, s.upper = append(s.bound[:0], make([]int, n)...), s.upper[:0]
+	for range n {
+		s.upper = append(s.upper, math.Inf(1))
 	}
-	// Initial reduced costs for the current basis.
-	obj := make([]float64, t.cols()) // obj[rhs] tracks Σ cB_i·b_i
-	for j := 0; j < t.cols(); j++ {
-		zj := 0.0
-		for i, b := range t.basis {
-			if b < len(cost) && cost[b] != 0 {
-				zj += cost[b] * t.rows[i][j]
+	arts := len(p.Aeq)
+	for i, row := range p.Aub {
+		nonzero, positive, at := 0, 0, 0
+		for j, a := range row {
+			if a != 0 {
+				nonzero++
+			}
+			if a > 0 {
+				positive, at = positive+1, j
 			}
 		}
-		obj[j] = zj
-	}
-	for j := 0; j < limit; j++ {
-		if j < len(cost) {
-			obj[j] -= cost[j]
+		switch b := p.Bub[i]; {
+		case b >= 0 && positive == 0:
+		case b >= 0 && nonzero == 1:
+			if u := b / row[at]; u < s.upper[at] {
+				s.upper[at], s.bound[at] = u, i
+			}
+		default:
+			s.kept = append(s.kept, i)
+			if b < 0 {
+				arts++
+			}
 		}
 	}
+	k := len(s.kept)
+	s.m, s.art = k+len(p.Aeq), 2*n+k
+	s.w = s.art + arts + 1
+	rows := s.m + n // and room for every bound row to come back
+	s.tab = append(s.tab[:0], make([]float64, rows*s.w)...)
+	s.basis = append(s.basis[:0], make([]int, rows)...)
+	s.flipped = append(s.flipped[:0], make([]bool, n)...)
+	s.obj = append(s.obj[:0], make([]float64, s.w)...)
+	next := s.art
+	for r := range s.m {
+		row := s.tab[r*s.w : (r+1)*s.w]
+		var b, slack float64
+		if r < k {
+			copy(row, p.Aub[s.kept[r]])
+			b, slack = p.Bub[s.kept[r]], 1
+		} else {
+			copy(row, p.Aeq[r-k])
+			b = p.Beq[r-k]
+		}
+		if b < 0 {
+			for j := range n {
+				row[j] = -row[j]
+			}
+			b, slack = -b, -slack
+		}
+		if r < k {
+			row[n+r] = slack
+		}
+		s.basis[r] = n + r
+		if slack <= 0 {
+			row[next], s.basis[r] = 1, next
+			next++
+		}
+		row[s.w-1] = b
+	}
+}
 
-	pivots := 0
-	for iter := 0; iter < maxIters; iter++ {
-		// Entering column = smallest j with positive reduced cost (Bland).
-		enter := -1
-		for j := 0; j < limit; j++ {
-			if obj[j] > eps {
-				enter = j
-				break
+// optimize runs the simplex from the current basis until no column
+// improves: phase 1 on the artificials' sum, phase 2 on c·x with the
+// artificials barred. The entering column is the improving one first in
+// Bland's order. It rises until a basic variable falls to zero, or until
+// it reaches its own bound and flips; ties go to the variable first in
+// that order, as in the unpresolved tableau's ratio test. It returns the
+// pivots and flips made.
+func (s *Solver) optimize(c []float64, phase1 bool) (int, error) {
+	w, rhs, limit := s.w, s.w-1, s.art
+	if phase1 {
+		limit = rhs
+	}
+	for j := range w {
+		z := 0.0
+		for i, b := range s.basis[:s.m] {
+			if cb := s.cost(c, phase1, b); cb != 0 {
+				z += cb * s.tab[i*w+j]
+			}
+		}
+		s.obj[j] = z
+	}
+	for j := range limit {
+		s.obj[j] -= s.cost(c, phase1, j)
+	}
+	beats := func(t float64, k int, best float64, bk int) bool {
+		return t < best-eps || (t < best+eps && k < bk)
+	}
+	for iter := range maxIters {
+		enter, ek := -1, 0
+		for j := range limit {
+			if k := s.key(j, false); s.obj[j] > eps && (enter < 0 || k < ek) {
+				enter, ek = j, k
 			}
 		}
 		if enter < 0 {
-			return obj[t.rhs()], pivots, nil
+			return iter, nil
 		}
-		// Ratio test with Bland tie-breaking on basis index.
-		leave := -1
-		best := math.Inf(1)
-		for i := range t.rows {
-			a := t.rows[i][enter]
-			if a > eps {
-				ratio := t.rows[i][t.rhs()] / a
-				if ratio < best-eps || (ratio < best+eps && (leave < 0 || t.basis[i] < t.basis[leave])) {
-					best = ratio
-					leave = i
+		leave, best, bk := -1, math.Inf(1), 0
+		for i, b := range s.basis[:s.m] {
+			if a := s.tab[i*w+enter]; a > eps {
+				if t, k := s.tab[i*w+rhs]/a, s.key(b, false); beats(t, k, best, bk) {
+					leave, best, bk = i, t, k
 				}
 			}
 		}
-		if leave < 0 {
-			return 0, pivots, ErrUnbounded
+		switch {
+		case enter < s.n && beats(s.upper[enter], s.key(enter, true), best, bk):
+			s.flip(enter)
+		case leave < 0:
+			return iter, ErrUnbounded
+		default:
+			s.pivot(leave, enter)
 		}
-		t.pivot(leave, enter)
-		// Eliminate the entering column from the reduced-cost row.
-		if factor := obj[enter]; factor != 0 {
-			pr := t.rows[leave]
-			for j := range obj {
-				obj[j] -= factor * pr[j]
-			}
-			obj[enter] = 0
-		}
-		pivots++
 	}
-	return 0, pivots, ErrIterations
+	return maxIters, ErrIterations
 }
 
-// pivot makes column enter basic in row leave via Gaussian elimination.
-func (t *tableau) pivot(leave, enter int) {
-	pr := t.rows[leave]
-	pivVal := pr[enter]
+// cost is column j's cost in the phase, for the column as it stands.
+func (s *Solver) cost(c []float64, phase1 bool, j int) float64 {
+	switch {
+	case phase1 && j >= s.art:
+		return 1
+	case phase1 || j >= s.n:
+		return 0
+	case s.flipped[j]:
+		return -c[j]
+	}
+	return c[j]
+}
+
+// key is column j's index in the unpresolved tableau, the order Bland's
+// rule follows there: variables, a slack per inequality row, artificials.
+// A flipped variable stands for the slack of its bound row (it is basic
+// in that row); far asks for j's key flipped the other way.
+func (s *Solver) key(j int, far bool) int {
+	k := len(s.kept)
+	switch {
+	case j >= s.art:
+		return s.n + s.mub + j - s.art
+	case j >= s.n+k:
+		return s.n + s.bound[j-s.n-k]
+	case j >= s.n:
+		return s.n + s.kept[j-s.n]
+	case s.flipped[j] != far:
+		return s.n + s.bound[j]
+	}
+	return j
+}
+
+// driveOut pivots every artificial still basic after phase 1, at zero,
+// out of its row on the row's nonzero first in Bland's order, so none can
+// rise in phase 2; a row with none is all zero and is cleared. It returns
+// the pivots made.
+func (s *Solver) driveOut() int {
+	pivots := 0
+	for i := range s.m {
+		if s.basis[i] < s.art {
+			continue
+		}
+		row, enter, ek := s.tab[i*s.w:(i+1)*s.w], -1, 0
+		for j := range s.art {
+			if k := s.key(j, false); math.Abs(row[j]) > eps && (enter < 0 || k < ek) {
+				enter, ek = j, k
+			}
+		}
+		if enter < 0 {
+			clear(row)
+			continue
+		}
+		s.pivot(i, enter)
+		pivots++
+	}
+	return pivots
+}
+
+// pivot makes column enter basic in row leave by Gaussian elimination,
+// the reduced costs included. A bounded variable first gets its bound
+// row back (restore), since the unpresolved tableau's pivot fills it in.
+func (s *Solver) pivot(leave, enter int) {
+	if enter < s.n && !math.IsInf(s.upper[enter], 1) {
+		enter = s.restore(enter)
+	}
+	w := s.w
+	pr := s.tab[leave*w : (leave+1)*w]
+	d := pr[enter]
 	for j := range pr {
-		pr[j] /= pivVal
+		pr[j] /= d
 	}
-	for i, row := range t.rows {
-		if i == leave {
-			continue
+	for i := range s.m {
+		row := s.tab[i*w : (i+1)*w]
+		if f := row[enter]; i != leave && f != 0 {
+			for j := range row {
+				row[j] -= f * pr[j]
+			}
+			row[enter] = 0 // kill residual rounding error
 		}
-		factor := row[enter]
-		if factor == 0 {
-			continue
-		}
-		for j := range row {
-			row[j] -= factor * pr[j]
-		}
-		row[enter] = 0 // kill residual rounding error
 	}
-	t.basis[leave] = enter
+	if f := s.obj[enter]; f != 0 {
+		for j := range s.obj {
+			s.obj[j] -= f * pr[j]
+		}
+		s.obj[enter] = 0
+	}
+	s.basis[leave] = enter
+}
+
+// restore puts variable j's bound back as the row x_j + s = upper[j],
+// untouched, as the unpresolved tableau still holds it, and lifts the
+// bound. It returns the column now standing for column j: j itself, or,
+// for a flipped x_j (basic in that row), s, which takes over column j's
+// entries — the slack's, in that tableau.
+func (s *Solver) restore(j int) int {
+	w, r, sl := s.w, s.m, s.n+len(s.kept)+j
+	row := s.tab[r*w : (r+1)*w]
+	row[j], row[sl], row[w-1] = 1, 1, s.upper[j]
+	s.m, s.upper[j], s.basis[r] = r+1, math.Inf(1), sl
+	if !s.flipped[j] {
+		return j
+	}
+	for i := range r {
+		ri := s.tab[i*w : (i+1)*w]
+		ri[sl], ri[j] = ri[j], 0
+	}
+	s.obj[sl], s.obj[j] = s.obj[j], 0
+	s.basis[r], s.flipped[j] = j, false
+	return sl
+}
+
+// flip moves nonbasic variable j to its other bound by writing upper − x_j
+// for x_j: every row gives up a·upper of its right-hand side and column j
+// changes sign, its reduced cost with it. Operation for operation, this
+// is the unpresolved tableau's pivot on j's untouched bound row.
+func (s *Solver) flip(j int) {
+	u, w := s.upper[j], s.w
+	for i := range s.m {
+		row := s.tab[i*w : (i+1)*w]
+		if a := row[j]; a != 0 {
+			row[w-1] -= a * u
+			row[j] = -a
+		}
+	}
+	if a := s.obj[j]; a != 0 {
+		s.obj[w-1] -= a * u
+		s.obj[j] = -a
+	}
+	s.flipped[j] = !s.flipped[j]
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -285,14 +286,311 @@ func TestSolveFeasibilityProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkSolveElephantSizedLP(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	p := randomSplitProblem(rng, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
-			b.Fatal(err)
+// TestSolveTakesTheOraclePivots: on programs shaped like program (1) —
+// distinct, equal and zero path costs, offsets, degenerate capacities —
+// Solve takes the dense tableau's pivots and ends on its vertex bit for
+// bit. That keeps the router's splits, and every figure built on them,
+// as they were.
+func TestSolveTakesTheOraclePivots(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s Solver
+	for trial := range 3000 {
+		p := randomProgram1(rng)
+		want, wantErr := oracleSolve(p)
+		got, err := s.Solve(p)
+		if err != wantErr || got.Pivots != want.Pivots || !slices.Equal(got.X, want.X) {
+			t.Fatalf("trial %d: %v after %d pivots (%v), oracle %v after %d (%v)\n%+v",
+				trial, got.X, got.Pivots, err, want.X, want.Pivots, wantErr, p)
 		}
+	}
+}
+
+// FuzzSolveDifferential holds Solve to the dense tableau it replaced
+// (oracle_test.go) on random general programs and on random programs
+// shaped like program (1): the same outcome, the objective within 1e-9
+// relative, a point feasible within 1e-9 and, where the costs are
+// distinct, the oracle's vertex. A reused Solver must return exactly what
+// a fresh one does.
+func FuzzSolveDifferential(f *testing.F) {
+	for seed := range int64(200) {
+		f.Add(seed, seed%2 == 0)
+	}
+	var reused Solver
+	f.Fuzz(func(t *testing.T, seed int64, shaped bool) {
+		rng := rand.New(rand.NewSource(seed))
+		var p Problem
+		if shaped {
+			p = randomProgram1(rng)
+		} else {
+			p = randomProblem(rng)
+		}
+		want, wantErr := oracleSolve(p)
+		got, err := Solve(p)
+		if again, againErr := reused.Solve(p); againErr != err || !slices.Equal(again.X, got.X) {
+			t.Fatalf("reused Solver: %v (%v), fresh: %v (%v)", again.X, againErr, got.X, err)
+		}
+		switch {
+		case err != wantErr:
+			t.Fatalf("Solve: %v, oracle: %v\n%+v", err, wantErr, p)
+		case err != nil:
+		case !near(got.Objective, want.Objective):
+			t.Fatalf("objective %v at %v, oracle %v at %v\n%+v", got.Objective, got.X, want.Objective, want.X, p)
+		case violation(p, got.X) > 1e-9:
+			t.Fatalf("%v breaks a constraint by %v\n%+v", got.X, violation(p, got.X), p)
+		case distinct(p.C) && !slices.EqualFunc(got.X, want.X, near):
+			t.Fatalf("vertex %v, oracle %v\n%+v", got.X, want.X, p)
+		}
+	})
+}
+
+// near reports whether a and b agree within 1e-9 relative (to 1 at
+// least).
+func near(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*max(1, math.Abs(a), math.Abs(b))
+}
+
+// distinct reports whether no two costs agree within 1e-9.
+func distinct(c []float64) bool {
+	for i := range c {
+		for j := range i {
+			if math.Abs(c[i]-c[j]) <= 1e-9 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// violation is the most x breaks a constraint of p by, relative to the
+// largest term of the row (and 1).
+func violation(p Problem, x []float64) float64 {
+	worst := 0.0
+	for _, v := range x {
+		worst = max(worst, -v)
+	}
+	check := func(rows [][]float64, b []float64, eq bool) {
+		for i, row := range rows {
+			lhs, scale := 0.0, max(1, math.Abs(b[i]))
+			for j, a := range row {
+				lhs += a * x[j]
+				scale = max(scale, math.Abs(a*x[j]))
+			}
+			d := lhs - b[i]
+			if eq {
+				d = math.Abs(d)
+			}
+			worst = max(worst, d/scale)
+		}
+	}
+	check(p.Aub, p.Bub, false)
+	check(p.Aeq, p.Beq, true)
+	return worst
+}
+
+// randomProblem draws a small general program: rows over one variable,
+// rows without a positive entry and dense rows, small integer
+// coefficients, right-hand sides of either sign, up to two equality rows
+// and costs of either sign.
+func randomProblem(rng *rand.Rand) Problem {
+	n := 1 + rng.Intn(6)
+	p := Problem{C: make([]float64, n)}
+	for j := range p.C {
+		p.C[j] = 4*rng.Float64() - 1
+	}
+	for range rng.Intn(9) {
+		row := make([]float64, n)
+		switch rng.Intn(3) {
+		case 0:
+			row[rng.Intn(n)] = float64(1 + rng.Intn(3))
+		case 1:
+			for j := range row {
+				row[j] = -float64(rng.Intn(2))
+			}
+		default:
+			for j := range row {
+				row[j] = float64(rng.Intn(7) - 3)
+			}
+		}
+		p.Aub, p.Bub = append(p.Aub, row), append(p.Bub, float64(rng.Intn(25)-5))
+	}
+	for range rng.Intn(3) {
+		row := make([]float64, n)
+		for j := range row {
+			row[j] = float64(rng.Intn(5) - 1)
+		}
+		p.Aeq, p.Beq = append(p.Aeq, row), append(p.Beq, float64(rng.Intn(20)-2))
+	}
+	return p
+}
+
+// randomProgram1 draws a program as core's optimizeAllocation poses
+// program (1): up to 8 random simple paths from node 0 to node 1 of a
+// small random graph; one row per directed hop a path takes and one per
+// reverse of it, in order of first use, +1 for each path taking the hop
+// and −1 for each taking its reverse (an offset). Capacities carry a
+// random flow over the paths plus slack, often none, and the demand is at
+// most that flow, so the program is feasible unless a capacity was
+// nudged below zero. Path costs are per-channel rates, equal per hop, or
+// zero.
+func randomProgram1(rng *rand.Rand) Problem {
+	nodes := 4 + rng.Intn(6)
+	adj := make([][]int, nodes)
+	link := func(u, v int) {
+		if u != v && !slices.Contains(adj[u], v) {
+			adj[u], adj[v] = append(adj[u], v), append(adj[v], u)
+		}
+	}
+	for v := 1; v < nodes; v++ {
+		link(v, rng.Intn(v))
+	}
+	for range 2 * nodes {
+		link(rng.Intn(nodes), rng.Intn(nodes))
+	}
+	var paths [][]int
+	for range 20 {
+		p := randomPath(rng, adj, 0, 1)
+		if len(paths) < 8 && !slices.ContainsFunc(paths, func(q []int) bool { return slices.Equal(p, q) }) {
+			paths = append(paths, p)
+		}
+	}
+	k, costs := len(paths), rng.Intn(4) // costs 0: zero, 1: equal per hop, else rates
+	p := Problem{C: make([]float64, k), Aeq: [][]float64{ones(k)}}
+	rowOf, rate := map[[2]int]int{}, map[[2]int]float64{}
+	entry := func(u, v, path int, a float64) {
+		r, ok := rowOf[[2]int{u, v}]
+		if !ok {
+			r = len(p.Aub)
+			rowOf[[2]int{u, v}] = r
+			p.Aub = append(p.Aub, make([]float64, k))
+		}
+		p.Aub[r][path] += a
+	}
+	flow, total := make([]float64, k), 0.0
+	for i, path := range paths {
+		if rng.Intn(4) > 0 {
+			flow[i] = 10 * rng.Float64()
+		}
+		total += flow[i]
+		for h := 0; h+1 < len(path); h++ {
+			u, v := path[h], path[h+1]
+			entry(u, v, i, 1)
+			entry(v, u, i, -1)
+			if costs == 1 {
+				p.C[i] += 0.01
+			} else if ch := [2]int{min(u, v), max(u, v)}; costs > 1 {
+				if _, ok := rate[ch]; !ok {
+					rate[ch] = 0.001 + 0.099*rng.Float64()
+				}
+				p.C[i] += rate[ch]
+			}
+		}
+	}
+	for _, row := range p.Aub {
+		net, slack := 0.0, 0.0
+		for i, a := range row {
+			net += a * flow[i]
+		}
+		if rng.Intn(3) > 0 {
+			slack = 5 * rng.Float64()
+		}
+		p.Bub = append(p.Bub, max(net, 0)+slack)
+	}
+	if rng.Intn(8) == 0 {
+		p.Bub[rng.Intn(len(p.Bub))] = -1e-3 * (1 + rng.Float64())
+	}
+	p.Beq = []float64{total * rng.Float64()}
+	return p
+}
+
+// randomPath is a simple path from s to t found by a depth-first search
+// that tries neighbours in random order.
+func randomPath(rng *rand.Rand, adj [][]int, s, t int) []int {
+	on := make([]bool, len(adj))
+	var path []int
+	var walk func(u int) bool
+	walk = func(u int) bool {
+		path, on[u] = append(path, u), true
+		if u == t {
+			return true
+		}
+		for _, i := range rng.Perm(len(adj[u])) {
+			if v := adj[u][i]; !on[v] && walk(v) {
+				return true
+			}
+		}
+		path, on[u] = path[:len(path)-1], false
+		return false
+	}
+	walk(s)
+	return path
+}
+
+// program1Problem is a program (1) of seed 1's average ripple-mixed
+// shape: 10 paths and 49 rows — two rows over each path alone, 24 rows of
+// −1 entries only (reverse slots of channels the paths cross) and 5
+// channels two paths share, two of them crossed in reverse by a third.
+func program1Problem() Problem {
+	rng := rand.New(rand.NewSource(1))
+	const paths = 10
+	p := Problem{C: make([]float64, paths), Aeq: [][]float64{ones(paths)}, Beq: []float64{200}}
+	row := func(b float64) []float64 {
+		r := make([]float64, paths)
+		p.Aub, p.Bub = append(p.Aub, r), append(p.Bub, b)
+		return r
+	}
+	for i := range paths {
+		p.C[i] = 0.01 + 0.05*rng.Float64()
+		row(20 + 80*rng.Float64())[i] = 1
+		row(20 + 80*rng.Float64())[i] = 1
+	}
+	for k := range 24 {
+		r := row(20 + 80*rng.Float64())
+		r[k%paths] = -1
+		if k%3 == 0 {
+			r[(k+1)%paths] = -1
+		}
+	}
+	for k := range 5 {
+		r := row(30 + 60*rng.Float64())
+		r[2*k], r[2*k+1] = 1, 1
+		if k < 2 {
+			r[2*k+5] = -1
+		}
+	}
+	return p
+}
+
+// BenchmarkSolveElephantSizedLP solves the programs elephants pose with a
+// reused Solver and with the dense tableau Solve ran before
+// (oracle_test.go): program1, seed 1's average program (1), and
+// separable, 20 paths with a capacity row each and no shared row. rows/op
+// is the tableau's height at the end.
+func BenchmarkSolveElephantSizedLP(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    Problem
+	}{
+		{"program1", program1Problem()},
+		{"separable", randomSplitProblem(rand.New(rand.NewSource(11)), 20)},
+	} {
+		b.Run(c.name+"/solver", func(b *testing.B) {
+			var s Solver
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.Solve(c.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(s.m), "rows/op")
+		})
+		b.Run(c.name+"/oracle", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := oracleSolve(c.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(c.p.Aub)+len(c.p.Aeq)), "rows/op")
+		})
 	}
 }

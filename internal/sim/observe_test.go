@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/telemetry"
 )
 
@@ -149,5 +150,37 @@ func TestWriteDynamicJSONDeterministic(t *testing.T) {
 	}
 	if !bytes.Contains(a, []byte(`"scheme": "Flash"`)) {
 		t.Errorf("JSON document missing scheme field:\n%s", a)
+	}
+}
+
+// TestFeeProgramNeverFallsBack replays a 300-node Ripple cell under Flash
+// and requires every elephant split to come from the fee program: a
+// solver failure falls back to sequential filling, which only
+// core.Stats.FeeProgramFallbacks and its gauge would show.
+func TestFeeProgramNeverFallsBack(t *testing.T) {
+	sc := DefaultScenario(KindRipple, 300)
+	sc.Txns = 1000
+	net, payments, threshold, err := sc.buildCell(sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := BuildRouter(sc.routerSpec(SchemeFlash, threshold, sc.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	RegisterRouterMetrics(reg, SchemeFlash, r)
+	if _, err := Replay(net, r, payments, threshold, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.(*core.Flash).Stats(); st.Elephants < 50 || st.FeeProgramFallbacks != 0 {
+		t.Fatalf("%d elephants, %d fee-program fallbacks: want at least 50 and none", st.Elephants, st.FeeProgramFallbacks)
+	}
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if want := `flash_fee_program_fallbacks_total{scheme="Flash"} 0`; !bytes.Contains(prom.Bytes(), []byte(want)) {
+		t.Errorf("registry lacks %s:\n%s", want, prom.String())
 	}
 }
