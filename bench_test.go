@@ -312,17 +312,16 @@ func BenchmarkDynamicEngine(b *testing.B) {
 			b.Run(fmt.Sprintf("payments=%d/service=%v", payments, service), func(b *testing.B) {
 				const rate = 1000 // arrivals per virtual second
 				sc := sim.DynamicScenario{
-					Name:          "bench",
-					Kind:          "ripple",
-					Nodes:         200,
-					ScaleFactor:   10,
-					Duration:      float64(payments) / rate,
-					Rate:          rate,
-					ChurnRate:     1,
-					RebalanceRate: 1,
-					Service:       service,
-					Schemes:       []string{flash.SchemeShortestPath},
-					Seed:          1,
+					Name:           "bench",
+					Kind:           "ripple",
+					Nodes:          200,
+					ScaleFactor:    10,
+					Duration:       float64(payments) / rate,
+					Rate:           rate,
+					ChurnRate:      1,
+					RebalanceRate:  1,
+					Schemes:        []string{flash.SchemeShortestPath},
+					DynamicOptions: sim.DynamicOptions{Seed: 1, Service: service},
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -353,17 +352,17 @@ func BenchmarkDynamicEngine(b *testing.B) {
 		const rate, payments = 1000, 10000
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			sc := sim.DynamicScenario{
-				Name:          "bench-scale",
-				Kind:          "ripple",
-				Nodes:         nodes,
-				ScaleFactor:   10,
-				Duration:      float64(payments) / rate,
-				Rate:          rate,
-				ChurnRate:     1,
-				RebalanceRate: 1,
-				TableCap:      4096,
-				Schemes:       []string{flash.SchemeFlash},
-				Seed:          1,
+				Name:           "bench-scale",
+				Kind:           "ripple",
+				Nodes:          nodes,
+				ScaleFactor:    10,
+				Duration:       float64(payments) / rate,
+				Rate:           rate,
+				ChurnRate:      1,
+				RebalanceRate:  1,
+				Schemes:        []string{flash.SchemeFlash},
+				Router:         sim.RouterSpec{TableCap: 4096},
+				DynamicOptions: sim.DynamicOptions{Seed: 1},
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -419,7 +418,7 @@ func BenchmarkControlPlane(b *testing.B) {
 				DemandShiftFactor: 0.25,
 				DemandShiftFrac:   0.5,
 				Schemes:           []string{flash.SchemeFlash},
-				Seed:              1,
+				DynamicOptions:    sim.DynamicOptions{Seed: 1},
 			}
 			if cell.policy != "" {
 				policy, err := control.ParsePolicy(cell.policy)
@@ -459,16 +458,16 @@ func BenchmarkControlPlane(b *testing.B) {
 func BenchmarkTelemetry(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
 	base := sim.DynamicScenario{
-		Name:          "bench",
-		Kind:          "ripple",
-		Nodes:         200,
-		ScaleFactor:   10,
-		Duration:      10000.0 / rate,
-		Rate:          rate,
-		ChurnRate:     1,
-		RebalanceRate: 1,
-		Schemes:       []string{flash.SchemeShortestPath},
-		Seed:          1,
+		Name:           "bench",
+		Kind:           "ripple",
+		Nodes:          200,
+		ScaleFactor:    10,
+		Duration:       10000.0 / rate,
+		Rate:           rate,
+		ChurnRate:      1,
+		RebalanceRate:  1,
+		Schemes:        []string{flash.SchemeShortestPath},
+		DynamicOptions: sim.DynamicOptions{Seed: 1},
 	}
 	for _, mode := range []string{"off", "live", "jsonl"} {
 		b.Run("sink="+mode, func(b *testing.B) {
@@ -522,17 +521,16 @@ func BenchmarkTelemetry(b *testing.B) {
 func BenchmarkLatencyModel(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
 	base := sim.DynamicScenario{
-		Name:          "bench",
-		Kind:          "ripple",
-		Nodes:         200,
-		ScaleFactor:   10,
-		Duration:      10000.0 / rate,
-		Rate:          rate,
-		ChurnRate:     1,
-		RebalanceRate: 1,
-		Service:       0.05,
-		Schemes:       []string{flash.SchemeShortestPath},
-		Seed:          1,
+		Name:           "bench",
+		Kind:           "ripple",
+		Nodes:          200,
+		ScaleFactor:    10,
+		Duration:       10000.0 / rate,
+		Rate:           rate,
+		ChurnRate:      1,
+		RebalanceRate:  1,
+		Schemes:        []string{flash.SchemeShortestPath},
+		DynamicOptions: sim.DynamicOptions{Seed: 1, Service: 0.05},
 	}
 	for _, mode := range []string{"off", "latency", "latency+deadline"} {
 		b.Run("model="+mode, func(b *testing.B) {

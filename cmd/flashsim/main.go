@@ -11,7 +11,8 @@
 // output includes a per-window time series. Dynamic runs with
 // -workers 1 (the default) are fully deterministic: the same seed
 // prints the same bytes, fingerprint included — with or without hold
-// spans.
+// spans. A -scenario preset keeps its own settings except for the flags
+// given on the command line.
 //
 // -service enables hold spans: each payment locks its funds for an
 // exponential virtual service time between the routing decision and
@@ -39,8 +40,10 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -49,110 +52,255 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	var (
-		kind     = flag.String("kind", sim.KindRipple, "topology kind: ripple, lightning or testbed")
-		topology = flag.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing the generated -kind topology")
-		nodes    = flag.Int("nodes", 1870, "number of nodes")
-		txns     = flag.Int("txns", 2000, "number of transactions (static mode)")
-		scale    = flag.Float64("scale", 10, "capacity scale factor")
-		mice     = flag.Float64("mice", 0.9, "fraction of payments classified as mice")
-		schemes  = flag.String("schemes", strings.Join(sim.PaperSchemes, ","), "comma-separated scheme list")
-		runs     = flag.Int("runs", 5, "independent runs to average (static mode)")
-		seed     = flag.Int64("seed", 1, "base random seed")
-		flashK   = flag.Int("k", 0, "Flash elephant path budget (0 = paper default 20)")
-		flashM   = flag.Int("m", -1, "Flash mice paths per receiver (-1 = paper default 4; 0 routes mice as elephants)")
-		capLo    = flag.Float64("caplo", 1000, "testbed capacity range low")
-		capHi    = flag.Float64("caphi", 1500, "testbed capacity range high")
-		workers  = flag.Int("workers", 1, "dynamic mode: concurrent payment stations (1 = deterministic, 0 = GOMAXPROCS); static replay is sequential and accepts only 1")
-		parallel = flag.Bool("parallelschemes", false, "run the schemes of each repetition concurrently on identically-seeded networks")
-		retries  = flag.Int("retries", 0, "re-route failed payments up to N extra times with jittered virtual backoff")
-		probeW   = flag.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
-		tableCap = flag.Int("tablecap", 0, "bound each sender's mice routing table to N receiver entries, LRU-evicted (0 = unbounded)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		dynamic   = flag.Bool("dynamic", false, "discrete-event dynamic mode: virtual time, arrival process, churn")
-		scenario  = flag.String("scenario", "", "dynamic scenario preset: "+strings.Join(sim.DynamicScenarioNames, ", "))
-		arrival   = flag.String("arrival", sim.ArrivalPoisson, "arrival process: poisson, flash-crowd or diurnal")
-		rate      = flag.Float64("rate", 20, "mean payment arrivals per virtual second")
-		duration  = flag.Float64("duration", 60, "virtual seconds to simulate")
-		window    = flag.Float64("window", 0, "time-series window in virtual seconds (0 = duration/10)")
-		churn     = flag.Float64("churn", 0, "channel open/close events per virtual second")
-		rebalance = flag.Float64("rebalance", 0, "channel rebalance events per virtual second")
-		latent    = flag.Int("latent", 0, "latent channels that may open mid-run")
-		peak      = flag.Float64("peak", 0, "flash-crowd rate multiplier / diurnal swing (0 = per-process default)")
-		service   = flag.Float64("service", 0, "mean virtual service time per payment in seconds; > 0 enables hold spans (funds stay locked until the commit event)")
-		ctrl      = flag.String("control", "", "adaptive control plane policies, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none (dynamic mode)")
-		latency   = flag.Float64("latency", 0, "median per-channel virtual RTT in seconds, log-normally distributed (0 = latency-free, byte-identical to the pre-latency engine)")
-		latSigma  = flag.Float64("latencysigma", 0, "log-normal shape of the per-channel RTT distribution (0 = default 0.6)")
-		deadline  = flag.Float64("deadline", 0, "HTLC-style hold-span expiry in virtual seconds: suspended payments whose commit cannot settle in time abort at the deadline (0 = no expiry; > 0 requires -service)")
-		griefFrac = flag.Float64("grieffrac", 0, "fraction of payments marked as griefers that pin their routes (dynamic mode, requires -service)")
-		griefHold = flag.Float64("griefhold", 0, "virtual seconds a griefer holds its route instead of the drawn service time")
+// spec is what one invocation runs, as its flags leave it: the static
+// replay's scenario, the dynamic scenario, and the switches choosing
+// between the modes and the output.
+type spec struct {
+	static sim.Scenario
+	dyn    sim.DynamicScenario
 
-		flows    = flag.String("flows", "", "write one JSON flow record per completed payment to this file (observer-only; '-' = stdout)")
-		jsonMode = flag.Bool("json", false, "print dynamic results as machine-readable JSON instead of the table (dynamic mode only)")
-	)
-	flag.Parse()
+	dynamic, json             bool
+	scenario, topology, flows string
+}
 
-	if *topology != "" {
-		*kind = sim.KindSnapshotPrefix + *topology
+// A flagField binds one flag to the spec fields it sets: fields returns
+// their addresses in s, one for each mode that has the knob.
+type flagField struct {
+	name   string
+	def    any // string, bool, int, int64 or float64
+	usage  string
+	fields func(s *spec) []any
+}
+
+// flagFields is flashsim's flag table. The static cell and the custom
+// dynamic scenario take every flag's value, defaults included; a
+// -scenario preset keeps its own values except for the flags given.
+var flagFields = []flagField{
+	{"kind", sim.KindRipple, "topology kind: ripple, lightning or testbed",
+		func(s *spec) []any { return []any{&s.static.Kind, &s.dyn.Kind} }},
+	{"topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing the generated -kind topology",
+		func(s *spec) []any { return []any{&s.topology} }},
+	{"nodes", 1870, "number of nodes",
+		func(s *spec) []any { return []any{&s.static.Nodes, &s.dyn.Nodes} }},
+	{"txns", 2000, "number of transactions (static mode)",
+		func(s *spec) []any { return []any{&s.static.Txns} }},
+	{"scale", 10.0, "capacity scale factor",
+		func(s *spec) []any { return []any{&s.static.ScaleFactor, &s.dyn.ScaleFactor} }},
+	{"mice", 0.9, "fraction of payments classified as mice",
+		func(s *spec) []any { return []any{&s.static.MiceFraction, &s.dyn.MiceFraction} }},
+	{"schemes", strings.Join(sim.PaperSchemes, ","), "comma-separated scheme list",
+		func(s *spec) []any { return []any{&s.static.Schemes, &s.dyn.Schemes} }},
+	{"runs", 5, "independent runs to average (static mode)",
+		func(s *spec) []any { return []any{&s.static.Runs} }},
+	{"seed", int64(1), "base random seed",
+		func(s *spec) []any { return []any{&s.static.Seed, &s.dyn.Seed} }},
+	{"k", 0, "Flash elephant path budget (0 = paper default 20)",
+		func(s *spec) []any { return []any{&s.static.Router.K, &s.dyn.Router.K} }},
+	{"m", -1, "Flash mice paths per receiver (-1 = paper default 4; 0 routes mice as elephants)",
+		func(s *spec) []any { return []any{&s.static.Router, &s.dyn.Router} }},
+	{"caplo", 1000.0, "testbed capacity range low",
+		func(s *spec) []any { return []any{&s.static.TestbedCapLo} }},
+	{"caphi", 1500.0, "testbed capacity range high",
+		func(s *spec) []any { return []any{&s.static.TestbedCapHi} }},
+	{"workers", 1, "dynamic mode: concurrent payment stations (1 = deterministic, 0 = GOMAXPROCS); static replay is sequential and accepts only 1",
+		func(s *spec) []any { return []any{&s.dyn.Workers} }},
+	{"retries", 0, "re-route failed payments up to N extra times with jittered virtual backoff",
+		func(s *spec) []any { return []any{&s.static.Retries, &s.dyn.Retries} }},
+	{"probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)",
+		func(s *spec) []any { return []any{&s.static.Router.ProbeWorkers, &s.dyn.Router.ProbeWorkers} }},
+	{"tablecap", 0, "bound each sender's mice routing table to N receiver entries, LRU-evicted (0 = unbounded)",
+		func(s *spec) []any { return []any{&s.static.Router.TableCap, &s.dyn.Router.TableCap} }},
+
+	{"dynamic", false, "discrete-event dynamic mode: virtual time, arrival process, churn",
+		func(s *spec) []any { return []any{&s.dynamic} }},
+	{"scenario", "", "dynamic scenario preset: " + strings.Join(sim.DynamicScenarioNames, ", "),
+		func(s *spec) []any { return []any{&s.scenario} }},
+	{"arrival", sim.ArrivalPoisson, "arrival process: poisson, flash-crowd or diurnal",
+		func(s *spec) []any { return []any{&s.dyn.Arrival} }},
+	{"rate", 20.0, "mean payment arrivals per virtual second",
+		func(s *spec) []any { return []any{&s.dyn.Rate} }},
+	{"duration", 60.0, "virtual seconds to simulate",
+		func(s *spec) []any { return []any{&s.dyn.Duration} }},
+	{"window", 0.0, "time-series window in virtual seconds (0 = duration/10)",
+		func(s *spec) []any { return []any{&s.dyn.Window} }},
+	{"churn", 0.0, "channel open/close events per virtual second",
+		func(s *spec) []any { return []any{&s.dyn.ChurnRate} }},
+	{"rebalance", 0.0, "channel rebalance events per virtual second",
+		func(s *spec) []any { return []any{&s.dyn.RebalanceRate} }},
+	{"latent", 0, "latent channels that may open mid-run",
+		func(s *spec) []any { return []any{&s.dyn.LatentChannels} }},
+	{"peak", 0.0, "flash-crowd rate multiplier / diurnal swing (0 = per-process default)",
+		func(s *spec) []any { return []any{&s.dyn.Peak} }},
+	{"service", 0.0, "mean virtual service time per payment in seconds; > 0 enables hold spans (funds stay locked until the commit event)",
+		func(s *spec) []any { return []any{&s.dyn.Service} }},
+	{"control", "", "adaptive control plane policies, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none (dynamic mode)",
+		func(s *spec) []any { return []any{&s.dyn.Control} }},
+	{"latency", 0.0, "median per-channel virtual RTT in seconds, log-normally distributed (0 = latency-free, byte-identical to the pre-latency engine)",
+		func(s *spec) []any { return []any{&s.dyn.LatencyMedian} }},
+	{"latencysigma", 0.0, "log-normal shape of the per-channel RTT distribution (0 = default 0.6)",
+		func(s *spec) []any { return []any{&s.dyn.LatencySigma} }},
+	{"deadline", 0.0, "HTLC-style hold-span expiry in virtual seconds: suspended payments whose commit cannot settle in time abort at the deadline (0 = no expiry; > 0 requires -service)",
+		func(s *spec) []any { return []any{&s.dyn.Deadline} }},
+	{"grieffrac", 0.0, "fraction of payments marked as griefers that pin their routes (dynamic mode, requires -service)",
+		func(s *spec) []any { return []any{&s.dyn.GriefFrac} }},
+	{"griefhold", 0.0, "virtual seconds a griefer holds its route instead of the drawn service time",
+		func(s *spec) []any { return []any{&s.dyn.GriefHold} }},
+
+	{"flows", "", "write one JSON flow record per completed payment to this file (observer-only; '-' = stdout)",
+		func(s *spec) []any { return []any{&s.flows} }},
+	{"json", false, "print dynamic results as machine-readable JSON instead of the table (dynamic mode only)",
+		func(s *spec) []any { return []any{&s.json} }},
+}
+
+// assign parses a flag's text into the field p points to. Two fields
+// need more than a parse: -m sets RouterSpec's M and MSet (a negative
+// count keeps the paper default), and -control sets a policy, or nil
+// when it is off.
+func assign(p any, raw string) error {
+	var err error
+	switch p := p.(type) {
+	case *string:
+		*p = raw
+	case *bool:
+		*p, err = strconv.ParseBool(raw)
+	case *int:
+		*p, err = strconv.Atoi(raw)
+	case *int64:
+		*p, err = strconv.ParseInt(raw, 10, 64)
+	case *float64:
+		*p, err = strconv.ParseFloat(raw, 64)
+	case *[]string:
+		*p = splitList(raw)
+	case *sim.RouterSpec:
+		var m int
+		m, err = strconv.Atoi(raw)
+		p.M, p.MSet = max(m, 0), m >= 0
+	case **control.Policy:
+		var policy control.Policy
+		policy, err = control.ParsePolicy(raw)
+		*p = nil
+		if policy.Enabled() {
+			*p = &policy
+		}
+	default:
+		panic(fmt.Sprintf("flashsim: no parser for %T", p))
+	}
+	return err
+}
+
+// parse registers flagFields as ordinary typed flags and parses args.
+func parse(args []string, stderr io.Writer) (*flag.FlagSet, error) {
+	fs := flag.NewFlagSet("flashsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	for _, f := range flagFields {
+		switch def := f.def.(type) {
+		case string:
+			fs.String(f.name, def, f.usage)
+		case bool:
+			fs.Bool(f.name, def, f.usage)
+		case int:
+			fs.Int(f.name, def, f.usage)
+		case int64:
+			fs.Int64(f.name, def, f.usage)
+		case float64:
+			fs.Float64(f.name, def, f.usage)
+		}
+	}
+	return fs, fs.Parse(args)
+}
+
+// apply sets the fields the flags bind in s from the parsed values:
+// every flag's with all, or only the flags given on the command line,
+// which is how a preset is overlaid.
+func (s *spec) apply(fs *flag.FlagSet, all bool) error {
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for _, f := range flagFields {
+		if !all && !given[f.name] {
+			continue
+		}
+		for _, field := range f.fields(s) {
+			if err := assign(field, fs.Lookup(f.name).Value.String()); err != nil {
+				return err
+			}
+		}
+	}
+	if s.topology != "" {
+		s.static.Kind = sim.KindSnapshotPrefix + s.topology
+		s.dyn.Kind = s.static.Kind
+	}
+	return nil
+}
+
+// run is flashsim over the given arguments and output streams; it
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs, err := parse(args, stderr)
+	if err == flag.ErrHelp {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	s := &spec{dyn: sim.DynamicScenario{Name: "custom"}}
+	if err := s.apply(fs, true); err != nil {
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 2
+	}
+	dynamic := s.dynamic || s.scenario != ""
+	if !dynamic && s.json {
+		fmt.Fprintln(stderr, "flashsim: -json requires dynamic mode (-dynamic or -scenario)")
+		return 2
+	}
+	if !dynamic && s.dyn.Workers != 1 { // only the dynamic scenario has stations
+		fmt.Fprintln(stderr, "flashsim: -workers requires dynamic mode (-dynamic or -scenario); the static replay is sequential")
+		return 2
+	}
+	if s.scenario != "" {
+		preset, err := sim.NamedDynamicScenario(s.scenario, s.dyn.Kind, s.dyn.Nodes)
+		if err != nil {
+			fmt.Fprintln(stderr, "flashsim:", err)
+			return 2
+		}
+		p := &spec{dyn: preset}
+		if err := p.apply(fs, false); err != nil {
+			fmt.Fprintln(stderr, "flashsim:", err)
+			return 2
+		}
+		s.dyn = p.dyn
 	}
 
-	conc := *workers
-	if conc == 0 {
-		conc = runtime.GOMAXPROCS(0)
+	sink, closeSink, err := openFlowSink(s.flows, stdout)
+	if err != nil {
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 1
 	}
+	defer func() {
+		if err := closeSink(); err != nil {
+			fmt.Fprintln(stderr, "flashsim: writing flows:", err)
+			code = 1
+		}
+	}()
+	if dynamic {
+		s.dyn.FlowSink = sink
+		return runDynamic(s.dyn, s.json, stdout, stderr)
+	}
+	s.static.FlowSink = sink
+	return runStatic(s.static, stdout, stderr)
+}
 
-	sink, closeSink := openFlowSink(*flows)
-	defer closeSink()
-
-	if *dynamic || *scenario != "" {
-		runDynamic(*scenario, *kind, *nodes, *scale, *mice, splitList(*schemes), *seed, conc, *retries,
-			*arrival, *rate, *duration, *window, *churn, *rebalance, *latent, *peak, *service,
-			*flashK, *flashM, *probeW, *tableCap, *ctrl,
-			*latency, *latSigma, *deadline, *griefFrac, *griefHold, sink, *jsonMode)
-		return
-	}
-	if *jsonMode {
-		fmt.Fprintln(os.Stderr, "flashsim: -json requires dynamic mode (-dynamic or -scenario)")
-		os.Exit(2)
-	}
-	if *workers != 1 {
-		fmt.Fprintln(os.Stderr, "flashsim: -workers requires dynamic mode (-dynamic or -scenario); the static replay is sequential")
-		os.Exit(2)
-	}
-
-	sc := sim.Scenario{
-		Kind:            *kind,
-		Nodes:           *nodes,
-		Txns:            *txns,
-		ScaleFactor:     *scale,
-		MiceFraction:    *mice,
-		Schemes:         splitList(*schemes),
-		Runs:            *runs,
-		Seed:            *seed,
-		FlashK:          *flashK,
-		TestbedCapLo:    *capLo,
-		TestbedCapHi:    *capHi,
-		ParallelSchemes: *parallel,
-		Retries:         *retries,
-		ProbeWorkers:    *probeW,
-		TableCap:        *tableCap,
-		FlowSink:        sink,
-	}
-	if *flashM >= 0 {
-		sc.FlashM = *flashM
-		sc.FlashMSet = true
-	}
-
+// runStatic replays the static cell and prints one row per scheme.
+func runStatic(sc sim.Scenario, stdout, stderr io.Writer) int {
 	results, err := sim.RunScenario(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flashsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 1
 	}
-
-	fmt.Printf("# kind=%s nodes=%d txns=%d scale=%g mice=%.0f%% runs=%d seed=%d retries=%d probeworkers=%d\n",
-		sc.Kind, sc.Nodes, sc.Txns, sc.ScaleFactor, 100*sc.MiceFraction, sc.Runs, sc.Seed, sc.Retries, sc.ProbeWorkers)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "# kind=%s nodes=%d txns=%d scale=%g mice=%.0f%% runs=%d seed=%d retries=%d probeworkers=%d\n",
+		sc.Kind, sc.Nodes, sc.Txns, sc.ScaleFactor, 100*sc.MiceFraction, sc.Runs, sc.Seed, sc.Retries, sc.Router.ProbeWorkers)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "scheme\tsucc.ratio\tsucc.volume\tprobe msgs\tfee ratio\tmean delay")
 	for _, r := range results {
 		fmt.Fprintf(w, "%s\t%.1f%%\t%.4g\t%.0f\t%.3f%%\t%v\n",
@@ -164,43 +312,7 @@ func main() {
 			r.Runs[0].MeanDelay().Round(1000))
 	}
 	w.Flush()
-}
-
-// openFlowSink opens the -flows destination: a buffered JSONL sink on
-// the given path ('-' = stdout), or a nil sink (one branch on the hot
-// path) when the flag is unset. The returned close function flushes
-// and reports sink errors.
-func openFlowSink(path string) (telemetry.Sink, func()) {
-	if path == "" {
-		return nil, func() {}
-	}
-	var (
-		f   *os.File
-		err error
-	)
-	if path == "-" {
-		f = os.Stdout
-	} else if f, err = os.Create(path); err != nil {
-		fmt.Fprintln(os.Stderr, "flashsim:", err)
-		os.Exit(1)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	sink := telemetry.NewJSONLSink(bw)
-	return sink, func() {
-		ferr := sink.Close() // drain the async writer before flushing
-		if berr := bw.Flush(); ferr == nil {
-			ferr = berr
-		}
-		if f != os.Stdout {
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "flashsim: writing flows:", ferr)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
 
 // runDynamic executes the discrete-event mode and prints the
@@ -209,144 +321,80 @@ func openFlowSink(path string) (telemetry.Sink, func()) {
 // identical bytes (workers ≤ 1) — telemetry sinks included, which only
 // observe. jsonMode switches the report from the table renderer to one
 // indented JSON document per scheme.
-func runDynamic(scenario, kind string, nodes int, scale, mice float64, schemes []string,
-	seed int64, workers, retries int, arrival string, rate, duration, window,
-	churn, rebalance float64, latent int, peak, service float64, flashK, flashM, probeWorkers, tableCap int,
-	controlSpec string, latency, latSigma, deadline, griefFrac, griefHold float64,
-	sink telemetry.Sink, jsonMode bool) {
-
-	var (
-		sc  sim.DynamicScenario
-		err error
-	)
-	if scenario != "" {
-		sc, err = sim.NamedDynamicScenario(scenario, kind, nodes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flashsim:", err)
-			os.Exit(2)
-		}
-	} else {
-		sc = sim.DynamicScenario{
-			Name:        "custom",
-			Kind:        kind,
-			Nodes:       nodes,
-			ScaleFactor: scale,
-			Duration:    duration,
-			Arrival:     arrival,
-			Rate:        rate,
-			ChurnRate:   churn,
-			Peak:        peak,
-		}
+func runDynamic(sc sim.DynamicScenario, jsonMode bool, stdout, stderr io.Writer) int {
+	if sc.Workers == 0 {
+		sc.Workers = runtime.GOMAXPROCS(0)
 	}
-	// Flags the user set explicitly override a preset's defaults.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["arrival"] {
-		sc.Arrival = arrival
-	}
-	if set["rate"] {
-		sc.Rate = rate
-	}
-	if set["duration"] {
-		sc.Duration = duration
-	}
-	if set["churn"] {
-		sc.ChurnRate = churn
-	}
-	if set["rebalance"] {
-		sc.RebalanceRate = rebalance
-	}
-	if set["latent"] {
-		sc.LatentChannels = latent
-	}
-	if set["peak"] {
-		sc.Peak = peak
-	}
-	if set["scale"] {
-		sc.ScaleFactor = scale
-	}
-	if set["service"] || sc.Service == 0 {
-		sc.Service = service // a preset's hold-span default survives unless overridden
-	}
-	if set["control"] {
-		policy, perr := control.ParsePolicy(controlSpec)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "flashsim:", perr)
-			os.Exit(2)
-		}
-		if policy.Enabled() {
-			sc.Control = &policy
-		} else {
-			sc.Control = nil // -control off silences a preset's plane too
-		}
-	}
-	// The latency/deadline/grief knobs default to 0 (off), so a preset's
-	// model survives unless the flag is given explicitly — which allows
-	// paired controls like `-scenario griefing -deadline 0`.
-	if set["latency"] {
-		sc.LatencyMedian = latency
-	}
-	if set["latencysigma"] {
-		sc.LatencySigma = latSigma
-	}
-	if set["deadline"] {
-		sc.Deadline = deadline
-	}
-	if set["grieffrac"] {
-		sc.GriefFrac = griefFrac
-	}
-	if set["griefhold"] {
-		sc.GriefHold = griefHold
-	}
-	sc.MiceFraction = mice
-	sc.Window = window
-	sc.Schemes = schemes
-	sc.Workers = workers
-	sc.Retries = retries
-	sc.ProbeWorkers = probeWorkers
-	sc.TableCap = tableCap
-	sc.Seed = seed
-	sc.FlashK = flashK
-	if flashM >= 0 {
-		sc.FlashM = flashM
-		sc.FlashMSet = true
-	}
-	sc.FlowSink = sink
-
 	results, err := sim.RunDynamicScenario(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "flashsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "flashsim:", err)
+		return 1
 	}
 
 	if jsonMode {
 		for _, r := range results {
-			if err := sim.WriteDynamicJSON(os.Stdout, r.Scheme, r.Result); err != nil {
-				fmt.Fprintln(os.Stderr, "flashsim:", err)
-				os.Exit(1)
+			if err := sim.WriteDynamicJSON(stdout, r.Scheme, r.Result); err != nil {
+				fmt.Fprintln(stderr, "flashsim:", err)
+				return 1
 			}
 		}
-		return
+		return 0
 	}
-	fmt.Printf("# dynamic scenario=%s kind=%s nodes=%d scale=%g arrival=%s rate=%g/s duration=%gs service=%gs churn=%g/s rebalance=%g/s latent=%d seed=%d workers=%d retries=%d probeworkers=%d",
+	fmt.Fprintf(stdout, "# dynamic scenario=%s kind=%s nodes=%d scale=%g arrival=%s rate=%g/s duration=%gs service=%gs churn=%g/s rebalance=%g/s latent=%d seed=%d workers=%d retries=%d probeworkers=%d",
 		sc.Name, sc.Kind, sc.Nodes, sc.ScaleFactor, sc.Arrival, sc.Rate, sc.Duration, sc.Service,
-		sc.ChurnRate, sc.RebalanceRate, sc.LatentChannels, sc.Seed, sc.Workers, sc.Retries, sc.ProbeWorkers)
+		sc.ChurnRate, sc.RebalanceRate, sc.LatentChannels, sc.Seed, sc.Workers, sc.Retries, sc.Router.ProbeWorkers)
 	// The control-plane header segment appears only when a policy is
 	// live, so control-free invocations print the historical bytes.
-	if sc.Control != nil && sc.Control.Enabled() {
-		fmt.Printf(" control=%s", sc.Control.Spec())
+	showThr := sc.Control != nil && sc.Control.Enabled()
+	if showThr {
+		fmt.Fprintf(stdout, " control=%s", sc.Control.Spec())
 	}
 	// The latency-model header segment appears only when the model is
 	// live, so latency-free invocations print the historical bytes.
 	if sc.LatencyMedian > 0 || sc.Deadline > 0 || sc.GriefFrac > 0 {
-		fmt.Printf(" latency=%gs sigma=%g deadline=%gs grief=%g/%gs",
+		fmt.Fprintf(stdout, " latency=%gs sigma=%g deadline=%gs grief=%g/%gs",
 			sc.LatencyMedian, sc.LatencySigma, sc.Deadline, sc.GriefFrac, sc.GriefHold)
 	}
-	fmt.Println()
-	showThr := sc.Control != nil && sc.Control.Enabled()
+	fmt.Fprintln(stdout)
 	for _, r := range results {
-		sim.WriteDynamicResult(os.Stdout, r.Scheme, r.Result, showThr)
+		sim.WriteDynamicResult(stdout, r.Scheme, r.Result, showThr)
 	}
+	return 0
+}
+
+// openFlowSink opens the -flows destination: a buffered JSONL sink on
+// the given path ('-' = stdout), or a nil sink (one branch on the hot
+// path) when the flag is unset. The returned close function flushes
+// and reports sink errors.
+func openFlowSink(path string, stdout io.Writer) (telemetry.Sink, func() error, error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	var (
+		w   io.Writer = stdout
+		f   *os.File
+		err error
+	)
+	if path != "-" {
+		if f, err = os.Create(path); err != nil {
+			return nil, nil, err
+		}
+		w = f
+	}
+	bw := bufio.NewWriterSize(w, 1<<16)
+	sink := telemetry.NewJSONLSink(bw)
+	return sink, func() error {
+		ferr := sink.Close() // drain the async writer before flushing
+		if berr := bw.Flush(); ferr == nil {
+			ferr = berr
+		}
+		if f != nil {
+			if cerr := f.Close(); ferr == nil {
+				ferr = cerr
+			}
+		}
+		return ferr
+	}, nil
 }
 
 func splitList(s string) []string {

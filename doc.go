@@ -82,11 +82,10 @@
 //     gets a private RNG seeded from the payment ID (pcn.Tx.SetRNG /
 //     route.RandSource), so random routing choices are
 //     scheduling-independent even though balance interleaving — as in a
-//     real network — is not. Scenario.ParallelSchemes runs an
-//     experiment cell's schemes concurrently on identically-seeded
-//     private networks, with unchanged results; cmd/experiments takes a
-//     -workers flag for its sweep cells, cmd/flashsim for dynamic
-//     stations.
+//     real network — is not. A static cell's schemes run one after
+//     another on one network, restored between schemes;
+//     cmd/experiments takes a -workers flag for its sweep cells,
+//     cmd/flashsim for dynamic stations.
 //
 // Determinism: topology generation, balance assignment and workload
 // synthesis are pure functions of their seeds; replays of identical

@@ -32,7 +32,7 @@ func AblationElephantK(o Options) error {
 	for _, k := range []int{1, 5, 10, 20, 30, 40} {
 		sc := o.scenario(sim.KindRipple, o.rippleNodes())
 		sc.Txns = o.txns(sc.Txns)
-		sc.FlashK = k
+		sc.Router.K = k
 		sc.Runs = o.runs()
 		sc.Seed = o.seed()
 		sc.Schemes = []string{sim.SchemeFlash}
@@ -60,7 +60,7 @@ func AblationMiceOrder(o Options) error {
 		sc.Runs = o.runs()
 		sc.Seed = o.seed()
 		sc.Schemes = []string{sim.SchemeFlash}
-		sc.FlashFixedMiceOrder = fixed
+		sc.Router.FixedMiceOrder = fixed
 		results, err := sim.RunScenario(sc)
 		if err != nil {
 			return err
@@ -90,7 +90,7 @@ func AblationProbeAllK(o Options) error {
 		sc.Runs = o.runs()
 		sc.Seed = o.seed()
 		sc.Schemes = []string{sim.SchemeFlash}
-		sc.FlashProbeAllK = all
+		sc.Router.ProbeAllK = all
 		results, err := sim.RunScenario(sc)
 		if err != nil {
 			return err

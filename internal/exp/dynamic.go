@@ -46,7 +46,7 @@ func Dynamic(o Options) error {
 		sc.Duration = duration
 		sc.Rate = rate
 		sc.Schemes = schemes
-		sc.ProbeWorkers = o.ProbeWorkers
+		sc.Router.ProbeWorkers = o.ProbeWorkers
 		if o.Control != nil {
 			sc.Control = o.Control
 		}
@@ -103,9 +103,9 @@ func Latency(o Options) error {
 		mut      func(*sim.DynamicScenario)
 	}
 	cells := []cell{
-		{"latency-slo pw=1", "latency-slo", func(sc *sim.DynamicScenario) { sc.ProbeWorkers = 1 }},
-		{"latency-slo pw=2", "latency-slo", func(sc *sim.DynamicScenario) { sc.ProbeWorkers = 2 }},
-		{"latency-slo pw=4", "latency-slo", func(sc *sim.DynamicScenario) { sc.ProbeWorkers = 4 }},
+		{"latency-slo pw=1", "latency-slo", func(sc *sim.DynamicScenario) { sc.Router.ProbeWorkers = 1 }},
+		{"latency-slo pw=2", "latency-slo", func(sc *sim.DynamicScenario) { sc.Router.ProbeWorkers = 2 }},
+		{"latency-slo pw=4", "latency-slo", func(sc *sim.DynamicScenario) { sc.Router.ProbeWorkers = 4 }},
 		{"griefing none", "griefing", func(sc *sim.DynamicScenario) { sc.GriefFrac = 0 }},
 		{"griefing +deadline", "griefing", func(sc *sim.DynamicScenario) {}},
 		{"griefing -deadline", "griefing", func(sc *sim.DynamicScenario) { sc.Deadline = 0 }},

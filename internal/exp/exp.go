@@ -38,8 +38,7 @@ type Options struct {
 	Workers int
 
 	// ProbeWorkers sets Flash's per-session speculative probe pool in
-	// every simulated cell (sim.Scenario.ProbeWorkers /
-	// sim.DynamicScenario.ProbeWorkers). ≤ 1 — the default — keeps the
+	// every simulated cell (the scenarios' Router.ProbeWorkers). ≤ 1 — the default — keeps the
 	// sequential Algorithm 1 probing the paper's figures were captured
 	// with; > 1 trades extra probe messages for lower per-elephant
 	// latency. Tables stay deterministic for a fixed value.
@@ -73,7 +72,7 @@ func (o Options) kindFor(kind string) string {
 // option-level Flash knobs every figure shares.
 func (o Options) scenario(kind string, nodes int) sim.Scenario {
 	sc := sim.DefaultScenario(o.kindFor(kind), nodes)
-	sc.ProbeWorkers = o.ProbeWorkers
+	sc.Router.ProbeWorkers = o.ProbeWorkers
 	return sc
 }
 
@@ -441,8 +440,7 @@ func Fig11(o Options) error {
 	for m := 0; m <= 8; m++ {
 		sc := o.scenario(sim.KindRipple, o.rippleNodes())
 		sc.Txns = o.txns(sc.Txns)
-		sc.FlashM = m
-		sc.FlashMSet = true
+		sc.Router.M, sc.Router.MSet = m, true
 		sc.Runs = o.runs()
 		sc.Seed = o.seed()
 		sc.Schemes = []string{sim.SchemeFlash}

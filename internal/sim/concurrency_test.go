@@ -65,30 +65,3 @@ func TestBuildContentionValidation(t *testing.T) {
 		t.Error("zero amount accepted")
 	}
 }
-
-// TestConcurrentScenarioRuns exercises the full stack concurrently:
-// ParallelSchemes races the schemes' replays against each other. Run
-// with -race.
-func TestConcurrentScenarioRuns(t *testing.T) {
-	sc := DefaultScenario(KindRipple, 80)
-	sc.Txns = 150
-	sc.Runs = 1
-	sc.ParallelSchemes = true
-	results, err := RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(PaperSchemes) {
-		t.Fatalf("got %d scheme results", len(results))
-	}
-	for _, r := range results {
-		for _, m := range r.Runs {
-			if m.Payments == 0 {
-				t.Errorf("%s: no payments replayed", r.Scheme)
-			}
-			if m.Successes > m.Payments || m.SuccessVolume > m.AttemptVolume+1e-9 {
-				t.Errorf("%s: inconsistent metrics %+v", r.Scheme, m)
-			}
-		}
-	}
-}

@@ -305,8 +305,8 @@ type routeResult struct {
 // seed, same fingerprint — because all routing decisions run inline on
 // the event loop in (Time, Seq) order.
 func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horizon float64, churn []event.Event, miceThreshold float64, opts DynamicOptions) (DynamicResult, error) {
-	if horizon <= 0 {
-		return DynamicResult{}, fmt.Errorf("sim: dynamic horizon must be positive, got %v", horizon)
+	if !(horizon > 0) || math.IsInf(horizon, 1) {
+		return DynamicResult{}, fmt.Errorf("sim: dynamic horizon must be positive and finite, got %v", horizon)
 	}
 	// A source built over a zero/negative-rate arrival process would
 	// silently schedule +Inf/NaN virtual times onto the event heap;
@@ -887,6 +887,30 @@ func (o DynamicOptions) validate() error {
 	return nil
 }
 
+// validate checks a scenario before anything is built from it: a
+// positive, finite duration and arrival rate, churn and rebalance
+// rates that are non-negative and finite (an infinite rate would draw
+// zero gaps forever), and valid engine options.
+func (sc DynamicScenario) validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"duration", sc.Duration}, {"arrival rate", sc.Rate}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("sim: dynamic scenario %s must be positive and finite, got %v", f.name, f.v)
+		}
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"churn rate", sc.ChurnRate}, {"rebalance rate", sc.RebalanceRate}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("sim: dynamic scenario %s must be non-negative and finite, got %v", f.name, f.v)
+		}
+	}
+	return sc.DynamicOptions.validate()
+}
+
 // finishLog copies the applied-event log's evidence into the result.
 func (r *DynamicResult) finishLog(l *event.Log) {
 	r.EventCounts = l.Counts()
@@ -904,6 +928,14 @@ const (
 // DynamicScenario describes one dynamic experiment cell: a topology, a
 // time-varying arrival process, a churn model, and the schemes to
 // compare under them.
+//
+// The engine settings are the embedded DynamicOptions, so they read as
+// sc.Service, sc.Workers, sc.Seed, sc.Control and so on, and the
+// Flash knobs are Router's (sc.Router.K, sc.Router.ProbeWorkers,
+// sc.Router.TableCap, …). RunDynamicScenario sets Router.Scheme,
+// Router.Threshold and Router.Seed itself for each scheme; Seed seeds
+// the router, the engine and every scenario draw. A policy in Control
+// that leaves MiceFraction at 0 tracks the scenario's MiceFraction.
 type DynamicScenario struct {
 	Name  string // catalogue label (informational)
 	Kind  string // KindRipple, KindLightning, KindTestbed or "snapshot:<path>"
@@ -914,10 +946,7 @@ type DynamicScenario struct {
 	// barbell: every payment crosses one bridge channel, alternating
 	// direction, so committed flow nets out and failures are
 	// attributable to in-flight holds — the contention scenario.
-	Fixture       string
-	SpokeBalance  float64 // barbell spoke per-direction balance
-	BridgeBalance float64 // barbell bridge per-direction balance
-	FixtureAmount float64 // fixed payment amount on fixture workloads
+	Fixture string
 
 	// HubFailureFrac, when positive, closes every channel of the
 	// highest-degree node at this fraction of Duration — the targeted
@@ -928,16 +957,18 @@ type DynamicScenario struct {
 	ScaleFactor  float64
 	MiceFraction float64
 
-	Duration float64 // virtual seconds simulated
-	Window   float64 // time-series bucket and control cadence (default Duration/10)
+	Duration float64 // virtual seconds simulated; positive and finite
 
 	Arrival string  // ArrivalPoisson, ArrivalFlashCrowd or ArrivalDiurnal
-	Rate    float64 // mean payments per virtual second
+	Rate    float64 // mean payments per virtual second; positive and finite
 	Peak    float64 // flash-crowd rate multiplier / diurnal relative swing
 
-	ChurnRate      float64 // channel open/close events per virtual second
-	RebalanceRate  float64 // rebalance events per virtual second
-	LatentChannels int     // extra channels that may open mid-run
+	// ChurnRate and RebalanceRate are channel open/close and rebalance
+	// events per virtual second; 0 is off, and a negative, NaN or
+	// infinite rate is an error.
+	ChurnRate      float64
+	RebalanceRate  float64
+	LatentChannels int // extra channels that may open mid-run
 
 	// DemandShiftFactor, when positive, rescales payment amounts by
 	// this factor at DemandShiftFrac · Duration (a fraction so the
@@ -954,19 +985,6 @@ type DynamicScenario struct {
 	FeeShiftFactor float64
 	FeeShiftFrac   float64
 
-	// Control runs the adaptive control plane on Flash
-	// (DynamicOptions.Control): the policy's controllers observe window
-	// metrics once per Window and re-tune the runtime knobs; a policy
-	// that leaves MiceFraction at 0 tracks the scenario's MiceFraction.
-	// nil runs no controllers.
-	Control *control.Policy
-
-	// FlashK/FlashM override Flash's path counts when > 0 (FlashMSet
-	// forces FlashM through even at zero), mirroring Scenario.
-	FlashK    int
-	FlashM    int
-	FlashMSet bool
-
 	// LatencyMedian, when positive, assigns every channel a virtual RTT
 	// drawn log-normally with this median (seconds) and shape
 	// LatencySigma (default 0.6 when unset) from a scenario-seeded
@@ -976,40 +994,16 @@ type DynamicScenario struct {
 	LatencyMedian float64
 	LatencySigma  float64
 
-	// Deadline is the hold-span HTLC expiry in virtual seconds
-	// (DynamicOptions.Deadline); 0 disables expiry.
-	Deadline float64
-
-	// GriefFrac/GriefHold configure the griefing attack
-	// (DynamicOptions.GriefFrac/GriefHold): that fraction of payments
-	// hold their routes for GriefHold virtual seconds.
-	GriefFrac float64
-	GriefHold float64
-
 	Schemes []string
-	Workers int
-	Retries int
-	Service float64 // mean virtual service time per payment
-	Seed    int64
 
-	// ProbeWorkers sets Flash's per-session speculative probe pool
-	// (core.Config.ProbeWorkers; see Scenario.ProbeWorkers). A fixed
-	// seed plus a fixed ProbeWorkers replays identically with
-	// Workers ≤ 1; ≤ 1 is the sequential Algorithm 1 loop.
-	ProbeWorkers int
+	// Router carries the Flash knobs every scheme of the cell shares.
+	Router RouterSpec
 
-	// TableCap bounds each sender shard's mice routing table to this
-	// many receiver entries, LRU-evicted (core.Config.TableCap). ≤ 0 —
-	// the default — keeps tables unbounded, byte-identical replay.
-	TableCap int
-
-	// FlowSink and Registry thread telemetry through every scheme's run
-	// (DynamicOptions.FlowSink/Registry). When Registry is set the
-	// per-scheme router statistics and network hold/message counters are
-	// also registered as scheme-labelled gauges. Observer-only; nil
-	// disables.
-	FlowSink telemetry.Sink
-	Registry *telemetry.Registry
+	// DynamicOptions are the engine settings every scheme's run uses.
+	// When Registry is set the per-scheme router statistics and network
+	// hold/message counters are also registered as scheme-labelled
+	// gauges.
+	DynamicOptions
 }
 
 // DynamicSchemeResult pairs a scheme with its dynamic-run result.
@@ -1070,16 +1064,17 @@ var DynamicScenarioNames = []string{"steady", "flash-crowd", "depletion-rebalanc
 //     attack pinning the bridge liquidity unchallenged.
 func NamedDynamicScenario(name, kind string, nodes int) (DynamicScenario, error) {
 	sc := DynamicScenario{
-		Name:         name,
-		Kind:         kind,
-		Nodes:        nodes,
-		ScaleFactor:  10,
-		MiceFraction: 0.9,
-		Duration:     60,
-		Arrival:      ArrivalPoisson,
-		Rate:         20,
-		Schemes:      PaperSchemes,
-		Seed:         1,
+		Name:           name,
+		Kind:           kind,
+		Nodes:          nodes,
+		ScaleFactor:    10,
+		MiceFraction:   0.9,
+		Duration:       60,
+		Arrival:        ArrivalPoisson,
+		Rate:           20,
+		Schemes:        PaperSchemes,
+		Router:         RouterSpec{ProbeWorkers: 1},         // sequential Algorithm 1
+		DynamicOptions: DynamicOptions{Workers: 1, Seed: 1}, // one station: deterministic
 	}
 	switch name {
 	case "steady":
@@ -1103,9 +1098,6 @@ func NamedDynamicScenario(name, kind string, nodes int) (DynamicScenario, error)
 		sc.Fixture = FixtureBarbell
 		sc.Rate = 6
 		sc.Service = 2 // mean hold span: ~12 payments in flight at once
-		sc.SpokeBalance = 1e6
-		sc.BridgeBalance = 80 // ~8 concurrent holds per direction fit
-		sc.FixtureAmount = 10
 	case "hub-failure":
 		sc.Rate = 25
 		sc.Service = 1.5
@@ -1128,9 +1120,6 @@ func NamedDynamicScenario(name, kind string, nodes int) (DynamicScenario, error)
 		sc.Fixture = FixtureBarbell
 		sc.Rate = 6
 		sc.Service = 2
-		sc.SpokeBalance = 1e6
-		sc.BridgeBalance = 80
-		sc.FixtureAmount = 10
 		sc.LatencyMedian = 0.02
 		sc.LatencySigma = 0.5
 		sc.GriefFrac = 0.3
@@ -1178,35 +1167,15 @@ func (sc DynamicScenario) arrivalProcess() (trace.ArrivalProcess, error) {
 // comparable. The churn schedule, latent channels, arrival times and
 // payment contents are all pure functions of the scenario seed.
 func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
-	if sc.Duration <= 0 {
-		return nil, fmt.Errorf("sim: dynamic scenario needs a positive duration")
-	}
-	if sc.Rate <= 0 {
-		return nil, fmt.Errorf("sim: dynamic scenario needs a positive arrival rate")
-	}
 	if sc.MiceFraction == 0 {
 		sc.MiceFraction = 0.9
 	}
-	policy := sc.Control
-	if policy != nil && policy.MiceFraction == 0 && sc.MiceFraction > 0 && sc.MiceFraction < 1 {
-		tracked := *policy // never mutate the caller's policy
+	if p := sc.Control; p != nil && p.MiceFraction == 0 && sc.MiceFraction > 0 && sc.MiceFraction < 1 {
+		tracked := *p // never mutate the caller's policy
 		tracked.MiceFraction = sc.MiceFraction
-		policy = &tracked
+		sc.Control = &tracked
 	}
-	opts := DynamicOptions{
-		Workers:   sc.Workers,
-		Seed:      sc.Seed,
-		Retries:   sc.Retries,
-		Window:    sc.Window,
-		Service:   sc.Service,
-		Control:   policy,
-		Deadline:  sc.Deadline,
-		GriefFrac: sc.GriefFrac,
-		GriefHold: sc.GriefHold,
-		FlowSink:  sc.FlowSink,
-		Registry:  sc.Registry,
-	}
-	if err := opts.validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return nil, err
 	}
 	if len(sc.Schemes) == 0 {
@@ -1269,13 +1238,9 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 			}
 			net.AssignLatenciesLogNormal(newLatencyRNG(sc.Seed), sc.LatencyMedian, sigma)
 		}
-		r, err := BuildRouter(RouterSpec{
-			Scheme: scheme, Threshold: threshold,
-			K: sc.FlashK, M: sc.FlashM, MSet: sc.FlashMSet,
-			ProbeWorkers: sc.ProbeWorkers,
-			TableCap:     sc.TableCap,
-			Seed:         sc.Seed,
-		})
+		spec := sc.Router
+		spec.Scheme, spec.Threshold, spec.Seed = scheme, threshold, sc.Seed
+		r, err := BuildRouter(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -1283,7 +1248,7 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 			RegisterRouterMetrics(sc.Registry, scheme, r)
 			RegisterNetworkMetrics(sc.Registry, scheme, net)
 		}
-		res, err := RunDynamic(net, r, stream, sc.Duration, churn, threshold, opts)
+		res, err := RunDynamic(net, r, stream, sc.Duration, churn, threshold, sc.DynamicOptions)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", scheme, err)
 		}
@@ -1312,10 +1277,18 @@ func calibrateThreshold(sc DynamicScenario, g *topo.Graph) (float64, error) {
 	return core.ThresholdForMiceFraction(trace.Amounts(gen.Generate(n)), sc.MiceFraction), nil
 }
 
+// The barbell fixture's funding and payment size: a bridge of 80 per
+// direction fits ~8 concurrent 10-unit holds, and the spokes never
+// bind.
+const (
+	barbellSpokeBalance  = 1e6
+	barbellBridgeBalance = 80
+	barbellAmount        = 10
+)
+
 // buildBarbellCell constructs the contention fixture's network and
 // workload: a BuildContention barbell (spoke count derived from
-// sc.Nodes, zero-value balances and amount falling back to the
-// catalogue defaults) and a lazy cross-bridge payment stream under the
+// sc.Nodes) and a lazy cross-bridge payment stream under the
 // scenario's arrival process. The elephant threshold equals the fixed
 // payment amount, so every payment classifies as a mouse — the
 // scenario isolates hold contention, not size differentiation.
@@ -1324,27 +1297,16 @@ func buildBarbellCell(sc DynamicScenario, arr trace.ArrivalProcess) (*pcn.Networ
 	if spokes < 2 {
 		spokes = 2
 	}
-	spokeBal, bridgeBal, amount := sc.SpokeBalance, sc.BridgeBalance, sc.FixtureAmount
-	if spokeBal <= 0 {
-		spokeBal = 1e6
-	}
-	if bridgeBal <= 0 {
-		bridgeBal = 80
-	}
-	if amount <= 0 {
-		amount = 10
-	}
-	net, _, err := BuildContention(spokes, spokeBal, bridgeBal, amount)
+	net, _, err := BuildContention(spokes, barbellSpokeBalance, barbellBridgeBalance, barbellAmount)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	stream := &barbellStream{
 		spokes: spokes,
-		amount: amount,
 		arr:    arr,
 		rng:    stats.NewRNG(sc.Seed, 0xBA2B),
 	}
-	return net, stream, amount, nil
+	return net, stream, barbellAmount, nil
 }
 
 // barbellStream feeds the barbell fixture's cross-bridge payments
@@ -1354,7 +1316,6 @@ func buildBarbellCell(sc DynamicScenario, arr trace.ArrivalProcess) (*pcn.Networ
 // Like trace.Stream it never exhausts; the horizon bounds the run.
 type barbellStream struct {
 	spokes int
-	amount float64
 	arr    trace.ArrivalProcess
 	rng    *rand.Rand
 	now    float64
@@ -1372,7 +1333,7 @@ func (b *barbellStream) Next() (trace.Payment, float64, bool) {
 	b.next++
 	left := topo.NodeID(i % b.spokes)
 	right := topo.NodeID(b.spokes + 2 + (i/b.spokes)%b.spokes)
-	p := trace.Payment{ID: i, Amount: b.amount, Time: b.now / trace.SecondsPerDay}
+	p := trace.Payment{ID: i, Amount: barbellAmount, Time: b.now / trace.SecondsPerDay}
 	if i%2 == 0 {
 		p.Sender, p.Receiver = left, right
 	} else {

@@ -194,37 +194,3 @@ func TestConcurrentReplayInvariants(t *testing.T) {
 		t.Errorf("successes %d exceed payments %d", got.Successes, got.Payments)
 	}
 }
-
-// TestParallelSchemesMatchesRestoreLoop verifies the documented claim
-// on Scenario.ParallelSchemes: it is a pure wall-clock optimisation —
-// scheme metrics are identical to the sequential restore loop.
-func TestParallelSchemesMatchesRestoreLoop(t *testing.T) {
-	base := DefaultScenario(KindRipple, 80)
-	base.Txns = 200
-	base.Runs = 2
-
-	seq := base
-	par := base
-	par.ParallelSchemes = true
-
-	seqRes, err := RunScenario(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRes, err := RunScenario(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seqRes {
-		if seqRes[i].Scheme != parRes[i].Scheme {
-			t.Fatalf("scheme order diverged: %s vs %s", seqRes[i].Scheme, parRes[i].Scheme)
-		}
-		for run := range seqRes[i].Runs {
-			a := stripDelays(seqRes[i].Runs[run])
-			b := stripDelays(parRes[i].Runs[run])
-			if a != b {
-				t.Errorf("%s run %d diverged:\n restore  %+v\n parallel %+v", seqRes[i].Scheme, run, a, b)
-			}
-		}
-	}
-}

@@ -164,7 +164,7 @@ func TestFeeProgramNeverFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildRouter(sc.routerSpec(SchemeFlash, threshold, sc.Seed))
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: sc.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestProbeWorkersDynamicReplayIdentical(t *testing.T) {
 		sc.Service = 0.2
 		sc.ChurnRate = 0.5
 		sc.Schemes = []string{SchemeFlash}
-		sc.ProbeWorkers = 4
+		sc.Router.ProbeWorkers = 4
 		sc.Seed = 11
 		results, err := RunDynamicScenario(sc)
 		if err != nil {

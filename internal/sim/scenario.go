@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -55,17 +54,12 @@ type Scenario struct {
 	// quantile (paper: 0.9 — 90% of payments are mice).
 	MiceFraction float64
 
-	// FlashK / FlashM override Flash's path counts when > 0 (defaults:
-	// paper's k=20, m=4). FlashMSet forces FlashM to be honoured even
-	// when zero (m=0 routes mice as elephants, Figure 11).
-	FlashK    int
-	FlashM    int
-	FlashMSet bool
-
-	// FlashFixedMiceOrder and FlashProbeAllK select the ablation
-	// variants of core.Config (see that package for semantics).
-	FlashFixedMiceOrder bool
-	FlashProbeAllK      bool
+	// Router carries the Flash knobs every scheme of the cell shares:
+	// path counts (Router.K, Router.M), the ablation switches,
+	// Router.ProbeWorkers and Router.TableCap. RunScenario sets
+	// Router.Scheme, Router.Threshold and Router.Seed itself for each
+	// scheme and run, so whatever a caller leaves there is ignored.
+	Router RouterSpec
 
 	// TestbedCapLo/Hi set the uniform capacity range for KindTestbed
 	// (paper: [1000,1500), [1500,2000), [2000,2500) USD).
@@ -77,27 +71,6 @@ type Scenario struct {
 	// after failed attempt a). Replayed arrivals are 43.2 virtual s
 	// apart, so up to 9 retries settle before the next payment arrives.
 	Retries int
-
-	// ProbeWorkers sets the per-session probe pool of Flash's elephant
-	// routing (core.Config.ProbeWorkers): > 1 probes that many
-	// speculative candidate paths concurrently per round; ≤ 1 — the
-	// default — keeps the sequential Algorithm 1 loop, byte-identical
-	// to the seed engine. Only Flash variants consult it.
-	ProbeWorkers int
-
-	// TableCap bounds each sender shard's mice routing table to this
-	// many receiver entries, LRU-evicted (core.Config.TableCap). ≤ 0 —
-	// the default — keeps tables unbounded. Only Flash variants
-	// consult it; snapshot-scale runs use it to bound resident memory.
-	TableCap int
-
-	// ParallelSchemes runs the scenario's schemes concurrently, each on
-	// its own identically-seeded network and workload, instead of
-	// restoring one network between schemes. The results are identical
-	// to the restore loop — network construction and workload generation
-	// are pure functions of the run seed — so this is a pure wall-clock
-	// optimisation.
-	ParallelSchemes bool
 
 	// FlowSink, when non-nil, receives one telemetry.FlowRecord per
 	// completed payment across every scheme and run. Observer-only;
@@ -216,7 +189,9 @@ func workloadFor(kind string, g *topo.Graph, seed int64) (*trace.Generator, erro
 // RouterSpec names a scheme together with every knob a scenario can
 // turn on it. The zero value of each field means "paper default";
 // non-Flash schemes ignore the Flash fields. BuildRouter is the single
-// construction path, so a new Flash knob only needs a field here.
+// construction path, and Scenario and DynamicScenario carry a
+// RouterSpec, so a new Flash knob only needs a field here (and a
+// flashsim flag, if the command line should reach it).
 type RouterSpec struct {
 	Scheme    string
 	Threshold float64 // Flash elephant threshold
@@ -274,18 +249,6 @@ func BuildRouter(spec RouterSpec) (route.Router, error) {
 	}
 }
 
-// routerSpec collects the scenario's Flash knobs for one scheme.
-func (sc Scenario) routerSpec(scheme string, threshold float64, seed int64) RouterSpec {
-	return RouterSpec{
-		Scheme: scheme, Threshold: threshold,
-		K: sc.FlashK, M: sc.FlashM, MSet: sc.FlashMSet,
-		FixedMiceOrder: sc.FlashFixedMiceOrder, ProbeAllK: sc.FlashProbeAllK,
-		ProbeWorkers: sc.ProbeWorkers,
-		TableCap:     sc.TableCap,
-		Seed:         seed,
-	}
-}
-
 // SchemeResult collects the per-run metrics of one scheme in a
 // scenario.
 type SchemeResult struct {
@@ -317,9 +280,7 @@ func (r SchemeResult) Summary(f func(Metrics) float64) stats.Summary {
 // RunScenario executes a scenario: Runs independent repetitions, each
 // with a fresh topology, balance assignment and workload (all seeded),
 // replaying the identical payment sequence once per scheme from
-// identical starting balances. With ParallelSchemes the schemes of a
-// repetition run concurrently on identically-seeded private networks;
-// otherwise one network is restored between schemes.
+// identical starting balances: one network, restored between schemes.
 func RunScenario(sc Scenario) ([]SchemeResult, error) {
 	if sc.Runs < 1 {
 		sc.Runs = 1
@@ -333,12 +294,6 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) {
 	}
 	for run := 0; run < sc.Runs; run++ {
 		runSeed := sc.Seed + int64(run)*7919
-		if sc.ParallelSchemes {
-			if err := runSchemesParallel(sc, runSeed, results); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		net, payments, threshold, err := sc.buildCell(runSeed)
 		if err != nil {
 			return nil, err
@@ -356,39 +311,6 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) {
 		}
 	}
 	return results, nil
-}
-
-// runSchemesParallel replays one repetition's schemes concurrently.
-// Each scheme builds its own network and workload from runSeed —
-// identical across schemes by construction — so no cross-scheme state
-// is shared and the results match the sequential restore loop.
-func runSchemesParallel(sc Scenario, runSeed int64, results []SchemeResult) error {
-	var wg sync.WaitGroup
-	run := make([]Metrics, len(sc.Schemes))
-	errs := make([]error, len(sc.Schemes))
-	for i, scheme := range sc.Schemes {
-		wg.Add(1)
-		go func(i int, scheme string) {
-			defer wg.Done()
-			net, payments, threshold, err := sc.buildCell(runSeed)
-			if err == nil {
-				run[i], err = sc.replayScheme(net, scheme, payments, threshold, runSeed)
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", scheme, err)
-			}
-		}(i, scheme)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for i := range results {
-		results[i].Runs = append(results[i].Runs, run[i])
-	}
-	return nil
 }
 
 // buildCell builds one repetition's network, payment workload and
@@ -409,7 +331,9 @@ func (sc Scenario) buildCell(runSeed int64) (*pcn.Network, []trace.Payment, floa
 // replayScheme replays payments over net under a fresh router for
 // scheme.
 func (sc Scenario) replayScheme(net *pcn.Network, scheme string, payments []trace.Payment, threshold float64, runSeed int64) (Metrics, error) {
-	r, err := BuildRouter(sc.routerSpec(scheme, threshold, runSeed))
+	spec := sc.Router
+	spec.Scheme, spec.Threshold, spec.Seed = scheme, threshold, runSeed
+	r, err := BuildRouter(spec)
 	if err != nil {
 		return Metrics{}, err
 	}

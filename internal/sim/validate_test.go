@@ -123,10 +123,69 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
-			sc.Service, sc.Window, sc.Deadline, sc.GriefFrac, sc.GriefHold = tc.o.Service, tc.o.Window, tc.o.Deadline, tc.o.GriefFrac, tc.o.GriefHold
-			sc.Control = tc.o.Control
+			sc.DynamicOptions = opts
 			_, err = RunDynamicScenario(sc)
 			check("RunDynamicScenario", err)
+		})
+	}
+}
+
+// TestRunDynamicRejectsNonFiniteRunLengthsAndRates pins the run-length
+// and rate checks: a NaN horizon used to panic indexing its windows,
+// and an infinite horizon, churn or rebalance rate never returned (an
+// infinite rate draws zero gaps forever). RunDynamic needs a positive,
+// finite horizon; a scenario needs a positive, finite duration and
+// arrival rate and non-negative, finite churn and rebalance rates.
+func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	net, err := BuildNetwork(KindRipple, 40, 10, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeShortestPath, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, horizon := range []float64{0, -1, nan, inf} {
+		_, err := RunDynamic(net, r, invalidSource{}, horizon, nil, 0, DynamicOptions{Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "horizon must be positive and finite") {
+			t.Errorf("horizon %v: error = %v, want the horizon rejected", horizon, err)
+		}
+	}
+
+	cases := []struct {
+		name string
+		mut  func(*DynamicScenario)
+		want string // "" = accepted
+	}{
+		{"churn and rebalance set", func(sc *DynamicScenario) { sc.ChurnRate, sc.RebalanceRate = 0.5, 0.5 }, ""},
+		{"zero duration", func(sc *DynamicScenario) { sc.Duration = 0 }, "duration must be positive and finite"},
+		{"NaN duration", func(sc *DynamicScenario) { sc.Duration = nan }, "duration must be positive and finite"},
+		{"infinite duration", func(sc *DynamicScenario) { sc.Duration = inf }, "duration must be positive and finite"},
+		{"negative rate", func(sc *DynamicScenario) { sc.Rate = -3 }, "arrival rate must be positive and finite"},
+		{"infinite rate", func(sc *DynamicScenario) { sc.Rate = inf }, "arrival rate must be positive and finite"},
+		{"negative churn", func(sc *DynamicScenario) { sc.ChurnRate = -1 }, "churn rate must be non-negative and finite"},
+		{"NaN churn", func(sc *DynamicScenario) { sc.ChurnRate = nan }, "churn rate must be non-negative and finite"},
+		{"infinite churn", func(sc *DynamicScenario) { sc.ChurnRate = inf }, "churn rate must be non-negative and finite"},
+		{"negative rebalance", func(sc *DynamicScenario) { sc.RebalanceRate = -1 }, "rebalance rate must be non-negative and finite"},
+		{"NaN rebalance", func(sc *DynamicScenario) { sc.RebalanceRate = nan }, "rebalance rate must be non-negative and finite"},
+		{"infinite rebalance", func(sc *DynamicScenario) { sc.RebalanceRate = inf }, "rebalance rate must be non-negative and finite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := NamedDynamicScenario("steady", KindRipple, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
+			tc.mut(&sc)
+			_, err = RunDynamicScenario(sc)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("rejected a valid scenario: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("error = %v, want one containing %q", err, tc.want)
+			}
 		})
 	}
 }
