@@ -16,6 +16,7 @@ import (
 
 	flash "repro"
 	"repro/internal/core"
+	"repro/internal/testbed"
 	"repro/internal/trace"
 )
 
@@ -34,7 +35,9 @@ func main() {
 	fmt.Printf("booted %d TCP nodes; node 0 listens on %s\n",
 		g.NumNodes(), cluster.Node(0).Addr())
 
-	if err := cluster.SetBalancesUniform(rng, 1000, 1500); err != nil {
+	net := flash.NewNetwork(g)
+	net.AssignBalancesUniform(rng, 1000, 1500)
+	if err := cluster.FromNetwork(net); err != nil {
 		log.Fatal(err)
 	}
 	fundsBefore := cluster.TotalFunds()
@@ -55,7 +58,7 @@ func main() {
 		cfg.Seed = int64(id)
 		return core.New(cfg), nil
 	}
-	m, err := cluster.RunWorkload(factory, payments, threshold)
+	m, err := cluster.RunWorkload(factory, payments, threshold, testbed.Telemetry{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // (Figures 3–13) from the reproduction's own substrates. Each FigN
 // function runs the experiment and prints the figure's series in a
 // textual table; cmd/experiments and the repository's benchmark harness
-// are thin wrappers around this package.
+// are thin wrappers around this package. The testbed figures (12–13)
+// run testbed.Experiment, the function cmd/flashtestbed runs too.
 //
 // Options.Full selects paper-scale parameters (1,870-node Ripple /
 // 2,511-node Lightning topologies, 5 runs, 10,000-payment testbeds);

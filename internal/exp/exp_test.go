@@ -2,6 +2,10 @@ package exp
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -55,8 +59,15 @@ func TestEveryFigureRunsTiny(t *testing.T) {
 	}
 }
 
-// TestTestbedFiguresRunTiny exercises the TCP-backed figures (serially:
-// they boot real listeners).
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// delayCols matches a testbed table row's last two columns, the
+// normalised processing delays, which are wall-clock.
+var delayCols = regexp.MustCompile(`(?m)^(\[.*\S)\s+\S+\s+\S+$`)
+
+// TestTestbedFiguresRunTiny runs the TCP-backed figures (serially: they
+// boot real listeners) and pins their output, delays masked, to
+// testdata/<fig>-tiny.golden. -update rewrites the files.
 func TestTestbedFiguresRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP testbed figures skipped in -short mode")
@@ -65,15 +76,27 @@ func TestTestbedFiguresRunTiny(t *testing.T) {
 		name string
 		fn   func(Options) error
 	}{
-		{"Fig12", Fig12},
-		{"Fig13", Fig13},
+		{"fig12", Fig12},
+		{"fig13", Fig13},
 	} {
 		var buf bytes.Buffer
 		if err := f.fn(tinyOptions(&buf)); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		if !strings.Contains(buf.String(), "ShortestPath") {
-			t.Errorf("%s: output missing baseline rows:\n%s", f.name, buf.String())
+		got := delayCols.ReplaceAllString(buf.String(), "$1 <delay> <delay>")
+		path := filepath.Join("testdata", f.name+"-tiny.golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			t.Errorf("%s differs from %s:\nwant:\n%s\ngot:\n%s", f.name, path, want, got)
 		}
 	}
 }

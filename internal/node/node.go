@@ -41,13 +41,6 @@ type Config struct {
 	Graph      *topo.Graph
 	ListenAddr string        // e.g. "127.0.0.1:0"; empty defaults to that
 	Timeout    time.Duration // per-operation reply timeout; default 5s
-
-	// HopDelay is an artificial per-message forwarding latency,
-	// emulating network propagation that loopback lacks. Offchain
-	// networks are overlays over the Internet, so per-hop latencies of
-	// 0.2–50ms are the realistic regime; the delay experiments use this
-	// to put message cost and compute cost in a representative ratio.
-	HopDelay time.Duration
 }
 
 // channelState is the node's view of one adjacent channel: the balance
@@ -62,10 +55,9 @@ type channelState struct {
 
 // Node is one offchain network participant.
 type Node struct {
-	id       topo.NodeID
-	graph    *topo.Graph
-	timeout  time.Duration
-	hopDelay time.Duration
+	id      topo.NodeID
+	graph   *topo.Graph
+	timeout time.Duration
 
 	mu    sync.Mutex
 	chans map[topo.NodeID]*channelState
@@ -123,7 +115,6 @@ func New(cfg Config) (*Node, error) {
 		id:       cfg.ID,
 		graph:    cfg.Graph,
 		timeout:  timeout,
-		hopDelay: cfg.HopDelay,
 		chans:    make(map[topo.NodeID]*channelState),
 		peers:    make(map[topo.NodeID]string),
 		conns:    make(map[topo.NodeID]*peerConn),
@@ -306,16 +297,12 @@ func (n *Node) connTo(to topo.NodeID) (*peerConn, error) {
 	return pc, nil
 }
 
-// forward advances msg one hop along its path, applying the configured
-// artificial propagation delay. send is synchronous, so Pos is advanced
-// in msg itself for the write and put back afterwards.
+// forward advances msg one hop along its path. send is synchronous, so
+// Pos is advanced in msg itself for the write and put back afterwards.
 func (n *Node) forward(msg *wire.Message) {
 	next := msg.Next()
 	if next < 0 {
 		return
-	}
-	if n.hopDelay > 0 {
-		time.Sleep(n.hopDelay)
 	}
 	msg.Pos++
 	_ = n.send(next, msg) // a connectivity failure surfaces as the sender's timeout

@@ -26,14 +26,12 @@ type Session struct {
 	probeMsgs  int
 	probeOps   int
 	commitMsgs int
-	feesPaid   float64
 	netWait    time.Duration
 }
 
 type sessHold struct {
-	path    []topo.NodeID
-	amount  float64
-	feeRate float64 // sum of probed hop rates, when known
+	path   []topo.NodeID
+	amount float64
 }
 
 // NewSession opens a payment session from this node to receiver.
@@ -217,7 +215,6 @@ func (s *Session) Commit() error {
 			return fmt.Errorf("node: confirm failed: %w", err)
 		}
 		s.commitMsgs += 2 * (len(h.path) - 1)
-		s.feesPaid += h.feeRate * h.amount
 	}
 	s.finished = true
 	return nil
@@ -257,10 +254,10 @@ func (s *Session) ProbeOps() int { return s.probeOps }
 // CommitMessages implements route.Session.
 func (s *Session) CommitMessages() int { return s.commitMsgs }
 
-// FeesPaid implements route.Session. The testbed does not evaluate fees
-// (the paper's §5 metrics are volume, ratio and delay); rates are only
-// accumulated when a probe recorded them.
-func (s *Session) FeesPaid() float64 { return s.feesPaid }
+// FeesPaid implements route.Session. It is always 0: the testbed does
+// not evaluate fees (the paper's §5 metrics are volume, ratio and
+// delay), so no hop's fee is charged or accounted.
+func (s *Session) FeesPaid() float64 { return 0 }
 
 // PathsUsed implements route.Session.
 func (s *Session) PathsUsed() int { return len(s.holds) }

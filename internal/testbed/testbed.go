@@ -9,13 +9,9 @@ package testbed
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/node"
-	"repro/internal/parallel"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/sim"
@@ -32,24 +28,12 @@ type Cluster struct {
 
 // NewCluster boots one node per topology vertex, each with its own TCP
 // listener, and installs the mutual address registry. Balances are
-// assigned afterwards (SetBalancesUniform or FromNetwork).
+// assigned afterwards, by FromNetwork.
 func NewCluster(g *topo.Graph, timeout time.Duration) (*Cluster, error) {
-	return NewClusterWithDelay(g, timeout, 0)
-}
-
-// NewClusterWithDelay is NewCluster with an artificial per-message
-// forwarding latency on every node, emulating network propagation for
-// the paper's processing-delay experiments (Figures 12c/d, 13c/d).
-func NewClusterWithDelay(g *topo.Graph, timeout, hopDelay time.Duration) (*Cluster, error) {
 	c := &Cluster{graph: g, nodes: make([]*node.Node, g.NumNodes())}
 	registry := make(map[topo.NodeID]string, g.NumNodes())
 	for i := 0; i < g.NumNodes(); i++ {
-		n, err := node.New(node.Config{
-			ID:       topo.NodeID(i),
-			Graph:    g,
-			Timeout:  timeout,
-			HopDelay: hopDelay,
-		})
+		n, err := node.New(node.Config{ID: topo.NodeID(i), Graph: g, Timeout: timeout})
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("testbed: starting node %d: %w", i, err)
@@ -66,9 +50,6 @@ func NewClusterWithDelay(g *topo.Graph, timeout, hopDelay time.Duration) (*Clust
 // Node returns the node with the given ID.
 func (c *Cluster) Node(id topo.NodeID) *node.Node { return c.nodes[id] }
 
-// Graph returns the cluster topology.
-func (c *Cluster) Graph() *topo.Graph { return c.graph }
-
 // Close shuts every node down.
 func (c *Cluster) Close() {
 	for _, n := range c.nodes {
@@ -76,20 +57,6 @@ func (c *Cluster) Close() {
 			n.Close()
 		}
 	}
-}
-
-// SetBalancesUniform funds every channel with a total drawn uniformly
-// from [lo, hi), split evenly — the paper's testbed capacity model
-// ("the capacity of each channel is set randomly from an interval").
-func (c *Cluster) SetBalancesUniform(rng *rand.Rand, lo, hi float64) error {
-	for _, e := range c.graph.Channels() {
-		total := lo + rng.Float64()*(hi-lo)
-		half := total / 2
-		if err := c.setChannel(e.A, e.B, half, half, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // FromNetwork copies balances and fees from an in-memory network over
@@ -153,32 +120,10 @@ func (c *Cluster) TotalFunds() float64 {
 // the routing algorithm locally.
 type RouterFactory func(id topo.NodeID) (route.Router, error)
 
-// RunWorkload replays payments over the cluster sequentially (the
-// paper's testbed metric is per-payment processing delay) and collects
-// the same metrics as the simulator. miceThreshold classifies payments
-// for the mice-delay metric.
-func (c *Cluster) RunWorkload(factory RouterFactory, payments []trace.Payment, miceThreshold float64) (sim.Metrics, error) {
-	return c.RunWorkloadOpts(factory, payments, miceThreshold, 1)
-}
-
-// RunWorkloadOpts is RunWorkload with a worker count: workers > 1
-// drains the payment list with a bounded pool of concurrent senders,
-// the same contention model as the simulator's concurrent replay.
-// Metrics accumulate into per-worker shards merged afterwards —
-// exactly the simulator's sharded scheme (sim.Metrics.Record per
-// payment, sim.Metrics.Merge across shards) — so the hot path takes no
-// harness-level locks. Router instances stay per sender (as on the
-// real testbed, where each process routes locally) and are built
-// through factory under a lock on first use.
-func (c *Cluster) RunWorkloadOpts(factory RouterFactory, payments []trace.Payment, miceThreshold float64, workers int) (sim.Metrics, error) {
-	return c.RunWorkloadObserved(factory, payments, miceThreshold, workers, Telemetry{})
-}
-
-// Telemetry configures the observer tap of RunWorkloadObserved: a flow
-// sink receiving one record per payment, a registry accumulating
+// Telemetry configures RunWorkload's observer tap: a flow sink
+// receiving one record per payment, a registry accumulating
 // scheme-labelled workload counters, or both. The zero value disables
-// observation entirely, making RunWorkloadOpts and RunWorkloadObserved
-// interchangeable. Scheme labels the records and metrics (defaults to
+// observation. Scheme labels the records and metrics (defaults to
 // "testbed" when empty).
 type Telemetry struct {
 	Scheme   string
@@ -195,8 +140,9 @@ type workloadObserver struct {
 	scheme string
 
 	payments, successes, failures *telemetry.Counter
-	volume, fees                  *telemetry.Counter
-	probeMsgs, commitMsgs         *telemetry.Counter
+	volume, probeMsgs, commitMsgs *telemetry.Counter
+	nodeMsgs                      *telemetry.Counter
+	latency                       *telemetry.Histogram
 }
 
 func newWorkloadObserver(tel Telemetry) *workloadObserver {
@@ -214,25 +160,27 @@ func newWorkloadObserver(tel Telemetry) *workloadObserver {
 		o.successes = reg.Counter("testbed_payments_delivered_total"+lbl, "Payments fully delivered.")
 		o.failures = reg.Counter("testbed_payments_failed_total"+lbl, "Payments undelivered.")
 		o.volume = reg.Counter("testbed_success_volume"+lbl, "Delivered payment volume.")
-		o.fees = reg.Counter("testbed_fees_paid"+lbl, "Total fees paid by delivered payments.")
 		o.probeMsgs = reg.Counter("testbed_probe_messages_total"+lbl, "Probe messages sent.")
 		o.commitMsgs = reg.Counter("testbed_commit_messages_total"+lbl, "Commit-phase messages sent.")
+		o.nodeMsgs = reg.Counter("testbed_node_messages_total",
+			"Protocol messages written to peer connections across all testbed nodes.")
+		o.latency = reg.Histogram("testbed_payment_latency_seconds",
+			"Wall-clock routing latency of individual testbed payments.",
+			telemetry.ExpBuckets(0.0001, 10, 8))
 	}
 	return o
 }
 
-// completed records one settled payment. Concurrent-safe: counters are
-// atomic and sinks are concurrent by contract, so workers call it
-// without coordination.
+// completed records one settled payment.
 func (o *workloadObserver) completed(p trace.Payment, miceThreshold float64, sess *node.Session, arrival, complete float64, wall time.Duration, delivered bool) {
 	if o.payments != nil {
 		o.payments.Inc()
 		o.probeMsgs.Add(float64(sess.ProbeMessages()))
 		o.commitMsgs.Add(float64(sess.CommitMessages()))
+		o.latency.Observe(wall.Seconds())
 		if delivered {
 			o.successes.Inc()
 			o.volume.Add(p.Amount)
-			o.fees.Add(sess.FeesPaid())
 		} else {
 			o.failures.Inc()
 		}
@@ -253,9 +201,6 @@ func (o *workloadObserver) completed(p trace.Payment, miceThreshold float64, ses
 		rec.ProbeMessages = int64(sess.ProbeMessages())
 		rec.CommitMessages = int64(sess.CommitMessages())
 		rec.Paths = sess.PathsUsed()
-		if delivered {
-			rec.Fees = sess.FeesPaid()
-		}
 		rec.Arrival = arrival
 		rec.Complete = complete
 		rec.WallNS = int64(wall)
@@ -270,7 +215,7 @@ func (o *workloadObserver) completed(p trace.Payment, miceThreshold float64, ses
 }
 
 // MessagesSent sums the wire messages every node in the cluster has
-// written — the live traffic gauge behind flashtestbed's -telemetry.
+// written — the live traffic gauge behind RunWorkload's telemetry.
 func (c *Cluster) MessagesSent() int64 {
 	total := int64(0)
 	for _, n := range c.nodes {
@@ -281,57 +226,36 @@ func (c *Cluster) MessagesSent() int64 {
 	return total
 }
 
-// RunWorkloadObserved is RunWorkloadOpts with a telemetry tap: every
-// completed payment lands in tel's sink and registry as it settles, so
-// a live /metrics endpoint shows the workload progressing. Telemetry is
-// observer-only — the returned metrics are identical with or without
-// it.
-func (c *Cluster) RunWorkloadObserved(factory RouterFactory, payments []trace.Payment, miceThreshold float64, workers int, tel Telemetry) (sim.Metrics, error) {
+// RunWorkload replays payments over the cluster one at a time, from
+// one client (the paper's testbed metric is per-payment processing
+// delay), and collects the same metrics as the simulator.
+// miceThreshold classifies payments for the mice-delay metric. Each
+// sender routes with its own router, built by factory on first use, as
+// on the paper's testbed where every process routes locally. tel taps
+// every payment as it settles, so a live /metrics endpoint shows the
+// workload progressing; it is observer-only, and the zero value turns
+// it off.
+func (c *Cluster) RunWorkload(factory RouterFactory, payments []trace.Payment, miceThreshold float64, tel Telemetry) (sim.Metrics, error) {
 	obs := newWorkloadObserver(tel)
+	msgsBefore := c.MessagesSent()
 	workloadStart := time.Now()
-	var (
-		routersMu sync.Mutex
-		routers   = make(map[topo.NodeID]route.Router)
-		failed    atomic.Bool
-		errOnce   sync.Once
-		firstErr  error
-	)
-	routerFor := func(sender topo.NodeID) (route.Router, error) {
-		routersMu.Lock()
-		defer routersMu.Unlock()
-		if r, ok := routers[sender]; ok {
-			return r, nil
-		}
-		r, err := factory(sender)
-		if err != nil {
-			return nil, err
-		}
-		routers[sender] = r
-		return r, nil
-	}
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		failed.Store(true)
-	}
-
-	shards := make([]sim.Metrics, parallel.Clamp(len(payments), workers))
-	parallel.ForEach(len(payments), workers, func(worker, i int) {
-		if failed.Load() {
-			return
-		}
-		p := payments[i]
+	routers := make(map[topo.NodeID]route.Router)
+	var m sim.Metrics
+	for _, p := range payments {
 		if p.Sender == p.Receiver || p.Amount <= 0 {
-			return
+			continue
 		}
-		r, err := routerFor(p.Sender)
-		if err != nil {
-			fail(err)
-			return
+		r, ok := routers[p.Sender]
+		if !ok {
+			var err error
+			if r, err = factory(p.Sender); err != nil {
+				return m, fmt.Errorf("testbed: router for node %d: %w", p.Sender, err)
+			}
+			routers[p.Sender] = r
 		}
 		sess, err := c.nodes[p.Sender].NewSession(p.Receiver, p.Amount)
 		if err != nil {
-			fail(fmt.Errorf("testbed: payment %d: %w", p.ID, err))
-			return
+			return m, fmt.Errorf("testbed: payment %d: %w", p.ID, err)
 		}
 		start := time.Now()
 		rerr := r.Route(sess)
@@ -339,33 +263,25 @@ func (c *Cluster) RunWorkloadObserved(factory RouterFactory, payments []trace.Pa
 		elapsed := end.Sub(start)
 		if !sess.Finished() {
 			if aerr := sess.Abort(); aerr != nil {
-				fail(fmt.Errorf("testbed: payment %d unfinished and unabortable: %w", p.ID, aerr))
-				return
+				return m, fmt.Errorf("testbed: payment %d unfinished and unabortable: %w", p.ID, aerr)
 			}
 			rerr = fmt.Errorf("testbed: router left session unfinished")
 		}
 		// The paper's testbed overhead metric is the *processing* delay a
 		// transaction causes (§5.3) — the routing work at the sender, not
 		// network propagation — so time spent blocked on protocol round
-		// trips is subtracted. (EXPERIMENTS.md discusses the alternative
-		// wall-clock reading, where Flash's trial-and-error commit
-		// traffic puts it above Spider at tight capacities.)
-		processing := elapsed - sess.NetworkWait()
-		if processing < 0 {
-			processing = 0
-		}
-		shards[worker].Record(p.Amount, miceThreshold, processing,
+		// trips is subtracted.
+		processing := max(elapsed-sess.NetworkWait(), 0)
+		m.Record(p.Amount, miceThreshold, processing,
 			int64(sess.ProbeMessages()), int64(sess.CommitMessages()), sess.FeesPaid(), rerr == nil)
 		if obs != nil {
 			obs.completed(p, miceThreshold, sess,
 				start.Sub(workloadStart).Seconds(), end.Sub(workloadStart).Seconds(),
 				elapsed, rerr == nil)
 		}
-	})
-
-	var m sim.Metrics
-	for i := range shards {
-		m.Merge(shards[i])
 	}
-	return m, firstErr
+	if obs != nil && obs.nodeMsgs != nil {
+		obs.nodeMsgs.Add(float64(c.MessagesSent() - msgsBefore))
+	}
+	return m, nil
 }

@@ -24,13 +24,21 @@ func newTestCluster(t *testing.T, g *topo.Graph) *Cluster {
 	return c
 }
 
-func TestClusterBootAndConsistency(t *testing.T) {
-	g := topo.Ring(5)
+// fundedCluster boots a cluster over g and funds every channel with a
+// total drawn uniformly from [lo, hi), split evenly.
+func fundedCluster(t *testing.T, g *topo.Graph, rng *rand.Rand, lo, hi float64) *Cluster {
+	t.Helper()
+	net := pcn.New(g)
+	net.AssignBalancesUniform(rng, lo, hi)
 	c := newTestCluster(t, g)
-	rng := rand.New(rand.NewSource(1))
-	if err := c.SetBalancesUniform(rng, 1000, 1500); err != nil {
+	if err := c.FromNetwork(net); err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+func TestClusterBootAndConsistency(t *testing.T) {
+	c := fundedCluster(t, topo.Ring(5), rand.New(rand.NewSource(1)), 1000, 1500)
 	if err := c.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +74,7 @@ func TestWorkloadFlashOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newTestCluster(t, g)
-	if err := c.SetBalancesUniform(rng, 1000, 1500); err != nil {
-		t.Fatal(err)
-	}
+	c := fundedCluster(t, g, rng, 1000, 1500)
 	fundsBefore := c.TotalFunds()
 
 	gen, err := trace.NewGenerator(trace.Config{
@@ -88,12 +93,18 @@ func TestWorkloadFlashOverTCP(t *testing.T) {
 		cfg.Seed = int64(id)
 		return core.New(cfg), nil
 	}
-	m, err := c.RunWorkload(factory, payments, threshold)
+	m, err := c.RunWorkload(factory, payments, threshold, Telemetry{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Payments == 0 {
-		t.Fatal("no payments replayed")
+	replayable := 0
+	for _, p := range payments {
+		if p.Sender != p.Receiver && p.Amount > 0 {
+			replayable++
+		}
+	}
+	if replayable == 0 || m.Payments != replayable {
+		t.Fatalf("payments = %d, want %d (each exactly once)", m.Payments, replayable)
 	}
 	if m.Successes == 0 {
 		t.Error("no payment succeeded on a well-funded 10-node network")
@@ -130,15 +141,11 @@ func TestWorkloadComparesSchemes(t *testing.T) {
 
 	volumes := map[string]float64{}
 	for _, scheme := range []string{sim.SchemeFlash, sim.SchemeSpider, sim.SchemeShortestPath} {
-		c := newTestCluster(t, g)
-		balRNG := rand.New(rand.NewSource(7)) // identical balances per scheme
-		if err := c.SetBalancesUniform(balRNG, 1000, 1500); err != nil {
-			t.Fatal(err)
-		}
+		c := fundedCluster(t, g, rand.New(rand.NewSource(7)), 1000, 1500) // identical balances per scheme
 		factory := func(id topo.NodeID) (route.Router, error) {
 			return sim.BuildRouter(sim.RouterSpec{Scheme: scheme, Threshold: threshold, Seed: int64(id)})
 		}
-		m, err := c.RunWorkload(factory, payments, threshold)
+		m, err := c.RunWorkload(factory, payments, threshold, Telemetry{})
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -160,59 +167,4 @@ func newPCN(g *topo.Graph) *pcn.Network {
 	rng := rand.New(rand.NewSource(5))
 	net.AssignBalancesUniform(rng, 500, 900)
 	return net
-}
-
-// TestWorkloadConcurrentWorkers drives the cluster with a worker pool:
-// the sharded-metrics replay must keep the distributed channel views
-// consistent and conserve funds, with every payment accounted exactly
-// once.
-func TestWorkloadConcurrentWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, err := topo.WattsStrogatz(10, 4, 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestCluster(t, g)
-	if err := c.SetBalancesUniform(rng, 1000, 1500); err != nil {
-		t.Fatal(err)
-	}
-	fundsBefore := c.TotalFunds()
-
-	gen, err := trace.NewGenerator(trace.Config{
-		Nodes: 10, Graph: g, Sizes: trace.RippleSizes,
-		RecurrenceProb: 0.86, ReceiverZipf: 1.6, SenderZipf: 1.0,
-		PaymentsPerDay: 1000, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	payments := gen.Generate(100)
-	threshold := core.ThresholdForMiceFraction(trace.Amounts(payments), 0.9)
-	factory := func(id topo.NodeID) (route.Router, error) {
-		cfg := core.DefaultConfig(threshold)
-		cfg.Seed = int64(id)
-		return core.New(cfg), nil
-	}
-	m, err := c.RunWorkloadOpts(factory, payments, threshold, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayable := 0
-	for _, p := range payments {
-		if p.Sender != p.Receiver && p.Amount > 0 {
-			replayable++
-		}
-	}
-	if m.Payments != replayable {
-		t.Errorf("payments = %d, want %d (each exactly once)", m.Payments, replayable)
-	}
-	if m.Successes == 0 {
-		t.Error("concurrent testbed replay delivered nothing")
-	}
-	if err := c.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.TotalFunds(); math.Abs(got-fundsBefore) > 1e-4 {
-		t.Errorf("total funds drifted: %v → %v", fundsBefore, got)
-	}
 }
