@@ -13,23 +13,39 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		n          = flag.Int("n", 100000, "number of payments to generate")
-		sizes      = flag.String("sizes", "ripple", "size model: ripple or bitcoin")
-		nodes      = flag.Int("nodes", 1000, "node ID space")
-		seed       = flag.Int64("seed", 1, "random seed")
-		cdfPoints  = flag.Int("cdf", 0, "print this many CDF points (0 = skip)")
-		recurrence = flag.Bool("recurrence", false, "report Figure 4 recurrence statistics")
-		days       = flag.Int("days", 10, "days of trace for -recurrence (2000 payments/day)")
+		n          = fs.Int("n", 100000, "number of payments to generate")
+		sizes      = fs.String("sizes", "ripple", "size model: ripple or bitcoin")
+		nodes      = fs.Int("nodes", 1000, "node ID space")
+		seed       = fs.Int64("seed", 1, "random seed")
+		cdfPoints  = fs.Int("cdf", 0, "print this many CDF points (0 = skip)")
+		recurrence = fs.Bool("recurrence", false, "report Figure 4 recurrence statistics")
+		days       = fs.Int("days", 10, "days of trace for -recurrence (2000 payments/day)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{{"n", *n, 1}, {"days", *days, 1}, {"cdf", *cdfPoints, 0}} {
+		if f.v < f.floor {
+			fmt.Fprintf(stderr, "tracegen: -%s must be at least %d, got %d\n", f.name, f.floor, f.v)
+			return 2
+		}
+	}
 
 	cfg := trace.DefaultConfig(*nodes)
 	cfg.Seed = *seed
@@ -39,8 +55,8 @@ func main() {
 	case "bitcoin":
 		cfg.Sizes = trace.BitcoinSizes
 	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown size model %q\n", *sizes)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tracegen: unknown size model %q\n", *sizes)
+		return 1
 	}
 
 	count := *n
@@ -49,32 +65,33 @@ func main() {
 	}
 	gen, err := trace.NewGenerator(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
 	payments := gen.Generate(count)
 
 	st := trace.AnalyzeSizes(payments)
-	fmt.Printf("# Figure 3 statistics (%s, %d payments)\n", cfg.Sizes.Name, count)
-	fmt.Printf("median size:       %.4g\n", st.Median)
-	fmt.Printf("p90 size:          %.4g\n", st.P90)
-	fmt.Printf("top-10%% vol share: %.1f%%   (paper: 94.5%% Ripple / 94.7%% Bitcoin)\n", 100*st.Top10Share)
-	fmt.Printf("total volume:      %.4g\n", st.TotalVolume)
+	fmt.Fprintf(stdout, "# Figure 3 statistics (%s, %d payments)\n", cfg.Sizes.Name, count)
+	fmt.Fprintf(stdout, "median size:       %.4g\n", st.Median)
+	fmt.Fprintf(stdout, "p90 size:          %.4g\n", st.P90)
+	fmt.Fprintf(stdout, "top-10%% vol share: %.1f%%   (paper: 94.5%% Ripple / 94.7%% Bitcoin)\n", 100*st.Top10Share)
+	fmt.Fprintf(stdout, "total volume:      %.4g\n", st.TotalVolume)
 
 	if *cdfPoints > 0 {
-		fmt.Printf("\n# size CDF (%d points): value probability\n", *cdfPoints)
+		fmt.Fprintf(stdout, "\n# size CDF (%d points): value probability\n", *cdfPoints)
 		for _, pt := range trace.SizeCDF(payments).Points(*cdfPoints) {
-			fmt.Printf("%.6g %.4f\n", pt[0], pt[1])
+			fmt.Fprintf(stdout, "%.6g %.4f\n", pt[0], pt[1])
 		}
 	}
 
 	if *recurrence {
 		fracs := trace.RecurringPerDay(payments)
 		shares := trace.Top5RecurringShare(payments)
-		fmt.Printf("\n# Figure 4 statistics (%d days)\n", len(fracs))
-		fmt.Printf("recurring fraction/day:  median %.1f%% (min %.1f%%, max %.1f%%)   (paper: median 86%%)\n",
+		fmt.Fprintf(stdout, "\n# Figure 4 statistics (%d days)\n", len(fracs))
+		fmt.Fprintf(stdout, "recurring fraction/day:  median %.1f%% (min %.1f%%, max %.1f%%)   (paper: median 86%%)\n",
 			100*stats.Median(fracs), 100*stats.Summarize(fracs).Min, 100*stats.Summarize(fracs).Max)
-		fmt.Printf("top-5 recurring share:   median %.1f%%   (paper: >70%%)\n",
+		fmt.Fprintf(stdout, "top-5 recurring share:   median %.1f%%   (paper: >70%%)\n",
 			100*stats.Median(shares))
 	}
+	return 0
 }

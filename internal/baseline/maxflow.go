@@ -108,7 +108,9 @@ func chargeFullProbe(s route.Session) {
 	// receiver exists.
 	path := oneHop
 	if nbrs[0] != s.Receiver() {
-		path = graph.ShortestPath(g, s.Sender(), s.Receiver(), nil)
+		sc := graph.AcquireScratch()
+		defer graph.ReleaseScratch(sc)
+		path = sc.ShortestPath(g, s.Sender(), s.Receiver(), nil) // Probe never retains it
 		if path == nil {
 			return
 		}

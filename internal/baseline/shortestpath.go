@@ -30,9 +30,12 @@ func NewShortestPath() *ShortestPath { return &ShortestPath{} }
 // Name implements route.Router.
 func (sp *ShortestPath) Name() string { return "ShortestPath" }
 
-// Route implements route.Router.
+// Route implements route.Router. The path is the search Scratch's own
+// buffer, handed to Hold as is: sessions never retain a path.
 func (sp *ShortestPath) Route(s route.Session) error {
-	path := graph.ShortestPath(s.Graph(), s.Sender(), s.Receiver(), nil)
+	sc := graph.AcquireScratch()
+	defer graph.ReleaseScratch(sc)
+	path := sc.ShortestPath(s.Graph(), s.Sender(), s.Receiver(), nil)
 	if path == nil {
 		if err := s.Abort(); err != nil {
 			return err

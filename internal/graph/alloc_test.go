@@ -159,11 +159,11 @@ func TestScratchRetargetAndNilZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestYenKSPAllocsNoMoreThanOracle: the goal-directed search adds no
-// allocation to a mice-table build — what YenKSP(k=4) allocates is the
-// accepted paths, the candidates, their heap boxes and one flat seen-set,
-// as under the pre-change search: on this fixture yenAllocs, where a seen
-// map with a bucket per candidate took 48.
+// TestYenKSPAllocsNoMoreThanOracle: a mice-table build allocates no more
+// than oracleYenKSP over the pre-change search, which still
+// allocates every candidate, its heap box and one flat seen-set — on this
+// fixture at most yenAllocs, where a seen map with a bucket per candidate
+// took 48. TestYenKSPAllocs pins the production count exactly.
 func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
 	const yenAllocs = 35
 	g := allocGraph(t)
@@ -174,5 +174,23 @@ func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
 	want := testing.AllocsPerRun(100, func() { oracle.oracleYenKSP(g, 0, 399, 4, nil, nil) })
 	if got > want || got > yenAllocs {
 		t.Fatalf("yenKSP(k=4) allocates %v/op, the pre-change search %v/op, the pinned count %v", got, want, yenAllocs)
+	}
+}
+
+// TestYenKSPAllocs pins a Yen run on a warm Scratch at exactly two
+// allocations: the flat array the accepted paths are copied into and
+// their slice headers. Candidates, the seen set and the heap live in the
+// Scratch, so a run that allocates more is keeping garbage per spur
+// again (a mice-table fill runs one of these per table miss).
+func TestYenKSPAllocs(t *testing.T) {
+	g := allocGraph(t)
+	sc := NewScratch()
+	for _, k := range []int{1, 4, 8} {
+		if got := sc.yenKSP(g, 0, 399, k, nil, nil); len(got) != k { // warm buffers
+			t.Fatalf("k=%d: %d paths in alloc fixture", k, len(got))
+		}
+		if avg := testing.AllocsPerRun(100, func() { sc.yenKSP(g, 0, 399, k, nil, nil) }); avg != 2 {
+			t.Fatalf("yenKSP(k=%d) allocates %v/op on a warm Scratch, want 2 (the flat paths and their headers)", k, avg)
+		}
 	}
 }

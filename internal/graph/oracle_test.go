@@ -203,6 +203,19 @@ func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable U
 	return accepted
 }
 
+// Len, Push and Pop adapt candHeap to container/heap, which
+// oracleYenKSP keeps using: the typed heap the production run pushes and
+// pops must accept candidates in the same order.
+func (h candHeap) Len() int    { return len(h) }
+func (h *candHeap) Push(x any) { *h = append(*h, x.(yenCand)) }
+func (h *candHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
 // oracleEdgeDisjointPaths is EdgeDisjointPaths over oracleSearch.
 func (sc *Scratch) oracleEdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
 	sc.ensureBans(g)

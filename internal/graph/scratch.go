@@ -11,9 +11,11 @@ import (
 // hop budgets behind epoch-stamped visited marks (a new pass bumps the
 // epoch instead of clearing — reset is O(1), and only the nodes a search
 // actually touches are ever written), a node queue for the closure scans
-// and sweeps, and the Yen spur ban-sets keyed by channel index. One Scratch
-// amortises every per-call allocation of ShortestPath and YenKSP: a
-// steady-state search with a warm Scratch allocates nothing.
+// and sweeps, the Yen spur ban-sets keyed by channel index, and the Yen
+// run's path arena and candidate heap. One Scratch amortises every
+// per-call allocation of ShortestPath and YenKSP: a steady-state search
+// with a warm Scratch allocates nothing, and a Yen run only the paths it
+// returns.
 //
 // A Scratch is not safe for concurrent use; callers either own one per
 // goroutine or draw from AcquireScratch/ReleaseScratch. Results
@@ -37,6 +39,7 @@ type Scratch struct {
 	nodeBan  []uint8
 	edgeBan  []uint8
 	banEpoch uint8
+	yen      yenState // a Yen run's paths, candidates and seen set
 
 	// Reverse tree: a BFS from the current target over the plain
 	// topology, grown one whole level at a time and only as deep as

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"container/heap"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -558,6 +560,43 @@ func TestFlooredNilCost(t *testing.T) {
 		}
 		if got, want := sc.edges-before, g.Degree(tt); got != want {
 			t.Errorf("%d→%d: nil under floor %d cost %d adjacency reads, the receiver's list is %d", s, tt, floor, got, want)
+		}
+	}
+}
+
+// TestCandHeapPopsLikeContainerHeap pushes and pops distinct random paths
+// through the typed heap and through container/heap over the same
+// ordering, interleaved as a Yen run interleaves them, and requires the
+// same pop sequence: the order is total on distinct paths, so any
+// correct heap must agree.
+func TestCandHeapPopsLikeContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	seen := map[string]bool{}
+	var typed, boxed candHeap
+	for round := 0; round < 2000; round++ {
+		if len(typed) > 0 && rng.Intn(3) == 0 {
+			a, b := typed.pop(), heap.Pop(&boxed).(yenCand)
+			if !pathsEqual(a.path, b.path) || a.dev != b.dev {
+				t.Fatalf("round %d: typed heap popped %v (dev %d), container/heap %v (dev %d)", round, a.path, a.dev, b.path, b.dev)
+			}
+			continue
+		}
+		p := make([]topo.NodeID, 2+rng.Intn(4))
+		for i := range p {
+			p[i] = topo.NodeID(rng.Intn(5))
+		}
+		if seen[fmt.Sprint(p)] {
+			continue
+		}
+		seen[fmt.Sprint(p)] = true
+		c := yenCand{path: p, dev: rng.Intn(4)}
+		typed.push(c)
+		heap.Push(&boxed, c)
+	}
+	for len(typed) > 0 {
+		a, b := typed.pop(), heap.Pop(&boxed).(yenCand)
+		if !pathsEqual(a.path, b.path) {
+			t.Fatalf("drain: typed heap popped %v, container/heap %v", a.path, b.path)
 		}
 	}
 }

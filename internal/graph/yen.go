@@ -1,8 +1,6 @@
 package graph
 
 import (
-	"container/heap"
-
 	"repro/internal/topo"
 )
 
@@ -40,6 +38,11 @@ func yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) 
 
 // yenKSP runs Yen's algorithm on sc. The first search and every spur
 // search head for the same t, so they all prune against one reverse tree.
+// Every path the run produces — accepted or still a candidate — lives in
+// the Scratch's yen arena, which only grows within a run, so a path
+// carved from it stays valid after later growth moves the arena. Only
+// the accepted paths are copied out, into one flat backing array: a run
+// on a warm Scratch allocates that array and the slice headers.
 func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
 	if k <= 0 {
 		return nil
@@ -48,21 +51,22 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 	if first == nil {
 		return nil
 	}
-	first = appendCopy(first)
-	accepted := [][]topo.NodeID{first}
-	devs := []int{0} // devs[j] = spur index accepted[j] deviated at
-	cands := &candHeap{}
-	seen := append(make([]seenPath, 0, 4*k), seenPath{pathKey(first), first})
+	y := &sc.yen
+	y.reset()
+	first = y.keep(first, nil)
+	y.accepted = append(y.accepted, first)
+	y.devs = append(y.devs, 0) // devs[j] = spur index accepted[j] deviated at
+	y.seen = append(y.seen, seenPath{pathKey(first), first})
 
-	for len(accepted) < k {
-		prev := accepted[len(accepted)-1]
+	for len(y.accepted) < k {
+		prev := y.accepted[len(y.accepted)-1]
 		// Lawler's optimisation: spur indices below prev's own deviation
 		// point rerun an earlier spur search unchanged — the ban set at
 		// (root, i) only grows when an accepted path deviates at i, and
 		// that acceptance reran the spur itself — so the result is an
 		// exact duplicate the seen-set would reject. Skipping them is
 		// output-identical and removes roughly half the spur searches.
-		for i := devs[len(devs)-1]; i+1 < len(prev); i++ {
+		for i := y.devs[len(y.devs)-1]; i+1 < len(prev); i++ {
 			spur := prev[i]
 			root := prev[:i+1]
 
@@ -72,7 +76,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 			// channel-index ban set replaces a map[DirEdge] allocated per
 			// spur).
 			sc.ensureBans(g)
-			for _, p := range accepted {
+			for _, p := range y.accepted {
 				if len(p) > i && samePrefix(p, root) {
 					sc.banEdge(g.ChannelIndex(p[i], p[i+1]), p[i], p[i+1])
 				}
@@ -85,22 +89,74 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 			if spurPath == nil {
 				continue
 			}
-			total := make([]topo.NodeID, 0, len(root)+len(spurPath)-1)
-			total = append(total, root...)
-			total = append(total, spurPath[1:]...)
-			if !rememberPath(&seen, total) {
+			n := len(y.arena)
+			total := y.keep(root, spurPath[1:])
+			if !rememberPath(&y.seen, total) {
+				y.arena = y.arena[:n]
 				continue
 			}
-			heap.Push(cands, yenCand{path: total, dev: i})
+			y.cands.push(yenCand{path: total, dev: i})
 		}
-		if cands.Len() == 0 {
+		if len(y.cands) == 0 {
 			break
 		}
-		c := heap.Pop(cands).(yenCand)
-		accepted = append(accepted, c.path)
-		devs = append(devs, c.dev)
+		c := y.cands.pop()
+		y.accepted = append(y.accepted, c.path)
+		y.devs = append(y.devs, c.dev)
 	}
-	return accepted
+	return y.copyOut()
+}
+
+// yenState is the working memory of one Yen run, kept in the Scratch so
+// a warm run reuses it: the arena every produced path is carved from,
+// the accepted paths with their deviation points, the seen set and the
+// candidate heap.
+type yenState struct {
+	arena    []topo.NodeID
+	accepted [][]topo.NodeID
+	devs     []int
+	seen     []seenPath
+	cands    candHeap
+}
+
+// reset empties the state for a new run. Entries are cleared, not just
+// truncated, so an arena array that an earlier run outgrew does not stay
+// reachable from stale entries past the end.
+func (y *yenState) reset() {
+	y.arena = y.arena[:0]
+	clear(y.accepted)
+	y.accepted = y.accepted[:0]
+	y.devs = y.devs[:0]
+	clear(y.seen)
+	y.seen = y.seen[:0]
+	clear(y.cands)
+	y.cands = y.cands[:0]
+}
+
+// keep appends a followed by b to the arena and returns them as one path
+// whose capacity ends with it, so no append through it can reach a later
+// path.
+func (y *yenState) keep(a, b []topo.NodeID) []topo.NodeID {
+	n := len(y.arena)
+	y.arena = append(append(y.arena, a...), b...)
+	return y.arena[n:len(y.arena):len(y.arena)]
+}
+
+// copyOut returns the accepted paths in one allocation for the nodes and
+// one for the slice headers, detached from the arena.
+func (y *yenState) copyOut() [][]topo.NodeID {
+	size := 0
+	for _, p := range y.accepted {
+		size += len(p)
+	}
+	flat := make([]topo.NodeID, 0, size)
+	out := make([][]topo.NodeID, len(y.accepted))
+	for i, p := range y.accepted {
+		n := len(flat)
+		flat = append(flat, p...)
+		out[i] = flat[n:len(flat):len(flat)]
+	}
+	return out
 }
 
 func samePrefix(p, prefix []topo.NodeID) bool {
@@ -171,10 +227,12 @@ type yenCand struct {
 	dev  int
 }
 
-// candHeap orders candidate paths by length, then lexicographically.
+// candHeap is a binary min-heap of candidate paths ordered by length,
+// then lexicographically. Candidates are distinct paths (the seen set
+// rejects duplicates), so the order is total and the pop sequence is the
+// same for any correct heap.
 type candHeap []yenCand
 
-func (h candHeap) Len() int { return len(h) }
 func (h candHeap) Less(i, j int) bool {
 	if len(h[i].path) != len(h[j].path) {
 		return len(h[i].path) < len(h[j].path)
@@ -187,11 +245,42 @@ func (h candHeap) Less(i, j int) bool {
 	return false
 }
 func (h candHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x any)   { *h = append(*h, x.(yenCand)) }
-func (h *candHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// push adds c to the heap.
+func (h *candHeap) push(c yenCand) {
+	*h = append(*h, c)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q.Less(j, i) {
+			break
+		}
+		q.Swap(i, j)
+		j = i
+	}
+}
+
+// pop removes and returns the least candidate.
+func (h *candHeap) pop() yenCand {
+	q := *h
+	n := len(q) - 1
+	q.Swap(0, n)
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.Less(r, j) {
+			j = r
+		}
+		if !q.Less(j, i) {
+			break
+		}
+		q.Swap(i, j)
+		i = j
+	}
+	c := q[n]
+	q[n] = yenCand{}
+	*h = q[:n]
+	return c
 }

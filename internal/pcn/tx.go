@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +36,23 @@ var (
 // one Network: each operation locks only the channels it touches, in
 // ascending channel-index order (see the package comment).
 //
+// # Working memory
+//
+// A Tx keeps its per-payment state in append-only arenas, each backed
+// by a small inline array until it outgrows it, so a payment over a
+// short path allocates nothing beyond the Tx itself: the hop arena
+// holds every hold record's hops back to back (the space past its
+// length resolves the path of the operation in flight), the
+// probe-result arena every Probe result, and one buffer the lock order
+// of the operation in flight. An arena only grows, and growth moves it
+// to a new array and leaves the old one to its readers, so a slice
+// handed out earlier is never overwritten: a Probe result is read-only
+// and valid for the session's life. Neither Probe nor Hold retains the
+// path it is given. Hold, Commit, Abort, Resume and Expire use the
+// arenas directly; a Probe claims them with a compare-and-swap, and a
+// Probe that overlaps another one's claim resolves its path in a pooled
+// scratch and returns a freshly allocated result.
+//
 // # Hold-span state machine
 //
 // By default Commit settles immediately. DeferCommit arms the
@@ -67,10 +83,10 @@ type Tx struct {
 	rngSeed   int64
 	rngSeeded bool
 
-	holds       []holdRecord
 	finished    bool
 	deferCommit bool
 	suspended   bool
+	holds       []holdRecord
 	// spanMu guards the suspended flag's check-and-clear so a deadline
 	// expiry racing a resume on the same span resolves to exactly one
 	// winner (the loser sees ErrNotSuspended). All other Tx state keeps
@@ -84,54 +100,40 @@ type Tx struct {
 	commitLatNanos int64 // virtual commit-phase latency charged
 	feesPaid       float64
 
-	// Reusable scratch for the per-operation hop resolution and lock
-	// ordering, keeping Probe/Hold free of per-call slice allocations.
-	// Hold/Commit/Abort (single-goroutine by contract) use it directly;
-	// Probe — which may run concurrently with other Probes — claims it
-	// with a compare-and-swap and falls back to a pooled buffer when
-	// another probe got there first, so the sequential fast path stays
-	// at one allocation per op (the returned info slice).
-	scratch     txScratch
+	// Working memory (see the type comment). scratchBusy is a Probe's
+	// claim on hops, infos and lock. The inline arrays are sized so the
+	// Tx fits a 512-byte allocation.
+	hops        []pathHop // hold records' hops, then the in-flight path
+	infos       []HopInfo // every Probe result
+	lock        []int32   // the in-flight operation's lock order
 	scratchBusy atomic.Bool
+
+	holdsInline [1]holdRecord
+	hopsInline  [6]pathHop
+	infosInline [4]HopInfo
+	lockInline  [6]int32
 }
 
-// txScratch is the reusable hop-resolution and lock-ordering buffer of
-// one probe/hold operation.
+// txScratch is the hop-resolution and lock-ordering buffer of a probe
+// that runs beside another probe of the same session.
 type txScratch struct {
-	lock []int
+	lock []int32
 	hops []pathHop
 }
 
 // scratchPool backs the overflow scratch buffers of concurrent probes.
 var scratchPool = sync.Pool{New: func() any { return new(txScratch) }}
 
-// acquireScratch claims the Tx-owned scratch, or draws a pooled one
-// when a concurrent probe already holds it.
-func (t *Tx) acquireScratch() *txScratch {
-	if t.scratchBusy.CompareAndSwap(false, true) {
-		return &t.scratch
-	}
-	return scratchPool.Get().(*txScratch)
-}
-
-// releaseScratch returns a scratch obtained from acquireScratch.
-func (t *Tx) releaseScratch(sc *txScratch) {
-	if sc == &t.scratch {
-		t.scratchBusy.Store(false)
-		return
-	}
-	scratchPool.Put(sc)
-}
-
 // pathHop is one directed hop resolved to its channel index and
 // direction.
 type pathHop struct {
-	idx int
-	dir int
+	idx int32
+	dir int32
 }
 
+// holdRecord is one partial payment the session holds: its hops, which
+// live in the session's hop arena, and the amount reserved on each.
 type holdRecord struct {
-	path   []topo.NodeID
 	hops   []pathHop
 	amount float64
 }
@@ -145,7 +147,12 @@ func (n *Network) Begin(sender, receiver topo.NodeID, demand float64) (*Tx, erro
 	if sender == receiver {
 		return nil, fmt.Errorf("pcn: sender and receiver are both node %d", sender)
 	}
-	return &Tx{net: n, sender: sender, receiver: receiver, demand: demand}, nil
+	t := &Tx{net: n, sender: sender, receiver: receiver, demand: demand}
+	t.holds = t.holdsInline[:0]
+	t.hops = t.hopsInline[:0]
+	t.infos = t.infosInline[:0]
+	t.lock = t.lockInline[:0]
+	return t, nil
 }
 
 // Graph returns the sender's local topology view (§3.1): connectivity
@@ -186,61 +193,46 @@ func (t *Tx) RNG() *rand.Rand {
 // the receiver, and appends every hop, mapped to its channel index and
 // direction, to buf — one channel lookup per hop, which is also the
 // check that every consecutive pair shares a channel. A missing
-// channel is an ErrBadPath. Callers pass nil for a fresh buffer (Hold,
-// whose records outlive the call) or the Tx scratch (Probe); a buffer
-// too small for the path is replaced by one sized to it.
+// channel is an ErrBadPath. Callers pass the session's hop arena, whose
+// records stay below its length, or a pooled scratch emptied to [:0].
 func (t *Tx) resolvePathInto(buf []pathHop, path []topo.NodeID) ([]pathHop, error) {
 	if len(path) < 2 || path[0] != t.sender || path[len(path)-1] != t.receiver {
 		return nil, ErrBadPath
 	}
-	if cap(buf) < len(path)-1 {
-		buf = make([]pathHop, 0, len(path)-1)
-	}
+	buf = slices.Grow(buf, len(path)-1)
 	for i := 0; i+1 < len(path); i++ {
 		idx, d, err := t.net.dir(path[i], path[i+1])
 		if err != nil {
 			return nil, fmt.Errorf("%w: no channel %d-%d", ErrBadPath, path[i], path[i+1])
 		}
-		buf = append(buf, pathHop{idx: idx, dir: d})
+		buf = append(buf, pathHop{idx: int32(idx), dir: int32(d)})
 	}
 	return buf, nil
 }
 
-// lockOrderInto appends the distinct channel indices of hops to buf in
+// lockOrderInto writes the distinct channel indices of hops to buf in
 // ascending order — the global acquisition order that makes
 // multi-channel locking deadlock-free. The result reuses buf's backing
-// array, which is sized to the hop count on first use.
-func lockOrderInto(buf []int, hops []pathHop) []int {
-	if cap(buf) < len(hops) {
-		buf = make([]int, 0, len(hops))
-	}
-	s := buf[:0]
+// array, which is grown to the hop count when it is too small.
+func lockOrderInto(buf []int32, hops []pathHop) []int32 {
+	s := slices.Grow(buf[:0], len(hops))
 	for _, h := range hops {
 		s = append(s, h.idx)
 	}
-	sort.Ints(s)
+	slices.Sort(s)
 	return slices.Compact(s)
 }
 
-// lockOrder is lockOrderInto over the Tx-owned scratch buffer; the
-// result is valid until the next lockOrder/holdLockOrder call. Only
-// the single-goroutine operations (Hold, Commit, Abort, Resume) may
-// use it — Probe goes through acquireScratch instead.
-func (t *Tx) lockOrder(hops []pathHop) []int {
-	t.scratch.lock = lockOrderInto(t.scratch.lock, hops)
-	return t.scratch.lock
-}
-
 // lockChannels acquires the locks of the given channels; idxs must be
-// ascending and duplicate-free (as produced by lockOrder).
-func (n *Network) lockChannels(idxs []int) {
+// ascending and duplicate-free (as produced by lockOrderInto).
+func (n *Network) lockChannels(idxs []int32) {
 	for _, i := range idxs {
 		n.chans[i].mu.Lock()
 	}
 }
 
 // unlockChannels releases locks taken by lockChannels.
-func (n *Network) unlockChannels(idxs []int) {
+func (n *Network) unlockChannels(idxs []int32) {
 	for i := len(idxs) - 1; i >= 0; i-- {
 		n.chans[idxs[i]].mu.Unlock()
 	}
@@ -251,26 +243,68 @@ func (n *Network) unlockChannels(idxs []int) {
 // travels to the receiver and the acknowledgement returns). All on-path
 // channels are read under their locks together, so the result is a
 // consistent snapshot even while other payments commit concurrently.
+// The result is read-only and stays valid for the session's life.
 //
 // Probe is safe for concurrent calls on the same session — the one Tx
 // operation that is. Flash's probe pipeline exploits this to measure
-// several speculative candidate paths at once; each call claims the
-// Tx scratch buffer or falls back to a pooled one, so the sequential
-// caller still pays a single allocation (the info slice) per probe.
+// several speculative candidate paths at once. A call claims the
+// session's arenas, resolving the path in the hop arena's spare space
+// and appending the result to the probe-result arena, so a sequential
+// caller allocates nothing; a call that overlaps the claim goes through
+// probeBeside instead.
 func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	if t.finished {
 		return nil, ErrFinished
 	}
-	sc := t.acquireScratch()
-	defer t.releaseScratch(sc)
+	if !t.scratchBusy.CompareAndSwap(false, true) {
+		return t.probeBeside(path)
+	}
+	defer t.scratchBusy.Store(false)
+	n := len(t.hops)
+	ext, err := t.resolvePathInto(t.hops, path)
+	if err != nil {
+		return nil, err
+	}
+	t.hops = ext[:n] // keep any growth; the probe's hops are not a record
+	hops := ext[n:]
+	m := len(t.infos)
+	if m+len(hops) > cap(t.infos) {
+		// Leaving the inline array, jump to infosChunk results: a mouse
+		// that probes a few paths then grows its arena once, not per path.
+		t.infos = slices.Grow(t.infos, max(m+len(hops), 2*cap(t.infos), infosChunk)-m)
+	}
+	t.infos = t.infos[:m+len(hops)]
+	info := t.infos[m:len(t.infos):len(t.infos)]
+	t.lock = lockOrderInto(t.lock, hops)
+	t.readHops(hops, t.lock, info)
+	return info, nil
+}
+
+// infosChunk is the least capacity the probe-result arena grows to once
+// it outgrows its inline array.
+const infosChunk = 32
+
+// probeBeside is Probe for a call that overlaps another probe of the
+// same session, which holds the arenas: the path resolves in a pooled
+// scratch and the result is a fresh slice.
+func (t *Tx) probeBeside(path []topo.NodeID) ([]HopInfo, error) {
+	sc := scratchPool.Get().(*txScratch)
+	defer scratchPool.Put(sc)
 	hops, err := t.resolvePathInto(sc.hops[:0], path)
 	if err != nil {
 		return nil, err
 	}
 	sc.hops = hops
-	info := make([]HopInfo, len(hops))
 	sc.lock = lockOrderInto(sc.lock, hops)
-	order := sc.lock
+	info := make([]HopInfo, len(hops))
+	t.readHops(hops, sc.lock, info)
+	return info, nil
+}
+
+// readHops fills info with the probed state of every hop, read under
+// the locks of order together, and charges the probe's messages and
+// latency.
+func (t *Tx) readHops(hops []pathHop, order []int32, info []HopInfo) {
 	t.net.lockChannels(order)
 	for i, h := range hops {
 		ch := &t.net.chans[h.idx]
@@ -293,7 +327,6 @@ func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	if t.net.hasLatency.Load() {
 		t.probeLatNanos.Add(hopsLatNanos(t.net, hops))
 	}
-	return info, nil
 }
 
 // hopsLatNanos sums the virtual RTT of every hop — the cost of one
@@ -301,14 +334,14 @@ func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 func hopsLatNanos(n *Network, hops []pathHop) int64 {
 	var lat int64
 	for _, h := range hops {
-		lat += n.latencyNanos(h.idx)
+		lat += n.latencyNanos(int(h.idx))
 	}
 	return lat
 }
 
 // SupportsParallelProbe reports that concurrent Probe calls on this
 // session are safe (route.ParallelProber): Probe takes no session-level
-// locks beyond a scratch-buffer claim and reads channel state under the
+// locks beyond its claim on the arenas and reads channel state under the
 // per-channel locks. The testbed's TCP session does not implement the
 // interface, so routers fall back to sequential probing there.
 func (t *Tx) SupportsParallelProbe() bool { return true }
@@ -336,16 +369,20 @@ func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	if amount <= 0 {
 		return fmt.Errorf("pcn: hold amount must be positive, got %v", amount)
 	}
-	hops, err := t.resolvePathInto(nil, path)
+	n := len(t.hops)
+	ext, err := t.resolvePathInto(t.hops, path)
 	if err != nil {
 		return err
 	}
+	t.hops = ext[:n] // keep any growth; the hops become a record only if the hold succeeds
+	hops := ext[n:len(ext):len(ext)]
 	t.net.commitMessages.Add(int64(2 * len(hops)))
 	t.commitMsgs += 2 * len(hops)
 	if t.net.hasLatency.Load() {
 		t.commitLatNanos += hopsLatNanos(t.net, hops) // COMMIT + COMMIT_ACK leg
 	}
-	order := t.lockOrder(hops)
+	t.lock = lockOrderInto(t.lock, hops)
+	order := t.lock
 	t.net.lockChannels(order)
 	defer t.net.unlockChannels(order)
 	// Phase 1a: feasibility check. A closed channel rejects like a
@@ -372,11 +409,8 @@ func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	for _, h := range hops {
 		t.net.chans[h.idx].held[h.dir] += amount
 	}
-	t.holds = append(t.holds, holdRecord{
-		path:   append([]topo.NodeID(nil), path...),
-		hops:   hops,
-		amount: amount,
-	})
+	t.hops = ext
+	t.holds = append(t.holds, holdRecord{hops: hops, amount: amount})
 	t.net.holdsPlaced.Add(1)
 	return nil
 }
@@ -389,7 +423,7 @@ const balanceEpsilon = 1e-9
 // d — the self-offset credit a later hold on the opposite direction
 // may draw against. Sessions hold at most a handful of paths, so the
 // scan is cheap and only runs when the plain feasibility check fails.
-func (t *Tx) ownHeld(idx, d int) float64 {
+func (t *Tx) ownHeld(idx, d int32) float64 {
 	total := 0.0
 	for _, h := range t.holds {
 		for _, ph := range h.hops {
@@ -413,26 +447,11 @@ func (t *Tx) HeldTotal() float64 {
 
 // holdLockOrder returns the distinct channel indices across all of the
 // session's holds, ascending — the acquisition order for the atomic
-// commit/abort of a multi-path payment. Shares the Tx scratch buffer
-// with lockOrder.
-func (t *Tx) holdLockOrder() []int {
-	n := 0
-	for _, h := range t.holds {
-		n += len(h.hops)
-	}
-	if cap(t.scratch.lock) < n {
-		t.scratch.lock = make([]int, 0, n)
-	}
-	s := t.scratch.lock[:0]
-	for _, h := range t.holds {
-		for _, ph := range h.hops {
-			s = append(s, ph.idx)
-		}
-	}
-	sort.Ints(s)
-	s = slices.Compact(s)
-	t.scratch.lock = s
-	return s
+// commit/abort of a multi-path payment. The holds' hops lie back to
+// back at the start of the hop arena, so this is their lock order.
+func (t *Tx) holdLockOrder() []int32 {
+	t.lock = lockOrderInto(t.lock, t.hops)
+	return t.lock
 }
 
 // Commit finalises all held partial payments atomically: every hop u→v
@@ -479,7 +498,7 @@ func (t *Tx) applyCommitLocked() {
 		t.commitLatNanos += t.settleLatNanos() // CONFIRM legs, concurrent across paths
 	}
 	for _, h := range t.holds {
-		hops := len(h.path) - 1
+		hops := len(h.hops)
 		t.net.commitMessages.Add(int64(2 * hops)) // CONFIRM + CONFIRM_ACK
 		t.commitMsgs += 2 * hops
 		for _, ph := range h.hops {
@@ -520,7 +539,7 @@ func (t *Tx) releaseHoldsLocked() {
 		t.commitLatNanos += t.settleLatNanos() // REVERSE legs, concurrent across paths
 	}
 	for _, h := range t.holds {
-		hops := len(h.path) - 1
+		hops := len(h.hops)
 		t.net.commitMessages.Add(int64(2 * hops)) // REVERSE + REVERSE_ACK
 		t.commitMsgs += 2 * hops
 		for _, ph := range h.hops {

@@ -48,13 +48,17 @@ type Session interface {
 
 	// Probe measures the current available balance and fee schedule of
 	// every hop along path, costing messages proportional to path length.
+	// It does not retain path. The returned slice is read-only and stays
+	// valid for the session's life.
 	Probe(path []topo.NodeID) ([]pcn.HopInfo, error)
 	// LocalBalance is balance knowledge a node has about its own adjacent
 	// channels, free of message cost (used by hop-by-hop schemes).
 	LocalBalance(u, v topo.NodeID) float64
 
 	// Hold reserves amount on every hop of path, or reserves nothing and
-	// returns an error. HeldTotal is the sum of active reservations.
+	// returns an error. It does not retain path, so a caller may pass a
+	// search buffer it reuses afterwards. HeldTotal is the sum of active
+	// reservations.
 	Hold(path []topo.NodeID, amount float64) error
 	HeldTotal() float64
 

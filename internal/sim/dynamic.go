@@ -461,16 +461,8 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 			}
 		}
 		seed := attemptSeed(paymentSeed(opts.Seed, int64(dp.p.ID)), dp.attempt)
-		attempt := func(p trace.Payment) routeResult {
-			if spans {
-				tx, out, err := holdAttempt(net, r, p, seed, seeded)
-				return routeResult{out: out, tx: tx, err: err}
-			}
-			out, err := routeAttempt(net, r, p, seed, seeded)
-			return routeResult{out: out, err: err}
-		}
 		if workers == 1 {
-			dp.inline = attempt(dp.p)
+			dp.inline = runAttempt(net, r, dp.p, seed, seeded, spans)
 			if spans && dp.inline.tx == nil {
 				// The attempt failed at the hold phase: nothing is locked,
 				// so the payment completes — and its retry clock starts —
@@ -519,7 +511,7 @@ func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horiz
 		}
 		dp.done = make(chan routeResult, 1)
 		go func(p trace.Payment, done chan routeResult) {
-			done <- attempt(p)
+			done <- runAttempt(net, r, p, seed, seeded, spans)
 		}(dp.p, dp.done)
 		// Concurrent stations learn the attempt's outcome — and its
 		// latency charge — only at harvest time; the completion handler

@@ -215,26 +215,26 @@ func (o *routeOutcome) add(a routeOutcome) {
 	o.commitLatNanos += a.commitLatNanos
 }
 
-// routeAttempt runs one routing attempt for p: a fresh session, one
-// Route call, defensive finishing. When seeded, rngSeed becomes the
-// session's per-payment random source. The returned error is an
-// infrastructure failure; routing failures are reported through
-// routeOutcome.delivered.
-func routeAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64, seeded bool) (routeOutcome, error) {
-	_, out, err := attemptPayment(net, r, p, rngSeed, seeded, false)
-	return out, err
-}
-
-// attemptPayment is the single attempt protocol behind routeAttempt
-// and holdAttempt: Begin, optional per-payment RNG, optional
-// DeferCommit, one Route call, defensive finishing, outcome
-// accounting. A session that suspended on the yield seam is returned
-// for the caller to Resume; otherwise the returned session is nil and
-// the outcome is final.
-func attemptPayment(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64, seeded, deferCommit bool) (*pcn.Tx, routeOutcome, error) {
+// runAttempt runs one routing attempt for p: Begin, optional
+// per-payment RNG (rngSeed, when seeded), optional DeferCommit, one
+// Route call, defensive finishing, outcome accounting. The result's
+// error is an infrastructure failure; routing failures are reported
+// through routeOutcome.delivered. A plain function, not a closure, so
+// the engine's inline call allocates nothing of its own.
+//
+// With deferCommit the commit is deferred across the hold-span seam
+// (route.Yielder): the router runs to its commit/abort decision as
+// usual, but a committed payment's funds stay locked — the suspended
+// session is returned in the result's tx for the caller to settle
+// later via Resume (one virtual service time later, in the dynamic
+// engine). Otherwise, and for aborted payments, tx is nil and the
+// outcome is final. For a suspended session the outcome's delivered
+// flag and fee/commit-message accounting are provisional: Resume
+// decides delivery and adds the CONFIRM (or REVERSE) costs.
+func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64, seeded, deferCommit bool) routeResult {
 	tx, err := net.Begin(p.Sender, p.Receiver, p.Amount)
 	if err != nil {
-		return nil, routeOutcome{}, fmt.Errorf("sim: payment %d: %w", p.ID, err)
+		return routeResult{err: fmt.Errorf("sim: payment %d: %w", p.ID, err)}
 	}
 	if seeded {
 		tx.SetRNGSeed(rngSeed)
@@ -251,7 +251,7 @@ func attemptPayment(net *pcn.Network, r route.Router, p trace.Payment, rngSeed i
 		// Defensive: a router must finish its session; treat an
 		// unfinished one as failed and release its holds.
 		if aerr := tx.Abort(); aerr != nil {
-			return nil, routeOutcome{}, fmt.Errorf("sim: payment %d left unfinished and unabortable: %w", p.ID, aerr)
+			return routeResult{err: fmt.Errorf("sim: payment %d left unfinished and unabortable: %w", p.ID, aerr)}
 		}
 		rerr = fmt.Errorf("sim: router %s left session unfinished", r.Name())
 	}
@@ -267,25 +267,12 @@ func attemptPayment(net *pcn.Network, r route.Router, p trace.Payment, rngSeed i
 	}
 	if tx.Suspended() {
 		// Delivery, CONFIRM/REVERSE messages and fees settle at Resume.
-		return tx, out, nil
+		return routeResult{out: out, tx: tx}
 	}
 	if out.delivered {
 		out.fees = tx.FeesPaid()
 	}
-	return nil, out, nil
-}
-
-// holdAttempt is routeAttempt with the commit deferred across the
-// hold-span seam (route.Yielder): the router runs to its commit/abort
-// decision as usual, but a committed payment's funds stay locked — the
-// suspended session is returned to the caller, who settles it later
-// via Resume (one virtual service time later, in the dynamic engine).
-// Aborted payments resolve immediately and return a nil session, like
-// routeAttempt. For a suspended session the outcome's delivered flag
-// and fee/commit-message accounting are provisional: Resume decides
-// delivery and adds the CONFIRM (or REVERSE) costs.
-func holdAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64, seeded bool) (*pcn.Tx, routeOutcome, error) {
-	return attemptPayment(net, r, p, rngSeed, seeded, true)
+	return routeResult{out: out}
 }
 
 // attemptSeed derives the per-attempt session seed: attempt 0 uses the

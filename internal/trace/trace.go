@@ -237,8 +237,11 @@ func (g *Generator) Next() Payment {
 	return p
 }
 
-// Generate produces the next n payments.
+// Generate produces the next n payments, or nil when n ≤ 0.
 func (g *Generator) Generate(n int) []Payment {
+	if n <= 0 {
+		return nil
+	}
 	ps := make([]Payment, n)
 	for i := range ps {
 		ps[i] = g.Next()

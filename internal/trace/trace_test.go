@@ -75,6 +75,25 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestGenerateNonPositiveCount: Generate(n ≤ 0) returns nil and draws
+// nothing — it used to panic in make for n < 0 — so the next payment is
+// the same as a fresh generator's first.
+func TestGenerateNonPositiveCount(t *testing.T) {
+	g, err := NewGenerator(DefaultConfig(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, -1, -5} {
+		if ps := g.Generate(n); ps != nil {
+			t.Fatalf("Generate(%d) = %d payments, want nil", n, len(ps))
+		}
+	}
+	fresh, _ := NewGenerator(DefaultConfig(50))
+	if got, want := g.Next(), fresh.Next(); got != want {
+		t.Fatalf("after Generate(≤0) the next payment is %+v, want %+v", got, want)
+	}
+}
+
 func TestGeneratorBasicShape(t *testing.T) {
 	g, err := NewGenerator(DefaultConfig(100))
 	if err != nil {
