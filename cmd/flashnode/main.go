@@ -31,6 +31,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -46,39 +47,57 @@ import (
 	"repro/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flashnode", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		id       = flag.Int("id", -1, "this node's ID (required)")
-		listen   = flag.String("listen", "127.0.0.1:0", "listen address")
-		topoPath = flag.String("topology", "", "edge-list topology file (required)")
-		chanPath = flag.String("channels", "", "channel balance/fee file (required)")
-		peerPath = flag.String("peers", "", "peer address registry file (required)")
-		pay      = flag.String("pay", "", "optional one-shot payment RECEIVER:AMOUNT, routed with Flash")
-		k        = flag.Int("k", 20, "Flash elephant path budget")
-		m        = flag.Int("m", 4, "Flash mice paths per receiver")
-		timeout  = flag.Duration("timeout", 5*time.Second, "protocol reply timeout")
-		telAddr  = flag.String("telemetry", "", "serve /metrics, /flows and pprof on this address (e.g. 127.0.0.1:9090)")
+		id       = fs.Int("id", -1, "this node's ID (required)")
+		listen   = fs.String("listen", "127.0.0.1:0", "listen address")
+		topoPath = fs.String("topology", "", "edge-list topology file (required)")
+		chanPath = fs.String("channels", "", "channel balance/fee file (required)")
+		peerPath = fs.String("peers", "", "peer address registry file (required)")
+		pay      = fs.String("pay", "", "optional one-shot payment RECEIVER:AMOUNT, routed with Flash")
+		k        = fs.Int("k", 20, "Flash elephant path budget")
+		m        = fs.Int("m", 4, "Flash mice paths per receiver")
+		timeout  = fs.Duration("timeout", 5*time.Second, "protocol reply timeout")
+		telAddr  = fs.String("telemetry", "", "serve /metrics, /flows and pprof on this address (e.g. 127.0.0.1:9090)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *id < 0 || *topoPath == "" || *chanPath == "" || *peerPath == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "flashnode:", err)
+		return 1
 	}
 
 	g, err := loadTopology(*topoPath)
-	fatalIf(err)
+	if err != nil {
+		return fail(err)
+	}
 	n, err := node.New(node.Config{
 		ID: topo.NodeID(*id), Graph: g, ListenAddr: *listen, Timeout: *timeout,
 	})
-	fatalIf(err)
+	if err != nil {
+		return fail(err)
+	}
 	defer n.Close()
-	fmt.Printf("flashnode %d listening on %s (%d nodes, %d channels)\n",
+	fmt.Fprintf(stdout, "flashnode %d listening on %s (%d nodes, %d channels)\n",
 		*id, n.Addr(), g.NumNodes(), g.NumChannels())
 
 	peers, err := loadPeers(*peerPath)
-	fatalIf(err)
+	if err != nil {
+		return fail(err)
+	}
 	n.SetPeers(peers)
-	fatalIf(loadChannels(n, g, *chanPath))
+	if err := loadChannels(n, g, *chanPath); err != nil {
+		return fail(err)
+	}
 
 	cfg := core.DefaultConfig(math.Inf(1)) // single payments: mice path is fine
 	cfg.K, cfg.M = *k, *m
@@ -98,18 +117,23 @@ func main() {
 			telemetry.ExpBuckets(0.0001, 10, 8))
 		flows = telemetry.NewFlowLog(1024)
 		srv, err := telemetry.NewServer(*telAddr, reg, flows)
-		fatalIf(err)
+		if err != nil {
+			return fail(err)
+		}
 		defer srv.Close()
-		fmt.Printf("flashnode %d telemetry on http://%s/metrics\n", *id, srv.Addr())
+		fmt.Fprintf(stdout, "flashnode %d telemetry on http://%s/metrics\n", *id, srv.Addr())
 	}
 
 	if *pay != "" {
 		var receiver topo.NodeID
 		var amount float64
-		_, err := fmt.Sscanf(*pay, "%d:%f", &receiver, &amount)
-		fatalIf(err)
+		if _, err := fmt.Sscanf(*pay, "%d:%f", &receiver, &amount); err != nil {
+			return fail(err)
+		}
 		sess, err := n.NewSession(receiver, amount)
-		fatalIf(err)
+		if err != nil {
+			return fail(err)
+		}
 		start := time.Now()
 		rerr := router.Route(sess)
 		elapsed := time.Since(start)
@@ -120,29 +144,30 @@ func main() {
 			emitNodeFlow(flows, router.Name(), n.ID(), sess, amount, elapsed, rerr == nil)
 		}
 		if rerr != nil {
-			fmt.Printf("payment of %g to %d FAILED after %v: %v\n", amount, receiver, elapsed, rerr)
-			printStats(router)
-			os.Exit(1)
+			fmt.Fprintf(stdout, "payment of %g to %d FAILED after %v: %v\n", amount, receiver, elapsed, rerr)
+			printStats(stdout, router)
+			return 1
 		}
-		fmt.Printf("payment of %g to %d delivered in %v over %d path(s), %d probe messages, %g fees paid\n",
+		fmt.Fprintf(stdout, "payment of %g to %d delivered in %v over %d path(s), %d probe messages, %g fees paid\n",
 			amount, receiver, elapsed, sess.PathsUsed(), sess.ProbeMessages(), sess.FeesPaid())
-		printStats(router)
-		return
+		printStats(stdout, router)
+		return 0
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	fmt.Println("flashnode: shutting down")
-	printStats(router)
+	fmt.Fprintln(stdout, "flashnode: shutting down")
+	printStats(stdout, router)
+	return 0
 }
 
 // printStats renders the router's final counters, the numbers the
 // simulator reports per run, so a daemon shutdown (or one-shot -pay)
 // leaves the same audit trail on stdout.
-func printStats(router *core.Flash) {
+func printStats(w io.Writer, router *core.Flash) {
 	st := router.Stats()
-	fmt.Printf("router stats: elephants=%d mice=%d tableHits=%d tableMisses=%d tableEntries=%d invalidations=%d evictions=%d pathsReplaced=%d threshold=%g\n",
+	fmt.Fprintf(w, "router stats: elephants=%d mice=%d tableHits=%d tableMisses=%d tableEntries=%d invalidations=%d evictions=%d pathsReplaced=%d threshold=%g\n",
 		st.Elephants, st.Mice, st.TableHits, st.TableMisses, st.TableEntries,
 		st.TableInvalidations, st.TableEvictions, st.PathsReplaced, router.Threshold())
 }
@@ -170,13 +195,6 @@ func emitNodeFlow(sink telemetry.Sink, scheme string, sender topo.NodeID, sess *
 	}
 	sink.Emit(r)
 	telemetry.ReleaseFlow(r)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "flashnode:", err)
-		os.Exit(1)
-	}
 }
 
 func loadTopology(path string) (*topo.Graph, error) {

@@ -10,10 +10,12 @@ import (
 // into) this node. It implements the per-hop behaviour of §5.1.
 //
 // Ownership: msg belongs to the caller — a readLoop decodes the next
-// frame into it as soon as dispatch returns. Handlers may rewrite it in
+// frame into it as soon as dispatch returns, and a session reuses its
+// call slot's request for a later round trip. Handlers may rewrite it in
 // place (append to its vectors, reverse its path, change its type) and
 // send it on, but must not retain msg or any of its slices past return;
-// deliver, the one hand-off to another goroutine, copies.
+// deliver, the one hand-off to another goroutine, copies it into the
+// waiting session's call slot.
 func (n *Node) dispatch(msg *wire.Message) {
 	if msg.Current() != n.id {
 		return // misrouted frame; drop

@@ -25,6 +25,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -67,8 +68,11 @@ type Node struct {
 	conns    map[topo.NodeID]*peerConn
 	accepted map[net.Conn]struct{}
 
+	// pendingMu guards pending, the call slots awaiting a reply by
+	// TransID, and idle, the slots no round trip is using.
 	pendingMu sync.Mutex
-	pending   map[uint64]chan *wire.Message
+	pending   map[uint64]*call
+	idle      []*call
 
 	ln       net.Listener
 	wg       sync.WaitGroup
@@ -118,7 +122,7 @@ func New(cfg Config) (*Node, error) {
 		chans:    make(map[topo.NodeID]*channelState),
 		peers:    make(map[topo.NodeID]string),
 		conns:    make(map[topo.NodeID]*peerConn),
-		pending:  make(map[uint64]chan *wire.Message),
+		pending:  make(map[uint64]*call),
 		accepted: make(map[net.Conn]struct{}),
 		ln:       ln,
 	}
@@ -156,6 +160,9 @@ func (n *Node) SetPeers(registry map[topo.NodeID]string) {
 func (n *Node) SetChannel(peer topo.NodeID, out, in float64, feeOut, feeIn pcn.FeeSchedule) error {
 	if !n.graph.HasChannel(n.id, peer) {
 		return fmt.Errorf("node %d: no channel to %d in topology", n.id, peer)
+	}
+	if !(out >= 0) || !(in >= 0) || math.IsInf(out, 1) || math.IsInf(in, 1) {
+		return fmt.Errorf("node %d: balances towards %d must be non-negative and finite, got %v/%v", n.id, peer, out, in)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -309,34 +316,74 @@ func (n *Node) forward(msg *wire.Message) {
 	msg.Pos--
 }
 
-// deliver hands a terminal reply to the waiting session, if any — a copy,
-// because msg itself goes back to its readLoop for the next frame.
+// call is the state of one round trip, kept in a per-node free list so
+// that a warm round trip allocates nothing: the request a session
+// injects, the reply deliver copies the terminal message into, the
+// signal that it has, and the reply timer. Both messages keep their
+// arrays from one round trip to the next.
+type call struct {
+	req, reply wire.Message
+	done       chan struct{} // capacity 1: deliver signals once reply is written
+	timer      *time.Timer
+}
+
+// getCall takes an idle call slot, or makes one.
+func (n *Node) getCall() *call {
+	n.pendingMu.Lock()
+	if k := len(n.idle); k > 0 {
+		c := n.idle[k-1]
+		n.idle = n.idle[:k-1]
+		n.pendingMu.Unlock()
+		return c
+	}
+	n.pendingMu.Unlock()
+	c := &call{done: make(chan struct{}, 1), timer: time.NewTimer(n.timeout)}
+	c.timer.Stop()
+	return c
+}
+
+// putCall returns a slot whose round trip is over: it is in pending no
+// more, its done is drained and its timer stopped or fired and read.
+func (n *Node) putCall(c *call) {
+	n.pendingMu.Lock()
+	n.idle = append(n.idle, c)
+	n.pendingMu.Unlock()
+}
+
+// await registers c to receive the reply to its request.
+func (n *Node) await(c *call) {
+	n.pendingMu.Lock()
+	n.pending[c.req.TransID] = c
+	n.pendingMu.Unlock()
+}
+
+// deliver hands a terminal reply to the session waiting on its TransID,
+// if any, by copying it into that session's call slot — msg itself goes
+// back to its readLoop for the next frame. Taking the slot out of
+// pending makes deliver its only writer until done is signalled.
 func (n *Node) deliver(msg *wire.Message) {
 	n.pendingMu.Lock()
-	ch, ok := n.pending[msg.TransID]
+	c, ok := n.pending[msg.TransID]
 	if ok {
 		delete(n.pending, msg.TransID)
 	}
 	n.pendingMu.Unlock()
 	if ok {
-		ch <- msg.Clone()
+		c.reply.CopyFrom(msg)
+		c.done <- struct{}{}
 	}
 }
 
-// await registers a reply slot for transID.
-func (n *Node) await(transID uint64) chan *wire.Message {
-	ch := make(chan *wire.Message, 1)
+// cancel withdraws transID's slot after a timeout. It reports whether it
+// did; false means a delivery has taken the slot and will signal done.
+func (n *Node) cancel(transID uint64) bool {
 	n.pendingMu.Lock()
-	n.pending[transID] = ch
-	n.pendingMu.Unlock()
-	return ch
-}
-
-// cancel removes a reply slot after a timeout.
-func (n *Node) cancel(transID uint64) {
-	n.pendingMu.Lock()
+	defer n.pendingMu.Unlock()
+	if _, ok := n.pending[transID]; !ok {
+		return false
+	}
 	delete(n.pending, transID)
-	n.pendingMu.Unlock()
+	return true
 }
 
 func (n *Node) newTransID() uint64 { return n.transID.Add(1) }

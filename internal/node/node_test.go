@@ -2,7 +2,9 @@ package node
 
 import (
 	"errors"
+	"io"
 	"math"
+	"net"
 	"reflect"
 	"slices"
 	"sync"
@@ -381,19 +383,20 @@ func TestMalformedReplyIsAnError(t *testing.T) {
 	}
 }
 
-// probeRaw runs one PROBE round trip from n and returns the reply exactly
-// as deliver handed it over.
-func probeRaw(n *Node, path []topo.NodeID) (*wire.Message, error) {
+// probeRaw runs one PROBE round trip from n and returns the call slot
+// holding the reply exactly as deliver wrote it. The caller hands the
+// slot back with putCall.
+func probeRaw(n *Node, path []topo.NodeID) (*call, error) {
 	s := &Session{n: n}
-	return s.roundTrip(&wire.Message{TransID: n.newTransID(), Type: wire.TypeProbe, Path: slices.Clone(path)})
+	return s.roundTrip(wire.TypeProbe, path, 0)
 }
 
-// The deliver-copies rule: a delivered reply belongs to the session. Both
-// replies below reach node 0 over the one connection from node 1, whose
-// readLoop decodes every frame into the same Message; the first reply
-// must read the same after the second, shorter one has arrived. Run under
-// -race, the concurrent sessions also catch a reply that still aliases
-// that Message.
+// The deliver-copies rule: a reply in a call slot belongs to the
+// session. Both replies below reach node 0 over the one connection from
+// node 1, whose readLoop decodes every frame into the same Message; the
+// first reply, still in its slot, must read the same after the second,
+// shorter one has arrived. Run under -race, the concurrent sessions also
+// catch a slot that still aliases that Message.
 func TestDeliveredReplySurvivesNextFrame(t *testing.T) {
 	nodes := startCluster(t, topo.Line(4), 75)
 	long, short := []topo.NodeID{0, 1, 2, 3}, []topo.NodeID{0, 1, 2}
@@ -408,19 +411,24 @@ func TestDeliveredReplySurvivesNextFrame(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				want := first.Clone()
-				if _, err := probeRaw(nodes[0], short); err != nil {
+				var want wire.Message
+				want.CopyFrom(&first.reply)
+				second, err := probeRaw(nodes[0], short)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !reflect.DeepEqual(first, want) {
-					t.Errorf("first reply changed after the second arrived:\n got %+v\nwant %+v", first, want)
+				nodes[0].putCall(second)
+				got := &first.reply
+				if !reflect.DeepEqual(got, &want) {
+					t.Errorf("first reply changed after the second arrived:\n got %+v\nwant %+v", got, &want)
 					return
 				}
-				if len(first.Capacity) != 3 || first.Type != wire.TypeProbeAck || !slices.Equal(first.Path, []topo.NodeID{3, 2, 1, 0}) {
-					t.Errorf("unexpected PROBE_ACK %+v", first)
+				if len(got.Capacity) != 3 || got.Type != wire.TypeProbeAck || !slices.Equal(got.Path, []topo.NodeID{3, 2, 1, 0}) {
+					t.Errorf("unexpected PROBE_ACK %+v", got)
 					return
 				}
+				nodes[0].putCall(first)
 			}
 		}()
 	}
@@ -447,5 +455,171 @@ func TestMessagesSentCountsWrittenFrames(t *testing.T) {
 	}
 	if got := nodes[0].MessagesSent(); got != 1 {
 		t.Errorf("failed write counted: MessagesSent = %d, want 1", got)
+	}
+}
+
+// Probe results live in the session's probe-result arena: one returned
+// before the arena outgrows its inline array, or a chunk, reads the same
+// after, and appending to a result cannot reach the next one.
+func TestProbeResultsSurviveArenaGrowth(t *testing.T) {
+	nodes := startLine(t, 100)
+	s, err := nodes[0].NewSession(2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probes = 100 // 200 results: the inline array and two chunks
+	results := make([][]pcn.HopInfo, probes)
+	for i := range results {
+		// Node 1 reports its balance towards 2, so each result is
+		// distinct.
+		if err := nodes[1].SetChannel(2, float64(i), 100, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := s.Probe([]topo.NodeID{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(info) != 2 || cap(info) != 2 {
+			t.Fatalf("probe %d: len %d cap %d, want 2 and 2", i, len(info), cap(info))
+		}
+		results[i] = info
+	}
+	for i, info := range results {
+		if info[0].Available != 100 || info[1].Available != float64(i) {
+			t.Errorf("probe %d reads %+v after later probes, want hop 2 available %d", i, info, i)
+		}
+	}
+}
+
+// A timed-out round trip whose reply lands as its timer fires must not
+// hand that reply to the next round trip that reuses its call slot.
+// Deliveries are timed across the timeout, so every ordering of
+// deliver, timer and cancel occurs; each round trip is followed by one
+// answered with its own reply, which must read its own TransID.
+func TestLateReplyNeverReachesRecycledSlot(t *testing.T) {
+	n, err := New(Config{ID: 0, Graph: topo.Line(3), Timeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.SetChannel(1, 100, 100, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err != nil {
+		t.Fatal(err)
+	}
+	// No peer addresses: a request goes nowhere, and the only replies
+	// are the ones the test delivers.
+	s := &Session{n: n}
+	path := []topo.NodeID{0, 1, 2}
+	const timeout = 2 * time.Millisecond
+	for i := 0; i < 200; i++ {
+		n.timeout = timeout
+		late := &wire.Message{TransID: n.transID.Load() + 1, Type: wire.TypeProbeAck}
+		delivered := make(chan struct{})
+		go func() {
+			defer close(delivered)
+			time.Sleep(timeout - 500*time.Microsecond + time.Duration(i%11)*100*time.Microsecond)
+			n.deliver(late)
+		}()
+		c, err := s.roundTrip(wire.TypeProbe, path, 0)
+		switch {
+		case err == nil:
+			if c.reply.TransID != late.TransID {
+				t.Fatalf("round trip %d: reply for trans %d, want %d", i, c.reply.TransID, late.TransID)
+			}
+			n.putCall(c)
+		case !errors.Is(err, ErrTimeout):
+			t.Fatal(err)
+		}
+		<-delivered
+
+		n.timeout = 3 * time.Second
+		own := &wire.Message{TransID: n.transID.Load() + 1, Type: wire.TypeProbeAck}
+		answered := make(chan struct{})
+		go func() {
+			defer close(answered)
+			deliverWhenPending(t, n, own)
+		}()
+		c, err = s.roundTrip(wire.TypeProbe, path, 0)
+		<-answered
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.reply.TransID != own.TransID || c.req.TransID != own.TransID {
+			t.Fatalf("round trip %d: request %d got the reply for trans %d, want %d",
+				i, c.req.TransID, c.reply.TransID, own.TransID)
+		}
+		n.putCall(c)
+	}
+	if len(n.pending) != 0 {
+		t.Errorf("%d slots left pending", len(n.pending))
+	}
+}
+
+// Amounts that are not positive finite numbers are refused at the
+// sender, and balances that are negative or not finite at set-up: a NaN
+// hold used to commit and turn the sender's balance into NaN.
+func TestNonFiniteAmountsRejected(t *testing.T) {
+	nodes := startLine(t, 100)
+	path := []topo.NodeID{0, 1, 2}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := nodes[0].NewSession(2, x); err == nil {
+			t.Errorf("NewSession with demand %v accepted", x)
+		}
+		s, err := nodes[0].NewSession(2, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Hold(path, x); err == nil {
+			t.Errorf("Hold of %v accepted", x)
+		}
+		if err := s.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if err := nodes[0].SetChannel(1, x, 100, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err == nil {
+			t.Errorf("SetChannel with balance %v accepted", x)
+		}
+		if err := nodes[0].SetChannel(1, 100, x, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err == nil {
+			t.Errorf("SetChannel with reverse balance %v accepted", x)
+		}
+	}
+	if err := nodes[0].SetChannel(1, -1, 100, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err == nil {
+		t.Error("SetChannel with a negative balance accepted")
+	}
+	waitForBalance(t, nodes[0], 1, 100, 100)
+	waitForBalance(t, nodes[1], 0, 100, 100)
+	waitForBalance(t, nodes[1], 2, 100, 100)
+}
+
+// A COMMIT frame with a negative or non-finite amount is malformed: the
+// relay it is written to drops it, and the connection with it, and its
+// balances do not move. A -50 commit used to mint 50 on both of node 1's
+// channels.
+func TestRelayDropsBadCommitFrame(t *testing.T) {
+	nodes := startLine(t, 100)
+	for _, x := range []float64{-50, math.NaN(), math.Inf(1)} {
+		frame, err := wire.Encode(&wire.Message{
+			TransID: 1, Type: wire.TypeCommit, Path: []topo.NodeID{0, 1, 2}, Pos: 1, Commit: x,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", nodes[1].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		// The node closes a connection once a frame fails to decode, so
+		// EOF means the frame has been judged.
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("commit %v: read after the frame = %v, want EOF (connection dropped)", x, err)
+		}
+		conn.Close()
+		for _, peer := range []topo.NodeID{0, 2} {
+			if out, in := nodes[1].Balances(peer); out != 100 || in != 100 {
+				t.Errorf("commit %v: node 1 towards %d = %v/%v, want 100/100", x, peer, out, in)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/pcn"
@@ -15,34 +16,62 @@ import (
 // It implements route.Session, so the identical router code that drives
 // the simulator drives the testbed — matching the paper, which evaluates
 // the same algorithms in both (§4, §5).
+//
+// A Session keeps what it must remember in two append-only arenas, each
+// backed by an inline array until it outgrows it: the paths of its
+// holds, back to back, and every Probe result. A round trip's request
+// and reply live in the node's pooled call slots, so a payment over
+// short paths allocates nothing beyond the Session. The probe-result
+// arena grows by starting a new chunk and never moves or overwrites what
+// it has handed out, so a Probe result is read-only and valid for the
+// session's life. Neither Probe nor Hold retains the path it is given.
 type Session struct {
 	n        *Node
 	receiver topo.NodeID
+	finished bool
 	demand   float64
 
-	holds    []sessHold
-	finished bool
+	holds []sessHold
 
 	probeMsgs  int
 	probeOps   int
 	commitMsgs int
 	netWait    time.Duration
+
+	// The inline arrays are sized so the Session fits a 512-byte
+	// allocation.
+	paths []topo.NodeID // every hold's path, back to back
+	infos []pcn.HopInfo // the current chunk of Probe results
+
+	holdsInline [4]sessHold
+	pathsInline [16]topo.NodeID
+	infosInline [5]pcn.HopInfo
 }
 
+// sessHold is one partial payment the session holds: its path is
+// paths[off : off+n].
 type sessHold struct {
-	path   []topo.NodeID
+	off, n int32
 	amount float64
 }
 
+// infosChunk is the least capacity of a probe-result chunk started once
+// the inline array is full.
+const infosChunk = 64
+
 // NewSession opens a payment session from this node to receiver.
 func (n *Node) NewSession(receiver topo.NodeID, demand float64) (*Session, error) {
-	if demand <= 0 {
-		return nil, fmt.Errorf("node: demand must be positive, got %v", demand)
+	if !(demand > 0) || math.IsInf(demand, 1) {
+		return nil, fmt.Errorf("node: demand must be positive and finite, got %v", demand)
 	}
 	if receiver == n.id {
 		return nil, fmt.Errorf("node: cannot pay self (node %d)", n.id)
 	}
-	return &Session{n: n, receiver: receiver, demand: demand}, nil
+	s := &Session{n: n, receiver: receiver, demand: demand}
+	s.holds = s.holdsInline[:0]
+	s.paths = s.pathsInline[:0]
+	s.infos = s.infosInline[:0]
+	return s, nil
 }
 
 // Compile-time checks that Session satisfies the routing seam and
@@ -77,27 +106,41 @@ func (s *Session) validPath(path []topo.NodeID) error {
 	return nil
 }
 
-// roundTrip injects a forward message and waits for its terminal reply,
-// accounting the wait towards NetworkWait.
-func (s *Session) roundTrip(msg *wire.Message) (*wire.Message, error) {
-	ch := s.n.await(msg.TransID)
+// roundTrip sends a new transaction's request of type typ over path,
+// built in a call slot, and waits for its terminal reply, accounting the
+// wait towards NetworkWait. On success the reply is in the returned
+// slot's reply, and the caller hands the slot back with putCall once it
+// has read it; on error the slot is back already.
+func (s *Session) roundTrip(typ wire.Type, path []topo.NodeID, amount float64) (*call, error) {
+	n := s.n
+	c := n.getCall()
+	req := &c.req
+	req.TransID, req.Type, req.Pos, req.Commit = n.newTransID(), typ, 0, amount
+	req.Path = append(req.Path[:0], path...)
+	req.Capacity, req.ReverseCap, req.FeeRate = req.Capacity[:0], req.ReverseCap[:0], req.FeeRate[:0]
+	id := req.TransID
+	n.await(c)
 	start := time.Now()
-	s.n.dispatch(msg)
-	timer := time.NewTimer(s.n.timeout)
-	defer timer.Stop()
+	n.dispatch(req)
+	c.timer.Reset(n.timeout)
 	select {
-	case reply := <-ch:
+	case <-c.done:
+		c.timer.Stop()
 		s.netWait += time.Since(start)
-		return reply, nil
-	case <-timer.C:
+		return c, nil
+	case <-c.timer.C:
 		s.netWait += time.Since(start)
-		s.n.cancel(msg.TransID)
-		return nil, fmt.Errorf("%w (trans %d, type %v)", ErrTimeout, msg.TransID, msg.Type)
+		if !n.cancel(id) {
+			<-c.done // a delivery took the slot first: let it finish writing
+		}
+		n.putCall(c)
+		return nil, fmt.Errorf("%w (trans %d, type %v)", ErrTimeout, id, typ)
 	}
 }
 
 // Probe implements route.Session: a PROBE/PROBE_ACK round trip,
-// costing 2·hops messages.
+// costing 2·hops messages. The result is appended to the session's
+// probe-result arena.
 func (s *Session) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
 	if s.finished {
 		return nil, pcn.ErrFinished
@@ -105,15 +148,12 @@ func (s *Session) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
 	if err := s.validPath(path); err != nil {
 		return nil, err
 	}
-	msg := &wire.Message{
-		TransID: s.n.newTransID(),
-		Type:    wire.TypeProbe,
-		Path:    append([]topo.NodeID(nil), path...),
-	}
-	reply, err := s.roundTrip(msg)
+	c, err := s.roundTrip(wire.TypeProbe, path, 0)
 	if err != nil {
 		return nil, err
 	}
+	defer s.n.putCall(c)
+	reply := &c.reply
 	hops := len(path) - 1
 	s.probeMsgs += 2 * hops
 	s.probeOps++
@@ -123,8 +163,16 @@ func (s *Session) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
 	if len(reply.Capacity) != hops || len(reply.FeeRate) != hops {
 		return nil, fmt.Errorf("node: probe returned %d capacities, %d fee rates for %d hops", len(reply.Capacity), len(reply.FeeRate), hops)
 	}
-	info := make([]pcn.HopInfo, hops)
-	for i := 0; i < hops; i++ {
+	m := len(s.infos)
+	if m+hops > cap(s.infos) {
+		// Start a new chunk rather than grow this one: earlier results
+		// stay where their callers hold them.
+		s.infos = make([]pcn.HopInfo, 0, max(hops, 2*cap(s.infos), infosChunk))
+		m = 0
+	}
+	s.infos = s.infos[:m+hops]
+	info := s.infos[m : m+hops : m+hops]
+	for i := range info {
 		info[i] = pcn.HopInfo{
 			Available: reply.Capacity[i],
 			Fee:       pcn.FeeSchedule{Rate: reply.FeeRate[i]},
@@ -155,34 +203,28 @@ func (s *Session) Hold(path []topo.NodeID, amount float64) error {
 	if s.finished {
 		return pcn.ErrFinished
 	}
-	if amount <= 0 {
-		return fmt.Errorf("node: hold amount must be positive, got %v", amount)
+	if !(amount > 0) || math.IsInf(amount, 1) {
+		return fmt.Errorf("node: hold amount must be positive and finite, got %v", amount)
 	}
 	if err := s.validPath(path); err != nil {
 		return err
 	}
-	msg := &wire.Message{
-		TransID: s.n.newTransID(),
-		Type:    wire.TypeCommit,
-		Path:    append([]topo.NodeID(nil), path...),
-		Commit:  amount,
-	}
-	reply, err := s.roundTrip(msg)
+	c, err := s.roundTrip(wire.TypeCommit, path, amount)
 	if err != nil {
 		return err
 	}
+	typ := c.reply.Type
+	s.n.putCall(c)
 	s.commitMsgs += 2 * (len(path) - 1)
-	switch reply.Type {
+	switch typ {
 	case wire.TypeCommitAck:
-		s.holds = append(s.holds, sessHold{
-			path:   append([]topo.NodeID(nil), path...),
-			amount: amount,
-		})
+		s.holds = append(s.holds, sessHold{off: int32(len(s.paths)), n: int32(len(path)), amount: amount})
+		s.paths = append(s.paths, path...)
 		return nil
 	case wire.TypeCommitNack:
 		return pcn.ErrInsufficient
 	default:
-		return fmt.Errorf("node: unexpected reply %v to COMMIT", reply.Type)
+		return fmt.Errorf("node: unexpected reply %v to COMMIT", typ)
 	}
 }
 
@@ -204,19 +246,9 @@ func (s *Session) Commit() error {
 	if len(s.holds) == 0 {
 		return errors.New("node: nothing held to commit")
 	}
-	for _, h := range s.holds {
-		msg := &wire.Message{
-			TransID: s.n.newTransID(),
-			Type:    wire.TypeConfirm,
-			Path:    append([]topo.NodeID(nil), h.path...),
-			Commit:  h.amount,
-		}
-		if _, err := s.roundTrip(msg); err != nil {
-			return fmt.Errorf("node: confirm failed: %w", err)
-		}
-		s.commitMsgs += 2 * (len(h.path) - 1)
+	if err := s.settle(wire.TypeConfirm); err != nil {
+		return fmt.Errorf("node: confirm failed: %w", err)
 	}
-	s.finished = true
 	return nil
 }
 
@@ -225,17 +257,23 @@ func (s *Session) Abort() error {
 	if s.finished {
 		return pcn.ErrFinished
 	}
+	if err := s.settle(wire.TypeReverse); err != nil {
+		return fmt.Errorf("node: reverse failed: %w", err)
+	}
+	return nil
+}
+
+// settle sends every held sub-payment a round trip of type typ, CONFIRM
+// or REVERSE, in hold order, and finishes the session once all are
+// acknowledged.
+func (s *Session) settle(typ wire.Type) error {
 	for _, h := range s.holds {
-		msg := &wire.Message{
-			TransID: s.n.newTransID(),
-			Type:    wire.TypeReverse,
-			Path:    append([]topo.NodeID(nil), h.path...),
-			Commit:  h.amount,
+		c, err := s.roundTrip(typ, s.paths[h.off:h.off+h.n], h.amount)
+		if err != nil {
+			return err
 		}
-		if _, err := s.roundTrip(msg); err != nil {
-			return fmt.Errorf("node: reverse failed: %w", err)
-		}
-		s.commitMsgs += 2 * (len(h.path) - 1)
+		s.n.putCall(c)
+		s.commitMsgs += 2 * (int(h.n) - 1)
 	}
 	s.finished = true
 	return nil

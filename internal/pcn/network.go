@@ -154,8 +154,8 @@ func (n *Network) unlockAll() {
 // SetBalance sets the two directional balances of the channel joining u
 // and v: balUV spendable by u towards v, balVU the reverse.
 func (n *Network) SetBalance(u, v topo.NodeID, balUV, balVU float64) error {
-	if balUV < 0 || balVU < 0 {
-		return fmt.Errorf("pcn: negative balance for channel %d-%d", u, v)
+	if !(balUV >= 0) || !(balVU >= 0) || math.IsInf(balUV, 1) || math.IsInf(balVU, 1) {
+		return fmt.Errorf("pcn: balance for channel %d-%d must be non-negative and finite, got %v/%v", u, v, balUV, balVU)
 	}
 	idx, d, err := n.dir(u, v)
 	if err != nil {

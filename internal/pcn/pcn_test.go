@@ -288,6 +288,44 @@ func TestHoldZeroAmount(t *testing.T) {
 	}
 }
 
+// Amounts that are not positive finite numbers are refused where they
+// enter: a NaN hold used to commit and turn both channel directions, and
+// TotalFunds, into NaN.
+func TestNonFiniteAmountsRejected(t *testing.T) {
+	n := lineNet(t)
+	path := []topo.NodeID{0, 1, 2, 3}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := n.Begin(0, 3, x); err == nil {
+			t.Errorf("Begin with demand %v accepted", x)
+		}
+		if err := n.SetBalance(0, 1, x, 100); err == nil {
+			t.Errorf("SetBalance with balance %v accepted", x)
+		}
+		tx, err := n.Begin(0, 3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Hold(path, x); err == nil {
+			t.Errorf("Hold of %v accepted", x)
+		}
+		if tx.HeldTotal() != 0 {
+			t.Errorf("Hold of %v left %v held", x, tx.HeldTotal())
+		}
+		if err := tx.Hold(path, 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := n.TotalFunds(); got != 600 {
+		t.Errorf("TotalFunds = %v, want 600", got)
+	}
+	if got, back := n.Balance(0, 1), n.Balance(1, 0); got != 70 || back != 130 {
+		t.Errorf("channel 0-1 = %v/%v, want 70/130", got, back)
+	}
+}
+
 func TestFeesPaid(t *testing.T) {
 	n := lineNet(t)
 	n.SetFee(0, 1, FeeSchedule{Rate: 0.01})

@@ -3,6 +3,7 @@ package pcn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -141,8 +142,8 @@ type holdRecord struct {
 // Begin opens a payment session for amount demand from sender to
 // receiver.
 func (n *Network) Begin(sender, receiver topo.NodeID, demand float64) (*Tx, error) {
-	if demand <= 0 {
-		return nil, fmt.Errorf("pcn: demand must be positive, got %v", demand)
+	if !(demand > 0) || math.IsInf(demand, 1) {
+		return nil, fmt.Errorf("pcn: demand must be positive and finite, got %v", demand)
 	}
 	if sender == receiver {
 		return nil, fmt.Errorf("pcn: sender and receiver are both node %d", sender)
@@ -366,8 +367,8 @@ func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	if t.finished {
 		return ErrFinished
 	}
-	if amount <= 0 {
-		return fmt.Errorf("pcn: hold amount must be positive, got %v", amount)
+	if !(amount > 0) || math.IsInf(amount, 1) {
+		return fmt.Errorf("pcn: hold amount must be positive and finite, got %v", amount)
 	}
 	n := len(t.hops)
 	ext, err := t.resolvePathInto(t.hops, path)

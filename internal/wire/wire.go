@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/topo"
 )
@@ -134,15 +133,17 @@ func (m *Message) Current() topo.NodeID {
 // AtEnd reports whether the message has reached the last path node.
 func (m *Message) AtEnd() bool { return int(m.Pos) == len(m.Path)-1 }
 
-// Clone returns a deep copy of m: what a handler hands to another
-// goroutine when m is about to be reused for the next frame.
-func (m *Message) Clone() *Message {
-	c := *m
-	c.Path = slices.Clone(m.Path)
-	c.Capacity = slices.Clone(m.Capacity)
-	c.ReverseCap = slices.Clone(m.ReverseCap)
-	c.FeeRate = slices.Clone(m.FeeRate)
-	return &c
+// CopyFrom makes m a deep copy of src, reusing m's backing arrays where
+// they are large enough, so a receiver that copies every message into
+// the same Message stops allocating once they have grown; nothing in m
+// aliases src afterwards. It is how a message that is about to be reused
+// for the next frame is handed to another goroutine.
+func (m *Message) CopyFrom(src *Message) {
+	m.TransID, m.Type, m.Pos, m.Commit = src.TransID, src.Type, src.Pos, src.Commit
+	m.Path = append(m.Path[:0], src.Path...)
+	m.Capacity = append(m.Capacity[:0], src.Capacity...)
+	m.ReverseCap = append(m.ReverseCap[:0], src.ReverseCap...)
+	m.FeeRate = append(m.FeeRate[:0], src.FeeRate...)
 }
 
 // AppendFrame appends m to buf as one length-prefixed frame, written in a
@@ -202,7 +203,8 @@ func Decode(body []byte) (*Message, error) {
 // backing arrays of m's Path, Capacity, ReverseCap and FeeRate are reused
 // when they are large enough, so a receiver that decodes every frame into
 // the same Message stops allocating once they have grown; nothing in m
-// aliases body afterwards. On error m's contents are unspecified.
+// aliases body afterwards. A frame whose Commit is negative, NaN or
+// infinite is malformed. On error m's contents are unspecified.
 func DecodeInto(m *Message, body []byte) error {
 	d := decoder{buf: body}
 	m.TransID = d.uint64()
@@ -242,6 +244,11 @@ func DecodeInto(m *Message, body []byte) error {
 	}
 	if int(m.Pos) >= pathLen && pathLen > 0 {
 		return fmt.Errorf("%w: position %d outside path of %d", ErrMalformed, m.Pos, pathLen)
+	}
+	// Every hop moves balances by Commit: a negative or non-finite amount
+	// would mint funds or poison them.
+	if !(m.Commit >= 0) || math.IsInf(m.Commit, 1) {
+		return fmt.Errorf("%w: commit amount %v", ErrMalformed, m.Commit)
 	}
 	return nil
 }

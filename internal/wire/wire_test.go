@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -174,6 +175,55 @@ func TestDecodeMalformed(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Error("position outside path accepted")
 	}
+	// A commit amount that would mint or poison funds at every hop.
+	for _, m := range badCommits() {
+		frame, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(frame[4:]); !errors.Is(err, ErrMalformed) {
+			t.Errorf("commit %v: err = %v, want ErrMalformed", m.Commit, err)
+		}
+	}
+}
+
+// badCommits are COMMIT frames a hop must never act on: each carries a
+// negative or non-finite amount.
+func badCommits() []*Message {
+	var ms []*Message
+	for _, x := range []float64{-50, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ms = append(ms, &Message{TransID: 7, Type: TypeCommit, Path: []topo.NodeID{0, 1, 2}, Pos: 1, Commit: x})
+	}
+	return ms
+}
+
+// CopyFrom leaves nothing shared with its source, and a target whose
+// arrays have grown copies without allocating.
+func TestCopyFrom(t *testing.T) {
+	src := sampleMessage()
+	var dst Message
+	dst.CopyFrom(src)
+	if !reflect.DeepEqual(&dst, src) {
+		t.Fatalf("copy = %+v, want %+v", dst, *src)
+	}
+	src.Path[0], src.Capacity[0], src.ReverseCap[0], src.FeeRate[0] = 9, 9, 9, 9
+	if want := sampleMessage(); !reflect.DeepEqual(&dst, want) {
+		t.Errorf("copy changed with its source: %+v, want %+v", dst, *want)
+	}
+	short := &Message{TransID: 1, Type: TypeCommitAck, Path: []topo.NodeID{2, 1, 0}, Commit: 5}
+	msgs := []*Message{src, short}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		dst.CopyFrom(msgs[i%2])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per warm CopyFrom, want 0", allocs)
+	}
+	dst.CopyFrom(short)
+	if !equalMessages(&dst, short) {
+		t.Errorf("copy of a shorter message = %+v, want %+v", dst, *short)
+	}
 }
 
 func TestEncodeValidation(t *testing.T) {
@@ -309,9 +359,17 @@ func FuzzDecode(f *testing.F) {
 		f.Add(frame[4:])
 		f.Add(frame[4 : len(frame)-3])
 	}
+	for _, m := range badCommits() {
+		frame, err := Encode(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[4:])
+	}
 	leftover := streamCorpus()[2] // the longest message: what a reused target still holds
 	f.Fuzz(func(t *testing.T, body []byte) {
-		dirty := leftover.Clone()
+		dirty := new(Message)
+		dirty.CopyFrom(leftover)
 		dirtyErr := DecodeInto(dirty, body)
 		fresh, err := Decode(body)
 		if (err == nil) != (dirtyErr == nil) {
