@@ -1,9 +1,9 @@
 // Command snapshot generates, converts and inspects the channel-graph
 // snapshots the simulator can run on (flashsim -topology, experiments
 // -topology). Two on-disk formats are supported, chosen by extension:
-// ".json" is the lnd `describegraph` channel-graph shape, anything
-// else a whitespace-separated "src dst capacity" edge list (the shape
-// Ripple trust-line crawls are distributed in).
+// ".json" (in any case) is the lnd `describegraph` channel-graph shape,
+// anything else a whitespace-separated "src dst capacity" edge list
+// (the shape Ripple trust-line crawls are distributed in).
 //
 // Usage:
 //
@@ -13,58 +13,86 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"repro/internal/topo"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one subcommand and returns the exit code: 2 for a usage
+// error (no or an unknown subcommand, a bad flag), 1 when the
+// subcommand fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	var err error
-	switch os.Args[1] {
+	var sub func(args []string, stdout, stderr io.Writer) error
+	switch args[0] {
 	case "gen":
-		err = runGen(os.Args[2:])
+		sub = runGen
 	case "convert":
-		err = runConvert(os.Args[2:])
+		sub = runConvert
 	case "stats":
-		err = runStats(os.Args[2:])
+		sub = runStats
 	case "-h", "-help", "--help", "help":
-		usage()
-		return
+		usage(stderr)
+		return 0
 	default:
-		fmt.Fprintf(os.Stderr, "snapshot: unknown subcommand %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "snapshot: unknown subcommand %q\n", args[0])
+		usage(stderr)
+		return 2
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snapshot:", err)
-		os.Exit(1)
+	err := sub(args[1:], stdout, stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
 	}
+	fmt.Fprintln(stderr, "snapshot:", err)
+	return 1
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+// errUsage reports a bad flag the subcommand's flag set has printed.
+var errUsage = errors.New("usage")
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   snapshot gen     -kind ripple|lightning|testbed -nodes N [-seed S] -out FILE
   snapshot convert -in FILE -out FILE
   snapshot stats   -in FILE
 
-Formats are chosen by extension: .json = LN channel-graph JSON,
-anything else = "src dst capacity" edge list.`)
+Formats are chosen by extension: .json (any case) = LN channel-graph
+JSON, anything else = "src dst capacity" edge list.`)
 }
 
-func runGen(args []string) error {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+// parse parses a subcommand's flags, printing errors and -h help to
+// stderr. It returns flag.ErrHelp for -h and errUsage for a bad flag.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && err != flag.ErrHelp {
+		return errUsage
+	}
+	return err
+}
+
+func runGen(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gen", flag.ContinueOnError)
 	kind := fs.String("kind", "ripple", "topology model: ripple, lightning or testbed")
 	nodes := fs.Int("nodes", 1870, "number of nodes")
 	seed := fs.Int64("seed", 1, "random seed (same seed, same snapshot)")
 	out := fs.String("out", "", "output file (required)")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *out == "" {
 		return fmt.Errorf("gen: -out is required")
 	}
@@ -72,18 +100,16 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshot(*out, snap); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d nodes, %d channels\n", *out, snap.Graph.NumNodes(), snap.Graph.NumChannels())
-	return nil
+	return write(stdout, *out, snap)
 }
 
-func runConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
+func runConvert(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("convert", flag.ContinueOnError)
 	in := fs.String("in", "", "input snapshot (required)")
 	out := fs.String("out", "", "output snapshot (required)")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -in and -out are required")
 	}
@@ -91,17 +117,24 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeSnapshot(*out, snap); err != nil {
+	return write(stdout, *out, snap)
+}
+
+// write saves snap to path and reports its size.
+func write(stdout io.Writer, path string, snap *topo.Snapshot) error {
+	if err := topo.WriteSnapshotFile(path, snap); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %d nodes, %d channels\n", *out, snap.Graph.NumNodes(), snap.Graph.NumChannels())
+	fmt.Fprintf(stdout, "wrote %s: %d nodes, %d channels\n", path, snap.Graph.NumNodes(), snap.Graph.NumChannels())
 	return nil
 }
 
-func runStats(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+func runStats(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	in := fs.String("in", "", "input snapshot (required)")
-	fs.Parse(args)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
 	if *in == "" {
 		return fmt.Errorf("stats: -in is required")
 	}
@@ -122,35 +155,13 @@ func runStats(args []string) error {
 	for _, c := range caps {
 		total += c
 	}
-	fmt.Printf("nodes       %d\n", g.NumNodes())
-	fmt.Printf("channels    %d\n", g.NumChannels())
+	fmt.Fprintf(stdout, "nodes       %d\n", g.NumNodes())
+	fmt.Fprintf(stdout, "channels    %d\n", g.NumChannels())
 	if n := len(degrees); n > 0 {
-		fmt.Printf("degree      min %d / median %d / max %d\n", degrees[0], degrees[n/2], degrees[n-1])
+		fmt.Fprintf(stdout, "degree      min %d / median %d / max %d\n", degrees[0], degrees[n/2], degrees[n-1])
 	}
 	if n := len(caps); n > 0 {
-		fmt.Printf("capacity    min %g / median %g / max %g / total %g\n", caps[0], caps[n/2], caps[n-1], total)
+		fmt.Fprintf(stdout, "capacity    min %g / median %g / max %g / total %g\n", caps[0], caps[n/2], caps[n-1], total)
 	}
 	return nil
-}
-
-// writeSnapshot serialises snap in the format the output extension
-// selects.
-func writeSnapshot(path string, snap *topo.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if isJSON(path) {
-		if err := topo.WriteLNGraphJSON(f, snap); err != nil {
-			return err
-		}
-	} else if err := topo.WriteRippleEdgeList(f, snap); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func isJSON(path string) bool {
-	return len(path) >= 5 && path[len(path)-5:] == ".json"
 }

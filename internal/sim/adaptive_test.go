@@ -148,7 +148,7 @@ func TestWindowsClampToHorizon(t *testing.T) {
 	// final window, and the windows still decompose the aggregate.
 	var sum Metrics
 	for _, w := range res.Windows {
-		sum.Merge(w.Metrics)
+		sum.merge(w.Metrics)
 	}
 	if sum.Payments != res.Aggregate.Payments {
 		t.Errorf("windows sum %d payments, aggregate %d", sum.Payments, res.Aggregate.Payments)

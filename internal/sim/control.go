@@ -45,8 +45,13 @@ type controlState struct {
 	elephantPathsUsed int
 	probeMsgs         int64
 
-	decisions int // applied decisions, all knobs
-	status    [control.NumKnobs]ControlKnobStatus
+	decisions        int // applied decisions, all knobs
+	thresholdUpdates int // decisions that moved the global threshold
+	status           [control.NumKnobs]ControlKnobStatus
+
+	// backoff scales the engine's retry backoff: exactly 1.0 until a
+	// KnobRetryBackoff decision moves it.
+	backoff float64
 }
 
 // newControlState builds the engine's control runtime for a policy
@@ -68,7 +73,47 @@ func newControlState(policy *control.Policy, hook []control.Controller, fl *core
 	if len(cs) == 0 {
 		return nil, nil
 	}
-	return &controlState{plane: control.NewPlane(cs...)}, nil
+	return &controlState{plane: control.NewPlane(cs...), backoff: 1}, nil
+}
+
+// apply carries one decision to the router and rolls up the effective
+// value the router reports back. It reports false, and counts nothing,
+// for a decision that changes nothing: a threshold equal to the
+// current one, a backoff scale that is not positive, an unknown knob.
+func (c *controlState) apply(d control.Decision, fl *core.Flash) (float64, bool) {
+	eff := d.Value
+	switch d.Knob {
+	case control.KnobThreshold:
+		if d.Value == fl.Threshold() {
+			return 0, false
+		}
+		fl.SetThreshold(d.Value)
+		c.thresholdUpdates++
+	case control.KnobSenderThreshold:
+		fl.SetSenderThreshold(d.Sender, d.Value)
+	case control.KnobProbeWidth:
+		eff = float64(fl.SetProbeWorkers(int(d.Value)))
+	case control.KnobRetryBackoff:
+		if !(d.Value > 0) {
+			return 0, false
+		}
+		c.backoff = d.Value
+	default:
+		return 0, false
+	}
+	c.decisions++
+	st := &c.status[d.Knob]
+	st.Knob, st.Decisions, st.Last = d.Knob.String(), st.Decisions+1, eff
+	return eff, true
+}
+
+// backoffScale is the retry backoff multiplier: 1 without a control
+// plane.
+func (c *controlState) backoffScale() float64 {
+	if c == nil {
+		return 1
+	}
+	return c.backoff
 }
 
 // arrival feeds one first-attempt arrival to the plane's estimators.
@@ -127,18 +172,6 @@ func (c *controlState) snapshot(t, threshold float64, probeWidth int) control.Me
 	c.elephants, c.elephantSucc, c.mice, c.miceSucc = 0, 0, 0, 0
 	c.elephantProbeOps, c.elephantPathsUsed, c.probeMsgs = 0, 0, 0
 	return m
-}
-
-// applied records one applied decision's effective value in the
-// per-knob rollup.
-func (c *controlState) applied(k control.Knob, eff float64) {
-	c.decisions++
-	if int(k) < len(c.status) {
-		st := &c.status[k]
-		st.Knob = k.String()
-		st.Decisions++
-		st.Last = eff
-	}
 }
 
 // knobStatus returns the per-knob rollups for knobs that decided at

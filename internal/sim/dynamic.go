@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/pcn"
-	"repro/internal/route"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -255,593 +254,6 @@ func (r DynamicResult) WindowRatios() []float64 {
 	return out
 }
 
-// dynPayment is a payment moving through the engine: queued, in
-// service, or awaiting a retry.
-type dynPayment struct {
-	p           trace.Payment
-	attempt     int
-	arrival     float64          // first-attempt virtual arrival instant
-	dispatched  float64          // latest attempt's dispatch instant
-	spanAborted bool             // latest attempt aborted at span resume
-	expired     bool             // latest attempt expired at its deadline
-	total       routeOutcome     // accumulated across attempts
-	done        chan routeResult // non-nil while in service on a goroutine
-	inline      routeResult      // outcome when routed inline (Workers ≤ 1)
-}
-
-type routeResult struct {
-	out routeOutcome
-	tx  *pcn.Tx // suspended session awaiting Resume (hold-span mode), else nil
-	err error
-}
-
-// RunDynamic replays a payment source against net under r inside a
-// discrete-event loop: payment arrivals are pulled lazily from src
-// (one look-ahead event at a time, so unbounded workloads cost O(1)
-// memory), churn events mutate the live network as the virtual clock
-// passes them, and completed payments are recorded both into the
-// aggregate metrics and into per-window time-series buckets.
-//
-// Churn semantics: ChannelClose freezes a channel (and, when r is
-// Flash, invalidates the routing-table entries crossing it);
-// ChannelOpen reopens it, funding each direction with the event's
-// Amount when positive; Rebalance evens a channel's directions;
-// DemandShift rescales the source's payment amounts when the source
-// supports it (trace.Stream does), including the engine's one
-// look-ahead arrival already sampled under the old scale; FeeShift
-// rescales a channel's fee schedules. Shift factors are validated at
-// schedule-ingest time (positive and finite), so a typo'd factor fails
-// loudly instead of no-opping.
-//
-// With Workers ≤ 1, Service = 0 and arrivals pinned to an existing
-// trace (trace.NewReplayStream) this is the paper's sequential replay
-// — Replay is exactly that call, pinned to the seed goldens.
-//
-// With Service > 0 payments hold funds across virtual time (hold
-// spans, see DynamicOptions.Service): the routing decision still
-// executes at the arrival instant, but the commit settles one service
-// time later, and every payment arriving in between contends with the
-// outstanding holds. Workers ≤ 1 stays fully deterministic — same
-// seed, same fingerprint — because all routing decisions run inline on
-// the event loop in (Time, Seq) order.
-func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horizon float64, churn []event.Event, miceThreshold float64, opts DynamicOptions) (DynamicResult, error) {
-	if !(horizon > 0) || math.IsInf(horizon, 1) {
-		return DynamicResult{}, fmt.Errorf("sim: dynamic horizon must be positive and finite, got %v", horizon)
-	}
-	// A source built over a zero/negative-rate arrival process would
-	// silently schedule +Inf/NaN virtual times onto the event heap;
-	// sources that can check themselves (trace.Stream, barbellStream)
-	// are checked here, so calling RunDynamic directly is as safe as
-	// going through RunDynamicScenario's validation.
-	if v, ok := src.(interface{ Validate() error }); ok {
-		if err := v.Validate(); err != nil {
-			return DynamicResult{}, fmt.Errorf("sim: payment source: %w", err)
-		}
-	}
-	if err := opts.validate(); err != nil {
-		return DynamicResult{}, err
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	window := opts.Window
-	if window == 0 {
-		window = horizon / 10
-	}
-	res := DynamicResult{Horizon: horizon}
-	fl, _ := r.(*core.Flash) // nil for non-Flash routers
-	obs := newDynObserver(r.Name(), opts.FlowSink, opts.Registry)
-
-	queue := event.NewQueue()
-	var clock event.Clock
-	log := event.Log{Retain: opts.RecordLog}
-	seeded := workers > 1
-	// spans: Service > 0 splits payments into hold-phase and
-	// commit-phase events with funds locked in between (see
-	// DynamicOptions.Service). Service = 0 keeps the atomic-at-dispatch
-	// path, bit-identical to the pre-hold-span engine.
-	spans := opts.Service > 0
-
-	// Virtual latency model: per-channel RTTs on the network shift
-	// every settle event by the attempt's charged probe/commit legs;
-	// Deadline > 0 arms HTLC-style expiry of hold spans. Both off — the
-	// default — leave every event time and the schedule stream
-	// byte-identical to the latency-free engine (the latency terms are
-	// exact float zeros, never drawn).
-	latOn := net.HasLatency()
-	deadline := opts.Deadline
-	latencyReport := latOn || deadline > 0
-	res.LatencyOn = latencyReport
-	res.Deadline = deadline
-
-	// Schedule randomness (service times, retry backoffs) is its own
-	// seeded stream, independent of routing, so event timestamps do not
-	// depend on routing outcomes.
-	schedRNG := rand.New(rand.NewSource(paymentSeed(opts.Seed, 0x5C4ED)))
-
-	for _, e := range churn {
-		switch e.Kind {
-		case event.ChannelOpen, event.ChannelClose, event.Rebalance:
-		case event.DemandShift, event.FeeShift:
-			// A zero (or NaN/∞/negative) shift factor would no-op or
-			// corrupt silently — Generator.SetAmountScale ignores
-			// non-positive factors — so reject it here at schedule-ingest
-			// time, mirroring ArrivalProcess.Validate.
-			if err := validShiftFactor(e.Kind, e.Amount); err != nil {
-				return res, err
-			}
-		default:
-			return res, fmt.Errorf("sim: churn schedule contains %v event", e.Kind)
-		}
-		if e.Time < horizon {
-			queue.Schedule(e)
-		}
-	}
-
-	pending := make(map[int64]*dynPayment)
-	var (
-		busy  int
-		waitQ []int64 // payment IDs awaiting a free station, FIFO
-	)
-
-	// The engine's current routing threshold: the router's own value
-	// for Flash (a control policy moves it), the metrics threshold
-	// otherwise. Reported per window and as FinalThreshold.
-	curThreshold := miceThreshold
-	if fl != nil {
-		curThreshold = fl.Threshold()
-	}
-
-	// Control plane (see DynamicOptions.Control): the policy's
-	// controllers observe per-window metrics once per window and re-tune
-	// the router's knobs. Engaged only for Flash — no other scheme owns
-	// runtime knobs.
-	ctl, err := newControlState(opts.Control, opts.controlHook, fl)
-	if err != nil {
-		return res, fmt.Errorf("sim: %w", err)
-	}
-	// backoffScale multiplies the engine's retry backoff; exactly 1.0
-	// unless a KnobRetryBackoff decision moves it, so control-off runs
-	// compute bit-identical backoffs.
-	backoffScale := 1.0
-	if ctl != nil && window < horizon {
-		queue.Schedule(event.Event{Time: window, Kind: event.ControlUpdate})
-	}
-
-	// pullArrival schedules the source's next arrival, if it falls
-	// inside the horizon. Exactly one future first-attempt arrival is
-	// pending at any time, which keeps the source lazy and its memory
-	// O(1) — and makes that one look-ahead payment the only arrival
-	// sampled before a demand shift it postdates; the DemandShift
-	// handler rescales it (tracking curScale) so the first post-shift
-	// payment carries a post-shift amount. Degenerate payments
-	// (self-pay, non-positive amount) are skipped here.
-	srcDone := false
-	curScale := 1.0
-	var lookahead *dynPayment
-	pullArrival := func() {
-		lookahead = nil
-		for !srcDone {
-			p, at, ok := src.Next()
-			if !ok || at >= horizon {
-				srcDone = true
-				return
-			}
-			if p.Sender == p.Receiver || p.Amount <= 0 {
-				continue
-			}
-			dp := &dynPayment{p: p, arrival: at}
-			pending[int64(p.ID)] = dp
-			lookahead = dp
-			queue.Schedule(event.Event{Time: at, Kind: event.PaymentArrival, ID: int64(p.ID)})
-			return
-		}
-	}
-
-	// dispatch puts dp in service at virtual time t: the routing attempt
-	// runs now (inline for the deterministic single station, on a
-	// goroutine when stations may overlap), and the completion is
-	// scheduled after the drawn virtual service time. In hold-span mode
-	// the attempt stops at the yield seam — holds placed, commit
-	// deferred — and the completion event settles the span.
-	dispatch := func(dp *dynPayment, t float64) {
-		busy++
-		dp.dispatched = t
-		service := 0.0
-		if opts.Service > 0 {
-			// Drawn unconditionally, so the schedule stream's consumption
-			// never depends on routing outcomes.
-			service = schedRNG.ExpFloat64() * opts.Service
-			if opts.GriefFrac > 0 && trace.HashUnit(opts.Seed, int64(dp.p.ID)^griefSalt) < opts.GriefFrac {
-				// Griefer: override the drawn value (never the draw itself,
-				// so grief-off runs replay byte-identically) with the
-				// attacker's hold duration.
-				service = opts.GriefHold
-			}
-		}
-		seed := attemptSeed(paymentSeed(opts.Seed, int64(dp.p.ID)), dp.attempt)
-		if workers == 1 {
-			dp.inline = runAttempt(net, r, dp.p, seed, seeded, spans)
-			if spans && dp.inline.tx == nil {
-				// The attempt failed at the hold phase: nothing is locked,
-				// so the payment completes — and its retry clock starts —
-				// at its arrival instant. Only suspended payments occupy a
-				// service span (residency is the holds, not the station).
-				service = 0
-			}
-			// Virtual latency: the attempt's charged probe and commit legs
-			// delay the routing decision, and a suspended span's settle
-			// legs delay its resume. Both terms are exact zeros when the
-			// network carries no RTTs, so the event time below reduces to
-			// the historical t + service bit for bit.
-			lat := 0.0
-			if latOn {
-				lat = float64(dp.inline.out.probeLatNanos+dp.inline.out.commitLatNanos) / 1e9
-			}
-			resumeLat := 0.0
-			if dp.inline.tx != nil {
-				resumeLat = float64(dp.inline.tx.ResumeLatencyNanos()) / 1e9
-			}
-			if deadline > 0 && dp.inline.tx != nil && service+resumeLat > deadline {
-				// The span cannot settle within its HTLC deadline: the
-				// expiry event replaces the attempt's PaymentComplete, so
-				// every attempt still settles exactly once.
-				at := t + lat + deadline
-				queue.Schedule(event.Event{
-					Time: at, Kind: event.DeadlineExpiry,
-					ID: int64(dp.p.ID), Attempt: dp.attempt,
-				})
-				if opts.audit != nil {
-					opts.audit(schedAudit{ID: int64(dp.p.ID), Attempt: dp.attempt, At: t,
-						Lat: lat, Service: service, ResumeLat: resumeLat, EventAt: at, Expired: true})
-				}
-				return
-			}
-			at := t + lat + service + resumeLat
-			queue.Schedule(event.Event{
-				Time: at, Kind: event.PaymentComplete,
-				ID: int64(dp.p.ID), Attempt: dp.attempt,
-			})
-			if opts.audit != nil {
-				opts.audit(schedAudit{ID: int64(dp.p.ID), Attempt: dp.attempt, At: t,
-					Lat: lat, Service: service, ResumeLat: resumeLat, EventAt: at})
-			}
-			return
-		}
-		dp.done = make(chan routeResult, 1)
-		go func(p trace.Payment, done chan routeResult) {
-			done <- runAttempt(net, r, p, seed, seeded, spans)
-		}(dp.p, dp.done)
-		// Concurrent stations learn the attempt's outcome — and its
-		// latency charge — only at harvest time; the completion handler
-		// re-schedules the settle past the service time when needed.
-		queue.Schedule(event.Event{
-			Time: t + service, Kind: event.PaymentComplete,
-			ID: int64(dp.p.ID), Attempt: dp.attempt,
-		})
-	}
-
-	// windowFor returns the time-series bucket containing t. The series
-	// never extends past the horizon: completion events may land at
-	// t ≥ horizon (service times and retry backoffs outlive the last
-	// arrival), and those drain into the final window, whose End is
-	// clamped to the horizon. lastWindow is the index of the last
-	// bucket whose Start lies strictly inside the horizon — the Ceil
-	// can overcount by one when horizon/window carries float error
-	// (e.g. 9/0.009), which would otherwise append a phantom
-	// zero-width bucket at the horizon.
-	lastWindow := int(math.Ceil(horizon/window)) - 1
-	if lastWindow > 0 && float64(lastWindow)*window >= horizon {
-		lastWindow--
-	}
-	windowFor := func(t float64) *Window {
-		idx := int(t / window)
-		if idx > lastWindow {
-			idx = lastWindow
-		}
-		for len(res.Windows) <= idx {
-			start := float64(len(res.Windows)) * window
-			end := start + window
-			if end > horizon {
-				end = horizon
-			}
-			res.Windows = append(res.Windows, Window{Start: start, End: end, Threshold: curThreshold})
-		}
-		return &res.Windows[idx]
-	}
-
-	// applyControlTick is the control plane's observe/decide/apply pass,
-	// run once per cadence tick on the event loop: assemble the window's
-	// metrics, let every controller decide, apply the decisions to the
-	// router, and record the adaptive trajectory into the fingerprinted
-	// log.
-	applyControlTick := func(e event.Event) {
-		// Materialise the bucket (and any earlier ones) before any swap,
-		// so windows that closed under the old threshold report it.
-		w := windowFor(e.Time)
-		m := ctl.snapshot(e.Time, curThreshold, fl.ProbeWorkers())
-		decisions := ctl.plane.Observe(m)
-		// The bare cadence tick is logged first (knob code 0), then one
-		// ControlUpdate per applied decision, each stamped with the
-		// effective value the router reports back — the whole adaptive
-		// trajectory folds into the fingerprint.
-		log.Record(e)
-		for _, d := range decisions {
-			eff := d.Value
-			switch d.Knob {
-			case control.KnobThreshold:
-				if d.Value == curThreshold {
-					continue
-				}
-				fl.SetThreshold(d.Value)
-				curThreshold = d.Value
-				res.ThresholdUpdates++
-			case control.KnobSenderThreshold:
-				fl.SetSenderThreshold(d.Sender, d.Value)
-			case control.KnobProbeWidth:
-				eff = float64(fl.SetProbeWorkers(int(d.Value)))
-			case control.KnobRetryBackoff:
-				if !(d.Value > 0) {
-					continue
-				}
-				backoffScale = d.Value
-			default:
-				continue
-			}
-			ctl.applied(d.Knob, eff)
-			if obs != nil {
-				obs.decided(d.Knob, eff)
-			}
-			log.Record(event.Event{Time: e.Time, Seq: e.Seq, Kind: event.ControlUpdate,
-				ID: int64(d.Knob), A: d.Sender, Amount: eff})
-		}
-		w.Threshold = curThreshold
-		if next := e.Time + window; next < horizon {
-			queue.Schedule(event.Event{Time: next, Kind: event.ControlUpdate})
-		}
-	}
-
-	pullArrival()
-	for queue.Len() > 0 {
-		e, _ := queue.Pop()
-		clock.AdvanceTo(e.Time)
-		if e.Kind == event.ControlUpdate {
-			applyControlTick(e)
-			continue
-		}
-		log.Record(e)
-
-		switch e.Kind {
-		case event.PaymentArrival:
-			dp := pending[e.ID]
-			if e.Attempt == 0 {
-				pullArrival()
-				if ctl != nil {
-					ctl.arrival(dp.p.Sender, dp.p.Amount)
-				}
-			}
-			dp.attempt = e.Attempt
-			// With hold spans the deterministic single station never
-			// queues: routing is instantaneous in virtual time, and a
-			// payment's residency on the network is modelled by its
-			// locked holds, not by station occupancy — every arrival
-			// must probe the network exactly as it stands at its own
-			// arrival instant, in-flight holds included. The same holds
-			// with a latency model: the settle event lands after the
-			// charged legs, but the routing itself still executes at the
-			// arrival instant, so delayed settles must not queue arrivals.
-			if busy < workers || ((spans || latOn) && workers == 1) {
-				dispatch(dp, e.Time)
-			} else {
-				waitQ = append(waitQ, e.ID)
-			}
-
-		case event.PaymentComplete, event.DeadlineExpiry:
-			dp := pending[e.ID]
-			result := dp.inline
-			if dp.done != nil {
-				result = <-dp.done
-				dp.done = nil
-				// Concurrent stations learn the outcome — and its virtual
-				// latency — only now, after the service time. When a
-				// latency model is live, re-schedule the settle (or the
-				// deadline expiry, clamped so the clock never runs
-				// backwards) as a second event; the station stays busy
-				// until it lands. With latency off both terms are zero and
-				// the attempt settles right here, as it always did.
-				lat := 0.0
-				if latOn {
-					lat = float64(result.out.probeLatNanos+result.out.commitLatNanos) / 1e9
-				}
-				resumeLat := 0.0
-				if result.tx != nil {
-					resumeLat = float64(result.tx.ResumeLatencyNanos()) / 1e9
-				}
-				if deadline > 0 && result.tx != nil && e.Time-dp.dispatched+resumeLat > deadline {
-					dp.inline = result
-					at := dp.dispatched + deadline
-					if at < e.Time {
-						at = e.Time
-					}
-					queue.Schedule(event.Event{
-						Time: at, Kind: event.DeadlineExpiry,
-						ID: e.ID, Attempt: dp.attempt,
-					})
-					continue
-				}
-				if lat+resumeLat > 0 {
-					dp.inline = result
-					queue.Schedule(event.Event{
-						Time: e.Time + lat + resumeLat, Kind: event.PaymentComplete,
-						ID: e.ID, Attempt: dp.attempt,
-					})
-					continue
-				}
-			}
-			busy--
-			dp.spanAborted = false // only the settling attempt's verdict counts
-			dp.expired = false
-			if e.Kind == event.DeadlineExpiry {
-				// The span's HTLC deadline passed before its commit could
-				// settle: tear the holds down and count the attempt as
-				// failed. Expire races Resume in general, but the engine
-				// schedules exactly one settle event per attempt, so here
-				// it must win.
-				if result.tx != nil {
-					if rerr := result.tx.Expire(); rerr != nil {
-						result.err = rerr
-					} else {
-						res.DeadlineExpiries++
-						dp.expired = true
-						result.out.delivered = false
-						result.out.commitMsgs = int64(result.tx.CommitMessages())
-						result.out.commitLatNanos = result.tx.CommitLatencyNanos()
-						result.out.fees = 0
-					}
-				}
-			} else if result.err == nil && result.tx != nil {
-				// Settle the hold span: the deferred commit applies now —
-				// or aborts, if churn closed a held channel mid-span. The
-				// CONFIRM/REVERSE messages (and their latency) and any fees
-				// land here, so the accounting is re-read from the session.
-				committed, rerr := result.tx.Resume()
-				if rerr != nil {
-					result.err = rerr
-				} else {
-					result.out.delivered = committed
-					result.out.commitMsgs = int64(result.tx.CommitMessages())
-					result.out.commitLatNanos = result.tx.CommitLatencyNanos()
-					result.out.fees = 0
-					if committed {
-						result.out.fees = result.tx.FeesPaid()
-					} else {
-						res.SpanAborts++
-						dp.spanAborted = true
-					}
-				}
-			}
-			if result.err != nil {
-				res.FinalThreshold = curThreshold
-				res.finishLog(&log)
-				return res, result.err
-			}
-			dp.total.add(result.out)
-			if result.out.delivered || dp.attempt >= opts.Retries {
-				delete(pending, e.ID)
-				t := dp.total
-				dp.total = routeOutcome{}
-				res.Aggregate.Record(dp.p.Amount, miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-				w := windowFor(e.Time)
-				w.Metrics.Record(dp.p.Amount, miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-				if ctl != nil {
-					// The re-classification view and the controllers' window
-					// metrics classify against the threshold in effect for
-					// this sender right now — per-sender overrides included —
-					// where the fixed-threshold Metrics above keep runs
-					// comparable across policies.
-					effThr := fl.ThresholdFor(dp.p.Sender)
-					ctl.completedPayment(dp.p.Amount, effThr, t)
-					res.Adaptive.Record(dp.p.Amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-					w.Adaptive.Record(dp.p.Amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-				}
-				if latencyReport && t.delivered {
-					res.Latency.Observe(e.Time - dp.arrival)
-					w.Latency.Observe(e.Time - dp.arrival)
-				}
-				if obs != nil {
-					obs.completed(dp.p, miceThreshold, t, dp.attempt+1, dp.arrival, e.Time, dp.spanAborted, dp.expired, curThreshold)
-				}
-			} else {
-				// Retry after a jittered virtual backoff: 50ms · 2^attempt,
-				// scaled by [0.5, 1.5) — long enough for the racing holds of
-				// the same instant to have settled.
-				backoff := 0.05 * backoffScale * float64(uint(1)<<uint(dp.attempt)) * (0.5 + schedRNG.Float64())
-				queue.Schedule(event.Event{
-					Time: e.Time + backoff, Kind: event.PaymentArrival,
-					ID: e.ID, Attempt: dp.attempt + 1,
-				})
-				if opts.audit != nil {
-					opts.audit(schedAudit{ID: e.ID, Attempt: dp.attempt, At: e.Time,
-						Backoff: backoff, EventAt: e.Time + backoff, Retry: true})
-				}
-			}
-			if len(waitQ) > 0 && busy < workers {
-				next := waitQ[0]
-				waitQ = waitQ[1:]
-				dispatch(pending[next], e.Time)
-			}
-
-		case event.ChannelClose:
-			if err := net.SetChannelOpen(e.A, e.B, false); err != nil {
-				return res, fmt.Errorf("sim: churn close: %w", err)
-			}
-			if fl != nil {
-				fl.InvalidateChannel(e.A, e.B)
-			}
-
-		case event.ChannelOpen:
-			if err := net.SetChannelOpen(e.A, e.B, true); err != nil {
-				return res, fmt.Errorf("sim: churn open: %w", err)
-			}
-			if e.Amount > 0 {
-				// FundChannel, not SetBalance: funding must never undercut
-				// holds a concurrent in-flight payment already owns.
-				if err := net.FundChannel(e.A, e.B, e.Amount, e.Amount); err != nil {
-					return res, fmt.Errorf("sim: churn open funding: %w", err)
-				}
-			}
-			if fl != nil {
-				fl.InvalidateChannel(e.A, e.B)
-			}
-
-		case event.Rebalance:
-			if _, err := net.Rebalance(e.A, e.B); err != nil {
-				return res, fmt.Errorf("sim: churn rebalance: %w", err)
-			}
-
-		case event.FeeShift:
-			if err := net.ScaleFee(e.A, e.B, e.Amount); err != nil {
-				return res, fmt.Errorf("sim: churn fee shift: %w", err)
-			}
-
-		case event.DemandShift:
-			if sh, ok := src.(interface{ SetAmountScale(float64) }); ok {
-				sh.SetAmountScale(e.Amount)
-				// The one look-ahead arrival was sampled under the old
-				// scale but arrives after the shift; rescale it so the
-				// first post-shift payment carries a post-shift amount.
-				// (Sources that don't scale — trace replays — keep their
-				// recorded amounts, and so does their look-ahead.)
-				if lookahead != nil {
-					lookahead.p.Amount *= e.Amount / curScale
-				}
-				curScale = e.Amount
-			}
-		}
-	}
-	res.FinalThreshold = curThreshold
-	if ctl != nil {
-		res.ControlOn = true
-		res.ControlDecisions = ctl.decisions
-		res.Controllers = ctl.knobStatus()
-	}
-	res.finishLog(&log)
-	return res, nil
-}
-
-// validShiftFactor rejects shift factors that would silently no-op or
-// corrupt the run (Generator.SetAmountScale ignores factors ≤ 0, and a
-// non-finite fee factor would poison every subsequent fee), mirroring
-// the ArrivalProcess.Validate pattern: misconfiguration surfaces as an
-// error at schedule-ingest time, not as a silently wrong result.
-func validShiftFactor(kind event.Kind, factor float64) error {
-	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor <= 0 {
-		return fmt.Errorf("sim: %v factor must be positive and finite, got %v", kind, factor)
-	}
-	return nil
-}
-
 // validate rejects options that cannot mean anything instead of
 // reading them as "off" or failing deep inside the run: a negative, NaN
 // or infinite service time or window (0 keeps its meaning), deadline
@@ -901,13 +313,6 @@ func (sc DynamicScenario) validate() error {
 		}
 	}
 	return sc.DynamicOptions.validate()
-}
-
-// finishLog copies the applied-event log's evidence into the result.
-func (r *DynamicResult) finishLog(l *event.Log) {
-	r.EventCounts = l.Counts()
-	r.Fingerprint = l.Fingerprint()
-	r.Log = l.Events()
 }
 
 // Arrival-process names understood by DynamicScenario.

@@ -57,7 +57,7 @@ func TestDynamicWindowsSumToAggregate(t *testing.T) {
 	res := goldenDynamicRun(t, KindRipple, DynamicOptions{Workers: 1, Window: 1000})
 	var sum Metrics
 	for _, w := range res.Windows {
-		sum.Merge(w.Metrics)
+		sum.merge(w.Metrics)
 	}
 	agg := res.Aggregate
 	if sum.Payments != agg.Payments || sum.Successes != agg.Successes ||

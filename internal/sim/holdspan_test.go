@@ -203,10 +203,10 @@ func TestHubFailureScenarioAbortsInFlightHolds(t *testing.T) {
 	var pre, post Metrics
 	for _, w := range res.Windows {
 		if w.End <= res.Horizon/2 {
-			pre.Merge(w.Metrics)
+			pre.merge(w.Metrics)
 		}
 		if w.Start >= res.Horizon/2 {
-			post.Merge(w.Metrics)
+			post.merge(w.Metrics)
 		}
 	}
 	if pre.Payments == 0 || post.Payments == 0 {

@@ -180,7 +180,7 @@ func workloadFor(kind string, g *topo.Graph, seed int64) (*trace.Generator, erro
 	// generated Lightning kind, and ingested snapshots in the LN JSON
 	// format (".json" paths).
 	if kind == KindLightning ||
-		(strings.HasPrefix(kind, KindSnapshotPrefix) && strings.HasSuffix(strings.ToLower(kind), ".json")) {
+		(strings.HasPrefix(kind, KindSnapshotPrefix) && topo.IsLNGraphPath(kind)) {
 		cfg.Sizes = trace.BitcoinSizes
 	}
 	return trace.NewGenerator(cfg)

@@ -45,30 +45,6 @@ type Metrics struct {
 	MiceDelay  time.Duration
 }
 
-// Merge folds another shard's counters into m. Every field is an
-// order-independent sum, which is what lets harnesses that shard
-// metrics (the testbed's clients, the dynamic engine's time-series
-// windows) aggregate shards without locks on the hot path.
-func (m *Metrics) Merge(o Metrics) {
-	m.Payments += o.Payments
-	m.Successes += o.Successes
-	m.SuccessVolume += o.SuccessVolume
-	m.AttemptVolume += o.AttemptVolume
-	m.FeesPaid += o.FeesPaid
-	m.ProbeMessages += o.ProbeMessages
-	m.CommitMessages += o.CommitMessages
-	m.MicePayments += o.MicePayments
-	m.MiceSuccesses += o.MiceSuccesses
-	m.MiceSuccessVolume += o.MiceSuccessVolume
-	m.MiceProbeMessages += o.MiceProbeMessages
-	m.ElephantPayments += o.ElephantPayments
-	m.ElephantSuccesses += o.ElephantSuccesses
-	m.ElephantSuccessVol += o.ElephantSuccessVol
-	m.ElephantProbeMsgs += o.ElephantProbeMsgs
-	m.TotalDelay += o.TotalDelay
-	m.MiceDelay += o.MiceDelay
-}
-
 // SuccessRatio is the fraction of payments fully delivered.
 func (m Metrics) SuccessRatio() float64 {
 	if m.Payments == 0 {

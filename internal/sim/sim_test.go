@@ -204,3 +204,26 @@ func TestRunScenarioSchemesSeeIdenticalWorkload(t *testing.T) {
 		t.Errorf("identical scheme runs diverged: %+v vs %+v", a, b)
 	}
 }
+
+// merge folds another shard's counters into m. Every field is an
+// order-independent sum, so the tests can check that a dynamic run's
+// time-series windows sum to its aggregate.
+func (m *Metrics) merge(o Metrics) {
+	m.Payments += o.Payments
+	m.Successes += o.Successes
+	m.SuccessVolume += o.SuccessVolume
+	m.AttemptVolume += o.AttemptVolume
+	m.FeesPaid += o.FeesPaid
+	m.ProbeMessages += o.ProbeMessages
+	m.CommitMessages += o.CommitMessages
+	m.MicePayments += o.MicePayments
+	m.MiceSuccesses += o.MiceSuccesses
+	m.MiceSuccessVolume += o.MiceSuccessVolume
+	m.MiceProbeMessages += o.MiceProbeMessages
+	m.ElephantPayments += o.ElephantPayments
+	m.ElephantSuccesses += o.ElephantSuccesses
+	m.ElephantSuccessVol += o.ElephantSuccessVol
+	m.ElephantProbeMsgs += o.ElephantProbeMsgs
+	m.TotalDelay += o.TotalDelay
+	m.MiceDelay += o.MiceDelay
+}

@@ -263,9 +263,15 @@ func (s *Snapshot) name(id NodeID) string {
 	return strconv.Itoa(int(id))
 }
 
-// LoadSnapshotFile ingests a snapshot from disk, dispatching on the
-// file extension: ".json" is read as an LN channel-graph dump,
-// everything else as a capacity edge list.
+// IsLNGraphPath reports whether a snapshot file's extension selects
+// the LN channel-graph JSON format: ".json", in any case. Every other
+// path is a capacity edge list.
+func IsLNGraphPath(path string) bool {
+	return strings.HasSuffix(strings.ToLower(path), ".json")
+}
+
+// LoadSnapshotFile ingests a snapshot from disk in the format
+// IsLNGraphPath selects.
 func LoadSnapshotFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -273,7 +279,7 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
-	if strings.HasSuffix(strings.ToLower(path), ".json") {
+	if IsLNGraphPath(path) {
 		snap, err := ReadLNGraphJSON(br)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
@@ -285,6 +291,24 @@ func LoadSnapshotFile(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return snap, nil
+}
+
+// WriteSnapshotFile writes snap to disk in the format IsLNGraphPath
+// selects, so LoadSnapshotFile reads it back.
+func WriteSnapshotFile(path string, snap *Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	write := WriteRippleEdgeList
+	if IsLNGraphPath(path) {
+		write = WriteLNGraphJSON
+	}
+	if err := write(f, snap); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return f.Close()
 }
 
 // GenerateSyntheticSnapshot builds a seeded synthetic snapshot of the

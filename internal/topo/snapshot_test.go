@@ -2,6 +2,8 @@ package topo
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -219,6 +221,39 @@ func TestSnapshotRoundTripEdgeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshotsEqual(t, snap, again)
+}
+
+// TestSnapshotFileRoundTrip writes and reads back a snapshot under
+// each extension, the format chosen by IsLNGraphPath in either case.
+func TestSnapshotFileRoundTrip(t *testing.T) {
+	snap, err := GenerateSyntheticSnapshot("ripple", 60, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		json bool
+	}{{"s.json", true}, {"s.JSON", true}, {"s.Json", true}, {"s.edges", false}, {"s.json.txt", false}} {
+		if got := IsLNGraphPath(c.name); got != c.json {
+			t.Errorf("IsLNGraphPath(%q) = %v, want %v", c.name, got, c.json)
+		}
+		path := filepath.Join(t.TempDir(), c.name)
+		if err := WriteSnapshotFile(path, snap); err != nil {
+			t.Fatal(err)
+		}
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if isJSON := bytes.HasPrefix(body, []byte("{")); isJSON != c.json {
+			t.Errorf("%s: written as JSON = %v, want %v", c.name, isJSON, c.json)
+		}
+		again, err := LoadSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshotsEqual(t, snap, again)
+	}
 }
 
 func TestGenerateSyntheticSnapshotDeterministic(t *testing.T) {
