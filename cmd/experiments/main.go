@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,37 +26,37 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	var (
-		figs     = flag.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
-		full     = flag.Bool("full", false, "paper-scale parameters (slower)")
-		seed     = flag.Int64("seed", 1, "base random seed")
-		workers  = flag.Int("workers", 0, "goroutines for independent sweep cells (0 = GOMAXPROCS, 1 = sequential)")
-		probeW   = flag.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
-		ctrl     = flag.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
-		topology = flag.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
-		telAddr  = flag.String("telemetry", "", "serve runtime /metrics and pprof on this address while figures run")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *telAddr != "" {
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterRuntimeMetrics(reg)
-		srv, err := telemetry.NewServer(*telAddr, reg, nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+// run executes one invocation and returns the exit code: 2 for a usage
+// error (a bad flag, an unknown figure or control policy), 1 when a
+// figure fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		figs     = fs.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
+		full     = fs.Bool("full", false, "paper-scale parameters (slower)")
+		seed     = fs.Int64("seed", 1, "base random seed")
+		workers  = fs.Int("workers", 0, "goroutines for independent sweep cells (0 = GOMAXPROCS, 1 = sequential)")
+		probeW   = fs.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
+		ctrl     = fs.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
+		topology = fs.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
+		telAddr  = fs.String("telemetry", "", "serve runtime /metrics and pprof on this address while figures run")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		defer srv.Close()
-		fmt.Printf("# telemetry on http://%s/metrics\n", srv.Addr())
+		return 2
 	}
 
-	o := exp.Options{Full: *full, Seed: *seed, Out: os.Stdout, Workers: *workers, ProbeWorkers: *probeW, Topology: *topology}
+	o := exp.Options{Full: *full, Seed: *seed, Out: stdout, Workers: *workers, ProbeWorkers: *probeW, Topology: *topology}
 	if *ctrl != "" {
 		policy, err := control.ParsePolicy(*ctrl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "experiments:", err)
+			return 2
 		}
 		if policy.Enabled() {
 			o.Control = &policy
@@ -87,19 +89,32 @@ func main() {
 		for _, f := range strings.Split(*figs, ",") {
 			f = strings.TrimSpace(f)
 			if _, ok := runners[f]; !ok {
-				fmt.Fprintf(os.Stderr, "experiments: unknown figure %q\n", f)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "experiments: unknown figure %q\n", f)
+				return 2
 			}
 			selected[f] = true
 		}
+	}
+
+	if *telAddr != "" {
+		reg := telemetry.NewRegistry()
+		telemetry.RegisterRuntimeMetrics(reg)
+		srv, err := telemetry.NewServer(*telAddr, reg, nil)
+		if err != nil {
+			fmt.Fprintln(stderr, "experiments:", err)
+			return 1
+		}
+		defer srv.Close()
+		fmt.Fprintf(stdout, "# telemetry on http://%s/metrics\n", srv.Addr())
 	}
 	for _, f := range order {
 		if !selected[f] {
 			continue
 		}
 		if err := runners[f](o); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: figure %s: %v\n", f, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: figure %s: %v\n", f, err)
+			return 1
 		}
 	}
+	return 0
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,47 +16,60 @@ func tinyOptions(buf *bytes.Buffer) Options {
 	return Options{Tiny: true, Seed: 1, Out: buf}
 }
 
-// TestEveryFigureRunsTiny drives each figure-regeneration function end
-// to end at Tiny scale and checks it emits its banner and at least one
-// data row.
+// TestEveryFigureRunsTiny drives each non-TCP figure end to end at Tiny
+// scale and pins its output byte for byte to
+// testdata/<name>-tiny.golden (name lower-cased). -update rewrites the
+// files.
 func TestEveryFigureRunsTiny(t *testing.T) {
 	figs := []struct {
 		name string
 		fn   func(Options) error
-		want string
 	}{
-		{"Fig3", Fig3, "Figure 3"},
-		{"Fig4", Fig4, "Figure 4"},
-		{"Fig6", Fig6, "Figure 6"},
-		{"Fig7", Fig7, "Figure 7"},
-		{"Fig8", Fig8, "Figure 8"},
-		{"Fig9", Fig9, "Figure 9"},
-		{"Fig10", Fig10, "Figure 10"},
-		{"Fig11", Fig11, "Figure 11"},
-		{"Headline", Headline, "Headline"},
-		{"Dynamic", Dynamic, "Dynamic scenarios"},
-		{"Latency", Latency, "Latency model"},
-		{"AblationElephantK", AblationElephantK, "elephant path budget"},
-		{"AblationMiceOrder", AblationMiceOrder, "mice path order"},
-		{"AblationProbeAllK", AblationProbeAllK, "Algorithm 1 termination"},
-		{"AblationMaxFlowBound", AblationMaxFlowBound, "upper bound"},
+		{"Fig3", Fig3},
+		{"Fig4", Fig4},
+		{"Fig6", Fig6},
+		{"Fig7", Fig7},
+		{"Fig8", Fig8},
+		{"Fig9", Fig9},
+		{"Fig10", Fig10},
+		{"Fig11", Fig11},
+		{"Headline", Headline},
+		{"Dynamic", Dynamic},
+		{"Latency", Latency},
+		{"AblationElephantK", AblationElephantK},
+		{"AblationMiceOrder", AblationMiceOrder},
+		{"AblationProbeAllK", AblationProbeAllK},
+		{"AblationMaxFlowBound", AblationMaxFlowBound},
 	}
 	for _, f := range figs {
-		f := f
 		t.Run(f.name, func(t *testing.T) {
 			t.Parallel()
 			var buf bytes.Buffer
 			if err := f.fn(tinyOptions(&buf)); err != nil {
 				t.Fatal(err)
 			}
-			out := buf.String()
-			if !strings.Contains(out, f.want) {
-				t.Errorf("output missing %q:\n%s", f.want, out)
-			}
-			if strings.Count(out, "\n") < 3 {
-				t.Errorf("suspiciously short output:\n%s", out)
-			}
+			checkGolden(t, strings.ToLower(f.name), buf.String())
 		})
+	}
+}
+
+// checkGolden compares got with testdata/<name>-tiny.golden, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+"-tiny.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\nwant:\n%s\ngot:\n%s", name, path, want, got)
 	}
 }
 
@@ -83,21 +97,7 @@ func TestTestbedFiguresRunTiny(t *testing.T) {
 		if err := f.fn(tinyOptions(&buf)); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		got := delayCols.ReplaceAllString(buf.String(), "$1 <delay> <delay>")
-		path := filepath.Join("testdata", f.name+"-tiny.golden")
-		if *update {
-			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("%s differs from %s:\nwant:\n%s\ngot:\n%s", f.name, path, want, got)
-		}
+		checkGolden(t, f.name, delayCols.ReplaceAllString(buf.String(), "$1 <delay> <delay>"))
 	}
 }
 
@@ -119,14 +119,15 @@ func TestOptionsScaling(t *testing.T) {
 	}
 }
 
-// TestParallelSweepOutputIdentical pins the Workers contract: the sweep
-// figures print byte-identical tables at any worker count, because each
-// scenario cell is a deterministic function of the seed.
+// TestParallelSweepOutputIdentical pins the pool contract: the sweep
+// figures print byte-identical tables on one processor and on four,
+// because each scenario cell is a deterministic function of the seed.
 func TestParallelSweepOutputIdentical(t *testing.T) {
-	render := func(workers int, fig func(Options) error) string {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	render := func(procs int, fig func(Options) error) string {
+		runtime.GOMAXPROCS(procs)
 		var b strings.Builder
-		o := Options{Tiny: true, Seed: 1, Out: &b, Workers: workers}
-		if err := fig(o); err != nil {
+		if err := fig(Options{Tiny: true, Seed: 1, Out: &b}); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -135,7 +136,7 @@ func TestParallelSweepOutputIdentical(t *testing.T) {
 		seq := render(1, fig)
 		par := render(4, fig)
 		if seq != par {
-			t.Errorf("%s output differs between workers=1 and workers=4:\n--- seq ---\n%s\n--- par ---\n%s", name, seq, par)
+			t.Errorf("%s output differs between GOMAXPROCS 1 and 4:\n--- seq ---\n%s\n--- par ---\n%s", name, seq, par)
 		}
 	}
 }
