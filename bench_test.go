@@ -1,15 +1,16 @@
 package flash_test
 
 // The benchmark harness regenerates every table and figure of the
-// paper's evaluation. One benchmark per figure; each iteration runs the
-// figure's full sweep at reproduction scale and prints the same
-// rows/series the paper reports. Run with:
+// paper's evaluation: BenchmarkFigures runs one sub-benchmark per
+// exp.Figures entry, named by its cmd/experiments -fig name; each
+// iteration runs the figure's full sweep at reproduction scale and
+// prints the same rows/series the paper reports. Run with:
 //
-//	go test -bench=Fig -benchtime=1x          # every figure once
-//	go test -bench=BenchmarkFig6 -benchtime=1x
-//	go test -bench=Ablation -benchtime=1x     # design-choice ablations
+//	go test -bench=Figures -benchtime=1x            # every figure once
+//	go test -bench=Figures/6$ -benchtime=1x
+//	go test -bench=Figures/ablations -benchtime=1x  # design-choice ablations
 //
-// cmd/experiments runs the identical harness as a CLI, including the
+// cmd/experiments runs the identical catalogue as a CLI, including the
 // -full paper-scale mode.
 
 import (
@@ -32,51 +33,24 @@ import (
 	"repro/internal/trace"
 )
 
-// benchOptions prints each figure's table once (on the first iteration)
-// and silences repeats so -benchtime > 1x still measures cleanly.
-func benchOptions(b *testing.B, iter int) exp.Options {
-	o := exp.Options{Seed: 1, Out: os.Stdout}
-	if iter > 0 {
-		devnull, err := os.Open(os.DevNull)
-		if err == nil {
-			b.Cleanup(func() { devnull.Close() })
-		}
-		o.Out = discard{}
-	}
-	return o
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// runFig benches one figure-regeneration function.
-func runFig(b *testing.B, fig func(exp.Options) error) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := fig(benchOptions(b, i)); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkFigures runs every catalogue figure. Each prints its table
+// once, on the first iteration; repeats write to io.Discard so
+// -benchtime > 1x still measures cleanly.
+func BenchmarkFigures(b *testing.B) {
+	for _, f := range exp.Figures {
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				o := exp.Options{Seed: 1, Out: os.Stdout}
+				if i > 0 {
+					o.Out = io.Discard
+				}
+				if err := f.Run(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkFig3PaymentSizeCDF(b *testing.B)  { runFig(b, exp.Fig3) }
-func BenchmarkFig4Recurrence(b *testing.B)      { runFig(b, exp.Fig4) }
-func BenchmarkFig6CapacitySweep(b *testing.B)   { runFig(b, exp.Fig6) }
-func BenchmarkFig7LoadSweep(b *testing.B)       { runFig(b, exp.Fig7) }
-func BenchmarkFig8Probing(b *testing.B)         { runFig(b, exp.Fig8) }
-func BenchmarkFig9FeeOptimization(b *testing.B) { runFig(b, exp.Fig9) }
-func BenchmarkFig10Threshold(b *testing.B)      { runFig(b, exp.Fig10) }
-func BenchmarkFig11MicePaths(b *testing.B)      { runFig(b, exp.Fig11) }
-func BenchmarkFig12Testbed50(b *testing.B)      { runFig(b, exp.Fig12) }
-func BenchmarkFig13Testbed100(b *testing.B)     { runFig(b, exp.Fig13) }
-func BenchmarkHeadlineVolumeGain(b *testing.B)  { runFig(b, exp.Headline) }
-
-// Design-choice ablations (DESIGN.md §5).
-func BenchmarkAblationElephantK(b *testing.B)    { runFig(b, exp.AblationElephantK) }
-func BenchmarkAblationMiceOrder(b *testing.B)    { runFig(b, exp.AblationMiceOrder) }
-func BenchmarkAblationProbeAllK(b *testing.B)    { runFig(b, exp.AblationProbeAllK) }
-func BenchmarkAblationMaxFlowBound(b *testing.B) { runFig(b, exp.AblationMaxFlowBound) }
 
 // --- Micro-benchmarks of the routing hot paths ---
 

@@ -38,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figs     = fs.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
 		full     = fs.Bool("full", false, "paper-scale parameters (slower)")
 		seed     = fs.Int64("seed", 1, "base random seed")
-		workers  = fs.Int("workers", 0, "goroutines for independent sweep cells (0 = GOMAXPROCS, 1 = sequential)")
 		probeW   = fs.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
 		ctrl     = fs.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
 		topology = fs.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
@@ -51,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	o := exp.Options{Full: *full, Seed: *seed, Out: stdout, Workers: *workers, ProbeWorkers: *probeW, Topology: *topology}
+	o := exp.Options{Full: *full, Seed: *seed, Out: stdout, ProbeWorkers: *probeW, Topology: *topology}
 	if *ctrl != "" {
 		policy, err := control.ParsePolicy(*ctrl)
 		if err != nil {
@@ -62,33 +61,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o.Control = &policy
 		}
 	}
-	runners := map[string]func(exp.Options) error{
-		"3":         exp.Fig3,
-		"4":         exp.Fig4,
-		"6":         exp.Fig6,
-		"7":         exp.Fig7,
-		"8":         exp.Fig8,
-		"9":         exp.Fig9,
-		"10":        exp.Fig10,
-		"11":        exp.Fig11,
-		"12":        exp.Fig12,
-		"13":        exp.Fig13,
-		"headline":  exp.Headline,
-		"ablations": exp.Ablations,
-		"dynamic":   exp.Dynamic,
-		"latency":   exp.Latency,
-	}
-	order := []string{"3", "4", "6", "7", "8", "9", "10", "11", "12", "13", "headline", "ablations", "dynamic", "latency"}
-
 	selected := map[string]bool{}
-	if *figs == "all" {
-		for _, f := range order {
-			selected[f] = true
-		}
-	} else {
+	for _, f := range exp.Figures {
+		selected[f.Name] = *figs == "all"
+	}
+	if *figs != "all" {
 		for _, f := range strings.Split(*figs, ",") {
 			f = strings.TrimSpace(f)
-			if _, ok := runners[f]; !ok {
+			if _, ok := selected[f]; !ok {
 				fmt.Fprintf(stderr, "experiments: unknown figure %q\n", f)
 				return 2
 			}
@@ -107,12 +87,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer srv.Close()
 		fmt.Fprintf(stdout, "# telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	for _, f := range order {
-		if !selected[f] {
+	for _, f := range exp.Figures {
+		if !selected[f.Name] {
 			continue
 		}
-		if err := runners[f](o); err != nil {
-			fmt.Fprintf(stderr, "experiments: figure %s: %v\n", f, err)
+		if err := f.Run(o); err != nil {
+			fmt.Fprintf(stderr, "experiments: figure %s: %v\n", f.Name, err)
 			return 1
 		}
 	}

@@ -83,9 +83,10 @@
 //     route.RandSource), so random routing choices are
 //     scheduling-independent even though balance interleaving — as in a
 //     real network — is not. A static cell's schemes run one after
-//     another on one network, restored between schemes;
-//     cmd/experiments takes a -workers flag for its sweep cells,
-//     cmd/flashsim for dynamic stations.
+//     another on one network, restored between schemes.
+//     cmd/flashsim takes a -workers flag for dynamic stations;
+//     cmd/experiments runs a figure's independent cells on one
+//     GOMAXPROCS pool, and its tables do not depend on the pool.
 //
 // Determinism: topology generation, balance assignment and workload
 // synthesis are pure functions of their seeds; replays of identical

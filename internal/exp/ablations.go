@@ -2,129 +2,90 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/sim"
 )
 
-// Ablations runs the design-choice experiments DESIGN.md calls out
-// beyond the paper's own figures: the elephant path budget k, the mice
-// path order, the Algorithm-1 early-exit reading, and the distance to
-// the full-probe max-flow upper bound.
-func Ablations(o Options) error {
-	if err := AblationElephantK(o); err != nil {
-		return err
+// ablations runs the design-choice experiments beyond the paper's own
+// figures: the elephant path budget k, the mice path order, the
+// Algorithm-1 early-exit reading, and the distance to the full-probe
+// max-flow upper bound.
+func ablations(o Options) error {
+	for _, run := range []func(Options) error{ablationElephantK, ablationMiceOrder, ablationProbeAllK, ablationMaxFlowBound} {
+		if err := run(o); err != nil {
+			return err
+		}
 	}
-	if err := AblationMiceOrder(o); err != nil {
-		return err
-	}
-	if err := AblationProbeAllK(o); err != nil {
-		return err
-	}
-	return AblationMaxFlowBound(o)
+	return nil
 }
 
-// AblationElephantK sweeps the elephant path budget k. The paper
+// flashAblation is a Ripple-only sweep of Flash alone.
+func flashAblation(title, cols string, cells []cell, row func(kind, label string, rs []sim.SchemeResult) string) sweep {
+	return sweep{fig: "Ablation", title: title, kinds: rippleOnly, schemes: []string{sim.SchemeFlash},
+		cols: cols, cells: cells, row: row}
+}
+
+// ablationElephantK sweeps the elephant path budget k. The paper
 // recommends k between 20 and 30 (§3.2); the sweep shows the success
 // volume saturating there while probing keeps climbing.
-func AblationElephantK(o Options) error {
-	o.header("Ablation", "elephant path budget k (paper recommends 20–30)")
-	w := o.table("k\tsucc.volume\tsucc.ratio\telephant probe msgs")
+func ablationElephantK(o Options) error {
+	var cells []cell
 	for _, k := range []int{1, 5, 10, 20, 30, 40} {
-		sc := o.scenario(sim.KindRipple, o.rippleNodes())
-		sc.Txns = o.txns(sc.Txns)
-		sc.Router.K = k
-		sc.Runs = o.runs()
-		sc.Seed = o.seed()
-		sc.Schemes = []string{sim.SchemeFlash}
-		results, err := sim.RunScenario(sc)
-		if err != nil {
-			return err
-		}
-		r := results[0]
-		eProbes := r.Mean(func(m sim.Metrics) float64 { return float64(m.ElephantProbeMsgs) })
-		fmt.Fprintf(w, "%d\t%.4g\t%.1f%%\t%.0f\n",
-			k, volumeOf(r), 100*r.Mean(sim.Metrics.SuccessRatio), eProbes)
+		cells = append(cells, cell{fmt.Sprint(k), func(sc *sim.Scenario) { sc.Router.K = k }})
 	}
-	return w.Flush()
+	return flashAblation("elephant path budget k (paper recommends 20–30)",
+		"k\tsucc.volume\tsucc.ratio\telephant probe msgs", cells,
+		func(_, label string, rs []sim.SchemeResult) string {
+			eProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.ElephantProbeMsgs) })
+			return fmt.Sprintf("%s\t%.4g\t%.1f%%\t%.0f\n",
+				label, volumeOf(rs[0]), 100*rs[0].Mean(sim.Metrics.SuccessRatio), eProbes)
+		}).run(o)
 }
 
-// AblationMiceOrder compares random against fixed (shortest-first) mice
+// ablationMiceOrder compares random against fixed (shortest-first) mice
 // path order. The paper argues random order load-balances the cached
 // paths (§3.3).
-func AblationMiceOrder(o Options) error {
-	o.header("Ablation", "mice path order: random (paper) vs fixed shortest-first")
-	w := o.table("order\tsucc.volume\tsucc.ratio\tmice probe msgs")
-	for _, fixed := range []bool{false, true} {
-		sc := o.scenario(sim.KindRipple, o.rippleNodes())
-		sc.Txns = o.txns(sc.Txns)
-		sc.Runs = o.runs()
-		sc.Seed = o.seed()
-		sc.Schemes = []string{sim.SchemeFlash}
-		sc.Router.FixedMiceOrder = fixed
-		results, err := sim.RunScenario(sc)
-		if err != nil {
-			return err
-		}
-		r := results[0]
-		name := "random"
-		if fixed {
-			name = "fixed"
-		}
-		mProbes := r.Mean(func(m sim.Metrics) float64 { return float64(m.MiceProbeMessages) })
-		fmt.Fprintf(w, "%s\t%.4g\t%.1f%%\t%.0f\n",
-			name, volumeOf(r), 100*r.Mean(sim.Metrics.SuccessRatio), mProbes)
-	}
-	return w.Flush()
+func ablationMiceOrder(o Options) error {
+	return flashAblation("mice path order: random (paper) vs fixed shortest-first",
+		"order\tsucc.volume\tsucc.ratio\tmice probe msgs",
+		[]cell{{"random", nil}, {"fixed", func(sc *sim.Scenario) { sc.Router.FixedMiceOrder = true }}},
+		func(_, label string, rs []sim.SchemeResult) string {
+			mProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.MiceProbeMessages) })
+			return fmt.Sprintf("%s\t%.4g\t%.1f%%\t%.0f\n",
+				label, volumeOf(rs[0]), 100*rs[0].Mean(sim.Metrics.SuccessRatio), mProbes)
+		}).run(o)
 }
 
-// AblationProbeAllK compares the two readings of Algorithm 1's
+// ablationProbeAllK compares the two readings of Algorithm 1's
 // termination: early exit once the found flow covers the demand
 // (default) versus always probing the full k paths, which gives the fee
 // LP more slack at a higher probing cost.
-func AblationProbeAllK(o Options) error {
-	o.header("Ablation", "Algorithm 1 termination: early exit vs always-k")
-	w := o.table("variant\tsucc.volume\tfee ratio\telephant probe msgs")
-	for _, all := range []bool{false, true} {
-		sc := o.scenario(sim.KindRipple, o.rippleNodes())
-		sc.Txns = o.txns(sc.Txns)
-		sc.Runs = o.runs()
-		sc.Seed = o.seed()
-		sc.Schemes = []string{sim.SchemeFlash}
-		sc.Router.ProbeAllK = all
-		results, err := sim.RunScenario(sc)
-		if err != nil {
-			return err
-		}
-		r := results[0]
-		name := "early exit (f ≥ d)"
-		if all {
-			name = "always k paths"
-		}
-		eProbes := r.Mean(func(m sim.Metrics) float64 { return float64(m.ElephantProbeMsgs) })
-		fmt.Fprintf(w, "%s\t%.4g\t%.3f%%\t%.0f\n",
-			name, volumeOf(r), 100*r.Mean(sim.Metrics.FeeRatio), eProbes)
-	}
-	return w.Flush()
+func ablationProbeAllK(o Options) error {
+	return flashAblation("Algorithm 1 termination: early exit vs always-k",
+		"variant\tsucc.volume\tfee ratio\telephant probe msgs",
+		[]cell{{"early exit (f ≥ d)", nil}, {"always k paths", func(sc *sim.Scenario) { sc.Router.ProbeAllK = true }}},
+		func(_, label string, rs []sim.SchemeResult) string {
+			eProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.ElephantProbeMsgs) })
+			return fmt.Sprintf("%s\t%.4g\t%.3f%%\t%.0f\n",
+				label, volumeOf(rs[0]), 100*rs[0].Mean(sim.Metrics.FeeRatio), eProbes)
+		}).run(o)
 }
 
-// AblationMaxFlowBound measures how close Flash's k-bounded lazy search
+// ablationMaxFlowBound measures how close Flash's k-bounded lazy search
 // gets to the classic Edmonds–Karp with full network knowledge — the
 // strawman the paper's §3.2 dismisses for its probing cost.
-func AblationMaxFlowBound(o Options) error {
-	o.header("Ablation", "Flash vs full-probe max-flow upper bound")
-	w := o.table("scheme\tsucc.volume\tsucc.ratio\tprobe msgs")
-	sc := o.scenario(sim.KindRipple, o.rippleNodes())
-	sc.Txns = o.txns(sc.Txns)
-	sc.Runs = o.runs()
-	sc.Seed = o.seed()
-	sc.Schemes = []string{sim.SchemeFlash, sim.SchemeMaxFlow}
-	results, err := sim.RunScenario(sc)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%.4g\t%.1f%%\t%.0f\n",
-			r.Scheme, volumeOf(r), 100*r.Mean(sim.Metrics.SuccessRatio), probesOf(r))
-	}
-	return w.Flush()
+func ablationMaxFlowBound(o Options) error {
+	s := flashAblation("Flash vs full-probe max-flow upper bound",
+		"scheme\tsucc.volume\tsucc.ratio\tprobe msgs", []cell{{}},
+		func(_, _ string, rs []sim.SchemeResult) string {
+			var b strings.Builder
+			for _, r := range rs {
+				fmt.Fprintf(&b, "%s\t%.4g\t%.1f%%\t%.0f\n",
+					r.Scheme, volumeOf(r), 100*r.Mean(sim.Metrics.SuccessRatio), probesOf(r))
+			}
+			return b.String()
+		})
+	s.schemes = []string{sim.SchemeFlash, sim.SchemeMaxFlow}
+	return s.run(o)
 }

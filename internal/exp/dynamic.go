@@ -20,7 +20,7 @@ func (o Options) dynamicShape() (duration, rate float64) {
 	return 30, 15
 }
 
-// Dynamic runs the dynamic-scenario catalogue — steady-state,
+// dynamic runs the dynamic-scenario catalogue — steady-state,
 // flash-crowd, channel-depletion-with-rebalance, churn, contention,
 // hub-failure, demand-drift and fee-war — over the Ripple-like
 // topology and reports, per scheme, the aggregate success ratio and
@@ -28,17 +28,15 @@ func (o Options) dynamicShape() (duration, rate float64) {
 // view no static figure can show. The adaptive-threshold column shows
 // the number of control decisions and the final effective threshold
 // for Flash in cells a control policy drives ("-" for fixed-threshold
-// cells). Scenario cells are independent and run on the
-// Options.Workers pool; output order is fixed and, like every figure,
-// deterministic in the seed.
-func Dynamic(o Options) error {
+// cells). Scenario cells are independent and run on one pool; output
+// order is fixed and, like every figure, deterministic in the seed.
+func dynamic(o Options) error {
 	o.header("Dynamic scenarios", "discrete-event engine: arrivals, churn, rebalancing")
 	duration, rate := o.dynamicShape()
 	schemes := []string{sim.SchemeFlash, sim.SchemeSpider, sim.SchemeShortestPath}
 
 	names := sim.DynamicScenarioNames
-	w := o.table("scenario\tscheme\tsucc.ratio\tsucc.volume\twindow min..max\tchurn(open/close/rebal)\tadaptive thr\tp95 lat")
-	rows, err := o.runCells(len(names), func(i int) (string, error) {
+	rows, err := runCells(len(names), func(i int) (string, error) {
 		sc, err := sim.NamedDynamicScenario(names[i], o.kindFor(sim.KindRipple), o.rippleNodes())
 		if err != nil {
 			return "", err
@@ -78,13 +76,10 @@ func Dynamic(o Options) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		fmt.Fprint(w, row)
-	}
-	return w.Flush()
+	return o.tabulate("scenario\tscheme\tsucc.ratio\tsucc.volume\twindow min..max\tchurn(open/close/rebal)\tadaptive thr\tp95 lat", rows)
 }
 
-// Latency runs the latency-model cells. The probe-width sweep drives
+// latency runs the latency-model cells. The probe-width sweep drives
 // the latency-slo scenario at ProbeWorkers 1/2/4: the speculative
 // probe pipeline charges each concurrent round only its slowest
 // candidate (Σ−max credited back), so wider pools compress the
@@ -93,7 +88,7 @@ func Dynamic(o Options) error {
 // the attack with the catalogue's HTLC deadline (griefer spans expire,
 // honest traffic recovers), and the attack with expiry disabled (the
 // griefed holds pin the bridge liquidity unchallenged).
-func Latency(o Options) error {
+func latency(o Options) error {
 	o.header("Latency model", "virtual per-hop RTTs, HTLC deadlines, completion-latency percentiles")
 	duration, rate := o.dynamicShape()
 
@@ -110,8 +105,7 @@ func Latency(o Options) error {
 		{"griefing +deadline", "griefing", func(sc *sim.DynamicScenario) {}},
 		{"griefing -deadline", "griefing", func(sc *sim.DynamicScenario) { sc.Deadline = 0 }},
 	}
-	w := o.table("cell\tscheme\tsucc.ratio\tp50 lat\tp95 lat\tp99 lat\texpiries")
-	rows, err := o.runCells(len(cells), func(i int) (string, error) {
+	rows, err := runCells(len(cells), func(i int) (string, error) {
 		sc, err := sim.NamedDynamicScenario(cells[i].scenario, o.kindFor(sim.KindRipple), o.rippleNodes())
 		if err != nil {
 			return "", err
@@ -137,10 +131,7 @@ func Latency(o Options) error {
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		fmt.Fprint(w, row)
-	}
-	return w.Flush()
+	return o.tabulate("cell\tscheme\tsucc.ratio\tp50 lat\tp95 lat\tp99 lat\texpiries", rows)
 }
 
 // windowRange returns the lowest and highest per-window success ratio

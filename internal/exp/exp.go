@@ -1,9 +1,10 @@
 // Package exp regenerates every figure of the paper's evaluation
-// (Figures 3–13) from the reproduction's own substrates. Each FigN
-// function runs the experiment and prints the figure's series in a
-// textual table; cmd/experiments and the repository's benchmark harness
-// are thin wrappers around this package. The testbed figures (12–13)
-// run testbed.Experiment, the function cmd/flashtestbed runs too.
+// (Figures 3–13). Figures lists them in presentation order; each prints
+// its series as a textual table, and cmd/experiments and the root
+// bench_test.go iterate that list. The static figures (6–11, the
+// headline and the ablations) are cell lists over the paper's base
+// cell, run by one sweep. The testbed figures (12–13) run
+// testbed.Experiment, the function cmd/flashtestbed runs too.
 //
 // Options.Full selects paper-scale parameters (1,870-node Ripple /
 // 2,511-node Lightning topologies, 5 runs, 10,000-payment testbeds);
@@ -30,13 +31,6 @@ type Options struct {
 	Tiny bool      // drastically shrunk sizes, for unit tests
 	Seed int64     // base seed (default 1)
 	Out  io.Writer // destination for tables (required)
-
-	// Workers bounds the goroutines running independent scenario cells
-	// of the sweep figures (6 and 7) concurrently. 0 uses GOMAXPROCS;
-	// 1 forces the historical fully sequential sweep. Cell results are
-	// deterministic functions of the seed, so the printed tables are
-	// identical at any worker count — only wall-clock time changes.
-	Workers int
 
 	// ProbeWorkers sets Flash's per-session speculative probe pool in
 	// every simulated cell (the scenarios' Router.ProbeWorkers). ≤ 1 — the default — keeps the
@@ -69,29 +63,46 @@ func (o Options) kindFor(kind string) string {
 	return kind
 }
 
-// scenario builds the base experiment cell for a kind, applying the
-// option-level Flash knobs every figure shares.
-func (o Options) scenario(kind string, nodes int) sim.Scenario {
+// Figures is the evaluation catalogue in presentation order: the name
+// cmd/experiments' -fig selects and the function printing the figure.
+var Figures = []struct {
+	Name string
+	Run  func(Options) error
+}{
+	{"3", fig3}, {"4", fig4}, {"6", fig6}, {"7", fig7}, {"8", fig8},
+	{"9", fig9}, {"10", fig10}, {"11", fig11}, {"12", fig12},
+	{"13", fig13}, {"headline", headline}, {"ablations", ablations},
+	{"dynamic", dynamic}, {"latency", latency},
+}
+
+// base is the paper's base cell (2000 payments, capacity scale factor
+// 10, 90% mice) on one topology at the options' scale.
+func (o Options) base(kind string) sim.Scenario {
+	nodes := o.rippleNodes()
+	if kind == sim.KindLightning {
+		nodes = o.lightningNodes()
+	}
 	sc := sim.DefaultScenario(o.kindFor(kind), nodes)
 	sc.Router.ProbeWorkers = o.ProbeWorkers
+	sc.Runs = o.runs()
+	sc.Seed = o.seed()
 	return sc
 }
 
-// runCells executes n independent cell functions on the Options.Workers
-// pool, preserving index order of results. Each cell returns its
-// formatted table rows; errors abort the whole figure.
-func (o Options) runCells(n int, cell func(i int) (string, error)) ([]string, error) {
-	rows := make([]string, n)
+// runCells runs n independent cells on one GOMAXPROCS pool and returns
+// their results in index order; an error aborts the whole figure.
+func runCells[T any](n int, cell func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	errs := make([]error, n)
-	parallel.ForEach(n, o.Workers, func(_, i int) {
-		rows[i], errs[i] = cell(i)
+	parallel.ForEach(n, 0, func(_, i int) {
+		out[i], errs[i] = cell(i)
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return rows, nil
+	return out, nil
 }
 
 func (o Options) seed() int64 {
@@ -156,10 +167,19 @@ func (o Options) table(cols string) *tabwriter.Writer {
 	return w
 }
 
-// Fig3 reproduces the payment-size CDFs: median, p90 and top-10% volume
+// tabulate prints rows under cols as one table.
+func (o Options) tabulate(cols string, rows []string) error {
+	w := o.table(cols)
+	for _, row := range rows {
+		fmt.Fprint(w, row)
+	}
+	return w.Flush()
+}
+
+// fig3 reproduces the payment-size CDFs: median, p90 and top-10% volume
 // share for the Ripple and Bitcoin size models (paper: medians $4.8 and
 // 1.293e6 satoshi; top-10% shares 94.5% and 94.7%).
-func Fig3(o Options) error {
+func fig3(o Options) error {
 	o.header("Figure 3", "payment size distributions")
 	n := 100000
 	if o.Full {
@@ -188,9 +208,9 @@ func Fig3(o Options) error {
 	return w.Flush()
 }
 
-// Fig4 reproduces the recurrence analysis: per-day recurring fraction
+// fig4 reproduces the recurrence analysis: per-day recurring fraction
 // (paper median ≈86%) and top-5 recurring share (paper >70%).
-func Fig4(o Options) error {
+func fig4(o Options) error {
 	o.header("Figure 4", "recurring transactions")
 	days := 30
 	if o.Full {
@@ -240,254 +260,204 @@ func probesOf(r sim.SchemeResult) float64 {
 	return r.Mean(func(m sim.Metrics) float64 { return float64(m.ProbeMessages) })
 }
 
-// Fig6 sweeps the capacity scale factor (1–60) on both topologies and
-// reports success ratio and success volume per scheme — panels (a)–(d).
-// The scenario cells of a sweep are independent, so they run on the
-// Options.Workers pool; rows are printed in sweep order regardless.
-func Fig6(o Options) error {
-	o.header("Figure 6", "success ratio & volume vs capacity scale factor")
-	factors := []float64{1, 10, 20, 30, 40, 50, 60}
-	for _, kind := range []string{sim.KindRipple, sim.KindLightning} {
-		nodes := o.rippleNodes()
-		if kind == sim.KindLightning {
-			nodes = o.lightningNodes()
-		}
-		fmt.Fprintf(o.Out, "-- %s --\n", kindLabel(kind))
-		w := o.table("scale\tscheme\tsucc.ratio\tsucc.volume")
-		rows, err := o.runCells(len(factors), func(i int) (string, error) {
-			f := factors[i]
-			sc := o.scenario(kind, nodes)
-			sc.ScaleFactor = f
-			sc.Txns = o.txns(sc.Txns)
-			sc.Runs = o.runs()
-			sc.Seed = o.seed()
-			results, err := sim.RunScenario(sc)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			for _, r := range results {
-				fmt.Fprintf(&b, "%g\t%s\t%.1f%%\t%.4g\n",
-					f, r.Scheme, 100*r.Mean(sim.Metrics.SuccessRatio), volumeOf(r))
-			}
-			return b.String(), nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			fmt.Fprint(w, row)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+// A cell is one scenario of a static figure: its row label and the
+// delta it applies to the base cell.
+type cell struct {
+	label string
+	set   func(*sim.Scenario)
 }
 
-// Fig7 sweeps the number of transactions (1000–6000) at scale factor 10
-// — panels (a)–(d). Cells run on the Options.Workers pool like Fig6.
-func Fig7(o Options) error {
-	o.header("Figure 7", "success ratio & volume vs number of transactions")
-	loads := []int{1000, 2000, 3000, 4000, 5000, 6000}
-	for _, kind := range []string{sim.KindRipple, sim.KindLightning} {
-		nodes := o.rippleNodes()
-		if kind == sim.KindLightning {
-			nodes = o.lightningNodes()
-		}
-		fmt.Fprintf(o.Out, "-- %s --\n", kindLabel(kind))
-		w := o.table("txns\tscheme\tsucc.ratio\tsucc.volume")
-		rows, err := o.runCells(len(loads), func(i int) (string, error) {
-			txns := loads[i]
-			sc := o.scenario(kind, nodes)
-			sc.Txns = o.txns(txns)
-			sc.Runs = o.runs()
-			sc.Seed = o.seed()
-			results, err := sim.RunScenario(sc)
-			if err != nil {
-				return "", err
-			}
-			var b strings.Builder
-			for _, r := range results {
-				fmt.Fprintf(&b, "%d\t%s\t%.1f%%\t%.4g\n",
-					txns, r.Scheme, 100*r.Mean(sim.Metrics.SuccessRatio), volumeOf(r))
-			}
-			return b.String(), nil
-		})
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			fmt.Fprint(w, row)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+// A sweep is a static figure: a header, then its cells run on every
+// topology of kinds and printed one row group each, in order.
+type sweep struct {
+	fig, title string
+	kinds      []string // topologies, in table order
+	panels     bool     // one "-- Kind --" table per topology, else one table
+	schemes    []string // nil: sim.PaperSchemes
+	cols       string
+	cells      []cell
+	row        func(kind, label string, rs []sim.SchemeResult) string
+	foot       func() string // optional last row of a one-table sweep
 }
 
-// Fig8 compares probing-message overhead between Flash and Spider at
-// 2000 transactions, scale factor 10 (the static schemes send none).
-func Fig8(o Options) error {
-	o.header("Figure 8", "probing message overhead (Flash vs Spider)")
-	w := o.table("topology\tscheme\tprobe messages\tsavings vs Spider")
-	for _, kind := range []string{sim.KindRipple, sim.KindLightning} {
-		nodes := o.rippleNodes()
-		if kind == sim.KindLightning {
-			nodes = o.lightningNodes()
+var (
+	bothKinds  = []string{sim.KindRipple, sim.KindLightning}
+	rippleOnly = []string{sim.KindRipple}
+)
+
+// run runs every cell of s on every topology — the base cell plus the
+// cell's delta — on one GOMAXPROCS pool, then prints the rows in
+// order. It is the package's only RunScenario call.
+func (s sweep) run(o Options) error {
+	o.header(s.fig, s.title)
+	n := len(s.cells)
+	results, err := runCells(len(s.kinds)*n, func(i int) ([]sim.SchemeResult, error) {
+		sc := o.base(s.kinds[i/n])
+		if s.schemes != nil {
+			sc.Schemes = s.schemes
 		}
-		sc := o.scenario(kind, nodes)
+		if s.cells[i%n].set != nil {
+			s.cells[i%n].set(&sc)
+		}
 		sc.Txns = o.txns(sc.Txns)
-		sc.Schemes = []string{sim.SchemeFlash, sim.SchemeSpider}
-		sc.Runs = o.runs()
-		sc.Seed = o.seed()
-		results, err := sim.RunScenario(sc)
-		if err != nil {
+		return sim.RunScenario(sc)
+	})
+	if err != nil {
+		return err
+	}
+	var rows []string
+	for k, kind := range s.kinds {
+		for i, c := range s.cells {
+			rows = append(rows, s.row(kind, c.label, results[k*n+i]))
+		}
+		switch {
+		case s.panels:
+			fmt.Fprintf(o.Out, "-- %s --\n", kindLabel(kind))
+		case k < len(s.kinds)-1:
+			continue // one table spans every topology
+		case s.foot != nil:
+			rows = append(rows, s.foot())
+		}
+		if err := o.tabulate(s.cols, rows); err != nil {
 			return err
 		}
-		flash, spider := probesOf(results[0]), probesOf(results[1])
-		savings := 0.0
-		if spider > 0 {
-			savings = 1 - flash/spider
-		}
-		fmt.Fprintf(w, "%s\tFlash\t%.0f\t%.0f%%  (paper: 43%% Ripple / 37%% Lightning)\n",
-			kindLabel(kind), flash, 100*savings)
-		fmt.Fprintf(w, "%s\tSpider\t%.0f\t—\n", kindLabel(kind), spider)
+		rows = rows[:0]
 	}
-	return w.Flush()
+	return nil
 }
 
-// Fig9 compares the fee-to-volume ratio with and without the LP fee
-// optimisation at 1000/2000/4000 transactions (paper: ≈40% reduction).
-func Fig9(o Options) error {
-	o.header("Figure 9", "transaction fee optimisation")
-	loads := []int{1000, 2000, 4000}
-	for _, kind := range []string{sim.KindLightning, sim.KindRipple} { // paper order: (a) Lightning, (b) Ripple
-		nodes := o.rippleNodes()
-		if kind == sim.KindLightning {
-			nodes = o.lightningNodes()
-		}
-		fmt.Fprintf(o.Out, "-- %s --\n", kindLabel(kind))
-		w := o.table("txns\tfee ratio w/ opt\tfee ratio w/o opt\treduction")
-		for _, txns := range loads {
-			sc := o.scenario(kind, nodes)
-			sc.Txns = o.txns(txns)
-			sc.Runs = o.runs()
-			sc.Seed = o.seed()
-			sc.Schemes = []string{sim.SchemeFlash, sim.SchemeFlashNoOpt}
-			results, err := sim.RunScenario(sc)
-			if err != nil {
-				return err
+// ratioVolume prints one row per scheme: label, success ratio, volume.
+func ratioVolume(_, label string, rs []sim.SchemeResult) string {
+	var b strings.Builder
+	for _, r := range rs {
+		fmt.Fprintf(&b, "%s\t%s\t%.1f%%\t%.4g\n",
+			label, r.Scheme, 100*r.Mean(sim.Metrics.SuccessRatio), volumeOf(r))
+	}
+	return b.String()
+}
+
+// fig6 sweeps the capacity scale factor (1–60) on both topologies and
+// reports success ratio and success volume per scheme — panels (a)–(d).
+func fig6(o Options) error {
+	var cells []cell
+	for _, f := range []float64{1, 10, 20, 30, 40, 50, 60} {
+		cells = append(cells, cell{fmt.Sprintf("%g", f), func(sc *sim.Scenario) { sc.ScaleFactor = f }})
+	}
+	return sweep{fig: "Figure 6", title: "success ratio & volume vs capacity scale factor",
+		kinds: bothKinds, panels: true, cols: "scale\tscheme\tsucc.ratio\tsucc.volume",
+		cells: cells, row: ratioVolume}.run(o)
+}
+
+// txnCells are cells replaying each of loads payments.
+func txnCells(loads ...int) []cell {
+	var cells []cell
+	for _, txns := range loads {
+		cells = append(cells, cell{fmt.Sprint(txns), func(sc *sim.Scenario) { sc.Txns = txns }})
+	}
+	return cells
+}
+
+// fig7 sweeps the number of transactions (1000–6000) at scale factor 10
+// — panels (a)–(d).
+func fig7(o Options) error {
+	return sweep{fig: "Figure 7", title: "success ratio & volume vs number of transactions",
+		kinds: bothKinds, panels: true, cols: "txns\tscheme\tsucc.ratio\tsucc.volume",
+		cells: txnCells(1000, 2000, 3000, 4000, 5000, 6000), row: ratioVolume}.run(o)
+}
+
+// fig8 compares probing-message overhead between Flash and Spider at
+// 2000 transactions, scale factor 10 (the static schemes send none).
+func fig8(o Options) error {
+	return sweep{fig: "Figure 8", title: "probing message overhead (Flash vs Spider)",
+		kinds: bothKinds, schemes: []string{sim.SchemeFlash, sim.SchemeSpider},
+		cols: "topology\tscheme\tprobe messages\tsavings vs Spider", cells: []cell{{}},
+		row: func(kind, _ string, rs []sim.SchemeResult) string {
+			flash, spider := probesOf(rs[0]), probesOf(rs[1])
+			savings := 0.0
+			if spider > 0 {
+				savings = 1 - flash/spider
 			}
-			with := results[0].Mean(sim.Metrics.FeeRatio)
-			without := results[1].Mean(sim.Metrics.FeeRatio)
+			return fmt.Sprintf("%s\tFlash\t%.0f\t%.0f%%  (paper: 43%% Ripple / 37%% Lightning)\n%s\tSpider\t%.0f\t—\n",
+				kindLabel(kind), flash, 100*savings, kindLabel(kind), spider)
+		}}.run(o)
+}
+
+// fig9 compares the fee-to-volume ratio with and without the LP fee
+// optimisation at 1000/2000/4000 transactions (paper: ≈40% reduction),
+// in the paper's panel order: (a) Lightning, (b) Ripple.
+func fig9(o Options) error {
+	return sweep{fig: "Figure 9", title: "transaction fee optimisation",
+		kinds: []string{sim.KindLightning, sim.KindRipple}, panels: true,
+		schemes: []string{sim.SchemeFlash, sim.SchemeFlashNoOpt},
+		cols:    "txns\tfee ratio w/ opt\tfee ratio w/o opt\treduction", cells: txnCells(1000, 2000, 4000),
+		row: func(_, label string, rs []sim.SchemeResult) string {
+			with := rs[0].Mean(sim.Metrics.FeeRatio)
+			without := rs[1].Mean(sim.Metrics.FeeRatio)
 			reduction := 0.0
 			if without > 0 {
 				reduction = 1 - with/without
 			}
-			fmt.Fprintf(w, "%d\t%.3f%%\t%.3f%%\t%.0f%%\n",
-				txns, 100*with, 100*without, 100*reduction)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+			return fmt.Sprintf("%s\t%.3f%%\t%.3f%%\t%.0f%%\n", label, 100*with, 100*without, 100*reduction)
+		}}.run(o)
 }
 
-// Fig10 sweeps the elephant/mice threshold so that 0–100% of payments
+// fig10 sweeps the elephant/mice threshold so that 0–100% of payments
 // are mice, reporting total success volume and probing messages (paper:
 // volume stays flat until ≈80–90% mice while probing falls).
-func Fig10(o Options) error {
-	o.header("Figure 10", "impact of the elephant/mice threshold")
-	for _, kind := range []string{sim.KindRipple, sim.KindLightning} {
-		nodes := o.rippleNodes()
-		if kind == sim.KindLightning {
-			nodes = o.lightningNodes()
+func fig10(o Options) error {
+	var cells []cell
+	for frac := 0.0; frac <= 1.0; frac += 0.1 {
+		mice := frac
+		if frac == 0 {
+			mice = 1e-9 // RunScenario treats 0 as unset
 		}
-		fmt.Fprintf(o.Out, "-- %s --\n", kindLabel(kind))
-		w := o.table("mice %\tsucc.volume\tprobe messages")
-		for frac := 0.0; frac <= 1.0; frac += 0.1 {
-			sc := o.scenario(kind, nodes)
-			sc.Txns = o.txns(sc.Txns)
-			sc.MiceFraction = frac
-			if frac == 0 {
-				sc.MiceFraction = 1e-9 // RunScenario treats 0 as unset
-			}
-			sc.Runs = o.runs()
-			sc.Seed = o.seed()
-			sc.Schemes = []string{sim.SchemeFlash}
-			results, err := sim.RunScenario(sc)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%.0f\t%.4g\t%.0f\n",
-				100*frac, volumeOf(results[0]), probesOf(results[0]))
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
+		cells = append(cells, cell{fmt.Sprintf("%.0f", 100*frac), func(sc *sim.Scenario) { sc.MiceFraction = mice }})
 	}
-	return nil
+	return sweep{fig: "Figure 10", title: "impact of the elephant/mice threshold",
+		kinds: bothKinds, panels: true, schemes: []string{sim.SchemeFlash},
+		cols: "mice %\tsucc.volume\tprobe messages", cells: cells,
+		row: func(_, label string, rs []sim.SchemeResult) string {
+			return fmt.Sprintf("%s\t%.4g\t%.0f\n", label, volumeOf(rs[0]), probesOf(rs[0]))
+		}}.run(o)
 }
 
-// Fig11 sweeps m, the number of routing-table paths per receiver, for
+// fig11 sweeps m, the number of routing-table paths per receiver, for
 // mice routing on the Ripple topology (the paper shows Ripple only).
 // m=0 routes mice with the elephant algorithm — the upper bound.
-func Fig11(o Options) error {
-	o.header("Figure 11", "impact of paths per receiver (m) on mice routing")
-	w := o.table("m\tmice succ.volume\tmice probe messages")
+func fig11(o Options) error {
+	var cells []cell
 	for m := 0; m <= 8; m++ {
-		sc := o.scenario(sim.KindRipple, o.rippleNodes())
-		sc.Txns = o.txns(sc.Txns)
-		sc.Router.M, sc.Router.MSet = m, true
-		sc.Runs = o.runs()
-		sc.Seed = o.seed()
-		sc.Schemes = []string{sim.SchemeFlash}
-		results, err := sim.RunScenario(sc)
-		if err != nil {
-			return err
-		}
-		miceVol := results[0].Mean(func(mm sim.Metrics) float64 { return mm.MiceSuccessVolume })
-		miceProbes := results[0].Mean(func(mm sim.Metrics) float64 { return float64(mm.MiceProbeMessages) })
-		fmt.Fprintf(w, "%d\t%.4g\t%.0f\n", m, miceVol, miceProbes)
+		cells = append(cells, cell{fmt.Sprint(m), func(sc *sim.Scenario) { sc.Router.M, sc.Router.MSet = m, true }})
 	}
-	return w.Flush()
+	return sweep{fig: "Figure 11", title: "impact of paths per receiver (m) on mice routing",
+		kinds: rippleOnly, schemes: []string{sim.SchemeFlash},
+		cols: "m\tmice succ.volume\tmice probe messages", cells: cells,
+		row: func(_, label string, rs []sim.SchemeResult) string {
+			miceVol := rs[0].Mean(func(m sim.Metrics) float64 { return m.MiceSuccessVolume })
+			miceProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.MiceProbeMessages) })
+			return fmt.Sprintf("%s\t%.4g\t%.0f\n", label, miceVol, miceProbes)
+		}}.run(o)
 }
 
-// Headline recomputes the paper's abstract claim: Flash's success
+// headline recomputes the paper's abstract claim: Flash's success
 // volume vs Spider's, reporting the maximum gain across the Figure 6/7
 // operating points (paper: "up to 2.3×").
-func Headline(o Options) error {
-	o.header("Headline", "max success-volume gain of Flash over Spider")
-	w := o.table("topology\toperating point\tFlash/Spider volume")
-	best := 0.0
-	bestDesc := ""
-	for _, kind := range []string{sim.KindRipple, sim.KindLightning} {
-		nodes := o.rippleNodes()
-		if kind == sim.KindLightning {
-			nodes = o.lightningNodes()
-		}
-		for _, f := range []float64{1, 10, 30} {
-			sc := o.scenario(kind, nodes)
-			sc.Txns = o.txns(sc.Txns)
-			sc.ScaleFactor = f
-			sc.Runs = o.runs()
-			sc.Seed = o.seed()
-			sc.Schemes = []string{sim.SchemeFlash, sim.SchemeSpider}
-			results, err := sim.RunScenario(sc)
-			if err != nil {
-				return err
-			}
-			gain := volumeOf(results[0]) / volumeOf(results[1])
-			desc := fmt.Sprintf("scale=%g", f)
-			fmt.Fprintf(w, "%s\t%s\t%.2fx\n", kindLabel(kind), desc, gain)
-			if gain > best {
-				best, bestDesc = gain, kindLabel(kind)+" "+desc
-			}
-		}
+func headline(o Options) error {
+	var cells []cell
+	for _, f := range []float64{1, 10, 30} {
+		cells = append(cells, cell{fmt.Sprintf("scale=%g", f), func(sc *sim.Scenario) { sc.ScaleFactor = f }})
 	}
-	fmt.Fprintf(w, "max\t%s\t%.2fx  (paper: up to 2.3x)\n", bestDesc, best)
-	return w.Flush()
+	best, bestDesc := 0.0, ""
+	return sweep{fig: "Headline", title: "max success-volume gain of Flash over Spider",
+		kinds: bothKinds, schemes: []string{sim.SchemeFlash, sim.SchemeSpider},
+		cols: "topology\toperating point\tFlash/Spider volume", cells: cells,
+		row: func(kind, label string, rs []sim.SchemeResult) string {
+			gain := volumeOf(rs[0]) / volumeOf(rs[1])
+			if gain > best {
+				best, bestDesc = gain, kindLabel(kind)+" "+label
+			}
+			return fmt.Sprintf("%s\t%s\t%.2fx\n", kindLabel(kind), label, gain)
+		},
+		foot: func() string { return fmt.Sprintf("max\t%s\t%.2fx  (paper: up to 2.3x)\n", bestDesc, best) },
+	}.run(o)
 }

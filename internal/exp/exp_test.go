@@ -16,40 +16,41 @@ func tinyOptions(buf *bytes.Buffer) Options {
 	return Options{Tiny: true, Seed: 1, Out: buf}
 }
 
-// TestEveryFigureRunsTiny drives each non-TCP figure end to end at Tiny
-// scale and pins its output byte for byte to
-// testdata/<name>-tiny.golden (name lower-cased). -update rewrites the
-// files.
+// TestEveryFigureRunsTiny drives each non-TCP catalogue figure end to
+// end at Tiny scale and pins its output byte for byte to
+// testdata/<name>-tiny.golden, named Fig3 … Fig11, Headline, Dynamic,
+// Latency and one Ablation* per ablation table (file names
+// lower-cased). -update rewrites the files.
 func TestEveryFigureRunsTiny(t *testing.T) {
-	figs := []struct {
-		name string
-		fn   func(Options) error
-	}{
-		{"Fig3", Fig3},
-		{"Fig4", Fig4},
-		{"Fig6", Fig6},
-		{"Fig7", Fig7},
-		{"Fig8", Fig8},
-		{"Fig9", Fig9},
-		{"Fig10", Fig10},
-		{"Fig11", Fig11},
-		{"Headline", Headline},
-		{"Dynamic", Dynamic},
-		{"Latency", Latency},
-		{"AblationElephantK", AblationElephantK},
-		{"AblationMiceOrder", AblationMiceOrder},
-		{"AblationProbeAllK", AblationProbeAllK},
-		{"AblationMaxFlowBound", AblationMaxFlowBound},
-	}
-	for _, f := range figs {
-		t.Run(f.name, func(t *testing.T) {
-			t.Parallel()
-			var buf bytes.Buffer
-			if err := f.fn(tinyOptions(&buf)); err != nil {
-				t.Fatal(err)
+	for _, f := range Figures {
+		figs := map[string]func(Options) error{}
+		switch f.Name {
+		case "12", "13": // TCP: TestTestbedFiguresRunTiny
+			continue
+		case "ablations":
+			figs = map[string]func(Options) error{
+				"AblationElephantK":    ablationElephantK,
+				"AblationMiceOrder":    ablationMiceOrder,
+				"AblationProbeAllK":    ablationProbeAllK,
+				"AblationMaxFlowBound": ablationMaxFlowBound,
 			}
-			checkGolden(t, strings.ToLower(f.name), buf.String())
-		})
+		default:
+			name := "Fig" + f.Name
+			if f.Name[0] > '9' {
+				name = strings.ToUpper(f.Name[:1]) + f.Name[1:]
+			}
+			figs[name] = f.Run
+		}
+		for name, fn := range figs {
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				var buf bytes.Buffer
+				if err := fn(tinyOptions(&buf)); err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, strings.ToLower(name), buf.String())
+			})
+		}
 	}
 }
 
@@ -90,8 +91,8 @@ func TestTestbedFiguresRunTiny(t *testing.T) {
 		name string
 		fn   func(Options) error
 	}{
-		{"fig12", Fig12},
-		{"fig13", Fig13},
+		{"fig12", fig12},
+		{"fig13", fig13},
 	} {
 		var buf bytes.Buffer
 		if err := f.fn(tinyOptions(&buf)); err != nil {
@@ -132,7 +133,7 @@ func TestParallelSweepOutputIdentical(t *testing.T) {
 		}
 		return b.String()
 	}
-	for name, fig := range map[string]func(Options) error{"Fig6": Fig6, "Fig7": Fig7} {
+	for name, fig := range map[string]func(Options) error{"Fig6": fig6, "Fig7": fig7} {
 		seq := render(1, fig)
 		par := render(4, fig)
 		if seq != par {

@@ -8,8 +8,8 @@ import (
 	"repro/internal/testbed"
 )
 
-// Fig12 reproduces the 50-node testbed evaluation over real TCP nodes.
-func Fig12(o Options) error {
+// fig12 reproduces the 50-node testbed evaluation over real TCP nodes.
+func fig12(o Options) error {
 	nodes, txns := 30, 800
 	if o.Full {
 		nodes, txns = 50, 10000 // paper: 50 nodes, 10,000 transactions
@@ -20,8 +20,8 @@ func Fig12(o Options) error {
 	return figTestbed(o, "Figure 12", nodes, txns)
 }
 
-// Fig13 reproduces the 100-node testbed evaluation.
-func Fig13(o Options) error {
+// fig13 reproduces the 100-node testbed evaluation.
+func fig13(o Options) error {
 	nodes, txns := 40, 800
 	if o.Full {
 		nodes, txns = 100, 10000 // paper: 100 nodes, 10,000 transactions

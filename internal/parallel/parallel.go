@@ -1,7 +1,7 @@
 // Package parallel provides the bounded worker-pool primitive shared
-// by the experiment sweeps, the testbed's concurrent senders and
-// Flash's per-session probe pool: N items drained by an atomic index
-// dispenser over a fixed set of goroutines.
+// by the experiment figures' cells and Flash's per-session probe pool:
+// N items drained by an atomic index dispenser over a fixed set of
+// goroutines.
 package parallel
 
 import (

@@ -8,7 +8,7 @@
 // frames in big-endian byte order.
 //
 // Beyond Table 1 the format carries two reproduction-motivated
-// extensions, both documented in DESIGN.md: the reverse-direction
+// extensions: the reverse-direction
 // balances (Algorithm 1 records both directions of a probed channel)
 // and per-hop fee rates (§3.2: fee information is collected during
 // probing).
