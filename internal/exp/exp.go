@@ -406,12 +406,12 @@ func fig9(o Options) error {
 // volume stays flat until ≈80–90% mice while probing falls).
 func fig10(o Options) error {
 	var cells []cell
-	for frac := 0.0; frac <= 1.0; frac += 0.1 {
-		mice := frac
-		if frac == 0 {
+	for pct := 0; pct <= 100; pct += 10 { // integer steps: 0.1 sums overshoot 0.3
+		mice := float64(pct) / 100
+		if pct == 0 {
 			mice = 1e-9 // RunScenario treats 0 as unset
 		}
-		cells = append(cells, cell{fmt.Sprintf("%.0f", 100*frac), func(sc *sim.Scenario) { sc.MiceFraction = mice }})
+		cells = append(cells, cell{fmt.Sprint(pct), func(sc *sim.Scenario) { sc.MiceFraction = mice }})
 	}
 	return sweep{fig: "Figure 10", title: "impact of the elephant/mice threshold",
 		kinds: bothKinds, panels: true, schemes: []string{sim.SchemeFlash},
