@@ -20,12 +20,6 @@ func ablations(o Options) error {
 	return nil
 }
 
-// flashAblation is a Ripple-only sweep of Flash alone.
-func flashAblation(title, cols string, cells []cell, row func(kind, label string, rs []sim.SchemeResult) string) sweep {
-	return sweep{fig: "Ablation", title: title, kinds: rippleOnly, schemes: []string{sim.SchemeFlash},
-		cols: cols, cells: cells, row: row}
-}
-
 // ablationElephantK sweeps the elephant path budget k. The paper
 // recommends k between 20 and 30 (§3.2); the sweep shows the success
 // volume saturating there while probing keeps climbing.
@@ -34,27 +28,29 @@ func ablationElephantK(o Options) error {
 	for _, k := range []int{1, 5, 10, 20, 30, 40} {
 		cells = append(cells, cell{fmt.Sprint(k), func(sc *sim.Scenario) { sc.Router.K = k }})
 	}
-	return flashAblation("elephant path budget k (paper recommends 20–30)",
-		"k\tsucc.volume\tsucc.ratio\telephant probe msgs", cells,
-		func(_, label string, rs []sim.SchemeResult) string {
+	return sweep{fig: "Ablation", title: "elephant path budget k (paper recommends 20–30)",
+		kinds: rippleOnly, schemes: []string{sim.SchemeFlash},
+		cols: "k\tsucc.volume\tsucc.ratio\telephant probe msgs", cells: cells,
+		row: func(_, label string, rs []sim.SchemeResult) string {
 			eProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.ElephantProbeMsgs) })
 			return fmt.Sprintf("%s\t%.4g\t%.1f%%\t%.0f\n",
 				label, volumeOf(rs[0]), 100*rs[0].Mean(sim.Metrics.SuccessRatio), eProbes)
-		}).run(o)
+		}}.run(o)
 }
 
 // ablationMiceOrder compares random against fixed (shortest-first) mice
 // path order. The paper argues random order load-balances the cached
 // paths (§3.3).
 func ablationMiceOrder(o Options) error {
-	return flashAblation("mice path order: random (paper) vs fixed shortest-first",
-		"order\tsucc.volume\tsucc.ratio\tmice probe msgs",
-		[]cell{{"random", nil}, {"fixed", func(sc *sim.Scenario) { sc.Router.FixedMiceOrder = true }}},
-		func(_, label string, rs []sim.SchemeResult) string {
+	return sweep{fig: "Ablation", title: "mice path order: random (paper) vs fixed shortest-first",
+		kinds: rippleOnly, schemes: []string{sim.SchemeFlash},
+		cols:  "order\tsucc.volume\tsucc.ratio\tmice probe msgs",
+		cells: []cell{{"random", nil}, {"fixed", func(sc *sim.Scenario) { sc.Router.FixedMiceOrder = true }}},
+		row: func(_, label string, rs []sim.SchemeResult) string {
 			mProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.MiceProbeMessages) })
 			return fmt.Sprintf("%s\t%.4g\t%.1f%%\t%.0f\n",
 				label, volumeOf(rs[0]), 100*rs[0].Mean(sim.Metrics.SuccessRatio), mProbes)
-		}).run(o)
+		}}.run(o)
 }
 
 // ablationProbeAllK compares the two readings of Algorithm 1's
@@ -62,30 +58,30 @@ func ablationMiceOrder(o Options) error {
 // (default) versus always probing the full k paths, which gives the fee
 // LP more slack at a higher probing cost.
 func ablationProbeAllK(o Options) error {
-	return flashAblation("Algorithm 1 termination: early exit vs always-k",
-		"variant\tsucc.volume\tfee ratio\telephant probe msgs",
-		[]cell{{"early exit (f ≥ d)", nil}, {"always k paths", func(sc *sim.Scenario) { sc.Router.ProbeAllK = true }}},
-		func(_, label string, rs []sim.SchemeResult) string {
+	return sweep{fig: "Ablation", title: "Algorithm 1 termination: early exit vs always-k",
+		kinds: rippleOnly, schemes: []string{sim.SchemeFlash},
+		cols:  "variant\tsucc.volume\tfee ratio\telephant probe msgs",
+		cells: []cell{{"early exit (f ≥ d)", nil}, {"always k paths", func(sc *sim.Scenario) { sc.Router.ProbeAllK = true }}},
+		row: func(_, label string, rs []sim.SchemeResult) string {
 			eProbes := rs[0].Mean(func(m sim.Metrics) float64 { return float64(m.ElephantProbeMsgs) })
 			return fmt.Sprintf("%s\t%.4g\t%.3f%%\t%.0f\n",
 				label, volumeOf(rs[0]), 100*rs[0].Mean(sim.Metrics.FeeRatio), eProbes)
-		}).run(o)
+		}}.run(o)
 }
 
 // ablationMaxFlowBound measures how close Flash's k-bounded lazy search
 // gets to the classic Edmonds–Karp with full network knowledge — the
 // strawman the paper's §3.2 dismisses for its probing cost.
 func ablationMaxFlowBound(o Options) error {
-	s := flashAblation("Flash vs full-probe max-flow upper bound",
-		"scheme\tsucc.volume\tsucc.ratio\tprobe msgs", []cell{{}},
-		func(_, _ string, rs []sim.SchemeResult) string {
+	return sweep{fig: "Ablation", title: "Flash vs full-probe max-flow upper bound",
+		kinds: rippleOnly, schemes: []string{sim.SchemeFlash, sim.SchemeMaxFlow},
+		cols: "scheme\tsucc.volume\tsucc.ratio\tprobe msgs", cells: []cell{{}},
+		row: func(_, _ string, rs []sim.SchemeResult) string {
 			var b strings.Builder
 			for _, r := range rs {
 				fmt.Fprintf(&b, "%s\t%.4g\t%.1f%%\t%.0f\n",
 					r.Scheme, volumeOf(r), 100*r.Mean(sim.Metrics.SuccessRatio), probesOf(r))
 			}
 			return b.String()
-		})
-	s.schemes = []string{sim.SchemeFlash, sim.SchemeMaxFlow}
-	return s.run(o)
+		}}.run(o)
 }

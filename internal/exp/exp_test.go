@@ -36,7 +36,7 @@ func TestEveryFigureRunsTiny(t *testing.T) {
 			}
 		default:
 			name := "Fig" + f.Name
-			if f.Name[0] > '9' {
+			if f.Name[0] >= 'a' { // headline → Headline
 				name = strings.ToUpper(f.Name[:1]) + f.Name[1:]
 			}
 			figs[name] = f.Run
