@@ -18,16 +18,13 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	flash "repro"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/graph"
-	"repro/internal/pcn"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -172,100 +169,6 @@ func BenchmarkHoldCommit(b *testing.B) {
 		if err := tx.Abort(); err != nil { // abort keeps balances steady across iterations
 			b.Fatal(err)
 		}
-	}
-}
-
-// rttSession wraps a payment session with a simulated per-probe
-// network round trip, the latency Algorithm 1's k sequential probes
-// actually pay in a deployed PCN (the in-memory substrate answers
-// probes in nanoseconds, which would hide exactly the cost the
-// speculative pipeline attacks). It advertises parallel-probe support,
-// so Flash's probe pool can overlap the round trips.
-type rttSession struct {
-	*pcn.Tx
-	rtt    time.Duration
-	probes atomic.Int64
-}
-
-func (s *rttSession) Probe(path []flash.NodeID) ([]pcn.HopInfo, error) {
-	s.probes.Add(1)
-	time.Sleep(s.rtt)
-	return s.Tx.Probe(path)
-}
-
-// SupportsParallelProbe implements route.ParallelProber: the underlying
-// Tx allows concurrent probes, and the simulated round trips are
-// independent sleeps.
-func (s *rttSession) SupportsParallelProbe() bool { return true }
-
-// buildFanNetwork returns a sender→receiver fan with `paths`
-// edge-disjoint 2-hop routes of the given per-direction capacity — the
-// multi-path fixture where elephant routing genuinely needs many
-// candidate paths.
-func buildFanNetwork(b *testing.B, paths int, capacity float64) (*flash.Network, flash.NodeID, flash.NodeID) {
-	b.Helper()
-	g := flash.NewGraph(paths + 2)
-	s, d := flash.NodeID(0), flash.NodeID(1)
-	for i := 0; i < paths; i++ {
-		mid := flash.NodeID(2 + i)
-		g.MustAddChannel(s, mid)
-		g.MustAddChannel(mid, d)
-	}
-	net := flash.NewNetwork(g)
-	for _, e := range g.Channels() {
-		if err := net.SetBalance(e.A, e.B, capacity, capacity); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return net, s, d
-}
-
-// BenchmarkParallelProbe measures per-payment elephant routing latency
-// and probe throughput under a simulated 200µs probe round trip, at
-// probe pool widths 1, 2 and 4, on a 16-path fan whose demand needs
-// ~12 paths. ns/op is the per-payment latency; the probes/sec metric
-// is the probing throughput the pool sustains. workers=1 is the
-// sequential Algorithm 1 loop (k round trips, one at a time); wider
-// pools overlap the round trips, so latency should fall roughly with
-// the pool width until the path budget rounds out. Recorded by the CI
-// bench step into BENCH_*.json — this is the perf trajectory series
-// for elephant probing.
-func BenchmarkParallelProbe(b *testing.B) {
-	const (
-		paths    = 16
-		capacity = 100.0
-		demand   = 1150.0 // needs 12 of the 16 paths
-		rtt      = 200 * time.Microsecond
-	)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			net, s, d := buildFanNetwork(b, paths, capacity)
-			snap := net.Snapshot()
-			cfg := flash.DefaultConfig(0) // everything is an elephant
-			cfg.ProbeWorkers = workers
-			cfg.Seed = 1
-			router := flash.NewFlash(cfg)
-			probes := int64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := net.Restore(snap); err != nil {
-					b.Fatal(err)
-				}
-				tx, err := net.Begin(s, d, demand)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sess := &rttSession{Tx: tx, rtt: rtt}
-				b.StartTimer()
-				if err := router.Route(sess); err != nil {
-					b.Fatal(err)
-				}
-				probes += sess.probes.Load()
-			}
-			b.ReportMetric(float64(probes)/b.Elapsed().Seconds(), "probes/sec")
-		})
 	}
 }
 

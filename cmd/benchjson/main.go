@@ -28,7 +28,7 @@ import (
 // Result is one parsed benchmark line.
 type Result struct {
 	// Name is the full benchmark name including sub-benchmark path and
-	// the -cpu suffix, e.g. "BenchmarkParallelProbe/workers=4-8".
+	// the -cpu suffix, e.g. "BenchmarkDynamicEngine/payments=10000/service=0-8".
 	Name string `json:"name"`
 	// Iterations is b.N for the run.
 	Iterations int64 `json:"iterations"`

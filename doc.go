@@ -63,17 +63,17 @@
 //     concurrent payments can never overbook a channel.
 //   - core: Flash's routing tables are sharded per sender (an RWMutex
 //     map of per-sender tables, each with its own lock); counters are
-//     atomics. Config.ProbeWorkers > 1 parallelises *within* one
+//     atomics. Config.ProbeWorkers > 1 is the probe width of one
 //     elephant payment: each round the router computes up to that many
 //     distinct candidate paths on its probed-knowledge graph (BFS +
-//     Yen-style edge-avoidance spurs), probes them concurrently on the
-//     session, and merges the results in candidate-index order exactly
-//     as if probed sequentially — early exit at the demand preserved,
-//     surplus probed knowledge kept. The pool engages only on sessions
-//     advertising ParallelProber (pcn.Tx does; the TCP testbed session
-//     does not), and a fixed seed plus a fixed ProbeWorkers replays
-//     identically. ProbeWorkers ≤ 1 is the sequential Algorithm 1
-//     loop, byte-identical to the seed engine. CLI: -probeworkers on
+//     Yen-style edge-avoidance spurs), probes them in order on the
+//     session's goroutine, charges the round its slowest probe in
+//     virtual time, and merges the results in candidate-index order
+//     exactly as if probed one round trip at a time — early exit at
+//     the demand preserved, surplus probed knowledge kept. A fixed seed
+//     plus a fixed ProbeWorkers replays identically, in memory and over
+//     TCP. ProbeWorkers ≤ 1 is the sequential Algorithm 1 loop,
+//     byte-identical to the seed engine. CLI: -probeworkers on
 //     cmd/flashsim and cmd/experiments.
 //   - sim: RunSimulation replays a workload one payment at a time — a
 //     zero-churn, one-station run of the dynamic engine below. The
@@ -145,7 +145,7 @@
 //   - The virtual latency model (DynamicScenario.LatencyMedian,
 //     -latency/-latencysigma) assigns every channel a seeded
 //     log-normal RTT; probe rounds charge the sum of their hop RTTs
-//     (a parallel probe round the max over its candidates), commit
+//     (a round of -probeworkers candidates the max over them), commit
 //     and settle legs their path round trips, and each payment
 //     completes at exactly arrival + probe + commit + service —
 //     surfaced as p50/p95/p99 completion-latency percentiles per
@@ -180,7 +180,7 @@
 // paper's figures.
 //
 // See the examples directory for runnable programs, ARCHITECTURE.md
-// for the layer stack, concurrency models, determinism guarantees and
+// for the layer stack, concurrency model, determinism guarantees and
 // the hold-span state machine, and README.md for the scenario
 // catalogue with reproduction commands.
 package flash

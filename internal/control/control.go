@@ -58,8 +58,8 @@ const (
 	// KnobSenderThreshold is one sender's threshold override; the
 	// decision's Sender field says whose.
 	KnobSenderThreshold
-	// KnobProbeWidth is the speculative probe-pool width of elephant
-	// routing.
+	// KnobProbeWidth is the speculative probe width of elephant
+	// routing: candidates probed per round.
 	KnobProbeWidth
 	// KnobRetryBackoff is the engine's retry backoff scale factor
 	// (multiplies the base exponential backoff).
@@ -115,7 +115,7 @@ type Metrics struct {
 	// Live knob values at observation time, so controllers can reason
 	// relative to the current setting without holding private copies.
 	Threshold  float64 // global elephant threshold in effect
-	ProbeWidth int     // probe-pool width in effect
+	ProbeWidth int     // probe width in effect
 }
 
 // Decision is one knob move a controller wants applied. The engine

@@ -23,7 +23,7 @@ func (c *ProbeWidthConfig) normalise() {
 	}
 }
 
-// ProbeWidth adapts the speculative probe-pool width of elephant
+// ProbeWidth adapts the speculative probe width of elephant
 // routing to the observed probe economy — the search-friction tradeoff
 // made adjustable: wider speculation collapses probe rounds (and with
 // virtual latency on, elephant delay), but every widening also probes
@@ -37,7 +37,7 @@ func (c *ProbeWidthConfig) normalise() {
 //     one under-filled the demand and a wider round would have
 //     finished sooner.
 //   - Narrow (÷2) when paths actually carrying flow per delivered
-//     elephant fall below half the width: the pool probes candidates
+//     elephant fall below half the width: each round probes candidates
 //     the split never uses, so speculation is buying messages, not
 //     fill.
 //

@@ -26,12 +26,10 @@
 // (used for the mice path order), which sessions bypass entirely when
 // they carry a per-payment RNG (route.RandSource).
 //
-// With Config.ProbeWorkers > 1, elephant routing additionally runs a
-// bounded probe pool *inside* each session — concurrency within one
-// payment rather than across payments — speculatively probing several
-// candidate paths per round and merging the results deterministically
-// (see probe_pipeline.go). The pool only engages on sessions that
-// advertise route.ParallelProber; everything else probes sequentially.
+// With Config.ProbeWorkers > 1, elephant routing speculatively probes
+// several candidate paths per round, in order on the session's
+// goroutine, merges the results deterministically and charges each
+// round its slowest probe in virtual time (see probe_pipeline.go).
 package core
 
 import (
@@ -96,21 +94,20 @@ type Config struct {
 	// unbounded, which replays byte-identically to the uncapped table.
 	TableCap int
 
-	// ProbeWorkers bounds the per-session probe pool of elephant
-	// routing. Algorithm 1 as printed probes its candidate paths one at
-	// a time, making elephant latency k sequential network round trips;
-	// with ProbeWorkers > 1 the router instead speculates — each round
-	// it computes up to ProbeWorkers distinct candidate shortest paths
-	// on its current knowledge graph (BFS plus Yen-style edge-avoidance
-	// spurs), probes them concurrently, and merges the results in
+	// ProbeWorkers is the probe width of elephant routing: candidate
+	// paths probed per round, each round charged its slowest probe in
+	// virtual time. Algorithm 1 as printed probes its candidate paths
+	// one at a time, making elephant latency k sequential network round
+	// trips; with ProbeWorkers > 1 the router instead speculates — each
+	// round it computes up to ProbeWorkers distinct candidate shortest
+	// paths on its current knowledge graph (BFS plus Yen-style
+	// edge-avoidance spurs), probes them, and merges the results in
 	// candidate-index order exactly as if they had been probed one at a
 	// time (surplus probed knowledge is kept for later rounds, so
 	// speculation is never wasted). ≤ 1 — the default — takes the
 	// untouched sequential path, byte-identical to the original
 	// algorithm; any fixed value replays deterministically for a fixed
-	// seed. Sessions that do not advertise route.ParallelProber (the
-	// TCP testbed) always probe sequentially regardless of this
-	// setting.
+	// seed, in memory and over TCP alike.
 	ProbeWorkers int
 
 	// Seed makes the router's random choices reproducible.
@@ -143,10 +140,10 @@ type Flash struct {
 	// load rather than a field of cfg.
 	threshold atomic.Uint64
 
-	// probeWorkers is the live speculative probe-pool width:
-	// Config.ProbeWorkers seeds it, and SetProbeWorkers may re-tune it
-	// mid-run (the control plane's adaptive probe width), so the probe
-	// pipeline reads an atomic rather than a field of cfg.
+	// probeWorkers is the live probe width: Config.ProbeWorkers seeds
+	// it, and SetProbeWorkers may re-tune it mid-run (the control
+	// plane's adaptive probe width), so the probe pipeline reads an
+	// atomic rather than a field of cfg.
 	probeWorkers atomic.Int32
 
 	// senderThr holds per-sender elephant-threshold overrides
@@ -351,17 +348,17 @@ func (f *Flash) ClearSenderThresholds() {
 	f.senderMu.Unlock()
 }
 
-// ProbeWorkers returns the live speculative probe-pool width.
+// ProbeWorkers returns the live probe width: candidates probed per
+// elephant round.
 func (f *Flash) ProbeWorkers() int { return int(f.probeWorkers.Load()) }
 
-// SetProbeWorkers re-tunes the live probe-pool width — the adaptive
-// probe-width hook: speculation trades messages and probe latency for
-// round-one fill, and a feedback loop observing window metrics can
-// widen or narrow it mid-run. The width is clamped to [1, Config.K]
-// (a pool wider than the candidate set is pure waste); the effective
+// SetProbeWorkers re-tunes the live probe width — the adaptive
+// probe-width hook: speculation trades messages for fewer rounds of
+// virtual probe latency, and a feedback loop observing window metrics
+// can widen or narrow it mid-run. The width is clamped to [1, Config.K]
+// (a round wider than the candidate set is pure waste); the effective
 // value is returned. Sessions pick up the new width on their next
-// probing round; sessions without route.ParallelProber stay sequential
-// regardless, exactly as with the static configuration.
+// elephant payment.
 func (f *Flash) SetProbeWorkers(w int) int {
 	if w < 1 {
 		w = 1

@@ -257,13 +257,13 @@ func (plan *elephantPlan) accept(p []topo.NodeID, c float64) {
 // what the last pass proved dead stays dead. Same paths. The first round
 // starts the sequence: a fresh probedState reopens every hop.
 //
-// With Config.ProbeWorkers > 1 — and a session that supports it — the
-// per-path probes run on a speculative concurrent pipeline instead of
-// one at a time (see probe_pipeline.go); ProbeWorkers ≤ 1 takes the
-// sequential loop below, the original algorithm. The pipeline's rounds
+// With Config.ProbeWorkers > 1 the per-path probes are batched into
+// speculative rounds of that many candidates, each round charged its
+// slowest probe in virtual time (see probe_pipeline.go); ProbeWorkers
+// ≤ 1 takes the sequential loop below, the original algorithm. The pipeline's rounds
 // are Yen runs whose spurs start from other nodes, and resume nothing.
 func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
-	if w := f.probePoolSize(s); w > 1 {
+	if w := f.ProbeWorkers(); w > 1 {
 		return f.findElephantPathsPipelined(s, k, w)
 	}
 	g := s.Graph()

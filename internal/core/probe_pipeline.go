@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/topo"
@@ -11,7 +10,9 @@ import (
 // This file implements the speculative probe pipeline of elephant
 // routing: Algorithm 1 with its dominant per-payment cost — k
 // sequential probe round trips — collapsed to ⌈k/ProbeWorkers⌉ rounds
-// of concurrent probes, without giving up determinism.
+// of probes that travel together. The width is a virtual-time
+// parameter: each round probes its candidates one after another on the
+// calling goroutine, and charges the round its slowest probe.
 //
 // Each round:
 //
@@ -20,10 +21,11 @@ import (
 //     the BFS shortest path plus Yen-style edge-avoidance spur
 //     deviations (graph.YenKSPUsable), all filtered by the probed
 //     residuals exactly as the sequential BFS is.
-//  2. Probe stage — probe the candidates concurrently on a bounded
-//     pool. Candidates whose every hop is already known from an
-//     earlier round's speculation are not re-probed: surplus probed
-//     knowledge is kept, so speculation is never wasted.
+//  2. Probe stage — probe the candidates in index order, every one of
+//     them even after one fails. Candidates whose every hop is already
+//     known from an earlier round's speculation are not re-probed:
+//     surplus probed knowledge is kept, so speculation is never wasted.
+//     creditRoundOverlap then charges the round its slowest probe.
 //  3. Merge stage — fold the probe results back in candidate-index
 //     order, applying first-probe recording, bottleneck computation
 //     and residual updates exactly as if the candidates had been
@@ -35,35 +37,18 @@ import (
 // Determinism: the candidate set is a pure function of the knowledge
 // state (BFS and Yen tie-break deterministically), probes are reads,
 // and the merge order is fixed — so for a fixed seed and a fixed
-// ProbeWorkers the discovered plan is identical across runs. Goroutine
-// scheduling can only reorder the probe *executions*, never the merge.
-// Different ProbeWorkers values legitimately discover different (still
-// valid) plans, exactly as a different k would.
-
-// probePoolSize resolves the live probe parallelism (SetProbeWorkers
-// may have re-tuned it mid-run) against the session's capability:
-// sessions that do not implement route.ParallelProber (or answer
-// false) are always probed sequentially, whatever the width asks for.
-func (f *Flash) probePoolSize(s route.Session) int {
-	w := int(f.probeWorkers.Load())
-	if w <= 1 {
-		return 1
-	}
-	pp, ok := s.(route.ParallelProber)
-	if !ok || !pp.SupportsParallelProbe() {
-		return 1
-	}
-	return w
-}
+// ProbeWorkers the discovered plan is identical across runs. Different
+// ProbeWorkers values legitimately discover different (still valid)
+// plans, exactly as a different k would.
 
 // creditRoundOverlap corrects the session's virtual probe-latency
-// charge after one concurrent probe round: each probed candidate was
-// billed its full RTT sum by Probe, but the round's probes travelled
-// concurrently, so the round only advances virtual time by its slowest
-// candidate. The pipeline credits Σ(probed) − max(probed) back through
-// the route.LatencyMeter capability; sessions without it (or runs
-// without latency, where every path sum is 0) are untouched. This is
-// what makes ProbeWorkers visible in virtual-time delay metrics.
+// charge after one probe round: each probed candidate was billed its
+// full RTT sum by Probe, but the round's probes travel together, so
+// the round only advances virtual time by its slowest candidate. The
+// pipeline credits Σ(probed) − max(probed) back through the
+// route.LatencyMeter capability; sessions without it (or runs without
+// latency, where every path sum is 0) are untouched. This is what makes
+// ProbeWorkers visible in virtual-time delay metrics.
 func creditRoundOverlap(s route.Session, cands [][]topo.NodeID, needsProbe []bool, errs []error) {
 	lm, ok := s.(route.LatencyMeter)
 	if !ok {
@@ -99,10 +84,7 @@ func (ps *probedState) unknownHops(p []topo.NodeID) bool {
 }
 
 // findElephantPathsPipelined is findElephantPaths with the probe
-// round trips batched onto a bounded concurrent pool, workers ≥ 2
-// wide. The session must support concurrent probes (the caller
-// checked); probes are fenced from the hold phase because every round
-// joins the pool before returning.
+// round trips batched into rounds of up to workers ≥ 2 candidates.
 func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *elephantPlan {
 	g := s.Graph()
 	ps := acquireProbedState(g)
@@ -125,20 +107,16 @@ func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *ele
 			break
 		}
 
-		// Probe stage: concurrent, bounded, results indexed by
-		// candidate. needsProbe is computed before the fan-out so the
-		// workers never read the (unsynchronised) knowledge maps.
+		// Probe stage, results indexed by candidate. needsProbe is
+		// decided before any result of the round is recorded.
 		infos := make([][]pcn.HopInfo, len(cands))
 		errs := make([]error, len(cands))
 		needsProbe := make([]bool, len(cands))
 		for i, p := range cands {
-			needsProbe[i] = ps.unknownHops(p)
-		}
-		parallel.ForEach(len(cands), workers, func(_, i int) {
-			if needsProbe[i] {
-				infos[i], errs[i] = s.Probe(cands[i])
+			if needsProbe[i] = ps.unknownHops(p); needsProbe[i] {
+				infos[i], errs[i] = s.Probe(p)
 			}
-		})
+		}
 		creditRoundOverlap(s, cands, needsProbe, errs)
 
 		// Merge stage, strictly in candidate-index order.

@@ -7,13 +7,12 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pcn"
-	"repro/internal/route"
 	"repro/internal/topo"
 )
 
 // TestPipelinedMatchesMaxFlowProperty is the speculative pipeline's
 // version of the Algorithm 1 correctness core: with an unbounded path
-// budget and no early exit, the flow discovered by concurrently-probed
+// budget and no early exit, the flow discovered by round-batched
 // speculative candidates must still equal the true Edmonds–Karp
 // max-flow value — speculation changes latency and probing cost, never
 // the soundness of the discovered flow.
@@ -187,8 +186,9 @@ func runElephants(t *testing.T, probeWorkers int) []probeOutcome {
 
 // TestPipelinedReplayDeterministic pins the replay guarantee: a fixed
 // seed and a fixed ProbeWorkers > 1 reproduce every payment's outcome,
-// probing cost, path count and fees exactly — goroutine scheduling
-// inside the probe pool must never leak into results.
+// probing cost, path count and fees exactly: the candidate set, the
+// probe order and the merge order are all functions of the knowledge
+// state alone, so nothing outside the seed may reach the results.
 func TestPipelinedReplayDeterministic(t *testing.T) {
 	a := runElephants(t, 4)
 	b := runElephants(t, 4)
@@ -199,35 +199,5 @@ func TestPipelinedReplayDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("payment %d diverged between identical replays:\n first  %+v\n second %+v", i, a[i], b[i])
 		}
-	}
-}
-
-// sequentialOnly wraps a Session, hiding every optional capability —
-// what a minimal third-party Session implementation looks like.
-type sequentialOnly struct{ route.Session }
-
-// TestProbePoolSizeFallback verifies the capability gate: the pipeline
-// only engages when the configuration asks for it AND the session
-// advertises route.ParallelProber; everything else probes sequentially.
-func TestProbePoolSizeFallback(t *testing.T) {
-	net, s, d := parallelFixture(t, 2, 100)
-	tx, err := net.Begin(s, d, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Abort() //nolint:errcheck
-
-	cfg := DefaultConfig(0)
-	cfg.ProbeWorkers = 4
-	f := New(cfg)
-	if got := f.probePoolSize(tx); got != 4 {
-		t.Errorf("probePoolSize(Tx) = %d, want 4", got)
-	}
-	if got := f.probePoolSize(sequentialOnly{tx}); got != 1 {
-		t.Errorf("probePoolSize(capability-less session) = %d, want 1", got)
-	}
-	seq := New(DefaultConfig(0)) // ProbeWorkers unset → sequential
-	if got := seq.probePoolSize(tx); got != 1 {
-		t.Errorf("probePoolSize with default config = %d, want 1", got)
 	}
 }

@@ -15,11 +15,13 @@ package exp
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"repro/internal/control"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -32,8 +34,8 @@ type Options struct {
 	Seed int64     // base seed (default 1)
 	Out  io.Writer // destination for tables (required)
 
-	// ProbeWorkers sets Flash's per-session speculative probe pool in
-	// every simulated cell (the scenarios' Router.ProbeWorkers). ≤ 1 — the default — keeps the
+	// ProbeWorkers sets Flash's speculative probe width in every
+	// simulated cell (the scenarios' Router.ProbeWorkers). ≤ 1 — the default — keeps the
 	// sequential Algorithm 1 probing the paper's figures were captured
 	// with; > 1 trades extra probe messages for lower per-elephant
 	// latency. Tables stay deterministic for a fixed value.
@@ -90,13 +92,23 @@ func (o Options) base(kind string) sim.Scenario {
 }
 
 // runCells runs n independent cells on one GOMAXPROCS pool and returns
-// their results in index order; an error aborts the whole figure.
+// their results in index order; an error aborts the whole figure. The
+// pool's goroutines draw cell indices from one atomic counter.
 func runCells[T any](n int, cell func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	parallel.ForEach(n, 0, func(_, i int) {
-		out[i], errs[i] = cell(i)
-	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				out[i], errs[i] = cell(i)
+			}
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -400,8 +400,8 @@ func (n *Network) HasLatency() bool { return n.hasLatency.Load() }
 
 // latencyNanos returns channel idx's RTT in integer nanoseconds. All
 // internal latency arithmetic stays in int64 nanos: integer additions
-// commute exactly, so concurrent probe charging sums to the same total
-// in every interleaving — the float equivalent would make the digest
+// commute exactly, so a probe round's charge and its overlap credit
+// cancel without rounding — the float equivalent would make the digest
 // depend on accumulation order.
 func (n *Network) latencyNanos(idx int) int64 { return n.chans[idx].rttNanos }
 

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/topo"
 )
@@ -27,13 +26,7 @@ var (
 // CONFIRM/CONFIRM_ACK, Abort ≈ REVERSE/REVERSE_ACK.
 //
 // A Tx is driven by a single goroutine and finished with exactly one
-// Commit or Abort, with one sanctioned exception: Probe is safe for
-// concurrent calls on the same session (Tx implements
-// route.ParallelProber), which is what lets Flash's speculative probe
-// pipeline measure several candidate paths in one round trip's worth
-// of latency. Concurrent probes must not overlap Hold, Commit, Abort
-// or Resume — the caller fences them (Flash joins its probe pool
-// before holding). Any number of Tx values may run concurrently over
+// Commit or Abort. Any number of Tx values may run concurrently over
 // one Network: each operation locks only the channels it touches, in
 // ascending channel-index order (see the package comment).
 //
@@ -49,10 +42,7 @@ var (
 // to a new array and leaves the old one to its readers, so a slice
 // handed out earlier is never overwritten: a Probe result is read-only
 // and valid for the session's life. Neither Probe nor Hold retains the
-// path it is given. Hold, Commit, Abort, Resume and Expire use the
-// arenas directly; a Probe claims them with a compare-and-swap, and a
-// Probe that overlaps another one's claim resolves its path in a pooled
-// scratch and returns a freshly allocated result.
+// path it is given.
 //
 // # Hold-span state machine
 //
@@ -94,36 +84,24 @@ type Tx struct {
 	// the single-goroutine / happens-before contract.
 	spanMu sync.Mutex
 
-	probeMsgs      atomic.Int64 // atomic: Probe may run concurrently
-	probeOps       atomic.Int64 // distinct Probe calls, same concurrency note
-	probeLatNanos  atomic.Int64 // virtual probe latency charged, same concurrency note
+	probeMsgs      int
+	probeOps       int   // distinct Probe calls
+	probeLatNanos  int64 // virtual probe latency charged
 	commitMsgs     int
 	commitLatNanos int64 // virtual commit-phase latency charged
 	feesPaid       float64
 
-	// Working memory (see the type comment). scratchBusy is a Probe's
-	// claim on hops, infos and lock. The inline arrays are sized so the
-	// Tx fits a 512-byte allocation.
-	hops        []pathHop // hold records' hops, then the in-flight path
-	infos       []HopInfo // every Probe result
-	lock        []int32   // the in-flight operation's lock order
-	scratchBusy atomic.Bool
+	// Working memory (see the type comment). The inline arrays are
+	// sized so the Tx fits a 512-byte allocation.
+	hops  []pathHop // hold records' hops, then the in-flight path
+	infos []HopInfo // every Probe result
+	lock  []int32   // the in-flight operation's lock order
 
 	holdsInline [1]holdRecord
 	hopsInline  [6]pathHop
 	infosInline [4]HopInfo
 	lockInline  [6]int32
 }
-
-// txScratch is the hop-resolution and lock-ordering buffer of a probe
-// that runs beside another probe of the same session.
-type txScratch struct {
-	lock []int32
-	hops []pathHop
-}
-
-// scratchPool backs the overflow scratch buffers of concurrent probes.
-var scratchPool = sync.Pool{New: func() any { return new(txScratch) }}
 
 // pathHop is one directed hop resolved to its channel index and
 // direction.
@@ -190,17 +168,19 @@ func (t *Tx) RNG() *rand.Rand {
 	return t.rng
 }
 
-// resolvePathInto checks that path starts at the sender and ends at
-// the receiver, and appends every hop, mapped to its channel index and
-// direction, to buf — one channel lookup per hop, which is also the
-// check that every consecutive pair shares a channel. A missing
-// channel is an ErrBadPath. Callers pass the session's hop arena, whose
-// records stay below its length, or a pooled scratch emptied to [:0].
-func (t *Tx) resolvePathInto(buf []pathHop, path []topo.NodeID) ([]pathHop, error) {
+// resolvePath checks that path starts at the sender and ends at the
+// receiver, and maps every hop to its channel index and direction — one
+// channel lookup per hop, which is also the check that every
+// consecutive pair shares a channel. A missing channel is an
+// ErrBadPath. The hops are written to the hop arena's spare space past
+// its length (growing the arena if needed), so they become a record
+// only if the caller then extends the arena over them.
+func (t *Tx) resolvePath(path []topo.NodeID) ([]pathHop, error) {
 	if len(path) < 2 || path[0] != t.sender || path[len(path)-1] != t.receiver {
 		return nil, ErrBadPath
 	}
-	buf = slices.Grow(buf, len(path)-1)
+	t.hops = slices.Grow(t.hops, len(path)-1)
+	buf := t.hops[len(t.hops):len(t.hops)]
 	for i := 0; i+1 < len(path); i++ {
 		idx, d, err := t.net.dir(path[i], path[i+1])
 		if err != nil {
@@ -208,7 +188,7 @@ func (t *Tx) resolvePathInto(buf []pathHop, path []topo.NodeID) ([]pathHop, erro
 		}
 		buf = append(buf, pathHop{idx: int32(idx), dir: int32(d)})
 	}
-	return buf, nil
+	return buf[:len(buf):len(buf)], nil
 }
 
 // lockOrderInto writes the distinct channel indices of hops to buf in
@@ -246,28 +226,17 @@ func (n *Network) unlockChannels(idxs []int32) {
 // consistent snapshot even while other payments commit concurrently.
 // The result is read-only and stays valid for the session's life.
 //
-// Probe is safe for concurrent calls on the same session — the one Tx
-// operation that is. Flash's probe pipeline exploits this to measure
-// several speculative candidate paths at once. A call claims the
-// session's arenas, resolving the path in the hop arena's spare space
-// and appending the result to the probe-result arena, so a sequential
-// caller allocates nothing; a call that overlaps the claim goes through
-// probeBeside instead.
+// Probe resolves the path in the hop arena's spare space and appends
+// the result to the probe-result arena, so it allocates nothing until
+// an arena outgrows its inline array.
 func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	if t.finished {
 		return nil, ErrFinished
 	}
-	if !t.scratchBusy.CompareAndSwap(false, true) {
-		return t.probeBeside(path)
-	}
-	defer t.scratchBusy.Store(false)
-	n := len(t.hops)
-	ext, err := t.resolvePathInto(t.hops, path)
+	hops, err := t.resolvePath(path)
 	if err != nil {
 		return nil, err
 	}
-	t.hops = ext[:n] // keep any growth; the probe's hops are not a record
-	hops := ext[n:]
 	m := len(t.infos)
 	if m+len(hops) > cap(t.infos) {
 		// Leaving the inline array, jump to infosChunk results: a mouse
@@ -277,7 +246,7 @@ func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	t.infos = t.infos[:m+len(hops)]
 	info := t.infos[m:len(t.infos):len(t.infos)]
 	t.lock = lockOrderInto(t.lock, hops)
-	t.readHops(hops, t.lock, info)
+	t.readHops(hops, info)
 	return info, nil
 }
 
@@ -285,28 +254,11 @@ func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 // it outgrows its inline array.
 const infosChunk = 32
 
-// probeBeside is Probe for a call that overlaps another probe of the
-// same session, which holds the arenas: the path resolves in a pooled
-// scratch and the result is a fresh slice.
-func (t *Tx) probeBeside(path []topo.NodeID) ([]HopInfo, error) {
-	sc := scratchPool.Get().(*txScratch)
-	defer scratchPool.Put(sc)
-	hops, err := t.resolvePathInto(sc.hops[:0], path)
-	if err != nil {
-		return nil, err
-	}
-	sc.hops = hops
-	sc.lock = lockOrderInto(sc.lock, hops)
-	info := make([]HopInfo, len(hops))
-	t.readHops(hops, sc.lock, info)
-	return info, nil
-}
-
 // readHops fills info with the probed state of every hop, read under
-// the locks of order together, and charges the probe's messages and
+// the locks of t.lock together, and charges the probe's messages and
 // latency.
-func (t *Tx) readHops(hops []pathHop, order []int32, info []HopInfo) {
-	t.net.lockChannels(order)
+func (t *Tx) readHops(hops []pathHop, info []HopInfo) {
+	t.net.lockChannels(t.lock)
 	for i, h := range hops {
 		ch := &t.net.chans[h.idx]
 		d := h.dir
@@ -321,12 +273,12 @@ func (t *Tx) readHops(hops []pathHop, order []int32, info []HopInfo) {
 			info[i].ReverseAvailable = ch.bal[1-d] - ch.held[1-d]
 		}
 	}
-	t.net.unlockChannels(order)
+	t.net.unlockChannels(t.lock)
 	t.net.probeMessages.Add(int64(2 * len(hops)))
-	t.probeMsgs.Add(int64(2 * len(hops)))
-	t.probeOps.Add(1)
+	t.probeMsgs += 2 * len(hops)
+	t.probeOps++
 	if t.net.hasLatency.Load() {
-		t.probeLatNanos.Add(hopsLatNanos(t.net, hops))
+		t.probeLatNanos += hopsLatNanos(t.net, hops)
 	}
 }
 
@@ -339,13 +291,6 @@ func hopsLatNanos(n *Network, hops []pathHop) int64 {
 	}
 	return lat
 }
-
-// SupportsParallelProbe reports that concurrent Probe calls on this
-// session are safe (route.ParallelProber): Probe takes no session-level
-// locks beyond its claim on the arenas and reads channel state under the
-// per-channel locks. The testbed's TCP session does not implement the
-// interface, so routers fall back to sequential probing there.
-func (t *Tx) SupportsParallelProbe() bool { return true }
 
 // LocalBalance returns the available balance of hop u→v without any
 // message cost. It models knowledge a node has of its own channels
@@ -370,13 +315,10 @@ func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	if !(amount > 0) || math.IsInf(amount, 1) {
 		return fmt.Errorf("pcn: hold amount must be positive and finite, got %v", amount)
 	}
-	n := len(t.hops)
-	ext, err := t.resolvePathInto(t.hops, path)
+	hops, err := t.resolvePath(path) // a record only if the hold succeeds
 	if err != nil {
 		return err
 	}
-	t.hops = ext[:n] // keep any growth; the hops become a record only if the hold succeeds
-	hops := ext[n:len(ext):len(ext)]
 	t.net.commitMessages.Add(int64(2 * len(hops)))
 	t.commitMsgs += 2 * len(hops)
 	if t.net.hasLatency.Load() {
@@ -410,7 +352,7 @@ func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	for _, h := range hops {
 		t.net.chans[h.idx].held[h.dir] += amount
 	}
-	t.hops = ext
+	t.hops = t.hops[:len(t.hops)+len(hops)]
 	t.holds = append(t.holds, holdRecord{hops: hops, amount: amount})
 	t.net.holdsPlaced.Add(1)
 	return nil
@@ -674,17 +616,15 @@ func (t *Tx) PathLatencyNanos(path []topo.NodeID) int64 {
 
 // CreditProbeLatency subtracts nanos from the session's charged probe
 // latency (route.LatencyMeter). Flash's speculative probe pipeline
-// calls it after each parallel round: the round's candidates were
-// probed concurrently, so the wall-virtual cost is the max over the
-// round, not the sum Probe charged — the pipeline credits the
-// difference back. Integer nanos make the correction exact in any
-// interleaving.
-func (t *Tx) CreditProbeLatency(nanos int64) { t.probeLatNanos.Add(-nanos) }
+// calls it after each round of several probes: the round's probes
+// travel together, so its virtual cost is the slowest one, not the
+// sum Probe charged — the pipeline credits the difference back.
+func (t *Tx) CreditProbeLatency(nanos int64) { t.probeLatNanos -= nanos }
 
 // ProbeLatencyNanos returns the virtual probe latency this session has
 // been charged, in integer nanoseconds (0 unless the network carries
 // latencies).
-func (t *Tx) ProbeLatencyNanos() int64 { return t.probeLatNanos.Load() }
+func (t *Tx) ProbeLatencyNanos() int64 { return t.probeLatNanos }
 
 // CommitLatencyNanos returns the virtual commit-phase latency this
 // session has been charged — COMMIT legs of every hold plus the settle
@@ -695,12 +635,12 @@ func (t *Tx) CommitLatencyNanos() int64 { return t.commitLatNanos }
 func (t *Tx) Finished() bool { return t.finished }
 
 // ProbeMessages returns the probe messages this session has sent.
-func (t *Tx) ProbeMessages() int { return int(t.probeMsgs.Load()) }
+func (t *Tx) ProbeMessages() int { return t.probeMsgs }
 
 // ProbeOps returns the number of distinct Probe calls this session has
 // made — probe rounds, as opposed to the per-hop messages they cost
 // (route.ProbeCounter).
-func (t *Tx) ProbeOps() int { return int(t.probeOps.Load()) }
+func (t *Tx) ProbeOps() int { return t.probeOps }
 
 // CommitMessages returns the commit-phase messages this session has
 // sent.

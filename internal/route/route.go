@@ -23,20 +23,13 @@ import (
 // partial payment is applied; after Abort none is.
 //
 // Concurrency contract: a Session belongs to exactly one goroutine for
-// its lifetime — no Session method is called concurrently — with one
-// opt-in exception: a Session that implements ParallelProber and
-// reports support thereby permits concurrent Probe calls from the
-// goroutines of a single router's probe pool. Even then Probe never
-// overlaps Hold, Commit or Abort: the router joins its probe workers
-// before moving to the hold phase (core.Flash fences rounds on its
-// bounded pool). Sessions that do not implement ParallelProber are
-// always driven strictly sequentially. The network behind the session,
-// however, is shared: any number of sessions may probe, hold and
-// commit concurrently, and implementations must make each individual
-// operation atomic against the others (pcn.Tx does this with
-// per-channel locks acquired in ascending channel-index order).
-// Routers given to concurrent sessions must likewise be safe for
-// concurrent Route calls (all routers in this repository are).
+// its lifetime — no Session method is called concurrently. The network
+// behind the session, however, is shared: any number of sessions may
+// probe, hold and commit concurrently, and implementations must make
+// each individual operation atomic against the others (pcn.Tx does
+// this with per-channel locks acquired in ascending channel-index
+// order). Routers given to concurrent sessions must likewise be safe
+// for concurrent Route calls (all routers in this repository are).
 type Session interface {
 	// Graph is the sender's locally available topology (§3.1): full
 	// connectivity, no balance information.
@@ -126,27 +119,6 @@ type Expirer interface {
 // expiry.
 var _ Expirer = (*pcn.Tx)(nil)
 
-// ParallelProber is optionally implemented by Sessions whose Probe is
-// safe for concurrent calls within one session. Routers with a probe
-// pool (core.Flash when Config.ProbeWorkers > 1) check this capability
-// before fanning probes out and fall back to strictly sequential
-// probing when it is absent or answers false — which is what keeps the
-// TCP testbed session, whose wire protocol serialises round trips per
-// session, correct without knowing anything about probe pipelines.
-//
-// Supporting implementations guarantee only Probe-vs-Probe safety;
-// the caller still must fence probes from Hold/Commit/Abort (see the
-// Session concurrency contract above).
-type ParallelProber interface {
-	// SupportsParallelProbe reports whether concurrent Probe calls on
-	// this session are safe.
-	SupportsParallelProbe() bool
-}
-
-// Compile-time check: the in-memory transaction supports concurrent
-// probing.
-var _ ParallelProber = (*pcn.Tx)(nil)
-
 // ProbeCounter is optionally implemented by Sessions that count probe
 // rounds — distinct Probe operations, as opposed to the messages those
 // probes cost (Session.ProbeMessages). Telemetry uses it to separate
@@ -163,15 +135,13 @@ var _ ProbeCounter = (*pcn.Tx)(nil)
 
 // LatencyMeter is optionally implemented by Sessions that charge
 // virtual latency for protocol legs. A probe pipeline that measures
-// several candidate paths concurrently uses it to correct the charge
+// several candidate paths per round uses it to correct the charge
 // after each round: Probe bills every path its full RTT sum, but a
-// round of concurrent probes only advances virtual time by the
-// slowest candidate, so the pipeline credits Σ(round) − max(round)
-// back. All quantities are integer nanoseconds — integer adds commute
-// exactly, which is what keeps concurrent charging deterministic.
-// Absence of the interface (e.g. the TCP testbed session) simply
-// leaves probe charges uncorrected, which is right there: the wire
-// serialises its round trips.
+// round of probes that travel together only advances virtual time by
+// its slowest candidate, so the pipeline credits Σ(round) − max(round)
+// back. All quantities are integer nanoseconds. Absence of the
+// interface (e.g. the TCP testbed session, which charges no virtual
+// latency) simply leaves probe charges uncorrected.
 type LatencyMeter interface {
 	// PathLatencyNanos returns the virtual RTT sum along path — the
 	// latency one Probe of it is charged.

@@ -65,7 +65,7 @@ var retriesGolden = Metrics{
 
 // goldenCell builds the fixed golden scenario: a 120-node network, its
 // 400-payment workload, the 90%-mice threshold and a Flash router with
-// the given probe pool width (0/1 = the sequential seed path).
+// the given probe width (0/1 = the sequential seed path).
 func goldenCell(t *testing.T, kind string, probeWorkers int) (*pcn.Network, route.Router, []trace.Payment, float64) {
 	t.Helper()
 	net, err := BuildNetwork(kind, 120, 10, 0, 0, 42)
@@ -103,7 +103,7 @@ func goldenRun(t *testing.T, kind string, retries int, sink telemetry.Sink) Metr
 	return m
 }
 
-// goldenRunProbe replays the golden cell with Flash's probe pool width
+// goldenRunProbe replays the golden cell with Flash's probe width
 // exposed.
 func goldenRunProbe(t *testing.T, kind string, probeWorkers int) Metrics {
 	t.Helper()

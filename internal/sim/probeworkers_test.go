@@ -22,8 +22,7 @@ func TestProbeWorkersOneMatchesSeedGolden(t *testing.T) {
 
 // TestProbeWorkersStaticReplayDeterministic pins the other half of the
 // contract: a fixed seed and a fixed ProbeWorkers > 1 replay
-// identically — the probe pool's goroutine scheduling must never leak
-// into metrics. It also checks the pipeline keeps the workload intact:
+// identically — nothing outside the seed may leak into metrics. It also checks the pipeline keeps the workload intact:
 // same payment count and classification as the sequential engine, and
 // it still delivers.
 func TestProbeWorkersStaticReplayDeterministic(t *testing.T) {

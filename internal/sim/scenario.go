@@ -202,7 +202,7 @@ type RouterSpec struct {
 
 	FixedMiceOrder bool // ablation: deterministic mice path order
 	ProbeAllK      bool // ablation: no early exit in Algorithm 1
-	ProbeWorkers   int  // per-session probe pool width (≤ 1 sequential)
+	ProbeWorkers   int  // Flash probe width: candidates per elephant round (≤ 1 sequential)
 
 	// TableCap bounds each sender shard's mice routing table to this
 	// many receiver entries, LRU-evicted (core.Config.TableCap). ≤ 0 —

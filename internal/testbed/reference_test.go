@@ -14,10 +14,9 @@ import (
 
 // replayInMemory routes the cell's payments over its pcn.Network
 // exactly as RunWorkload routes them over a cluster: one payment at a
-// time, each sender with its own router from the cell's factory.
-func replayInMemory(t *testing.T, cell *Cell, scheme string) sim.Metrics {
+// time, each sender with its own router from factory.
+func replayInMemory(t *testing.T, cell *Cell, name string, factory RouterFactory) sim.Metrics {
 	t.Helper()
-	factory := cell.Routers(scheme)
 	routers := make(map[topo.NodeID]route.Router)
 	var m sim.Metrics
 	for _, p := range cell.Payments {
@@ -38,7 +37,7 @@ func replayInMemory(t *testing.T, cell *Cell, scheme string) sim.Metrics {
 		}
 		rerr := r.Route(tx)
 		if !tx.Finished() {
-			t.Fatalf("payment %d: %s left the session unfinished", p.ID, scheme)
+			t.Fatalf("payment %d: %s left the session unfinished", p.ID, name)
 		}
 		m.Record(p.Amount, cell.Threshold, 0,
 			int64(tx.ProbeMessages()), int64(tx.CommitMessages()), 0, rerr == nil)
@@ -46,11 +45,21 @@ func replayInMemory(t *testing.T, cell *Cell, scheme string) sim.Metrics {
 	return m
 }
 
+// flashWidth4 is the cell's Flash factory with a probe width of 4: the
+// probe rounds must batch the same way whatever the session type.
+func flashWidth4(c *Cell) RouterFactory {
+	return func(id topo.NodeID) (route.Router, error) {
+		return sim.BuildRouter(sim.RouterSpec{Scheme: sim.SchemeFlash, Threshold: c.Threshold,
+			Seed: c.Seed + int64(id), ProbeWorkers: 4})
+	}
+}
+
 // TestSimulatorIsTestbedReference replays one §5 cell twice — over the
 // in-memory pcn.Network and over a TCP cluster loaded from it — and
 // requires the same outcome: equal payment, success and message counts,
 // bit-equal success volume, and every channel's balances, seen from
-// both endpoints, equal up to summation order (1e-9).
+// both endpoints, equal up to summation order (1e-9). The schemes run
+// with their cell factories, and Flash once more at probe width 4.
 //
 // SpeedyMurmurs is left out on purpose. It routes hop by hop on
 // LocalBalance, which a node.Session answers only for the sender's own
@@ -61,9 +70,18 @@ func TestSimulatorIsTestbedReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP testbed replay skipped in -short mode")
 	}
-	for _, scheme := range []string{sim.SchemeFlash, sim.SchemeSpider, sim.SchemeShortestPath} {
+	cases := []struct {
+		name    string
+		routers func(*Cell) RouterFactory
+	}{
+		{sim.SchemeFlash, func(c *Cell) RouterFactory { return c.Routers(sim.SchemeFlash) }},
+		{"Flash-width4", flashWidth4},
+		{sim.SchemeSpider, func(c *Cell) RouterFactory { return c.Routers(sim.SchemeSpider) }},
+		{sim.SchemeShortestPath, func(c *Cell) RouterFactory { return c.Routers(sim.SchemeShortestPath) }},
+	}
+	for _, tc := range cases {
 		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", scheme, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed=%d", tc.name, seed), func(t *testing.T) {
 				t.Parallel() // each cell has its own network and cluster
 				cell, err := NewCell(30, 300, seed, 1000, 1500)
 				if err != nil {
@@ -73,11 +91,11 @@ func TestSimulatorIsTestbedReference(t *testing.T) {
 				if err := c.FromNetwork(cell.Net); err != nil {
 					t.Fatal(err)
 				}
-				tcp, err := c.RunWorkload(cell.Routers(scheme), cell.Payments, cell.Threshold, Telemetry{})
+				tcp, err := c.RunWorkload(tc.routers(cell), cell.Payments, cell.Threshold, Telemetry{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				mem := replayInMemory(t, cell, scheme)
+				mem := replayInMemory(t, cell, tc.name, tc.routers(cell))
 
 				if tcp.Payments != mem.Payments || tcp.Successes != mem.Successes ||
 					math.Float64bits(tcp.SuccessVolume) != math.Float64bits(mem.SuccessVolume) ||
