@@ -52,6 +52,7 @@ func goldenCases() []goldenCase {
 		{"exit-static-workers", []string{"-nodes", "40", "-txns", "10", "-workers", "2"}},
 		{"exit-static-json", []string{"-nodes", "40", "-txns", "10", "-json"}},
 		{"exit-unknown-scenario", []string{"-scenario", "bogus"}},
+		{"exit-static-mice", []string{"-kind", "ripple", "-nodes", "60", "-txns", "100", "-runs", "1", "-mice", "2"}},
 		{"exit-bad-control", []string{"-dynamic", "-nodes", "40", "-duration", "4", "-control", "bogus"}},
 	}
 	for _, name := range sim.DynamicScenarioNames {

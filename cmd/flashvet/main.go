@@ -23,80 +23,99 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
 )
 
-func main() {
-	verbose := flag.Bool("v", false, "also print directive-suppressed findings")
-	catalogue := flag.Bool("catalogue", false, "print the analyzer and rule catalogue and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is flashvet over the given arguments and output streams; it
+// returns the exit status: 0 clean, 1 diagnostics found, 2 analysis
+// could not run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flashvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	verbose := fs.Bool("v", false, "also print directive-suppressed findings")
+	catalogue := fs.Bool("catalogue", false, "print the analyzer and rule catalogue and exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	analyzers := analysis.All()
 	if *catalogue {
 		for _, a := range analyzers {
-			fmt.Printf("%s: %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%s: %s\n", a.Name, a.Doc)
 			for _, r := range a.Rules {
-				fmt.Printf("  %s\n", r)
+				fmt.Fprintf(stdout, "  %s\n", r)
 			}
 		}
-		return
+		return 0
 	}
 
-	args := flag.Args()
+	pkgs, err := load(fs.Args())
+	if err == nil {
+		var res *analysis.Result
+		if res, err = analysis.Run(pkgs, analyzers); err == nil {
+			return report(res, len(pkgs), len(analyzers), *verbose, stdout, stderr)
+		}
+	}
+	fmt.Fprintln(stderr, "flashvet:", err)
+	return 2
+}
+
+// load type-checks the packages args name (default ./...), relative to
+// the module root above the working directory.
+func load(args []string) ([]*analysis.Package, error) {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
 	wd, err := os.Getwd()
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	loader, err := analysis.NewLoader(wd)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	var pkgs []*analysis.Package
 	for _, arg := range args {
-		switch arg {
-		case "./...", "...":
+		if arg == "./..." || arg == "..." {
 			all, err := loader.LoadAll()
 			if err != nil {
-				fatal(err)
+				return nil, err
 			}
 			pkgs = append(pkgs, all...)
-		default:
-			pkg, err := loader.Load(arg)
-			if err != nil {
-				fatal(err)
-			}
-			pkgs = append(pkgs, pkg)
+			continue
 		}
+		pkg, err := loader.Load(arg)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
 	}
+	return pkgs, nil
+}
 
-	res, err := analysis.Run(pkgs, analyzers)
-	if err != nil {
-		fatal(err)
-	}
-	if *verbose {
+// report prints the findings and returns 1 when any is unsuppressed.
+func report(res *analysis.Result, pkgs, analyzers int, verbose bool, stdout, stderr io.Writer) int {
+	if verbose {
 		for _, d := range res.Suppressed {
-			fmt.Fprintf(os.Stderr, "allowed: %s\n", res.Format(d))
+			fmt.Fprintf(stderr, "allowed: %s\n", res.Format(d))
 		}
 	}
 	for _, d := range res.Diagnostics {
-		fmt.Println(res.Format(d))
+		fmt.Fprintln(stdout, res.Format(d))
 	}
 	if len(res.Diagnostics) > 0 {
-		fmt.Fprintf(os.Stderr, "flashvet: %d diagnostic(s) in %d package(s)\n", len(res.Diagnostics), len(pkgs))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "flashvet: %d diagnostic(s) in %d package(s)\n", len(res.Diagnostics), pkgs)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "flashvet: ok — %d package(s), %d analyzer(s), %d audited exception(s)\n",
-		len(pkgs), len(analyzers), len(res.Suppressed))
-}
-
-// fatal prints err and exits with status 2 (analysis could not run, as
-// distinct from exit 1, diagnostics found).
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "flashvet:", err)
-	os.Exit(2)
+	fmt.Fprintf(stderr, "flashvet: ok — %d package(s), %d analyzer(s), %d audited exception(s)\n",
+		pkgs, analyzers, len(res.Suppressed))
+	return 0
 }

@@ -79,7 +79,7 @@
 //     zero-churn, one-station run of the dynamic engine below. The
 //     dynamic engine's DynamicOptions.Workers > 1 routes overlapping
 //     payments on goroutines over the shared network; each payment then
-//     gets a private RNG seeded from the payment ID (pcn.Tx.SetRNG /
+//     gets a private RNG seeded from the payment ID (pcn.Tx.SetRNGSeed /
 //     route.RandSource), so random routing choices are
 //     scheduling-independent even though balance interleaving — as in a
 //     real network — is not. A static cell's schemes run one after
@@ -125,9 +125,9 @@
 //     virtual time, in dynamic runs and the static replay alike.
 //   - Hold spans (DynamicOptions.Service > 0) make contention
 //     deterministic: each payment splits into a hold-phase event at
-//     arrival (the router decides, but the session suspends on the
-//     route.Yielder seam with its funds locked) and a commit-phase
-//     event one exponential virtual service time later. Arrivals in
+//     arrival (the router decides, but the session suspends on
+//     pcn.Tx's DeferCommit seam with its funds locked) and a
+//     commit-phase event one exponential virtual service time later. Arrivals in
 //     between probe the depleted residuals and may fail because of
 //     them; a suspended payment whose channel churns away mid-span
 //     aborts HTLC-timeout style (DynamicResult.SpanAborts). Service =

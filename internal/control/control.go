@@ -3,8 +3,7 @@
 // knob. Before it, adaptivity was scattered — the P² elephant
 // threshold was recalibrated inline in the dynamic engine, probe width
 // was a static flag even though wider probing costs virtual time and
-// messages, and retry backoff was hard-coded. Here each knob is moved
-// behind one contract:
+// messages. Here each knob is moved behind one contract:
 //
 //	Controller: Observe(window Metrics) []Decision
 //
@@ -61,13 +60,10 @@ const (
 	// KnobProbeWidth is the speculative probe width of elephant
 	// routing: candidates probed per round.
 	KnobProbeWidth
-	// KnobRetryBackoff is the engine's retry backoff scale factor
-	// (multiplies the base exponential backoff).
-	KnobRetryBackoff
 
 	// NumKnobs is the number of knob codes (for per-knob counters);
 	// knob codes are 1-based, so valid codes are 1..NumKnobs-1.
-	NumKnobs = int(KnobRetryBackoff) + 1
+	NumKnobs = int(KnobProbeWidth) + 1
 )
 
 // String names the knob for logs, tables and metric labels.
@@ -79,8 +75,6 @@ func (k Knob) String() string {
 		return "sender-threshold"
 	case KnobProbeWidth:
 		return "probe-width"
-	case KnobRetryBackoff:
-		return "retry-backoff"
 	default:
 		return fmt.Sprintf("knob(%d)", uint8(k))
 	}

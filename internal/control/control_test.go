@@ -14,7 +14,6 @@ func TestKnobString(t *testing.T) {
 		KnobThreshold:       "threshold",
 		KnobSenderThreshold: "sender-threshold",
 		KnobProbeWidth:      "probe-width",
-		KnobRetryBackoff:    "retry-backoff",
 		Knob(0):             "knob(0)",
 		Knob(99):            "knob(99)",
 	}
@@ -23,8 +22,8 @@ func TestKnobString(t *testing.T) {
 			t.Errorf("Knob(%d).String() = %q, want %q", k, got, want)
 		}
 	}
-	if NumKnobs != 5 {
-		t.Errorf("NumKnobs = %d, want 5 (codes 1..4 plus the bare-tick 0)", NumKnobs)
+	if NumKnobs != 4 {
+		t.Errorf("NumKnobs = %d, want 4 (codes 1..3 plus the bare-tick 0)", NumKnobs)
 	}
 }
 
@@ -55,7 +54,7 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 	b := &plainController{}
 	c := &scriptedController{name: "c", decide: []Decision{
 		{Knob: KnobProbeWidth, Value: 2},
-		{Knob: KnobRetryBackoff, Value: 3},
+		{Knob: KnobSenderThreshold, Sender: 5, Value: 3},
 	}}
 	p := NewPlane(a, b, c)
 	if p.Empty() {
@@ -77,7 +76,7 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 	want := []Decision{
 		{Knob: KnobThreshold, Value: 1},
 		{Knob: KnobProbeWidth, Value: 2},
-		{Knob: KnobRetryBackoff, Value: 3},
+		{Knob: KnobSenderThreshold, Sender: 5, Value: 3},
 	}
 	if len(ds) != len(want) {
 		t.Fatalf("Observe returned %d decisions, want %d", len(ds), len(want))

@@ -65,7 +65,7 @@ func TestFlashConcurrentSessions(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				tx.SetRNG(rand.New(rand.NewSource(int64(w*payments + i))))
+				tx.SetRNGSeed(int64(w*payments + i))
 				_ = f.Route(tx) // failures are part of the workload
 				if !tx.Finished() {
 					t.Error("Route left session unfinished")

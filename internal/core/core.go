@@ -136,7 +136,7 @@ type Flash struct {
 	// threshold is the live elephant classification boundary
 	// (math.Float64bits-encoded): Config.Threshold seeds it, and
 	// SetThreshold may re-calibrate it mid-run while payments route
-	// concurrently, so the hot-path read in isElephant is an atomic
+	// concurrently, so the hot-path read in isElephantFor is an atomic
 	// load rather than a field of cfg.
 	threshold atomic.Uint64
 
@@ -158,8 +158,8 @@ type Flash struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// tablesMu guards both: Refresh swaps the tables and their channel
-	// index (see channelIndex) together.
+	// tablesMu guards the tables map. index (see channelIndex) is made
+	// by New and never replaced.
 	tablesMu sync.RWMutex
 	tables   map[topo.NodeID]*routingTable
 	index    *channelIndex
@@ -204,16 +204,6 @@ func New(cfg Config) *Flash {
 
 // Name implements route.Router.
 func (f *Flash) Name() string { return "Flash" }
-
-// Config returns the router's configuration. Threshold and
-// ProbeWorkers reflect the live values, which SetThreshold and
-// SetProbeWorkers may have moved away from the constructed ones.
-func (f *Flash) Config() Config {
-	cfg := f.cfg
-	cfg.Threshold = f.Threshold()
-	cfg.ProbeWorkers = f.ProbeWorkers()
-	return cfg
-}
 
 // Threshold returns the current elephant classification threshold.
 func (f *Flash) Threshold() float64 {
@@ -279,18 +269,6 @@ func (f *Flash) ThresholdFor(sender topo.NodeID) float64 {
 	return f.Threshold()
 }
 
-// SenderThreshold returns the sender's threshold override and whether
-// one is installed.
-func (f *Flash) SenderThreshold(sender topo.NodeID) (float64, bool) {
-	if f.senderThrCount.Load() == 0 {
-		return 0, false
-	}
-	f.senderMu.RLock()
-	t, ok := f.senderThr[sender]
-	f.senderMu.RUnlock()
-	return t, ok
-}
-
 // SetSenderThreshold installs (or moves) a per-sender elephant
 // threshold override — the sharded counterpart of SetThreshold for
 // workloads where each sender's demand drifts independently (a sender
@@ -339,15 +317,6 @@ func (f *Flash) SetSenderThreshold(sender topo.NodeID, t float64) int {
 	return dropped
 }
 
-// ClearSenderThresholds removes every per-sender override, returning
-// classification to the global threshold alone.
-func (f *Flash) ClearSenderThresholds() {
-	f.senderMu.Lock()
-	f.senderThr = make(map[topo.NodeID]float64)
-	f.senderThrCount.Store(0)
-	f.senderMu.Unlock()
-}
-
 // ProbeWorkers returns the live probe width: candidates probed per
 // elephant round.
 func (f *Flash) ProbeWorkers() int { return int(f.probeWorkers.Load()) }
@@ -390,35 +359,11 @@ func (f *Flash) isElephantFor(sender topo.NodeID, amount float64) bool {
 	return amount > f.ThresholdFor(sender)
 }
 
-// isElephant classifies a payment amount against the live global
-// threshold (per-sender overrides notwithstanding).
-func (f *Flash) isElephant(amount float64) bool {
-	return amount > f.Threshold()
-}
-
-// Refresh drops all routing tables, as happens when the gossip layer
-// delivers an updated topology (§3.3: "all entries are re-computed using
-// the latest G"). Payments already in flight when Refresh is called may
-// finish against the table they fetched — they route on the topology
-// they started with and their late inserts land in the discarded map,
-// registering in the discarded channel index that table was created
-// with: neither is reachable from the router any more, so a later
-// InvalidateChannel neither sees nor counts them and both are collected
-// together. That transient staleness mirrors the eventually-consistent
-// gossip layer this models; callers needing a hard barrier must drain
-// their payment workers first.
-func (f *Flash) Refresh() {
-	f.tablesMu.Lock()
-	defer f.tablesMu.Unlock()
-	f.tables = make(map[topo.NodeID]*routingTable)
-	f.index = newChannelIndex()
-}
-
 // InvalidateChannel drops every cached routing-table entry whose paths
 // traverse the channel u–v (in either direction), whichever sender owns
-// it. It is the targeted counterpart of Refresh for a single topology
-// change: when the dynamic network closes or opens a channel, only the
-// entries actually routing over it are recomputed on their next use
+// it. It is how the router follows a topology change: when the dynamic
+// network closes or opens a channel, only the entries actually routing
+// over it are recomputed on their next use
 // ("all entries are re-computed using the latest G", §3.3, narrowed to
 // the affected entries). The channel index names those entries, so an
 // event costs what it drops and a channel no table uses costs a map

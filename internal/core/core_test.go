@@ -314,19 +314,6 @@ func TestTableTTLEviction(t *testing.T) {
 	}
 }
 
-func TestRefreshClearsTables(t *testing.T) {
-	net := build(t, 3, [][4]float64{{0, 1, 100, 0}, {1, 2, 100, 0}})
-	f := New(DefaultConfig(math.Inf(1)))
-	pay(t, f, net, 0, 2, 1)
-	if f.Stats().TableEntries == 0 {
-		t.Fatal("expected a table entry")
-	}
-	f.Refresh()
-	if f.Stats().TableEntries != 0 {
-		t.Error("Refresh did not clear tables")
-	}
-}
-
 func TestMZeroRoutesMiceAsElephants(t *testing.T) {
 	net := build(t, 3, [][4]float64{{0, 1, 100, 0}, {1, 2, 100, 0}})
 	cfg := DefaultConfig(math.Inf(1)) // everything classified mouse...
@@ -342,10 +329,10 @@ func TestMZeroRoutesMiceAsElephants(t *testing.T) {
 
 func TestClassification(t *testing.T) {
 	f := New(DefaultConfig(100))
-	if f.isElephant(100) {
+	if f.isElephantFor(0, 100) {
 		t.Error("amount == threshold should be a mouse")
 	}
-	if !f.isElephant(100.01) {
+	if !f.isElephantFor(0, 100.01) {
 		t.Error("amount > threshold should be an elephant")
 	}
 }
@@ -391,8 +378,8 @@ func TestStringAndName(t *testing.T) {
 	if f.Name() != "Flash" {
 		t.Error("Name mismatch")
 	}
-	if f.String() == "" || f.Config().K != 20 {
-		t.Error("String/Config broken")
+	if got := f.String(); got != "Flash(k=20, m=4, threshold=42, feeOpt=true)" {
+		t.Errorf("String = %q", got)
 	}
 }
 

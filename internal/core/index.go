@@ -19,8 +19,8 @@ const (
 // (topo.Edge, the canonical node pair), the table entries whose cached
 // paths — live set or replacement pool — cross it, so that
 // InvalidateChannel goes straight to the entries it drops instead of
-// walking every path of every sender. A Flash has one, shared by all its
-// tables; Refresh replaces it together with them.
+// walking every path of every sender. A Flash has one, made by New and
+// shared by all its tables.
 //
 // Lock order: a table's mu may be held when the index's is taken (that is
 // how entries register), never the reverse. Whoever needs both the other

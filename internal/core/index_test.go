@@ -228,9 +228,6 @@ func TestChannelIndexModel(t *testing.T) {
 		case op < 172:
 			counts["sender-threshold"]++
 			invalidations += int64(f.SetSenderThreshold(sender(), 20+100*rng.Float64()))
-		case op < 173:
-			counts["refresh"]++
-			f.Refresh()
 		default:
 			u, v := node(nodes), node(nodes)
 			if op < 195 { // a real channel; otherwise most likely no channel at all
@@ -278,7 +275,7 @@ func TestChannelIndexModel(t *testing.T) {
 	}
 	checkIndex(t, f)
 	st := f.Stats()
-	for _, op := range []string{"lookup", "replace", "replace-removed", "warm", "threshold", "sender-threshold", "refresh", "invalidate-used", "invalidate-unused"} {
+	for _, op := range []string{"lookup", "replace", "replace-removed", "warm", "threshold", "sender-threshold", "invalidate-used", "invalidate-unused"} {
 		if counts[op] == 0 {
 			t.Errorf("the sequence never ran %s", op)
 		}
@@ -328,7 +325,7 @@ func TestChannelIndexLeakBound(t *testing.T) {
 
 // TestChannelIndexConcurrent is TestInvalidateConcurrentWithRouting with
 // everything else that touches the index running too — table warm-up
-// lookups, SetThreshold, SetSenderThreshold and Refresh beside payments and
+// lookups, SetThreshold and SetSenderThreshold beside payments and
 // invalidations — for the race detector and the lock order, and then, once
 // all is quiet, the invariants and one scan-checked invalidation of every
 // channel. Not skipped under -short: CI's race step is where it counts.
@@ -378,7 +375,6 @@ func TestChannelIndexConcurrent(t *testing.T) {
 	})
 	run(12, 200, func(rng *rand.Rand) { f.SetThreshold(30 + 70*rng.Float64()) })
 	run(13, 200, func(rng *rand.Rand) { f.SetSenderThreshold(topo.NodeID(rng.Intn(6)), 30+70*rng.Float64()) })
-	run(14, 20, func(*rand.Rand) { f.Refresh() })
 	wg.Wait()
 
 	checkIndex(t, f)

@@ -30,7 +30,6 @@ const replacementPool = 4
 // map scan would find, since list order is lastAccess order — and the
 // size cap (Config.TableCap) evicts the head when an insert overflows.
 type routingTable struct {
-	index      *channelIndex // the router's, as of this table's creation; immutable
 	mu         sync.Mutex
 	entries    map[topo.NodeID]*tableEntry
 	head, tail *tableEntry // LRU list: head oldest, tail newest
@@ -81,7 +80,7 @@ func (t *routingTable) removeLocked(e *tableEntry) {
 // id, which the channel index reads under its own; the cached path slices
 // themselves are immutable once created, so a path handed out under the
 // lock stays valid after release. Every channel of paths and all is
-// registered in the table's channelIndex, which is how InvalidateChannel
+// registered in the router's channelIndex, which is how InvalidateChannel
 // finds the entry.
 type tableEntry struct {
 	table      *routingTable // owner, whose lock guards the entry; immutable
@@ -115,7 +114,7 @@ func (f *Flash) tableFor(sender topo.NodeID) *routingTable {
 	if t, ok := f.tables[sender]; ok {
 		return t
 	}
-	t = &routingTable{index: f.index, entries: make(map[topo.NodeID]*tableEntry)}
+	t = &routingTable{entries: make(map[topo.NodeID]*tableEntry)}
 	f.tables[sender] = t
 	return t
 }
@@ -163,7 +162,7 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	}
 	t.entries[receiver] = e
 	t.pushBack(e)
-	t.index.add(e, e.paths, nil)
+	f.index.add(e, e.paths, nil)
 	f.enforceCapLocked(t)
 	return t, e
 }
@@ -213,7 +212,7 @@ func (f *Flash) replaceDeadPath(g *topo.Graph, sender topo.NodeID, t *routingTab
 	if e.all == nil {
 		e.all = graph.YenKSP(g, sender, e.receiver, f.cfg.M+replacementPool)
 		e.cursor = len(e.paths) % max(len(e.all), 1)
-		t.index.add(e, e.all, e.paths)
+		f.index.add(e, e.all, e.paths)
 	}
 	if len(e.all) <= 1 {
 		e.paths = append(e.paths[:slot], e.paths[slot+1:]...)

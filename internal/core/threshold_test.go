@@ -68,8 +68,8 @@ func TestSetThresholdSwapsClassification(t *testing.T) {
 	if st.ThresholdUpdates != 1 {
 		t.Errorf("ThresholdUpdates = %d, want 1", st.ThresholdUpdates)
 	}
-	if got := f.Config().Threshold; got != 20 {
-		t.Errorf("Config().Threshold = %v, want the live value 20", got)
+	if got := f.Threshold(); got != 20 {
+		t.Errorf("Threshold() = %v, want the live value 20", got)
 	}
 }
 

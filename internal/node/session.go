@@ -74,12 +74,8 @@ func (n *Node) NewSession(receiver topo.NodeID, demand float64) (*Session, error
 	return s, nil
 }
 
-// Compile-time checks that Session satisfies the routing seam and
-// counts probe rounds for telemetry.
-var (
-	_ route.Session      = (*Session)(nil)
-	_ route.ProbeCounter = (*Session)(nil)
-)
+// Compile-time check that Session satisfies the routing seam.
+var _ route.Session = (*Session)(nil)
 
 // Graph implements route.Session.
 func (s *Session) Graph() *topo.Graph { return s.n.graph }
@@ -282,22 +278,23 @@ func (s *Session) settle(typ wire.Type) error {
 // Finished reports whether the session was committed or aborted.
 func (s *Session) Finished() bool { return s.finished }
 
-// ProbeMessages implements route.Session.
+// ProbeMessages returns the probe messages this session has sent.
 func (s *Session) ProbeMessages() int { return s.probeMsgs }
 
-// ProbeOps implements route.ProbeCounter: distinct Probe round trips,
-// as opposed to the per-hop messages they cost.
+// ProbeOps returns the number of distinct Probe round trips, as
+// opposed to the per-hop messages they cost.
 func (s *Session) ProbeOps() int { return s.probeOps }
 
-// CommitMessages implements route.Session.
+// CommitMessages returns the commit-phase messages this session has
+// sent.
 func (s *Session) CommitMessages() int { return s.commitMsgs }
 
-// FeesPaid implements route.Session. It is always 0: the testbed does
-// not evaluate fees (the paper's §5 metrics are volume, ratio and
-// delay), so no hop's fee is charged or accounted.
+// FeesPaid returns the fees charged along the held paths. It is always
+// 0: the testbed does not evaluate fees (the paper's §5 metrics are
+// volume, ratio and delay), so no hop's fee is charged or accounted.
 func (s *Session) FeesPaid() float64 { return 0 }
 
-// PathsUsed implements route.Session.
+// PathsUsed returns the number of partial payments held.
 func (s *Session) PathsUsed() int { return len(s.holds) }
 
 // NetworkWait returns the total time this session spent blocked on

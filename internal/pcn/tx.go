@@ -147,14 +147,11 @@ func (t *Tx) Receiver() topo.NodeID { return t.receiver }
 // Demand returns the payment amount.
 func (t *Tx) Demand() float64 { return t.demand }
 
-// SetRNG attaches a deterministic per-payment random source to the
+// SetRNGSeed attaches a deterministic per-payment random source to the
 // session. Routers that make random choices (e.g. Flash's mice path
 // order) use it when present instead of their shared generator, so a
 // concurrent replay's random decisions depend only on the payment, not
-// on worker scheduling.
-func (t *Tx) SetRNG(rng *rand.Rand) { t.rng, t.rngSeeded = rng, false }
-
-// SetRNGSeed is SetRNG with lazy construction: the rand.Rand (whose
+// on worker scheduling. Construction is lazy: the rand.Rand (whose
 // source seeds a ~5KB table) is only built if a router actually asks
 // for randomness — elephants and non-random routers never pay for it.
 func (t *Tx) SetRNGSeed(seed int64) { t.rng, t.rngSeed, t.rngSeeded = nil, seed, true }
@@ -492,10 +489,12 @@ func (t *Tx) releaseHoldsLocked() {
 	}
 }
 
-// DeferCommit arms the hold-span seam (route.Yielder): the next Commit
-// suspends the session — funds stay locked on the network — instead of
-// settling, and Resume finishes the job later. Abort is unaffected:
-// a failed payment releases its holds immediately.
+// DeferCommit arms the hold-span seam: the next Commit suspends the
+// session — funds stay locked on the network — instead of settling,
+// and Resume (or Expire, at a deadline) finishes the job later. Abort
+// is unaffected: a failed payment releases its holds immediately.
+// Routers never see the seam; the harness that armed it owns the
+// Resume or Expire call.
 func (t *Tx) DeferCommit() { t.deferCommit = true }
 
 // Suspended reports whether the session sits between a deferred Commit
@@ -638,8 +637,7 @@ func (t *Tx) Finished() bool { return t.finished }
 func (t *Tx) ProbeMessages() int { return t.probeMsgs }
 
 // ProbeOps returns the number of distinct Probe calls this session has
-// made — probe rounds, as opposed to the per-hop messages they cost
-// (route.ProbeCounter).
+// made — probe rounds, as opposed to the per-hop messages they cost.
 func (t *Tx) ProbeOps() int { return t.probeOps }
 
 // CommitMessages returns the commit-phase messages this session has

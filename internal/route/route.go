@@ -20,7 +20,9 @@ import (
 
 // Session is one in-flight payment from the sender's point of view.
 // Implementations must guarantee atomicity: after Commit every held
-// partial payment is applied; after Abort none is.
+// partial payment is applied; after Abort none is. It declares only what
+// routers call: accounting (messages, fees, paths used) lives on the
+// concrete sessions, which harnesses hold.
 //
 // Concurrency contract: a Session belongs to exactly one goroutine for
 // its lifetime — no Session method is called concurrently. The network
@@ -59,79 +61,10 @@ type Session interface {
 	// one of the two must be called, once.
 	Commit() error
 	Abort() error
-
-	// Accounting, cumulated over the session's lifetime.
-	ProbeMessages() int
-	CommitMessages() int
-	FeesPaid() float64
-	PathsUsed() int
 }
 
 // Compile-time check: the in-memory transaction implements Session.
 var _ Session = (*pcn.Tx)(nil)
-
-// Yielder is the hold-span seam: it is optionally implemented by
-// Sessions whose commit can be suspended across (virtual) time. After
-// DeferCommit, the session's Commit records the decision and yields
-// instead of settling — the payment's holds stay locked on the
-// network, depleting the residuals every other payment probes — and
-// Resume later applies the deferred commit (returning true) or, when a
-// held channel closed during the span, aborts the whole payment
-// HTLC-timeout style (returning false).
-//
-// Routers never call Resume; they drive the session to Commit/Abort
-// exactly as always and need not know whether the seam is armed. The
-// harness that armed DeferCommit (the dynamic simulator's hold-span
-// mode) owns the Resume call, typically one virtual service time after
-// the routing decision. Between Commit and Resume the session counts
-// as finished for the Session contract — exactly one of Commit/Abort
-// was called — and only Resume may touch it.
-type Yielder interface {
-	// DeferCommit arms the seam: the next Commit suspends instead of
-	// settling.
-	DeferCommit()
-	// Suspended reports whether the session sits between a deferred
-	// Commit and its Resume.
-	Suspended() bool
-	// Resume settles the span: commit if every held channel survived,
-	// abort otherwise. The error reports misuse (resuming a session
-	// that is not suspended), not routing failure.
-	Resume() (committed bool, err error)
-}
-
-// Compile-time check: the in-memory transaction supports hold spans.
-var _ Yielder = (*pcn.Tx)(nil)
-
-// Expirer is optionally implemented by Yielder sessions whose
-// suspended span can be torn down at an HTLC-style deadline instead of
-// resumed. Expire releases every hold — the payment counts as failed —
-// and is safe to race against Resume on the same span: exactly one of
-// the two settles the funds, the loser gets the implementation's
-// not-suspended error. Like Resume, Expire belongs to the harness that
-// armed the span (the dynamic engine's deadline events), never to
-// routers.
-type Expirer interface {
-	// Expire releases a suspended span's holds at its deadline.
-	Expire() error
-}
-
-// Compile-time check: the in-memory transaction supports deadline
-// expiry.
-var _ Expirer = (*pcn.Tx)(nil)
-
-// ProbeCounter is optionally implemented by Sessions that count probe
-// rounds — distinct Probe operations, as opposed to the messages those
-// probes cost (Session.ProbeMessages). Telemetry uses it to separate
-// "how often did routing look" from "how much did looking cost", the
-// probe-cost-vs-success friction axis; absence simply leaves the
-// flow-record field at zero.
-type ProbeCounter interface {
-	// ProbeOps returns the number of Probe calls made on this session.
-	ProbeOps() int
-}
-
-// Compile-time check: the in-memory transaction counts probe rounds.
-var _ ProbeCounter = (*pcn.Tx)(nil)
 
 // LatencyMeter is optionally implemented by Sessions that charge
 // virtual latency for protocol legs. A probe pipeline that measures

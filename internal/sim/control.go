@@ -48,10 +48,6 @@ type controlState struct {
 	decisions        int // applied decisions, all knobs
 	thresholdUpdates int // decisions that moved the global threshold
 	status           [control.NumKnobs]ControlKnobStatus
-
-	// backoff scales the engine's retry backoff: exactly 1.0 until a
-	// KnobRetryBackoff decision moves it.
-	backoff float64
 }
 
 // newControlState builds the engine's control runtime for a policy
@@ -73,13 +69,13 @@ func newControlState(policy *control.Policy, hook []control.Controller, fl *core
 	if len(cs) == 0 {
 		return nil, nil
 	}
-	return &controlState{plane: control.NewPlane(cs...), backoff: 1}, nil
+	return &controlState{plane: control.NewPlane(cs...)}, nil
 }
 
 // apply carries one decision to the router and rolls up the effective
 // value the router reports back. It reports false, and counts nothing,
 // for a decision that changes nothing: a threshold equal to the
-// current one, a backoff scale that is not positive, an unknown knob.
+// current one, an unknown knob.
 func (c *controlState) apply(d control.Decision, fl *core.Flash) (float64, bool) {
 	eff := d.Value
 	switch d.Knob {
@@ -93,11 +89,6 @@ func (c *controlState) apply(d control.Decision, fl *core.Flash) (float64, bool)
 		fl.SetSenderThreshold(d.Sender, d.Value)
 	case control.KnobProbeWidth:
 		eff = float64(fl.SetProbeWorkers(int(d.Value)))
-	case control.KnobRetryBackoff:
-		if !(d.Value > 0) {
-			return 0, false
-		}
-		c.backoff = d.Value
 	default:
 		return 0, false
 	}
@@ -105,15 +96,6 @@ func (c *controlState) apply(d control.Decision, fl *core.Flash) (float64, bool)
 	st := &c.status[d.Knob]
 	st.Knob, st.Decisions, st.Last = d.Knob.String(), st.Decisions+1, eff
 	return eff, true
-}
-
-// backoffScale is the retry backoff multiplier: 1 without a control
-// plane.
-func (c *controlState) backoffScale() float64 {
-	if c == nil {
-		return 1
-	}
-	return c.backoff
 }
 
 // arrival feeds one first-attempt arrival to the plane's estimators.

@@ -328,7 +328,7 @@ func (c *tickController) Observe(w control.Metrics) []control.Decision {
 }
 
 // TestScriptedControlAppliesEveryKnob drives the general control path
-// with a scripted controller touching all four knobs, and checks the
+// with a scripted controller touching all three knobs, and checks the
 // full application chain: router state, result rollups, event log, and
 // telemetry counters.
 func TestScriptedControlAppliesEveryKnob(t *testing.T) {
@@ -342,8 +342,7 @@ func TestScriptedControlAppliesEveryKnob(t *testing.T) {
 		{Knob: control.KnobThreshold, Value: 42},
 		{Knob: control.KnobSenderThreshold, Sender: 0, Value: 5},
 		{Knob: control.KnobProbeWidth, Value: 3},
-		{Knob: control.KnobRetryBackoff, Value: 2},
-		{Knob: control.KnobRetryBackoff, Value: -1}, // invalid: must be skipped
+		{Knob: control.Knob(control.NumKnobs), Value: 2}, // unknown: must be skipped
 	}}
 	reg := telemetry.NewRegistry()
 	RegisterRouterMetrics(reg, SchemeFlash, fl)
@@ -362,9 +361,6 @@ func TestScriptedControlAppliesEveryKnob(t *testing.T) {
 	if got := fl.Threshold(); got != 42 {
 		t.Errorf("global threshold = %g, want 42", got)
 	}
-	if v, ok := fl.SenderThreshold(0); !ok || v != 5 {
-		t.Errorf("sender 0 threshold = %g, %v, want 5, true", v, ok)
-	}
 	if got := fl.ThresholdFor(0); got != 5 {
 		t.Errorf("ThresholdFor(0) = %g, want the per-sender 5", got)
 	}
@@ -379,18 +375,18 @@ func TestScriptedControlAppliesEveryKnob(t *testing.T) {
 		t.Errorf("router stats %+v, want 1 sender update, 1 width update, 1 tracked sender", st)
 	}
 
-	// Result rollups: 4 applied decisions (the invalid backoff skipped),
+	// Result rollups: 3 applied decisions (the unknown knob skipped),
 	// one per knob.
 	if !res.ControlOn {
 		t.Fatal("ControlOn false on a hook-driven run")
 	}
-	if res.ControlDecisions != 4 {
-		t.Errorf("ControlDecisions = %d, want 4", res.ControlDecisions)
+	if res.ControlDecisions != 3 {
+		t.Errorf("ControlDecisions = %d, want 3", res.ControlDecisions)
 	}
 	if res.ThresholdUpdates != 1 {
 		t.Errorf("ThresholdUpdates = %d, want 1", res.ThresholdUpdates)
 	}
-	want := map[string]float64{"threshold": 42, "sender-threshold": 5, "probe-width": 3, "retry-backoff": 2}
+	want := map[string]float64{"threshold": 42, "sender-threshold": 5, "probe-width": 3}
 	if len(res.Controllers) != len(want) {
 		t.Fatalf("per-knob rollup %+v, want %d knobs", res.Controllers, len(want))
 	}
@@ -401,9 +397,9 @@ func TestScriptedControlAppliesEveryKnob(t *testing.T) {
 		}
 	}
 	// Event log: one bare tick per cadence window (2s over a 10s
-	// horizon: ticks at 2,4,6,8) plus the 4 decision events.
-	if got := res.EventCounts[event.ControlUpdate]; got != 4+4 {
-		t.Errorf("ControlUpdate events = %d, want 8 (4 bare ticks + 4 decisions)", got)
+	// horizon: ticks at 2,4,6,8) plus the 3 decision events.
+	if got := res.EventCounts[event.ControlUpdate]; got != 4+3 {
+		t.Errorf("ControlUpdate events = %d, want 7 (4 bare ticks + 3 decisions)", got)
 	}
 
 	// Telemetry: per-knob decision counters and last-value gauges.

@@ -49,11 +49,11 @@ type DynamicOptions struct {
 	//
 	// Service > 0 enables hold spans: a payment splits into a
 	// hold-phase event at dispatch (the router probes, holds and
-	// *decides* to commit, but the session suspends on the route.Yielder
-	// seam) and a commit-phase event one exponential service time
-	// later, when the suspended session resumes — committing, or
-	// aborting HTLC-timeout style if churn closed a held channel
-	// mid-span. Between the two events the payment's funds stay locked
+	// *decides* to commit, but the session suspends on pcn.Tx's
+	// DeferCommit seam) and a commit-phase event one exponential
+	// service time later, when the suspended session resumes —
+	// committing, or aborting HTLC-timeout style if churn closed a held
+	// channel mid-span. Between the two events the payment's funds stay locked
 	// on the network, so later arrivals probe the depleted residuals:
 	// with Workers ≤ 1 this models contention *deterministically*,
 	// which is why the single station never queues arrivals in this
@@ -95,13 +95,13 @@ type DynamicOptions struct {
 	// Deadline of its holds being locked expires instead — the engine
 	// schedules a DeadlineExpiry event at the deadline instant (in
 	// place of the attempt's PaymentComplete, so every attempt still
-	// settles exactly once), tears the holds down via the route.Expirer
-	// seam, and counts the attempt as failed
-	// (DynamicResult.DeadlineExpiries). 0 — the default — disables
-	// expiry and leaves the engine byte-identical to the historical
-	// behaviour. Only meaningful with Service > 0 (without spans no
-	// funds ever stay locked), so RunDynamic rejects a Deadline without
-	// spans, as it does a negative or NaN one.
+	// settles exactly once), tears the holds down with pcn.Tx.Expire,
+	// and counts the attempt as failed (DynamicResult.DeadlineExpiries).
+	// 0 — the default — disables expiry and leaves the engine
+	// byte-identical to the historical behaviour. Only meaningful with
+	// Service > 0 (without spans no funds ever stay locked), so
+	// RunDynamic rejects a Deadline without spans, as it does a
+	// negative or NaN one.
 	Deadline float64
 
 	// GriefFrac marks this fraction of payments as griefers: their
@@ -294,7 +294,8 @@ func (o DynamicOptions) validate() error {
 // validate checks a scenario before anything is built from it: a
 // positive, finite duration and arrival rate, churn and rebalance
 // rates that are non-negative and finite (an infinite rate would draw
-// zero gaps forever), and valid engine options.
+// zero gaps forever), the checks shared with the static cell
+// (checkCell), and valid engine options.
 func (sc DynamicScenario) validate() error {
 	for _, f := range [...]struct {
 		name string
@@ -311,6 +312,9 @@ func (sc DynamicScenario) validate() error {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
 			return fmt.Errorf("sim: dynamic scenario %s must be non-negative and finite, got %v", f.name, f.v)
 		}
+	}
+	if err := checkCell(sc.ScaleFactor, sc.MiceFraction, sc.Retries); err != nil {
+		return err
 	}
 	return sc.DynamicOptions.validate()
 }

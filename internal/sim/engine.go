@@ -422,7 +422,7 @@ func (e *engine) complete(dp *dynPayment, at float64) {
 // backoff: 50ms · 2^attempt, scaled by [0.5, 1.5) — long enough for the
 // racing holds of the same instant to have settled.
 func (e *engine) retry(dp *dynPayment, now float64) {
-	backoff := 0.05 * e.ctl.backoffScale() * float64(uint(1)<<uint(dp.attempt)) * (0.5 + e.schedRNG.Float64())
+	backoff := 0.05 * float64(uint(1)<<uint(dp.attempt)) * (0.5 + e.schedRNG.Float64())
 	id := int64(dp.p.ID)
 	e.queue.Schedule(event.Event{Time: now + backoff, Kind: event.PaymentArrival, ID: id, Attempt: dp.attempt + 1})
 	if e.opts.audit != nil {

@@ -142,8 +142,9 @@ func TestRetriesMatchGolden(t *testing.T) {
 	}
 }
 
-// TestReplayEmpty checks the empty workload: Replay and a zero-payment
-// scenario both return zero metrics.
+// TestReplayEmpty checks the empty workload: Replay returns zero
+// metrics, and a zero-payment scenario, which has no success ratio to
+// report, is an error.
 func TestReplayEmpty(t *testing.T) {
 	net, r, _, threshold := goldenCell(t, KindRipple, 0)
 	m, err := Replay(net, r, nil, threshold, 2, nil)
@@ -153,14 +154,8 @@ func TestReplayEmpty(t *testing.T) {
 	sc := DefaultScenario(KindRipple, 40)
 	sc.Txns = 0
 	sc.Runs = 1
-	results, err := RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range results {
-		if res.Runs[0] != (Metrics{}) {
-			t.Errorf("%s: Txns=0 gave %+v, want zero metrics", res.Scheme, res.Runs[0])
-		}
+	if _, err := RunScenario(sc); err == nil {
+		t.Error("RunScenario accepted a cell with no payments")
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/baseline"
@@ -268,20 +269,14 @@ func (r SchemeResult) Mean(f func(Metrics) float64) float64 {
 	return sum / float64(len(r.Runs))
 }
 
-// Summary applies f to every run and returns min/mean/max.
-func (r SchemeResult) Summary(f func(Metrics) float64) stats.Summary {
-	var s stats.Summary
-	for _, m := range r.Runs {
-		s.Add(f(m))
-	}
-	return s
-}
-
 // RunScenario executes a scenario: Runs independent repetitions, each
 // with a fresh topology, balance assignment and workload (all seeded),
 // replaying the identical payment sequence once per scheme from
 // identical starting balances: one network, restored between schemes.
 func RunScenario(sc Scenario) ([]SchemeResult, error) {
+	if err := sc.validate(); err != nil {
+		return nil, err
+	}
 	if sc.Runs < 1 {
 		sc.Runs = 1
 	}
@@ -311,6 +306,39 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) {
 		}
 	}
 	return results, nil
+}
+
+// validate rejects a static cell that could only run as something
+// other than what it says: the checks shared with DynamicScenario, no
+// payments, a negative run count, or testbed capacities that are not
+// both zero (the default range) or a finite range with 0 ≤ lo < hi.
+func (sc Scenario) validate() error {
+	lo, hi := sc.TestbedCapLo, sc.TestbedCapHi
+	switch {
+	case sc.Txns < 1:
+		return fmt.Errorf("sim: a static cell needs at least one payment, got %d", sc.Txns)
+	case sc.Runs < 0:
+		return fmt.Errorf("sim: runs must be non-negative, got %d", sc.Runs)
+	case (lo != 0 || hi != 0) && !(0 <= lo && lo < hi && !math.IsInf(hi, 1)):
+		return fmt.Errorf("sim: testbed capacity range [%v, %v) must be finite with 0 ≤ low < high", lo, hi)
+	}
+	return checkCell(sc.ScaleFactor, sc.MiceFraction, sc.Retries)
+}
+
+// checkCell rejects the settings a static cell and a dynamic scenario
+// share: a capacity scale factor that is negative or not finite, a mice
+// fraction outside [0, 1] (0 stands for the paper's 0.9) and a negative
+// retry count.
+func checkCell(scale, mice float64, retries int) error {
+	switch {
+	case !(scale >= 0) || math.IsInf(scale, 1):
+		return fmt.Errorf("sim: capacity scale factor must be non-negative and finite, got %v", scale)
+	case !(mice >= 0 && mice <= 1):
+		return fmt.Errorf("sim: mice fraction must lie in [0, 1], got %v", mice)
+	case retries < 0:
+		return fmt.Errorf("sim: retries must be non-negative, got %d", retries)
+	}
+	return nil
 }
 
 // buildCell builds one repetition's network, payment workload and

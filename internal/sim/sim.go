@@ -199,7 +199,7 @@ func (o *routeOutcome) add(a routeOutcome) {
 // the engine's inline call allocates nothing of its own.
 //
 // With deferCommit the commit is deferred across the hold-span seam
-// (route.Yielder): the router runs to its commit/abort decision as
+// (pcn.Tx.DeferCommit): the router runs to its commit/abort decision as
 // usual, but a committed payment's funds stay locked — the suspended
 // session is returned in the result's tx for the caller to settle
 // later via Resume (one virtual service time later, in the dynamic

@@ -143,10 +143,6 @@ func TestSchemeResultAggregation(t *testing.T) {
 	if got := r.Mean(Metrics.SuccessRatio); got != 0.5 {
 		t.Errorf("mean ratio = %v", got)
 	}
-	s := r.Summary(Metrics.SuccessRatio)
-	if s.Min != 0.4 || s.Max != 0.6 {
-		t.Errorf("summary = %+v", s)
-	}
 	var empty SchemeResult
 	if empty.Mean(Metrics.SuccessRatio) != 0 {
 		t.Error("empty mean should be 0")

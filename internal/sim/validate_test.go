@@ -189,3 +189,85 @@ func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 		})
 	}
 }
+
+// TestCellRejectsNonsense pins the checks a static cell and a dynamic
+// scenario share (checkCell) and the static cell's own: every row used
+// to run as something other than what it said — unscaled for a NaN or
+// negative scale, all mice for a NaN or 200% mice fraction, once for
+// negative runs, without retries for negative retries, and on the
+// default, negative or NaN testbed capacities for a reversed or
+// non-finite range.
+func TestCellRejectsNonsense(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	static := []struct {
+		name string
+		mut  func(*Scenario)
+		want string
+	}{
+		{"NaN scale", func(sc *Scenario) { sc.ScaleFactor = nan }, "scale factor must be non-negative and finite"},
+		{"negative scale", func(sc *Scenario) { sc.ScaleFactor = -3 }, "scale factor must be non-negative and finite"},
+		{"infinite scale", func(sc *Scenario) { sc.ScaleFactor = inf }, "scale factor must be non-negative and finite"},
+		{"NaN mice", func(sc *Scenario) { sc.MiceFraction = nan }, "mice fraction must lie in [0, 1]"},
+		{"mice above one", func(sc *Scenario) { sc.MiceFraction = 2 }, "mice fraction must lie in [0, 1]"},
+		{"negative mice", func(sc *Scenario) { sc.MiceFraction = -0.1 }, "mice fraction must lie in [0, 1]"},
+		{"negative txns", func(sc *Scenario) { sc.Txns = -5 }, "needs at least one payment"},
+		{"negative runs", func(sc *Scenario) { sc.Runs = -2 }, "runs must be non-negative"},
+		{"negative retries", func(sc *Scenario) { sc.Retries = -1 }, "retries must be non-negative"},
+		{"reversed caps", func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = 2000, 1000 }, "testbed capacity range"},
+		{"negative cap", func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = -5, 10 }, "testbed capacity range"},
+		{"NaN cap", func(sc *Scenario) { sc.TestbedCapLo = nan }, "testbed capacity range"},
+		{"infinite cap", func(sc *Scenario) { sc.TestbedCapHi = inf }, "testbed capacity range"},
+	}
+	for _, tc := range static {
+		t.Run("static/"+tc.name, func(t *testing.T) {
+			sc := DefaultScenario(KindTestbed, 20)
+			sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}
+			sc.TestbedCapLo, sc.TestbedCapHi = 1000, 1500
+			tc.mut(&sc)
+			if _, err := RunScenario(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	dynamic := []struct {
+		name string
+		mut  func(*DynamicScenario)
+		want string
+	}{
+		{"NaN scale", func(sc *DynamicScenario) { sc.ScaleFactor = nan }, "scale factor must be non-negative and finite"},
+		{"NaN mice", func(sc *DynamicScenario) { sc.MiceFraction = nan }, "mice fraction must lie in [0, 1]"},
+		{"negative retries", func(sc *DynamicScenario) { sc.Retries = -3 }, "retries must be non-negative"},
+	}
+	for _, tc := range dynamic {
+		t.Run("dynamic/"+tc.name, func(t *testing.T) {
+			sc, err := NamedDynamicScenario("steady", KindRipple, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
+			tc.mut(&sc)
+			if _, err := RunDynamicScenario(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestCellAcceptsEdges: the bounds are inclusive where the figures need
+// them — Figure 10's 1e-9 mice fraction, all mice, no scaling, and the
+// zero testbed range that selects the default.
+func TestCellAcceptsEdges(t *testing.T) {
+	for _, mut := range []func(*Scenario){
+		func(sc *Scenario) { sc.MiceFraction = 1e-9 },
+		func(sc *Scenario) { sc.MiceFraction = 1 },
+		func(sc *Scenario) { sc.ScaleFactor = 0 },
+		func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = 0, 0 },
+	} {
+		sc := DefaultScenario(KindTestbed, 20)
+		sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}
+		mut(&sc)
+		if _, err := RunScenario(sc); err != nil {
+			t.Errorf("rejected %+v: %v", sc, err)
+		}
+	}
+}

@@ -96,33 +96,3 @@ func TestQuantileStdErr(t *testing.T) {
 		t.Errorf("StdErr did not shrink with n: %g at 1k vs %g at 10k", seAt1k, se)
 	}
 }
-
-func TestQuantileConfidenceInterval(t *testing.T) {
-	e := NewQuantileEstimator(0.5)
-	e.Add(1)
-	e.Add(2)
-	// Degenerate estimator: the interval must span the observed range
-	// rather than invent precision.
-	lo, hi := e.ConfidenceInterval(1.96)
-	if lo != 1 || hi != 2 {
-		t.Fatalf("degenerate interval [%g, %g], want the observed [1, 2]", lo, hi)
-	}
-
-	rng := NewRNG(4, 0x5F)
-	for i := 0; i < 5000; i++ {
-		e.Add(rng.Float64() * 100)
-	}
-	q := e.Quantile()
-	lo, hi = e.ConfidenceInterval(1.96)
-	if !(lo < q && q < hi) {
-		t.Fatalf("interval [%g, %g] does not bracket the estimate %g", lo, hi, q)
-	}
-	if hi-lo > 20 {
-		t.Errorf("interval [%g, %g] implausibly wide for a 5k uniform stream", lo, hi)
-	}
-	// Wider z ⇒ wider interval.
-	lo3, hi3 := e.ConfidenceInterval(3)
-	if lo3 > lo || hi3 < hi {
-		t.Errorf("z=3 interval [%g, %g] not containing z=1.96 [%g, %g]", lo3, hi3, lo, hi)
-	}
-}

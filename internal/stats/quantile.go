@@ -186,32 +186,3 @@ func (e *QuantileEstimator) StdErr() float64 {
 	density := frac / spread
 	return math.Sqrt(e.p*(1-e.p)/float64(e.count)) / density
 }
-
-// ConfidenceInterval returns the symmetric z-score interval
-// Quantile() ± z·StdErr() clamped to the observed stream range (the
-// extreme P² markers) — the confidence gate the smoothed-threshold
-// control policy swaps against. With fewer than five observations the
-// interval is the whole observed range.
-func (e *QuantileEstimator) ConfidenceInterval(z float64) (lo, hi float64) {
-	q := e.Quantile()
-	se := e.StdErr()
-	if math.IsInf(se, 1) {
-		if e.count == 0 {
-			return 0, 0
-		}
-		if e.count < 5 {
-			// Markers not placed yet: q[:count] holds the sorted
-			// observations, the rest of the array is unset.
-			return e.q[0], e.q[e.count-1]
-		}
-		return e.q[0], e.q[4]
-	}
-	lo, hi = q-z*se, q+z*se
-	if lo < e.q[0] {
-		lo = e.q[0]
-	}
-	if hi > e.q[4] {
-		hi = e.q[4]
-	}
-	return lo, hi
-}

@@ -145,3 +145,62 @@ func FuzzReadRippleEdgeList(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadEdgeList throws arbitrary text at the flash-topology reader.
+// It must never panic or exhaust memory; on success the graph must hold
+// together (no self-loop, every channel in both endpoints' adjacency,
+// degrees summing to twice the channels) and survive a
+// WriteEdgeList → ReadEdgeList round trip with its node count and
+// channel order intact.
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add("# flash-topology nodes=3 channels=2\n0 1\n1 2\n")
+	f.Add("0 1\n1 2\n2 0\n")
+	f.Add("# flash-topology nodes=10\n")      // isolated nodes only
+	f.Add("0 1\n1 0\n")                       // duplicate channel
+	f.Add("0 0\n")                            // self-loop
+	f.Add("0 1 trailing garbage\n")           // too many fields
+	f.Add("# flash-topology nodes=-5\n0 1\n") // negative header
+	f.Add("# flash-topology nodes=1000000000000\n0 1\n")
+	f.Add("0 2000000000\n")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, data string) {
+		g, err := ReadEdgeList(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		if g.NumNodes() > MaxEdgeListNodes {
+			t.Fatalf("%d nodes accepted, over the %d bound", g.NumNodes(), MaxEdgeListNodes)
+		}
+		degSum := 0
+		for u := 0; u < g.NumNodes(); u++ {
+			degSum += g.Degree(NodeID(u))
+		}
+		if degSum != 2*g.NumChannels() {
+			t.Fatalf("degrees sum to %d for %d channels", degSum, g.NumChannels())
+		}
+		for _, e := range g.Channels() {
+			if e.A == e.B || !g.HasChannel(e.A, e.B) || !g.HasChannel(e.B, e.A) {
+				t.Fatalf("channel %v is a self-loop or missing from adjacency", e)
+			}
+		}
+
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatalf("writing accepted graph: %v", err)
+		}
+		again, err := ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("re-reading written graph: %v", err)
+		}
+		if again.NumNodes() != g.NumNodes() || again.NumChannels() != g.NumChannels() {
+			t.Fatalf("round trip changed shape: %d/%d nodes, %d/%d channels",
+				g.NumNodes(), again.NumNodes(), g.NumChannels(), again.NumChannels())
+		}
+		for i, e := range g.Channels() {
+			if again.Channel(i) != e {
+				t.Fatalf("round trip changed channel %d: %v -> %v", i, e, again.Channel(i))
+			}
+		}
+	})
+}

@@ -350,56 +350,6 @@ func (g *Graph) ComponentOf(start NodeID) []NodeID {
 	return comp
 }
 
-// Connected reports whether every node is reachable from node 0 (true
-// for the empty and single-node graphs).
-func (g *Graph) Connected() bool {
-	if g.NumNodes() <= 1 {
-		return true
-	}
-	return len(g.ComponentOf(0)) == g.NumNodes()
-}
-
-// LargestComponent returns the node set of the largest connected
-// component.
-func (g *Graph) LargestComponent() []NodeID {
-	seen := make([]bool, g.NumNodes())
-	var best []NodeID
-	for u := 0; u < g.NumNodes(); u++ {
-		if seen[u] {
-			continue
-		}
-		comp := g.ComponentOf(NodeID(u))
-		for _, v := range comp {
-			seen[v] = true
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	return best
-}
-
-// Subgraph returns the induced subgraph on keep, with nodes renumbered
-// densely in the order given, plus the mapping old→new (-1 if dropped).
-func (g *Graph) Subgraph(keep []NodeID) (*Graph, []NodeID) {
-	remap := make([]NodeID, g.NumNodes())
-	for i := range remap {
-		remap[i] = -1
-	}
-	for newID, old := range keep {
-		remap[old] = NodeID(newID)
-	}
-	sub := New(len(keep))
-	for _, e := range g.edges {
-		a, b := remap[e.A], remap[e.B]
-		if a >= 0 && b >= 0 {
-			sub.MustAddChannel(a, b)
-		}
-	}
-	sub.Compact()
-	return sub, remap
-}
-
 // AvgDegree returns the mean node degree (2·channels / nodes).
 func (g *Graph) AvgDegree() float64 {
 	if g.NumNodes() == 0 {

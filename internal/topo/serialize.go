@@ -4,8 +4,15 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
+
+// MaxEdgeListNodes bounds the node count ReadEdgeList accepts, whether a
+// header declares it or a node ID implies it. The graph allocates per
+// node, so without the bound a one-line file could demand more memory
+// than the machine has. The largest workload has 10,000 nodes.
+const MaxEdgeListNodes = 1 << 20
 
 // WriteEdgeList serialises g in a simple text format:
 //
@@ -46,24 +53,27 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			if n, ok := parseHeaderNodes(line); ok {
+				if n < 0 || n > MaxEdgeListNodes {
+					return nil, fmt.Errorf("topo: line %d: header declares %d nodes, want 0..%d", lineNo, n, MaxEdgeListNodes)
+				}
 				declared = n
 			}
 			continue
 		}
-		var a, b NodeID
-		if _, err := fmt.Sscanf(line, "%d %d", &a, &b); err != nil {
-			return nil, fmt.Errorf("topo: line %d: %q: %w", lineNo, line, err)
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("topo: line %d: %q: want two node ids", lineNo, line)
 		}
-		if a < 0 || b < 0 {
-			return nil, fmt.Errorf("topo: line %d: negative node id", lineNo)
+		var pair [2]NodeID
+		for i, f := range fields {
+			id, err := strconv.Atoi(f)
+			if err != nil || id < 0 || id >= MaxEdgeListNodes {
+				return nil, fmt.Errorf("topo: line %d: node id %q is not in [0, %d)", lineNo, f, MaxEdgeListNodes)
+			}
+			pair[i] = NodeID(id)
+			maxID = max(maxID, pair[i])
 		}
-		if a > maxID {
-			maxID = a
-		}
-		if b > maxID {
-			maxID = b
-		}
-		pairs = append(pairs, [2]NodeID{a, b})
+		pairs = append(pairs, pair)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

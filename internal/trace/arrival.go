@@ -12,8 +12,6 @@ import (
 // stream. Implementations are pure functions of the supplied RNG, so a
 // seeded process replays identically.
 type ArrivalProcess interface {
-	// Name identifies the process in tables and logs.
-	Name() string
 	// NextAfter draws the next arrival time strictly after now
 	// (virtual seconds).
 	NextAfter(rng *rand.Rand, now float64) float64
@@ -33,9 +31,6 @@ type ArrivalProcess interface {
 type Poisson struct {
 	Rate float64
 }
-
-// Name implements ArrivalProcess.
-func (p Poisson) Name() string { return fmt.Sprintf("poisson(%g/s)", p.Rate) }
 
 // NextAfter implements ArrivalProcess.
 func (p Poisson) NextAfter(rng *rand.Rand, now float64) float64 {
@@ -65,11 +60,6 @@ type FlashCrowd struct {
 	Peak     float64 // rate multiplier during the surge (≥ 1)
 	Start    float64 // surge start, virtual seconds
 	Duration float64 // surge length, virtual seconds
-}
-
-// Name implements ArrivalProcess.
-func (f FlashCrowd) Name() string {
-	return fmt.Sprintf("flash-crowd(%g/s x%g @%g+%gs)", f.BaseRate, f.Peak, f.Start, f.Duration)
 }
 
 // rate is the instantaneous arrival rate at time t.
@@ -112,11 +102,6 @@ type Diurnal struct {
 	MeanRate float64 // average payments per second
 	Swing    float64 // relative amplitude in [0, 1)
 	Period   float64 // seconds per cycle
-}
-
-// Name implements ArrivalProcess.
-func (d Diurnal) Name() string {
-	return fmt.Sprintf("diurnal(%g/s ±%.0f%% per %gs)", d.MeanRate, 100*d.Swing, d.Period)
 }
 
 // rate is the instantaneous arrival rate at time t.

@@ -31,9 +31,6 @@ func TestPoissonRate(t *testing.T) {
 	if math.Abs(rate-5) > 0.25 {
 		t.Errorf("empirical rate = %v, want ≈5", rate)
 	}
-	if arr.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestFlashCrowdSurges(t *testing.T) {
