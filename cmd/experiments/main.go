@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		figs     = fs.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
 		full     = fs.Bool("full", false, "paper-scale parameters (slower)")
 		seed     = fs.Int64("seed", 1, "base random seed")
-		probeW   = fs.Int("probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)")
+		probeW   = fs.Int("probeworkers", 1, "Flash probe width: speculative elephant candidates probed per round, each round charged its slowest probe in virtual time (1 = sequential Algorithm 1)")
 		ctrl     = fs.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
 		topology = fs.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
 		telAddr  = fs.String("telemetry", "", "serve runtime /metrics and pprof on this address while figures run")

@@ -108,7 +108,7 @@ var flagFields = []flagField{
 		func(s *spec) []any { return []any{&s.dyn.Workers} }},
 	{"retries", 0, "re-route failed payments up to N extra times with jittered virtual backoff",
 		func(s *spec) []any { return []any{&s.static.Retries, &s.dyn.Retries} }},
-	{"probeworkers", 1, "Flash per-session probe pool: probe N speculative elephant candidate paths concurrently (1 = sequential Algorithm 1)",
+	{"probeworkers", 1, "Flash probe width: speculative elephant candidates probed per round, each round charged its slowest probe in virtual time (1 = sequential Algorithm 1)",
 		func(s *spec) []any { return []any{&s.static.Router.ProbeWorkers, &s.dyn.Router.ProbeWorkers} }},
 	{"tablecap", 0, "bound each sender's mice routing table to N receiver entries, LRU-evicted (0 = unbounded)",
 		func(s *spec) []any { return []any{&s.static.Router.TableCap, &s.dyn.Router.TableCap} }},

@@ -49,6 +49,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := trace.DefaultConfig(*nodes)
 	cfg.Seed = *seed
+	if *recurrence {
+		// Figure 4 is one workload (fig4's), whose per-sender density the
+		// recurrence statistic depends on: its node count is not a knob.
+		nodesSet := false
+		fs.Visit(func(f *flag.Flag) { nodesSet = nodesSet || f.Name == "nodes" })
+		if nodesSet {
+			fmt.Fprintln(stderr, "tracegen: -nodes cannot be combined with -recurrence (Figure 4 fixes its workload)")
+			return 2
+		}
+		cfg = trace.RecurrenceConfig(*seed)
+	}
 	switch *sizes {
 	case "ripple":
 		cfg.Sizes = trace.RippleSizes

@@ -20,11 +20,12 @@ var goldenCases = []struct {
 }{
 	{"ripple-default", []string{"-n", "2000"}},
 	{"bitcoin-cdf", []string{"-sizes", "bitcoin", "-cdf", "5"}},
-	{"recurrence", []string{"-recurrence", "-days", "3"}},
+	{"recurrence", []string{"-recurrence", "-days", "30"}},
 	{"exit-unknown-sizes", []string{"-sizes", "lightning"}},
 	{"exit-negative-n", []string{"-n", "-5"}},
 	{"exit-zero-n", []string{"-n", "0"}},
 	{"exit-zero-days", []string{"-recurrence", "-days", "0"}},
+	{"exit-recurrence-nodes", []string{"-recurrence", "-nodes", "1000"}},
 	{"exit-negative-cdf", []string{"-cdf", "-1"}},
 	{"exit-bad-flag", []string{"-bogus"}},
 }

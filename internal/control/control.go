@@ -38,6 +38,9 @@
 //
 // RawThreshold is the plain per-window recalibration the engine first
 // ran inline: the same estimator and gate, with no smoothing.
+//
+// Policy is the only input: it selects controllers and the quantile
+// they track. Every other tuning value is a documented constant.
 package control
 
 import (
@@ -81,30 +84,17 @@ func (k Knob) String() string {
 }
 
 // Metrics is one control window's observations, assembled by the
-// engine and handed to every controller's Observe. All fields are
-// plain aggregates over events applied inside [Start, End); nothing
-// here depends on goroutine scheduling.
+// engine and handed to every controller's Observe: the counts cover
+// the payments that completed since the previous observe pass,
+// classified elephant against the threshold in effect for their sender
+// at completion. They are the probe-width policy's signals; the
+// threshold policies read only Threshold. Nothing here depends on
+// goroutine scheduling.
 type Metrics struct {
-	Index      int     // window ordinal, 0-based
-	Start, End float64 // window bounds in virtual seconds
-
-	// Arrival-side stream statistics (first attempts only — retries
-	// re-enter with the same amount and would double-count).
-	Arrivals int // first-attempt payment arrivals
-
-	// Completion-side outcomes, classified against the threshold in
-	// effect when each payment completed.
-	Payments          int // payments that completed (any outcome)
-	Successes         int // payments fully delivered
 	Elephants         int // completed payments classified elephant
 	ElephantSuccesses int // elephants fully delivered
-	Mice              int // completed payments classified mice
-	MiceSuccesses     int // mice fully delivered
-
-	// Probe-economy signals for the probe-width policy.
 	ElephantProbeOps  int // probe operations spent by completed elephants
 	ElephantPathsUsed int // paths actually carrying flow in delivered elephant plans
-	ProbeMessages     int // probe messages sent by all completed payments
 
 	// Live knob values at observation time, so controllers can reason
 	// relative to the current setting without holding private copies.

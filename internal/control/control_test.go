@@ -72,7 +72,7 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 	}
 
 	// Observe concatenates in plane order.
-	ds := p.Observe(Metrics{Index: 3})
+	ds := p.Observe(Metrics{Elephants: 3})
 	want := []Decision{
 		{Knob: KnobThreshold, Value: 1},
 		{Knob: KnobProbeWidth, Value: 2},
@@ -86,8 +86,8 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 			t.Errorf("decision[%d] = %+v, want %+v", i, ds[i], want[i])
 		}
 	}
-	if len(a.observed) != 1 || a.observed[0].Index != 3 {
-		t.Errorf("controller a saw %+v, want one window with Index 3", a.observed)
+	if len(a.observed) != 1 || a.observed[0].Elephants != 3 {
+		t.Errorf("controller a saw %+v, want one window with Elephants 3", a.observed)
 	}
 
 	var empty *Plane
@@ -102,7 +102,7 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 func TestRawThresholdMatchesInlineRecalibration(t *testing.T) {
 	// The raw policy must replicate PR 5's inline logic exactly:
 	// identical estimator stream in, identical swap decisions out.
-	c := NewRawThreshold(0.9, 20)
+	c := NewRawThreshold(0.9)
 	ref := stats.NewQuantileEstimator(0.9)
 	rng := stats.NewRNG(1, 0xC0)
 	thr := 100.0
@@ -117,7 +117,7 @@ func TestRawThresholdMatchesInlineRecalibration(t *testing.T) {
 
 		// Reference: the engine's former inline body.
 		var want []Decision
-		if ref.Count() >= 20 {
+		if ref.Count() >= minSamples {
 			q := ref.Quantile()
 			ref.Reset()
 			if q != thr {
@@ -137,7 +137,7 @@ func TestRawThresholdMatchesInlineRecalibration(t *testing.T) {
 }
 
 func TestRawThresholdNoSwapWhenEqual(t *testing.T) {
-	c := NewRawThreshold(0.5, 1)
+	c := NewRawThreshold(0.5)
 	for i := 0; i < 30; i++ {
 		c.ObserveArrival(0, 10)
 	}
@@ -157,29 +157,40 @@ func TestSmoothedThresholdGates(t *testing.T) {
 	}
 
 	t.Run("min samples hold", func(t *testing.T) {
-		c := NewSmoothedThreshold(SmoothedThresholdConfig{MinSamples: 50})
-		feed(c, 100, 49)
+		c := NewSmoothedThreshold(0.9)
+		feed(c, 100, minSamples-1)
 		if ds := c.Observe(Metrics{Threshold: 1}); len(ds) != 0 {
 			t.Fatalf("under-gated window swapped: %+v", ds)
 		}
-		feed(c, 100, 50) // estimator was NOT reset by the held window
+		feed(c, 100, minSamples) // estimator was NOT reset by the held window
 		if ds := c.Observe(Metrics{Threshold: 1}); len(ds) != 1 {
 			t.Fatalf("well-fed window did not swap: %+v", ds)
 		}
 	})
 
 	t.Run("dead band hold", func(t *testing.T) {
-		c := NewSmoothedThreshold(SmoothedThresholdConfig{Band: 0.5, MinSamples: 10})
+		// A twin fed the same stream reports the smoothed estimate; a
+		// live threshold within band of it, but outside the confidence
+		// gate, must hold.
+		twin, c := NewSmoothedThreshold(0.9), NewSmoothedThreshold(0.9)
+		feed(twin, 100, 100)
 		feed(c, 100, 100)
-		// Smoothed estimate ≈ 100·(0.9..1.1 quantile) — within 50% of
-		// a live threshold of 100, so the band holds.
-		if ds := c.Observe(Metrics{Threshold: 100}); len(ds) != 0 {
+		se := twin.est.StdErr()
+		ds := twin.Observe(Metrics{Threshold: 1})
+		if len(ds) != 1 {
+			t.Fatalf("twin did not report its estimate: %+v", ds)
+		}
+		live := ds[0].Value * (1 + band/2)
+		if move := live - ds[0].Value; !(move > confidence*se) {
+			t.Fatalf("move %.4g inside the confidence gate %.4g: the band is not what holds", move, confidence*se)
+		}
+		if ds := c.Observe(Metrics{Threshold: live}); len(ds) != 0 {
 			t.Fatalf("move inside dead-band swapped: %+v", ds)
 		}
 	})
 
 	t.Run("confident move swaps", func(t *testing.T) {
-		c := NewSmoothedThreshold(SmoothedThresholdConfig{MinSamples: 10})
+		c := NewSmoothedThreshold(0.9)
 		feed(c, 100, 200)
 		ds := c.Observe(Metrics{Threshold: 10})
 		if len(ds) != 1 || ds[0].Knob != KnobThreshold {
@@ -191,7 +202,7 @@ func TestSmoothedThresholdGates(t *testing.T) {
 	})
 
 	t.Run("snap re-seeds on regime shift", func(t *testing.T) {
-		c := NewSmoothedThreshold(SmoothedThresholdConfig{Alpha: 0.5, Snap: 0.5, MinSamples: 10})
+		c := NewSmoothedThreshold(0.9)
 		feed(c, 100, 200)
 		ds := c.Observe(Metrics{Threshold: 1})
 		if len(ds) != 1 {
@@ -199,8 +210,8 @@ func TestSmoothedThresholdGates(t *testing.T) {
 		}
 		seeded := ds[0].Value
 
-		// 4x regime jump: without the snap reset, alpha=0.5 would land
-		// the EWMA half-way; with it, the new estimate is re-seeded.
+		// 4x regime jump, far past snap: without the reset, alpha would
+		// land the EWMA half-way; with it, the new estimate is re-seeded.
 		feed(c, 400, 200)
 		ds = c.Observe(Metrics{Threshold: seeded})
 		if len(ds) != 1 {
@@ -213,20 +224,29 @@ func TestSmoothedThresholdGates(t *testing.T) {
 }
 
 func TestPerSenderThreshold(t *testing.T) {
-	c := NewPerSenderThreshold(PerSenderThresholdConfig{MinSamples: 10, Band: 0.1, MaxSenders: 2})
+	c := NewPerSenderThreshold(0.9)
 	// Sender 5 streams ~1000-sized payments, sender 3 ~10-sized;
-	// sender 9 arrives beyond the cap and must be ignored.
+	// one-arrival filler senders take the rest of the cap, so sender 9
+	// arrives beyond it and must be ignored.
 	for i := 0; i < 50; i++ {
 		c.ObserveArrival(5, 1000*(0.95+0.005*float64(i%11)))
 		c.ObserveArrival(3, 10*(0.95+0.005*float64(i%11)))
+	}
+	for s := topo.NodeID(100); len(c.order) < maxSenders; s++ {
+		c.ObserveArrival(s, 1)
+	}
+	for i := 0; i < 50; i++ {
 		c.ObserveArrival(9, 500)
 	}
-	if got := c.Tracked(); got != 2 {
-		t.Fatalf("Tracked() = %d, want 2 (MaxSenders cap)", got)
+	if got := len(c.order); got != maxSenders {
+		t.Fatalf("tracking %d senders, want the %d cap", got, maxSenders)
+	}
+	if _, ok := c.senders[9]; ok {
+		t.Fatal("sender 9 tracked beyond the cap")
 	}
 	ds := c.Observe(Metrics{Threshold: 100})
 	if len(ds) != 2 {
-		t.Fatalf("got %d decisions, want 2: %+v", len(ds), ds)
+		t.Fatalf("got %d decisions, want 2 (fillers are under the gate): %+v", len(ds), ds)
 	}
 	// First-seen order: sender 5 observed before sender 3.
 	if ds[0].Sender != 5 || ds[1].Sender != 3 {
@@ -252,7 +272,7 @@ func TestPerSenderThreshold(t *testing.T) {
 
 func TestPerSenderThresholdDeterministicSequence(t *testing.T) {
 	run := func() []Decision {
-		c := NewPerSenderThreshold(PerSenderThresholdConfig{MinSamples: 5})
+		c := NewPerSenderThreshold(0.9)
 		rng := stats.NewRNG(7, 0xD1)
 		var all []Decision
 		for win := 0; win < 5; win++ {
@@ -279,7 +299,7 @@ func TestPerSenderThresholdDeterministicSequence(t *testing.T) {
 }
 
 func TestProbeWidth(t *testing.T) {
-	c := NewProbeWidth(ProbeWidthConfig{MinWidth: 1, MaxWidth: 8, MinElephants: 5})
+	c := NewProbeWidth()
 
 	base := Metrics{Elephants: 10, ElephantSuccesses: 10, ProbeWidth: 2}
 

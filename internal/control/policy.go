@@ -6,7 +6,7 @@ import (
 )
 
 // Policy is the declarative control-plane spec the engine and CLIs
-// consume: which policies run and with what parameters. The zero value
+// consume: which policies run and the quantile they track. The zero value
 // is the inert policy (no controllers, byte-identical to a run without
 // a control plane). Policy is a plain value — Controllers builds the
 // stateful controller set fresh per run, so one spec can parameterise
@@ -49,31 +49,33 @@ func (p Policy) Spec() string {
 
 // Controllers builds the policy's controller set, in the fixed plane
 // order: global threshold, per-sender thresholds, probe width. Every
-// controller takes its defaults. It errors on an unknown Threshold
-// selector and on a MiceFraction outside (0, 1).
+// threshold policy tracks the MiceFraction-quantile (0 resolves to 0.9
+// here, once); every other tuning value is a package constant. It
+// errors on an unknown Threshold selector and on a MiceFraction outside
+// (0, 1).
 func (p Policy) Controllers() ([]Controller, error) {
-	if p.MiceFraction != 0 && !(p.MiceFraction > 0 && p.MiceFraction < 1) {
+	frac := p.MiceFraction
+	if frac == 0 {
+		frac = 0.9
+	}
+	if !(frac > 0 && frac < 1) {
 		return nil, fmt.Errorf("control: mice fraction must lie in (0, 1), got %v", p.MiceFraction)
 	}
 	var cs []Controller
 	switch p.Threshold {
 	case "":
 	case "raw":
-		frac := p.MiceFraction
-		if frac == 0 {
-			frac = 0.9
-		}
-		cs = append(cs, NewRawThreshold(frac, 20))
+		cs = append(cs, NewRawThreshold(frac))
 	case "ewma":
-		cs = append(cs, NewSmoothedThreshold(SmoothedThresholdConfig{MiceFraction: p.MiceFraction}))
+		cs = append(cs, NewSmoothedThreshold(frac))
 	default:
 		return nil, fmt.Errorf("control: unknown threshold policy %q (want \"raw\" or \"ewma\")", p.Threshold)
 	}
 	if p.PerSender {
-		cs = append(cs, NewPerSenderThreshold(PerSenderThresholdConfig{MiceFraction: p.MiceFraction}))
+		cs = append(cs, NewPerSenderThreshold(frac))
 	}
 	if p.ProbeWidth {
-		cs = append(cs, NewProbeWidth(ProbeWidthConfig{}))
+		cs = append(cs, NewProbeWidth())
 	}
 	return cs, nil
 }
@@ -81,8 +83,9 @@ func (p Policy) Controllers() ([]Controller, error) {
 // ParsePolicy parses a comma-separated policy spec — the flashsim
 // -control flag syntax. Accepted items: "raw", "ewma" (global
 // threshold policies, mutually exclusive), "sender", "width". "off"
-// alone (or the empty string) is the inert policy. Every controller
-// keeps its defaults.
+// alone (or the empty string) is the inert policy. A spec selects
+// policies only: MiceFraction stays 0 (the 0.9 default) and every
+// other tuning value is a package constant.
 func ParsePolicy(spec string) (Policy, error) {
 	var p Policy
 	spec = strings.TrimSpace(spec)

@@ -1,27 +1,14 @@
 package control
 
-// ProbeWidthConfig parameterises NewProbeWidth. The zero value is
-// normalised to the defaults noted per field.
-type ProbeWidthConfig struct {
-	// MinWidth and MaxWidth clamp the controller's moves (defaults 1
-	// and 8). The router additionally clamps to [1, K].
-	MinWidth, MaxWidth int
-	// MinElephants gates observation (default 5): windows completing
-	// fewer elephants say nothing about the probe economy.
-	MinElephants int
-}
-
-func (c *ProbeWidthConfig) normalise() {
-	if c.MinWidth == 0 {
-		c.MinWidth = 1
-	}
-	if c.MaxWidth == 0 {
-		c.MaxWidth = 8
-	}
-	if c.MinElephants == 0 {
-		c.MinElephants = 5
-	}
-}
+// The probe-width policy's clamps and gate.
+const (
+	// minWidth and maxWidth clamp the controller's moves. The router
+	// additionally clamps to [1, K].
+	minWidth, maxWidth = 1, 8
+	// minElephants gates observation: windows completing fewer
+	// elephants say nothing about the probe economy.
+	minElephants = 5
+)
 
 // ProbeWidth adapts the speculative probe width of elephant
 // routing to the observed probe economy — the search-friction tradeoff
@@ -46,22 +33,17 @@ func (c *ProbeWidthConfig) normalise() {
 // oscillate between the signals on a steady workload. It is stateless
 // across windows: every decision is a pure function of the window's
 // metrics and the live width.
-type ProbeWidth struct {
-	cfg ProbeWidthConfig
-}
+type ProbeWidth struct{}
 
 // NewProbeWidth returns the adaptive probe-width policy.
-func NewProbeWidth(cfg ProbeWidthConfig) *ProbeWidth {
-	cfg.normalise()
-	return &ProbeWidth{cfg: cfg}
-}
+func NewProbeWidth() *ProbeWidth { return &ProbeWidth{} }
 
 // Name implements Controller.
 func (c *ProbeWidth) Name() string { return "probe-width" }
 
 // Observe implements Controller.
 func (c *ProbeWidth) Observe(w Metrics) []Decision {
-	if w.Elephants < c.cfg.MinElephants || w.ProbeWidth < 1 {
+	if w.Elephants < minElephants || w.ProbeWidth < 1 {
 		return nil
 	}
 	width := w.ProbeWidth
@@ -76,12 +58,7 @@ func (c *ProbeWidth) Observe(w Metrics) []Decision {
 			next = width / 2
 		}
 	}
-	if next < c.cfg.MinWidth {
-		next = c.cfg.MinWidth
-	}
-	if next > c.cfg.MaxWidth {
-		next = c.cfg.MaxWidth
-	}
+	next = min(max(next, minWidth), maxWidth)
 	if next == width {
 		return nil
 	}

@@ -7,42 +7,21 @@ import (
 	"repro/internal/topo"
 )
 
-// PerSenderThresholdConfig parameterises NewPerSenderThreshold. The
-// zero value is normalised to the defaults noted per field.
-type PerSenderThresholdConfig struct {
-	// MiceFraction is the tracked quantile per sender (default 0.9).
-	MiceFraction float64
-	// Band is the relative dead-band (default 0.1): a sender's
-	// estimate must move more than Band·current before its override
-	// swaps. Wider than the global policy's band because per-sender
-	// streams are thinner and noisier.
-	Band float64
-	// MinSamples is the per-sender observation gate (default 20): a
-	// sender's override only moves on windows where that sender alone
-	// contributed at least this many arrivals.
-	MinSamples int
-	// MaxSenders bounds the tracked sender set (default 4096):
-	// estimators are O(1) each but a snapshot-scale run has millions
-	// of senders, so arrivals from senders beyond the cap fall through
-	// to the global threshold. First-come, first-tracked —
-	// deterministic, since arrivals are observed in event order.
-	MaxSenders int
-}
-
-func (c *PerSenderThresholdConfig) normalise() {
-	if c.MiceFraction == 0 {
-		c.MiceFraction = 0.9
-	}
-	if c.Band == 0 {
-		c.Band = 0.1
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 20
-	}
-	if c.MaxSenders == 0 {
-		c.MaxSenders = 4096
-	}
-}
+// The per-sender policy's dead-band and cap; its observation gate is
+// the shared minSamples, counted per sender.
+const (
+	// senderBand is the relative dead-band: a sender's estimate must
+	// move more than senderBand·current before its override swaps.
+	// Wider than the global policy's band because per-sender streams
+	// are thinner and noisier.
+	senderBand = 0.1
+	// maxSenders bounds the tracked sender set: estimators are O(1)
+	// each but a snapshot-scale run has millions of senders, so
+	// arrivals from senders beyond the cap fall through to the global
+	// threshold. First-come, first-tracked — deterministic, since
+	// arrivals are observed in event order.
+	maxSenders = 4096
+)
 
 // senderState is one tracked sender's estimator and last-applied
 // override.
@@ -58,24 +37,24 @@ type senderState struct {
 // transfers while another pays micro-fees), so classifying every
 // sender against the network-wide quantile misclassifies both tails.
 // Each tracked sender runs its own P² estimator over its own arrival
-// stream; when a window gives a sender enough samples and its estimate
-// has moved outside the dead-band, the controller emits a
-// KnobSenderThreshold decision for that sender.
+// stream; when a window gives that sender alone at least minSamples
+// arrivals and its estimate has moved outside the dead-band, the
+// controller emits a KnobSenderThreshold decision for that sender.
 //
 // Decisions are emitted in first-seen sender order — a slice, not map
 // iteration — so the decision sequence is a pure function of the
 // arrival sequence.
 type PerSenderThreshold struct {
-	cfg     PerSenderThresholdConfig
+	frac    float64 // tracked quantile per sender
 	senders map[topo.NodeID]*senderState
 	order   []topo.NodeID // first-seen order, for deterministic iteration
 }
 
-// NewPerSenderThreshold returns the sharded per-sender policy.
-func NewPerSenderThreshold(cfg PerSenderThresholdConfig) *PerSenderThreshold {
-	cfg.normalise()
+// NewPerSenderThreshold returns the sharded per-sender policy, each
+// sender tracking its own miceFraction-quantile (0 < miceFraction < 1).
+func NewPerSenderThreshold(miceFraction float64) *PerSenderThreshold {
 	return &PerSenderThreshold{
-		cfg:     cfg,
+		frac:    miceFraction,
 		senders: make(map[topo.NodeID]*senderState),
 	}
 }
@@ -83,17 +62,14 @@ func NewPerSenderThreshold(cfg PerSenderThresholdConfig) *PerSenderThreshold {
 // Name implements Controller.
 func (c *PerSenderThreshold) Name() string { return "per-sender-threshold" }
 
-// Tracked returns the number of senders currently tracked.
-func (c *PerSenderThreshold) Tracked() int { return len(c.order) }
-
 // ObserveArrival implements ArrivalObserver.
 func (c *PerSenderThreshold) ObserveArrival(sender topo.NodeID, amount float64) {
 	st := c.senders[sender]
 	if st == nil {
-		if len(c.order) >= c.cfg.MaxSenders {
+		if len(c.order) >= maxSenders {
 			return
 		}
-		st = &senderState{est: stats.NewQuantileEstimator(c.cfg.MiceFraction)}
+		st = &senderState{est: stats.NewQuantileEstimator(c.frac)}
 		c.senders[sender] = st
 		c.order = append(c.order, sender)
 	}
@@ -105,7 +81,7 @@ func (c *PerSenderThreshold) Observe(w Metrics) []Decision {
 	var ds []Decision
 	for _, sender := range c.order {
 		st := c.senders[sender]
-		if st.est.Count() < c.cfg.MinSamples {
+		if st.est.Count() < minSamples {
 			continue
 		}
 		q := st.est.Quantile()
@@ -114,7 +90,7 @@ func (c *PerSenderThreshold) Observe(w Metrics) []Decision {
 		if st.has {
 			cur = st.cur
 		}
-		if math.Abs(q-cur) <= c.cfg.Band*math.Abs(cur) {
+		if math.Abs(q-cur) <= senderBand*math.Abs(cur) {
 			continue
 		}
 		st.cur, st.has = q, true

@@ -231,12 +231,7 @@ func fig4(o Options) error {
 	if o.Tiny {
 		days = 4
 	}
-	// 100 active accounts at 2000 payments/day gives each sender the
-	// per-day transaction density of the real Ripple trace; the
-	// within-day recurrence statistic depends directly on it.
-	cfg := trace.DefaultConfig(100)
-	cfg.RecurrenceProb = 0.93
-	cfg.Seed = o.seed()
+	cfg := trace.RecurrenceConfig(o.seed())
 	gen, err := trace.NewGenerator(cfg)
 	if err != nil {
 		return err

@@ -76,7 +76,7 @@ func TestDemandShiftRescalesPendingArrival(t *testing.T) {
 	// old scale; the shift must rescale it before it arrives at t=3.
 	src := newScaledSource(10, 1, 3)
 	shift := []event.Event{{Time: 2, Kind: event.DemandShift, Amount: 5}}
-	res, err := RunDynamic(net, baselineShortestPath(t), src, 10, shift, 1e9, DynamicOptions{Workers: 1, RecordLog: true})
+	res, err := RunDynamic(net, baselineShortestPath(t), src, 10, shift, 1e9, DynamicOptions{Workers: 1, recordLog: true})
 	if err != nil {
 		t.Fatal(err)
 	}

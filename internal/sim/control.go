@@ -3,7 +3,6 @@ package sim
 import (
 	"repro/internal/control"
 	"repro/internal/core"
-	"repro/internal/topo"
 )
 
 // This file is the dynamic engine's side of the control plane: the
@@ -25,25 +24,12 @@ type ControlKnobStatus struct {
 }
 
 // controlState carries the engine's control-plane runtime: the plane,
-// the current observation window's accumulator, and the per-knob
-// decision rollups. nil when no controller is engaged.
+// the current observation window's elephant counters (the Metrics
+// fields a controller reads; snapshot fills in the live knob values),
+// and the per-knob decision rollups. nil when no controller is engaged.
 type controlState struct {
-	plane *control.Plane
-
-	index int     // completed observe passes
-	start float64 // current observation window's start
-
-	// Accumulators over the current observation window.
-	arrivals          int
-	payments          int
-	successes         int
-	elephants         int
-	elephantSucc      int
-	mice              int
-	miceSucc          int
-	elephantProbeOps  int
-	elephantPathsUsed int
-	probeMsgs         int64
+	plane  *control.Plane
+	window control.Metrics
 
 	decisions        int // applied decisions, all knobs
 	thresholdUpdates int // decisions that moved the global threshold
@@ -98,61 +84,27 @@ func (c *controlState) apply(d control.Decision, fl *core.Flash) (float64, bool)
 	return eff, true
 }
 
-// arrival feeds one first-attempt arrival to the plane's estimators.
-func (c *controlState) arrival(sender topo.NodeID, amount float64) {
-	c.arrivals++
-	c.plane.ObserveArrival(sender, amount)
-}
-
 // completedPayment accumulates one settled payment into the current
-// observation window, classified against the threshold in effect for
-// its sender at completion.
+// observation window if it is an elephant against the threshold in
+// effect for its sender at completion.
 func (c *controlState) completedPayment(amount, effThreshold float64, t routeOutcome) {
-	c.payments++
-	if t.delivered {
-		c.successes++
+	if amount <= effThreshold {
+		return
 	}
-	c.probeMsgs += t.probeMsgs
-	if amount > effThreshold {
-		c.elephants++
-		c.elephantProbeOps += t.probeOps
-		if t.delivered {
-			c.elephantSucc++
-			c.elephantPathsUsed += t.paths
-		}
-	} else {
-		c.mice++
-		if t.delivered {
-			c.miceSucc++
-		}
+	c.window.Elephants++
+	c.window.ElephantProbeOps += t.probeOps
+	if t.delivered {
+		c.window.ElephantSuccesses++
+		c.window.ElephantPathsUsed += t.paths
 	}
 }
 
-// snapshot assembles the control.Metrics for an observe pass ending at
-// t, then resets the accumulator for the next window.
-func (c *controlState) snapshot(t, threshold float64, probeWidth int) control.Metrics {
-	m := control.Metrics{
-		Index:             c.index,
-		Start:             c.start,
-		End:               t,
-		Arrivals:          c.arrivals,
-		Payments:          c.payments,
-		Successes:         c.successes,
-		Elephants:         c.elephants,
-		ElephantSuccesses: c.elephantSucc,
-		Mice:              c.mice,
-		MiceSuccesses:     c.miceSucc,
-		ElephantProbeOps:  c.elephantProbeOps,
-		ElephantPathsUsed: c.elephantPathsUsed,
-		ProbeMessages:     int(c.probeMsgs),
-		Threshold:         threshold,
-		ProbeWidth:        probeWidth,
-	}
-	c.index++
-	c.start = t
-	c.arrivals, c.payments, c.successes = 0, 0, 0
-	c.elephants, c.elephantSucc, c.mice, c.miceSucc = 0, 0, 0, 0
-	c.elephantProbeOps, c.elephantPathsUsed, c.probeMsgs = 0, 0, 0
+// snapshot returns the window's Metrics stamped with the live knob
+// values, then resets the accumulator for the next window.
+func (c *controlState) snapshot(threshold float64, probeWidth int) control.Metrics {
+	m := c.window
+	m.Threshold, m.ProbeWidth = threshold, probeWidth
+	c.window = control.Metrics{}
 	return m
 }
 

@@ -312,16 +312,17 @@ func TestControlEWMAFewerSwapsThanRaw(t *testing.T) {
 
 // tickController is a scripted Controller: it emits a fixed decision
 // list on its first Observe pass only — the seam for driving every
-// knob's application path without a real policy.
+// knob's application path without a real policy — and keeps every
+// window's Metrics it is handed.
 type tickController struct {
 	decisions []control.Decision
-	passes    int
+	seen      []control.Metrics
 }
 
 func (c *tickController) Name() string { return "scripted" }
 func (c *tickController) Observe(w control.Metrics) []control.Decision {
-	c.passes++
-	if c.passes == 1 {
+	c.seen = append(c.seen, w)
+	if len(c.seen) == 1 {
 		return c.decisions
 	}
 	return nil
@@ -466,5 +467,69 @@ func TestControlBadPolicyRejected(t *testing.T) {
 		Control: &control.Policy{Threshold: "bogus"},
 	}); err == nil {
 		t.Error("unknown threshold policy accepted")
+	}
+}
+
+// TestControlWindowMatchesFlowRecords checks the numbers the engine
+// hands controllers against an independent count: Flash alone on the
+// churn scenario, with hold spans, retries and tight capacity (so some
+// elephants fail), under a controller that never moves a knob (so the
+// metrics threshold is the classification threshold throughout). Per
+// tick interval, the flow records' elephant count, delivered
+// elephants, probe operations and delivered-elephant paths must equal
+// the window Metrics the controller saw.
+func TestControlWindowMatchesFlowRecords(t *testing.T) {
+	const width = 2.0
+	rec, sink := &tickController{}, telemetry.NewFlowLog(1<<12)
+	sc := churnScenario(t, 1)
+	sc.Service, sc.Retries, sc.Window, sc.ScaleFactor = 1.5, 2, width, 2
+	sc.FlowSink, sc.controlHook = sink, []control.Controller{rec}
+	results, err := RunDynamicScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0].Result
+	flows := sink.Snapshot()
+	if uint64(len(flows)) != sink.Total() {
+		t.Fatalf("flow log kept %d of %d records", len(flows), sink.Total())
+	}
+	if want := int(sc.Duration/width) - 1; len(rec.seen) != want {
+		t.Fatalf("controller observed %d windows, want %d", len(rec.seen), want)
+	}
+	// The elephant counts a window carries, in Metrics field order.
+	type counts struct{ elephants, delivered, probeOps, paths int }
+	want := make([]counts, len(rec.seen))
+	for _, r := range flows {
+		i := int(r.Complete / width)
+		if i >= len(want) || r.Class != telemetry.ClassElephant {
+			continue
+		}
+		want[i].elephants++
+		want[i].probeOps += r.ProbeRounds
+		if r.Outcome == telemetry.OutcomeDelivered {
+			want[i].delivered++
+			want[i].paths += r.Paths
+		}
+	}
+	var total counts
+	for i, m := range rec.seen {
+		got := counts{m.Elephants, m.ElephantSuccesses, m.ElephantProbeOps, m.ElephantPathsUsed}
+		if got != want[i] {
+			t.Errorf("window %d: controller saw %+v, flow records say %+v", i, got, want[i])
+		}
+		if m.Threshold != res.FinalThreshold || m.ProbeWidth != max(sc.Router.ProbeWorkers, 1) {
+			t.Errorf("window %d: live knobs %v/%d, want the fixed %v/%d", i, m.Threshold, m.ProbeWidth,
+				res.FinalThreshold, max(sc.Router.ProbeWorkers, 1))
+		}
+		total.elephants += got.elephants
+		total.delivered += got.delivered
+		total.probeOps += got.probeOps
+		total.paths += got.paths
+	}
+	// Every count is exercised, and some payment was retried.
+	if total.delivered == 0 || total.delivered == total.elephants || total.probeOps == 0 || total.paths == 0 ||
+		res.EventCounts[event.PaymentArrival] <= len(flows) {
+		t.Errorf("vacuous run: windows total %+v; %d arrival events for %d flows",
+			total, res.EventCounts[event.PaymentArrival], len(flows))
 	}
 }

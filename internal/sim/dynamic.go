@@ -69,8 +69,8 @@ type DynamicOptions struct {
 	// Control selects the adaptive control plane (internal/control): a
 	// declarative policy whose controllers observe per-window metrics
 	// once per Window and re-tune the router's runtime knobs — global
-	// and per-sender elephant thresholds, speculative probe width, retry
-	// backoff. nil (or the zero policy) runs no controllers. The "raw"
+	// and per-sender elephant thresholds and speculative probe width.
+	// nil (or the zero policy) runs no controllers. The "raw"
 	// threshold policy re-calibrates the threshold to the arrival
 	// stream's mice-fraction quantile every window — the paper's
 	// per-workload calibration (§4.1) kept true under demand drift. Only
@@ -82,13 +82,8 @@ type DynamicOptions struct {
 
 	// controlHook appends scripted controllers to the resolved plane —
 	// the test seam for exercising decision application (knob coverage,
-	// per-sender swaps, backoff scaling) without a full policy. nil in
-	// production.
+	// per-sender swaps) without a full policy. nil in production.
 	controlHook []control.Controller
-
-	// RecordLog retains the full applied-event log in the result (the
-	// fingerprint and per-kind counts are always available).
-	RecordLog bool
 
 	// Deadline is the HTLC-style expiry of a hold span in virtual
 	// seconds: a suspended payment whose commit cannot settle within
@@ -137,6 +132,10 @@ type DynamicOptions struct {
 	// time, so property tests can re-derive every completion instant
 	// bit for bit. Test hook; nil in production.
 	audit func(schedAudit)
+
+	// recordLog retains the full applied-event log in the result (the
+	// fingerprint and per-kind counts are always available). Test hook.
+	recordLog bool
 }
 
 // schedAudit is one engine scheduling decision as reported to the
@@ -201,7 +200,7 @@ type DynamicResult struct {
 	Windows     []Window
 	EventCounts [event.NumKinds]int
 	Fingerprint uint64        // FNV-1a over the applied-event log
-	Log         []event.Event // populated when DynamicOptions.RecordLog
+	Log         []event.Event // populated under the recordLog test hook
 	Horizon     float64
 
 	// SpanAborts counts suspended payments whose deferred commit turned

@@ -323,7 +323,7 @@ func TestDynamicRetriesVirtualBackoff(t *testing.T) {
 	r := &flakyRouter{inner: baselineShortestPath(t), seen: map[int64]int{}}
 	horizon := (payments[len(payments)-1].Time + 1) * trace.SecondsPerDay
 	res, err := RunDynamic(net, r, trace.NewReplayStream(payments), horizon, nil, 1,
-		DynamicOptions{Workers: 1, Seed: 7, Retries: 1, RecordLog: true})
+		DynamicOptions{Workers: 1, Seed: 7, Retries: 1, recordLog: true})
 	if err != nil {
 		t.Fatal(err)
 	}

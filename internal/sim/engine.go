@@ -127,7 +127,7 @@ func newEngine(net *pcn.Network, r route.Router, src trace.PaymentSource, horizo
 		workers:       max(opts.Workers, 1),
 		spans:         opts.Service > 0,
 		latOn:         net.HasLatency(),
-		log:           event.Log{Retain: opts.RecordLog},
+		log:           event.Log{Retain: opts.recordLog},
 		obs:           newDynObserver(r.Name(), opts.FlowSink, opts.Registry),
 		pending:       make(map[int64]*dynPayment),
 
@@ -219,7 +219,7 @@ func (e *engine) arrive(ev event.Event) {
 	if ev.Attempt == 0 {
 		e.arrivals.pull(&e.queue, e.pending)
 		if e.ctl != nil {
-			e.ctl.arrival(dp.p.Sender, dp.p.Amount)
+			e.ctl.plane.ObserveArrival(dp.p.Sender, dp.p.Amount)
 		}
 	}
 	dp.attempt = ev.Attempt
@@ -468,7 +468,7 @@ func (e *engine) controlTick(ev event.Event) {
 	// Materialise the bucket (and any earlier ones) before any swap, so
 	// windows that closed under the old threshold report it.
 	w := e.windows.at(ev.Time, e.curThreshold)
-	decisions := e.ctl.plane.Observe(e.ctl.snapshot(ev.Time, e.curThreshold, e.fl.ProbeWorkers()))
+	decisions := e.ctl.plane.Observe(e.ctl.snapshot(e.curThreshold, e.fl.ProbeWorkers()))
 	// The bare cadence tick is logged first (knob code 0), then one
 	// ControlUpdate per applied decision, each stamped with the
 	// effective value the router reports back — the whole adaptive

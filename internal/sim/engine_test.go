@@ -91,7 +91,7 @@ func TestControlNoOpDecisionsNotCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if script.passes == 0 {
+	if len(script.seen) == 0 {
 		t.Fatal("the scripted controller never observed")
 	}
 	if res.ControlDecisions != 0 || res.ThresholdUpdates != 0 || len(res.Controllers) != 0 {

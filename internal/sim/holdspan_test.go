@@ -34,7 +34,7 @@ func runHoldSpanFixture(t *testing.T, service float64, retries int) DynamicResul
 	t.Helper()
 	net, payments := holdSpanFixture(t)
 	res, err := RunDynamic(net, baselineShortestPath(t), trace.NewReplayStream(payments), 60, nil, 1,
-		DynamicOptions{Workers: 1, Seed: 3, Service: service, Retries: retries, RecordLog: true})
+		DynamicOptions{Workers: 1, Seed: 3, Service: service, Retries: retries, recordLog: true})
 	if err != nil {
 		t.Fatal(err)
 	}

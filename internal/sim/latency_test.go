@@ -258,7 +258,7 @@ func TestExactVirtualTimeAccounting(t *testing.T) {
 
 	var audits []schedAudit
 	opts := DynamicOptions{
-		Workers: 1, Seed: 7, Retries: 2, Service: 1, Deadline: deadline, RecordLog: true,
+		Workers: 1, Seed: 7, Retries: 2, Service: 1, Deadline: deadline, recordLog: true,
 		audit: func(a schedAudit) { audits = append(audits, a) },
 	}
 	horizon := (payments[len(payments)-1].Time + 1) * trace.SecondsPerDay

@@ -165,10 +165,10 @@ func RegisterRouterMetrics(reg *telemetry.Registry, scheme string, r route.Route
 	stat("threshold_updates_total", "Adaptive threshold re-calibrations.", func(s core.Stats) int64 { return int64(s.ThresholdUpdates) })
 	stat("sender_thresholds", "Senders with a live per-sender threshold override.", func(s core.Stats) int64 { return int64(s.SenderThresholds) })
 	stat("sender_threshold_updates_total", "Per-sender threshold override moves.", func(s core.Stats) int64 { return int64(s.SenderThresholdUpdates) })
-	stat("probe_width_updates_total", "Probe-pool width re-tunes.", func(s core.Stats) int64 { return int64(s.ProbeWidthUpdates) })
+	stat("probe_width_updates_total", "Probe-width re-tunes (candidates per elephant round).", func(s core.Stats) int64 { return int64(s.ProbeWidthUpdates) })
 	stat("fee_program_fallbacks_total", "Elephant splits left to sequential filling because the fee program failed.", func(s core.Stats) int64 { return int64(s.FeeProgramFallbacks) })
 	reg.GaugeFunc("flash_threshold"+lbl, "Current elephant classification threshold.", fl.Threshold)
-	reg.GaugeFunc("flash_probe_workers"+lbl, "Current speculative probe-pool width.", func() float64 {
+	reg.GaugeFunc("flash_probe_workers"+lbl, "Current probe width: candidates per elephant round, each round charged its slowest probe.", func() float64 {
 		return float64(fl.ProbeWorkers())
 	})
 }

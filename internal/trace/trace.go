@@ -132,6 +132,17 @@ func DefaultConfig(n int) Config {
 	}
 }
 
+// RecurrenceConfig returns Figure 4's workload: 100 active accounts
+// at 2000 payments a day, which gives each sender the per-day
+// transaction density of the real Ripple trace (the within-day
+// recurrence statistic depends directly on it), at recurrence 0.93.
+func RecurrenceConfig(seed int64) Config {
+	cfg := DefaultConfig(100)
+	cfg.RecurrenceProb = 0.93
+	cfg.Seed = seed
+	return cfg
+}
+
 // Generator produces a reproducible payment stream.
 type Generator struct {
 	cfg       Config

@@ -142,8 +142,10 @@ func TestGeneratorRespectsComponents(t *testing.T) {
 	}
 }
 
+// TestRecurrenceCalibration checks Figure 4's workload, the one fig4
+// and tracegen -recurrence both draw, against the paper's statistics.
 func TestRecurrenceCalibration(t *testing.T) {
-	g, err := NewGenerator(DefaultConfig(100))
+	g, err := NewGenerator(RecurrenceConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
