@@ -43,47 +43,36 @@ func (m *MaxFlowFullProbe) Route(s route.Session) error {
 		}
 		return route.ErrInsufficient
 	}
-	// Sequentially place the per-path discovery flows (net-flow safe
-	// because MaxFlow already respected capacities; HoldUpTo recovers
-	// from any residual-offset corner case).
-	remaining := s.Demand()
-	for _, p := range res.Paths {
-		if remaining <= route.Epsilon {
+	// Hold a decomposition of the net flow, not the augmenting paths: a
+	// later augmenting path may cancel flow an earlier one placed, so the
+	// augmenting paths can carry more than a channel has. Flow that runs
+	// both ways through a channel cancels; then each round holds the
+	// minimum-hop s–t path over hops of positive net flow and subtracts
+	// its bottleneck, which empties at least one hop. Flow left on
+	// cycles moves nothing from s to t.
+	net := make(map[graph.DirEdge]float64, len(res.Flow))
+	for e, f := range res.Flow {
+		if f -= res.Flow[e.Reverse()]; f > 0 {
+			net[e] = f
+		}
+	}
+	carries := func(u, v topo.NodeID) bool { return net[graph.DirEdge{U: u, V: v}] > route.Epsilon }
+	for remaining := s.Demand(); remaining > route.Epsilon; {
+		p := graph.ShortestPath(g, s.Sender(), s.Receiver(), carries)
+		if p == nil {
 			break
 		}
-		bottleneck := pathFlowOn(res, p)
-		amount := math.Min(bottleneck, remaining)
-		if amount <= route.Epsilon {
-			continue
+		hops := graph.PathEdges(p)
+		amount := math.Inf(1)
+		for _, e := range hops {
+			amount = math.Min(amount, net[e])
 		}
-		held := route.HoldUpTo(s, p, amount)
-		remaining -= held
-	}
-	if remaining > route.Epsilon {
-		for _, p := range res.Paths {
-			if remaining <= route.Epsilon {
-				break
-			}
-			remaining -= route.HoldUpTo(s, p, remaining)
+		for _, e := range hops {
+			net[e] -= amount
 		}
+		remaining -= route.HoldUpTo(s, p, math.Min(amount, remaining))
 	}
 	return route.Finish(s, route.ErrInsufficient)
-}
-
-// pathFlowOn estimates how much of the final flow travels path p: the
-// minimum net flow over its hops (a safe, possibly conservative bound).
-func pathFlowOn(res graph.FlowResult, p []topo.NodeID) float64 {
-	minFlow := math.Inf(1)
-	for _, e := range graph.PathEdges(p) {
-		f := res.Flow[e]
-		if f < minFlow {
-			minFlow = f
-		}
-	}
-	if math.IsInf(minFlow, 1) {
-		return 0
-	}
-	return minFlow
 }
 
 // chargeFullProbe bills the session for a network-wide balance

@@ -1,0 +1,80 @@
+package baseline
+
+import (
+	"sync"
+
+	"repro/internal/topo"
+)
+
+// pathTable memoises a static router's routes per sender/receiver pair.
+// A static baseline's route depends only on the topology, so a pair's
+// first payment searches and every later payment or retry of the pair
+// reuses the entry. Entries are immutable and shared: sessions never
+// retain or modify a path.
+//
+// The table is keyed on the graph and its channel count. Channels are
+// only ever added (pcn.Network.RegisterChannel), so the count works as
+// a version: a new channel empties the table. The zero value is an
+// empty table with caching on.
+type pathTable[P any] struct {
+	mu       sync.Mutex
+	off      bool
+	graph    *topo.Graph
+	channels int
+	entries  map[pairKey]P
+	arena    []topo.NodeID // the chunk keep copies paths into
+}
+
+type pairKey struct {
+	s, t topo.NodeID
+}
+
+// arenaChunk is the node count of one chunk of a table's path arena.
+const arenaChunk = 1 << 14
+
+// SetCaching turns the table on or off. Caching never changes a route;
+// it only removes repeated searches. The testbed turns it off so that
+// processing delay covers a path computation per payment, as in the
+// paper's prototype (Figures 12–13).
+func (pt *pathTable[P]) SetCaching(on bool) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	pt.off = !on
+}
+
+// get returns the entry for the pair s→t on g. find computes it on the
+// pair's first payment, or on every payment with caching off. find runs
+// under the table's lock, so it may call keep.
+func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Graph, topo.NodeID, topo.NodeID) P) P {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if pt.off {
+		return find(g, s, t)
+	}
+	if pt.graph != g || pt.channels != g.NumChannels() {
+		pt.graph, pt.channels = g, g.NumChannels()
+		pt.entries = make(map[pairKey]P)
+	}
+	key := pairKey{s, t}
+	p, ok := pt.entries[key]
+	if !ok {
+		p = find(g, s, t)
+		pt.entries[key] = p
+	}
+	return p
+}
+
+// keep copies path into the table's arena and returns the copy, its
+// capacity capped so that no append reaches the next path. A nil path
+// stays nil.
+func (pt *pathTable[P]) keep(path []topo.NodeID) []topo.NodeID {
+	if path == nil {
+		return nil
+	}
+	if cap(pt.arena)-len(pt.arena) < len(path) {
+		pt.arena = make([]topo.NodeID, 0, max(arenaChunk, len(path)))
+	}
+	start := len(pt.arena)
+	pt.arena = append(pt.arena, path...)
+	return pt.arena[start:len(pt.arena):len(pt.arena)]
+}

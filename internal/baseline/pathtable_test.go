@@ -1,0 +1,214 @@
+package baseline
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/pcn"
+	"repro/internal/route"
+	"repro/internal/topo"
+)
+
+// raceEnabled is set by race_test.go under the race detector, which
+// makes sync.Pool drop items.
+var raceEnabled bool
+
+// stubSession is a route.Session on a graph whose every hop has ample
+// balance. With record set it keeps a copy of every path probed or
+// held; without, it allocates nothing.
+type stubSession struct {
+	g      *topo.Graph
+	s, t   topo.NodeID
+	info   [64]pcn.HopInfo
+	held   float64
+	record bool
+	paths  [][]topo.NodeID
+}
+
+func (ss *stubSession) Graph() *topo.Graph                    { return ss.g }
+func (ss *stubSession) Sender() topo.NodeID                   { return ss.s }
+func (ss *stubSession) Receiver() topo.NodeID                 { return ss.t }
+func (ss *stubSession) Demand() float64                       { return 1 }
+func (ss *stubSession) LocalBalance(u, v topo.NodeID) float64 { return 1e9 }
+func (ss *stubSession) HeldTotal() float64                    { return ss.held }
+func (ss *stubSession) Commit() error                         { return nil }
+func (ss *stubSession) Abort() error                          { return nil }
+
+func (ss *stubSession) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
+	ss.keep(path)
+	info := ss.info[:len(path)-1]
+	for i := range info {
+		info[i].Available = 1e9
+	}
+	return info, nil
+}
+
+func (ss *stubSession) Hold(path []topo.NodeID, amount float64) error {
+	ss.keep(path)
+	ss.held += amount
+	return nil
+}
+
+func (ss *stubSession) keep(path []topo.NodeID) {
+	if ss.record {
+		ss.paths = append(ss.paths, slices.Clone(path))
+	}
+}
+
+// routed returns every path r probes or holds for one payment s→t.
+func routed(t *testing.T, r route.Router, g *topo.Graph, s, d topo.NodeID) [][]topo.NodeID {
+	t.Helper()
+	ss := &stubSession{g: g, s: s, t: d, record: true}
+	if err := r.Route(ss); err != nil {
+		t.Fatalf("%s %d→%d: %v", r.Name(), s, d, err)
+	}
+	return ss.paths
+}
+
+// TestPathTableMatchesSearch checks both static baselines with their
+// path table on against the same router with it off: on every ordered
+// pair they probe and hold the same paths, first on a cold table, then
+// on a warm one, then after a chord joins the two nodes farthest apart.
+func TestPathTableMatchesSearch(t *testing.T) {
+	graphs := []struct {
+		name string
+		make func() *topo.Graph
+	}{
+		{"ba60", func() *topo.Graph {
+			g, err := topo.BarabasiAlbert(60, 2, rand.New(rand.NewSource(7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
+		{"ring", func() *topo.Graph { return topo.Ring(24) }},
+	}
+	routers := []func() route.Router{
+		func() route.Router { return NewShortestPath() },
+		func() route.Router { return NewSpider(4) },
+	}
+	for _, gc := range graphs {
+		for _, mk := range routers {
+			g := gc.make()
+			cached, fresh := mk(), mk()
+			if static, ok := fresh.(interface{ SetCaching(bool) }); ok {
+				static.SetCaching(false)
+			}
+			check := func(stage string) {
+				n := topo.NodeID(g.NumNodes())
+				for s := topo.NodeID(0); s < n; s++ {
+					for d := topo.NodeID(0); d < n; d++ {
+						if s == d {
+							continue
+						}
+						want, got := routed(t, fresh, g, s, d), routed(t, cached, g, s, d)
+						if !slices.EqualFunc(got, want, slices.Equal) {
+							t.Fatalf("%s %s %s %d→%d: cached %v, searched %v", gc.name, cached.Name(), stage, s, d, got, want)
+						}
+					}
+				}
+			}
+			check("cold")
+			check("warm")
+			a, b := farthestPair(g)
+			g.MustAddChannel(a, b)
+			if p := routed(t, fresh, g, a, b); !slices.Equal(p[0], []topo.NodeID{a, b}) {
+				t.Fatalf("%s %s: chord %d–%d unused: %v", gc.name, fresh.Name(), a, b, p)
+			}
+			check("after chord")
+		}
+	}
+}
+
+// farthestPair returns two nodes at the largest hop distance in g.
+func farthestPair(g *topo.Graph) (topo.NodeID, topo.NodeID) {
+	var a, b topo.NodeID
+	best := -1
+	for s := 0; s < g.NumNodes(); s++ {
+		for d, hops := range graph.Distances(g, topo.NodeID(s)) {
+			if hops > best {
+				a, b, best = topo.NodeID(s), topo.NodeID(d), hops
+			}
+		}
+	}
+	return a, b
+}
+
+var mapSink map[pairKey][]topo.NodeID
+
+// TestShortestPathTableAllocs pins what ShortestPath's path table
+// allocates. A warm hit allocates nothing. The first payments of 1,000
+// pairs allocate at most what filling a heap map with the same 1,000
+// keys costs plus one per arena chunk their paths fill (23 today: 22
+// and 1).
+func TestShortestPathTableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g, err := topo.BarabasiAlbert(60, 2, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []pairKey
+	for s := topo.NodeID(0); len(pairs) < 1000; s++ {
+		for d := topo.NodeID(0); d < 60 && len(pairs) < 1000; d++ {
+			if s != d {
+				pairs = append(pairs, pairKey{s, d})
+			}
+		}
+	}
+	ss := &stubSession{g: g}
+	mallocs := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	pay := func(r route.Router, p pairKey) {
+		ss.s, ss.t = p.s, p.t
+		if err := r.Route(ss); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := NewShortestPath() // grows the pooled Scratch to every search
+	for _, p := range pairs {
+		pay(warm, p)
+	}
+	// The least of three fresh tables: a goroutine that moves to another
+	// P misses the pooled Scratch and allocates a new one.
+	var sp *ShortestPath
+	first := uint64(math.MaxUint64)
+	for range 3 {
+		sp = NewShortestPath()
+		first = min(first, mallocs(func() {
+			for _, p := range pairs {
+				pay(sp, p)
+			}
+		}))
+	}
+	nodes := 0
+	for _, p := range sp.entries {
+		nodes += len(p)
+	}
+	chunks := uint64((nodes + arenaChunk - 1) / arenaChunk)
+	growth := mallocs(func() {
+		m := make(map[pairKey][]topo.NodeID)
+		for _, p := range pairs {
+			m[p] = nil
+		}
+		mapSink = m // on the heap, as the table's map is
+	})
+	if bound := chunks + growth; first > bound {
+		t.Errorf("1,000 first payments allocate %d, want ≤ %d (%d arena chunks, %d map growth)", first, bound, chunks, growth)
+	}
+	if avg := testing.AllocsPerRun(100, func() { pay(sp, pairs[len(pairs)/2]) }); avg != 0 {
+		t.Errorf("a warm ShortestPath payment allocates %v, want 0", avg)
+	}
+}

@@ -13,16 +13,25 @@
 //
 // All of them implement route.Router and run on the same Session
 // abstraction as Flash, in both the simulator and the TCP testbed.
+// The two static schemes, ShortestPath and Spider, choose their paths
+// from the topology alone, so each keeps them in a per-pair table
+// (pathTable) and searches only on a pair's first payment; SetCaching
+// turns the table off.
 package baseline
 
 import (
 	"repro/internal/graph"
 	"repro/internal/route"
+	"repro/internal/topo"
 )
 
 // ShortestPath routes every payment in full over the minimum-hop path,
 // with no probing and no multipath. It is the paper's "SP" baseline.
-type ShortestPath struct{}
+// The path depends only on the topology, so it is searched once per
+// sender/receiver pair and kept in the router's path table.
+type ShortestPath struct {
+	pathTable[[]topo.NodeID]
+}
 
 // NewShortestPath returns the SP baseline router.
 func NewShortestPath() *ShortestPath { return &ShortestPath{} }
@@ -30,12 +39,10 @@ func NewShortestPath() *ShortestPath { return &ShortestPath{} }
 // Name implements route.Router.
 func (sp *ShortestPath) Name() string { return "ShortestPath" }
 
-// Route implements route.Router. The path is the search Scratch's own
-// buffer, handed to Hold as is: sessions never retain a path.
+// Route implements route.Router. The path is the table's own copy,
+// handed to Hold as is: sessions never retain or modify a path.
 func (sp *ShortestPath) Route(s route.Session) error {
-	sc := graph.AcquireScratch()
-	defer graph.ReleaseScratch(sc)
-	path := sc.ShortestPath(s.Graph(), s.Sender(), s.Receiver(), nil)
+	path := sp.get(s.Graph(), s.Sender(), s.Receiver(), sp.find)
 	if path == nil {
 		if err := s.Abort(); err != nil {
 			return err
@@ -49,4 +56,12 @@ func (sp *ShortestPath) Route(s route.Session) error {
 		return route.ErrInsufficient
 	}
 	return s.Commit()
+}
+
+// find searches g for the minimum-hop path from s to t and returns its
+// copy in the table's arena, or nil when t is unreachable.
+func (sp *ShortestPath) find(g *topo.Graph, s, t topo.NodeID) []topo.NodeID {
+	sc := graph.AcquireScratch()
+	defer graph.ReleaseScratch(sc)
+	return sp.keep(sc.ShortestPath(g, s, t, nil))
 }

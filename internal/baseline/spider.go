@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/route"
@@ -16,18 +15,12 @@ import (
 //
 // Spider treats all payments identically — it probes its paths on every
 // payment, which is exactly the overhead Flash's mice routing avoids
-// (Figure 8).
+// (Figure 8). Its path selection is static, though: the path set
+// depends only on the topology, so it is computed once per
+// sender/receiver pair and kept in the router's path table.
 type Spider struct {
+	pathTable[[][]topo.NodeID]
 	numPaths int
-	noCache  bool
-
-	mu    sync.Mutex
-	graph *topo.Graph // cache key: path sets are static per topology
-	cache map[pairKey][][]topo.NodeID
-}
-
-type pairKey struct {
-	s, t topo.NodeID
 }
 
 // NewSpider returns a Spider router using numPaths edge-disjoint
@@ -36,51 +29,21 @@ func NewSpider(numPaths int) *Spider {
 	if numPaths < 1 {
 		numPaths = 1
 	}
-	return &Spider{numPaths: numPaths, cache: make(map[pairKey][][]topo.NodeID)}
-}
-
-// SetCaching toggles memoisation of path sets per sender/receiver pair.
-// Caching never changes routing outcomes (the path set depends only on
-// the topology); it only removes repeated computation. The testbed
-// disables it to reproduce the paper's processing-delay comparison,
-// where Spider recomputes its paths for every payment.
-func (sp *Spider) SetCaching(on bool) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	sp.noCache = !on
+	return &Spider{numPaths: numPaths}
 }
 
 // Name implements route.Router.
 func (sp *Spider) Name() string { return "Spider" }
 
-// paths returns the (cached) edge-disjoint shortest path set for a
-// sender/receiver pair. Path sets depend only on topology, so they are
-// computed once — Spider's probing happens per payment, but its path
-// selection is static.
-func (sp *Spider) paths(g *topo.Graph, s, t topo.NodeID) [][]topo.NodeID {
-	sp.mu.Lock()
-	if sp.noCache {
-		sp.mu.Unlock()
-		return graph.EdgeDisjointPaths(g, s, t, sp.numPaths)
-	}
-	defer sp.mu.Unlock()
-	if sp.graph != g {
-		sp.graph = g
-		sp.cache = make(map[pairKey][][]topo.NodeID)
-	}
-	key := pairKey{s, t}
-	if p, ok := sp.cache[key]; ok {
-		return p
-	}
-	p := graph.EdgeDisjointPaths(g, s, t, sp.numPaths)
-	sp.cache[key] = p
-	return p
+// find returns the edge-disjoint shortest path set from s to t on g.
+func (sp *Spider) find(g *topo.Graph, s, t topo.NodeID) [][]topo.NodeID {
+	return graph.EdgeDisjointPaths(g, s, t, sp.numPaths)
 }
 
 // Route implements route.Router: probe all paths, waterfill the demand
 // across their bottleneck capacities, hold, and commit.
 func (sp *Spider) Route(s route.Session) error {
-	paths := sp.paths(s.Graph(), s.Sender(), s.Receiver())
+	paths := sp.get(s.Graph(), s.Sender(), s.Receiver(), sp.find)
 	if len(paths) == 0 {
 		if err := s.Abort(); err != nil {
 			return err

@@ -16,9 +16,9 @@ var raceEnabled bool
 
 // TestInlineAttemptAllocs pins what one payment costs the single-station
 // engine under ShortestPath: its dynPayment and its pcn.Tx, nothing
-// else. The attempt runs inline as a plain call, the router holds the
-// search Scratch's own path, and the session's arenas fit a short path
-// inline. Set-up (network, router, queue, windows, metrics) is paid once
+// else. The attempt runs inline as a plain call, the router holds its
+// path table's copy of the path (each pair is searched once, in the
+// warm-up run), and the session's arenas fit a short path inline. Set-up (network, router, queue, windows, metrics) is paid once
 // per run, so the pin is the allocation delta between a run of n
 // payments and one of 2n, divided by n, with the collector off.
 func TestInlineAttemptAllocs(t *testing.T) {

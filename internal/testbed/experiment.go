@@ -6,7 +6,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/pcn"
 	"repro/internal/route"
@@ -72,11 +71,11 @@ func NewCell(nodes, txns int, seed int64, lo, hi float64) (*Cell, error) {
 func (c *Cell) Routers(scheme string) RouterFactory {
 	return func(id topo.NodeID) (route.Router, error) {
 		r, err := sim.BuildRouter(sim.RouterSpec{Scheme: scheme, Threshold: c.Threshold, Seed: c.Seed + int64(id)})
-		if sp, ok := r.(*baseline.Spider); ok {
-			// The paper's prototype recomputes Spider's paths per
-			// payment; disable memoisation so processing delay is
-			// measured the same way.
-			sp.SetCaching(false)
+		if static, ok := r.(interface{ SetCaching(bool) }); ok {
+			// The paper's prototype recomputes the static baselines'
+			// paths per payment; turn their path tables off so that
+			// processing delay is measured the same way.
+			static.SetCaching(false)
 		}
 		return r, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -159,5 +160,63 @@ func TestWorkloadTelemetryIsObserverOnly(t *testing.T) {
 	}
 	if got := flows.Total(); got != uint64(on.Payments) {
 		t.Errorf("flow log holds %d records, want %d", got, on.Payments)
+	}
+}
+
+// pathSpy records where every path a router probes or holds starts in
+// memory.
+type pathSpy struct {
+	route.Session
+	paths []*topo.NodeID
+}
+
+func (s *pathSpy) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
+	s.paths = append(s.paths, &path[0])
+	return s.Session.Probe(path)
+}
+
+func (s *pathSpy) Hold(path []topo.NodeID, amount float64) error {
+	s.paths = append(s.paths, &path[0])
+	return s.Session.Hold(path, amount)
+}
+
+// TestRoutersSearchEveryPayment checks that Cell.Routers turns off the
+// path table of both static baselines, so that a testbed payment pays
+// for its own path computation, as in the paper's prototype: two
+// payments of one pair must not share a path's memory.
+func TestRoutersSearchEveryPayment(t *testing.T) {
+	g := topo.Ring(6)
+	net := pcn.New(g)
+	for _, e := range g.Channels() {
+		if err := net.SetBalance(e.A, e.B, 1e6, 1e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &Cell{Net: net, Threshold: 1, Seed: 1}
+	for _, scheme := range []string{sim.SchemeShortestPath, sim.SchemeSpider} {
+		r, err := c.Routers(scheme)(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen [2][]*topo.NodeID
+		for i := range seen {
+			tx, err := net.Begin(0, 3, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spy := &pathSpy{Session: tx}
+			if err := r.Route(spy); err != nil {
+				t.Fatalf("%s payment %d: %v", scheme, i, err)
+			}
+			seen[i] = spy.paths
+		}
+		if len(seen[0]) == 0 || len(seen[0]) != len(seen[1]) {
+			t.Fatalf("%s: the payments used %d and %d paths", scheme, len(seen[0]), len(seen[1]))
+		}
+		for i := range seen[0] {
+			if seen[0][i] == seen[1][i] {
+				t.Errorf("%s: the second payment reuses path %d of the first: its path table is on", scheme, i)
+			}
+		}
 	}
 }
