@@ -1,6 +1,8 @@
 package pcn
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -33,44 +35,96 @@ func TestProbeAllocs(t *testing.T) {
 	}
 }
 
-// TestPaymentAllocs pins what one whole payment allocates on a fresh
-// session, the engine's per-payment cost: the Tx and nothing else. A
-// payment over a short path fits the Tx's inline arrays — the hop
-// arena holds the probe's and the hold's hops, the lock order and the
-// hold record have their own, and the probe result lands in the
-// probe-result arena — so Probe, Hold and Commit allocate nothing.
+// raceEnabled is set under the race detector (race_test.go), which
+// makes sync.Pool drop items at random: a released Tx is then not
+// always reused, and allocation counts of released sessions say nothing.
+var raceEnabled bool
+
+// TestPaymentAllocs pins what one whole payment allocates, the engine's
+// per-payment cost. A payment over a short path fits the Tx's inline
+// arrays — the hop arena holds the probe's and the hold's hops, the
+// lock order and the hold record have their own, and the probe result
+// lands in the probe-result arena — so Probe, Hold and Commit allocate
+// nothing, and a session that is not released costs its Tx alone. A
+// released session is drawn again by the next Begin with the arenas it
+// grew, so even a payment that outgrows every inline array allocates
+// nothing once one like it has run.
 func TestPaymentAllocs(t *testing.T) {
-	n := lineNet(t)
-	path := []topo.NodeID{0, 1, 2, 3}
+	short, shortPath := lineNet(t), []topo.NodeID{0, 1, 2, 3}
+	long, longPath := longLineNet(t)
+	// A collection empties the Tx pool, and the next Begin allocates.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
-		name  string
-		probe bool
-		want  float64
+		name          string
+		net           *Network
+		path          []topo.NodeID
+		probes, holds int
+		release       bool
+		want          float64
 	}{
-		{"hold-commit", false, 1},      // the Tx
-		{"probe-hold-commit", true, 1}, // the Tx
+		{"hold-commit", short, shortPath, 0, 1, false, 1},       // the Tx
+		{"probe-hold-commit", short, shortPath, 1, 1, false, 1}, // the Tx
+		{"probe-hold-commit-release", short, shortPath, 1, 1, true, 0},
+		// 23 hops, 3 probes and 2 holds outgrow the hop, probe-result,
+		// lock and hold arenas' inline arrays.
+		{"outgrown-release", long, longPath, 3, 2, true, 0},
 	} {
+		if tc.release && raceEnabled {
+			continue
+		}
+		if !tc.release {
+			// Two collections empty the pool (its victim cache included),
+			// so every Begin of an unreleased row makes a new Tx.
+			runtime.GC()
+			runtime.GC()
+		}
+		last := tc.path[len(tc.path)-1]
 		avg := testing.AllocsPerRun(100, func() {
-			tx, err := n.Begin(0, 3, 0.1)
+			tx, err := tc.net.Begin(0, last, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.probe {
-				if _, err := tx.Probe(path); err != nil {
+			for i := 0; i < tc.probes; i++ {
+				if _, err := tx.Probe(tc.path); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := tx.Hold(path, 0.1); err != nil {
-				t.Fatal(err)
+			for i := 0; i < tc.holds; i++ {
+				if err := tx.Hold(tc.path, 0.1/float64(tc.holds)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
+			}
+			if tc.release {
+				ReleaseTx(tx)
 			}
 		})
 		if avg != tc.want {
 			t.Errorf("%s: %v allocations per payment, want %v", tc.name, avg, tc.want)
 		}
 	}
+}
+
+// longLineNet is a 24-node line funded far beyond any test payment,
+// and the path along all of it: 23 hops, more than any of a Tx's
+// inline arrays holds.
+func longLineNet(t *testing.T) (*Network, []topo.NodeID) {
+	t.Helper()
+	const nodes = 24
+	g := topo.Line(nodes)
+	n := New(g)
+	for _, e := range g.Channels() {
+		if err := n.SetBalance(e.A, e.B, 1e9, 1e9); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := make([]topo.NodeID, nodes)
+	for i := range path {
+		path[i] = topo.NodeID(i)
+	}
+	return n, path
 }
 
 // TestArenaGrowthKeepsEarlierResults drives one session far past its
@@ -149,7 +203,7 @@ func TestArenaGrowthKeepsEarlierResults(t *testing.T) {
 
 // TestTxSize keeps the Tx, inline arrays included, within one 512-byte
 // allocation: the allocator takes a slower path for pointerful objects
-// above 512 bytes, and Begin pays it on every payment.
+// above 512 bytes, and Begin pays it whenever its pool is empty.
 func TestTxSize(t *testing.T) {
 	if size := unsafe.Sizeof(Tx{}); size > 512 {
 		t.Fatalf("Tx is %d bytes, want at most 512", size)

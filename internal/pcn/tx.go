@@ -33,16 +33,21 @@ var (
 // # Working memory
 //
 // A Tx keeps its per-payment state in append-only arenas, each backed
-// by a small inline array until it outgrows it, so a payment over a
-// short path allocates nothing beyond the Tx itself: the hop arena
-// holds every hold record's hops back to back (the space past its
-// length resolves the path of the operation in flight), the
-// probe-result arena every Probe result, and one buffer the lock order
-// of the operation in flight. An arena only grows, and growth moves it
-// to a new array and leaves the old one to its readers, so a slice
-// handed out earlier is never overwritten: a Probe result is read-only
-// and valid for the session's life. Neither Probe nor Hold retains the
-// path it is given.
+// by a small inline array until it outgrows it: the hop arena holds
+// every hold record's hops back to back (the space past its length
+// resolves the path of the operation in flight), the probe-result
+// arena every Probe result, and one buffer the lock order of the
+// operation in flight. An arena only grows, and growth moves it to a
+// new array and leaves the old one to its readers, so a slice handed
+// out earlier is never overwritten while the session lives: a Probe
+// result is read-only and valid until ReleaseTx. Neither Probe nor
+// Hold retains the path it is given.
+//
+// Begin draws the Tx from a pool and ReleaseTx hands a settled one
+// back with its arenas emptied but not shrunk, so a caller that
+// releases every session it finishes allocates nothing per payment
+// once the arenas have grown to its payments' size; a session that is
+// never released is simply collected.
 //
 // # Hold-span state machine
 //
@@ -126,12 +131,36 @@ func (n *Network) Begin(sender, receiver topo.NodeID, demand float64) (*Tx, erro
 	if sender == receiver {
 		return nil, fmt.Errorf("pcn: sender and receiver are both node %d", sender)
 	}
-	t := &Tx{net: n, sender: sender, receiver: receiver, demand: demand}
+	t := txPool.Get().(*Tx)
+	t.net, t.sender, t.receiver, t.demand = n, sender, receiver, demand
+	return t, nil
+}
+
+// txPool recycles sessions released by ReleaseTx; a new one starts on
+// its inline arrays.
+var txPool = sync.Pool{New: func() any {
+	t := new(Tx)
 	t.holds = t.holdsInline[:0]
 	t.hops = t.hopsInline[:0]
 	t.infos = t.infosInline[:0]
 	t.lock = t.lockInline[:0]
-	return t, nil
+	return t
+}}
+
+// ReleaseTx hands a finished session back for a later Begin to reuse.
+// Every field is reset; the arenas keep the capacity they grew to. The
+// caller must not use t, or any Probe result it returned, afterwards.
+// ReleaseTx panics on a session that is not finished or is still
+// suspended: its holds would otherwise outlive it on the network, and
+// the next payment would inherit them.
+func ReleaseTx(t *Tx) {
+	if !t.finished || t.Suspended() {
+		panic("pcn: ReleaseTx of a session that is not finished or is still suspended")
+	}
+	clear(t.holds) // drop the records' references into outgrown hop arrays
+	holds, hops, infos, lock := t.holds[:0], t.hops[:0], t.infos[:0], t.lock[:0]
+	*t = Tx{holds: holds, hops: hops, infos: infos, lock: lock}
+	txPool.Put(t)
 }
 
 // Graph returns the sender's local topology view (§3.1): connectivity
@@ -221,7 +250,7 @@ func (n *Network) unlockChannels(idxs []int32) {
 // travels to the receiver and the acknowledgement returns). All on-path
 // channels are read under their locks together, so the result is a
 // consistent snapshot even while other payments commit concurrently.
-// The result is read-only and stays valid for the session's life.
+// The result is read-only and stays valid until ReleaseTx.
 //
 // Probe resolves the path in the hop arena's spare space and appends
 // the result to the probe-result arena, so it allocates nothing until

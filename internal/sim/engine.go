@@ -13,7 +13,12 @@ import (
 )
 
 // dynPayment is a payment moving through the engine: queued, in
-// service, or awaiting a retry.
+// service, or awaiting a retry. Records are recycled: complete puts a
+// finished one on the arrival stage's free list, and pull overwrites it
+// with the next arrival, so the engine allocates records only up to
+// the most payments ever pending at once. A record is in the pending
+// map or on the free list, never both — which is why pull refuses an
+// arrival whose ID is still pending.
 type dynPayment struct {
 	p           trace.Payment
 	attempt     int
@@ -170,7 +175,9 @@ func newEngine(net *pcn.Network, r route.Router, src trace.PaymentSource, horizo
 // the result. Every return, an error's included, carries the final
 // threshold and the log evidence (see finish).
 func (e *engine) run() (DynamicResult, error) {
-	e.arrivals.pull(&e.queue, e.pending)
+	if err := e.arrivals.pull(&e.queue, e.pending); err != nil {
+		return e.finish(err)
+	}
 	for e.queue.Len() > 0 {
 		ev, _ := e.queue.Pop()
 		e.clock.AdvanceTo(ev.Time)
@@ -182,7 +189,7 @@ func (e *engine) run() (DynamicResult, error) {
 		var err error
 		switch ev.Kind {
 		case event.PaymentArrival:
-			e.arrive(ev)
+			err = e.arrive(ev)
 		case event.PaymentComplete, event.DeadlineExpiry:
 			err = e.settle(ev)
 		default:
@@ -214,10 +221,12 @@ func (e *engine) finish(err error) (DynamicResult, error) {
 // arrive handles a PaymentArrival: a first attempt pulls the source's
 // next arrival and feeds the control plane, then the attempt is
 // dispatched or, when every station is busy, queued.
-func (e *engine) arrive(ev event.Event) {
+func (e *engine) arrive(ev event.Event) error {
 	dp := e.pending[ev.ID]
 	if ev.Attempt == 0 {
-		e.arrivals.pull(&e.queue, e.pending)
+		if err := e.arrivals.pull(&e.queue, e.pending); err != nil {
+			return err
+		}
 		if e.ctl != nil {
 			e.ctl.plane.ObserveArrival(dp.p.Sender, dp.p.Amount)
 		}
@@ -232,6 +241,7 @@ func (e *engine) arrive(ev event.Event) {
 	} else {
 		e.waitQ = append(e.waitQ, ev.ID)
 	}
+	return nil
 }
 
 // dispatch puts dp in service at virtual time t: the attempt routes
@@ -362,8 +372,10 @@ func (e *engine) settle(ev event.Event) error {
 // settleSpan settles a suspended attempt's hold span — Expire at its
 // deadline, else Resume, which aborts if churn closed a held channel —
 // and re-reads the commit-phase messages, latency and fees from the
-// session. It reports whether the span expired or aborted. The engine
-// schedules one settle event per attempt, so the call here always wins.
+// session, its last read: the settled session goes back to
+// pcn.ReleaseTx. It reports whether the span expired or aborted. The
+// engine schedules one settle event per attempt, so the call here
+// always wins.
 func (rr *routeResult) settleSpan(expire bool) (expired, aborted bool) {
 	tx := rr.tx
 	if tx == nil {
@@ -387,6 +399,8 @@ func (rr *routeResult) settleSpan(expire bool) (expired, aborted bool) {
 	if committed {
 		rr.out.fees = tx.FeesPaid()
 	}
+	rr.tx = nil
+	pcn.ReleaseTx(tx)
 	return expire, !expire && !committed
 }
 
@@ -416,6 +430,7 @@ func (e *engine) complete(dp *dynPayment, at float64) {
 	if e.obs != nil {
 		e.obs.completed(dp.p, e.miceThreshold, t, dp.attempt+1, dp.arrival, at, dp.spanAborted, dp.expired, e.curThreshold)
 	}
+	e.arrivals.free = append(e.arrivals.free, dp)
 }
 
 // retry re-queues an undelivered payment after a jittered virtual
@@ -500,31 +515,43 @@ func (e *engine) controlTick(ev event.Event) {
 type arrivalStage struct {
 	src       trace.PaymentSource
 	horizon   float64
-	done      bool        // the source is exhausted or past the horizon
-	lookahead *dynPayment // the pending first-attempt arrival, if any
-	scale     float64     // the amount scale the source samples under
+	done      bool          // the source is exhausted or past the horizon
+	lookahead *dynPayment   // the pending first-attempt arrival, if any
+	scale     float64       // the amount scale the source samples under
+	free      []*dynPayment // completed records, reused by pull
 }
 
 // pull schedules the source's next arrival, if it falls inside the
 // horizon. Degenerate payments (self-pay, non-positive amount) are
-// skipped.
-func (a *arrivalStage) pull(q *event.Queue, pending map[int64]*dynPayment) {
+// skipped. An arrival whose ID is still pending is an error: the two
+// payments would share one record.
+func (a *arrivalStage) pull(q *event.Queue, pending map[int64]*dynPayment) error {
 	a.lookahead = nil
 	for !a.done {
 		p, at, ok := a.src.Next()
 		if !ok || at >= a.horizon {
 			a.done = true
-			return
+			return nil
 		}
 		if p.Sender == p.Receiver || p.Amount <= 0 {
 			continue
 		}
-		dp := &dynPayment{p: p, arrival: at}
+		if _, dup := pending[int64(p.ID)]; dup {
+			return fmt.Errorf("sim: payment ID %d arrives at %v while an earlier payment with that ID is still pending", p.ID, at)
+		}
+		var dp *dynPayment
+		if n := len(a.free); n > 0 {
+			dp, a.free = a.free[n-1], a.free[:n-1]
+		} else {
+			dp = new(dynPayment)
+		}
+		*dp = dynPayment{p: p, arrival: at}
 		pending[int64(p.ID)] = dp
 		a.lookahead = dp
 		q.Schedule(event.Event{Time: at, Kind: event.PaymentArrival, ID: int64(p.ID)})
-		return
+		return nil
 	}
+	return nil
 }
 
 // rescale applies a DemandShift to sources that scale their amounts.

@@ -71,6 +71,23 @@ func TestNaNAmountFailsBegin(t *testing.T) {
 	checkErrorResult(t, res, 100, event.PaymentComplete)
 }
 
+// TestRepeatedPendingIDFails: a payment whose ID is still pending when
+// it arrives fails the run with an error naming the ID. The engine keys
+// its records by ID, so the second arrival used to overwrite the first
+// payment's record, whose settle then acted on the second payment's and
+// crashed on the missing one.
+func TestRepeatedPendingIDFails(t *testing.T) {
+	payments := []trace.Payment{
+		{ID: 7, Sender: 0, Receiver: 2, Amount: 1, Time: 0.5},
+		{ID: 7, Sender: 3, Receiver: 5, Amount: 100, Time: 0.5},
+		{ID: 8, Sender: 1, Receiver: 4, Amount: 1, Time: 0.6},
+	}
+	_, err := Replay(pcnNew(t, topo.Ring(6), 10), baselineShortestPath(t), payments, 10, 1, nil)
+	if err == nil || !strings.Contains(err.Error(), "payment ID 7") {
+		t.Fatalf("repeated pending ID: error %v, want one naming payment ID 7", err)
+	}
+}
+
 // TestControlNoOpDecisionsNotCounted: a threshold decision equal to the
 // current threshold and a decision on an unknown knob change nothing,
 // so neither is counted, logged or rolled up.

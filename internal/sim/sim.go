@@ -203,10 +203,11 @@ func (o *routeOutcome) add(a routeOutcome) {
 // usual, but a committed payment's funds stay locked — the suspended
 // session is returned in the result's tx for the caller to settle
 // later via Resume (one virtual service time later, in the dynamic
-// engine). Otherwise, and for aborted payments, tx is nil and the
-// outcome is final. For a suspended session the outcome's delivered
-// flag and fee/commit-message accounting are provisional: Resume
-// decides delivery and adds the CONFIRM (or REVERSE) costs.
+// engine). Otherwise, and for aborted payments, tx is nil, the outcome
+// is final and the session has gone back to pcn.ReleaseTx. For a
+// suspended session the outcome's delivered flag and
+// fee/commit-message accounting are provisional: Resume decides
+// delivery and adds the CONFIRM (or REVERSE) costs.
 func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64, seeded, deferCommit bool) routeResult {
 	tx, err := net.Begin(p.Sender, p.Receiver, p.Amount)
 	if err != nil {
@@ -248,6 +249,7 @@ func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64
 	if out.delivered {
 		out.fees = tx.FeesPaid()
 	}
+	pcn.ReleaseTx(tx)
 	return routeResult{out: out}
 }
 
