@@ -57,12 +57,14 @@ func (m *MaxFlowFullProbe) Route(s route.Session) error {
 		}
 	}
 	carries := func(u, v topo.NodeID) bool { return net[graph.DirEdge{U: u, V: v}] > route.Epsilon }
+	sc := graph.AcquireScratch()
+	defer graph.ReleaseScratch(sc)
 	for remaining := s.Demand(); remaining > route.Epsilon; {
-		p := graph.ShortestPath(g, s.Sender(), s.Receiver(), carries)
-		if p == nil {
+		p := sc.Shortest(g, s.Sender(), s.Receiver(), carries) // HoldUpTo never retains it
+		if p.IsZero() {
 			break
 		}
-		hops := graph.PathEdges(p)
+		hops := graph.PathEdges(p.Nodes())
 		amount := math.Inf(1)
 		for _, e := range hops {
 			amount = math.Min(amount, net[e])
@@ -77,38 +79,24 @@ func (m *MaxFlowFullProbe) Route(s route.Session) error {
 
 // chargeFullProbe bills the session for a network-wide balance
 // collection: one probe round trip (2 messages) per channel. The
-// Session interface has no "charge messages" method — probing the
-// sender's adjacent channels repeatedly models the same cost: we probe
-// ⌈channels⌉ one-hop paths. When the sender has no adjacent channel the
-// cost cannot be modelled and is skipped (the payment will fail
-// anyway).
+// Session interface has no "charge messages" method, and a probe path
+// must run from the sender to the receiver, so the cost is modelled by
+// probing the shortest such path — one hop when the two share a channel —
+// until the messages reach 2 × channels. When the receiver is
+// unreachable the cost cannot be modelled and is skipped (the payment
+// will fail anyway).
 func chargeFullProbe(s route.Session) {
 	g := s.Graph()
-	nbrs := g.Neighbors(s.Sender())
-	if len(nbrs) == 0 {
+	sc := graph.AcquireScratch()
+	defer graph.ReleaseScratch(sc)
+	path := sc.Shortest(g, s.Sender(), s.Receiver(), nil) // Probe never retains it
+	if path.IsZero() {
 		return
 	}
-	// Cheapest chargeable unit: a 1-hop probe = 2 messages. One per
-	// channel in the network.
-	oneHop := []topo.NodeID{s.Sender(), nbrs[0]}
-	// The one-hop path must end at the receiver to be a valid probe
-	// path; sessions only validate sender→receiver paths. Fall back to
-	// probing the shortest path repeatedly when no direct channel to the
-	// receiver exists.
-	path := oneHop
-	if nbrs[0] != s.Receiver() {
-		sc := graph.AcquireScratch()
-		defer graph.ReleaseScratch(sc)
-		path = sc.ShortestPath(g, s.Sender(), s.Receiver(), nil) // Probe never retains it
-		if path == nil {
-			return
-		}
-	}
-	hops := len(path) - 1
-	// Number of probes so that total messages ≈ 2 × NumChannels.
+	hops := path.Hops()
 	probes := (g.NumChannels() + hops - 1) / hops
 	for i := 0; i < probes; i++ {
-		if _, err := s.Probe(path); err != nil {
+		if _, err := route.Probe(s, path); err != nil {
 			return
 		}
 	}

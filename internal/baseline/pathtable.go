@@ -6,7 +6,8 @@ import (
 	"repro/internal/topo"
 )
 
-// pathTable memoises a static router's routes per sender/receiver pair.
+// pathTable memoises a static router's routes, as hop paths, per
+// sender/receiver pair.
 // A static baseline's route depends only on the topology, so a pair's
 // first payment searches and every later payment or retry of the pair
 // reuses the entry. Entries are immutable and shared: sessions never
@@ -22,15 +23,17 @@ type pathTable[P any] struct {
 	graph    *topo.Graph
 	channels int
 	entries  map[pairKey]P
-	arena    []topo.NodeID // the chunk keep copies paths into
+	arena    []topo.NodeID // the chunk keep copies hop paths into
 }
 
 type pairKey struct {
 	s, t topo.NodeID
 }
 
-// arenaChunk is the node count of one chunk of a table's path arena.
-const arenaChunk = 1 << 14
+// arenaChunk is the element count of one chunk of a table's path arena:
+// 2n-1 for a path of n nodes, so a chunk holds as many paths as 1<<14
+// nodes would.
+const arenaChunk = 1 << 15
 
 // SetCaching turns the table on or off. Caching never changes a route;
 // it only removes repeated searches. The testbed turns it off so that
@@ -64,17 +67,16 @@ func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Gra
 	return p
 }
 
-// keep copies path into the table's arena and returns the copy, its
-// capacity capped so that no append reaches the next path. A nil path
-// stays nil.
-func (pt *pathTable[P]) keep(path []topo.NodeID) []topo.NodeID {
-	if path == nil {
-		return nil
+// keep copies hop path p into the table's arena and returns the copy,
+// its capacity capped so that no append reaches the next path. The zero
+// Path stays zero.
+func (pt *pathTable[P]) keep(p topo.Path) topo.Path {
+	if p.IsZero() {
+		return p
 	}
-	if cap(pt.arena)-len(pt.arena) < len(path) {
-		pt.arena = make([]topo.NodeID, 0, max(arenaChunk, len(path)))
+	if cap(pt.arena)-len(pt.arena) < p.Len() {
+		pt.arena = make([]topo.NodeID, 0, max(arenaChunk, p.Len()))
 	}
-	start := len(pt.arena)
-	pt.arena = append(pt.arena, path...)
-	return pt.arena[start:len(pt.arena):len(pt.arena)]
+	p, pt.arena = p.AppendTo(pt.arena)
+	return p
 }

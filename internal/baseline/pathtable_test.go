@@ -139,7 +139,7 @@ func farthestPair(g *topo.Graph) (topo.NodeID, topo.NodeID) {
 	return a, b
 }
 
-var mapSink map[pairKey][]topo.NodeID
+var mapSink map[pairKey]topo.Path
 
 // TestShortestPathTableAllocs pins what ShortestPath's path table
 // allocates. A warm hit allocates nothing. The first payments of 1,000
@@ -193,15 +193,15 @@ func TestShortestPathTableAllocs(t *testing.T) {
 			}
 		}))
 	}
-	nodes := 0
+	elems := 0
 	for _, p := range sp.entries {
-		nodes += len(p)
+		elems += p.Len()
 	}
-	chunks := uint64((nodes + arenaChunk - 1) / arenaChunk)
+	chunks := uint64((elems + arenaChunk - 1) / arenaChunk)
 	growth := mallocs(func() {
-		m := make(map[pairKey][]topo.NodeID)
+		m := make(map[pairKey]topo.Path)
 		for _, p := range pairs {
-			m[p] = nil
+			m[p] = topo.Path{}
 		}
 		mapSink = m // on the heap, as the table's map is
 	})

@@ -30,7 +30,7 @@ import (
 // The path depends only on the topology, so it is searched once per
 // sender/receiver pair and kept in the router's path table.
 type ShortestPath struct {
-	pathTable[[]topo.NodeID]
+	pathTable[topo.Path]
 }
 
 // NewShortestPath returns the SP baseline router.
@@ -43,13 +43,13 @@ func (sp *ShortestPath) Name() string { return "ShortestPath" }
 // handed to Hold as is: sessions never retain or modify a path.
 func (sp *ShortestPath) Route(s route.Session) error {
 	path := sp.get(s.Graph(), s.Sender(), s.Receiver(), sp.find)
-	if path == nil {
+	if path.IsZero() {
 		if err := s.Abort(); err != nil {
 			return err
 		}
 		return route.ErrNoRoute
 	}
-	if err := s.Hold(path, s.Demand()); err != nil {
+	if err := route.Hold(s, path, s.Demand()); err != nil {
 		if aerr := s.Abort(); aerr != nil {
 			return aerr
 		}
@@ -58,10 +58,10 @@ func (sp *ShortestPath) Route(s route.Session) error {
 	return s.Commit()
 }
 
-// find searches g for the minimum-hop path from s to t and returns its
-// copy in the table's arena, or nil when t is unreachable.
-func (sp *ShortestPath) find(g *topo.Graph, s, t topo.NodeID) []topo.NodeID {
+// find searches g for the minimum-hop hop path from s to t and returns
+// its copy in the table's arena, or the zero Path when t is unreachable.
+func (sp *ShortestPath) find(g *topo.Graph, s, t topo.NodeID) topo.Path {
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
-	return sp.keep(sc.ShortestPath(g, s, t, nil))
+	return sp.keep(sc.Shortest(g, s, t, nil))
 }

@@ -19,7 +19,7 @@ import (
 // depends only on the topology, so it is computed once per
 // sender/receiver pair and kept in the router's path table.
 type Spider struct {
-	pathTable[[][]topo.NodeID]
+	pathTable[[]topo.Path]
 	numPaths int
 }
 
@@ -36,7 +36,7 @@ func NewSpider(numPaths int) *Spider {
 func (sp *Spider) Name() string { return "Spider" }
 
 // find returns the edge-disjoint shortest path set from s to t on g.
-func (sp *Spider) find(g *topo.Graph, s, t topo.NodeID) [][]topo.NodeID {
+func (sp *Spider) find(g *topo.Graph, s, t topo.NodeID) []topo.Path {
 	return graph.EdgeDisjointPaths(g, s, t, sp.numPaths)
 }
 
@@ -52,7 +52,7 @@ func (sp *Spider) Route(s route.Session) error {
 	}
 	caps := make([]float64, len(paths))
 	for i, p := range paths {
-		info, err := s.Probe(p)
+		info, err := route.Probe(s, p)
 		if err != nil {
 			continue
 		}

@@ -364,8 +364,10 @@ func TestFixedMiceOrderDeterministic(t *testing.T) {
 	cfg := DefaultConfig(math.Inf(1))
 	cfg.FixedMiceOrder = true
 	f := New(cfg)
-	e := &tableEntry{paths: [][]topo.NodeID{
-		{0, 1, 2, 3}, {0, 3}, {0, 2, 3},
+	e := &tableEntry{paths: []topo.Path{ // only the hop counts matter here
+		topo.MakePath([]topo.NodeID{0, 1, 2, 3}, make([]int32, 3)),
+		topo.MakePath([]topo.NodeID{0, 3}, make([]int32, 1)),
+		topo.MakePath([]topo.NodeID{0, 2, 3}, make([]int32, 2)),
 	}}
 	order := f.pathOrder(nil, &routingTable{}, e, nil)
 	if order[0] != 1 || order[1] != 2 || order[2] != 0 {

@@ -24,7 +24,6 @@ import (
 // read instead of a map probe. Values at slots whose known stamp is
 // stale are garbage; every accessor checks the stamp first.
 type probedState struct {
-	g        *topo.Graph
 	epoch    uint32
 	known    []uint32  // slot probed iff known[slot] == epoch
 	capacity []float64 // C — probed capacity, set once
@@ -59,7 +58,6 @@ var probedPool = sync.Pool{New: func() any { return new(probedState) }}
 // empty plan.
 func acquireProbedState(g *topo.Graph) *probedState {
 	ps := probedPool.Get().(*probedState)
-	ps.g = g
 	if m := 2 * g.NumChannels(); len(ps.known) < m {
 		ps.known = make([]uint32, m)
 		ps.capacity = make([]float64, m)
@@ -81,24 +79,21 @@ func acquireProbedState(g *topo.Graph) *probedState {
 // release returns ps to the pool, and with it the plan, its paths and
 // the split: nothing may use them after.
 func (ps *probedState) release() {
-	ps.g = nil
 	probedPool.Put(ps)
 }
 
-// slot maps the directed hop u→v to its flat index, growing the arrays
-// when a channel was registered after this probedState was sized (churn
-// opening a channel mid-payment). Returns -1 for hops with no channel.
-func (ps *probedState) slot(u, v topo.NodeID) int {
-	ci := ps.g.ChannelIndex(u, v)
-	if ci < 0 {
-		return -1
-	}
-	s := 2 * ci
+// slot returns the flat index of hop i of p, 2·channel + direction, the
+// channel read from the path: no lookup. It grows the arrays when a
+// channel was registered after this probedState was sized (churn opening
+// a channel mid-payment).
+func (ps *probedState) slot(p topo.Path, i int) int {
+	u, v, ch := p.Hop(i)
+	s := 2 * ch
 	if u > v {
 		s++
 	}
 	if s >= len(ps.known) {
-		ps.grow(s + 1)
+		ps.grow(2*ch + 2)
 	}
 	return s
 }
@@ -119,12 +114,6 @@ func (ps *probedState) grow(m int) {
 	row := make([]int32, m)
 	copy(row, ps.row)
 	ps.row = row
-}
-
-// knownHop reports whether the directed hop u→v has been probed.
-func (ps *probedState) knownHop(u, v topo.NodeID) bool {
-	s := ps.slot(u, v)
-	return s >= 0 && ps.known[s] == ps.epoch
 }
 
 // knownCount returns the number of probed directed hops (tests assert
@@ -159,7 +148,7 @@ func (ps *probedState) usableCh(u, v topo.NodeID, ch int32) bool {
 // paths, the flow each contributed during discovery, and the probed
 // state backing the LP, which holds the plan (probedState.plan).
 type elephantPlan struct {
-	paths     [][]topo.NodeID
+	paths     []topo.Path
 	pathFlows []float64 // bottleneck flow found on each path (discovery order)
 	state     *probedState
 	flow      float64 // total max-flow found = sum of pathFlows
@@ -169,12 +158,9 @@ type elephantPlan struct {
 // (Algorithm 1 lines 17–22). Probing a hop reveals both directions of
 // its channel: each on-path node knows the balance on both sides of
 // its adjacent channels.
-func (ps *probedState) record(p []topo.NodeID, info []pcn.HopInfo) {
-	for i := 0; i+1 < len(p); i++ {
-		fwd := ps.slot(p[i], p[i+1])
-		if fwd < 0 {
-			continue
-		}
+func (ps *probedState) record(p topo.Path, info []pcn.HopInfo) {
+	for i := range p.Hops() {
+		fwd := ps.slot(p, i)
 		if ps.known[fwd] != ps.epoch {
 			ps.known[fwd] = ps.epoch
 			ps.capacity[fwd] = info[i].Available
@@ -193,20 +179,19 @@ func (ps *probedState) record(p []topo.NodeID, info []pcn.HopInfo) {
 
 // keep copies p into the path arena, where the plan holds it until
 // release; the search scratch reuses p's array.
-func (ps *probedState) keep(p []topo.NodeID) []topo.NodeID {
-	n := len(ps.arena)
-	ps.arena = append(ps.arena, p...)
-	return ps.arena[n:len(ps.arena):len(ps.arena)]
+func (ps *probedState) keep(p topo.Path) topo.Path {
+	p, ps.arena = p.AppendTo(ps.arena)
+	return p
 }
 
 // bottleneck is the minimum residual along p (Algorithm 1 line 12),
 // clamped at zero. Unprobed hops read as zero residual, exactly as the
 // map representation's missing keys did.
-func (ps *probedState) bottleneck(p []topo.NodeID) float64 {
+func (ps *probedState) bottleneck(p topo.Path) float64 {
 	c := math.Inf(1)
-	for i := 0; i+1 < len(p); i++ {
+	for i := range p.Hops() {
 		r := 0.0
-		if s := ps.slot(p[i], p[i+1]); s >= 0 && ps.known[s] == ps.epoch {
+		if s := ps.slot(p, i); ps.known[s] == ps.epoch {
 			r = ps.residual[s]
 		}
 		if r < c {
@@ -227,18 +212,17 @@ func (ps *probedState) bottleneck(p []topo.NodeID) float64 {
 // path but its effective capacity is zero after probing." Such a path
 // still consumes one of the k iterations (line 10 adds p to P before
 // probing), but contributes no flow.
-func (plan *elephantPlan) accept(p []topo.NodeID, c float64) {
+func (plan *elephantPlan) accept(p topo.Path, c float64) {
 	plan.paths = append(plan.paths, p)
 	plan.pathFlows = append(plan.pathFlows, c)
 	if c > 0 {
 		ps := plan.state
-		for i := 0; i+1 < len(p); i++ {
+		for i := range p.Hops() {
 			// Probing recorded both directions of every on-path channel,
 			// so the slots are known; the update mirrors lines 23–24.
-			if fwd := ps.slot(p[i], p[i+1]); fwd >= 0 {
-				ps.residual[fwd] -= c
-				ps.residual[fwd^1] += c
-			}
+			fwd := ps.slot(p, i)
+			ps.residual[fwd] -= c
+			ps.residual[fwd^1] += c
 		}
 		plan.flow += c
 	}
@@ -275,11 +259,11 @@ func (f *Flash) findElephantPaths(s route.Session, k int) *elephantPlan {
 
 	for len(plan.paths) < k {
 		p := sc.AugmentingPath(g, s.Sender(), s.Receiver(), ps.usableCh, len(plan.paths) == 0)
-		if p == nil {
+		if p.IsZero() {
 			break
 		}
 		p = ps.keep(p) // plan retains; scratch reuses
-		info, err := s.Probe(p)
+		info, err := route.Probe(s, p)
 		if err != nil {
 			break
 		}
@@ -402,8 +386,8 @@ func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64
 	// directed hop appearing on any path and per known reverse of one.
 	ps.c = append(ps.c[:0], make([]float64, n)...)
 	for i, p := range plan.paths {
-		for j := 0; j+1 < len(p); j++ {
-			fwd := ps.slot(p[j], p[j+1]) // a path's hops are channels of g
+		for j := range p.Hops() {
+			fwd := ps.slot(p, j)
 			if ps.known[fwd] == ps.epoch {
 				ps.c[i] += ps.fees[fwd].Rate
 			}
@@ -420,8 +404,8 @@ func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64
 	ps.flat = append(ps.flat[:0], make([]float64, rows*n)...)
 	flat := ps.flat
 	for i, p := range plan.paths {
-		for j := 0; j+1 < len(p); j++ {
-			fwd := ps.slot(p[j], p[j+1])
+		for j := range p.Hops() {
+			fwd := ps.slot(p, j)
 			flat[rowOf(fwd)*n+i] += 1
 			if ps.known[fwd^1] == ps.epoch {
 				flat[rowOf(fwd^1)*n+i] -= 1

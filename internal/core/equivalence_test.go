@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -109,11 +108,11 @@ func (f *Flash) findElephantPathsUnfloored(s route.Session, k int) *elephantPlan
 	defer graph.ReleaseScratch(sc)
 	for len(plan.paths) < k {
 		p := sc.AugmentingPath(g, s.Sender(), s.Receiver(), ps.usableCh, true)
-		if p == nil {
+		if p.IsZero() {
 			break
 		}
-		p = append([]topo.NodeID(nil), p...)
-		info, err := s.Probe(p)
+		p, _ = p.AppendTo(nil)
+		info, err := route.Probe(s, p)
 		if err != nil {
 			break
 		}
@@ -200,19 +199,19 @@ func TestElephantFloorChangesNothing(t *testing.T) {
 				trial, len(got.paths), got.flow, len(want.paths), want.flow)
 		}
 		for i := range want.paths {
-			if !slices.Equal(got.paths[i], want.paths[i]) || got.pathFlows[i] != want.pathFlows[i] {
+			if !got.paths[i].Equal(want.paths[i]) || got.pathFlows[i] != want.pathFlows[i] {
 				t.Fatalf("trial %d round %d: %v carrying %v resumed, %v carrying %v from scratch",
 					trial, i, got.paths[i], got.pathFlows[i], want.paths[i], want.pathFlows[i])
 			}
-			if i > 0 && len(want.paths[i]) < len(want.paths[i-1]) {
+			if i > 0 && want.paths[i].Hops() < want.paths[i-1].Hops() {
 				t.Fatalf("trial %d round %d: path %v is shorter than the round before's %v",
 					trial, i, want.paths[i], want.paths[i-1])
 			}
-			if i > 0 && len(want.paths[i]) == len(want.paths[i-1]) {
+			if i > 0 && want.paths[i].Hops() == want.paths[i-1].Hops() {
 				kept++
 			}
 		}
-		if len(want.paths) > 2 && len(want.paths[len(want.paths)-1]) > len(want.paths[0]) {
+		if len(want.paths) > 2 && want.paths[len(want.paths)-1].Hops() > want.paths[0].Hops() {
 			multi++
 		}
 		got.state.release()

@@ -15,12 +15,14 @@ const (
 	chunkBits = 9
 )
 
-// channelIndex is the routing tables read backwards: for each channel
-// (topo.Edge, the canonical node pair), the table entries whose cached
-// paths — live set or replacement pool — cross it, so that
-// InvalidateChannel goes straight to the entries it drops instead of
-// walking every path of every sender. A Flash has one, made by New and
-// shared by all its tables.
+// channelIndex is the routing tables read backwards: for each channel,
+// by its index in the graph, the table entries whose cached paths — live
+// set or replacement pool — cross it, so that InvalidateChannel goes
+// straight to the entries it drops instead of walking every path of every
+// sender. The paths carry their channels, so registering an entry looks
+// nothing up; InvalidateChannel, which is handed a node pair, looks its
+// channel up once, on the graph the last registered paths were found on.
+// A Flash has one, made by New and shared by all its tables.
 //
 // Lock order: a table's mu may be held when the index's is taken (that is
 // how entries register), never the reverse. Whoever needs both the other
@@ -46,11 +48,12 @@ const (
 // reference that names it.
 type channelIndex struct {
 	mu      sync.Mutex
-	heads   map[topo.Edge]uint32 // a channel's first reference; 0 ends a list
-	chunks  [][]indexRef         // reference r is chunks[r>>chunkBits][r&(1<<chunkBits-1)]
-	issued  uint32               // references ever handed out, counting 0
-	free    uint32               // unused references, a list through next
-	entries []*tableEntry        // by tableEntry.id; nil while the id is unused
+	g       *topo.Graph   // the graph the last registered paths were found on
+	heads   []uint32      // by channel: its first reference; 0 ends a list
+	chunks  [][]indexRef  // reference r is chunks[r>>chunkBits][r&(1<<chunkBits-1)]
+	issued  uint32        // references ever handed out, counting 0
+	free    uint32        // unused references, a list through next
+	entries []*tableEntry // by tableEntry.id; nil while the id is unused
 	freeIDs []uint32
 	size    int // references held, dead ones included
 	kept    int // references the last sweep kept
@@ -60,7 +63,6 @@ type indexRef struct{ entry, next uint32 }
 
 func newChannelIndex() *channelIndex {
 	return &channelIndex{
-		heads:   make(map[topo.Edge]uint32),
 		issued:  1,
 		entries: make([]*tableEntry, 1), // id 0: not registered
 	}
@@ -71,7 +73,7 @@ func (x *channelIndex) ref(r uint32) *indexRef {
 }
 
 // link puts a reference to entry id at the head of channel c's list.
-func (x *channelIndex) link(c topo.Edge, id uint32) {
+func (x *channelIndex) link(c int32, id uint32) {
 	r := x.free
 	if r != 0 {
 		x.free = x.ref(r).next
@@ -101,10 +103,10 @@ func (x *channelIndex) unlink(link *uint32, r uint32) uint32 {
 // channelsOf appends to buf the channels of paths that buf does not hold
 // yet. A pair's Yen paths share most of theirs, and a dozen channels are
 // searched faster than hashed.
-func channelsOf(buf []topo.Edge, paths [][]topo.NodeID) []topo.Edge {
+func channelsOf(buf []int32, paths []topo.Path) []int32 {
 	for _, p := range paths {
-		for i := 0; i+1 < len(p); i++ {
-			if c := topo.NewEdge(p[i], p[i+1]); !slices.Contains(buf, c) {
+		for i := range p.Hops() {
+			if c := int32(p.Chan(i)); !slices.Contains(buf, c) {
 				buf = append(buf, c)
 			}
 		}
@@ -112,12 +114,13 @@ func channelsOf(buf []topo.Edge, paths [][]topo.NodeID) []topo.Edge {
 	return buf
 }
 
-// add registers e under the channels of paths, but for those of known,
-// the paths it registered before. The caller holds e's table lock, so e
-// is not removed meanwhile; an entry removed before (a payment may still
-// hold one, and replace its dead paths) stays out: its id may be another's.
-func (x *channelIndex) add(e *tableEntry, paths, known [][]topo.NodeID) {
-	var buf [32]topo.Edge
+// add registers e under the channels of paths, found on g, but for those
+// of known, the paths it registered before. The caller holds e's table
+// lock, so e is not removed meanwhile; an entry removed before (a payment
+// may still hold one, and replace its dead paths) stays out: its id may be
+// another's.
+func (x *channelIndex) add(g *topo.Graph, e *tableEntry, paths, known []topo.Path) {
+	var buf [32]int32
 	old := channelsOf(buf[:0], known)
 	chans := channelsOf(old, paths)[len(old):]
 	if len(chans) == 0 || e.dead.Load() {
@@ -125,6 +128,7 @@ func (x *channelIndex) add(e *tableEntry, paths, known [][]topo.NodeID) {
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	x.g = g
 	if e.id == 0 {
 		if n := len(x.freeIDs); n > 0 {
 			e.id, x.freeIDs = x.freeIDs[n-1], x.freeIDs[:n-1]
@@ -133,6 +137,9 @@ func (x *channelIndex) add(e *tableEntry, paths, known [][]topo.NodeID) {
 			e.id = uint32(len(x.entries))
 			x.entries = append(x.entries, e)
 		}
+	}
+	if m := g.NumChannels(); len(x.heads) < m {
+		x.heads = append(x.heads, make([]uint32, m-len(x.heads))...)
 	}
 	for _, c := range chans {
 		x.link(c, e.id)
@@ -152,19 +159,14 @@ func (x *channelIndex) sweep() {
 			x.freeIDs = append(x.freeIDs, uint32(id))
 		}
 	}
-	for c, head := range x.heads {
-		link := &head
-		for r := head; r != 0; {
+	for c := range x.heads {
+		link := &x.heads[c]
+		for r := *link; r != 0; {
 			if ref := x.ref(r); x.entries[ref.entry] == nil {
 				r = x.unlink(link, r)
 			} else {
 				link, r = &ref.next, ref.next
 			}
-		}
-		if head == 0 {
-			delete(x.heads, c)
-		} else {
-			x.heads[c] = head
 		}
 	}
 	x.kept = x.size
@@ -173,19 +175,25 @@ func (x *channelIndex) sweep() {
 // detach takes the list of channel u–v out of the index and returns its
 // entries that are still in their tables: the ones that crossed the
 // channel when they registered, each once. The caller must hold no table
-// lock.
+// lock. The node pair is InvalidateChannel's input, so this is where its
+// channel is looked up, once.
 func (x *channelIndex) detach(u, v topo.NodeID) []*tableEntry {
-	c := topo.NewEdge(u, v)
 	x.mu.Lock()
 	defer x.mu.Unlock()
+	if x.g == nil {
+		return nil // nothing registered yet
+	}
+	c := x.g.ChannelIndex(u, v)
+	if c < 0 || c >= len(x.heads) {
+		return nil // no channel, or one no path crossed
+	}
 	var users []*tableEntry
-	head := x.heads[c]
-	for head != 0 {
-		if e := x.entries[x.ref(head).entry]; !e.dead.Load() {
+	head := &x.heads[c]
+	for *head != 0 {
+		if e := x.entries[x.ref(*head).entry]; !e.dead.Load() {
 			users = append(users, e)
 		}
-		head = x.unlink(&head, head)
+		x.unlink(head, *head)
 	}
-	delete(x.heads, c)
 	return users
 }

@@ -88,9 +88,9 @@ type tableEntry struct {
 	id         uint32        // in the channel index, whose lock guards it; 0 until registered
 	receiver   topo.NodeID   // map key, needed to evict via the LRU list
 	prev, next *tableEntry   // intrusive LRU list links
-	paths      [][]topo.NodeID
-	all        [][]topo.NodeID // extended Yen list, nil until first needed
-	cursor     int             // rotation position within all
+	paths      []topo.Path
+	all        []topo.Path // extended Yen list, nil until first needed
+	cursor     int         // rotation position within all
 	lastAccess int
 
 	// maxAmount is the largest payment this entry ever served — the
@@ -156,13 +156,13 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	e := &tableEntry{
 		table:      t,
 		receiver:   receiver,
-		paths:      graph.YenKSP(g, sender, receiver, f.cfg.M),
+		paths:      graph.Yen(g, sender, receiver, f.cfg.M, nil),
 		lastAccess: t.clock,
 		maxAmount:  amount,
 	}
 	t.entries[receiver] = e
 	t.pushBack(e)
-	f.index.add(e, e.paths, nil)
+	f.index.add(g, e, e.paths, nil)
 	f.enforceCapLocked(t)
 	return t, e
 }
@@ -181,14 +181,14 @@ func (f *Flash) enforceCapLocked(t *routingTable) {
 	}
 }
 
-// pathAt returns entry's path at slot under the table lock, or nil when
-// a concurrent replacement shrank the entry below slot. The returned
-// slice is immutable and safe to use after the lock is released.
-func (t *routingTable) pathAt(e *tableEntry, slot int) []topo.NodeID {
+// pathAt returns entry's path at slot under the table lock, or the zero
+// Path when a concurrent replacement shrank the entry below slot. The
+// returned path is immutable and safe to use after the lock is released.
+func (t *routingTable) pathAt(e *tableEntry, slot int) topo.Path {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if slot >= len(e.paths) {
-		return nil
+		return topo.Path{}
 	}
 	return e.paths[slot]
 }
@@ -201,22 +201,23 @@ func (t *routingTable) pathAt(e *tableEntry, slot int) []topo.NodeID {
 // a path that was dead earlier may have revived, since channel balances
 // move in both directions. expected is the path the caller observed at
 // slot: if a concurrent payment already replaced it, nothing is changed
-// and nil is returned. Returns the replacement, or nil when the pair
-// has no alternative paths at all (the slot is then dropped).
-func (f *Flash) replaceDeadPath(g *topo.Graph, sender topo.NodeID, t *routingTable, e *tableEntry, slot int, expected []topo.NodeID) []topo.NodeID {
+// and the zero Path is returned. Returns the replacement, or the zero
+// Path when the pair has no alternative paths at all (the slot is then
+// dropped).
+func (f *Flash) replaceDeadPath(g *topo.Graph, sender topo.NodeID, t *routingTable, e *tableEntry, slot int, expected topo.Path) topo.Path {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if slot >= len(e.paths) || !slices.Equal(e.paths[slot], expected) {
-		return nil
+	if slot >= len(e.paths) || !e.paths[slot].Equal(expected) {
+		return topo.Path{}
 	}
 	if e.all == nil {
-		e.all = graph.YenKSP(g, sender, e.receiver, f.cfg.M+replacementPool)
+		e.all = graph.Yen(g, sender, e.receiver, f.cfg.M+replacementPool, nil)
 		e.cursor = len(e.paths) % max(len(e.all), 1)
-		f.index.add(e, e.all, e.paths)
+		f.index.add(g, e, e.all, e.paths)
 	}
 	if len(e.all) <= 1 {
 		e.paths = append(e.paths[:slot], e.paths[slot+1:]...)
-		return nil
+		return topo.Path{}
 	}
 	// Pick the next rotation candidate not currently in the live set.
 	for tries := 0; tries < len(e.all); tries++ {
@@ -229,14 +230,12 @@ func (f *Flash) replaceDeadPath(g *topo.Graph, sender topo.NodeID, t *routingTab
 		}
 	}
 	e.paths = append(e.paths[:slot], e.paths[slot+1:]...)
-	return nil
+	return topo.Path{}
 }
 
 // containsPath reports whether set holds an identical path.
-func containsPath(set [][]topo.NodeID, p []topo.NodeID) bool {
-	return slices.ContainsFunc(set, func(q []topo.NodeID) bool {
-		return slices.Equal(q, p)
-	})
+func containsPath(set []topo.Path, p topo.Path) bool {
+	return slices.ContainsFunc(set, p.Equal)
 }
 
 // routeMice is the paper's mice algorithm (§3.3): look the receiver up
@@ -264,19 +263,19 @@ func (f *Flash) routeMice(s route.Session) error {
 			break
 		}
 		path := tbl.pathAt(entry, slot)
-		if path == nil {
+		if path.IsZero() {
 			continue // a replacement shrank the table mid-loop
 		}
 		// First try the full remainder directly — no probing (this is
 		// where mice routing wins its overhead back: most mice succeed
 		// on the first try).
-		if err := s.Hold(path, remaining); err == nil {
+		if err := route.Hold(s, path, remaining); err == nil {
 			remaining = 0
 			break
 		}
 		// Rejected: probe to learn the effective capacity cp and send a
 		// partial payment of that volume.
-		info, err := s.Probe(path)
+		info, err := route.Probe(s, path)
 		if err != nil {
 			continue
 		}
@@ -284,7 +283,7 @@ func (f *Flash) routeMice(s route.Session) error {
 		if cp <= route.Epsilon {
 			// Dead path: replace with the next pooled Yen path and, if
 			// one exists, give it a chance for this payment too.
-			if next := f.replaceDeadPath(g, s.Sender(), tbl, entry, slot, path); next != nil {
+			if next := f.replaceDeadPath(g, s.Sender(), tbl, entry, slot, path); !next.IsZero() {
 				held := route.HoldUpTo(s, next, remaining)
 				remaining -= held
 			}
@@ -294,7 +293,7 @@ func (f *Flash) routeMice(s route.Session) error {
 		if amount > remaining {
 			amount = remaining
 		}
-		if err := s.Hold(path, amount); err == nil {
+		if err := route.Hold(s, path, amount); err == nil {
 			remaining -= amount
 		}
 	}
@@ -321,7 +320,7 @@ func (f *Flash) pathOrder(s route.Session, t *routingTable, e *tableEntry, buf [
 	if f.cfg.FixedMiceOrder {
 		lengths = make([]int, n)
 		for i, p := range e.paths {
-			lengths[i] = len(p)
+			lengths[i] = p.Hops()
 		}
 	}
 	t.mu.Unlock()

@@ -19,7 +19,7 @@ import (
 //  1. Candidate stage — compute up to ProbeWorkers distinct candidate
 //     shortest paths on the sender's current knowledge graph:
 //     the BFS shortest path plus Yen-style edge-avoidance spur
-//     deviations (graph.YenKSPUsable), all filtered by the probed
+//     deviations (graph.Yen), all filtered by the probed
 //     residuals exactly as the sequential BFS is.
 //  2. Probe stage — probe the candidates in index order, every one of
 //     them even after one fails. Candidates whose every hop is already
@@ -49,7 +49,7 @@ import (
 // route.LatencyMeter capability; sessions without it (or runs without
 // latency, where every path sum is 0) are untouched. This is what makes
 // ProbeWorkers visible in virtual-time delay metrics.
-func creditRoundOverlap(s route.Session, cands [][]topo.NodeID, needsProbe []bool, errs []error) {
+func creditRoundOverlap(s route.Session, cands []topo.Path, needsProbe []bool, errs []error) {
 	lm, ok := s.(route.LatencyMeter)
 	if !ok {
 		return
@@ -74,9 +74,9 @@ func creditRoundOverlap(s route.Session, cands [][]topo.NodeID, needsProbe []boo
 // capacity matrix. Probing records both directions of every on-path
 // channel, so a path made entirely of known hops carries no new
 // information and need not be re-probed.
-func (ps *probedState) unknownHops(p []topo.NodeID) bool {
-	for i := 0; i+1 < len(p); i++ {
-		if !ps.knownHop(p[i], p[i+1]) {
+func (ps *probedState) unknownHops(p topo.Path) bool {
+	for i := range p.Hops() {
+		if ps.known[ps.slot(p, i)] != ps.epoch {
 			return true
 		}
 	}
@@ -102,7 +102,7 @@ func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *ele
 		if rem := k - len(plan.paths); want > rem {
 			want = rem
 		}
-		cands := graph.YenKSPCh(g, s.Sender(), s.Receiver(), want, ps.usableCh)
+		cands := graph.Yen(g, s.Sender(), s.Receiver(), want, ps.usableCh)
 		if len(cands) == 0 {
 			break
 		}
@@ -114,7 +114,7 @@ func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *ele
 		needsProbe := make([]bool, len(cands))
 		for i, p := range cands {
 			if needsProbe[i] = ps.unknownHops(p); needsProbe[i] {
-				infos[i], errs[i] = s.Probe(p)
+				infos[i], errs[i] = route.Probe(s, p)
 			}
 		}
 		creditRoundOverlap(s, cands, needsProbe, errs)

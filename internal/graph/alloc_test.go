@@ -77,14 +77,15 @@ func TestAugmentingPathResumeZeroAlloc(t *testing.T) {
 		hops := 0
 		for r := 0; r < 6; r++ {
 			p := sc.AugmentingPath(g, 0, 399, cu, r == 0)
-			if p == nil {
+			if p.IsZero() {
 				return
 			}
-			if r > 0 && len(p)-1 == hops {
+			if r > 0 && p.Hops() == hops {
 				resumed++
 			}
-			hops = len(p) - 1
-			shut[chSlot(p[hops-1], p[hops], int32(g.ChannelIndex(p[hops-1], p[hops])))] = true
+			hops = p.Hops()
+			u, v, ch := p.Hop(hops - 1)
+			shut[chSlot(u, v, int32(ch))] = true
 		}
 	}
 	sequence() // warm buffers
@@ -168,9 +169,9 @@ func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
 	const yenAllocs = 35
 	g := allocGraph(t)
 	pruned, oracle := NewScratch(), NewScratch()
-	pruned.yenKSP(g, 0, 399, 4, nil, nil)
+	pruned.yenNodes(g, 0, 399, 4, nil)
 	oracle.oracleYenKSP(g, 0, 399, 4, nil, nil)
-	got := testing.AllocsPerRun(100, func() { pruned.yenKSP(g, 0, 399, 4, nil, nil) })
+	got := testing.AllocsPerRun(100, func() { pruned.yenNodes(g, 0, 399, 4, nil) })
 	want := testing.AllocsPerRun(100, func() { oracle.oracleYenKSP(g, 0, 399, 4, nil, nil) })
 	if got > want || got > yenAllocs {
 		t.Fatalf("yenKSP(k=4) allocates %v/op, the pre-change search %v/op, the pinned count %v", got, want, yenAllocs)
@@ -178,19 +179,24 @@ func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
 }
 
 // TestYenKSPAllocs pins a Yen run on a warm Scratch at exactly two
-// allocations: the flat array the accepted paths are copied into and
-// their slice headers. Candidates, the seen set and the heap live in the
-// Scratch, so a run that allocates more is keeping garbage per spur
-// again (a mice-table fill runs one of these per table miss).
+// allocations, in node form and in hop form alike: the flat array the
+// accepted paths are copied into — a hop path's channels share it with
+// its nodes — and their slice headers. Candidates, the seen set and the
+// heap live in the Scratch, so a run that allocates more is keeping
+// garbage per spur again (a mice-table fill runs one of these per table
+// miss).
 func TestYenKSPAllocs(t *testing.T) {
 	g := allocGraph(t)
 	sc := NewScratch()
 	for _, k := range []int{1, 4, 8} {
-		if got := sc.yenKSP(g, 0, 399, k, nil, nil); len(got) != k { // warm buffers
+		if got := sc.yenNodes(g, 0, 399, k, nil); len(got) != k { // warm buffers
 			t.Fatalf("k=%d: %d paths in alloc fixture", k, len(got))
 		}
-		if avg := testing.AllocsPerRun(100, func() { sc.yenKSP(g, 0, 399, k, nil, nil) }); avg != 2 {
-			t.Fatalf("yenKSP(k=%d) allocates %v/op on a warm Scratch, want 2 (the flat paths and their headers)", k, avg)
+		if avg := testing.AllocsPerRun(100, func() { sc.yenNodes(g, 0, 399, k, nil) }); avg != 2 {
+			t.Fatalf("yenNodes(k=%d) allocates %v/op on a warm Scratch, want 2 (the flat paths and their headers)", k, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { sc.yenPaths(g, 0, 399, k, nil) }); avg != 2 {
+			t.Fatalf("yenPaths(k=%d) allocates %v/op on a warm Scratch, want 2 (the flat hop paths and their headers)", k, avg)
 		}
 	}
 }

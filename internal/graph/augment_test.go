@@ -44,7 +44,9 @@ func checkAugmentRounds(tb testing.TB, dg diffGraph, s, t topo.NodeID, seed int6
 	}
 	floor := 0
 	for r := 0; r < 24; r++ {
-		got := resumed.AugmentingPath(g, s, t, cu, r == 0)
+		hp := resumed.AugmentingPath(g, s, t, cu, r == 0)
+		checkChans(tb, g, "AugmentingPath", hp)
+		got := hp.Nodes()
 		if want := oracle.oracleSearch(g, s, t, nil, cu, false); !pathEq(got, want) {
 			tb.Fatalf("%s %d→%d seed=%d cut=%d round %d: resumed %v, oracle %v", dg.name, s, t, seed, cut%numCuts, r, got, want)
 		}
@@ -59,10 +61,10 @@ func checkAugmentRounds(tb testing.TB, dg diffGraph, s, t topo.NodeID, seed int6
 			kept++
 		}
 		floor = len(got) - 1
-		p := appendCopy(got)
-		slots := make([]int, len(p)-1)
+		slots := make([]int, hp.Hops())
 		for h := range slots {
-			slots[h] = chSlot(p[h], p[h+1], int32(g.ChannelIndex(p[h], p[h+1])))
+			u, v, ch := hp.Hop(h)
+			slots[h] = chSlot(u, v, int32(ch))
 		}
 		shut[slots[mix(seed, r, -6)%uint64(len(slots))]] = true
 		for h, x := range slots {
@@ -145,24 +147,24 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 		again func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID
 	}{
 		{"first round of a new sequence", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
-			return (*sc).AugmentingPath(g, s, t, cu, true)
+			return (*sc).AugmentingPath(g, s, t, cu, true).Nodes()
 		}},
 		{"re-acquired Scratch", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
 			ReleaseScratch(*sc)
 			*sc = AcquireScratch() // the pool's last Put: most likely the same Scratch
-			return (*sc).AugmentingPath(g, s, t, cu, false)
+			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
 		{"intervening ShortestPath", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
 			(*sc).ShortestPath(g, t, s, nil)
-			return (*sc).AugmentingPath(g, s, t, cu, false)
+			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
 		{"intervening Yen run", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
-			(*sc).yenKSP(g, (s+1)%topo.NodeID(g.NumNodes()), t, 3, nil, nil)
-			return (*sc).AugmentingPath(g, s, t, cu, false)
+			(*sc).yenKSP(g, (s+1)%topo.NodeID(g.NumNodes()), t, 3, nil)
+			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
 		{"channel added", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
 			g.MustAddChannel(s, t)
-			return (*sc).AugmentingPath(g, s, t, cu, false)
+			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
 	}
 	checked := 0
@@ -178,7 +180,7 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 			cu := func(u, v topo.NodeID, ch int32) bool { return !shut[chSlot(u, v, ch)] }
 			shut[chSlot(p0[0], p0[1], int32(g.ChannelIndex(p0[0], p0[1])))] = true
 			sc := AcquireScratch()
-			p1 := sc.AugmentingPath(g, s, tt, cu, true)
+			p1 := sc.AugmentingPath(g, s, tt, cu, true).Nodes()
 			if p1 == nil || pathEq(p1, p0) {
 				t.Fatalf("%d→%d: round one %v with p0 = %v's first hop closed", s, tt, p1, p0)
 			}
@@ -198,7 +200,7 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 		sc.AugmentingPath(base, s, tt, cu, true)
 		for _, pair := range [][2]topo.NodeID{{p0[1], tt}, {s, p0[len(p0)-2]}} {
 			want := oracle.oracleSearch(base, pair[0], pair[1], nil, cu, false)
-			if got := sc.AugmentingPath(base, pair[0], pair[1], cu, false); !pathEq(got, want) {
+			if got := sc.AugmentingPath(base, pair[0], pair[1], cu, false).Nodes(); !pathEq(got, want) {
 				t.Fatalf("%d→%d after %d→%d: got %v, want %v", pair[0], pair[1], s, tt, got, want)
 			}
 		}

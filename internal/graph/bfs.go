@@ -120,24 +120,25 @@ func SpanningTree(g *topo.Graph, root topo.NodeID) []topo.NodeID {
 	return parent
 }
 
-// EdgeDisjointPaths returns up to k minimum-hop paths from s to t that
-// share no channel (in either direction), found by successive BFS with
-// used channels removed — the path set the Spider baseline routes over.
-// Used channels live in the scratch ban-set keyed by channel index (one
-// flat stamp array instead of a map allocated per call).
-func EdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
+// EdgeDisjointPaths returns up to k minimum-hop hop paths from s to t
+// that share no channel (in either direction), found by successive BFS
+// with used channels removed — the path set the Spider baseline routes
+// over. Used channels live in the scratch ban-set keyed by channel index
+// (one flat stamp array instead of a map allocated per call), banned by
+// the channels the paths carry.
+func EdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) []topo.Path {
 	sc := AcquireScratch()
 	defer ReleaseScratch(sc)
 	sc.ensureBans(g)
-	var paths [][]topo.NodeID
+	var paths []topo.Path
 	for len(paths) < k {
-		p := sc.search(g, s, t, nil, nil, true, 0)
-		if p == nil {
+		p := sc.found(g, sc.search(g, s, t, nil, nil, true, 0))
+		if p.IsZero() {
 			break
 		}
-		p = appendCopy(p)
-		for i := 0; i+1 < len(p); i++ {
-			sc.banChannel(g.ChannelIndex(p[i], p[i+1]))
+		p, _ = p.AppendTo(nil)
+		for i := range p.Hops() {
+			sc.banChannel(p.Chan(i))
 		}
 		paths = append(paths, p)
 	}

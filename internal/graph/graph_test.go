@@ -126,9 +126,10 @@ func TestEdgeDisjointPathsDiamond(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("found %d paths, want 2", len(paths))
 	}
+	checkChans(t, g, "EdgeDisjointPaths", paths...)
 	used := make(map[topo.Edge]bool)
 	for _, p := range paths {
-		for _, e := range PathEdges(p) {
+		for _, e := range PathEdges(p.Nodes()) {
 			key := topo.NewEdge(e.U, e.V)
 			if used[key] {
 				t.Fatalf("channel %v reused across paths %v", key, paths)
@@ -167,6 +168,16 @@ func TestYenLooplessDistinctSorted(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no paths found")
 	}
+	hops := Yen(g, 0, 39, 8, nil)
+	if len(hops) != len(paths) {
+		t.Fatalf("Yen found %d hop paths, YenKSP %d paths", len(hops), len(paths))
+	}
+	for i, p := range hops {
+		if !pathEq(p.Nodes(), paths[i]) {
+			t.Fatalf("path %d: Yen %v, YenKSP %v", i, p, paths[i])
+		}
+	}
+	checkChans(t, g, "Yen", hops...)
 	seen := make(map[string]bool)
 	prevLen := 0
 	keyOf := func(p []topo.NodeID) string { return fmt.Sprint(p) }

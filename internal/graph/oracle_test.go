@@ -153,8 +153,19 @@ func (sc *Scratch) reconstruct(s, t topo.NodeID) []topo.NodeID {
 	return rev
 }
 
-// oracleYenKSP is Scratch.yenKSP over oracleSearch.
-func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
+// oraclePath is nodes as a hop path whose channels come from
+// g.ChannelIndex, the lookup the searches' carried channels replace.
+func oraclePath(g *topo.Graph, nodes []topo.NodeID) topo.Path {
+	chans := make([]int32, 0, len(nodes))
+	for i := 0; i+1 < len(nodes); i++ {
+		chans = append(chans, int32(g.ChannelIndex(nodes[i], nodes[i+1])))
+	}
+	return topo.MakePath(nodes, chans)
+}
+
+// oracleYenKSP is Scratch.yenKSP over oracleSearch, with every channel
+// (the spur bans' and the paths') looked up by g.ChannelIndex.
+func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) []topo.Path {
 	if k <= 0 {
 		return nil
 	}
@@ -162,19 +173,19 @@ func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable U
 	if first == nil {
 		return nil
 	}
-	first = appendCopy(first)
-	accepted := [][]topo.NodeID{first}
+	firstPath := oraclePath(g, first)
+	accepted := []topo.Path{firstPath}
 	devs := []int{0}
 	cands := &candHeap{}
-	seen := append(make([]seenPath, 0, 4*k), seenPath{pathKey(first), first})
+	seen := append(make([]seenPath, 0, 4*k), seenPath{pathKey(first), firstPath})
 	for len(accepted) < k {
-		prev := accepted[len(accepted)-1]
+		prev := accepted[len(accepted)-1].Nodes()
 		for i := devs[len(devs)-1]; i+1 < len(prev); i++ {
 			spur := prev[i]
 			root := prev[:i+1]
 			sc.ensureBans(g)
-			for _, p := range accepted {
-				if len(p) > i && samePrefix(p, root) {
+			for _, q := range accepted {
+				if p := q.Nodes(); len(p) > i && samePrefix(p, root) {
 					sc.banEdge(g.ChannelIndex(p[i], p[i+1]), p[i], p[i+1])
 				}
 			}
@@ -188,10 +199,9 @@ func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable U
 			total := make([]topo.NodeID, 0, len(root)+len(spurPath)-1)
 			total = append(total, root...)
 			total = append(total, spurPath[1:]...)
-			if !rememberPath(&seen, total) {
-				continue
+			if p := oraclePath(g, total); rememberPath(&seen, p) {
+				heap.Push(cands, yenCand{path: p, dev: i})
 			}
-			heap.Push(cands, yenCand{path: total, dev: i})
 		}
 		if cands.Len() == 0 {
 			break
@@ -216,10 +226,11 @@ func (h *candHeap) Pop() any {
 	return x
 }
 
-// oracleEdgeDisjointPaths is EdgeDisjointPaths over oracleSearch.
-func (sc *Scratch) oracleEdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
+// oracleEdgeDisjointPaths is EdgeDisjointPaths over oracleSearch, with
+// channels looked up by g.ChannelIndex.
+func (sc *Scratch) oracleEdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) []topo.Path {
 	sc.ensureBans(g)
-	var paths [][]topo.NodeID
+	var paths []topo.Path
 	for len(paths) < k {
 		p := sc.oracleSearch(g, s, t, nil, nil, true)
 		if p == nil {
@@ -229,7 +240,7 @@ func (sc *Scratch) oracleEdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k in
 		for i := 0; i+1 < len(p); i++ {
 			sc.banChannel(g.ChannelIndex(p[i], p[i+1]))
 		}
-		paths = append(paths, p)
+		paths = append(paths, oraclePath(g, p))
 	}
 	return paths
 }

@@ -7,12 +7,13 @@ import (
 )
 
 // Scratch is the reusable working memory of the path searches in this
-// package: the depth-first stack, which is the result buffer too, per-node
-// hop budgets behind epoch-stamped visited marks (a new pass bumps the
-// epoch instead of clearing — reset is O(1), and only the nodes a search
-// actually touches are ever written), a node queue for the closure scans
-// and sweeps, the Yen spur ban-sets keyed by channel index, and the Yen
-// run's path arena and candidate heap. One Scratch amortises every
+// package: the depth-first stack, which is the node-path result too, a
+// hop-path result buffer, per-node hop budgets behind epoch-stamped
+// visited marks (a new pass bumps the epoch instead of clearing — reset
+// is O(1), and only the nodes a search actually touches are ever
+// written), a node queue for the closure scans and sweeps, the Yen spur
+// ban-sets keyed by channel index, and the Yen run's path arena and
+// candidate heap. One Scratch amortises every
 // per-call allocation of ShortestPath and YenKSP: a steady-state search
 // with a warm Scratch allocates nothing, and a Yen run only the paths it
 // returns.
@@ -29,6 +30,7 @@ type Scratch struct {
 	queue  []topo.NodeID // the nodes a pass entered, then the backward sweep's queue
 	path   []topo.NodeID // DFS stack, and the result: the path from s so far
 	iter   []int32       // DFS stack, beside path: the next adjacency slot of path[d]
+	hops   []topo.NodeID // the last hop path built from the stack (found)
 
 	// Yen spur state: node bans for the root prefix, directed-edge bans
 	// keyed 2·channel + direction (direction 1 = higher endpoint to
@@ -111,7 +113,11 @@ func (sc *Scratch) ensure(g *topo.Graph) {
 		sc.parent = make([]topo.NodeID, n)
 		sc.mark = make([]uint8, n)
 		sc.epoch = 0
-		sc.queue = make([]topo.NodeID, 0, n)
+		// One array holds the entered-node queue (at most n nodes) and the
+		// hop-path buffer (2n-1 elements fit any simple path), so hop paths
+		// cost a fresh Scratch no allocation of their own.
+		nodes := make([]topo.NodeID, 3*n)
+		sc.queue, sc.hops = nodes[:0:n], nodes[n:n]
 		sc.label = make([]uint8, n)
 		sc.revQueue = make([]topo.NodeID, 0, n)
 		sc.revG = nil
@@ -172,14 +178,22 @@ func (sc *Scratch) ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) 
 	return sc.search(g, s, t, usable, nil, false, 0)
 }
 
+// Shortest is ShortestPath returning the hop path: the same nodes, with
+// the channel each hop crosses. It aliases the scratch like ShortestPath.
+func (sc *Scratch) Shortest(g *topo.Graph, s, t topo.NodeID, usable Usable) topo.Path {
+	return sc.found(g, sc.search(g, s, t, usable, nil, false, 0))
+}
+
 // AugmentingPath is one round of an augmenting-path loop — Algorithm 1's —
-// on sc: a minimum-hop path from s to t whose every directed hop passes
-// cu, or nil. cu is handed the channel index the search already holds for
-// the hop, so a predicate keyed by channel (the elephant router's
-// probed-residual filter) needs no lookup of its own. first starts a
-// sequence with a fresh search; each later round continues the pass the
-// round before stopped in (see search), so it costs what changed between
-// the rounds rather than a new search, and returns the same path.
+// on sc: a minimum-hop hop path from s to t whose every directed hop
+// passes cu, or nil. cu is handed the channel index the search already
+// holds for the hop, so a predicate keyed by channel (the elephant
+// router's probed-residual filter) needs no lookup of its own, and the
+// path carries the same indices. It aliases the scratch like
+// ShortestPath. first starts a sequence with a fresh search; each later
+// round continues the pass the round before stopped in (see search), so
+// it costs what changed between the rounds rather than a new search, and
+// returns the same path.
 //
 // Between the rounds of a sequence cu may only close hops, or open the
 // reverse of hops of the path the round before returned — what probing and
@@ -190,7 +204,7 @@ func (sc *Scratch) ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) 
 // sequence also ends, and the next round searches afresh, on any other
 // search on sc, on ReleaseScratch, on another (g, s, t), on a channel added
 // to g, and after a nil round.
-func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID {
+func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) topo.Path {
 	var p []topo.NodeID
 	if first || sc.augBound == 0 || sc.augG != g || sc.augS != s || sc.augT != t || sc.augChans != g.NumChannels() {
 		p = sc.search(g, s, t, nil, cu, false, 0)
@@ -199,7 +213,38 @@ func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, cu ChUsable, 
 		p = sc.resume(g, s, t, cu)
 	}
 	sc.augBound = max(len(p)-1, 0) // a pass's path is its bound long; nil and s = t hold none
-	return p
+	return sc.found(g, p)
+}
+
+// found lays out p, the path the last search on sc returned, as a hop
+// path in sc's hop buffer.
+func (sc *Scratch) found(g *topo.Graph, p []topo.NodeID) topo.Path {
+	if p == nil {
+		return topo.Path{}
+	}
+	_, _, chans := g.AdjacencyView()
+	var hp topo.Path
+	hp, sc.hops = sc.join(chans, topo.Path{}, 0, p, sc.hops[:0])
+	return hp
+}
+
+// join appends to buf the hop path that runs along the first i hops of
+// prev and then along p, the path the last search left on the stack,
+// which starts at prev's node i (prev is the zero Path for p alone), and
+// returns it, its capacity ending with it, and the grown buffer. chans is
+// the graph's adjacency channel slab: a search leaves, beside each hop of
+// its path on the stack, one past the adjacency slot the hop took, so the
+// channels come from the search, not a lookup.
+func (sc *Scratch) join(chans []int32, prev topo.Path, i int, p []topo.NodeID, buf []topo.NodeID) (topo.Path, []topo.NodeID) {
+	start := len(buf)
+	buf = append(append(buf, prev.Nodes()[:i]...), p...)
+	for h := range i {
+		buf = append(buf, topo.NodeID(prev.Chan(h)))
+	}
+	for _, slot := range sc.iter[:len(p)-1] {
+		buf = append(buf, topo.NodeID(chans[slot-1]))
+	}
+	return topo.PathOf(buf[start:len(buf):len(buf)]), buf
 }
 
 // search is the one s→t search behind every entry point of the package:

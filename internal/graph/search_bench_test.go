@@ -25,7 +25,7 @@ import (
 // one-shot ShortestPath has no second search to share its reverse tree with.
 func BenchmarkSearch(b *testing.B) {
 	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID
-	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID
+	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable)
 	type augmentFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID
 	type variant struct {
 		name    string
@@ -36,10 +36,16 @@ func BenchmarkSearch(b *testing.B) {
 	variants := []variant{
 		{"oracle", func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, _ int) []topo.NodeID {
 			return sc.oracleSearch(g, s, t, usable, cu, banned)
-		}, (*Scratch).oracleYenKSP, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, _ bool) []topo.NodeID {
+		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) {
+			sc.oracleYenKSP(g, s, t, k, nil, cu)
+		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, _ bool) []topo.NodeID {
 			return sc.oracleSearch(g, s, t, nil, cu, false)
 		}},
-		{"pruned", (*Scratch).search, (*Scratch).yenKSP, (*Scratch).AugmentingPath},
+		{"pruned", (*Scratch).search, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) {
+			sc.yenPaths(g, s, t, k, cu)
+		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID {
+			return sc.AugmentingPath(g, s, t, cu, first).Nodes()
+		}},
 	}
 	for _, n := range []int{200, 10000} {
 		g, err := topo.RippleLike(n, rand.New(rand.NewSource(1)))
@@ -103,8 +109,8 @@ func BenchmarkSearch(b *testing.B) {
 			run  func(sc *Scratch, v variant, s, t topo.NodeID)
 		}{
 			{"bfs", func(sc *Scratch, v variant, s, t topo.NodeID) { v.find(sc, g, s, t, nil, nil, false, 0) }},
-			{"yen4", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 4, nil, nil) }},
-			{"yen8", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 8, nil, nil) }},
+			{"yen4", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 4, nil) }},
+			{"yen8", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 8, nil) }},
 			{"ek8", ek8(plain)},
 			{"ek8floor", ek8(floored)},
 			{"ek8resume", ek8(resumed)},

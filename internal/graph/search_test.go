@@ -98,15 +98,25 @@ func randomBans(sc *Scratch, g *topo.Graph, seed int64, pct uint64) {
 }
 
 func samePaths(a, b [][]topo.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !pathEq(a[i], b[i]) {
-			return false
+	return slices.EqualFunc(a, b, pathEq)
+}
+
+func sameHopPaths(a, b []topo.Path) bool {
+	return slices.EqualFunc(a, b, topo.Path.Equal)
+}
+
+// checkChans fails unless every hop of every path carries the channel
+// g.ChannelIndex finds for it: the oracle of the channels a search hands
+// on instead of a lookup.
+func checkChans(tb testing.TB, g *topo.Graph, what string, paths ...topo.Path) {
+	tb.Helper()
+	for _, p := range paths {
+		for i := range p.Hops() {
+			if u, v, ch := p.Hop(i); ch != g.ChannelIndex(u, v) {
+				tb.Fatalf("%s: hop %d (%d→%d) of %v carries channel %d, ChannelIndex says %d", what, i, u, v, p.Nodes(), ch, g.ChannelIndex(u, v))
+			}
 		}
 	}
-	return true
 }
 
 // The no-path shapes: on top of its random closures a predicate may cut t
@@ -175,9 +185,11 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 	}{{"plain", nil, nil}, {"usable", usable, nil}, {"chusable", nil, cu}} {
 		want := oracle.oracleSearch(g, s, t, c.usable, c.cu, false)
 		if c.cu != nil {
-			if got := pruned.AugmentingPath(g, s, t, c.cu, true); !pathEq(got, want) {
-				fail("AugmentingPath, first round", got, want)
+			got := pruned.AugmentingPath(g, s, t, c.cu, true)
+			if !pathEq(got.Nodes(), want) {
+				fail("AugmentingPath, first round", got.Nodes(), want)
 			}
+			checkChans(tb, g, "AugmentingPath, first round", got)
 			if got := pruned.search(g, s, t, nil, c.cu, false, proved(want)); !pathEq(got, want) {
 				fail("search with a floor", got, want)
 			}
@@ -188,6 +200,11 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 			if got := ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
 				fail("pooled ShortestPath/"+c.name, got, want)
 			}
+			got := pruned.Shortest(g, s, t, c.usable)
+			if !pathEq(got.Nodes(), want) {
+				fail("Scratch.Shortest/"+c.name, got.Nodes(), want)
+			}
+			checkChans(tb, g, "Scratch.Shortest/"+c.name, got)
 		}
 
 		randomBans(pruned, g, seed, 3)
@@ -201,22 +218,30 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 		}
 
 		wantK := oracle.oracleYenKSP(g, s, t, k, c.usable, c.cu)
-		var gotK [][]topo.NodeID
-		switch {
-		case c.cu != nil:
-			gotK = YenKSPCh(g, s, t, k, c.cu)
-		case c.usable != nil:
-			gotK = YenKSPUsable(g, s, t, k, c.usable)
-		default:
-			gotK = YenKSP(g, s, t, k)
+		hopCu := c.cu
+		if usable := c.usable; usable != nil {
+			hopCu = func(u, v topo.NodeID, _ int32) bool { return usable(u, v) }
 		}
-		if !samePaths(gotK, wantK) {
-			fail("YenKSP/"+c.name, gotK, wantK)
+		gotK := Yen(g, s, t, k, hopCu)
+		if !sameHopPaths(gotK, wantK) {
+			fail("Yen/"+c.name, gotK, wantK)
+		}
+		checkChans(tb, g, "Yen/"+c.name, gotK...)
+		if c.usable == nil && c.cu == nil {
+			wantNodes := make([][]topo.NodeID, len(wantK))
+			for i, p := range wantK {
+				wantNodes[i] = p.Nodes()
+			}
+			if got := YenKSP(g, s, t, k); !samePaths(got, wantNodes) {
+				fail("YenKSP", got, wantNodes)
+			}
 		}
 	}
-	if got, want := EdgeDisjointPaths(g, s, t, k), oracle.oracleEdgeDisjointPaths(g, s, t, k); !samePaths(got, want) {
+	got, want := EdgeDisjointPaths(g, s, t, k), oracle.oracleEdgeDisjointPaths(g, s, t, k)
+	if !sameHopPaths(got, want) {
 		fail("EdgeDisjointPaths", got, want)
 	}
+	checkChans(tb, g, "EdgeDisjointPaths", got...)
 }
 
 func TestSearchDifferential(t *testing.T) {
@@ -310,7 +335,7 @@ func TestSearchSeesAddedChannel(t *testing.T) {
 	}
 	g.MustAddChannel(3, 11)
 	want := [][]topo.NodeID{{4, 3, 11}, {4, 3, 2, 1, 0, 11}, {4, 5, 6, 7, 8, 9, 10, 11}}
-	if got := sc.yenKSP(g, 4, 11, 4, nil, nil); !samePaths(got, want) {
+	if got := sc.yenNodes(g, 4, 11, 4, nil); !samePaths(got, want) {
 		t.Fatalf("after shortcut 3–11: %v", got)
 	}
 }
@@ -576,7 +601,7 @@ func TestCandHeapPopsLikeContainerHeap(t *testing.T) {
 	for round := 0; round < 2000; round++ {
 		if len(typed) > 0 && rng.Intn(3) == 0 {
 			a, b := typed.pop(), heap.Pop(&boxed).(yenCand)
-			if !pathsEqual(a.path, b.path) || a.dev != b.dev {
+			if !a.path.Equal(b.path) || a.dev != b.dev {
 				t.Fatalf("round %d: typed heap popped %v (dev %d), container/heap %v (dev %d)", round, a.path, a.dev, b.path, b.dev)
 			}
 			continue
@@ -589,13 +614,13 @@ func TestCandHeapPopsLikeContainerHeap(t *testing.T) {
 			continue
 		}
 		seen[fmt.Sprint(p)] = true
-		c := yenCand{path: p, dev: rng.Intn(4)}
+		c := yenCand{path: topo.MakePath(p, make([]int32, len(p)-1)), dev: rng.Intn(4)}
 		typed.push(c)
 		heap.Push(&boxed, c)
 	}
 	for len(typed) > 0 {
 		a, b := typed.pop(), heap.Pop(&boxed).(yenCand)
-		if !pathsEqual(a.path, b.path) {
+		if !a.path.Equal(b.path) {
 			t.Fatalf("drain: typed heap popped %v, container/heap %v", a.path, b.path)
 		}
 	}

@@ -6,69 +6,86 @@ import (
 
 // YenKSP returns up to k loopless minimum-hop paths from s to t in
 // non-decreasing hop order, using Yen's algorithm (Yen 1971) over BFS
-// shortest paths. Flash builds each sender's mice routing table from the
-// top-m of these paths (§3.3). Ties between equal-length paths break
-// lexicographically on node IDs, so output is deterministic.
+// shortest paths. Ties between equal-length paths break lexicographically
+// on node IDs, so output is deterministic. It is the node form of Yen:
+// the same run, its paths copied out without their channels.
 func YenKSP(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
-	return YenKSPUsable(g, s, t, k, nil)
-}
-
-// YenKSPUsable is YenKSP restricted to directed hops satisfying usable:
-// every hop of every returned path passes the predicate, exactly as in
-// ShortestPath. Flash's speculative probe pipeline uses it to draw the
-// per-round candidate set from the sender's residual knowledge graph —
-// the BFS shortest path plus edge-avoidance spur deviations, all
-// distinct and all deterministic for a fixed graph and predicate.
-func YenKSPUsable(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) [][]topo.NodeID {
-	return yenKSP(g, s, t, k, usable, nil)
-}
-
-// YenKSPCh is YenKSPUsable with a channel-aware predicate (ChUsable):
-// same algorithm, same output for an equivalent predicate, but the hop
-// filter receives the channel index the traversal already holds.
-func YenKSPCh(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) [][]topo.NodeID {
-	return yenKSP(g, s, t, k, nil, cu)
-}
-
-func yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
 	sc := AcquireScratch()
 	defer ReleaseScratch(sc)
-	return sc.yenKSP(g, s, t, k, usable, cu)
+	return sc.yenNodes(g, s, t, k, nil)
 }
 
-// yenKSP runs Yen's algorithm on sc. The first search and every spur
-// search head for the same t, so they all prune against one reverse tree.
-// Every path the run produces — accepted or still a candidate — lives in
-// the Scratch's yen arena, which only grows within a run, so a path
-// carved from it stays valid after later growth moves the arena. Only
-// the accepted paths are copied out, into one flat backing array: a run
-// on a warm Scratch allocates that array and the slice headers.
-func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) [][]topo.NodeID {
-	if k <= 0 {
+// Yen is YenKSP returning hop paths, restricted to directed hops that
+// pass cu (nil: every hop): every hop of every returned path passes the
+// predicate, which receives the channel index the traversal already
+// holds. Flash's routing tables hold these paths, and its speculative
+// probe pipeline draws each round's candidate set from the sender's
+// residual knowledge graph with them — the BFS shortest path plus
+// edge-avoidance spur deviations, all distinct and all deterministic for
+// a fixed graph and predicate.
+func Yen(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) []topo.Path {
+	sc := AcquireScratch()
+	defer ReleaseScratch(sc)
+	return sc.yenPaths(g, s, t, k, cu)
+}
+
+// yenNodes runs Yen on sc and copies the accepted paths out as node
+// paths: on a warm Scratch, one allocation for the paths and one for the
+// slice headers (copyOut).
+func (sc *Scratch) yenNodes(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) [][]topo.NodeID {
+	if sc.yenKSP(g, s, t, k, cu) == 0 {
 		return nil
 	}
-	first := sc.search(g, s, t, usable, cu, false, 0)
-	if first == nil {
+	out := make([][]topo.NodeID, len(sc.yen.accepted))
+	sc.yen.copyOut(func(i int, p topo.Path) { out[i] = p.Nodes() })
+	return out
+}
+
+// yenPaths is yenNodes copying out hop paths.
+func (sc *Scratch) yenPaths(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) []topo.Path {
+	if sc.yenKSP(g, s, t, k, cu) == 0 {
 		return nil
+	}
+	out := make([]topo.Path, len(sc.yen.accepted))
+	sc.yen.copyOut(func(i int, p topo.Path) { out[i] = p })
+	return out
+}
+
+// yenKSP runs Yen's algorithm on sc and returns how many paths it
+// accepted, in sc.yen.accepted. The first search and every spur search
+// head for the same t, so they all prune against one reverse tree. Every
+// path the run produces — accepted or still a candidate — is a hop path
+// in the Scratch's yen arena, which only grows within a run, so a path
+// carved from it stays valid after later growth moves the arena. Spur
+// bans are by the channels the accepted paths carry.
+func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) int {
+	if k <= 0 {
+		return 0
+	}
+	first := sc.search(g, s, t, nil, cu, false, 0)
+	if first == nil {
+		return 0
 	}
 	y := &sc.yen
 	y.reset()
-	first = y.keep(first, nil)
-	y.accepted = append(y.accepted, first)
+	_, _, chans := g.AdjacencyView()
+	firstPath := sc.keep(chans, topo.Path{}, 0)
+	y.accepted = append(y.accepted, firstPath)
 	y.devs = append(y.devs, 0) // devs[j] = spur index accepted[j] deviated at
-	y.seen = append(y.seen, seenPath{pathKey(first), first})
+	y.seen = append(y.seen, seenPath{pathKey(firstPath.Nodes()), firstPath})
 
 	for len(y.accepted) < k {
 		prev := y.accepted[len(y.accepted)-1]
+		prevNodes := prev.Nodes()
 		// Lawler's optimisation: spur indices below prev's own deviation
 		// point rerun an earlier spur search unchanged — the ban set at
 		// (root, i) only grows when an accepted path deviates at i, and
 		// that acceptance reran the spur itself — so the result is an
 		// exact duplicate the seen-set would reject. Skipping them is
 		// output-identical and removes roughly half the spur searches.
-		for i := y.devs[len(y.devs)-1]; i+1 < len(prev); i++ {
-			spur := prev[i]
-			root := prev[:i+1]
+		for i := y.devs[len(y.devs)-1]; i+1 < len(prevNodes); i++ {
+			spur := prevNodes[i]
+			root := prevNodes[:i+1]
 
 			// Spur bans live in the scratch stamp arrays: ensureBans opens
 			// a fresh ban generation (Yen runs one spur per prefix per
@@ -77,20 +94,20 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 			// spur).
 			sc.ensureBans(g)
 			for _, p := range y.accepted {
-				if len(p) > i && samePrefix(p, root) {
-					sc.banEdge(g.ChannelIndex(p[i], p[i+1]), p[i], p[i+1])
+				if samePrefix(p.Nodes(), root) {
+					u, v, ch := p.Hop(i)
+					sc.banEdge(ch, u, v)
 				}
 			}
 			for _, u := range root[:len(root)-1] {
 				sc.banNode(u)
 			}
 
-			spurPath := sc.search(g, spur, t, usable, cu, true, 0)
-			if spurPath == nil {
+			if sc.search(g, spur, t, nil, cu, true, 0) == nil {
 				continue
 			}
 			n := len(y.arena)
-			total := y.keep(root, spurPath[1:])
+			total := sc.keep(chans, prev, i)
 			if !rememberPath(&y.seen, total) {
 				y.arena = y.arena[:n]
 				continue
@@ -104,7 +121,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 		y.accepted = append(y.accepted, c.path)
 		y.devs = append(y.devs, c.dev)
 	}
-	return y.copyOut()
+	return len(y.accepted)
 }
 
 // yenState is the working memory of one Yen run, kept in the Scratch so
@@ -113,7 +130,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable,
 // candidate heap.
 type yenState struct {
 	arena    []topo.NodeID
-	accepted [][]topo.NodeID
+	accepted []topo.Path
 	devs     []int
 	seen     []seenPath
 	cands    candHeap
@@ -133,30 +150,29 @@ func (y *yenState) reset() {
 	y.cands = y.cands[:0]
 }
 
-// keep appends a followed by b to the arena and returns them as one path
-// whose capacity ends with it, so no append through it can reach a later
-// path.
-func (y *yenState) keep(a, b []topo.NodeID) []topo.NodeID {
-	n := len(y.arena)
-	y.arena = append(append(y.arena, a...), b...)
-	return y.arena[n:len(y.arena):len(y.arena)]
+// keep appends to the yen arena the hop path that runs along the first i
+// hops of prev and then along the path the last search left on the stack
+// (see join), and returns it.
+func (sc *Scratch) keep(chans []int32, prev topo.Path, i int) topo.Path {
+	var p topo.Path
+	p, sc.yen.arena = sc.join(chans, prev, i, sc.path, sc.yen.arena)
+	return p
 }
 
-// copyOut returns the accepted paths in one allocation for the nodes and
-// one for the slice headers, detached from the arena.
-func (y *yenState) copyOut() [][]topo.NodeID {
+// copyOut copies the accepted paths, detached from the arena, into one
+// array of their own — a hop path's channels share it with its nodes — and
+// hands put each copy.
+func (y *yenState) copyOut(put func(i int, p topo.Path)) {
 	size := 0
 	for _, p := range y.accepted {
-		size += len(p)
+		size += p.Len()
 	}
 	flat := make([]topo.NodeID, 0, size)
-	out := make([][]topo.NodeID, len(y.accepted))
 	for i, p := range y.accepted {
-		n := len(flat)
-		flat = append(flat, p...)
-		out[i] = flat[n:len(flat):len(flat)]
+		var c topo.Path
+		c, flat = p.AppendTo(flat)
+		put(i, c)
 	}
-	return out
 }
 
 func samePrefix(p, prefix []topo.NodeID) bool {
@@ -175,7 +191,7 @@ func samePrefix(p, prefix []topo.NodeID) bool {
 // candidate — beside its FNV-1a key.
 type seenPath struct {
 	key  uint64
-	path []topo.NodeID
+	path topo.Path
 }
 
 // pathKey hashes a path with FNV-1a for candidate deduplication;
@@ -196,10 +212,10 @@ func pathKey(p []topo.NodeID) uint64 {
 // rememberPath appends the path to the seen set, reporting whether it was
 // new. A run sees a few dozen paths at most, so the set is one flat slice
 // scanned by key, with the paths compared only on a key match.
-func rememberPath(seen *[]seenPath, p []topo.NodeID) bool {
-	key := pathKey(p)
+func rememberPath(seen *[]seenPath, p topo.Path) bool {
+	key := pathKey(p.Nodes())
 	for _, q := range *seen {
-		if q.key == key && pathsEqual(p, q.path) {
+		if q.key == key && q.path.Equal(p) {
 			return false
 		}
 	}
@@ -207,39 +223,29 @@ func rememberPath(seen *[]seenPath, p []topo.NodeID) bool {
 	return true
 }
 
-func pathsEqual(a, b []topo.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // yenCand is a candidate path plus the spur index it deviated at from
 // the accepted path it was generated from (Lawler's optimisation needs
 // the deviation point back when the candidate is accepted).
 type yenCand struct {
-	path []topo.NodeID
+	path topo.Path
 	dev  int
 }
 
 // candHeap is a binary min-heap of candidate paths ordered by length,
-// then lexicographically. Candidates are distinct paths (the seen set
-// rejects duplicates), so the order is total and the pop sequence is the
-// same for any correct heap.
+// then lexicographically on their nodes (a hop path's channels follow
+// from its nodes). Candidates are distinct paths (the seen set rejects
+// duplicates), so the order is total and the pop sequence is the same for
+// any correct heap.
 type candHeap []yenCand
 
 func (h candHeap) Less(i, j int) bool {
-	if len(h[i].path) != len(h[j].path) {
-		return len(h[i].path) < len(h[j].path)
+	a, b := h[i].path.Nodes(), h[j].path.Nodes()
+	if len(a) != len(b) {
+		return len(a) < len(b)
 	}
-	for x := range h[i].path {
-		if h[i].path[x] != h[j].path[x] {
-			return h[i].path[x] < h[j].path[x]
+	for x := range a {
+		if a[x] != b[x] {
+			return a[x] < b[x]
 		}
 	}
 	return false

@@ -9,8 +9,9 @@ import (
 	"repro/internal/topo"
 )
 
-// TestProbeAllocs pins Tx.Probe's steady-state allocation count at
-// zero. The hop resolution and lock order use the session's arenas, and
+// TestProbeAllocs pins Tx.Probe's and Tx.ProbeHops's steady-state
+// allocation count at zero. The hop resolution and lock order use the
+// session's arenas, and
 // the result is appended to its probe-result arena, whose growth is
 // amortised over the session — so a regression here means a probe
 // started allocating per-call state again (the sequential elephant
@@ -32,6 +33,14 @@ func TestProbeAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Tx.Probe allocates %v/op in steady state, want 0", avg)
+	}
+	hp := hopPath(n.Graph(), path)
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := tx.ProbeHops(hp); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("Tx.ProbeHops allocates %v/op in steady state, want 0", avg)
 	}
 }
 
@@ -60,14 +69,17 @@ func TestPaymentAllocs(t *testing.T) {
 		path          []topo.NodeID
 		probes, holds int
 		release       bool
+		hops          bool // ProbeHops and HoldHops over the path's hop form
 		want          float64
 	}{
-		{"hold-commit", short, shortPath, 0, 1, false, 1},       // the Tx
-		{"probe-hold-commit", short, shortPath, 1, 1, false, 1}, // the Tx
-		{"probe-hold-commit-release", short, shortPath, 1, 1, true, 0},
+		{"hold-commit", short, shortPath, 0, 1, false, false, 1},       // the Tx
+		{"probe-hold-commit", short, shortPath, 1, 1, false, false, 1}, // the Tx
+		{"probe-hold-commit-release", short, shortPath, 1, 1, true, false, 0},
 		// 23 hops, 3 probes and 2 holds outgrow the hop, probe-result,
 		// lock and hold arenas' inline arrays.
-		{"outgrown-release", long, longPath, 3, 2, true, 0},
+		{"outgrown-release", long, longPath, 3, 2, true, false, 0},
+		{"hops-probe-hold-commit-release", short, shortPath, 1, 1, true, true, 0},
+		{"hops-outgrown-release", long, longPath, 3, 2, true, true, 0},
 	} {
 		if tc.release && raceEnabled {
 			continue
@@ -79,18 +91,29 @@ func TestPaymentAllocs(t *testing.T) {
 			runtime.GC()
 		}
 		last := tc.path[len(tc.path)-1]
+		hp := hopPath(tc.net.Graph(), tc.path)
 		avg := testing.AllocsPerRun(100, func() {
 			tx, err := tc.net.Begin(0, last, 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < tc.probes; i++ {
-				if _, err := tx.Probe(tc.path); err != nil {
+				if tc.hops {
+					_, err = tx.ProbeHops(hp)
+				} else {
+					_, err = tx.Probe(tc.path)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}
 			for i := 0; i < tc.holds; i++ {
-				if err := tx.Hold(tc.path, 0.1/float64(tc.holds)); err != nil {
+				if tc.hops {
+					err = tx.HoldHops(hp, 0.1/float64(tc.holds))
+				} else {
+					err = tx.Hold(tc.path, 0.1/float64(tc.holds))
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 			}

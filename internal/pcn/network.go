@@ -123,16 +123,19 @@ func New(g *topo.Graph) *Network {
 // convention).
 func (n *Network) Graph() *topo.Graph { return n.graph }
 
-// dir returns the channel index and direction for hop u→v.
+// dir returns the channel index and direction for hop u→v: the node-path
+// entry, where a hop's channel is looked up. topo.Edge puts the lower
+// endpoint first, so the direction is u > v, with no read of the
+// channel's endpoints.
 func (n *Network) dir(u, v topo.NodeID) (int, int, error) {
 	idx := n.graph.ChannelIndex(u, v)
 	if idx < 0 {
 		return 0, 0, fmt.Errorf("pcn: no channel %d→%d", u, v)
 	}
-	if n.graph.Channel(idx).A == u {
-		return idx, 0, nil
+	if u > v {
+		return idx, 1, nil
 	}
-	return idx, 1, nil
+	return idx, 0, nil
 }
 
 // lockAll acquires every channel lock in ascending index order — the
@@ -221,8 +224,8 @@ func (n *Network) ScaleFee(u, v topo.NodeID, factor float64) error {
 // toggles on registered channels — SetChannelOpen — are fully
 // concurrent-safe.)
 func (n *Network) RegisterChannel(u, v topo.NodeID) (int, error) {
-	if n.graph.HasChannel(u, v) {
-		return n.graph.ChannelIndex(u, v), nil
+	if idx, _, err := n.dir(u, v); err == nil {
+		return idx, nil
 	}
 	idx, err := n.graph.AddChannel(u, v)
 	if err != nil {

@@ -40,8 +40,11 @@ var (
 // operation in flight. An arena only grows, and growth moves it to a
 // new array and leaves the old one to its readers, so a slice handed
 // out earlier is never overwritten while the session lives: a Probe
-// result is read-only and valid until ReleaseTx. Neither Probe nor
-// Hold retains the path it is given.
+// result is read-only and valid until ReleaseTx. No probe or hold
+// retains the path it is given. Each comes in two forms over one
+// implementation: Probe and Hold take a node path and look each hop's
+// channel up (Network.dir); ProbeHops and HoldHops take a hop path
+// (topo.Path), whose channels they check in O(1) instead.
 //
 // Begin draws the Tx from a pool and ReleaseTx hands a settled one
 // back with its arenas emptied but not shrunk, so a caller that
@@ -196,8 +199,8 @@ func (t *Tx) RNG() *rand.Rand {
 
 // resolvePath checks that path starts at the sender and ends at the
 // receiver, and maps every hop to its channel index and direction — one
-// channel lookup per hop, which is also the check that every
-// consecutive pair shares a channel. A missing channel is an
+// channel lookup per hop (Network.dir), which is also the check that
+// every consecutive pair shares a channel. A missing channel is an
 // ErrBadPath. The hops are written to the hop arena's spare space past
 // its length (growing the arena if needed), so they become a record
 // only if the caller then extends the arena over them.
@@ -205,8 +208,7 @@ func (t *Tx) resolvePath(path []topo.NodeID) ([]pathHop, error) {
 	if len(path) < 2 || path[0] != t.sender || path[len(path)-1] != t.receiver {
 		return nil, ErrBadPath
 	}
-	t.hops = slices.Grow(t.hops, len(path)-1)
-	buf := t.hops[len(t.hops):len(t.hops)]
+	buf := t.hopBuf(len(path) - 1)
 	for i := 0; i+1 < len(path); i++ {
 		idx, d, err := t.net.dir(path[i], path[i+1])
 		if err != nil {
@@ -215,6 +217,38 @@ func (t *Tx) resolvePath(path []topo.NodeID) ([]pathHop, error) {
 		buf = append(buf, pathHop{idx: int32(idx), dir: int32(d)})
 	}
 	return buf[:len(buf):len(buf)], nil
+}
+
+// checkPath is resolvePath for a hop path, whose channels come with it:
+// each hop costs one read of its channel's endpoints, no lookup. The
+// path must start at the sender and end at the receiver, and each hop's
+// channel must be one of the network's and join the hop's two nodes;
+// anything else is an ErrBadPath. The direction follows from the
+// endpoints alone, as topo.Edge puts the lower one first.
+func (t *Tx) checkPath(p topo.Path) ([]pathHop, error) {
+	nodes := p.Nodes()
+	if len(nodes) < 2 || nodes[0] != t.sender || nodes[len(nodes)-1] != t.receiver {
+		return nil, ErrBadPath
+	}
+	buf := t.hopBuf(len(nodes) - 1)
+	for i := range len(nodes) - 1 {
+		u, v, ch := p.Hop(i)
+		if uint(ch) >= uint(len(t.net.chans)) || t.net.graph.Channel(ch) != topo.NewEdge(u, v) {
+			return nil, fmt.Errorf("%w: channel %d does not join %d-%d", ErrBadPath, ch, u, v)
+		}
+		d := int32(0)
+		if u > v {
+			d = 1
+		}
+		buf = append(buf, pathHop{idx: int32(ch), dir: d})
+	}
+	return buf[:len(buf):len(buf)], nil
+}
+
+// hopBuf returns the hop arena's spare space, grown to hold n hops.
+func (t *Tx) hopBuf(n int) []pathHop {
+	t.hops = slices.Grow(t.hops, n)
+	return t.hops[len(t.hops):len(t.hops)]
 }
 
 // lockOrderInto writes the distinct channel indices of hops to buf in
@@ -263,6 +297,24 @@ func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.probe(hops), nil
+}
+
+// ProbeHops is Probe over a hop path: the same probe, with each hop's
+// channel read from p and checked (checkPath) instead of looked up.
+func (t *Tx) ProbeHops(p topo.Path) ([]HopInfo, error) {
+	if t.finished {
+		return nil, ErrFinished
+	}
+	hops, err := t.checkPath(p)
+	if err != nil {
+		return nil, err
+	}
+	return t.probe(hops), nil
+}
+
+// probe is Probe and ProbeHops once the path is resolved.
+func (t *Tx) probe(hops []pathHop) []HopInfo {
 	m := len(t.infos)
 	if m+len(hops) > cap(t.infos) {
 		// Leaving the inline array, jump to infosChunk results: a mouse
@@ -273,7 +325,7 @@ func (t *Tx) Probe(path []topo.NodeID) ([]HopInfo, error) {
 	info := t.infos[m:len(t.infos):len(t.infos)]
 	t.lock = lockOrderInto(t.lock, hops)
 	t.readHops(hops, info)
-	return info, nil
+	return info
 }
 
 // infosChunk is the least capacity the probe-result arena grows to once
@@ -335,16 +387,44 @@ func (t *Tx) LocalBalance(u, v topo.NodeID) float64 {
 // on-path channels, so two conflicting concurrent holds can never both
 // succeed on balance only one of them can have.
 func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
+	if err := t.checkHold(amount); err != nil {
+		return err
+	}
+	hops, err := t.resolvePath(path) // a record only if the hold succeeds
+	if err != nil {
+		return err
+	}
+	return t.hold(hops, amount)
+}
+
+// HoldHops is Hold over a hop path: the same hold, with each hop's
+// channel read from p and checked (checkPath) instead of looked up.
+func (t *Tx) HoldHops(p topo.Path, amount float64) error {
+	if err := t.checkHold(amount); err != nil {
+		return err
+	}
+	hops, err := t.checkPath(p) // a record only if the hold succeeds
+	if err != nil {
+		return err
+	}
+	return t.hold(hops, amount)
+}
+
+// checkHold rejects a hold on a finished session or of an amount that is
+// not positive and finite.
+func (t *Tx) checkHold(amount float64) error {
 	if t.finished {
 		return ErrFinished
 	}
 	if !(amount > 0) || math.IsInf(amount, 1) {
 		return fmt.Errorf("pcn: hold amount must be positive and finite, got %v", amount)
 	}
-	hops, err := t.resolvePath(path) // a record only if the hold succeeds
-	if err != nil {
-		return err
-	}
+	return nil
+}
+
+// hold is Hold and HoldHops once the path is resolved, its hops in the
+// hop arena's spare space.
+func (t *Tx) hold(hops []pathHop, amount float64) error {
 	t.net.commitMessages.Add(int64(2 * len(hops)))
 	t.commitMsgs += 2 * len(hops)
 	if t.net.hasLatency.Load() {
@@ -624,19 +704,19 @@ func (t *Tx) ResumeLatencyNanos() int64 {
 	return t.settleLatNanos()
 }
 
-// PathLatencyNanos returns the virtual RTT sum along path in integer
-// nanoseconds — what one probe of that path costs
-// (route.LatencyMeter). Unknown hops count zero; without latency
-// assignment it is 0 for every path, keeping the feature-off fast
-// path branch-cheap.
-func (t *Tx) PathLatencyNanos(path []topo.NodeID) int64 {
+// PathLatencyNanos returns the virtual RTT sum along hop path p in
+// integer nanoseconds — what one probe of that path costs
+// (route.LatencyMeter). Channels the network does not have count zero;
+// without latency assignment it is 0 for every path, keeping the
+// feature-off fast path branch-cheap.
+func (t *Tx) PathLatencyNanos(p topo.Path) int64 {
 	if !t.net.hasLatency.Load() {
 		return 0
 	}
 	var lat int64
-	for i := 0; i+1 < len(path); i++ {
-		if idx, _, err := t.net.dir(path[i], path[i+1]); err == nil {
-			lat += t.net.latencyNanos(idx)
+	for i := range p.Hops() {
+		if ch := p.Chan(i); uint(ch) < uint(len(t.net.chans)) {
+			lat += t.net.latencyNanos(ch)
 		}
 	}
 	return lat

@@ -76,9 +76,9 @@ var _ Session = (*pcn.Tx)(nil)
 // interface (e.g. the TCP testbed session, which charges no virtual
 // latency) simply leaves probe charges uncorrected.
 type LatencyMeter interface {
-	// PathLatencyNanos returns the virtual RTT sum along path — the
-	// latency one Probe of it is charged.
-	PathLatencyNanos(path []topo.NodeID) int64
+	// PathLatencyNanos returns the virtual RTT sum along hop path p —
+	// the latency one Probe of it is charged.
+	PathLatencyNanos(p topo.Path) int64
 	// CreditProbeLatency subtracts nanos from the session's charged
 	// probe latency.
 	CreditProbeLatency(nanos int64)
@@ -144,20 +144,43 @@ func MinAvailable(info []pcn.HopInfo) float64 {
 // demands: a payment counts as fully funded when it is within Epsilon.
 const Epsilon = 1e-6
 
-// HoldUpTo tries to hold want on path; if the hold is rejected for
-// insufficient balance it probes the path once (paying the message cost)
-// and retries with the measured bottleneck, holding whatever the path
-// can actually carry, up to want. It returns the amount held. This is
-// the "trial-and-error" primitive of Flash's mice routing (§3.3), also
-// used to recover when concurrent holds shrank a previously probed path.
-func HoldUpTo(s Session, path []topo.NodeID, want float64) float64 {
+// Probe probes hop path p on s. The in-memory session (a concrete
+// *pcn.Tx) takes the hop form, which reads each hop's channel from p
+// instead of looking it up; any other session — the TCP node session, a
+// decorator around either — gets s.Probe with p's nodes, so whatever it
+// adds to a probe (a wire message, a span) sees every one. The hop form
+// is on no Session method and no optional interface on purpose: a
+// decorator embedding *pcn.Tx would promote it past its own Probe.
+func Probe(s Session, p topo.Path) ([]pcn.HopInfo, error) {
+	if tx, ok := s.(*pcn.Tx); ok {
+		return tx.ProbeHops(p)
+	}
+	return s.Probe(p.Nodes())
+}
+
+// Hold holds amount on hop path p on s, dispatching as Probe does.
+func Hold(s Session, p topo.Path, amount float64) error {
+	if tx, ok := s.(*pcn.Tx); ok {
+		return tx.HoldHops(p, amount)
+	}
+	return s.Hold(p.Nodes(), amount)
+}
+
+// HoldUpTo tries to hold want on hop path p; if the hold fails, whatever
+// the reason (insufficient balance, a closed channel, a timed-out round
+// trip), it probes the path once (paying the message cost) and retries
+// with the measured bottleneck, holding whatever the path can actually
+// carry, up to want. It returns the amount held. This is the
+// "trial-and-error" primitive of Flash's mice routing (§3.3), also used
+// to recover when concurrent holds shrank a previously probed path.
+func HoldUpTo(s Session, p topo.Path, want float64) float64 {
 	if want <= Epsilon {
 		return 0
 	}
-	if err := s.Hold(path, want); err == nil {
+	if err := Hold(s, p, want); err == nil {
 		return want
 	}
-	info, err := s.Probe(path)
+	info, err := Probe(s, p)
 	if err != nil {
 		return 0
 	}
@@ -166,7 +189,7 @@ func HoldUpTo(s Session, path []topo.NodeID, want float64) float64 {
 	if amount <= Epsilon {
 		return 0
 	}
-	if err := s.Hold(path, amount); err != nil {
+	if err := Hold(s, p, amount); err != nil {
 		return 0
 	}
 	return amount

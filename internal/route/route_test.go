@@ -20,6 +20,10 @@ func lineNet(t *testing.T) *pcn.Network {
 	return net
 }
 
+// line012 is the hop path 0→1→2 over lineNet's channels 0 (0–1) and 1
+// (1–2).
+var line012 = topo.MakePath([]topo.NodeID{0, 1, 2}, []int32{0, 1})
+
 func TestMinAvailable(t *testing.T) {
 	info := []pcn.HopInfo{{Available: 30}, {Available: 10}, {Available: 20}}
 	if got := MinAvailable(info); got != 10 {
@@ -36,8 +40,7 @@ func TestHoldUpToFullAmount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := []topo.NodeID{0, 1, 2}
-	if held := HoldUpTo(tx, path, 50); held != 50 {
+	if held := HoldUpTo(tx, line012, 50); held != 50 {
 		t.Errorf("held = %v, want 50", held)
 	}
 	// No probe was needed: the direct hold succeeded.
@@ -51,8 +54,7 @@ func TestHoldUpToFallsBackToBottleneck(t *testing.T) {
 	net := lineNet(t)
 	net.SetBalance(1, 2, 30, 170)
 	tx, _ := net.Begin(0, 2, 80)
-	path := []topo.NodeID{0, 1, 2}
-	if held := HoldUpTo(tx, path, 80); held != 30 {
+	if held := HoldUpTo(tx, line012, 80); held != 30 {
 		t.Errorf("held = %v, want bottleneck 30", held)
 	}
 	if tx.ProbeMessages() == 0 {
@@ -65,10 +67,10 @@ func TestHoldUpToDeadPath(t *testing.T) {
 	net := lineNet(t)
 	net.SetBalance(1, 2, 0, 200)
 	tx, _ := net.Begin(0, 2, 10)
-	if held := HoldUpTo(tx, []topo.NodeID{0, 1, 2}, 10); held != 0 {
+	if held := HoldUpTo(tx, line012, 10); held != 0 {
 		t.Errorf("held = %v on a dead path, want 0", held)
 	}
-	if held := HoldUpTo(tx, []topo.NodeID{0, 1, 2}, 0); held != 0 {
+	if held := HoldUpTo(tx, line012, 0); held != 0 {
 		t.Errorf("zero want should hold nothing, got %v", held)
 	}
 	tx.Abort()
@@ -77,8 +79,8 @@ func TestHoldUpToDeadPath(t *testing.T) {
 func TestHoldUpToInvalidPath(t *testing.T) {
 	net := lineNet(t)
 	tx, _ := net.Begin(0, 2, 10)
-	if held := HoldUpTo(tx, []topo.NodeID{0, 2}, 10); held != 0 {
-		t.Errorf("held = %v over a missing channel, want 0", held)
+	if held := HoldUpTo(tx, topo.MakePath([]topo.NodeID{0, 2}, []int32{0}), 10); held != 0 {
+		t.Errorf("held = %v over a channel that does not join its hop, want 0", held)
 	}
 	tx.Abort()
 }
@@ -114,4 +116,48 @@ func TestFinishAbortsOnShortfall(t *testing.T) {
 	if err := Finish(tx2, custom); !errors.Is(err, custom) {
 		t.Errorf("Finish custom reason = %v", err)
 	}
+}
+
+// countingTx is a decorator that embeds the concrete session, as a
+// tracing harness does, and counts the node-path operations it sees.
+type countingTx struct {
+	*pcn.Tx
+	probes, holds int
+}
+
+func (c *countingTx) Probe(path []topo.NodeID) ([]pcn.HopInfo, error) {
+	c.probes++
+	return c.Tx.Probe(path)
+}
+
+func (c *countingTx) Hold(path []topo.NodeID, amount float64) error {
+	c.holds++
+	return c.Tx.Hold(path, amount)
+}
+
+// TestHopOpsReachDecorators: Probe, Hold and HoldUpTo take the hop form
+// only on a bare *pcn.Tx. A decorator embedding one gets every operation
+// through its own node-path methods, with the same outcome.
+func TestHopOpsReachDecorators(t *testing.T) {
+	net := lineNet(t)
+	net.SetBalance(1, 2, 30, 170)
+	tx, _ := net.Begin(0, 2, 80)
+	c := &countingTx{Tx: tx}
+	if held := HoldUpTo(c, line012, 80); held != 30 {
+		t.Errorf("held = %v through the decorator, want bottleneck 30", held)
+	}
+	if c.probes != 1 || c.holds != 2 {
+		t.Errorf("decorator saw %d probes and %d holds, want 1 and 2", c.probes, c.holds)
+	}
+	if _, err := Probe(c, line012); err != nil || c.probes != 2 {
+		t.Errorf("Probe through the decorator: err %v, %d probes seen", err, c.probes)
+	}
+	if err := Hold(c, line012, 1); !errors.Is(err, pcn.ErrInsufficient) || c.holds != 3 {
+		t.Errorf("Hold through the decorator: err %v, %d holds seen", err, c.holds)
+	}
+	msgs := tx.ProbeMessages()
+	if _, err := Probe(tx, line012); err != nil || c.probes != 2 || tx.ProbeMessages() != msgs+4 {
+		t.Errorf("Probe on the bare session: err %v, decorator saw %d probes, %d messages", err, c.probes, tx.ProbeMessages()-msgs)
+	}
+	tx.Abort()
 }
