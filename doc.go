@@ -110,8 +110,8 @@
 //     freezes a channel (probes see zero, new holds are rejected,
 //     in-flight holds still settle) and invalidates the Flash
 //     routing-table entries crossing it; ChannelOpen reopens or funds
-//     it (latent channels registered up-front may first appear
-//     mid-run); Rebalance evens a channel's directions without ever
+//     it (latent channels, in the topology from the start, may first
+//     appear mid-run); Rebalance evens a channel's directions without ever
 //     dipping below outstanding holds; DemandShift rescales payment
 //     amounts from that instant on (look-ahead arrival included);
 //     FeeShift rescales a channel's fee schedules (the fee-war knob).

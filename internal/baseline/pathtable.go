@@ -13,17 +13,15 @@ import (
 // reuses the entry. Entries are immutable and shared: sessions never
 // retain or modify a path.
 //
-// The table is keyed on the graph and its channel count. Channels are
-// only ever added (pcn.Network.RegisterChannel), so the count works as
-// a version: a new channel empties the table. The zero value is an
-// empty table with caching on.
+// The table is keyed on the graph alone: a graph is frozen before a
+// router sees it, so its routes never go stale, and only another graph
+// empties the table. The zero value is an empty table with caching on.
 type pathTable[P any] struct {
-	mu       sync.Mutex
-	off      bool
-	graph    *topo.Graph
-	channels int
-	entries  map[pairKey]P
-	arena    []topo.NodeID // the chunk keep copies hop paths into
+	mu      sync.Mutex
+	off     bool
+	graph   *topo.Graph
+	entries map[pairKey]P
+	arena   []topo.NodeID // the chunk keep copies hop paths into
 }
 
 type pairKey struct {
@@ -54,8 +52,8 @@ func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Gra
 	if pt.off {
 		return find(g, s, t)
 	}
-	if pt.graph != g || pt.channels != g.NumChannels() {
-		pt.graph, pt.channels = g, g.NumChannels()
+	if pt.graph != g {
+		pt.graph = g
 		pt.entries = make(map[pairKey]P)
 	}
 	key := pairKey{s, t}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/topo"
@@ -73,7 +72,7 @@ func routed(t *testing.T, r route.Router, g *topo.Graph, s, d topo.NodeID) [][]t
 // TestPathTableMatchesSearch checks both static baselines with their
 // path table on against the same router with it off: on every ordered
 // pair they probe and hold the same paths, first on a cold table, then
-// on a warm one, then after a chord joins the two nodes farthest apart.
+// on a warm one.
 func TestPathTableMatchesSearch(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -115,28 +114,8 @@ func TestPathTableMatchesSearch(t *testing.T) {
 			}
 			check("cold")
 			check("warm")
-			a, b := farthestPair(g)
-			g.MustAddChannel(a, b)
-			if p := routed(t, fresh, g, a, b); !slices.Equal(p[0], []topo.NodeID{a, b}) {
-				t.Fatalf("%s %s: chord %d–%d unused: %v", gc.name, fresh.Name(), a, b, p)
-			}
-			check("after chord")
 		}
 	}
-}
-
-// farthestPair returns two nodes at the largest hop distance in g.
-func farthestPair(g *topo.Graph) (topo.NodeID, topo.NodeID) {
-	var a, b topo.NodeID
-	best := -1
-	for s := 0; s < g.NumNodes(); s++ {
-		for d, hops := range graph.Distances(g, topo.NodeID(s)) {
-			if hops > best {
-				a, b, best = topo.NodeID(s), topo.NodeID(d), hops
-			}
-		}
-	}
-	return a, b
 }
 
 var mapSink map[pairKey]topo.Path

@@ -23,7 +23,7 @@ func allocGraph(t *testing.T) *topo.Graph {
 			g.AddChannel(a, b)
 		}
 	}
-	g.Compact()
+	g.Freeze()
 	return g
 }
 
@@ -137,7 +137,7 @@ func TestScratchRetargetAndNilZeroAlloc(t *testing.T) {
 			apart.MustAddChannel(topo.NodeID(i), topo.NodeID(i-1))
 		}
 	}
-	apart.Compact()
+	apart.Freeze()
 	sc := NewScratch()
 	target := topo.NodeID(0)
 	run := func() {

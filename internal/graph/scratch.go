@@ -56,7 +56,6 @@ type Scratch struct {
 	// last graph searched reachable until the Scratch is used again.
 	revG     *topo.Graph
 	revT     topo.NodeID
-	revChans int
 	label    []uint8
 	revQueue []topo.NodeID
 	revHead  int
@@ -71,7 +70,6 @@ type Scratch struct {
 	augG     *topo.Graph
 	augS     topo.NodeID
 	augT     topo.NodeID
-	augChans int
 	augBound int
 
 	// Work done, by every loop of the package — forward passes, reverse
@@ -202,13 +200,13 @@ func (sc *Scratch) Shortest(g *topo.Graph, s, t topo.NodeID, usable Usable) topo
 // open path that is not the shortest. A fresh predicate (a new payment's
 // knowledge) reopens every hop, so its first round must pass first. A
 // sequence also ends, and the next round searches afresh, on any other
-// search on sc, on ReleaseScratch, on another (g, s, t), on a channel added
-// to g, and after a nil round.
+// search on sc, on ReleaseScratch, on another (g, s, t), and after a nil
+// round.
 func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) topo.Path {
 	var p []topo.NodeID
-	if first || sc.augBound == 0 || sc.augG != g || sc.augS != s || sc.augT != t || sc.augChans != g.NumChannels() {
+	if first || sc.augBound == 0 || sc.augG != g || sc.augS != s || sc.augT != t {
 		p = sc.search(g, s, t, nil, cu, false, 0)
-		sc.augG, sc.augS, sc.augT, sc.augChans = g, s, t, g.NumChannels()
+		sc.augG, sc.augS, sc.augT = g, s, t
 	} else {
 		p = sc.resume(g, s, t, cu)
 	}
@@ -533,14 +531,14 @@ func (sc *Scratch) open(u, v topo.NodeID, ch int32, usable Usable, cu ChUsable, 
 }
 
 // retarget points the reverse tree at (g, t), keeping it when it already
-// is: the key includes the channel count, the one thing that changes when
-// a graph is mutated (channels are only ever added).
+// is. The graph alone is the key: a graph is frozen before anything
+// searches it, so its topology never changes under a tree.
 func (sc *Scratch) retarget(g *topo.Graph, t topo.NodeID) {
-	if sc.revG == g && sc.revT == t && sc.revChans == g.NumChannels() {
+	if sc.revG == g && sc.revT == t {
 		return
 	}
 	clear(sc.label[:g.NumNodes()])
-	sc.revG, sc.revT, sc.revChans = g, t, g.NumChannels()
+	sc.revG, sc.revT = g, t
 	sc.label[t] = 1
 	sc.revQueue = append(sc.revQueue[:0], t)
 	sc.revHead, sc.revDepth = 0, 0

@@ -51,7 +51,7 @@ func diffGraphs() []diffGraph {
 		for i := 120; i < 170; i++ { // nodes 120..169: a ring; 170..199 isolated
 			comps.MustAddChannel(topo.NodeID(i), topo.NodeID(120+(i-119)%50))
 		}
-		comps.Compact()
+		comps.Freeze()
 		diffGraphsList = []diffGraph{
 			{"barabasi-albert", must(topo.BarabasiAlbert(300, 2, rand.New(rand.NewSource(1))))},
 			{"ripple-like", must(topo.RippleLike(400, rand.New(rand.NewSource(2))))},
@@ -319,21 +319,33 @@ func FuzzSearchDifferential(f *testing.F) {
 	})
 }
 
-// The reverse tree is cached on (graph, target, channel count): a channel
-// added after a search must show in the next answer on the same Scratch
-// and target. The shortcut runs through nodes that were farther from the
-// target than the source was, which labels from before it would prune.
+// The reverse tree is cached on (graph, target), and a graph is frozen
+// by its first search: a channel can only be added by building a new
+// graph, and that graph's answer must show it on the same Scratch and
+// target. The shortcut runs through nodes that were farther from the
+// target than the source was, which labels from the old graph would
+// prune.
 func TestSearchSeesAddedChannel(t *testing.T) {
-	g := topo.Line(12)
+	line := func(extra ...[2]topo.NodeID) *topo.Graph {
+		g := topo.Line(12)
+		for _, e := range extra {
+			g.MustAddChannel(e[0], e[1])
+		}
+		return g
+	}
+	g := line()
 	sc := NewScratch()
 	if p := sc.ShortestPath(g, 4, 11, nil); Hops(p) != 7 {
 		t.Fatalf("line path %v", p)
 	}
-	g.MustAddChannel(0, 11)
+	if _, err := g.AddChannel(0, 11); err == nil || g.NumChannels() != 11 {
+		t.Fatalf("AddChannel on a searched graph = %v, %d channels", err, g.NumChannels())
+	}
+	g = line([2]topo.NodeID{0, 11})
 	if p := sc.ShortestPath(g, 4, 11, nil); !pathEq(p, []topo.NodeID{4, 3, 2, 1, 0, 11}) {
 		t.Fatalf("after shortcut 0–11: %v", p)
 	}
-	g.MustAddChannel(3, 11)
+	g = line([2]topo.NodeID{0, 11}, [2]topo.NodeID{3, 11})
 	want := [][]topo.NodeID{{4, 3, 11}, {4, 3, 2, 1, 0, 11}, {4, 5, 6, 7, 8, 9, 10, 11}}
 	if got := sc.yenNodes(g, 4, 11, 4, nil); !samePaths(got, want) {
 		t.Fatalf("after shortcut 3–11: %v", got)
@@ -351,7 +363,7 @@ func TestScratchReuseAcrossGraphsAndTargets(t *testing.T) {
 	for i := 1; i < 40; i++ {
 		lineTwin.MustAddChannel(0, topo.NodeID(i))
 	}
-	lineTwin.Compact()
+	lineTwin.Freeze()
 
 	pruned, oracle := NewScratch(), NewScratch()
 	rng := rand.New(rand.NewSource(11))
@@ -449,7 +461,7 @@ func TestSearchIsLexMinShortestPath(t *testing.T) {
 				g.MustAddChannel(topo.NodeID(a), topo.NodeID(b))
 			}
 		}
-		g.Compact()
+		g.Freeze()
 		seed := rng.Int63()
 		closed := uint64(rng.Intn(40))
 		nodeBan := make([]bool, n)

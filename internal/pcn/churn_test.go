@@ -75,46 +75,6 @@ func TestCloseChannelLetsInflightHoldsSettle(t *testing.T) {
 	}
 }
 
-func TestRegisterChannel(t *testing.T) {
-	n := lineNet(t)
-	base := n.Graph().NumChannels()
-	idx, err := n.RegisterChannel(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx != base {
-		t.Errorf("latent channel index = %d, want %d", idx, base)
-	}
-	if !n.Graph().HasChannel(0, 2) {
-		t.Error("latent channel missing from topology")
-	}
-	if n.IsChannelOpen(0, 2) {
-		t.Error("latent channel should start closed")
-	}
-	// Registering an existing channel is a no-op returning its index.
-	again, err := n.RegisterChannel(2, 0)
-	if err != nil || again != idx {
-		t.Errorf("re-register = %d, %v; want %d, nil", again, err, idx)
-	}
-	// Open + fund, then pay over the new direct channel.
-	if err := n.SetChannelOpen(0, 2, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SetBalance(0, 2, 50, 50); err != nil {
-		t.Fatal(err)
-	}
-	tx, _ := n.Begin(0, 2, 40)
-	if err := tx.Hold([]topo.NodeID{0, 2}, 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Balance(0, 2); got != 10 {
-		t.Errorf("balance after paying over latent channel = %v", got)
-	}
-}
-
 func TestRebalanceEvensDirections(t *testing.T) {
 	g := topo.New(2)
 	g.MustAddChannel(0, 1)

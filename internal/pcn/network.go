@@ -74,7 +74,7 @@ type HopInfo struct {
 // channel is the mutable state of one payment channel, guarded by its
 // own lock. Direction 0 is A→B (canonical endpoint order), direction 1
 // is B→A. closed marks a channel that is currently out of service
-// (cooperatively closed, or latent — registered but not yet opened):
+// (cooperatively closed, or latent — in the topology but not yet opened):
 // probes report zero availability and new holds are rejected, while
 // balances stay frozen in place and holds established before the close
 // still commit or abort normally, as in a cooperative close that waits
@@ -111,16 +111,17 @@ type Network struct {
 	hasLatency atomic.Bool // any channel carries a non-zero virtual RTT
 }
 
-// New creates a network over g with all balances zero. Balances are
-// assigned afterwards via SetBalance or one of the Assign helpers. The
-// graph is compacted so payment-time adjacency reads are lock-free.
+// New creates a network over g with every channel open and all
+// balances zero. Balances are assigned afterwards via SetBalance or one
+// of the Assign helpers. New freezes g: the topology is fixed for the
+// network's life, and only liveness and funding change.
 func New(g *topo.Graph) *Network {
-	g.Compact()
+	g.Freeze()
 	return &Network{graph: g, chans: make([]channel, g.NumChannels())}
 }
 
-// Graph returns the underlying topology (shared, read-only by
-// convention).
+// Graph returns the underlying topology: shared, and frozen, so it
+// cannot change under the network's readers.
 func (n *Network) Graph() *topo.Graph { return n.graph }
 
 // dir returns the channel index and direction for hop u→v: the node-path
@@ -209,34 +210,6 @@ func (n *Network) ScaleFee(u, v topo.NodeID, factor float64) error {
 		ch.fee[d].Rate *= factor
 	}
 	return nil
-}
-
-// RegisterChannel extends the topology with a latent channel between u
-// and v: the edge joins the graph, and a closed, unfunded channel slot
-// is appended for it. Latent channels are how a dynamic scenario
-// expresses channels that open mid-run — the topology is the union of
-// every channel that ever exists, liveness and funding are dynamic.
-// Registering an existing channel returns its index unchanged.
-//
-// RegisterChannel mutates the shared topology and channel slice and is
-// therefore NOT safe to call while payments are in flight; scenarios
-// register all latent channels before the replay starts. (Open/close
-// toggles on registered channels — SetChannelOpen — are fully
-// concurrent-safe.)
-func (n *Network) RegisterChannel(u, v topo.NodeID) (int, error) {
-	if idx, _, err := n.dir(u, v); err == nil {
-		return idx, nil
-	}
-	idx, err := n.graph.AddChannel(u, v)
-	if err != nil {
-		return -1, err
-	}
-	// Fold the new channel into the CSR base immediately: registration
-	// happens between replays, and an eager compaction keeps every
-	// payment-time adjacency read on the lock-free path.
-	n.graph.Compact()
-	n.chans = append(n.chans, channel{closed: true})
-	return idx, nil
 }
 
 // SetChannelOpen opens or closes the channel joining u and v. Closing
@@ -521,15 +494,23 @@ func (n *Network) HoldsCommitted() int64 { return n.holdsCommitted.Load() }
 // settling — explicit aborts plus churn-invalidated span aborts.
 func (n *Network) HoldsAborted() int64 { return n.holdsAborted.Load() }
 
-// AssignBalancesLogNormal funds every channel with a log-normal total
-// (given median and shape sigma), split across the two directions:
-// evenly when evenSplit is true (the paper's Ripple preprocessing) or by
-// a uniform random fraction otherwise (approximating Lightning's skewed
-// crawled distribution).
+// The Assign helpers fund and price the open channels, in channel
+// order, and skip closed ones: a latent channel, closed before funding,
+// draws nothing and keeps zero balances and fees until a churn event
+// funds it.
+
+// AssignBalancesLogNormal funds every open channel with a log-normal
+// total (given median and shape sigma), split across the two
+// directions: evenly when evenSplit is true (the paper's Ripple
+// preprocessing) or by a uniform random fraction otherwise
+// (approximating Lightning's skewed crawled distribution).
 func (n *Network) AssignBalancesLogNormal(rng *rand.Rand, median, sigma float64, evenSplit bool) {
 	n.lockAll()
 	defer n.unlockAll()
 	for i := range n.chans {
+		if n.chans[i].closed {
+			continue
+		}
 		total := logNormal(rng, median, sigma)
 		frac := 0.5
 		if !evenSplit {
@@ -540,29 +521,38 @@ func (n *Network) AssignBalancesLogNormal(rng *rand.Rand, median, sigma float64,
 	}
 }
 
-// AssignBalancesUniform funds every channel with a total drawn uniformly
-// from [lo, hi), split evenly — the testbed's capacity model (§5.2).
+// AssignBalancesUniform funds every open channel with a total drawn
+// uniformly from [lo, hi), split evenly — the testbed's capacity model
+// (§5.2).
 func (n *Network) AssignBalancesUniform(rng *rand.Rand, lo, hi float64) {
 	n.lockAll()
 	defer n.unlockAll()
 	for i := range n.chans {
+		if n.chans[i].closed {
+			continue
+		}
 		total := lo + rng.Float64()*(hi-lo)
 		n.chans[i].bal[0] = total / 2
 		n.chans[i].bal[1] = total / 2
 	}
 }
 
-// AssignBalancesFromCapacities funds channel i with caps[i] — the
+// AssignBalancesFromCapacities funds open channel i with caps[i] — the
 // per-channel totals of an ingested snapshot (topo.Snapshot.Capacity)
 // — split evenly across the two directions, the paper's Ripple
-// preprocessing. caps must cover every channel.
+// preprocessing. caps must cover every open channel.
 func (n *Network) AssignBalancesFromCapacities(caps []float64) error {
-	if len(caps) < len(n.chans) {
-		return fmt.Errorf("pcn: %d capacities for %d channels", len(caps), len(n.chans))
-	}
 	n.lockAll()
 	defer n.unlockAll()
+	for i := len(caps); i < len(n.chans); i++ {
+		if !n.chans[i].closed {
+			return fmt.Errorf("pcn: %d capacities for %d channels", len(caps), len(n.chans))
+		}
+	}
 	for i := range n.chans {
+		if n.chans[i].closed {
+			continue
+		}
 		n.chans[i].bal[0] = caps[i] / 2
 		n.chans[i].bal[1] = caps[i] / 2
 	}
@@ -570,13 +560,17 @@ func (n *Network) AssignBalancesFromCapacities(caps []float64) error {
 }
 
 // AssignFeesPaper assigns the fee model of the paper's Figure 9
-// experiment: 90% of channels charge a proportional rate drawn from
-// [0.1%, 1%) and the remaining 10% from [1%, 10%), no base fee. Both
-// directions of a channel share a schedule.
+// experiment to every open channel: 90% of channels charge a
+// proportional rate drawn from [0.1%, 1%) and the remaining 10% from
+// [1%, 10%), no base fee. Both directions of a channel share a
+// schedule.
 func (n *Network) AssignFeesPaper(rng *rand.Rand) {
 	n.lockAll()
 	defer n.unlockAll()
 	for i := range n.chans {
+		if n.chans[i].closed {
+			continue
+		}
 		var rate float64
 		if rng.Float64() < 0.9 {
 			rate = 0.001 + rng.Float64()*0.009

@@ -437,6 +437,61 @@ func TestAssignFeesPaper(t *testing.T) {
 	}
 }
 
+// TestAssignSkipsClosedChannels checks that New freezes its graph and
+// that the Assign helpers skip a closed channel without a draw: with
+// channel 2 of a ring closed, channels 3.. get what channels 2.. get
+// with every channel open, and channel 2 keeps zero balances and fees.
+func TestAssignSkipsClosedChannels(t *testing.T) {
+	g := topo.Ring(6)
+	open, closed := New(g), New(g)
+	if _, err := g.AddChannel(0, 3); err == nil || g.NumChannels() != 6 || g.Degree(0) != 2 {
+		t.Fatalf("AddChannel after New = %v; %d channels, degree %d", err, g.NumChannels(), g.Degree(0))
+	}
+	shut := g.Channel(2)
+	if err := closed.SetChannelOpen(shut.A, shut.B, false); err != nil {
+		t.Fatal(err)
+	}
+	caps := []float64{10, 20, 30, 40, 50, 60}
+	for _, n := range []*Network{open, closed} {
+		n.AssignBalancesLogNormal(rand.New(rand.NewSource(4)), 250, 1.5, false)
+		n.AssignFeesPaper(rand.New(rand.NewSource(5)))
+	}
+	state := func(n *Network, i int) [4]float64 {
+		e := g.Channel(i)
+		return [4]float64{n.Balance(e.A, e.B), n.Balance(e.B, e.A), n.Fee(e.A, e.B).Rate, n.Fee(e.B, e.A).Rate}
+	}
+	for i := 0; i < 6; i++ {
+		want := [4]float64{}
+		switch {
+		case i < 2:
+			want = state(open, i)
+		case i > 2:
+			want = state(open, i-1)
+		}
+		if got := state(closed, i); got != want {
+			t.Errorf("channel %d: %v, want %v", i, got, want)
+		}
+	}
+	closed.AssignBalancesUniform(rand.New(rand.NewSource(6)), 100, 200)
+	if c := closed.Capacity(shut.A, shut.B); c != 0 {
+		t.Errorf("uniform funding reached the closed channel: capacity %v", c)
+	}
+	if err := closed.AssignBalancesFromCapacities(caps[:3]); err == nil {
+		t.Error("capacities missing open channels accepted")
+	}
+	last := g.Channel(5)
+	if err := closed.SetChannelOpen(last.A, last.B, false); err != nil {
+		t.Fatal(err)
+	}
+	frozen := closed.Capacity(last.A, last.B) // closing keeps the uniform funds
+	if err := closed.AssignBalancesFromCapacities(caps[:5]); err != nil {
+		t.Fatal(err)
+	}
+	if got := [3]float64{closed.Capacity(shut.A, shut.B), closed.Capacity(g.Channel(4).A, g.Channel(4).B), closed.Capacity(last.A, last.B)}; got != [3]float64{0, 50, frozen} {
+		t.Errorf("capacities of channels 2, 4, 5 = %v, want [0 50 %v]", got, frozen)
+	}
+}
+
 func median(vs []float64) float64 {
 	s := append([]float64(nil), vs...)
 	for i := 1; i < len(s); i++ {

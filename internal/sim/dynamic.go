@@ -596,13 +596,12 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 		)
 		switch sc.Fixture {
 		case "":
-			n, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+			churnRNG := newChurnRNG(sc.Seed)
+			n, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, churnRNG)
 			if err != nil {
 				return nil, err
 			}
 			net = n
-			churnRNG := newChurnRNG(sc.Seed)
-			latent := registerLatentChannels(net, sc.LatentChannels, churnRNG)
 			churn = buildChurnSchedule(sc, net, latent, churnRNG)
 
 			threshold, err = calibrateThreshold(sc, net.Graph())
@@ -627,10 +626,10 @@ func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
 		default:
 			return nil, fmt.Errorf("sim: unknown dynamic fixture %q", sc.Fixture)
 		}
-		// The latency model is assigned after latent channels register,
-		// so channels that first open mid-run carry RTTs too; its RNG
-		// stream is independent of every other draw, so turning latency
-		// on never perturbs topology, balances, churn or workload.
+		// The latency model covers latent channels too, so channels that
+		// first open mid-run carry RTTs; its RNG stream is independent of
+		// every other draw, so turning latency on never perturbs
+		// topology, balances, churn or workload.
 		if sc.LatencyMedian > 0 {
 			sigma := sc.LatencySigma
 			if sigma <= 0 {
@@ -742,13 +741,16 @@ func (b *barbellStream) Next() (trace.Payment, float64, bool) {
 	return p, b.now, true
 }
 
-// registerLatentChannels extends the network with count latent (closed,
-// unfunded) channels between uniformly drawn unconnected node pairs —
-// the channels a churn schedule's open events may activate mid-run.
-// Registration happens before any payment flows, which is the safety
-// requirement of pcn.RegisterChannel.
-func registerLatentChannels(net *pcn.Network, count int, rng *rand.Rand) []topo.Edge {
-	g := net.Graph()
+// addLatentChannels adds count latent channels to g, which is still
+// being built, between uniformly drawn unconnected node pairs — the
+// channels a churn schedule's open events may activate mid-run. They
+// follow every base channel in index order.
+//
+// A latent channel opens fee-free: the paper's fee model is assigned
+// while it is still closed, a ChannelOpen event funds it but never
+// prices it, and a FeeShift scales its zero fee, so churn scenarios
+// offer free shortcuts. Pricing it would move every churn golden.
+func addLatentChannels(g *topo.Graph, count int, rng *rand.Rand) []topo.Edge {
 	n := g.NumNodes()
 	var latent []topo.Edge
 	for attempts := 0; len(latent) < count && attempts < 20*count+20; attempts++ {
@@ -757,9 +759,7 @@ func registerLatentChannels(net *pcn.Network, count int, rng *rand.Rand) []topo.
 		if u == v || g.HasChannel(u, v) {
 			continue
 		}
-		if _, err := net.RegisterChannel(u, v); err != nil {
-			continue
-		}
+		g.MustAddChannel(u, v)
 		latent = append(latent, topo.NewEdge(u, v))
 	}
 	return latent

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/pcn"
 	"repro/internal/route"
+	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -134,12 +136,11 @@ func TestDynamicDeterministicEventLog(t *testing.T) {
 // close.
 func TestDynamicChurnInvalidatesTables(t *testing.T) {
 	sc := churnScenario(t, 1)
-	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+	churnRNG := newChurnRNG(sc.Seed)
+	net, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, churnRNG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churnRNG := newChurnRNG(sc.Seed)
-	latent := registerLatentChannels(net, sc.LatentChannels, churnRNG)
 	churn := buildChurnSchedule(sc, net, latent, churnRNG)
 	if len(churn) == 0 {
 		t.Fatal("no churn events generated")
@@ -190,26 +191,74 @@ func TestDynamicConcurrentChurnRace(t *testing.T) {
 }
 
 // TestDynamicLatentChannelsOpen verifies latent channels join the
-// topology closed and the schedule funds some of them mid-run.
+// topology after every base channel, closed, unfunded and unpriced;
+// that adding them leaves every base channel's balances and fees as a
+// plain BuildNetwork draws them; that the churn RNG draws the same
+// pairs it always has (the literals below); and that the schedule
+// funds some of them mid-run.
 func TestDynamicLatentChannelsOpen(t *testing.T) {
+	cells := []struct {
+		kind   string
+		seed   int64
+		base   int
+		latent []topo.Edge
+	}{
+		{KindRipple, 1, 185, []topo.Edge{{A: 6, B: 13}, {A: 16, B: 30}, {A: 18, B: 38}, {A: 14, B: 31}}},
+		{KindRipple, 7, 185, []topo.Edge{{A: 13, B: 34}, {A: 13, B: 30}, {A: 15, B: 23}, {A: 0, B: 39}}},
+		{KindLightning, 1, 252, []topo.Edge{{A: 9, B: 10}, {A: 16, B: 30}, {A: 18, B: 38}, {A: 5, B: 22}}},
+		{KindLightning, 7, 252, []topo.Edge{{A: 13, B: 34}, {A: 13, B: 30}, {A: 15, B: 23}, {A: 14, B: 32}}},
+		{KindTestbed, 1, 80, []topo.Edge{{A: 9, B: 10}, {A: 6, B: 13}, {A: 16, B: 30}, {A: 18, B: 38}}},
+		{KindTestbed, 7, 79, []topo.Edge{{A: 13, B: 34}, {A: 13, B: 30}, {A: 15, B: 23}, {A: 5, B: 22}}},
+	}
+	for _, c := range cells {
+		sc, err := NamedDynamicScenario("churn", c.kind, 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Seed = c.seed
+		net, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, newChurnRNG(sc.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(latent, c.latent) {
+			t.Errorf("%s seed %d: latent channels %v, want %v", c.kind, c.seed, latent, c.latent)
+		}
+		plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := net.Graph()
+		if plain.Graph().NumChannels() != c.base || g.NumChannels() != c.base+len(latent) {
+			t.Fatalf("%s seed %d: %d base and %d total channels, want %d and %d",
+				c.kind, c.seed, plain.Graph().NumChannels(), g.NumChannels(), c.base, c.base+len(latent))
+		}
+		for i, e := range g.Channels() {
+			var want [5]float64 // both balances, both fee rates, open
+			if i < c.base {
+				if e != plain.Graph().Channel(i) {
+					t.Fatalf("%s seed %d: channel %d is %v, want %v", c.kind, c.seed, i, e, plain.Graph().Channel(i))
+				}
+				want = channelState(plain, e)
+			} else if e != latent[i-c.base] {
+				t.Fatalf("%s seed %d: channel %d is %v, want latent %v", c.kind, c.seed, i, e, latent[i-c.base])
+			}
+			if got := channelState(net, e); got != want {
+				t.Errorf("%s seed %d: channel %d %v state %v, want %v", c.kind, c.seed, i, e, got, want)
+			}
+			if net.Fee(e.A, e.B).Base != 0 || net.Fee(e.B, e.A).Base != 0 {
+				t.Errorf("%s seed %d: channel %d charges a base fee", c.kind, c.seed, i)
+			}
+		}
+	}
+
 	sc := churnScenario(t, 1)
-	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+	churnRNG := newChurnRNG(sc.Seed)
+	net, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, churnRNG)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := net.Graph().NumChannels()
-	churnRNG := newChurnRNG(sc.Seed)
-	latent := registerLatentChannels(net, sc.LatentChannels, churnRNG)
 	if len(latent) != sc.LatentChannels {
-		t.Fatalf("registered %d latent channels, want %d", len(latent), sc.LatentChannels)
-	}
-	if net.Graph().NumChannels() != before+len(latent) {
-		t.Errorf("graph has %d channels, want %d", net.Graph().NumChannels(), before+len(latent))
-	}
-	for _, e := range latent {
-		if net.IsChannelOpen(e.A, e.B) {
-			t.Errorf("latent channel %v starts open", e)
-		}
+		t.Fatalf("added %d latent channels, want %d", len(latent), sc.LatentChannels)
 	}
 	churn := buildChurnSchedule(sc, net, latent, churnRNG)
 	funded := 0
@@ -220,6 +269,19 @@ func TestDynamicLatentChannelsOpen(t *testing.T) {
 	}
 	if funded == 0 {
 		t.Error("schedule never funds a latent channel")
+	}
+}
+
+// channelState reads a channel's two balances, two fee rates and
+// liveness (1 open, 0 closed).
+func channelState(net *pcn.Network, e topo.Edge) [5]float64 {
+	open := 0.0
+	if net.IsChannelOpen(e.A, e.B) {
+		open = 1
+	}
+	return [5]float64{
+		net.Balance(e.A, e.B), net.Balance(e.B, e.A),
+		net.Fee(e.A, e.B).Rate, net.Fee(e.B, e.A).Rate, open,
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 
 	"repro/internal/baseline"
@@ -107,8 +108,61 @@ func DefaultScenario(kind string, nodes int) Scenario {
 // the testbed kind draws uniform capacities in [lo, hi). Fees follow the
 // Figure 9 model on all kinds.
 func BuildNetwork(kind string, nodes int, scale float64, capLo, capHi float64, seed int64) (*pcn.Network, error) {
+	net, _, err := buildNetwork(kind, nodes, scale, capLo, capHi, seed, 0, nil)
+	return net, err
+}
+
+// buildNetwork is BuildNetwork with latent channels, the closed ones a
+// dynamic scenario's churn may open: the topology is drawn, latent
+// channels drawn from rng join it, and the network over the result is
+// funded with them closed — so every base channel's balances and fees
+// are what BuildNetwork gives it. A snapshot kind's capacities come
+// from the file, split evenly per direction.
+func buildNetwork(kind string, nodes int, scale, capLo, capHi float64, seed int64, latent int, rng *rand.Rand) (*pcn.Network, []topo.Edge, error) {
+	g, caps, err := buildTopology(kind, nodes, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	edges := addLatentChannels(g, latent, rng)
+	net := pcn.New(g)
+	for _, e := range edges {
+		if err := net.SetChannelOpen(e.A, e.B, false); err != nil {
+			return nil, nil, err
+		}
+	}
+	balRNG := stats.NewRNG(seed, 0xBA1A)
+	switch kind {
+	case KindRipple:
+		net.AssignBalancesLogNormal(balRNG, 250, 1.5, true)
+	case KindLightning:
+		net.AssignBalancesLogNormal(balRNG, 500000, 2.0, false)
+	case KindTestbed:
+		if capHi <= capLo {
+			capLo, capHi = 1000, 1500
+		}
+		net.AssignBalancesUniform(balRNG, capLo, capHi)
+	default: // a snapshot kind: buildTopology rejected every other
+		if err := net.AssignBalancesFromCapacities(caps); err != nil {
+			return nil, nil, err
+		}
+	}
+	if scale > 0 && scale != 1 {
+		net.ScaleBalances(scale)
+	}
+	net.AssignFeesPaper(stats.NewRNG(seed, 0xFEE5))
+	return net, edges, nil
+}
+
+// buildTopology draws a kind's topology from the seed, or loads a
+// snapshot kind's file together with its per-channel capacities. The
+// graph comes back unfrozen.
+func buildTopology(kind string, nodes int, seed int64) (*topo.Graph, []float64, error) {
 	if path, ok := strings.CutPrefix(kind, KindSnapshotPrefix); ok {
-		return buildNetworkFromSnapshot(path, scale, seed)
+		snap, err := topo.LoadSnapshotFile(path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("sim: snapshot topology: %w", err)
+		}
+		return snap.Graph, snap.Capacity, nil
 	}
 	rng := stats.NewRNG(seed, 0x70B0)
 	var (
@@ -123,49 +177,9 @@ func BuildNetwork(kind string, nodes int, scale float64, capLo, capHi float64, s
 	case KindTestbed:
 		g, err = topo.WattsStrogatz(nodes, 4, 0.3, rng)
 	default:
-		return nil, fmt.Errorf("sim: unknown topology kind %q", kind)
+		err = fmt.Errorf("sim: unknown topology kind %q", kind)
 	}
-	if err != nil {
-		return nil, err
-	}
-	net := pcn.New(g)
-	balRNG := stats.NewRNG(seed, 0xBA1A)
-	switch kind {
-	case KindRipple:
-		net.AssignBalancesLogNormal(balRNG, 250, 1.5, true)
-	case KindLightning:
-		net.AssignBalancesLogNormal(balRNG, 500000, 2.0, false)
-	case KindTestbed:
-		if capHi <= capLo {
-			capLo, capHi = 1000, 1500
-		}
-		net.AssignBalancesUniform(balRNG, capLo, capHi)
-	}
-	if scale > 0 && scale != 1 {
-		net.ScaleBalances(scale)
-	}
-	net.AssignFeesPaper(stats.NewRNG(seed, 0xFEE5))
-	return net, nil
-}
-
-// buildNetworkFromSnapshot funds a network from an ingested snapshot:
-// capacities come from the file (split evenly per direction), fees from
-// the paper's seeded model, and the capacity scale factor applies as on
-// generated topologies.
-func buildNetworkFromSnapshot(path string, scale float64, seed int64) (*pcn.Network, error) {
-	snap, err := topo.LoadSnapshotFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("sim: snapshot topology: %w", err)
-	}
-	net := pcn.New(snap.Graph)
-	if err := net.AssignBalancesFromCapacities(snap.Capacity); err != nil {
-		return nil, err
-	}
-	if scale > 0 && scale != 1 {
-		net.ScaleBalances(scale)
-	}
-	net.AssignFeesPaper(stats.NewRNG(seed, 0xFEE5))
-	return net, nil
+	return g, nil, err
 }
 
 // workloadFor builds the payment generator matching a topology kind:

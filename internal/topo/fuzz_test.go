@@ -149,7 +149,8 @@ func FuzzReadRippleEdgeList(f *testing.F) {
 // FuzzReadEdgeList throws arbitrary text at the flash-topology reader.
 // It must never panic or exhaust memory; on success the graph must hold
 // together (no self-loop, every channel in both endpoints' adjacency,
-// degrees summing to twice the channels) and survive a
+// degrees summing to twice the channels, each node's channels laid out
+// in ascending index order) and survive a
 // WriteEdgeList → ReadEdgeList round trip with its node count and
 // channel order intact.
 func FuzzReadEdgeList(f *testing.F) {
@@ -162,6 +163,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# flash-topology nodes=-5\n0 1\n") // negative header
 	f.Add("# flash-topology nodes=1000000000000\n0 1\n")
 	f.Add("0 2000000000\n")
+	f.Add("0 1\n0 2\n0 3\n0 4\n0 5\n0 6\n0 7\n0 8\n") // hub-first star
 	f.Add("")
 
 	f.Fuzz(func(t *testing.T, data string) {
@@ -178,6 +180,9 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if degSum != 2*g.NumChannels() {
 			t.Fatalf("degrees sum to %d for %d channels", degSum, g.NumChannels())
+		}
+		if msg := ascendingSpans(g); msg != "" {
+			t.Fatal(msg)
 		}
 		for _, e := range g.Channels() {
 			if e.A == e.B || !g.HasChannel(e.A, e.B) || !g.HasChannel(e.B, e.A) {

@@ -11,7 +11,6 @@ func Ring(n int) *Graph {
 	for i := 0; i < n; i++ {
 		g.MustAddChannel(NodeID(i), NodeID((i+1)%n))
 	}
-	g.Compact()
 	return g
 }
 
@@ -21,7 +20,6 @@ func Line(n int) *Graph {
 	for i := 0; i+1 < n; i++ {
 		g.MustAddChannel(NodeID(i), NodeID(i+1))
 	}
-	g.Compact()
 	return g
 }
 
@@ -33,7 +31,6 @@ func Complete(n int) *Graph {
 			g.MustAddChannel(NodeID(i), NodeID(j))
 		}
 	}
-	g.Compact()
 	return g
 }
 
@@ -73,7 +70,6 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) (*Graph, error) {
 			}
 		}
 	}
-	g.Compact()
 	return g, nil
 }
 
@@ -121,7 +117,6 @@ func BarabasiAlbert(n, m int, rng *rand.Rand) (*Graph, error) {
 			targets = append(targets, NodeID(v), u)
 		}
 	}
-	g.Compact()
 	return g, nil
 }
 

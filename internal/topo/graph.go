@@ -12,29 +12,30 @@
 //
 // # Representation
 //
-// Graph stores adjacency in compressed sparse row (CSR) form: one flat
-// neighbor arena shared by all nodes, sliced per node by an offset
-// array, with a parallel arena of channel indices — three slabs total,
-// whatever the node count, instead of one heap object per node. The
-// arena keeps neighbors in channel-insertion order (BFS tie-breaking,
-// and therefore every seeded experiment, depends on that order), and a
-// second, neighbor-sorted copy serves O(log degree) channel lookup by
-// binary search — no map on the read path.
+// A Graph has two phases. Its owner builds it with New and AddChannel
+// (a map dedupes channels and answers ChannelIndex while building), then
+// freezes it once; after that it is read-only, and AddChannel returns an
+// error. pcn.New freezes the graph it is handed, so no graph grows under
+// a network, a router or a search scratch. Reading adjacency (Neighbors,
+// AdjacencyView, Degree) freezes a graph still being built — safe, since
+// a graph being built has a single owner. The generators and loaders
+// return their graphs unfrozen, so a simulator can add the latent
+// channels a run may open before it funds the network.
 //
-// Because CSR is append-hostile, AddChannel stages new channels in
-// small per-node pending lists and folds them into the arena in
-// amortised-O(1) compactions; any read that needs contiguous adjacency
-// compacts first. Concurrent reads of a quiescent (fully compacted)
-// graph are lock-free and safe — the run paths (pcn.New, the snapshot
-// loaders, the generators) all hand out compacted graphs. AddChannel
-// itself is not safe concurrently with anything, exactly as before.
+// A frozen graph stores adjacency in compressed sparse row (CSR) form:
+// one flat neighbor arena shared by all nodes, sliced per node by an
+// offset array, with a parallel arena of channel indices — three slabs
+// total, whatever the node count, instead of one heap object per node.
+// The arena lists each node's channels in ascending channel-index order
+// (BFS tie-breaking, and therefore every seeded experiment, depends on
+// that order), and a second, neighbor-sorted copy serves O(log degree)
+// channel lookup by binary search — no map on the read path. Concurrent
+// reads of a frozen graph are safe.
 package topo
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are dense indices in [0, NumNodes);
@@ -56,22 +57,17 @@ func NewEdge(a, b NodeID) Edge {
 	return Edge{A: a, B: b}
 }
 
-// csr is one immutable compressed-sparse-row snapshot of the adjacency
-// structure. Readers obtain it through an atomic pointer, so a
-// compaction publishing a new snapshot never races an in-flight read.
+// csr is a frozen graph's adjacency in compressed-sparse-row form.
 type csr struct {
 	off     []int32  // len n+1; node u's arena span is [off[u], off[u+1])
-	arena   []NodeID // neighbors, channel-insertion order per node
+	arena   []NodeID // neighbors, ascending channel index per node
 	arenaCh []int32  // channel index parallel to arena
 	sorted  []NodeID // neighbors, ascending per node (binary-search domain)
 	sortCh  []int32  // channel index parallel to sorted
 }
 
-// degree returns the number of base (compacted) neighbors of u.
-func (c *csr) degree(u NodeID) int { return int(c.off[u+1] - c.off[u]) }
-
-// find returns the channel index joining u and v in the base CSR, or
-// -1: a binary search over u's sorted neighbor run.
+// find returns the channel index joining u and v, or -1: a binary
+// search over u's sorted neighbor run.
 func (c *csr) find(u, v NodeID) int {
 	lo, hi := int(c.off[u]), int(c.off[u+1])
 	for lo < hi {
@@ -88,71 +84,49 @@ func (c *csr) find(u, v NodeID) int {
 	return -1
 }
 
-// pendingHalf is one staged (not yet compacted) adjacency entry.
-type pendingHalf struct {
-	nbr NodeID
-	ch  int32
-}
-
-// compactThreshold is the pending-channel count above which AddChannel
-// folds the staged channels into the arena. Growing the base
-// geometrically keeps total compaction work linear in the final channel
-// count.
-const compactThreshold = 64
-
-// Graph is an undirected graph with O(log degree) channel lookup and
-// stable channel indices, stored in CSR form (see the package comment).
-// The zero value is an empty graph; use New to pre-size.
+// Graph is an undirected graph with stable channel indices, built once
+// and then frozen into CSR form (see the package comment). The zero
+// value is an empty graph; use New to pre-size.
 type Graph struct {
+	n     int
 	edges []Edge
-
-	base  atomic.Pointer[csr] // immutable compacted snapshot
-	pendN atomic.Int32        // staged channels not yet in base
-
-	mu       sync.Mutex // serialises compaction and pending-list access
-	pend     [][]pendingHalf
-	baseEdge int // channels covered by base
+	index map[Edge]int32 // build phase only; nil once frozen
+	adj   *csr           // nil until Freeze
 }
 
-// New returns an empty graph with n nodes and no channels.
+// New returns an empty graph with n nodes and no channels, open for
+// AddChannel.
 func New(n int) *Graph {
-	g := &Graph{pend: make([][]pendingHalf, n)}
-	g.base.Store(&csr{off: make([]int32, n+1)})
-	return g
+	return &Graph{n: n, index: make(map[Edge]int32)}
 }
 
 // NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.pend) }
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumChannels returns the number of undirected channels.
 func (g *Graph) NumChannels() int { return len(g.edges) }
 
 // AddChannel inserts an undirected channel between a and b, returning
 // its stable channel index. Adding an existing channel returns the
-// existing index; self-loops are rejected. Not safe concurrently with
-// any other method.
+// existing index; self-loops are rejected, and so is any channel once
+// the graph is frozen.
 func (g *Graph) AddChannel(a, b NodeID) (int, error) {
+	if g.adj != nil {
+		return -1, fmt.Errorf("topo: channel %d-%d added to a frozen graph", a, b)
+	}
 	if a == b {
 		return -1, fmt.Errorf("topo: self-loop on node %d", a)
 	}
-	if int(a) < 0 || int(a) >= g.NumNodes() || int(b) < 0 || int(b) >= g.NumNodes() {
-		return -1, fmt.Errorf("topo: node out of range: %d-%d (n=%d)", a, b, g.NumNodes())
+	if int(a) < 0 || int(a) >= g.n || int(b) < 0 || int(b) >= g.n {
+		return -1, fmt.Errorf("topo: node out of range: %d-%d (n=%d)", a, b, g.n)
 	}
-	if idx := g.ChannelIndex(a, b); idx >= 0 {
-		return idx, nil
+	e := NewEdge(a, b)
+	if idx, ok := g.index[e]; ok {
+		return int(idx), nil
 	}
 	idx := len(g.edges)
-	g.edges = append(g.edges, NewEdge(a, b))
-	g.mu.Lock()
-	g.pend[a] = append(g.pend[a], pendingHalf{nbr: b, ch: int32(idx)})
-	g.pend[b] = append(g.pend[b], pendingHalf{nbr: a, ch: int32(idx)})
-	pending := g.pendN.Add(1)
-	// Compact when the staged tail outgrows the base: geometric growth,
-	// so a build of m channels pays O(m) total compaction work.
-	if int(pending) >= compactThreshold && int(pending)*2 >= g.baseEdge {
-		g.compactLocked()
-	}
-	g.mu.Unlock()
+	g.edges = append(g.edges, e)
+	g.index[e] = int32(idx)
 	return idx, nil
 }
 
@@ -166,79 +140,56 @@ func (g *Graph) MustAddChannel(a, b NodeID) int {
 	return idx
 }
 
-// Compact folds all staged channels into the CSR arena so subsequent
-// reads are lock-free. Construction paths (pcn.New, the generators,
-// the snapshot loaders) call it once after the last AddChannel; it is
-// also applied lazily by any read that needs contiguous adjacency.
-func (g *Graph) Compact() {
-	if g.pendN.Load() == 0 {
+// Freeze ends the build phase: it lays the channels out in CSR form and
+// drops the build map. Each node's arena span lists its channels in
+// ascending index order — one counting pass over the channel list —
+// and its sorted span is filled by walking the nodes in ascending order,
+// so neither needs a sort. Freezing a frozen graph does nothing.
+func (g *Graph) Freeze() {
+	if g.adj != nil {
 		return
 	}
-	g.mu.Lock()
-	g.compactLocked()
-	g.mu.Unlock()
-}
-
-// compactLocked rebuilds the CSR snapshot from the current base plus
-// every pending half-edge, preserving per-node insertion order, and
-// publishes it. Callers hold g.mu.
-func (g *Graph) compactLocked() {
-	if g.pendN.Load() == 0 {
-		return
-	}
-	old := g.base.Load()
-	n := g.NumNodes()
 	total := 2 * len(g.edges)
-	nc := &csr{
-		off:     make([]int32, n+1),
+	c := &csr{
+		off:     make([]int32, g.n+1),
 		arena:   make([]NodeID, total),
 		arenaCh: make([]int32, total),
 		sorted:  make([]NodeID, total),
 		sortCh:  make([]int32, total),
 	}
-	for u := 0; u < n; u++ {
-		nc.off[u+1] = nc.off[u] + int32(old.degree(NodeID(u))+len(g.pend[u]))
+	for _, e := range g.edges {
+		c.off[e.A+1]++
+		c.off[e.B+1]++
 	}
-	for u := 0; u < n; u++ {
-		lo, hi := int(nc.off[u]), int(nc.off[u+1])
-		// Insertion-order arena: base span first (already in order),
-		// then the staged tail in staging order.
-		w := lo
-		for i := old.off[u]; i < old.off[u+1]; i++ {
-			nc.arena[w], nc.arenaCh[w] = old.arena[i], old.arenaCh[i]
-			w++
-		}
-		for _, p := range g.pend[u] {
-			nc.arena[w], nc.arenaCh[w] = p.nbr, p.ch
-			w++
-		}
-		g.pend[u] = nil
-		// Sorted copy: merge would do, but a per-node sort is simple and
-		// runs only at compaction; neighbor IDs are unique per node.
-		copy(nc.sorted[lo:hi], nc.arena[lo:hi])
-		copy(nc.sortCh[lo:hi], nc.arenaCh[lo:hi])
-		span := nodeSortSpan{nbr: nc.sorted[lo:hi], ch: nc.sortCh[lo:hi]}
-		if !sort.IsSorted(span) {
-			sort.Sort(span)
+	for u := 0; u < g.n; u++ {
+		c.off[u+1] += c.off[u]
+	}
+	next := make([]int32, g.n)
+	copy(next, c.off)
+	for i, e := range g.edges {
+		c.arena[next[e.A]], c.arenaCh[next[e.A]] = e.B, int32(i)
+		c.arena[next[e.B]], c.arenaCh[next[e.B]] = e.A, int32(i)
+		next[e.A]++
+		next[e.B]++
+	}
+	// v's channels land in each neighbor's sorted span in ascending v.
+	copy(next, c.off)
+	for v := 0; v < g.n; v++ {
+		for i := c.off[v]; i < c.off[v+1]; i++ {
+			u := c.arena[i]
+			c.sorted[next[u]], c.sortCh[next[u]] = NodeID(v), c.arenaCh[i]
+			next[u]++
 		}
 	}
-	g.base.Store(nc)
-	g.baseEdge = len(g.edges)
-	g.pendN.Store(0)
+	g.adj, g.index = c, nil
 }
 
-// nodeSortSpan sorts one node's neighbor run with its parallel channel
-// indices.
-type nodeSortSpan struct {
-	nbr []NodeID
-	ch  []int32
-}
-
-func (s nodeSortSpan) Len() int           { return len(s.nbr) }
-func (s nodeSortSpan) Less(i, j int) bool { return s.nbr[i] < s.nbr[j] }
-func (s nodeSortSpan) Swap(i, j int) {
-	s.nbr[i], s.nbr[j] = s.nbr[j], s.nbr[i]
-	s.ch[i], s.ch[j] = s.ch[j], s.ch[i]
+// frozen returns the CSR adjacency, freezing a graph still being built.
+func (g *Graph) frozen() *csr {
+	if g.adj == nil {
+		g.Freeze()
+	}
+	return g.adj
 }
 
 // HasChannel reports whether a channel joins a and b.
@@ -247,24 +198,17 @@ func (g *Graph) HasChannel(a, b NodeID) bool {
 }
 
 // ChannelIndex returns the stable index of the channel joining a and b,
-// or -1 if none exists. On a compacted graph this is a lock-free binary
-// search over a's sorted neighbor run.
+// or -1 if none exists: a map lookup while building, a binary search
+// over a's sorted neighbor run once frozen.
 func (g *Graph) ChannelIndex(a, b NodeID) int {
-	if int(a) < 0 || int(a) >= g.NumNodes() || int(b) < 0 || int(b) >= g.NumNodes() {
+	if int(a) < 0 || int(a) >= g.n || int(b) < 0 || int(b) >= g.n {
 		return -1
 	}
-	if idx := g.base.Load().find(a, b); idx >= 0 {
-		return idx
+	if g.adj != nil {
+		return g.adj.find(a, b)
 	}
-	if g.pendN.Load() == 0 {
-		return -1
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, p := range g.pend[a] {
-		if p.nbr == b {
-			return int(p.ch)
-		}
+	if idx, ok := g.index[NewEdge(a, b)]; ok {
+		return int(idx)
 	}
 	return -1
 }
@@ -275,57 +219,30 @@ func (g *Graph) Channel(idx int) Edge { return g.edges[idx] }
 // Channels returns the channel list. The caller must not modify it.
 func (g *Graph) Channels() []Edge { return g.edges }
 
-// Neighbors returns the adjacency list of u in channel-insertion order
-// — a view into the CSR arena. The caller must not modify the returned
-// slice, and must not retain it across a later AddChannel.
+// Neighbors returns the adjacency list of u in ascending channel-index
+// order — a view into the CSR arena the caller must not modify. It
+// freezes a graph still being built.
 func (g *Graph) Neighbors(u NodeID) []NodeID {
-	if g.pendN.Load() != 0 {
-		g.Compact()
-	}
-	c := g.base.Load()
+	c := g.frozen()
 	return c.arena[c.off[u]:c.off[u+1]]
 }
 
 // AdjacencyView returns the raw CSR slabs in one call: off has length
 // NumNodes()+1, and node u's neighbors are nbrs[off[u]:off[u+1]] in
-// channel-insertion order with chans parallel (chans[i] is the channel
-// joining u and nbrs[i]). Hot search loops index the slabs directly,
-// paying the compaction check once per traversal instead of once per
-// node. The same aliasing rules as Neighbors apply to all three slices.
+// ascending channel-index order with chans parallel (chans[i] is the
+// channel joining u and nbrs[i]). Hot search loops index the slabs
+// directly. The caller must not modify them; like Neighbors, it
+// freezes a graph still being built.
 func (g *Graph) AdjacencyView() (off []int32, nbrs []NodeID, chans []int32) {
-	if g.pendN.Load() != 0 {
-		g.Compact()
-	}
-	c := g.base.Load()
+	c := g.frozen()
 	return c.off, c.arena, c.arenaCh
 }
 
-// Degree returns the number of channels incident to u.
+// Degree returns the number of channels incident to u. It freezes a
+// graph still being built.
 func (g *Graph) Degree(u NodeID) int {
-	d := g.base.Load().degree(u)
-	if g.pendN.Load() != 0 {
-		g.mu.Lock()
-		d = g.base.Load().degree(u) + len(g.pend[u])
-		g.mu.Unlock()
-	}
-	return d
-}
-
-// Clone returns a deep copy of the graph (compacted).
-func (g *Graph) Clone() *Graph {
-	g.Compact()
-	old := g.base.Load()
-	c := New(g.NumNodes())
-	c.edges = append([]Edge(nil), g.edges...)
-	c.base.Store(&csr{
-		off:     append([]int32(nil), old.off...),
-		arena:   append([]NodeID(nil), old.arena...),
-		arenaCh: append([]int32(nil), old.arenaCh...),
-		sorted:  append([]NodeID(nil), old.sorted...),
-		sortCh:  append([]int32(nil), old.sortCh...),
-	})
-	c.baseEdge = len(c.edges)
-	return c
+	c := g.frozen()
+	return int(c.off[u+1] - c.off[u])
 }
 
 // ComponentOf returns the set of nodes reachable from start, as a sorted

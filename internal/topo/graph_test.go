@@ -2,10 +2,12 @@ package topo
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestAddChannelBasics(t *testing.T) {
@@ -26,6 +28,24 @@ func TestAddChannelBasics(t *testing.T) {
 	}
 	if g.HasChannel(0, 2) {
 		t.Error("HasChannel(0,2) should be false")
+	}
+	// The first adjacency read freezes the graph; AddChannel then fails
+	// and changes nothing.
+	if nb := g.Neighbors(1); len(nb) != 1 || nb[0] != 0 {
+		t.Fatalf("Neighbors(1) = %v, want [0]", nb)
+	}
+	for _, e := range [][2]NodeID{{0, 2}, {1, 0}} {
+		if idx, err := g.AddChannel(e[0], e[1]); err == nil {
+			t.Errorf("AddChannel(%d, %d) on a frozen graph = %d, nil", e[0], e[1], idx)
+		}
+	}
+	if off, nbrs, chans := g.AdjacencyView(); g.NumChannels() != 1 || off[3] != 2 || g.Degree(2) != 0 ||
+		nbrs[0] != 1 || chans[0] != 0 || g.ChannelIndex(0, 2) != -1 || g.ChannelIndex(1, 0) != 0 {
+		t.Errorf("frozen graph changed: %d channels, view %v %v %v", g.NumChannels(), off, nbrs, chans)
+	}
+	g.Freeze() // a second freeze does nothing
+	if g.NumChannels() != 1 || !g.HasChannel(0, 1) {
+		t.Error("a second Freeze changed the graph")
 	}
 }
 
@@ -82,15 +102,6 @@ func TestConnectivity(t *testing.T) {
 	h.MustAddChannel(2, 3)
 	if comp := h.ComponentOf(2); len(comp) != 2 || comp[0] != 2 || comp[1] != 3 {
 		t.Errorf("ComponentOf(2) = %v, want [2 3]", comp)
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := Ring(4)
-	c := g.Clone()
-	c.MustAddChannel(0, 2)
-	if g.HasChannel(0, 2) {
-		t.Error("clone mutation leaked into original")
 	}
 }
 
@@ -282,7 +293,9 @@ func TestReadEdgeListErrors(t *testing.T) {
 }
 
 // Property: WS and BA generation for random valid parameters yields the
-// declared node count, no self-loops, and consistent adjacency.
+// declared node count, no self-loops, and consistent adjacency; and every
+// generator and loader lays each node's channels out in ascending
+// channel-index order, the order every seeded BFS tie-break reads.
 func TestGeneratorInvariants(t *testing.T) {
 	f := func(seed int64, nRaw, mRaw uint8) bool {
 		n := 20 + int(nRaw)%80
@@ -307,9 +320,138 @@ func TestGeneratorInvariants(t *testing.T) {
 			}
 			degSum += g.Degree(NodeID(u))
 		}
-		return degSum == 2*g.NumChannels()
+		return degSum == 2*g.NumChannels() && ascendingSpans(g) == ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	must := func(g *Graph, err error) *Graph {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	snap, err := GenerateSyntheticSnapshot("lightning", 120, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var edges, ripple, ln bytes.Buffer
+	if err := WriteEdgeList(&edges, snap.Graph); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteRippleEdgeList(&ripple, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteLNGraphJSON(&ln, snap); err != nil {
+		t.Fatal(err)
+	}
+	fromSnap := func(s *Snapshot, err error) *Graph {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Graph
+	}
+	graphs := map[string]*Graph{
+		"Ring":                Ring(30),
+		"Line":                Line(30),
+		"Complete":            Complete(12),
+		"WattsStrogatz":       must(WattsStrogatz(200, 6, 0.5, rng)),
+		"BarabasiAlbert":      must(BarabasiAlbert(200, 3, rng)),
+		"RippleLike":          must(RippleLike(200, rng)),
+		"LightningLike":       must(LightningLike(200, rng)),
+		"ReadEdgeList":        must(ReadEdgeList(&edges)),
+		"ReadRippleEdgeList":  fromSnap(ReadRippleEdgeList(&ripple)),
+		"ReadLNGraphJSON":     fromSnap(ReadLNGraphJSON(&ln)),
+		"SyntheticSnapshot":   snap.Graph,
+		"hub-first edge list": must(ReadEdgeList(strings.NewReader("0 3\n0 1\n2 0\n1 2\n3 1\n"))),
+	}
+	for name, g := range graphs {
+		if msg := ascendingSpans(g); msg != "" {
+			t.Errorf("%s: %s", name, msg)
+		}
+	}
+}
+
+// ascendingSpans checks g's CSR layout: each node's arena span lists its
+// channels in ascending channel index, each entry's channel joins the
+// node to the listed neighbor, and the spans cover every channel twice.
+// It returns what is wrong, or "".
+func ascendingSpans(g *Graph) string {
+	off, nbrs, chans := g.AdjacencyView()
+	if int(off[g.NumNodes()]) != 2*g.NumChannels() {
+		return fmt.Sprintf("spans hold %d entries, want %d", off[g.NumNodes()], 2*g.NumChannels())
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		for i := off[u]; i < off[u+1]; i++ {
+			if i > off[u] && chans[i] <= chans[i-1] {
+				return fmt.Sprintf("node %d lists channel %d after %d", u, chans[i], chans[i-1])
+			}
+			if g.Channel(int(chans[i])) != NewEdge(NodeID(u), nbrs[i]) {
+				return fmt.Sprintf("node %d: channel %d is %v, listed with neighbor %d", u, chans[i], g.Channel(int(chans[i])), nbrs[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestIngestHubFirstStarLinear: building a graph costs the same
+// whichever endpoint of its channels comes first. A star of 200,000
+// leaves is read hub-first ("0 i" per line) and leaf-first ("i 0"),
+// through ReadEdgeList and ReadRippleEdgeList; the slower orientation
+// may take at most three times the faster one. A builder that scans the
+// first endpoint's adjacency on every insert is quadratic hub-first.
+func TestIngestHubFirstStarLinear(t *testing.T) {
+	const leaves = 200000
+	star := func(line func(b []byte, leaf int) []byte) []byte {
+		var b []byte
+		for i := 1; i <= leaves; i++ {
+			b = line(b, i)
+		}
+		return b
+	}
+	readers := []struct {
+		name      string
+		hub, leaf func(b []byte, leaf int) []byte
+		read      func(data []byte) (*Graph, error)
+	}{
+		{"ReadEdgeList",
+			func(b []byte, i int) []byte { return fmt.Appendf(b, "0 %d\n", i) },
+			func(b []byte, i int) []byte { return fmt.Appendf(b, "%d 0\n", i) },
+			func(data []byte) (*Graph, error) { return ReadEdgeList(bytes.NewReader(data)) }},
+		{"ReadRippleEdgeList",
+			func(b []byte, i int) []byte { return fmt.Appendf(b, "hub n%d 1\n", i) },
+			func(b []byte, i int) []byte { return fmt.Appendf(b, "n%d hub 1\n", i) },
+			func(data []byte) (*Graph, error) {
+				snap, err := ReadRippleEdgeList(bytes.NewReader(data))
+				if err != nil {
+					return nil, err
+				}
+				return snap.Graph, nil
+			}},
+	}
+	for _, r := range readers {
+		inputs := [2][]byte{star(r.hub), star(r.leaf)}
+		best := [2]time.Duration{time.Hour, time.Hour}
+		for rep := 0; rep < 3; rep++ {
+			for i, data := range inputs {
+				start := time.Now()
+				g, err := r.read(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := g.Channel(0) // the hub and one leaf
+				if g.NumChannels() != leaves || g.Degree(e.A)+g.Degree(e.B) != leaves+1 {
+					t.Fatalf("%s: %d channels, degrees %d and %d", r.name, g.NumChannels(), g.Degree(e.A), g.Degree(e.B))
+				}
+				best[i] = min(best[i], time.Since(start))
+			}
+		}
+		hub, leaf := best[0], best[1]
+		if hub > 3*leaf || leaf > 3*hub {
+			t.Errorf("%s: hub-first %v, leaf-first %v: ratio over 3", r.name, hub, leaf)
+		}
+		t.Logf("%s: hub-first %v, leaf-first %v", r.name, hub, leaf)
 	}
 }

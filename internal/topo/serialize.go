@@ -91,7 +91,6 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			return nil, err
 		}
 	}
-	g.Compact()
 	return g, nil
 }
 

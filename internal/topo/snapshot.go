@@ -14,7 +14,7 @@ import (
 )
 
 // Snapshot is an ingested real-world (or synthetic) channel graph: the
-// compacted topology, the interner mapping external node keys (LN
+// topology (not yet frozen), the interner mapping external node keys (LN
 // pubkeys, Ripple addresses) to dense NodeIDs, and the per-channel
 // capacity in the source's native unit, indexed by channel index.
 type Snapshot struct {
@@ -112,7 +112,6 @@ func ReadLNGraphJSON(r io.Reader) (*Snapshot, error) {
 		}
 		caps = append(caps, c) // AddChannel assigns indices sequentially
 	}
-	g.Compact()
 	return &Snapshot{Graph: g, Names: in, Capacity: caps}, nil
 }
 
@@ -179,7 +178,6 @@ func ReadRippleEdgeList(r io.Reader) (*Snapshot, error) {
 		}
 		caps[idx] = rw.cap
 	}
-	g.Compact()
 	return &Snapshot{Graph: g, Names: in, Capacity: caps}, nil
 }
 
