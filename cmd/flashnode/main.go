@@ -175,26 +175,26 @@ func printStats(w io.Writer, router *core.Flash) {
 // emitNodeFlow records the one-shot payment as a telemetry flow record
 // so -pay runs with -telemetry leave an inspectable trace on /flows.
 func emitNodeFlow(sink telemetry.Sink, scheme string, sender topo.NodeID, sess *node.Session, amount float64, elapsed time.Duration, delivered bool) {
-	r := telemetry.AcquireFlow()
-	r.Scheme = scheme
-	r.Sender = int64(sender)
-	r.Receiver = int64(sess.Receiver())
-	r.Amount = amount
-	r.Class = telemetry.ClassMouse // threshold is +Inf for one-shot payments
-	r.Attempts = 1
-	r.ProbeRounds = sess.ProbeOps()
-	r.ProbeMessages = int64(sess.ProbeMessages())
-	r.CommitMessages = int64(sess.CommitMessages())
-	r.Paths = sess.PathsUsed()
-	r.Fees = sess.FeesPaid()
-	r.Complete = elapsed.Seconds()
-	r.WallNS = elapsed.Nanoseconds()
-	r.Outcome = telemetry.OutcomeFailed
+	r := telemetry.FlowRecord{
+		Scheme:         scheme,
+		Sender:         int64(sender),
+		Receiver:       int64(sess.Receiver()),
+		Amount:         amount,
+		Class:          telemetry.ClassMouse, // threshold is +Inf for one-shot payments
+		Attempts:       1,
+		ProbeRounds:    sess.ProbeOps(),
+		ProbeMessages:  int64(sess.ProbeMessages()),
+		CommitMessages: int64(sess.CommitMessages()),
+		Paths:          sess.PathsUsed(),
+		Fees:           sess.FeesPaid(),
+		Complete:       elapsed.Seconds(),
+		WallNS:         elapsed.Nanoseconds(),
+		Outcome:        telemetry.OutcomeFailed,
+	}
 	if delivered {
 		r.Outcome = telemetry.OutcomeDelivered
 	}
-	sink.Emit(r)
-	telemetry.ReleaseFlow(r)
+	sink.Emit(&r)
 }
 
 func loadTopology(path string) (*topo.Graph, error) {

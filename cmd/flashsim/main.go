@@ -8,11 +8,11 @@
 // with a catalogue name) runs the discrete-event engine instead:
 // payments arrive through a seeded arrival process over a virtual
 // clock, churn events open/close/rebalance channels mid-run, and the
-// output includes a per-window time series. Dynamic runs with
-// -workers 1 (the default) are fully deterministic: the same seed
-// prints the same bytes, fingerprint included — with or without hold
-// spans. A -scenario preset keeps its own settings except for the flags
-// given on the command line.
+// output includes a per-window time series. Every run routes one
+// payment at a time and is fully deterministic: the same seed prints
+// the same bytes, fingerprint included — with or without hold spans.
+// A -scenario preset keeps its own settings except for the flags given
+// on the command line.
 //
 // -service enables hold spans: each payment locks its funds for an
 // exponential virtual service time between the routing decision and
@@ -26,7 +26,7 @@
 //	flashsim -kind lightning -nodes 2511 -txns 2000 -scale 20 -schemes Flash,Spider
 //	flashsim -kind testbed -nodes 50 -txns 1000 -caplo 1000 -caphi 1500
 //	flashsim -dynamic -arrival poisson -rate 20 -duration 60
-//	flashsim -dynamic -workers 8 -retries 3           # concurrent stations with retry recovery
+//	flashsim -dynamic -retries 3                      # retry recovery with seeded backoff
 //	flashsim -scenario churn -nodes 200 -seed 42      # catalogue churn scenario
 //	flashsim -scenario flash-crowd -duration 120 -window 10
 //	flashsim -scenario contention -retries 2          # hold-span contention on the barbell
@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -104,8 +103,6 @@ var flagFields = []flagField{
 		func(s *spec) []any { return []any{&s.static.TestbedCapLo} }},
 	{"caphi", 1500.0, "testbed capacity range high",
 		func(s *spec) []any { return []any{&s.static.TestbedCapHi} }},
-	{"workers", 1, "dynamic mode: concurrent payment stations (1 = deterministic, 0 = GOMAXPROCS); static replay is sequential and accepts only 1",
-		func(s *spec) []any { return []any{&s.dyn.Workers} }},
 	{"retries", 0, "re-route failed payments up to N extra times with jittered virtual backoff",
 		func(s *spec) []any { return []any{&s.static.Retries, &s.dyn.Retries} }},
 	{"probeworkers", 1, "Flash probe width: speculative elephant candidates probed per round, each round charged its slowest probe in virtual time (1 = sequential Algorithm 1)",
@@ -244,7 +241,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return 2
 	}
-	s := &spec{dyn: sim.DynamicScenario{Name: "custom"}}
+	s := &spec{dyn: sim.DynamicScenario{Name: "custom", DynamicOptions: sim.DynamicOptions{Workers: 1}}}
 	if err := s.apply(fs, true); err != nil {
 		fmt.Fprintln(stderr, "flashsim:", err)
 		return 2
@@ -252,10 +249,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	dynamic := s.dynamic || s.scenario != ""
 	if !dynamic && s.json {
 		fmt.Fprintln(stderr, "flashsim: -json requires dynamic mode (-dynamic or -scenario)")
-		return 2
-	}
-	if !dynamic && s.dyn.Workers != 1 { // only the dynamic scenario has stations
-		fmt.Fprintln(stderr, "flashsim: -workers requires dynamic mode (-dynamic or -scenario); the static replay is sequential")
 		return 2
 	}
 	if s.scenario != "" {
@@ -318,13 +311,10 @@ func runStatic(sc sim.Scenario, stdout, stderr io.Writer) int {
 // runDynamic executes the discrete-event mode and prints the
 // per-window time series plus aggregates. All output is derived from
 // virtual time and seeded randomness, so identical invocations print
-// identical bytes (workers ≤ 1) — telemetry sinks included, which only
-// observe. jsonMode switches the report from the table renderer to one
-// indented JSON document per scheme.
+// identical bytes — telemetry sinks included, which only observe.
+// jsonMode switches the report from the table renderer to one indented
+// JSON document per scheme.
 func runDynamic(sc sim.DynamicScenario, jsonMode bool, stdout, stderr io.Writer) int {
-	if sc.Workers == 0 {
-		sc.Workers = runtime.GOMAXPROCS(0)
-	}
 	results, err := sim.RunDynamicScenario(sc)
 	if err != nil {
 		fmt.Fprintln(stderr, "flashsim:", err)

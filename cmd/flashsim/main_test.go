@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -44,12 +43,10 @@ func goldenCases() []goldenCase {
 		{"override-demand-drift-control", []string{"-scenario", "demand-drift", "-nodes", "60", "-duration", "10", "-control", "off"}},
 		{"override-contention-service", []string{"-scenario", "contention", "-nodes", "60", "-duration", "10", "-service", "0"}},
 		{"override-latency-slo-probeworkers", []string{"-scenario", "latency-slo", "-nodes", "60", "-duration", "10", "-probeworkers", "4"}},
-		{"override-workers-0", []string{"-scenario", "contention", "-nodes", "60", "-duration", "10", "-workers", "0"}},
 		{"topology-static", []string{"-topology", "testdata/ring.edges", "-kind", "lightning", "-txns", "40", "-runs", "1", "-schemes", "Flash,ShortestPath"}},
 		{"topology-preset", []string{"-kind", "lightning", "-topology", "testdata/ring.edges", "-scenario", "hub-failure", "-duration", "10", "-rate", "5"}},
 		{"json", []string{"-scenario", "latency-slo", "-nodes", "60", "-duration", "10", "-schemes", "Flash,Spider", "-json"}},
 		{"flows", []string{"-dynamic", "-nodes", "40", "-duration", "4", "-rate", "4", "-schemes", "Flash", "-flows", "-"}},
-		{"exit-static-workers", []string{"-nodes", "40", "-txns", "10", "-workers", "2"}},
 		{"exit-static-json", []string{"-nodes", "40", "-txns", "10", "-json"}},
 		{"exit-unknown-scenario", []string{"-scenario", "bogus"}},
 		{"exit-static-mice", []string{"-kind", "ripple", "-nodes", "60", "-txns", "100", "-runs", "1", "-mice", "2"}},
@@ -81,9 +78,6 @@ func mask(args []string, out string) string {
 // TestGolden runs each golden case through run and compares exit code,
 // stdout and stderr with testdata/<name>.golden. -update rewrites them.
 func TestGolden(t *testing.T) {
-	// -workers 0 means GOMAXPROCS; pin it so the case is deterministic
-	// and its header reads the same on every machine.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -136,4 +130,16 @@ func firstDiff(want, got string) string {
 		}
 	}
 	return "(equal)"
+}
+
+// TestWorkersIsNotAFlag checks that flashsim offers no concurrent
+// stations: -workers is an undefined flag, a usage error.
+func TestWorkersIsNotAFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dynamic", "-workers", "2"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+		t.Errorf("exit %d, stdout %q; want exit 2 and no output", code, stdout.String())
+	}
+	if want := "flag provided but not defined: -workers"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+	}
 }

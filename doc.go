@@ -76,15 +76,11 @@
 //     byte-identical to the seed engine. CLI: -probeworkers on
 //     cmd/flashsim and cmd/experiments.
 //   - sim: RunSimulation replays a workload one payment at a time — a
-//     zero-churn, one-station run of the dynamic engine below. The
-//     dynamic engine's DynamicOptions.Workers > 1 routes overlapping
-//     payments on goroutines over the shared network; each payment then
-//     gets a private RNG seeded from the payment ID (pcn.Tx.SetRNGSeed /
-//     route.RandSource), so random routing choices are
-//     scheduling-independent even though balance interleaving — as in a
-//     real network — is not. A static cell's schemes run one after
+//     zero-churn, one-station run of the dynamic engine below. Every
+//     run a user starts (cmd/flashsim, cmd/experiments, this package)
+//     has one station, and every random routing choice draws from the
+//     router's seeded stream. A static cell's schemes run one after
 //     another on one network, restored between schemes.
-//     cmd/flashsim takes a -workers flag for dynamic stations;
 //     cmd/experiments runs a figure's independent cells on one
 //     GOMAXPROCS pool, and its tables do not depend on the pool.
 //

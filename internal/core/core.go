@@ -23,8 +23,7 @@
 // counters are atomics. The shared mutable state is the channel index
 // (channelIndex: which entries cross which channel), locked briefly when
 // an entry gets paths — a table miss, never a hit — and the router's RNG
-// (used for the mice path order), which sessions bypass entirely when
-// they carry a per-payment RNG (route.RandSource).
+// (used for the mice path order).
 //
 // With Config.ProbeWorkers > 1, elephant routing speculatively probes
 // several candidate paths per round, in order on the session's
@@ -240,14 +239,7 @@ func (f *Flash) SetThreshold(t float64) int {
 	dropped := 0
 	f.tablesMu.RLock()
 	for _, tbl := range f.tables {
-		tbl.mu.Lock()
-		for _, e := range tbl.entries {
-			if e.maxAmount > t {
-				tbl.removeLocked(e)
-				dropped++
-			}
-		}
-		tbl.mu.Unlock()
+		dropped += tbl.dropAbove(t)
 	}
 	f.tablesMu.RUnlock()
 	f.tableInvalidations.Add(int64(dropped))
@@ -304,14 +296,7 @@ func (f *Flash) SetSenderThreshold(sender topo.NodeID, t float64) int {
 	tbl := f.tables[sender]
 	f.tablesMu.RUnlock()
 	if tbl != nil {
-		tbl.mu.Lock()
-		for _, e := range tbl.entries {
-			if e.maxAmount > t {
-				tbl.removeLocked(e)
-				dropped++
-			}
-		}
-		tbl.mu.Unlock()
+		dropped = tbl.dropAbove(t)
 	}
 	f.tableInvalidations.Add(int64(dropped))
 	return dropped

@@ -83,37 +83,17 @@ func (ps *probedState) release() {
 }
 
 // slot returns the flat index of hop i of p, 2·channel + direction, the
-// channel read from the path: no lookup. It grows the arrays when a
-// channel was registered after this probedState was sized (churn opening
-// a channel mid-payment).
+// channel read from the path: no lookup. The index is always in range:
+// every path comes from a search on the session's graph, which was
+// frozen before its network was built, and acquireProbedState sized the
+// arrays to 2·NumChannels() of that graph.
 func (ps *probedState) slot(p topo.Path, i int) int {
 	u, v, ch := p.Hop(i)
 	s := 2 * ch
 	if u > v {
 		s++
 	}
-	if s >= len(ps.known) {
-		ps.grow(2*ch + 2)
-	}
 	return s
-}
-
-func (ps *probedState) grow(m int) {
-	known := make([]uint32, m)
-	copy(known, ps.known)
-	ps.known = known
-	capacity := make([]float64, m)
-	copy(capacity, ps.capacity)
-	ps.capacity = capacity
-	residual := make([]float64, m)
-	copy(residual, ps.residual)
-	ps.residual = residual
-	fees := make([]pcn.FeeSchedule, m)
-	copy(fees, ps.fees)
-	ps.fees = fees
-	row := make([]int32, m)
-	copy(row, ps.row)
-	ps.row = row
 }
 
 // knownCount returns the number of probed directed hops (tests assert
@@ -138,7 +118,7 @@ func (ps *probedState) usableCh(u, v topo.NodeID, ch int32) bool {
 	if u > v {
 		s++
 	}
-	if s < len(ps.known) && ps.known[s] == ps.epoch {
+	if ps.known[s] == ps.epoch {
 		return ps.residual[s] > route.Epsilon
 	}
 	return true

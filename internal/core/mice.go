@@ -71,6 +71,22 @@ func (t *routingTable) removeLocked(e *tableEntry) {
 	e.dead.Store(true)
 }
 
+// dropAbove locks the table and removes every entry whose observed
+// traffic exceeds limit (a lowered elephant threshold made it serve
+// elephants). Returns the number of entries removed.
+func (t *routingTable) dropAbove(limit float64) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	dropped := 0
+	for _, e := range t.entries {
+		if e.maxAmount > limit {
+			t.removeLocked(e)
+			dropped++
+		}
+	}
+	return dropped
+}
+
 // tableEntry caches the top-m shortest paths to one receiver. all is
 // the extended Yen list (computed once, lazily, on the first dead-path
 // replacement): the topology is static, so the candidate paths for a
@@ -248,7 +264,7 @@ func (f *Flash) routeMice(s route.Session) error {
 	tbl, entry := f.lookupPaths(g, s.Sender(), s.Receiver(), s.Demand())
 	ob := orderPool.Get().(*[]int)
 	defer orderPool.Put(ob)
-	order := f.pathOrder(s, tbl, entry, (*ob)[:0])
+	order := f.pathOrder(tbl, entry, (*ob)[:0])
 	*ob = order
 	if len(order) == 0 {
 		if err := s.Abort(); err != nil {
@@ -309,11 +325,9 @@ var orderPool = sync.Pool{New: func() any { return new([]int) }}
 // default ("Flash randomly picks the paths to better load balance them
 // without knowing their instantaneous capacities"), or ascending length
 // when the FixedMiceOrder ablation is on. The shuffle draws from the
-// session's per-payment RNG when one is attached (route.RandSource), so
-// concurrent replays make scheduling-independent random choices; the
-// router's shared seeded RNG is the sequential fallback. The result is
-// built in buf (grown as needed).
-func (f *Flash) pathOrder(s route.Session, t *routingTable, e *tableEntry, buf []int) []int {
+// router's seeded RNG under rngMu. The result is built in buf (grown as
+// needed).
+func (f *Flash) pathOrder(t *routingTable, e *tableEntry, buf []int) []int {
 	t.mu.Lock()
 	n := len(e.paths)
 	var lengths []int
@@ -334,12 +348,6 @@ func (f *Flash) pathOrder(s route.Session, t *routingTable, e *tableEntry, buf [
 			return lengths[order[a]] < lengths[order[b]]
 		})
 		return order
-	}
-	if rs, ok := s.(route.RandSource); ok {
-		if rng := rs.RNG(); rng != nil {
-			rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-			return order
-		}
 	}
 	f.rngMu.Lock()
 	f.rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/stats"
 	"repro/internal/topo"
 )
 
@@ -393,7 +394,7 @@ func (n *Network) AssignLatenciesLogNormal(rng *rand.Rand, median, sigma float64
 	defer n.unlockAll()
 	any := false
 	for i := range n.chans {
-		n.chans[i].rttNanos = int64(math.Round(logNormal(rng, median, sigma) * 1e9))
+		n.chans[i].rttNanos = int64(math.Round(stats.LogNormal(rng, median, sigma) * 1e9))
 		if n.chans[i].rttNanos > 0 {
 			any = true
 		}
@@ -511,7 +512,7 @@ func (n *Network) AssignBalancesLogNormal(rng *rand.Rand, median, sigma float64,
 		if n.chans[i].closed {
 			continue
 		}
-		total := logNormal(rng, median, sigma)
+		total := stats.LogNormal(rng, median, sigma)
 		frac := 0.5
 		if !evenSplit {
 			frac = rng.Float64()
@@ -581,9 +582,4 @@ func (n *Network) AssignFeesPaper(rng *rand.Rand) {
 		n.chans[i].fee[0] = fee
 		n.chans[i].fee[1] = fee
 	}
-}
-
-// logNormal draws a log-normal value with the given median and shape.
-func logNormal(rng *rand.Rand, median, sigma float64) float64 {
-	return median * math.Exp(rng.NormFloat64()*sigma)
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // TestReleaseTxResetsSession walks the release contract. A session
-// that outgrew every arena's inline array, seeded its RNG, deferred its
-// commit, was suspended and resumed, paid fees and charged latency is
-// released; the next Begin must hand back a session that reads in every
-// accessor as a fresh one does, behaves as one (its commit settles at
-// once and it has no RNG), and keeps the arenas' grown capacity.
+// that outgrew every arena's inline array, deferred its commit, was
+// suspended and resumed, paid fees and charged latency is released; the
+// next Begin must hand back a session that reads in every accessor as a
+// fresh one does, behaves as one (its commit settles at once), and keeps
+// the arenas' grown capacity.
 func TestReleaseTxResetsSession(t *testing.T) {
 	n, path := longLineNet(t)
 	for _, e := range n.Graph().Channels() {
@@ -31,10 +31,6 @@ func TestReleaseTxResetsSession(t *testing.T) {
 	tx, err := n.Begin(0, last, 10)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tx.SetRNGSeed(42)
-	if tx.RNG() == nil {
-		t.Fatal("a seeded session has no RNG")
 	}
 	tx.DeferCommit()
 	for i := 0; i < 3; i++ {
@@ -108,7 +104,7 @@ type txAccessors struct {
 	probeMsgs, probeOps, commits int
 	paths                        int
 	probeLat, commitLat          int64
-	finished, suspended, rng     bool
+	finished, suspended          bool
 }
 
 func accessors(tx *Tx) txAccessors {
@@ -117,7 +113,7 @@ func accessors(tx *Tx) txAccessors {
 		demand: tx.Demand(), fees: tx.FeesPaid(), held: tx.HeldTotal(),
 		probeMsgs: tx.ProbeMessages(), probeOps: tx.ProbeOps(), commits: tx.CommitMessages(),
 		paths: tx.PathsUsed(), probeLat: tx.ProbeLatencyNanos(), commitLat: tx.CommitLatencyNanos(),
-		finished: tx.Finished(), suspended: tx.Suspended(), rng: tx.RNG() != nil,
+		finished: tx.Finished(), suspended: tx.Suspended(),
 	}
 }
 

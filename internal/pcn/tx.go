@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -77,10 +76,6 @@ type Tx struct {
 	sender   topo.NodeID
 	receiver topo.NodeID
 	demand   float64
-
-	rng       *rand.Rand
-	rngSeed   int64
-	rngSeeded bool
 
 	finished    bool
 	deferCommit bool
@@ -178,24 +173,6 @@ func (t *Tx) Receiver() topo.NodeID { return t.receiver }
 
 // Demand returns the payment amount.
 func (t *Tx) Demand() float64 { return t.demand }
-
-// SetRNGSeed attaches a deterministic per-payment random source to the
-// session. Routers that make random choices (e.g. Flash's mice path
-// order) use it when present instead of their shared generator, so a
-// concurrent replay's random decisions depend only on the payment, not
-// on worker scheduling. Construction is lazy: the rand.Rand (whose
-// source seeds a ~5KB table) is only built if a router actually asks
-// for randomness — elephants and non-random routers never pay for it.
-func (t *Tx) SetRNGSeed(seed int64) { t.rng, t.rngSeed, t.rngSeeded = nil, seed, true }
-
-// RNG returns the session's per-payment random source, or nil when none
-// was attached (implements route.RandSource).
-func (t *Tx) RNG() *rand.Rand {
-	if t.rng == nil && t.rngSeeded {
-		t.rng = rand.New(rand.NewSource(t.rngSeed))
-	}
-	return t.rng
-}
 
 // resolvePath checks that path starts at the sender and ends at the
 // receiver, and maps every hop to its channel index and direction — one

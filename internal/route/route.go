@@ -12,7 +12,6 @@ package route
 import (
 	"errors"
 	"math"
-	"math/rand"
 
 	"repro/internal/pcn"
 	"repro/internal/topo"
@@ -87,20 +86,6 @@ type LatencyMeter interface {
 // Compile-time check: the in-memory transaction meters virtual
 // latency.
 var _ LatencyMeter = (*pcn.Tx)(nil)
-
-// RandSource is optionally implemented by Sessions that carry a
-// deterministic per-payment random source. Routers that make random
-// choices (e.g. Flash's random mice path order, §3.3) should prefer it
-// over their own shared generator when it is non-nil: random decisions
-// then depend only on the payment's identity, never on how a concurrent
-// replay happened to schedule its workers. The sequential simulator
-// leaves it unset, which preserves the historical shared-RNG sequence.
-type RandSource interface {
-	RNG() *rand.Rand
-}
-
-// Compile-time check: pcn.Tx can carry a per-payment RNG.
-var _ RandSource = (*pcn.Tx)(nil)
 
 // Router is a routing algorithm. Route must finish the session: Commit
 // when the full demand has been held (returning nil) or Abort otherwise

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pcn"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -20,10 +21,11 @@ var raceEnabled bool
 // plain call, the router holds its path table's copy of the path (each
 // pair is searched once, in the warm-up run), the session's arenas fit
 // a short path inline, and both the pcn.Tx and the engine's dynPayment
-// record are recycled. Set-up (network, router, queue, windows,
-// metrics) is paid once per run, so the pin is the allocation delta
-// between a run of n payments and one of 2n, divided by n, with the
-// collector off.
+// record are recycled. A FlowLog sink costs nothing either: the
+// observer refills its one record and the log copies it into its ring.
+// Set-up (network, router, queue, windows, metrics) is paid once per
+// run, so the pin is the allocation delta between a run of n payments
+// and one of 2n, divided by n, with the collector off.
 func TestInlineAttemptAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items")
@@ -39,17 +41,19 @@ func TestInlineAttemptAllocs(t *testing.T) {
 		}
 	}
 	r := baselineShortestPath(t)
-	per := perPaymentAllocs(t, payments, func(ps []trace.Payment) {
-		m, err := Replay(net, r, ps, 10, 0, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, sink := range []telemetry.Sink{nil, telemetry.NewFlowLog(16)} {
+		per := perPaymentAllocs(t, payments, func(ps []trace.Payment) {
+			m, err := Replay(net, r, ps, 10, 0, sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Successes != len(ps) {
+				t.Fatalf("%d/%d delivered", m.Successes, len(ps))
+			}
+		})
+		if per != 0 {
+			t.Fatalf("an inline ShortestPath payment with sink %T allocates %v, want 0", sink, per)
 		}
-		if m.Successes != len(ps) {
-			t.Fatalf("%d/%d delivered", m.Successes, len(ps))
-		}
-	})
-	if per != 0 {
-		t.Fatalf("an inline ShortestPath payment allocates %v, want 0", per)
 	}
 }
 

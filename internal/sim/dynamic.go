@@ -27,8 +27,7 @@ type DynamicOptions struct {
 	Workers int
 
 	// Seed derives the engine's schedule randomness (virtual service
-	// times, retry backoffs) and, when Workers > 1, each payment's
-	// per-session RNG.
+	// times, retry backoffs) and the griefer marking (GriefFrac).
 	Seed int64
 
 	// Retries re-routes an undelivered payment up to this many extra

@@ -261,12 +261,11 @@ func (e *engine) dispatch(dp *dynPayment, t float64) {
 			service = e.opts.GriefHold
 		}
 	}
-	seed := attemptSeed(paymentSeed(e.opts.Seed, int64(dp.p.ID)), dp.attempt)
 	if e.workers > 1 {
-		e.launch(dp, t, service, seed)
+		e.launch(dp, t, service)
 		return
 	}
-	dp.inline = runAttempt(e.net, e.r, dp.p, seed, false, e.spans)
+	dp.inline = runAttempt(e.net, e.r, dp.p, e.spans)
 	if e.spans && dp.inline.tx == nil {
 		// The attempt failed at the hold phase: nothing is locked, so
 		// the payment completes — and its retry clock starts — at its
@@ -310,11 +309,11 @@ func (e *engine) scheduleSettle(dp *dynPayment, at float64, kind event.Kind) {
 // launch and harvest are the Workers > 1 path, the engine's only
 // nondeterministic mode. launch routes the attempt on a goroutine and
 // schedules its PaymentComplete after the service time alone.
-func (e *engine) launch(dp *dynPayment, t, service float64, seed int64) {
+func (e *engine) launch(dp *dynPayment, t, service float64) {
 	dp.dispatched, dp.service = t, service
 	dp.done = make(chan routeResult, 1)
 	go func(p trace.Payment, done chan routeResult) {
-		done <- runAttempt(e.net, e.r, p, seed, true, e.spans)
+		done <- runAttempt(e.net, e.r, p, e.spans)
 	}(dp.p, dp.done)
 	e.scheduleSettle(dp, t+service, event.PaymentComplete)
 }

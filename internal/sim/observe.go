@@ -17,6 +17,7 @@ type dynObserver struct {
 	sink   telemetry.Sink
 	scheme string
 	reg    *telemetry.Registry
+	rec    telemetry.FlowRecord // refilled and emitted per completion
 
 	payments, successes, failures, spanAborts *telemetry.Counter
 	expiries                                  *telemetry.Counter
@@ -93,32 +94,22 @@ func (o *dynObserver) completed(p trace.Payment, miceThreshold float64, t routeO
 		case spanAborted:
 			outcome = telemetry.OutcomeSpanAbort
 		}
-		// The record is pooled: everything stamped is a value the engine
-		// already computed, and the sink copies what it keeps.
-		rec := telemetry.AcquireFlow()
-		rec.ID = int64(p.ID)
-		rec.Scheme = o.scheme
-		rec.Sender = int64(p.Sender)
-		rec.Receiver = int64(p.Receiver)
-		rec.Amount = p.Amount
-		rec.Class = telemetry.ClassElephant
+		class := telemetry.ClassElephant
 		if p.Amount <= miceThreshold {
-			rec.Class = telemetry.ClassMouse
+			class = telemetry.ClassMouse
 		}
-		rec.Attempts = attempts
-		rec.ProbeRounds = t.probeOps
-		rec.ProbeMessages = t.probeMsgs
-		rec.CommitMessages = t.commitMsgs
-		rec.Paths = t.paths
-		rec.Fees = t.fees
-		rec.Arrival = arrival
-		rec.Complete = at
-		rec.ProbeLatency = float64(t.probeLatNanos) / 1e9
-		rec.CommitLatency = float64(t.commitLatNanos) / 1e9
-		rec.WallNS = int64(t.elapsed)
-		rec.Outcome = outcome
-		o.sink.Emit(rec)
-		telemetry.ReleaseFlow(rec)
+		// The observer's one record is refilled per completion: every
+		// field is a value the engine already computed, and the sink
+		// copies what it keeps.
+		o.rec = telemetry.FlowRecord{
+			ID: int64(p.ID), Scheme: o.scheme, Sender: int64(p.Sender), Receiver: int64(p.Receiver),
+			Amount: p.Amount, Class: class, Attempts: attempts, Paths: t.paths, Fees: t.fees,
+			ProbeRounds: t.probeOps, ProbeMessages: t.probeMsgs, CommitMessages: t.commitMsgs,
+			Arrival: arrival, Complete: at, WallNS: int64(t.elapsed), Outcome: outcome,
+			ProbeLatency:  float64(t.probeLatNanos) / 1e9,
+			CommitLatency: float64(t.commitLatNanos) / 1e9,
+		}
+		o.sink.Emit(&o.rec)
 	}
 }
 

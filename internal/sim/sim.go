@@ -192,11 +192,10 @@ func (o *routeOutcome) add(a routeOutcome) {
 }
 
 // runAttempt runs one routing attempt for p: Begin, optional
-// per-payment RNG (rngSeed, when seeded), optional DeferCommit, one
-// Route call, defensive finishing, outcome accounting. The result's
-// error is an infrastructure failure; routing failures are reported
-// through routeOutcome.delivered. A plain function, not a closure, so
-// the engine's inline call allocates nothing of its own.
+// DeferCommit, one Route call, defensive finishing, outcome accounting.
+// The result's error is an infrastructure failure; routing failures are
+// reported through routeOutcome.delivered. A plain function, not a
+// closure, so the engine's inline call allocates nothing of its own.
 //
 // With deferCommit the commit is deferred across the hold-span seam
 // (pcn.Tx.DeferCommit): the router runs to its commit/abort decision as
@@ -208,13 +207,10 @@ func (o *routeOutcome) add(a routeOutcome) {
 // suspended session the outcome's delivered flag and
 // fee/commit-message accounting are provisional: Resume decides
 // delivery and adds the CONFIRM (or REVERSE) costs.
-func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64, seeded, deferCommit bool) routeResult {
+func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, deferCommit bool) routeResult {
 	tx, err := net.Begin(p.Sender, p.Receiver, p.Amount)
 	if err != nil {
 		return routeResult{err: fmt.Errorf("sim: payment %d: %w", p.ID, err)}
-	}
-	if seeded {
-		tx.SetRNGSeed(rngSeed)
 	}
 	if deferCommit {
 		tx.DeferCommit()
@@ -253,19 +249,9 @@ func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, rngSeed int64
 	return routeResult{out: out}
 }
 
-// attemptSeed derives the per-attempt session seed: attempt 0 uses the
-// payment seed unchanged (preserving single-attempt behavior exactly),
-// retries re-mix so a retried mouse draws a fresh path order.
-func attemptSeed(rngSeed int64, attempt int) int64 {
-	if attempt == 0 {
-		return rngSeed
-	}
-	return paymentSeed(rngSeed, int64(attempt))
-}
-
-// paymentSeed mixes the base seed with a payment ID (splitmix64-style
-// finalizer), giving each payment an independent, reproducible RNG
-// stream regardless of which worker replays it.
+// paymentSeed mixes the base seed with an ID (splitmix64-style
+// finalizer) into an independent, reproducible seed; the engine seeds
+// its schedule stream with it.
 func paymentSeed(base int64, id int64) int64 {
 	z := uint64(base) + (uint64(id)+1)*0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -13,16 +13,13 @@
 // stamps them from its own clock, never from time.Now.
 //
 // The hot-path contract: a nil Sink costs one branch; a live sink costs
-// one pooled record (AcquireFlow/ReleaseFlow) plus the sink's Emit.
-// Sink implementations must not retain the record after Emit returns —
-// the caller recycles it — and must be safe for concurrent Emit calls,
-// because concurrent replays hammer one sink from many workers.
+// refilling the emitter's one record plus the sink's Emit. Sink
+// implementations must not retain the record after Emit returns — the
+// emitter refills it for its next payment — and must be safe for
+// concurrent Emit calls, because one sink may serve several emitters.
 package telemetry
 
-import (
-	"strconv"
-	"sync"
-)
+import "strconv"
 
 // Payment classes stamped into FlowRecord.Class, matching the paper's
 // mice/elephant differentiation.
@@ -100,27 +97,11 @@ type FlowRecord struct {
 
 // Sink receives completed flow records. Implementations must be safe
 // for concurrent Emit calls and must not retain r after Emit returns:
-// the caller owns the record and recycles it through the pool. Copy it
-// (a value copy suffices — the struct holds only scalars and immutable
-// strings) to keep it.
+// the caller owns the record and refills it for its next payment. Copy
+// it (a value copy suffices — the struct holds only scalars and
+// immutable strings) to keep it.
 type Sink interface {
 	Emit(r *FlowRecord)
-}
-
-// flowPool recycles records so the emission hot path allocates nothing
-// at steady state (guarded by an AllocsPerRun test).
-var flowPool = sync.Pool{New: func() any { return new(FlowRecord) }}
-
-// AcquireFlow returns a zeroed record from the pool. Pair with
-// ReleaseFlow after the sink's Emit returns.
-func AcquireFlow() *FlowRecord {
-	return flowPool.Get().(*FlowRecord)
-}
-
-// ReleaseFlow zeroes r and returns it to the pool.
-func ReleaseFlow(r *FlowRecord) {
-	*r = FlowRecord{}
-	flowPool.Put(r)
 }
 
 // MultiSink fans one record out to several sinks in order.

@@ -138,6 +138,7 @@ type Telemetry struct {
 type workloadObserver struct {
 	sink   telemetry.Sink
 	scheme string
+	rec    telemetry.FlowRecord // refilled and emitted per completion
 
 	payments, successes, failures *telemetry.Counter
 	volume, probeMsgs, commitMsgs *telemetry.Counter
@@ -186,31 +187,22 @@ func (o *workloadObserver) completed(p trace.Payment, miceThreshold float64, ses
 		}
 	}
 	if o.sink != nil {
-		rec := telemetry.AcquireFlow()
-		rec.ID = int64(p.ID)
-		rec.Scheme = o.scheme
-		rec.Sender = int64(p.Sender)
-		rec.Receiver = int64(p.Receiver)
-		rec.Amount = p.Amount
-		rec.Class = telemetry.ClassElephant
+		class := telemetry.ClassElephant
 		if p.Amount <= miceThreshold {
-			rec.Class = telemetry.ClassMouse
+			class = telemetry.ClassMouse
 		}
-		rec.Attempts = 1
-		rec.ProbeRounds = sess.ProbeOps()
-		rec.ProbeMessages = int64(sess.ProbeMessages())
-		rec.CommitMessages = int64(sess.CommitMessages())
-		rec.Paths = sess.PathsUsed()
-		rec.Arrival = arrival
-		rec.Complete = complete
-		rec.WallNS = int64(wall)
 		outcome := telemetry.OutcomeFailed
 		if delivered {
 			outcome = telemetry.OutcomeDelivered
 		}
-		rec.Outcome = outcome
-		o.sink.Emit(rec)
-		telemetry.ReleaseFlow(rec)
+		o.rec = telemetry.FlowRecord{
+			ID: int64(p.ID), Scheme: o.scheme, Sender: int64(p.Sender), Receiver: int64(p.Receiver),
+			Amount: p.Amount, Class: class, Attempts: 1, Paths: sess.PathsUsed(),
+			ProbeRounds: sess.ProbeOps(), ProbeMessages: int64(sess.ProbeMessages()),
+			CommitMessages: int64(sess.CommitMessages()), WallNS: int64(wall),
+			Arrival: arrival, Complete: complete, Outcome: outcome,
+		}
+		o.sink.Emit(&o.rec)
 	}
 }
 
