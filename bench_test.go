@@ -193,6 +193,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 					Kind:           "ripple",
 					Nodes:          200,
 					ScaleFactor:    10,
+					MiceFraction:   0.9,
 					Duration:       float64(payments) / rate,
 					Rate:           rate,
 					ChurnRate:      1,
@@ -220,7 +221,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 	// Scale axis: the snapshot-scale configuration — Flash routing over
 	// Ripple-like graphs of 1k/10k/100k nodes with light churn and
 	// LRU-bounded routing tables. The 10k cell is the scale benchmark's
-	// reference point (BENCH_scale.json in CI); the 100k cell runs the
+	// reference point (bench-scale.txt in CI); the 100k cell runs the
 	// same 10,000 payments — about 10 s an iteration on a 2-vCPU box
 	// since route discovery became goal-directed — and also guards peak
 	// memory (CSR adjacency + flat probe state + bounded tables keep a
@@ -233,6 +234,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 				Kind:           "ripple",
 				Nodes:          nodes,
 				ScaleFactor:    10,
+				MiceFraction:   0.9,
 				Duration:       float64(payments) / rate,
 				Rate:           rate,
 				ChurnRate:      1,
@@ -272,7 +274,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 // (re-calibrated thresholds route the post-shift top decile through
 // the elephant algorithm), so cross-cell comparisons read policy cost
 // plus policy effect. Recorded by the CI bench step into
-// BENCH_control.json.
+// bench-control.txt.
 func BenchmarkControlPlane(b *testing.B) {
 	const rate = 500 // arrivals per virtual second
 	cells := []struct {
@@ -290,6 +292,7 @@ func BenchmarkControlPlane(b *testing.B) {
 				Kind:              "ripple",
 				Nodes:             150,
 				ScaleFactor:       2,
+				MiceFraction:      0.9,
 				Duration:          10000.0 / rate,
 				Rate:              rate,
 				DemandShiftFactor: 0.25,
@@ -331,7 +334,7 @@ func BenchmarkControlPlane(b *testing.B) {
 // JSONL file export on top, whose per-record JSON text encoding is the
 // dominating extra cost (it runs on the sink's background writer
 // goroutine, so on multi-core hosts it overlaps the engine).
-// Recorded by the CI bench step into BENCH_telemetry.json.
+// Recorded by the CI bench step into bench-telemetry.txt.
 func BenchmarkTelemetry(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
 	base := sim.DynamicScenario{
@@ -339,6 +342,7 @@ func BenchmarkTelemetry(b *testing.B) {
 		Kind:           "ripple",
 		Nodes:          200,
 		ScaleFactor:    10,
+		MiceFraction:   0.9,
 		Duration:       10000.0 / rate,
 		Rate:           rate,
 		ChurnRate:      1,
@@ -394,7 +398,7 @@ func BenchmarkTelemetry(b *testing.B) {
 // every span that cannot settle inside the deadline (the 0.1s
 // deadline against a 0.05s mean service time expires ~13% of spans,
 // so the expiry path is genuinely exercised). Recorded by the CI
-// bench step into BENCH_latency.json.
+// bench step into bench-latency.txt.
 func BenchmarkLatencyModel(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
 	base := sim.DynamicScenario{
@@ -402,6 +406,7 @@ func BenchmarkLatencyModel(b *testing.B) {
 		Kind:           "ripple",
 		Nodes:          200,
 		ScaleFactor:    10,
+		MiceFraction:   0.9,
 		Duration:       10000.0 / rate,
 		Rate:           rate,
 		ChurnRate:      1,

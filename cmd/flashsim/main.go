@@ -294,15 +294,14 @@ func runStatic(sc sim.Scenario, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "# kind=%s nodes=%d txns=%d scale=%g mice=%.0f%% runs=%d seed=%d retries=%d probeworkers=%d\n",
 		sc.Kind, sc.Nodes, sc.Txns, sc.ScaleFactor, 100*sc.MiceFraction, sc.Runs, sc.Seed, sc.Retries, sc.Router.ProbeWorkers)
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scheme\tsucc.ratio\tsucc.volume\tprobe msgs\tfee ratio\tmean delay")
+	fmt.Fprintln(w, "scheme\tsucc.ratio\tsucc.volume\tprobe msgs\tfee ratio")
 	for _, r := range results {
-		fmt.Fprintf(w, "%s\t%.1f%%\t%.4g\t%.0f\t%.3f%%\t%v\n",
+		fmt.Fprintf(w, "%s\t%.1f%%\t%.4g\t%.0f\t%.3f%%\n",
 			r.Scheme,
 			100*r.Mean(sim.Metrics.SuccessRatio),
 			r.Mean(func(m sim.Metrics) float64 { return m.SuccessVolume }),
 			r.Mean(func(m sim.Metrics) float64 { return float64(m.ProbeMessages) }),
-			100*r.Mean(sim.Metrics.FeeRatio),
-			r.Runs[0].MeanDelay().Round(1000))
+			100*r.Mean(sim.Metrics.FeeRatio))
 	}
 	w.Flush()
 	return 0

@@ -175,7 +175,7 @@
 // dynamic-scenario table and the latency-model cells alongside the
 // paper's figures.
 //
-// See the examples directory for runnable programs, ARCHITECTURE.md
+// See flash_test.go's Examples for checked programs, ARCHITECTURE.md
 // for the layer stack, concurrency model, determinism guarantees and
 // the hold-span state machine, and README.md for the scenario
 // catalogue with reproduction commands.

@@ -92,10 +92,6 @@ func WattsStrogatz(n, k int, beta float64, rng *rand.Rand) (*Graph, error) {
 	return topo.WattsStrogatz(n, k, beta, rng)
 }
 
-// RippleSizes is the payment-size model calibrated to the paper's
-// Ripple trace statistics.
-var RippleSizes = trace.RippleSizes
-
 // NewTraceGenerator builds a workload generator.
 func NewTraceGenerator(cfg TraceConfig) (*TraceGenerator, error) { return trace.NewGenerator(cfg) }
 

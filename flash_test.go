@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"regexp"
 	"testing"
 	"time"
@@ -171,25 +170,130 @@ func TestScenarioHeadline(t *testing.T) {
 	}
 }
 
-// ExampleNewFlash demonstrates the quickstart flow.
+// ExampleNewFlash builds a small payment channel network, routes one
+// payment with Flash and inspects the result.
 func ExampleNewFlash() {
-	g := flash.NewGraph(3)
+	// A diamond network: two 2-hop routes from Alice (0) to Dave (3).
+	//
+	//        Bob (1)
+	//       /        \
+	//  Alice (0)    Dave (3)
+	//       \        /
+	//       Carol (2)
+	g := flash.NewGraph(4)
 	g.MustAddChannel(0, 1)
-	g.MustAddChannel(1, 2)
-	net := flash.NewNetwork(g)
-	net.SetBalance(0, 1, 100, 100)
-	net.SetBalance(1, 2, 100, 100)
+	g.MustAddChannel(1, 3)
+	g.MustAddChannel(0, 2)
+	g.MustAddChannel(2, 3)
 
+	// Fund every channel with 60 per direction and give the Bob route a
+	// steeper fee than the Carol route.
+	net := flash.NewNetwork(g)
+	for _, e := range g.Channels() {
+		if err := net.SetBalance(e.A, e.B, 60, 60); err != nil {
+			log.Fatal(err)
+		}
+	}
+	net.SetFee(0, 1, flash.FeeSchedule{Rate: 0.02})
+	net.SetFee(1, 3, flash.FeeSchedule{Rate: 0.02})
+	net.SetFee(0, 2, flash.FeeSchedule{Rate: 0.001})
+	net.SetFee(2, 3, flash.FeeSchedule{Rate: 0.001})
+
+	// A Flash router: payments above 50 run the elephant pipeline
+	// (modified max-flow probing + fee-minimising split); smaller ones
+	// use the mice routing table.
 	router := flash.NewFlash(flash.DefaultConfig(50))
-	tx, err := net.Begin(0, 2, 80)
+
+	// Pay 100 — more than any single path can carry, so Flash must
+	// split it across both routes, preferring the cheap one.
+	tx, err := net.Begin(0, 3, 100)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := router.Route(tx); err != nil {
+		log.Fatalf("payment failed: %v", err)
+	}
+	fmt.Printf("delivered 100 from node 0 to node 3\n")
+	fmt.Printf("  paths used:       %d\n", tx.PathsUsed())
+	fmt.Printf("  probe messages:   %d\n", tx.ProbeMessages())
+	fmt.Printf("  fees paid:        %.3f\n", tx.FeesPaid())
+	fmt.Printf("  cheap route load: %.0f (of 60)\n", 60-net.Balance(0, 2))
+	fmt.Printf("  steep route load: %.0f (of 60)\n", 60-net.Balance(0, 1))
+
+	// A small recurring payment now rides the mice routing table: no
+	// probing at all on a first-try success.
+	mouse, err := net.Begin(0, 3, 2)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("delivered 80 over %d path(s)\n", tx.PathsUsed())
-	// Output: delivered 80 over 1 path(s)
+	if err := router.Route(mouse); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("mouse payment: %d probe messages (routing-table hit)\n", mouse.ProbeMessages())
+	// Output:
+	// delivered 100 from node 0 to node 3
+	//   paths used:       2
+	//   probe messages:   8
+	//   fees paid:        1.720
+	//   cheap route load: 60 (of 60)
+	//   steep route load: 40 (of 60)
+	// mouse payment: 0 probe messages (routing-table hit)
+}
+
+// ExampleConfig splits an elephant payment across probed paths to
+// minimise fees — the paper's program (1) — and compares it with
+// Flash's fee program switched off (Config.DisableFeeOpt), on the same
+// network: the paper's Figure 9 experiment in miniature. Three
+// disjoint routes run from 0 to 7, each with capacity 100 per hop:
+//
+//	route A: 2 hops at 5%/hop    0-1-7
+//	route B: 3 hops at 1%/hop    0-2-3-7
+//	route C: 4 hops at 0.1%/hop  0-4-5-6-7
+func ExampleConfig() {
+	pay := func(optimize bool) (fees float64, split string) {
+		hops := []struct {
+			a, b flash.NodeID
+			rate float64
+		}{
+			{0, 1, 0.05}, {1, 7, 0.05},
+			{0, 2, 0.01}, {2, 3, 0.01}, {3, 7, 0.01},
+			{0, 4, 0.001}, {4, 5, 0.001}, {5, 6, 0.001}, {6, 7, 0.001},
+		}
+		g := flash.NewGraph(8)
+		for _, h := range hops {
+			g.MustAddChannel(h.a, h.b)
+		}
+		net := flash.NewNetwork(g)
+		for _, h := range hops {
+			if err := net.SetBalance(h.a, h.b, 100, 100); err != nil {
+				log.Fatal(err)
+			}
+			net.SetFee(h.a, h.b, flash.FeeSchedule{Rate: h.rate})
+		}
+
+		cfg := flash.DefaultConfig(0) // every payment is an elephant
+		cfg.DisableFeeOpt = !optimize
+		tx, err := net.Begin(0, 7, 250) // needs all three routes (100+100+50)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := flash.NewFlash(cfg).Route(tx); err != nil {
+			log.Fatalf("payment failed: %v", err)
+		}
+		split = fmt.Sprintf("A=%.0f B=%.0f C=%.0f",
+			100-net.Balance(0, 1), 100-net.Balance(0, 2), 100-net.Balance(0, 4))
+		return tx.FeesPaid(), split
+	}
+
+	feesOpt, splitOpt := pay(true)
+	feesSeq, splitSeq := pay(false)
+	fmt.Printf("with the fee program:    fees %6.2f  split %s\n", feesOpt, splitOpt)
+	fmt.Printf("without (sequential):    fees %6.2f  split %s\n", feesSeq, splitSeq)
+	fmt.Printf("fee reduction:           %.0f%%\n", 100*(1-feesOpt/feesSeq))
+	// Output:
+	// with the fee program:    fees   8.40  split A=50 B=100 C=100
+	// without (sequential):    fees  13.20  split A=100 B=100 C=50
+	// fee reduction:           36%
 }
 
 // ExampleThresholdForMiceFraction shows workload-driven thresholding.
@@ -200,8 +304,8 @@ func ExampleThresholdForMiceFraction() {
 }
 
 // TestFacadeNamesHaveCallers keeps the facade pruned: every name that
-// flash.go exports must be mentioned as flash.<Name> by an example
-// program, doc.go's quick start or this file, or be a type in the
+// flash.go exports must be mentioned as flash.<Name> by doc.go's quick
+// start or this file (its tests and Examples), or be a type in the
 // signature of a name that is. Anything else is a re-export nobody
 // calls; use the internal package directly instead.
 func TestFacadeNamesHaveCallers(t *testing.T) {
@@ -237,15 +341,9 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 		}
 	}
 
-	callers := []string{"doc.go", "flash_test.go"}
-	examples, err := filepath.Glob(filepath.Join("examples", "*", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	callers = append(callers, examples...)
 	mention := regexp.MustCompile(`\bflash\.([A-Z]\w*)`)
 	mentioned := map[string]bool{}
-	for _, path := range callers {
+	for _, path := range []string{"doc.go", "flash_test.go"} {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +373,7 @@ func TestFacadeNamesHaveCallers(t *testing.T) {
 	}
 	for name := range exported {
 		if !used[name] {
-			t.Errorf("flash.go exports %s, but no example, doc.go or flash_test.go uses it", name)
+			t.Errorf("flash.go exports %s, but neither doc.go nor flash_test.go uses it", name)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (m *MaxFlowFullProbe) Route(s route.Session) error {
 			net[e] = f
 		}
 	}
-	carries := func(u, v topo.NodeID) bool { return net[graph.DirEdge{U: u, V: v}] > route.Epsilon }
+	carries := func(u, v topo.NodeID, _ int32) bool { return net[graph.DirEdge{U: u, V: v}] > route.Epsilon }
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
 	for remaining := s.Demand(); remaining > route.Epsilon; {

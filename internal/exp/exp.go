@@ -415,9 +415,6 @@ func fig10(o Options) error {
 	var cells []cell
 	for pct := 0; pct <= 100; pct += 10 { // integer steps: 0.1 sums overshoot 0.3
 		mice := float64(pct) / 100
-		if pct == 0 {
-			mice = 1e-9 // RunScenario treats 0 as unset
-		}
 		cells = append(cells, cell{fmt.Sprint(pct), func(sc *sim.Scenario) { sc.MiceFraction = mice }})
 	}
 	return sweep{fig: "Figure 10", title: "impact of the elephant/mice threshold",

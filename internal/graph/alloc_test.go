@@ -50,14 +50,13 @@ func TestScratchShortestPathZeroAlloc(t *testing.T) {
 
 	// The predicate variants share the buffers and must stay at zero
 	// too (the closure itself is hoisted out of the measured loop).
-	usable := func(u, v topo.NodeID) bool { return true }
-	cu := func(u, v topo.NodeID, ch int32) bool { return true }
+	usable := func(u, v topo.NodeID, ch int32) bool { return true }
 	sc.ShortestPath(g, 0, 399, usable)
 	if avg := testing.AllocsPerRun(200, func() { sc.ShortestPath(g, 0, 399, usable) }); avg != 0 {
 		t.Fatalf("Scratch.ShortestPath(usable) allocates %v/op, want 0", avg)
 	}
-	sc.AugmentingPath(g, 0, 399, cu, true)
-	if avg := testing.AllocsPerRun(200, func() { sc.AugmentingPath(g, 0, 399, cu, true) }); avg != 0 {
+	sc.AugmentingPath(g, 0, 399, usable, true)
+	if avg := testing.AllocsPerRun(200, func() { sc.AugmentingPath(g, 0, 399, usable, true) }); avg != 0 {
 		t.Fatalf("Scratch.AugmentingPath allocates %v/op, want 0", avg)
 	}
 }
@@ -115,7 +114,7 @@ func TestScratchBannedSearchZeroAlloc(t *testing.T) {
 			for _, u := range base[:i] {
 				sc.banNode(u)
 			}
-			sc.search(g, base[i], 399, nil, nil, true, 0)
+			sc.search(g, base[i], 399, nil, true, 0)
 		}
 	}
 	round() // warm ban arrays
@@ -150,7 +149,7 @@ func TestScratchRetargetAndNilZeroAlloc(t *testing.T) {
 		for _, v := range g.Neighbors(399) {
 			sc.banChannel(g.ChannelIndex(v, 399))
 		}
-		if sc.search(g, 0, 399, nil, nil, true, 0) != nil {
+		if sc.search(g, 0, 399, nil, true, 0) != nil {
 			t.Fatal("path into a target whose channels are all banned")
 		}
 	}
@@ -170,9 +169,9 @@ func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
 	g := allocGraph(t)
 	pruned, oracle := NewScratch(), NewScratch()
 	pruned.yenNodes(g, 0, 399, 4, nil)
-	oracle.oracleYenKSP(g, 0, 399, 4, nil, nil)
+	oracle.oracleYenKSP(g, 0, 399, 4, nil)
 	got := testing.AllocsPerRun(100, func() { pruned.yenNodes(g, 0, 399, 4, nil) })
-	want := testing.AllocsPerRun(100, func() { oracle.oracleYenKSP(g, 0, 399, 4, nil, nil) })
+	want := testing.AllocsPerRun(100, func() { oracle.oracleYenKSP(g, 0, 399, 4, nil) })
 	if got > want || got > yenAllocs {
 		t.Fatalf("yenKSP(k=4) allocates %v/op, the pre-change search %v/op, the pinned count %v", got, want, yenAllocs)
 	}

@@ -47,10 +47,10 @@ func checkAugmentRounds(tb testing.TB, dg diffGraph, s, t topo.NodeID, seed int6
 		hp := resumed.AugmentingPath(g, s, t, cu, r == 0)
 		checkChans(tb, g, "AugmentingPath", hp)
 		got := hp.Nodes()
-		if want := oracle.oracleSearch(g, s, t, nil, cu, false); !pathEq(got, want) {
+		if want := oracle.oracleSearch(g, s, t, cu, false); !pathEq(got, want) {
 			tb.Fatalf("%s %d→%d seed=%d cut=%d round %d: resumed %v, oracle %v", dg.name, s, t, seed, cut%numCuts, r, got, want)
 		}
-		if want := fresh.search(g, s, t, nil, cu, false, floor); !pathEq(got, want) {
+		if want := fresh.search(g, s, t, cu, false, floor); !pathEq(got, want) {
 			tb.Fatalf("%s %d→%d seed=%d cut=%d round %d: resumed %v, fresh under floor %d %v", dg.name, s, t, seed, cut%numCuts, r, got, floor, want)
 		}
 		rounds++
@@ -144,21 +144,21 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 	oracle := NewScratch()
 	cases := []struct {
 		name  string
-		again func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID
+		again func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID
 	}{
-		{"first round of a new sequence", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
+		{"first round of a new sequence", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID {
 			return (*sc).AugmentingPath(g, s, t, cu, true).Nodes()
 		}},
-		{"re-acquired Scratch", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
+		{"re-acquired Scratch", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID {
 			ReleaseScratch(*sc)
 			*sc = AcquireScratch() // the pool's last Put: most likely the same Scratch
 			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
-		{"intervening ShortestPath", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
+		{"intervening ShortestPath", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID {
 			(*sc).ShortestPath(g, t, s, nil)
 			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
-		{"intervening Yen run", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
+		{"intervening Yen run", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID {
 			(*sc).yenKSP(g, (s+1)%topo.NodeID(g.NumNodes()), t, 3, nil)
 			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
@@ -166,7 +166,7 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 	checked := 0
 	for checked < 40 {
 		s, tt := topo.NodeID(rng.Intn(g.NumNodes())), topo.NodeID(rng.Intn(g.NumNodes()))
-		p0 := appendCopy(oracle.oracleSearch(g, s, tt, nil, nil, false))
+		p0 := appendCopy(oracle.oracleSearch(g, s, tt, nil, false))
 		if len(p0) < 4 {
 			continue
 		}
@@ -182,7 +182,7 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 			p1 = appendCopy(p1)
 			clear(shut)
 			got := c.again(&sc, g, s, tt, cu)
-			if want := oracle.oracleSearch(g, s, tt, nil, cu, false); !pathEq(got, want) {
+			if want := oracle.oracleSearch(g, s, tt, cu, false); !pathEq(got, want) {
 				t.Fatalf("%s, %d→%d: got %v, want the fresh search's %v (round one %v)", c.name, s, tt, got, want, p1)
 			}
 			ReleaseScratch(sc)
@@ -194,7 +194,7 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 		cu := func(u, v topo.NodeID, ch int32) bool { return !shut[chSlot(u, v, ch)] }
 		sc.AugmentingPath(g, s, tt, cu, true)
 		for _, pair := range [][2]topo.NodeID{{p0[1], tt}, {s, p0[len(p0)-2]}} {
-			want := oracle.oracleSearch(g, pair[0], pair[1], nil, cu, false)
+			want := oracle.oracleSearch(g, pair[0], pair[1], cu, false)
 			if got := sc.AugmentingPath(g, pair[0], pair[1], cu, false).Nodes(); !pathEq(got, want) {
 				t.Fatalf("%d→%d after %d→%d: got %v, want %v", pair[0], pair[1], s, tt, got, want)
 			}

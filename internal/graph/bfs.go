@@ -17,17 +17,13 @@ import (
 	"repro/internal/topo"
 )
 
-// Usable reports whether the directed hop u→v may be used. A nil Usable
-// means every topological edge is usable. It must be a pure function of
-// the hop while a search runs: a search may ask about a hop more than
-// once, or about one that the answer then does not use.
-type Usable func(u, v topo.NodeID) bool
-
-// ChUsable is a channel-aware usability predicate: it additionally
-// receives the index of the channel joining u and v, which the CSR
-// traversal already holds, so predicates keyed by channel index need no
-// lookup of their own.
-type ChUsable func(u, v topo.NodeID, ch int32) bool
+// Usable reports whether the directed hop u→v over channel ch may be
+// used. The search hands it the channel index the CSR traversal already
+// holds, so a predicate keyed by channel needs no lookup of its own. A
+// nil Usable means every topological edge is usable. It must be a pure
+// function of the hop while a search runs: a search may ask about a hop
+// more than once, or about one that the answer then does not use.
+type Usable func(u, v topo.NodeID, ch int32) bool
 
 // DirEdge is a directed hop over an undirected channel.
 type DirEdge struct {
@@ -132,7 +128,7 @@ func EdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k int) []topo.Path {
 	sc.ensureBans(g)
 	var paths []topo.Path
 	for len(paths) < k {
-		p := sc.found(g, sc.search(g, s, t, nil, nil, true, 0))
+		p := sc.found(g, sc.search(g, s, t, nil, true, 0))
 		if p.IsZero() {
 			break
 		}

@@ -52,7 +52,7 @@ func TestShortestPathUsableFilter(t *testing.T) {
 	g.MustAddChannel(1, 3)
 	g.MustAddChannel(0, 2)
 	g.MustAddChannel(2, 3)
-	p := ShortestPath(g, 0, 3, func(u, v topo.NodeID) bool {
+	p := ShortestPath(g, 0, 3, func(u, v topo.NodeID, _ int32) bool {
 		return !(u == 0 && v == 1)
 	})
 	if !pathEq(p, []topo.NodeID{0, 2, 3}) {

@@ -46,7 +46,7 @@ func MaxFlow(g *topo.Graph, s, t topo.NodeID, cap Capacity, maxPaths int, demand
 		if demand >= 0 && res.Value >= demand {
 			break
 		}
-		path := ShortestPath(g, s, t, func(u, v topo.NodeID) bool {
+		path := ShortestPath(g, s, t, func(u, v topo.NodeID, _ int32) bool {
 			return capOf(u, v) > 0
 		})
 		if path == nil {

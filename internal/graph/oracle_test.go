@@ -17,7 +17,7 @@ import (
 // last one included) as the reference the differential tests compare
 // against: banned additionally applies the scratch ban-sets, and the
 // predicate-free case runs a specialised loop with no predicate branches.
-func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
+func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, banned bool) []topo.NodeID {
 	if s == t {
 		sc.path = append(sc.path[:0], s)
 		return sc.path
@@ -26,7 +26,7 @@ func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, 
 	off, nbrs, chans := g.AdjacencyView()
 	sc.parent[s] = s
 	sc.mark[s] = sc.epoch
-	if usable == nil && cu == nil {
+	if usable == nil {
 		return sc.oracleSearchNoPred(off, nbrs, chans, s, t, banned)
 	}
 	parent, mark, epoch := sc.parent, sc.mark, sc.epoch
@@ -54,10 +54,7 @@ func (sc *Scratch) oracleSearch(g *topo.Graph, s, t topo.NodeID, usable Usable, 
 					continue
 				}
 			}
-			if usable != nil && !usable(u, v) {
-				continue
-			}
-			if cu != nil && !cu(u, v, crun[i]) {
+			if !usable(u, v, crun[i]) {
 				continue
 			}
 			parent[v] = u
@@ -165,11 +162,11 @@ func oraclePath(g *topo.Graph, nodes []topo.NodeID) topo.Path {
 
 // oracleYenKSP is Scratch.yenKSP over oracleSearch, with every channel
 // (the spur bans' and the paths') looked up by g.ChannelIndex.
-func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, cu ChUsable) []topo.Path {
+func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) []topo.Path {
 	if k <= 0 {
 		return nil
 	}
-	first := sc.oracleSearch(g, s, t, usable, cu, false)
+	first := sc.oracleSearch(g, s, t, usable, false)
 	if first == nil {
 		return nil
 	}
@@ -192,7 +189,7 @@ func (sc *Scratch) oracleYenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable U
 			for _, u := range root[:len(root)-1] {
 				sc.banNode(u)
 			}
-			spurPath := sc.oracleSearch(g, spur, t, usable, cu, true)
+			spurPath := sc.oracleSearch(g, spur, t, usable, true)
 			if spurPath == nil {
 				continue
 			}
@@ -232,7 +229,7 @@ func (sc *Scratch) oracleEdgeDisjointPaths(g *topo.Graph, s, t topo.NodeID, k in
 	sc.ensureBans(g)
 	var paths []topo.Path
 	for len(paths) < k {
-		p := sc.oracleSearch(g, s, t, nil, nil, true)
+		p := sc.oracleSearch(g, s, t, nil, true)
 		if p == nil {
 			break
 		}

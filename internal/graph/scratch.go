@@ -173,27 +173,25 @@ func (sc *Scratch) banChannel(idx int) {
 // is valid until the next search on sc. Neighbor order breaks ties,
 // exactly as in the allocating version.
 func (sc *Scratch) ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) []topo.NodeID {
-	return sc.search(g, s, t, usable, nil, false, 0)
+	return sc.search(g, s, t, usable, false, 0)
 }
 
 // Shortest is ShortestPath returning the hop path: the same nodes, with
 // the channel each hop crosses. It aliases the scratch like ShortestPath.
 func (sc *Scratch) Shortest(g *topo.Graph, s, t topo.NodeID, usable Usable) topo.Path {
-	return sc.found(g, sc.search(g, s, t, usable, nil, false, 0))
+	return sc.found(g, sc.search(g, s, t, usable, false, 0))
 }
 
 // AugmentingPath is one round of an augmenting-path loop — Algorithm 1's —
 // on sc: a minimum-hop hop path from s to t whose every directed hop
-// passes cu, or nil. cu is handed the channel index the search already
-// holds for the hop, so a predicate keyed by channel (the elephant
-// router's probed-residual filter) needs no lookup of its own, and the
-// path carries the same indices. It aliases the scratch like
-// ShortestPath. first starts a sequence with a fresh search; each later
-// round continues the pass the round before stopped in (see search), so
-// it costs what changed between the rounds rather than a new search, and
-// returns the same path.
+// passes usable (the elephant router's probed-residual filter), or nil;
+// the path carries the channel indices usable was handed. It aliases
+// the scratch like ShortestPath. first starts a sequence with a fresh
+// search; each later round continues the pass the round before stopped
+// in (see search), so it costs what changed between the rounds rather
+// than a new search, and returns the same path.
 //
-// Between the rounds of a sequence cu may only close hops, or open the
+// Between the rounds of a sequence usable may only close hops, or open the
 // reverse of hops of the path the round before returned — what probing and
 // the Edmonds–Karp residual update do. That is a proof the caller owes, not
 // a hint the search checks: a predicate that opens any other hop may get an
@@ -202,13 +200,13 @@ func (sc *Scratch) Shortest(g *topo.Graph, s, t topo.NodeID, usable Usable) topo
 // sequence also ends, and the next round searches afresh, on any other
 // search on sc, on ReleaseScratch, on another (g, s, t), and after a nil
 // round.
-func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) topo.Path {
+func (sc *Scratch) AugmentingPath(g *topo.Graph, s, t topo.NodeID, usable Usable, first bool) topo.Path {
 	var p []topo.NodeID
 	if first || sc.augBound == 0 || sc.augG != g || sc.augS != s || sc.augT != t {
-		p = sc.search(g, s, t, nil, cu, false, 0)
+		p = sc.search(g, s, t, usable, false, 0)
 		sc.augG, sc.augS, sc.augT = g, s, t
 	} else {
-		p = sc.resume(g, s, t, cu)
+		p = sc.resume(g, s, t, usable)
 	}
 	sc.augBound = max(len(p)-1, 0) // a pass's path is its bound long; nil and s = t hold none
 	return sc.found(g, p)
@@ -246,7 +244,7 @@ func (sc *Scratch) join(chans []int32, prev topo.Path, i int, p []topo.NodeID, b
 }
 
 // search is the one s→t search behind every entry point of the package:
-// a minimum-hop path whose hops pass usable/cu and, when banned, the
+// a minimum-hop path whose hops pass usable and, when banned, the
 // scratch ban-sets (Yen spurs, disjoint paths) — or nil. It is a depth-first
 // descent in neighbour-list order, at most bound hops deep, with bound
 // deepened one hop at a time from the reverse tree's lower bound for s or
@@ -328,7 +326,7 @@ func (sc *Scratch) join(chans []int32, prev topo.Path, i int, p []topo.NodeID, b
 // exact too, and is grown only when the tree's frontier is no larger than
 // deg(s): expand the cheaper side. Predicates must be pure: a pass asks
 // about a hop again after backing out of it, and so does the next pass.
-func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID {
+func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, banned bool, floor int) []topo.NodeID {
 	sc.augBound = 0 // any search ends an augmenting sequence; AugmentingPath re-holds its own
 	if s == t {
 		sc.path = append(sc.path[:0], s)
@@ -343,23 +341,23 @@ func (sc *Scratch) search(g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChU
 	}
 	if floor > bound {
 		bound = floor
-		if !sc.inboundOpen(off, nbrs, chans, t, usable, cu, banned) {
+		if !sc.inboundOpen(off, nbrs, chans, t, usable, banned) {
 			return nil // no hop into t is open
 		}
 	}
-	return sc.deepening(off, nbrs, chans, s, t, bound, -1, usable, cu, banned)
+	return sc.deepening(off, nbrs, chans, s, t, bound, -1, usable, banned)
 }
 
 // resume continues the pass the last round of an augmenting sequence held,
 // at its bound (see search).
-func (sc *Scratch) resume(g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.NodeID {
+func (sc *Scratch) resume(g *topo.Graph, s, t topo.NodeID, usable Usable) []topo.NodeID {
 	off, nbrs, chans := g.AdjacencyView()
-	if !sc.inboundOpen(off, nbrs, chans, t, nil, cu, false) {
+	if !sc.inboundOpen(off, nbrs, chans, t, usable, false) {
 		return nil // no hop into t is open
 	}
 	path, iter := sc.path, sc.iter
 	e := 0 // the stack holds up to its first closed hop
-	for e < len(iter) && sc.open(path[e], path[e+1], chans[iter[e]-1], nil, cu, false) {
+	for e < len(iter) && sc.open(path[e], path[e+1], chans[iter[e]-1], usable, false) {
 		e++
 	}
 	sc.edges += min(e+1, len(iter))
@@ -370,7 +368,7 @@ func (sc *Scratch) resume(g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.N
 		sc.parent[v] = -1 // off the stack but not proved dead: enterable with any budget
 	}
 	sc.path, sc.iter = path[:e+1], iter[:e+1]
-	return sc.deepening(off, nbrs, chans, s, t, sc.augBound, e, nil, cu, false)
+	return sc.deepening(off, nbrs, chans, s, t, sc.augBound, e, usable, false)
 }
 
 // deepening runs passes at bound, bound+1, ... until one reaches t or a
@@ -380,7 +378,7 @@ func (sc *Scratch) resume(g *topo.Graph, s, t topo.NodeID, cu ChUsable) []topo.N
 // in the current epoch. A pass that reaches t leaves the path, ending in t,
 // on the stack, and in iter one past the slot each of its hops took; every
 // node a pass marks is appended to entered (queue).
-func (sc *Scratch) deepening(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, bound, d int, usable Usable, cu ChUsable, banned bool) []topo.NodeID {
+func (sc *Scratch) deepening(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, bound, d int, usable Usable, banned bool) []topo.NodeID {
 	budget, mark, label := sc.parent, sc.mark, sc.label
 	for failed := 0; ; bound++ {
 		before := sc.edges
@@ -412,7 +410,7 @@ func (sc *Scratch) deepening(off []int32, nbrs []topo.NodeID, chans []int32, s, 
 			from := i
 			for ; i < hi; i++ {
 				if v := nbrs[i]; label[v]-1 <= admit && (mark[v] != epoch || budget[v] < topo.NodeID(lim)) &&
-					sc.open(u, v, chans[i], usable, cu, banned) {
+					sc.open(u, v, chans[i], usable, banned) {
 					break
 				}
 			}
@@ -441,8 +439,8 @@ func (sc *Scratch) deepening(off []int32, nbrs []topo.NodeID, chans []int32, s, 
 		sc.queue, sc.iter, sc.path = entered, iter, path
 		spent := sc.edges - before // what this bound cost: tree growth and pass
 		failed++
-		if sc.closed(off, nbrs, chans, entered, usable, cu, banned) ||
-			failed > 1 && !sc.reachable(off, nbrs, chans, s, t, spent, usable, cu, banned) {
+		if sc.closed(off, nbrs, chans, entered, usable, banned) ||
+			failed > 1 && !sc.reachable(off, nbrs, chans, s, t, spent, usable, banned) {
 			return nil
 		}
 		sc.nextEpoch()
@@ -451,9 +449,9 @@ func (sc *Scratch) deepening(off []int32, nbrs []topo.NodeID, chans []int32, s, 
 
 // inboundOpen reports whether any hop into t is open, reading t's list up
 // to the first that is. It leaves the marks alone.
-func (sc *Scratch) inboundOpen(off []int32, nbrs []topo.NodeID, chans []int32, t topo.NodeID, usable Usable, cu ChUsable, banned bool) bool {
+func (sc *Scratch) inboundOpen(off []int32, nbrs []topo.NodeID, chans []int32, t topo.NodeID, usable Usable, banned bool) bool {
 	for i := off[t]; i < off[t+1]; i++ {
-		if sc.open(nbrs[i], t, chans[i], usable, cu, banned) {
+		if sc.open(nbrs[i], t, chans[i], usable, banned) {
 			sc.edges += int(i-off[t]) + 1
 			return true
 		}
@@ -464,10 +462,10 @@ func (sc *Scratch) inboundOpen(off []int32, nbrs []topo.NodeID, chans []int32, t
 
 // closed reports whether no open hop leaves the set of nodes the pass just
 // run entered, stopping at the first that does.
-func (sc *Scratch) closed(off []int32, nbrs []topo.NodeID, chans []int32, entered []topo.NodeID, usable Usable, cu ChUsable, banned bool) bool {
+func (sc *Scratch) closed(off []int32, nbrs []topo.NodeID, chans []int32, entered []topo.NodeID, usable Usable, banned bool) bool {
 	for _, u := range entered {
 		for i := off[u]; i < off[u+1]; i++ {
-			if v := nbrs[i]; sc.mark[v] != sc.epoch && sc.open(u, v, chans[i], usable, cu, banned) {
+			if v := nbrs[i]; sc.mark[v] != sc.epoch && sc.open(u, v, chans[i], usable, banned) {
 				sc.edges += int(i-off[u]) + 1
 				return false
 			}
@@ -481,7 +479,7 @@ func (sc *Scratch) closed(off []int32, nbrs []topo.NodeID, chans []int32, entere
 // false only when the set of nodes that reach t closed without s in it;
 // true means s reaches t or the sweep ran out of its budget of edge reads
 // with nodes left to expand.
-func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, reads int, usable Usable, cu ChUsable, banned bool) bool {
+func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, t topo.NodeID, reads int, usable Usable, banned bool) bool {
 	sc.nextEpoch()
 	mark, epoch := sc.mark, sc.epoch
 	mark[t] = epoch
@@ -496,7 +494,7 @@ func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, 
 		sc.edges += int(off[u+1] - off[u])
 		for i := off[u]; i < off[u+1]; i++ {
 			v := nbrs[i]
-			if mark[v] == epoch || !sc.open(v, u, chans[i], usable, cu, banned) {
+			if mark[v] == epoch || !sc.open(v, u, chans[i], usable, banned) {
 				continue
 			}
 			if v == s {
@@ -514,7 +512,7 @@ func (sc *Scratch) reachable(off []int32, nbrs []topo.NodeID, chans []int32, s, 
 
 // open reports whether the hop u→v over channel ch passes the ban-sets
 // (when banned) and the caller's predicate.
-func (sc *Scratch) open(u, v topo.NodeID, ch int32, usable Usable, cu ChUsable, banned bool) bool {
+func (sc *Scratch) open(u, v topo.NodeID, ch int32, usable Usable, banned bool) bool {
 	if banned {
 		d := 2 * ch
 		if u > v {
@@ -524,10 +522,7 @@ func (sc *Scratch) open(u, v topo.NodeID, ch int32, usable Usable, cu ChUsable, 
 			return false
 		}
 	}
-	if usable != nil && !usable(u, v) {
-		return false
-	}
-	return cu == nil || cu(u, v, ch)
+	return usable == nil || usable(u, v, ch)
 }
 
 // retarget points the reverse tree at (g, t), keeping it when it already

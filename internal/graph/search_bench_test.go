@@ -24,9 +24,9 @@ import (
 // 10,000 nodes is scale-10k's graph; 200 is engine-churn's, where the
 // one-shot ShortestPath has no second search to share its reverse tree with.
 func BenchmarkSearch(b *testing.B) {
-	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, floor int) []topo.NodeID
-	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable)
-	type augmentFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID
+	type findFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, banned bool, floor int) []topo.NodeID
+	type yenFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable)
+	type augmentFn = func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, first bool) []topo.NodeID
 	type variant struct {
 		name    string
 		find    findFn
@@ -34,17 +34,17 @@ func BenchmarkSearch(b *testing.B) {
 		augment augmentFn
 	}
 	variants := []variant{
-		{"oracle", func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, cu ChUsable, banned bool, _ int) []topo.NodeID {
-			return sc.oracleSearch(g, s, t, usable, cu, banned)
-		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) {
-			sc.oracleYenKSP(g, s, t, k, nil, cu)
-		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, _ bool) []topo.NodeID {
-			return sc.oracleSearch(g, s, t, nil, cu, false)
+		{"oracle", func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, banned bool, _ int) []topo.NodeID {
+			return sc.oracleSearch(g, s, t, usable, banned)
+		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable) {
+			sc.oracleYenKSP(g, s, t, k, usable)
+		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, _ bool) []topo.NodeID {
+			return sc.oracleSearch(g, s, t, usable, false)
 		}},
-		{"pruned", (*Scratch).search, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) {
-			sc.yenPaths(g, s, t, k, cu)
-		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, cu ChUsable, first bool) []topo.NodeID {
-			return sc.AugmentingPath(g, s, t, cu, first).Nodes()
+		{"pruned", (*Scratch).search, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable) {
+			sc.yenPaths(g, s, t, k, usable)
+		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, first bool) []topo.NodeID {
+			return sc.AugmentingPath(g, s, t, usable, first).Nodes()
 		}},
 	}
 	for _, n := range []int{200, 10000} {
@@ -84,7 +84,7 @@ func BenchmarkSearch(b *testing.B) {
 					if mode == resumed {
 						p = v.augment(sc, g, s, t, notShut, r == 0)
 					} else {
-						p = v.find(sc, g, s, t, nil, notShut, false, floor)
+						p = v.find(sc, g, s, t, notShut, false, floor)
 					}
 					if p == nil {
 						closed[r] = -1
@@ -108,14 +108,14 @@ func BenchmarkSearch(b *testing.B) {
 			name string
 			run  func(sc *Scratch, v variant, s, t topo.NodeID)
 		}{
-			{"bfs", func(sc *Scratch, v variant, s, t topo.NodeID) { v.find(sc, g, s, t, nil, nil, false, 0) }},
+			{"bfs", func(sc *Scratch, v variant, s, t topo.NodeID) { v.find(sc, g, s, t, nil, false, 0) }},
 			{"yen4", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 4, nil) }},
 			{"yen8", func(sc *Scratch, v variant, s, t topo.NodeID) { v.yen(sc, g, s, t, 8, nil) }},
 			{"ek8", ek8(plain)},
 			{"ek8floor", ek8(floored)},
 			{"ek8resume", ek8(resumed)},
 			{"nil", func(sc *Scratch, v variant, s, t topo.NodeID) {
-				if v.find(sc, g, s, t, nil, func(_, w topo.NodeID, _ int32) bool { return w != t }, false, 0) != nil {
+				if v.find(sc, g, s, t, func(_, w topo.NodeID, _ int32) bool { return w != t }, false, 0) != nil {
 					b.Fatal("path into a receiver whose inbound hops are all closed")
 				}
 			}},

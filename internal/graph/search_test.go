@@ -157,10 +157,12 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 	g := dg.g
 	n := g.NumNodes()
 	closed := mix(seed, -3, -3) % 60 // percent of directed hops the predicate closes
-	usable := func(u, v topo.NodeID) bool {
+	// byPair closes hops by their end nodes, byChan by the channel the
+	// search hands it.
+	byPair := func(u, v topo.NodeID, _ int32) bool {
 		return !cutHop(cut, n, s, t, u, v) && mix(seed, int(u), int(v))%100 >= closed
 	}
-	cu := func(u, v topo.NodeID, ch int32) bool {
+	byChan := func(u, v topo.NodeID, ch int32) bool {
 		dir := 0
 		if u > v {
 			dir = 1
@@ -181,53 +183,45 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 	for _, c := range []struct {
 		name   string
 		usable Usable
-		cu     ChUsable
-	}{{"plain", nil, nil}, {"usable", usable, nil}, {"chusable", nil, cu}} {
-		want := oracle.oracleSearch(g, s, t, c.usable, c.cu, false)
-		if c.cu != nil {
-			got := pruned.AugmentingPath(g, s, t, c.cu, true)
-			if !pathEq(got.Nodes(), want) {
-				fail("AugmentingPath, first round", got.Nodes(), want)
-			}
-			checkChans(tb, g, "AugmentingPath, first round", got)
-			if got := pruned.search(g, s, t, nil, c.cu, false, proved(want)); !pathEq(got, want) {
-				fail("search with a floor", got, want)
-			}
-		} else {
-			if got := pruned.ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
-				fail("Scratch.ShortestPath/"+c.name, got, want)
-			}
-			if got := ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
-				fail("pooled ShortestPath/"+c.name, got, want)
-			}
-			got := pruned.Shortest(g, s, t, c.usable)
-			if !pathEq(got.Nodes(), want) {
-				fail("Scratch.Shortest/"+c.name, got.Nodes(), want)
-			}
-			checkChans(tb, g, "Scratch.Shortest/"+c.name, got)
+	}{{"plain", nil}, {"pair", byPair}, {"chan", byChan}} {
+		want := oracle.oracleSearch(g, s, t, c.usable, false)
+		aug := pruned.AugmentingPath(g, s, t, c.usable, true)
+		if !pathEq(aug.Nodes(), want) {
+			fail("AugmentingPath, first round/"+c.name, aug.Nodes(), want)
 		}
+		checkChans(tb, g, "AugmentingPath, first round/"+c.name, aug)
+		if got := pruned.search(g, s, t, c.usable, false, proved(want)); !pathEq(got, want) {
+			fail("search with a floor/"+c.name, got, want)
+		}
+		if got := pruned.ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
+			fail("Scratch.ShortestPath/"+c.name, got, want)
+		}
+		if got := ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
+			fail("pooled ShortestPath/"+c.name, got, want)
+		}
+		got := pruned.Shortest(g, s, t, c.usable)
+		if !pathEq(got.Nodes(), want) {
+			fail("Scratch.Shortest/"+c.name, got.Nodes(), want)
+		}
+		checkChans(tb, g, "Scratch.Shortest/"+c.name, got)
 
 		randomBans(pruned, g, seed, 3)
 		randomBans(oracle, g, seed, 3)
-		want = oracle.oracleSearch(g, s, t, c.usable, c.cu, true)
-		if got := pruned.search(g, s, t, c.usable, c.cu, true, 0); !pathEq(got, want) {
+		want = oracle.oracleSearch(g, s, t, c.usable, true)
+		if got := pruned.search(g, s, t, c.usable, true, 0); !pathEq(got, want) {
 			fail("banned search/"+c.name, got, want)
 		}
-		if got := pruned.search(g, s, t, c.usable, c.cu, true, proved(want)); !pathEq(got, want) {
+		if got := pruned.search(g, s, t, c.usable, true, proved(want)); !pathEq(got, want) {
 			fail("banned search with a floor/"+c.name, got, want)
 		}
 
-		wantK := oracle.oracleYenKSP(g, s, t, k, c.usable, c.cu)
-		hopCu := c.cu
-		if usable := c.usable; usable != nil {
-			hopCu = func(u, v topo.NodeID, _ int32) bool { return usable(u, v) }
-		}
-		gotK := Yen(g, s, t, k, hopCu)
+		wantK := oracle.oracleYenKSP(g, s, t, k, c.usable)
+		gotK := Yen(g, s, t, k, c.usable)
 		if !sameHopPaths(gotK, wantK) {
 			fail("Yen/"+c.name, gotK, wantK)
 		}
 		checkChans(tb, g, "Yen/"+c.name, gotK...)
-		if c.usable == nil && c.cu == nil {
+		if c.usable == nil {
 			wantNodes := make([][]topo.NodeID, len(wantK))
 			for i, p := range wantK {
 				wantNodes[i] = p.Nodes()
@@ -372,13 +366,13 @@ func TestScratchReuseAcrossGraphsAndTargets(t *testing.T) {
 		tt := topo.NodeID(rng.Intn(40)) // one target ID across every graph of the round
 		for gi, g := range graphs {
 			s := topo.NodeID(rng.Intn(g.NumNodes()))
-			want := oracle.oracleSearch(g, s, tt, nil, nil, false)
+			want := oracle.oracleSearch(g, s, tt, nil, false)
 			if got := pruned.ShortestPath(g, s, tt, nil); !pathEq(got, want) {
 				t.Fatalf("round %d graph %d %d→%d: got %v, want %v", round, gi, s, tt, got, want)
 			}
 			// A second source towards the same target reuses the tree.
 			s2 := topo.NodeID(rng.Intn(g.NumNodes()))
-			want = oracle.oracleSearch(g, s2, tt, nil, nil, false)
+			want = oracle.oracleSearch(g, s2, tt, nil, false)
 			if got := pruned.ShortestPath(g, s2, tt, nil); !pathEq(got, want) {
 				t.Fatalf("round %d graph %d %d→%d (shared tree): got %v, want %v", round, gi, s2, tt, got, want)
 			}
@@ -401,8 +395,8 @@ func TestScratchEpochWrap(t *testing.T) {
 		randomBans(pruned, dg.g, seed, 10)
 		randomBans(oracle, dg.g, seed, 10)
 		before := pruned.epoch
-		want := oracle.oracleSearch(dg.g, s, tt, nil, nil, true)
-		if got := pruned.search(dg.g, s, tt, nil, nil, true, 0); !pathEq(got, want) {
+		want := oracle.oracleSearch(dg.g, s, tt, nil, true)
+		if got := pruned.search(dg.g, s, tt, nil, true, 0); !pathEq(got, want) {
 			t.Fatalf("search %d (%d→%d, seed %d): got %v, want %v", i, s, tt, seed, got, want)
 		}
 		passes += int(pruned.epoch-before) & 0xff
@@ -498,7 +492,7 @@ func TestSearchIsLexMinShortestPath(t *testing.T) {
 				}
 			}
 			want := lexMinShortest(g, s, tt, open)
-			if got := sc.search(g, s, tt, nil, cu, true, 0); !pathEq(got, want) {
+			if got := sc.search(g, s, tt, cu, true, 0); !pathEq(got, want) {
 				t.Fatalf("round %d %d→%d: got %v, want %v\nchannels %v\nbanned nodes %v hops %v",
 					round, s, tt, got, want, g.Channels(), nodeBan, hopBan)
 			}
@@ -541,10 +535,10 @@ func TestNoPathCost(t *testing.T) {
 			s, tt := topo.NodeID(rng.Intn(n/2)), topo.NodeID(n/2+rng.Intn(n/2))
 			cu := func(u, v topo.NodeID, _ int32) bool { return !cutHop(c.cut, n, s, tt, u, v) }
 			pruned, oracle := NewScratch(), NewScratch()
-			if p := oracle.oracleSearch(g, s, tt, nil, cu, false); p != nil {
+			if p := oracle.oracleSearch(g, s, tt, cu, false); p != nil {
 				t.Fatalf("cut %d %d→%d: oracle found %v", c.cut, s, tt, p)
 			}
-			if p := pruned.search(g, s, tt, nil, cu, false, 0); p != nil {
+			if p := pruned.search(g, s, tt, cu, false, 0); p != nil {
 				t.Fatalf("cut %d %d→%d: search found %v", c.cut, s, tt, p)
 			}
 			if pruned.edges > c.floods*oracle.edges {
@@ -563,10 +557,10 @@ func TestNoPathCost(t *testing.T) {
 func TestFloorAboveDistanceIsACallerBug(t *testing.T) {
 	g := topo.Ring(4)
 	sc := NewScratch()
-	if p := sc.search(g, 0, 3, nil, nil, false, 1); !pathEq(p, []topo.NodeID{0, 3}) {
+	if p := sc.search(g, 0, 3, nil, false, 1); !pathEq(p, []topo.NodeID{0, 3}) {
 		t.Fatalf("true floor: %v", p)
 	}
-	if p := sc.search(g, 0, 3, nil, nil, false, 3); !pathEq(p, []topo.NodeID{0, 1, 2, 3}) {
+	if p := sc.search(g, 0, 3, nil, false, 3); !pathEq(p, []topo.NodeID{0, 1, 2, 3}) {
 		t.Fatalf("floor above the distance: %v, want the three-hop walk", p)
 	}
 }
@@ -585,14 +579,14 @@ func TestFlooredNilCost(t *testing.T) {
 	sc := NewScratch()
 	for i := 0; i < 40; i++ {
 		s, tt := topo.NodeID(rng.Intn(n)), topo.NodeID(rng.Intn(n))
-		p := sc.search(g, s, tt, nil, nil, false, 0)
+		p := sc.search(g, s, tt, nil, false, 0)
 		if len(p) < 2 {
 			continue
 		}
 		floor := len(p) // one hop more than the plain distance: a pass is skipped
 		before := sc.edges
 		dry := func(_, v topo.NodeID, _ int32) bool { return v != tt }
-		if q := sc.search(g, s, tt, nil, dry, false, floor); q != nil {
+		if q := sc.search(g, s, tt, dry, false, floor); q != nil {
 			t.Fatalf("%d→%d: path %v into a receiver with no open inbound hop", s, tt, q)
 		}
 		if got, want := sc.edges-before, g.Degree(tt); got != want {

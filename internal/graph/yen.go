@@ -16,24 +16,23 @@ func YenKSP(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
 }
 
 // Yen is YenKSP returning hop paths, restricted to directed hops that
-// pass cu (nil: every hop): every hop of every returned path passes the
-// predicate, which receives the channel index the traversal already
-// holds. Flash's routing tables hold these paths, and its speculative
-// probe pipeline draws each round's candidate set from the sender's
-// residual knowledge graph with them — the BFS shortest path plus
-// edge-avoidance spur deviations, all distinct and all deterministic for
-// a fixed graph and predicate.
-func Yen(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) []topo.Path {
+// pass usable (nil: every hop): every hop of every returned path passes
+// the predicate. Flash's routing tables hold these paths, and its
+// speculative probe pipeline draws each round's candidate set from the
+// sender's residual knowledge graph with them — the BFS shortest path
+// plus edge-avoidance spur deviations, all distinct and all
+// deterministic for a fixed graph and predicate.
+func Yen(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) []topo.Path {
 	sc := AcquireScratch()
 	defer ReleaseScratch(sc)
-	return sc.yenPaths(g, s, t, k, cu)
+	return sc.yenPaths(g, s, t, k, usable)
 }
 
 // yenNodes runs Yen on sc and copies the accepted paths out as node
 // paths: on a warm Scratch, one allocation for the paths and one for the
 // slice headers (copyOut).
-func (sc *Scratch) yenNodes(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) [][]topo.NodeID {
-	if sc.yenKSP(g, s, t, k, cu) == 0 {
+func (sc *Scratch) yenNodes(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) [][]topo.NodeID {
+	if sc.yenKSP(g, s, t, k, usable) == 0 {
 		return nil
 	}
 	out := make([][]topo.NodeID, len(sc.yen.accepted))
@@ -42,8 +41,8 @@ func (sc *Scratch) yenNodes(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable)
 }
 
 // yenPaths is yenNodes copying out hop paths.
-func (sc *Scratch) yenPaths(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) []topo.Path {
-	if sc.yenKSP(g, s, t, k, cu) == 0 {
+func (sc *Scratch) yenPaths(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) []topo.Path {
+	if sc.yenKSP(g, s, t, k, usable) == 0 {
 		return nil
 	}
 	out := make([]topo.Path, len(sc.yen.accepted))
@@ -58,11 +57,11 @@ func (sc *Scratch) yenPaths(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable)
 // in the Scratch's yen arena, which only grows within a run, so a path
 // carved from it stays valid after later growth moves the arena. Spur
 // bans are by the channels the accepted paths carry.
-func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) int {
+func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) int {
 	if k <= 0 {
 		return 0
 	}
-	first := sc.search(g, s, t, nil, cu, false, 0)
+	first := sc.search(g, s, t, usable, false, 0)
 	if first == nil {
 		return 0
 	}
@@ -103,7 +102,7 @@ func (sc *Scratch) yenKSP(g *topo.Graph, s, t topo.NodeID, k int, cu ChUsable) i
 				sc.banNode(u)
 			}
 
-			if sc.search(g, spur, t, nil, cu, true, 0) == nil {
+			if sc.search(g, spur, t, usable, true, 0) == nil {
 				continue
 			}
 			n := len(y.arena)

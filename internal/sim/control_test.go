@@ -195,18 +195,7 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 	if err := WriteDynamicJSON(&jsB, b.Scheme, b.Result); err != nil {
 		t.Fatal(err)
 	}
-	// meanDelaySeconds is wall-clock (the one non-virtual field, same
-	// reason stripDelays exists) — every other byte must match.
-	stripWallClock := func(doc []byte) string {
-		var kept []string
-		for _, line := range strings.Split(string(doc), "\n") {
-			if !strings.Contains(line, "meanDelaySeconds") {
-				kept = append(kept, line)
-			}
-		}
-		return strings.Join(kept, "\n")
-	}
-	if stripWallClock(jsA.Bytes()) != stripWallClock(jsB.Bytes()) {
+	if !bytes.Equal(jsA.Bytes(), jsB.Bytes()) {
 		t.Error("JSON rendering diverged across identical seeds")
 	}
 

@@ -566,9 +566,6 @@ func (sc DynamicScenario) arrivalProcess() (trace.ArrivalProcess, error) {
 // comparable. The churn schedule, latent channels, arrival times and
 // payment contents are all pure functions of the scenario seed.
 func RunDynamicScenario(sc DynamicScenario) ([]DynamicSchemeResult, error) {
-	if sc.MiceFraction == 0 {
-		sc.MiceFraction = 0.9
-	}
 	if p := sc.Control; p != nil && p.MiceFraction == 0 && sc.MiceFraction > 0 && sc.MiceFraction < 1 {
 		tracked := *p // never mutate the caller's policy
 		tracked.MiceFraction = sc.MiceFraction

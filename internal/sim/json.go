@@ -20,7 +20,6 @@ type jsonMetrics struct {
 	FeeRatio       float64 `json:"feeRatio"`
 	ProbeMessages  int64   `json:"probeMessages"`
 	CommitMessages int64   `json:"commitMessages"`
-	MeanDelaySec   float64 `json:"meanDelaySeconds"`
 }
 
 func metricsJSON(m Metrics) jsonMetrics {
@@ -34,7 +33,6 @@ func metricsJSON(m Metrics) jsonMetrics {
 		FeeRatio:       m.FeeRatio(),
 		ProbeMessages:  m.ProbeMessages,
 		CommitMessages: m.CommitMessages,
-		MeanDelaySec:   m.MeanDelay().Seconds(),
 	}
 }
 

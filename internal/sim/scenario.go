@@ -294,9 +294,6 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) {
 	if sc.Runs < 1 {
 		sc.Runs = 1
 	}
-	if sc.MiceFraction == 0 {
-		sc.MiceFraction = 0.9
-	}
 	results := make([]SchemeResult, len(sc.Schemes))
 	for i, s := range sc.Schemes {
 		results[i] = SchemeResult{Scheme: s}
@@ -341,8 +338,7 @@ func (sc Scenario) validate() error {
 
 // checkCell rejects the settings a static cell and a dynamic scenario
 // share: a capacity scale factor that is negative or not finite, a mice
-// fraction outside [0, 1] (0 stands for the paper's 0.9) and a negative
-// retry count.
+// fraction outside [0, 1] and a negative retry count.
 func checkCell(scale, mice float64, retries int) error {
 	switch {
 	case !(scale >= 0) || math.IsInf(scale, 1):

@@ -254,11 +254,11 @@ func TestCellRejectsNonsense(t *testing.T) {
 }
 
 // TestCellAcceptsEdges: the bounds are inclusive where the figures need
-// them — Figure 10's 1e-9 mice fraction, all mice, no scaling, and the
+// them — Figure 10's 0% mice row, all mice, no scaling, and the
 // zero testbed range that selects the default.
 func TestCellAcceptsEdges(t *testing.T) {
 	for _, mut := range []func(*Scenario){
-		func(sc *Scenario) { sc.MiceFraction = 1e-9 },
+		func(sc *Scenario) { sc.MiceFraction = 0 },
 		func(sc *Scenario) { sc.MiceFraction = 1 },
 		func(sc *Scenario) { sc.ScaleFactor = 0 },
 		func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = 0, 0 },

@@ -142,7 +142,7 @@ func (s *JSONLSink) Err() error {
 }
 
 // FlowLog is an in-memory flight-recorder ring: it keeps the most
-// recent records (by value, so the pooled originals recycle freely) and
+// recent records (by value, so the emitter may refill its own) and
 // fans live records out to subscribers — the sink behind a daemon's
 // /flows endpoint. Safe for concurrent use.
 type FlowLog struct {

@@ -88,7 +88,10 @@ type FlowRecord struct {
 	// legs. Zero unless the network carries per-channel RTTs.
 	ProbeLatency, CommitLatency float64
 	// WallNS is the wall-clock routing time in nanoseconds — observer
-	// information only, never part of any deterministic contract.
+	// information only, never part of any deterministic contract. The
+	// simulator times its Route calls into it (the benchmark's traced
+	// run reads it); the TCP testbed and flashnode time a Route over
+	// TCP, round trips included.
 	WallNS int64
 	// Outcome is OutcomeDelivered, OutcomeFailed, OutcomeSpanAbort or
 	// OutcomeDeadlineExpired.
