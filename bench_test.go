@@ -3,15 +3,16 @@ package flash_test
 // The benchmark harness regenerates every table and figure of the
 // paper's evaluation: BenchmarkFigures runs one sub-benchmark per
 // exp.Figures entry, named by its cmd/experiments -fig name; each
-// iteration runs the figure's full sweep at reproduction scale and
-// prints the same rows/series the paper reports. Run with:
+// iteration runs the figure's full sweep at Tiny scale (exp.Options.Tiny,
+// a smoke reading) and prints the same rows/series the paper reports.
+// Run with:
 //
 //	go test -bench=Figures -benchtime=1x            # every figure once
 //	go test -bench=Figures/6$ -benchtime=1x
 //	go test -bench=Figures/ablations -benchtime=1x  # design-choice ablations
 //
-// cmd/experiments runs the identical catalogue as a CLI, including the
-// -full paper-scale mode.
+// cmd/experiments runs the identical catalogue as a CLI at the paper's
+// scale.
 
 import (
 	"fmt"
@@ -37,7 +38,7 @@ func BenchmarkFigures(b *testing.B) {
 	for _, f := range exp.Figures {
 		b.Run(f.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				o := exp.Options{Seed: 1, Out: os.Stdout}
+				o := exp.Options{Tiny: true, Seed: 1, Out: os.Stdout}
 				if i > 0 {
 					o.Out = io.Discard
 				}
@@ -188,7 +189,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 		for _, service := range []float64{0, 0.05} {
 			b.Run(fmt.Sprintf("payments=%d/service=%v", payments, service), func(b *testing.B) {
 				const rate = 1000 // arrivals per virtual second
-				sc := sim.DynamicScenario{
+				sc := sim.Scenario{
 					Name:           "bench",
 					Kind:           "ripple",
 					Nodes:          200,
@@ -201,19 +202,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 					Schemes:        []string{flash.SchemeShortestPath},
 					DynamicOptions: sim.DynamicOptions{Seed: 1, Service: service},
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				totalEvents := 0
-				for i := 0; i < b.N; i++ {
-					results, err := sim.RunDynamicScenario(sc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, c := range results[0].Result.EventCounts {
-						totalEvents += c
-					}
-				}
-				b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+				runEvents(b, sc)
 			})
 		}
 	}
@@ -229,7 +218,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 	for _, nodes := range []int{1000, 10000, 100000} {
 		const rate, payments = 1000, 10000
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			sc := sim.DynamicScenario{
+			sc := sim.Scenario{
 				Name:           "bench-scale",
 				Kind:           "ripple",
 				Nodes:          nodes,
@@ -243,19 +232,7 @@ func BenchmarkDynamicEngine(b *testing.B) {
 				Router:         sim.RouterSpec{TableCap: 4096},
 				DynamicOptions: sim.DynamicOptions{Seed: 1},
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			totalEvents := 0
-			for i := 0; i < b.N; i++ {
-				results, err := sim.RunDynamicScenario(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range results[0].Result.EventCounts {
-					totalEvents += c
-				}
-			}
-			b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+			runEvents(b, sc)
 		})
 	}
 }
@@ -287,7 +264,7 @@ func BenchmarkControlPlane(b *testing.B) {
 	}
 	for _, cell := range cells {
 		b.Run(cell.name, func(b *testing.B) {
-			sc := sim.DynamicScenario{
+			sc := sim.Scenario{
 				Name:              "bench",
 				Kind:              "ripple",
 				Nodes:             150,
@@ -307,19 +284,7 @@ func BenchmarkControlPlane(b *testing.B) {
 				}
 				sc.Control = &policy
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			totalEvents := 0
-			for i := 0; i < b.N; i++ {
-				results, err := sim.RunDynamicScenario(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range results[0].Result.EventCounts {
-					totalEvents += c
-				}
-			}
-			b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+			runEvents(b, sc)
 		})
 	}
 }
@@ -337,7 +302,7 @@ func BenchmarkControlPlane(b *testing.B) {
 // Recorded by the CI bench step into bench-telemetry.txt.
 func BenchmarkTelemetry(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
-	base := sim.DynamicScenario{
+	base := sim.Scenario{
 		Name:           "bench",
 		Kind:           "ripple",
 		Nodes:          200,
@@ -363,19 +328,7 @@ func BenchmarkTelemetry(b *testing.B) {
 				sc.FlowSink = telemetry.MultiSink{telemetry.NewFlowLog(1024), jsonl}
 				sc.Registry = telemetry.NewRegistry()
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			totalEvents := 0
-			for i := 0; i < b.N; i++ {
-				results, err := sim.RunDynamicScenario(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range results[0].Result.EventCounts {
-					totalEvents += c
-				}
-			}
-			b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+			runEvents(b, sc)
 			b.StopTimer()
 			if jsonl != nil {
 				if err := jsonl.Close(); err != nil {
@@ -401,7 +354,7 @@ func BenchmarkTelemetry(b *testing.B) {
 // bench step into bench-latency.txt.
 func BenchmarkLatencyModel(b *testing.B) {
 	const rate = 1000 // arrivals per virtual second
-	base := sim.DynamicScenario{
+	base := sim.Scenario{
 		Name:           "bench",
 		Kind:           "ripple",
 		Nodes:          200,
@@ -424,21 +377,28 @@ func BenchmarkLatencyModel(b *testing.B) {
 				sc.LatencyMedian, sc.LatencySigma = 0.02, 0.8
 				sc.Deadline = 0.1
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			totalEvents := 0
-			for i := 0; i < b.N; i++ {
-				results, err := sim.RunDynamicScenario(sc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range results[0].Result.EventCounts {
-					totalEvents += c
-				}
-			}
-			b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
+			runEvents(b, sc)
 		})
 	}
+}
+
+// runEvents runs sc b.N times and reports the first scheme's applied
+// events per second.
+func runEvents(b *testing.B, sc sim.Scenario) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	totalEvents := 0
+	for i := 0; i < b.N; i++ {
+		results, err := sim.Run(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range results[0].Runs[0].EventCounts {
+			totalEvents += c
+		}
+	}
+	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkFullSimulation2000 measures a complete 2000-payment Flash

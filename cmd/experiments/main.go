@@ -4,13 +4,17 @@
 //
 // Examples:
 //
-//	experiments                 # all figures, reduced scale (~2 min)
-//	experiments -full           # paper-scale parameters (tens of minutes)
+//	experiments                 # all figures at paper scale
 //	experiments -fig 6,8        # selected figures only
 //	experiments -telemetry 127.0.0.1:9090   # live /metrics + pprof
 //
+// Every figure runs at the paper's scale. On two vCPUs the simulated
+// figures (3–11, the headline, the ablations, dynamic and latency)
+// take about 30 s together, and the TCP testbed figures 12 and 13
+// about 70 s and 95 s.
+//
 // -telemetry ADDR serves Go runtime metrics and /debug/pprof/ while
-// the figures run — useful for profiling a -full regeneration.
+// the figures run — useful for profiling a regeneration.
 package main
 
 import (
@@ -36,7 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		figs     = fs.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
-		full     = fs.Bool("full", false, "paper-scale parameters (slower)")
 		seed     = fs.Int64("seed", 1, "base random seed")
 		probeW   = fs.Int("probeworkers", 1, "Flash probe width: speculative elephant candidates probed per round, each round charged its slowest probe in virtual time (1 = sequential Algorithm 1)")
 		ctrl     = fs.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
@@ -50,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	o := exp.Options{Full: *full, Seed: *seed, Out: stdout, ProbeWorkers: *probeW, Topology: *topology}
+	o := exp.Options{Seed: *seed, Out: stdout, ProbeWorkers: *probeW, Topology: *topology}
 	if *ctrl != "" {
 		policy, err := control.ParsePolicy(*ctrl)
 		if err != nil {

@@ -54,11 +54,10 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // spec is what one invocation runs, as its flags leave it: the static
-// replay's scenario, the dynamic scenario, and the switches choosing
-// between the modes and the output.
+// mode's replay, the dynamic mode's timed scenario, and the switches
+// choosing between the modes and the output.
 type spec struct {
-	static sim.Scenario
-	dyn    sim.DynamicScenario
+	static, dyn sim.Scenario
 
 	dynamic, json             bool
 	scenario, topology, flows string
@@ -112,7 +111,7 @@ var flagFields = []flagField{
 
 	{"dynamic", false, "discrete-event dynamic mode: virtual time, arrival process, churn",
 		func(s *spec) []any { return []any{&s.dynamic} }},
-	{"scenario", "", "dynamic scenario preset: " + strings.Join(sim.DynamicScenarioNames, ", "),
+	{"scenario", "", "dynamic scenario preset: " + strings.Join(sim.ScenarioNames, ", "),
 		func(s *spec) []any { return []any{&s.scenario} }},
 	{"arrival", sim.ArrivalPoisson, "arrival process: poisson, flash-crowd or diurnal",
 		func(s *spec) []any { return []any{&s.dyn.Arrival} }},
@@ -241,7 +240,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return 2
 	}
-	s := &spec{dyn: sim.DynamicScenario{Name: "custom", DynamicOptions: sim.DynamicOptions{Workers: 1}}}
+	s := &spec{
+		static: sim.Scenario{Arrival: sim.ArrivalReplay},
+		dyn:    sim.Scenario{Name: "custom", DynamicOptions: sim.DynamicOptions{Workers: 1}},
+	}
 	if err := s.apply(fs, true); err != nil {
 		fmt.Fprintln(stderr, "flashsim:", err)
 		return 2
@@ -252,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 	if s.scenario != "" {
-		preset, err := sim.NamedDynamicScenario(s.scenario, s.dyn.Kind, s.dyn.Nodes)
+		preset, err := sim.NamedScenario(s.scenario, s.dyn.Kind, s.dyn.Nodes)
 		if err != nil {
 			fmt.Fprintln(stderr, "flashsim:", err)
 			return 2
@@ -276,21 +278,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			code = 1
 		}
 	}()
+	sc := s.static
 	if dynamic {
-		s.dyn.FlowSink = sink
-		return runDynamic(s.dyn, s.json, stdout, stderr)
+		sc = s.dyn
 	}
-	s.static.FlowSink = sink
-	return runStatic(s.static, stdout, stderr)
-}
-
-// runStatic replays the static cell and prints one row per scheme.
-func runStatic(sc sim.Scenario, stdout, stderr io.Writer) int {
-	results, err := sim.RunScenario(sc)
+	sc.FlowSink = sink
+	results, err := sim.Run(sc)
 	if err != nil {
 		fmt.Fprintln(stderr, "flashsim:", err)
 		return 1
 	}
+	if dynamic {
+		return printDynamic(sc, results, s.json, stdout, stderr)
+	}
+	printStatic(sc, results, stdout)
+	return 0
+}
+
+// printStatic prints the replay's header and one row of run means per
+// scheme.
+func printStatic(sc sim.Scenario, results []sim.SchemeResult, stdout io.Writer) {
 	fmt.Fprintf(stdout, "# kind=%s nodes=%d txns=%d scale=%g mice=%.0f%% runs=%d seed=%d retries=%d probeworkers=%d\n",
 		sc.Kind, sc.Nodes, sc.Txns, sc.ScaleFactor, 100*sc.MiceFraction, sc.Runs, sc.Seed, sc.Retries, sc.Router.ProbeWorkers)
 	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
@@ -304,27 +311,22 @@ func runStatic(sc sim.Scenario, stdout, stderr io.Writer) int {
 			100*r.Mean(sim.Metrics.FeeRatio))
 	}
 	w.Flush()
-	return 0
 }
 
-// runDynamic executes the discrete-event mode and prints the
-// per-window time series plus aggregates. All output is derived from
+// printDynamic prints the dynamic mode's per-window time series plus
+// aggregates, one block per scheme and run. All output is derived from
 // virtual time and seeded randomness, so identical invocations print
 // identical bytes — telemetry sinks included, which only observe.
 // jsonMode switches the report from the table renderer to one indented
-// JSON document per scheme.
-func runDynamic(sc sim.DynamicScenario, jsonMode bool, stdout, stderr io.Writer) int {
-	results, err := sim.RunDynamicScenario(sc)
-	if err != nil {
-		fmt.Fprintln(stderr, "flashsim:", err)
-		return 1
-	}
-
+// JSON document per scheme and run.
+func printDynamic(sc sim.Scenario, results []sim.SchemeResult, jsonMode bool, stdout, stderr io.Writer) int {
 	if jsonMode {
 		for _, r := range results {
-			if err := sim.WriteDynamicJSON(stdout, r.Scheme, r.Result); err != nil {
-				fmt.Fprintln(stderr, "flashsim:", err)
-				return 1
+			for _, res := range r.Runs {
+				if err := sim.WriteDynamicJSON(stdout, r.Scheme, res); err != nil {
+					fmt.Fprintln(stderr, "flashsim:", err)
+					return 1
+				}
 			}
 		}
 		return 0
@@ -346,7 +348,9 @@ func runDynamic(sc sim.DynamicScenario, jsonMode bool, stdout, stderr io.Writer)
 	}
 	fmt.Fprintln(stdout)
 	for _, r := range results {
-		sim.WriteDynamicResult(stdout, r.Scheme, r.Result, showThr)
+		for _, res := range r.Runs {
+			sim.WriteDynamicResult(stdout, r.Scheme, res, showThr)
+		}
 	}
 	return 0
 }

@@ -51,8 +51,9 @@ func goldenCases() []goldenCase {
 		{"exit-unknown-scenario", []string{"-scenario", "bogus"}},
 		{"exit-static-mice", []string{"-kind", "ripple", "-nodes", "60", "-txns", "100", "-runs", "1", "-mice", "2"}},
 		{"exit-bad-control", []string{"-dynamic", "-nodes", "40", "-duration", "4", "-control", "bogus"}},
+		{"exit-diurnal-peak", []string{"-dynamic", "-arrival", "diurnal", "-peak", "3", "-nodes", "40", "-duration", "4", "-schemes", "Flash"}},
 	}
-	for _, name := range sim.DynamicScenarioNames {
+	for _, name := range sim.ScenarioNames {
 		cases = append(cases, goldenCase{"preset-" + name, []string{"-scenario", name, "-nodes", "60", "-duration", "10"}})
 	}
 	return cases

@@ -79,8 +79,10 @@
 //     zero-churn, one-station run of the dynamic engine below. Every
 //     run a user starts (cmd/flashsim, cmd/experiments, this package)
 //     has one station, and every random routing choice draws from the
-//     router's seeded stream. A static cell's schemes run one after
-//     another on one network, restored between schemes.
+//     router's seeded stream. One scenario type (sim.Scenario) and one
+//     runner (sim.Run) serve every cell: the paper's replay is the
+//     ArrivalReplay arrival, and each run funds one network and runs
+//     every scheme on its own copy of it.
 //     cmd/experiments runs a figure's independent cells on one
 //     GOMAXPROCS pool, and its tables do not depend on the pool.
 //
@@ -138,7 +140,7 @@
 //     ControlUpdate events carrying the effective value, so the
 //     adaptive trajectory is part of the log fingerprint; off, the
 //     engine is byte-identical to the fixed-threshold behaviour.
-//   - The virtual latency model (DynamicScenario.LatencyMedian,
+//   - The virtual latency model (Scenario.LatencyMedian,
 //     -latency/-latencysigma) assigns every channel a seeded
 //     log-normal RTT; probe rounds charge the sum of their hop RTTs
 //     (a round of -probeworkers candidates the max over them), commit
@@ -166,7 +168,7 @@
 // (trace.NewReplayStream), the dynamic engine is the static replay
 // that RunSimulation runs, pinned to the seed goldens.
 //
-// A scenario catalogue (sim.NamedDynamicScenario: "steady", "flash-crowd",
+// A scenario catalogue (sim.NamedScenario: "steady", "flash-crowd",
 // "depletion-rebalance", "churn", "contention", "hub-failure",
 // "demand-drift", "fee-war", "latency-slo", "griefing") drives
 // comparable cells across schemes; cmd/flashsim exposes it via

@@ -47,7 +47,7 @@ type (
 	Metrics = sim.Metrics
 	// Scenario describes one experiment cell.
 	Scenario = sim.Scenario
-	// SchemeResult is per-scheme metrics across runs.
+	// SchemeResult is one scheme's results across runs.
 	SchemeResult = sim.SchemeResult
 )
 
@@ -110,7 +110,7 @@ func RunSimulation(net *Network, r Router, payments []Payment, miceThreshold flo
 func DefaultScenario(kind string, nodes int) Scenario { return sim.DefaultScenario(kind, nodes) }
 
 // RunScenario executes an experiment cell across schemes and runs.
-func RunScenario(sc Scenario) ([]SchemeResult, error) { return sim.RunScenario(sc) }
+func RunScenario(sc Scenario) ([]SchemeResult, error) { return sim.Run(sc) }
 
 // BuildNetwork constructs a funded network for an experiment kind.
 func BuildNetwork(kind string, nodes int, scale float64, seed int64) (*Network, error) {

@@ -8,16 +8,17 @@ import (
 	"repro/internal/sim"
 )
 
-// dynamicDuration returns the simulated horizon and arrival rate per
-// scale.
-func (o Options) dynamicShape() (duration, rate float64) {
-	if o.Full {
-		return 120, 20
-	}
+// dynamicCell returns a catalogue scenario over the Ripple topology at
+// the dynamic figures' horizon and arrival rate, for schemes.
+func (o Options) dynamicCell(name string, schemes ...string) (sim.Scenario, error) {
+	sc, err := sim.NamedScenario(name, o.kindFor(sim.KindRipple), o.rippleNodes())
+	sc.Duration, sc.Rate = 120, 20
 	if o.Tiny {
-		return 8, 6
+		sc.Duration, sc.Rate = 8, 6
 	}
-	return 30, 15
+	sc.Schemes = schemes
+	sc.Seed = o.seed()
+	return sc, err
 }
 
 // dynamic runs the dynamic-scenario catalogue — steady-state,
@@ -32,39 +33,33 @@ func (o Options) dynamicShape() (duration, rate float64) {
 // order is fixed and, like every figure, deterministic in the seed.
 func dynamic(o Options) error {
 	o.header("Dynamic scenarios", "discrete-event engine: arrivals, churn, rebalancing")
-	duration, rate := o.dynamicShape()
-	schemes := []string{sim.SchemeFlash, sim.SchemeSpider, sim.SchemeShortestPath}
-
-	names := sim.DynamicScenarioNames
+	names := sim.ScenarioNames
 	rows, err := runCells(len(names), func(i int) (string, error) {
-		sc, err := sim.NamedDynamicScenario(names[i], o.kindFor(sim.KindRipple), o.rippleNodes())
+		sc, err := o.dynamicCell(names[i], sim.SchemeFlash, sim.SchemeSpider, sim.SchemeShortestPath)
 		if err != nil {
 			return "", err
 		}
-		sc.Duration = duration
-		sc.Rate = rate
-		sc.Schemes = schemes
 		sc.Router.ProbeWorkers = o.ProbeWorkers
 		if o.Control != nil {
 			sc.Control = o.Control
 		}
-		sc.Seed = o.seed()
-		results, err := sim.RunDynamicScenario(sc)
+		results, err := sim.Run(sc)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", names[i], err)
 		}
 		var b strings.Builder
 		for _, r := range results {
-			agg := r.Result.Aggregate
-			lo, hi := windowRange(r.Result)
-			c := r.Result.EventCounts
+			res := r.Runs[0]
+			agg := res.Aggregate
+			lo, hi := windowRange(res)
+			c := res.EventCounts
 			thr := "-"
-			if r.Result.ControlOn && r.Scheme == sim.SchemeFlash {
-				thr = fmt.Sprintf("%d dec, final %.4g", r.Result.ControlDecisions, r.Result.FinalThreshold)
+			if res.ControlOn && r.Scheme == sim.SchemeFlash {
+				thr = fmt.Sprintf("%d dec, final %.4g", res.ControlDecisions, res.FinalThreshold)
 			}
 			lat := "-"
-			if r.Result.LatencyOn {
-				lat = fmt.Sprintf("%.2fs", r.Result.Latency.P95())
+			if res.LatencyOn {
+				lat = fmt.Sprintf("%.2fs", res.Latency.P95())
 			}
 			fmt.Fprintf(&b, "%s\t%s\t%.1f%%\t%.4g\t%.0f%%..%.0f%%\t%d/%d/%d\t%s\t%s\n",
 				names[i], r.Scheme, 100*agg.SuccessRatio(), agg.SuccessVolume,
@@ -90,41 +85,36 @@ func dynamic(o Options) error {
 // griefed holds pin the bridge liquidity unchallenged).
 func latency(o Options) error {
 	o.header("Latency model", "virtual per-hop RTTs, HTLC deadlines, completion-latency percentiles")
-	duration, rate := o.dynamicShape()
-
 	type cell struct {
 		label    string
 		scenario string
-		mut      func(*sim.DynamicScenario)
+		mut      func(*sim.Scenario)
 	}
 	cells := []cell{
-		{"latency-slo pw=1", "latency-slo", func(sc *sim.DynamicScenario) { sc.Router.ProbeWorkers = 1 }},
-		{"latency-slo pw=2", "latency-slo", func(sc *sim.DynamicScenario) { sc.Router.ProbeWorkers = 2 }},
-		{"latency-slo pw=4", "latency-slo", func(sc *sim.DynamicScenario) { sc.Router.ProbeWorkers = 4 }},
-		{"griefing none", "griefing", func(sc *sim.DynamicScenario) { sc.GriefFrac = 0 }},
-		{"griefing +deadline", "griefing", func(sc *sim.DynamicScenario) {}},
-		{"griefing -deadline", "griefing", func(sc *sim.DynamicScenario) { sc.Deadline = 0 }},
+		{"latency-slo pw=1", "latency-slo", func(sc *sim.Scenario) { sc.Router.ProbeWorkers = 1 }},
+		{"latency-slo pw=2", "latency-slo", func(sc *sim.Scenario) { sc.Router.ProbeWorkers = 2 }},
+		{"latency-slo pw=4", "latency-slo", func(sc *sim.Scenario) { sc.Router.ProbeWorkers = 4 }},
+		{"griefing none", "griefing", func(sc *sim.Scenario) { sc.GriefFrac = 0 }},
+		{"griefing +deadline", "griefing", func(sc *sim.Scenario) {}},
+		{"griefing -deadline", "griefing", func(sc *sim.Scenario) { sc.Deadline = 0 }},
 	}
 	rows, err := runCells(len(cells), func(i int) (string, error) {
-		sc, err := sim.NamedDynamicScenario(cells[i].scenario, o.kindFor(sim.KindRipple), o.rippleNodes())
+		sc, err := o.dynamicCell(cells[i].scenario, sim.SchemeFlash)
 		if err != nil {
 			return "", err
 		}
-		sc.Duration = duration
-		sc.Rate = rate
-		sc.Schemes = []string{sim.SchemeFlash}
-		sc.Seed = o.seed()
 		cells[i].mut(&sc)
-		results, err := sim.RunDynamicScenario(sc)
+		results, err := sim.Run(sc)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", cells[i].label, err)
 		}
 		var b strings.Builder
 		for _, r := range results {
-			l := &r.Result.Latency
+			res := &r.Runs[0]
+			l := &res.Latency
 			fmt.Fprintf(&b, "%s\t%s\t%.1f%%\t%.3fs\t%.3fs\t%.3fs\t%d\n",
-				cells[i].label, r.Scheme, 100*r.Result.Aggregate.SuccessRatio(),
-				l.P50(), l.P95(), l.P99(), r.Result.DeadlineExpiries)
+				cells[i].label, r.Scheme, 100*res.Aggregate.SuccessRatio(),
+				l.P50(), l.P95(), l.P99(), res.DeadlineExpiries)
 		}
 		return b.String(), nil
 	})

@@ -6,10 +6,9 @@
 // cell, run by one sweep. The testbed figures (12–13) run
 // testbed.Experiment, the function cmd/flashtestbed runs too.
 //
-// Options.Full selects paper-scale parameters (1,870-node Ripple /
-// 2,511-node Lightning topologies, 5 runs, 10,000-payment testbeds);
-// the default is a reduced configuration with the same sweeps and
-// the same qualitative shapes at a fraction of the runtime.
+// Every figure runs at the paper's scale (1,870-node Ripple / 2,511-node
+// Lightning topologies, 5 runs, 10,000-payment testbeds); Options.Tiny
+// shrinks each to unit-test size.
 package exp
 
 import (
@@ -29,7 +28,6 @@ import (
 
 // Options controls experiment scale and reporting.
 type Options struct {
-	Full bool      // paper-scale sizes when true
 	Tiny bool      // drastically shrunk sizes, for unit tests
 	Seed int64     // base seed (default 1)
 	Out  io.Writer // destination for tables (required)
@@ -42,7 +40,7 @@ type Options struct {
 	ProbeWorkers int
 
 	// Control, when non-nil, installs this adaptive control-plane
-	// policy in every dynamic-scenario cell (sim.DynamicScenario.Control):
+	// policy in every dynamic-scenario cell (sim.Scenario.Control):
 	// raw or EWMA-smoothed global threshold, per-sender thresholds,
 	// probe width. Nil leaves each cell's catalogue preset (demand-drift
 	// runs the raw threshold policy). Tables stay deterministic for a
@@ -124,35 +122,26 @@ func (o Options) seed() int64 {
 	return o.Seed
 }
 
-// Topology sizes per scale.
+// Topology sizes: the paper's, or Tiny's.
 func (o Options) rippleNodes() int {
-	if o.Full {
-		return 1870 // paper §4.1: processed Ripple crawl
-	}
 	if o.Tiny {
 		return 60
 	}
-	return 500
+	return 1870 // paper §4.1: processed Ripple crawl
 }
 
 func (o Options) lightningNodes() int {
-	if o.Full {
-		return 2511 // paper §4.1: Lightning snapshot
-	}
 	if o.Tiny {
 		return 60
 	}
-	return 600
+	return 2511 // paper §4.1: Lightning snapshot
 }
 
 func (o Options) runs() int {
-	if o.Full {
-		return 5 // paper: "average results over 5 runs"
-	}
 	if o.Tiny {
 		return 1
 	}
-	return 2
+	return 5 // paper: "average results over 5 runs"
 }
 
 // txns shrinks a workload size in Tiny mode.
@@ -165,9 +154,9 @@ func (o Options) txns(def int) int {
 
 // header prints a figure banner.
 func (o Options) header(fig, title string) {
-	scale := "reduced scale"
-	if o.Full {
-		scale = "paper scale"
+	scale := "paper scale"
+	if o.Tiny {
+		scale = "reduced scale"
 	}
 	fmt.Fprintf(o.Out, "\n== %s: %s (%s) ==\n", fig, title, scale)
 }
@@ -193,10 +182,7 @@ func (o Options) tabulate(cols string, rows []string) error {
 // 1.293e6 satoshi; top-10% shares 94.5% and 94.7%).
 func fig3(o Options) error {
 	o.header("Figure 3", "payment size distributions")
-	n := 100000
-	if o.Full {
-		n = 1000000
-	}
+	n := 1000000
 	if o.Tiny {
 		n = 5000
 	}
@@ -224,10 +210,7 @@ func fig3(o Options) error {
 // (paper median ≈86%) and top-5 recurring share (paper >70%).
 func fig4(o Options) error {
 	o.header("Figure 4", "recurring transactions")
-	days := 30
-	if o.Full {
-		days = 1306 // the Ripple trace covers 1306 days
-	}
+	days := 1306 // the Ripple trace covers 1306 days
 	if o.Tiny {
 		days = 4
 	}
@@ -294,7 +277,7 @@ var (
 
 // run runs every cell of s on every topology — the base cell plus the
 // cell's delta — on one GOMAXPROCS pool, then prints the rows in
-// order. It is the package's only RunScenario call.
+// order. It is the package's only sim.Run call for a replay.
 func (s sweep) run(o Options) error {
 	o.header(s.fig, s.title)
 	n := len(s.cells)
@@ -307,7 +290,7 @@ func (s sweep) run(o Options) error {
 			s.cells[i%n].set(&sc)
 		}
 		sc.Txns = o.txns(sc.Txns)
-		return sim.RunScenario(sc)
+		return sim.Run(sc)
 	})
 	if err != nil {
 		return err

@@ -103,17 +103,14 @@ func TestTestbedFiguresRunTiny(t *testing.T) {
 }
 
 func TestOptionsScaling(t *testing.T) {
-	full := Options{Full: true}
-	if full.rippleNodes() != 1870 || full.lightningNodes() != 2511 || full.runs() != 5 {
-		t.Error("full-scale sizes wrong")
+	paper := Options{}
+	if paper.rippleNodes() != 1870 || paper.lightningNodes() != 2511 || paper.runs() != 5 ||
+		paper.txns(2000) != 2000 || paper.seed() != 1 {
+		t.Error("paper-scale sizes wrong")
 	}
 	tiny := Options{Tiny: true}
 	if tiny.rippleNodes() != 60 || tiny.runs() != 1 || tiny.txns(2000) != 150 {
 		t.Error("tiny sizes wrong")
-	}
-	def := Options{}
-	if def.rippleNodes() != 500 || def.txns(2000) != 2000 || def.seed() != 1 {
-		t.Error("default sizes wrong")
 	}
 	if (Options{Seed: 9}).seed() != 9 {
 		t.Error("seed override ignored")

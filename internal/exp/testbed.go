@@ -10,10 +10,7 @@ import (
 
 // fig12 reproduces the 50-node testbed evaluation over real TCP nodes.
 func fig12(o Options) error {
-	nodes, txns := 30, 800
-	if o.Full {
-		nodes, txns = 50, 10000 // paper: 50 nodes, 10,000 transactions
-	}
+	nodes, txns := 50, 10000 // paper: 50 nodes, 10,000 transactions
 	if o.Tiny {
 		nodes, txns = 10, 60
 	}
@@ -22,10 +19,7 @@ func fig12(o Options) error {
 
 // fig13 reproduces the 100-node testbed evaluation.
 func fig13(o Options) error {
-	nodes, txns := 40, 800
-	if o.Full {
-		nodes, txns = 100, 10000 // paper: 100 nodes, 10,000 transactions
-	}
+	nodes, txns := 100, 10000 // paper: 100 nodes, 10,000 transactions
 	if o.Tiny {
 		nodes, txns = 12, 60
 	}

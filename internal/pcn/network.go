@@ -475,6 +475,22 @@ func (n *Network) Restore(snap []float64) error {
 	return nil
 }
 
+// Clone returns an independent network over the same frozen topology
+// with n's balances, holds, fees, liveness and RTTs, and its message
+// and hold counters at zero: a funded network copied for each of
+// several runs that must start from the same state.
+func (n *Network) Clone() *Network {
+	n.lockAll()
+	defer n.unlockAll()
+	c := &Network{graph: n.graph, chans: make([]channel, len(n.chans))}
+	for i := range n.chans {
+		ch := &n.chans[i]
+		c.chans[i] = channel{bal: ch.bal, held: ch.held, fee: ch.fee, closed: ch.closed, rttNanos: ch.rttNanos}
+	}
+	c.hasLatency.Store(n.hasLatency.Load())
+	return c
+}
+
 // ProbeMessages returns the cumulative number of probe messages sent by
 // all payment sessions since construction or the last Restore.
 func (n *Network) ProbeMessages() int64 { return n.probeMessages.Load() }

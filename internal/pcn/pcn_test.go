@@ -368,6 +368,49 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestClone checks that a clone starts from the original's state —
+// balances, fees, liveness, RTTs — with zero counters, and that a
+// payment and churn on the clone leave the original untouched.
+func TestClone(t *testing.T) {
+	n := lineNet(t)
+	n.AssignFeesPaper(rand.New(rand.NewSource(3)))
+	n.AssignLatenciesLogNormal(rand.New(rand.NewSource(4)), 0.05, 0.5)
+	if err := n.SetChannelOpen(2, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	probe, _ := n.Begin(0, 1, 1)
+	probe.Probe([]topo.NodeID{0, 1})
+	probe.Abort()
+	c := n.Clone()
+	if c.Graph() != n.Graph() || c.ProbeMessages() != 0 || !c.HasLatency() {
+		t.Fatalf("clone shares graph %v, counts %d probe messages, latency %v", c.Graph() == n.Graph(), c.ProbeMessages(), c.HasLatency())
+	}
+	for _, e := range n.Graph().Channels() {
+		if c.Balance(e.A, e.B) != n.Balance(e.A, e.B) || c.Balance(e.B, e.A) != n.Balance(e.B, e.A) ||
+			c.Fee(e.A, e.B) != n.Fee(e.A, e.B) || c.Fee(e.B, e.A) != n.Fee(e.B, e.A) ||
+			c.IsChannelOpen(e.A, e.B) != n.IsChannelOpen(e.A, e.B) || c.Latency(e.A, e.B) != n.Latency(e.A, e.B) {
+			t.Errorf("channel %v differs in the clone", e)
+		}
+	}
+	tx, err := c.Begin(0, 2, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Hold([]topo.NodeID{0, 1, 2}, 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetChannelOpen(2, 3, true); err != nil {
+		t.Fatal(err)
+	}
+	if n.Balance(0, 1) != 100 || c.Balance(0, 1) == 100 || n.IsChannelOpen(2, 3) {
+		t.Errorf("the clone's payment or churn reached the original: balances %v / %v, open %v",
+			n.Balance(0, 1), c.Balance(0, 1), n.IsChannelOpen(2, 3))
+	}
+}
+
 func TestAssignBalancesUniform(t *testing.T) {
 	g := topo.Ring(50)
 	n := New(g)

@@ -216,32 +216,21 @@ func TestShiftFactorValidation(t *testing.T) {
 // *routing* differs.
 func demandDriftCell(t *testing.T, policy *control.Policy, metricsThreshold float64) (DynamicResult, float64) {
 	t.Helper()
-	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 150)
+	sc, err := NamedScenario("demand-drift", KindRipple, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Duration = 40
-	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+	c, err := sc.newCell(sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	threshold, err := calibrateThreshold(sc, net.Graph())
+	net := c.net
+	stream, err := c.source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := workloadFor(sc.Kind, net.Graph(), sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := sc.arrivalProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := trace.NewStream(gen, arr, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn := buildChurnSchedule(sc, net, nil, newChurnRNG(sc.Seed))
+	threshold, churn := c.threshold, c.churn
 	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: sc.Seed})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +262,7 @@ func demandDriftCell(t *testing.T, policy *control.Policy, metricsThreshold floa
 // run's post-shift elephant success ratio must be strictly higher.
 // Everything is seeded — the comparison is deterministic.
 func TestDemandDriftAdaptiveBeatsStatic(t *testing.T) {
-	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 150)
+	sc, err := NamedScenario("demand-drift", KindRipple, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,37 +318,37 @@ func TestDemandDriftAdaptiveBeatsStatic(t *testing.T) {
 // demand-drift runs render byte-identical output (windows, thresholds,
 // fingerprint — everything cmd/flashsim prints per scheme).
 func TestAdaptiveThresholdDeterministicReplay(t *testing.T) {
-	run := func() DynamicSchemeResult {
-		sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
+	run := func() SchemeResult {
+		sc, err := NamedScenario("demand-drift", KindRipple, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Duration = 20
 		sc.Schemes = []string{SchemeFlash}
 		sc.Seed = 11
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results[0]
 	}
 	a, b := run(), run()
-	if a.Result.Fingerprint != b.Result.Fingerprint {
-		t.Fatalf("fingerprints diverged: %016x vs %016x", a.Result.Fingerprint, b.Result.Fingerprint)
+	if a.Runs[0].Fingerprint != b.Runs[0].Fingerprint {
+		t.Fatalf("fingerprints diverged: %016x vs %016x", a.Runs[0].Fingerprint, b.Runs[0].Fingerprint)
 	}
 	var bufA, bufB bytes.Buffer
-	WriteDynamicResult(&bufA, a.Scheme, a.Result, true)
-	WriteDynamicResult(&bufB, b.Scheme, b.Result, true)
+	WriteDynamicResult(&bufA, a.Scheme, a.Runs[0], true)
+	WriteDynamicResult(&bufB, b.Scheme, b.Runs[0], true)
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
 		t.Errorf("CLI rendering diverged across identical seeds:\n%s\nvs\n%s", bufA.String(), bufB.String())
 	}
 	// The run must actually exercise the adaptive path.
-	if a.Result.EventCounts[event.ControlUpdate] == 0 {
+	if a.Runs[0].EventCounts[event.ControlUpdate] == 0 {
 		t.Error("no control updates applied in the adaptive scenario")
 	}
 	// The fingerprint covers the adaptive trajectory: a different seed
 	// re-calibrates differently and must fingerprint differently.
-	if got := a.Result.ThresholdUpdates; got == 0 {
+	if got := a.Runs[0].ThresholdUpdates; got == 0 {
 		t.Error("no effective threshold changes in the adaptive scenario")
 	}
 }
@@ -372,7 +361,7 @@ func TestAdaptiveThresholdDeterministicReplay(t *testing.T) {
 // the difference confined to the post-shift windows.
 func TestFeeWarScenario(t *testing.T) {
 	run := func(factor float64) DynamicResult {
-		sc, err := NamedDynamicScenario("fee-war", KindRipple, 100)
+		sc, err := NamedScenario("fee-war", KindRipple, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,11 +369,11 @@ func TestFeeWarScenario(t *testing.T) {
 		sc.Schemes = []string{SchemeShortestPath}
 		sc.Seed = 3
 		sc.FeeShiftFactor = factor
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
 	war, control := run(25), run(0)
 	if war.EventCounts[event.FeeShift] == 0 {

@@ -78,18 +78,18 @@ func TestControlRawMatchesGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
+	sc, err := NamedScenario("demand-drift", KindRipple, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Duration = 20
 	sc.Schemes = []string{SchemeFlash}
 	sc.Seed = 11
-	results, err := RunDynamicScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := results[0].Result
+	res := results[0].Runs[0]
 
 	if got := stripDelays(res.Aggregate); got != want.Aggregate {
 		t.Errorf("aggregate:\n got  %+v\n want %+v", got, want.Aggregate)
@@ -128,7 +128,7 @@ func TestControlRawMatchesGolden(t *testing.T) {
 // named it, and the caller's policy is not written to.
 func TestControlTracksScenarioMiceFraction(t *testing.T) {
 	run := func(policy *control.Policy) DynamicResult {
-		sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
+		sc, err := NamedScenario("demand-drift", KindRipple, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestControlTracksScenarioMiceFraction(t *testing.T) {
 		sc.Schemes = []string{SchemeFlash}
 		sc.MiceFraction = 0.8
 		sc.Control = policy
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
 	shared := &control.Policy{Threshold: "raw"}
 	implicit := run(shared)
@@ -163,8 +163,8 @@ func TestControlTracksScenarioMiceFraction(t *testing.T) {
 // the run actually exercises the general control path (ControlUpdate
 // events, the re-classification view, the per-knob rollup).
 func TestControlFullPolicyDeterministicReplay(t *testing.T) {
-	run := func() DynamicSchemeResult {
-		sc, err := NamedDynamicScenario("demand-drift", KindRipple, 100)
+	run := func() SchemeResult {
+		sc, err := NamedScenario("demand-drift", KindRipple, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,33 +173,33 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 		sc.Seed = 11
 		sc.Control = &control.Policy{Threshold: "ewma", PerSender: true, ProbeWidth: true,
 			MiceFraction: sc.MiceFraction}
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results[0]
 	}
 	a, b := run(), run()
-	if a.Result.Fingerprint != b.Result.Fingerprint {
-		t.Fatalf("fingerprints diverged: %016x vs %016x", a.Result.Fingerprint, b.Result.Fingerprint)
+	if a.Runs[0].Fingerprint != b.Runs[0].Fingerprint {
+		t.Fatalf("fingerprints diverged: %016x vs %016x", a.Runs[0].Fingerprint, b.Runs[0].Fingerprint)
 	}
 	var tblA, tblB, jsA, jsB bytes.Buffer
-	WriteDynamicResult(&tblA, a.Scheme, a.Result, true)
-	WriteDynamicResult(&tblB, b.Scheme, b.Result, true)
+	WriteDynamicResult(&tblA, a.Scheme, a.Runs[0], true)
+	WriteDynamicResult(&tblB, b.Scheme, b.Runs[0], true)
 	if !bytes.Equal(tblA.Bytes(), tblB.Bytes()) {
 		t.Errorf("CLI rendering diverged across identical seeds:\n%s\nvs\n%s", tblA.String(), tblB.String())
 	}
-	if err := WriteDynamicJSON(&jsA, a.Scheme, a.Result); err != nil {
+	if err := WriteDynamicJSON(&jsA, a.Scheme, a.Runs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteDynamicJSON(&jsB, b.Scheme, b.Result); err != nil {
+	if err := WriteDynamicJSON(&jsB, b.Scheme, b.Runs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(jsA.Bytes(), jsB.Bytes()) {
 		t.Error("JSON rendering diverged across identical seeds")
 	}
 
-	res := a.Result
+	res := a.Runs[0]
 	if !res.ControlOn {
 		t.Fatal("control plane not engaged")
 	}
@@ -247,7 +247,7 @@ func TestControlFullPolicyDeterministicReplay(t *testing.T) {
 // post-shift elephant success, both runs classified against the same
 // fixed post-shift threshold.
 func TestControlEWMAFewerSwapsThanRaw(t *testing.T) {
-	sc, err := NamedDynamicScenario("demand-drift", KindRipple, 150)
+	sc, err := NamedScenario("demand-drift", KindRipple, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,11 +473,11 @@ func TestControlWindowMatchesFlowRecords(t *testing.T) {
 	sc := churnScenario(t, 1)
 	sc.Service, sc.Retries, sc.Window, sc.ScaleFactor = 1.5, 2, width, 2
 	sc.FlowSink, sc.controlHook = sink, []control.Controller{rec}
-	results, err := RunDynamicScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := results[0].Result
+	res := results[0].Runs[0]
 	flows := sink.Snapshot()
 	if uint64(len(flows)) != sink.Total() {
 		t.Fatalf("flow log kept %d of %d records", len(flows), sink.Total())

@@ -79,9 +79,9 @@ func TestDynamicWindowsSumToAggregate(t *testing.T) {
 }
 
 // churnScenario is the catalogue churn cell at test scale.
-func churnScenario(t *testing.T, workers int) DynamicScenario {
+func churnScenario(t *testing.T, workers int) Scenario {
 	t.Helper()
-	sc, err := NamedDynamicScenario("churn", KindRipple, 80)
+	sc, err := NamedScenario("churn", KindRipple, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,37 +97,37 @@ func churnScenario(t *testing.T, workers int) DynamicScenario {
 // same seed yields identical event logs, fingerprints, and metrics —
 // windows included — across runs of a full churn scenario.
 func TestDynamicDeterministicEventLog(t *testing.T) {
-	run := func() DynamicSchemeResult {
-		results, err := RunDynamicScenario(churnScenario(t, 1))
+	run := func() SchemeResult {
+		results, err := Run(churnScenario(t, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results[0]
 	}
 	a, b := run(), run()
-	if a.Result.Fingerprint != b.Result.Fingerprint {
-		t.Fatalf("fingerprints diverged: %x vs %x", a.Result.Fingerprint, b.Result.Fingerprint)
+	if a.Runs[0].Fingerprint != b.Runs[0].Fingerprint {
+		t.Fatalf("fingerprints diverged: %x vs %x", a.Runs[0].Fingerprint, b.Runs[0].Fingerprint)
 	}
-	if stripDelays(a.Result.Aggregate) != stripDelays(b.Result.Aggregate) {
-		t.Errorf("aggregates diverged:\n %+v\n %+v", a.Result.Aggregate, b.Result.Aggregate)
+	if stripDelays(a.Runs[0].Aggregate) != stripDelays(b.Runs[0].Aggregate) {
+		t.Errorf("aggregates diverged:\n %+v\n %+v", a.Runs[0].Aggregate, b.Runs[0].Aggregate)
 	}
-	if len(a.Result.Windows) != len(b.Result.Windows) {
-		t.Fatalf("window counts diverged: %d vs %d", len(a.Result.Windows), len(b.Result.Windows))
+	if len(a.Runs[0].Windows) != len(b.Runs[0].Windows) {
+		t.Fatalf("window counts diverged: %d vs %d", len(a.Runs[0].Windows), len(b.Runs[0].Windows))
 	}
-	for i := range a.Result.Windows {
-		if stripDelays(a.Result.Windows[i].Metrics) != stripDelays(b.Result.Windows[i].Metrics) {
+	for i := range a.Runs[0].Windows {
+		if stripDelays(a.Runs[0].Windows[i].Metrics) != stripDelays(b.Runs[0].Windows[i].Metrics) {
 			t.Errorf("window %d diverged", i)
 		}
 	}
-	if a.Result.EventCounts != b.Result.EventCounts {
-		t.Errorf("event counts diverged: %v vs %v", a.Result.EventCounts, b.Result.EventCounts)
+	if a.Runs[0].EventCounts != b.Runs[0].EventCounts {
+		t.Errorf("event counts diverged: %v vs %v", a.Runs[0].EventCounts, b.Runs[0].EventCounts)
 	}
 	// The churn scenario must actually churn.
-	if a.Result.EventCounts[event.ChannelClose] == 0 || a.Result.EventCounts[event.ChannelOpen] == 0 {
-		t.Errorf("churn scenario applied no churn: %v", a.Result.EventCounts)
+	if a.Runs[0].EventCounts[event.ChannelClose] == 0 || a.Runs[0].EventCounts[event.ChannelOpen] == 0 {
+		t.Errorf("churn scenario applied no churn: %v", a.Runs[0].EventCounts)
 	}
-	if a.Result.EventCounts[event.Rebalance] == 0 {
-		t.Errorf("churn scenario applied no rebalances: %v", a.Result.EventCounts)
+	if a.Runs[0].EventCounts[event.Rebalance] == 0 {
+		t.Errorf("churn scenario applied no rebalances: %v", a.Runs[0].EventCounts)
 	}
 }
 
@@ -136,31 +136,19 @@ func TestDynamicDeterministicEventLog(t *testing.T) {
 // close.
 func TestDynamicChurnInvalidatesTables(t *testing.T) {
 	sc := churnScenario(t, 1)
-	churnRNG := newChurnRNG(sc.Seed)
-	net, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, churnRNG)
+	c, err := sc.newCell(sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn := buildChurnSchedule(sc, net, latent, churnRNG)
-	if len(churn) == 0 {
+	if len(c.churn) == 0 {
 		t.Fatal("no churn events generated")
 	}
-	threshold, err := calibrateThreshold(sc, net.Graph())
+	net := c.net
+	stream, err := c.source()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := workloadFor(sc.Kind, net.Graph(), sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := sc.arrivalProcess()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := trace.NewStream(gen, arr, sc.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	threshold, churn := c.threshold, c.churn
 	fl := core.New(core.DefaultConfig(threshold))
 	if _, err := RunDynamic(net, fl, stream, sc.Duration, churn, threshold, DynamicOptions{Workers: 1, Seed: sc.Seed}); err != nil {
 		t.Fatal(err)
@@ -177,11 +165,11 @@ func TestDynamicConcurrentChurnRace(t *testing.T) {
 	sc := churnScenario(t, 4)
 	sc.Retries = 1
 	sc.Service = 0.2 // overlap payments in virtual time so they run concurrently
-	results, err := RunDynamicScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := results[0].Result.Aggregate
+	m := results[0].Runs[0].Aggregate
 	if m.Payments == 0 || m.Successes == 0 {
 		t.Errorf("concurrent churn run delivered nothing: %+v", m)
 	}
@@ -211,23 +199,25 @@ func TestDynamicLatentChannelsOpen(t *testing.T) {
 		{KindTestbed, 7, 79, []topo.Edge{{A: 13, B: 34}, {A: 13, B: 30}, {A: 15, B: 23}, {A: 5, B: 22}}},
 	}
 	for _, c := range cells {
-		sc, err := NamedDynamicScenario("churn", c.kind, 40)
+		sc, err := NamedScenario("churn", c.kind, 40)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Seed = c.seed
-		net, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, newChurnRNG(sc.Seed))
+		cl, err := sc.newCell(sc.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(latent, c.latent) {
-			t.Errorf("%s seed %d: latent channels %v, want %v", c.kind, c.seed, latent, c.latent)
-		}
+		net := cl.net
 		plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := net.Graph()
+		latent := g.Channels()[min(plain.Graph().NumChannels(), g.NumChannels()):]
+		if !slices.Equal(latent, c.latent) {
+			t.Errorf("%s seed %d: latent channels %v, want %v", c.kind, c.seed, latent, c.latent)
+		}
 		if plain.Graph().NumChannels() != c.base || g.NumChannels() != c.base+len(latent) {
 			t.Fatalf("%s seed %d: %d base and %d total channels, want %d and %d",
 				c.kind, c.seed, plain.Graph().NumChannels(), g.NumChannels(), c.base, c.base+len(latent))
@@ -252,17 +242,20 @@ func TestDynamicLatentChannelsOpen(t *testing.T) {
 	}
 
 	sc := churnScenario(t, 1)
-	churnRNG := newChurnRNG(sc.Seed)
-	net, latent, err := buildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed, sc.LatentChannels, churnRNG)
+	cl, err := sc.newCell(sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(latent) != sc.LatentChannels {
-		t.Fatalf("added %d latent channels, want %d", len(latent), sc.LatentChannels)
+	net := cl.net
+	plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	churn := buildChurnSchedule(sc, net, latent, churnRNG)
+	if added := net.Graph().NumChannels() - plain.Graph().NumChannels(); added != sc.LatentChannels {
+		t.Fatalf("added %d latent channels, want %d", added, sc.LatentChannels)
+	}
 	funded := 0
-	for _, e := range churn {
+	for _, e := range cl.churn {
 		if e.Kind == event.ChannelOpen && e.Amount > 0 {
 			funded++
 		}
@@ -409,7 +402,7 @@ func TestDynamicRetriesVirtualBackoff(t *testing.T) {
 // TestDynamicDemandShift verifies the demand-shift event reaches the
 // generator: post-shift windows carry visibly larger attempt volumes.
 func TestDynamicDemandShift(t *testing.T) {
-	sc, err := NamedDynamicScenario("steady", KindRipple, 60)
+	sc, err := NamedScenario("steady", KindRipple, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +413,11 @@ func TestDynamicDemandShift(t *testing.T) {
 	sc.Schemes = []string{SchemeShortestPath}
 	sc.DemandShiftFactor = 100
 	sc.DemandShiftFrac = 0.5
-	results, err := RunDynamicScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := results[0].Result.Windows
+	w := results[0].Runs[0].Windows
 	if len(w) < 2 {
 		t.Fatalf("got %d windows", len(w))
 	}
@@ -440,18 +433,18 @@ func TestDynamicDemandShift(t *testing.T) {
 // (at the surge start) for any Duration override.
 func TestDemandShiftTracksDuration(t *testing.T) {
 	for _, duration := range []float64{8, 30, 120} {
-		sc, err := NamedDynamicScenario("flash-crowd", KindRipple, 60)
+		sc, err := NamedScenario("flash-crowd", KindRipple, 60)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sc.Duration = duration
 		sc.Rate = 5
 		sc.Schemes = []string{SchemeShortestPath}
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := results[0].Result.EventCounts[event.DemandShift]; got != 1 {
+		if got := results[0].Runs[0].EventCounts[event.DemandShift]; got != 1 {
 			t.Errorf("duration %v: %d demand-shift events applied, want 1", duration, got)
 		}
 	}
@@ -460,18 +453,18 @@ func TestDemandShiftTracksDuration(t *testing.T) {
 // TestNamedDynamicScenarios exercises every catalogue entry end to end
 // at tiny scale.
 func TestNamedDynamicScenarios(t *testing.T) {
-	for _, name := range DynamicScenarioNames {
+	for _, name := range ScenarioNames {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			sc, err := NamedDynamicScenario(name, KindRipple, 60)
+			sc, err := NamedScenario(name, KindRipple, 60)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc.Duration = 10
 			sc.Rate = 8
 			sc.Schemes = []string{SchemeFlash, SchemeShortestPath}
-			results, err := RunDynamicScenario(sc)
+			results, err := Run(sc)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -479,7 +472,7 @@ func TestNamedDynamicScenarios(t *testing.T) {
 				t.Fatalf("got %d scheme results", len(results))
 			}
 			for _, r := range results {
-				m := r.Result.Aggregate
+				m := r.Runs[0].Aggregate
 				if m.Payments == 0 {
 					t.Errorf("%s: no payments replayed", r.Scheme)
 				}
@@ -489,7 +482,7 @@ func TestNamedDynamicScenarios(t *testing.T) {
 			}
 		})
 	}
-	if _, err := NamedDynamicScenario("bogus", KindRipple, 60); err == nil {
+	if _, err := NamedScenario("bogus", KindRipple, 60); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 }
@@ -508,14 +501,14 @@ func TestRunDynamicValidation(t *testing.T) {
 	if _, err := RunDynamic(net, r, trace.NewReplayStream(payments), 10, bad, 1, DynamicOptions{}); err == nil {
 		t.Error("payment event in churn schedule accepted")
 	}
-	if _, err := RunDynamicScenario(DynamicScenario{Kind: KindRipple, Nodes: 10, Rate: 1}); err == nil {
+	if _, err := Run(Scenario{Kind: KindRipple, Nodes: 10, Rate: 1}); err == nil {
 		t.Error("zero-duration scenario accepted")
 	}
-	if _, err := RunDynamicScenario(DynamicScenario{Kind: KindRipple, Nodes: 10, Duration: 1}); err == nil {
+	if _, err := Run(Scenario{Kind: KindRipple, Nodes: 10, Duration: 1}); err == nil {
 		t.Error("zero-rate scenario accepted")
 	}
-	sc := DynamicScenario{Kind: KindRipple, Nodes: 30, Duration: 1, Rate: 1, Arrival: "bogus"}
-	if _, err := RunDynamicScenario(sc); err == nil {
+	sc := Scenario{Kind: KindRipple, Nodes: 30, Duration: 1, Rate: 1, Arrival: "bogus"}
+	if _, err := Run(sc); err == nil {
 		t.Error("unknown arrival process accepted")
 	}
 }

@@ -154,8 +154,8 @@ func TestReplayEmpty(t *testing.T) {
 	sc := DefaultScenario(KindRipple, 40)
 	sc.Txns = 0
 	sc.Runs = 1
-	if _, err := RunScenario(sc); err == nil {
-		t.Error("RunScenario accepted a cell with no payments")
+	if _, err := Run(sc); err == nil {
+		t.Error("Run accepted a replay with no payments")
 	}
 }
 

@@ -102,9 +102,9 @@ func TestHoldSpanBlocksThenUnblocks(t *testing.T) {
 }
 
 // contentionScenario is the catalogue contention cell at test scale.
-func contentionScenario(t *testing.T) DynamicScenario {
+func contentionScenario(t *testing.T) Scenario {
 	t.Helper()
-	sc, err := NamedDynamicScenario("contention", KindRipple, 20)
+	sc, err := NamedScenario("contention", KindRipple, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestContentionScenarioDegradesThenRecovers(t *testing.T) {
 	run := func(service float64) DynamicResult {
 		sc := contentionScenario(t)
 		sc.Service = service
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
 
 	atomic := run(0)
@@ -177,7 +177,7 @@ func TestContentionScenarioDegradesThenRecovers(t *testing.T) {
 // below the pre-failure level — deterministically.
 func TestHubFailureScenarioAbortsInFlightHolds(t *testing.T) {
 	run := func() DynamicResult {
-		sc, err := NamedDynamicScenario("hub-failure", KindRipple, 80)
+		sc, err := NamedScenario("hub-failure", KindRipple, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +185,11 @@ func TestHubFailureScenarioAbortsInFlightHolds(t *testing.T) {
 		sc.Schemes = []string{SchemeFlash}
 		sc.Workers = 1
 		sc.Seed = 7
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
 	res := run()
 	if res.EventCounts[event.ChannelClose] == 0 {

@@ -53,9 +53,9 @@ func TestLatencyStats(t *testing.T) {
 }
 
 // latencyScenario is the latency-slo catalogue cell at test scale.
-func latencyScenario(t *testing.T, name string) DynamicScenario {
+func latencyScenario(t *testing.T, name string) Scenario {
 	t.Helper()
-	sc, err := NamedDynamicScenario(name, KindRipple, 60)
+	sc, err := NamedScenario(name, KindRipple, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +72,13 @@ func latencyScenario(t *testing.T, name string) DynamicScenario {
 // percentile columns included — and identical fingerprints.
 func TestDynamicLatencyDeterministicRender(t *testing.T) {
 	run := func() (string, uint64) {
-		results, err := RunDynamicScenario(latencyScenario(t, "latency-slo"))
+		results, err := Run(latencyScenario(t, "latency-slo"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		WriteDynamicResult(&buf, results[0].Scheme, results[0].Result, false)
-		return buf.String(), results[0].Result.Fingerprint
+		WriteDynamicResult(&buf, results[0].Scheme, results[0].Runs[0], false)
+		return buf.String(), results[0].Runs[0].Fingerprint
 	}
 	outA, fpA := run()
 	outB, fpB := run()
@@ -101,11 +101,11 @@ func TestDynamicLatencyDeterministicRender(t *testing.T) {
 // TestDynamicZeroChurnEquivalence against the seed goldens.)
 func TestDynamicLatencyOffRenderUnchanged(t *testing.T) {
 	sc := latencyScenario(t, "steady")
-	results, err := RunDynamicScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := results[0].Result
+	res := results[0].Runs[0]
 	if res.LatencyOn {
 		t.Error("steady scenario reports LatencyOn")
 	}
@@ -139,11 +139,11 @@ func TestDeadlineExpiryDeterminism(t *testing.T) {
 		sc := latencyScenario(t, "griefing")
 		sc.Duration = 20
 		sc.Rate = 6
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
 	a, b := run(), run()
 	if a.Fingerprint != b.Fingerprint {
@@ -168,11 +168,11 @@ func TestDynamicDeadlineConcurrentRace(t *testing.T) {
 	sc := latencyScenario(t, "griefing")
 	sc.Duration = 15
 	sc.Workers = 4
-	results, err := RunDynamicScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := results[0].Result
+	res := results[0].Runs[0]
 	m := res.Aggregate
 	if m.Payments == 0 {
 		t.Fatal("no payments replayed")
@@ -191,20 +191,20 @@ func TestDynamicDeadlineConcurrentRace(t *testing.T) {
 // disabled, and the HTLC deadline claws a large part of it back by
 // tearing the griefed holds down.
 func TestGriefingPairedControl(t *testing.T) {
-	run := func(mut func(*DynamicScenario)) DynamicResult {
+	run := func(mut func(*Scenario)) DynamicResult {
 		sc := latencyScenario(t, "griefing")
 		sc.Duration = 30
 		sc.Rate = 6
 		mut(&sc)
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
-	clean := run(func(sc *DynamicScenario) { sc.GriefFrac = 0 })
-	defended := run(func(sc *DynamicScenario) {})
-	undefended := run(func(sc *DynamicScenario) { sc.Deadline = 0 })
+	clean := run(func(sc *Scenario) { sc.GriefFrac = 0 })
+	defended := run(func(sc *Scenario) {})
+	undefended := run(func(sc *Scenario) { sc.Deadline = 0 })
 
 	if defended.DeadlineExpiries == 0 {
 		t.Error("defended run tore down no griefed holds")

@@ -71,14 +71,14 @@ func TestConcurrentReplayTelemetryRace(t *testing.T) {
 // rendered result table, and every metric byte-identical to the bare
 // run.
 func TestDynamicTelemetryObserverOnly(t *testing.T) {
-	render := func(r DynamicSchemeResult) string {
+	render := func(r SchemeResult) string {
 		var buf bytes.Buffer
-		WriteDynamicResult(&buf, r.Scheme, r.Result, true)
+		WriteDynamicResult(&buf, r.Scheme, r.Runs[0], true)
 		return buf.String()
 	}
 
 	bare := churnScenario(t, 1)
-	bareRes, err := RunDynamicScenario(bare)
+	bareRes, err := Run(bare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +90,12 @@ func TestDynamicTelemetryObserverOnly(t *testing.T) {
 	defer jsonl.Close()
 	observed.FlowSink = telemetry.MultiSink{jsonl, log, count}
 	observed.Registry = telemetry.NewRegistry()
-	obsRes, err := RunDynamicScenario(observed)
+	obsRes, err := Run(observed)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	a, b := bareRes[0].Result, obsRes[0].Result
+	a, b := bareRes[0].Runs[0], obsRes[0].Runs[0]
 	if a.Fingerprint != b.Fingerprint {
 		t.Fatalf("fingerprint changed with telemetry on: %016x vs %016x", a.Fingerprint, b.Fingerprint)
 	}
@@ -130,13 +130,13 @@ func TestDynamicTelemetryObserverOnly(t *testing.T) {
 // the same deterministic run are byte-identical and carry the
 // fingerprint as a 16-digit hex string.
 func TestWriteDynamicJSONDeterministic(t *testing.T) {
-	res, err := RunDynamicScenario(churnScenario(t, 1))
+	res, err := Run(churnScenario(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	render := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteDynamicJSON(&buf, res[0].Scheme, res[0].Result); err != nil {
+		if err := WriteDynamicJSON(&buf, res[0].Scheme, res[0].Runs[0]); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -160,10 +160,12 @@ func TestWriteDynamicJSONDeterministic(t *testing.T) {
 func TestFeeProgramNeverFallsBack(t *testing.T) {
 	sc := DefaultScenario(KindRipple, 300)
 	sc.Txns = 1000
-	net, payments, threshold, err := sc.buildCell(sc.Seed)
+	c, err := sc.newCell(sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := c.net
+	payments, threshold := c.payments, c.threshold
 	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: threshold, Seed: sc.Seed})
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestProbeWorkersStaticReplayDeterministic(t *testing.T) {
 // churn in play.
 func TestProbeWorkersDynamicReplayIdentical(t *testing.T) {
 	run := func() DynamicResult {
-		sc, err := NamedDynamicScenario("steady", KindRipple, 80)
+		sc, err := NamedScenario("steady", KindRipple, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,11 +63,11 @@ func TestProbeWorkersDynamicReplayIdentical(t *testing.T) {
 		sc.Schemes = []string{SchemeFlash}
 		sc.Router.ProbeWorkers = 4
 		sc.Seed = 11
-		results, err := RunDynamicScenario(sc)
+		results, err := Run(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results[0].Result
+		return results[0].Runs[0]
 	}
 	a, b := run(), run()
 	if a.Fingerprint != b.Fingerprint {

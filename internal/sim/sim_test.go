@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pcn"
 	"repro/internal/topo"
 	"repro/internal/trace"
@@ -136,9 +137,9 @@ func TestBuildNetworkScaleFactor(t *testing.T) {
 }
 
 func TestSchemeResultAggregation(t *testing.T) {
-	r := SchemeResult{Scheme: "x", Runs: []Metrics{
-		{Payments: 10, Successes: 4},
-		{Payments: 10, Successes: 6},
+	r := SchemeResult{Scheme: "x", Runs: []DynamicResult{
+		{Aggregate: Metrics{Payments: 10, Successes: 4}},
+		{Aggregate: Metrics{Payments: 10, Successes: 6}},
 	}}
 	if got := r.Mean(Metrics.SuccessRatio); got != 0.5 {
 		t.Errorf("mean ratio = %v", got)
@@ -156,7 +157,7 @@ func TestRunScenarioSmall(t *testing.T) {
 	sc := DefaultScenario(KindRipple, 100)
 	sc.Txns = 300
 	sc.Runs = 2
-	results, err := RunScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +170,8 @@ func TestRunScenarioSmall(t *testing.T) {
 			t.Fatalf("%s: %d runs, want 2", r.Scheme, len(r.Runs))
 		}
 		vol[r.Scheme] = r.Mean(func(m Metrics) float64 { return m.SuccessVolume })
-		for _, m := range r.Runs {
-			if m.Payments == 0 {
+		for _, res := range r.Runs {
+			if res.Aggregate.Payments == 0 {
 				t.Fatalf("%s: no payments replayed", r.Scheme)
 			}
 		}
@@ -183,21 +184,103 @@ func TestRunScenarioSmall(t *testing.T) {
 	}
 }
 
-// TestRunScenarioSchemesSeeIdenticalWorkload verifies the restore logic:
-// the same scheme run twice in one scenario cell yields identical
-// metrics.
+// TestRunScenarioSchemesSeeIdenticalWorkload verifies that every scheme
+// of a run gets the same funding and workload: the same scheme run
+// twice in one scenario cell yields identical metrics.
 func TestRunScenarioSchemesSeeIdenticalWorkload(t *testing.T) {
 	sc := DefaultScenario(KindRipple, 60)
 	sc.Txns = 100
 	sc.Runs = 1
 	sc.Schemes = []string{SchemeShortestPath, SchemeShortestPath}
-	results, err := RunScenario(sc)
+	results, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := results[0].Runs[0], results[1].Runs[0]
+	a, b := results[0].Runs[0].Aggregate, results[1].Runs[0].Aggregate
 	if a.Successes != b.Successes || a.SuccessVolume != b.SuccessVolume {
 		t.Errorf("identical scheme runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestReplayThresholdTakesEveryPayment pins the replay's elephant
+// threshold to the MiceFraction quantile of all Txns payments, as the
+// paper calibrates it per workload — not to a clamped sample, which
+// would move Figure 7's 5,000- and 6,000-payment cells.
+func TestReplayThresholdTakesEveryPayment(t *testing.T) {
+	sc := DefaultScenario(KindRipple, 60)
+	sc.Txns, sc.Runs, sc.Schemes = 5000, 1, []string{SchemeShortestPath}
+	results, err := Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workloadFor(sc.Kind, mustNetwork(t, sc).Graph(), sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	amounts := trace.Amounts(gen.Generate(sc.Txns))
+	want := core.ThresholdForMiceFraction(amounts, sc.MiceFraction)
+	if prefix := core.ThresholdForMiceFraction(amounts[:4000], sc.MiceFraction); prefix == want {
+		t.Fatalf("the first 4,000 payments give the same threshold %v; the cell cannot tell them apart", want)
+	}
+	res := results[0].Runs[0]
+	if res.FinalThreshold != want {
+		t.Errorf("threshold = %v, want %v (all %d payments)", res.FinalThreshold, want, sc.Txns)
+	}
+	mice := 0
+	for _, a := range amounts {
+		if a <= want {
+			mice++
+		}
+	}
+	if res.Aggregate.Payments != sc.Txns || res.Aggregate.MicePayments != mice {
+		t.Errorf("%d payments, %d mice; want %d and %d", res.Aggregate.Payments, res.Aggregate.MicePayments, sc.Txns, mice)
+	}
+}
+
+// mustNetwork builds the network of sc's first run.
+func mustNetwork(t *testing.T, sc Scenario) *pcn.Network {
+	t.Helper()
+	net, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, sc.TestbedCapLo, sc.TestbedCapHi, sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestRunsStrideSeeds pins the run seeds of a timed arrival: a cell
+// at Runs 2 is the two one-run cells at Seed and Seed + 7919, event
+// log and metrics alike, and the two runs differ.
+func TestRunsStrideSeeds(t *testing.T) {
+	sc, err := NamedScenario("churn", KindRipple, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Duration, sc.Rate, sc.Seed = 5, 8, 3
+	sc.Schemes = []string{SchemeFlash, SchemeShortestPath}
+	run := func(runs int, seed int64) []SchemeResult {
+		c := sc
+		c.Runs, c.Seed = runs, seed
+		results, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	both := run(2, 3)
+	for k, seed := range []int64{3, 3 + 7919} {
+		one := run(1, seed)
+		for i, r := range both {
+			got, want := r.Runs[k], one[i].Runs[0]
+			if got.Fingerprint != want.Fingerprint || stripDelays(got.Aggregate) != stripDelays(want.Aggregate) {
+				t.Errorf("%s run %d: fingerprint %016x, %v; want seed %d's %016x, %v", r.Scheme, k,
+					got.Fingerprint, got.Aggregate, seed, want.Fingerprint, want.Aggregate)
+			}
+		}
+	}
+	for _, r := range both {
+		if r.Runs[0].Fingerprint == r.Runs[1].Fingerprint {
+			t.Errorf("%s: both runs have fingerprint %016x", r.Scheme, r.Runs[0].Fingerprint)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func (invalidSource) Validate() error {
 
 // TestRunDynamicValidatesSource pins the non-positive-rate fix at the
 // engine boundary: calling RunDynamic directly — bypassing
-// RunDynamicScenario's validation — with a source that reports a
+// Run's validation — with a source that reports a
 // degenerate arrival process returns a clear error instead of
 // scheduling +Inf/NaN virtual times onto the event heap.
 func TestRunDynamicValidatesSource(t *testing.T) {
@@ -41,14 +41,14 @@ func TestRunDynamicValidatesSource(t *testing.T) {
 	}
 
 	// The barbell fixture's stream guards itself the same way.
-	sc, err := NamedDynamicScenario("contention", KindTestbed, 20)
+	sc, err := NamedScenario("contention", KindTestbed, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.Duration = 2
-	sc.Rate = -3 // survives RunDynamicScenario's own check? no — it must reject too
-	if _, err := RunDynamicScenario(sc); err == nil {
-		t.Error("RunDynamicScenario accepted a negative arrival rate")
+	sc.Rate = -3
+	if _, err := Run(sc); err == nil {
+		t.Error("Run accepted a negative arrival rate")
 	}
 }
 
@@ -56,7 +56,7 @@ func TestRunDynamicValidatesSource(t *testing.T) {
 // options that cannot apply — a negative, NaN or infinite service time
 // or window, a deadline or grief setting that is negative, NaN or set
 // without hold spans, a control policy tracking a quantile outside
-// (0, 1) — are errors from RunDynamic and from RunDynamicScenario,
+// (0, 1) — are errors from RunDynamic and from Run,
 // never silently read as "off", defaulted, or left to panic mid-run.
 func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -118,14 +118,14 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 			_, err = RunDynamic(net, r, src, 2, nil, 0, opts)
 			check("RunDynamic", err)
 
-			sc, err := NamedDynamicScenario("steady", KindRipple, 40)
+			sc, err := NamedScenario("steady", KindRipple, 40)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
 			sc.DynamicOptions = opts
-			_, err = RunDynamicScenario(sc)
-			check("RunDynamicScenario", err)
+			_, err = Run(sc)
+			check("Run", err)
 		})
 	}
 }
@@ -135,7 +135,9 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 // and an infinite horizon, churn or rebalance rate never returned (an
 // infinite rate draws zero gaps forever). RunDynamic needs a positive,
 // finite horizon; a scenario needs a positive, finite duration and
-// arrival rate and non-negative, finite churn and rebalance rates.
+// arrival rate, non-negative, finite churn and rebalance rates, a
+// diurnal swing below 1 (never run as some other swing), a
+// known fixture, and a timed arrival under the barbell.
 func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	net, err := BuildNetwork(KindRipple, 40, 10, 0, 0, 1)
@@ -155,31 +157,36 @@ func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 
 	cases := []struct {
 		name string
-		mut  func(*DynamicScenario)
+		mut  func(*Scenario)
 		want string // "" = accepted
 	}{
-		{"churn and rebalance set", func(sc *DynamicScenario) { sc.ChurnRate, sc.RebalanceRate = 0.5, 0.5 }, ""},
-		{"zero duration", func(sc *DynamicScenario) { sc.Duration = 0 }, "duration must be positive and finite"},
-		{"NaN duration", func(sc *DynamicScenario) { sc.Duration = nan }, "duration must be positive and finite"},
-		{"infinite duration", func(sc *DynamicScenario) { sc.Duration = inf }, "duration must be positive and finite"},
-		{"negative rate", func(sc *DynamicScenario) { sc.Rate = -3 }, "arrival rate must be positive and finite"},
-		{"infinite rate", func(sc *DynamicScenario) { sc.Rate = inf }, "arrival rate must be positive and finite"},
-		{"negative churn", func(sc *DynamicScenario) { sc.ChurnRate = -1 }, "churn rate must be non-negative and finite"},
-		{"NaN churn", func(sc *DynamicScenario) { sc.ChurnRate = nan }, "churn rate must be non-negative and finite"},
-		{"infinite churn", func(sc *DynamicScenario) { sc.ChurnRate = inf }, "churn rate must be non-negative and finite"},
-		{"negative rebalance", func(sc *DynamicScenario) { sc.RebalanceRate = -1 }, "rebalance rate must be non-negative and finite"},
-		{"NaN rebalance", func(sc *DynamicScenario) { sc.RebalanceRate = nan }, "rebalance rate must be non-negative and finite"},
-		{"infinite rebalance", func(sc *DynamicScenario) { sc.RebalanceRate = inf }, "rebalance rate must be non-negative and finite"},
+		{"churn and rebalance set", func(sc *Scenario) { sc.ChurnRate, sc.RebalanceRate = 0.5, 0.5 }, ""},
+		{"zero duration", func(sc *Scenario) { sc.Duration = 0 }, "duration must be positive and finite"},
+		{"NaN duration", func(sc *Scenario) { sc.Duration = nan }, "duration must be positive and finite"},
+		{"infinite duration", func(sc *Scenario) { sc.Duration = inf }, "duration must be positive and finite"},
+		{"negative rate", func(sc *Scenario) { sc.Rate = -3 }, "arrival rate must be positive and finite"},
+		{"infinite rate", func(sc *Scenario) { sc.Rate = inf }, "arrival rate must be positive and finite"},
+		{"negative churn", func(sc *Scenario) { sc.ChurnRate = -1 }, "churn rate must be non-negative and finite"},
+		{"NaN churn", func(sc *Scenario) { sc.ChurnRate = nan }, "churn rate must be non-negative and finite"},
+		{"infinite churn", func(sc *Scenario) { sc.ChurnRate = inf }, "churn rate must be non-negative and finite"},
+		{"negative rebalance", func(sc *Scenario) { sc.RebalanceRate = -1 }, "rebalance rate must be non-negative and finite"},
+		{"NaN rebalance", func(sc *Scenario) { sc.RebalanceRate = nan }, "rebalance rate must be non-negative and finite"},
+		{"infinite rebalance", func(sc *Scenario) { sc.RebalanceRate = inf }, "rebalance rate must be non-negative and finite"},
+		{"diurnal swing 3", func(sc *Scenario) { sc.Arrival, sc.Peak = ArrivalDiurnal, 3 }, "swing in [0, 1), got 3"},
+		{"diurnal swing 1", func(sc *Scenario) { sc.Arrival, sc.Peak = ArrivalDiurnal, 1 }, "swing in [0, 1), got 1"},
+		{"diurnal swing 0.95", func(sc *Scenario) { sc.Arrival, sc.Peak = ArrivalDiurnal, 0.95 }, ""},
+		{"unknown fixture", func(sc *Scenario) { sc.Fixture = "dumbbell" }, `unknown fixture "dumbbell"`},
+		{"barbell replay", func(sc *Scenario) { sc.Fixture, sc.Arrival, sc.Txns = FixtureBarbell, ArrivalReplay, 10 }, "needs a timed arrival"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc, err := NamedDynamicScenario("steady", KindRipple, 40)
+			sc, err := NamedScenario("steady", KindRipple, 40)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
 			tc.mut(&sc)
-			_, err = RunDynamicScenario(sc)
+			_, err = Run(sc)
 			switch {
 			case tc.want == "" && err != nil:
 				t.Errorf("rejected a valid scenario: %v", err)
@@ -190,8 +197,8 @@ func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 	}
 }
 
-// TestCellRejectsNonsense pins the checks a static cell and a dynamic
-// scenario share (checkCell) and the static cell's own: every row used
+// TestCellRejectsNonsense pins the checks every scenario shares, on a
+// replay and on a timed arrival, and the replay's own: every row used
 // to run as something other than what it said — unscaled for a NaN or
 // negative scale, all mice for a NaN or 200% mice fraction, once for
 // negative runs, without retries for negative retries, and on the
@@ -224,29 +231,29 @@ func TestCellRejectsNonsense(t *testing.T) {
 			sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}
 			sc.TestbedCapLo, sc.TestbedCapHi = 1000, 1500
 			tc.mut(&sc)
-			if _, err := RunScenario(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
 	dynamic := []struct {
 		name string
-		mut  func(*DynamicScenario)
+		mut  func(*Scenario)
 		want string
 	}{
-		{"NaN scale", func(sc *DynamicScenario) { sc.ScaleFactor = nan }, "scale factor must be non-negative and finite"},
-		{"NaN mice", func(sc *DynamicScenario) { sc.MiceFraction = nan }, "mice fraction must lie in [0, 1]"},
-		{"negative retries", func(sc *DynamicScenario) { sc.Retries = -3 }, "retries must be non-negative"},
+		{"NaN scale", func(sc *Scenario) { sc.ScaleFactor = nan }, "scale factor must be non-negative and finite"},
+		{"NaN mice", func(sc *Scenario) { sc.MiceFraction = nan }, "mice fraction must lie in [0, 1]"},
+		{"negative retries", func(sc *Scenario) { sc.Retries = -3 }, "retries must be non-negative"},
 	}
 	for _, tc := range dynamic {
 		t.Run("dynamic/"+tc.name, func(t *testing.T) {
-			sc, err := NamedDynamicScenario("steady", KindRipple, 40)
+			sc, err := NamedScenario("steady", KindRipple, 40)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sc.Duration, sc.Rate, sc.Schemes = 2, 5, []string{SchemeShortestPath}
 			tc.mut(&sc)
-			if _, err := RunDynamicScenario(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want one containing %q", err, tc.want)
 			}
 		})
@@ -266,7 +273,7 @@ func TestCellAcceptsEdges(t *testing.T) {
 		sc := DefaultScenario(KindTestbed, 20)
 		sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}
 		mut(&sc)
-		if _, err := RunScenario(sc); err != nil {
+		if _, err := Run(sc); err != nil {
 			t.Errorf("rejected %+v: %v", sc, err)
 		}
 	}
