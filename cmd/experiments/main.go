@@ -11,7 +11,7 @@
 // Every figure runs at the paper's scale. On two vCPUs the simulated
 // figures (3–11, the headline, the ablations, dynamic and latency)
 // take about 30 s together, and the TCP testbed figures 12 and 13
-// about 70 s and 95 s.
+// about 26 s and 30 s.
 //
 // -telemetry ADDR serves Go runtime metrics and /debug/pprof/ while
 // the figures run — useful for profiling a regeneration.

@@ -266,6 +266,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		s.dyn = p.dyn
 	}
+	if dynamic && s.dyn.Arrival == sim.ArrivalReplay {
+		fmt.Fprintf(stderr, "flashsim: -arrival %s is the static mode; dynamic mode takes %s, %s or %s\n",
+			sim.ArrivalReplay, sim.ArrivalPoisson, sim.ArrivalFlashCrowd, sim.ArrivalDiurnal)
+		return 2
+	}
 
 	sink, closeSink, err := openFlowSink(s.flows, stdout)
 	if err != nil {

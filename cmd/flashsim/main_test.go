@@ -48,6 +48,7 @@ func goldenCases() []goldenCase {
 		{"json", []string{"-scenario", "latency-slo", "-nodes", "60", "-duration", "10", "-schemes", "Flash,Spider", "-json"}},
 		{"flows", []string{"-dynamic", "-nodes", "40", "-duration", "4", "-rate", "4", "-schemes", "Flash", "-flows", "-"}},
 		{"exit-static-json", []string{"-nodes", "40", "-txns", "10", "-json"}},
+		{"exit-dynamic-replay", []string{"-dynamic", "-arrival", "replay", "-nodes", "40"}},
 		{"exit-unknown-scenario", []string{"-scenario", "bogus"}},
 		{"exit-static-mice", []string{"-kind", "ripple", "-nodes", "60", "-txns", "100", "-runs", "1", "-mice", "2"}},
 		{"exit-bad-control", []string{"-dynamic", "-nodes", "40", "-duration", "4", "-control", "bogus"}},

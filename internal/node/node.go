@@ -64,9 +64,12 @@ type Node struct {
 	chans map[topo.NodeID]*channelState
 	peers map[topo.NodeID]string
 
-	connMu   sync.Mutex
-	conns    map[topo.NodeID]*peerConn
-	accepted map[net.Conn]struct{}
+	// connMu guards conns, the connection per peer that carries this
+	// node's writes to it, and open, every connection with a read loop,
+	// adopted or not.
+	connMu sync.Mutex
+	conns  map[topo.NodeID]*peerConn
+	open   map[*peerConn]struct{}
 
 	// pendingMu guards pending, the call slots awaiting a reply by
 	// TransID, and idle, the slots no round trip is using.
@@ -81,13 +84,22 @@ type Node struct {
 	msgsSent atomic.Int64
 }
 
-// peerConn serialises writes to one TCP connection. buf is the encode
-// buffer every frame written to conn is built in, guarded by mu.
+// peerConn is one TCP connection to a channel peer, used in both
+// directions. peer is -1 on an accepted connection until its hello has
+// named the dialer (register sets it, under connMu). mu serialises writes,
+// and buf is the encode buffer every frame written to conn is built in,
+// guarded by mu.
 type peerConn struct {
-	mu   sync.Mutex
+	peer topo.NodeID
 	conn net.Conn
+	mu   sync.Mutex
 	buf  []byte
 }
+
+// testHookRegister, when set, runs just before a connection whose peer
+// is known is registered: dialed ones after their hello is written,
+// accepted ones after their hello is read.
+var testHookRegister func(n *Node, peer topo.NodeID, dialed bool)
 
 // ErrTimeout is returned when a protocol reply does not arrive within
 // the configured timeout.
@@ -116,15 +128,15 @@ func New(cfg Config) (*Node, error) {
 		timeout = 5 * time.Second
 	}
 	n := &Node{
-		id:       cfg.ID,
-		graph:    cfg.Graph,
-		timeout:  timeout,
-		chans:    make(map[topo.NodeID]*channelState),
-		peers:    make(map[topo.NodeID]string),
-		conns:    make(map[topo.NodeID]*peerConn),
-		pending:  make(map[uint64]*call),
-		accepted: make(map[net.Conn]struct{}),
-		ln:       ln,
+		id:      cfg.ID,
+		graph:   cfg.Graph,
+		timeout: timeout,
+		chans:   make(map[topo.NodeID]*channelState),
+		peers:   make(map[topo.NodeID]string),
+		conns:   make(map[topo.NodeID]*peerConn),
+		open:    make(map[*peerConn]struct{}),
+		pending: make(map[uint64]*call),
+		ln:      ln,
 	}
 	// Globally unique transaction IDs: node ID in the top bits.
 	n.transID.Store(uint64(cfg.ID+1) << 40)
@@ -189,18 +201,26 @@ func (n *Node) Close() error {
 	}
 	err := n.ln.Close()
 	n.connMu.Lock()
-	for _, pc := range n.conns {
+	for pc := range n.open {
 		pc.conn.Close()
 	}
-	n.conns = make(map[topo.NodeID]*peerConn)
-	for conn := range n.accepted {
-		conn.Close()
-	}
-	n.accepted = make(map[net.Conn]struct{})
 	n.connMu.Unlock()
 	n.wg.Wait()
 	return err
 }
+
+// Channels and their connections.
+//
+// A channel's two nodes share one TCP connection, written in both
+// directions: every reply retraces its request's hops, so the reply
+// frame carries the transport's acknowledgement of the request. Whoever
+// first needs to send dials, lazily, and opens the connection with a
+// hello naming itself. The first connection registered for a peer,
+// dialed or accepted, carries this node's writes to it. When both
+// nodes dial at once, each may adopt a different one, so a connection
+// that loses the race is kept open and read, never closed: the peer
+// may be writing on it. A connection leaves conns when its read loop
+// ends, so the next send redials.
 
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
@@ -209,25 +229,76 @@ func (n *Node) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		n.connMu.Lock()
-		n.accepted[conn] = struct{}{}
-		n.connMu.Unlock()
-		n.wg.Add(1)
-		go n.readLoop(conn)
+		pc := &peerConn{peer: -1, conn: conn}
+		if !n.track(pc) {
+			return
+		}
+		go n.readLoop(pc)
 	}
 }
 
-// readLoop decodes every frame from one connection into the same Message
-// (safe under dispatch's ownership rule) and dispatches it.
-func (n *Node) readLoop(conn net.Conn) {
+// track adds pc to open, accounting its read loop in wg, unless the
+// node is closed, in which case it closes pc's connection. Close sets
+// closed before it sweeps open, so a connection tracked after the sweep
+// cannot exist.
+func (n *Node) track(pc *peerConn) bool {
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	if n.closed.Load() {
+		pc.conn.Close()
+		return false
+	}
+	n.open[pc] = struct{}{}
+	n.wg.Add(1)
+	return true
+}
+
+// register records that pc's peer is known and returns the connection
+// that carries this node's writes to that peer: the one already there,
+// or pc if it is the first.
+func (n *Node) register(pc *peerConn, peer topo.NodeID, dialed bool) *peerConn {
+	if testHookRegister != nil {
+		testHookRegister(n, peer, dialed)
+	}
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	pc.peer = peer
+	w, ok := n.conns[peer]
+	if !ok {
+		w = pc
+		n.conns[peer] = pc
+	}
+	return w
+}
+
+// greet reads an accepted connection's hello, within the node's timeout,
+// and registers the connection for the node it names, which must be one
+// of this node's topology neighbours.
+func (n *Node) greet(pc *peerConn) bool {
+	if pc.conn.SetReadDeadline(time.Now().Add(n.timeout)) != nil {
+		return false
+	}
+	peer, err := wire.ReadHello(pc.conn)
+	if err != nil || peer < 0 || int(peer) >= n.graph.NumNodes() || peer == n.id || !n.graph.HasChannel(n.id, peer) {
+		return false
+	}
+	if pc.conn.SetReadDeadline(time.Time{}) != nil {
+		return false
+	}
+	n.register(pc, peer, false)
+	return true
+}
+
+// readLoop serves one connection until it fails or closes: an accepted
+// one's hello first, then every frame, decoded into the same Message
+// (safe under dispatch's ownership rule) and dispatched.
+func (n *Node) readLoop(pc *peerConn) {
 	defer n.wg.Done()
-	defer func() {
-		conn.Close()
-		n.connMu.Lock()
-		delete(n.accepted, conn)
-		n.connMu.Unlock()
-	}()
-	frames := wire.NewReader(conn)
+	defer n.drop(pc)
+	if pc.peer < 0 && !n.greet(pc) {
+		return
+	}
+	frames := wire.NewReader(pc.conn)
 	var msg wire.Message
 	for {
 		if err := frames.ReadMessage(&msg); err != nil {
@@ -237,8 +308,19 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
-// send delivers msg to peer, dialing (and caching) a connection on
-// demand. Messages to self dispatch directly.
+// drop closes a connection whose read loop has ended and forgets it.
+func (n *Node) drop(pc *peerConn) {
+	pc.conn.Close()
+	n.connMu.Lock()
+	defer n.connMu.Unlock()
+	delete(n.open, pc)
+	if pc.peer >= 0 && n.conns[pc.peer] == pc {
+		delete(n.conns, pc.peer)
+	}
+}
+
+// send delivers msg to peer over the channel's connection, dialing one
+// on demand. Messages to self dispatch directly.
 func (n *Node) send(to topo.NodeID, msg *wire.Message) error {
 	if n.closed.Load() {
 		return errors.New("node: closed")
@@ -251,13 +333,20 @@ func (n *Node) send(to topo.NodeID, msg *wire.Message) error {
 	if err != nil {
 		return err
 	}
+	return n.write(to, pc, msg)
+}
+
+// write frames msg onto pc, the connection to peer to.
+func (n *Node) write(to topo.NodeID, pc *peerConn, msg *wire.Message) error {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	var err error
 	if pc.buf, err = wire.AppendFrame(pc.buf[:0], msg); err != nil {
 		return err
 	}
 	if _, err := pc.conn.Write(pc.buf); err != nil {
-		// Drop the broken connection so the next send redials.
+		// Drop the broken connection so the next send redials; its read
+		// loop ends on the close.
 		n.connMu.Lock()
 		if n.conns[to] == pc {
 			delete(n.conns, to)
@@ -271,16 +360,19 @@ func (n *Node) send(to topo.NodeID, msg *wire.Message) error {
 }
 
 // MessagesSent returns the cumulative number of wire messages this node
-// has written to peers in full — the daemon's telemetry gauge.
+// has written to peers in full — the daemon's telemetry gauge. Hellos
+// are not messages.
 func (n *Node) MessagesSent() int64 { return n.msgsSent.Load() }
 
+// connTo returns the connection that carries writes to peer to, dialing
+// it if there is none.
 func (n *Node) connTo(to topo.NodeID) (*peerConn, error) {
 	n.connMu.Lock()
-	if pc, ok := n.conns[to]; ok {
-		n.connMu.Unlock()
+	pc, ok := n.conns[to]
+	n.connMu.Unlock()
+	if ok {
 		return pc, nil
 	}
-	n.connMu.Unlock()
 
 	n.mu.Lock()
 	addr, ok := n.peers[to]
@@ -292,16 +384,17 @@ func (n *Node) connTo(to topo.NodeID) (*peerConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node %d: dial %d: %w", n.id, to, err)
 	}
-	pc := &peerConn{conn: conn}
-	n.connMu.Lock()
-	if existing, ok := n.conns[to]; ok {
-		n.connMu.Unlock()
+	pc = &peerConn{peer: to, conn: conn, buf: wire.AppendHello(nil, n.id)}
+	if _, err := conn.Write(pc.buf); err != nil {
 		conn.Close()
-		return existing, nil
+		return nil, fmt.Errorf("node %d: hello to %d: %w", n.id, to, err)
 	}
-	n.conns[to] = pc
-	n.connMu.Unlock()
-	return pc, nil
+	if !n.track(pc) {
+		return nil, errors.New("node: closed")
+	}
+	w := n.register(pc, to, true)
+	go n.readLoop(pc)
+	return w, nil
 }
 
 // forward advances msg one hop along its path. send is synchronous, so

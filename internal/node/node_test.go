@@ -26,10 +26,17 @@ func startLine(t *testing.T, bal float64) []*Node {
 
 func startCluster(t *testing.T, g *topo.Graph, bal float64) []*Node {
 	t.Helper()
+	return startClusterTimeout(t, g, bal, 3*time.Second)
+}
+
+// startClusterTimeout boots one node per vertex of g, each with the
+// given reply timeout, every channel funded with bal per direction.
+func startClusterTimeout(t *testing.T, g *topo.Graph, bal float64, timeout time.Duration) []*Node {
+	t.Helper()
 	nodes := make([]*Node, g.NumNodes())
 	registry := make(map[topo.NodeID]string)
 	for i := range nodes {
-		n, err := New(Config{ID: topo.NodeID(i), Graph: g, Timeout: 3 * time.Second})
+		n, err := New(Config{ID: topo.NodeID(i), Graph: g, Timeout: timeout})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,11 +453,13 @@ func TestMessagesSentCountsWrittenFrames(t *testing.T) {
 	if got := nodes[0].MessagesSent(); got != 1 {
 		t.Fatalf("after one probe, sender sent %d frames, want 1", got)
 	}
-	// Break the sender's cached connection under it: the next write fails.
+	// Break the sender's connection under it: the write on it fails.
+	// (send would redial once the connection's read loop has dropped it.)
 	nodes[0].connMu.Lock()
-	nodes[0].conns[1].conn.Close()
+	pc := nodes[0].conns[1]
 	nodes[0].connMu.Unlock()
-	if err := nodes[0].send(1, &wire.Message{Type: wire.TypeProbe, Path: []topo.NodeID{0, 1}, Pos: 1}); err == nil {
+	pc.conn.Close()
+	if err := nodes[0].write(1, pc, &wire.Message{Type: wire.TypeProbe, Path: []topo.NodeID{0, 1}, Pos: 1}); err == nil {
 		t.Fatal("write to a closed connection succeeded")
 	}
 	if got := nodes[0].MessagesSent(); got != 1 {
@@ -606,7 +615,7 @@ func TestRelayDropsBadCommitFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write(frame); err != nil {
+		if _, err := conn.Write(append(wire.AppendHello(nil, 0), frame...)); err != nil {
 			t.Fatal(err)
 		}
 		// The node closes a connection once a frame fails to decode, so

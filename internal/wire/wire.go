@@ -5,7 +5,8 @@
 // payment, a message type, the complete source-routed path, the probed
 // capacity information accumulated along the path, and the committed
 // amount of funds. Messages are exchanged as length-prefixed binary
-// frames in big-endian byte order.
+// frames in big-endian byte order, after a hello in which the dialing
+// node names itself (AppendHello).
 //
 // Beyond Table 1 the format carries two reproduction-motivated
 // extensions: the reverse-direction
@@ -104,6 +105,34 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameSize")
 	ErrMalformed     = errors.New("wire: malformed message")
 )
+
+// helloLen is the size of a hello: helloMagic, then the dialing node's
+// ID as a big-endian uint32.
+const helloLen = 8
+
+var helloMagic = [4]byte{'F', 'L', 'S', 'H'}
+
+// AppendHello appends the hello a dialer writes first on a new
+// connection, naming itself so the acceptor can write on the same
+// connection. A hello is not a frame and carries no message.
+func AppendHello(buf []byte, id topo.NodeID) []byte {
+	buf = append(buf, helloMagic[:]...)
+	return binary.BigEndian.AppendUint32(buf, uint32(id))
+}
+
+// ReadHello reads exactly one hello from r and returns the node it
+// names. A hello with the wrong magic is ErrMalformed; a stream that
+// ends inside it is io.ErrUnexpectedEOF.
+func ReadHello(r io.Reader) (topo.NodeID, error) {
+	var b [helloLen]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return 0, err
+	}
+	if [4]byte(b[:4]) != helloMagic {
+		return 0, fmt.Errorf("%w: bad hello %x", ErrMalformed, b)
+	}
+	return topo.NodeID(binary.BigEndian.Uint32(b[4:])), nil
+}
 
 // Next returns the node the message visits after the current one, or -1
 // at the end of the path.

@@ -107,6 +107,39 @@ func TestReadWriteStream(t *testing.T) {
 }
 
 // A stream that ends inside a frame is not a clean EOF.
+// A hello names its node and is read exactly, leaving the frames that
+// follow it on the stream; a wrong magic or a short stream is an error.
+func TestHello(t *testing.T) {
+	var stream bytes.Buffer
+	frame, err := Encode(sampleMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream.Write(AppendHello(nil, 1234))
+	stream.Write(frame)
+	id, err := ReadHello(&stream)
+	if err != nil || id != 1234 {
+		t.Fatalf("ReadHello = %d, %v; want 1234", id, err)
+	}
+	if !bytes.Equal(stream.Bytes(), frame) {
+		t.Error("ReadHello consumed bytes past the hello")
+	}
+	hello := AppendHello(nil, 7)
+	if len(hello) != helloLen {
+		t.Errorf("hello is %d bytes, want %d", len(hello), helloLen)
+	}
+	bad := append([]byte("HTTP"), hello[4:]...)
+	if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrMalformed) {
+		t.Errorf("wrong magic: %v, want ErrMalformed", err)
+	}
+	if _, err := ReadHello(bytes.NewReader(hello[:5])); err != io.ErrUnexpectedEOF {
+		t.Errorf("truncated hello: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if _, err := ReadHello(bytes.NewReader(nil)); err != io.EOF {
+		t.Errorf("no hello: %v, want io.EOF", err)
+	}
+}
+
 func TestReadMessageTruncatedStream(t *testing.T) {
 	frame, _ := Encode(sampleMessage())
 	for cut := 1; cut < len(frame); cut++ {
