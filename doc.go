@@ -28,7 +28,7 @@
 //	internal/event     deterministic discrete-event core: virtual
 //	                   clock, event queue (the schedule known before
 //	                   the clock starts as a sorted run, later events
-//	                   in a typed heap), applied-event log
+//	                   in a heap of keys), applied-event log
 //	internal/sim       simulation engine (static replay + dynamic
 //	                   discrete-event runs) and experiment scenarios
 //	internal/wire      the prototype's wire format (paper Table 1)

@@ -20,18 +20,32 @@
 // events scheduled before the first Pop or Peek (a run's churn
 // schedule, known before the clock starts) are sorted once into a run
 // read by a cursor, and everything scheduled later goes into a small
-// typed binary heap; Pop takes the earlier of the two heads. Seq is
-// unique, so the order is strict and the pop sequence does not depend
-// on how the events are stored. The queue holds no maps and consults
-// no global state, so iteration order can never leak in. The Log
-// records every applied event and exposes a fingerprint — FNV-1a over
-// seven fields of each event, folded as 64-bit words — that tests
-// compare across runs to pin determinism.
+// binary heap; Pop takes the earlier of the two heads. Seq is unique,
+// so the order is strict and the pop sequence does not depend on how
+// the events are stored. The queue holds no maps and consults no
+// global state, so iteration order can never leak in.
+//
+// The heap orders 24-byte keys, not events: a key is the time mapped
+// to a word whose unsigned order is the float order (−0 and +0 are
+// one instant), Seq, and the slot that holds the event until it is
+// popped. Two keys compare as one 128-bit number through a borrow
+// chain, without a branch. A NaN time has no place in the order, so
+// Schedule panics on it, as Clock.AdvanceTo does on time that moves
+// backwards.
+//
+// The Log records every applied event and exposes a fingerprint —
+// FNV-1a over seven fields of each event, folded as 64-bit
+// little-endian words — that tests compare across runs to pin
+// determinism. A word's zero high bytes are folded at once, as one
+// multiply by a power of the prime, which gives the byte-serial
+// fold's value bit for bit.
 package event
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/topo"
@@ -153,12 +167,31 @@ func (e Event) String() string {
 	}
 }
 
-// before is the queue's total order: time, then scheduling sequence.
-func (e Event) before(o Event) bool {
-	if e.Time != o.Time {
-		return e.Time < o.Time
-	}
-	return e.Seq < o.Seq
+// key is an event's place in the queue's (Time, Seq) order and the
+// slot that holds its payload. t and seq compare as one 128-bit number
+// with t the high word, so a key is 24 bytes where an Event is 56.
+type key struct {
+	t, seq uint64
+	slot   int
+}
+
+// orderBits maps a time to a word whose unsigned order is the float
+// order: a non-negative time gains the sign bit and a negative one is
+// negated, so −0 and +0 both map to 1<<63. NaN has no place in the
+// order, and Schedule rejects it.
+func orderBits(t float64) uint64 {
+	b := math.Float64bits(t)
+	neg := uint64(int64(b) >> 63) // all ones for a negative time
+	return (b ^ neg) - neg + (^neg & (1 << 63))
+}
+
+// less is 1 if a precedes b and 0 otherwise: the borrow out of the
+// 128-bit subtraction a − b. It has no branch, so the heap's child
+// comparisons, which no predictor can guess, cost no mispredictions.
+func less(a, b key) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.t, b.t, borrow)
+	return borrow
 }
 
 // Queue is a priority queue of events ordered by (Time, Seq). The
@@ -170,12 +203,16 @@ func (e Event) before(o Event) bool {
 // A simulation schedules its whole churn schedule up front (15,000
 // events on a busy run) but keeps only a few hundred events of its own
 // pending, so the heap stays small and never sifts through the
-// schedule.
+// schedule. The heap moves keys; each payload stays in its slot until
+// it is popped. Every slot is either named by a key in heap or free,
+// and the free ones are kept, last freed first, in the keys' spare
+// capacity: heap[len(heap):len(slots)].
 type Queue struct {
 	run     []Event // sorted once on the first Pop/Peek; run[next:] pending
 	next    int
 	started bool    // a Pop or Peek has happened: Schedule feeds heap
-	heap    []Event // binary min-heap of events scheduled after the start
+	heap    []key   // binary min-heap of the events scheduled after the start
+	slots   []Event // the heap's payloads, by key.slot
 	seq     uint64
 }
 
@@ -184,8 +221,12 @@ func NewQueue() *Queue { return &Queue{} }
 
 // Schedule stamps e with the next sequence number, pushes it, and
 // returns the stamped event. Events may be scheduled in any time
-// order; Pop yields them in (Time, Seq) order.
+// order; Pop yields them in (Time, Seq) order. A NaN time has no
+// place in that order and panics.
 func (q *Queue) Schedule(e Event) Event {
+	if math.IsNaN(e.Time) {
+		panic(fmt.Sprintf("event: %v scheduled at NaN time", e.Kind))
+	}
 	e.Seq = q.seq
 	q.seq++
 	if !q.started {
@@ -210,7 +251,7 @@ func (q *Queue) Pop() (Event, bool) {
 		}
 		return e, true
 	}
-	return q.pop(), true
+	return q.slots[q.pop()], true
 }
 
 // Peek returns the earliest event without removing it.
@@ -222,7 +263,7 @@ func (q *Queue) Peek() (Event, bool) {
 	case fromRun:
 		return q.run[q.next], true
 	default:
-		return q.heap[0], true
+		return q.slots[q.heap[0].slot], true
 	}
 }
 
@@ -235,67 +276,78 @@ func (q *Queue) head() (fromRun, ok bool) {
 	if !q.started {
 		q.started = true
 		slices.SortFunc(q.run, func(a, b Event) int {
-			switch {
-			case a.before(b):
-				return -1
-			case b.before(a):
-				return 1
-			}
-			return 0
+			return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Seq, b.Seq))
 		})
 	}
 	inRun := q.next < len(q.run)
-	if len(q.heap) == 0 {
-		return inRun, inRun
+	if len(q.heap) == 0 || !inRun {
+		return inRun, inRun || len(q.heap) > 0
 	}
-	return inRun && q.run[q.next].before(q.heap[0]), true
+	r := q.run[q.next]
+	return less(key{t: orderBits(r.Time), seq: r.Seq}, q.heap[0]) == 1, true
 }
 
-// push adds e to the heap, moving the hole up from the new leaf
-// instead of swapping at every level.
+// push stores e in a free slot, or a new one, and adds its key to the
+// heap, moving the hole up from the new leaf instead of swapping at
+// every level.
 func (q *Queue) push(e Event) {
-	q.heap = append(q.heap, e)
+	n := len(q.heap)
+	if n == len(q.slots) {
+		if n == cap(q.slots) { // both arrays grow in one step, from 64 events
+			q.slots = slices.Grow(q.slots, max(n, 64))
+			q.heap = slices.Grow(q.heap, cap(q.slots)-n)
+		}
+		q.slots = append(q.slots, e)
+		q.heap = append(q.heap, key{slot: n})
+	} else {
+		q.heap = q.heap[:n+1] // heap[n] names the last freed slot
+		q.slots[q.heap[n].slot] = e
+	}
 	h := q.heap
-	i := len(h) - 1
+	k := key{orderBits(e.Time), e.Seq, h[n].slot}
+	i := n
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.before(h[p]) {
+		if less(k, h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = e
+	h[i] = k
 }
 
-// pop removes the heap's top: the last leaf is sifted down from the
-// root by moving the hole towards the smaller child.
-func (q *Queue) pop() Event {
+// pop removes the heap's top, frees its slot and returns it; the
+// payload stays there until the next push. The hole left at the root
+// moves down to a leaf towards the smaller child, picked without a
+// branch, and the last leaf is sifted up from there: it belongs near
+// the bottom, so this takes about half the comparisons of sifting it
+// down from the root.
+func (q *Queue) pop() int {
 	h := q.heap
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h = h[:n]
-	q.heap = h
 	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(last) {
-			break
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n {
+			c += int(less(h[c+1], h[c]))
 		}
 		h[i] = h[c]
 		i = c
 	}
-	if n > 0 {
-		h[i] = last
+	for i > 0 {
+		p := (i - 1) / 2
+		if less(last, h[p]) == 0 {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return top
+	h[i] = last
+	h[n].slot = top.slot // the spare key past the heap keeps the free slot
+	q.heap = h[:n]
+	return top.slot
 }
 
 // Clock is the virtual clock: it only moves forward, driven by the
@@ -388,13 +440,27 @@ func (h Hash) Add(e Event) Hash {
 	return Hash(v)
 }
 
-// fnvWord folds one 64-bit word into an FNV-1a state, byte by byte.
+// fnvWord folds one little-endian 64-bit word into an FNV-1a state.
+// Folding a zero byte only multiplies by the prime, so the word's zero
+// high bytes are folded at once, as one multiply by a power of it; the
+// result is the byte-serial fold's, bit for bit.
 func fnvWord(h, w uint64) uint64 {
-	const prime64 = 1099511628211
-	for i := 0; i < 8; i++ {
+	zeros := 8
+	for ; w != 0; w >>= 8 {
 		h ^= w & 0xFF
-		h *= prime64
-		w >>= 8
+		h *= fnvPrime
+		zeros--
 	}
-	return h
+	return h * fnvPrimePow[zeros]
 }
+
+const fnvPrime = 1099511628211
+
+// fnvPrimePow[k] is fnvPrime to the k, modulo 2^64.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/topo"
 )
 
 func TestQueueOrdersByTimeThenSeq(t *testing.T) {
@@ -169,34 +171,128 @@ func TestKindCodesPinned(t *testing.T) {
 	}
 }
 
-// TestQueueSteadyStateAllocs pins the typed heap at zero allocations per
-// Schedule+Pop once its backing array has grown: no event is boxed into
-// an interface on the way in or out.
+// TestQueueSteadyStateAllocs pins the queue at zero allocations per
+// Schedule+Pop once its arrays have grown: no event is boxed into an
+// interface on the way in or out, and a popped event's slot is reused.
+// 150 pending events is engine-churn's depth.
 func TestQueueSteadyStateAllocs(t *testing.T) {
-	var q Queue
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 64; i++ {
-		q.Schedule(Event{Time: rng.Float64()})
+	for _, pending := range []int{64, 150} {
+		var q Queue
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < pending; i++ {
+			q.Schedule(Event{Time: rng.Float64()})
+		}
+		step := func() {
+			e, _ := q.Pop()
+			e.Time += rng.ExpFloat64()
+			q.Schedule(e)
+		}
+		for i := 0; i < 1000; i++ { // drain the run into the heap
+			step()
+		}
+		if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+			t.Errorf("%d pending: Schedule+Pop allocates %v/op in steady state, want 0", pending, avg)
+		}
+		if q.Len() != pending {
+			t.Errorf("%d pending: Len = %d after steady state", pending, q.Len())
+		}
 	}
-	step := func() {
-		e, _ := q.Pop()
-		e.Time += rng.ExpFloat64()
-		q.Schedule(e)
+}
+
+// TestScheduleNaNPanics: a NaN time has no place in the (Time, Seq)
+// order, before the first Pop and after it.
+func TestScheduleNaNPanics(t *testing.T) {
+	for _, started := range []bool{false, true} {
+		func() {
+			var q Queue
+			if started {
+				q.Schedule(Event{Time: 1})
+				q.Pop()
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("started=%v: Schedule at NaN did not panic", started)
+				}
+			}()
+			q.Schedule(Event{Time: math.NaN()})
+		}()
 	}
-	for i := 0; i < 1000; i++ { // drain the run into the heap
-		step()
+}
+
+// byteSerialFNV is the fold fnvWord replaced: FNV-1a over the word's
+// eight little-endian bytes, one at a time.
+func byteSerialFNV(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= w & 0xFF
+		h *= fnvPrime
+		w >>= 8
 	}
-	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
-		t.Fatalf("Schedule+Pop allocates %v/op in steady state, want 0", avg)
+	return h
+}
+
+// TestFnvWordIsByteSerial checks the significant-byte fold against the
+// byte-serial one on words of every significant length 0–8, with and
+// without zero bytes inside the significant span.
+func TestFnvWordIsByteSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 8; n++ {
+		words := []uint64{}
+		if n > 0 {
+			top := uint64(1) << (8*n - 8) // the lowest word with n significant bytes
+			words = append(words, top, top|1, top*0xFF, top<<7|top-1)
+			for i := 0; i < 50; i++ {
+				w := rng.Uint64()>>(64-8*n) | top
+				words = append(words, w, w&^(0xFF<<(8*uint(rng.Intn(n))))|top) // one inner byte zeroed
+			}
+		} else {
+			words = append(words, 0)
+		}
+		for _, w := range words {
+			for _, h := range []uint64{uint64(NewHash()), 0, rng.Uint64()} {
+				if got, want := fnvWord(h, w), byteSerialFNV(h, w); got != want {
+					t.Fatalf("fnvWord(%#x, %#x) = %#x, byte-serial fold %#x", h, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzHashAdd checks Hash.Add on arbitrary events against hash/fnv
+// over the seven words, from the offset basis and from the state one
+// event leaves.
+func FuzzHashAdd(f *testing.F) {
+	f.Add(0.25, uint64(0), uint8(PaymentArrival), int64(3), 0, int32(0), int32(0), 0.0)
+	f.Add(1e9, uint64(1)<<40, uint8(ControlUpdate), int64(-7), -1, int32(1)<<20, int32(99), -0.125)
+	f.Add(math.Copysign(0, -1), uint64(255), uint8(ChannelOpen), int64(256), 1, int32(-1), int32(65536), math.Inf(1))
+	f.Fuzz(func(t *testing.T, at float64, seq uint64, kind uint8, id int64, attempt int, a, b int32, amount float64) {
+		e := Event{Time: at, Seq: seq, Kind: Kind(kind), ID: id, Attempt: attempt, A: topo.NodeID(a), B: topo.NodeID(b), Amount: amount}
+		ref := fnv.New64a()
+		for range 2 {
+			for _, w := range eventWords(e) {
+				ref.Write(binary.LittleEndian.AppendUint64(nil, w))
+			}
+		}
+		if got, want := uint64(NewHash().Add(e).Add(e)), ref.Sum64(); got != want {
+			t.Errorf("Hash.Add twice on %+v = %#016x, hash/fnv over the words = %#016x", e, got, want)
+		}
+	})
+}
+
+// eventWords is the fingerprint's encoding of one event: Time and
+// Amount as IEEE bits, Seq, Kind, ID, Attempt sign-extended, and A in
+// the high half of one word with B in the low half.
+func eventWords(e Event) [7]uint64 {
+	return [7]uint64{
+		math.Float64bits(e.Time), e.Seq, uint64(e.Kind), uint64(e.ID), uint64(int64(e.Attempt)),
+		uint64(uint32(e.A))<<32 | uint64(uint32(e.B)), math.Float64bits(e.Amount),
 	}
 }
 
 // TestLogFingerprintGolden pins the fingerprint encoding at its own
-// layer: FNV-1a over seven little-endian 64-bit words per event — Time
-// and Amount as IEEE bits, Seq, Kind, ID, Attempt sign-extended, and A
-// in the high half of one word with B in the low half. The sim goldens
-// catch a change to Hash.Add only indirectly; this catches it here, and
-// checks Hash.Add against hash/fnv as an independent reference.
+// layer: FNV-1a over seven little-endian 64-bit words per event
+// (eventWords). The sim goldens catch a change to Hash.Add only
+// indirectly; this catches it here, and checks Hash.Add against
+// hash/fnv as an independent reference.
 func TestLogFingerprintGolden(t *testing.T) {
 	events := []Event{
 		{Time: 0.25, Seq: 0, Kind: PaymentArrival, ID: 3},
@@ -215,21 +311,49 @@ func TestLogFingerprintGolden(t *testing.T) {
 	}
 
 	ref := fnv.New64a()
-	var buf [8]byte
-	word := func(w uint64) {
-		binary.LittleEndian.PutUint64(buf[:], w)
-		ref.Write(buf[:])
-	}
 	for _, e := range events {
-		word(math.Float64bits(e.Time))
-		word(e.Seq)
-		word(uint64(e.Kind))
-		word(uint64(e.ID))
-		word(uint64(int64(e.Attempt)))
-		word(uint64(uint32(e.A))<<32 | uint64(uint32(e.B)))
-		word(math.Float64bits(e.Amount))
+		for _, w := range eventWords(e) {
+			ref.Write(binary.LittleEndian.AppendUint64(nil, w))
+		}
 	}
 	if got, want := l.Fingerprint(), ref.Sum64(); got != want {
 		t.Errorf("Fingerprint = %#016x, hash/fnv over the seven words = %#016x", got, want)
 	}
 }
+
+// BenchmarkQueue times one Pop and the Schedule of its successor at
+// engine-churn's depth (~150 pending events), the engine's steady state.
+func BenchmarkQueue(b *testing.B) {
+	var q Queue
+	rng := rand.New(rand.NewSource(5))
+	gaps := make([]float64, 1024)
+	for i := range gaps {
+		gaps[i] = rng.ExpFloat64()
+	}
+	for i := 0; i < 150; i++ {
+		q.Schedule(Event{Time: rng.Float64()})
+	}
+	for i := 0; i < 1000; i++ { // drain the run into the heap
+		e, _ := q.Pop()
+		e.Time += gaps[i%len(gaps)]
+		q.Schedule(e)
+	}
+	for i := 0; b.Loop(); i++ {
+		e, _ := q.Pop()
+		e.Time += gaps[i%len(gaps)]
+		q.Schedule(e)
+	}
+}
+
+// BenchmarkHashAdd folds one engine-like event into the fingerprint.
+func BenchmarkHashAdd(b *testing.B) {
+	h := NewHash()
+	e := Event{Time: 1234.5678, Seq: 1 << 20, Kind: PaymentComplete, ID: 150000, Attempt: 1}
+	for b.Loop() {
+		h = h.Add(e)
+		e.Seq++
+	}
+	hashSink = h
+}
+
+var hashSink Hash

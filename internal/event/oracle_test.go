@@ -2,6 +2,7 @@ package event
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -38,8 +39,18 @@ func (q *oracleQueue) Peek() (Event, bool) {
 
 type oracleHeap []Event
 
+// floatBefore is the (Time, Seq) order read off the floats themselves,
+// the reference for the queue's integer keys: −0 and +0 are one
+// instant, and ±Inf sit at the ends.
+func floatBefore(a, b Event) bool {
+	if a.Time != b.Time {
+		return a.Time < b.Time
+	}
+	return a.Seq < b.Seq
+}
+
 func (h oracleHeap) Len() int           { return len(h) }
-func (h oracleHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h oracleHeap) Less(i, j int) bool { return floatBefore(h[i], h[j]) }
 func (h oracleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *oracleHeap) Push(x any)        { *h = append(*h, x.(Event)) }
 func (h *oracleHeap) Pop() any {
@@ -49,14 +60,26 @@ func (h *oracleHeap) Pop() any {
 	return x
 }
 
+// instants are the absolute times a batch draws from: ordinary times
+// and the values at which the queue's integer keys could part from
+// the float order — both zeros, the smallest subnormals, the largest
+// finite values and both infinities. Index 3 is 1.5.
+var instants = [16]float64{
+	math.Inf(-1), -math.MaxFloat64, -0.5, 1.5,
+	math.Copysign(0, -1), 0, -math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64,
+	0.5, 1, 2, 2.5, 3.5, 7.5, math.MaxFloat64, math.Inf(1),
+}
+
 // runQueueOps decodes ops from data, applies each to a Queue and to the
 // oracle, and fails on the first difference. One byte picks the op:
 //
-//   - batch: 1–8 events at absolute times on a half-second grid of 16
-//     instants, so ties on Time are common. Batches before the first pop
-//     fill the sorted run; later ones may land before the run's head.
+//   - batch: 1–8 events at instants, so ties on Time are common,
+//     −0 and +0 meet at one instant, and negative and infinite times
+//     occur. Batches before the first pop fill the sorted run; later
+//     ones may land before the run's head.
 //   - one event at the last popped time plus 0–1.75s, ties included —
 //     the engine's own scheduling, usually earlier than the run head.
+//     After −0 it lands at +0.
 //   - Pop.
 //   - Peek.
 //
@@ -85,7 +108,9 @@ func runQueueOps(t *testing.T, data []byte) {
 	pop := func(op string, f func() (Event, bool), g func() (Event, bool)) {
 		got, ok := f()
 		want, wantOK := g()
-		if got != want || ok != wantOK {
+		// == holds between −0 and +0: the bits show a payload whose
+		// time lost its sign.
+		if got != want || math.Float64bits(got.Time) != math.Float64bits(want.Time) || ok != wantOK {
 			t.Fatalf("%s = %+v, %v; oracle %+v, %v", op, got, ok, want, wantOK)
 		}
 		if ok && op == "Pop" {
@@ -98,7 +123,7 @@ func runQueueOps(t *testing.T, data []byte) {
 		case 0:
 			for n := 1 + int(b>>2)%8; n > 0; n-- {
 				tb := next()
-				schedule(float64(tb%16)/2, tb>>4)
+				schedule(instants[tb%16], tb>>4)
 			}
 		case 1:
 			tb := next()
@@ -140,5 +165,8 @@ func FuzzQueue(f *testing.F) {
 	f.Add([]byte{0x0C, 0x03, 0x13, 0x23, 0x33, 2, 0x00, 0x03, 1, 0x00, 2, 3, 2, 2, 2})
 	// Peek before any event, then a late batch after the run drained.
 	f.Add([]byte{3, 2, 0x04, 0x0F, 0x01, 3, 2, 0x08, 0x02, 0x02, 0x00, 3, 2, 2, 2, 2})
+	// −0 and +0 in one batch, a relative event at −0 + 0, both
+	// infinities and the subnormals either side of zero.
+	f.Add([]byte{0x1C, 0x04, 0x05, 0x06, 0x07, 0x00, 0x0F, 0x05, 0x04, 2, 2, 2, 1, 0x00, 2, 3, 2, 2, 2, 2})
 	f.Fuzz(runQueueOps)
 }
