@@ -45,12 +45,15 @@ func (pt *pathTable[P]) SetCaching(on bool) {
 
 // get returns the entry for the pair s→t on g. find computes it on the
 // pair's first payment, or on every payment with caching off. find runs
-// under the table's lock, so it may call keep.
+// under the table's lock, so it may call keep. The lock is released
+// without defer, the warm hit being a static router's whole lookup;
+// find is a path search and does not panic on a frozen graph.
 func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Graph, topo.NodeID, topo.NodeID) P) P {
 	pt.mu.Lock()
-	defer pt.mu.Unlock()
 	if pt.off {
-		return find(g, s, t)
+		p := find(g, s, t)
+		pt.mu.Unlock()
+		return p
 	}
 	if pt.graph != g {
 		pt.graph = g
@@ -62,6 +65,7 @@ func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Gra
 		p = find(g, s, t)
 		pt.entries[key] = p
 	}
+	pt.mu.Unlock()
 	return p
 }
 

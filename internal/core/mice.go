@@ -11,11 +11,13 @@ import (
 	"repro/internal/topo"
 )
 
-// replacementPool is how many Yen paths beyond M are computed on a
-// routing-table miss, to serve as cheap replacements when a cached path
-// dies ("Flash replaces it with the next top shortest path", §3.3).
-// Computing them up front bounds per-payment path-finding work: a
-// replacement is a pop from the pool, never a fresh Yen run.
+// replacementPool is how many Yen paths beyond M an entry's
+// replacement list holds, to serve as replacements when a cached path
+// dies ("Flash replaces it with the next top shortest path", §3.3). A
+// miss computes only the top M paths; replaceDeadPath builds the list
+// lazily, on the entry's first dead path, as one Yen run for M +
+// replacementPool paths that recomputes the first M. Later replacements
+// rotate through the list, never a fresh Yen run.
 const replacementPool = 4
 
 // routingTable is one sender's cache of paths to its recurring

@@ -1,6 +1,7 @@
 package pcn
 
 import (
+	"reflect"
 	"runtime/debug"
 	"testing"
 
@@ -94,6 +95,74 @@ func TestReleaseTxResetsSession(t *testing.T) {
 		t.Fatalf("balance 1→2 %v after the recycled session's commit, want %v", got, before-3)
 	}
 	ReleaseTx(next)
+}
+
+// TestReleaseTxZeroesEveryField checks ReleaseTx's field-wise reset by
+// reflection, so a field added to Tx later fails here until the reset
+// covers it. A session that sets every field it can — a non-zero
+// sender, fees, latency, a deferred commit resumed, every arena grown
+// — is released, and then every field reads zero except the four
+// arenas, which are empty, and the inline arrays of plain values
+// behind them. The inline hold record references hop arrays, so it
+// must read zero too.
+func TestReleaseTxZeroesEveryField(t *testing.T) {
+	n, path := longLineNet(t)
+	for _, e := range n.Graph().Channels() {
+		if err := n.SetFee(e.A, e.B, FeeSchedule{Base: 0.01, Rate: 0.001}); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.SetLatency(e.A, e.B, 0.002); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path = path[1:]
+	tx, err := n.Begin(path[0], path[len(path)-1], 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.DeferCommit()
+	for i := 0; i < 3; i++ {
+		if _, err := tx.Probe(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := tx.Hold(path, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := tx.Resume(); err != nil || !ok {
+		t.Fatalf("Resume = (%v, %v), want (true, nil)", ok, err)
+	}
+	arenas := map[string]bool{"holds": true, "hops": true, "infos": true, "lock": true}
+	stale := map[string]bool{"hopsInline": true, "infosInline": true, "lockInline": true}
+	// Zero before the release too: a suspended session panics and the
+	// span lock is free, by contract; and a recycled session's hold
+	// arena may have left its inline record before this session began.
+	mayBeZero := map[string]bool{"suspended": true, "spanMu": true, "holdsInline": true}
+	v := reflect.ValueOf(tx).Elem()
+	for i := range v.NumField() {
+		name := v.Type().Field(i).Name
+		if !arenas[name] && !stale[name] && !mayBeZero[name] && v.Field(i).IsZero() {
+			t.Fatalf("field %s is zero before the release, so the check below cannot see it reset", name)
+		}
+	}
+	ReleaseTx(tx)
+	for i := range v.NumField() {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case arenas[name]:
+			if f.Len() != 0 {
+				t.Errorf("arena %s has length %d after ReleaseTx, want 0", name, f.Len())
+			}
+		case stale[name]:
+		case !f.IsZero():
+			t.Errorf("field %s reads %v after ReleaseTx, want zero", name, f)
+		}
+	}
 }
 
 // txAccessors is everything a session reports through its methods.

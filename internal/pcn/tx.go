@@ -81,10 +81,11 @@ type Tx struct {
 	deferCommit bool
 	suspended   bool
 	holds       []holdRecord
-	// spanMu guards the suspended flag's check-and-clear so a deadline
-	// expiry racing a resume on the same span resolves to exactly one
-	// winner (the loser sees ErrNotSuspended). All other Tx state keeps
-	// the single-goroutine / happens-before contract.
+	// spanMu guards only the suspended flag's set in Commit and its
+	// check-and-clear in claimSpan, so a deadline expiry racing a
+	// resume on the same span resolves to exactly one winner (the loser
+	// sees ErrNotSuspended). Every other access, Suspended's read
+	// included, keeps the single-goroutine / happens-before contract.
 	spanMu sync.Mutex
 
 	probeMsgs      int
@@ -151,13 +152,24 @@ var txPool = sync.Pool{New: func() any {
 // ReleaseTx panics on a session that is not finished or is still
 // suspended: its holds would otherwise outlive it on the network, and
 // the next payment would inherit them.
+//
+// The reset goes field by field, so the inline arrays behind the
+// arenas are not wiped: a stale hop, probe result or lock index past an
+// arena's length is never read. A field added to Tx must be reset here
+// too (TestReleaseTxZeroesEveryField).
 func ReleaseTx(t *Tx) {
-	if !t.finished || t.Suspended() {
+	if !t.finished || t.suspended {
 		panic("pcn: ReleaseTx of a session that is not finished or is still suspended")
 	}
-	clear(t.holds) // drop the records' references into outgrown hop arrays
-	holds, hops, infos, lock := t.holds[:0], t.hops[:0], t.infos[:0], t.lock[:0]
-	*t = Tx{holds: holds, hops: hops, infos: infos, lock: lock}
+	// Drop the hold records' references into outgrown hop arrays; the
+	// inline record too, which holds may have outgrown.
+	clear(t.holds)
+	t.holdsInline = [1]holdRecord{}
+	t.net, t.sender, t.receiver, t.demand = nil, 0, 0, 0
+	t.finished, t.deferCommit = false, false // suspended is false already
+	t.probeMsgs, t.probeOps, t.probeLatNanos = 0, 0, 0
+	t.commitMsgs, t.commitLatNanos, t.feesPaid = 0, 0, 0
+	t.holds, t.hops, t.infos, t.lock = t.holds[:0], t.hops[:0], t.infos[:0], t.lock[:0]
 	txPool.Put(t)
 }
 
@@ -585,11 +597,10 @@ func (t *Tx) DeferCommit() { t.deferCommit = true }
 
 // Suspended reports whether the session sits between a deferred Commit
 // and its Resume (or Expire), with funds still locked on the network.
-func (t *Tx) Suspended() bool {
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
-	return t.suspended
-}
+// It reads the flag without spanMu, like every other Tx accessor: the
+// caller is the goroutine that drives the session, or one the session
+// was handed to with a happens-before edge, never one racing a claim.
+func (t *Tx) Suspended() bool { return t.suspended }
 
 // claimSpan atomically transitions the session out of the suspended
 // state, returning whether the caller won the claim. Resume and Expire

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/event"
@@ -17,7 +18,7 @@ import (
 // finished one on the arrival stage's free list, and pull overwrites it
 // with the next arrival, so the engine allocates records only up to
 // the most payments ever pending at once. A record is in the pending
-// map or on the free list, never both — which is why pull refuses an
+// table or on the free list, never both — which is why pull refuses an
 // arrival whose ID is still pending.
 type dynPayment struct {
 	p           trace.Payment
@@ -95,9 +96,13 @@ type engine struct {
 	obs      *dynObserver
 	schedRNG *rand.Rand // service times and retry backoffs, independent of routing
 
-	pending map[int64]*dynPayment
+	pending pendingTable
 	busy    int
-	waitQ   []int64 // payment IDs awaiting a free station, FIFO
+	waitQ   []*dynPayment // payments awaiting a free station, FIFO
+
+	// epoch is the run's one wall-clock instant; runAttempt times Route
+	// as two monotonic readings since it.
+	epoch time.Time
 
 	arrivals arrivalStage
 	windows  windowSeries
@@ -134,7 +139,6 @@ func newEngine(net *pcn.Network, r route.Router, src trace.PaymentSource, horizo
 		latOn:         net.HasLatency(),
 		log:           event.Log{Retain: opts.recordLog},
 		obs:           newDynObserver(r.Name(), opts.FlowSink, opts.Registry),
-		pending:       make(map[int64]*dynPayment),
 
 		arrivals:     arrivalStage{src: src, horizon: horizon, scale: 1},
 		windows:      newWindowSeries(opts.Window, horizon),
@@ -175,7 +179,9 @@ func newEngine(net *pcn.Network, r route.Router, src trace.PaymentSource, horizo
 // the result. Every return, an error's included, carries the final
 // threshold and the log evidence (see finish).
 func (e *engine) run() (DynamicResult, error) {
-	if err := e.arrivals.pull(&e.queue, e.pending); err != nil {
+	//flashvet:allow determinism/wallclock observer-only wall-elapsed metric; never feeds routing, virtual time or event order
+	e.epoch = time.Now()
+	if err := e.arrivals.pull(&e.queue, &e.pending); err != nil {
 		return e.finish(err)
 	}
 	for e.queue.Len() > 0 {
@@ -218,18 +224,22 @@ func (e *engine) finish(err error) (DynamicResult, error) {
 	return e.res, err
 }
 
-// arrive handles a PaymentArrival: a first attempt pulls the source's
-// next arrival and feeds the control plane, then the attempt is
-// dispatched or, when every station is busy, queued.
+// arrive handles a PaymentArrival: a first attempt is the arrival
+// stage's look-ahead record; it pulls the source's next arrival and
+// feeds the control plane. Then the attempt is dispatched or, when
+// every station is busy, queued.
 func (e *engine) arrive(ev event.Event) error {
-	dp := e.pending[ev.ID]
+	var dp *dynPayment
 	if ev.Attempt == 0 {
-		if err := e.arrivals.pull(&e.queue, e.pending); err != nil {
+		dp = e.arrivals.lookahead
+		if err := e.arrivals.pull(&e.queue, &e.pending); err != nil {
 			return err
 		}
 		if e.ctl != nil {
 			e.ctl.plane.ObserveArrival(dp.p.Sender, dp.p.Amount)
 		}
+	} else {
+		dp = e.pending.get(ev.ID)
 	}
 	dp.attempt = ev.Attempt
 	// Under hold spans or a latency model the single station never
@@ -239,7 +249,7 @@ func (e *engine) arrive(ev event.Event) error {
 	if e.busy < e.workers || ((e.spans || e.latOn) && e.workers == 1) {
 		e.dispatch(dp, ev.Time)
 	} else {
-		e.waitQ = append(e.waitQ, ev.ID)
+		e.waitQ = append(e.waitQ, dp)
 	}
 	return nil
 }
@@ -265,7 +275,7 @@ func (e *engine) dispatch(dp *dynPayment, t float64) {
 		e.launch(dp, t, service)
 		return
 	}
-	dp.inline = runAttempt(e.net, e.r, dp.p, e.spans)
+	runAttempt(&dp.inline, e.net, e.r, &dp.p, e.spans, e.epoch)
 	if e.spans && dp.inline.tx == nil {
 		// The attempt failed at the hold phase: nothing is locked, so
 		// the payment completes — and its retry clock starts — at its
@@ -313,7 +323,9 @@ func (e *engine) launch(dp *dynPayment, t, service float64) {
 	dp.dispatched, dp.service = t, service
 	dp.done = make(chan routeResult, 1)
 	go func(p trace.Payment, done chan routeResult) {
-		done <- runAttempt(e.net, e.r, p, e.spans)
+		var rr routeResult
+		runAttempt(&rr, e.net, e.r, &p, e.spans, e.epoch)
+		done <- rr
 	}(dp.p, dp.done)
 	e.scheduleSettle(dp, t+service, event.PaymentComplete)
 }
@@ -338,7 +350,7 @@ func (e *engine) harvest(dp *dynPayment, now float64) bool {
 // span settles, then the payment completes or is retried, and a
 // waiting payment takes the freed station.
 func (e *engine) settle(ev event.Event) error {
-	dp := e.pending[ev.ID]
+	dp := e.pending.get(ev.ID)
 	if dp.done != nil && !e.harvest(dp, ev.Time) {
 		return nil
 	}
@@ -363,7 +375,7 @@ func (e *engine) settle(ev event.Event) error {
 	if len(e.waitQ) > 0 && e.busy < e.workers {
 		next := e.waitQ[0]
 		e.waitQ = e.waitQ[1:]
-		e.dispatch(e.pending[next], ev.Time)
+		e.dispatch(next, ev.Time)
 	}
 	return nil
 }
@@ -406,7 +418,7 @@ func (rr *routeResult) settleSpan(expire bool) (expired, aborted bool) {
 // complete records a payment's final outcome at virtual time at into
 // the aggregate, its window and the observers.
 func (e *engine) complete(dp *dynPayment, at float64) {
-	delete(e.pending, int64(dp.p.ID))
+	e.pending.remove(int64(dp.p.ID))
 	t := dp.total
 	dp.total = routeOutcome{}
 	e.res.Aggregate.Record(dp.p.Amount, e.miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
@@ -524,7 +536,7 @@ type arrivalStage struct {
 // horizon. Degenerate payments (self-pay, non-positive amount) are
 // skipped. An arrival whose ID is still pending is an error: the two
 // payments would share one record.
-func (a *arrivalStage) pull(q *event.Queue, pending map[int64]*dynPayment) error {
+func (a *arrivalStage) pull(q *event.Queue, pending *pendingTable) error {
 	a.lookahead = nil
 	for !a.done {
 		p, at, ok := a.src.Next()
@@ -535,17 +547,17 @@ func (a *arrivalStage) pull(q *event.Queue, pending map[int64]*dynPayment) error
 		if p.Sender == p.Receiver || p.Amount <= 0 {
 			continue
 		}
-		if _, dup := pending[int64(p.ID)]; dup {
-			return fmt.Errorf("sim: payment ID %d arrives at %v while an earlier payment with that ID is still pending", p.ID, at)
-		}
 		var dp *dynPayment
 		if n := len(a.free); n > 0 {
 			dp, a.free = a.free[n-1], a.free[:n-1]
 		} else {
 			dp = new(dynPayment)
 		}
-		*dp = dynPayment{p: p, arrival: at}
-		pending[int64(p.ID)] = dp
+		if !pending.insert(int64(p.ID), dp) {
+			return fmt.Errorf("sim: payment ID %d arrives at %v while an earlier payment with that ID is still pending", p.ID, at)
+		}
+		*dp = dynPayment{}
+		dp.p, dp.arrival = p, at
 		a.lookahead = dp
 		q.Schedule(event.Event{Time: at, Kind: event.PaymentArrival, ID: int64(p.ID)})
 		return nil

@@ -198,44 +198,49 @@ func (o *routeOutcome) add(a routeOutcome) {
 	o.commitLatNanos += a.commitLatNanos
 }
 
-// runAttempt runs one routing attempt for p: Begin, optional
+// runAttempt runs one routing attempt for p into rr: Begin, optional
 // DeferCommit, one Route call, defensive finishing, outcome accounting.
-// The result's error is an infrastructure failure; routing failures are
+// rr's error is an infrastructure failure; routing failures are
 // reported through routeOutcome.delivered. A plain function, not a
-// closure, so the engine's inline call allocates nothing of its own.
+// closure, so the engine's inline call allocates nothing of its own;
+// it writes rr in place, so no outcome is copied. Route's wall time is
+// the difference of two monotonic readings since epoch, the run's one
+// wall-clock instant.
 //
 // With deferCommit the commit is deferred across the hold-span seam
 // (pcn.Tx.DeferCommit): the router runs to its commit/abort decision as
 // usual, but a committed payment's funds stay locked — the suspended
-// session is returned in the result's tx for the caller to settle
-// later via Resume (one virtual service time later, in the dynamic
-// engine). Otherwise, and for aborted payments, tx is nil, the outcome
-// is final and the session has gone back to pcn.ReleaseTx. For a
+// session is returned in rr.tx for the caller to settle later via
+// Resume (one virtual service time later, in the dynamic engine).
+// Otherwise, and for aborted payments, rr.tx is nil, the outcome is
+// final and the session has gone back to pcn.ReleaseTx. For a
 // suspended session the outcome's delivered flag and
 // fee/commit-message accounting are provisional: Resume decides
 // delivery and adds the CONFIRM (or REVERSE) costs.
-func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, deferCommit bool) routeResult {
+func runAttempt(rr *routeResult, net *pcn.Network, r route.Router, p *trace.Payment, deferCommit bool, epoch time.Time) {
 	tx, err := net.Begin(p.Sender, p.Receiver, p.Amount)
 	if err != nil {
-		return routeResult{err: fmt.Errorf("sim: payment %d: %w", p.ID, err)}
+		*rr = routeResult{err: fmt.Errorf("sim: payment %d: %w", p.ID, err)}
+		return
 	}
 	if deferCommit {
 		tx.DeferCommit()
 	}
 	//flashvet:allow determinism/wallclock observer-only wall-elapsed metric; never feeds routing, virtual time or event order
-	start := time.Now()
+	start := time.Since(epoch)
 	rerr := r.Route(tx)
 	//flashvet:allow determinism/wallclock observer-only wall-elapsed metric; never feeds routing, virtual time or event order
-	elapsed := time.Since(start)
+	elapsed := time.Since(epoch) - start
 	if !tx.Finished() {
 		// Defensive: a router must finish its session; treat an
 		// unfinished one as failed and release its holds.
 		if aerr := tx.Abort(); aerr != nil {
-			return routeResult{err: fmt.Errorf("sim: payment %d left unfinished and unabortable: %w", p.ID, aerr)}
+			*rr = routeResult{err: fmt.Errorf("sim: payment %d left unfinished and unabortable: %w", p.ID, aerr)}
+			return
 		}
 		rerr = fmt.Errorf("sim: router %s left session unfinished", r.Name())
 	}
-	out := routeOutcome{
+	rr.out = routeOutcome{
 		elapsed:        elapsed,
 		probeMsgs:      int64(tx.ProbeMessages()),
 		commitMsgs:     int64(tx.CommitMessages()),
@@ -245,15 +250,17 @@ func runAttempt(net *pcn.Network, r route.Router, p trace.Payment, deferCommit b
 		probeLatNanos:  tx.ProbeLatencyNanos(),
 		commitLatNanos: tx.CommitLatencyNanos(),
 	}
+	rr.err = nil
 	if tx.Suspended() {
 		// Delivery, CONFIRM/REVERSE messages and fees settle at Resume.
-		return routeResult{out: out, tx: tx}
+		rr.tx = tx
+		return
 	}
-	if out.delivered {
-		out.fees = tx.FeesPaid()
+	rr.tx = nil
+	if rr.out.delivered {
+		rr.out.fees = tx.FeesPaid()
 	}
 	pcn.ReleaseTx(tx)
-	return routeResult{out: out}
 }
 
 // paymentSeed mixes the base seed with an ID (splitmix64-style
