@@ -1,12 +1,13 @@
 // Command flashvet runs the repository's project-specific static
 // analyzers (internal/analysis) over the module: the determinism,
 // lock-order, observer-only and doc-comment contracts that ordinary
-// vet/staticcheck cannot see. It is the CI lint gate.
+// vet/staticcheck cannot see, and the whole-program testonly rule. It
+// is the CI lint gate.
 //
 // Usage:
 //
 //	flashvet ./...               # audit every package in the module
-//	flashvet ./internal/pcn      # audit specific package directories
+//	flashvet ./internal/pcn      # audit specific package directories, without testonly
 //	flashvet -v ./...            # also list directive-suppressed findings
 //	flashvet -catalogue          # print the analyzer/rule catalogue
 //
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/analysis"
 )
@@ -57,7 +59,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	pkgs, err := load(fs.Args())
+	if args = fs.Args(); len(args) == 0 {
+		args = []string{"./..."}
+	}
+	if !slices.Contains(args, "./...") && !slices.Contains(args, "...") {
+		// Over a few packages a whole-program rule would miss the
+		// references the rest of the program makes.
+		analyzers = slices.DeleteFunc(analyzers, func(a *analysis.Analyzer) bool { return a.WholeProgram })
+	}
+	pkgs, err := load(args)
 	if err == nil {
 		var res *analysis.Result
 		if res, err = analysis.Run(pkgs, analyzers); err == nil {
@@ -68,12 +78,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 2
 }
 
-// load type-checks the packages args name (default ./...), relative to
-// the module root above the working directory.
+// load type-checks the packages args name, relative to the module root
+// above the working directory.
 func load(args []string) ([]*analysis.Package, error) {
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
 	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err

@@ -49,8 +49,21 @@ type Pass struct {
 	Analyzer *Analyzer
 	// Pkg is the loaded, type-checked package under analysis.
 	Pkg *Package
+	// Program is every package of the run, Pkg included: what a
+	// whole-program rule reads beyond the package it audits.
+	Program []*Package
 
-	diags []Diagnostic
+	shared map[*Analyzer]any // per-run facts, one per analyzer (Shared)
+	diags  []Diagnostic
+}
+
+// Shared returns the analyzer's whole-program fact, calling build on
+// the run's first package and reusing its result for every other.
+func (p *Pass) Shared(build func() any) any {
+	if _, ok := p.shared[p.Analyzer]; !ok {
+		p.shared[p.Analyzer] = build()
+	}
+	return p.shared[p.Analyzer]
 }
 
 // Reportf records a diagnostic at pos under the given qualified rule.
@@ -80,6 +93,9 @@ type Analyzer struct {
 	// a nil AppliesTo audits every package. Scoping is by package —
 	// e.g. determinism runs only on the deterministic packages.
 	AppliesTo func(pkg *Package) bool
+	// WholeProgram marks a rule whose verdict depends on every package
+	// of the program, so it is sound only when the run loads them all.
+	WholeProgram bool
 	// Run performs the analysis, reporting findings through the pass.
 	Run func(*Pass) error
 }
@@ -176,17 +192,26 @@ type Result struct {
 }
 
 // Run executes every applicable analyzer over every package, applies
-// allow directives, and reports stale directives. It is the single
+// allow directives, and reports stale directives. The packages are the
+// whole program a WholeProgram analyzer sees. It is the single
 // entry point shared by the flashvet command, the repo-gate test and
 // the fixture runner.
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
-	known := map[string]bool{}
-	for _, a := range analyzers {
+	// A directive must name a catalogued rule; it is stale only if the
+	// run checks that rule.
+	known, checked := map[string]bool{}, map[string]bool{}
+	for _, a := range All() {
 		for _, r := range a.Rules {
 			known[r] = true
 		}
 	}
+	for _, a := range analyzers {
+		for _, r := range a.Rules {
+			known[r], checked[r] = true, true
+		}
+	}
 	res := &Result{}
+	shared := map[*Analyzer]any{}
 	for _, pkg := range pkgs {
 		if res.Fset == nil {
 			res.Fset = pkg.Fset
@@ -197,7 +222,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 			if !a.applies(pkg) {
 				continue
 			}
-			pass := &Pass{Analyzer: a, Pkg: pkg}
+			pass := &Pass{Analyzer: a, Pkg: pkg, Program: pkgs, shared: shared}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
@@ -211,7 +236,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
 			}
 		}
 		for _, dir := range dirs {
-			if !dir.used {
+			if !dir.used && checked[dir.rule] {
 				res.Diagnostics = append(res.Diagnostics, Diagnostic{Pos: dir.pos, Rule: RuleDirectiveUnused,
 					Message: fmt.Sprintf("flashvet:allow %s suppresses nothing — delete the stale directive", dir.rule)})
 			}

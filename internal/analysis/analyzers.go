@@ -93,6 +93,7 @@ func All() []*Analyzer {
 		LockOrderAnalyzer,
 		ObserverAnalyzer,
 		DocCommentAnalyzer,
+		TestOnlyAnalyzer,
 	}
 }
 

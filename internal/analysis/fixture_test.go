@@ -99,8 +99,12 @@ func itoa(n int) string {
 // diagnostic must be wanted, and every want must be produced.
 func runFixture(t *testing.T, group string, analyzers []*Analyzer) *Result {
 	t.Helper()
-	loader := NewFixtureLoader(filepath.Join("testdata", "src", group))
-	pkgs, err := loader.LoadGroup()
+	root, err := filepath.Abs(filepath.Join("testdata", "src", group))
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := newLoader(root, "")
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		t.Fatalf("loading fixture group %s: %v", group, err)
 	}
@@ -159,5 +163,12 @@ func TestDirectiveFixtures(t *testing.T) {
 	res := runFixture(t, "directives", []*Analyzer{DeterminismAnalyzer})
 	if len(res.Suppressed) != 2 {
 		t.Errorf("want two suppressed findings (preceding-line and same-line directives), got %d", len(res.Suppressed))
+	}
+}
+
+func TestTestOnlyFixtures(t *testing.T) {
+	res := runFixture(t, "testonly", []*Analyzer{TestOnlyAnalyzer})
+	if len(res.Suppressed) != 1 {
+		t.Errorf("want exactly one suppressed testonly finding, got %d", len(res.Suppressed))
 	}
 }

@@ -23,8 +23,6 @@ type Package struct {
 	Path string
 	// Name is the package name from the package clauses.
 	Name string
-	// Dir is the directory the files were parsed from.
-	Dir string
 	// Files are the parsed non-test source files.
 	Files []*ast.File
 	// Types is the type-checked package object.
@@ -63,6 +61,14 @@ func NewLoader(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newLoader(root, module), nil
+}
+
+// newLoader returns a loader over the tree at root. With module "" the
+// tree is a fixture group (testdata/src/<group>): a package's import
+// path is its directory relative to root, so fixtures import fake
+// sibling packages ("pcn") alongside the standard library.
+func newLoader(root, module string) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset:   fset,
@@ -70,20 +76,6 @@ func NewLoader(dir string) (*Loader, error) {
 		module: module,
 		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:  map[string]*loadEntry{},
-	}, nil
-}
-
-// NewFixtureLoader returns a loader for a fixture group directory
-// (testdata/src/<group>): every child directory is a package whose
-// import path is its directory name, so fixtures can import fake
-// sibling packages ("pcn") alongside the standard library.
-func NewFixtureLoader(groupDir string) *Loader {
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:  fset,
-		root:  groupDir,
-		std:   importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache: map[string]*loadEntry{},
 	}
 }
 
@@ -127,8 +119,9 @@ func (l *Loader) Load(dir string) (*Package, error) {
 }
 
 // LoadAll walks the module tree and type-checks every package —
-// flashvet's "./..." expansion. testdata and hidden directories are
-// skipped.
+// flashvet's "./..." expansion, the whole program. testdata and hidden
+// directories are skipped. The walk reads benchmark/ too: its module
+// path is its directory's (repro/benchmark) and it imports this module.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.root, func(p string, d os.DirEntry, err error) error {
@@ -154,27 +147,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	pkgs := make([]*Package, 0, len(dirs))
 	for _, dir := range dirs {
 		pkg, err := l.Load(dir)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// LoadGroup loads every package directory in a fixture group, sorted
-// by name.
-func (l *Loader) LoadGroup() ([]*Package, error) {
-	entries, err := os.ReadDir(l.root)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		pkg, err := l.load(e.Name(), filepath.Join(l.root, e.Name()))
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +248,6 @@ func (l *Loader) parseAndCheck(path, dir string) (*Package, error) {
 	return &Package{
 		Path:  path,
 		Name:  tpkg.Name(),
-		Dir:   dir,
 		Files: files,
 		Types: tpkg,
 		Info:  info,
@@ -308,7 +279,7 @@ func (f importerFunc) ImportFrom(path, _ string, _ types.ImportMode) (*types.Pac
 			return nil, err
 		}
 		return pkg.Types, nil
-	case l.module == "" && !strings.Contains(path, "/") && dirExists(filepath.Join(l.root, path)):
+	case l.module == "" && dirExists(filepath.Join(l.root, path)):
 		pkg, err := l.load(path, filepath.Join(l.root, path))
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,39 @@ func TestRepoClean(t *testing.T) {
 	}
 	if len(res.Suppressed) == 0 {
 		t.Error("expected at least one audited exception in the tree; the directive machinery is not being exercised")
+	}
+	checkBenchmarkRead(t, pkgs)
+}
+
+// checkBenchmarkRead requires the whole program to include benchmark/:
+// pcn.Network.Snapshot's one non-test caller is benchmark/harness, so
+// testonly must see it referenced with benchmark/ and not without it.
+func checkBenchmarkRead(t *testing.T, pkgs []*Package) {
+	t.Helper()
+	var pcn *types.Package
+	var module []*Package
+	for _, p := range pkgs {
+		if p.Path == "repro/internal/pcn" {
+			pcn = p.Types
+		}
+		if !strings.HasPrefix(p.Path, "repro/benchmark/") {
+			module = append(module, p)
+		}
+	}
+	if pcn == nil || len(module) == len(pkgs) {
+		t.Fatalf("program lacks internal/pcn or benchmark/ (%d of %d packages outside benchmark/)", len(module), len(pkgs))
+	}
+	network := pcn.Scope().Lookup("Network").Type()
+	obj, _, _ := types.LookupFieldOrMethod(network, true, pcn, "Snapshot")
+	snapshot, ok := obj.(*types.Func)
+	if !ok {
+		t.Fatal("pcn.Network.Snapshot is gone: check another method that only benchmark/ calls")
+	}
+	if !referenced(pkgs)[snapshot] {
+		t.Error("testonly misses benchmark/harness's call to pcn.Network.Snapshot")
+	}
+	if referenced(module)[snapshot] {
+		t.Error("pcn.Network.Snapshot has a caller outside benchmark/, so this check proves nothing")
 	}
 }
 

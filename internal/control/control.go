@@ -151,13 +151,6 @@ func NewPlane(cs ...Controller) *Plane {
 	return p
 }
 
-// Controllers returns the plane's controllers in drive order. The
-// caller must not modify the returned slice.
-func (p *Plane) Controllers() []Controller { return p.controllers }
-
-// Empty reports whether the plane drives no controllers.
-func (p *Plane) Empty() bool { return p == nil || len(p.controllers) == 0 }
-
 // ObserveArrival fans one first-attempt arrival to every controller
 // that estimates from the arrival stream.
 func (p *Plane) ObserveArrival(sender topo.NodeID, amount float64) {

@@ -57,11 +57,8 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 		{Knob: KnobSenderThreshold, Sender: 5, Value: 3},
 	}}
 	p := NewPlane(a, b, c)
-	if p.Empty() {
-		t.Fatal("three-controller plane reports Empty")
-	}
-	if got := len(p.Controllers()); got != 3 {
-		t.Fatalf("Controllers() has %d entries, want 3", got)
+	if got := len(p.controllers); got != 3 {
+		t.Fatalf("plane has %d controllers, want 3", got)
 	}
 
 	// Arrivals reach only the ArrivalObservers (a and c, not b).
@@ -88,14 +85,6 @@ func TestPlaneFanOutAndOrder(t *testing.T) {
 	}
 	if len(a.observed) != 1 || a.observed[0].Elephants != 3 {
 		t.Errorf("controller a saw %+v, want one window with Elephants 3", a.observed)
-	}
-
-	var empty *Plane
-	if !empty.Empty() {
-		t.Error("nil plane must report Empty")
-	}
-	if !NewPlane().Empty() {
-		t.Error("zero-controller plane must report Empty")
 	}
 }
 

@@ -96,18 +96,6 @@ func (ps *probedState) slot(p topo.Path, i int) int {
 	return s
 }
 
-// knownCount returns the number of probed directed hops (tests assert
-// on the knowledge footprint of the probe pipeline).
-func (ps *probedState) knownCount() int {
-	n := 0
-	for _, st := range ps.known {
-		if st == ps.epoch {
-			n++
-		}
-	}
-	return n
-}
-
 // usableCh implements Algorithm 1's BFS filter: unknown hops are assumed
 // to have non-zero capacity ("our algorithm works without the capacity
 // matrix as input by assuming each channel has non-zero capacity"),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -19,11 +20,8 @@ func TestProbeWorkersCompressProbeLatency(t *testing.T) {
 	)
 	run := func(workers int) int64 {
 		net, s, d := parallelFixture(t, paths, 100)
-		for _, e := range net.Graph().Channels() {
-			if err := net.SetLatency(e.A, e.B, rtt); err != nil {
-				t.Fatal(err)
-			}
-		}
+		// σ = 0: every channel's RTT is exactly the median.
+		net.AssignLatenciesLogNormal(rand.New(rand.NewSource(1)), rtt, 0)
 		cfg := DefaultConfig(0)
 		cfg.K = paths
 		cfg.ProbeWorkers = workers

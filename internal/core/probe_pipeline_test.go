@@ -117,7 +117,7 @@ func TestPipelinedEarlyStopKeepsSurplusKnowledge(t *testing.T) {
 	// of both channels). Sequential probing would know exactly one
 	// path's worth; the pipeline probed a full round of 4 candidates.
 	seqKnown, roundKnown := 4, 4*4
-	if got := plan.state.knownCount(); got != roundKnown {
+	if got := knownCount(plan.state); got != roundKnown {
 		t.Errorf("capacity matrix has %d entries, want %d (surplus speculation kept)", got, roundKnown)
 	} else if got <= seqKnown {
 		t.Errorf("no surplus knowledge retained: %d entries", got)
@@ -200,4 +200,16 @@ func TestPipelinedReplayDeterministic(t *testing.T) {
 			t.Fatalf("payment %d diverged between identical replays:\n first  %+v\n second %+v", i, a[i], b[i])
 		}
 	}
+}
+
+// knownCount returns the number of probed directed hops: the knowledge
+// footprint of the probe pipeline.
+func knownCount(ps *probedState) int {
+	n := 0
+	for _, st := range ps.known {
+		if st == ps.epoch {
+			n++
+		}
+	}
+	return n
 }

@@ -17,7 +17,7 @@
 // # Determinism
 //
 // The queue pops in the (Time, Seq) total order from two parts: the
-// events scheduled before the first Pop or Peek (a run's churn
+// events scheduled before the first Pop (a run's churn
 // schedule, known before the clock starts) are sorted once into a run
 // read by a cursor, and everything scheduled later goes into a small
 // binary heap; Pop takes the earlier of the two heads. Seq is unique,
@@ -198,7 +198,7 @@ func less(a, b key) uint64 {
 // zero value is an empty, ready-to-use queue; NewQueue exists for
 // call-site readability.
 //
-// Events scheduled before the first Pop or Peek are sorted once into
+// Events scheduled before the first Pop are sorted once into
 // run and consumed through the next cursor; later events go into heap.
 // A simulation schedules its whole churn schedule up front (15,000
 // events on a busy run) but keeps only a few hundred events of its own
@@ -208,9 +208,9 @@ func less(a, b key) uint64 {
 // and the free ones are kept, last freed first, in the keys' spare
 // capacity: heap[len(heap):len(slots)].
 type Queue struct {
-	run     []Event // sorted once on the first Pop/Peek; run[next:] pending
+	run     []Event // sorted once on the first Pop; run[next:] pending
 	next    int
-	started bool    // a Pop or Peek has happened: Schedule feeds heap
+	started bool    // a Pop has happened: Schedule feeds heap
 	heap    []key   // binary min-heap of the events scheduled after the start
 	slots   []Event // the heap's payloads, by key.slot
 	seq     uint64
@@ -252,19 +252,6 @@ func (q *Queue) Pop() (Event, bool) {
 		return e, true
 	}
 	return q.slots[q.pop()], true
-}
-
-// Peek returns the earliest event without removing it.
-func (q *Queue) Peek() (Event, bool) {
-	fromRun, ok := q.head()
-	switch {
-	case !ok:
-		return Event{}, false
-	case fromRun:
-		return q.run[q.next], true
-	default:
-		return q.slots[q.heap[0].slot], true
-	}
 }
 
 // Len returns the number of pending events.
@@ -356,9 +343,6 @@ type Clock struct {
 	now float64
 }
 
-// Now returns the current virtual time in seconds.
-func (c *Clock) Now() float64 { return c.now }
-
 // AdvanceTo moves the clock to t. Moving backwards is an engine bug
 // (the queue yields events in time order) and panics.
 func (c *Clock) AdvanceTo(t float64) {
@@ -397,9 +381,6 @@ func (l *Log) Record(e Event) {
 		l.entries = append(l.entries, e)
 	}
 }
-
-// Len returns the number of recorded events.
-func (l *Log) Len() int { return l.n }
 
 // Events returns the retained events in application order (nil unless
 // Retain was set). The caller must not modify the returned slice.

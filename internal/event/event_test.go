@@ -76,29 +76,13 @@ func TestQueueRandomisedIsSorted(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	q := NewQueue()
-	if _, ok := q.Peek(); ok {
-		t.Error("peek on empty queue succeeded")
-	}
-	q.Schedule(Event{Time: 3})
-	q.Schedule(Event{Time: 1})
-	e, ok := q.Peek()
-	if !ok || e.Time != 1 {
-		t.Errorf("peek = %+v, %v; want time 1", e, ok)
-	}
-	if q.Len() != 2 {
-		t.Errorf("peek consumed events: len = %d", q.Len())
-	}
-}
-
 func TestClockMonotone(t *testing.T) {
 	var c Clock
 	c.AdvanceTo(1)
 	c.AdvanceTo(1) // same instant is fine
 	c.AdvanceTo(2.5)
-	if c.Now() != 2.5 {
-		t.Errorf("Now = %v", c.Now())
+	if c.now != 2.5 {
+		t.Errorf("now = %v", c.now)
 	}
 	defer func() {
 		if recover() == nil {
@@ -133,11 +117,11 @@ func TestLogFingerprintDeterministic(t *testing.T) {
 	if counts[PaymentArrival] != 1 || counts[ChannelClose] != 1 || counts[DemandShift] != 1 {
 		t.Errorf("counts = %v", counts)
 	}
-	if a.Len() != 4 || len(a.Events()) != 4 {
-		t.Errorf("retained log length = %d, events %d", a.Len(), len(a.Events()))
+	if a.n != 4 || len(a.Events()) != 4 {
+		t.Errorf("retained log length = %d, events %d", a.n, len(a.Events()))
 	}
-	if b.Len() != 4 || b.Events() != nil {
-		t.Errorf("unretained log: len %d, events %v", b.Len(), b.Events())
+	if b.n != 4 || b.Events() != nil {
+		t.Errorf("unretained log: len %d, events %v", b.n, b.Events())
 	}
 	// The digest is field-sensitive: same times, different payload.
 	var d, e Log

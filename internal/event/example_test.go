@@ -18,13 +18,14 @@ func Example() {
 
 	var clock event.Clock
 	log := event.Log{Retain: true}
+	var e event.Event
 	for q.Len() > 0 {
-		e, _ := q.Pop()
+		e, _ = q.Pop()
 		clock.AdvanceTo(e.Time)
 		log.Record(e)
 		fmt.Println(e)
 	}
-	fmt.Printf("clock %.1fs, %d events, fingerprint %016x\n", clock.Now(), log.Len(), log.Fingerprint())
+	fmt.Printf("clock %.1fs, %d events, fingerprint %016x\n", e.Time, len(log.Events()), log.Fingerprint())
 	// Output:
 	// t=0.500000 arrival id=1 try=0
 	// t=1.000000 close 2-3 amt=0

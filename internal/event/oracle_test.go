@@ -30,13 +30,6 @@ func (q *oracleQueue) Pop() (Event, bool) {
 	return heap.Pop(&q.h).(Event), true
 }
 
-func (q *oracleQueue) Peek() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	return q.h[0], true
-}
-
 type oracleHeap []Event
 
 // floatBefore is the (Time, Seq) order read off the floats themselves,
@@ -80,8 +73,7 @@ var instants = [16]float64{
 //   - one event at the last popped time plus 0–1.75s, ties included —
 //     the engine's own scheduling, usually earlier than the run head.
 //     After −0 it lands at +0.
-//   - Pop.
-//   - Peek.
+//   - Pop (two of the four op codes).
 //
 // Len is compared after every op, and both queues are drained at the end.
 func runQueueOps(t *testing.T, data []byte) {
@@ -113,7 +105,7 @@ func runQueueOps(t *testing.T, data []byte) {
 		if got != want || math.Float64bits(got.Time) != math.Float64bits(want.Time) || ok != wantOK {
 			t.Fatalf("%s = %+v, %v; oracle %+v, %v", op, got, ok, want, wantOK)
 		}
-		if ok && op == "Pop" {
+		if ok {
 			last = got.Time
 		}
 	}
@@ -128,10 +120,8 @@ func runQueueOps(t *testing.T, data []byte) {
 		case 1:
 			tb := next()
 			schedule(last+float64(tb%8)/4, tb>>3)
-		case 2:
+		case 2, 3:
 			pop("Pop", q.Pop, o.Pop)
-		case 3:
-			pop("Peek", q.Peek, o.Peek)
 		}
 		if q.Len() != o.h.Len() {
 			t.Fatalf("Len = %d, oracle %d", q.Len(), o.h.Len())
@@ -155,7 +145,7 @@ func TestQueueMatchesOracle(t *testing.T) {
 }
 
 // FuzzQueue is the differential check under the fuzzer: any op sequence
-// must pop, peek and count exactly what the container/heap oracle does.
+// must pop and count exactly what the container/heap oracle does.
 func FuzzQueue(f *testing.F) {
 	f.Add([]byte{})
 	// A batch before the first pop, then pops interleaved with events
@@ -163,7 +153,7 @@ func FuzzQueue(f *testing.F) {
 	f.Add([]byte{0x1C, 0x07, 0x03, 0x03, 0x0E, 0x00, 0x05, 0x09, 0x01, 2, 1, 0x00, 2, 3, 2, 1, 0x05, 2, 2, 2})
 	// Ties only: every event at t=1.5.
 	f.Add([]byte{0x0C, 0x03, 0x13, 0x23, 0x33, 2, 0x00, 0x03, 1, 0x00, 2, 3, 2, 2, 2})
-	// Peek before any event, then a late batch after the run drained.
+	// A pop before any event, then a late batch after the run drained.
 	f.Add([]byte{3, 2, 0x04, 0x0F, 0x01, 3, 2, 0x08, 0x02, 0x02, 0x00, 3, 2, 2, 2, 2})
 	// −0 and +0 in one batch, a relative event at −0 + 0, both
 	// infinities and the subnormals either side of zero.

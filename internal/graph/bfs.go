@@ -45,15 +45,6 @@ func PathEdges(path []topo.NodeID) []DirEdge {
 	return edges
 }
 
-// Hops returns the hop count of a node path (0 for empty or single-node
-// paths).
-func Hops(path []topo.NodeID) int {
-	if len(path) < 2 {
-		return 0
-	}
-	return len(path) - 1
-}
-
 // ShortestPath returns a minimum-hop path from s to t whose every
 // directed hop satisfies usable, or nil if t is unreachable. Neighbour
 // order breaks ties, making results deterministic for a fixed graph.

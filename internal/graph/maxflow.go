@@ -81,33 +81,3 @@ func MaxFlow(g *topo.Graph, s, t topo.NodeID, cap Capacity, maxPaths int, demand
 	}
 	return res
 }
-
-// FlowConserved checks the conservation law of a flow result: for every
-// node other than s and t, inflow equals outflow (within tol). Used by
-// property tests.
-func FlowConserved(g *topo.Graph, s, t topo.NodeID, f FlowResult, tol float64) bool {
-	net := make(map[topo.NodeID]float64)
-	for e, x := range f.Flow {
-		//flashvet:allow determinism/floataccum conservation residue is compared against the caller's tolerance, which dwarfs order-dependent rounding
-		net[e.U] -= x
-		//flashvet:allow determinism/floataccum conservation residue is compared against the caller's tolerance, which dwarfs order-dependent rounding
-		net[e.V] += x
-	}
-	for u, x := range net {
-		switch u {
-		case s:
-			if math.Abs(x+f.Value) > tol {
-				return false
-			}
-		case t:
-			if math.Abs(x-f.Value) > tol {
-				return false
-			}
-		default:
-			if math.Abs(x) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -177,7 +177,7 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 		if want == nil {
 			return int(floor)
 		}
-		return int(floor) % len(want) // at most Hops(want)
+		return int(floor) % len(want) // at most hops(want)
 	}
 
 	for _, c := range []struct {
@@ -329,7 +329,7 @@ func TestSearchSeesAddedChannel(t *testing.T) {
 	}
 	g := line()
 	sc := NewScratch()
-	if p := sc.ShortestPath(g, 4, 11, nil); Hops(p) != 7 {
+	if p := sc.ShortestPath(g, 4, 11, nil); hops(p) != 7 {
 		t.Fatalf("line path %v", p)
 	}
 	if _, err := g.AddChannel(0, 11); err == nil || g.NumChannels() != 11 {

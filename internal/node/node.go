@@ -151,9 +151,6 @@ func (n *Node) ID() topo.NodeID { return n.id }
 // Addr returns the listener address other nodes dial.
 func (n *Node) Addr() string { return n.ln.Addr().String() }
 
-// Graph returns the node's local topology view.
-func (n *Node) Graph() *topo.Graph { return n.graph }
-
 // SetPeers installs the address registry (the testbed's equivalent of
 // the prototype's local topology file).
 func (n *Node) SetPeers(registry map[topo.NodeID]string) {

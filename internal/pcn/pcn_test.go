@@ -47,8 +47,8 @@ func TestSetAndGetBalance(t *testing.T) {
 	if n.Balance(0, 1) != 70 || n.Balance(1, 0) != 30 {
 		t.Errorf("directional balances = %v/%v, want 70/30", n.Balance(0, 1), n.Balance(1, 0))
 	}
-	if n.Capacity(0, 1) != 100 {
-		t.Errorf("Capacity = %v, want 100", n.Capacity(0, 1))
+	if capacity(n, 0, 1) != 100 {
+		t.Errorf("Capacity = %v, want 100", capacity(n, 0, 1))
 	}
 	if n.Balance(0, 3) != 0 {
 		t.Error("missing channel should report zero balance")
@@ -385,10 +385,10 @@ func TestClone(t *testing.T) {
 	if c.Graph() != n.Graph() || c.ProbeMessages() != 0 || !c.HasLatency() {
 		t.Fatalf("clone shares graph %v, counts %d probe messages, latency %v", c.Graph() == n.Graph(), c.ProbeMessages(), c.HasLatency())
 	}
-	for _, e := range n.Graph().Channels() {
+	for i, e := range n.Graph().Channels() {
 		if c.Balance(e.A, e.B) != n.Balance(e.A, e.B) || c.Balance(e.B, e.A) != n.Balance(e.B, e.A) ||
 			c.Fee(e.A, e.B) != n.Fee(e.A, e.B) || c.Fee(e.B, e.A) != n.Fee(e.B, e.A) ||
-			c.IsChannelOpen(e.A, e.B) != n.IsChannelOpen(e.A, e.B) || c.Latency(e.A, e.B) != n.Latency(e.A, e.B) {
+			c.IsChannelOpen(e.A, e.B) != n.IsChannelOpen(e.A, e.B) || c.latencyNanos(i) != n.latencyNanos(i) {
 			t.Errorf("channel %v differs in the clone", e)
 		}
 	}
@@ -417,7 +417,7 @@ func TestAssignBalancesUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n.AssignBalancesUniform(rng, 1000, 1500)
 	for _, e := range g.Channels() {
-		c := n.Capacity(e.A, e.B)
+		c := capacity(n, e.A, e.B)
 		if c < 1000 || c >= 1500 {
 			t.Fatalf("capacity %v outside [1000,1500)", c)
 		}
@@ -434,7 +434,7 @@ func TestAssignBalancesLogNormal(t *testing.T) {
 	n.AssignBalancesLogNormal(rng, 250, 1.5, true)
 	caps := make([]float64, 0, 400)
 	for _, e := range g.Channels() {
-		caps = append(caps, n.Capacity(e.A, e.B))
+		caps = append(caps, capacity(n, e.A, e.B))
 		if n.Balance(e.A, e.B) != n.Balance(e.B, e.A) {
 			t.Fatal("even split violated")
 		}
@@ -516,7 +516,7 @@ func TestAssignSkipsClosedChannels(t *testing.T) {
 		}
 	}
 	closed.AssignBalancesUniform(rand.New(rand.NewSource(6)), 100, 200)
-	if c := closed.Capacity(shut.A, shut.B); c != 0 {
+	if c := capacity(closed, shut.A, shut.B); c != 0 {
 		t.Errorf("uniform funding reached the closed channel: capacity %v", c)
 	}
 	if err := closed.AssignBalancesFromCapacities(caps[:3]); err == nil {
@@ -526,11 +526,11 @@ func TestAssignSkipsClosedChannels(t *testing.T) {
 	if err := closed.SetChannelOpen(last.A, last.B, false); err != nil {
 		t.Fatal(err)
 	}
-	frozen := closed.Capacity(last.A, last.B) // closing keeps the uniform funds
+	frozen := capacity(closed, last.A, last.B) // closing keeps the uniform funds
 	if err := closed.AssignBalancesFromCapacities(caps[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if got := [3]float64{closed.Capacity(shut.A, shut.B), closed.Capacity(g.Channel(4).A, g.Channel(4).B), closed.Capacity(last.A, last.B)}; got != [3]float64{0, 50, frozen} {
+	if got := [3]float64{capacity(closed, shut.A, shut.B), capacity(closed, g.Channel(4).A, g.Channel(4).B), capacity(closed, last.A, last.B)}; got != [3]float64{0, 50, frozen} {
 		t.Errorf("capacities of channels 2, 4, 5 = %v, want [0 50 %v]", got, frozen)
 	}
 }
@@ -559,7 +559,7 @@ func TestConservationProperty(t *testing.T) {
 	total := n.TotalFunds()
 	capOf := make(map[topo.Edge]float64)
 	for _, e := range g.Channels() {
-		capOf[e] = n.Capacity(e.A, e.B)
+		capOf[e] = capacity(n, e.A, e.B)
 	}
 
 	for trial := 0; trial < 500; trial++ {
@@ -599,7 +599,7 @@ func TestConservationProperty(t *testing.T) {
 		}
 	}
 	for _, e := range g.Channels() {
-		if math.Abs(n.Capacity(e.A, e.B)-capOf[e]) > 1e-6 {
+		if math.Abs(capacity(n, e.A, e.B)-capOf[e]) > 1e-6 {
 			t.Fatalf("channel %v capacity drifted", e)
 		}
 		if n.Balance(e.A, e.B) < 0 || n.Balance(e.B, e.A) < 0 {
@@ -671,4 +671,16 @@ func TestConcurrentSessions(t *testing.T) {
 	if got := n.TotalFunds(); math.Abs(got-total) > 1e-6 {
 		t.Errorf("total funds drifted under concurrency: %v → %v", total, got)
 	}
+}
+
+// capacity is the total funds in the channel joining u and v, both
+// directions summed.
+func capacity(n *Network, u, v topo.NodeID) float64 {
+	return n.Balance(u, v) + n.Balance(v, u)
+}
+
+// setRTT gives every channel the same virtual RTT in seconds: a
+// log-normal draw with σ = 0 is exactly its median.
+func setRTT(n *Network, seconds float64) {
+	n.AssignLatenciesLogNormal(rand.New(rand.NewSource(1)), seconds, 0)
 }

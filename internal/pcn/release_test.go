@@ -20,10 +20,8 @@ func TestReleaseTxResetsSession(t *testing.T) {
 		if err := n.SetFee(e.A, e.B, FeeSchedule{Base: 0.01, Rate: 0.001}); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SetLatency(e.A, e.B, 0.002); err != nil {
-			t.Fatal(err)
-		}
 	}
+	setRTT(n, 0.002)
 	last := path[len(path)-1]
 	// A collection between the release and the next Begin would empty
 	// the pool.
@@ -111,10 +109,8 @@ func TestReleaseTxZeroesEveryField(t *testing.T) {
 		if err := n.SetFee(e.A, e.B, FeeSchedule{Base: 0.01, Rate: 0.001}); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.SetLatency(e.A, e.B, 0.002); err != nil {
-			t.Fatal(err)
-		}
 	}
+	setRTT(n, 0.002)
 	path = path[1:]
 	tx, err := n.Begin(path[0], path[len(path)-1], 10)
 	if err != nil {

@@ -120,10 +120,8 @@ func TestExpireChargesSettleLatency(t *testing.T) {
 		if err := net.SetBalance(e.A, e.B, 100, 100); err != nil {
 			t.Fatal(err)
 		}
-		if err := net.SetLatency(e.A, e.B, 0.01); err != nil {
-			t.Fatal(err)
-		}
 	}
+	setRTT(net, 0.01)
 	tx, err := net.Begin(0, 3, 10)
 	if err != nil {
 		t.Fatal(err)

@@ -240,16 +240,6 @@ type DynamicResult struct {
 	Latency LatencyStats
 }
 
-// WindowRatios renders the per-window success ratios (for quick
-// inspection and tests).
-func (r DynamicResult) WindowRatios() []float64 {
-	out := make([]float64, len(r.Windows))
-	for i, w := range r.Windows {
-		out[i] = w.Metrics.SuccessRatio()
-	}
-	return out
-}
-
 // validate rejects options that cannot mean anything instead of
 // reading them as "off" or failing deep inside the run: a negative, NaN
 // or infinite service time or window (0 keeps its meaning), deadline

@@ -532,15 +532,3 @@ func TestRetriesZeroMatchesGolden(t *testing.T) {
 		t.Errorf("Retries=0 diverged from golden:\n got  %+v\n want %+v", got, goldenMetrics[KindRipple])
 	}
 }
-
-// TestWindowRatios sanity-checks the helper.
-func TestWindowRatios(t *testing.T) {
-	res := DynamicResult{Windows: []Window{
-		{Metrics: Metrics{Payments: 4, Successes: 2}},
-		{Metrics: Metrics{Payments: 5, Successes: 5}},
-	}}
-	got := res.WindowRatios()
-	if len(got) != 2 || math.Abs(got[0]-0.5) > 1e-12 || got[1] != 1 {
-		t.Errorf("WindowRatios = %v", got)
-	}
-}

@@ -144,7 +144,10 @@ func TestContentionScenarioDegradesThenRecovers(t *testing.T) {
 	if agg.Successes == 0 {
 		t.Fatal("contention scenario delivered nothing")
 	}
-	ratios := spans.WindowRatios()
+	ratios := make([]float64, len(spans.Windows))
+	for i, w := range spans.Windows {
+		ratios[i] = w.Metrics.SuccessRatio()
+	}
 	minRatio, last := 1.0, ratios[len(ratios)-1]
 	for _, r := range ratios {
 		if r < minRatio {

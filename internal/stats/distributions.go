@@ -75,6 +75,3 @@ func (z *Zipf) DrawPrefix(rng *rand.Rand, n int) int {
 	}
 	return lo
 }
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cum) }

@@ -29,9 +29,6 @@ func NewEWMA(alpha float64) *EWMA {
 	return &EWMA{alpha: alpha}
 }
 
-// Alpha returns the smoothing factor.
-func (e *EWMA) Alpha() float64 { return e.alpha }
-
 // Count returns the number of observations added since the last Reset.
 func (e *EWMA) Count() int { return e.count }
 

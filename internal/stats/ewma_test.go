@@ -22,8 +22,8 @@ func TestEWMASeedAndDecay(t *testing.T) {
 	if e.Count() != 3 {
 		t.Fatalf("Count = %d, want 3", e.Count())
 	}
-	if e.Alpha() != 0.5 {
-		t.Fatalf("Alpha = %g", e.Alpha())
+	if e.alpha != 0.5 {
+		t.Fatalf("alpha = %g", e.alpha)
 	}
 }
 

@@ -46,9 +46,6 @@ func NewQuantileEstimator(p float64) *QuantileEstimator {
 	return e
 }
 
-// P returns the target quantile the estimator tracks.
-func (e *QuantileEstimator) P() float64 { return e.p }
-
 // Count returns the number of observations added since the last Reset.
 func (e *QuantileEstimator) Count() int { return e.count }
 

@@ -110,8 +110,8 @@ func TestQuantileEstimatorReset(t *testing.T) {
 	if got := e.Quantile(); got > 1 {
 		t.Errorf("post-reset estimate %v still reflects the old regime", got)
 	}
-	if e.P() != 0.9 {
-		t.Errorf("Reset changed the target quantile: %v", e.P())
+	if e.p != 0.9 {
+		t.Errorf("Reset changed the target quantile: %v", e.p)
 	}
 }
 

@@ -111,18 +111,6 @@ func NewCDF(sample []float64) *CDF {
 	return &CDF{sorted: sorted, total: total}
 }
 
-// Len returns the number of observations.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns P[X ≤ x], the fraction of observations not exceeding x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	idx := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(c.sorted))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the sample.
 func (c *CDF) Quantile(q float64) float64 {
 	if len(c.sorted) == 0 {

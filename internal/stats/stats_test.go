@@ -74,20 +74,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	cases := []struct {
-		x, want float64
-	}{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {100, 1},
-	}
-	for _, tc := range cases {
-		if got := c.At(tc.x); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-}
-
 func TestCDFQuantile(t *testing.T) {
 	c := NewCDF([]float64{10, 20, 30, 40, 50})
 	if got := c.Quantile(0.5); got != 30 {
@@ -122,7 +108,7 @@ func TestCDFTopShare(t *testing.T) {
 
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
-	if c.At(1) != 0 || c.Quantile(0.5) != 0 || c.TopShare(0.5) != 0 {
+	if c.Quantile(0.5) != 0 || c.TopShare(0.5) != 0 {
 		t.Error("empty CDF should return zeros")
 	}
 	if c.Points(5) != nil {
@@ -209,7 +195,7 @@ func TestZipfSkew(t *testing.T) {
 }
 
 func TestZipfN(t *testing.T) {
-	if NewZipf(17, 1).N() != 17 {
+	if len(NewZipf(17, 1).cum) != 17 {
 		t.Error("N mismatch")
 	}
 }
@@ -257,7 +243,8 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: CDF.At is monotone and hits 1 at the max.
+// Property: the CDF's plotted probabilities are monotone and reach 1
+// at the max.
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		vs := raw[:0]
@@ -269,18 +256,14 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		if len(vs) == 0 {
 			return true
 		}
-		c := NewCDF(vs)
-		s := Summarize(vs)
-		if c.At(s.Max) != 1 {
+		pts := NewCDF(vs).Points(11)
+		if last := pts[len(pts)-1]; last[0] != Summarize(vs).Max || last[1] != 1 {
 			return false
 		}
-		prev := 0.0
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			p := c.At(s.Min + q*(s.Max-s.Min))
-			if p < prev {
+		for i := 1; i < len(pts); i++ {
+			if pts[i][0] < pts[i-1][0] || pts[i][1] < pts[i-1][1] {
 				return false
 			}
-			prev = p
 		}
 		return true
 	}

@@ -151,7 +151,7 @@ func FuzzReadRippleEdgeList(f *testing.F) {
 // together (no self-loop, every channel in both endpoints' adjacency,
 // degrees summing to twice the channels, each node's channels laid out
 // in ascending index order) and survive a
-// WriteEdgeList → ReadEdgeList round trip with its node count and
+// writeEdgeList → ReadEdgeList round trip with its node count and
 // channel order intact.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("# flash-topology nodes=3 channels=2\n0 1\n1 2\n")
@@ -191,7 +191,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 
 		var buf bytes.Buffer
-		if err := WriteEdgeList(&buf, g); err != nil {
+		if err := writeEdgeList(&buf, g); err != nil {
 			t.Fatalf("writing accepted graph: %v", err)
 		}
 		again, err := ReadEdgeList(&buf)

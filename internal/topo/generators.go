@@ -5,7 +5,9 @@ import (
 	"math/rand"
 )
 
-// Ring returns a cycle of n nodes (useful in tests).
+// Ring returns a cycle of n nodes.
+//
+//flashvet:allow testonly/unused test fixture of the graph, pcn, baseline, sim, node, trace and testbed tests and of benchmark/harness's
 func Ring(n int) *Graph {
 	g := New(n)
 	for i := 0; i < n; i++ {
@@ -15,6 +17,8 @@ func Ring(n int) *Graph {
 }
 
 // Line returns a path graph of n nodes 0-1-…-(n-1).
+//
+//flashvet:allow testonly/unused test fixture of the graph, pcn, route, baseline, sim, node and testbed tests and of cmd/flashnode's
 func Line(n int) *Graph {
 	g := New(n)
 	for i := 0; i+1 < n; i++ {
@@ -24,6 +28,8 @@ func Line(n int) *Graph {
 }
 
 // Complete returns the complete graph on n nodes.
+//
+//flashvet:allow testonly/unused test fixture of the topo and graph tests
 func Complete(n int) *Graph {
 	g := New(n)
 	for i := 0; i < n; i++ {

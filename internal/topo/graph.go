@@ -266,11 +266,3 @@ func (g *Graph) ComponentOf(start NodeID) []NodeID {
 	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
 	return comp
 }
-
-// AvgDegree returns the mean node degree (2·channels / nodes).
-func (g *Graph) AvgDegree() float64 {
-	if g.NumNodes() == 0 {
-		return 0
-	}
-	return 2 * float64(g.NumChannels()) / float64(g.NumNodes())
-}

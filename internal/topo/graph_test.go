@@ -1,8 +1,10 @@
 package topo
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -188,8 +190,8 @@ func TestBarabasiAlbert(t *testing.T) {
 			maxDeg = d
 		}
 	}
-	if float64(maxDeg) < 3*g.AvgDegree() {
-		t.Errorf("max degree %d not heavy-tailed vs mean %.1f", maxDeg, g.AvgDegree())
+	if float64(maxDeg) < 3*avgDegree(g) {
+		t.Errorf("max degree %d not heavy-tailed vs mean %.1f", maxDeg, avgDegree(g))
 	}
 }
 
@@ -209,14 +211,14 @@ func TestRippleLightningLike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := r.AvgDegree(); d < 8 || d > 11 {
+	if d := avgDegree(r); d < 8 || d > 11 {
 		t.Errorf("Ripple-like avg degree = %.1f, want ≈9.3", d)
 	}
 	l, err := LightningLike(300, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := l.AvgDegree(); d < 12 || d > 15.5 {
+	if d := avgDegree(l); d < 12 || d > 15.5 {
 		t.Errorf("Lightning-like avg degree = %.1f, want ≈14.3", d)
 	}
 	if _, err := RippleLike(5, rng); err == nil {
@@ -234,7 +236,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	if err := writeEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadEdgeList(&buf)
@@ -338,7 +340,7 @@ func TestGeneratorInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	var edges, ripple, ln bytes.Buffer
-	if err := WriteEdgeList(&edges, snap.Graph); err != nil {
+	if err := writeEdgeList(&edges, snap.Graph); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteRippleEdgeList(&ripple, snap); err != nil {
@@ -454,4 +456,24 @@ func TestIngestHubFirstStarLinear(t *testing.T) {
 		}
 		t.Logf("%s: hub-first %v, leaf-first %v", r.name, hub, leaf)
 	}
+}
+
+// writeEdgeList serialises g in the format ReadEdgeList parses, header
+// included.
+func writeEdgeList(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "# flash-topology nodes=%d channels=%d\n", g.NumNodes(), g.NumChannels()); err != nil {
+		return err
+	}
+	for _, e := range g.Channels() {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", e.A, e.B); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// avgDegree returns the mean node degree (2·channels / nodes).
+func avgDegree(g *Graph) float64 {
+	return 2 * float64(g.NumChannels()) / float64(g.NumNodes())
 }

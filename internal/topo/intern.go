@@ -46,9 +46,5 @@ func (in *Interner) Name(id NodeID) string {
 	return in.names[id]
 }
 
-// Names returns the external keys indexed by NodeID. The caller must
-// not modify the returned slice.
-func (in *Interner) Names() []string { return in.names }
-
 // Len returns the number of interned keys.
 func (in *Interner) Len() int { return len(in.names) }

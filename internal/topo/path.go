@@ -34,6 +34,8 @@ func PathOf(elems []NodeID) Path {
 // MakePath returns the hop path over nodes whose hop i crosses channel
 // chans[i], in an array of its own; no nodes give the zero Path.
 // len(chans) must be len(nodes)-1, or MakePath panics.
+//
+//flashvet:allow testonly/unused builds the hop-path fixtures of the topo, graph, pcn, route and core tests
 func MakePath(nodes []NodeID, chans []int32) Path {
 	if len(nodes) == 0 {
 		return Path{}

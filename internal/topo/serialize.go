@@ -14,29 +14,10 @@ import (
 // than the machine has. The largest workload has 10,000 nodes.
 const MaxEdgeListNodes = 1 << 20
 
-// WriteEdgeList serialises g in a simple text format:
-//
-//	# flash-topology nodes=<n> channels=<c>
-//	<a> <b>
-//	...
-//
-// one channel per line. Lines starting with '#' are comments.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# flash-topology nodes=%d channels=%d\n", g.NumNodes(), g.NumChannels()); err != nil {
-		return err
-	}
-	for _, e := range g.Channels() {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", e.A, e.B); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses the format written by WriteEdgeList. It also
-// accepts plain edge lists without the header, sizing the graph to the
-// largest node ID seen. Real crawl data (e.g. the Ripple dataset the
+// ReadEdgeList parses one channel "<a> <b>" per line. A header line
+// "# flash-topology nodes=<n> channels=<c>" sizes the graph; without it
+// the largest node ID seen does. Other lines starting with '#' are
+// comments. Real crawl data (e.g. the Ripple dataset the
 // paper uses) can be converted to this format and dropped in.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
