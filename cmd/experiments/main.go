@@ -6,12 +6,18 @@
 //
 //	experiments                 # all figures at paper scale
 //	experiments -fig 6,8        # selected figures only
+//	experiments -topology ln.json -fig 6,7  # over a real snapshot
 //	experiments -telemetry 127.0.0.1:9090   # live /metrics + pprof
 //
-// Every figure runs at the paper's scale. On two vCPUs the simulated
-// figures (3–11, the headline, the ablations, dynamic and latency)
-// take about 30 s together, and the TCP testbed figures 12 and 13
-// about 26 s and 30 s.
+// Every figure runs at the paper's scale and fixes its own settings:
+// Flash's probe width and control policy are the paper's (sequential
+// probing, no control plane) except where a figure varies them itself
+// (-fig latency sweeps the probe width; the dynamic table's
+// demand-drift cell runs its preset's policy).
+//
+// On two vCPUs the simulated figures (3–11, the headline, the
+// ablations, dynamic and latency) take about 30 s together, and the
+// TCP testbed figures 12 and 13 about 26 s and 30 s.
 //
 // -telemetry ADDR serves Go runtime metrics and /debug/pprof/ while
 // the figures run — useful for profiling a regeneration.
@@ -25,7 +31,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/control"
 	"repro/internal/exp"
 	"repro/internal/telemetry"
 )
@@ -33,16 +38,13 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one invocation and returns the exit code: 2 for a usage
-// error (a bad flag, an unknown figure or control policy), 1 when a
-// figure fails.
+// error (a bad flag or an unknown figure), 1 when a figure fails.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		figs     = fs.String("fig", "all", "comma-separated figure list (3,4,6,7,8,9,10,11,12,13,headline,ablations,dynamic,latency) or 'all'")
 		seed     = fs.Int64("seed", 1, "base random seed")
-		probeW   = fs.Int("probeworkers", 1, "Flash probe width: speculative elephant candidates probed per round, each round charged its slowest probe in virtual time (1 = sequential Algorithm 1)")
-		ctrl     = fs.String("control", "", "adaptive control plane for every dynamic-scenario cell, comma-separated: raw|ewma (global threshold), sender (per-sender thresholds), width (probe width); off/empty = none")
 		topology = fs.String("topology", "", "snapshot file (LN graph JSON or capacity edge list) replacing every figure's generated topology")
 		telAddr  = fs.String("telemetry", "", "serve runtime /metrics and pprof on this address while figures run")
 	)
@@ -53,17 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	o := exp.Options{Seed: *seed, Out: stdout, ProbeWorkers: *probeW, Topology: *topology}
-	if *ctrl != "" {
-		policy, err := control.ParsePolicy(*ctrl)
-		if err != nil {
-			fmt.Fprintln(stderr, "experiments:", err)
-			return 2
-		}
-		if policy.Enabled() {
-			o.Control = &policy
-		}
-	}
+	o := exp.Options{Seed: *seed, Out: stdout, Topology: *topology}
 	selected := map[string]bool{}
 	for _, f := range exp.Figures {
 		selected[f.Name] = *figs == "all"

@@ -21,7 +21,6 @@ var goldenCases = []struct {
 	{"fig-3-4", []string{"-fig", "3,4"}},
 	{"fig-8", []string{"-fig", "8"}},
 	{"exit-unknown-figure", []string{"-fig", "3,bogus"}},
-	{"exit-unknown-control", []string{"-control", "bogus"}},
 	{"exit-bad-flag", []string{"-bogus"}},
 	{"help", []string{"-h"}},
 }
@@ -53,17 +52,12 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestBadSelectionStartsNoServer checks that -fig and -control are
-// validated before the -telemetry server binds its address: a usage
-// error exits 2 with nothing on stdout.
+// TestBadSelectionStartsNoServer checks that -fig is validated before
+// the -telemetry server binds its address: a usage error exits 2 with
+// nothing on stdout.
 func TestBadSelectionStartsNoServer(t *testing.T) {
-	for _, args := range [][]string{
-		{"-telemetry", "127.0.0.1:0", "-fig", "bogus"},
-		{"-telemetry", "127.0.0.1:0", "-control", "bogus"},
-	} {
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
-			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no telemetry banner", args, code, stdout.String())
-		}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-telemetry", "127.0.0.1:0", "-fig", "bogus"}, &stdout, &stderr); code != 2 || stdout.Len() != 0 {
+		t.Errorf("exit %d, stdout %q; want exit 2 and no telemetry banner", code, stdout.String())
 	}
 }

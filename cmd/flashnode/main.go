@@ -8,7 +8,9 @@
 //
 //	-topology  edge list ("a b" per line, '#' comments)
 //	-channels  channel state: "a b balAB balBA feeAB feeBA" per line
-//	           (only lines where a or b equals this node's ID apply)
+//	           (only lines where a or b equals this node's ID apply;
+//	           a fee rate left out is 0, a malformed, negative or
+//	           non-finite one an error)
 //	-peers     address registry: "id host:port" per line
 //
 // Example (3-node line, run in three shells):
@@ -17,10 +19,11 @@
 //	flashnode -id 1 -listen 127.0.0.1:7001 ...
 //	flashnode -id 2 -listen 127.0.0.1:7002 ...
 //
-// With -pay RECEIVER:AMOUNT the node routes one payment with Flash and
-// exits with status 0 on success; otherwise it serves until interrupted
-// (SIGINT or SIGTERM), printing the router's final statistics on the
-// way out.
+// With -pay RECEIVER:AMOUNT the node routes one payment with Flash at
+// the paper's settings (k = 20 elephant paths, m = 4 mice paths per
+// receiver) and exits with status 0 on success; otherwise it serves
+// until interrupted (SIGINT or SIGTERM), printing the router's final
+// statistics on the way out.
 //
 // -telemetry ADDR serves live observability while the node runs:
 // /metrics (Prometheus text), /metrics.json (JSON lines), /flows
@@ -59,8 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chanPath = fs.String("channels", "", "channel balance/fee file (required)")
 		peerPath = fs.String("peers", "", "peer address registry file (required)")
 		pay      = fs.String("pay", "", "optional one-shot payment RECEIVER:AMOUNT, routed with Flash")
-		k        = fs.Int("k", 20, "Flash elephant path budget")
-		m        = fs.Int("m", 4, "Flash mice paths per receiver")
 		timeout  = fs.Duration("timeout", 5*time.Second, "protocol reply timeout")
 		telAddr  = fs.String("telemetry", "", "serve /metrics, /flows and pprof on this address (e.g. 127.0.0.1:9090)")
 	)
@@ -99,9 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	cfg := core.DefaultConfig(math.Inf(1)) // single payments: mice path is fine
-	cfg.K, cfg.M = *k, *m
-	router := core.New(cfg)
+	router := core.New(core.DefaultConfig(math.Inf(1))) // single payments: mice path is fine
 
 	var flows *telemetry.FlowLog
 	var payLatency *telemetry.Histogram
@@ -229,7 +228,9 @@ func loadPeers(path string) (map[topo.NodeID]string, error) {
 	return peers, sc.Err()
 }
 
-// loadChannels applies the channel lines adjacent to node n.
+// loadChannels applies the channel lines adjacent to node n. A line
+// needs its two node IDs and two balances; a fee rate it leaves out is
+// 0, but one it gives must parse.
 func loadChannels(n *node.Node, g *topo.Graph, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -245,8 +246,8 @@ func loadChannels(n *node.Node, g *topo.Graph, path string) error {
 		var a, b topo.NodeID
 		var balAB, balBA, feeAB, feeBA float64
 		cnt, err := fmt.Sscanf(line, "%d %d %f %f %f %f", &a, &b, &balAB, &balBA, &feeAB, &feeBA)
-		if err != nil && cnt < 4 {
-			return fmt.Errorf("channels file: %q: %w", line, err)
+		if err != nil && (cnt < 4 || cnt < len(strings.Fields(line))) {
+			return fmt.Errorf("channels file: %q: field %d: %w", line, cnt+1, err)
 		}
 		switch n.ID() {
 		case a:

@@ -31,6 +31,7 @@ var goldenCases = []struct {
 	{"pay-nan", []string{"-id", "0", "-listen", "{addr}", "-topology", "{dir}/topo.edges", "-channels", "{dir}/channels.txt", "-peers", "{dir}/peers.txt", "-pay", "2:NaN"}},
 	{"exit-missing-flags", []string{"-id", "0", "-topology", "{dir}/topo.edges"}},
 	{"exit-bad-pay", []string{"-id", "0", "-listen", "{addr}", "-topology", "{dir}/topo.edges", "-channels", "{dir}/channels.txt", "-peers", "{dir}/peers.txt", "-pay", "2-10"}},
+	{"exit-bad-channels", []string{"-id", "0", "-listen", "{addr}", "-topology", "{dir}/topo.edges", "-channels", "{dir}/bad-channels.txt", "-peers", "{dir}/peers.txt", "-pay", "2:10"}},
 	{"exit-unreadable-file", []string{"-id", "0", "-topology", "{dir}/missing.edges", "-channels", "{dir}/channels.txt", "-peers", "{dir}/peers.txt"}},
 }
 
@@ -76,7 +77,9 @@ func startPeers(t *testing.T, dir string) string {
 	files := map[string]string{
 		"topo.edges":   "0 1\n1 2\n",
 		"channels.txt": "# a b balAB balBA feeAB feeBA\n0 1 100 100 0.01 0.01\n1 2 100 100 0.01 0.01\n",
-		"peers.txt":    fmt.Sprintf("0 %s\n1 %s\n2 %s\n", addr0, registry[1], registry[2]),
+		// A fee field that is there but does not parse.
+		"bad-channels.txt": "0 1 100 100 abc\n",
+		"peers.txt":        fmt.Sprintf("0 %s\n1 %s\n2 %s\n", addr0, registry[1], registry[2]),
 	}
 	for name, body := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {

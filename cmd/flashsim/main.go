@@ -20,11 +20,15 @@
 // deterministically (see ARCHITECTURE.md). -service 0 (the default)
 // keeps the historical atomic-at-dispatch behaviour.
 //
+// -kind testbed funds every channel uniformly in [1000, 1500), the
+// first of §5.2's capacity intervals; cmd/flashtestbed sweeps all
+// three. -h lists every flag.
+//
 // Examples:
 //
 //	flashsim -kind ripple -nodes 1870 -txns 2000 -scale 10
 //	flashsim -kind lightning -nodes 2511 -txns 2000 -scale 20 -schemes Flash,Spider
-//	flashsim -kind testbed -nodes 50 -txns 1000 -caplo 1000 -caphi 1500
+//	flashsim -kind testbed -nodes 50 -txns 1000
 //	flashsim -dynamic -arrival poisson -rate 20 -duration 60
 //	flashsim -dynamic -retries 3                      # retry recovery with seeded backoff
 //	flashsim -scenario churn -nodes 200 -seed 42      # catalogue churn scenario
@@ -98,10 +102,6 @@ var flagFields = []flagField{
 		func(s *spec) []any { return []any{&s.static.Router.K, &s.dyn.Router.K} }},
 	{"m", -1, "Flash mice paths per receiver (-1 = paper default 4; 0 routes mice as elephants)",
 		func(s *spec) []any { return []any{&s.static.Router, &s.dyn.Router} }},
-	{"caplo", 1000.0, "testbed capacity range low",
-		func(s *spec) []any { return []any{&s.static.TestbedCapLo} }},
-	{"caphi", 1500.0, "testbed capacity range high",
-		func(s *spec) []any { return []any{&s.static.TestbedCapHi} }},
 	{"retries", 0, "re-route failed payments up to N extra times with jittered virtual backoff",
 		func(s *spec) []any { return []any{&s.static.Retries, &s.dyn.Retries} }},
 	{"probeworkers", 1, "Flash probe width: speculative elephant candidates probed per round, each round charged its slowest probe in virtual time (1 = sequential Algorithm 1)",

@@ -24,12 +24,13 @@ type goldenCase struct {
 
 // goldenCases covers the flag surface: the static replay, the custom
 // dynamic scenario, every catalogue preset, flags overriding a preset,
-// JSON output, flow records and the usage errors.
+// JSON output, flow records, the usage errors and -h, whose usage text
+// lists every flag.
 func goldenCases() []goldenCase {
 	cases := []goldenCase{
 		{"static", []string{"-nodes", "80", "-txns", "60", "-runs", "2", "-seed", "3"}},
 		{"static-knobs", []string{"-kind", "testbed", "-nodes", "30", "-txns", "40", "-runs", "1",
-			"-caplo", "200", "-caphi", "400", "-scale", "2", "-mice", "0.8", "-k", "5", "-m", "0",
+			"-scale", "2", "-mice", "0.8", "-k", "5", "-m", "0",
 			"-retries", "2", "-probeworkers", "2", "-tablecap", "8", "-schemes", "Flash,Flash-NoOpt,MaxFlow-FullProbe"}},
 		{"dynamic-churn", []string{"-dynamic", "-nodes", "60", "-duration", "10", "-rate", "10",
 			"-churn", "2", "-rebalance", "1", "-latent", "5", "-arrival", "flash-crowd", "-peak", "3",
@@ -53,6 +54,7 @@ func goldenCases() []goldenCase {
 		{"exit-static-mice", []string{"-kind", "ripple", "-nodes", "60", "-txns", "100", "-runs", "1", "-mice", "2"}},
 		{"exit-bad-control", []string{"-dynamic", "-nodes", "40", "-duration", "4", "-control", "bogus"}},
 		{"exit-diurnal-peak", []string{"-dynamic", "-arrival", "diurnal", "-peak", "3", "-nodes", "40", "-duration", "4", "-schemes", "Flash"}},
+		{"help", []string{"-h"}},
 	}
 	for _, name := range sim.ScenarioNames {
 		cases = append(cases, goldenCase{"preset-" + name, []string{"-scenario", name, "-nodes", "60", "-duration", "10"}})

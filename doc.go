@@ -74,7 +74,7 @@
 //     plus a fixed ProbeWorkers replays identically, in memory and over
 //     TCP. ProbeWorkers ≤ 1 is the sequential Algorithm 1 loop,
 //     byte-identical to the seed engine. CLI: -probeworkers on
-//     cmd/flashsim and cmd/experiments.
+//     cmd/flashsim; experiments -fig latency sweeps widths 1, 2 and 4.
 //   - sim: RunSimulation replays a workload one payment at a time — a
 //     zero-churn, one-station run of the dynamic engine below. Every
 //     run a user starts (cmd/flashsim, cmd/experiments, this package)

@@ -102,7 +102,7 @@ func DefaultTraceConfig(n int) TraceConfig { return trace.DefaultConfig(n) }
 // a zero-churn, one-station run of the dynamic engine over the trace
 // (see sim.Replay).
 func RunSimulation(net *Network, r Router, payments []Payment, miceThreshold float64) (Metrics, error) {
-	return sim.Replay(net, r, payments, miceThreshold, 0, nil)
+	return sim.Replay(net, r, payments, miceThreshold)
 }
 
 // DefaultScenario is the paper's base experiment cell for a topology
@@ -114,7 +114,7 @@ func RunScenario(sc Scenario) ([]SchemeResult, error) { return sim.Run(sc) }
 
 // BuildNetwork constructs a funded network for an experiment kind.
 func BuildNetwork(kind string, nodes int, scale float64, seed int64) (*Network, error) {
-	return sim.BuildNetwork(kind, nodes, scale, 0, 0, seed)
+	return sim.BuildNetwork(kind, nodes, scale, seed)
 }
 
 // NewCluster boots one TCP node per topology vertex on loopback.

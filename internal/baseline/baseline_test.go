@@ -151,7 +151,7 @@ func TestSpiderSplitsAcrossDisjointPaths(t *testing.T) {
 		{0, 1, 40, 0}, {1, 3, 40, 0},
 		{0, 2, 40, 0}, {2, 3, 40, 0},
 	})
-	sp := NewSpider(4)
+	sp := NewSpider()
 	tx, err := pay(t, sp, net, 0, 3, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestSpiderSplitsAcrossDisjointPaths(t *testing.T) {
 
 func TestSpiderProbesEveryPayment(t *testing.T) {
 	net := build(t, 3, [][4]float64{{0, 1, 1000, 0}, {1, 2, 1000, 0}})
-	sp := NewSpider(4)
+	sp := NewSpider()
 	tx1, err := pay(t, sp, net, 0, 2, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSpiderSharedBottleneckUnderperforms(t *testing.T) {
 	})
 	// Edge-disjoint set can carry at most 30 (via 1) + 20 (via 4) = 50;
 	// demand 55 must fail for Spider even though max-flow is 60+20=80.
-	_, err := pay(t, NewSpider(4), net, 0, 5, 55)
+	_, err := pay(t, NewSpider(), net, 0, 5, 55)
 	if !errors.Is(err, route.ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient (edge-disjoint limitation)", err)
 	}
@@ -204,7 +204,7 @@ func TestSpiderNoRoute(t *testing.T) {
 	g := topo.New(2)
 	net := pcn.New(g)
 	tx, _ := net.Begin(0, 1, 5)
-	if err := NewSpider(4).Route(tx); !errors.Is(err, route.ErrNoRoute) {
+	if err := NewSpider().Route(tx); !errors.Is(err, route.ErrNoRoute) {
 		t.Errorf("err = %v, want ErrNoRoute", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestSpeedyMurmursDelivers(t *testing.T) {
 	for _, e := range g.Channels() {
 		net.SetBalance(e.A, e.B, 1000, 1000)
 	}
-	sm := NewSpeedyMurmurs(3)
+	sm := NewSpeedyMurmurs()
 	tx, err := pay(t, sm, net, 0, 4, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestSpeedyMurmursFailsOnDepletion(t *testing.T) {
 	net := build(t, 4, [][4]float64{
 		{0, 1, 100, 100}, {1, 2, 1, 100}, {2, 3, 100, 100},
 	})
-	sm := NewSpeedyMurmurs(3)
+	sm := NewSpeedyMurmurs()
 	_, err := pay(t, sm, net, 0, 3, 30)
 	if !errors.Is(err, route.ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
@@ -246,9 +246,9 @@ func TestSpeedyMurmursFailsOnDepletion(t *testing.T) {
 
 func TestSpeedyMurmursTreeDist(t *testing.T) {
 	g := topo.Line(5)
-	sm := NewSpeedyMurmurs(1)
+	sm := NewSpeedyMurmurs()
 	emb := sm.embeddingFor(g)
-	// One tree rooted at the highest-degree node (any middle node).
+	// Tree 0 is rooted at the highest-degree node (a middle node).
 	// Tree distance on a line equals hop distance.
 	if d := emb.treeDist(0, 0, 4); d != 4 {
 		t.Errorf("treeDist(0,4) = %d, want 4", d)
@@ -260,7 +260,7 @@ func TestSpeedyMurmursTreeDist(t *testing.T) {
 
 func TestSpeedyMurmursEmbeddingCache(t *testing.T) {
 	g := topo.Ring(6)
-	sm := NewSpeedyMurmurs(2)
+	sm := NewSpeedyMurmurs()
 	e1 := sm.embeddingFor(g)
 	e2 := sm.embeddingFor(g)
 	if e1 != e2 {
@@ -304,8 +304,8 @@ func TestRouterNames(t *testing.T) {
 		want string
 	}{
 		{NewShortestPath(), "ShortestPath"},
-		{NewSpider(4), "Spider"},
-		{NewSpeedyMurmurs(3), "SpeedyMurmurs"},
+		{NewSpider(), "Spider"},
+		{NewSpeedyMurmurs(), "SpeedyMurmurs"},
 		{NewMaxFlowFullProbe(), "MaxFlow-FullProbe"},
 	}
 	for _, c := range cases {
@@ -325,8 +325,8 @@ func TestBaselineAtomicityProperty(t *testing.T) {
 	}
 	routers := []route.Router{
 		NewShortestPath(),
-		NewSpider(4),
-		NewSpeedyMurmurs(3),
+		NewSpider(),
+		NewSpeedyMurmurs(),
 		NewMaxFlowFullProbe(),
 	}
 	for _, r := range routers {

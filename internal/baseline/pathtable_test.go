@@ -89,7 +89,7 @@ func TestPathTableMatchesSearch(t *testing.T) {
 	}
 	routers := []func() route.Router{
 		func() route.Router { return NewShortestPath() },
-		func() route.Router { return NewSpider(4) },
+		func() route.Router { return NewSpider() },
 	}
 	for _, gc := range graphs {
 		for _, mk := range routers {

@@ -18,8 +18,6 @@ import (
 // decisions use only knowledge a node has of its own channels — which is
 // why the scheme is cheap but blind to remote depletion.
 type SpeedyMurmurs struct {
-	landmarks int
-
 	mu    sync.Mutex
 	graph *topo.Graph
 	emb   *embedding
@@ -31,14 +29,12 @@ type embedding struct {
 	depth  [][]int         // [tree][node] depth, -1 when unreachable
 }
 
-// NewSpeedyMurmurs returns the baseline with the given number of
-// landmark trees (the paper uses 3, following the original work).
-func NewSpeedyMurmurs(landmarks int) *SpeedyMurmurs {
-	if landmarks < 1 {
-		landmarks = 1
-	}
-	return &SpeedyMurmurs{landmarks: landmarks}
-}
+// speedyLandmarks is the number of landmark trees (the paper uses 3,
+// following the original work).
+const speedyLandmarks = 3
+
+// NewSpeedyMurmurs returns the baseline.
+func NewSpeedyMurmurs() *SpeedyMurmurs { return &SpeedyMurmurs{} }
 
 // Name implements route.Router.
 func (sm *SpeedyMurmurs) Name() string { return "SpeedyMurmurs" }
@@ -64,10 +60,7 @@ func (sm *SpeedyMurmurs) embeddingFor(g *topo.Graph) *embedding {
 		}
 		return order[a] < order[b]
 	})
-	trees := sm.landmarks
-	if trees > n {
-		trees = n
-	}
+	trees := min(speedyLandmarks, n)
 	emb := &embedding{
 		parent: make([][]topo.NodeID, trees),
 		depth:  make([][]int, trees),

@@ -20,24 +20,21 @@ import (
 // sender/receiver pair and kept in the router's path table.
 type Spider struct {
 	pathTable[[]topo.Path]
-	numPaths int
 }
 
-// NewSpider returns a Spider router using numPaths edge-disjoint
-// shortest paths (the paper uses 4).
-func NewSpider(numPaths int) *Spider {
-	if numPaths < 1 {
-		numPaths = 1
-	}
-	return &Spider{numPaths: numPaths}
-}
+// spiderPaths is the number of edge-disjoint shortest paths Spider
+// splits a payment across (§4.1).
+const spiderPaths = 4
+
+// NewSpider returns a Spider router.
+func NewSpider() *Spider { return &Spider{} }
 
 // Name implements route.Router.
 func (sp *Spider) Name() string { return "Spider" }
 
 // find returns the edge-disjoint shortest path set from s to t on g.
 func (sp *Spider) find(g *topo.Graph, s, t topo.NodeID) []topo.Path {
-	return graph.EdgeDisjointPaths(g, s, t, sp.numPaths)
+	return graph.EdgeDisjointPaths(g, s, t, spiderPaths)
 }
 
 // Route implements route.Router: probe all paths, waterfill the demand

@@ -32,7 +32,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -80,11 +79,6 @@ type Config struct {
 	// random order load-balances better, §3.3).
 	FixedMiceOrder bool
 
-	// TableTTL evicts a receiver's routing-table entry after this many
-	// payments routed by the owning sender without touching that entry
-	// (the paper's timeout mechanism, §3.3). 0 disables eviction.
-	TableTTL int
-
 	// TableCap bounds the number of receiver entries each sender's
 	// routing table may hold; inserting beyond it evicts the
 	// least-recently-used entry (counted in Stats.TableEvictions).
@@ -121,16 +115,21 @@ func DefaultConfig(threshold float64) Config {
 		Threshold: threshold,
 		K:         20,
 		M:         4,
-		TableTTL:  50000,
 		Seed:      1,
 	}
 }
+
+// tableTTL evicts a receiver's routing-table entry after this many
+// payments routed by the owning sender without touching that entry (the
+// paper's timeout mechanism, §3.3).
+const tableTTL = 50000
 
 // Flash is the routing algorithm. It is safe for concurrent use (the
 // testbed runs one router per node; the simulator shares one across N
 // payment workers). See the package comment for the sharding scheme.
 type Flash struct {
 	cfg Config
+	ttl int // tableTTL; tests shorten it
 
 	// threshold is the live elephant classification boundary
 	// (math.Float64bits-encoded): Config.Threshold seeds it, and
@@ -191,6 +190,7 @@ func New(cfg Config) *Flash {
 	}
 	f := &Flash{
 		cfg:       cfg,
+		ttl:       tableTTL,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		tables:    make(map[topo.NodeID]*routingTable),
 		index:     newChannelIndex(),
@@ -420,13 +420,6 @@ func (f *Flash) Stats() Stats {
 		SenderThresholds:       int(f.senderThrCount.Load()),
 		TableEntries:           entries,
 	}
-}
-
-// String describes the router and its parameters (threshold is the
-// live value).
-func (f *Flash) String() string {
-	return fmt.Sprintf("Flash(k=%d, m=%d, threshold=%g, feeOpt=%v)",
-		f.cfg.K, f.cfg.M, f.Threshold(), !f.cfg.DisableFeeOpt)
 }
 
 // ThresholdForMiceFraction returns the elephant threshold that makes the

@@ -302,9 +302,8 @@ func TestMiceDeadPathReplacement(t *testing.T) {
 
 func TestTableTTLEviction(t *testing.T) {
 	net := build(t, 4, [][4]float64{{0, 1, 1e6, 0}, {1, 2, 1e6, 0}, {1, 3, 1e6, 0}})
-	cfg := DefaultConfig(math.Inf(1))
-	cfg.TableTTL = 2
-	f := New(cfg)
+	f := New(DefaultConfig(math.Inf(1)))
+	f.ttl = 2
 	pay(t, f, net, 0, 2, 1) // entry for 2
 	pay(t, f, net, 0, 3, 1) // entry for 3
 	pay(t, f, net, 0, 3, 1)
@@ -375,13 +374,9 @@ func TestFixedMiceOrderDeterministic(t *testing.T) {
 	}
 }
 
-func TestStringAndName(t *testing.T) {
-	f := New(DefaultConfig(42))
-	if f.Name() != "Flash" {
-		t.Error("Name mismatch")
-	}
-	if got := f.String(); got != "Flash(k=20, m=4, threshold=42, feeOpt=true)" {
-		t.Errorf("String = %q", got)
+func TestName(t *testing.T) {
+	if got := New(DefaultConfig(42)).Name(); got != "Flash" {
+		t.Errorf("Name = %q, want Flash", got)
 	}
 }
 

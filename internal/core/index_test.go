@@ -170,9 +170,9 @@ func TestChannelIndexModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(1000)
-	cfg.TableTTL = 10
 	cfg.TableCap = 6
 	f := New(cfg)
+	f.ttl = 10
 	rng := rand.New(rand.NewSource(22))
 	node := func(n int) topo.NodeID { return topo.NodeID(rng.Intn(n)) }
 	sender := func() topo.NodeID { return node(12) }
@@ -299,9 +299,9 @@ func TestChannelIndexLeakBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(math.Inf(1))
-	cfg.TableTTL = 0
 	cfg.TableCap = 8
 	f := New(cfg)
+	f.ttl = math.MaxInt // no entry goes stale
 	rng := rand.New(rand.NewSource(32))
 	registered := 0
 	for f.tableMisses.Load() < 50000 {
@@ -333,8 +333,8 @@ func TestChannelIndexConcurrent(t *testing.T) {
 	g := net.Graph()
 	cfg := DefaultConfig(100)
 	cfg.TableCap = 10
-	cfg.TableTTL = 50
 	f := New(cfg)
+	f.ttl = 50
 	var wg sync.WaitGroup
 	run := func(seed int64, n int, op func(rng *rand.Rand)) {
 		wg.Add(1)

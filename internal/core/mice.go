@@ -150,12 +150,10 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
-	if ttl := f.cfg.TableTTL; ttl > 0 {
-		// The LRU list is in lastAccess order, so the stale entries are
-		// exactly the prefix at the head — O(evicted), not O(entries).
-		for t.head != nil && t.clock-t.head.lastAccess > ttl {
-			t.removeLocked(t.head)
-		}
+	// The LRU list is in lastAccess order, so the stale entries are
+	// exactly the prefix at the head — O(evicted), not O(entries).
+	for t.head != nil && t.clock-t.head.lastAccess > f.ttl {
+		t.removeLocked(t.head)
 	}
 	if e, ok := t.entries[receiver]; ok {
 		t.unlink(e)

@@ -151,22 +151,6 @@ type Event struct {
 	Amount  float64
 }
 
-// String renders the event for the deterministic log.
-func (e Event) String() string {
-	switch e.Kind {
-	case PaymentArrival, PaymentComplete, DeadlineExpiry:
-		return fmt.Sprintf("t=%.6f %s id=%d try=%d", e.Time, e.Kind, e.ID, e.Attempt)
-	case ChannelOpen, ChannelClose, Rebalance, FeeShift:
-		return fmt.Sprintf("t=%.6f %s %d-%d amt=%g", e.Time, e.Kind, e.A, e.B, e.Amount)
-	case DemandShift:
-		return fmt.Sprintf("t=%.6f %s factor=%g", e.Time, e.Kind, e.Amount)
-	case ControlUpdate:
-		return fmt.Sprintf("t=%.6f %s knob=%d sender=%d value=%g", e.Time, e.Kind, e.ID, e.A, e.Amount)
-	default:
-		return fmt.Sprintf("t=%.6f %s", e.Time, e.Kind)
-	}
-}
-
 // key is an event's place in the queue's (Time, Seq) order and the
 // slot that holds its payload. t and seq compare as one 128-bit number
 // with t the high word, so a key is 24 bytes where an Event is 56.

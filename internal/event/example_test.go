@@ -23,12 +23,12 @@ func Example() {
 		e, _ = q.Pop()
 		clock.AdvanceTo(e.Time)
 		log.Record(e)
-		fmt.Println(e)
+		fmt.Printf("t=%.1f %s\n", e.Time, e.Kind)
 	}
 	fmt.Printf("clock %.1fs, %d events, fingerprint %016x\n", e.Time, len(log.Events()), log.Fingerprint())
 	// Output:
-	// t=0.500000 arrival id=1 try=0
-	// t=1.000000 close 2-3 amt=0
-	// t=2.000000 complete id=1 try=0
+	// t=0.5 arrival
+	// t=1.0 close
+	// t=2.0 complete
 	// clock 2.0s, 3 events, fingerprint a69080898b5bc4b5
 }

@@ -28,9 +28,10 @@ func (o Options) dynamicCell(name string, schemes ...string) (sim.Scenario, erro
 // volume plus the worst and best time-series window, the time-resolved
 // view no static figure can show. The adaptive-threshold column shows
 // the number of control decisions and the final effective threshold
-// for Flash in cells a control policy drives ("-" for fixed-threshold
-// cells). Scenario cells are independent and run on one pool; output
-// order is fixed and, like every figure, deterministic in the seed.
+// for Flash in the one cell whose preset runs a control policy,
+// demand-drift ("-" for fixed-threshold cells). Scenario cells are
+// independent and run on one pool; output order is fixed and, like
+// every figure, deterministic in the seed.
 func dynamic(o Options) error {
 	o.header("Dynamic scenarios", "discrete-event engine: arrivals, churn, rebalancing")
 	names := sim.ScenarioNames
@@ -38,10 +39,6 @@ func dynamic(o Options) error {
 		sc, err := o.dynamicCell(names[i], sim.SchemeFlash, sim.SchemeSpider, sim.SchemeShortestPath)
 		if err != nil {
 			return "", err
-		}
-		sc.Router.ProbeWorkers = o.ProbeWorkers
-		if o.Control != nil {
-			sc.Control = o.Control
 		}
 		results, err := sim.Run(sc)
 		if err != nil {

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"text/tabwriter"
 
-	"repro/internal/control"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -31,21 +30,6 @@ type Options struct {
 	Tiny bool      // drastically shrunk sizes, for unit tests
 	Seed int64     // base seed (default 1)
 	Out  io.Writer // destination for tables (required)
-
-	// ProbeWorkers sets Flash's speculative probe width in every
-	// simulated cell (the scenarios' Router.ProbeWorkers). ≤ 1 — the default — keeps the
-	// sequential Algorithm 1 probing the paper's figures were captured
-	// with; > 1 trades extra probe messages for lower per-elephant
-	// latency. Tables stay deterministic for a fixed value.
-	ProbeWorkers int
-
-	// Control, when non-nil, installs this adaptive control-plane
-	// policy in every dynamic-scenario cell (sim.Scenario.Control):
-	// raw or EWMA-smoothed global threshold, per-sender thresholds,
-	// probe width. Nil leaves each cell's catalogue preset (demand-drift
-	// runs the raw threshold policy). Tables stay deterministic for a
-	// fixed policy.
-	Control *control.Policy
 
 	// Topology, when non-empty, replaces every figure's generated
 	// topology with the snapshot file at this path (LN channel-graph
@@ -83,7 +67,6 @@ func (o Options) base(kind string) sim.Scenario {
 		nodes = o.lightningNodes()
 	}
 	sc := sim.DefaultScenario(o.kindFor(kind), nodes)
-	sc.Router.ProbeWorkers = o.ProbeWorkers
 	sc.Runs = o.runs()
 	sc.Seed = o.seed()
 	return sc

@@ -9,6 +9,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // tinyOptions exercises the full harness at unit-test scale.
@@ -136,5 +139,52 @@ func TestParallelSweepOutputIdentical(t *testing.T) {
 		if seq != par {
 			t.Errorf("%s output differs between GOMAXPROCS 1 and 4:\n--- seq ---\n%s\n--- par ---\n%s", name, seq, par)
 		}
+	}
+}
+
+// TestTopologyOverrideRunsTiny runs Figure 6 at Tiny scale over a
+// snapshot file written into a temporary directory: the table has the
+// generated run's shape but other numbers, two runs print the same
+// bytes, and a missing file fails the figure.
+func TestTopologyOverrideRunsTiny(t *testing.T) {
+	snap, err := topo.GenerateSyntheticSnapshot(sim.KindRipple, 40, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ripple.json")
+	if err := topo.WriteSnapshotFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	render := func(topology string) (string, error) {
+		var buf bytes.Buffer
+		o := tinyOptions(&buf)
+		o.Topology = topology
+		err := fig6(o)
+		return buf.String(), err
+	}
+	generated, err := render("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := render(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := render(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Errorf("two runs over %s differ:\n%s\nvs\n%s", path, first, second)
+	}
+	if first == generated {
+		t.Error("the snapshot run printed the generated topology's table")
+	}
+	header := func(s string) string { return strings.Join(strings.SplitN(s, "\n", 5)[:4], "\n") }
+	if header(first) != header(generated) {
+		t.Errorf("the snapshot run's header differs:\n%s\nvs\n%s", header(first), header(generated))
+	}
+	if _, err := render(filepath.Join(t.TempDir(), "missing.json")); err == nil || !strings.Contains(err.Error(), "snapshot topology") {
+		t.Errorf("missing snapshot: error %v, want one naming the snapshot topology", err)
 	}
 }

@@ -165,19 +165,28 @@ func (n *Node) SetPeers(registry map[topo.NodeID]string) {
 
 // SetChannel initialises the adjacent channel towards peer: out is the
 // balance this node can spend towards peer, in the reverse balance, and
-// feeOut/feeIn the two directions' fee schedules.
+// feeOut/feeIn the two directions' fee schedules. Balances and both
+// terms of each fee schedule must be non-negative and finite.
 func (n *Node) SetChannel(peer topo.NodeID, out, in float64, feeOut, feeIn pcn.FeeSchedule) error {
 	if !n.graph.HasChannel(n.id, peer) {
 		return fmt.Errorf("node %d: no channel to %d in topology", n.id, peer)
 	}
-	if !(out >= 0) || !(in >= 0) || math.IsInf(out, 1) || math.IsInf(in, 1) {
+	if !nonNegativeFinite(out) || !nonNegativeFinite(in) {
 		return fmt.Errorf("node %d: balances towards %d must be non-negative and finite, got %v/%v", n.id, peer, out, in)
+	}
+	for _, f := range [...]pcn.FeeSchedule{feeOut, feeIn} {
+		if !nonNegativeFinite(f.Base) || !nonNegativeFinite(f.Rate) {
+			return fmt.Errorf("node %d: fees towards %d must be non-negative and finite, got %+v/%+v", n.id, peer, feeOut, feeIn)
+		}
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.chans[peer] = &channelState{out: out, in: in, feeOut: feeOut, feeIn: feeIn}
 	return nil
 }
+
+// nonNegativeFinite reports whether x is a number in [0, +Inf).
+func nonNegativeFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Balances returns this node's view of the channel towards peer:
 // (out, in), or (0, 0) when no channel is configured.

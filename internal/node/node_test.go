@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -560,6 +561,37 @@ func TestLateReplyNeverReachesRecycledSlot(t *testing.T) {
 	}
 	if len(n.pending) != 0 {
 		t.Errorf("%d slots left pending", len(n.pending))
+	}
+}
+
+// Fee schedules with a negative, NaN or infinite term are refused at
+// set-up, in either direction, and leave the configured channel as it
+// was.
+func TestSetChannelRejectsBadFees(t *testing.T) {
+	n, err := New(Config{ID: 0, Graph: topo.Line(2), Timeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	good := pcn.FeeSchedule{Base: 1, Rate: 0.01}
+	if err := n.SetChannel(1, 100, 50, good, good); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, bad := range []pcn.FeeSchedule{{Base: x, Rate: 0.01}, {Base: 1, Rate: x}} {
+			if err := n.SetChannel(1, 10, 10, bad, good); err == nil || !strings.Contains(err.Error(), "fees towards 1") {
+				t.Errorf("outgoing fee %+v: error %v, want a fee error", bad, err)
+			}
+			if err := n.SetChannel(1, 10, 10, good, bad); err == nil || !strings.Contains(err.Error(), "fees towards 1") {
+				t.Errorf("incoming fee %+v: error %v, want a fee error", bad, err)
+			}
+		}
+	}
+	if out, in := n.Balances(1); out != 100 || in != 50 {
+		t.Errorf("balances %v/%v after rejected updates, want 100/50", out, in)
+	}
+	if err := n.SetChannel(1, 10, 10, pcn.FeeSchedule{}, pcn.FeeSchedule{}); err != nil {
+		t.Errorf("zero fees rejected: %v", err)
 	}
 }
 

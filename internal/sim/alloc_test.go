@@ -43,7 +43,7 @@ func TestInlineAttemptAllocs(t *testing.T) {
 	r := baselineShortestPath(t)
 	for _, sink := range []telemetry.Sink{nil, telemetry.NewFlowLog(16)} {
 		per := perPaymentAllocs(t, payments, func(ps []trace.Payment) {
-			m, err := Replay(net, r, ps, 10, 0, sink)
+			m, err := replayWith(net, r, ps, 10, 0, sink)
 			if err != nil {
 				t.Fatal(err)
 			}

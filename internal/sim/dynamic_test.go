@@ -209,7 +209,7 @@ func TestDynamicLatentChannelsOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := cl.net
-		plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+		plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, sc.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestDynamicLatentChannelsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := cl.net
-	plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, 0, 0, sc.Seed)
+	plain, err := BuildNetwork(sc.Kind, sc.Nodes, sc.ScaleFactor, sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ func TestRepeatedPendingIDFails(t *testing.T) {
 		{ID: 7, Sender: 3, Receiver: 5, Amount: 100, Time: 0.5},
 		{ID: 8, Sender: 1, Receiver: 4, Amount: 1, Time: 0.6},
 	}
-	_, err := Replay(pcnNew(t, topo.Ring(6), 10), baselineShortestPath(t), payments, 10, 1, nil)
+	_, err := replayWith(pcnNew(t, topo.Ring(6), 10), baselineShortestPath(t), payments, 10, 1, nil)
 	if err == nil || !strings.Contains(err.Error(), "payment ID 7") {
 		t.Fatalf("repeated pending ID: error %v, want one naming payment ID 7", err)
 	}

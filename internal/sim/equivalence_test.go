@@ -68,7 +68,7 @@ var retriesGolden = Metrics{
 // the given probe width (0/1 = the sequential seed path).
 func goldenCell(t *testing.T, kind string, probeWorkers int) (*pcn.Network, route.Router, []trace.Payment, float64) {
 	t.Helper()
-	net, err := BuildNetwork(kind, 120, 10, 0, 0, 42)
+	net, err := BuildNetwork(kind, 120, 10, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,23 @@ func goldenCell(t *testing.T, kind string, probeWorkers int) (*pcn.Network, rout
 	return net, r, payments, threshold
 }
 
+// replayWith is Replay with a retry budget and a flow sink.
+func replayWith(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, retries int, sink telemetry.Sink) (Metrics, error) {
+	if len(payments) == 0 {
+		return Metrics{}, nil
+	}
+	horizon := (payments[len(payments)-1].Time + 1) * trace.SecondsPerDay
+	res, err := RunDynamic(net, r, trace.NewReplayStream(payments), horizon, nil, miceThreshold,
+		DynamicOptions{Workers: 1, Retries: retries, FlowSink: sink})
+	return res.Aggregate, err
+}
+
 // goldenRun replays the golden cell with the given retry budget and
 // flow sink.
 func goldenRun(t *testing.T, kind string, retries int, sink telemetry.Sink) Metrics {
 	t.Helper()
 	net, r, payments, threshold := goldenCell(t, kind, 0)
-	m, err := Replay(net, r, payments, threshold, retries, sink)
+	m, err := replayWith(net, r, payments, threshold, retries, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func goldenRun(t *testing.T, kind string, retries int, sink telemetry.Sink) Metr
 func goldenRunProbe(t *testing.T, kind string, probeWorkers int) Metrics {
 	t.Helper()
 	net, r, payments, threshold := goldenCell(t, kind, probeWorkers)
-	m, err := Replay(net, r, payments, threshold, 0, nil)
+	m, err := Replay(net, r, payments, threshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +158,7 @@ func TestRetriesMatchGolden(t *testing.T) {
 // report, is an error.
 func TestReplayEmpty(t *testing.T) {
 	net, r, _, threshold := goldenCell(t, KindRipple, 0)
-	m, err := Replay(net, r, nil, threshold, 2, nil)
+	m, err := Replay(net, r, nil, threshold)
 	if err != nil || m != (Metrics{}) {
 		t.Errorf("Replay(nil) = %+v, %v; want zero metrics", m, err)
 	}

@@ -237,7 +237,7 @@ func TestGriefingPairedControl(t *testing.T) {
 // retry backoffs, with no hidden terms.
 func TestExactVirtualTimeAccounting(t *testing.T) {
 	const deadline = 3.0
-	net, err := BuildNetwork(KindRipple, 60, 10, 0, 0, 7)
+	net, err := BuildNetwork(KindRipple, 60, 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

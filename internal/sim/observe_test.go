@@ -172,7 +172,7 @@ func TestFeeProgramNeverFallsBack(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	RegisterRouterMetrics(reg, SchemeFlash, r)
-	if _, err := Replay(net, r, payments, threshold, 0, nil); err != nil {
+	if _, err := Replay(net, r, payments, threshold); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.(*core.Flash).Stats(); st.Elephants < 50 || st.FeeProgramFallbacks != 0 {

@@ -93,12 +93,6 @@ type Scenario struct {
 	// quantile (paper: 0.9 — 90% of payments are mice).
 	MiceFraction float64
 
-	// TestbedCapLo/Hi set the uniform capacity range for KindTestbed
-	// (paper: [1000,1500), [1500,2000), [2000,2500) USD); both zero
-	// selects [1000, 1500).
-	TestbedCapLo float64
-	TestbedCapHi float64
-
 	// Arrival is ArrivalReplay, ArrivalPoisson (the default for ""),
 	// ArrivalFlashCrowd or ArrivalDiurnal. A replay runs Txns payments
 	// and spans the trace, so it ignores Duration and Rate; the timed
@@ -225,19 +219,14 @@ func Run(sc Scenario) ([]SchemeResult, error) {
 
 // validate rejects a scenario that could only run as something other
 // than what it says, before anything is built from it: a negative run
-// count, testbed capacities that are not both zero (the default range)
-// or a finite range with 0 ≤ lo < hi, a capacity scale factor that is
-// negative or not finite, a mice fraction outside [0, 1], negative
+// count, a capacity scale factor that is negative or not finite, a mice fraction outside [0, 1], negative
 // retries, an unknown fixture, churn and rebalance rates that are
 // negative or not finite (an infinite rate would draw zero gaps
 // forever), an arrival that cannot run, and invalid engine options.
 func (sc Scenario) validate() error {
-	lo, hi := sc.TestbedCapLo, sc.TestbedCapHi
 	switch {
 	case sc.Runs < 0:
 		return fmt.Errorf("sim: runs must be non-negative, got %d", sc.Runs)
-	case (lo != 0 || hi != 0) && !(0 <= lo && lo < hi && !math.IsInf(hi, 1)):
-		return fmt.Errorf("sim: testbed capacity range [%v, %v) must be finite with 0 ≤ low < high", lo, hi)
 	case !(sc.ScaleFactor >= 0) || math.IsInf(sc.ScaleFactor, 1):
 		return fmt.Errorf("sim: capacity scale factor must be non-negative and finite, got %v", sc.ScaleFactor)
 	case !(sc.MiceFraction >= 0 && sc.MiceFraction <= 1):
@@ -347,7 +336,7 @@ func (sc Scenario) newCell(seed int64) (*cell, error) {
 	}
 	churnRNG := newChurnRNG(seed)
 	latent := addLatentChannels(g, sc.LatentChannels, churnRNG)
-	net, err := fundNetwork(sc.Kind, g, caps, latent, sc.ScaleFactor, sc.TestbedCapLo, sc.TestbedCapHi, seed)
+	net, err := fundNetwork(sc.Kind, g, caps, latent, sc.ScaleFactor, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -433,14 +422,14 @@ func (sc Scenario) runScheme(c *cell, scheme string) (DynamicResult, error) {
 // median ≈$250 split evenly per direction (the paper redistributes
 // Ripple funds evenly); Lightning channels with median ≈500,000 satoshi
 // and a skewed random split (the crawled distribution is used directly);
-// the testbed kind draws uniform capacities in [lo, hi). Fees follow the
-// Figure 9 model on all kinds.
-func BuildNetwork(kind string, nodes int, scale float64, capLo, capHi float64, seed int64) (*pcn.Network, error) {
+// the testbed kind draws uniform capacities in [1000, 1500), the first
+// of §5.2's intervals. Fees follow the Figure 9 model on all kinds.
+func BuildNetwork(kind string, nodes int, scale float64, seed int64) (*pcn.Network, error) {
 	g, caps, err := buildTopology(kind, nodes, seed)
 	if err != nil {
 		return nil, err
 	}
-	return fundNetwork(kind, g, caps, nil, scale, capLo, capHi, seed)
+	return fundNetwork(kind, g, caps, nil, scale, seed)
 }
 
 // fundNetwork funds a fresh network over g as BuildNetwork does, with
@@ -448,7 +437,7 @@ func BuildNetwork(kind string, nodes int, scale float64, capLo, capHi float64, s
 // closed, so every base channel's balances and fees are what
 // BuildNetwork gives it. A snapshot kind's capacities come from caps,
 // split evenly per direction.
-func fundNetwork(kind string, g *topo.Graph, caps []float64, latent []topo.Edge, scale, capLo, capHi float64, seed int64) (*pcn.Network, error) {
+func fundNetwork(kind string, g *topo.Graph, caps []float64, latent []topo.Edge, scale float64, seed int64) (*pcn.Network, error) {
 	net := pcn.New(g)
 	for _, e := range latent {
 		if err := net.SetChannelOpen(e.A, e.B, false); err != nil {
@@ -462,10 +451,7 @@ func fundNetwork(kind string, g *topo.Graph, caps []float64, latent []topo.Edge,
 	case KindLightning:
 		net.AssignBalancesLogNormal(balRNG, 500000, 2.0, false)
 	case KindTestbed:
-		if capHi <= capLo {
-			capLo, capHi = 1000, 1500
-		}
-		net.AssignBalancesUniform(balRNG, capLo, capHi)
+		net.AssignBalancesUniform(balRNG, 1000, 1500)
 	default: // a snapshot kind: buildTopology rejected every other
 		if err := net.AssignBalancesFromCapacities(caps); err != nil {
 			return nil, err
@@ -577,9 +563,9 @@ func BuildRouter(spec RouterSpec) (route.Router, error) {
 	case SchemeFlashNoOpt:
 		return mkFlash(true), nil
 	case SchemeSpider:
-		return baseline.NewSpider(4), nil
+		return baseline.NewSpider(), nil
 	case SchemeSpeedyMurmurs:
-		return baseline.NewSpeedyMurmurs(3), nil
+		return baseline.NewSpeedyMurmurs(), nil
 	case SchemeShortestPath:
 		return baseline.NewShortestPath(), nil
 	case SchemeMaxFlow:

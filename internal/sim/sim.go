@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/pcn"
 	"repro/internal/route"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -103,28 +102,18 @@ func (m Metrics) MeanMiceDelay() time.Duration {
 	return m.MiceDelay / time.Duration(m.MicePayments)
 }
 
-// String renders the headline numbers.
-func (m Metrics) String() string {
-	return fmt.Sprintf("success %d/%d (%.1f%%), volume %.4g, probes %d, feeRatio %.3f%%",
-		m.Successes, m.Payments, 100*m.SuccessRatio(), m.SuccessVolume,
-		m.ProbeMessages, 100*m.FeeRatio())
-}
-
 // Replay replays payments over net using r, one at a time in trace
 // order — the paper's simulation setup (§4.1) — as RunDynamic at one
 // station with no churn and arrivals pinned to the trace. Payments
 // must be in non-decreasing Time with distinct IDs, as trace.Generator
-// emits them. miceThreshold only classifies the per-class metrics;
-// failed payments are re-routed up to retries more times; a non-nil
-// sink receives one flow record per payment. Empty input yields zero
-// Metrics.
-func Replay(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64, retries int, sink telemetry.Sink) (Metrics, error) {
+// emits them. miceThreshold only classifies the per-class metrics.
+// Empty input yields zero Metrics.
+func Replay(net *pcn.Network, r route.Router, payments []trace.Payment, miceThreshold float64) (Metrics, error) {
 	if len(payments) == 0 {
 		return Metrics{}, nil
 	}
 	horizon := (payments[len(payments)-1].Time + 1) * trace.SecondsPerDay
-	res, err := RunDynamic(net, r, trace.NewReplayStream(payments), horizon, nil, miceThreshold,
-		DynamicOptions{Workers: 1, Retries: retries, FlowSink: sink})
+	res, err := RunDynamic(net, r, trace.NewReplayStream(payments), horizon, nil, miceThreshold, DynamicOptions{Workers: 1})
 	return res.Aggregate, err
 }
 

@@ -24,7 +24,7 @@ func (invalidSource) Validate() error {
 // degenerate arrival process returns a clear error instead of
 // scheduling +Inf/NaN virtual times onto the event heap.
 func TestRunDynamicValidatesSource(t *testing.T) {
-	net, err := BuildNetwork(KindRipple, 40, 10, 0, 0, 1)
+	net, err := BuildNetwork(KindRipple, 40, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 					t.Errorf("%s error = %v, want one containing %q", where, err, tc.want)
 				}
 			}
-			net, err := BuildNetwork(KindRipple, 40, 10, 0, 0, 1)
+			net, err := BuildNetwork(KindRipple, 40, 10, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +140,7 @@ func TestRunDynamicRejectsInapplicableSpanOptions(t *testing.T) {
 // known fixture, and a timed arrival under the barbell.
 func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	net, err := BuildNetwork(KindRipple, 40, 10, 0, 0, 1)
+	net, err := BuildNetwork(KindRipple, 40, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +201,7 @@ func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 // replay and on a timed arrival, and the replay's own: every row used
 // to run as something other than what it said — unscaled for a NaN or
 // negative scale, all mice for a NaN or 200% mice fraction, once for
-// negative runs, without retries for negative retries, and on the
-// default, negative or NaN testbed capacities for a reversed or
-// non-finite range.
+// negative runs, and without retries for negative retries.
 func TestCellRejectsNonsense(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	static := []struct {
@@ -220,16 +218,11 @@ func TestCellRejectsNonsense(t *testing.T) {
 		{"negative txns", func(sc *Scenario) { sc.Txns = -5 }, "needs at least one payment"},
 		{"negative runs", func(sc *Scenario) { sc.Runs = -2 }, "runs must be non-negative"},
 		{"negative retries", func(sc *Scenario) { sc.Retries = -1 }, "retries must be non-negative"},
-		{"reversed caps", func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = 2000, 1000 }, "testbed capacity range"},
-		{"negative cap", func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = -5, 10 }, "testbed capacity range"},
-		{"NaN cap", func(sc *Scenario) { sc.TestbedCapLo = nan }, "testbed capacity range"},
-		{"infinite cap", func(sc *Scenario) { sc.TestbedCapHi = inf }, "testbed capacity range"},
 	}
 	for _, tc := range static {
 		t.Run("static/"+tc.name, func(t *testing.T) {
 			sc := DefaultScenario(KindTestbed, 20)
 			sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}
-			sc.TestbedCapLo, sc.TestbedCapHi = 1000, 1500
 			tc.mut(&sc)
 			if _, err := Run(sc); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error = %v, want one containing %q", err, tc.want)
@@ -261,14 +254,12 @@ func TestCellRejectsNonsense(t *testing.T) {
 }
 
 // TestCellAcceptsEdges: the bounds are inclusive where the figures need
-// them — Figure 10's 0% mice row, all mice, no scaling, and the
-// zero testbed range that selects the default.
+// them — Figure 10's 0% mice row, all mice and no scaling.
 func TestCellAcceptsEdges(t *testing.T) {
 	for _, mut := range []func(*Scenario){
 		func(sc *Scenario) { sc.MiceFraction = 0 },
 		func(sc *Scenario) { sc.MiceFraction = 1 },
 		func(sc *Scenario) { sc.ScaleFactor = 0 },
-		func(sc *Scenario) { sc.TestbedCapLo, sc.TestbedCapHi = 0, 0 },
 	} {
 		sc := DefaultScenario(KindTestbed, 20)
 		sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}

@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -40,11 +39,6 @@ func (s *Summary) Mean() float64 {
 		return 0
 	}
 	return s.Sum / float64(s.Count)
-}
-
-// String formats the summary as "mean (min–max, n=count)".
-func (s *Summary) String() string {
-	return fmt.Sprintf("%.4g (%.4g–%.4g, n=%d)", s.Mean(), s.Min, s.Max, s.Count)
 }
 
 // Summarize builds a Summary from a slice in one call.

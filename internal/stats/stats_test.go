@@ -32,13 +32,6 @@ func TestSummaryNegativeValues(t *testing.T) {
 	}
 }
 
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3})
-	if got := s.String(); got == "" {
-		t.Error("String returned empty")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	vs := []float64{10, 20, 30, 40, 50}
 	cases := []struct {

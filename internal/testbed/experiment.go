@@ -48,11 +48,9 @@ func NewCell(nodes, txns int, seed int64, lo, hi float64) (*Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := trace.NewGenerator(trace.Config{
-		Nodes: nodes, Graph: g, Sizes: trace.RippleSizes,
-		RecurrenceProb: 0.86, ReceiverZipf: 1.6, SenderZipf: 1.0,
-		PaymentsPerDay: 2000, Seed: seed,
-	})
+	cfg := trace.DefaultConfig(nodes)
+	cfg.Graph, cfg.Seed = g, seed
+	gen, err := trace.NewGenerator(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Path is a hop path: a path through a Graph as the search that found it
 // saw it, carrying the channel each hop crosses. A path of n nodes is
@@ -93,9 +90,3 @@ func (p Path) Equal(q Path) bool { return slices.Equal(p.elems, q.elems) }
 // Len returns the number of elements p occupies in an array: 2n-1 for n
 // nodes.
 func (p Path) Len() int { return len(p.elems) }
-
-// String formats p as its nodes and, after "via", its channels.
-func (p Path) String() string {
-	n := (len(p.elems) + 1) / 2
-	return fmt.Sprint(p.elems[:n], " via ", p.elems[n:])
-}
