@@ -205,6 +205,7 @@ func loadTopology(path string) (*topo.Graph, error) {
 	return topo.ReadEdgeList(f)
 }
 
+// loadPeers reads one node ID and its address per line, nothing more.
 func loadPeers(path string) (map[topo.NodeID]string, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -223,6 +224,9 @@ func loadPeers(path string) (map[topo.NodeID]string, error) {
 		if _, err := fmt.Sscanf(line, "%d %s", &id, &addr); err != nil {
 			return nil, fmt.Errorf("peers file: %q: %w", line, err)
 		}
+		if n := len(strings.Fields(line)); n > 2 {
+			return nil, fmt.Errorf("peers file: %q: %d fields, want 2", line, n)
+		}
 		peers[id] = addr
 	}
 	return peers, sc.Err()
@@ -230,7 +234,7 @@ func loadPeers(path string) (map[topo.NodeID]string, error) {
 
 // loadChannels applies the channel lines adjacent to node n. A line
 // needs its two node IDs and two balances; a fee rate it leaves out is
-// 0, but one it gives must parse.
+// 0, but one it gives must parse, and a seventh field is an error.
 func loadChannels(n *node.Node, g *topo.Graph, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -243,10 +247,14 @@ func loadChannels(n *node.Node, g *topo.Graph, path string) error {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
+		fields := len(strings.Fields(line))
+		if fields > 6 {
+			return fmt.Errorf("channels file: %q: %d fields, want at most 6", line, fields)
+		}
 		var a, b topo.NodeID
 		var balAB, balBA, feeAB, feeBA float64
 		cnt, err := fmt.Sscanf(line, "%d %d %f %f %f %f", &a, &b, &balAB, &balBA, &feeAB, &feeBA)
-		if err != nil && (cnt < 4 || cnt < len(strings.Fields(line))) {
+		if err != nil && (cnt < 4 || cnt < fields) {
 			return fmt.Errorf("channels file: %q: field %d: %w", line, cnt+1, err)
 		}
 		switch n.ID() {

@@ -128,3 +128,45 @@ func TestGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestLoadFilesRejectExtraFields: a channels or peers line with more
+// fields than its format is an error that quotes the line, where
+// fmt.Sscanf alone would ignore the rest; lines within the format load.
+func TestLoadFilesRejectExtraFields(t *testing.T) {
+	g := topo.Line(3)
+	n, err := node.New(node.Config{ID: 0, Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	cases := []struct {
+		file, line, wantErr string // wantErr "" means the line loads
+	}{
+		{"channels", "0 1 10 10", ""},
+		{"channels", "0 1 10 10 0.01 0.01", ""},
+		{"channels", "0 1 10 10 0.01 0.01 extra", "7 fields, want at most 6"},
+		{"channels", "0 1 10 10 0.01 0.01 0.02 0.03", "8 fields, want at most 6"},
+		{"peers", "3 127.0.0.1:9000", ""},
+		{"peers", "3 127.0.0.1:9000 extra", "3 fields, want 2"},
+	}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), c.file+".txt")
+		if err := os.WriteFile(path, []byte(c.line+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if c.file == "channels" {
+			err = loadChannels(n, g, path)
+		} else {
+			_, err = loadPeers(path)
+		}
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s %q: %v", c.file, c.line, err)
+		case c.wantErr == "":
+		case err == nil:
+			t.Errorf("%s %q loads, want an error", c.file, c.line)
+		case !strings.Contains(err.Error(), c.wantErr) || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.line)):
+			t.Errorf("%s %q: error %q, want it to quote the line and say %q", c.file, c.line, err, c.wantErr)
+		}
+	}
+}

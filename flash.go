@@ -76,7 +76,9 @@ func DefaultConfig(threshold float64) Config { return core.DefaultConfig(thresho
 func NewFlash(cfg Config) *Flash { return core.New(cfg) }
 
 // ThresholdForMiceFraction computes the elephant threshold that makes
-// the given fraction of amounts mice (the paper uses 0.9).
+// the given fraction of amounts mice (the paper uses 0.9): the amount at
+// that fraction's nearest rank. It selects it in O(n) expected work,
+// does not modify amounts, and orders NaNs before every number.
 func ThresholdForMiceFraction(amounts []float64, frac float64) float64 {
 	return core.ThresholdForMiceFraction(amounts, frac)
 }

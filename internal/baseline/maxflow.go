@@ -36,7 +36,7 @@ func (m *MaxFlowFullProbe) Route(s route.Session) error {
 	// instead the cost model is 2 messages per channel.
 	chargeFullProbe(s)
 	capOf := func(u, v topo.NodeID) float64 { return s.LocalBalance(u, v) }
-	res := graph.MaxFlow(g, s.Sender(), s.Receiver(), capOf, -1, s.Demand())
+	res := graph.MaxFlow(g, s.Sender(), s.Receiver(), capOf, s.Demand())
 	if res.Value < s.Demand()-route.Epsilon {
 		if err := s.Abort(); err != nil {
 			return err

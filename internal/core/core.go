@@ -33,8 +33,9 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -423,9 +424,12 @@ func (f *Flash) Stats() Stats {
 }
 
 // ThresholdForMiceFraction returns the elephant threshold that makes the
-// given fraction of amounts mice: the frac-quantile of the amounts
-// (nearest rank). frac ≤ 0 makes every payment an elephant; frac ≥ 1
-// makes every payment a mouse.
+// given fraction of amounts mice: the frac-quantile of the amounts by
+// nearest rank, the element at index ⌈frac·n⌉−1 of the amounts in
+// ascending order. frac ≤ 0 makes every payment an elephant; frac ≥ 1
+// makes every payment a mouse. It selects that element from one copy in
+// O(n) expected work (O(n log n) at worst) and does not modify amounts.
+// NaNs order before every number, as slices.Sort orders them.
 func ThresholdForMiceFraction(amounts []float64, frac float64) float64 {
 	if frac <= 0 {
 		return 0
@@ -433,14 +437,77 @@ func ThresholdForMiceFraction(amounts []float64, frac float64) float64 {
 	if frac >= 1 || len(amounts) == 0 {
 		return math.Inf(1)
 	}
-	sorted := append([]float64(nil), amounts...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(frac*float64(len(sorted)))) - 1
+	idx := int(math.Ceil(frac*float64(len(amounts)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
+	if idx >= len(amounts) {
+		idx = len(amounts) - 1
 	}
-	return sorted[idx]
+	// NaNs go to the front of the copy, numbers fill it from the back.
+	vals := make([]float64, len(amounts))
+	nans, hi := 0, len(vals)
+	for _, a := range amounts {
+		if math.IsNaN(a) {
+			vals[nans] = a
+			nans++
+		} else {
+			hi--
+			vals[hi] = a
+		}
+	}
+	if idx < nans {
+		return vals[idx]
+	}
+	nums := vals[nans:]
+	nthElement(nums, idx-nans)
+	return nums[idx-nans]
+}
+
+// nthElement reorders v, which holds no NaN, so that v[k] is the element
+// an ascending sort would put there (an introselect). Each round
+// partitions the range still holding k around the median of its first,
+// middle and last elements; after 2·log2(len(v)) rounds it sorts that
+// range instead, so adversarial inputs cost O(n log n). It reports
+// whether that fallback ran.
+func nthElement(v []float64, k int) (sorted bool) {
+	lo, hi := 0, len(v)
+	for budget := 2 * bits.Len(uint(len(v))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(v[lo:hi])
+			return true
+		}
+		// Order v[lo] ≤ v[m] ≤ v[hi-1], then move the median to lo as
+		// the pivot, which bounds the scans below.
+		m := lo + (hi-lo)/2
+		if v[m] < v[lo] {
+			v[m], v[lo] = v[lo], v[m]
+		}
+		if v[hi-1] < v[m] {
+			v[hi-1], v[m] = v[m], v[hi-1]
+			if v[m] < v[lo] {
+				v[m], v[lo] = v[lo], v[m]
+			}
+		}
+		v[lo], v[m] = v[m], v[lo]
+		// Hoare partition: v[lo..j] ≤ p ≤ v[j+1..hi-1], lo ≤ j < hi-1.
+		p := v[lo]
+		i, j := lo-1, hi
+		for {
+			for i++; v[i] < p; i++ {
+			}
+			for j--; v[j] > p; j-- {
+			}
+			if i >= j {
+				break
+			}
+			v[i], v[j] = v[j], v[i]
+		}
+		if k <= j {
+			hi = j + 1
+		} else {
+			lo = j + 1
+		}
+	}
+	return false
 }

@@ -40,7 +40,7 @@ func TestAlgorithm1MatchesMaxFlowProperty(t *testing.T) {
 		// Ground truth with full knowledge.
 		truth := graph.MaxFlow(g, s, d, func(u, v topo.NodeID) float64 {
 			return net.Balance(u, v)
-		}, -1, -1)
+		}, -1)
 		if truth.Value <= 0 {
 			continue
 		}

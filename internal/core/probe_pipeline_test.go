@@ -37,7 +37,7 @@ func TestPipelinedMatchesMaxFlowProperty(t *testing.T) {
 		}
 		truth := graph.MaxFlow(g, s, d, func(u, v topo.NodeID) float64 {
 			return net.Balance(u, v)
-		}, -1, -1)
+		}, -1)
 		if truth.Value <= 0 {
 			continue
 		}

@@ -249,7 +249,7 @@ func TestMaxFlowSimple(t *testing.T) {
 	g.MustAddChannel(1, 3)
 	g.MustAddChannel(0, 2)
 	g.MustAddChannel(2, 3)
-	res := MaxFlow(g, 0, 3, constCap(1), -1, -1)
+	res := MaxFlow(g, 0, 3, constCap(1), -1)
 	if res.Value != 2 {
 		t.Errorf("flow = %v, want 2", res.Value)
 	}
@@ -278,7 +278,7 @@ func TestMaxFlowFigure5a(t *testing.T) {
 	add(5, 4, 20)
 	add(4, 6, 20)
 	capFn := func(u, v topo.NodeID) float64 { return caps[DirEdge{u, v}] }
-	res := MaxFlow(g, 1, 6, capFn, -1, -1)
+	res := MaxFlow(g, 1, 6, capFn, -1)
 	if res.Value != 50 {
 		t.Errorf("max flow = %v, want 50 (30 via node 2 + 20 via 5-4)", res.Value)
 	}
@@ -286,29 +286,18 @@ func TestMaxFlowFigure5a(t *testing.T) {
 
 func TestMaxFlowRespectsDemand(t *testing.T) {
 	g := topo.Line(3)
-	res := MaxFlow(g, 0, 2, constCap(100), -1, 40)
+	res := MaxFlow(g, 0, 2, constCap(100), 40)
 	if res.Value != 40 {
 		t.Errorf("flow = %v, want demand-capped 40", res.Value)
 	}
 }
 
-func TestMaxFlowRespectsMaxPaths(t *testing.T) {
-	g := topo.Complete(6)
-	res := MaxFlow(g, 0, 5, constCap(1), 2, -1)
-	if len(res.Paths) != 2 {
-		t.Errorf("paths = %d, want 2", len(res.Paths))
-	}
-	if res.Value != 2 {
-		t.Errorf("flow = %v, want 2", res.Value)
-	}
-}
-
 func TestMaxFlowZeroCases(t *testing.T) {
 	g := topo.Line(3)
-	if res := MaxFlow(g, 0, 0, constCap(1), -1, -1); res.Value != 0 {
+	if res := MaxFlow(g, 0, 0, constCap(1), -1); res.Value != 0 {
 		t.Error("s==t flow should be 0")
 	}
-	if res := MaxFlow(g, 0, 2, constCap(0), -1, -1); res.Value != 0 {
+	if res := MaxFlow(g, 0, 2, constCap(0), -1); res.Value != 0 {
 		t.Error("zero capacities should give zero flow")
 	}
 }
@@ -329,7 +318,7 @@ func TestMaxFlowMinCut(t *testing.T) {
 		}
 		capFn := func(u, v topo.NodeID) float64 { return caps[DirEdge{u, v}] }
 		s, tt := topo.NodeID(0), topo.NodeID(15)
-		res := MaxFlow(g, s, tt, capFn, -1, -1)
+		res := MaxFlow(g, s, tt, capFn, -1)
 		if !flowConserved(s, tt, res, 1e-6) {
 			t.Fatalf("trial %d: conservation violated", trial)
 		}

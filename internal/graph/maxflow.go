@@ -14,20 +14,19 @@ type Capacity func(u, v topo.NodeID) float64
 type FlowResult struct {
 	Value float64             // total s→t flow
 	Flow  map[DirEdge]float64 // net flow per directed hop (≥ 0 entries only)
-	Paths [][]topo.NodeID     // augmenting paths in discovery order
 }
 
 // MaxFlow computes the maximum s→t flow with the classic Edmonds–Karp
 // algorithm (BFS augmenting paths on the residual graph), given full
 // knowledge of every channel's directed capacity. This is the unmodified
 // algorithm the paper starts from; the Flash contribution in package
-// core bounds it to k paths and probes capacities lazily. maxPaths < 0
-// means unbounded; demand < 0 means "find the true maximum".
+// core bounds it to k paths and probes capacities lazily. demand < 0
+// means "find the true maximum".
 //
 // The residual graph includes reverse residual arcs, so later augmenting
 // paths may cancel flow placed by earlier ones — exactly why a bounded
 // variant still finds near-optimal flow quickly on PCN topologies.
-func MaxFlow(g *topo.Graph, s, t topo.NodeID, cap Capacity, maxPaths int, demand float64) FlowResult {
+func MaxFlow(g *topo.Graph, s, t topo.NodeID, cap Capacity, demand float64) FlowResult {
 	res := FlowResult{Flow: make(map[DirEdge]float64)}
 	if s == t {
 		return res
@@ -42,10 +41,7 @@ func MaxFlow(g *topo.Graph, s, t topo.NodeID, cap Capacity, maxPaths int, demand
 		residual[e] = c
 		return c
 	}
-	for maxPaths < 0 || len(res.Paths) < maxPaths {
-		if demand >= 0 && res.Value >= demand {
-			break
-		}
+	for demand < 0 || res.Value < demand {
 		path := ShortestPath(g, s, t, func(u, v topo.NodeID, _ int32) bool {
 			return capOf(u, v) > 0
 		})
@@ -69,7 +65,6 @@ func MaxFlow(g *topo.Graph, s, t topo.NodeID, cap Capacity, maxPaths int, demand
 			residual[e.Reverse()] = capOf(e.V, e.U) + bottleneck
 		}
 		res.Value += bottleneck
-		res.Paths = append(res.Paths, path)
 	}
 	// Net flow per hop = original capacity − residual, clipped at 0 so
 	// each channel direction appears once.
