@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	count := *n
 	if *recurrence {
-		count = *days * cfg.PaymentsPerDay
+		count = *days * trace.PaymentsPerDay
 	}
 	gen, err := trace.NewGenerator(cfg)
 	if err != nil {

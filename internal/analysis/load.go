@@ -16,7 +16,7 @@ import (
 // Package is one loaded, type-checked package: the syntax trees of its
 // non-test files plus full go/types information. Test files are
 // excluded by design — the contracts flashvet enforces bind production
-// code; tests may fake clocks, copy locks and iterate maps freely.
+// code; tests may fake clocks and iterate maps freely.
 type Package struct {
 	// Path is the package's import path ("repro/internal/pcn"), or the
 	// bare directory name for fixture packages.

@@ -16,44 +16,32 @@ const (
 	// payment touching two channels must go through the two-phase
 	// ascending-index helper, never lock them ad hoc.
 	RuleLockNested = "lockorder/nested"
-	// RuleCopyLock flags a by-value copy of a type containing a lock
-	// or an atomic — copies split the lock from the state it guards.
-	RuleCopyLock = "lockorder/copylock"
 )
 
 // LockOrderAnalyzer enforces pcn's deadlock-freedom discipline: every
 // multi-channel lock acquisition goes through the ascending-index
-// two-phase helpers (see the pcn package comment, "Locking model"),
-// and lock-bearing values are never copied.
+// two-phase helpers (see the pcn package comment, "Locking model").
+// By-value copies of lock- or atomic-bearing values are go vet's
+// copylocks check, which CI runs over the whole module.
 var LockOrderAnalyzer = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "multi-channel lock acquisition must use the ascending-index helpers; no lock-in-loop outside them; no by-value copies of lock/atomic-bearing types",
-	Rules:     []string{RuleLockLoop, RuleLockNested, RuleCopyLock},
+	Doc:       "multi-channel lock acquisition must use the ascending-index helpers; no lock-in-loop outside them",
+	Rules:     []string{RuleLockLoop, RuleLockNested},
 	AppliesTo: byName(map[string]bool{"pcn": true}),
 	Run:       runLockOrder,
 }
 
-// runLockOrder applies the three lock rules file by file.
+// runLockOrder applies the two lock rules to every function outside
+// the acquire helpers.
 func runLockOrder(pass *Pass) error {
 	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body == nil {
-					return true
-				}
-				checkCopyLockSignature(pass, n)
-				if !LockAcquireHelpers[n.Name.Name] {
-					checkLockLoops(pass, n)
-					checkNestedLocks(pass, n)
-				}
-			case *ast.AssignStmt:
-				checkCopyLockAssign(pass, n)
-			case *ast.RangeStmt:
-				checkCopyLockRange(pass, n)
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Body != nil && !LockAcquireHelpers[fn.Name.Name] {
+				checkLockLoops(pass, fn)
+				checkNestedLocks(pass, fn)
 			}
-			return true
-		})
+		}
 	}
 	return nil
 }
@@ -211,105 +199,4 @@ func checkNestedLocks(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// checkCopyLockSignature flags by-value lock-bearing parameters,
-// results and receivers.
-func checkCopyLockSignature(pass *Pass, fn *ast.FuncDecl) {
-	info := pass.Pkg.Info
-	check := func(fields *ast.FieldList, what string) {
-		if fields == nil {
-			return
-		}
-		for _, f := range fields.List {
-			t := info.TypeOf(f.Type)
-			if t == nil || !containsLock(t) {
-				continue
-			}
-			pass.Reportf(f.Type.Pos(), RuleCopyLock,
-				"%s passes %s by value — it contains a lock or atomic; use a pointer", what, types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
-		}
-	}
-	check(fn.Recv, "receiver")
-	check(fn.Type.Params, "parameter")
-	check(fn.Type.Results, "result")
-}
-
-// checkCopyLockAssign flags assignments that copy a lock-bearing value
-// out of an existing variable (composite literals and function results
-// construct fresh values and are fine).
-func checkCopyLockAssign(pass *Pass, assign *ast.AssignStmt) {
-	info := pass.Pkg.Info
-	for i, rhs := range assign.Rhs {
-		if i < len(assign.Lhs) {
-			if id, ok := assign.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-				continue
-			}
-		}
-		switch ast.Unparen(rhs).(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		default:
-			continue
-		}
-		t := info.TypeOf(rhs)
-		if t == nil || !containsLock(t) {
-			continue
-		}
-		pass.Reportf(rhs.Pos(), RuleCopyLock,
-			"assignment copies %s by value — it contains a lock or atomic; use a pointer", types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
-	}
-}
-
-// checkCopyLockRange flags `for _, v := range xs` where the element
-// copy carries a lock.
-func checkCopyLockRange(pass *Pass, rng *ast.RangeStmt) {
-	if rng.Value == nil {
-		return
-	}
-	info := pass.Pkg.Info
-	t := info.TypeOf(rng.Value)
-	if t == nil || !containsLock(t) {
-		return
-	}
-	pass.Reportf(rng.Value.Pos(), RuleCopyLock,
-		"range copies %s elements by value — they contain a lock or atomic; range over indices", types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
-}
-
-// containsLock reports whether t (by value) transitively contains a
-// sync lock primitive or a sync/atomic value type.
-func containsLock(t types.Type) bool {
-	return containsLockRec(t, map[types.Type]bool{})
-}
-
-// containsLockRec is containsLock with a visited set guarding against
-// recursive types.
-func containsLockRec(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		if pkg := n.Obj().Pkg(); pkg != nil {
-			switch pkg.Path() {
-			case "sync":
-				switch n.Obj().Name() {
-				case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-					return true
-				}
-			case "sync/atomic":
-				return true // every exported sync/atomic type is single-copy
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockRec(u.Elem(), seen)
-	}
-	return false
 }

@@ -1,12 +1,9 @@
 // Package pcn is a lock-order-analyzer fixture mirroring the real
-// pcn's shape: per-channel mutexes, ascending-index acquire helpers,
-// and atomic counters.
+// pcn's shape: per-channel mutexes and ascending-index acquire
+// helpers.
 package pcn
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // channel mirrors the real per-channel lock-striped state.
 type channel struct {
@@ -14,15 +11,9 @@ type channel struct {
 	bal float64
 }
 
-// counters carries an atomic — single-copy like a lock.
-type counters struct {
-	n atomic.Int64
-}
-
 // network is the lock-striped container.
 type network struct {
 	chans []channel
-	stats counters
 }
 
 // lockChannels is an acquire helper: looped locking is its job.
@@ -82,44 +73,4 @@ func (n *network) helperWhileHeld(i int, idxs []int) {
 	n.chans[i].mu.Lock()
 	defer n.chans[i].mu.Unlock()
 	n.lockChannels(idxs) // want `lockorder/nested: lockChannels called while a lock is already held`
-}
-
-// byValueParam copies a lock-bearing channel into the callee.
-func byValueParam(c channel) float64 { // want `lockorder/copylock: parameter passes .*channel by value`
-	return c.bal
-}
-
-// byValueAtomic copies an atomic-bearing struct.
-func byValueAtomic(c counters) int64 { // want `lockorder/copylock: parameter passes .*counters by value`
-	return c.n.Load()
-}
-
-// rangeCopy iterates channels by value, copying their mutexes.
-func (n *network) rangeCopy() float64 {
-	total := 0.0
-	for _, c := range n.chans { // want `lockorder/copylock: range copies .*channel elements by value`
-		total += c.bal
-	}
-	return total
-}
-
-// rangeIndex iterates by index: allowed.
-func (n *network) rangeIndex() float64 {
-	total := 0.0
-	for i := range n.chans {
-		total += n.chans[i].bal
-	}
-	return total
-}
-
-// assignCopy copies a channel out of the slice.
-func (n *network) assignCopy(i int) {
-	c := n.chans[i] // want `lockorder/copylock: assignment copies .*channel by value`
-	_ = c
-}
-
-// pointerUse takes a pointer: allowed.
-func (n *network) pointerUse(i int) {
-	c := &n.chans[i]
-	_ = c
 }

@@ -67,8 +67,7 @@ func (sm *SpeedyMurmurs) embeddingFor(g *topo.Graph) *embedding {
 	}
 	for i := 0; i < trees; i++ {
 		root := order[i]
-		emb.parent[i] = graph.SpanningTree(g, root)
-		emb.depth[i] = graph.Distances(g, root)
+		emb.parent[i], emb.depth[i] = graph.SpanningTree(g, root)
 	}
 	sm.graph = g
 	sm.emb = emb

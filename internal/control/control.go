@@ -117,8 +117,6 @@ type Decision struct {
 // engine's event loop — implementations must be deterministic (no
 // time, no randomness, no map iteration) and must not block.
 type Controller interface {
-	// Name identifies the controller in tables and metric labels.
-	Name() string
 	// Observe ingests one window's metrics and returns the decisions
 	// to apply, in application order. Returning nil means "no change".
 	Observe(w Metrics) []Decision

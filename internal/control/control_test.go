@@ -1,6 +1,7 @@
 package control
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -30,13 +31,11 @@ func TestKnobString(t *testing.T) {
 // scriptedController returns a fixed decision list and records the
 // windows it observed — a pure test double.
 type scriptedController struct {
-	name     string
 	decide   []Decision
 	observed []Metrics
 	arrivals int
 }
 
-func (c *scriptedController) Name() string { return c.name }
 func (c *scriptedController) Observe(w Metrics) []Decision {
 	c.observed = append(c.observed, w)
 	return c.decide
@@ -46,13 +45,12 @@ func (c *scriptedController) ObserveArrival(topo.NodeID, float64) { c.arrivals++
 // plainController has no ArrivalObserver implementation.
 type plainController struct{ scripted scriptedController }
 
-func (c *plainController) Name() string                 { return "plain" }
 func (c *plainController) Observe(w Metrics) []Decision { return c.scripted.Observe(w) }
 
 func TestPlaneFanOutAndOrder(t *testing.T) {
-	a := &scriptedController{name: "a", decide: []Decision{{Knob: KnobThreshold, Value: 1}}}
+	a := &scriptedController{decide: []Decision{{Knob: KnobThreshold, Value: 1}}}
 	b := &plainController{}
-	c := &scriptedController{name: "c", decide: []Decision{
+	c := &scriptedController{decide: []Decision{
 		{Knob: KnobProbeWidth, Value: 2},
 		{Knob: KnobSenderThreshold, Sender: 5, Value: 3},
 	}}
@@ -348,17 +346,19 @@ func TestPolicyControllersOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
+	var types []string
 	for _, c := range cs {
-		names = append(names, c.Name())
+		types = append(types, fmt.Sprintf("%T", c))
 	}
-	want := "smoothed-threshold,per-sender-threshold,probe-width"
-	if got := strings.Join(names, ","); got != want {
+	want := "*control.SmoothedThreshold,*control.PerSenderThreshold,*control.ProbeWidth"
+	if got := strings.Join(types, ","); got != want {
 		t.Fatalf("plane order %q, want %q", got, want)
 	}
 
-	if cs, err := (Policy{Threshold: "raw"}).Controllers(); err != nil || len(cs) != 1 || cs[0].Name() != "raw-threshold" {
+	if cs, err := (Policy{Threshold: "raw"}).Controllers(); err != nil || len(cs) != 1 {
 		t.Fatalf("raw policy: %v, %v", cs, err)
+	} else if _, ok := cs[0].(*RawThreshold); !ok {
+		t.Fatalf("raw policy built %T, want *RawThreshold", cs[0])
 	}
 	if _, err := (Policy{Threshold: "bogus"}).Controllers(); err == nil {
 		t.Fatal("unknown threshold selector accepted")

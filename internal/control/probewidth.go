@@ -38,9 +38,6 @@ type ProbeWidth struct{}
 // NewProbeWidth returns the adaptive probe-width policy.
 func NewProbeWidth() *ProbeWidth { return &ProbeWidth{} }
 
-// Name implements Controller.
-func (c *ProbeWidth) Name() string { return "probe-width" }
-
 // Observe implements Controller.
 func (c *ProbeWidth) Observe(w Metrics) []Decision {
 	if w.Elephants < minElephants || w.ProbeWidth < 1 {

@@ -59,9 +59,6 @@ func NewPerSenderThreshold(miceFraction float64) *PerSenderThreshold {
 	}
 }
 
-// Name implements Controller.
-func (c *PerSenderThreshold) Name() string { return "per-sender-threshold" }
-
 // ObserveArrival implements ArrivalObserver.
 func (c *PerSenderThreshold) ObserveArrival(sender topo.NodeID, amount float64) {
 	st := c.senders[sender]

@@ -53,9 +53,6 @@ func NewRawThreshold(miceFraction float64) *RawThreshold {
 	return &RawThreshold{est: stats.NewQuantileEstimator(miceFraction)}
 }
 
-// Name implements Controller.
-func (c *RawThreshold) Name() string { return "raw-threshold" }
-
 // ObserveArrival implements ArrivalObserver.
 func (c *RawThreshold) ObserveArrival(_ topo.NodeID, amount float64) {
 	c.est.Add(amount)
@@ -97,9 +94,6 @@ func NewSmoothedThreshold(miceFraction float64) *SmoothedThreshold {
 		ewma: stats.NewEWMA(alpha),
 	}
 }
-
-// Name implements Controller.
-func (c *SmoothedThreshold) Name() string { return "smoothed-threshold" }
 
 // ObserveArrival implements ArrivalObserver.
 func (c *SmoothedThreshold) ObserveArrival(_ topo.NodeID, amount float64) {

@@ -202,8 +202,15 @@ func New(cfg Config) *Flash {
 	return f
 }
 
-// Name implements route.Router.
-func (f *Flash) Name() string { return "Flash" }
+// Name implements route.Router: "Flash", or "Flash-NoOpt" when the fee
+// optimisation is off, so the two variants label their flows and
+// metrics apart.
+func (f *Flash) Name() string {
+	if f.cfg.DisableFeeOpt {
+		return "Flash-NoOpt"
+	}
+	return "Flash"
+}
 
 // Threshold returns the current elephant classification threshold.
 func (f *Flash) Threshold() float64 {

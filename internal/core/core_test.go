@@ -378,6 +378,11 @@ func TestName(t *testing.T) {
 	if got := New(DefaultConfig(42)).Name(); got != "Flash" {
 		t.Errorf("Name = %q, want Flash", got)
 	}
+	noOpt := DefaultConfig(42)
+	noOpt.DisableFeeOpt = true
+	if got := New(noOpt).Name(); got != "Flash-NoOpt" {
+		t.Errorf("Name = %q, want Flash-NoOpt", got)
+	}
 }
 
 // TestRouteAtomicityProperty: random payments over a random network

@@ -202,7 +202,7 @@ func fig4(o Options) error {
 	if err != nil {
 		return err
 	}
-	ps := gen.Generate(days * cfg.PaymentsPerDay)
+	ps := gen.Generate(days * trace.PaymentsPerDay)
 	fracs := trace.RecurringPerDay(ps)
 	shares := trace.Top5RecurringShare(ps)
 	w := o.table("metric\tmedian\tmin\tmax\tpaper")

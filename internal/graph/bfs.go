@@ -62,37 +62,20 @@ func ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) []topo.NodeID 
 	return p
 }
 
-// Distances returns BFS hop distances from src to every node; -1 marks
-// unreachable nodes.
-func Distances(g *topo.Graph, src topo.NodeID) []int {
-	dist := make([]int, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []topo.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == -1 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// SpanningTree returns the BFS spanning-tree parent array rooted at
-// root: parent[root] = root, parent[v] = -1 for unreachable v. The
-// SpeedyMurmurs baseline assigns its prefix embeddings over such trees.
-func SpanningTree(g *topo.Graph, root topo.NodeID) []topo.NodeID {
-	parent := make([]topo.NodeID, g.NumNodes())
+// SpanningTree returns the BFS spanning tree rooted at root as a
+// parent array and a depth array, from one pass: parent[root] = root
+// and depth[root] = 0; an unreachable v has parent[v] = -1 and
+// depth[v] = -1. The SpeedyMurmurs baseline assigns its prefix
+// embeddings over such trees.
+func SpanningTree(g *topo.Graph, root topo.NodeID) (parent []topo.NodeID, depth []int) {
+	parent = make([]topo.NodeID, g.NumNodes())
+	depth = make([]int, g.NumNodes())
 	for i := range parent {
 		parent[i] = -1
+		depth[i] = -1
 	}
 	parent[root] = root
+	depth[root] = 0
 	queue := []topo.NodeID{root}
 	for len(queue) > 0 {
 		u := queue[0]
@@ -100,11 +83,12 @@ func SpanningTree(g *topo.Graph, root topo.NodeID) []topo.NodeID {
 		for _, v := range g.Neighbors(u) {
 			if parent[v] == -1 {
 				parent[v] = u
+				depth[v] = depth[u] + 1
 				queue = append(queue, v)
 			}
 		}
 	}
-	return parent
+	return parent, depth
 }
 
 // EdgeDisjointPaths returns up to k minimum-hop hop paths from s to t

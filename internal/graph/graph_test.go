@@ -70,7 +70,7 @@ func TestShortestPathIsShortest(t *testing.T) {
 
 func TestDistances(t *testing.T) {
 	g := topo.Line(4)
-	d := Distances(g, 0)
+	_, d := SpanningTree(g, 0)
 	want := []int{0, 1, 2, 3}
 	for i := range want {
 		if d[i] != want[i] {
@@ -79,14 +79,14 @@ func TestDistances(t *testing.T) {
 	}
 	h := topo.New(3)
 	h.MustAddChannel(0, 1)
-	if d := Distances(h, 0); d[2] != -1 {
-		t.Errorf("unreachable dist = %d, want -1", d[2])
+	if parent, d := SpanningTree(h, 0); d[2] != -1 || parent[2] != -1 {
+		t.Errorf("unreachable node: dist %d, parent %d, want -1 and -1", d[2], parent[2])
 	}
 }
 
 func TestSpanningTree(t *testing.T) {
 	g := topo.Ring(6)
-	parent := SpanningTree(g, 0)
+	parent, _ := SpanningTree(g, 0)
 	if parent[0] != 0 {
 		t.Errorf("root parent = %d", parent[0])
 	}

@@ -29,7 +29,7 @@
 // order, which makes deadlock impossible. Whole-network operations
 // (Snapshot, Restore, TotalFunds, the Assign helpers) lock every
 // channel in the same ascending order and therefore serialize against
-// all in-flight payments. Message counters are plain atomics.
+// all in-flight payments. Hold counters are plain atomics.
 package pcn
 
 import (
@@ -103,8 +103,6 @@ type Network struct {
 	graph *topo.Graph
 	chans []channel
 
-	probeMessages  atomic.Int64 // cumulative, all sessions
-	commitMessages atomic.Int64
 	holdsPlaced    atomic.Int64 // partial-payment holds reserved
 	holdsCommitted atomic.Int64 // holds settled by commit/resume
 	holdsAborted   atomic.Int64 // holds released by abort/span-abort
@@ -415,7 +413,7 @@ func (n *Network) Snapshot() []float64 {
 }
 
 // Restore reinstates balances captured by Snapshot and clears holds and
-// message counters.
+// hold counters.
 func (n *Network) Restore(snap []float64) error {
 	if len(snap) != 2*len(n.chans) {
 		return fmt.Errorf("pcn: snapshot has %d entries, want %d", len(snap), 2*len(n.chans))
@@ -428,8 +426,6 @@ func (n *Network) Restore(snap []float64) error {
 		n.chans[i].held[0] = 0
 		n.chans[i].held[1] = 0
 	}
-	n.probeMessages.Store(0)
-	n.commitMessages.Store(0)
 	n.holdsPlaced.Store(0)
 	n.holdsCommitted.Store(0)
 	n.holdsAborted.Store(0)
@@ -437,9 +433,9 @@ func (n *Network) Restore(snap []float64) error {
 }
 
 // Clone returns an independent network over the same frozen topology
-// with n's balances, holds, fees, liveness and RTTs, and its message
-// and hold counters at zero: a funded network copied for each of
-// several runs that must start from the same state.
+// with n's balances, holds, fees, liveness and RTTs, and its hold
+// counters at zero: a funded network copied for each of several runs
+// that must start from the same state.
 func (n *Network) Clone() *Network {
 	n.lockAll()
 	defer n.unlockAll()
@@ -451,14 +447,6 @@ func (n *Network) Clone() *Network {
 	c.hasLatency.Store(n.hasLatency.Load())
 	return c
 }
-
-// ProbeMessages returns the cumulative number of probe messages sent by
-// all payment sessions since construction or the last Restore.
-func (n *Network) ProbeMessages() int64 { return n.probeMessages.Load() }
-
-// CommitMessages returns the cumulative number of commit-phase messages
-// (COMMIT/CONFIRM/REVERSE legs) sent by all payment sessions.
-func (n *Network) CommitMessages() int64 { return n.commitMessages.Load() }
 
 // HoldsPlaced returns the cumulative number of partial-payment holds
 // reserved by all sessions since construction or the last Restore.

@@ -112,9 +112,6 @@ func TestProbe(t *testing.T) {
 	if tx.ProbeMessages() != 6 {
 		t.Errorf("probe messages = %d, want 2*3", tx.ProbeMessages())
 	}
-	if n.ProbeMessages() != 6 {
-		t.Errorf("network probe messages = %d, want 6", n.ProbeMessages())
-	}
 }
 
 // badPaths are sender-0 → receiver-3 paths on lineNet that Probe and
@@ -360,7 +357,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err := n.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if n.Balance(0, 1) != 100 || n.ProbeMessages() != 0 {
+	if n.Balance(0, 1) != 100 || n.HoldsPlaced() != 0 || n.HoldsCommitted() != 0 {
 		t.Error("restore did not reset state")
 	}
 	if err := n.Restore(snap[:2]); err == nil {
@@ -378,12 +375,15 @@ func TestClone(t *testing.T) {
 	if err := n.SetChannelOpen(2, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	probe, _ := n.Begin(0, 1, 1)
-	probe.Probe([]topo.NodeID{0, 1})
-	probe.Abort()
+	held, _ := n.Begin(0, 1, 1)
+	if err := held.Hold([]topo.NodeID{0, 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	held.Abort()
 	c := n.Clone()
-	if c.Graph() != n.Graph() || c.ProbeMessages() != 0 || !c.HasLatency() {
-		t.Fatalf("clone shares graph %v, counts %d probe messages, latency %v", c.Graph() == n.Graph(), c.ProbeMessages(), c.HasLatency())
+	if c.Graph() != n.Graph() || c.HoldsPlaced() != 0 || c.HoldsAborted() != 0 || !c.HasLatency() {
+		t.Fatalf("clone shares graph %v, counts %d holds placed and %d aborted, latency %v",
+			c.Graph() == n.Graph(), c.HoldsPlaced(), c.HoldsAborted(), c.HasLatency())
 	}
 	for i, e := range n.Graph().Channels() {
 		if c.Balance(e.A, e.B) != n.Balance(e.A, e.B) || c.Balance(e.B, e.A) != n.Balance(e.B, e.A) ||

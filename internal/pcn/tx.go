@@ -341,7 +341,6 @@ func (t *Tx) readHops(hops []pathHop, info []HopInfo) {
 		}
 	}
 	t.net.unlockChannels(t.lock)
-	t.net.probeMessages.Add(int64(2 * len(hops)))
 	t.probeMsgs += 2 * len(hops)
 	t.probeOps++
 	if t.net.hasLatency.Load() {
@@ -414,7 +413,6 @@ func (t *Tx) checkHold(amount float64) error {
 // hold is Hold and HoldHops once the path is resolved, its hops in the
 // hop arena's spare space.
 func (t *Tx) hold(hops []pathHop, amount float64) error {
-	t.net.commitMessages.Add(int64(2 * len(hops)))
 	t.commitMsgs += 2 * len(hops)
 	if t.net.hasLatency.Load() {
 		t.commitLatNanos += hopsLatNanos(t.net, hops) // COMMIT + COMMIT_ACK leg
@@ -536,9 +534,7 @@ func (t *Tx) applyCommitLocked() {
 		t.commitLatNanos += t.settleLatNanos() // CONFIRM legs, concurrent across paths
 	}
 	for _, h := range t.holds {
-		hops := len(h.hops)
-		t.net.commitMessages.Add(int64(2 * hops)) // CONFIRM + CONFIRM_ACK
-		t.commitMsgs += 2 * hops
+		t.commitMsgs += 2 * len(h.hops) // CONFIRM + CONFIRM_ACK
 		for _, ph := range h.hops {
 			ch := &t.net.chans[ph.idx]
 			d := ph.dir
@@ -577,9 +573,7 @@ func (t *Tx) releaseHoldsLocked() {
 		t.commitLatNanos += t.settleLatNanos() // REVERSE legs, concurrent across paths
 	}
 	for _, h := range t.holds {
-		hops := len(h.hops)
-		t.net.commitMessages.Add(int64(2 * hops)) // REVERSE + REVERSE_ACK
-		t.commitMsgs += 2 * hops
+		t.commitMsgs += 2 * len(h.hops) // REVERSE + REVERSE_ACK
 		for _, ph := range h.hops {
 			ch := &t.net.chans[ph.idx]
 			ch.held[ph.dir] = clampDust(ch.held[ph.dir] - h.amount)

@@ -107,7 +107,6 @@ func NamedScenario(name, kind string, nodes int) (Scenario, error) {
 		sc.Control = &control.Policy{Threshold: "raw"}
 	case "fee-war":
 		sc.FeeShiftFactor = 25
-		sc.FeeShiftFrac = 0.5
 	case "latency-slo":
 		sc.LatencyMedian = 0.05 // 50ms median per-channel RTT
 		sc.LatencySigma = 0.8

@@ -308,7 +308,6 @@ type tickController struct {
 	seen      []control.Metrics
 }
 
-func (c *tickController) Name() string { return "scripted" }
 func (c *tickController) Observe(w control.Metrics) []control.Decision {
 	c.seen = append(c.seen, w)
 	if len(c.seen) == 1 {

@@ -381,15 +381,10 @@ func buildChurnSchedule(sc Scenario, net *pcn.Network, latent []topo.Edge, rng *
 	}
 
 	// Fee war: the top-degree hub reprices every one of its channels at
-	// the configured instant. Like the hub failure, this consumes no
-	// randomness.
+	// mid-run. Like the hub failure, this consumes no randomness.
 	if sc.FeeShiftFactor > 0 {
-		frac := sc.FeeShiftFrac
-		if frac <= 0 || frac >= 1 {
-			frac = 0.5
-		}
 		hub := topDegreeNode(g)
-		at := sc.Duration * frac
+		at := sc.Duration * 0.5
 		for _, e := range g.Channels() {
 			if e.A == hub || e.B == hub {
 				events = append(events, event.Event{Time: at, Kind: event.FeeShift, A: e.A, B: e.B, Amount: sc.FeeShiftFactor})

@@ -4,19 +4,17 @@ import "repro/internal/stats"
 
 // LatencyStats is a streaming summary of payment completion latencies
 // (virtual completion instant − first-attempt arrival, in seconds):
-// count, sum and max exactly, and p50/p95/p99 via the P² streaming
-// quantile estimator (stats.QuantileEstimator) — O(1) memory per
-// window, deterministic for a deterministic observation order, which
-// the Workers ≤ 1 engine guarantees.
+// count, sum, min, max and mean exactly (the embedded stats.Summary),
+// and p50/p95/p99 via the P² streaming quantile estimator
+// (stats.QuantileEstimator) — O(1) memory per window, deterministic
+// for a deterministic observation order, which the Workers ≤ 1 engine
+// guarantees.
 //
 // The zero value is ready to use and renders as "no observations";
 // estimators are allocated lazily on the first Observe so
 // latency-free runs never pay for them.
 type LatencyStats struct {
-	// Count, Sum and Max are exact over every observed latency.
-	Count int
-	Sum   float64
-	Max   float64
+	stats.Summary
 
 	p50, p95, p99 *stats.QuantileEstimator
 }
@@ -28,22 +26,10 @@ func (l *LatencyStats) Observe(v float64) {
 		l.p95 = stats.NewQuantileEstimator(0.95)
 		l.p99 = stats.NewQuantileEstimator(0.99)
 	}
-	l.Count++
-	l.Sum += v
-	if v > l.Max {
-		l.Max = v
-	}
+	l.Summary.Add(v)
 	l.p50.Add(v)
 	l.p95.Add(v)
 	l.p99.Add(v)
-}
-
-// Mean returns the average observed latency, 0 when empty.
-func (l *LatencyStats) Mean() float64 {
-	if l.Count == 0 {
-		return 0
-	}
-	return l.Sum / float64(l.Count)
 }
 
 // P50 returns the median completion latency estimate, 0 when empty.

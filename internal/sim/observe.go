@@ -164,17 +164,11 @@ func RegisterRouterMetrics(reg *telemetry.Registry, scheme string, r route.Route
 	})
 }
 
-// RegisterNetworkMetrics exposes a pcn network's cumulative message and
-// hold counters as scheme-labelled gauges on reg, read live at every
+// RegisterNetworkMetrics exposes a pcn network's cumulative hold
+// counters as scheme-labelled gauges on reg, read live at every
 // scrape.
 func RegisterNetworkMetrics(reg *telemetry.Registry, scheme string, net *pcn.Network) {
 	lbl := `{scheme="` + scheme + `"}`
-	reg.GaugeFunc("pcn_probe_messages_total"+lbl, "Probe messages sent by all sessions.", func() float64 {
-		return float64(net.ProbeMessages())
-	})
-	reg.GaugeFunc("pcn_commit_messages_total"+lbl, "Commit-phase messages sent by all sessions.", func() float64 {
-		return float64(net.CommitMessages())
-	})
 	reg.GaugeFunc("pcn_holds_placed_total"+lbl, "Partial-payment holds reserved.", func() float64 {
 		return float64(net.HoldsPlaced())
 	})

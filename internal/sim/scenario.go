@@ -118,12 +118,11 @@ type Scenario struct {
 	DemandShiftFrac   float64
 
 	// FeeShiftFactor, when positive, multiplies the fee schedules of
-	// every channel of the top-degree node by this factor at
-	// FeeShiftFrac · Duration — the fee-war scenario: the network's
-	// busiest hub repricing mid-run. Fee-sensitive routing (Flash's LP)
-	// shifts volume around the hub; fee-blind schemes pay up.
+	// every channel of the top-degree node by this factor at mid-run
+	// (Duration / 2) — the fee-war scenario: the network's busiest hub
+	// repricing. Fee-sensitive routing (Flash's LP) shifts volume
+	// around the hub; fee-blind schemes pay up.
 	FeeShiftFactor float64
-	FeeShiftFrac   float64
 
 	// LatencyMedian, when positive, assigns every channel a virtual RTT
 	// drawn log-normally with this median (seconds) and shape

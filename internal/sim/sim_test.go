@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pcn"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
@@ -94,8 +95,8 @@ func TestNewRouterAllSchemes(t *testing.T) {
 			t.Errorf("%s: %v", s, err)
 			continue
 		}
-		if r.Name() == "" {
-			t.Errorf("%s: empty name", s)
+		if r.Name() != s {
+			t.Errorf("%s: router named %q", s, r.Name())
 		}
 	}
 }
@@ -196,6 +197,32 @@ func TestRunScenarioSchemesSeeIdenticalWorkload(t *testing.T) {
 	a, b := results[0].Runs[0].Aggregate, results[1].Runs[0].Aggregate
 	if a.Successes != b.Successes || a.SuccessVolume != b.SuccessVolume {
 		t.Errorf("identical scheme runs diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestFlowRecordsCarrySchemeName: with Flash and Flash-NoOpt in one
+// replay, each scheme's flow records carry its own name, so the two
+// never add into one flow or metric series.
+func TestFlowRecordsCarrySchemeName(t *testing.T) {
+	sc := DefaultScenario(KindRipple, 60)
+	sc.Txns, sc.Runs = 20, 1
+	sc.Schemes = []string{SchemeFlash, SchemeFlashNoOpt, SchemeSpider}
+	sink := telemetry.NewFlowLog(1 << 8)
+	sc.FlowSink = sink
+	if _, err := Run(sc); err != nil {
+		t.Fatal(err)
+	}
+	perScheme := map[string]int{}
+	for _, r := range sink.Snapshot() {
+		perScheme[r.Scheme]++
+	}
+	for _, s := range sc.Schemes {
+		if perScheme[s] != sc.Txns {
+			t.Errorf("%s: %d flow records, want %d (all: %v)", s, perScheme[s], sc.Txns, perScheme)
+		}
+	}
+	if len(perScheme) != len(sc.Schemes) {
+		t.Errorf("flow records name schemes %v, want exactly %v", perScheme, sc.Schemes)
 	}
 }
 

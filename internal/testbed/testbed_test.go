@@ -79,8 +79,7 @@ func TestWorkloadFlashOverTCP(t *testing.T) {
 
 	gen, err := trace.NewGenerator(trace.Config{
 		Nodes: 10, Graph: g, Sizes: trace.RippleSizes,
-		RecurrenceProb: 0.86, ReceiverZipf: 1.6, SenderZipf: 1.0,
-		PaymentsPerDay: 1000, Seed: 3,
+		RecurrenceProb: 0.86, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +129,7 @@ func TestWorkloadComparesSchemes(t *testing.T) {
 	}
 	gen, err := trace.NewGenerator(trace.Config{
 		Nodes: 10, Graph: g, Sizes: trace.RippleSizes,
-		RecurrenceProb: 0.86, ReceiverZipf: 1.6, SenderZipf: 1.0,
-		PaymentsPerDay: 1000, Seed: 7,
+		RecurrenceProb: 0.86, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

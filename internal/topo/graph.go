@@ -33,10 +33,7 @@
 // reads of a frozen graph are safe.
 package topo
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // NodeID identifies a node. IDs are dense indices in [0, NumNodes);
 // external string keys (LN pubkeys, Ripple addresses) map to dense IDs
@@ -245,24 +242,34 @@ func (g *Graph) Degree(u NodeID) int {
 	return int(c.off[u+1] - c.off[u])
 }
 
-// ComponentOf returns the set of nodes reachable from start, as a sorted
-// slice.
-func (g *Graph) ComponentOf(start NodeID) []NodeID {
-	seen := make([]bool, g.NumNodes())
-	queue := []NodeID{start}
-	seen[start] = true
-	var comp []NodeID
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		comp = append(comp, u)
-		for _, v := range g.Neighbors(u) {
-			if !seen[v] {
-				seen[v] = true
-				queue = append(queue, v)
+// Components labels every node with its connected component in one
+// breadth-first pass: labels count up from 0 in the order of each
+// component's lowest node, so two nodes share a label exactly when a
+// path joins them. It freezes a graph still being built.
+func (g *Graph) Components() []int {
+	off, nbrs, _ := g.AdjacencyView()
+	comp := make([]int, g.NumNodes())
+	for i := range comp {
+		comp[i] = -1
+	}
+	queue := make([]NodeID, 0, len(comp))
+	id := 0
+	for s := range comp {
+		if comp[s] != -1 {
+			continue
+		}
+		comp[s] = id
+		queue = append(queue[:0], NodeID(s))
+		for h := 0; h < len(queue); h++ {
+			u := queue[h]
+			for _, v := range nbrs[off[u]:off[u+1]] {
+				if comp[v] == -1 {
+					comp[v] = id
+					queue = append(queue, v)
+				}
 			}
 		}
+		id++
 	}
-	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
 	return comp
 }

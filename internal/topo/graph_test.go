@@ -94,16 +94,25 @@ func TestNeighborsAndDegree(t *testing.T) {
 	}
 }
 
+// connected reports whether g is one component.
+func connected(g *Graph) bool {
+	for _, c := range g.Components() {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestConnectivity(t *testing.T) {
-	g := Line(5)
-	if len(g.ComponentOf(0)) != 5 {
+	if !connected(Line(5)) {
 		t.Error("line should be connected")
 	}
-	h := New(4)
-	h.MustAddChannel(0, 1)
-	h.MustAddChannel(2, 3)
-	if comp := h.ComponentOf(2); len(comp) != 2 || comp[0] != 2 || comp[1] != 3 {
-		t.Errorf("ComponentOf(2) = %v, want [2 3]", comp)
+	h := New(5)
+	h.MustAddChannel(0, 3)
+	h.MustAddChannel(2, 4)
+	if comp := h.Components(); fmt.Sprint(comp) != "[0 1 2 0 2]" {
+		t.Errorf("Components() = %v, want [0 1 2 0 2]", comp)
 	}
 }
 
@@ -133,7 +142,7 @@ func TestWattsStrogatz(t *testing.T) {
 	if c := g.NumChannels(); c < 90 || c > 100 {
 		t.Errorf("channels = %d, want ≈100", c)
 	}
-	if len(g.ComponentOf(0)) != g.NumNodes() {
+	if !connected(g) {
 		t.Error("WS graph with beta=0.3 should be connected (seed 1)")
 	}
 }
@@ -176,7 +185,7 @@ func TestBarabasiAlbert(t *testing.T) {
 	if g.NumNodes() != 200 {
 		t.Errorf("nodes = %d", g.NumNodes())
 	}
-	if len(g.ComponentOf(0)) != g.NumNodes() {
+	if !connected(g) {
 		t.Error("BA graphs are connected by construction")
 	}
 	// Expected channels: clique C(4,2)=6 + 196*3 = 594.

@@ -83,6 +83,22 @@ func (m SizeModel) Sample(rng *rand.Rand) float64 {
 	return stats.LogNormal(rng, m.MiceMedian, m.MiceSigma)
 }
 
+// The workload's fixed shape.
+const (
+	// receiverZipf skews which known receiver a recurring payment picks;
+	// larger values concentrate on the top few (paper: top-5 receivers
+	// cover ≈70% of recurring transactions). 1.6 matches the paper.
+	receiverZipf = 1.6
+
+	// senderZipf skews which node sends each payment (real transaction
+	// activity is highly skewed across accounts).
+	senderZipf = 1.0
+
+	// PaymentsPerDay spaces logical timestamps; it only affects the
+	// recurrence-window analysis, not routing.
+	PaymentsPerDay = 2000
+)
+
 // Config parameterises a Generator.
 type Config struct {
 	// Nodes is the ID space payments are drawn from: senders and
@@ -101,19 +117,6 @@ type Config struct {
 	// sender has paid before (paper: ≈86% of daily transactions recur).
 	RecurrenceProb float64
 
-	// ReceiverZipf skews which known receiver a recurring payment picks;
-	// larger values concentrate on the top few (paper: top-5 receivers
-	// cover ≈70% of recurring transactions). 1.6 matches the paper.
-	ReceiverZipf float64
-
-	// SenderZipf skews which node sends each payment (real transaction
-	// activity is highly skewed across accounts).
-	SenderZipf float64
-
-	// PaymentsPerDay spaces logical timestamps; it only affects the
-	// recurrence-window analysis, not routing.
-	PaymentsPerDay int
-
 	// Seed makes generation reproducible.
 	Seed int64
 }
@@ -125,9 +128,6 @@ func DefaultConfig(n int) Config {
 		Nodes:          n,
 		Sizes:          RippleSizes,
 		RecurrenceProb: 0.86,
-		ReceiverZipf:   1.6,
-		SenderZipf:     1.0,
-		PaymentsPerDay: 2000,
 		Seed:           1,
 	}
 }
@@ -170,46 +170,18 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.RecurrenceProb < 0 || cfg.RecurrenceProb > 1 {
 		return nil, fmt.Errorf("trace: recurrence probability %v outside [0,1]", cfg.RecurrenceProb)
 	}
-	if cfg.PaymentsPerDay <= 0 {
-		cfg.PaymentsPerDay = 2000
-	}
-	if cfg.ReceiverZipf <= 0 {
-		cfg.ReceiverZipf = 1.6
-	}
-	if cfg.SenderZipf <= 0 {
-		cfg.SenderZipf = 1.0
-	}
 	g := &Generator{
 		cfg:         cfg,
 		rng:         stats.NewRNG(cfg.Seed, 0xF1A54),
-		senders:     stats.NewZipf(cfg.Nodes, cfg.SenderZipf),
-		recurring:   stats.NewZipf(1, cfg.ReceiverZipf),
+		senders:     stats.NewZipf(cfg.Nodes, senderZipf),
+		recurring:   stats.NewZipf(1, receiverZipf),
 		receivers:   make(map[topo.NodeID][]topo.NodeID),
 		amountScale: 1,
 	}
 	if cfg.Graph != nil {
-		g.component = componentIDs(cfg.Graph)
+		g.component = cfg.Graph.Components()
 	}
 	return g, nil
-}
-
-// componentIDs labels every node with its connected component.
-func componentIDs(g *topo.Graph) []int {
-	comp := make([]int, g.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	id := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		if comp[u] != -1 {
-			continue
-		}
-		for _, v := range g.ComponentOf(topo.NodeID(u)) {
-			comp[v] = id
-		}
-		id++
-	}
-	return comp
 }
 
 // connected reports whether a path can exist between a and b.
@@ -242,7 +214,7 @@ func (g *Generator) Next() Payment {
 		Sender:   sender,
 		Receiver: receiver,
 		Amount:   amount,
-		Time:     float64(g.next) / float64(g.cfg.PaymentsPerDay),
+		Time:     float64(g.next) / PaymentsPerDay,
 	}
 	g.next++
 	return p
