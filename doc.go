@@ -61,10 +61,11 @@
 //     is impossible and disjoint payments never contend. Holds are
 //     feasibility-checked and reserved under the locks, so conflicting
 //     concurrent payments can never overbook a channel.
-//   - core: Flash's routing tables are sharded per sender (an RWMutex
-//     map of per-sender tables, each with its own lock); counters are
-//     atomics. Config.ProbeWorkers > 1 is the probe width of one
-//     elephant payment: each round the router computes up to that many
+//   - core: one mutex guards a Flash router's routing table (entries
+//     keyed by sender and receiver, per-sender TTL and LRU state, the
+//     path arena and the channel index); counters are atomics.
+//     Config.ProbeWorkers > 1 is the probe width of one elephant
+//     payment: each round the router computes up to that many
 //     distinct candidate paths on its probed-knowledge graph (BFS +
 //     Yen-style edge-avoidance spurs), probes them in order on the
 //     session's goroutine, charges the round its slowest probe in

@@ -21,17 +21,12 @@ type pathTable[P any] struct {
 	off     bool
 	graph   *topo.Graph
 	entries map[pairKey]P
-	arena   []topo.NodeID // the chunk keep copies hop paths into
+	arena   topo.PathArena // where find keeps its hop paths
 }
 
 type pairKey struct {
 	s, t topo.NodeID
 }
-
-// arenaChunk is the element count of one chunk of a table's path arena:
-// 2n-1 for a path of n nodes, so a chunk holds as many paths as 1<<14
-// nodes would.
-const arenaChunk = 1 << 15
 
 // SetCaching turns the table on or off. Caching never changes a route;
 // it only removes repeated searches. The testbed turns it off so that
@@ -45,7 +40,7 @@ func (pt *pathTable[P]) SetCaching(on bool) {
 
 // get returns the entry for the pair s→t on g. find computes it on the
 // pair's first payment, or on every payment with caching off. find runs
-// under the table's lock, so it may call keep. The lock is released
+// under the table's lock, so it may keep paths in the arena. The lock is released
 // without defer, the warm hit being a static router's whole lookup;
 // find is a path search and does not panic on a frozen graph.
 func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Graph, topo.NodeID, topo.NodeID) P) P {
@@ -66,19 +61,5 @@ func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Gra
 		pt.entries[key] = p
 	}
 	pt.mu.Unlock()
-	return p
-}
-
-// keep copies hop path p into the table's arena and returns the copy,
-// its capacity capped so that no append reaches the next path. The zero
-// Path stays zero.
-func (pt *pathTable[P]) keep(p topo.Path) topo.Path {
-	if p.IsZero() {
-		return p
-	}
-	if cap(pt.arena)-len(pt.arena) < p.Len() {
-		pt.arena = make([]topo.NodeID, 0, max(arenaChunk, p.Len()))
-	}
-	p, pt.arena = p.AppendTo(pt.arena)
 	return p
 }

@@ -123,8 +123,9 @@ var mapSink map[pairKey]topo.Path
 // TestShortestPathTableAllocs pins what ShortestPath's path table
 // allocates. A warm hit allocates nothing. The first payments of 1,000
 // pairs allocate at most what filling a heap map with the same 1,000
-// keys costs plus one per arena chunk their paths fill (23 today: 22
-// and 1).
+// keys costs plus one per arena chunk their paths fill (27 today: 22
+// and 5, the arena's chunks doubling from 256 elements to the 5,812 the
+// paths take).
 func TestShortestPathTableAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items")
@@ -172,11 +173,19 @@ func TestShortestPathTableAllocs(t *testing.T) {
 			}
 		}))
 	}
-	elems := 0
+	// The arena's chunks double from 256 elements to 32,768
+	// (topo.PathArena), and a chunk leaves unused less than the longest
+	// path, so the paths fill at most chunks of them.
+	elems, longest := 0, 0
 	for _, p := range sp.entries {
 		elems += p.Len()
+		longest = max(longest, p.Len())
 	}
-	chunks := uint64((elems + arenaChunk - 1) / arenaChunk)
+	chunks := uint64(0)
+	for size, room := 1<<8, 0; room < elems; size = min(2*size, 1<<15) {
+		room += size - (longest - 1)
+		chunks++
+	}
 	growth := mallocs(func() {
 		m := make(map[pairKey]topo.Path)
 		for _, p := range pairs {

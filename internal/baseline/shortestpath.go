@@ -63,5 +63,5 @@ func (sp *ShortestPath) Route(s route.Session) error {
 func (sp *ShortestPath) find(g *topo.Graph, s, t topo.NodeID) topo.Path {
 	sc := graph.AcquireScratch()
 	defer graph.ReleaseScratch(sc)
-	return sp.keep(sc.Shortest(g, s, t, nil))
+	return sp.arena.KeepPath(sc.Shortest(g, s, t, nil))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/pcn"
@@ -19,7 +21,8 @@ var raceEnabled bool
 // its two paths cross channel a–b in opposite directions, so the program
 // has shared rows and its split an offset. The session's Probe results
 // go to its probe-result arena, whose growth the session amortises, so
-// they cost nothing per payment either.
+// they cost nothing per payment either. The same holds for the pipelined
+// discovery at probe width 2.
 func TestElephantPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items")
@@ -65,5 +68,90 @@ func TestElephantPlanAllocs(t *testing.T) {
 	}
 	if n := f.Stats().FeeProgramFallbacks; n != 0 {
 		t.Fatalf("%d fee-program fallbacks", n)
+	}
+	// At probe width 2 each round's candidates and probe results go to
+	// the state's buffers too.
+	pipelined := func() {
+		plan := f.findElephantPathsPipelined(tx, cfg.K, 2)
+		if plan == nil {
+			t.Fatal("no pipelined plan for the max-flow demand")
+		}
+		plan.state.release()
+	}
+	pipelined()
+	if avg := testing.AllocsPerRun(100, pipelined); avg != 0 {
+		t.Fatalf("a pipelined plan allocates %v per payment, want 0", avg)
+	}
+}
+
+// TestMiceTableAllocs pins what the mice routing table allocates on a
+// warm router: a hit nothing, a miss exactly its entry, and an entry's
+// first dead-path replacement — which builds its replacement list —
+// nothing while the path arena has room. Yen runs on the pooled Scratch
+// and appends into the arena, whose chunks, like the map, the per-sender
+// slice and the channel index, grow by doubling or by the chunk:
+// testing.AllocsPerRun reports the integer part of the mean, and those
+// growths stay well below one per run here.
+func TestMiceTableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	const runs = 100
+	g, err := topo.BarabasiAlbert(400, 3, rand.New(rand.NewSource(41)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []Pair
+	for s := topo.NodeID(0); len(pairs) < 4*runs; s++ {
+		for r := topo.NodeID(200); r < 220; r++ {
+			pairs = append(pairs, Pair{Sender: s, Receiver: r})
+		}
+	}
+	f := New(DefaultConfig(math.Inf(1)))
+	warmed := pairs[:2*runs]
+	if n := warm(f, g, warmed); n != len(warmed) {
+		t.Fatalf("%d of %d first lookups missed", n, len(warmed))
+	}
+
+	next := 0
+	lookup := func(ps []Pair) func() {
+		return func() {
+			p := ps[next%len(ps)]
+			next++
+			f.lookupPaths(g, p.Sender, p.Receiver, 1)
+		}
+	}
+	misses := f.tableMisses.Load()
+	if avg := testing.AllocsPerRun(runs, lookup(warmed)); avg != 0 {
+		t.Errorf("a table hit allocates %v, want 0", avg)
+	}
+	if f.tableMisses.Load() != misses {
+		t.Fatal("a warmed pair missed")
+	}
+	next = 0
+	if avg := testing.AllocsPerRun(runs, lookup(pairs[2*runs:])); avg != 1 {
+		t.Errorf("a table miss allocates %v, want 1 (its entry)", avg)
+	}
+	if n := f.tableMisses.Load() - misses; n != runs+1 {
+		t.Fatalf("%d of %d new pairs missed", n, runs+1)
+	}
+
+	entries := f.liveEntries()
+	built := 0
+	replaced := f.pathsReplaced.Load()
+	if avg := testing.AllocsPerRun(runs, func() {
+		e := entries[built]
+		built++
+		f.replaceDeadPath(g, e, 0, e.paths[0])
+	}); avg != 0 {
+		t.Errorf("building a replacement list allocates %v, want 0", avg)
+	}
+	for _, e := range entries[:built] {
+		if len(e.all) <= len(e.paths) {
+			t.Fatalf("entry %v: replacement list of %d paths beside %d live ones", e.pair, len(e.all), len(e.paths))
+		}
+	}
+	if n := f.pathsReplaced.Load() - replaced; n != int64(built) {
+		t.Fatalf("%d replacements for %d dead paths", n, built)
 	}
 }

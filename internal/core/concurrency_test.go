@@ -31,7 +31,7 @@ func concurrencyFixture(t testing.TB, nodes int) *pcn.Network {
 // TestFlashConcurrentSessions drives one shared Flash router from many
 // goroutines, mixing mice and elephants from overlapping senders, and
 // checks the network invariants afterwards. Run with -race: it
-// exercises the sharded routing tables, the atomic counters, and the
+// exercises the shared routing table, the atomic counters, and the
 // per-channel network locks together.
 func TestFlashConcurrentSessions(t *testing.T) {
 	const (
@@ -50,7 +50,7 @@ func TestFlashConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			for i := 0; i < payments; i++ {
-				// Few senders → heavy sharing of per-sender tables.
+				// Few senders → heavy sharing of per-sender table state.
 				s := topo.NodeID(rng.Intn(4))
 				r := topo.NodeID(rng.Intn(nodes))
 				if s == r {

@@ -12,18 +12,21 @@
 //     holding the top-M Yen shortest paths per receiver, tried in random
 //     order with probe-on-failure partial payments.
 //
-// One Flash value serves any number of senders: routing tables are keyed
-// by sender, which makes the same instance usable by a whole simulated
-// network or by a single testbed node.
+// One Flash value serves any number of senders: its one routing table is
+// keyed by (sender, receiver) pair, with each sender's TTL clock, LRU
+// list and entry count in a slice indexed by sender, which makes the same
+// instance usable by a whole simulated network or by a single testbed
+// node. The table's paths live in one chunked path arena
+// (topo.PathArena), so a table miss allocates only its entry.
 //
-// Flash is safe for concurrent sessions. Routing tables are sharded per
-// sender — an outer read-mostly map guarded by a RWMutex hands out one
-// table per sender, and each table carries its own lock — so concurrent
-// payments from different senders never contend on table state. All
-// counters are atomics. The shared mutable state is the channel index
-// (channelIndex: which entries cross which channel), locked briefly when
-// an entry gets paths — a table miss, never a hit — and the router's RNG
-// (used for the mice path order).
+// Flash is safe for concurrent sessions. One mutex guards the table, the
+// per-sender state, the path arena and the channel index (channelIndex:
+// which entries cross which channel); a mice payment takes it for its
+// lookup and briefly for each path it reads, and a miss runs its Yen
+// search under it, so payments from different senders serialise on table
+// work. The other shared state is the router's RNG (used for the mice
+// path order), behind its own mutex, the per-sender threshold overrides,
+// behind theirs, and counters, which are atomics.
 //
 // With Config.ProbeWorkers > 1, elephant routing speculatively probes
 // several candidate paths per round, in order on the session's
@@ -126,8 +129,8 @@ func DefaultConfig(threshold float64) Config {
 const tableTTL = 50000
 
 // Flash is the routing algorithm. It is safe for concurrent use (the
-// testbed runs one router per node; the simulator shares one across N
-// payment workers). See the package comment for the sharding scheme.
+// testbed runs one router per node; the simulator shares one across its
+// stations). See the package comment for what its mutexes guard.
 type Flash struct {
 	cfg Config
 	ttl int // tableTTL; tests shorten it
@@ -157,11 +160,14 @@ type Flash struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// tablesMu guards the tables map. index (see channelIndex) is made
-	// by New and never replaced.
-	tablesMu sync.RWMutex
-	tables   map[topo.NodeID]*routingTable
-	index    *channelIndex
+	// mu guards the routing table: entries, senders, the path arena the
+	// entries' paths are kept in, the channel index, and every
+	// tableEntry's fields.
+	mu      sync.Mutex
+	entries map[Pair]*tableEntry
+	senders []senderTable // by sender; grown to the graph's nodes
+	arena   topo.PathArena
+	index   channelIndex
 
 	elephants              atomic.Int64
 	mice                   atomic.Int64
@@ -193,7 +199,7 @@ func New(cfg Config) *Flash {
 		cfg:       cfg,
 		ttl:       tableTTL,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		tables:    make(map[topo.NodeID]*routingTable),
+		entries:   make(map[Pair]*tableEntry),
 		index:     newChannelIndex(),
 		senderThr: make(map[topo.NodeID]float64),
 	}
@@ -245,11 +251,14 @@ func (f *Flash) SetThreshold(t float64) int {
 		return 0
 	}
 	dropped := 0
-	f.tablesMu.RLock()
-	for _, tbl := range f.tables {
-		dropped += tbl.dropAbove(t)
+	f.mu.Lock()
+	for _, e := range f.entries {
+		if e.maxAmount > t {
+			f.removeLocked(e)
+			dropped++
+		}
 	}
-	f.tablesMu.RUnlock()
+	f.mu.Unlock()
 	f.tableInvalidations.Add(int64(dropped))
 	return dropped
 }
@@ -300,12 +309,18 @@ func (f *Flash) SetSenderThreshold(sender topo.NodeID, t float64) int {
 		return 0
 	}
 	dropped := 0
-	f.tablesMu.RLock()
-	tbl := f.tables[sender]
-	f.tablesMu.RUnlock()
-	if tbl != nil {
-		dropped = tbl.dropAbove(t)
+	f.mu.Lock()
+	if int(sender) < len(f.senders) {
+		for e := f.senders[sender].head; e != nil; {
+			next := e.next
+			if e.maxAmount > t {
+				f.removeLocked(e)
+				dropped++
+			}
+			e = next
+		}
 	}
+	f.mu.Unlock()
 	f.tableInvalidations.Add(int64(dropped))
 	return dropped
 }
@@ -359,24 +374,12 @@ func (f *Flash) isElephantFor(sender topo.NodeID, amount float64) bool {
 // over it are recomputed on their next use
 // ("all entries are re-computed using the latest G", §3.3, narrowed to
 // the affected entries). The channel index names those entries, so an
-// event costs what it drops and a channel no table uses costs a map
-// lookup (see channelIndex, also for the lock order that makes this safe
-// beside routing). An entry whose Yen run straddles the call may register
-// after the channel's list is taken and stay: it holds what recomputing
-// it would, the topology being static. Returns the number of entries
-// dropped.
+// event costs what it drops and a channel no entry uses costs a map
+// lookup (see channelIndex). Returns the number of entries dropped.
 func (f *Flash) InvalidateChannel(u, v topo.NodeID) int {
-	dropped := 0
-	f.tablesMu.RLock()
-	for _, e := range f.index.detach(u, v) {
-		e.table.mu.Lock()
-		if !e.dead.Load() { // not evicted, expired or dropped while we waited
-			e.table.removeLocked(e)
-			dropped++
-		}
-		e.table.mu.Unlock()
-	}
-	f.tablesMu.RUnlock()
+	f.mu.Lock()
+	dropped := f.index.detach(u, v, f.removeLocked)
+	f.mu.Unlock()
 	f.tableInvalidations.Add(int64(dropped))
 	return dropped
 }
@@ -405,14 +408,9 @@ type Stats struct {
 
 // Stats returns a snapshot of the router's counters.
 func (f *Flash) Stats() Stats {
-	entries := 0
-	f.tablesMu.RLock()
-	for _, t := range f.tables {
-		t.mu.Lock()
-		entries += len(t.entries)
-		t.mu.Unlock()
-	}
-	f.tablesMu.RUnlock()
+	f.mu.Lock()
+	entries := len(f.entries)
+	f.mu.Unlock()
 	return Stats{
 		Elephants:              f.elephants.Load(),
 		Mice:                   f.mice.Load(),

@@ -368,7 +368,7 @@ func TestFixedMiceOrderDeterministic(t *testing.T) {
 		topo.MakePath([]topo.NodeID{0, 3}, make([]int32, 1)),
 		topo.MakePath([]topo.NodeID{0, 2, 3}, make([]int32, 2)),
 	}}
-	order := f.pathOrder(&routingTable{}, e, nil)
+	order := f.pathOrder(e, nil)
 	if order[0] != 1 || order[1] != 2 || order[2] != 0 {
 		t.Errorf("fixed order = %v, want shortest-first [1 2 0]", order)
 	}

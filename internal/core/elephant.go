@@ -49,6 +49,13 @@ type probedState struct {
 	aub          [][]float64
 	aeq          [1][]float64
 	beq          [1]float64
+
+	// A pipelined round's candidates, windows of arena, and their probe
+	// results (findElephantPathsPipelined).
+	cands      []topo.Path
+	infos      [][]pcn.HopInfo
+	errs       []error
+	needsProbe []bool
 }
 
 var probedPool = sync.Pool{New: func() any { return new(probedState) }}

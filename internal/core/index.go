@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/topo"
 )
@@ -15,20 +14,15 @@ const (
 	chunkBits = 9
 )
 
-// channelIndex is the routing tables read backwards: for each channel,
-// by its index in the graph, the table entries whose cached paths — live
-// set or replacement pool — cross it, so that InvalidateChannel goes
-// straight to the entries it drops instead of walking every path of every
-// sender. The paths carry their channels, so registering an entry looks
-// nothing up; InvalidateChannel, which is handed a node pair, looks its
-// channel up once, on the graph the last registered paths were found on.
-// A Flash has one, made by New and shared by all its tables.
-//
-// Lock order: a table's mu may be held when the index's is taken (that is
-// how entries register), never the reverse. Whoever needs both the other
-// way round — InvalidateChannel — takes a channel's list out of the index
-// under the index lock, lets go, and only then locks tables, one at a
-// time, checking under each that the entry is still in it.
+// channelIndex is the routing table read backwards: for each channel, by
+// its index in the graph, the table entries whose cached paths — live set
+// or replacement pool — cross it, so that InvalidateChannel goes straight
+// to the entries it drops instead of walking every path of every sender.
+// The paths carry their channels, so registering an entry looks nothing
+// up; InvalidateChannel, which is handed a node pair, looks its channel up
+// once, on the graph the last registered paths were found on. A Flash has
+// one, guarded by the mutex that guards its table, so an entry is in the
+// table exactly when it is not dead, whoever looks.
 //
 // An entry registers once under each of its channels, when it gets paths,
 // and never unregisters. Removal (TTL, cap, threshold move, invalidation)
@@ -47,7 +41,6 @@ const (
 // one pointer each. An id is reused only after a sweep has removed every
 // reference that names it.
 type channelIndex struct {
-	mu      sync.Mutex
 	g       *topo.Graph   // the graph the last registered paths were found on
 	heads   []uint32      // by channel: its first reference; 0 ends a list
 	chunks  [][]indexRef  // reference r is chunks[r>>chunkBits][r&(1<<chunkBits-1)]
@@ -55,14 +48,15 @@ type channelIndex struct {
 	free    uint32        // unused references, a list through next
 	entries []*tableEntry // by tableEntry.id; nil while the id is unused
 	freeIDs []uint32
-	size    int // references held, dead ones included
-	kept    int // references the last sweep kept
+	size    int     // references held, dead ones included
+	kept    int     // references the last sweep kept
+	chans   []int32 // add's buffer of channels to register
 }
 
 type indexRef struct{ entry, next uint32 }
 
-func newChannelIndex() *channelIndex {
-	return &channelIndex{
+func newChannelIndex() channelIndex {
+	return channelIndex{
 		issued:  1,
 		entries: make([]*tableEntry, 1), // id 0: not registered
 	}
@@ -115,19 +109,19 @@ func channelsOf(buf []int32, paths []topo.Path) []int32 {
 }
 
 // add registers e under the channels of paths, found on g, but for those
-// of known, the paths it registered before. The caller holds e's table
-// lock, so e is not removed meanwhile; an entry removed before (a payment
-// may still hold one, and replace its dead paths) stays out: its id may be
-// another's.
+// of known, the paths it registered before. An entry removed before (a
+// payment may still hold one, and replace its dead paths) stays out: its
+// id may be another's.
 func (x *channelIndex) add(g *topo.Graph, e *tableEntry, paths, known []topo.Path) {
-	var buf [32]int32
-	old := channelsOf(buf[:0], known)
-	chans := channelsOf(old, paths)[len(old):]
-	if len(chans) == 0 || e.dead.Load() {
+	if e.dead {
 		return
 	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
+	old := channelsOf(x.chans[:0], known)
+	x.chans = channelsOf(old, paths)
+	chans := x.chans[len(old):]
+	if len(chans) == 0 {
+		return
+	}
 	x.g = g
 	if e.id == 0 {
 		if n := len(x.freeIDs); n > 0 {
@@ -150,11 +144,10 @@ func (x *channelIndex) add(g *topo.Graph, e *tableEntry, paths, known []topo.Pat
 }
 
 // sweep frees the ids of removed entries, and then every reference that
-// names a freed id: an entry removed while the sweep runs keeps both until
-// the next one. The index lock is held.
+// names a freed id.
 func (x *channelIndex) sweep() {
 	for id, e := range x.entries {
-		if e != nil && e.dead.Load() {
+		if e != nil && e.dead {
 			x.entries[id] = nil
 			x.freeIDs = append(x.freeIDs, uint32(id))
 		}
@@ -172,28 +165,27 @@ func (x *channelIndex) sweep() {
 	x.kept = x.size
 }
 
-// detach takes the list of channel u–v out of the index and returns its
-// entries that are still in their tables: the ones that crossed the
-// channel when they registered, each once. The caller must hold no table
-// lock. The node pair is InvalidateChannel's input, so this is where its
-// channel is looked up, once.
-func (x *channelIndex) detach(u, v topo.NodeID) []*tableEntry {
-	x.mu.Lock()
-	defer x.mu.Unlock()
+// detach takes the list of channel u–v out of the index and hands remove
+// each of its entries that is still in the table: the ones that crossed
+// the channel when they registered, each once. It returns how many it
+// handed over. The node pair is InvalidateChannel's input, so this is
+// where its channel is looked up, once.
+func (x *channelIndex) detach(u, v topo.NodeID, remove func(*tableEntry)) int {
 	if x.g == nil {
-		return nil // nothing registered yet
+		return 0 // nothing registered yet
 	}
 	c := x.g.ChannelIndex(u, v)
 	if c < 0 || c >= len(x.heads) {
-		return nil // no channel, or one no path crossed
+		return 0 // no channel, or one no path crossed
 	}
-	var users []*tableEntry
+	removed := 0
 	head := &x.heads[c]
 	for *head != 0 {
-		if e := x.entries[x.ref(*head).entry]; !e.dead.Load() {
-			users = append(users, e)
+		if e := x.entries[x.ref(*head).entry]; !e.dead {
+			remove(e)
+			removed++
 		}
 		x.unlink(head, *head)
 	}
-	return users
+	return removed
 }

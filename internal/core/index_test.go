@@ -46,36 +46,46 @@ func (f *Flash) scanChannel(u, v topo.NodeID) []*tableEntry {
 // scanInvalidateChannel is the old InvalidateChannel, loop for loop, also
 // counting the entries it looks at.
 func (f *Flash) scanInvalidateChannel(u, v topo.NodeID) (dropped, visited int) {
-	f.tablesMu.RLock()
-	for _, t := range f.tables {
-		t.mu.Lock()
-		for _, e := range t.entries {
-			visited++
-			if entryUsesChannel(e, u, v) {
-				t.removeLocked(e)
-				dropped++
-			}
+	f.mu.Lock()
+	for _, e := range f.entries {
+		visited++
+		if entryUsesChannel(e, u, v) {
+			f.removeLocked(e)
+			dropped++
 		}
-		t.mu.Unlock()
 	}
-	f.tablesMu.RUnlock()
+	f.mu.Unlock()
 	f.tableInvalidations.Add(int64(dropped))
 	return dropped, visited
 }
 
-// liveEntries returns every entry the tables hold.
+// liveEntries returns every entry the table holds.
 func (f *Flash) liveEntries() []*tableEntry {
 	var live []*tableEntry
-	f.tablesMu.RLock()
-	defer f.tablesMu.RUnlock()
-	for _, t := range f.tables {
-		t.mu.Lock()
-		for _, e := range t.entries {
-			live = append(live, e)
-		}
-		t.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, e := range f.entries {
+		live = append(live, e)
 	}
 	return live
+}
+
+// inTable reports whether e is the table's entry for its pair.
+func (f *Flash) inTable(e *tableEntry) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.entries[e.pair] == e
+}
+
+// senderEntries is the number of entries sender's share of the table
+// counts.
+func (f *Flash) senderEntries(sender topo.NodeID) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if int(sender) >= len(f.senders) {
+		return 0
+	}
+	return f.senders[sender].size
 }
 
 // checkIndex asserts the index's invariants on a quiescent router: every
@@ -86,7 +96,7 @@ func (f *Flash) liveEntries() []*tableEntry {
 // channel of its paths and pool, once. It returns the live references.
 func checkIndex(t *testing.T, f *Flash) int {
 	t.Helper()
-	x := f.index
+	x := &f.index
 	held, liveRefs := 0, 0
 	where := make(map[*tableEntry]map[int32]int)
 	for c, head := range x.heads {
@@ -97,7 +107,7 @@ func checkIndex(t *testing.T, f *Flash) int {
 			if e == nil || e.id != id {
 				t.Fatalf("a reference under %v names id %d, held by %v", c, id, e)
 			}
-			if e.dead.Load() {
+			if e.dead {
 				continue
 			}
 			liveRefs++
@@ -125,23 +135,30 @@ func checkIndex(t *testing.T, f *Flash) int {
 			t.Fatalf("id %d: entry %v, free ids %v", id, e, x.freeIDs)
 		}
 	}
+	sizes := make(map[topo.NodeID]int)
 	for _, e := range f.liveEntries() {
-		if e.dead.Load() {
-			t.Fatalf("entry for %d is in its table and marked dead", e.receiver)
+		sizes[e.pair.Sender]++
+		if e.dead {
+			t.Fatalf("entry for %v is in the table and marked dead", e.pair)
 		}
 		chans := channelsOf(channelsOf(nil, e.paths), e.all)
 		for _, c := range chans {
 			if n := where[e][c]; n != 1 {
-				t.Fatalf("entry for %d registered %d times under %v, want once", e.receiver, n, c)
+				t.Fatalf("entry for %v registered %d times under %v, want once", e.pair, n, c)
 			}
 		}
 		if len(where[e]) != len(chans) {
-			t.Fatalf("entry for %d registered under %d channels, its paths cross %d", e.receiver, len(where[e]), len(chans))
+			t.Fatalf("entry for %v registered under %d channels, its paths cross %d", e.pair, len(where[e]), len(chans))
 		}
 		delete(where, e)
 	}
 	for e := range where {
-		t.Fatalf("index holds a live reference to the entry for %d, which no table holds", e.receiver)
+		t.Fatalf("index holds a live reference to the entry for %v, which the table does not hold", e.pair)
+	}
+	for s := range f.senders {
+		if st := &f.senders[s]; st.size != sizes[topo.NodeID(s)] {
+			t.Fatalf("sender %d counts %d entries, holds %d", s, st.size, sizes[topo.NodeID(s)])
+		}
 	}
 	return liveRefs
 }
@@ -192,11 +209,10 @@ func TestChannelIndexModel(t *testing.T) {
 		case op < 140:
 			counts["lookup"]++
 			s := sender()
-			tbl := f.tableFor(s)
-			had, net := len(tbl.entries), f.tableMisses.Load()-f.tableEvictions.Load()
+			had, net := f.senderEntries(s), f.tableMisses.Load()-f.tableEvictions.Load()
 			f.lookupPaths(g, s, receiver(), 1+99*rng.Float64())
 			// What is gone and was neither evicted nor made up for by the miss expired.
-			expired += had + int(f.tableMisses.Load()-f.tableEvictions.Load()-net) - len(tbl.entries)
+			expired += had + int(f.tableMisses.Load()-f.tableEvictions.Load()-net) - f.senderEntries(s)
 		case op < 156: // a dead path: materialises the pool, rotates a slot
 			live := f.liveEntries()
 			if rng.Intn(4) == 0 { // for a payment that holds an entry its table dropped since
@@ -210,7 +226,7 @@ func TestChannelIndexModel(t *testing.T) {
 				if len(e.paths) > 0 {
 					counts["replace"]++
 					slot := rng.Intn(len(e.paths))
-					f.replaceDeadPath(g, e.paths[slot].Nodes()[0], e.table, e, slot, e.paths[slot])
+					f.replaceDeadPath(g, e, slot, e.paths[slot])
 				}
 			}
 		case op < 164: // a burst of mice looking their receivers up
@@ -250,13 +266,13 @@ func TestChannelIndexModel(t *testing.T) {
 			gone := make(map[*tableEntry]bool)
 			for _, e := range want {
 				gone[e] = true
-				if !e.dead.Load() || e.table.entries[e.receiver] == e {
-					t.Fatalf("step %d: entry for %d crosses %d–%d and survived", step, e.receiver, u, v)
+				if !e.dead || f.inTable(e) {
+					t.Fatalf("step %d: entry for %v crosses %d–%d and survived", step, e.pair, u, v)
 				}
 			}
 			for _, e := range before {
-				if !gone[e] && (e.dead.Load() || e.table.entries[e.receiver] != e) {
-					t.Fatalf("step %d: entry for %d does not cross %d–%d and was dropped", step, e.receiver, u, v)
+				if !gone[e] && (e.dead || !f.inTable(e)) {
+					t.Fatalf("step %d: entry for %v does not cross %d–%d and was dropped", step, e.pair, u, v)
 				}
 			}
 			st := f.Stats()
@@ -307,7 +323,7 @@ func TestChannelIndexLeakBound(t *testing.T) {
 	for f.tableMisses.Load() < 50000 {
 		s, r := topo.NodeID(rng.Intn(20)), topo.NodeID(20+rng.Intn(nodes-20))
 		misses := f.tableMisses.Load()
-		if _, e := f.lookupPaths(g, s, r, 1); f.tableMisses.Load() > misses {
+		if e := f.lookupPaths(g, s, r, 1); f.tableMisses.Load() > misses {
 			registered += len(channelsOf(nil, e.paths))
 		}
 	}
@@ -324,7 +340,7 @@ func TestChannelIndexLeakBound(t *testing.T) {
 // TestChannelIndexConcurrent is TestInvalidateConcurrentWithRouting with
 // everything else that touches the index running too — table warm-up
 // lookups, SetThreshold and SetSenderThreshold beside payments and
-// invalidations — for the race detector and the lock order, and then, once
+// invalidations — for the race detector, and then, once
 // all is quiet, the invariants and one scan-checked invalidation of every
 // channel. Not skipped under -short: CI's race step is where it counts.
 func TestChannelIndexConcurrent(t *testing.T) {
@@ -391,12 +407,12 @@ func TestChannelIndexConcurrent(t *testing.T) {
 // BenchmarkInvalidateChannel prices one channel event against tables of
 // ripple-mixed's shape — 2,000 senders, eight receivers each, top-4 Yen
 // paths — for the scan (oracle) and the index side by side, on channels
-// that tables use and on one that none does. entries-visited/op is the
-// entries each examines under their table's lock: all of them for the
+// that entries use and on one that none does. entries-visited/op is the
+// entries each examines under the router's lock: all of them for the
 // scan, for the index the ones it drops (dropped/op). stale-refs/op is
 // what else the index walks: references to entries that an earlier
 // iteration dropped through another channel and no sweep has met yet,
-// left out on one atomic load each. Dropped entries are recomputed outside
+// left out on one flag read each. Dropped entries are recomputed outside
 // the timer.
 func BenchmarkInvalidateChannel(b *testing.B) {
 	const senders, receivers = 2000, 8
@@ -412,9 +428,9 @@ func BenchmarkInvalidateChannel(b *testing.B) {
 		}
 	}
 	refsUnder := func(f *Flash, c int) (live, stale int) {
-		x := f.index
+		x := &f.index
 		for r := x.heads[c]; r != 0; r = x.ref(r).next {
-			if x.entries[x.ref(r).entry].dead.Load() {
+			if x.entries[x.ref(r).entry].dead {
 				stale++
 			} else {
 				live++
@@ -435,7 +451,7 @@ func BenchmarkInvalidateChannel(b *testing.B) {
 		users := make(map[int][]Pair) // whom to recompute after an event, by channel
 		for _, e := range f.liveEntries() {
 			for _, c := range channelsOf(nil, e.paths) {
-				users[int(c)] = append(users[int(c)], Pair{Sender: e.paths[0].Nodes()[0], Receiver: e.receiver})
+				users[int(c)] = append(users[int(c)], e.pair)
 			}
 		}
 		var used, unused []int

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/route"
@@ -20,26 +19,24 @@ import (
 // rotate through the list, never a fresh Yen run.
 const replacementPool = 4
 
-// routingTable is one sender's cache of paths to its recurring
-// receivers (§3.3), guarded by its own lock — the sharding unit that
-// lets payments from different senders route without contending. clock
-// counts payments routed by this sender and drives TTL eviction.
+// senderTable is one sender's share of the router's routing table
+// (§3.3): clock counts the payments this sender has routed and drives
+// TTL eviction, and size counts its entries for Config.TableCap.
 //
-// Entries are additionally threaded on an intrusive doubly-linked list
+// The sender's entries are threaded on an intrusive doubly-linked list
 // in ascending lastAccess order (head oldest, tail most recent). The
 // list makes both eviction policies O(evicted) instead of O(entries):
-// TTL eviction pops stale entries off the head — the same set a full
-// map scan would find, since list order is lastAccess order — and the
-// size cap (Config.TableCap) evicts the head when an insert overflows.
-type routingTable struct {
-	mu         sync.Mutex
-	entries    map[topo.NodeID]*tableEntry
+// TTL eviction pops stale entries off the head — the same set a scan of
+// the sender's entries would find, since list order is lastAccess order
+// — and the size cap evicts the head when an insert overflows.
+type senderTable struct {
 	head, tail *tableEntry // LRU list: head oldest, tail newest
 	clock      int
+	size       int
 }
 
 // unlink removes e from the LRU list (e must be on it).
-func (t *routingTable) unlink(e *tableEntry) {
+func (t *senderTable) unlink(e *tableEntry) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {
@@ -54,7 +51,7 @@ func (t *routingTable) unlink(e *tableEntry) {
 }
 
 // pushBack appends e as the most recently used entry.
-func (t *routingTable) pushBack(e *tableEntry) {
+func (t *senderTable) pushBack(e *tableEntry) {
 	e.prev, e.next = t.tail, nil
 	if t.tail != nil {
 		t.tail.next = e
@@ -64,48 +61,23 @@ func (t *routingTable) pushBack(e *tableEntry) {
 	t.tail = e
 }
 
-// removeLocked drops e from both the map and the LRU list, and marks it
-// dead for the channel index, which forgets it lazily. Every removal
-// goes through here.
-func (t *routingTable) removeLocked(e *tableEntry) {
-	delete(t.entries, e.receiver)
-	t.unlink(e)
-	e.dead.Store(true)
-}
-
-// dropAbove locks the table and removes every entry whose observed
-// traffic exceeds limit (a lowered elephant threshold made it serve
-// elephants). Returns the number of entries removed.
-func (t *routingTable) dropAbove(limit float64) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	dropped := 0
-	for _, e := range t.entries {
-		if e.maxAmount > limit {
-			t.removeLocked(e)
-			dropped++
-		}
-	}
-	return dropped
-}
-
-// tableEntry caches the top-m shortest paths to one receiver. all is
-// the extended Yen list (computed once, lazily, on the first dead-path
-// replacement): the topology is static, so the candidate paths for a
-// pair never change — only which of them currently have balance — and
-// replacements cycle through all via cursor without re-running Yen.
-// Entries are accessed only under their table's lock — but for dead and
-// id, which the channel index reads under its own; the cached path slices
-// themselves are immutable once created, so a path handed out under the
-// lock stays valid after release. Every channel of paths and all is
-// registered in the router's channelIndex, which is how InvalidateChannel
-// finds the entry.
+// tableEntry caches the top-m shortest paths from one sender to one
+// receiver. all is the extended Yen list (computed once, lazily, on the
+// first dead-path replacement): the topology is static, so the candidate
+// paths for a pair never change — only which of them currently have
+// balance — and replacements cycle through all via cursor without
+// re-running Yen. Both lists are windows of the router's path arena,
+// capped at their length, so replaceDeadPath's in-place edits stay in
+// the entry's own window. Entries are read and written only under the
+// router's mu; a path handed out under it stays valid after release,
+// since a kept path's elements are never written again. Every channel of
+// paths and all is registered in the router's channelIndex, which is how
+// InvalidateChannel finds the entry.
 type tableEntry struct {
-	table      *routingTable // owner, whose lock guards the entry; immutable
-	dead       atomic.Bool   // set by removeLocked, under the table lock
-	id         uint32        // in the channel index, whose lock guards it; 0 until registered
-	receiver   topo.NodeID   // map key, needed to evict via the LRU list
-	prev, next *tableEntry   // intrusive LRU list links
+	pair       Pair        // map key; the sender names the LRU list
+	dead       bool        // removed from the table; the channel index forgets it lazily
+	id         uint32      // in the channel index; 0 until registered
+	prev, next *tableEntry // intrusive LRU list links
 	paths      []topo.Path
 	all        []topo.Path // extended Yen list, nil until first needed
 	cursor     int         // rotation position within all
@@ -118,44 +90,47 @@ type tableEntry struct {
 	maxAmount float64
 }
 
-// tableFor returns (creating if needed) the routing table of sender,
-// taking only the outer map lock — read-locked on the hot path.
-func (f *Flash) tableFor(sender topo.NodeID) *routingTable {
-	f.tablesMu.RLock()
-	t, ok := f.tables[sender]
-	f.tablesMu.RUnlock()
-	if ok {
-		return t
+// senderLocked returns sender's share of the table, growing the
+// per-sender slice to cover g's nodes on the first payment from a sender
+// beyond it. The caller holds mu.
+func (f *Flash) senderLocked(g *topo.Graph, sender topo.NodeID) *senderTable {
+	if int(sender) >= len(f.senders) {
+		n := max(g.NumNodes(), int(sender)+1)
+		f.senders = append(f.senders, make([]senderTable, n-len(f.senders))...)
 	}
-	f.tablesMu.Lock()
-	defer f.tablesMu.Unlock()
-	if t, ok := f.tables[sender]; ok {
-		return t
-	}
-	t = &routingTable{entries: make(map[topo.NodeID]*tableEntry)}
-	f.tables[sender] = t
-	return t
+	return &f.senders[sender]
 }
 
-// lookupPaths returns the sender's table and the cached entry for
-// receiver, computing the top-M Yen shortest paths on a miss ("Upon
-// seeing a new receiver that does not exist in the routing table, the
-// node computes top-m shortest paths"). It also advances the TTL clock,
-// evicts stale entries, and records amount as classification evidence
-// for adaptive threshold swaps (see tableEntry.maxAmount). The Yen
-// computation runs under the sender's table lock, which blocks only
-// that sender's other payments.
-func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount float64) (*routingTable, *tableEntry) {
-	t := f.tableFor(sender)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// removeLocked drops e from the map and its sender's LRU list, and marks
+// it dead for the channel index, which forgets it lazily. Every removal
+// goes through here; the caller holds mu.
+func (f *Flash) removeLocked(e *tableEntry) {
+	delete(f.entries, e.pair)
+	t := &f.senders[e.pair.Sender]
+	t.unlink(e)
+	t.size--
+	e.dead = true
+}
+
+// lookupPaths returns the cached entry for sender→receiver, computing
+// the top-M Yen shortest paths on a miss ("Upon seeing a new receiver
+// that does not exist in the routing table, the node computes top-m
+// shortest paths") into the router's path arena. It also advances the
+// sender's TTL clock, evicts its stale entries, and records amount as
+// classification evidence for adaptive threshold swaps (see
+// tableEntry.maxAmount). The Yen computation runs under mu.
+func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount float64) *tableEntry {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	t := f.senderLocked(g, sender)
 	t.clock++
 	// The LRU list is in lastAccess order, so the stale entries are
 	// exactly the prefix at the head — O(evicted), not O(entries).
 	for t.head != nil && t.clock-t.head.lastAccess > f.ttl {
-		t.removeLocked(t.head)
+		f.removeLocked(t.head)
 	}
-	if e, ok := t.entries[receiver]; ok {
+	pair := Pair{Sender: sender, Receiver: receiver}
+	if e, ok := f.entries[pair]; ok {
 		t.unlink(e)
 		e.lastAccess = t.clock
 		t.pushBack(e)
@@ -163,46 +138,46 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 			e.maxAmount = amount
 		}
 		f.tableHits.Add(1)
-		return t, e
+		return e
 	}
 	f.tableMisses.Add(1)
 	// A miss computes exactly the paper's top-m paths; the replacement
 	// pool is only materialised when a path actually dies (most entries
 	// never need one, so the common case stays cheap).
+	paths, elems := f.arena.Room()
 	e := &tableEntry{
-		table:      t,
-		receiver:   receiver,
-		paths:      graph.Yen(g, sender, receiver, f.cfg.M, nil),
+		pair:       pair,
+		paths:      f.arena.Keep(graph.Yen(g, sender, receiver, f.cfg.M, nil, paths, elems)),
 		lastAccess: t.clock,
 		maxAmount:  amount,
 	}
-	t.entries[receiver] = e
+	f.entries[pair] = e
 	t.pushBack(e)
+	t.size++
 	f.index.add(g, e, e.paths, nil)
 	f.enforceCapLocked(t)
-	return t, e
+	return e
 }
 
-// enforceCapLocked evicts least-recently-used entries until the table
-// respects Config.TableCap. Cap 0 (the default) means unbounded —
+// enforceCapLocked evicts least-recently-used entries until the sender's
+// share respects Config.TableCap. Cap 0 (the default) means unbounded —
 // byte-identical behaviour to the uncapped table.
-func (f *Flash) enforceCapLocked(t *routingTable) {
+func (f *Flash) enforceCapLocked(t *senderTable) {
 	cap := f.cfg.TableCap
 	if cap <= 0 {
 		return
 	}
-	for len(t.entries) > cap && t.head != nil {
-		t.removeLocked(t.head)
+	for t.size > cap && t.head != nil {
+		f.removeLocked(t.head)
 		f.tableEvictions.Add(1)
 	}
 }
 
-// pathAt returns entry's path at slot under the table lock, or the zero
-// Path when a concurrent replacement shrank the entry below slot. The
-// returned path is immutable and safe to use after the lock is released.
-func (t *routingTable) pathAt(e *tableEntry, slot int) topo.Path {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// pathAt returns entry's path at slot under mu, or the zero Path when a
+// concurrent replacement shrank the entry below slot.
+func (f *Flash) pathAt(e *tableEntry, slot int) topo.Path {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if slot >= len(e.paths) {
 		return topo.Path{}
 	}
@@ -213,21 +188,22 @@ func (t *routingTable) pathAt(e *tableEntry, slot int) topo.Path {
 // shortest path ("when a payment encounters an unaccessible path with
 // zero effective capacity or no connectivity, Flash replaces it with
 // the next top shortest path"). The extended Yen list is computed once
-// per entry on first need; subsequent replacements rotate through it —
-// a path that was dead earlier may have revived, since channel balances
-// move in both directions. expected is the path the caller observed at
-// slot: if a concurrent payment already replaced it, nothing is changed
-// and the zero Path is returned. Returns the replacement, or the zero
-// Path when the pair has no alternative paths at all (the slot is then
-// dropped).
-func (f *Flash) replaceDeadPath(g *topo.Graph, sender topo.NodeID, t *routingTable, e *tableEntry, slot int, expected topo.Path) topo.Path {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// per entry on first need, into the router's path arena; subsequent
+// replacements rotate through it — a path that was dead earlier may
+// have revived, since channel balances move in both directions.
+// expected is the path the caller observed at slot: if a concurrent
+// payment already replaced it, nothing is changed and the zero Path is
+// returned. Returns the replacement, or the zero Path when the pair has
+// no alternative paths at all (the slot is then dropped).
+func (f *Flash) replaceDeadPath(g *topo.Graph, e *tableEntry, slot int, expected topo.Path) topo.Path {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if slot >= len(e.paths) || !e.paths[slot].Equal(expected) {
 		return topo.Path{}
 	}
 	if e.all == nil {
-		e.all = graph.Yen(g, sender, e.receiver, f.cfg.M+replacementPool, nil)
+		paths, elems := f.arena.Room()
+		e.all = f.arena.Keep(graph.Yen(g, e.pair.Sender, e.pair.Receiver, f.cfg.M+replacementPool, nil, paths, elems))
 		e.cursor = len(e.paths) % max(len(e.all), 1)
 		f.index.add(g, e, e.all, e.paths)
 	}
@@ -261,10 +237,10 @@ func containsPath(set []topo.Path, p topo.Path) bool {
 // effective capacity.
 func (f *Flash) routeMice(s route.Session) error {
 	g := s.Graph()
-	tbl, entry := f.lookupPaths(g, s.Sender(), s.Receiver(), s.Demand())
+	entry := f.lookupPaths(g, s.Sender(), s.Receiver(), s.Demand())
 	ob := orderPool.Get().(*[]int)
 	defer orderPool.Put(ob)
-	order := f.pathOrder(tbl, entry, (*ob)[:0])
+	order := f.pathOrder(entry, (*ob)[:0])
 	*ob = order
 	if len(order) == 0 {
 		if err := s.Abort(); err != nil {
@@ -278,7 +254,7 @@ func (f *Flash) routeMice(s route.Session) error {
 		if remaining <= route.Epsilon {
 			break
 		}
-		path := tbl.pathAt(entry, slot)
+		path := f.pathAt(entry, slot)
 		if path.IsZero() {
 			continue // a replacement shrank the table mid-loop
 		}
@@ -299,7 +275,7 @@ func (f *Flash) routeMice(s route.Session) error {
 		if cp <= route.Epsilon {
 			// Dead path: replace with the next pooled Yen path and, if
 			// one exists, give it a chance for this payment too.
-			if next := f.replaceDeadPath(g, s.Sender(), tbl, entry, slot, path); !next.IsZero() {
+			if next := f.replaceDeadPath(g, entry, slot, path); !next.IsZero() {
 				held := route.HoldUpTo(s, next, remaining)
 				remaining -= held
 			}
@@ -327,8 +303,8 @@ var orderPool = sync.Pool{New: func() any { return new([]int) }}
 // when the FixedMiceOrder ablation is on. The shuffle draws from the
 // router's seeded RNG under rngMu. The result is built in buf (grown as
 // needed).
-func (f *Flash) pathOrder(t *routingTable, e *tableEntry, buf []int) []int {
-	t.mu.Lock()
+func (f *Flash) pathOrder(e *tableEntry, buf []int) []int {
+	f.mu.Lock()
 	n := len(e.paths)
 	var lengths []int
 	if f.cfg.FixedMiceOrder {
@@ -337,7 +313,7 @@ func (f *Flash) pathOrder(t *routingTable, e *tableEntry, buf []int) []int {
 			lengths[i] = p.Hops()
 		}
 	}
-	t.mu.Unlock()
+	f.mu.Unlock()
 
 	order := buf
 	for i := 0; i < n; i++ {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/graph"
-	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -102,16 +103,19 @@ func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *ele
 		if rem := k - len(plan.paths); want > rem {
 			want = rem
 		}
-		cands := graph.Yen(g, s.Sender(), s.Receiver(), want, ps.usableCh)
+		// The candidates are kept in the path arena beside the plan's
+		// paths, so an accepted one joins the plan as it is.
+		ps.cands, ps.arena = graph.Yen(g, s.Sender(), s.Receiver(), want, ps.usableCh, ps.cands[:0], ps.arena)
+		cands := ps.cands
 		if len(cands) == 0 {
 			break
 		}
 
 		// Probe stage, results indexed by candidate. needsProbe is
 		// decided before any result of the round is recorded.
-		infos := make([][]pcn.HopInfo, len(cands))
-		errs := make([]error, len(cands))
-		needsProbe := make([]bool, len(cands))
+		n := len(cands)
+		ps.infos, ps.errs, ps.needsProbe = zeroed(ps.infos, n), zeroed(ps.errs, n), zeroed(ps.needsProbe, n)
+		infos, errs, needsProbe := ps.infos, ps.errs, ps.needsProbe
 		for i, p := range cands {
 			if needsProbe[i] = ps.unknownHops(p); needsProbe[i] {
 				infos[i], errs[i] = route.Probe(s, p)
@@ -151,4 +155,12 @@ func (f *Flash) findElephantPathsPipelined(s route.Session, k, workers int) *ele
 	}
 	ps.release() // no plan retains it
 	return nil   // Algorithm 1 line 28: demand unsatisfiable with k paths
+}
+
+// zeroed returns buf resized to n zero values, reusing its array when it
+// is long enough.
+func zeroed[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
 }

@@ -50,7 +50,7 @@ func TestSenderThresholdOverride(t *testing.T) {
 
 // TestSetSenderThresholdInvalidatesOwnTableOnly: lowering a sender's
 // effective threshold drops that sender's now-misclassified cached
-// entries — and only that sender's; other tables are untouched.
+// entries — and only that sender's; other senders' entries are untouched.
 func TestSetSenderThresholdInvalidatesOwnTableOnly(t *testing.T) {
 	net := thresholdNet(t)
 	f := New(DefaultConfig(100))

@@ -177,13 +177,12 @@ func TestYenKSPAllocsNoMoreThanOracle(t *testing.T) {
 	}
 }
 
-// TestYenKSPAllocs pins a Yen run on a warm Scratch at exactly two
-// allocations, in node form and in hop form alike: the flat array the
-// accepted paths are copied into — a hop path's channels share it with
-// its nodes — and their slice headers. Candidates, the seen set and the
-// heap live in the Scratch, so a run that allocates more is keeping
-// garbage per spur again (a mice-table fill runs one of these per table
-// miss).
+// TestYenKSPAllocs pins a node-form Yen run (YenKSP, what the benchmark's
+// graph.yen4 rung times) on a warm Scratch at exactly two allocations:
+// the flat array the accepted paths' nodes are copied into and their
+// slice headers. Candidates, the seen set and the heap live in the
+// Scratch, so a run that allocates more is keeping garbage per spur
+// again.
 func TestYenKSPAllocs(t *testing.T) {
 	g := allocGraph(t)
 	sc := NewScratch()
@@ -194,8 +193,31 @@ func TestYenKSPAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { sc.yenNodes(g, 0, 399, k, nil) }); avg != 2 {
 			t.Fatalf("yenNodes(k=%d) allocates %v/op on a warm Scratch, want 2 (the flat paths and their headers)", k, avg)
 		}
-		if avg := testing.AllocsPerRun(100, func() { sc.yenPaths(g, 0, 399, k, nil) }); avg != 2 {
-			t.Fatalf("yenPaths(k=%d) allocates %v/op on a warm Scratch, want 2 (the flat hop paths and their headers)", k, avg)
+	}
+}
+
+// TestYenPathsZeroAlloc pins the hop-path form of Yen — what a Flash
+// table miss, its replacement list and the probe pipeline's candidate
+// rounds run — at zero allocations on a warm Scratch when the caller's
+// buffers have room: the accepted paths are appended into them, not
+// copied out.
+func TestYenPathsZeroAlloc(t *testing.T) {
+	g := allocGraph(t)
+	sc := NewScratch()
+	paths := make([]topo.Path, 0, 8)
+	elems := make([]topo.NodeID, 0, 1024)
+	for _, k := range []int{1, 4, 8} {
+		got, _ := sc.yenPaths(g, 0, 399, k, nil, paths, elems) // warm buffers
+		if len(got) != k {
+			t.Fatalf("k=%d: %d paths in alloc fixture", k, len(got))
+		}
+		for i, p := range got {
+			if want := sc.yenNodes(g, 0, 399, k, nil)[i]; !pathEq(p.Nodes(), want) {
+				t.Fatalf("k=%d path %d: hop form %v, node form %v", k, i, p.Nodes(), want)
+			}
+		}
+		if avg := testing.AllocsPerRun(100, func() { sc.yenPaths(g, 0, 399, k, nil, paths, elems) }); avg != 0 {
+			t.Fatalf("yenPaths(k=%d) allocates %v/op into buffers with room, want 0", k, avg)
 		}
 	}
 }

@@ -168,7 +168,7 @@ func TestYenLooplessDistinctSorted(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no paths found")
 	}
-	hops := Yen(g, 0, 39, 8, nil)
+	hops, _ := Yen(g, 0, 39, 8, nil, nil, nil)
 	if len(hops) != len(paths) {
 		t.Fatalf("Yen found %d hop paths, YenKSP %d paths", len(hops), len(paths))
 	}

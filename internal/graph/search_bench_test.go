@@ -33,6 +33,10 @@ func BenchmarkSearch(b *testing.B) {
 		yen     yenFn
 		augment augmentFn
 	}
+	var (
+		yenPaths []topo.Path // the buffers the pruned Yen appends into, as Flash's table does
+		yenElems []topo.NodeID
+	)
 	variants := []variant{
 		{"oracle", func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, banned bool, _ int) []topo.NodeID {
 			return sc.oracleSearch(g, s, t, usable, banned)
@@ -42,7 +46,7 @@ func BenchmarkSearch(b *testing.B) {
 			return sc.oracleSearch(g, s, t, usable, false)
 		}},
 		{"pruned", (*Scratch).search, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, k int, usable Usable) {
-			sc.yenPaths(g, s, t, k, usable)
+			yenPaths, yenElems = sc.yenPaths(g, s, t, k, usable, yenPaths[:0], yenElems[:0])
 		}, func(sc *Scratch, g *topo.Graph, s, t topo.NodeID, usable Usable, first bool) []topo.NodeID {
 			return sc.AugmentingPath(g, s, t, usable, first).Nodes()
 		}},

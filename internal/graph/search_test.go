@@ -216,7 +216,7 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 		}
 
 		wantK := oracle.oracleYenKSP(g, s, t, k, c.usable)
-		gotK := Yen(g, s, t, k, c.usable)
+		gotK, _ := Yen(g, s, t, k, c.usable, nil, nil)
 		if !sameHopPaths(gotK, wantK) {
 			fail("Yen/"+c.name, gotK, wantK)
 		}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"repro/internal/topo"
 )
 
@@ -15,39 +17,58 @@ func YenKSP(g *topo.Graph, s, t topo.NodeID, k int) [][]topo.NodeID {
 	return sc.yenNodes(g, s, t, k, nil)
 }
 
-// Yen is YenKSP returning hop paths, restricted to directed hops that
-// pass usable (nil: every hop): every hop of every returned path passes
-// the predicate. Flash's routing tables hold these paths, and its
-// speculative probe pipeline draws each round's candidate set from the
-// sender's residual knowledge graph with them — the BFS shortest path
-// plus edge-avoidance spur deviations, all distinct and all
-// deterministic for a fixed graph and predicate.
-func Yen(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) []topo.Path {
+// Yen is YenKSP for hop paths, restricted to directed hops that pass
+// usable (nil: every hop): every hop of every path it finds passes the
+// predicate. It appends the paths to paths and their elements to arena,
+// and returns both: each path is a window of arena whose capacity ends
+// with it (topo.Path.AppendTo), and with room in both buffers a run on a
+// warm Scratch allocates nothing. Flash's routing table appends into its
+// topo.PathArena, and its speculative probe pipeline draws each round's
+// candidate set from the sender's residual knowledge graph into its
+// probed state — the BFS shortest path plus edge-avoidance spur
+// deviations, all distinct and all deterministic for a fixed graph and
+// predicate.
+func Yen(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, paths []topo.Path, arena []topo.NodeID) ([]topo.Path, []topo.NodeID) {
 	sc := AcquireScratch()
 	defer ReleaseScratch(sc)
-	return sc.yenPaths(g, s, t, k, usable)
+	return sc.yenPaths(g, s, t, k, usable, paths, arena)
 }
 
 // yenNodes runs Yen on sc and copies the accepted paths out as node
-// paths: on a warm Scratch, one allocation for the paths and one for the
-// slice headers (copyOut).
+// paths, without their channels: on a warm Scratch, one allocation for
+// the nodes and one for the slice headers.
 func (sc *Scratch) yenNodes(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) [][]topo.NodeID {
 	if sc.yenKSP(g, s, t, k, usable) == 0 {
 		return nil
 	}
+	size := 0
+	for _, p := range sc.yen.accepted {
+		size += p.Hops() + 1
+	}
+	flat := make([]topo.NodeID, 0, size)
 	out := make([][]topo.NodeID, len(sc.yen.accepted))
-	sc.yen.copyOut(func(i int, p topo.Path) { out[i] = p.Nodes() })
+	for i, p := range sc.yen.accepted {
+		start := len(flat)
+		flat = append(flat, p.Nodes()...)
+		out[i] = flat[start:len(flat):len(flat)]
+	}
 	return out
 }
 
-// yenPaths is yenNodes copying out hop paths.
-func (sc *Scratch) yenPaths(g *topo.Graph, s, t topo.NodeID, k int, usable Usable) []topo.Path {
-	if sc.yenKSP(g, s, t, k, usable) == 0 {
-		return nil
+// yenPaths runs Yen on sc and appends the accepted hop paths to paths and
+// their elements to arena, growing each at most once.
+func (sc *Scratch) yenPaths(g *topo.Graph, s, t topo.NodeID, k int, usable Usable, paths []topo.Path, arena []topo.NodeID) ([]topo.Path, []topo.NodeID) {
+	n := sc.yenKSP(g, s, t, k, usable)
+	size := 0
+	for _, p := range sc.yen.accepted[:n] {
+		size += p.Len()
 	}
-	out := make([]topo.Path, len(sc.yen.accepted))
-	sc.yen.copyOut(func(i int, p topo.Path) { out[i] = p })
-	return out
+	paths, arena = slices.Grow(paths, n), slices.Grow(arena, size)
+	for _, p := range sc.yen.accepted[:n] {
+		p, arena = p.AppendTo(arena)
+		paths = append(paths, p)
+	}
+	return paths, arena
 }
 
 // yenKSP runs Yen's algorithm on sc and returns how many paths it
@@ -156,22 +177,6 @@ func (sc *Scratch) keep(chans []int32, prev topo.Path, i int) topo.Path {
 	var p topo.Path
 	p, sc.yen.arena = sc.join(chans, prev, i, sc.path, sc.yen.arena)
 	return p
-}
-
-// copyOut copies the accepted paths, detached from the arena, into one
-// array of their own — a hop path's channels share it with its nodes — and
-// hands put each copy.
-func (y *yenState) copyOut(put func(i int, p topo.Path)) {
-	size := 0
-	for _, p := range y.accepted {
-		size += p.Len()
-	}
-	flat := make([]topo.NodeID, 0, size)
-	for i, p := range y.accepted {
-		var c topo.Path
-		c, flat = p.AppendTo(flat)
-		put(i, c)
-	}
 }
 
 func samePrefix(p, prefix []topo.NodeID) bool {

@@ -62,7 +62,8 @@ func TestHopOpsEqualNodeOps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, p := range graph.Yen(byHops.Graph(), s, r, 6, nil) {
+			paths, _ := graph.Yen(byHops.Graph(), s, r, 6, nil, nil, nil)
+			for i, p := range paths {
 				infoN, errN := txN.Probe(p.Nodes())
 				infoH, errH := txH.ProbeHops(p)
 				if errN != nil || errH != nil || !slices.Equal(infoN, infoH) {

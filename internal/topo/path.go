@@ -90,3 +90,81 @@ func (p Path) Equal(q Path) bool { return slices.Equal(p.elems, q.elems) }
 // Len returns the number of elements p occupies in an array: 2n-1 for n
 // nodes.
 func (p Path) Len() int { return len(p.elems) }
+
+// Chunk sizes of a PathArena: its element chunks double from
+// firstElemChunk to maxElemChunk elements, its list chunks from
+// firstListChunk to maxListChunk paths.
+const (
+	firstElemChunk = 1 << 8
+	maxElemChunk   = 1 << 15
+	firstListChunk = 1 << 4
+	maxListChunk   = 1 << 11
+)
+
+// PathArena is chunked storage for hop paths kept past the search that
+// found them — a routing table's — and for lists of them. Paths are
+// copied into the current element chunk and lists into the current list
+// chunk. A chunk without room for what is kept next is replaced by one
+// twice its size, up to a bound, and stays allocated until no path or
+// list kept in it is reachable. A kept path or list is a window whose
+// capacity ends with it, so an append to one never reaches the next, and
+// a list's owner may edit its list in place. The zero value is an empty
+// arena whose first chunks are small.
+type PathArena struct {
+	elems []NodeID // the current element chunk: kept, then room
+	lists []Path   // the current list chunk: kept, then room
+}
+
+// Room returns the unused rest of the current chunks as two empty
+// slices, for a caller to append a list of paths to the first and their
+// elements to the second (as graph.Yen does); Keep then keeps what was
+// appended.
+func (a *PathArena) Room() ([]Path, []NodeID) {
+	return a.lists[len(a.lists):], a.elems[len(a.elems):]
+}
+
+// Keep keeps the list of paths that appending to Room's slices gave,
+// elems being the elements appended, and returns it; an empty list is
+// nil. If the appends stayed within the room, the list and its paths are
+// already in place and Keep allocates nothing; otherwise it copies what
+// outgrew its chunk into a new one.
+func (a *PathArena) Keep(paths []Path, elems []NodeID) []Path {
+	if len(paths) == 0 {
+		return nil
+	}
+	if len(elems) <= cap(a.elems)-len(a.elems) {
+		a.elems = a.elems[:len(a.elems)+len(elems)]
+	} else {
+		a.elems = newChunk(a.elems, len(elems), firstElemChunk, maxElemChunk)
+		for i, p := range paths {
+			paths[i], a.elems = p.AppendTo(a.elems)
+		}
+	}
+	start := len(a.lists)
+	if len(paths) <= cap(a.lists)-start {
+		a.lists = a.lists[:start+len(paths)]
+	} else {
+		a.lists = append(newChunk(a.lists, len(paths), firstListChunk, maxListChunk), paths...)
+		start = 0
+	}
+	return a.lists[start:len(a.lists):len(a.lists)]
+}
+
+// KeepPath copies p into the arena and returns the copy. The zero Path
+// stays zero.
+func (a *PathArena) KeepPath(p Path) Path {
+	if p.IsZero() {
+		return p
+	}
+	if cap(a.elems)-len(a.elems) < p.Len() {
+		a.elems = newChunk(a.elems, p.Len(), firstElemChunk, maxElemChunk)
+	}
+	p, a.elems = p.AppendTo(a.elems)
+	return p
+}
+
+// newChunk returns an empty chunk to follow cur: twice its capacity,
+// within [first, most], and at least need.
+func newChunk[T any](cur []T, need, first, most int) []T {
+	return make([]T, 0, max(need, min(max(2*cap(cur), first), most)))
+}

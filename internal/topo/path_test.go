@@ -69,3 +69,80 @@ func TestPathRejectsMalformedLayouts(t *testing.T) {
 		}()
 	}
 }
+
+// TestPathArenaKeeps: lists appended into Room and kept stay intact as
+// the arena fills and moves to new chunks — whether the appends fit, or
+// outgrew the element chunk, the list chunk or both — every kept list and
+// path is capped at its length, an empty list is nil, and KeepPath copies
+// single paths beside them.
+func TestPathArenaKeeps(t *testing.T) {
+	var a PathArena
+	mk := func(i, n int) Path { // a path of n nodes, numbered from i
+		nodes, chans := make([]NodeID, n), make([]int32, n-1)
+		for j := range nodes {
+			nodes[j] = NodeID(i + j)
+		}
+		return MakePath(nodes, chans)
+	}
+	type kept struct {
+		list []Path
+		want []Path
+	}
+	var all []kept
+	var single []Path
+	for i := 0; i < 400; i++ {
+		var want []Path
+		for j := 0; j < 1+i%9; j++ {
+			want = append(want, mk(i+j, 2+(i+j)%(1+i%40)))
+		}
+		paths, elems := a.Room()
+		if len(paths) != 0 || len(elems) != 0 {
+			t.Fatalf("Room hands out %d paths and %d elements, want empty slices", len(paths), len(elems))
+		}
+		for _, p := range want {
+			var c Path
+			c, elems = p.AppendTo(elems)
+			paths = append(paths, c)
+		}
+		list := a.Keep(paths, elems)
+		if cap(list) != len(list) {
+			t.Fatalf("list %d: capacity %d beyond its %d paths", i, cap(list), len(list))
+		}
+		all = append(all, kept{list, want})
+		if i%7 == 0 {
+			p := mk(1000+i, 3)
+			if c := a.KeepPath(p); !c.Equal(p) || cap(c.Nodes()) != 3 {
+				t.Fatalf("KeepPath(%v) = %v", p, c)
+			}
+			single = append(single, a.KeepPath(p))
+		}
+	}
+	for i, k := range all {
+		if len(k.list) != len(k.want) {
+			t.Fatalf("list %d holds %d paths, want %d", i, len(k.list), len(k.want))
+		}
+		for j, p := range k.list {
+			if !p.Equal(k.want[j]) || cap(p.elems) != len(p.elems) {
+				t.Fatalf("list %d path %d: %v (capacity %d), want %v", i, j, p, cap(p.elems), k.want[j])
+			}
+		}
+	}
+	for i, p := range single {
+		if !p.Equal(mk(1000+7*i, 3)) {
+			t.Fatalf("kept single path %d reads %v", i, p)
+		}
+	}
+	if cap(a.elems) != maxElemChunk || cap(a.lists) > maxListChunk {
+		t.Fatalf("chunks of %d elements and %d paths after filling, want %d and at most %d", cap(a.elems), cap(a.lists), maxElemChunk, maxListChunk)
+	}
+	if paths, elems := a.Room(); a.Keep(paths, elems) != nil {
+		t.Fatal("an empty list kept as non-nil")
+	}
+	if !a.KeepPath(Path{}).IsZero() {
+		t.Fatal("the zero Path kept as a path")
+	}
+	huge := mk(0, maxElemChunk)
+	if c := a.KeepPath(huge); !c.Equal(huge) {
+		t.Fatal("a path longer than a chunk was not kept whole")
+	}
+}

@@ -170,6 +170,10 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.RecurrenceProb < 0 || cfg.RecurrenceProb > 1 {
 		return nil, fmt.Errorf("trace: recurrence probability %v outside [0,1]", cfg.RecurrenceProb)
 	}
+	if cfg.Graph != nil && !hasChannel(cfg.Graph, cfg.Nodes) {
+		// pickSender rejects a node without a channel, so it would draw forever.
+		return nil, fmt.Errorf("trace: no node of the first %d has a channel", cfg.Nodes)
+	}
 	g := &Generator{
 		cfg:         cfg,
 		rng:         stats.NewRNG(cfg.Seed, 0xF1A54),
@@ -182,6 +186,16 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.component = cfg.Graph.Components()
 	}
 	return g, nil
+}
+
+// hasChannel reports whether any of g's first n nodes has a channel.
+func hasChannel(g *topo.Graph, n int) bool {
+	for u := range n {
+		if g.Degree(topo.NodeID(u)) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // connected reports whether a path can exist between a and b.

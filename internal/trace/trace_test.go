@@ -60,6 +60,34 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
+// TestGeneratorRejectsChannelLessGraph: on a graph where none of the
+// first Nodes nodes has a channel, every sender draw would be rejected
+// and Next would never return, so NewGenerator refuses the graph. A
+// channel among nodes past Nodes does not help; one inside does.
+func TestGeneratorRejectsChannelLessGraph(t *testing.T) {
+	cfg := DefaultConfig(5)
+	cfg.Graph = topo.New(5)
+	if _, err := NewGenerator(cfg); err == nil {
+		t.Error("a graph without channels accepted")
+	}
+	g := topo.New(8)
+	g.MustAddChannel(6, 7)
+	cfg.Graph = g
+	if _, err := NewGenerator(cfg); err == nil {
+		t.Error("a graph whose only channel lies past Nodes accepted")
+	}
+	g = topo.New(8)
+	g.MustAddChannel(4, 7)
+	cfg.Graph = g
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatalf("a graph with a channel at node 4 refused: %v", err)
+	}
+	if p := gen.Next(); p.Sender != 4 {
+		t.Errorf("sender %d has no channel", p.Sender)
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	a, err := NewGenerator(DefaultConfig(50))
 	if err != nil {
