@@ -34,6 +34,8 @@
 //	internal/wire      the prototype's wire format (paper Table 1)
 //	internal/node      TCP protocol node (probe + two-phase commit)
 //	internal/testbed   local multi-process-style cluster harness
+//	internal/mem       the recyclers hot paths draw working memory
+//	                   from: chunked slabs and free lists
 //
 // # Quick start
 //
@@ -62,8 +64,14 @@
 //     feasibility-checked and reserved under the locks, so conflicting
 //     concurrent payments can never overbook a channel.
 //   - core: one mutex guards a Flash router's routing table (entries
-//     keyed by sender and receiver, per-sender TTL and LRU state, the
-//     path arena and the channel index); counters are atomics.
+//     keyed by sender and receiver, the slab they are made in,
+//     per-sender TTL and LRU state, the path arena and the channel
+//     index); counters are atomics. A payment's working memory — its
+//     mice path order, an elephant's probed state, a search's
+//     graph.Scratch — comes from package-level free lists
+//     (mem.FreeList) shared by every router, each behind a mutex held
+//     only to take or return one value; a pcn.Network keeps its
+//     released sessions in one too.
 //     Config.ProbeWorkers > 1 is the probe width of one elephant
 //     payment: each round the router computes up to that many
 //     distinct candidate paths on its probed-knowledge graph (BFS +

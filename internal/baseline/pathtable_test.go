@@ -1,10 +1,8 @@
 package baseline
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -12,10 +10,6 @@ import (
 	"repro/internal/route"
 	"repro/internal/topo"
 )
-
-// raceEnabled is set by race_test.go under the race detector, which
-// makes sync.Pool drop items.
-var raceEnabled bool
 
 // stubSession is a route.Session on a graph whose every hop has ample
 // balance. With record set it keeps a copy of every path probed or
@@ -127,10 +121,6 @@ var mapSink map[pairKey]topo.Path
 // and 5, the arena's chunks doubling from 256 elements to the 5,812 the
 // paths take).
 func TestShortestPathTableAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	g, err := topo.BarabasiAlbert(60, 2, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
@@ -157,22 +147,16 @@ func TestShortestPathTableAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	warm := NewShortestPath() // grows the pooled Scratch to every search
+	warm := NewShortestPath() // grows a free-list Scratch to every search
 	for _, p := range pairs {
 		pay(warm, p)
 	}
-	// The least of three fresh tables: a goroutine that moves to another
-	// P misses the pooled Scratch and allocates a new one.
-	var sp *ShortestPath
-	first := uint64(math.MaxUint64)
-	for range 3 {
-		sp = NewShortestPath()
-		first = min(first, mallocs(func() {
-			for _, p := range pairs {
-				pay(sp, p)
-			}
-		}))
-	}
+	sp := NewShortestPath()
+	first := mallocs(func() {
+		for _, p := range pairs {
+			pay(sp, p)
+		}
+	})
 	// The arena's chunks double from 256 elements to 32,768
 	// (topo.PathArena), and a chunk leaves unused less than the longest
 	// path, so the paths fill at most chunks of them.

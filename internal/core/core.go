@@ -16,17 +16,22 @@
 // keyed by (sender, receiver) pair, with each sender's TTL clock, LRU
 // list and entry count in a slice indexed by sender, which makes the same
 // instance usable by a whole simulated network or by a single testbed
-// node. The table's paths live in one chunked path arena
-// (topo.PathArena), so a table miss allocates only its entry.
+// node. The table's entries come from one slab (mem.Slab) and their
+// paths from one chunked path arena (topo.PathArena), so a table miss
+// allocates nothing of its own until a chunk fills.
 //
 // Flash is safe for concurrent sessions. One mutex guards the table, the
-// per-sender state, the path arena and the channel index (channelIndex:
-// which entries cross which channel); a mice payment takes it for its
-// lookup and briefly for each path it reads, and a miss runs its Yen
-// search under it, so payments from different senders serialise on table
-// work. The other shared state is the router's RNG (used for the mice
-// path order), behind its own mutex, the per-sender threshold overrides,
-// behind theirs, and counters, which are atomics.
+// per-sender state, the entry slab, the path arena and the channel index
+// (channelIndex: which entries cross which channel); a mice payment takes
+// it for its lookup and briefly for each path it reads, and a miss runs
+// its Yen search under it, so payments from different senders serialise
+// on table work. The other shared state is the router's RNG (used for the
+// mice path order), behind its own mutex, the per-sender threshold
+// overrides, behind theirs, and counters, which are atomics. A payment's
+// working memory — its mice path order, an elephant's probed state, a
+// search's graph.Scratch — comes from package-level free lists shared by
+// every router, each behind its own mutex, held only to take or return
+// one.
 //
 // With Config.ProbeWorkers > 1, elephant routing speculatively probes
 // several candidate paths per round, in order on the session's
@@ -42,6 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/mem"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -160,12 +166,13 @@ type Flash struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// mu guards the routing table: entries, senders, the path arena the
-	// entries' paths are kept in, the channel index, and every
-	// tableEntry's fields.
+	// mu guards the routing table: entries, senders, the slab the
+	// entries come from, the path arena their paths are kept in, the
+	// channel index, and every tableEntry's fields.
 	mu      sync.Mutex
-	entries map[Pair]*tableEntry
+	entries entryTable
 	senders []senderTable // by sender; grown to the graph's nodes
+	slab    mem.Slab[tableEntry]
 	arena   topo.PathArena
 	index   channelIndex
 
@@ -199,7 +206,6 @@ func New(cfg Config) *Flash {
 		cfg:       cfg,
 		ttl:       tableTTL,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		entries:   make(map[Pair]*tableEntry),
 		index:     newChannelIndex(),
 		senderThr: make(map[topo.NodeID]float64),
 	}
@@ -252,14 +258,26 @@ func (f *Flash) SetThreshold(t float64) int {
 	}
 	dropped := 0
 	f.mu.Lock()
-	for _, e := range f.entries {
+	for s := range f.senders {
+		dropped += f.dropAboveLocked(topo.NodeID(s), t)
+	}
+	f.mu.Unlock()
+	f.tableInvalidations.Add(int64(dropped))
+	return dropped
+}
+
+// dropAboveLocked removes sender's entries that served a payment above
+// t, and returns how many. The caller holds mu.
+func (f *Flash) dropAboveLocked(sender topo.NodeID, t float64) int {
+	dropped := 0
+	for e := f.senders[sender].head; e != nil; {
+		next := e.next
 		if e.maxAmount > t {
 			f.removeLocked(e)
 			dropped++
 		}
+		e = next
 	}
-	f.mu.Unlock()
-	f.tableInvalidations.Add(int64(dropped))
 	return dropped
 }
 
@@ -311,14 +329,7 @@ func (f *Flash) SetSenderThreshold(sender topo.NodeID, t float64) int {
 	dropped := 0
 	f.mu.Lock()
 	if int(sender) < len(f.senders) {
-		for e := f.senders[sender].head; e != nil; {
-			next := e.next
-			if e.maxAmount > t {
-				f.removeLocked(e)
-				dropped++
-			}
-			e = next
-		}
+		dropped = f.dropAboveLocked(sender, t)
 	}
 	f.mu.Unlock()
 	f.tableInvalidations.Add(int64(dropped))
@@ -409,7 +420,7 @@ type Stats struct {
 // Stats returns a snapshot of the router's counters.
 func (f *Flash) Stats() Stats {
 	f.mu.Lock()
-	entries := len(f.entries)
+	entries := f.entries.n
 	f.mu.Unlock()
 	return Stats{
 		Elephants:              f.elephants.Load(),

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
+	"repro/internal/mem"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/topo"
@@ -20,7 +20,7 @@ import (
 // The matrices are flat arrays indexed by directed channel slot —
 // 2·channel + direction, direction 1 meaning higher endpoint to lower
 // (Edge canonicalises A < B) — with an epoch-stamped known set, so a
-// pooled probedState resets in O(1) and every hop query is an array
+// recycled probedState resets in O(1) and every hop query is an array
 // read instead of a map probe. Values at slots whose known stamp is
 // stale are garbage; every accessor checks the stamp first.
 type probedState struct {
@@ -37,7 +37,7 @@ type probedState struct {
 	row      []int32
 	rowSlots []int
 
-	// The payment's plan and program (1), in buffers the pooled state
+	// The payment's plan and program (1), in buffers the recycled state
 	// keeps from payment to payment: plan.paths are windows of arena; the
 	// program is c, aub (rows of flat), bub, aeq and beq; the split is the
 	// solver's or alloc.
@@ -58,13 +58,18 @@ type probedState struct {
 	needsProbe []bool
 }
 
-var probedPool = sync.Pool{New: func() any { return new(probedState) }}
+// probedStates holds the probed states released by their payments, for
+// acquireProbedState to reuse. Like graph's Scratches it is shared by
+// every router in the process — a router per testbed node would
+// otherwise pay for its own — and never shrinks, so it holds as many as
+// were ever in use at once, each sized to the largest graph it served.
+var probedStates mem.FreeList[probedState]
 
-// acquireProbedState draws a probedState for g from the package pool,
-// sized to g's current channel count and reset to all-unknown, with an
-// empty plan.
+// acquireProbedState draws a probedState for g from the package's free
+// list, or a new one, sized to g's current channel count and reset to
+// all-unknown, with an empty plan.
 func acquireProbedState(g *topo.Graph) *probedState {
-	ps := probedPool.Get().(*probedState)
+	ps := probedStates.Get()
 	if m := 2 * g.NumChannels(); len(ps.known) < m {
 		ps.known = make([]uint32, m)
 		ps.capacity = make([]float64, m)
@@ -83,11 +88,9 @@ func acquireProbedState(g *topo.Graph) *probedState {
 	return ps
 }
 
-// release returns ps to the pool, and with it the plan, its paths and
-// the split: nothing may use them after.
-func (ps *probedState) release() {
-	probedPool.Put(ps)
-}
+// release returns ps to the free list, and with it the plan, its paths
+// and the split: nothing may use them after.
+func (ps *probedState) release() { probedStates.Put(ps) }
 
 // slot returns the flat index of hop i of p, 2·channel + direction, the
 // channel read from the path: no lookup. The index is always in range:

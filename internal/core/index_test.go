@@ -47,7 +47,7 @@ func (f *Flash) scanChannel(u, v topo.NodeID) []*tableEntry {
 // counting the entries it looks at.
 func (f *Flash) scanInvalidateChannel(u, v topo.NodeID) (dropped, visited int) {
 	f.mu.Lock()
-	for _, e := range f.entries {
+	for _, e := range f.entriesLocked() {
 		visited++
 		if entryUsesChannel(e, u, v) {
 			f.removeLocked(e)
@@ -61,11 +61,19 @@ func (f *Flash) scanInvalidateChannel(u, v topo.NodeID) (dropped, visited int) {
 
 // liveEntries returns every entry the table holds.
 func (f *Flash) liveEntries() []*tableEntry {
-	var live []*tableEntry
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, e := range f.entries {
-		live = append(live, e)
+	return f.entriesLocked()
+}
+
+// entriesLocked returns every entry the table holds, in slot order. The
+// caller holds mu.
+func (f *Flash) entriesLocked() []*tableEntry {
+	var live []*tableEntry
+	for _, e := range f.entries.slots {
+		if e != nil {
+			live = append(live, e)
+		}
 	}
 	return live
 }
@@ -74,7 +82,7 @@ func (f *Flash) liveEntries() []*tableEntry {
 func (f *Flash) inTable(e *tableEntry) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.entries[e.pair] == e
+	return f.entries.get(e.pair) == e
 }
 
 // senderEntries is the number of entries sender's share of the table

@@ -3,9 +3,9 @@ package core
 import (
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/mem"
 	"repro/internal/route"
 	"repro/internal/topo"
 )
@@ -73,8 +73,17 @@ func (t *senderTable) pushBack(e *tableEntry) {
 // since a kept path's elements are never written again. Every channel of
 // paths and all is registered in the router's channelIndex, which is how
 // InvalidateChannel finds the entry.
+//
+// Entries come from the router's slab (mem.Slab), so a miss allocates
+// nothing until a chunk fills, and an entry is never reused: a removed
+// one may still be held by a payment routing at Workers > 1, which can
+// replace its dead paths, and its id may sit in the channel index until
+// a sweep. So a chunk of up to 256 entries, and the arena chunks its
+// entries' paths lie in, stay allocated while any entry in it is
+// reachable: from the table, from a payment in flight, or from the
+// channel index until the sweep that frees its id.
 type tableEntry struct {
-	pair       Pair        // map key; the sender names the LRU list
+	pair       Pair        // entry-table key; the sender names the LRU list
 	dead       bool        // removed from the table; the channel index forgets it lazily
 	id         uint32      // in the channel index; 0 until registered
 	prev, next *tableEntry // intrusive LRU list links
@@ -101,11 +110,11 @@ func (f *Flash) senderLocked(g *topo.Graph, sender topo.NodeID) *senderTable {
 	return &f.senders[sender]
 }
 
-// removeLocked drops e from the map and its sender's LRU list, and marks
-// it dead for the channel index, which forgets it lazily. Every removal
-// goes through here; the caller holds mu.
+// removeLocked drops e from the entry table and its sender's LRU list,
+// and marks it dead for the channel index, which forgets it lazily.
+// Every removal goes through here; the caller holds mu.
 func (f *Flash) removeLocked(e *tableEntry) {
-	delete(f.entries, e.pair)
+	f.entries.remove(e.pair)
 	t := &f.senders[e.pair.Sender]
 	t.unlink(e)
 	t.size--
@@ -130,7 +139,7 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 		f.removeLocked(t.head)
 	}
 	pair := Pair{Sender: sender, Receiver: receiver}
-	if e, ok := f.entries[pair]; ok {
+	if e := f.entries.get(pair); e != nil {
 		t.unlink(e)
 		e.lastAccess = t.clock
 		t.pushBack(e)
@@ -145,13 +154,14 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	// pool is only materialised when a path actually dies (most entries
 	// never need one, so the common case stays cheap).
 	paths, elems := f.arena.Room()
-	e := &tableEntry{
+	e := f.slab.New()
+	*e = tableEntry{
 		pair:       pair,
 		paths:      f.arena.Keep(graph.Yen(g, sender, receiver, f.cfg.M, nil, paths, elems)),
 		lastAccess: t.clock,
 		maxAmount:  amount,
 	}
-	f.entries[pair] = e
+	f.entries.insert(e)
 	t.pushBack(e)
 	t.size++
 	f.index.add(g, e, e.paths, nil)
@@ -238,8 +248,8 @@ func containsPath(set []topo.Path, p topo.Path) bool {
 func (f *Flash) routeMice(s route.Session) error {
 	g := s.Graph()
 	entry := f.lookupPaths(g, s.Sender(), s.Receiver(), s.Demand())
-	ob := orderPool.Get().(*[]int)
-	defer orderPool.Put(ob)
+	ob := orders.Get()
+	defer orders.Put(ob)
 	order := f.pathOrder(entry, (*ob)[:0])
 	*ob = order
 	if len(order) == 0 {
@@ -292,10 +302,11 @@ func (f *Flash) routeMice(s route.Session) error {
 	return route.Finish(s, route.ErrInsufficient)
 }
 
-// orderPool recycles the mice path-order buffers: a slot permutation is
-// needed per mice payment and discarded immediately after the
-// trial-and-error loop, so pooling keeps the steady state alloc-free.
-var orderPool = sync.Pool{New: func() any { return new([]int) }}
+// orders holds the released mice path-order buffers: a slot permutation
+// is needed per mice payment and discarded immediately after the
+// trial-and-error loop, so reusing them keeps the steady state
+// alloc-free. Like probedStates it is shared by every router.
+var orders mem.FreeList[[]int]
 
 // pathOrder returns the order in which to try table paths: random by
 // default ("Flash randomly picks the paths to better load balance them

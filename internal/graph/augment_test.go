@@ -85,7 +85,7 @@ func checkAugmentRounds(tb testing.TB, dg diffGraph, s, t topo.NodeID, seed int6
 }
 
 // TestAugmentRoundsDifferential runs sequences between random pairs of every
-// fixture graph on three shared Scratches, as pooled ones are shared, and
+// fixture graph on three shared Scratches, as the free list's are shared, and
 // checks that resuming is what saved the work: over the whole test the
 // resumed rounds read fewer adjacency entries than the floored fresh ones.
 func TestAugmentRoundsDifferential(t *testing.T) {
@@ -151,7 +151,7 @@ func TestAugmentingPathEndsSequence(t *testing.T) {
 		}},
 		{"re-acquired Scratch", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID {
 			ReleaseScratch(*sc)
-			*sc = AcquireScratch() // the pool's last Put: most likely the same Scratch
+			*sc = AcquireScratch() // the list's last release: the same Scratch unless a parallel test took it
 			return (*sc).AugmentingPath(g, s, t, cu, false).Nodes()
 		}},
 		{"intervening ShortestPath", func(sc **Scratch, g *topo.Graph, s, t topo.NodeID, cu Usable) []topo.NodeID {

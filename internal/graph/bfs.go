@@ -49,9 +49,10 @@ func PathEdges(path []topo.NodeID) []DirEdge {
 // directed hop satisfies usable, or nil if t is unreachable. Neighbour
 // order breaks ties, making results deterministic for a fixed graph.
 //
-// The search runs on a pooled Scratch, so the only allocation is the
-// returned path itself; callers on a hot loop that can reuse the result
-// buffer too should hold their own Scratch and call its ShortestPath.
+// The search runs on a Scratch from the package's free list, so the only
+// allocation is the returned path itself; callers on a hot loop that can
+// reuse the result buffer too should hold their own Scratch and call its
+// ShortestPath.
 func ShortestPath(g *topo.Graph, s, t topo.NodeID, usable Usable) []topo.NodeID {
 	sc := AcquireScratch()
 	p := sc.ShortestPath(g, s, t, usable)

@@ -1,8 +1,7 @@
 package graph
 
 import (
-	"sync"
-
+	"repro/internal/mem"
 	"repro/internal/topo"
 )
 
@@ -91,18 +90,22 @@ const (
 // graph searched.
 func NewScratch() *Scratch { return new(Scratch) }
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// scratches holds the Scratches ReleaseScratch handed back, for
+// AcquireScratch to reuse. It is shared by every caller in the process
+// and never shrinks, so it holds as many as were ever in use at once,
+// each with buffers sized to the largest graph it searched.
+var scratches mem.FreeList[Scratch]
 
-// AcquireScratch draws a Scratch from the package pool. Pair with
-// ReleaseScratch.
-func AcquireScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+// AcquireScratch draws a Scratch from the package's free list, or a new
+// one when the list is empty. Pair with ReleaseScratch.
+func AcquireScratch() *Scratch { return scratches.Get() }
 
-// ReleaseScratch returns a Scratch to the package pool. The caller must
-// not use sc, or any path aliasing its buffers, afterwards. Releasing
-// ends any augmenting sequence running on sc.
+// ReleaseScratch returns a Scratch to the package's free list. The
+// caller must not use sc, or any path aliasing its buffers, afterwards.
+// Releasing ends any augmenting sequence running on sc.
 func ReleaseScratch(sc *Scratch) {
 	sc.augG, sc.augBound = nil, 0
-	scratchPool.Put(sc)
+	scratches.Put(sc)
 }
 
 // ensure sizes the scratch for g and opens a fresh visited epoch.

@@ -148,7 +148,7 @@ func cutHop(cut uint8, n int, s, t, u, v topo.NodeID) bool {
 // checkSearchDifferential compares every entry point with the oracle for
 // one (graph, s, t, k, seed, cut, floor) scenario. pruned is deliberately
 // shared by all scenarios of a test, so its reverse tree is retargeted
-// between graphs and targets the way a pooled Scratch is. floor is clamped
+// between graphs and targets the way a Scratch from the free list is. floor is clamped
 // to the oracle's hop count — any floor a caller could have proved — and
 // the floored search must still return the oracle's path; with no path
 // every floor is a true one.
@@ -197,7 +197,7 @@ func checkSearchDifferential(tb testing.TB, dg diffGraph, s, t topo.NodeID, k in
 			fail("Scratch.ShortestPath/"+c.name, got, want)
 		}
 		if got := ShortestPath(g, s, t, c.usable); !pathEq(got, want) {
-			fail("pooled ShortestPath/"+c.name, got, want)
+			fail("free-list ShortestPath/"+c.name, got, want)
 		}
 		got := pruned.Shortest(g, s, t, c.usable)
 		if !pathEq(got.Nodes(), want) {

@@ -29,7 +29,9 @@
 // order, which makes deadlock impossible. Whole-network operations
 // (Snapshot, Restore, TotalFunds, the Assign helpers) lock every
 // channel in the same ascending order and therefore serialize against
-// all in-flight payments. Hold counters are plain atomics.
+// all in-flight payments. Hold counters are plain atomics. The released
+// sessions a Network keeps for reuse sit behind one more mutex, their
+// free list's (mem.FreeList), which is never held with another lock.
 package pcn
 
 import (
@@ -39,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/mem"
 	"repro/internal/stats"
 	"repro/internal/topo"
 )
@@ -108,6 +111,11 @@ type Network struct {
 	holdsAborted   atomic.Int64 // holds released by abort/span-abort
 
 	hasLatency atomic.Bool // any channel carries a non-zero virtual RTT
+
+	// sessions holds the sessions ReleaseTx handed back, for Begin to
+	// reuse, and makes new ones in chunks: the network keeps as many as
+	// were ever open at once.
+	sessions mem.FreeList[Tx]
 }
 
 // New creates a network over g with every channel open and all

@@ -2,7 +2,6 @@ package pcn
 
 import (
 	"reflect"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/topo"
@@ -23,9 +22,6 @@ func TestReleaseTxResetsSession(t *testing.T) {
 	}
 	setRTT(n, 0.002)
 	last := path[len(path)-1]
-	// A collection between the release and the next Begin would empty
-	// the pool.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	tx, err := n.Begin(0, last, 10)
 	if err != nil {
@@ -69,13 +65,11 @@ func TestReleaseTxResetsSession(t *testing.T) {
 	if got, want := accessors(next), accessors(fresh); got != want {
 		t.Fatalf("recycled session reads %+v, want a fresh one's %+v", got, want)
 	}
-	if !raceEnabled {
-		if next != tx {
-			t.Fatal("Begin after ReleaseTx did not reuse the released session")
-		}
-		if got := [4]int{cap(next.hops), cap(next.infos), cap(next.lock), cap(next.holds)}; got != caps {
-			t.Fatalf("recycled arenas have capacity %v, want %v kept", got, caps)
-		}
+	if next != tx {
+		t.Fatal("Begin after ReleaseTx did not reuse the released session")
+	}
+	if got := [4]int{cap(next.hops), cap(next.infos), cap(next.lock), cap(next.holds)}; got != caps {
+		t.Fatalf("recycled arenas have capacity %v, want %v kept", got, caps)
 	}
 	if len(next.hops)+len(next.infos)+len(next.lock) != 0 {
 		t.Fatalf("recycled arenas hold %d hops, %d results, %d locks; want empty", len(next.hops), len(next.infos), len(next.lock))
@@ -136,8 +130,8 @@ func TestReleaseTxZeroesEveryField(t *testing.T) {
 	arenas := map[string]bool{"holds": true, "hops": true, "infos": true, "lock": true}
 	stale := map[string]bool{"hopsInline": true, "infosInline": true, "lockInline": true}
 	// Zero before the release too: a suspended session panics and the
-	// span lock is free, by contract; and a recycled session's hold
-	// arena may have left its inline record before this session began.
+	// span lock is free, by contract; and a recycled session's hold arena
+	// may have left its inline record before this session began.
 	mayBeZero := map[string]bool{"suspended": true, "spanMu": true, "holdsInline": true}
 	v := reflect.ValueOf(tx).Elem()
 	for i := range v.NumField() {

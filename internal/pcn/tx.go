@@ -45,11 +45,14 @@ var (
 // channel up (Network.dir); ProbeHops and HoldHops take a hop path
 // (topo.Path), whose channels they check in O(1) instead.
 //
-// Begin draws the Tx from a pool and ReleaseTx hands a settled one
-// back with its arenas emptied but not shrunk, so a caller that
-// releases every session it finishes allocates nothing per payment
-// once the arenas have grown to its payments' size; a session that is
-// never released is simply collected.
+// A Network makes its sessions in chunks and keeps those ReleaseTx
+// hands back, arenas emptied but not shrunk, for its next Begin
+// (mem.FreeList). So a caller that releases every session it finishes
+// allocates nothing per payment once the network has made as many
+// sessions as it ever holds at once and the arenas have grown to its
+// payments' size, and a collection changes none of that. A session that
+// is never released is collected with the last reachable session of its
+// chunk.
 //
 // # Hold-span state machine
 //
@@ -96,7 +99,7 @@ type Tx struct {
 	feesPaid       float64
 
 	// Working memory (see the type comment). The inline arrays are
-	// sized so the Tx fits a 512-byte allocation.
+	// sized so the Tx fits in 512 bytes (TestTxSize).
 	hops  []pathHop // hold records' hops, then the in-flight path
 	infos []HopInfo // every Probe result
 	lock  []int32   // the in-flight operation's lock order
@@ -130,25 +133,21 @@ func (n *Network) Begin(sender, receiver topo.NodeID, demand float64) (*Tx, erro
 	if sender == receiver {
 		return nil, fmt.Errorf("pcn: sender and receiver are both node %d", sender)
 	}
-	t := txPool.Get().(*Tx)
+	t := n.sessions.Get()
+	if t.hops == nil { // a new session starts on its inline arrays
+		t.holds = t.holdsInline[:0]
+		t.hops = t.hopsInline[:0]
+		t.infos = t.infosInline[:0]
+		t.lock = t.lockInline[:0]
+	}
 	t.net, t.sender, t.receiver, t.demand = n, sender, receiver, demand
 	return t, nil
 }
 
-// txPool recycles sessions released by ReleaseTx; a new one starts on
-// its inline arrays.
-var txPool = sync.Pool{New: func() any {
-	t := new(Tx)
-	t.holds = t.holdsInline[:0]
-	t.hops = t.hopsInline[:0]
-	t.infos = t.infosInline[:0]
-	t.lock = t.lockInline[:0]
-	return t
-}}
-
-// ReleaseTx hands a finished session back for a later Begin to reuse.
-// Every field is reset; the arenas keep the capacity they grew to. The
-// caller must not use t, or any Probe result it returned, afterwards.
+// ReleaseTx hands a finished session back to its network, for the
+// network's next Begin to reuse. Every field is reset; the arenas keep
+// the capacity they grew to. The caller must not use t, or any Probe
+// result it returned, afterwards.
 // ReleaseTx panics on a session that is not finished or is still
 // suspended: its holds would otherwise outlive it on the network, and
 // the next payment would inherit them.
@@ -165,12 +164,13 @@ func ReleaseTx(t *Tx) {
 	// inline record too, which holds may have outgrown.
 	clear(t.holds)
 	t.holdsInline = [1]holdRecord{}
+	n := t.net
 	t.net, t.sender, t.receiver, t.demand = nil, 0, 0, 0
 	t.finished, t.deferCommit = false, false // suspended is false already
 	t.probeMsgs, t.probeOps, t.probeLatNanos = 0, 0, 0
 	t.commitMsgs, t.commitLatNanos, t.feesPaid = 0, 0, 0
 	t.holds, t.hops, t.infos, t.lock = t.holds[:0], t.hops[:0], t.infos[:0], t.lock[:0]
-	txPool.Put(t)
+	n.sessions.Put(t)
 }
 
 // Graph returns the sender's local topology view (§3.1): connectivity

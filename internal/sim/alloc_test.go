@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/pcn"
@@ -10,11 +9,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 )
-
-// raceEnabled is set under the race detector (race_test.go), which makes
-// sync.Pool drop items at random: the pooled search Scratch is then not
-// reused, and allocation counts say nothing.
-var raceEnabled bool
 
 // TestInlineAttemptAllocs pins what one payment costs the single-station
 // engine under ShortestPath: nothing. The attempt runs inline as a
@@ -25,11 +19,8 @@ var raceEnabled bool
 // observer refills its one record and the log copies it into its ring.
 // Set-up (network, router, queue, windows, metrics) is paid once per
 // run, so the pin is the allocation delta between a run of n payments
-// and one of 2n, divided by n, with the collector off.
+// and one of 2n, divided by n.
 func TestInlineAttemptAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
-	}
 	const nodes, n = 12, 400
 	net := ringNet(t, nodes)
 	payments := make([]trace.Payment, 2*n)
@@ -68,9 +59,6 @@ func TestInlineAttemptAllocs(t *testing.T) {
 // together, so the engine's peak of pending payments and events — what
 // its record list and queue grow to — is the same in both runs.
 func TestSpanAttemptAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
-	}
 	const nodes, n = 12, 400
 	net := ringNet(t, nodes)
 	net.AssignLatenciesLogNormal(rand.New(rand.NewSource(1)), 0.005, 0.8)
@@ -123,17 +111,13 @@ func ringNet(t *testing.T, nodes int) *pcn.Network {
 }
 
 // perPaymentAllocs is the allocation delta between running all of
-// payments and running its first half, per payment of the difference,
-// with the collector off: a collection empties sync.Pool, and the next
-// search or session would then allocate what a longer run is likelier
-// to pay for.
+// payments and running its first half, per payment of the difference.
 func perPaymentAllocs(t *testing.T, payments []trace.Payment, run func([]trace.Payment)) float64 {
 	t.Helper()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(ps []trace.Payment) float64 {
 		return testing.AllocsPerRun(5, func() { run(ps) })
 	}
 	half := len(payments) / 2
-	allocs(payments) // warm the pools
+	allocs(payments) // warm the free lists
 	return (allocs(payments) - allocs(payments[:half])) / float64(len(payments)-half)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/mem"
 	"repro/internal/pcn"
 	"repro/internal/route"
 	"repro/internal/trace"
@@ -16,8 +17,8 @@ import (
 // dynPayment is a payment moving through the engine: queued, in
 // service, or awaiting a retry. Records are recycled: complete puts a
 // finished one on the arrival stage's free list, and pull overwrites it
-// with the next arrival, so the engine allocates records only up to
-// the most payments ever pending at once. A record is in the pending
+// with the next arrival, so the engine makes records only up to the
+// most payments ever pending at once, in chunks (mem.Slab). A record is in the pending
 // table or on the free list, never both — which is why pull refuses an
 // arrival whose ID is still pending.
 type dynPayment struct {
@@ -530,6 +531,7 @@ type arrivalStage struct {
 	lookahead *dynPayment   // the pending first-attempt arrival, if any
 	scale     float64       // the amount scale the source samples under
 	free      []*dynPayment // completed records, reused by pull
+	records   mem.Slab[dynPayment]
 }
 
 // pull schedules the source's next arrival, if it falls inside the
@@ -551,7 +553,7 @@ func (a *arrivalStage) pull(q *event.Queue, pending *pendingTable) error {
 		if n := len(a.free); n > 0 {
 			dp, a.free = a.free[n-1], a.free[:n-1]
 		} else {
-			dp = new(dynPayment)
+			dp = a.records.New()
 		}
 		if !pending.insert(int64(p.ID), dp) {
 			return fmt.Errorf("sim: payment ID %d arrives at %v while an earlier payment with that ID is still pending", p.ID, at)

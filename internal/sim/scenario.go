@@ -218,8 +218,10 @@ func Run(sc Scenario) ([]SchemeResult, error) {
 
 // validate rejects a scenario that could only run as something other
 // than what it says, before anything is built from it: a negative run
-// count, a capacity scale factor that is negative or not finite, a mice fraction outside [0, 1], negative
-// retries, an unknown fixture, churn and rebalance rates that are
+// count, a capacity scale factor that is negative or not finite, a mice
+// fraction outside [0, 1], negative retries, a negative Flash path
+// budget, table cap or probe width (each would run as its zero value's
+// default), an unknown fixture, churn and rebalance rates that are
 // negative or not finite (an infinite rate would draw zero gaps
 // forever), an arrival that cannot run, and invalid engine options.
 func (sc Scenario) validate() error {
@@ -232,6 +234,12 @@ func (sc Scenario) validate() error {
 		return fmt.Errorf("sim: mice fraction must lie in [0, 1], got %v", sc.MiceFraction)
 	case sc.Retries < 0:
 		return fmt.Errorf("sim: retries must be non-negative, got %d", sc.Retries)
+	case sc.Router.K < 0:
+		return fmt.Errorf("sim: elephant path budget k must be non-negative, got %d", sc.Router.K)
+	case sc.Router.TableCap < 0:
+		return fmt.Errorf("sim: table cap must be non-negative, got %d", sc.Router.TableCap)
+	case sc.Router.ProbeWorkers < 0:
+		return fmt.Errorf("sim: probe workers must be non-negative, got %d", sc.Router.ProbeWorkers)
 	case sc.Fixture != "" && sc.Fixture != FixtureBarbell:
 		return fmt.Errorf("sim: unknown fixture %q", sc.Fixture)
 	}
@@ -521,18 +529,18 @@ type RouterSpec struct {
 	Scheme    string
 	Threshold float64 // Flash elephant threshold
 
-	K    int  // elephant path budget override (> 0)
+	K    int  // elephant path budget override (> 0; 0 keeps the paper's 20)
 	M    int  // mice table paths override (> 0, or MSet)
 	MSet bool // honour M even when zero (Figure 11's m=0)
 
 	FixedMiceOrder bool // ablation: deterministic mice path order
 	ProbeAllK      bool // ablation: no early exit in Algorithm 1
-	ProbeWorkers   int  // Flash probe width: candidates per elephant round (≤ 1 sequential)
+	ProbeWorkers   int  // Flash probe width: candidates per elephant round (0 or 1 sequential)
 
 	// TableCap bounds each sender shard's mice routing table to this
-	// many receiver entries, LRU-evicted (core.Config.TableCap). ≤ 0 —
-	// the default — keeps tables unbounded, byte-identical to the
-	// historical engine.
+	// many receiver entries, LRU-evicted (core.Config.TableCap). 0 — the
+	// default — keeps tables unbounded, byte-identical to the historical
+	// engine.
 	TableCap int
 
 	Seed int64

@@ -201,7 +201,9 @@ func TestRunDynamicRejectsNonFiniteRunLengthsAndRates(t *testing.T) {
 // replay and on a timed arrival, and the replay's own: every row used
 // to run as something other than what it said — unscaled for a NaN or
 // negative scale, all mice for a NaN or 200% mice fraction, once for
-// negative runs, and without retries for negative retries.
+// negative runs, without retries for negative retries, and with the
+// paper's K = 20, an unbounded table or sequential probing for a
+// negative Flash path budget, table cap or probe width.
 func TestCellRejectsNonsense(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	static := []struct {
@@ -218,6 +220,9 @@ func TestCellRejectsNonsense(t *testing.T) {
 		{"negative txns", func(sc *Scenario) { sc.Txns = -5 }, "needs at least one payment"},
 		{"negative runs", func(sc *Scenario) { sc.Runs = -2 }, "runs must be non-negative"},
 		{"negative retries", func(sc *Scenario) { sc.Retries = -1 }, "retries must be non-negative"},
+		{"negative k", func(sc *Scenario) { sc.Router.K = -3 }, "path budget k must be non-negative"},
+		{"negative table cap", func(sc *Scenario) { sc.Router.TableCap = -5 }, "table cap must be non-negative"},
+		{"negative probe workers", func(sc *Scenario) { sc.Router.ProbeWorkers = -2 }, "probe workers must be non-negative"},
 	}
 	for _, tc := range static {
 		t.Run("static/"+tc.name, func(t *testing.T) {
@@ -254,12 +259,17 @@ func TestCellRejectsNonsense(t *testing.T) {
 }
 
 // TestCellAcceptsEdges: the bounds are inclusive where the figures need
-// them — Figure 10's 0% mice row, all mice and no scaling.
+// them — Figure 10's 0% mice row, all mice and no scaling — and a Flash
+// path budget, table cap and probe width of 0 keep their defaults.
 func TestCellAcceptsEdges(t *testing.T) {
 	for _, mut := range []func(*Scenario){
 		func(sc *Scenario) { sc.MiceFraction = 0 },
 		func(sc *Scenario) { sc.MiceFraction = 1 },
 		func(sc *Scenario) { sc.ScaleFactor = 0 },
+		func(sc *Scenario) {
+			sc.Schemes = []string{SchemeFlash}
+			sc.Router.K, sc.Router.TableCap, sc.Router.ProbeWorkers = 0, 0, 0
+		},
 	} {
 		sc := DefaultScenario(KindTestbed, 20)
 		sc.Txns, sc.Runs, sc.Schemes = 10, 1, []string{SchemeShortestPath}
