@@ -54,7 +54,11 @@
 //
 // # Concurrency model
 //
-// The engine is concurrent end to end; the guarantees, layer by layer:
+// A simulator run is one goroutine: sim.DynamicOptions.Workers is c
+// service stations in virtual time, and every payment routes inline on
+// the event loop at any c. The layers below stay safe for sessions on
+// several goroutines, which their own tests exercise; the guarantees,
+// layer by layer:
 //
 //   - pcn: every channel carries its own lock. Operations spanning
 //     several channels (path probes and holds, atomic multi-path
@@ -167,15 +171,14 @@
 // Time model and determinism: events are totally ordered by (virtual
 // time, scheduling sequence); all randomness — arrival times, service
 // times, churn schedules, backoffs, per-payment routing choices — is
-// drawn from seeded streams independent of wall clock. With Workers ≤
-// 1 a dynamic run is a pure function of its seeds: the applied-event
-// log (exposed as an FNV-1a fingerprint in DynamicResult) and every
-// metric are bit-identical across runs, which the determinism tests
-// pin. Workers > 1 routes payments whose service intervals overlap on
-// real goroutines — outcomes then depend on scheduling. With zero
-// churn, zero service time, one station and arrivals pinned to a trace
-// (trace.NewReplayStream), the dynamic engine is the static replay
-// that RunSimulation runs, pinned to the seed goldens.
+// drawn from seeded streams independent of wall clock. A dynamic run
+// is a pure function of its seeds at any station count: the
+// applied-event log (exposed as an FNV-1a fingerprint in
+// DynamicResult) and every metric are bit-identical across runs, which
+// the determinism tests pin. With zero churn, zero service time, one
+// station and arrivals pinned to a trace (trace.NewReplayStream), the
+// dynamic engine is the static replay that RunSimulation runs, pinned
+// to the seed goldens.
 //
 // A scenario catalogue (sim.NamedScenario: "steady", "flash-crowd",
 // "depletion-rebalance", "churn", "contention", "hub-failure",

@@ -6,13 +6,9 @@ import (
 	"repro/internal/topo"
 )
 
-const (
-	// indexSlack is how many references a channelIndex may hold beyond
-	// twice the live ones before it sweeps: small tables never sweep.
-	indexSlack = 1024
-	// References are allocated 1<<chunkBits at a time.
-	chunkBits = 9
-)
+// indexSlack is how many references a channelIndex may hold beyond
+// twice the live ones before it sweeps: small tables never sweep.
+const indexSlack = 1024
 
 // channelIndex is the routing table read backwards: for each channel, by
 // its index in the graph, the table entries whose cached paths — live set
@@ -35,7 +31,7 @@ const (
 // gone, each met once.
 //
 // A reference is two numbers, its entry's id and the next reference of the
-// channel, in arrays that hold no pointers: an entry is ten or so
+// channel, in one slice that holds no pointers: an entry is ten or so
 // references, and as pointers they would be half again what the collector
 // has to mark in a router's tables. Only entries maps ids back to entries,
 // one pointer each. An id is reused only after a sweep has removed every
@@ -43,8 +39,7 @@ const (
 type channelIndex struct {
 	g       *topo.Graph   // the graph the last registered paths were found on
 	heads   []uint32      // by channel: its first reference; 0 ends a list
-	chunks  [][]indexRef  // reference r is chunks[r>>chunkBits][r&(1<<chunkBits-1)]
-	issued  uint32        // references ever handed out, counting 0
+	refs    []indexRef    // by reference; refs[0] is never handed out
 	free    uint32        // unused references, a list through next
 	entries []*tableEntry // by tableEntry.id; nil while the id is unused
 	freeIDs []uint32
@@ -57,28 +52,28 @@ type indexRef struct{ entry, next uint32 }
 
 func newChannelIndex() channelIndex {
 	return channelIndex{
-		issued:  1,
+		// Room for 511 references before the slice first grows, so the
+		// small routers a testbed builds by the dozen allocate once.
+		refs:    make([]indexRef, 1, 512),
 		entries: make([]*tableEntry, 1), // id 0: not registered
 	}
-}
-
-func (x *channelIndex) ref(r uint32) *indexRef {
-	return &x.chunks[r>>chunkBits][r&(1<<chunkBits-1)]
 }
 
 // link puts a reference to entry id at the head of channel c's list.
 func (x *channelIndex) link(c int32, id uint32) {
 	r := x.free
 	if r != 0 {
-		x.free = x.ref(r).next
+		x.free = x.refs[r].next
 	} else {
-		r = x.issued
-		x.issued++
-		if int(r>>chunkBits) == len(x.chunks) {
-			x.chunks = append(x.chunks, make([]indexRef, 1<<chunkBits))
+		r = uint32(len(x.refs))
+		if len(x.refs) == cap(x.refs) {
+			// Double, where append would grow a long slice by a quarter
+			// and leave four times its final size behind as garbage.
+			x.refs = slices.Grow(x.refs, len(x.refs))
 		}
+		x.refs = append(x.refs, indexRef{})
 	}
-	*x.ref(r) = indexRef{entry: id, next: x.heads[c]}
+	x.refs[r] = indexRef{entry: id, next: x.heads[c]}
 	x.heads[c] = r
 	x.size++
 }
@@ -86,7 +81,7 @@ func (x *channelIndex) link(c int32, id uint32) {
 // unlink takes reference r out of its list, given the link that leads to
 // it, and returns the reference after it.
 func (x *channelIndex) unlink(link *uint32, r uint32) uint32 {
-	ref := x.ref(r)
+	ref := &x.refs[r]
 	next := ref.next
 	*link = next
 	ref.next, x.free = x.free, r
@@ -155,7 +150,7 @@ func (x *channelIndex) sweep() {
 	for c := range x.heads {
 		link := &x.heads[c]
 		for r := *link; r != 0; {
-			if ref := x.ref(r); x.entries[ref.entry] == nil {
+			if ref := &x.refs[r]; x.entries[ref.entry] == nil {
 				r = x.unlink(link, r)
 			} else {
 				link, r = &ref.next, ref.next
@@ -181,7 +176,7 @@ func (x *channelIndex) detach(u, v topo.NodeID, remove func(*tableEntry)) int {
 	removed := 0
 	head := &x.heads[c]
 	for *head != 0 {
-		if e := x.entries[x.ref(*head).entry]; !e.dead {
+		if e := x.entries[x.refs[*head].entry]; !e.dead {
 			remove(e)
 			removed++
 		}

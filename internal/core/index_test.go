@@ -108,9 +108,9 @@ func checkIndex(t *testing.T, f *Flash) int {
 	held, liveRefs := 0, 0
 	where := make(map[*tableEntry]map[int32]int)
 	for c, head := range x.heads {
-		for r := head; r != 0; r = x.ref(r).next {
+		for r := head; r != 0; r = x.refs[r].next {
 			held++
-			id := x.ref(r).entry
+			id := x.refs[r].entry
 			e := x.entries[id]
 			if e == nil || e.id != id {
 				t.Fatalf("a reference under %v names id %d, held by %v", c, id, e)
@@ -129,11 +129,11 @@ func checkIndex(t *testing.T, f *Flash) int {
 		t.Fatalf("index holds %d references, counts %d", held, x.size)
 	}
 	free := 0
-	for r := x.free; r != 0; r = x.ref(r).next {
+	for r := x.free; r != 0; r = x.refs[r].next {
 		free++
 	}
-	if held+free+1 != int(x.issued) {
-		t.Fatalf("%d references in lists and %d free, %d issued", held, free, x.issued-1)
+	if held+free+1 != len(x.refs) {
+		t.Fatalf("%d references in lists and %d free, %d issued", held, free, len(x.refs)-1)
 	}
 	if x.size > 2*x.kept+indexSlack {
 		t.Fatalf("index holds %d references, over twice the %d its last sweep kept plus %d", x.size, x.kept, indexSlack)
@@ -437,8 +437,8 @@ func BenchmarkInvalidateChannel(b *testing.B) {
 	}
 	refsUnder := func(f *Flash, c int) (live, stale int) {
 		x := &f.index
-		for r := x.heads[c]; r != 0; r = x.ref(r).next {
-			if x.entries[x.ref(r).entry].dead {
+		for r := x.heads[c]; r != 0; r = x.refs[r].next {
+			if x.entries[x.refs[r].entry].dead {
 				stale++
 			} else {
 				live++

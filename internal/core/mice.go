@@ -76,12 +76,13 @@ func (t *senderTable) pushBack(e *tableEntry) {
 //
 // Entries come from the router's slab (mem.Slab), so a miss allocates
 // nothing until a chunk fills, and an entry is never reused: a removed
-// one may still be held by a payment routing at Workers > 1, which can
-// replace its dead paths, and its id may sit in the channel index until
-// a sweep. So a chunk of up to 256 entries, and the arena chunks its
-// entries' paths lie in, stay allocated while any entry in it is
-// reachable: from the table, from a payment in flight, or from the
-// channel index until the sweep that frees its id.
+// one's id may sit in the channel index until a sweep, and, Flash being
+// safe for concurrent sessions, a session on another goroutine may
+// still hold it and replace its dead paths. So a chunk of up to 256
+// entries, and the arena chunks its entries' paths lie in, stay
+// allocated while any entry in it is reachable: from the table, from a
+// payment in flight, or from the channel index until the sweep that
+// frees its id.
 type tableEntry struct {
 	pair       Pair        // entry-table key; the sender names the LRU list
 	dead       bool        // removed from the table; the channel index forgets it lazily

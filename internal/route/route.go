@@ -29,8 +29,7 @@ import (
 // probe, hold and commit concurrently, and implementations must make
 // each individual operation atomic against the others (pcn.Tx does
 // this with per-channel locks acquired in ascending channel-index
-// order). Routers given to concurrent sessions must likewise be safe
-// for concurrent Route calls (all routers in this repository are).
+// order).
 type Session interface {
 	// Graph is the sender's locally available topology (§3.1): full
 	// connectivity, no balance information.

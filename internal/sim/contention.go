@@ -10,7 +10,7 @@ import (
 
 // BuildContention constructs the contention fixture: a barbell network
 // whose every payment is forced through one shared bridge channel, the
-// worst case for concurrent holds. spokes sender nodes hang off hub A,
+// worst case for overlapping holds. spokes sender nodes hang off hub A,
 // spokes receiver nodes off hub B, and A—B is the only cut between
 // them:
 //
@@ -18,14 +18,14 @@ import (
 //
 // Spoke channels carry spokeBal per direction; the bridge carries
 // bridgeBal per direction. Sized so the bridge is the bottleneck
-// (bridgeBal < spokes·spokeBal), concurrent payments compete for the
+// (bridgeBal < spokes·spokeBal), overlapping payments compete for the
 // same balance from both sides: some holds must lose, none may
 // overbook, and committed volume through the bridge can never exceed
 // what the bridge held.
 //
 // The returned payments send amount from every sender spoke to every
 // receiver spoke, round-robin, IDs in dispatch order — a workload with
-// maximal channel sharing, exercised by the concurrency tests.
+// maximal channel sharing, exercised by the contention tests.
 func BuildContention(spokes int, spokeBal, bridgeBal, amount float64) (*pcn.Network, []trace.Payment, error) {
 	if spokes < 1 {
 		return nil, nil, fmt.Errorf("sim: contention needs ≥ 1 spokes, got %d", spokes)

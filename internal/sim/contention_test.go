@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pcn"
 )
 
 // TestContentionAllThroughSharedBridge replays the contention workload
-// — every payment crossing the same bridge channel — on many dynamic
-// stations over a bridge that cannot carry them all at once. Holds
-// race from both sides; the invariants must survive any interleaving.
-// Run with -race.
+// — every payment crossing the same bridge channel — on eight stations
+// over a bridge that cannot carry them all: committed volume stays
+// within the bridge, every payment that fits is delivered, and funds
+// are conserved. At Service = 0 the stations route in arrival order,
+// so the metrics are one station's exactly.
 func TestContentionAllThroughSharedBridge(t *testing.T) {
 	const (
 		spokes    = 6
@@ -28,8 +30,11 @@ func TestContentionAllThroughSharedBridge(t *testing.T) {
 	}
 	before := net.TotalFunds()
 
-	r := core.New(core.DefaultConfig(math.Inf(1))) // all mice
-	m := replayTrace(t, net, r, payments, math.Inf(1), DynamicOptions{Workers: 8, Seed: 7}).Aggregate
+	replay := func(net *pcn.Network, workers int) Metrics {
+		r := core.New(core.DefaultConfig(math.Inf(1))) // all mice
+		return replayTrace(t, net, r, payments, math.Inf(1), DynamicOptions{Workers: workers, Seed: 7}).Aggregate
+	}
+	m := replay(net, 8)
 
 	if m.Payments != len(payments) {
 		t.Errorf("replayed %d payments, want %d", m.Payments, len(payments))
@@ -50,6 +55,13 @@ func TestContentionAllThroughSharedBridge(t *testing.T) {
 	after := net.TotalFunds()
 	if math.Abs(after-before) > 1e-6*before {
 		t.Errorf("funds not conserved: before %v, after %v", before, after)
+	}
+	fresh, _, err := BuildContention(spokes, spokeBal, bridgeBal, amount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one := replay(fresh, 1); stripDelays(m) != stripDelays(one) {
+		t.Errorf("eight stations diverged from one:\n got  %+v\n want %+v", m, one)
 	}
 }
 

@@ -15,13 +15,14 @@ import (
 
 // DynamicOptions tunes RunDynamic, the discrete-event replay.
 type DynamicOptions struct {
-	// Workers is the number of service stations: how many payments may
-	// be in service at the same virtual instant. 1 (or less) processes
-	// payments strictly one at a time — the deterministic mode, whose
-	// event log and metrics are pure functions of the seeds. Larger
-	// values route overlapping payments on real goroutines, so their
-	// balance interleaving (and therefore outcomes) is
-	// scheduling-dependent.
+	// Workers is the number of service stations, c: how many payments
+	// may be in service at the same virtual instant. A payment holds a
+	// station from its dispatch to its settle event, and an arrival that
+	// finds all c busy waits for one, first come first served. Stations
+	// are virtual: every payment routes inline on the run's one
+	// goroutine, so at any c the event log and metrics are pure
+	// functions of the seeds. 1 (or less) is one station, which never
+	// queues under hold spans or RTTs (see Service).
 	Workers int
 
 	// Seed derives the engine's schedule randomness (virtual service
@@ -52,15 +53,13 @@ type DynamicOptions struct {
 	// committing, or aborting HTLC-timeout style if churn closed a held
 	// channel mid-span. Between the two events the payment's funds stay locked
 	// on the network, so later arrivals probe the depleted residuals:
-	// with Workers ≤ 1 this models contention *deterministically*,
-	// which is why the single station never queues arrivals in this
-	// mode (routing is instantaneous in virtual time; residency on the
-	// network is modelled by the holds, not by station occupancy).
-	// Consistently, an attempt that fails at the hold phase locks
+	// this models contention deterministically. The single station
+	// never queues arrivals in this mode (routing is instantaneous in
+	// virtual time; residency on the network is modelled by the holds,
+	// not by station occupancy); c > 1 stations queue an arrival while c
+	// spans are open. An attempt that fails at the hold phase locks
 	// nothing and completes at its arrival instant — its retry clock
-	// starts immediately. (With Workers > 1 the completion event is
-	// scheduled before the goroutine's outcome is known, so failures
-	// there surface after the service time, like any station model.)
+	// starts immediately.
 	Service float64
 
 	// Control selects the adaptive control plane (internal/control): a
@@ -74,7 +73,7 @@ type DynamicOptions struct {
 	// Flash routers have knobs; for every other scheme the plane is
 	// inert. Every observe pass and every applied decision is recorded
 	// as a fingerprinted event.ControlUpdate, so controllers-on runs
-	// replay identically at Workers ≤ 1.
+	// replay identically.
 	Control *control.Policy
 
 	// controlHook appends scripted controllers to the resolved plane —
@@ -124,10 +123,10 @@ type DynamicOptions struct {
 	Registry *telemetry.Registry
 
 	// audit, when non-nil, receives one schedAudit per settle/expiry/
-	// retry scheduling decision at Workers ≤ 1 — the exact components
-	// (latency, service, resume, backoff) that produced each event
-	// time, so property tests can re-derive every completion instant
-	// bit for bit. Test hook; nil in production.
+	// retry scheduling decision — the exact components (latency,
+	// service, resume, backoff) that produced each event time, so
+	// property tests can re-derive every completion instant bit for
+	// bit. Test hook; nil in production.
 	audit func(schedAudit)
 
 	// recordLog retains the full applied-event log in the result (the

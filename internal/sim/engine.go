@@ -28,12 +28,7 @@ type dynPayment struct {
 	spanAborted bool         // latest attempt aborted at span resume
 	expired     bool         // latest attempt expired at its deadline
 	total       routeOutcome // accumulated across attempts
-	inline      routeResult  // the latest attempt's outcome, once known
-
-	// Workers > 1 only: the attempt's dispatch instant and service time,
-	// and its outcome's channel while it routes on a goroutine.
-	dispatched, service float64
-	done                chan routeResult
+	last        routeResult  // the latest attempt's outcome, once routed
 }
 
 type routeResult struct {
@@ -65,9 +60,9 @@ type routeResult struct {
 // — Replay is exactly that call, pinned to the seed goldens.
 //
 // With Service > 0 payments hold funds across virtual time (hold
-// spans, see DynamicOptions.Service). Workers ≤ 1 stays deterministic
-// — same seed, same fingerprint — because every routing decision runs
-// inline on the event loop in (Time, Seq) order.
+// spans, see DynamicOptions.Service). Every run is deterministic — same
+// seed, same fingerprint, at any station count — because every routing
+// decision runs inline on the event loop in (Time, Seq) order.
 func RunDynamic(net *pcn.Network, r route.Router, src trace.PaymentSource, horizon float64, churn []event.Event, miceThreshold float64, opts DynamicOptions) (DynamicResult, error) {
 	e, err := newEngine(net, r, src, horizon, churn, miceThreshold, opts)
 	if err != nil {
@@ -256,9 +251,10 @@ func (e *engine) arrive(ev event.Event) error {
 }
 
 // dispatch puts dp in service at virtual time t: the attempt routes
-// now (inline at one station, else on a goroutine) and settles after
-// the drawn service time. Under hold spans it stops at the yield seam —
-// holds placed, commit deferred — and its settle event resumes it.
+// now, on the event loop, and settles after the drawn service time; its
+// station stays busy until then. Under hold spans it stops at the yield
+// seam — holds placed, commit deferred — and its settle event resumes
+// it.
 func (e *engine) dispatch(dp *dynPayment, t float64) {
 	e.busy++
 	service := 0.0
@@ -272,19 +268,15 @@ func (e *engine) dispatch(dp *dynPayment, t float64) {
 			service = e.opts.GriefHold
 		}
 	}
-	if e.workers > 1 {
-		e.launch(dp, t, service)
-		return
-	}
-	runAttempt(&dp.inline, e.net, e.r, &dp.p, e.spans, e.epoch)
-	if e.spans && dp.inline.tx == nil {
+	runAttempt(&dp.last, e.net, e.r, &dp.p, e.spans, e.epoch)
+	if e.spans && dp.last.tx == nil {
 		// The attempt failed at the hold phase: nothing is locked, so
 		// the payment completes — and its retry clock starts — at its
 		// arrival instant. Only suspended payments occupy a service span
 		// (residency is the holds, not the station).
 		service = 0
 	}
-	at, kind, lat, resumeLat := e.settleTime(&dp.inline, t, service)
+	at, kind, lat, resumeLat := e.settleTime(&dp.last, t, service)
 	e.scheduleSettle(dp, at, kind)
 	if e.opts.audit != nil {
 		e.opts.audit(schedAudit{ID: int64(dp.p.ID), Attempt: dp.attempt, At: t, Lat: lat, Service: service,
@@ -317,46 +309,13 @@ func (e *engine) scheduleSettle(dp *dynPayment, at float64, kind event.Kind) {
 	e.queue.Schedule(event.Event{Time: at, Kind: kind, ID: int64(dp.p.ID), Attempt: dp.attempt})
 }
 
-// launch and harvest are the Workers > 1 path, the engine's only
-// nondeterministic mode. launch routes the attempt on a goroutine and
-// schedules its PaymentComplete after the service time alone.
-func (e *engine) launch(dp *dynPayment, t, service float64) {
-	dp.dispatched, dp.service = t, service
-	dp.done = make(chan routeResult, 1)
-	go func(p trace.Payment, done chan routeResult) {
-		var rr routeResult
-		runAttempt(&rr, e.net, e.r, &p, e.spans, e.epoch)
-		done <- rr
-	}(dp.p, dp.done)
-	e.scheduleSettle(dp, t+service, event.PaymentComplete)
-}
-
-// harvest collects a concurrent attempt's outcome at its service-time
-// event. Only now are its latency legs known: when settleTime puts the
-// settle (or an expiry) past this event, harvest re-schedules it there
-// — never earlier than now, so the clock never runs backwards — and
-// reports false; the station stays busy until it lands.
-func (e *engine) harvest(dp *dynPayment, now float64) bool {
-	dp.inline = <-dp.done
-	dp.done = nil
-	at, kind, _, _ := e.settleTime(&dp.inline, dp.dispatched, dp.service)
-	if kind == event.PaymentComplete && at <= now {
-		return true
-	}
-	e.scheduleSettle(dp, math.Max(at, now), kind)
-	return false
-}
-
 // settle handles a PaymentComplete or DeadlineExpiry: the attempt's
 // span settles, then the payment completes or is retried, and a
 // waiting payment takes the freed station.
 func (e *engine) settle(ev event.Event) error {
 	dp := e.pending.get(ev.ID)
-	if dp.done != nil && !e.harvest(dp, ev.Time) {
-		return nil
-	}
 	e.busy--
-	result := &dp.inline
+	result := &dp.last
 	dp.expired, dp.spanAborted = result.settleSpan(ev.Kind == event.DeadlineExpiry)
 	if result.err != nil {
 		return result.err
@@ -468,7 +427,7 @@ func (e *engine) applyChurn(ev event.Event) error {
 		err = e.net.SetChannelOpen(ev.A, ev.B, true)
 		if err == nil && ev.Amount > 0 {
 			// FundChannel, not SetBalance: funding must never undercut
-			// holds a concurrent in-flight payment already owns.
+			// holds a suspended span already owns.
 			err = e.net.FundChannel(ev.A, ev.B, ev.Amount, ev.Amount)
 		}
 	case event.Rebalance:

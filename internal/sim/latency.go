@@ -7,8 +7,7 @@ import "repro/internal/stats"
 // count, sum, min, max and mean exactly (the embedded stats.Summary),
 // and p50/p95/p99 via the P² streaming quantile estimator
 // (stats.QuantileEstimator) — O(1) memory per window, deterministic
-// for a deterministic observation order, which the Workers ≤ 1 engine
-// guarantees.
+// for a deterministic observation order, which the engine guarantees.
 //
 // The zero value is ready to use and renders as "no observations";
 // estimators are allocated lazily on the first Observe so

@@ -160,11 +160,10 @@ func TestDeadlineExpiryDeterminism(t *testing.T) {
 	}
 }
 
-// TestDynamicDeadlineConcurrentRace drives the griefing scenario on
-// real goroutines so deadline expiries race live Resume calls under
-// the race detector — the engine-level counterpart of the pcn span
-// claim test.
-func TestDynamicDeadlineConcurrentRace(t *testing.T) {
+// TestDynamicDeadlineAtStations drives the griefing scenario over four
+// stations: griefers' spans still expire at their deadline, and each
+// expiry is one logged DeadlineExpiry.
+func TestDynamicDeadlineAtStations(t *testing.T) {
 	sc := latencyScenario(t, "griefing")
 	sc.Duration = 15
 	sc.Workers = 4
@@ -181,7 +180,10 @@ func TestDynamicDeadlineConcurrentRace(t *testing.T) {
 		t.Errorf("inconsistent metrics: %+v", m)
 	}
 	if res.DeadlineExpiries == 0 {
-		t.Error("concurrent griefing run produced no deadline expiries")
+		t.Error("griefing run over four stations produced no deadline expiries")
+	}
+	if got := res.EventCounts[event.DeadlineExpiry]; got != res.DeadlineExpiries {
+		t.Errorf("event count %d != DeadlineExpiries %d", got, res.DeadlineExpiries)
 	}
 }
 
