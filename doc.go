@@ -161,6 +161,10 @@
 //     completes at exactly arrival + probe + commit + service —
 //     surfaced as p50/p95/p99 completion-latency percentiles per
 //     window and as per-payment probe/commit latency in flow records.
+//     A percentile is nearest-rank (the ⌈p·n⌉-th smallest delivered
+//     latency), read from a per-window log-bucketed histogram within a
+//     relative 2^-8 (0.39%); the run's histogram is the exact sum of
+//     its windows'.
 //     Hold spans gain HTLC-style deadlines (DynamicOptions.Deadline,
 //     -deadline): a span that cannot settle in time expires as a
 //     first-class event, releasing its funds

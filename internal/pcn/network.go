@@ -363,19 +363,26 @@ func (n *Network) HasLatency() bool { return n.hasLatency.Load() }
 // depend on accumulation order.
 func (n *Network) latencyNanos(idx int) int64 { return n.chans[idx].rttNanos }
 
+// maxRTTNanos caps every channel's virtual RTT at one minute. The
+// engine sums hop RTTs in int64 nanoseconds, so at the cap a sum wraps
+// only past 2^63 / 6·10^10 ≈ 1.5·10^8 hop legs — more than any
+// session's probes and holds travel, where an uncapped draw (a huge
+// median or sigma) wraps alone.
+const maxRTTNanos = 60e9
+
 // AssignLatenciesLogNormal draws every channel's virtual RTT from a
 // log-normal distribution with the given median (seconds) and shape
 // sigma — heavy-tailed, like measured Lightning gossip latencies: most
-// channels sit near the median with a slow tail of distant peers.
-// Channel order is construction order (file order for ingested
-// snapshots), so a seeded rng maps real edges to latencies
-// deterministically.
+// channels sit near the median with a slow tail of distant peers. Each
+// draw is capped at maxRTTNanos. Channel order is construction order
+// (file order for ingested snapshots), so a seeded rng maps real edges
+// to latencies deterministically.
 func (n *Network) AssignLatenciesLogNormal(rng *rand.Rand, median, sigma float64) {
 	n.lockAll()
 	defer n.unlockAll()
 	any := false
 	for i := range n.chans {
-		n.chans[i].rttNanos = int64(math.Round(stats.LogNormal(rng, median, sigma) * 1e9))
+		n.chans[i].rttNanos = int64(math.Round(min(stats.LogNormal(rng, median, sigma)*1e9, maxRTTNanos)))
 		if n.chans[i].rttNanos > 0 {
 			any = true
 		}

@@ -679,6 +679,48 @@ func capacity(n *Network, u, v topo.NodeID) float64 {
 	return n.Balance(u, v) + n.Balance(v, u)
 }
 
+// TestLatencyDrawsCapped draws RTTs at σ = 40, where an uncapped draw
+// overflows int64 nanoseconds, and requires every RTT to lie in
+// [0, maxRTTNanos], some at the cap, and a probe and commit along a
+// 23-hop path to charge non-negative latency.
+func TestLatencyDrawsCapped(t *testing.T) {
+	n := New(topo.Line(5001))
+	n.AssignLatenciesLogNormal(rand.New(rand.NewSource(9)), 0.05, 40)
+	capped := 0
+	for i := range n.Graph().Channels() {
+		rtt := n.latencyNanos(i)
+		if rtt < 0 || rtt > maxRTTNanos {
+			t.Fatalf("channel %d: RTT %d ns outside [0, %d]", i, rtt, int64(maxRTTNanos))
+		}
+		if rtt == maxRTTNanos {
+			capped++
+		}
+	}
+	if capped == 0 {
+		t.Error("no draw reached the cap at σ = 40")
+	}
+
+	line, path := longLineNet(t)
+	line.AssignLatenciesLogNormal(rand.New(rand.NewSource(9)), 1e10, 0)
+	tx, err := line.Begin(path[0], path[len(path)-1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Probe(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Hold(path, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(len(path)-1) * maxRTTNanos
+	if tx.ProbeLatencyNanos() != want || tx.CommitLatencyNanos() != 2*want {
+		t.Errorf("probe/commit latency %d/%d ns, want %d/%d", tx.ProbeLatencyNanos(), tx.CommitLatencyNanos(), want, 2*want)
+	}
+}
+
 // setRTT gives every channel the same virtual RTT in seconds: a
 // log-normal draw with σ = 0 is exactly its median.
 func setRTT(n *Network, seconds float64) {

@@ -235,7 +235,8 @@ type DynamicResult struct {
 	DeadlineExpiries int
 
 	// Latency summarises completion latency (virtual completion − first
-	// arrival) over all delivered payments, when LatencyOn.
+	// arrival) over all delivered payments, when LatencyOn. Its
+	// histogram is the exact sum of the windows'.
 	Latency LatencyStats
 }
 

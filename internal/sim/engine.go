@@ -207,6 +207,7 @@ func (e *engine) run() (DynamicResult, error) {
 // finish copies what the stages hold into the result.
 func (e *engine) finish(err error) (DynamicResult, error) {
 	e.res.Windows = e.windows.list
+	e.res.Latency.sumWindows(e.res.Windows)
 	e.res.FinalThreshold = e.curThreshold
 	if e.ctl != nil {
 		e.res.ControlOn = true
@@ -395,7 +396,8 @@ func (e *engine) complete(dp *dynPayment, at float64) {
 		w.Adaptive.Record(dp.p.Amount, effThr, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
 	}
 	if e.res.LatencyOn && t.delivered {
-		e.res.Latency.Observe(at - dp.arrival)
+		// The run's histogram is summed from the windows' at finish.
+		e.res.Latency.Summary.Add(at - dp.arrival)
 		w.Latency.Observe(at - dp.arrival)
 	}
 	if e.obs != nil {

@@ -37,8 +37,10 @@ func metricsJSON(m Metrics) jsonMetrics {
 }
 
 // jsonLatency is the machine-readable projection of LatencyStats:
-// completion-latency count, mean/max and the P² percentile estimates,
-// all in virtual seconds.
+// completion-latency count, mean/max and the nearest-rank p50/p95/p99
+// read from the latency histogram (within a relative 2^-8 of the exact
+// sample quantiles; the aggregate's histogram is the sum of the
+// windows'), all in virtual seconds.
 type jsonLatency struct {
 	Count int     `json:"count"`
 	Mean  float64 `json:"mean"`

@@ -53,7 +53,7 @@ func newDynObserver(scheme string, sink telemetry.Sink, reg *telemetry.Registry)
 		o.probeMsgs = reg.Counter("sim_probe_messages_total"+lbl, "Probe messages across all attempts.")
 		o.commitMsgs = reg.Counter("sim_commit_messages_total"+lbl, "Commit-phase messages across all attempts.")
 		o.amounts = reg.Histogram("sim_payment_amount"+lbl, "Completed payment amounts.", telemetry.ExpBuckets(0.01, 10, 8))
-		o.latency = reg.Histogram("sim_completion_latency_seconds"+lbl, "Virtual completion latency (completion − arrival) of settled payments.", telemetry.ExpBuckets(0.001, 10, 8))
+		o.latency = reg.Histogram("sim_completion_latency_seconds"+lbl, "Virtual completion latency (completion − arrival) of every completed payment, delivered or not.", telemetry.ExpBuckets(0.001, 10, 8))
 		o.clock = reg.Gauge("sim_virtual_clock_seconds"+lbl, "Virtual time of the latest completion.")
 		o.threshold = reg.Gauge("sim_elephant_threshold"+lbl, "Effective elephant classification threshold.")
 	}

@@ -223,7 +223,9 @@ func Run(sc Scenario) ([]SchemeResult, error) {
 // budget, table cap or probe width (each would run as its zero value's
 // default), an unknown fixture, churn and rebalance rates that are
 // negative or not finite (an infinite rate would draw zero gaps
-// forever), an arrival that cannot run, and invalid engine options.
+// forever), a latency median or sigma that is negative or not finite
+// (each would run latency-free or at the default sigma; 0 keeps those
+// meanings), an arrival that cannot run, and invalid engine options.
 func (sc Scenario) validate() error {
 	switch {
 	case sc.Runs < 0:
@@ -246,7 +248,10 @@ func (sc Scenario) validate() error {
 	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"churn rate", sc.ChurnRate}, {"rebalance rate", sc.RebalanceRate}} {
+	}{
+		{"churn rate", sc.ChurnRate}, {"rebalance rate", sc.RebalanceRate},
+		{"latency median", sc.LatencyMedian}, {"latency sigma", sc.LatencySigma},
+	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
 			return fmt.Errorf("sim: scenario %s must be non-negative and finite, got %v", f.name, f.v)
 		}
@@ -388,7 +393,7 @@ func (sc Scenario) newCell(seed int64) (*cell, error) {
 func (sc Scenario) withLatency(net *pcn.Network, seed int64) *pcn.Network {
 	if sc.LatencyMedian > 0 {
 		sigma := sc.LatencySigma
-		if sigma <= 0 {
+		if sigma == 0 {
 			sigma = 0.6
 		}
 		net.AssignLatenciesLogNormal(newLatencyRNG(seed), sc.LatencyMedian, sigma)

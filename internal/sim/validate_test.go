@@ -242,6 +242,12 @@ func TestCellRejectsNonsense(t *testing.T) {
 		{"NaN scale", func(sc *Scenario) { sc.ScaleFactor = nan }, "scale factor must be non-negative and finite"},
 		{"NaN mice", func(sc *Scenario) { sc.MiceFraction = nan }, "mice fraction must lie in [0, 1]"},
 		{"negative retries", func(sc *Scenario) { sc.Retries = -3 }, "retries must be non-negative"},
+		{"negative latency", func(sc *Scenario) { sc.LatencyMedian = -0.05 }, "latency median must be non-negative and finite"},
+		{"NaN latency", func(sc *Scenario) { sc.LatencyMedian = nan }, "latency median must be non-negative and finite"},
+		{"infinite latency", func(sc *Scenario) { sc.LatencyMedian = inf }, "latency median must be non-negative and finite"},
+		{"negative latency sigma", func(sc *Scenario) { sc.LatencyMedian, sc.LatencySigma = 0.05, -1 }, "latency sigma must be non-negative and finite"},
+		{"NaN latency sigma", func(sc *Scenario) { sc.LatencyMedian, sc.LatencySigma = 0.05, nan }, "latency sigma must be non-negative and finite"},
+		{"infinite latency sigma", func(sc *Scenario) { sc.LatencyMedian, sc.LatencySigma = 0.05, inf }, "latency sigma must be non-negative and finite"},
 	}
 	for _, tc := range dynamic {
 		t.Run("dynamic/"+tc.name, func(t *testing.T) {
