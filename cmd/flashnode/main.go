@@ -52,6 +52,11 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// testHookPaid, when set, is called after -pay's payment with the
+// telemetry server's address and the router, once the router's gauges
+// are set and before the server closes.
+var testHookPaid func(addr string, router *core.Flash)
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("flashnode", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -104,10 +109,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var flows *telemetry.FlowLog
 	var payLatency *telemetry.Histogram
+	var srv *telemetry.Server
+	publish := func() {} // sets the router's gauges; the router is this goroutine's
 	if *telAddr != "" {
 		reg := telemetry.NewRegistry()
 		telemetry.RegisterRuntimeMetrics(reg)
-		sim.RegisterRouterMetrics(reg, router.Name(), router)
+		publish = sim.RegisterRouterMetrics(reg, router.Name(), router)
 		reg.GaugeFunc("node_messages_sent_total",
 			"Protocol messages written to peer connections by this node.",
 			func() float64 { return float64(n.MessagesSent()) })
@@ -115,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"Wall-clock routing latency of payments sent by this node.",
 			telemetry.ExpBuckets(0.0001, 10, 8))
 		flows = telemetry.NewFlowLog(1024)
-		srv, err := telemetry.NewServer(*telAddr, reg, flows)
+		srv, err = telemetry.NewServer(*telAddr, reg, flows)
 		if err != nil {
 			return fail(err)
 		}
@@ -136,11 +143,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		start := time.Now()
 		rerr := router.Route(sess)
 		elapsed := time.Since(start)
+		publish()
 		if payLatency != nil {
 			payLatency.Observe(elapsed.Seconds())
 		}
 		if flows != nil {
 			emitNodeFlow(flows, router.Name(), n.ID(), sess, amount, elapsed, rerr == nil)
+		}
+		if testHookPaid != nil && srv != nil {
+			testHookPaid(srv.Addr(), router)
 		}
 		if rerr != nil {
 			fmt.Fprintf(stdout, "payment of %g to %d FAILED after %v: %v\n", amount, receiver, elapsed, rerr)

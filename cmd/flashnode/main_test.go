@@ -1,17 +1,22 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/pcn"
 	"repro/internal/topo"
@@ -169,4 +174,109 @@ func TestLoadFilesRejectExtraFields(t *testing.T) {
 			t.Errorf("%s %q: error %q, want it to quote the line and say %q", c.file, c.line, err, c.wantErr)
 		}
 	}
+}
+
+// TestPayTelemetryMatchesRouter runs -pay with -telemetry while a second
+// goroutine scrapes /metrics in a loop — go test -race is what checks
+// that a scrape reads only the registry, never the router — and requires
+// the flash_* series scraped after the payment to equal the router's
+// Stats, Threshold and ProbeWorkers.
+func TestPayTelemetryMatchesRouter(t *testing.T) {
+	dir := t.TempDir()
+	addr := startPeers(t, dir)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	telAddr := ln.Addr().String()
+	ln.Close()
+
+	stop, done := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				done <- n
+				return
+			default:
+			}
+			if resp, err := http.Get("http://" + telAddr + "/metrics"); err == nil {
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck // a scrape's body is discarded
+				resp.Body.Close()
+				n++
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	checked := false
+	testHookPaid = func(addr string, router *core.Flash) {
+		checked = true
+		st := router.Stats()
+		want := map[string]float64{
+			"flash_elephants_total":                float64(st.Elephants),
+			"flash_mice_total":                     float64(st.Mice),
+			"flash_table_hits_total":               float64(st.TableHits),
+			"flash_table_misses_total":             float64(st.TableMisses),
+			"flash_table_entries":                  float64(st.TableEntries),
+			"flash_table_invalidations_total":      float64(st.TableInvalidations),
+			"flash_table_evictions_total":          float64(st.TableEvictions),
+			"flash_paths_replaced_total":           float64(st.PathsReplaced),
+			"flash_threshold_updates_total":        float64(st.ThresholdUpdates),
+			"flash_sender_thresholds":              float64(st.SenderThresholds),
+			"flash_sender_threshold_updates_total": float64(st.SenderThresholdUpdates),
+			"flash_probe_width_updates_total":      float64(st.ProbeWidthUpdates),
+			"flash_fee_program_fallbacks_total":    float64(st.FeeProgramFallbacks),
+			"flash_threshold":                      router.Threshold(),
+			"flash_probe_workers":                  float64(router.ProbeWorkers()),
+		}
+		if st.Mice != 1 || st.TableEntries != 1 {
+			t.Errorf("router stats %+v, want the one mouse and its table entry", st)
+		}
+		got := scrape(t, addr)
+		for name, w := range want {
+			name += `{scheme="Flash"}`
+			if v, ok := got[name]; !ok || v != w {
+				t.Errorf("%s = %v (present %v), want %v", name, v, ok, w)
+			}
+		}
+	}
+	defer func() { testHookPaid = nil }()
+	args := []string{"-id", "0", "-listen", addr, "-topology", dir + "/topo.edges", "-channels", dir + "/channels.txt",
+		"-peers", dir + "/peers.txt", "-pay", "2:10", "-telemetry", telAddr}
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	close(stop)
+	t.Logf("%d scrapes during the run", <-done)
+	if code != 0 || !checked {
+		t.Fatalf("exit %d, telemetry checked %v:\n%s%s", code, checked, stdout.String(), stderr.String())
+	}
+}
+
+// scrape reads the Prometheus text at addr's /metrics into a map from
+// series (name and label block) to value.
+func scrape(t *testing.T, addr string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	series := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, val, ok := strings.Cut(sc.Text(), " ")
+		if !ok || strings.HasPrefix(name, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", sc.Text(), err)
+		}
+		series[name] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return series
 }

@@ -24,7 +24,7 @@ var goldenCases = []struct {
 }{
 	{"clean", []string{fixtures + "determinism/other"}},
 	{"finding-determinism", []string{fixtures + "determinism/sim"}},
-	{"finding-lockorder", []string{fixtures + "lockorder/pcn"}},
+	{"finding-lockorder", []string{fixtures + "lockorder/node"}},
 	{"finding-doccomment", []string{fixtures + "doccomment/core"}},
 	{"exit-missing-dir", []string{"./no/such/dir"}},
 	{"exit-bad-flag", []string{"-bogus"}},

@@ -54,29 +54,21 @@
 //
 // # Concurrency model
 //
-// A simulator run is one goroutine: sim.DynamicOptions.Workers is c
-// service stations in virtual time, and every payment routes inline on
-// the event loop at any c. The layers below stay safe for sessions on
-// several goroutines, which their own tests exercise; the guarantees,
-// layer by layer:
+// One goroutine per run: a run's network, router and sessions are used
+// by one goroutine, so pcn, core and baseline take no lock and keep no
+// atomic. sim.DynamicOptions.Workers is c service stations in virtual
+// time, and every payment routes inline on the event loop at any c; the
+// TCP testbed drives its payments from one client. Independent runs may
+// sit on separate goroutines, so what they share keeps its own mutex:
+// the package-level free lists (mem.FreeList) a payment's working memory
+// comes from — its mice path order, an elephant's probed state, a
+// search's graph.Scratch — each held only to take or return one value.
+// A live /metrics scrape reads only telemetry instruments, which are
+// atomics; the run's goroutine sets the router and network gauges
+// (sim's observer at every window close and at drain, flashnode after
+// its payment).
 //
-//   - pcn: every channel carries its own lock. Operations spanning
-//     several channels (path probes and holds, atomic multi-path
-//     commit/abort) acquire all involved locks in ascending
-//     channel-index order — one global acquisition order, so deadlock
-//     is impossible and disjoint payments never contend. Holds are
-//     feasibility-checked and reserved under the locks, so conflicting
-//     concurrent payments can never overbook a channel.
-//   - core: one mutex guards a Flash router's routing table (entries
-//     keyed by sender and receiver, the slab they are made in,
-//     per-sender TTL and LRU state, the path arena and the channel
-//     index); counters are atomics. A payment's working memory — its
-//     mice path order, an elephant's probed state, a search's
-//     graph.Scratch — comes from package-level free lists
-//     (mem.FreeList) shared by every router, each behind a mutex held
-//     only to take or return one value; a pcn.Network keeps its
-//     released sessions in one too.
-//     Config.ProbeWorkers > 1 is the probe width of one elephant
+//   - core: Config.ProbeWorkers > 1 is the probe width of one elephant
 //     payment: each round the router computes up to that many
 //     distinct candidate paths on its probed-knowledge graph (BFS +
 //     Yen-style edge-avoidance spurs), probes them in order on the

@@ -76,16 +76,6 @@ var ObserverReadAllowlist = map[string]bool{
 	"Fingerprint": true,
 }
 
-// LockAcquireHelpers names the pcn functions that own multi-channel
-// lock acquisition: they take every needed channel lock in ascending
-// index order (the single global order that makes deadlock
-// impossible), so they are the only places a channel-mutex Lock may
-// appear inside a loop or while another channel lock is held.
-var LockAcquireHelpers = map[string]bool{
-	"lockAll":      true,
-	"lockChannels": true,
-}
-
 // All returns the full flashvet analyzer suite in catalogue order.
 func All() []*Analyzer {
 	return []*Analyzer{

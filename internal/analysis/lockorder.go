@@ -7,37 +7,36 @@ import (
 
 // Lock-order rule identifiers.
 const (
-	// RuleLockLoop flags a mutex Lock inside a for/range loop outside
-	// the ascending-index acquire helpers — looped acquisition without
-	// the global order is how lock cycles are born.
+	// RuleLockLoop flags a mutex Lock inside a for/range loop:
+	// looped acquisition is how lock cycles are born.
 	RuleLockLoop = "lockorder/loop"
 	// RuleLockNested flags a second lock acquisition on the same
-	// owner type while one is already held in the same function: a
-	// payment touching two channels must go through the two-phase
-	// ascending-index helper, never lock them ad hoc.
+	// owner type while one is already held in the same function: two
+	// locks of one type held at once need an acquisition order.
 	RuleLockNested = "lockorder/nested"
 )
 
-// LockOrderAnalyzer enforces pcn's deadlock-freedom discipline: every
-// multi-channel lock acquisition goes through the ascending-index
-// two-phase helpers (see the pcn package comment, "Locking model").
+// LockOrderAnalyzer keeps the packages that still lock free of lock
+// orders: node, whose state its readLoops share, and mem, whose free
+// lists independent runs share, each take one lock of a kind at a time,
+// so there is no acquisition order to get wrong. pcn, core and baseline
+// take none (one goroutine per run). telemetry is left out: its sink's
+// run loop locks in a loop with no order involved.
 // By-value copies of lock- or atomic-bearing values are go vet's
 // copylocks check, which CI runs over the whole module.
 var LockOrderAnalyzer = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "multi-channel lock acquisition must use the ascending-index helpers; no lock-in-loop outside them",
+	Doc:       "in the packages that lock (node, mem), no lock in a loop and no second lock of one type while one is held",
 	Rules:     []string{RuleLockLoop, RuleLockNested},
-	AppliesTo: byName(map[string]bool{"pcn": true}),
+	AppliesTo: byName(map[string]bool{"node": true, "mem": true}),
 	Run:       runLockOrder,
 }
 
-// runLockOrder applies the two lock rules to every function outside
-// the acquire helpers.
+// runLockOrder applies the two lock rules to every function.
 func runLockOrder(pass *Pass) error {
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Body != nil && !LockAcquireHelpers[fn.Name.Name] {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
 				checkLockLoops(pass, fn)
 				checkNestedLocks(pass, fn)
 			}
@@ -105,8 +104,7 @@ func namedTypeName(t types.Type) string {
 	}
 }
 
-// checkLockLoops flags mutex Locks inside for/range statements in
-// functions that are not acquire helpers.
+// checkLockLoops flags mutex Locks inside for/range statements.
 func checkLockLoops(pass *Pass, fn *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	var loopDepth int
@@ -121,7 +119,7 @@ func checkLockLoops(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.CallExpr:
 			if _, _, lock, ok := mutexLockCall(info, n); ok && lock && loopDepth > 0 {
 				pass.Reportf(n.Pos(), RuleLockLoop,
-					"mutex Lock inside a loop outside the ascending-index acquire helpers (%s) — looped acquisition must go through them", helperNames())
+					"mutex Lock inside a loop — take one lock at a time")
 			}
 		}
 		return true
@@ -140,26 +138,10 @@ func bodyOf(n ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-// helperNames renders the acquire-helper allowlist for messages.
-func helperNames() string {
-	names := make([]string, 0, len(LockAcquireHelpers))
-	for n := range LockAcquireHelpers {
-		names = append(names, n)
-	}
-	// Deterministic message text: the set is tiny, sort by insertion
-	// into a fixed order.
-	if len(names) == 2 && names[0] > names[1] {
-		names[0], names[1] = names[1], names[0]
-	}
-	return names[0] + "/" + names[1]
-}
-
 // checkNestedLocks walks fn's statements in source order tracking
 // which mutexes are held, and flags a second acquisition on the same
-// owner type — or a call into an acquire helper — while one is held.
-// The scan is intra-function and textual: it cannot see locks held by
-// callers, which is exactly why multi-lock acquisition is confined to
-// the audited helpers.
+// owner type while one is held. The scan is intra-function and textual:
+// it cannot see locks held by callers.
 func checkNestedLocks(pass *Pass, fn *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	held := map[string]string{} // receiver expr string → owner type
@@ -183,18 +165,13 @@ func checkNestedLocks(pass *Pass, fn *ast.FuncDecl) {
 					for heldKey, heldOwner := range held {
 						if heldOwner == owner && heldKey != key {
 							pass.Reportf(n.Pos(), RuleLockNested,
-								"second %s lock acquired while %s is held — multi-channel acquisition must go through the ascending-index helpers (%s)",
-								owner, heldKey, helperNames())
+								"second %s lock acquired while %s is held — two locks of one type need an acquisition order",
+								owner, heldKey)
 							break
 						}
 					}
 				}
 				held[key] = owner
-				return true
-			}
-			if callee := calleeFunc(info, n); callee != nil && LockAcquireHelpers[callee.Name()] && len(held) > 0 {
-				pass.Reportf(n.Pos(), RuleLockNested,
-					"%s called while a lock is already held — release before batch-acquiring, or fold the lock into the batch", callee.Name())
 			}
 		}
 		return true

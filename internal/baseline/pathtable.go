@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"sync"
-
-	"repro/internal/topo"
-)
+import "repro/internal/topo"
 
 // pathTable memoises a static router's routes, as hop paths, per
 // sender/receiver pair.
@@ -17,7 +13,6 @@ import (
 // router sees it, so its routes never go stale, and only another graph
 // empties the table. The zero value is an empty table with caching on.
 type pathTable[P any] struct {
-	mu      sync.Mutex
 	off     bool
 	graph   *topo.Graph
 	entries map[pairKey]P
@@ -32,23 +27,14 @@ type pairKey struct {
 // it only removes repeated searches. The testbed turns it off so that
 // processing delay covers a path computation per payment, as in the
 // paper's prototype (Figures 12–13).
-func (pt *pathTable[P]) SetCaching(on bool) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	pt.off = !on
-}
+func (pt *pathTable[P]) SetCaching(on bool) { pt.off = !on }
 
 // get returns the entry for the pair s→t on g. find computes it on the
-// pair's first payment, or on every payment with caching off. find runs
-// under the table's lock, so it may keep paths in the arena. The lock is released
-// without defer, the warm hit being a static router's whole lookup;
-// find is a path search and does not panic on a frozen graph.
+// pair's first payment, or on every payment with caching off; it may
+// keep paths in the arena.
 func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Graph, topo.NodeID, topo.NodeID) P) P {
-	pt.mu.Lock()
 	if pt.off {
-		p := find(g, s, t)
-		pt.mu.Unlock()
-		return p
+		return find(g, s, t)
 	}
 	if pt.graph != g {
 		pt.graph = g
@@ -60,6 +46,5 @@ func (pt *pathTable[P]) get(g *topo.Graph, s, t topo.NodeID, find func(*topo.Gra
 		p = find(g, s, t)
 		pt.entries[key] = p
 	}
-	pt.mu.Unlock()
 	return p
 }

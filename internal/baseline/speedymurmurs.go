@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/route"
@@ -18,7 +17,6 @@ import (
 // decisions use only knowledge a node has of its own channels — which is
 // why the scheme is cheap but blind to remote depletion.
 type SpeedyMurmurs struct {
-	mu    sync.Mutex
 	graph *topo.Graph
 	emb   *embedding
 }
@@ -43,8 +41,6 @@ func (sm *SpeedyMurmurs) Name() string { return "SpeedyMurmurs" }
 // Landmarks are the highest-degree nodes — well-connected roots keep
 // tree paths short, matching the original scheme's guidance.
 func (sm *SpeedyMurmurs) embeddingFor(g *topo.Graph) *embedding {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
 	if sm.graph == g && sm.emb != nil {
 		return sm.emb
 	}

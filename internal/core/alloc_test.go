@@ -122,28 +122,28 @@ func TestMiceTableAllocs(t *testing.T) {
 			f.lookupPaths(g, p.Sender, p.Receiver, 1)
 		}
 	}
-	misses := f.tableMisses.Load()
+	misses := f.stats.TableMisses
 	if avg := testing.AllocsPerRun(runs, lookup(warmed)); avg != 0 {
 		t.Errorf("a table hit allocates %v, want 0", avg)
 	}
-	if f.tableMisses.Load() != misses {
+	if f.stats.TableMisses != misses {
 		t.Fatal("a warmed pair missed")
 	}
 	next = 0
 	if avg := testing.AllocsPerRun(runs, lookup(pairs[2*runs:])); avg != 0 {
 		t.Errorf("a table miss allocates %v, want 0", avg)
 	}
-	if n := f.tableMisses.Load() - misses; n != runs+1 {
+	if n := f.stats.TableMisses - misses; n != runs+1 {
 		t.Fatalf("%d of %d new pairs missed", n, runs+1)
 	}
 
 	entries := f.liveEntries()
 	built := 0
-	replaced := f.pathsReplaced.Load()
+	replaced := f.stats.PathsReplaced
 	if avg := testing.AllocsPerRun(runs, func() {
 		e := entries[built]
 		built++
-		f.replaceDeadPath(g, e, 0, e.paths[0])
+		f.replaceDeadPath(g, e, 0)
 	}); avg != 0 {
 		t.Errorf("building a replacement list allocates %v, want 0", avg)
 	}
@@ -152,7 +152,7 @@ func TestMiceTableAllocs(t *testing.T) {
 			t.Fatalf("entry %v: replacement list of %d paths beside %d live ones", e.pair, len(e.all), len(e.paths))
 		}
 	}
-	if n := f.pathsReplaced.Load() - replaced; n != int64(built) {
+	if n := f.stats.PathsReplaced - replaced; n != int64(built) {
 		t.Fatalf("%d replacements for %d dead paths", n, built)
 	}
 }

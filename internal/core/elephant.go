@@ -406,7 +406,7 @@ func (f *Flash) optimizeAllocation(plan *elephantPlan, demand float64) []float64
 	ps.aeq[0], ps.beq[0] = ps.ones[:n], demand
 	sol, err := ps.solver.Solve(lp.Problem{C: ps.c, Aub: ps.aub, Bub: ps.bub, Aeq: ps.aeq[:], Beq: ps.beq[:]})
 	if err != nil {
-		f.feeProgramFallbacks.Add(1)
+		f.stats.FeeProgramFallbacks++
 		return sequentialAllocation(plan, demand)
 	}
 	return sol.X

@@ -17,8 +17,8 @@ const indexSlack = 1024
 // The paths carry their channels, so registering an entry looks nothing
 // up; InvalidateChannel, which is handed a node pair, looks its channel up
 // once, on the graph the last registered paths were found on. A Flash has
-// one, guarded by the mutex that guards its table, so an entry is in the
-// table exactly when it is not dead, whoever looks.
+// one, beside its table, and an entry is in the table exactly when it is
+// not dead.
 //
 // An entry registers once under each of its channels, when it gets paths,
 // and never unregisters. Removal (TTL, cap, threshold move, invalidation)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/topo"
@@ -73,39 +72,32 @@ func TestInvalidatedEntryRecomputesOnNextUse(t *testing.T) {
 	}
 }
 
-// TestInvalidateConcurrentWithRouting is race-detector coverage for
-// churn-driven invalidation racing live payments.
+// TestInvalidateConcurrentWithRouting interleaves churn-driven
+// invalidations of both routes' channels with live payments: every
+// Route finishes its session, and the table and channel index stay
+// consistent.
 func TestInvalidateConcurrentWithRouting(t *testing.T) {
 	net := build(t, 4, [][4]float64{
 		{0, 1, 1e6, 1e6}, {1, 3, 1e6, 1e6},
 		{0, 2, 1e6, 1e6}, {2, 3, 1e6, 1e6},
 	})
 	f := New(DefaultConfig(math.Inf(1)))
-	var wg sync.WaitGroup
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				tx, err := net.Begin(0, 3, 1)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				f.Route(tx) //nolint:errcheck // failures fine under churn
-				if !tx.Finished() {
-					tx.Abort()
-				}
+	for i := 0; i < 200; i++ {
+		for range 3 {
+			tx, err := net.Begin(0, 3, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			f.InvalidateChannel(1, 3)
-			f.InvalidateChannel(0, 2)
+			f.Route(tx) //nolint:errcheck // failures fine under churn
+			if !tx.Finished() {
+				t.Fatal("Route left session unfinished")
+			}
 		}
-	}()
-	wg.Wait()
+		f.InvalidateChannel(1, 3)
+		f.InvalidateChannel(0, 2)
+	}
+	checkIndex(t, f)
+	if st := f.Stats(); st.Mice != 600 || st.TableInvalidations == 0 {
+		t.Errorf("stats %+v, want 600 mice and some invalidations", st)
+	}
 }

@@ -68,21 +68,19 @@ func (t *senderTable) pushBack(e *tableEntry) {
 // balance — and replacements cycle through all via cursor without
 // re-running Yen. Both lists are windows of the router's path arena,
 // capped at their length, so replaceDeadPath's in-place edits stay in
-// the entry's own window. Entries are read and written only under the
-// router's mu; a path handed out under it stays valid after release,
-// since a kept path's elements are never written again. Every channel of
-// paths and all is registered in the router's channelIndex, which is how
+// the entry's own window; a path handed out stays valid, since a kept
+// path's elements are never written again. Every channel of paths and
+// all is registered in the router's channelIndex, which is how
 // InvalidateChannel finds the entry.
 //
 // Entries come from the router's slab (mem.Slab), so a miss allocates
 // nothing until a chunk fills, and an entry is never reused: a removed
-// one's id may sit in the channel index until a sweep, and, Flash being
-// safe for concurrent sessions, a session on another goroutine may
-// still hold it and replace its dead paths. So a chunk of up to 256
-// entries, and the arena chunks its entries' paths lie in, stay
-// allocated while any entry in it is reachable: from the table, from a
-// payment in flight, or from the channel index until the sweep that
-// frees its id.
+// one's id may sit in the channel index until a sweep, and a reused
+// entry would answer for that id there, dropped by an invalidation of a
+// channel only its predecessor crossed. So a chunk of up to 256 entries,
+// and the arena chunks its entries' paths lie in, stay allocated while
+// any entry in it is reachable: from the table, from the payment routing
+// over it, or from the channel index until the sweep that frees its id.
 type tableEntry struct {
 	pair       Pair        // entry-table key; the sender names the LRU list
 	dead       bool        // removed from the table; the channel index forgets it lazily
@@ -100,10 +98,9 @@ type tableEntry struct {
 	maxAmount float64
 }
 
-// senderLocked returns sender's share of the table, growing the
-// per-sender slice to cover g's nodes on the first payment from a sender
-// beyond it. The caller holds mu.
-func (f *Flash) senderLocked(g *topo.Graph, sender topo.NodeID) *senderTable {
+// tableOf returns sender's share of the table, growing the per-sender
+// slice to cover g's nodes on the first payment from a sender beyond it.
+func (f *Flash) tableOf(g *topo.Graph, sender topo.NodeID) *senderTable {
 	if int(sender) >= len(f.senders) {
 		n := max(g.NumNodes(), int(sender)+1)
 		f.senders = append(f.senders, make([]senderTable, n-len(f.senders))...)
@@ -111,10 +108,10 @@ func (f *Flash) senderLocked(g *topo.Graph, sender topo.NodeID) *senderTable {
 	return &f.senders[sender]
 }
 
-// removeLocked drops e from the entry table and its sender's LRU list,
-// and marks it dead for the channel index, which forgets it lazily.
-// Every removal goes through here; the caller holds mu.
-func (f *Flash) removeLocked(e *tableEntry) {
+// remove drops e from the entry table and its sender's LRU list, and
+// marks it dead for the channel index, which forgets it lazily. Every
+// removal goes through here.
+func (f *Flash) remove(e *tableEntry) {
 	f.entries.remove(e.pair)
 	t := &f.senders[e.pair.Sender]
 	t.unlink(e)
@@ -128,16 +125,14 @@ func (f *Flash) removeLocked(e *tableEntry) {
 // shortest paths") into the router's path arena. It also advances the
 // sender's TTL clock, evicts its stale entries, and records amount as
 // classification evidence for adaptive threshold swaps (see
-// tableEntry.maxAmount). The Yen computation runs under mu.
+// tableEntry.maxAmount).
 func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount float64) *tableEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	t := f.senderLocked(g, sender)
+	t := f.tableOf(g, sender)
 	t.clock++
 	// The LRU list is in lastAccess order, so the stale entries are
 	// exactly the prefix at the head — O(evicted), not O(entries).
 	for t.head != nil && t.clock-t.head.lastAccess > f.ttl {
-		f.removeLocked(t.head)
+		f.remove(t.head)
 	}
 	pair := Pair{Sender: sender, Receiver: receiver}
 	if e := f.entries.get(pair); e != nil {
@@ -147,10 +142,10 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 		if amount > e.maxAmount {
 			e.maxAmount = amount
 		}
-		f.tableHits.Add(1)
+		f.stats.TableHits++
 		return e
 	}
-	f.tableMisses.Add(1)
+	f.stats.TableMisses++
 	// A miss computes exactly the paper's top-m paths; the replacement
 	// pool is only materialised when a path actually dies (most entries
 	// never need one, so the common case stays cheap).
@@ -166,33 +161,22 @@ func (f *Flash) lookupPaths(g *topo.Graph, sender, receiver topo.NodeID, amount 
 	t.pushBack(e)
 	t.size++
 	f.index.add(g, e, e.paths, nil)
-	f.enforceCapLocked(t)
+	f.enforceCap(t)
 	return e
 }
 
-// enforceCapLocked evicts least-recently-used entries until the sender's
+// enforceCap evicts least-recently-used entries until the sender's
 // share respects Config.TableCap. Cap 0 (the default) means unbounded —
 // byte-identical behaviour to the uncapped table.
-func (f *Flash) enforceCapLocked(t *senderTable) {
+func (f *Flash) enforceCap(t *senderTable) {
 	cap := f.cfg.TableCap
 	if cap <= 0 {
 		return
 	}
 	for t.size > cap && t.head != nil {
-		f.removeLocked(t.head)
-		f.tableEvictions.Add(1)
+		f.remove(t.head)
+		f.stats.TableEvictions++
 	}
-}
-
-// pathAt returns entry's path at slot under mu, or the zero Path when a
-// concurrent replacement shrank the entry below slot.
-func (f *Flash) pathAt(e *tableEntry, slot int) topo.Path {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if slot >= len(e.paths) {
-		return topo.Path{}
-	}
-	return e.paths[slot]
 }
 
 // replaceDeadPath swaps out entry's path at slot with the next top
@@ -202,16 +186,10 @@ func (f *Flash) pathAt(e *tableEntry, slot int) topo.Path {
 // per entry on first need, into the router's path arena; subsequent
 // replacements rotate through it — a path that was dead earlier may
 // have revived, since channel balances move in both directions.
-// expected is the path the caller observed at slot: if a concurrent
-// payment already replaced it, nothing is changed and the zero Path is
-// returned. Returns the replacement, or the zero Path when the pair has
-// no alternative paths at all (the slot is then dropped).
-func (f *Flash) replaceDeadPath(g *topo.Graph, e *tableEntry, slot int, expected topo.Path) topo.Path {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if slot >= len(e.paths) || !e.paths[slot].Equal(expected) {
-		return topo.Path{}
-	}
+// slot must index e.paths. Returns the replacement, or the zero Path
+// when the pair has no alternative paths at all (the slot is then
+// dropped).
+func (f *Flash) replaceDeadPath(g *topo.Graph, e *tableEntry, slot int) topo.Path {
 	if e.all == nil {
 		paths, elems := f.arena.Room()
 		e.all = f.arena.Keep(graph.Yen(g, e.pair.Sender, e.pair.Receiver, f.cfg.M+replacementPool, nil, paths, elems))
@@ -228,7 +206,7 @@ func (f *Flash) replaceDeadPath(g *topo.Graph, e *tableEntry, slot int, expected
 		e.cursor++
 		if !containsPath(e.paths, cand) {
 			e.paths[slot] = cand
-			f.pathsReplaced.Add(1)
+			f.stats.PathsReplaced++
 			return cand
 		}
 	}
@@ -265,10 +243,10 @@ func (f *Flash) routeMice(s route.Session) error {
 		if remaining <= route.Epsilon {
 			break
 		}
-		path := f.pathAt(entry, slot)
-		if path.IsZero() {
-			continue // a replacement shrank the table mid-loop
+		if slot >= len(entry.paths) {
+			continue // a replacement without an alternative dropped a slot
 		}
+		path := entry.paths[slot]
 		// First try the full remainder directly — no probing (this is
 		// where mice routing wins its overhead back: most mice succeed
 		// on the first try).
@@ -286,7 +264,7 @@ func (f *Flash) routeMice(s route.Session) error {
 		if cp <= route.Epsilon {
 			// Dead path: replace with the next pooled Yen path and, if
 			// one exists, give it a chance for this payment too.
-			if next := f.replaceDeadPath(g, entry, slot, path); !next.IsZero() {
+			if next := f.replaceDeadPath(g, entry, slot); !next.IsZero() {
 				held := route.HoldUpTo(s, next, remaining)
 				remaining -= held
 			}
@@ -313,32 +291,19 @@ var orders mem.FreeList[[]int]
 // default ("Flash randomly picks the paths to better load balance them
 // without knowing their instantaneous capacities"), or ascending length
 // when the FixedMiceOrder ablation is on. The shuffle draws from the
-// router's seeded RNG under rngMu. The result is built in buf (grown as
-// needed).
+// router's seeded RNG. The result is built in buf (grown as needed).
 func (f *Flash) pathOrder(e *tableEntry, buf []int) []int {
-	f.mu.Lock()
 	n := len(e.paths)
-	var lengths []int
-	if f.cfg.FixedMiceOrder {
-		lengths = make([]int, n)
-		for i, p := range e.paths {
-			lengths[i] = p.Hops()
-		}
-	}
-	f.mu.Unlock()
-
 	order := buf
 	for i := 0; i < n; i++ {
 		order = append(order, i)
 	}
 	if f.cfg.FixedMiceOrder {
 		sort.Slice(order, func(a, b int) bool {
-			return lengths[order[a]] < lengths[order[b]]
+			return e.paths[order[a]].Hops() < e.paths[order[b]].Hops()
 		})
 		return order
 	}
-	f.rngMu.Lock()
 	f.rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	f.rngMu.Unlock()
 	return order
 }

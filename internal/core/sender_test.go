@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/topo"
@@ -82,50 +81,32 @@ func TestSetSenderThresholdInvalidatesOwnTableOnly(t *testing.T) {
 	}
 }
 
-// TestSetSenderThresholdConcurrentWithRouting hammers per-sender
-// threshold swaps while payments route on other goroutines — the
-// race-detector witness for the sharded-threshold satellite: the
-// senderThr map behind its RWMutex, the count fast path, and the
-// narrowed invalidation sweep all run against live ThresholdFor
-// readers.
+// TestSetSenderThresholdConcurrentWithRouting interleaves per-sender
+// threshold swaps, global threshold swaps and probe-width moves with
+// payments from four senders: the senderThr map, the classification
+// fast path and the narrowed invalidation sweep all run between live
+// ThresholdFor readers, and every payment routes.
 func TestSetSenderThresholdConcurrentWithRouting(t *testing.T) {
 	net := thresholdNet(t)
 	f := New(DefaultConfig(100))
 	senders := []topo.NodeID{0, 1, 2, 3}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			from := senders[w]
-			to := senders[(w+2)%len(senders)]
-			for i := 0; i < 200; i++ {
-				amount := float64(10 + (i+w)%150)
-				tx, err := net.Begin(from, to, amount)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_ = f.Route(tx)
+	for i := 0; i < 400; i++ {
+		if i%2 == 0 {
+			for w, from := range senders {
+				amount := float64(10 + (i/2+w)%150)
+				routeOne(t, net, f, from, senders[(w+2)%len(senders)], amount)
 			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 400; i++ {
-			s := senders[i%len(senders)]
-			switch {
-			case i%13 == 0:
-				f.SetThreshold(float64(20 + i%120))
-			default:
-				f.SetSenderThreshold(s, float64(20+i%120))
-			}
-			f.ThresholdFor(s)
-			f.SetProbeWorkers(1 + i%4)
 		}
-	}()
-	wg.Wait()
+		s := senders[i%len(senders)]
+		switch {
+		case i%13 == 0:
+			f.SetThreshold(float64(20 + i%120))
+		default:
+			f.SetSenderThreshold(s, float64(20+i%120))
+		}
+		f.ThresholdFor(s)
+		f.SetProbeWorkers(1 + i%4)
+	}
 	st := f.Stats()
 	if st.Mice+st.Elephants != 800 {
 		t.Errorf("routed %d payments, want 800", st.Mice+st.Elephants)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/pcn"
@@ -109,39 +108,24 @@ func TestSetThresholdInvalidatesMisclassifiedEntries(t *testing.T) {
 	}
 }
 
-// TestSetThresholdConcurrentWithRouting hammers threshold swaps while
-// payments route on other goroutines — the race-detector witness for
-// the atomic threshold and the lock discipline of the invalidation
-// sweep.
+// TestSetThresholdConcurrentWithRouting interleaves threshold swaps with
+// payments from 0 to 3 whose amounts straddle every threshold it sets:
+// each swap's invalidation sweep runs between payments that classify
+// against the value before and after it, and every payment routes.
 func TestSetThresholdConcurrentWithRouting(t *testing.T) {
 	net := thresholdNet(t)
 	f := New(DefaultConfig(100))
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				amount := float64(10 + (i+w)%150)
-				tx, err := net.Begin(0, 3, amount)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				_ = f.Route(tx)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			f.SetThreshold(float64(20 + i%120))
+	for i := 0; i < 200; i++ {
+		for w := 0; w < 4; w++ {
+			routeOne(t, net, f, 0, 3, float64(10+(i+w)%150))
 		}
-	}()
-	wg.Wait()
+		f.SetThreshold(float64(20 + i%120))
+	}
 	st := f.Stats()
 	if st.Mice+st.Elephants != 800 {
 		t.Errorf("routed %d payments, want 800", st.Mice+st.Elephants)
+	}
+	if st.ThresholdUpdates == 0 || st.TableInvalidations == 0 {
+		t.Errorf("stats %+v, want threshold updates and invalidations", st)
 	}
 }

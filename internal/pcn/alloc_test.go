@@ -8,9 +8,8 @@ import (
 )
 
 // TestProbeAllocs pins Tx.Probe's and Tx.ProbeHops's steady-state
-// allocation count at zero. The hop resolution and lock order use the
-// session's arenas, and
-// the result is appended to its probe-result arena, whose growth is
+// allocation count at zero. The hop resolution uses the session's hop
+// arena, and the result is appended to its probe-result arena, whose growth is
 // amortised over the session — so a regression here means a probe
 // started allocating per-call state again (the sequential elephant
 // loop probes thousands of times per simulated second).
@@ -45,8 +44,8 @@ func TestProbeAllocs(t *testing.T) {
 // TestPaymentAllocs pins what one whole payment allocates, the engine's
 // per-payment cost: nothing. A payment over a short path fits the Tx's
 // inline arrays — the hop arena holds the probe's and the hold's hops,
-// the lock order and the hold record have their own, and the probe
-// result lands in the probe-result arena — so Probe, Hold and Commit
+// the hold record has its own, and the probe result lands in the
+// probe-result arena — so Probe, Hold and Commit
 // allocate nothing, and a session that is not released costs its share
 // of the network's session chunk, well under one allocation. A released
 // session is drawn again by the next Begin with the arenas it grew, so
@@ -66,8 +65,8 @@ func TestPaymentAllocs(t *testing.T) {
 		{"hold-commit", short, shortPath, 0, 1, false, false},
 		{"probe-hold-commit", short, shortPath, 1, 1, false, false},
 		{"probe-hold-commit-release", short, shortPath, 1, 1, true, false},
-		// 23 hops, 3 probes and 2 holds outgrow the hop, probe-result,
-		// lock and hold arenas' inline arrays.
+		// 23 hops, 3 probes and 2 holds outgrow the hop, probe-result
+		// and hold arenas' inline arrays.
 		{"outgrown-release", long, longPath, 3, 2, true, false},
 		{"hops-probe-hold-commit-release", short, shortPath, 1, 1, true, true},
 		{"hops-outgrown-release", long, longPath, 3, 2, true, true},

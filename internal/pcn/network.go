@@ -15,31 +15,15 @@
 //     count (§4.2 "The number of probing messages along a path is
 //     proportional to the number of hops of the path").
 //
-// Network is safe for concurrent use; Tx values are not (each payment
-// session belongs to one goroutine, as in the real protocol where the
-// sender drives its own payment).
-//
-// # Locking model
-//
-// Every channel carries its own mutex, so payments over disjoint
-// channels never contend. Operations that span several channels (a
-// probe or hold along a path, an atomic multi-path commit or abort)
-// acquire the locks of every involved channel in ascending channel
-// index order and release them together — a single global acquisition
-// order, which makes deadlock impossible. Whole-network operations
-// (Snapshot, Restore, TotalFunds, the Assign helpers) lock every
-// channel in the same ascending order and therefore serialize against
-// all in-flight payments. Hold counters are plain atomics. The released
-// sessions a Network keeps for reuse sit behind one more mutex, their
-// free list's (mem.FreeList), which is never held with another lock.
+// One goroutine per run: a Network and every Tx over it are used by one
+// goroutine at a time, so no channel or session state is locked.
 package pcn
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -75,16 +59,14 @@ type HopInfo struct {
 	ReverseFee       FeeSchedule
 }
 
-// channel is the mutable state of one payment channel, guarded by its
-// own lock. Direction 0 is A→B (canonical endpoint order), direction 1
-// is B→A. closed marks a channel that is currently out of service
-// (cooperatively closed, or latent — in the topology but not yet opened):
-// probes report zero availability and new holds are rejected, while
-// balances stay frozen in place and holds established before the close
-// still commit or abort normally, as in a cooperative close that waits
-// out in-flight HTLCs.
+// channel is the mutable state of one payment channel. Direction 0 is
+// A→B (canonical endpoint order), direction 1 is B→A. closed marks a
+// channel that is currently out of service (cooperatively closed, or
+// latent — in the topology but not yet opened): probes report zero
+// availability and new holds are rejected, while balances stay frozen
+// in place and holds established before the close still commit or abort
+// normally, as in a cooperative close that waits out in-flight HTLCs.
 type channel struct {
-	mu     sync.Mutex
 	bal    [2]float64
 	held   [2]float64
 	fee    [2]FeeSchedule
@@ -94,23 +76,21 @@ type channel struct {
 	// nanoseconds, charged once per protocol leg that crosses the hop
 	// (probe, COMMIT, CONFIRM/REVERSE). Zero — the default — keeps the
 	// historical instantaneous model. Latency is assigned before a
-	// replay starts and immutable afterwards, so sessions read it
-	// without the channel lock.
+	// replay starts and immutable afterwards.
 	rttNanos int64
 }
 
 // Network is a payment channel network: a topology plus per-channel
-// balances and fees. Channel state is striped one lock per channel (see
-// the package comment for the locking model).
+// balances and fees.
 type Network struct {
 	graph *topo.Graph
 	chans []channel
 
-	holdsPlaced    atomic.Int64 // partial-payment holds reserved
-	holdsCommitted atomic.Int64 // holds settled by commit/resume
-	holdsAborted   atomic.Int64 // holds released by abort/span-abort
+	holdsPlaced    int64 // partial-payment holds reserved
+	holdsCommitted int64 // holds settled by commit/resume
+	holdsAborted   int64 // holds released by abort/span-abort
 
-	hasLatency atomic.Bool // any channel carries a non-zero virtual RTT
+	hasLatency bool // any channel carries a non-zero virtual RTT
 
 	// sessions holds the sessions ReleaseTx handed back, for Begin to
 	// reuse, and makes new ones in chunks: the network keeps as many as
@@ -146,22 +126,6 @@ func (n *Network) dir(u, v topo.NodeID) (int, int, error) {
 	return idx, 0, nil
 }
 
-// lockAll acquires every channel lock in ascending index order — the
-// same global order path operations use — so whole-network reads and
-// writes serialize against in-flight payments without deadlock risk.
-func (n *Network) lockAll() {
-	for i := range n.chans {
-		n.chans[i].mu.Lock()
-	}
-}
-
-// unlockAll releases the locks taken by lockAll.
-func (n *Network) unlockAll() {
-	for i := len(n.chans) - 1; i >= 0; i-- {
-		n.chans[i].mu.Unlock()
-	}
-}
-
 // SetBalance sets the two directional balances of the channel joining u
 // and v: balUV spendable by u towards v, balVU the reverse.
 func (n *Network) SetBalance(u, v topo.NodeID, balUV, balVU float64) error {
@@ -173,8 +137,6 @@ func (n *Network) SetBalance(u, v topo.NodeID, balUV, balVU float64) error {
 		return err
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	ch.bal[d] = balUV
 	ch.bal[1-d] = balVU
 	return nil
@@ -189,8 +151,6 @@ func (n *Network) SetFee(u, v topo.NodeID, fee FeeSchedule) error {
 		return err
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	ch.fee[d] = fee
 	return nil
 }
@@ -199,10 +159,8 @@ func (n *Network) SetFee(u, v topo.NodeID, fee FeeSchedule) error {
 // of the channel joining u and v by factor — the fee-war churn hook: a
 // node repricing its channels mid-run. factor must be positive and
 // finite (a zero or negative factor would erase or invert the fee
-// model). Safe concurrently with payments: the update happens under
-// the channel's own lock, and in-flight probes simply observe either
-// the old or the new schedule, exactly as a gossiped fee update would
-// propagate.
+// model). Payments in flight see the new schedule from their next probe
+// and pay it at commit, as a gossiped fee update would propagate.
 func (n *Network) ScaleFee(u, v topo.NodeID, factor float64) error {
 	if math.IsNaN(factor) || math.IsInf(factor, 0) || factor <= 0 {
 		return fmt.Errorf("pcn: fee scale factor for channel %d-%d must be positive and finite, got %v", u, v, factor)
@@ -212,8 +170,6 @@ func (n *Network) ScaleFee(u, v topo.NodeID, factor float64) error {
 		return err
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	for d := range ch.fee {
 		ch.fee[d].Base *= factor
 		ch.fee[d].Rate *= factor
@@ -224,16 +180,13 @@ func (n *Network) ScaleFee(u, v topo.NodeID, factor float64) error {
 // SetChannelOpen opens or closes the channel joining u and v. Closing
 // freezes its balances in place (new holds are rejected, probes see
 // zero availability; in-flight holds still settle); reopening makes
-// the frozen balances spendable again. Safe concurrently with
-// payments: the toggle happens under the channel's own lock.
+// the frozen balances spendable again.
 func (n *Network) SetChannelOpen(u, v topo.NodeID, open bool) error {
 	idx, _, err := n.dir(u, v)
 	if err != nil {
 		return err
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	ch.closed = !open
 	return nil
 }
@@ -248,16 +201,15 @@ func (n *Network) IsChannelOpen(u, v topo.NodeID) bool {
 		return false
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	return !ch.closed
 }
 
 // FundChannel sets the directional balances of the channel joining u
 // and v like SetBalance, but never below that direction's outstanding
 // holds — the safe funding primitive for churn ChannelOpen events,
-// which may race in-flight payments (a plain SetBalance below an
-// active hold would let the later commit drive the balance negative).
+// which may land while payments hold funds on the channel (a plain
+// SetBalance below an active hold would let the later commit drive the
+// balance negative).
 func (n *Network) FundChannel(u, v topo.NodeID, balUV, balVU float64) error {
 	if balUV < 0 || balVU < 0 {
 		return fmt.Errorf("pcn: negative funding for channel %d-%d", u, v)
@@ -267,8 +219,6 @@ func (n *Network) FundChannel(u, v topo.NodeID, balUV, balVU float64) error {
 		return err
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	ch.bal[d] = math.Max(balUV, ch.held[d])
 	ch.bal[1-d] = math.Max(balVU, ch.held[1-d])
 	return nil
@@ -278,8 +228,8 @@ func (n *Network) FundChannel(u, v topo.NodeID, balUV, balVU float64) error {
 // u and v — the offchain rebalancing operation (circular self-payment
 // or submarine swap) a depleted channel's owner performs. Funds move
 // from the richer direction towards the 50/50 split, but never below
-// that direction's outstanding holds, so the hold invariants survive
-// concurrent payments. It returns the amount moved (0 for closed or
+// that direction's outstanding holds, so the holds of payments in
+// flight stay covered. It returns the amount moved (0 for closed or
 // already-balanced channels).
 func (n *Network) Rebalance(u, v topo.NodeID) (float64, error) {
 	idx, _, err := n.dir(u, v)
@@ -287,8 +237,6 @@ func (n *Network) Rebalance(u, v topo.NodeID) (float64, error) {
 		return 0, err
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	if ch.closed {
 		return 0, nil
 	}
@@ -318,8 +266,6 @@ func (n *Network) Balance(u, v topo.NodeID) float64 {
 		return 0
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	return ch.bal[d]
 }
 
@@ -331,8 +277,6 @@ func (n *Network) Available(u, v topo.NodeID) float64 {
 		return 0
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	if ch.closed {
 		return 0
 	}
@@ -346,15 +290,13 @@ func (n *Network) Fee(u, v topo.NodeID) FeeSchedule {
 		return FeeSchedule{}
 	}
 	ch := &n.chans[idx]
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
 	return ch.fee[d]
 }
 
 // HasLatency reports whether any channel carries a non-zero virtual
 // RTT — the engine's one branch deciding whether latency accounting is
 // live at all.
-func (n *Network) HasLatency() bool { return n.hasLatency.Load() }
+func (n *Network) HasLatency() bool { return n.hasLatency }
 
 // latencyNanos returns channel idx's RTT in integer nanoseconds. All
 // internal latency arithmetic stays in int64 nanos: integer additions
@@ -378,25 +320,17 @@ const maxRTTNanos = 60e9
 // (file order for ingested snapshots), so a seeded rng maps real edges
 // to latencies deterministically.
 func (n *Network) AssignLatenciesLogNormal(rng *rand.Rand, median, sigma float64) {
-	n.lockAll()
-	defer n.unlockAll()
-	any := false
 	for i := range n.chans {
 		n.chans[i].rttNanos = int64(math.Round(min(stats.LogNormal(rng, median, sigma)*1e9, maxRTTNanos)))
 		if n.chans[i].rttNanos > 0 {
-			any = true
+			n.hasLatency = true
 		}
-	}
-	if any {
-		n.hasLatency.Store(true)
 	}
 }
 
 // TotalFunds returns the sum of all balances across all channels: a
 // conserved quantity under payments (property tests rely on this).
 func (n *Network) TotalFunds() float64 {
-	n.lockAll()
-	defer n.unlockAll()
 	total := 0.0
 	for i := range n.chans {
 		total += n.chans[i].bal[0] + n.chans[i].bal[1]
@@ -407,8 +341,6 @@ func (n *Network) TotalFunds() float64 {
 // ScaleBalances multiplies every directional balance by factor, the
 // capacity-scale knob of Figures 6 and 7.
 func (n *Network) ScaleBalances(factor float64) {
-	n.lockAll()
-	defer n.unlockAll()
 	for i := range n.chans {
 		n.chans[i].bal[0] *= factor
 		n.chans[i].bal[1] *= factor
@@ -418,8 +350,6 @@ func (n *Network) ScaleBalances(factor float64) {
 // Snapshot captures all balances so a sweep can restore pristine state
 // between runs without rebuilding the network.
 func (n *Network) Snapshot() []float64 {
-	n.lockAll()
-	defer n.unlockAll()
 	snap := make([]float64, 0, 2*len(n.chans))
 	for i := range n.chans {
 		snap = append(snap, n.chans[i].bal[0], n.chans[i].bal[1])
@@ -433,17 +363,13 @@ func (n *Network) Restore(snap []float64) error {
 	if len(snap) != 2*len(n.chans) {
 		return fmt.Errorf("pcn: snapshot has %d entries, want %d", len(snap), 2*len(n.chans))
 	}
-	n.lockAll()
-	defer n.unlockAll()
 	for i := range n.chans {
 		n.chans[i].bal[0] = snap[2*i]
 		n.chans[i].bal[1] = snap[2*i+1]
 		n.chans[i].held[0] = 0
 		n.chans[i].held[1] = 0
 	}
-	n.holdsPlaced.Store(0)
-	n.holdsCommitted.Store(0)
-	n.holdsAborted.Store(0)
+	n.holdsPlaced, n.holdsCommitted, n.holdsAborted = 0, 0, 0
 	return nil
 }
 
@@ -452,28 +378,20 @@ func (n *Network) Restore(snap []float64) error {
 // counters at zero: a funded network copied for each of several runs
 // that must start from the same state.
 func (n *Network) Clone() *Network {
-	n.lockAll()
-	defer n.unlockAll()
-	c := &Network{graph: n.graph, chans: make([]channel, len(n.chans))}
-	for i := range n.chans {
-		ch := &n.chans[i]
-		c.chans[i] = channel{bal: ch.bal, held: ch.held, fee: ch.fee, closed: ch.closed, rttNanos: ch.rttNanos}
-	}
-	c.hasLatency.Store(n.hasLatency.Load())
-	return c
+	return &Network{graph: n.graph, chans: slices.Clone(n.chans), hasLatency: n.hasLatency}
 }
 
 // HoldsPlaced returns the cumulative number of partial-payment holds
 // reserved by all sessions since construction or the last Restore.
-func (n *Network) HoldsPlaced() int64 { return n.holdsPlaced.Load() }
+func (n *Network) HoldsPlaced() int64 { return n.holdsPlaced }
 
 // HoldsCommitted returns the cumulative number of holds settled by a
 // commit (including deferred commits applied at Resume).
-func (n *Network) HoldsCommitted() int64 { return n.holdsCommitted.Load() }
+func (n *Network) HoldsCommitted() int64 { return n.holdsCommitted }
 
 // HoldsAborted returns the cumulative number of holds released without
 // settling — explicit aborts plus churn-invalidated span aborts.
-func (n *Network) HoldsAborted() int64 { return n.holdsAborted.Load() }
+func (n *Network) HoldsAborted() int64 { return n.holdsAborted }
 
 // The Assign helpers fund and price the open channels, in channel
 // order, and skip closed ones: a latent channel, closed before funding,
@@ -486,8 +404,6 @@ func (n *Network) HoldsAborted() int64 { return n.holdsAborted.Load() }
 // preprocessing) or by a uniform random fraction otherwise
 // (approximating Lightning's skewed crawled distribution).
 func (n *Network) AssignBalancesLogNormal(rng *rand.Rand, median, sigma float64, evenSplit bool) {
-	n.lockAll()
-	defer n.unlockAll()
 	for i := range n.chans {
 		if n.chans[i].closed {
 			continue
@@ -506,8 +422,6 @@ func (n *Network) AssignBalancesLogNormal(rng *rand.Rand, median, sigma float64,
 // uniformly from [lo, hi), split evenly — the testbed's capacity model
 // (§5.2).
 func (n *Network) AssignBalancesUniform(rng *rand.Rand, lo, hi float64) {
-	n.lockAll()
-	defer n.unlockAll()
 	for i := range n.chans {
 		if n.chans[i].closed {
 			continue
@@ -523,8 +437,6 @@ func (n *Network) AssignBalancesUniform(rng *rand.Rand, lo, hi float64) {
 // — split evenly across the two directions, the paper's Ripple
 // preprocessing. caps must cover every open channel.
 func (n *Network) AssignBalancesFromCapacities(caps []float64) error {
-	n.lockAll()
-	defer n.unlockAll()
 	for i := len(caps); i < len(n.chans); i++ {
 		if !n.chans[i].closed {
 			return fmt.Errorf("pcn: %d capacities for %d channels", len(caps), len(n.chans))
@@ -546,8 +458,6 @@ func (n *Network) AssignBalancesFromCapacities(caps []float64) error {
 // [1%, 10%), no base fee. Both directions of a channel share a
 // schedule.
 func (n *Network) AssignFeesPaper(rng *rand.Rand) {
-	n.lockAll()
-	defer n.unlockAll()
 	for i := range n.chans {
 		if n.chans[i].closed {
 			continue

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/topo"
@@ -630,8 +629,10 @@ func randomPath(g *topo.Graph, s, r topo.NodeID, rng *rand.Rand) []topo.NodeID {
 	return nil
 }
 
-// TestConcurrentSessions exercises Network's lock under -race: many
-// goroutines each run an independent payment.
+// TestConcurrentSessions keeps eight payers' sessions open at once,
+// round by round: every payer begins and holds before any commits or
+// aborts, so the holds meet on shared channels. Funds are conserved and
+// no hold outlives its session.
 func TestConcurrentSessions(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g, err := topo.BarabasiAlbert(20, 3, rng)
@@ -641,35 +642,40 @@ func TestConcurrentSessions(t *testing.T) {
 	n := New(g)
 	n.AssignBalancesUniform(rng, 1000, 2000)
 	total := n.TotalFunds()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 100; i++ {
-				s := topo.NodeID(r.Intn(20))
-				d := topo.NodeID(r.Intn(20))
-				if s == d {
-					continue
-				}
-				tx, err := n.Begin(s, d, 1)
-				if err != nil {
-					continue
-				}
-				path := randomPath(g, s, d, r)
-				if path != nil && tx.Hold(path, 1+r.Float64()*20) == nil {
-					tx.Commit()
-				} else {
-					tx.Abort()
-				}
+	open := make([]*Tx, 0, 8)
+	for round := 0; round < 100; round++ {
+		open = open[:0]
+		for range 8 {
+			s, d := topo.NodeID(rng.Intn(20)), topo.NodeID(rng.Intn(20))
+			if s == d {
+				continue
 			}
-		}(int64(w))
+			tx, err := n.Begin(s, d, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if path := randomPath(g, s, d, rng); path != nil {
+				_ = tx.Hold(path, 1+rng.Float64()*20)
+			}
+			open = append(open, tx)
+		}
+		for _, tx := range open {
+			settle := tx.Abort
+			if tx.PathsUsed() > 0 && rng.Intn(2) == 0 {
+				settle = tx.Commit
+			}
+			if err := settle(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	wg.Wait()
 	if got := n.TotalFunds(); math.Abs(got-total) > 1e-6 {
-		t.Errorf("total funds drifted under concurrency: %v → %v", total, got)
+		t.Errorf("total funds drifted: %v → %v", total, got)
+	}
+	for i, c := range n.chans {
+		if c.held != [2]float64{} {
+			t.Errorf("channel %d keeps holds %v after every session settled", i, c.held)
+		}
 	}
 }
 

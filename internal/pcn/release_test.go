@@ -48,8 +48,8 @@ func TestReleaseTxResetsSession(t *testing.T) {
 		t.Fatalf("fees %v, probe latency %v, commit latency %v: want all non-zero",
 			tx.FeesPaid(), tx.ProbeLatencyNanos(), tx.CommitLatencyNanos())
 	}
-	caps := [4]int{cap(tx.hops), cap(tx.infos), cap(tx.lock), cap(tx.holds)}
-	inline := [4]int{len(tx.hopsInline), len(tx.infosInline), len(tx.lockInline), len(tx.holdsInline)}
+	caps := [3]int{cap(tx.hops), cap(tx.infos), cap(tx.holds)}
+	inline := [3]int{len(tx.hopsInline), len(tx.infosInline), len(tx.holdsInline)}
 	for i := range caps {
 		if caps[i] <= inline[i] {
 			t.Fatalf("arena %d has capacity %d, want it grown past its inline %d", i, caps[i], inline[i])
@@ -68,11 +68,11 @@ func TestReleaseTxResetsSession(t *testing.T) {
 	if next != tx {
 		t.Fatal("Begin after ReleaseTx did not reuse the released session")
 	}
-	if got := [4]int{cap(next.hops), cap(next.infos), cap(next.lock), cap(next.holds)}; got != caps {
+	if got := [3]int{cap(next.hops), cap(next.infos), cap(next.holds)}; got != caps {
 		t.Fatalf("recycled arenas have capacity %v, want %v kept", got, caps)
 	}
-	if len(next.hops)+len(next.infos)+len(next.lock) != 0 {
-		t.Fatalf("recycled arenas hold %d hops, %d results, %d locks; want empty", len(next.hops), len(next.infos), len(next.lock))
+	if len(next.hops)+len(next.infos) != 0 {
+		t.Fatalf("recycled arenas hold %d hops, %d results; want empty", len(next.hops), len(next.infos))
 	}
 	// No DeferCommit carried over: the commit settles at once.
 	short := []topo.NodeID{1, 2, 3, 4, 5}
@@ -127,12 +127,12 @@ func TestReleaseTxZeroesEveryField(t *testing.T) {
 	if ok, err := tx.Resume(); err != nil || !ok {
 		t.Fatalf("Resume = (%v, %v), want (true, nil)", ok, err)
 	}
-	arenas := map[string]bool{"holds": true, "hops": true, "infos": true, "lock": true}
-	stale := map[string]bool{"hopsInline": true, "infosInline": true, "lockInline": true}
-	// Zero before the release too: a suspended session panics and the
-	// span lock is free, by contract; and a recycled session's hold arena
-	// may have left its inline record before this session began.
-	mayBeZero := map[string]bool{"suspended": true, "spanMu": true, "holdsInline": true}
+	arenas := map[string]bool{"holds": true, "hops": true, "infos": true}
+	stale := map[string]bool{"hopsInline": true, "infosInline": true}
+	// Zero before the release too: a suspended session panics, by
+	// contract; and a recycled session's hold arena may have left its
+	// inline record before this session began.
+	mayBeZero := map[string]bool{"suspended": true, "holdsInline": true}
 	v := reflect.ValueOf(tx).Elem()
 	for i := range v.NumField() {
 		name := v.Type().Field(i).Name

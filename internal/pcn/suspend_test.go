@@ -240,3 +240,39 @@ func TestHoldSelfOffsetAbortClean(t *testing.T) {
 		}
 	}
 }
+
+// TestExpireChargesSettleLatency pins the latency accounting of the
+// expiry path: tearing a span down sends REVERSE legs, so the
+// session's resume latency matches the held path's round-trip cost.
+func TestExpireChargesSettleLatency(t *testing.T) {
+	g := topo.Line(4)
+	net := New(g)
+	for _, e := range g.Channels() {
+		if err := net.SetBalance(e.A, e.B, 100, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setRTT(net, 0.01)
+	tx, err := net.Begin(0, 3, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Hold([]topo.NodeID{0, 1, 2, 3}, 10); err != nil {
+		t.Fatal(err)
+	}
+	tx.DeferCommit()
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := tx.ResumeLatencyNanos()
+	if want != 3*10_000_000 { // 3 hops × 10ms
+		t.Fatalf("ResumeLatencyNanos = %d, want 30ms of REVERSE legs", want)
+	}
+	before := tx.CommitLatencyNanos()
+	if err := tx.Expire(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tx.CommitLatencyNanos() - before; got != want {
+		t.Errorf("expiry charged %dns, want %dns", got, want)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/topo"
 )
@@ -24,19 +23,18 @@ var (
 // (§5.1): Probe ≈ PROBE/PROBE_ACK, Hold ≈ COMMIT/COMMIT_ACK, Commit ≈
 // CONFIRM/CONFIRM_ACK, Abort ≈ REVERSE/REVERSE_ACK.
 //
-// A Tx is driven by a single goroutine and finished with exactly one
-// Commit or Abort. Any number of Tx values may run concurrently over
-// one Network: each operation locks only the channels it touches, in
-// ascending channel-index order (see the package comment).
+// A Tx is finished with exactly one Commit or Abort. Any number of Tx
+// values may be open at once over one Network, interleaving their
+// operations on the goroutine that owns the network (see the package
+// comment).
 //
 // # Working memory
 //
 // A Tx keeps its per-payment state in append-only arenas, each backed
 // by a small inline array until it outgrows it: the hop arena holds
 // every hold record's hops back to back (the space past its length
-// resolves the path of the operation in flight), the probe-result
-// arena every Probe result, and one buffer the lock order of the
-// operation in flight. An arena only grows, and growth moves it to a
+// resolves the path of the operation in flight) and the probe-result
+// arena every Probe result. An arena only grows, and growth moves it to a
 // new array and leaves the old one to its readers, so a slice handed
 // out earlier is never overwritten while the session lives: a Probe
 // result is read-only and valid until ReleaseTx. No probe or hold
@@ -71,9 +69,7 @@ var (
 // view (the routing decision is made, exactly one Commit was called)
 // but its funds are still locked on the network: other payments probe
 // and hold against the depleted residuals until Resume settles the
-// span. Resume may be called from a different goroutine than the one
-// that ran the session, provided the handoff happens-before (the
-// dynamic engine passes suspended sessions through a channel).
+// span.
 type Tx struct {
 	net      *Network
 	sender   topo.NodeID
@@ -84,12 +80,6 @@ type Tx struct {
 	deferCommit bool
 	suspended   bool
 	holds       []holdRecord
-	// spanMu guards only the suspended flag's set in Commit and its
-	// check-and-clear in claimSpan, so a deadline expiry racing a
-	// resume on the same span resolves to exactly one winner (the loser
-	// sees ErrNotSuspended). Every other access, Suspended's read
-	// included, keeps the single-goroutine / happens-before contract.
-	spanMu sync.Mutex
 
 	probeMsgs      int
 	probeOps       int   // distinct Probe calls
@@ -102,12 +92,10 @@ type Tx struct {
 	// sized so the Tx fits in 512 bytes (TestTxSize).
 	hops  []pathHop // hold records' hops, then the in-flight path
 	infos []HopInfo // every Probe result
-	lock  []int32   // the in-flight operation's lock order
 
 	holdsInline [1]holdRecord
 	hopsInline  [6]pathHop
 	infosInline [4]HopInfo
-	lockInline  [6]int32
 }
 
 // pathHop is one directed hop resolved to its channel index and
@@ -138,7 +126,6 @@ func (n *Network) Begin(sender, receiver topo.NodeID, demand float64) (*Tx, erro
 		t.holds = t.holdsInline[:0]
 		t.hops = t.hopsInline[:0]
 		t.infos = t.infosInline[:0]
-		t.lock = t.lockInline[:0]
 	}
 	t.net, t.sender, t.receiver, t.demand = n, sender, receiver, demand
 	return t, nil
@@ -153,8 +140,8 @@ func (n *Network) Begin(sender, receiver topo.NodeID, demand float64) (*Tx, erro
 // the next payment would inherit them.
 //
 // The reset goes field by field, so the inline arrays behind the
-// arenas are not wiped: a stale hop, probe result or lock index past an
-// arena's length is never read. A field added to Tx must be reset here
+// arenas are not wiped: a stale hop or probe result past an arena's
+// length is never read. A field added to Tx must be reset here
 // too (TestReleaseTxZeroesEveryField).
 func ReleaseTx(t *Tx) {
 	if !t.finished || t.suspended {
@@ -169,7 +156,7 @@ func ReleaseTx(t *Tx) {
 	t.finished, t.deferCommit = false, false // suspended is false already
 	t.probeMsgs, t.probeOps, t.probeLatNanos = 0, 0, 0
 	t.commitMsgs, t.commitLatNanos, t.feesPaid = 0, 0, 0
-	t.holds, t.hops, t.infos, t.lock = t.holds[:0], t.hops[:0], t.infos[:0], t.lock[:0]
+	t.holds, t.hops, t.infos = t.holds[:0], t.hops[:0], t.infos[:0]
 	n.sessions.Put(t)
 }
 
@@ -240,40 +227,10 @@ func (t *Tx) hopBuf(n int) []pathHop {
 	return t.hops[len(t.hops):len(t.hops)]
 }
 
-// lockOrderInto writes the distinct channel indices of hops to buf in
-// ascending order — the global acquisition order that makes
-// multi-channel locking deadlock-free. The result reuses buf's backing
-// array, which is grown to the hop count when it is too small.
-func lockOrderInto(buf []int32, hops []pathHop) []int32 {
-	s := slices.Grow(buf[:0], len(hops))
-	for _, h := range hops {
-		s = append(s, h.idx)
-	}
-	slices.Sort(s)
-	return slices.Compact(s)
-}
-
-// lockChannels acquires the locks of the given channels; idxs must be
-// ascending and duplicate-free (as produced by lockOrderInto).
-func (n *Network) lockChannels(idxs []int32) {
-	for _, i := range idxs {
-		n.chans[i].mu.Lock()
-	}
-}
-
-// unlockChannels releases locks taken by lockChannels.
-func (n *Network) unlockChannels(idxs []int32) {
-	for i := len(idxs) - 1; i >= 0; i-- {
-		n.chans[idxs[i]].mu.Unlock()
-	}
-}
-
 // Probe sends a probe along path and returns, per hop, the available
 // balance and fee schedule. It costs 2·hops probe messages (the probe
-// travels to the receiver and the acknowledgement returns). All on-path
-// channels are read under their locks together, so the result is a
-// consistent snapshot even while other payments commit concurrently.
-// The result is read-only and stays valid until ReleaseTx.
+// travels to the receiver and the acknowledgement returns). The result
+// is read-only and stays valid until ReleaseTx.
 //
 // Probe resolves the path in the hop arena's spare space and appends
 // the result to the probe-result arena, so it allocates nothing until
@@ -312,7 +269,6 @@ func (t *Tx) probe(hops []pathHop) []HopInfo {
 	}
 	t.infos = t.infos[:m+len(hops)]
 	info := t.infos[m:len(t.infos):len(t.infos)]
-	t.lock = lockOrderInto(t.lock, hops)
 	t.readHops(hops, info)
 	return info
 }
@@ -321,11 +277,9 @@ func (t *Tx) probe(hops []pathHop) []HopInfo {
 // it outgrows its inline array.
 const infosChunk = 32
 
-// readHops fills info with the probed state of every hop, read under
-// the locks of t.lock together, and charges the probe's messages and
-// latency.
+// readHops fills info with the probed state of every hop and charges
+// the probe's messages and latency.
 func (t *Tx) readHops(hops []pathHop, info []HopInfo) {
-	t.net.lockChannels(t.lock)
 	for i, h := range hops {
 		ch := &t.net.chans[h.idx]
 		d := h.dir
@@ -340,10 +294,9 @@ func (t *Tx) readHops(hops []pathHop, info []HopInfo) {
 			info[i].ReverseAvailable = ch.bal[1-d] - ch.held[1-d]
 		}
 	}
-	t.net.unlockChannels(t.lock)
 	t.probeMsgs += 2 * len(hops)
 	t.probeOps++
-	if t.net.hasLatency.Load() {
+	if t.net.hasLatency {
 		t.probeLatNanos += hopsLatNanos(t.net, hops)
 	}
 }
@@ -371,9 +324,6 @@ func (t *Tx) LocalBalance(u, v topo.NodeID) float64 {
 // Abort. If any hop lacks balance, nothing is reserved and
 // ErrInsufficient is returned (the prototype's COMMIT_NACK + REVERSE of
 // the prefix). Either way the attempt costs 2·hops commit messages.
-// Feasibility check and reservation happen under the locks of all
-// on-path channels, so two conflicting concurrent holds can never both
-// succeed on balance only one of them can have.
 func (t *Tx) Hold(path []topo.NodeID, amount float64) error {
 	if err := t.checkHold(amount); err != nil {
 		return err
@@ -414,13 +364,9 @@ func (t *Tx) checkHold(amount float64) error {
 // hop arena's spare space.
 func (t *Tx) hold(hops []pathHop, amount float64) error {
 	t.commitMsgs += 2 * len(hops)
-	if t.net.hasLatency.Load() {
+	if t.net.hasLatency {
 		t.commitLatNanos += hopsLatNanos(t.net, hops) // COMMIT + COMMIT_ACK leg
 	}
-	t.lock = lockOrderInto(t.lock, hops)
-	order := t.lock
-	t.net.lockChannels(order)
-	defer t.net.unlockChannels(order)
 	// Phase 1a: feasibility check. A closed channel rejects like a
 	// depleted one — routers already handle the capacity-failure path.
 	// A hop short on free balance may still be covered by the session's
@@ -447,7 +393,7 @@ func (t *Tx) hold(hops []pathHop, amount float64) error {
 	}
 	t.hops = t.hops[:len(t.hops)+len(hops)]
 	t.holds = append(t.holds, holdRecord{hops: hops, amount: amount})
-	t.net.holdsPlaced.Add(1)
+	t.net.holdsPlaced++
 	return nil
 }
 
@@ -481,22 +427,10 @@ func (t *Tx) HeldTotal() float64 {
 	return total
 }
 
-// holdLockOrder returns the distinct channel indices across all of the
-// session's holds, ascending — the acquisition order for the atomic
-// commit/abort of a multi-path payment. The holds' hops lie back to
-// back at the start of the hop arena, so this is their lock order.
-func (t *Tx) holdLockOrder() []int32 {
-	t.lock = lockOrderInto(t.lock, t.hops)
-	return t.lock
-}
-
 // Commit finalises all held partial payments atomically: every hop u→v
 // moves the held amount from bal(u→v) to bal(v→u), exactly the
-// prototype's CONFIRM_ACK processing. All channels touched by any hold
-// are locked together (in the global ascending order), so concurrent
-// observers see either none or all of the payment's transfers. Fees for
-// every hop are accounted in FeesPaid. Commit with nothing held is an
-// error.
+// prototype's CONFIRM_ACK processing. Fees for every hop are accounted
+// in FeesPaid. Commit with nothing held is an error.
 //
 // After DeferCommit, Commit instead records the decision and leaves
 // the session suspended with its funds still locked; Resume settles
@@ -509,28 +443,22 @@ func (t *Tx) Commit() error {
 		return errors.New("pcn: nothing held to commit")
 	}
 	if t.deferCommit {
-		t.spanMu.Lock()
 		t.suspended = true
-		t.spanMu.Unlock()
 		t.finished = true // the routing decision is made; only Resume or Expire may follow
 		return nil
 	}
-	order := t.holdLockOrder()
-	t.net.lockChannels(order)
-	defer t.net.unlockChannels(order)
-	t.applyCommitLocked()
+	t.applyCommit()
 	t.finished = true
 	return nil
 }
 
-// applyCommitLocked moves every held amount and accounts the CONFIRM
-// messages and fees. Callers must hold the locks of holdLockOrder().
-// Holds are applied strictly in placement order: a hold that drew
-// self-offset credit from an earlier reverse-direction hold (see Hold)
-// is only sound because its creditor settles first.
-func (t *Tx) applyCommitLocked() {
-	t.net.holdsCommitted.Add(int64(len(t.holds)))
-	if t.net.hasLatency.Load() {
+// applyCommit moves every held amount and accounts the CONFIRM
+// messages and fees. Holds are applied strictly in placement order: a
+// hold that drew self-offset credit from an earlier reverse-direction
+// hold (see Hold) is only sound because its creditor settles first.
+func (t *Tx) applyCommit() {
+	t.net.holdsCommitted += int64(len(t.holds))
+	if t.net.hasLatency {
 		t.commitLatNanos += t.settleLatNanos() // CONFIRM legs, concurrent across paths
 	}
 	for _, h := range t.holds {
@@ -557,19 +485,16 @@ func (t *Tx) Abort() error {
 	if t.finished {
 		return ErrFinished
 	}
-	order := t.holdLockOrder()
-	t.net.lockChannels(order)
-	defer t.net.unlockChannels(order)
-	t.releaseHoldsLocked()
+	t.releaseHolds()
 	t.finished = true
 	return nil
 }
 
-// releaseHoldsLocked returns every reservation and accounts the
-// REVERSE messages. Callers must hold the locks of holdLockOrder().
-func (t *Tx) releaseHoldsLocked() {
-	t.net.holdsAborted.Add(int64(len(t.holds)))
-	if t.net.hasLatency.Load() {
+// releaseHolds returns every reservation and accounts the REVERSE
+// messages.
+func (t *Tx) releaseHolds() {
+	t.net.holdsAborted += int64(len(t.holds))
+	if t.net.hasLatency {
 		t.commitLatNanos += t.settleLatNanos() // REVERSE legs, concurrent across paths
 	}
 	for _, h := range t.holds {
@@ -591,18 +516,13 @@ func (t *Tx) DeferCommit() { t.deferCommit = true }
 
 // Suspended reports whether the session sits between a deferred Commit
 // and its Resume (or Expire), with funds still locked on the network.
-// It reads the flag without spanMu, like every other Tx accessor: the
-// caller is the goroutine that drives the session, or one the session
-// was handed to with a happens-before edge, never one racing a claim.
 func (t *Tx) Suspended() bool { return t.suspended }
 
-// claimSpan atomically transitions the session out of the suspended
-// state, returning whether the caller won the claim. Resume and Expire
-// both go through it, so a deadline firing against a racing resume
-// settles the span exactly once.
+// claimSpan takes the session out of the suspended state, returning
+// whether it was suspended. Resume and Expire both go through it, so
+// whichever comes first settles the span and the other finds nothing to
+// settle.
 func (t *Tx) claimSpan() bool {
-	t.spanMu.Lock()
-	defer t.spanMu.Unlock()
 	if !t.suspended {
 		return false
 	}
@@ -621,34 +541,27 @@ func (t *Tx) Resume() (bool, error) {
 	if !t.claimSpan() {
 		return false, ErrNotSuspended
 	}
-	order := t.holdLockOrder()
-	t.net.lockChannels(order)
-	defer t.net.unlockChannels(order)
 	for _, h := range t.holds {
 		for _, ph := range h.hops {
 			if t.net.chans[ph.idx].closed {
-				t.releaseHoldsLocked()
+				t.releaseHolds()
 				return false, nil
 			}
 		}
 	}
-	t.applyCommitLocked()
+	t.applyCommit()
 	return true, nil
 }
 
 // Expire tears down a suspended span at its HTLC-style deadline: every
 // hold is released (REVERSE messages and settle latency are accounted)
-// and the payment counts as failed. Expire and Resume race safely on a
-// shared span — the suspended flag is claimed atomically, so exactly
-// one of them settles the funds and the other gets ErrNotSuspended.
+// and the payment counts as failed. Exactly one of Expire and Resume
+// settles a span; the other gets ErrNotSuspended.
 func (t *Tx) Expire() error {
 	if !t.claimSpan() {
 		return ErrNotSuspended
 	}
-	order := t.holdLockOrder()
-	t.net.lockChannels(order)
-	defer t.net.unlockChannels(order)
-	t.releaseHoldsLocked()
+	t.releaseHolds()
 	return nil
 }
 
@@ -680,7 +593,7 @@ func (t *Tx) settleLatNanos() int64 {
 // held path. The dynamic engine reads it when scheduling a suspended
 // span's settle event.
 func (t *Tx) ResumeLatencyNanos() int64 {
-	if !t.net.hasLatency.Load() {
+	if !t.net.hasLatency {
 		return 0
 	}
 	return t.settleLatNanos()
@@ -692,7 +605,7 @@ func (t *Tx) ResumeLatencyNanos() int64 {
 // without latency assignment it is 0 for every path, keeping the
 // feature-off fast path branch-cheap.
 func (t *Tx) PathLatencyNanos(p topo.Path) int64 {
-	if !t.net.hasLatency.Load() {
+	if !t.net.hasLatency {
 		return 0
 	}
 	var lat int64

@@ -25,11 +25,10 @@ import (
 //
 // Concurrency contract: a Session belongs to exactly one goroutine for
 // its lifetime — no Session method is called concurrently. The network
-// behind the session, however, is shared: any number of sessions may
-// probe, hold and commit concurrently, and implementations must make
-// each individual operation atomic against the others (pcn.Tx does
-// this with per-channel locks acquired in ascending channel-index
-// order).
+// behind the session is shared by every session open on it, and each
+// operation must be atomic against theirs: pcn.Tx sessions interleave
+// on the one goroutine that owns their network (one goroutine per run),
+// and a TCP node applies each message under its own locks.
 type Session interface {
 	// Graph is the sender's locally available topology (§3.1): full
 	// connectivity, no balance information.

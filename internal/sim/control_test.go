@@ -334,7 +334,6 @@ func TestScriptedControlAppliesEveryKnob(t *testing.T) {
 		{Knob: control.Knob(control.NumKnobs), Value: 2}, // unknown: must be skipped
 	}}
 	reg := telemetry.NewRegistry()
-	RegisterRouterMetrics(reg, SchemeFlash, fl)
 	src := newScaledSource(10, 1, 3, 5, 7, 9)
 	res, err := RunDynamic(net, fl, src, 10, nil, 100, DynamicOptions{
 		Workers:     1,

@@ -116,9 +116,11 @@ type DynamicOptions struct {
 	// Registry, when non-nil, accumulates per-completion rollups
 	// (payment/outcome counters, volume, fees, message totals, an
 	// amount histogram, virtual-clock and threshold gauges), labelled by
-	// the router's scheme name. Both are strictly observer-only: the
-	// event log, fingerprint and metrics are byte-identical with or
-	// without them.
+	// the router's scheme name, and the router's statistics and the
+	// network's hold counters as gauges the engine sets at every window
+	// close and at drain (RegisterRouterMetrics, RegisterNetworkMetrics).
+	// Both are strictly observer-only: the event log, fingerprint and
+	// metrics are byte-identical with or without them.
 	FlowSink telemetry.Sink
 	Registry *telemetry.Registry
 

@@ -134,7 +134,7 @@ func newEngine(net *pcn.Network, r route.Router, src trace.PaymentSource, horizo
 		spans:         opts.Service > 0,
 		latOn:         net.HasLatency(),
 		log:           event.Log{Retain: opts.recordLog},
-		obs:           newDynObserver(r.Name(), opts.FlowSink, opts.Registry),
+		obs:           newDynObserver(r, net, opts.FlowSink, opts.Registry),
 
 		arrivals:     arrivalStage{src: src, horizon: horizon, scale: 1},
 		windows:      newWindowSeries(opts.Window, horizon),
@@ -204,8 +204,12 @@ func (e *engine) run() (DynamicResult, error) {
 	return e.finish(nil)
 }
 
-// finish copies what the stages hold into the result.
+// finish copies what the stages hold into the result and publishes
+// the final counters to the observer.
 func (e *engine) finish(err error) (DynamicResult, error) {
+	if e.obs != nil {
+		e.obs.publish()
+	}
 	e.res.Windows = e.windows.list
 	e.res.Latency.sumWindows(e.res.Windows)
 	e.res.FinalThreshold = e.curThreshold
@@ -383,7 +387,7 @@ func (e *engine) complete(dp *dynPayment, at float64) {
 	t := dp.total
 	dp.total = routeOutcome{}
 	e.res.Aggregate.Record(dp.p.Amount, e.miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
-	w := e.windows.at(at, e.curThreshold)
+	w := e.window(at)
 	w.Metrics.Record(dp.p.Amount, e.miceThreshold, t.elapsed, t.probeMsgs, t.commitMsgs, t.fees, t.delivered)
 	if e.ctl != nil {
 		// The re-classification view and the controllers' window metrics
@@ -455,7 +459,7 @@ func (e *engine) applyChurn(ev event.Event) error {
 func (e *engine) controlTick(ev event.Event) {
 	// Materialise the bucket (and any earlier ones) before any swap, so
 	// windows that closed under the old threshold report it.
-	w := e.windows.at(ev.Time, e.curThreshold)
+	w := e.window(ev.Time)
 	decisions := e.ctl.plane.Observe(e.ctl.snapshot(e.curThreshold, e.fl.ProbeWorkers()))
 	// The bare cadence tick is logged first (knob code 0), then one
 	// ControlUpdate per applied decision, each stamped with the
@@ -543,6 +547,18 @@ func (a *arrivalStage) rescale(factor float64) {
 		a.lookahead.p.Amount *= factor / a.scale
 	}
 	a.scale = factor
+}
+
+// window returns the bucket containing t (windowSeries.at). A bucket it
+// opens after the first closes the ones before it, so the observer
+// publishes the router's and network's counters.
+func (e *engine) window(t float64) *Window {
+	n := len(e.windows.list)
+	w := e.windows.at(t, e.curThreshold)
+	if e.obs != nil && n > 0 && len(e.windows.list) > n {
+		e.obs.publish()
+	}
+	return w
 }
 
 // windowSeries is the run's time series. It never extends past the

@@ -67,7 +67,8 @@ func TestExactAllocCounts(t *testing.T) {
 			opts := tc.sc.DynamicOptions
 			opts.Seed = c.seed
 			if collect {
-				// Two collections: a sync.Pool keeps its items through one.
+				// Two collections: an object whose finalizer or cleanup
+				// the first one runs is freed only by the second.
 				runtime.GC()
 				runtime.GC()
 				time.Sleep(10 * time.Millisecond)

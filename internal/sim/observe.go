@@ -10,9 +10,10 @@ import (
 )
 
 // dynObserver is the dynamic engine's telemetry tap: per-completion
-// registry rollups plus flow-record emission. A nil observer — the
-// default when neither a sink nor a registry is configured — costs the
-// engine a single branch per completion.
+// registry rollups, the router's and network's counters published at
+// every window close and at drain, and flow-record emission. A nil
+// observer — the default when neither a sink nor a registry is
+// configured — costs the engine a single branch per completion.
 type dynObserver struct {
 	sink   telemetry.Sink
 	scheme string
@@ -25,6 +26,7 @@ type dynObserver struct {
 	probeMsgs, commitMsgs                     *telemetry.Counter
 	amounts, latency                          *telemetry.Histogram
 	clock, threshold                          *telemetry.Gauge
+	publish                                   func() // sets the router and network gauges
 
 	// Per-knob control-plane instruments, registered lazily on the
 	// first decision touching each knob (a run without a control plane
@@ -33,15 +35,18 @@ type dynObserver struct {
 	ctlLast      [control.NumKnobs]*telemetry.Gauge
 }
 
-// newDynObserver builds the tap, registering the scheme-labelled
-// instrument set when reg is non-nil. Returns nil when there is
-// nothing to observe into.
-func newDynObserver(scheme string, sink telemetry.Sink, reg *telemetry.Registry) *dynObserver {
+// newDynObserver builds the tap for r routing over net, registering the
+// scheme-labelled instrument set when reg is non-nil. Returns nil when
+// there is nothing to observe into.
+func newDynObserver(r route.Router, net *pcn.Network, sink telemetry.Sink, reg *telemetry.Registry) *dynObserver {
 	if sink == nil && reg == nil {
 		return nil
 	}
-	o := &dynObserver{sink: sink, scheme: scheme, reg: reg}
+	scheme := r.Name()
+	o := &dynObserver{sink: sink, scheme: scheme, reg: reg, publish: func() {}}
 	if reg != nil {
+		router, network := RegisterRouterMetrics(reg, scheme, r), RegisterNetworkMetrics(reg, scheme, net)
+		o.publish = func() { router(); network() }
 		lbl := `{scheme="` + scheme + `"}`
 		o.payments = reg.Counter("sim_payments_total"+lbl, "Payments completed, all outcomes.")
 		o.successes = reg.Counter("sim_payments_delivered_total"+lbl, "Payments fully delivered.")
@@ -130,52 +135,70 @@ func (o *dynObserver) decided(k control.Knob, eff float64) {
 	o.ctlLast[k].Set(eff)
 }
 
-// RegisterRouterMetrics exposes a router's internal statistics as
-// scheme-labelled gauges on reg, read live at every scrape. Only
-// routers with statistics (core.Flash) register anything; every other
-// router is a no-op, so callers can pass whatever they run.
-func RegisterRouterMetrics(reg *telemetry.Registry, scheme string, r route.Router) {
+// RegisterRouterMetrics registers a router's internal statistics as
+// scheme-labelled gauges on reg, sets them, and returns the function
+// that sets them again. Only routers with statistics (core.Flash)
+// register anything; for any other router it returns a no-op, so
+// callers can pass whatever they run. The gauges hold values, not
+// callbacks: the goroutine that drives the router calls the returned
+// function when a scrape should see newer ones (the engine's observer at
+// every window close and at drain), so a scrape from another goroutine
+// never reads the router.
+func RegisterRouterMetrics(reg *telemetry.Registry, scheme string, r route.Router) func() {
 	fl, ok := r.(*core.Flash)
 	if !ok {
-		return
+		return func() {}
 	}
 	lbl := `{scheme="` + scheme + `"}`
-	stat := func(name, help string, get func(core.Stats) int64) {
-		reg.GaugeFunc("flash_"+name+lbl, help, func() float64 {
-			return float64(get(fl.Stats()))
-		})
+	stats := [...]struct {
+		name, help string
+		get        func(core.Stats) int64
+	}{
+		{"elephants_total", "Payments routed by the elephant algorithm.", func(s core.Stats) int64 { return s.Elephants }},
+		{"mice_total", "Payments routed by the mice algorithm.", func(s core.Stats) int64 { return s.Mice }},
+		{"table_hits_total", "Mice routing-table hits.", func(s core.Stats) int64 { return s.TableHits }},
+		{"table_misses_total", "Mice routing-table misses.", func(s core.Stats) int64 { return s.TableMisses }},
+		{"table_entries", "Live mice routing-table entries.", func(s core.Stats) int64 { return int64(s.TableEntries) }},
+		{"table_invalidations_total", "Routing-table entries invalidated by churn.", func(s core.Stats) int64 { return s.TableInvalidations }},
+		{"table_evictions_total", "Routing-table entries evicted by the cap.", func(s core.Stats) int64 { return s.TableEvictions }},
+		{"paths_replaced_total", "Mice paths replaced after probe failure.", func(s core.Stats) int64 { return s.PathsReplaced }},
+		{"threshold_updates_total", "Adaptive threshold re-calibrations.", func(s core.Stats) int64 { return s.ThresholdUpdates }},
+		{"sender_thresholds", "Senders with a live per-sender threshold override.", func(s core.Stats) int64 { return int64(s.SenderThresholds) }},
+		{"sender_threshold_updates_total", "Per-sender threshold override moves.", func(s core.Stats) int64 { return s.SenderThresholdUpdates }},
+		{"probe_width_updates_total", "Probe-width re-tunes (candidates per elephant round).", func(s core.Stats) int64 { return s.ProbeWidthUpdates }},
+		{"fee_program_fallbacks_total", "Elephant splits left to sequential filling because the fee program failed.", func(s core.Stats) int64 { return s.FeeProgramFallbacks }},
 	}
-	stat("elephants_total", "Payments routed by the elephant algorithm.", func(s core.Stats) int64 { return int64(s.Elephants) })
-	stat("mice_total", "Payments routed by the mice algorithm.", func(s core.Stats) int64 { return int64(s.Mice) })
-	stat("table_hits_total", "Mice routing-table hits.", func(s core.Stats) int64 { return int64(s.TableHits) })
-	stat("table_misses_total", "Mice routing-table misses.", func(s core.Stats) int64 { return int64(s.TableMisses) })
-	stat("table_entries", "Live mice routing-table entries.", func(s core.Stats) int64 { return int64(s.TableEntries) })
-	stat("table_invalidations_total", "Routing-table entries invalidated by churn.", func(s core.Stats) int64 { return int64(s.TableInvalidations) })
-	stat("table_evictions_total", "Routing-table entries evicted by the cap.", func(s core.Stats) int64 { return int64(s.TableEvictions) })
-	stat("paths_replaced_total", "Mice paths replaced after probe failure.", func(s core.Stats) int64 { return int64(s.PathsReplaced) })
-	stat("threshold_updates_total", "Adaptive threshold re-calibrations.", func(s core.Stats) int64 { return int64(s.ThresholdUpdates) })
-	stat("sender_thresholds", "Senders with a live per-sender threshold override.", func(s core.Stats) int64 { return int64(s.SenderThresholds) })
-	stat("sender_threshold_updates_total", "Per-sender threshold override moves.", func(s core.Stats) int64 { return int64(s.SenderThresholdUpdates) })
-	stat("probe_width_updates_total", "Probe-width re-tunes (candidates per elephant round).", func(s core.Stats) int64 { return int64(s.ProbeWidthUpdates) })
-	stat("fee_program_fallbacks_total", "Elephant splits left to sequential filling because the fee program failed.", func(s core.Stats) int64 { return int64(s.FeeProgramFallbacks) })
-	reg.GaugeFunc("flash_threshold"+lbl, "Current elephant classification threshold.", fl.Threshold)
-	reg.GaugeFunc("flash_probe_workers"+lbl, "Current probe width: candidates per elephant round, each round charged its slowest probe.", func() float64 {
-		return float64(fl.ProbeWorkers())
-	})
+	var gauges [len(stats)]*telemetry.Gauge
+	for i, st := range stats {
+		gauges[i] = reg.Gauge("flash_"+st.name+lbl, st.help)
+	}
+	threshold := reg.Gauge("flash_threshold"+lbl, "Current elephant classification threshold.")
+	width := reg.Gauge("flash_probe_workers"+lbl, "Current probe width: candidates per elephant round, each round charged its slowest probe.")
+	publish := func() {
+		s := fl.Stats()
+		for i, st := range stats {
+			gauges[i].Set(float64(st.get(s)))
+		}
+		threshold.Set(fl.Threshold())
+		width.Set(float64(fl.ProbeWorkers()))
+	}
+	publish()
+	return publish
 }
 
-// RegisterNetworkMetrics exposes a pcn network's cumulative hold
-// counters as scheme-labelled gauges on reg, read live at every
-// scrape.
-func RegisterNetworkMetrics(reg *telemetry.Registry, scheme string, net *pcn.Network) {
+// RegisterNetworkMetrics registers a pcn network's cumulative hold
+// counters as scheme-labelled gauges on reg, sets them, and returns the
+// function that sets them again, on the terms of RegisterRouterMetrics.
+func RegisterNetworkMetrics(reg *telemetry.Registry, scheme string, net *pcn.Network) func() {
 	lbl := `{scheme="` + scheme + `"}`
-	reg.GaugeFunc("pcn_holds_placed_total"+lbl, "Partial-payment holds reserved.", func() float64 {
-		return float64(net.HoldsPlaced())
-	})
-	reg.GaugeFunc("pcn_holds_committed_total"+lbl, "Holds settled by commit or resume.", func() float64 {
-		return float64(net.HoldsCommitted())
-	})
-	reg.GaugeFunc("pcn_holds_aborted_total"+lbl, "Holds released by abort or span abort.", func() float64 {
-		return float64(net.HoldsAborted())
-	})
+	placed := reg.Gauge("pcn_holds_placed_total"+lbl, "Partial-payment holds reserved.")
+	committed := reg.Gauge("pcn_holds_committed_total"+lbl, "Holds settled by commit or resume.")
+	aborted := reg.Gauge("pcn_holds_aborted_total"+lbl, "Holds released by abort or span abort.")
+	publish := func() {
+		placed.Set(float64(net.HoldsPlaced()))
+		committed.Set(float64(net.HoldsCommitted()))
+		aborted.Set(float64(net.HoldsAborted()))
+	}
+	publish()
+	return publish
 }

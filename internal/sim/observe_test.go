@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"io"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -149,10 +151,11 @@ func TestFeeProgramNeverFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	RegisterRouterMetrics(reg, SchemeFlash, r)
+	publish := RegisterRouterMetrics(reg, SchemeFlash, r)
 	if _, err := Replay(net, r, payments, threshold); err != nil {
 		t.Fatal(err)
 	}
+	publish()
 	if st := r.(*core.Flash).Stats(); st.Elephants < 50 || st.FeeProgramFallbacks != 0 {
 		t.Fatalf("%d elephants, %d fee-program fallbacks: want at least 50 and none", st.Elephants, st.FeeProgramFallbacks)
 	}
@@ -162,5 +165,115 @@ func TestFeeProgramNeverFallsBack(t *testing.T) {
 	}
 	if want := `flash_fee_program_fallbacks_total{scheme="Flash"} 0`; !bytes.Contains(prom.Bytes(), []byte(want)) {
 		t.Errorf("registry lacks %s:\n%s", want, prom.String())
+	}
+}
+
+// TestLiveScrapeDuringRun scrapes a registry in a loop on a second
+// goroutine while a Flash RunDynamic with churn, hold spans and a retry
+// runs against it — go test -race is what checks that a scrape reads
+// only the registry's own instruments, never the router or the network.
+// After the run, every flash_* and pcn_holds_* series must equal the
+// router's Stats and the network's hold counters.
+func TestLiveScrapeDuringRun(t *testing.T) {
+	sc := churnScenario(t, 1)
+	sc.Service, sc.Retries = 1, 1
+	c, err := sc.newCell(sc.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := c.net.Clone()
+	r, err := BuildRouter(RouterSpec{Scheme: SchemeFlash, Threshold: c.threshold, Seed: c.seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := c.source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	opts := sc.DynamicOptions
+	opts.Seed, opts.Registry = c.seed, reg
+
+	started, stop, scrapes := make(chan struct{}), make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+			if n == 0 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				scrapes <- n + 1
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	res, err := RunDynamic(net, r, src, c.horizon, c.churn, c.threshold, opts)
+	close(stop)
+	t.Logf("%d scrapes during the run", <-scrapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aggregate.Payments < 100 || res.SpanAborts == 0 {
+		t.Fatalf("%d payments, %d span aborts: want a churned run", res.Aggregate.Payments, res.SpanAborts)
+	}
+
+	fl := r.(*core.Flash)
+	st := fl.Stats()
+	want := map[string]float64{
+		"flash_elephants_total":                float64(st.Elephants),
+		"flash_mice_total":                     float64(st.Mice),
+		"flash_table_hits_total":               float64(st.TableHits),
+		"flash_table_misses_total":             float64(st.TableMisses),
+		"flash_table_entries":                  float64(st.TableEntries),
+		"flash_table_invalidations_total":      float64(st.TableInvalidations),
+		"flash_table_evictions_total":          float64(st.TableEvictions),
+		"flash_paths_replaced_total":           float64(st.PathsReplaced),
+		"flash_threshold_updates_total":        float64(st.ThresholdUpdates),
+		"flash_sender_thresholds":              float64(st.SenderThresholds),
+		"flash_sender_threshold_updates_total": float64(st.SenderThresholdUpdates),
+		"flash_probe_width_updates_total":      float64(st.ProbeWidthUpdates),
+		"flash_fee_program_fallbacks_total":    float64(st.FeeProgramFallbacks),
+		"flash_threshold":                      fl.Threshold(),
+		"flash_probe_workers":                  float64(fl.ProbeWorkers()),
+		"pcn_holds_placed_total":               float64(net.HoldsPlaced()),
+		"pcn_holds_committed_total":            float64(net.HoldsCommitted()),
+		"pcn_holds_aborted_total":              float64(net.HoldsAborted()),
+	}
+	if st.Mice == 0 || st.TableInvalidations == 0 || net.HoldsAborted() == 0 {
+		t.Fatalf("stats %+v, %d holds aborted: want mice, invalidations and aborts to compare", st, net.HoldsAborted())
+	}
+	checkSeries(t, reg, `{scheme="Flash"}`, want)
+}
+
+// checkSeries requires reg's Prometheus text to carry each name in want,
+// with label block lbl, at its value.
+func checkSeries(t *testing.T, reg *telemetry.Registry, lbl string, want map[string]float64) {
+	t.Helper()
+	var prom bytes.Buffer
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64)
+	for _, line := range strings.Split(prom.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("series %q: %v", line, err)
+		}
+		got[name] = v
+	}
+	for name, w := range want {
+		if v, ok := got[name+lbl]; !ok || v != w {
+			t.Errorf("%s%s = %v (present %v), want %v", name, lbl, v, ok, w)
+		}
 	}
 }

@@ -140,9 +140,7 @@ type Scenario struct {
 	Router RouterSpec
 
 	// DynamicOptions are the engine settings every scheme's run uses;
-	// Run replaces Seed with each run's seed. When Registry is set the
-	// per-scheme router statistics and network hold/message counters
-	// are also registered as scheme-labelled gauges.
+	// Run replaces Seed with each run's seed.
 	DynamicOptions
 }
 
@@ -411,10 +409,6 @@ func (sc Scenario) runScheme(c *cell, scheme string) (DynamicResult, error) {
 	r, err := BuildRouter(spec)
 	if err != nil {
 		return DynamicResult{}, err
-	}
-	if sc.Registry != nil {
-		RegisterRouterMetrics(sc.Registry, scheme, r)
-		RegisterNetworkMetrics(sc.Registry, scheme, net)
 	}
 	src, err := c.source()
 	if err != nil {
